@@ -16,10 +16,11 @@ from __future__ import annotations
 import enum
 import heapq
 import ipaddress
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..dnslib import EcsOption, Message, Name, RecordType
+from ..dnslib import EcsOption, Message, Name, RecordType, ResourceRecord
 from ..net.addr import parse_addr, prefix_key, prefix_key_int
 from ..net.clock import SimClock
 from ..obs import metrics as _obs_metrics
@@ -108,14 +109,35 @@ class EcsCache:
         self.max_entries = max_entries
         self.stats = CacheStats()
         self._entries: Dict[Tuple[Name, int], List[_Entry]] = {}
+        #: Running live-entry count, exact while the clock is before
+        #: ``_next_expiry`` (the earliest expiry among the counted
+        #: entries; the clock never runs backwards).  Once that moment
+        #: passes, :meth:`size` recounts and re-arms both.
+        self._live = 0
+        self._next_expiry = math.inf
 
     # -- inspection --------------------------------------------------------
 
     def size(self) -> int:
-        """Number of live (non-expired) entries."""
+        """Number of live (non-expired) entries.
+
+        O(1) while nothing counted has expired; otherwise a full scan
+        (expired entries are left where they are: removing them is
+        :meth:`lookup`'s and :meth:`store`'s job, and is counted there).
+        """
         now = self.clock.now()
-        return sum(1 for entries in self._entries.values()
-                   for e in entries if e.expires_at > now)
+        if now >= self._next_expiry:
+            live = 0
+            next_expiry = math.inf
+            for entries in self._entries.values():
+                for e in entries:
+                    if e.expires_at > now:
+                        live += 1
+                        if e.expires_at < next_expiry:
+                            next_expiry = e.expires_at
+            self._live = live
+            self._next_expiry = next_expiry
+        return self._live
 
     def entries_for(self, qname: Name, qtype: RecordType) -> List[_Entry]:
         """Live entries for one question (test/analysis hook)."""
@@ -177,10 +199,18 @@ class EcsCache:
         return prefix_key_int(version, value, entry.scope_bits) == entry.net_key
 
     def _aged_copy(self, entry: _Entry, now: float) -> Message:
-        response = entry.response.copy()
+        stored = entry.response
         age = int(now - entry.inserted_at)
-        for section in (response.answers, response.authority, response.additional):
-            section[:] = [rr.with_ttl(max(0, rr.ttl - age)) for rr in section]
+
+        def aged(section: List[ResourceRecord]) -> List[ResourceRecord]:
+            return [rr.with_ttl(max(0, rr.ttl - age)) for rr in section]
+
+        # Records are immutable and shared with the stored entry, so the
+        # aged ones are built straight into the copy's own lists.
+        response = stored.copy()
+        response.answers = aged(stored.answers)
+        response.authority = aged(stored.authority)
+        response.additional = aged(stored.additional)
         return response
 
     # -- store -------------------------------------------------------------
@@ -228,10 +258,19 @@ class EcsCache:
                        now, now + ttl, last_used=now)
         key = (qname, int(qtype))
         entries = self._entries.setdefault(key, [])
-        entries[:] = [e for e in entries if e.expires_at > now
-                      and not (e.scope_bits == entry.scope_bits
-                               and e.net_key == entry.net_key)]
-        entries.append(entry)
+        kept = []
+        for e in entries:
+            if e.expires_at > now:
+                if e.scope_bits == entry.scope_bits \
+                        and e.net_key == entry.net_key:
+                    self._live -= 1         # replaced by the new entry
+                else:
+                    kept.append(e)
+        kept.append(entry)
+        entries[:] = kept
+        self._live += 1
+        if entry.expires_at < self._next_expiry:
+            self._next_expiry = entry.expires_at
         self.stats.insertions += 1
         self._count("insert")
         if self.max_entries is not None:
@@ -261,12 +300,15 @@ class EcsCache:
                 self._entries[key] = kept
             else:
                 del self._entries[key]
+        self._live -= overflow
         self.stats.evictions += overflow
         self._count("evict", overflow)
 
     def flush(self) -> None:
         """Drop everything (does not reset stats)."""
         self._entries.clear()
+        self._live = 0
+        self._next_expiry = math.inf
 
 
 class ScopeTracker:

@@ -33,10 +33,21 @@ _OPTION_HEADER = struct.Struct("!HH")
 _OPTIONS_CACHE: Dict[tuple, bytes] = {}
 _OPTIONS_CACHE_MAX = 4096
 
+#: Decode memo for ECS payloads, keyed by the exact option bytes.  A
+#: forwarder chain carries one client prefix through every hop of a
+#: lookup, so the same few octets are parsed (and their ``ipaddress``
+#: object rebuilt) again and again.  :class:`EcsOption` is frozen, so the
+#: decoded instance is shared.  Only payloads that passed every check are
+#: stored; bounded like ``_OPTIONS_CACHE``.
+_ECS_DECODE_CACHE: Dict[bytes, "EcsOption"] = {}
+_ECS_DECODE_CACHE_MAX = 4096
+
 
 def clear_options_cache() -> None:
-    """Drop the OPT payload encode cache (benchmarks/tests hook)."""
+    """Drop the OPT payload encode cache and the ECS decode memo
+    (benchmarks/tests hook)."""
     _OPTIONS_CACHE.clear()
+    _ECS_DECODE_CACHE.clear()
 
 
 class EdnsOption:
@@ -222,6 +233,10 @@ class EcsOption(EdnsOption):
 
     @classmethod
     def from_wire(cls, data: bytes) -> "EcsOption":
+        data = bytes(data)
+        cached = _ECS_DECODE_CACHE.get(data)
+        if cached is not None:
+            return cached
         if len(data) < 4:
             raise BadEcsError("ECS option shorter than 4 octets")
         family, source, scope = _ECS_HEADER.unpack_from(data)
@@ -245,7 +260,11 @@ class EcsOption(EdnsOption):
         trailing = nbytes * 8 - source
         if trailing and payload and payload[-1] & ~(0xFF << trailing) & 0xFF:
             raise BadEcsError("non-zero bits beyond ECS source prefix")
-        return cls(family, source, scope, addr)
+        option = cls(family, source, scope, addr)
+        if len(_ECS_DECODE_CACHE) >= _ECS_DECODE_CACHE_MAX:
+            _ECS_DECODE_CACHE.clear()
+        _ECS_DECODE_CACHE[data] = option
+        return option
 
     def to_text(self) -> str:
         return (f"ECS {self.address}/{self.source_prefix_length} "
@@ -335,6 +354,12 @@ class EdnsInfo:
     dnssec_ok: bool = False
     extended_rcode_bits: int = 0
     options: List[EdnsOption] = field(default_factory=list)
+
+    def copy(self) -> "EdnsInfo":
+        """The same EDNS state around a fresh ``options`` list (the
+        options themselves are immutable and shared)."""
+        return EdnsInfo(self.payload_size, self.version, self.dnssec_ok,
+                        self.extended_rcode_bits, list(self.options))
 
     def find_ecs(self) -> Optional[EcsOption]:
         """The first ECS option, if any."""

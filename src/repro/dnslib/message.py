@@ -8,7 +8,6 @@ and materialized into an OPT pseudo-record only at wire-encoding time.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -133,8 +132,23 @@ class Message:
         return min(rr.ttl for rr in self.answers)
 
     def copy(self) -> "Message":
-        """A deep copy, safe to mutate (e.g. to age TTLs on a cache hit)."""
-        return copy.deepcopy(self)
+        """A structural copy: fresh containers around shared records.
+
+        The header fields, the three section lists and the
+        :class:`EdnsInfo` (with its ``options`` list) are new, so the copy
+        can be re-addressed, re-sectioned or given another ECS option
+        without touching the original.  The ``Question``,
+        ``ResourceRecord``, ``Rdata``, ``Name`` and ``EdnsOption`` objects
+        inside are shared: they are immutable, and changing one (ageing a
+        TTL, say) means building a new record into the copy's list.
+        """
+        edns = self.edns
+        return Message(self.msg_id, self.opcode, self.rcode,
+                       self.is_response, self.authoritative, self.truncated,
+                       self.recursion_desired, self.recursion_available,
+                       self.question, list(self.answers),
+                       list(self.authority), list(self.additional),
+                       None if edns is None else edns.copy())
 
     def __str__(self) -> str:
         kind = "response" if self.is_response else "query"

@@ -12,11 +12,60 @@ from __future__ import annotations
 import ipaddress
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from .constants import RecordType
 from .errors import TruncatedMessageError, WireFormatError
 from .name import Name
+
+
+#: Address memo tables for A/AAAA: the text an ``A`` carries -> its packed
+#: octets (construction-time validation and ``to_wire``), and packed octets
+#: -> canonical text (``from_wire``).  A lookup decodes and re-encodes the
+#: same few addresses at every hop; without these each record costs two
+#: ``ipaddress`` constructions per hop.  A miss runs the full ``ipaddress``
+#: parse, so what is accepted and what is raised do not change.  Bounded by
+#: wholesale clearing, like ``wire._QNAME_CACHE``.
+_V4_PACKED: Dict[str, bytes] = {}
+_V6_PACKED: Dict[str, bytes] = {}
+_V4_TEXT: Dict[bytes, str] = {}
+_V6_TEXT: Dict[bytes, str] = {}
+_ADDRESS_TABLE_MAX = 4096
+
+
+def clear_address_tables() -> None:
+    """Drop the A/AAAA memo tables (benchmarks/tests hook)."""
+    for table in (_V4_PACKED, _V6_PACKED, _V4_TEXT, _V6_TEXT):
+        table.clear()
+
+
+def _remember(table: Dict[Any, Any], key: Any, value: Any) -> None:
+    if len(table) >= _ADDRESS_TABLE_MAX:
+        table.clear()
+    table[key] = value
+
+
+def _packed(packed_by_text: Dict[str, bytes], parse: Callable[[str], Any],
+            address: str) -> bytes:
+    """Packed octets of ``address``; raises what ``parse`` raises."""
+    packed = packed_by_text.get(address)
+    if packed is None:
+        packed = parse(address).packed
+        _remember(packed_by_text, address, packed)
+    return packed
+
+
+def _text(text_by_packed: Dict[bytes, str], packed_by_text: Dict[str, bytes],
+          parse: Callable[[bytes], Any], packed: bytes) -> str:
+    """Canonical text of ``packed``; raises what ``parse`` raises."""
+    text = text_by_packed.get(packed)
+    if text is None:
+        text = str(parse(packed))
+        _remember(text_by_packed, packed, text)
+        # The text came out of ``ipaddress``, so it is valid by
+        # construction: the record built from it need not parse it again.
+        _remember(packed_by_text, text, packed)
+    return text
 
 
 class Rdata:
@@ -47,16 +96,17 @@ class A(Rdata):
     rdtype = RecordType.A
 
     def __post_init__(self) -> None:
-        ipaddress.IPv4Address(self.address)
+        _packed(_V4_PACKED, ipaddress.IPv4Address, self.address)
 
     def to_wire(self) -> bytes:
-        return ipaddress.IPv4Address(self.address).packed
+        return _packed(_V4_PACKED, ipaddress.IPv4Address, self.address)
 
     @classmethod
     def from_wire(cls, wire, offset, rdlength, decode_name):
         if rdlength != 4:
             raise WireFormatError(f"A rdata must be 4 octets, got {rdlength}")
-        return cls(str(ipaddress.IPv4Address(wire[offset:offset + 4])))
+        return cls(_text(_V4_TEXT, _V4_PACKED, ipaddress.IPv4Address,
+                         bytes(wire[offset:offset + 4])))
 
     def to_text(self) -> str:
         return self.address
@@ -70,16 +120,17 @@ class AAAA(Rdata):
     rdtype = RecordType.AAAA
 
     def __post_init__(self) -> None:
-        ipaddress.IPv6Address(self.address)
+        _packed(_V6_PACKED, ipaddress.IPv6Address, self.address)
 
     def to_wire(self) -> bytes:
-        return ipaddress.IPv6Address(self.address).packed
+        return _packed(_V6_PACKED, ipaddress.IPv6Address, self.address)
 
     @classmethod
     def from_wire(cls, wire, offset, rdlength, decode_name):
         if rdlength != 16:
             raise WireFormatError(f"AAAA rdata must be 16 octets, got {rdlength}")
-        return cls(str(ipaddress.IPv6Address(wire[offset:offset + 16])))
+        return cls(_text(_V6_TEXT, _V6_PACKED, ipaddress.IPv6Address,
+                         bytes(wire[offset:offset + 16])))
 
     def to_text(self) -> str:
         return self.address

@@ -13,11 +13,13 @@ import struct
 from typing import Dict, List, Tuple
 
 from .constants import Opcode, Rcode, RecordClass, RecordType
-from .edns import EdnsInfo, decode_options, encode_options
-from .errors import BadPointerError, TruncatedMessageError, WireFormatError
+from .edns import (EdnsInfo, clear_options_cache, decode_options,
+                   encode_options)
+from .errors import (BadOptionError, BadPointerError, NameError_,
+                     TruncatedMessageError, WireFormatError)
 from .message import Message, Question, ResourceRecord
 from .name import MAX_LABEL_LENGTH, Name
-from .rdata import GenericRdata, rdata_class_for
+from .rdata import GenericRdata, clear_address_tables, rdata_class_for
 
 _FLAG_QR = 0x8000
 _FLAG_AA = 0x0400
@@ -44,10 +46,34 @@ _QNAME_CACHE: Dict[Tuple[bytes, ...],
                    Tuple[bytes, Tuple[Tuple[Tuple[bytes, ...], int], ...]]] = {}
 _QNAME_CACHE_MAX = 4096
 
+#: Decoded-name intern table.  One lookup carries the same few names
+#: through every hop; interning spares rebuilding and re-validating them
+#: at each.  Keyed by the exact wire label tuple, so a name keeps the
+#: spelling it arrived with (``Name`` equality folds case; this table must
+#: not).  A miss runs the full ``Name`` validation; names are immutable,
+#: so a hit hands back the shared instance.  Bounded like ``_QNAME_CACHE``.
+_NAME_TABLE: Dict[Tuple[bytes, ...], Name] = {}
+_NAME_TABLE_MAX = 4096
+
+# Wire value -> enum member: a dict lookup costs a fraction of
+# ``Enum.__call__``, and ``dict.get(value, value)`` keeps an unknown type
+# or class as the plain integer it arrived as.
+_RECORD_TYPES: Dict[int, RecordType] = {int(t): t for t in RecordType}
+_RECORD_CLASSES: Dict[int, RecordClass] = {int(c): c for c in RecordClass}
+_OPCODES: Dict[int, Opcode] = {int(o): o for o in Opcode}
+_RCODES: Dict[int, Rcode] = {int(r): r for r in Rcode}
+_TYPE_OPT = int(RecordType.OPT)
+
 
 def clear_codec_caches() -> None:
-    """Drop the wire-layer encode caches (benchmarks/tests hook)."""
+    """Drop every codec memo table (benchmarks/tests hook): the qname
+    encode cache and name intern table here, the option tables in
+    :mod:`~repro.dnslib.edns`, the address tables in
+    :mod:`~repro.dnslib.rdata`."""
     _QNAME_CACHE.clear()
+    _NAME_TABLE.clear()
+    clear_options_cache()
+    clear_address_tables()
 
 
 # ---------------------------------------------------------------------------
@@ -99,24 +125,31 @@ def _encode_question_name(name: Name, buf: bytearray,
 def decode_name(wire: bytes, offset: int) -> Tuple[Name, int]:
     """Decode a (possibly compressed) name starting at ``offset``.
 
-    Returns the name and the offset just past its in-place encoding.
+    Returns the name and the offset just past its in-place encoding.  The
+    name may be an instance shared with earlier decodes of the same labels
+    (see ``_NAME_TABLE``).
     """
     labels: List[bytes] = []
     end: int = -1
     hops = 0
-    seen = set()
+    seen = None
+    size = len(wire)
     while True:
-        if offset >= len(wire):
+        if offset >= size:
             raise TruncatedMessageError("name runs past end of message")
         length = wire[offset]
-        if length & _POINTER_MASK == _POINTER_MASK:
-            if offset + 2 > len(wire):
+        if length > MAX_LABEL_LENGTH:
+            if length & _POINTER_MASK != _POINTER_MASK:
+                raise WireFormatError(f"reserved label type 0x{length:02x}")
+            if offset + 2 > size:
                 raise TruncatedMessageError("compression pointer truncated")
             if end < 0:
                 end = offset + 2
             (ptr,) = _U16.unpack_from(wire, offset)
             ptr &= 0x3FFF
-            if ptr in seen:
+            if seen is None:
+                seen = set()
+            elif ptr in seen:
                 raise BadPointerError("compression pointer loop")
             seen.add(ptr)
             hops += 1
@@ -124,20 +157,26 @@ def decode_name(wire: bytes, offset: int) -> Tuple[Name, int]:
                 raise BadPointerError("too many compression pointer hops")
             offset = ptr
             continue
-        if length & _POINTER_MASK:
-            raise WireFormatError(f"reserved label type 0x{length:02x}")
-        if length > MAX_LABEL_LENGTH:
-            raise WireFormatError(f"label length {length} exceeds 63")
         offset += 1
         if length == 0:
             break
-        if offset + length > len(wire):
+        if offset + length > size:
             raise TruncatedMessageError("label runs past end of message")
         labels.append(bytes(wire[offset:offset + length]))
         offset += length
     if end < 0:
         end = offset
-    return Name(labels), end
+    key = tuple(labels)
+    name = _NAME_TABLE.get(key)
+    if name is None:
+        try:
+            name = Name(key)
+        except NameError_ as exc:
+            raise WireFormatError(f"bad name on the wire: {exc}") from exc
+        if len(_NAME_TABLE) >= _NAME_TABLE_MAX:
+            _NAME_TABLE.clear()
+        _NAME_TABLE[key] = name
+    return name, end
 
 
 # ---------------------------------------------------------------------------
@@ -151,30 +190,6 @@ def _encode_rr(rr: ResourceRecord, buf: bytearray,
     buf += _RRFIXED.pack(int(rr.rdtype), int(rr.rdclass),
                          rr.ttl & 0xFFFFFFFF, len(rdata))
     buf += rdata
-
-
-def _decode_rr(wire: bytes, offset: int) -> Tuple[ResourceRecord, int]:
-    name, offset = decode_name(wire, offset)
-    if offset + 10 > len(wire):
-        raise TruncatedMessageError("record header truncated")
-    rdtype, rdclass, ttl, rdlength = _RRFIXED.unpack_from(wire, offset)
-    offset += 10
-    if offset + rdlength > len(wire):
-        raise TruncatedMessageError("rdata truncated")
-    klass = rdata_class_for(rdtype)
-    rdata = klass.from_wire(wire, offset, rdlength, decode_name)
-    if isinstance(rdata, GenericRdata):
-        rdata = GenericRdata(rdtype, rdata.data)
-    offset += rdlength
-    try:
-        rdtype_enum = RecordType(rdtype)
-    except ValueError:
-        rdtype_enum = rdtype  # type: ignore[assignment]
-    try:
-        rdclass_enum = RecordClass(rdclass)
-    except ValueError:
-        rdclass_enum = rdclass  # type: ignore[assignment]
-    return ResourceRecord(name, rdtype_enum, ttl, rdata, rdclass_enum), offset
 
 
 # ---------------------------------------------------------------------------
@@ -229,73 +244,76 @@ def decode_message(wire: bytes) -> Message:
     """Parse a wire-format packet into a :class:`Message`.
 
     The OPT pseudo-record, if present, is lifted out of the additional
-    section into ``msg.edns``.
+    section into ``msg.edns``.  Every way a packet can be malformed
+    raises a :class:`WireFormatError` (or a subclass), never another type.
     """
-    if len(wire) < 12:
+    size = len(wire)
+    if size < 12:
         raise TruncatedMessageError("message shorter than header")
     msg_id, flags, qdcount, ancount, nscount, arcount = \
         _HEADER.unpack_from(wire)
-    try:
-        opcode = Opcode((flags >> 11) & 0xF)
-    except ValueError:
-        opcode = Opcode.QUERY
-    msg = Message(
-        msg_id=msg_id,
-        opcode=opcode,
-        is_response=bool(flags & _FLAG_QR),
-        authoritative=bool(flags & _FLAG_AA),
-        truncated=bool(flags & _FLAG_TC),
-        recursion_desired=bool(flags & _FLAG_RD),
-        recursion_available=bool(flags & _FLAG_RA),
-    )
-    base_rcode = flags & 0xF
-    offset = 12
     if qdcount > 1:
         raise WireFormatError(f"multi-question message (qdcount={qdcount})")
+    offset = 12
+    question = None
     if qdcount:
         qname, offset = decode_name(wire, offset)
-        if offset + 4 > len(wire):
+        if offset + 4 > size:
             raise TruncatedMessageError("question truncated")
         qtype, qclass = _QFIXED.unpack_from(wire, offset)
         offset += 4
-        try:
-            qtype_enum = RecordType(qtype)
-        except ValueError:
-            qtype_enum = qtype  # type: ignore[assignment]
-        try:
-            qclass_enum = RecordClass(qclass)
-        except ValueError:
-            qclass_enum = qclass  # type: ignore[assignment]
-        msg.question = Question(qname, qtype_enum, qclass_enum)
+        question = Question(qname, _RECORD_TYPES.get(qtype, qtype),
+                            _RECORD_CLASSES.get(qclass, qclass))
 
+    answers: List[ResourceRecord] = []
+    authority: List[ResourceRecord] = []
+    additional: List[ResourceRecord] = []
+    edns = None
     ext_rcode = 0
-    sections = ((ancount, msg.answers), (nscount, msg.authority))
-    for count, section in sections:
+    for count, section in ((ancount, answers), (nscount, authority),
+                           (arcount, additional)):
         for _ in range(count):
-            rr, offset = _decode_rr(wire, offset)
-            section.append(rr)
-    for _ in range(arcount):
-        start = offset
-        rr, offset = _decode_rr(wire, offset)
-        if rr.rdtype == RecordType.OPT:
-            # Re-read OPT's raw fields: class is payload size, TTL packs
-            # extended rcode / version / DO.
-            _, opt_offset = decode_name(wire, start)
-            rdtype, payload, opt_ttl, rdlength = \
-                _RRFIXED.unpack_from(wire, opt_offset)
-            ext_rcode = (opt_ttl >> 24) & 0xFF
-            msg.edns = EdnsInfo(
-                payload_size=payload,
-                version=(opt_ttl >> 16) & 0xFF,
-                dnssec_ok=bool(opt_ttl & 0x8000),
-                options=decode_options(wire[opt_offset + 10:
-                                            opt_offset + 10 + rdlength]),
-            )
-        else:
-            msg.additional.append(rr)
-    rcode_val = (ext_rcode << 4) | base_rcode
-    try:
-        msg.rcode = Rcode(rcode_val)
-    except ValueError:
-        msg.rcode = Rcode(base_rcode)
-    return msg
+            name, offset = decode_name(wire, offset)
+            if offset + 10 > size:
+                raise TruncatedMessageError("record header truncated")
+            rdtype, rdclass, ttl, rdlength = _RRFIXED.unpack_from(wire, offset)
+            offset += 10
+            end = offset + rdlength
+            if end > size:
+                raise TruncatedMessageError("rdata truncated")
+            if rdtype == _TYPE_OPT and section is additional:
+                # OPT reuses the fixed fields: class is the payload size,
+                # TTL packs extended rcode / version / DO.
+                try:
+                    options = decode_options(wire[offset:end])
+                except BadOptionError as exc:
+                    raise WireFormatError(
+                        f"bad EDNS option: {exc}") from exc
+                ext_rcode = (ttl >> 24) & 0xFF
+                edns = EdnsInfo(payload_size=rdclass,
+                                version=(ttl >> 16) & 0xFF,
+                                dnssec_ok=bool(ttl & 0x8000),
+                                options=options)
+            else:
+                klass = rdata_class_for(rdtype)
+                if klass is GenericRdata:
+                    rdata = GenericRdata(rdtype, bytes(wire[offset:end]))
+                else:
+                    rdata = klass.from_wire(wire, offset, rdlength,
+                                            decode_name)
+                section.append(ResourceRecord(
+                    name, _RECORD_TYPES.get(rdtype, rdtype), ttl, rdata,
+                    _RECORD_CLASSES.get(rdclass, rdclass)))
+            offset = end
+
+    base_rcode = flags & 0xF
+    rcode = _RCODES.get((ext_rcode << 4) | base_rcode)
+    if rcode is None:
+        rcode = _RCODES.get(base_rcode)
+        if rcode is None:
+            raise WireFormatError(f"unsupported rcode {base_rcode}")
+    return Message(msg_id, _OPCODES.get((flags >> 11) & 0xF, Opcode.QUERY),
+                   rcode, bool(flags & _FLAG_QR), bool(flags & _FLAG_AA),
+                   bool(flags & _FLAG_TC), bool(flags & _FLAG_RD),
+                   bool(flags & _FLAG_RA), question, answers, authority,
+                   additional, edns)

@@ -20,7 +20,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Protocol
 
-from ..dnslib import Message, Rcode, decode_message, encode_message
+from ..dnslib import (Message, Rcode, WireFormatError, decode_message,
+                      encode_message)
 from ..engine.seeding import derive_seed
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
@@ -306,7 +307,11 @@ class Network:
         response_wire = endpoint.handle_datagram(wire, src_ip, self, tcp=tcp)
         if response_wire is None:
             return self._response_lost(start, transport)
-        response = decode_message(response_wire)
+        try:
+            response = decode_message(response_wire)
+        except WireFormatError:
+            # An answer the client cannot parse is an answer it never got.
+            return self._response_lost(start, transport)
         if injector is not None:
             r_action = injector.on_response(src_ip, dst_ip, response, tcp,
                                             self.clock.now())

@@ -11,6 +11,8 @@ from repro.dnslib import (EcsOption, Message, Name, Rcode, RecordType, Zone,
                           encode_message)
 from repro.net import Network, Topology, city
 
+from wire_strategies import bad_ecs_family_query, overlong_qname_query
+
 
 @pytest.fixture()
 def world():
@@ -58,6 +60,18 @@ class TestAuthoritativeServer:
         assert resp.rcode == Rcode.NOERROR
         assert resp.answer_addresses() == ["203.0.113.10"]
         assert resp.authoritative
+
+    @pytest.mark.parametrize("hostile", [overlong_qname_query,
+                                         bad_ecs_family_query])
+    def test_hostile_datagram_is_dropped(self, world, hostile):
+        # Neither a >255-octet qname nor an ECS option of family 3 is a
+        # reason to stop serving: the datagram is dropped like any other
+        # malformed one and the next query is answered.
+        net, server, client = self._server(world, ecs_scope=fixed_scope(24))
+        assert server.handle_datagram(hostile(), client, net) is None
+        resp = direct_query(net, client, server.ip, "www.example.org")
+        assert resp.answer_addresses() == ["203.0.113.10"]
+        assert server.queries_received == 2
 
     def test_nxdomain(self, world):
         net, server, client = self._server(world)

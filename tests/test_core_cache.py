@@ -1,11 +1,12 @@
 """Tests for the ECS-aware cache: compliant behavior and every deviation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import EcsCache, ScopeMode, effective_scope
 from repro.core.cache import ScopeTracker
 from repro.dnslib import (A, EcsOption, Message, Name, RecordType,
-                          ResourceRecord)
+                          ResourceRecord, encode_message)
 from repro.net import SimClock
 
 QNAME = Name.from_text("www.example.com")
@@ -123,6 +124,30 @@ class TestCompliantCache:
             self.cache.store(QNAME, RecordType.A, msg, ecs)
         assert self.cache.stats.max_size == 3
 
+    def test_two_hits_are_independent_and_aged_separately(self):
+        msg, ecs = response_with(scope=24, ttl=60)
+        stored = encode_message(msg)
+        self.cache.store(QNAME, RecordType.A, msg, ecs)
+        msg.answers.clear()             # the caller's message is its own
+        self.clock.advance(10)
+        first = self.cache.lookup(QNAME, RecordType.A, "192.0.2.1")
+        self.clock.advance(15)
+        second = self.cache.lookup(QNAME, RecordType.A, "192.0.2.2")
+        assert [rr.ttl for rr in first.answers] == [50]
+        assert [rr.ttl for rr in second.answers] == [35]
+        # What a caller does to one served message reaches neither the
+        # other nor the stored entry.
+        first.answers.clear()
+        first.set_ecs(None)
+        first.msg_id = 99
+        assert [rr.ttl for rr in second.answers] == [35]
+        assert second.ecs() is not None
+        self.clock.advance(5)
+        third = self.cache.lookup(QNAME, RecordType.A, "192.0.2.3")
+        assert [rr.ttl for rr in third.answers] == [30]
+        third.answers[0] = third.answers[0].with_ttl(60)
+        assert encode_message(third) == stored
+
     def test_flush(self):
         msg, ecs = response_with(scope=24)
         self.cache.store(QNAME, RecordType.A, msg, ecs)
@@ -135,6 +160,49 @@ class TestCompliantCache:
         self.cache.lookup(QNAME, RecordType.A, "1.1.1.1")
         self.cache.lookup(Name.from_text("other."), RecordType.A, "1.1.1.1")
         assert self.cache.stats.hit_rate() == 0.5
+
+
+def scanned_size(cache):
+    """``EcsCache.size`` as it was before the running count: every entry
+    of every key, each time.  Kept here as the oracle."""
+    now = cache.clock.now()
+    return sum(1 for entries in cache._entries.values()
+               for e in entries if e.expires_at > now)
+
+
+#: (kind, name, third octet, scope, ttl, seconds); each kind reads the
+#: fields it needs.  Stores are weighted up so that runs of inserts long
+#: enough to reach the capacity bound are common, and a flush is rare.
+cache_steps = st.lists(st.tuples(
+    st.sampled_from(["store"] * 6 + ["lookup"] * 2 + ["advance"] * 2
+                    + ["flush"]),
+    st.integers(0, 3), st.integers(0, 5), st.sampled_from([0, 16, 24]),
+    st.sampled_from([0, 1, 5, 30]), st.sampled_from([0.5, 1, 4, 29, 31]),
+), min_size=8, max_size=60)
+
+
+class TestHighWatermark:
+    @given(cache_steps, st.sampled_from([None, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_max_size_matches_the_full_scan(self, steps, max_entries):
+        clock = SimClock()
+        cache = EcsCache(clock, max_entries=max_entries)
+        watermark = 0
+        for kind, name, third_octet, scope, ttl, seconds in steps:
+            qname = Name.from_text(f"n{name}.")
+            if kind == "store":
+                msg, ecs = response_with(scope, ttl=ttl,
+                                         address=f"10.0.{third_octet}.0")
+                cache.store(qname, RecordType.A, msg, ecs)
+                watermark = max(watermark, scanned_size(cache))
+            elif kind == "lookup":
+                cache.lookup(qname, RecordType.A, f"10.0.{third_octet}.9")
+            elif kind == "advance":
+                clock.advance(seconds)
+            else:
+                cache.flush()
+            assert cache.size() == scanned_size(cache)
+            assert cache.stats.max_size == watermark
 
 
 class TestDeviantCaches:

@@ -1,13 +1,17 @@
 """Tests for the message model and the wire codec (RFC 1035 / 6891)."""
 
 import pytest
+from hypothesis import given, settings
 
-from repro.dnslib import (A, AAAA, CNAME, MX, NS, PTR, SOA, TXT,
-                          BadPointerError, EcsOption, Message, Name, Opcode,
-                          Question, Rcode, RecordType, ResourceRecord,
-                          TruncatedMessageError, WireFormatError,
-                          decode_message, encode_message)
+from repro.dnslib import (A, AAAA, CNAME, MX, NS, PTR, SOA, TXT, BadEcsError,
+                          BadPointerError, CookieOption, EcsOption, Message,
+                          Name, NameError_, Opcode, Question, Rcode,
+                          RecordType, ResourceRecord, TruncatedMessageError,
+                          WireFormatError, decode_message, encode_message)
 from repro.dnslib.wire import decode_name, encode_name
+
+from wire_strategies import (bad_ecs_family_query, messages,
+                             overlong_qname_query)
 
 
 def roundtrip(msg: Message) -> Message:
@@ -218,6 +222,29 @@ class TestMalformedInput:
         with pytest.raises(WireFormatError):
             decode_name(buf, 12)
 
+    def test_overlong_qname_is_a_wire_error(self):
+        with pytest.raises(WireFormatError) as info:
+            decode_message(overlong_qname_query())
+        assert isinstance(info.value.__cause__, NameError_)
+        # Built directly, the same labels keep the name layer's own error.
+        with pytest.raises(NameError_):
+            Name([b"a" * 63] * 5)
+
+    def test_bad_ecs_family_is_a_wire_error(self):
+        wire = bad_ecs_family_query()
+        with pytest.raises(WireFormatError) as info:
+            decode_message(wire)
+        assert isinstance(info.value.__cause__, BadEcsError)
+        with pytest.raises(BadEcsError):
+            EcsOption.from_wire(wire[-7:])
+
+    def test_unmodeled_rcode_is_a_wire_error(self):
+        wire = bytearray(encode_message(Message.make_query(
+            Name.from_text("a."), RecordType.A)))
+        wire[3] |= 7                    # RCODE 7 (YXRRSET) has no member
+        with pytest.raises(WireFormatError):
+            decode_message(bytes(wire))
+
 
 class TestMessageHelpers:
     def test_answer_addresses(self):
@@ -243,6 +270,39 @@ class TestMessageHelpers:
         clone = msg.copy()
         clone.answers.clear()
         assert len(msg.answers) == 1
+
+    @given(messages)
+    @settings(max_examples=80, deadline=None)
+    def test_copy_shares_nothing_mutable(self, msg):
+        before = encode_message(msg)
+        clone = msg.copy()
+        assert clone == msg and encode_message(clone) == before
+        # header
+        clone.msg_id ^= 0xFFFF
+        clone.opcode = Opcode.STATUS
+        clone.rcode = Rcode.SERVFAIL
+        for flag in ("is_response", "authoritative", "truncated",
+                     "recursion_desired", "recursion_available"):
+            setattr(clone, flag, not getattr(clone, flag))
+        clone.question = Question(Name.from_text("other."), RecordType.NS)
+        # sections: replace in place, grow, empty
+        for section in (clone.answers, clone.authority, clone.additional):
+            if section:
+                section[0] = section[0].with_ttl(1)
+            section.append(make_rr("extra.", A("9.9.9.9"), RecordType.A))
+            section.reverse()
+            del section[1:]
+        # EDNS: through set_ecs, and the copy's own EdnsInfo and option list
+        if clone.edns is not None:
+            clone.edns.options.append(CookieOption(b"12345678"))
+            clone.edns.options.reverse()
+            clone.edns.payload_size = 1232
+            clone.edns.version = 1
+            clone.edns.dnssec_ok = not clone.edns.dnssec_ok
+        clone.set_ecs(EcsOption.from_client_address("198.51.100.7", 20))
+        clone.edns.options.clear()
+        clone.set_ecs(None)
+        assert encode_message(msg) == before
 
     def test_set_ecs_strip(self):
         msg = Message.make_query(Name.from_text("q."), RecordType.A,

@@ -20,13 +20,19 @@ from repro.analysis.cache_sim import (public_cdn_blowups, replay_partial,
 from repro.core.cache import ScopeTracker
 from repro.datasets.allnames import AllNamesBuilder
 from repro.datasets.public_cdn import PublicCdnBuilder
-from repro.dnslib import (EcsOption, EdnsInfo, Message, Name, Question,
-                          RecordType, decode_message, encode_message,
+from repro.dnslib import (A, AAAA, DnsError, EcsOption, EdnsInfo, Message,
+                          Name, Question, RecordType, ResourceRecord,
+                          WireFormatError, decode_message, encode_message,
                           encode_options)
+from repro.dnslib import edns as edns_module
+from repro.dnslib import rdata as rdata_module
+from repro.dnslib import wire as wire_module
 from repro.dnslib.edns import clear_options_cache
 from repro.dnslib.wire import clear_codec_caches
 from repro.net.addr import (MASKS4, MASKS6, parse_addr, prefix_key,
                             prefix_key_int, truncate_address, truncate_int)
+
+from wire_strategies import messages
 
 # -- strategies --------------------------------------------------------------
 
@@ -168,6 +174,104 @@ class TestCodecCaches:
         assert wire_cold == wire_warm
         decoded = decode_message(wire_warm)
         assert decoded.edns.find_ecs() == msg.edns.find_ecs()
+
+
+# -- decoder tables ----------------------------------------------------------
+
+
+def decode_outcome(wire):
+    """What one decode of ``wire`` gives, in comparable form: the message,
+    its name spellings (``Name.__eq__`` folds case) and its re-encoding,
+    or the type of the error raised on the way."""
+    try:
+        msg = decode_message(wire)
+    except WireFormatError as exc:
+        return type(exc)
+    spellings = [rr.name.labels for section in (msg.answers, msg.authority,
+                                                msg.additional)
+                 for rr in section]
+    if msg.question is not None:
+        spellings.append(msg.question.qname.labels)
+    try:
+        again = encode_message(msg)
+    except DnsError as exc:     # e.g. a 3-octet server cookie decodes only
+        again = type(exc)
+    return msg, spellings, again
+
+
+class TestDecoderTables:
+    """Decoding through warm intern/memo tables is decoding through cold
+    ones: the tables may only ever save work."""
+
+    @given(messages)
+    @settings(max_examples=80, deadline=None)
+    def test_cold_and_warm_decodes_agree(self, msg):
+        wire = encode_message(msg)
+        clear_codec_caches()
+        cold = decode_outcome(wire)
+        warm = decode_outcome(wire)
+        assert warm == cold
+        assert cold[2] == wire
+
+    @given(messages, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cold_and_warm_agree_on_damaged_wire(self, msg, data):
+        damaged = bytearray(encode_message(msg))
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(damaged) - 1))
+            damaged[at] = data.draw(st.integers(0, 255))
+        damaged = bytes(damaged[:data.draw(st.integers(0, len(damaged)))])
+        # Warm the tables with the intact message first, so that a hit on
+        # an entry the damage has since invalidated would show.
+        decode_message(encode_message(msg))
+        warm = decode_outcome(damaged)
+        clear_codec_caches()
+        cold = decode_outcome(damaged)
+        assert warm == cold
+
+    def test_interned_name_keeps_its_own_spelling(self):
+        clear_codec_caches()
+        for text in ("www.example.com", "WwW.eXample.COM", "www.example.com"):
+            query = Message.make_query(Name.from_text(text), RecordType.A)
+            response = query.make_response()
+            response.answers.append(ResourceRecord(
+                Name.from_text(text), RecordType.A, 60, A("192.0.2.1")))
+            out = decode_message(encode_message(response))
+            assert out.question.qname.to_text() == text + "."
+            assert out.answers[0].name.to_text() == text + "."
+
+    def test_repeated_names_are_shared_instances(self):
+        wire = encode_message(Message.make_query(
+            Name.from_text("shared.example."), RecordType.A))
+        assert decode_message(wire).question.qname \
+            is decode_message(wire).question.qname
+
+    def test_tables_stay_within_their_bound(self, monkeypatch):
+        bound = 8
+        monkeypatch.setattr(wire_module, "_NAME_TABLE_MAX", bound)
+        monkeypatch.setattr(rdata_module, "_ADDRESS_TABLE_MAX", bound)
+        monkeypatch.setattr(edns_module, "_ECS_DECODE_CACHE_MAX", bound)
+        clear_codec_caches()
+        tables = (wire_module._NAME_TABLE, rdata_module._V4_PACKED,
+                  rdata_module._V4_TEXT, rdata_module._V6_PACKED,
+                  rdata_module._V6_TEXT, edns_module._ECS_DECODE_CACHE)
+        for i in range(5 * bound):
+            name = Name.from_text(f"host{i}.example.")
+            query = Message.make_query(
+                name, RecordType.A,
+                ecs=EcsOption.from_client_address(f"10.{i}.0.0", 24))
+            response = query.make_response()
+            response.set_ecs(query.ecs().response_to(24))
+            response.answers += [
+                ResourceRecord(name, RecordType.A, 60, A(f"192.0.2.{i}")),
+                ResourceRecord(name, RecordType.AAAA, 60,
+                               AAAA(f"2001:db8::{i:x}"))]
+            wire = encode_message(response)
+            assert encode_message(decode_message(wire)) == wire
+            assert all(len(table) <= bound for table in tables)
+        assert all(tables)              # every table was actually in use
+        clear_codec_caches()
+        assert not any(tables)
 
 
 # -- batched replay ----------------------------------------------------------

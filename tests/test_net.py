@@ -13,6 +13,8 @@ from repro.net import (AddressAllocator, LatencyModel, Network, SimClock,
 from repro.net.addr import host_in, random_address_in
 from repro.net.geo import GeoDatabase, GeoPoint, WORLD_CITIES, cities_in
 
+from wire_strategies import bad_ecs_family_query
+
 
 class TestClock:
     def test_starts_at_zero(self):
@@ -245,6 +247,14 @@ class _Echo:
         return encode_message(decode_message(wire).make_response())
 
 
+class _Garbler(_Echo):
+    """Endpoint whose answers no client can parse."""
+
+    def handle_datagram(self, wire, src_ip, net, tcp=False):
+        self.seen += 1
+        return bad_ecs_family_query()
+
+
 class TestTransport:
     def _net(self):
         topo = Topology()
@@ -292,6 +302,16 @@ class TestTransport:
         out = net.query(a, b, Message.make_query(Name.from_text("x."),
                                                  RecordType.A))
         assert out.timed_out
+        assert net.stats.drops == 1
+
+    def test_unparseable_response_is_a_lost_response(self):
+        net, a, b = self._net()
+        garbler = _Garbler(b)
+        net.attach(garbler)
+        out = net.query(a, b, Message.make_query(Name.from_text("x."),
+                                                 RecordType.A))
+        assert garbler.seen == 1
+        assert out.timed_out and out.response is None
         assert net.stats.drops == 1
 
     def test_filter_injection(self):
