@@ -61,6 +61,10 @@ class AllNamesDataset:
         return len({c.rsplit(".", 1)[0] for c in self.clients.v4_clients})
 
 
+#: Hostnames, per-SLD policies and the client population.
+_World = Tuple[List[str], Dict[str, SldPolicy], _Clients]
+
+
 def _sld_of(hostname: str) -> str:
     """The two most senior labels (``h.x.site.com.`` → ``site.com.``)."""
     parts = hostname.rstrip(".").split(".")
@@ -117,34 +121,52 @@ class AllNamesBuilder:
                                scope=rng.choices(scopes, weights=weights, k=1)[0])
                 for sld in slds}
 
-    def build(self) -> AllNamesDataset:
-        """Generate the trace (deterministic in the builder's seed)."""
-        rng = random.Random(self.seed)
+    def _draw_world(self, rng: random.Random) -> _World:
+        """Hostnames, SLD policies and clients, drawn from ``rng``."""
         sld_count = max(2, self.hostname_count // 7)
         hostnames = [f"h{i}.s{i % sld_count:05d}.com."
                      for i in range(self.hostname_count)]
         policies = self._policies(sorted({_sld_of(h) for h in hostnames}), rng)
-        clients = self._clients(rng)
-        all_clients = clients.all_clients
-        name_sampler = ZipfSampler(len(hostnames), self.zipf_alpha)
-        client_sampler = ZipfSampler(len(all_clients), self.client_alpha)
+        return hostnames, policies, self._clients(rng)
 
-        records: List[AllNamesRecord] = []
-        t = 0.0
-        step = self.duration_s / self.total_queries
-        for _ in range(self.total_queries):
-            t += rng.expovariate(1.0) * step
-            hostname = hostnames[name_sampler.sample(rng)]
+    def _rows(self, world: _World, rng: random.Random, lo: int,
+              hi: int) -> Iterator[AllNamesRecord]:
+        """The query stream for global indices ``[lo, hi)``.
+
+        The clock starts at the window boundary ``lo * step``.  Whatever
+        depends only on the hostname or only on the client is tabulated
+        before the loop; each row then costs its three draws
+        (inter-arrival, hostname rank, client rank — in that order, the
+        order every golden depends on), two table reads and the record.
+        """
+        hostnames, policies, clients = world
+        names = []
+        for hostname in hostnames:
             policy = policies[_sld_of(hostname)]
-            client = all_clients[client_sampler.sample(rng)]
-            if ":" in client:
-                qtype = 28
-                scope = 0 if policy.scope == 0 else 48
+            names.append((hostname, policy.ttl, policy.scope,
+                          0 if policy.scope == 0 else 48))
+        all_clients = [(client, ":" in client)
+                       for client in clients.all_clients]
+        sample_name = ZipfSampler(len(names), self.zipf_alpha).sample
+        sample_client = ZipfSampler(len(all_clients),
+                                    self.client_alpha).sample
+        expovariate = rng.expovariate
+        step = self.duration_s / self.total_queries
+        t = lo * step
+        for _ in range(lo, hi):
+            t += expovariate(1.0) * step
+            hostname, ttl, scope4, scope6 = names[sample_name(rng)]
+            client, is_v6 = all_clients[sample_client(rng)]
+            if is_v6:
+                yield AllNamesRecord(t, client, hostname, 28, scope6, ttl)
             else:
-                qtype = 1
-                scope = policy.scope
-            records.append(AllNamesRecord(t, client, hostname, qtype,
-                                          scope, policy.ttl))
+                yield AllNamesRecord(t, client, hostname, 1, scope4, ttl)
+
+    def build(self) -> AllNamesDataset:
+        """Generate the trace (deterministic in the builder's seed)."""
+        rng = random.Random(self.seed)
+        world = hostnames, policies, clients = self._draw_world(rng)
+        records = list(self._rows(world, rng, 0, self.total_queries))
         return AllNamesDataset(records, clients, hostnames, policies,
                                self.duration_s)
 
@@ -152,19 +174,14 @@ class AllNamesBuilder:
 
     _SEED_NS = "allnames"
 
-    def _world(self) -> Tuple[List[str], Dict[str, SldPolicy], _Clients]:
+    def _world(self) -> _World:
         """Shard-independent structures, seeded only by the root seed.
 
         Every shard rebuilds the same world (it is tiny next to the query
         stream), so shard workers need no shared state.
         """
-        rng = random.Random(world_seed(self.seed, self._SEED_NS))
-        sld_count = max(2, self.hostname_count // 7)
-        hostnames = [f"h{i}.s{i % sld_count:05d}.com."
-                     for i in range(self.hostname_count)]
-        policies = self._policies(sorted({_sld_of(h) for h in hostnames}), rng)
-        clients = self._clients(rng)
-        return hostnames, policies, clients
+        return self._draw_world(
+            random.Random(world_seed(self.seed, self._SEED_NS)))
 
     def shard_units(self) -> int:
         """The unit universe sharded over: individual queries."""
@@ -186,29 +203,10 @@ class AllNamesBuilder:
         seeded by ``derive_seed(seed, i)`` so output depends only on the
         shard decomposition, never on the worker that ran it.
         """
-        hostnames, policies, clients = self._world()
-        all_clients = clients.all_clients
-        name_sampler = ZipfSampler(len(hostnames), self.zipf_alpha)
-        client_sampler = ZipfSampler(len(all_clients), self.client_alpha)
         lo, hi = shard_bounds(self.total_queries, shard_count)[shard_index]
-
         rng = random.Random(derive_seed(self.seed, shard_index,
                                         self._SEED_NS))
-        step = self.duration_s / self.total_queries
-        t = lo * step
-        for _ in range(lo, hi):
-            t += rng.expovariate(1.0) * step
-            hostname = hostnames[name_sampler.sample(rng)]
-            policy = policies[_sld_of(hostname)]
-            client = all_clients[client_sampler.sample(rng)]
-            if ":" in client:
-                qtype = 28
-                scope = 0 if policy.scope == 0 else 48
-            else:
-                qtype = 1
-                scope = policy.scope
-            yield AllNamesRecord(t, client, hostname, qtype, scope,
-                                 policy.ttl)
+        yield from self._rows(self._world(), rng, lo, hi)
 
     def build_shard(self, shard_index: int,
                     shard_count: int) -> List[AllNamesRecord]:

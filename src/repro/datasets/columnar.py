@@ -50,6 +50,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import heapq
+import itertools
 import json
 import mmap
 import struct
@@ -89,6 +90,13 @@ _V2_PRELUDE = 16
 #: that per-group overheads (dictionaries, header entries) amortize,
 #: small enough that a buffered group stays a few MiB.
 DEFAULT_ROW_GROUP_ROWS = 65536
+#: Most records a writer's ``extend`` holds at once while it transposes
+#: them into columns.  Big enough that the per-chunk work (one ``map``
+#: and one ``array`` per column) amortizes to nothing per row; small
+#: enough that the chunk's record objects and value lists stay well
+#: under a MiB however large the row group, so peak RSS does not depend
+#: on ``row_group_rows``.
+EXTEND_CHUNK_ROWS = 512
 
 
 def record_row_groups(op: str, schema: str, groups: int) -> None:
@@ -253,14 +261,11 @@ class ColumnarWriter:
             c.name: {} for c in schema.columns if c.kind == "str"}
         self._nulls: Dict[str, bytearray] = {
             c.name: bytearray() for c in schema.columns if c.nullable}
+        self._getters = tuple(attrgetter(c.name) for c in schema.columns)
 
     def _intern(self, column: str, value: str) -> int:
         codes = self._interns[column]
-        code = codes.get(value)
-        if code is None:
-            code = len(codes)
-            codes[value] = code
-        return code
+        return codes.setdefault(value, len(codes))
 
     def _set_null(self, column: str, row: int) -> None:
         bitmap = self._nulls[column]
@@ -269,36 +274,87 @@ class ColumnarWriter:
             bitmap.extend(b"\x00" * (byte + 1 - len(bitmap)))
         bitmap[byte] |= 1 << (row & 7)
 
+    def _append_columns(self, columns: Sequence[Sequence[Any]]) -> None:
+        """Append rows given one equal-length value sequence per column.
+
+        The writer's one encoding routine: str -> dictionary code in
+        first-appearance order, bool -> 0/1, ``None`` -> null bit + 0.
+        Every column is encoded into a fresh array before any of them
+        is appended, and dictionary entries added on the way are popped
+        again if a later value is rejected, so a failed call leaves the
+        writer exactly as it was.
+        """
+        base = self.rows
+        staged: List[Tuple[str, "array[Any]", Sequence[int]]] = []
+        grown: List[Tuple[Dict[str, int], int]] = []
+        try:
+            for spec, values in zip(self.schema.columns, columns):
+                null_rows: Sequence[int] = ()
+                if None in values:
+                    if not spec.nullable:
+                        raise ValueError(
+                            f"column {spec.name!r} of schema "
+                            f"{self.schema.name!r} is not nullable")
+                    null_rows = [base + i for i, value in enumerate(values)
+                                 if value is None]
+                encoded: Iterable[Any]
+                if spec.kind == "str":
+                    codes = self._interns[spec.name]
+                    grown.append((codes, len(codes)))
+                    if null_rows:
+                        encoded = [0 if value is None
+                                   else codes.setdefault(value, len(codes))
+                                   for value in values]
+                    else:
+                        encoded = [codes.setdefault(value, len(codes))
+                                   for value in values]
+                elif spec.kind == "bool":
+                    encoded = map(bool, values)
+                elif null_rows:
+                    encoded = [0 if value is None else value
+                               for value in values]
+                else:
+                    encoded = values
+                staged.append((spec.name, array(spec.typecode, encoded),
+                               null_rows))
+        except BaseException:
+            for codes, size in grown:
+                while len(codes) > size:
+                    codes.popitem()
+            raise
+        for name, packed, null_rows in staged:
+            self._arrays[name].extend(packed)
+            for row in null_rows:
+                self._set_null(name, row)
+        self.rows = base + len(columns[0])
+
     def append_values(self, values: Sequence[Any]) -> None:
         """Append one row given its field values in schema order."""
-        row = self.rows
-        for spec, value in zip(self.schema.columns, values):
-            arr = self._arrays[spec.name]
-            if value is None:
-                if not spec.nullable:
-                    raise ValueError(f"column {spec.name!r} of schema "
-                                     f"{self.schema.name!r} is not nullable")
-                self._set_null(spec.name, row)
-                arr.append(0)
-            elif spec.kind == "str":
-                arr.append(self._intern(spec.name, value))
-            elif spec.kind == "bool":
-                arr.append(1 if value else 0)
-            else:
-                arr.append(value)
-        self.rows = row + 1
+        if len(values) != len(self.schema.columns):
+            raise ValueError(f"schema {self.schema.name!r} has "
+                             f"{len(self.schema.columns)} columns, got "
+                             f"{len(values)} values")
+        self._append_columns([(value,) for value in values])
 
     def append(self, record: Any) -> None:
         """Append one record (a dataclass instance of the schema's type)."""
-        self.append_values(tuple(getattr(record, name)
-                                 for name in self.schema.field_names))
+        self._append_columns([(get(record),) for get in self._getters])
 
     def extend(self, records: Iterable[Any]) -> int:
-        """Append many records; returns how many were appended."""
+        """Append many records; returns how many were appended.
+
+        Records are pulled :data:`EXTEND_CHUNK_ROWS` at a time and each
+        chunk is transposed and encoded a column at a time; a chunk is
+        appended whole or (when a value is rejected) not at all.
+        """
         before = self.rows
-        for record in records:
-            self.append(record)
-        return self.rows - before
+        stream = iter(records)
+        while True:
+            chunk = list(itertools.islice(stream, EXTEND_CHUNK_ROWS))
+            if not chunk:
+                return self.rows - before
+            self._append_columns([list(map(get, chunk))
+                                  for get in self._getters])
 
     def extend_store(self, store: "ColumnarStore") -> int:
         """Concatenate another store's segments onto this writer.
@@ -850,9 +906,16 @@ class GroupedColumnarWriter:
     def extend(self, records: Iterable[Any]) -> int:
         """Append a record stream; returns how many were appended."""
         before = self.rows + self._buffer.rows
-        for record in records:
-            self.append(record)
-        return self.rows + self._buffer.rows - before
+        stream = iter(records)
+        while True:
+            room = self.row_group_rows - self._buffer.rows
+            chunk = list(itertools.islice(
+                stream, min(room, EXTEND_CHUNK_ROWS)))
+            if not chunk:
+                return self.rows + self._buffer.rows - before
+            self._buffer.extend(chunk)
+            if self._buffer.rows >= self.row_group_rows:
+                self._flush_group()
 
     def extend_store(self, store: ColumnarStore, lo: int = 0,
                      hi: Optional[int] = None,

@@ -16,7 +16,8 @@ import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Type, TypeVar, Union
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+                    Type, TypeVar, Union)
 
 T = TypeVar("T")
 
@@ -101,12 +102,20 @@ class RootQueryRecord:
 
 def write_jsonl(records: Iterable[object], path: Union[str, Path]) -> int:
     """Write dataclass records as JSON lines; returns the count written."""
+    # Records are flat dataclasses of scalars: reading the fields by
+    # name yields the dict ``dataclasses.asdict`` would, without its
+    # recursive copy, and one encoder serves every line.
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    names_of: Dict[type, Tuple[str, ...]] = {}
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(dataclasses.asdict(record),
-                                separators=(",", ":")))
-            fh.write("\n")
+            names = names_of.get(type(record))
+            if names is None:
+                names = names_of[type(record)] = tuple(
+                    f.name for f in dataclasses.fields(record))
+            fh.write(encode({name: getattr(record, name)
+                             for name in names}) + "\n")
             count += 1
     return count
 

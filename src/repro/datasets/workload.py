@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -57,15 +58,7 @@ class ZipfSampler:
 
     def sample(self, rng: random.Random) -> int:
         """Draw one rank."""
-        u = rng.random()
-        lo, hi = 0, self.n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect_left(self._cdf, rng.random(), 0, self.n - 1)
 
 
 def poisson_arrivals(rate_per_s: float, duration_s: float,

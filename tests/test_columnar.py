@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from hypothesis import strategies as st
 from repro.analysis.cache_sim import (replay_partial_batched,
                                       replay_partial_column_groups,
                                       replay_partial_columns)
+from repro.datasets import columnar
 from repro.datasets.columnar import (MAGIC, MAGIC_V2, SCHEMAS, ColumnarStats,
                                      ColumnarStore, ColumnarWriter,
                                      GroupedColumnarWriter, RowGroupReader,
@@ -166,6 +168,189 @@ def test_non_nullable_rejects_none():
     writer = ColumnarWriter(SCHEMAS["allnames"])
     with pytest.raises(ValueError, match="not nullable"):
         writer.append_values((0.0, None, "a.", 1, 0, 60))
+
+
+def test_append_values_checks_arity():
+    """A short or long tuple is refused whole: ``zip`` used to append to
+    some columns only and leave every later row misaligned."""
+    writer = ColumnarWriter(SCHEMAS["allnames"])
+    writer.append_values((0.5, "10.0.0.1", "a.", 1, 24, 60))
+    before = _writer_state(writer)
+    with pytest.raises(ValueError, match="'allnames' has 6 columns, got 5"):
+        writer.append_values((1.0, "10.0.0.2", "b.", 1, 24))
+    with pytest.raises(ValueError, match="'allnames' has 6 columns, got 7"):
+        writer.append_values((1.0, "10.0.0.2", "b.", 1, 24, 60, 0))
+    assert _writer_state(writer) == before
+
+
+# ---------------------------------------------------------------------------
+# Batched encoding: ``extend`` against the cell-at-a-time loop it replaced
+
+_STRINGS = st.sampled_from(("", "a.", "h1.example.", "h2.example.",
+                            "10.0.0.1", "2001:db8::1", "é.example."))
+
+
+def _column_values(spec):
+    if spec.kind == "str":
+        values = _STRINGS
+    elif spec.kind == "bool":
+        values = st.booleans()
+    elif spec.kind == "f8":
+        values = _TS
+    else:
+        values = st.integers(0, 3600)
+    return st.none() | values if spec.nullable else values
+
+
+#: Records of all five schemas from a small value pool: repeated and
+#: empty strings, and ``None`` wherever the schema allows it.
+ANY_RECORDS = {
+    name: st.builds(schema.record_type,
+                    *(_column_values(spec) for spec in schema.columns))
+    for name, schema in SCHEMAS.items()}
+
+
+def _append_cellwise(writer: ColumnarWriter, record) -> None:
+    """The per-cell loop ``append_values`` ran before encoding went
+    column-at-a-time, kept as the oracle for the batched routine."""
+    row = writer.rows
+    for spec in writer.schema.columns:
+        value = getattr(record, spec.name)
+        arr = writer._arrays[spec.name]
+        if value is None:
+            assert spec.nullable
+            writer._set_null(spec.name, row)
+            arr.append(0)
+        elif spec.kind == "str":
+            codes = writer._interns[spec.name]
+            if value not in codes:
+                codes[value] = len(codes)
+            arr.append(codes[value])
+        elif spec.kind == "bool":
+            arr.append(1 if value else 0)
+        else:
+            arr.append(value)
+    writer.rows = row + 1
+
+
+def _writer_state(writer: ColumnarWriter):
+    """Everything a rejected chunk must leave untouched."""
+    return (writer.rows,
+            {name: arr.tobytes() for name, arr in writer._arrays.items()},
+            {name: list(codes.items())
+             for name, codes in writer._interns.items()},
+            {name: bytes(bitmap) for name, bitmap in writer._nulls.items()})
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_extend_byte_identical_to_row_loop(name, data, tmp_path_factory):
+    """``extend`` == ``append`` loop == the old per-cell loop, on disk.
+
+    The chunk constant is drawn small so chunk edges fall inside the
+    lists; the group budget is drawn so lengths straddle group edges;
+    the list arrives as two ``extend`` calls so a chunk can start on a
+    part-filled group.
+    """
+    records = data.draw(st.lists(ANY_RECORDS[name], max_size=70))
+    chunk = data.draw(st.integers(1, 16))
+    budget = data.draw(st.integers(1, 40))
+    split = data.draw(st.integers(0, len(records)))
+    out = tmp_path_factory.mktemp("extend")
+    with mock.patch.object(columnar, "EXTEND_CHUNK_ROWS", chunk):
+        batched = ColumnarWriter(SCHEMAS[name])
+        assert batched.extend(records[:split]) == split
+        assert batched.extend(iter(records[split:])) == len(records) - split
+        batched.save(out / "batched.col")
+        with GroupedColumnarWriter(name, out / "batched.v2.col",
+                                   budget) as grouped:
+            assert grouped.extend(iter(records[:split])) == split
+            assert grouped.extend(records[split:]) == len(records) - split
+    looped = ColumnarWriter(SCHEMAS[name])
+    cellwise = ColumnarWriter(SCHEMAS[name])
+    with GroupedColumnarWriter(name, out / "looped.v2.col",
+                               budget) as grouped_loop:
+        for record in records:
+            looped.append(record)
+            _append_cellwise(cellwise, record)
+            grouped_loop.append(record)
+    looped.save(out / "looped.col")
+    cellwise.save(out / "cellwise.col")
+    assert _writer_state(batched) == _writer_state(cellwise)
+    assert (out / "batched.col").read_bytes() \
+        == (out / "looped.col").read_bytes() \
+        == (out / "cellwise.col").read_bytes()
+    assert (out / "batched.v2.col").read_bytes() \
+        == (out / "looped.v2.col").read_bytes()
+    assert grouped.rows == grouped_loop.rows == len(records)
+
+
+#: (field, bad value, error): ``None`` where the schema forbids it, and
+#: values the column's packed type cannot hold.  All sit after the two
+#: string columns, so the rejected chunk has already interned strings.
+_REJECTED = (("qtype", None, ValueError), ("ttl", None, ValueError),
+             ("qtype", "A", TypeError), ("scope", 1 << 40, OverflowError),
+             ("ts", "noon", TypeError))
+
+
+def _fresh_allnames(count: int, tag: str) -> list:
+    """Records whose strings no other call with another tag produces."""
+    return [AllNamesRecord(float(i), f"10.9.{tag}.{i}", f"{tag}{i}.example.",
+                           1, 24, 60) for i in range(count)]
+
+
+@pytest.mark.parametrize("field,value,error", _REJECTED)
+def test_extend_rejected_chunk_leaves_writer_unchanged(field, value, error):
+    writer = ColumnarWriter(SCHEMAS["cdn"])
+    writer.extend(_hand_records("cdn", 11))
+    before_cdn = _writer_state(writer)
+    with pytest.raises(ValueError, match="not nullable"):
+        writer.extend(_hand_records("cdn", 5, seed=4)
+                      + [CdnQueryRecord(9.0, None, "q.", 1, False)])
+    assert _writer_state(writer) == before_cdn
+
+    writer = ColumnarWriter(SCHEMAS["allnames"])
+    writer.extend(_fresh_allnames(7, "a"))
+    before = _writer_state(writer)
+    batch = _fresh_allnames(9, "b")
+    setattr(batch[5], field, value)
+    with pytest.raises(error):
+        writer.extend(batch)
+    assert _writer_state(writer) == before
+    with pytest.raises(error):
+        writer.append(batch[5])
+    assert _writer_state(writer) == before
+
+
+@pytest.mark.parametrize("field,value,error", _REJECTED)
+def test_extend_is_all_or_nothing_per_chunk(field, value, error, tmp_path):
+    """Chunks before the rejected one stay; the writer is then exactly
+    where a shorter ``extend`` would have left it, and still usable."""
+    batch = _fresh_allnames(11, "c")
+    good = list(batch)
+    bad = AllNamesRecord(5.0, "10.9.x.1", "x.example.", 1, 24, 60)
+    setattr(bad, field, value)
+    batch[9] = bad
+    with mock.patch.object(columnar, "EXTEND_CHUNK_ROWS", 4):
+        writer = ColumnarWriter(SCHEMAS["allnames"])
+        with pytest.raises(error):
+            writer.extend(iter(batch))
+        reference = ColumnarWriter(SCHEMAS["allnames"])
+        reference.extend(good[:8])
+        assert _writer_state(writer) == _writer_state(reference)
+
+        path, ref_path = tmp_path / "resumed.col", tmp_path / "ref.col"
+        with GroupedColumnarWriter("allnames", path, 6) as grouped:
+            with pytest.raises(error):
+                grouped.extend(batch)
+            # Chunks never cross the group edge: 4, 2, then the bad 4.
+            assert (grouped.rows, grouped.pending_rows) == (6, 0)
+            grouped.extend(good[6:])
+        with GroupedColumnarWriter("allnames", ref_path, 6) as ref:
+            ref.extend(good)
+    assert path.read_bytes() == ref_path.read_bytes()
+    assert read_columnar(path) == good
 
 
 def test_open_rejects_bad_magic_and_version(tmp_path):

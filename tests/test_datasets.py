@@ -1,8 +1,12 @@
 """Tests for workload models, record IO, and the dataset generators."""
 
+import dataclasses
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.classify import classify_probing, prefix_length_profile
 from repro.datasets import (AllNamesBuilder, CdnDatasetBuilder,
@@ -42,6 +46,54 @@ class TestZipf:
         assert a == b
 
 
+class _FixedDraw:
+    """Stands in for ``random.Random``: hands out one chosen ``u``."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.u
+
+
+def _binary_search_rank(cdf, u):
+    """The hand-written search ``ZipfSampler.sample`` used to run."""
+    lo, hi = 0, len(cdf) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cdf[mid] < u:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+class TestZipfMatchesBinarySearch:
+    """``sample`` is pinned to the loop it replaced: same rank for every
+    ``u`` and exactly one ``rng.random()`` draw, so no builder's random
+    stream (and no golden trace) can move."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300),
+           alpha=st.floats(0.0, 3.0, allow_nan=False),
+           u=st.floats(0.0, 1.0, exclude_max=True), data=st.data())
+    def test_same_rank_one_draw(self, n, alpha, u, data):
+        sampler = ZipfSampler(n, alpha)
+        # Half the time land exactly on a CDF entry, the search's edge.
+        if data.draw(st.booleans()):
+            u = sampler._cdf[data.draw(st.integers(0, n - 1))]
+        rng = _FixedDraw(u)
+        assert sampler.sample(rng) == _binary_search_rank(sampler._cdf, u)
+        assert rng.draws == 1
+
+    def test_single_rank_never_searches_past_zero(self):
+        sampler = ZipfSampler(1, 1.0)
+        assert [sampler.sample(_FixedDraw(u)) for u in (0.0, 0.5, 1.0)] \
+            == [0, 0, 0]
+
+
 class TestPoisson:
     def test_rate_matches(self):
         ts = poisson_arrivals(10.0, 1000.0, random.Random(5))
@@ -64,6 +116,22 @@ class TestRecordIO:
         assert write_jsonl(records, path) == 2
         loaded = read_jsonl(path, AllNamesRecord)
         assert loaded == records
+
+    def test_jsonl_lines_match_asdict(self, tmp_path):
+        """Field-by-name dicts serialize to the bytes ``asdict`` gave,
+        for mixed record types in one stream and for ``None`` fields."""
+        records = [AllNamesRecord(1.5, "10.0.0.1", "a.com.", 1, 24, 60),
+                   CdnQueryRecord(2.0, "r", "q.", 1, True, "10.1.0.0", 24),
+                   CdnQueryRecord(3.0, "r", "é.", 28, False)]
+        path = tmp_path / "records.jsonl"
+        assert write_jsonl(iter(records), path) == 3
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(dataclasses.asdict(r), separators=(",", ":")) + "\n"
+            for r in records)
+
+    def test_jsonl_rejects_non_dataclass(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_jsonl([("not", "a", "record")], tmp_path / "bad.jsonl")
 
     def test_iter_jsonl_streams(self, tmp_path):
         records = [CdnQueryRecord(float(i), "r", "q.", 1, False)

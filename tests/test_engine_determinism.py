@@ -9,14 +9,19 @@ shard_index)`` and merged in shard order, independent of scheduling.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.analysis.cache_sim import replay
 from repro.datasets import (AllNamesBuilder, CdnDatasetBuilder,
                             PublicCdnBuilder, RootTraceBuilder)
 from repro.engine import derive_seed, shard_bounds, world_seed
-from repro.engine.generate import generate_dataset, generate_records
+from repro.datasets.records import write_jsonl
+from repro.engine.generate import (generate_columnar, generate_dataset,
+                                   generate_jsonl, generate_records)
 from repro.engine.replay import replay_sharded
+from repro.engine.sharding import ShardSpec
 
 SHARDS = 4
 
@@ -119,6 +124,47 @@ class TestReplayDeterminism:
     def test_unknown_kind_rejected(self, small_allnames_records):
         with pytest.raises(ValueError):
             replay_sharded(small_allnames_records, "nope")
+
+
+class TestGoldenBytes:
+    """Byte-identity *across commits*, not only across worker counts.
+
+    The digests were recorded at the commit before trace writing went
+    column-at-a-time (PR 13's parent).  A builder that reorders its
+    ``rng`` draws, or a writer that encodes a cell differently, moves
+    them; re-record only for a change that means to alter the bytes.
+    """
+
+    GOLDEN = {
+        "columnar": "46bc11ff05a5d9a8c17940477358b99b"
+                    "542558097dcb022d4a1b75767bc28f0f",
+        "jsonl": "f16214b74f8fb6c19cfd8fcdec40d493"
+                 "1f9df40dc7826c75ea8960270ddc4ead",
+        "build": "89e195f9e50fa2c1fed3e29d3d1e64d1"
+                 "bf7948a2c394f7c6dd9e7cc01e5806c9",
+    }
+
+    @staticmethod
+    def _sha256(path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_allnames_trace_sha256(self, tmp_path):
+        spec = ShardSpec.create("allnames", shard_count=4, scale=0.01,
+                                seed=0)
+        rows, _ = generate_columnar(spec, tmp_path / "t.col",
+                                    row_group_rows=256)
+        assert rows == 5500
+        assert self._sha256(tmp_path / "t.col") == self.GOLDEN["columnar"]
+        rows, _ = generate_jsonl(spec, tmp_path / "t.jsonl")
+        assert rows == 5500
+        assert self._sha256(tmp_path / "t.jsonl") == self.GOLDEN["jsonl"]
+
+    def test_allnames_unsharded_build_sha256(self, tmp_path):
+        """``build()`` draws from a different seed than the shards but
+        shares their row loop; pin its stream too."""
+        records = AllNamesBuilder(scale=0.01, seed=0).build().records
+        write_jsonl(records, tmp_path / "b.jsonl")
+        assert self._sha256(tmp_path / "b.jsonl") == self.GOLDEN["build"]
 
 
 class TestCliDeterminism:
