@@ -12,15 +12,16 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 from ..core.cache import ScopeTracker
 from ..datasets.allnames import AllNamesDataset
 from ..datasets.public_cdn import PublicCdnDataset
 from ..datasets.records import AllNamesRecord, PublicCdnRecord
-from ..net.addr import _MASKS_BY_VERSION, parse_addr
+from ..net.addr import _MASKS_BY_VERSION, parse_addr, truncate_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (datasets -> net)
     from ..datasets.columnar import ColumnarStore
@@ -111,40 +112,202 @@ def replay_partial(records: Iterable, client_of, scope_of,
                          ecs.max_size, plain.max_size)
 
 
+#: Records transposed per segment on the object path.  Throughput is flat
+#: from 256 rows up; this keeps the six column lists small.
+RECORD_CHUNK_ROWS = 4096
+
+
+class Segment(NamedTuple):
+    """A stretch of trace in the one shape :meth:`ReplayKernel.feed` reads,
+    bound to the kernel that made it (``qmap`` handles are kernel-local)."""
+
+    #: ``(ts, qname, qtype, client, scope, ttl)``, aligned by row; qname
+    #: and client hold codes into ``qnames`` / ``clients``.
+    columns: Sequence[Sequence[Any]]
+    qnames: Sequence[str]
+    clients: Sequence[Optional[str]]
+    #: qname code -> run-global handle; client code -> ``(version, value,
+    #: mask table)``, or None where the dictionary entry is None.
+    qmap: List[int]
+    cmap: List[Optional[Tuple[int, int, Sequence[int]]]]
+
+
+class ReplayKernel:
+    """The section 7 dual-cache step, written once for every fast lane.
+
+    :meth:`feed` inlines :meth:`ScopeTracker.access` for an ECS-keyed and
+    a plain cache — purge, lookup, a hit iff the stored expiry exceeds
+    ``now``, insert and peak update only on a miss — so counters equal
+    :func:`replay_partial` over the same rows.  Cache keys carry integer
+    qname *handles* interned run-globally (dictionary codes are
+    segment-local; one dict lookup per dictionary entry per segment keeps
+    handle equality identical to string equality), and clients parse
+    once per distinct string.  Memory is the caches, sized by the
+    unique-key universe, never the row count.  ``ttl_override`` replaces
+    every row's TTL; ``0`` is honored (see :func:`public_cdn_blowups`).
+    """
+
+    def __init__(self, ttl_override: Optional[float] = None) -> None:
+        self.ttl_override = ttl_override
+        self.hits_ecs = self.misses_ecs = self.max_size_ecs = 0
+        self.hits_no_ecs = self.misses_no_ecs = self.max_size_no_ecs = 0
+        self._ecs_expiry: Dict[tuple, float] = {}
+        self._plain_expiry: Dict[tuple, float] = {}
+        self._ecs_heap: List[Tuple[float, tuple]] = []
+        self._plain_heap: List[Tuple[float, tuple]] = []
+        self._qname_handles: Dict[str, int] = {}
+        self._parsed_clients: Dict[str, Tuple[int, int, Sequence[int]]] = {}
+
+    def partial(self) -> ReplayPartial:
+        """The counters accumulated so far."""
+        return ReplayPartial(self.hits_ecs, self.misses_ecs,
+                             self.hits_no_ecs, self.misses_no_ecs,
+                             self.max_size_ecs, self.max_size_no_ecs)
+
+    def segment(self, columns: Sequence[Sequence[Any]], qnames: Sequence[str],
+                clients: Sequence[Optional[str]]) -> Segment:
+        """Bind six columns and their two dictionaries to this kernel."""
+        handles = self._qname_handles
+        qmap = [handles.setdefault(value, len(handles)) for value in qnames]
+        parsed = self._parsed_clients
+        cmap = []
+        for address in clients:
+            entry = parsed.get(address)
+            if entry is None and address is not None:
+                version, value = parse_addr(address)
+                entry = parsed[address] = (version, value,
+                                           _MASKS_BY_VERSION[version])
+            cmap.append(entry)
+        return Segment(columns, qnames, clients, qmap, cmap)
+
+    def store_segment(self, store: "ColumnarStore", client_field: str,
+                      scope_field: str = "scope",
+                      ttl_field: str = "ttl") -> Segment:
+        """One columnar store (a whole file or one row group), zero-copy."""
+        fields = ("ts", "qname", "qtype", client_field, scope_field, ttl_field)
+        return self.segment([store.column(name) for name in fields],
+                            store.dictionary("qname"),
+                            store.dictionary(client_field))
+
+    def record_segments(self, records: Iterable, client_field: str,
+                        scope_field: str = "scope",
+                        ttl_field: str = "ttl") -> Iterator[Segment]:
+        """Record objects, transposed :data:`RECORD_CHUNK_ROWS` at a time
+        (one C-level ``map`` per column) and dictionary-encoded per chunk.
+
+        A record without a client keeps the scope-free key, as in
+        :meth:`ScopeTracker._key`: its scope is rewritten to 0.
+        """
+        fields = ("ts", "qname", "qtype", client_field, scope_field, ttl_field)
+        stream = iter(records)
+        while True:
+            chunk = list(islice(stream, RECORD_CHUNK_ROWS))
+            if not chunk:
+                return
+            ts, qnames, qtypes, clients, scopes, ttls = (
+                list(map(attrgetter(name), chunk)) for name in fields)
+            if None in clients:
+                scopes = [0 if client is None else scope
+                          for client, scope in zip(clients, scopes)]
+            qcodes: Dict[str, int] = {}
+            ccodes: Dict[Optional[str], int] = {}
+            yield self.segment(
+                (ts, [qcodes.setdefault(v, len(qcodes)) for v in qnames],
+                 qtypes, [ccodes.setdefault(v, len(ccodes)) for v in clients],
+                 scopes, ttls), list(qcodes), list(ccodes))
+
+    def feed(self, segment: Segment,
+             rows: Optional[Iterable[int]] = None) -> None:
+        """Replay ``rows`` of ``segment`` (default: all) in the order given:
+        a qname bucket's row indices, or one row at a time when a tracer
+        wants each verdict (the hit counters' delta)."""
+        (ts_col, qname_col, qtype_col, client_col, scope_col,
+         ttl_col), _, _, qmap, cmap = segment
+        if rows is None:
+            rows = range(len(ts_col))
+        ttl_override = self.ttl_override
+        ecs_expiry, plain_expiry = self._ecs_expiry, self._plain_expiry
+        ecs_heap, plain_heap = self._ecs_heap, self._plain_heap
+        heappush, heappop = heapq.heappush, heapq.heappop
+        hits_ecs, misses_ecs = self.hits_ecs, self.misses_ecs
+        hits_no_ecs, misses_no_ecs = self.hits_no_ecs, self.misses_no_ecs
+        max_ecs, max_plain = self.max_size_ecs, self.max_size_no_ecs
+        try:
+            for row in rows:
+                now = ts_col[row]
+                qcode = qmap[qname_col[row]]
+                qtype = qtype_col[row]
+                scope = scope_col[row]
+                ttl = ttl_col[row] if ttl_override is None else ttl_override
+
+                # ECS cache: purge, then lookup, then insert on miss.
+                while ecs_heap and ecs_heap[0][0] <= now:
+                    expiry, key = heappop(ecs_heap)
+                    current = ecs_expiry.get(key)
+                    if current is not None and current <= now:
+                        del ecs_expiry[key]
+                if scope > 0:
+                    version, value, masks = cmap[client_col[row]]
+                    key = (qcode, qtype, version, scope, value & masks[scope])
+                elif scope == 0:
+                    key = (qcode, qtype)
+                else:
+                    raise IndexError(scope)
+                expiry_now = ecs_expiry.get(key)
+                if expiry_now is not None and expiry_now > now:
+                    hits_ecs += 1
+                else:
+                    misses_ecs += 1
+                    ecs_expiry[key] = now + ttl
+                    heappush(ecs_heap, (now + ttl, key))
+                    if len(ecs_expiry) > max_ecs:
+                        max_ecs = len(ecs_expiry)
+
+                # Plain cache: same sequence with the scope-free key.
+                while plain_heap and plain_heap[0][0] <= now:
+                    expiry, key = heappop(plain_heap)
+                    current = plain_expiry.get(key)
+                    if current is not None and current <= now:
+                        del plain_expiry[key]
+                key = (qcode, qtype)
+                expiry_now = plain_expiry.get(key)
+                if expiry_now is not None and expiry_now > now:
+                    hits_no_ecs += 1
+                else:
+                    misses_no_ecs += 1
+                    plain_expiry[key] = now + ttl
+                    heappush(plain_heap, (now + ttl, key))
+                    if len(plain_expiry) > max_plain:
+                        max_plain = len(plain_expiry)
+        except IndexError:
+            # The loop range-checks no scope on the ``scope > 0`` path;
+            # truncate_int names a bad prefix length as the oracle does,
+            # and any other overrun re-raises as it was.
+            version, value, _ = cmap[client_col[row]]
+            truncate_int(version, value, scope_col[row])
+            raise
+        self.hits_ecs, self.misses_ecs = hits_ecs, misses_ecs
+        self.hits_no_ecs, self.misses_no_ecs = hits_no_ecs, misses_no_ecs
+        self.max_size_ecs, self.max_size_no_ecs = max_ecs, max_plain
+
+
+# Three adapters over the kernel.  They stay separate functions that never
+# call each other: benchmarks/e2e rebinds each by name and counts rows per
+# call, so an alias or a nested call would count its rows twice.
+
+
 def replay_partial_batched(records: Iterable, client_field: str,
                            scope_field: str = "scope",
                            ttl_field: str = "ttl",
                            ttl_override: Optional[float] = None
                            ) -> ReplayPartial:
-    """Batched fast lane of :func:`replay_partial`.
-
-    Field *names* replace accessor callables, so one fused
-    :func:`operator.attrgetter` (C-level) pulls every attribute per record
-    and no per-record Python lambda frames are created; the tracker access
-    methods are hoisted to locals outside the loop.  ``ttl_override``
-    replaces the per-record TTL with a constant (``0`` is honored — see
-    :func:`public_cdn_blowups`).  Produces counters identical to the
-    reference path for the same records.
-    """
-    ecs = ScopeTracker(use_ecs=True)
-    plain = ScopeTracker(use_ecs=False)
-    get = attrgetter("ts", "qname", "qtype", client_field, scope_field,
-                     ttl_field)
-    ecs_access = ecs.access
-    plain_access = plain.access
-    if ttl_override is None:
-        for r in records:
-            ts, qname, qtype, client, scope, ttl = get(r)
-            ecs_access(ts, qname, qtype, client, scope, ttl)
-            plain_access(ts, qname, qtype, None, 0, ttl)
-    else:
-        ttl = ttl_override
-        for r in records:
-            ts, qname, qtype, client, scope, _ = get(r)
-            ecs_access(ts, qname, qtype, client, scope, ttl)
-            plain_access(ts, qname, qtype, None, 0, ttl)
-    return ReplayPartial(ecs.hits, ecs.misses, plain.hits, plain.misses,
-                         ecs.max_size, plain.max_size)
+    """Object lane: record instances read by field *name*; counters equal
+    :func:`replay_partial` with the matching accessors."""
+    kernel = ReplayKernel(ttl_override)
+    for segment in kernel.record_segments(records, client_field,
+                                          scope_field, ttl_field):
+        kernel.feed(segment)
+    return kernel.partial()
 
 
 def replay_partial_columns(store: "ColumnarStore", client_field: str,
@@ -153,96 +316,14 @@ def replay_partial_columns(store: "ColumnarStore", client_field: str,
                            ttl_field: str = "ttl",
                            ttl_override: Optional[float] = None
                            ) -> ReplayPartial:
-    """Columnar fast lane: replay packed columns, no record objects.
+    """Columnar lane: one store's packed columns, no record objects.
 
-    Counter-identical to :func:`replay_partial_batched` over
-    ``store.to_records()`` by construction — the equivalence suite pins
-    it — because it inlines :meth:`ScopeTracker.access` exactly:
-    purge-then-lookup, a hit iff the stored expiry exceeds ``now``, and
-    the peak updated only after an insert.  Two structural swaps buy the
-    speed without touching semantics:
-
-    * cache keys use *dictionary codes* instead of strings.  Dictionary
-      encoding is a bijection within one store, so ``(qcode, qtype, …)``
-      keys collide exactly when the string keys would, and every counter
-      is unchanged.  Client addresses parse once per dictionary entry
-      (one :func:`repro.net.addr.parse_addr` per unique client, not per
-      row), and prefix truncation is one table-mask AND per miss.
-    * the row loop walks typed memoryviews (or ``rows``, an iterable of
-      row indices — e.g. one qname bucket of
-      :meth:`~repro.datasets.columnar.ColumnarStore.row_buckets`), so
-      per-row cost is integer indexing instead of attribute access on
-      materialized objects.
+    ``rows`` selects a subset in replay order (one qname bucket).
     """
-    ts_col = store.column("ts")
-    qname_col = store.column("qname")
-    qtype_col = store.column("qtype")
-    client_col = store.column(client_field)
-    scope_col = store.column(scope_field)
-    ttl_col = store.column(ttl_field)
-    #: code -> (version, value, mask table), hoisted out of the row loop.
-    parsed = []
-    for address in store.dictionary(client_field):
-        version, value = parse_addr(address)
-        parsed.append((version, value, _MASKS_BY_VERSION[version]))
-
-    ecs_expiry: Dict[tuple, float] = {}
-    plain_expiry: Dict[tuple, float] = {}
-    ecs_heap: List[Tuple[float, tuple]] = []
-    plain_heap: List[Tuple[float, tuple]] = []
-    heappush, heappop = heapq.heappush, heapq.heappop
-    hits_ecs = misses_ecs = hits_no_ecs = misses_no_ecs = 0
-    max_ecs = max_plain = 0
-
-    if rows is None:
-        rows = range(store.rows)
-    for row in rows:
-        now = ts_col[row]
-        qcode = qname_col[row]
-        qtype = qtype_col[row]
-        scope = scope_col[row]
-        ttl = ttl_col[row] if ttl_override is None else ttl_override
-
-        # ECS cache: purge, then lookup, then insert on miss.
-        while ecs_heap and ecs_heap[0][0] <= now:
-            expiry, key = heappop(ecs_heap)
-            current = ecs_expiry.get(key)
-            if current is not None and current <= now:
-                del ecs_expiry[key]
-        if scope == 0:
-            key = (qcode, qtype)
-        else:
-            version, value, masks = parsed[client_col[row]]
-            key = (qcode, qtype, version, scope, value & masks[scope])
-        expiry_now = ecs_expiry.get(key)
-        if expiry_now is not None and expiry_now > now:
-            hits_ecs += 1
-        else:
-            misses_ecs += 1
-            ecs_expiry[key] = now + ttl
-            heappush(ecs_heap, (now + ttl, key))
-            if len(ecs_expiry) > max_ecs:
-                max_ecs = len(ecs_expiry)
-
-        # Plain cache: same sequence with the scope-free key.
-        while plain_heap and plain_heap[0][0] <= now:
-            expiry, key = heappop(plain_heap)
-            current = plain_expiry.get(key)
-            if current is not None and current <= now:
-                del plain_expiry[key]
-        key = (qcode, qtype)
-        expiry_now = plain_expiry.get(key)
-        if expiry_now is not None and expiry_now > now:
-            hits_no_ecs += 1
-        else:
-            misses_no_ecs += 1
-            plain_expiry[key] = now + ttl
-            heappush(plain_heap, (now + ttl, key))
-            if len(plain_expiry) > max_plain:
-                max_plain = len(plain_expiry)
-
-    return ReplayPartial(hits_ecs, misses_ecs, hits_no_ecs, misses_no_ecs,
-                         max_ecs, max_plain)
+    kernel = ReplayKernel(ttl_override)
+    kernel.feed(kernel.store_segment(store, client_field, scope_field,
+                                     ttl_field), rows)
+    return kernel.partial()
 
 
 def replay_partial_column_groups(stores: Iterable["ColumnarStore"],
@@ -251,103 +332,18 @@ def replay_partial_column_groups(stores: Iterable["ColumnarStore"],
                                  ttl_field: str = "ttl",
                                  ttl_override: Optional[float] = None
                                  ) -> ReplayPartial:
-    """Out-of-core twin of :func:`replay_partial_columns`.
+    """Out-of-core lane: row-group stores in file order through one kernel.
 
-    Replays a sequence of row-group stores (one bucket's groups of a
-    pre-bucketed v2 file, in file order) through *one* pair of caches,
-    so the counters equal a single :func:`replay_partial_columns` pass
-    over the concatenated rows.  The subtlety is that v2 dictionary
-    codes are group-local: the same qname can carry different codes in
-    different groups.  Codes therefore re-map through a run-global
-    interning table (first-appearance order, one dict lookup per
-    dictionary *entry* per group), which restores the bijection the
-    code-keyed cache keys rely on.  Client addresses parse once per
-    distinct string across the whole run — the ECS key uses the parsed
-    ``(version, value)`` directly, so no client-side remap is needed.
-
-    Memory is bounded by one group's columns plus the caches (sized by
-    the unique-key universe, not the row count); callers close each
-    store as soon as the next one is requested.
+    Counters equal one :func:`replay_partial_columns` pass over the
+    concatenated rows although v2 dictionary codes are group-local.
+    Only the group being fed is read; callers close each store as soon
+    as the next one is requested.
     """
-    ecs_expiry: Dict[tuple, float] = {}
-    plain_expiry: Dict[tuple, float] = {}
-    ecs_heap: List[Tuple[float, tuple]] = []
-    plain_heap: List[Tuple[float, tuple]] = []
-    heappush, heappop = heapq.heappush, heapq.heappop
-    hits_ecs = misses_ecs = hits_no_ecs = misses_no_ecs = 0
-    max_ecs = max_plain = 0
-    #: qname string -> run-global code (first appearance across groups).
-    qname_global: Dict[str, int] = {}
-    #: client string -> index into ``parsed`` (parse once per distinct).
-    parsed_index: Dict[str, int] = {}
-    parsed: List[Tuple[int, int, Sequence[int]]] = []
-
+    kernel = ReplayKernel(ttl_override)
     for store in stores:
-        ts_col = store.column("ts")
-        qname_col = store.column("qname")
-        qtype_col = store.column("qtype")
-        client_col = store.column(client_field)
-        scope_col = store.column(scope_field)
-        ttl_col = store.column(ttl_field)
-        # Per-group remap tables: group-local code -> run-global handle.
-        qmap = [qname_global.setdefault(value, len(qname_global))
-                for value in store.dictionary("qname")]
-        cmap = []
-        for address in store.dictionary(client_field):
-            index = parsed_index.get(address)
-            if index is None:
-                index = len(parsed)
-                parsed_index[address] = index
-                version, value = parse_addr(address)
-                parsed.append((version, value,
-                               _MASKS_BY_VERSION[version]))
-            cmap.append(index)
-
-        for row in range(store.rows):
-            now = ts_col[row]
-            qcode = qmap[qname_col[row]]
-            qtype = qtype_col[row]
-            scope = scope_col[row]
-            ttl = ttl_col[row] if ttl_override is None else ttl_override
-
-            while ecs_heap and ecs_heap[0][0] <= now:
-                expiry, key = heappop(ecs_heap)
-                current = ecs_expiry.get(key)
-                if current is not None and current <= now:
-                    del ecs_expiry[key]
-            if scope == 0:
-                key = (qcode, qtype)
-            else:
-                version, value, masks = parsed[cmap[client_col[row]]]
-                key = (qcode, qtype, version, scope, value & masks[scope])
-            expiry_now = ecs_expiry.get(key)
-            if expiry_now is not None and expiry_now > now:
-                hits_ecs += 1
-            else:
-                misses_ecs += 1
-                ecs_expiry[key] = now + ttl
-                heappush(ecs_heap, (now + ttl, key))
-                if len(ecs_expiry) > max_ecs:
-                    max_ecs = len(ecs_expiry)
-
-            while plain_heap and plain_heap[0][0] <= now:
-                expiry, key = heappop(plain_heap)
-                current = plain_expiry.get(key)
-                if current is not None and current <= now:
-                    del plain_expiry[key]
-            key = (qcode, qtype)
-            expiry_now = plain_expiry.get(key)
-            if expiry_now is not None and expiry_now > now:
-                hits_no_ecs += 1
-            else:
-                misses_no_ecs += 1
-                plain_expiry[key] = now + ttl
-                heappush(plain_heap, (now + ttl, key))
-                if len(plain_expiry) > max_plain:
-                    max_plain = len(plain_expiry)
-
-    return ReplayPartial(hits_ecs, misses_ecs, hits_no_ecs, misses_no_ecs,
-                         max_ecs, max_plain)
+        kernel.feed(kernel.store_segment(store, client_field, scope_field,
+                                         ttl_field))
+    return kernel.partial()
 
 
 def merge_partials(partials: Iterable[ReplayPartial]) -> ReplayResult:

@@ -24,11 +24,10 @@ lint        run the repro.staticcheck invariant linter (RS001-RS100,
 Every command accepts ``--seed`` and a size knob and writes rendered
 reports to ``--out`` (default: print to stdout only); ``--quiet``
 silences stdout.  ``generate``, ``blowup``, ``replay``, ``chaos`` and
-``all`` also take ``--workers N`` / ``--shards K`` plus the execution
-knobs ``--pool persistent|spawn-per-batch`` and ``--chunk-size C``:
-work is split into K deterministically-seeded shards executed on N
-processes via compact shard specs, and the merged output is
-byte-identical for every (N, pool, C) combination (see
+``all`` also take ``--workers N`` / ``--shards K`` plus the dispatch
+knob ``--chunk-size C``: work is split into K deterministically-seeded
+shards executed on N processes via compact shard specs, and the merged
+output is byte-identical for every (N, C) combination (see
 ``docs/engine.md``).
 """
 
@@ -56,7 +55,7 @@ from .datasets.columnar import (SCHEMAS, columnar_to_jsonl,
                                 convert_columnar, file_info, is_columnar,
                                 jsonl_to_columnar)
 from .datasets.ditl import generate_root_trace
-from .engine import (DEFAULT_SHARDS, POOL_MODES, ShardSpec, WorkerPool,
+from .engine import (DEFAULT_SHARDS, ShardSpec, WorkerPool,
                      generate_dataset_spec, generate_jsonl)
 from .engine import pool as engine_pool
 from .engine.executor import EngineReport
@@ -262,7 +261,7 @@ def cmd_generate(args: argparse.Namespace, reporter: _Reporter) -> None:
     ``<file>.shardNN`` siblings, then an order-stable merge produces the
     final trace and removes the shard files.  No record payloads cross
     the pool boundary, and the merged bytes are identical for any
-    ``--workers`` / ``--pool`` / ``--chunk-size`` value.
+    ``--workers`` / ``--chunk-size`` value.
     """
     if args.dataset == "allnames":
         spec = ShardSpec.create("allnames", shard_count=args.shards,
@@ -513,11 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--shards", type=positive_int, default=DEFAULT_SHARDS,
                          help="shard count; part of the experiment's "
                               "identity, independent of --workers")
-        cmd.add_argument("--pool", choices=POOL_MODES, default="persistent",
-                         help="worker pool lifecycle: one pool reused for "
-                              "the whole command (persistent, default) or "
-                              "a fresh pool per sharded batch "
-                              "(spawn-per-batch); never affects output")
         cmd.add_argument("--chunk-size", type=positive_int, default=None,
                          help="consecutive shards per pool submission "
                               "(default: auto); dispatch detail only, "
@@ -638,16 +632,13 @@ def _dispatch(args: argparse.Namespace, reporter: _Reporter) -> None:
     """Run the selected command (or, for ``all``, every analysis).
 
     Engine commands run against one :class:`WorkerPool` for their whole
-    duration: with ``--pool persistent`` (the default) the worker
-    processes spawn once and serve every sharded call the command makes
-    — for ``all``, that is every sub-command — while ``--pool
-    spawn-per-batch`` reproduces the legacy pool-per-batch lifecycle.
+    duration: the worker processes spawn once and serve every sharded
+    call the command makes — for ``all``, that is every sub-command.
     The pool is installed in the ambient slot so library code reaches it
     without threading it through every call.
     """
     workers = getattr(args, "workers", 1)
-    pool = (WorkerPool(workers, mode=args.pool)
-            if workers > 1 else None)
+    pool = WorkerPool(workers) if workers > 1 else None
     previous = engine_pool.activate(pool) if pool is not None else None
     try:
         if args.command == "all":

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import heapq
 import itertools
 import json
 import mmap
@@ -1565,8 +1564,9 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
     the earlier shard, exactly like
     :func:`repro.datasets.records.merge_jsonl_shards` — so a columnar
     generate merged this way holds the same canonical record order as
-    the JSONL route.  Output is byte-identical to the per-row reference
-    merge (:func:`merge_columnar_shards_rowwise`), but the walk is
+    the JSONL route.  Output is byte-identical to the per-row heapq
+    reference merge (kept next to its test in ``tests/test_columnar.py``),
+    but the walk is
     *run*-granular: whenever the head shard's next rows all sort before
     every other shard's head (found by bisecting the ts column), the
     whole run moves in one vectorized append instead of one heap pop
@@ -1660,40 +1660,6 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
     finally:
         for reader in readers:
             reader.close()
-
-
-def merge_columnar_shards_rowwise(paths: Sequence[Union[str, Path]],
-                                  out_path: Union[str, Path],
-                                  ts_column: str = "ts") -> int:
-    """Per-row heapq reference merge (the pre-row-group implementation).
-
-    Kept as the byte-canonicity oracle: equivalence tests assert that
-    :func:`merge_columnar_shards` produces identical bytes on
-    overlapping-ts fixtures.  O(rows) memory — do not use on traces
-    that do not fit in RAM.
-    """
-    stores = [ColumnarStore.open(p) for p in paths]
-    try:
-        schemas = {store.schema.name for store in stores}
-        if len(schemas) > 1:
-            raise ValueError(f"cannot merge mixed schemas: "
-                             f"{sorted(schemas)}")
-        writer = ColumnarWriter(stores[0].schema)
-
-        def stream(index: int,
-                   store: ColumnarStore) -> Iterator[Tuple[float, int, int]]:
-            ts_col = store.raw_column(ts_column)
-            for row in range(store.rows):
-                yield (ts_col[row], index, row)
-
-        for _, index, row in heapq.merge(*[stream(i, s)
-                                           for i, s in enumerate(stores)]):
-            writer.append_values(stores[index].row_values(row))
-        writer.save(out_path)
-        return writer.rows
-    finally:
-        for store in stores:
-            store.close()
 
 
 def concat_columnar_shards(paths: Sequence[Union[str, Path]],

@@ -19,23 +19,22 @@ from __future__ import annotations
 from typing import Any
 
 from .executor import EngineReport, ShardStats, run_sharded
-from .pool import (POOL_MODES, PoolError, PoolShutdownError,
-                   ShardDispatchError, WorkerCrashError, WorkerPool)
+from .pool import (PoolError, PoolShutdownError, ShardDispatchError,
+                   WorkerCrashError, WorkerPool)
 from .seeding import WORLD_SHARD, derive_seed, world_seed
 from .sharding import (BUILDER_REGISTRY, DEFAULT_SHARDS, ShardSpec,
                        partition_by_key, register_builder, resolve_builder,
                        shard_bounds, stable_bucket)
 
 __all__ = [
-    "BUILDER_REGISTRY", "DEFAULT_SHARDS", "EngineReport", "POOL_MODES",
-    "PoolError", "PoolShutdownError", "ShardDispatchError", "ShardSpec",
-    "ShardStats", "WORLD_SHARD", "WorkerCrashError", "WorkerPool",
-    "derive_seed", "generate_columnar", "generate_dataset",
-    "generate_dataset_spec", "generate_jsonl", "generate_records",
-    "generate_records_spec", "partition_by_key", "register_builder",
-    "replay_columnar_sharded", "replay_jsonl_sharded", "replay_sharded",
-    "replay_spec_sharded", "resolve_builder", "run_sharded",
-    "shard_bounds", "stable_bucket", "world_seed",
+    "BUILDER_REGISTRY", "DEFAULT_SHARDS", "EngineReport", "PoolError",
+    "PoolShutdownError", "ShardDispatchError", "ShardSpec", "ShardStats",
+    "WORLD_SHARD", "WorkerCrashError", "WorkerPool", "derive_seed",
+    "generate_columnar", "generate_dataset", "generate_dataset_spec",
+    "generate_jsonl", "generate_records", "generate_records_spec",
+    "partition_by_key", "register_builder", "replay_columnar_sharded",
+    "replay_jsonl_sharded", "replay_sharded", "resolve_builder",
+    "run_sharded", "shard_bounds", "stable_bucket", "world_seed",
 ]
 
 _LAZY = {
@@ -48,7 +47,6 @@ _LAZY = {
     "replay_columnar_sharded": "replay",
     "replay_jsonl_sharded": "replay",
     "replay_sharded": "replay",
-    "replay_spec_sharded": "replay",
 }
 
 

@@ -84,8 +84,8 @@ class EngineReport:
     metrics: Optional[MetricsRegistry] = None
     spans: List[Span] = field(default_factory=list)
     spans_dropped: int = 0
-    #: How the shards executed: "inline", "persistent" or
-    #: "spawn-per-batch".  Execution detail only — never affects output.
+    #: How the shards executed: "inline" or, on a worker pool,
+    #: "persistent".  Execution detail only — never affects output.
     pool_mode: str = "inline"
     #: Serialized bytes of the run's shared header (0 when inline).
     header_bytes: int = 0
@@ -250,15 +250,15 @@ def _resolve_pool(pool: Optional[WorkerPool],
 
     Precedence: an explicitly passed pool, then the ambient
     :data:`repro.engine.pool.ACTIVE` pool (the CLI installs one per
-    command), then a throwaway spawn-per-batch pool reproducing the
-    legacy per-call lifecycle for direct library callers.
+    command), then a throwaway pool for direct library callers, which
+    :func:`run_sharded` shuts down when the run ends.
     """
     if pool is not None:
         return pool, False
     ambient = pool_mod.ACTIVE
     if ambient is not None:
         return ambient, False
-    return WorkerPool(workers, mode="spawn-per-batch"), True
+    return WorkerPool(workers), True
 
 
 def run_sharded(fn: Callable[..., Any],
@@ -289,7 +289,7 @@ def run_sharded(fn: Callable[..., Any],
     ``None`` picks a size that keeps every worker busy with ~4
     submissions.  Chunking is pure dispatch — shard inputs, per-shard
     seeding and result order are unchanged, so outputs stay byte-identical
-    for any (workers, chunk_size, pool mode) combination.
+    for any (workers, chunk_size) combination.
     """
     workers = max(1, workers)
     capture_metrics = obs_metrics.ACTIVE is not None
@@ -317,7 +317,7 @@ def run_sharded(fn: Callable[..., Any],
             chunk_size = max(1, len(shard_args) // (workers * 4))
         bounds = _chunk_bounds(len(shard_args), max(1, chunk_size))
         run_pool, ephemeral = _resolve_pool(pool, workers)
-        pool_mode = run_pool.mode
+        pool_mode = "persistent"
         submissions = [(header, blobs[lo:hi], lo,
                         capture_metrics, capture_traces, task)
                        for lo, hi in bounds]

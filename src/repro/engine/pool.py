@@ -10,9 +10,7 @@ because serialization dominated the useful work.
 This module replaces that with two orthogonal pieces:
 
 * :class:`WorkerPool` — a pool whose worker processes are created once
-  per run (``persistent`` mode) and reused by every sharded call of the
-  run, or created per batch (``spawn-per-batch`` mode, the legacy
-  behavior, kept addressable so the equivalence suite can pin both).
+  per run and reused by every sharded call of the run.
 
 * a **spec dispatch protocol** — each sharded run serializes its *run
   header* (the worker function's import token plus everything shared by
@@ -44,9 +42,6 @@ from typing import (Any, Callable, Dict, List, Optional, Tuple, Type,
                     TypeVar)
 
 from ..obs import live as _obs_live
-
-#: The two pool lifecycles the CLI exposes via ``--pool``.
-POOL_MODES = ("persistent", "spawn-per-batch")
 
 # ---------------------------------------------------------------------------
 # Analyzer introspection hooks.
@@ -241,23 +236,16 @@ def derived_state(header_digest_key: bytes, tag: str,
 class WorkerPool:
     """A process pool with an explicit lifecycle and crash attribution.
 
-    ``persistent`` mode creates the executor lazily on first dispatch
-    and reuses it until :meth:`shutdown` — one process spawn per run,
-    shared by every sharded call (``repro-ecs all`` runs its whole
-    command sequence on one set of workers).  ``spawn-per-batch``
-    recreates the executor for every batch, reproducing the legacy
-    lifecycle.  Both modes execute identical shard inputs, so outputs
-    are byte-identical across modes by construction.
+    The executor is created lazily on first dispatch and reused until
+    :meth:`shutdown` — one process spawn per run, shared by every
+    sharded call (``repro-ecs all`` runs its whole command sequence on
+    one set of workers).
     """
 
-    def __init__(self, workers: int, mode: str = "persistent"):
+    def __init__(self, workers: int):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if mode not in POOL_MODES:
-            raise ValueError(f"unknown pool mode {mode!r}; "
-                             f"expected one of {POOL_MODES}")
         self.workers = workers
-        self.mode = mode
         self._executor: Optional[ProcessPoolExecutor] = None
         self._closed = False
 
@@ -279,14 +267,9 @@ class WorkerPool:
         initializer, initargs = init
         return {"initializer": initializer, "initargs": initargs}
 
-    def _ensure_executor(self, batch_size: int) -> ProcessPoolExecutor:
+    def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._closed:
             raise PoolShutdownError("worker pool has been shut down")
-        if self.mode == "spawn-per-batch":
-            # Caller tears this one down in run_batch's finally.
-            return ProcessPoolExecutor(
-                max_workers=min(self.workers, max(1, batch_size)),
-                **self._executor_kwargs())
         if self._executor is None:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers, **self._executor_kwargs())
@@ -328,26 +311,22 @@ class WorkerPool:
         was lost — promptly, never as a hang, because a broken pool fails
         every outstanding future.
         """
-        executor = self._ensure_executor(len(submissions))
-        try:
-            futures = [executor.submit(worker, *submission)
-                       for submission in submissions]
-            results: List[Any] = []
-            for index, future in enumerate(futures):
-                try:
-                    results.append(future.result())
-                except BrokenProcessPool as exc:
-                    self._discard_broken()
-                    raise WorkerCrashError(
-                        f"{task}: worker process died while running "
-                        f"batch submission {index}/{len(futures)} "
-                        f"(see shard bounds in the traceback context); "
-                        f"results were discarded, no partial merge was "
-                        f"attempted") from exc
-            return results
-        finally:
-            if self.mode == "spawn-per-batch":
-                executor.shutdown(wait=True, cancel_futures=True)
+        executor = self._ensure_executor()
+        futures = [executor.submit(worker, *submission)
+                   for submission in submissions]
+        results: List[Any] = []
+        for index, future in enumerate(futures):
+            try:
+                results.append(future.result())
+            except BrokenProcessPool as exc:
+                self._discard_broken()
+                raise WorkerCrashError(
+                    f"{task}: worker process died while running "
+                    f"batch submission {index}/{len(futures)} "
+                    f"(see shard bounds in the traceback context); "
+                    f"results were discarded, no partial merge was "
+                    f"attempted") from exc
+        return results
 
 
 # ---------------------------------------------------------------------------

@@ -20,20 +20,16 @@ import functools
 import json
 import os
 import re
-import shutil
-import tempfile
 import time
-from operator import attrgetter
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Type, Union)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Type, Union)
 
-from ..analysis.cache_sim import (ReplayPartial, ReplayResult,
-                                  merge_partials, replay_partial,
+from ..analysis.cache_sim import (ReplayKernel, ReplayPartial, ReplayResult,
+                                  Segment, merge_partials,
                                   replay_partial_batched,
                                   replay_partial_column_groups,
                                   replay_partial_columns)
-from ..core.cache import ScopeTracker
 from ..datasets.columnar import (ColumnarStore, RowGroupReader,
                                  bucketed_group_ranges, record_row_groups)
 from ..datasets.records import AllNamesRecord, PublicCdnRecord
@@ -41,10 +37,8 @@ from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
 from .executor import EngineReport, run_sharded
-from .generate import generate_columnar
 from .pool import WorkerPool, worker_entrypoint
-from .sharding import (DEFAULT_SHARDS, ShardSpec, partition_by_key,
-                       stable_bucket)
+from .sharding import DEFAULT_SHARDS, partition_by_key, stable_bucket
 
 
 def _allnames_client(r: Any) -> str:
@@ -95,60 +89,64 @@ RECORD_TYPES: Dict[str, Type[Any]] = {
 TRACED_RECORDS_PER_SHARD = 1000
 
 
-def _replay_shard(records: List[Any], kind: str) -> ReplayPartial:
-    """Worker entry point: replay one shard of a partitioned trace.
+#: What a traced shard hands the kernel: segments in replay order, each
+#: with its row selection (None for every row).
+Feeds = Iterable[Tuple[Segment, Optional[Sequence[int]]]]
 
-    Uses the batched access path (hoisted attrgetter, no per-record
-    callables); counter-identical to ``replay_partial`` over
-    ``ACCESSORS[kind]``.  Observability is strictly out-of-band: with a
-    tracer active the shard runs the span-emitting twin (same tracker
-    call sequence, so identical counters); with only a registry active
-    the batched loop runs untouched and the partial's aggregate counters
-    are recorded after the fact.  The helpers below take the collector
-    as a parameter so the None guard lives here, once (RS003).
+
+def _observed_replay(kind: str, untraced: Callable[[], ReplayPartial],
+                     feeds: Callable[[ReplayKernel], Feeds]) -> ReplayPartial:
+    """Replay one shard under whichever collectors are active.
+
+    The one epilogue of every worker entry point.  Observability is
+    strictly out-of-band: with no tracer, ``untraced()`` — one of the
+    three :mod:`~repro.analysis.cache_sim` adapters — runs untouched.
+    With one, the same input goes as ``feeds(kernel)`` to the same
+    kernel those adapters feed: the shard's leading
+    :data:`TRACED_RECORDS_PER_SHARD` rows one at a time, each inside a
+    ``replay.query`` span whose two verdicts are the hit counters'
+    deltas, and the rest in bulk — so counters are identical and no
+    record object is ever built for a columnar row.  A registry gets the
+    partial's aggregate counters after the fact.  The None guards live
+    here, once (RS003).
     """
     tracer = _obs_trace.ACTIVE
-    if tracer is not None:
-        partial = _replay_shard_traced(tracer, records, kind)
+    if tracer is None:
+        partial = untraced()
     else:
-        partial = replay_partial_batched(records, CLIENT_FIELDS[kind])
+        kernel = ReplayKernel()
+        budget = TRACED_RECORDS_PER_SHARD
+        for segment, rows in feeds(kernel):
+            ts, qname, qtype, client, scope, _ = segment.columns
+            if rows is None:
+                rows = range(len(ts))
+            for row in rows[:budget]:
+                with tracer.span("replay.query", kind=kind, ts=ts[row],
+                                 qname=segment.qnames[qname[row]],
+                                 qtype=qtype[row],
+                                 client=segment.clients[client[row]],
+                                 scope=scope[row]) as span:
+                    ecs_hits, plain_hits = kernel.hits_ecs, kernel.hits_no_ecs
+                    kernel.feed(segment, (row,))
+                    span.attrs["ecs_hit"] = kernel.hits_ecs > ecs_hits
+                    span.attrs["plain_hit"] = kernel.hits_no_ecs > plain_hits
+            kernel.feed(segment, rows[budget:])
+            budget = max(0, budget - len(rows))
+        partial = kernel.partial()
     reg = _obs_metrics.ACTIVE
     if reg is not None:
         _record_replay_metrics(reg, kind, partial)
     return partial
 
 
-def _replay_shard_traced(tracer: _obs_trace.Tracer, records: List[Any],
-                         kind: str) -> ReplayPartial:
-    """Span-emitting twin of the batched replay loop.
-
-    Issues the exact same :meth:`ScopeTracker.access` sequence as
-    :func:`repro.analysis.cache_sim.replay_partial_batched`, so the
-    returned partial is counter-identical; the first
-    :data:`TRACED_RECORDS_PER_SHARD` records additionally emit a
-    ``replay.query`` span carrying both cache verdicts.
-    """
-    ecs = ScopeTracker(use_ecs=True)
-    plain = ScopeTracker(use_ecs=False)
-    get = attrgetter("ts", "qname", "qtype", CLIENT_FIELDS[kind],
-                     "scope", "ttl")
-    ecs_access = ecs.access
-    plain_access = plain.access
-    for index, r in enumerate(records):
-        ts, qname, qtype, client, scope, ttl = get(r)
-        if index < TRACED_RECORDS_PER_SHARD:
-            with tracer.span("replay.query", kind=kind, ts=ts, qname=qname,
-                             qtype=qtype, client=client,
-                             scope=scope) as span:
-                span.attrs["ecs_hit"] = ecs_access(ts, qname, qtype,
-                                                   client, scope, ttl)
-                span.attrs["plain_hit"] = plain_access(ts, qname, qtype,
-                                                       None, 0, ttl)
-        else:
-            ecs_access(ts, qname, qtype, client, scope, ttl)
-            plain_access(ts, qname, qtype, None, 0, ttl)
-    return ReplayPartial(ecs.hits, ecs.misses, plain.hits, plain.misses,
-                         ecs.max_size, plain.max_size)
+def _replay_shard(records: Iterable[Any], kind: str) -> ReplayPartial:
+    """Replay one shard of record objects (field names, no accessors);
+    counter-identical to ``replay_partial`` over ``ACCESSORS[kind]``."""
+    field = CLIENT_FIELDS[kind]
+    return _observed_replay(
+        kind, lambda: replay_partial_batched(records, field),
+        lambda kernel: ((segment, None) for segment
+                        in kernel.record_segments(records, field)))
 
 
 def _record_replay_metrics(reg: _obs_metrics.MetricsRegistry, kind: str,
@@ -206,8 +204,8 @@ def replay_sharded(records: Sequence[Any], kind: str,
     This path ships materialized record lists to the workers — the very
     cost spec dispatch exists to avoid — so it is the readable reference
     the equivalence suite pins :func:`replay_jsonl_sharded` and
-    :func:`replay_spec_sharded` against, and the right call only when
-    the records already live in the parent.
+    :func:`replay_columnar_sharded` against, and the right call only
+    when the records already live in the parent.
     """
     _check_kind_and_shards(kind, shards)
     buckets = partition_by_key(records, shards, _qname_of)
@@ -298,25 +296,26 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
 # Columnar dispatch: workers mmap one shared file.
 
 
-@functools.lru_cache(maxsize=4)
-def _columnar_store_cached(path: str, size: int,
-                           mtime_ns: int) -> ColumnarStore:
-    """One mmap'd store per (path, stat identity), per process.
+@functools.lru_cache(maxsize=8)
+def _opened(opener: Callable[[str], Any], path: str, size: int,
+            mtime_ns: int) -> Any:
+    """One open trace per (opener, path, stat identity), per process.
 
     The per-worker dataset cache of the columnar paths: a worker
     replaying several shards of one trace opens the mapping once, and
-    every worker maps the *same* file, so the OS shares the pages —
-    where the old spec-dispatch cache held a full per-worker record
-    list.  The stat identity keys out stale hits when a path is
-    rewritten (tests do this constantly with tmp files); deterministic
-    because the store's contents depend only on the file bytes.
+    every worker maps the *same* file, so the OS shares the pages.  A
+    :class:`RowGroupReader` holds only the mapping and the header; its
+    group stores are issued (and closed) per replay task.  The stat
+    identity keys out stale hits when a path is rewritten (tests do this
+    constantly with tmp files); deterministic because what is opened
+    depends only on the file bytes.
     """
-    return ColumnarStore.open(path)
+    return opener(path)
 
 
-def _columnar_store(path: str) -> ColumnarStore:
+def _open_cached(opener: Callable[[str], Any], path: str) -> Any:
     stat = os.stat(path)
-    return _columnar_store_cached(path, stat.st_size, stat.st_mtime_ns)
+    return _opened(opener, path, stat.st_size, stat.st_mtime_ns)
 
 
 @worker_entrypoint
@@ -328,43 +327,14 @@ def _replay_columnar_shard(path: str, kind: str, shards: int,
     shared ``(path, kind, shards)`` header — never rows.  Row selection
     is the memoized per-store bucket table
     (:meth:`~repro.datasets.columnar.ColumnarStore.row_buckets`), and
-    the hot loop is :func:`replay_partial_columns` straight over the
-    mapped columns.  With a tracer active the bucket's rows materialize
-    through the span-emitting twin instead, keeping traced counters
-    identical to every other path.
+    the hot loop runs straight over the mapped columns, traced or not.
     """
-    store = _columnar_store(path)
+    store: ColumnarStore = _open_cached(ColumnarStore.open, path)
     rows = store.row_buckets("qname", shards)[bucket]
-    tracer = _obs_trace.ACTIVE
-    if tracer is not None:
-        partial = _replay_shard_traced(tracer,
-                                       [store.record(row) for row in rows],
-                                       kind)
-    else:
-        partial = replay_partial_columns(store, CLIENT_FIELDS[kind],
-                                         rows=rows)
-    reg = _obs_metrics.ACTIVE
-    if reg is not None:
-        _record_replay_metrics(reg, kind, partial)
-    return partial
-
-
-@functools.lru_cache(maxsize=4)
-def _row_group_reader_cached(path: str, size: int,
-                             mtime_ns: int) -> RowGroupReader:
-    """One row-group reader per (path, stat identity), per process.
-
-    The bounded-memory twin of :func:`_columnar_store_cached`: the
-    reader holds only the mapping and the header, and every worker maps
-    the *same* file, so the OS shares its pages.  Group stores are
-    issued (and closed) per replay task.
-    """
-    return RowGroupReader(path)
-
-
-def _row_group_reader(path: str) -> RowGroupReader:
-    stat = os.stat(path)
-    return _row_group_reader_cached(path, stat.st_size, stat.st_mtime_ns)
+    field = CLIENT_FIELDS[kind]
+    return _observed_replay(
+        kind, lambda: replay_partial_columns(store, field, rows=rows),
+        lambda kernel: [(kernel.store_segment(store, field), rows)])
 
 
 @worker_entrypoint
@@ -375,39 +345,27 @@ def _replay_columnar_range(path: str, kind: str, group_start: int,
     The out-of-core work unit: ``(group_start, group_end)`` plus the
     shared ``(path, kind)`` header cross the pool boundary, and the
     worker walks only its own groups' pages — one group's columns
-    resident at a time, via
-    :func:`repro.analysis.cache_sim.replay_partial_column_groups`,
-    which re-maps the group-local dictionary codes onto run-global
-    handles so counters are identical to a flat replay of the same
-    rows.  With a tracer active the range's rows materialize through
-    the span-emitting twin instead, like every other replay path.
+    resident at a time, traced or not; the kernel re-maps group-local
+    dictionary codes onto run-global handles so counters are identical
+    to a flat replay of the same rows.
     """
-    reader = _row_group_reader(path)
-    tracer = _obs_trace.ACTIVE
-    if tracer is not None:
-        records: List[Any] = []
+    reader: RowGroupReader = _open_cached(RowGroupReader, path)
+
+    def groups() -> Iterator[ColumnarStore]:
         for index in range(group_start, group_end):
             store = reader.group(index)
-            records.extend(store.iter_records())
-            store.close()
-        partial = _replay_shard_traced(tracer, records, kind)
-    else:
-        def group_stream() -> Any:
-            for index in range(group_start, group_end):
-                store = reader.group(index)
-                try:
-                    yield store
-                finally:
-                    store.close()
+            try:
+                yield store
+            finally:
+                store.close()
 
-        partial = replay_partial_column_groups(group_stream(),
-                                               CLIENT_FIELDS[kind])
+    field = CLIENT_FIELDS[kind]
     record_row_groups("replayed", reader.schema.name,
                       group_end - group_start)
-    reg = _obs_metrics.ACTIVE
-    if reg is not None:
-        _record_replay_metrics(reg, kind, partial)
-    return partial
+    return _observed_replay(
+        kind, lambda: replay_partial_column_groups(groups(), field),
+        lambda kernel: ((kernel.store_segment(store, field), None)
+                        for store in groups()))
 
 
 def replay_columnar_sharded(path: Union[str, Path], kind: str,
@@ -459,33 +417,3 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
         task=f"replay:{kind}", count_of=lambda partial: partial.queries,
         chunk_size=chunk_size, shared=(resolved, kind, shards), pool=pool)
     return merge_partials(partials), report
-
-
-def replay_spec_sharded(spec: ShardSpec, kind: str,
-                        shards: int = DEFAULT_SHARDS, workers: int = 1,
-                        chunk_size: Optional[int] = None,
-                        pool: Optional[WorkerPool] = None
-                        ) -> Tuple[ReplayResult, EngineReport]:
-    """Replay a builder's dataset without ever materializing it centrally.
-
-    Routed through the columnar substrate: the spec's trace is generated
-    once to a temporary columnar file (itself sharded on the same pool,
-    workers writing packed segments), then replayed via
-    :func:`replay_columnar_sharded` — so the per-worker dataset cache is
-    one shared-page mmap of that file instead of the per-worker record
-    lists the old spec dispatch materialized.  ``shards`` is the
-    *replay* partition count and is independent of ``spec.shard_count``,
-    the generation decomposition.  Byte-identical to generating the
-    dataset in the parent and calling :func:`replay_sharded` on it.
-    """
-    _check_kind_and_shards(kind, shards)
-    scratch = tempfile.mkdtemp(prefix="repro-replay-spec-")
-    try:
-        trace = Path(scratch) / f"{spec.builder}.col"
-        generate_columnar(spec, trace, schema=kind, workers=workers,
-                          chunk_size=chunk_size, pool=pool)
-        return replay_columnar_sharded(trace, kind, shards=shards,
-                                       workers=workers,
-                                       chunk_size=chunk_size, pool=pool)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)

@@ -1,17 +1,16 @@
 """RS100 — Prometheus exposition conformance (a non-AST file rule).
 
 Wraps the strict parser from :func:`repro.obs.export.parse_prometheus`
-as a registered rule so ``repro lint --prom metrics.prom`` (or naming a
-``.prom`` file directly) replaces the standalone
-``tools/lint_prometheus.py`` script; the script remains as a thin shim
-over :func:`lint_prom_file` for the existing CI obs-smoke job.
+as a registered rule, so ``repro-ecs lint --prom metrics.prom`` (or
+naming a ``.prom`` file directly) is the one Prometheus linter — the CI
+obs-smoke job calls it too.
 """
 
 from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List
 
 from ..config import Config
 from ..core import FileRule, Violation, register
@@ -19,50 +18,30 @@ from ..core import FileRule, Violation, register
 _LINE_RE = re.compile(r"line (\d+):")
 
 
-def check_prom_text(text: str) -> Tuple[int, int]:
-    """(family count, sample count); raises ``ValueError`` when invalid.
+def lint_prom_file(path: Path) -> List[Violation]:
+    """Violations (rule RS100) for one Prometheus text-format file.
 
     The exporter import is deferred so ``repro.staticcheck`` stays
     importable (and fast) for pure-AST runs that never touch a ``.prom``
     file.
     """
     from ...obs.export import parse_prometheus
-    families = parse_prometheus(text)
-    samples = sum(len(info["samples"]) for info in families.values())
-    return len(families), samples
-
-
-def lint_prom_summary(path: Path
-                      ) -> Tuple[List[Violation],
-                                 Optional[Tuple[int, int]]]:
-    """One parse of ``path``: (violations, (families, samples) if valid).
-
-    The single home of the grammar check — both the registered rule and
-    the ``tools/lint_prometheus.py`` shim call this, so a file is parsed
-    exactly once per lint no matter which front end asked.
-    """
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         return [Violation(str(path), 1, 0, PromExpositionRule.id,
                           PromExpositionRule.name,
-                          f"cannot read exposition file: {exc}")], None
+                          f"cannot read exposition file: {exc}")]
     try:
-        counts = check_prom_text(text)
+        parse_prometheus(text)
     except ValueError as exc:
         message = str(exc)
         match = _LINE_RE.search(message)
         line = int(match.group(1)) if match else 1
         return [Violation(str(path), line, 0, PromExpositionRule.id,
                           PromExpositionRule.name,
-                          f"invalid Prometheus exposition: {message}")], None
-    return [], counts
-
-
-def lint_prom_file(path: Path) -> List[Violation]:
-    """Violations (rule RS100) for one Prometheus text-format file."""
-    violations, _ = lint_prom_summary(path)
-    return violations
+                          f"invalid Prometheus exposition: {message}")]
+    return []
 
 
 class PromExpositionRule(FileRule):

@@ -23,6 +23,8 @@ The store's contract has four layers, each pinned here:
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import json
 import random
 from unittest import mock
@@ -31,7 +33,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cache_sim import (replay_partial_batched,
+from repro.analysis import cache_sim
+from repro.analysis.cache_sim import (replay_partial, replay_partial_batched,
                                       replay_partial_column_groups,
                                       replay_partial_columns)
 from repro.datasets import columnar
@@ -44,7 +47,6 @@ from repro.datasets.columnar import (MAGIC, MAGIC_V2, SCHEMAS, ColumnarStats,
                                      convert_columnar, file_info,
                                      is_columnar, jsonl_to_columnar,
                                      merge_columnar_shards,
-                                     merge_columnar_shards_rowwise,
                                      prebucket_columnar, read_columnar,
                                      schema_for, write_columnar,
                                      write_columnar_sorted,
@@ -479,20 +481,54 @@ def test_stats_merge_segments_sums_every_field(tmp_path):
 # Vectorized replay equivalence
 
 
-@settings(max_examples=20, deadline=None)
+_TTL_OVERRIDE = st.sampled_from((None, 0, 40))
+
+
+def _oracle(records, ttl_override=None):
+    """The readable reference: :func:`replay_partial` over ScopeTracker."""
+    return replay_partial(
+        records, lambda r: r.client_ip, lambda r: r.scope,
+        (lambda r: r.ttl) if ttl_override is None
+        else (lambda r: ttl_override))
+
+
+@settings(max_examples=40, deadline=None)
 @given(records=st.lists(RECORD_STRATEGIES["allnames"], max_size=60),
-       shards=st.integers(min_value=1, max_value=4))
-def test_replay_columns_equals_object_path(records, shards):
-    """Whole-store and per-bucket column replays match the reference."""
+       shards=st.integers(min_value=1, max_value=4),
+       ttl_override=_TTL_OVERRIDE, data=st.data())
+def test_replay_columns_equals_object_path(records, shards, ttl_override,
+                                           data):
+    """Whole-store, per-bucket and drawn-selection column replays, and
+    the object lane at a drawn chunk boundary, all match the oracle."""
     records.sort(key=lambda r: r.ts)
     store = ColumnarStore.from_records(records, "allnames")
-    assert replay_partial_columns(store, "client_ip") \
-        == replay_partial_batched(records, "client_ip")
+    chunk = data.draw(st.integers(1, 70), label="record chunk rows")
+    with mock.patch.object(cache_sim, "RECORD_CHUNK_ROWS", chunk):
+        batched = replay_partial_batched(records, "client_ip",
+                                         ttl_override=ttl_override)
+    assert batched == _oracle(records, ttl_override)
+    assert replay_partial_columns(store, "client_ip",
+                                  ttl_override=ttl_override) == batched
     buckets = store.row_buckets("qname", shards)
     reference = partition_by_key(records, shards, lambda r: r.qname)
     for bucket, ref in zip(buckets, reference):
-        assert replay_partial_columns(store, "client_ip", rows=bucket) \
-            == replay_partial_batched(ref, "client_ip")
+        assert replay_partial_columns(store, "client_ip", rows=bucket,
+                                      ttl_override=ttl_override) \
+            == _oracle(ref, ttl_override)
+    rows = sorted(data.draw(st.sets(st.integers(0, len(records) - 1)),
+                            label="row selection")) if records else []
+    assert replay_partial_columns(store, "client_ip", rows=rows,
+                                  ttl_override=ttl_override) \
+        == _oracle([records[row] for row in rows], ttl_override)
+    # Object lane only: a record without a client keeps the scope-free key.
+    anonymous = data.draw(st.sets(st.sampled_from(range(len(records)))),
+                          label="rows without a client") if records else ()
+    holed = [dataclasses.replace(r, client_ip=None) if i in anonymous else r
+             for i, r in enumerate(records)]
+    with mock.patch.object(cache_sim, "RECORD_CHUNK_ROWS", chunk):
+        assert replay_partial_batched(holed, "client_ip",
+                                      ttl_override=ttl_override) \
+            == _oracle(holed, ttl_override)
 
 
 @pytest.mark.parametrize("ttl_override", (None, 0, 40))
@@ -503,6 +539,36 @@ def test_replay_columns_ttl_override(ttl_override):
                                   ttl_override=ttl_override) \
         == replay_partial_batched(records, "ecs_address",
                                   ttl_override=ttl_override)
+
+
+@pytest.mark.parametrize("client", ("10.1.2.3", "2001:db8::1"))
+@pytest.mark.parametrize("scope", (-1, 33, 129))
+@pytest.mark.parametrize("lane", ("batched", "columns", "groups"))
+def test_out_of_range_scope_raises_like_oracle(lane, scope, client):
+    """A scope outside the client's family width is a ValueError naming
+    the prefix length from every lane — never a silent ``masks[-1]`` and
+    never a bare IndexError; an in-range one (33 on IPv6) replays."""
+    records = [AllNamesRecord(0.0, "10.9.8.7", "a.example.", 1, 24, 60),
+               AllNamesRecord(1.0, client, "a.example.", 1, scope, 60),
+               AllNamesRecord(2.0, client, "b.example.", 1, 16, 60)]
+    if lane == "batched":
+        run = lambda: replay_partial_batched(records, "client_ip")
+    elif lane == "columns":
+        store = ColumnarStore.from_records(records, "allnames")
+        run = lambda: replay_partial_columns(store, "client_ip")
+    else:
+        groups = [ColumnarStore.from_records(records[:1], "allnames"),
+                  ColumnarStore.from_records(records[1:], "allnames")]
+        run = lambda: replay_partial_column_groups(groups, "client_ip")
+    version, width = (6, 128) if ":" in client else (4, 32)
+    if 0 <= scope <= width:
+        assert run() == _oracle(records)
+        return
+    message = f"prefix length {scope} out of range for IPv{version}"
+    with pytest.raises(ValueError, match=message):
+        _oracle(records)
+    with pytest.raises(ValueError, match=message):
+        run()
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +675,32 @@ def _overlapping_shards(tmp_path, version: int, shards: int = 3):
     return shard_lists, paths
 
 
+def merge_columnar_shards_rowwise(paths, out_path, ts_column="ts") -> int:
+    """Per-row heapq reference merge (the pre-row-group implementation).
+
+    The byte-canonicity oracle of :func:`merge_columnar_shards`: one
+    heap pop and one ``append_values`` per row, ordered by ``(ts, shard
+    index, row index)``.  O(rows) memory.
+    """
+    stores = [ColumnarStore.open(p) for p in paths]
+    try:
+        writer = ColumnarWriter(stores[0].schema)
+
+        def stream(index, store):
+            ts_col = store.raw_column(ts_column)
+            for row in range(store.rows):
+                yield (ts_col[row], index, row)
+
+        for _, index, row in heapq.merge(*[stream(i, s)
+                                           for i, s in enumerate(stores)]):
+            writer.append_values(stores[index].row_values(row))
+        writer.save(out_path)
+        return writer.rows
+    finally:
+        for store in stores:
+            store.close()
+
+
 @pytest.mark.parametrize("version", (1, 2))
 def test_group_merge_byte_identical_to_rowwise(tmp_path, version):
     """Group-granular merge == per-row heapq reference, byte for byte."""
@@ -689,18 +781,24 @@ def test_prebucket_groups_and_ranges(tmp_path):
         == sorted(records, key=lambda r: (r.ts, r.client_ip, r.qname))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(records=st.lists(RECORD_STRATEGIES["allnames"], max_size=60),
-       budget=st.integers(min_value=1, max_value=20))
-def test_replay_column_groups_equals_flat(records, budget):
-    """Group-streaming replay == whole-store replay, any group split."""
+       ttl_override=_TTL_OVERRIDE, data=st.data())
+def test_replay_column_groups_equals_flat(records, ttl_override, data):
+    """Group-streaming replay == whole-store replay == the oracle, for any
+    drawn group boundaries (empty groups included)."""
     records.sort(key=lambda r: r.ts)
     flat = ColumnarStore.from_records(records, "allnames")
-    groups = [ColumnarStore.from_records(records[lo:lo + budget],
-                                         "allnames")
-              for lo in range(0, len(records), budget)]
-    assert replay_partial_column_groups(groups, "client_ip") \
-        == replay_partial_columns(flat, "client_ip")
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(records)),
+                                     max_size=8), label="group boundaries"))
+    edges = [0, *cuts, len(records)]
+    groups = [ColumnarStore.from_records(records[lo:hi], "allnames")
+              for lo, hi in zip(edges, edges[1:])]
+    got = replay_partial_column_groups(groups, "client_ip",
+                                       ttl_override=ttl_override)
+    assert got == replay_partial_columns(flat, "client_ip",
+                                         ttl_override=ttl_override)
+    assert got == _oracle(records, ttl_override)
 
 
 @pytest.mark.parametrize("ttl_override", (None, 0, 40))

@@ -16,12 +16,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cache_sim import replay_partial_batched
+from repro.analysis.cache_sim import merge_partials, replay_partial_batched
 from repro.analysis.report import format_network_stats
 from repro.cli import main as cli_main
+from repro.core.cache import ScopeTracker
 from repro.datasets import AllNamesBuilder, merge_sorted_records
+from repro.datasets.columnar import (prebucket_columnar, write_columnar,
+                                     write_columnar_stream)
+from repro.datasets.records import write_jsonl
 from repro.engine.generate import generate_records
-from repro.engine.replay import _replay_shard, replay_sharded
+from repro.engine.replay import (TRACED_RECORDS_PER_SHARD, _replay_shard,
+                                 replay_columnar_sharded,
+                                 replay_jsonl_sharded, replay_sharded)
 from repro.engine.sharding import partition_by_key
 from repro.net.transport import NetworkStats
 from repro.obs import (MetricsRegistry, Tracer, merge_registries, observe,
@@ -235,12 +241,46 @@ class TestShardCapture:
                       ["values"].items() if "ecs" in k.split("|"))
         assert lookups == len(allnames_records)
 
-    def test_traced_replay_counter_identical(self, allnames_records):
+    def test_traced_replay_counter_identical(self, allnames_records,
+                                             tmp_path):
         buckets = partition_by_key(allnames_records, 4, lambda r: r.qname)
         plain = [replay_partial_batched(b, "client_ip") for b in buckets]
         with observe(tracing=True):
             traced = [_replay_shard(b, "allnames") for b in buckets]
         assert traced == plain
+
+        # The same trace in every on-disk form, replayed under a tracer:
+        # counters equal the untraced run, spans are capped per shard, and
+        # each span's verdicts are what the oracle returns for that row.
+        jsonl, v1, v2, bucketed = (tmp_path / name for name in (
+            "t.jsonl", "v1.col", "v2.col", "bucketed.col"))
+        write_jsonl(allnames_records, jsonl)
+        write_columnar(allnames_records, v1, "allnames")
+        write_columnar_stream(allnames_records, v2, "allnames", 256)
+        prebucket_columnar(v2, bucketed, 4, row_group_rows=256)
+        assert max(map(len, buckets)) > TRACED_RECORDS_PER_SHARD  # cap bites
+        expected = []
+        for bucket in buckets:
+            ecs, no_ecs = ScopeTracker(use_ecs=True), ScopeTracker(False)
+            expected.append([
+                (r.ts, r.qname, r.client_ip,
+                 ecs.access(r.ts, r.qname, r.qtype, r.client_ip, r.scope,
+                            r.ttl),
+                 no_ecs.access(r.ts, r.qname, r.qtype, None, 0, r.ttl))
+                for r in bucket[:TRACED_RECORDS_PER_SHARD]])
+        for path in (jsonl, v1, v2, bucketed):
+            replay = (replay_jsonl_sharded if path is jsonl
+                      else replay_columnar_sharded)
+            with observe(tracing=True) as session:
+                result, _ = replay(path, "allnames", shards=4, workers=1)
+            assert result == merge_partials(plain), path.name
+            for shard, rows in enumerate(expected):
+                spans = [s.attrs for s in session.tracer.spans
+                         if s.name == "replay.query"
+                         and s.span_id.startswith(f"s{shard}-")]
+                assert [(a["ts"], a["qname"], a["client"], a["ecs_hit"],
+                         a["plain_hit"]) for a in spans] == rows, \
+                    (path.name, shard)
 
     def test_trace_topology_worker_independent(self, allnames_records):
         def topology(workers):

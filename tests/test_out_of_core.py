@@ -27,7 +27,8 @@ import pytest
 from repro.datasets.columnar import (is_columnar, prebucket_columnar,
                                      read_columnar)
 from repro.engine import ShardSpec, generate_columnar, replay_columnar_sharded
-from repro.engine.replay import _row_group_reader_cached
+from repro.engine.replay import _opened
+from repro.obs import observe
 
 SHARDS = 4
 GROUP_ROWS = 256
@@ -48,7 +49,7 @@ def peak_alloc_of(fn: Callable[[], Any]) -> Tuple[Any, int]:
     measurement pays for (or hides behind) a predecessor's mmap
     bookkeeping.
     """
-    _row_group_reader_cached.cache_clear()
+    _opened.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -90,6 +91,39 @@ def test_peak_heap_is_sublinear_in_trace_length(tmp_path):
     assert peak_large < 2 * peak_small + (1 << 20), \
         f"peak heap grew {peak_large / peak_small:.1f}x for 5x the rows " \
         f"({peak_small >> 10} KiB -> {peak_large >> 10} KiB)"
+
+
+def test_traced_row_range_replay_stays_group_bounded(tmp_path, monkeypatch):
+    """``--trace-out`` must not turn the out-of-core path in-core: a traced
+    row-range replay feeds the kernel group by group, so over the untraced
+    peak it may cost the capped spans — and nothing that scales with rows."""
+    cap, total_queries = 200, 40_000
+    monkeypatch.setattr("repro.engine.replay.TRACED_RECORDS_PER_SHARD", cap)
+    spec = ShardSpec.create("allnames", shard_count=SHARDS,
+                            total_queries=total_queries, **FIXED_UNIVERSE)
+    flat = tmp_path / "flat.col"
+    generate_columnar(spec, flat, workers=1, row_group_rows=GROUP_ROWS)
+    bucketed = tmp_path / "bucketed.col"
+    prebucket_columnar(flat, bucketed, SHARDS, row_group_rows=GROUP_ROWS)
+
+    def replay():
+        return replay_columnar_sharded(bucketed, "allnames", shards=SHARDS,
+                                       workers=1)[0]
+
+    def traced_replay():
+        with observe(tracing=True) as session:
+            result = replay()
+        return result, len(session.tracer.spans)
+
+    plain, peak_plain = peak_alloc_of(replay)
+    (traced, spans), peak_traced = peak_alloc_of(traced_replay)
+    assert traced == plain
+    assert spans == cap * SHARDS
+    # ~0.5 KiB per stored span, so 1 KiB each is generous; one record
+    # object per row of a shard (what tracing used to build) is ~2.5 MiB.
+    assert peak_traced < peak_plain + spans * 1024, \
+        f"tracing added {(peak_traced - peak_plain) >> 10} KiB of heap " \
+        f"for {spans} spans over {total_queries} rows"
 
 
 def test_pipeline_output_matches_in_memory_reference(tmp_path):

@@ -1,18 +1,18 @@
 """Parallel-equivalence suite: spec dispatch can never change output.
 
-The engine's contract is that ``--workers``, ``--pool`` and
-``--chunk-size`` are pure execution detail: for every shardable builder
-and for chaos presets, the merged JSONL bytes, replay results, metrics
-and rendered reports must be byte-identical across worker counts, pool
-lifecycles and chunk sizes — and the spec-dispatch paths must reproduce
-the list-based reference paths exactly.
+The engine's contract is that ``--workers`` and ``--chunk-size`` are
+pure execution detail: for every shardable builder and for chaos
+presets, the merged JSONL bytes, replay results, metrics and rendered
+reports must be byte-identical across worker counts and chunk sizes —
+and the spec-dispatch paths must reproduce the list-based reference
+paths exactly.
 
 Real-pool coverage runs a small execution matrix per case (inline,
-persistent, spawn-per-batch, odd chunk sizes); the Hypothesis property
-drives the full wire protocol (header encode → memoized decode →
-per-shard blob decode → chunked execution) in-process over arbitrary
-(total, shards, chunk_size), which keeps the search wide without
-spawning processes per example.
+pooled, odd chunk sizes); the Hypothesis property drives the full wire
+protocol (header encode → memoized decode → per-shard blob decode →
+chunked execution) in-process over arbitrary (total, shards,
+chunk_size), which keeps the search wide without spawning processes
+per example.
 """
 
 from __future__ import annotations
@@ -33,20 +33,19 @@ from repro.engine import (ShardSpec, WorkerPool, generate_columnar,
 from repro.engine.executor import _chunk_bounds, _run_header_chunk
 from repro.engine.pool import encode_header, encode_shard_args
 from repro.engine.replay import (_replay_shard_of_kind, replay_jsonl_sharded,
-                                 replay_sharded, replay_spec_sharded)
+                                 replay_sharded)
 from repro.engine.sharding import partition_by_key
 from repro.faults.chaos import run_chaos
 from repro.faults.presets import preset
 from repro.obs import observe
 from repro.obs.export import to_prometheus
 
-#: (workers, pool mode, chunk_size) combinations exercised per case.
+#: (workers, chunk_size) combinations exercised per case.
 #: workers=1 is the inline reference; the rest hit real process pools.
 EXECUTION_MATRIX = (
-    (1, "persistent", None),
-    (2, "persistent", 1),
-    (2, "spawn-per-batch", None),
-    (4, "persistent", 2),
+    (1, None),
+    (2, 1),
+    (4, 2),
 )
 
 #: Tiny-but-nonempty constructor kwargs per registered builder.
@@ -74,12 +73,12 @@ def test_generate_records_equivalent_across_matrix(name):
     spec = _spec(name)
     reference, _ = generate_records(spec.make_builder(), shards=SHARDS,
                                     workers=1)
-    for workers, mode, chunk in EXECUTION_MATRIX:
-        with WorkerPool(workers, mode=mode) as pool:
+    for workers, chunk in EXECUTION_MATRIX:
+        with WorkerPool(workers) as pool:
             lists, report = generate_records_spec(spec, workers=workers,
                                                   chunk_size=chunk,
                                                   pool=pool)
-        assert lists == reference, (name, workers, mode, chunk)
+        assert lists == reference, (name, workers, chunk)
         assert report.total_records == sum(len(s) for s in reference)
 
 
@@ -96,12 +95,12 @@ def test_generate_jsonl_identical_bytes_across_matrix(name, tmp_path):
     paths = write_jsonl_shards(shard_lists, ref_path)
     merge_jsonl_shards(paths, ref_path)
     reference = ref_path.read_bytes()
-    for workers, mode, chunk in EXECUTION_MATRIX:
-        out = tmp_path / f"{name}-w{workers}-{mode}-c{chunk}.jsonl"
-        with WorkerPool(workers, mode=mode) as pool:
+    for workers, chunk in EXECUTION_MATRIX:
+        out = tmp_path / f"{name}-w{workers}-c{chunk}.jsonl"
+        with WorkerPool(workers) as pool:
             count, _ = generate_jsonl(spec, out, workers=workers,
                                       chunk_size=chunk, pool=pool)
-        assert out.read_bytes() == reference, (name, workers, mode, chunk)
+        assert out.read_bytes() == reference, (name, workers, chunk)
         assert count == sum(len(s) for s in shard_lists)
         assert not list(tmp_path.glob(f"{out.name}.shard*")), \
             "shard files must be cleaned up"
@@ -109,7 +108,8 @@ def test_generate_jsonl_identical_bytes_across_matrix(name, tmp_path):
 
 @pytest.mark.parametrize("kind", REPLAY_CASES)
 def test_replay_equivalent_across_matrix(kind, tmp_path):
-    """JSONL-line and builder-spec replays equal the list-based reference."""
+    """JSONL-line and spec-generated columnar replays equal the list-based
+    reference."""
     spec = _spec(kind)
     trace = tmp_path / f"{kind}.jsonl"
     generate_jsonl(spec, trace, workers=1)
@@ -120,16 +120,21 @@ def test_replay_equivalent_across_matrix(kind, tmp_path):
                                   workers=1)
     reference, ref_report = replay_sharded(dataset.records, kind,
                                            shards=SHARDS, workers=1)
-    for workers, mode, chunk in EXECUTION_MATRIX:
-        with WorkerPool(workers, mode=mode) as pool:
+    for workers, chunk in EXECUTION_MATRIX:
+        with WorkerPool(workers) as pool:
             from_lines, line_report = replay_jsonl_sharded(
                 trace, kind, shards=SHARDS, workers=workers,
                 chunk_size=chunk, pool=pool)
-            from_spec, spec_report = replay_spec_sharded(
-                spec, kind, shards=SHARDS, workers=workers,
+            # Builder spec -> columnar file -> replay, all on one pool:
+            # the dataset never materializes in the parent.
+            spec_trace = tmp_path / f"{kind}-w{workers}-c{chunk}.col"
+            generate_columnar(spec, spec_trace, schema=kind,
+                              workers=workers, chunk_size=chunk, pool=pool)
+            from_spec, spec_report = replay_columnar_sharded(
+                spec_trace, kind, shards=SHARDS, workers=workers,
                 chunk_size=chunk, pool=pool)
-        assert from_lines == reference, (kind, workers, mode, chunk)
-        assert from_spec == reference, (kind, workers, mode, chunk)
+        assert from_lines == reference, (kind, workers, chunk)
+        assert from_spec == reference, (kind, workers, chunk)
         assert (line_report.total_records == spec_report.total_records
                 == ref_report.total_records)
 
@@ -149,12 +154,12 @@ def test_generate_columnar_identical_bytes_across_matrix(kind, tmp_path):
     generate_columnar(spec, ref_out, workers=1)
     assert read_columnar(ref_out) == list(dataset.records)
     reference = ref_out.read_bytes()
-    for workers, mode, chunk in EXECUTION_MATRIX:
-        out = tmp_path / f"{kind}-w{workers}-{mode}-c{chunk}.col"
-        with WorkerPool(workers, mode=mode) as pool:
+    for workers, chunk in EXECUTION_MATRIX:
+        out = tmp_path / f"{kind}-w{workers}-c{chunk}.col"
+        with WorkerPool(workers) as pool:
             count, _ = generate_columnar(spec, out, workers=workers,
                                          chunk_size=chunk, pool=pool)
-        assert out.read_bytes() == reference, (kind, workers, mode, chunk)
+        assert out.read_bytes() == reference, (kind, workers, chunk)
         assert count == len(dataset.records)
         assert not list(tmp_path.glob(f"{out.name}.shard*")), \
             "columnar shard files must be cleaned up"
@@ -173,29 +178,29 @@ def test_replay_columnar_equivalent_across_matrix(kind, tmp_path):
     generate_columnar(spec, col_trace, workers=1)
     jsonl_trace = tmp_path / f"{kind}.jsonl"
     generate_jsonl(spec, jsonl_trace, workers=1)
-    for workers, mode, chunk in EXECUTION_MATRIX:
-        with WorkerPool(workers, mode=mode) as pool:
+    for workers, chunk in EXECUTION_MATRIX:
+        with WorkerPool(workers) as pool:
             from_cols, col_report = replay_columnar_sharded(
                 col_trace, kind, shards=SHARDS, workers=workers,
                 chunk_size=chunk, pool=pool)
             from_lines, line_report = replay_jsonl_sharded(
                 jsonl_trace, kind, shards=SHARDS, workers=workers,
                 chunk_size=chunk, pool=pool)
-        assert from_cols == reference, (kind, workers, mode, chunk)
-        assert from_lines == reference, (kind, workers, mode, chunk)
+        assert from_cols == reference, (kind, workers, chunk)
+        assert from_lines == reference, (kind, workers, chunk)
         assert (col_report.total_records == line_report.total_records
                 == ref_report.total_records)
 
 
 def test_replay_metrics_identical_across_workers(tmp_path):
-    """The exported Prometheus text is workers/pool/chunk-invariant."""
+    """The exported Prometheus text is workers/chunk-invariant."""
     spec = _spec("allnames")
     trace = tmp_path / "metrics.jsonl"
     generate_jsonl(spec, trace, workers=1)
     renderings = set()
-    for workers, mode, chunk in EXECUTION_MATRIX:
+    for workers, chunk in EXECUTION_MATRIX:
         with observe(metrics=True) as session:
-            with WorkerPool(workers, mode=mode) as pool:
+            with WorkerPool(workers) as pool:
                 replay_jsonl_sharded(trace, "allnames", shards=SHARDS,
                                      workers=workers, chunk_size=chunk,
                                      pool=pool)
@@ -208,8 +213,8 @@ def test_chaos_report_identical_across_matrix(preset_name):
     """Chaos campaigns render byte-identical reports on any pool config."""
     plan = preset(preset_name)
     reports = set()
-    for workers, mode, chunk in EXECUTION_MATRIX:
-        with WorkerPool(workers, mode=mode) as pool:
+    for workers, chunk in EXECUTION_MATRIX:
+        with WorkerPool(workers) as pool:
             result, _ = run_chaos(plan, seed=3, fault_seed=11, ingress=16,
                                   shards=SHARDS, workers=workers,
                                   chunk_size=chunk, pool=pool)
@@ -348,9 +353,9 @@ def test_row_group_generate_identical_bytes_across_matrix(kind, flush_rows,
     generate_columnar(spec, ref_out, workers=1)
     reference_records = read_columnar(ref_out)
     ref_bytes = None
-    for workers, mode, chunk in EXECUTION_MATRIX:
-        out = tmp_path / f"{kind}-w{workers}-{mode}-c{chunk}.col"
-        with WorkerPool(workers, mode=mode) as pool:
+    for workers, chunk in EXECUTION_MATRIX:
+        out = tmp_path / f"{kind}-w{workers}-c{chunk}.col"
+        with WorkerPool(workers) as pool:
             count, _ = generate_columnar(spec, out, workers=workers,
                                          chunk_size=chunk, pool=pool,
                                          row_group_rows=flush_rows)
@@ -364,7 +369,7 @@ def test_row_group_generate_identical_bytes_across_matrix(kind, flush_rows,
                            for g in range(reader.group_count))
         else:
             assert out.read_bytes() == ref_bytes, (kind, flush_rows,
-                                                   workers, mode, chunk)
+                                                   workers, chunk)
 
 
 @pytest.mark.parametrize("kind", REPLAY_CASES)
@@ -383,12 +388,12 @@ def test_row_range_replay_equivalent_across_matrix(kind, flush_rows,
     bucketed = tmp_path / f"{kind}.bucketed.col"
     prebucket_columnar(flat, bucketed, SHARDS, row_group_rows=flush_rows)
     assert bucketed_group_ranges(bucketed) is not None
-    for workers, mode, chunk in EXECUTION_MATRIX:
-        with WorkerPool(workers, mode=mode) as pool:
+    for workers, chunk in EXECUTION_MATRIX:
+        with WorkerPool(workers) as pool:
             got, report = replay_columnar_sharded(bucketed, kind,
                                                   shards=SHARDS,
                                                   workers=workers,
                                                   chunk_size=chunk,
                                                   pool=pool)
-        assert got == reference, (kind, flush_rows, workers, mode, chunk)
+        assert got == reference, (kind, flush_rows, workers, chunk)
         assert report.total_records == ref_report.total_records

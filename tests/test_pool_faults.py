@@ -86,13 +86,6 @@ def test_persistent_pool_recovers_after_crash():
         assert report.pool_mode == "persistent"
 
 
-def test_spawn_per_batch_crash_also_attributed():
-    with WorkerPool(2, mode="spawn-per-batch") as pool:
-        with pytest.raises(WorkerCrashError, match="worker process died"):
-            run_sharded(_exit_worker, [(i,) for i in range(4)], workers=2,
-                        chunk_size=1, shared=(0,), pool=pool)
-
-
 # ---------------------------------------------------------------------------
 # Shutdown semantics.
 
@@ -119,8 +112,6 @@ def test_use_after_shutdown_raises_pool_shutdown_error():
 def test_pool_constructor_validates():
     with pytest.raises(ValueError, match="workers must be >= 1"):
         WorkerPool(0)
-    with pytest.raises(ValueError, match="unknown pool mode"):
-        WorkerPool(2, mode="threads")
 
 
 # ---------------------------------------------------------------------------

@@ -689,24 +689,6 @@ class TestToolShims:
             [sys.executable, str(REPO_ROOT / "tools" / script), *args],
             capture_output=True, text=True, env=env, cwd=REPO_ROOT)
 
-    def test_lint_prometheus_shim_ok(self, tmp_path):
-        prom = tmp_path / "m.prom"
-        prom.write_text(VALID_PROM)
-        proc = self.run_tool("lint_prometheus.py", str(prom))
-        assert proc.returncode == 0
-        assert proc.stdout.startswith("ok   ")
-        assert "1 metric families, 1 samples" in proc.stdout
-
-    def test_lint_prometheus_shim_failure(self, tmp_path):
-        prom = tmp_path / "m.prom"
-        prom.write_text(INVALID_PROM)
-        proc = self.run_tool("lint_prometheus.py", str(prom))
-        assert proc.returncode == 1
-        assert proc.stdout.startswith("FAIL ")
-
-    def test_lint_prometheus_shim_usage(self):
-        assert self.run_tool("lint_prometheus.py").returncode == 2
-
     def test_run_mypy_wrapper_never_crashes(self):
         # With mypy absent this exercises the graceful-skip path; with
         # mypy present it must pass the strict profile.
