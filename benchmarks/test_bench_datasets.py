@@ -24,7 +24,7 @@ from repro.analysis.cache_sim import (replay_partial_batched,
                                       replay_partial_columns)
 from repro.datasets import AllNamesBuilder, CdnDatasetBuilder
 from repro.datasets.columnar import (ColumnarStore, RowGroupReader,
-                                     write_columnar, write_columnar_stream)
+                                     write_columnar_stream)
 from repro.datasets.records import read_jsonl, write_jsonl
 
 #: Group budget of the out-of-core samples: small enough that several
@@ -93,8 +93,10 @@ def _bench_columnar_case(datasets_bench, name, records, client_field,
     jsonl_path = tmp_path / f"{name}.jsonl"
     col_path = tmp_path / f"{name}.col"
     write_jsonl(records, jsonl_path)
-    write_columnar(records, col_path, name)
     rows = len(records)
+    # One group holding every row: the file ColumnarStore.open maps
+    # zero-copy, so the flat sample times the replay and not a flatten.
+    write_columnar_stream(records, col_path, name, rows)
 
     # Object pipeline: parse JSONL into record objects, then replay.
     start = time.perf_counter()

@@ -51,9 +51,9 @@ from .analysis.mapping_quality import (MappingQualityLab,
                                        measure_mapping_quality)
 from .analysis.unroutable import UnroutableLab
 from .datasets import CdnDatasetBuilder, ScanUniverseBuilder
-from .datasets.columnar import (SCHEMAS, columnar_to_jsonl,
-                                convert_columnar, file_info, is_columnar,
-                                jsonl_to_columnar)
+from .datasets.columnar import (DEFAULT_ROW_GROUP_ROWS, SCHEMAS,
+                                columnar_to_jsonl, convert_columnar,
+                                file_info, is_columnar, jsonl_to_columnar)
 from .datasets.ditl import generate_root_trace
 from .engine import (DEFAULT_SHARDS, ShardSpec, WorkerPool,
                      generate_dataset_spec, generate_jsonl)
@@ -291,13 +291,13 @@ def cmd_convert(args: argparse.Namespace, reporter: _Reporter) -> None:
 
     The direction is auto-detected from the source file's magic unless
     ``--to`` forces it; every direction streams with bounded memory.
-    JSONL -> columnar -> JSONL round-trips byte-identically, and so
-    does columnar v1 -> v2 -> v1.  ``--row-group-rows`` selects the v2
-    row-group layout for any columnar output (default: v1 for
-    JSONL sources, re-layout target for columnar sources);
-    ``--to columnar`` on a columnar source re-layouts between v1 and
-    v2.  ``--bucket-shards N`` pre-buckets a columnar output by qname
-    for out-of-core row-range replay with ``--shards N``.
+    JSONL -> columnar -> JSONL round-trips byte-identically.  Columnar
+    output is always the row-group layout; ``--row-group-rows`` sets
+    how many rows a group holds.  ``--to columnar`` on a columnar source
+    (either layout, legacy v1 included) rewrites it with that group
+    size, and the bytes depend only on the rows and the size.
+    ``--bucket-shards N`` pre-buckets a columnar output by qname for
+    out-of-core row-range replay with ``--shards N``.
     """
     target = args.to
     if target == "auto":
@@ -361,11 +361,10 @@ def cmd_dataset(args: argparse.Namespace, reporter: _Reporter) -> None:
                 ("bytes/row", round(info["bytes_per_row"], 2)),
                 ("header bytes",
                  _quantity(info["header_bytes"], human_bytes))]
-        if "row_groups" in info:
-            rows.append(("row groups", info["row_groups"]))
-            rows.append(("row-group rows", info["row_group_rows"]))
-            rows.append(("qname buckets", info["buckets"]
-                         if info["buckets"] is not None else "-"))
+        for label, key in (("row groups", "row_groups"),
+                           ("row-group rows", "row_group_rows"),
+                           ("qname buckets", "buckets")):
+            rows.append((label, "-" if info[key] is None else info[key]))
         reporter.emit("dataset_info", format_table(
             ("property", "value"), rows,
             title=f"Columnar trace {path}"))
@@ -394,7 +393,7 @@ def cmd_replay(args: argparse.Namespace, reporter: _Reporter) -> None:
     The trace is partitioned by qname into ``--shards`` shards replayed
     on ``--workers`` processes; per-shard partials merge into one
     result, byte-identical for any worker count.  The file format is
-    auto-detected: for a columnar trace every worker mmaps the same
+    auto-detected: for a columnar trace every worker opens the same
     file and replays packed columns; for JSONL the parent routes raw
     lines and workers parse their own shard.  Either way no record
     objects cross the pool boundary, and both formats of one trace
@@ -556,11 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
                                "columns, mmap-able, ~2.5x smaller)")
     generate.add_argument("--row-group-rows", type=positive_int,
                           default=None,
-                          help="with --format columnar: keep the final "
-                               "file in the v2 row-group layout with "
-                               "this many rows per group (default: v1 "
-                               "single-block layout); generation itself "
-                               "always streams with bounded memory")
+                          help="with --format columnar: rows per row "
+                               "group of the output file (default "
+                               f"{DEFAULT_ROW_GROUP_ROWS}); generation "
+                               "streams with memory bounded by it")
     add_engine_flags(generate)
 
     replay_cmd = sub.add_parser("replay",
@@ -581,12 +579,11 @@ def build_parser() -> argparse.ArgumentParser:
                          default="auto",
                          help="target format (auto: the opposite of "
                               "what src is; 'columnar' on a columnar "
-                              "src re-layouts between v1 and v2)")
+                              "src rewrites it with --row-group-rows)")
     convert.add_argument("--row-group-rows", type=positive_int,
                          default=None,
-                         help="columnar output: write the v2 row-group "
-                              "layout with this many rows per group "
-                              "(default: v1 single block)")
+                         help="columnar output: rows per row group "
+                              f"(default {DEFAULT_ROW_GROUP_ROWS})")
     convert.add_argument("--bucket-shards", type=positive_int,
                          default=None,
                          help="columnar output: pre-bucket rows by "

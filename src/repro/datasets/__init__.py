@@ -4,9 +4,9 @@ from . import paper_numbers
 from .allnames import AllNamesBuilder, AllNamesDataset
 from .cdn_dataset import CdnDataset, CdnDatasetBuilder, ResolverSpec
 from .columnar import (SCHEMAS, ColumnarStats, ColumnarStore, ColumnarWriter,
-                       columnar_to_jsonl, concat_columnar_shards, file_info,
-                       is_columnar, jsonl_to_columnar, merge_columnar_shards,
-                       read_columnar, schema_for, write_columnar)
+                       columnar_to_jsonl, file_info, is_columnar,
+                       jsonl_to_columnar, merge_columnar_shards,
+                       read_columnar, schema_for, write_columnar_stream)
 from .ditl import RootTrace, RootTraceBuilder, generate_root_trace
 from .public_cdn import PublicCdnBuilder, PublicCdnDataset
 from .records import (AllNamesRecord, CdnQueryRecord, PublicCdnRecord,
@@ -27,10 +27,10 @@ __all__ = [
     "PublicCdnRecord", "ResolverSpec", "RootQueryRecord", "RootTrace",
     "RootTraceBuilder", "SCHEMAS", "ScanQueryRecord", "ScanUniverse",
     "ScanUniverseBuilder", "SldPolicy", "ZipfSampler", "assign_sld_policies",
-    "columnar_to_jsonl", "concat_columnar_shards", "file_info",
-    "generate_root_trace", "is_columnar", "iter_jsonl", "jsonl_to_columnar",
-    "merge_columnar_shards", "merge_jsonl_shards", "merge_sorted_records",
-    "paper_numbers", "poisson_arrivals", "read_columnar", "read_jsonl",
-    "schema_for", "shard_path", "write_columnar", "write_csv", "write_jsonl",
+    "columnar_to_jsonl", "file_info", "generate_root_trace", "is_columnar",
+    "iter_jsonl", "jsonl_to_columnar", "merge_columnar_shards",
+    "merge_jsonl_shards", "merge_sorted_records", "paper_numbers",
+    "poisson_arrivals", "read_columnar", "read_jsonl", "schema_for",
+    "shard_path", "write_columnar_stream", "write_csv", "write_jsonl",
     "write_jsonl_shards",
 ]

@@ -11,32 +11,24 @@ header plus raw per-column segments, so an opened file is a single
 into it — workers replaying shards of one trace map the same file and
 share its pages instead of pickling records or re-parsing JSONL.
 
-Layout of a v1 ``.col`` file::
+Per column and row group the header records a ``data`` segment (the
+packed values — dictionary codes for string columns), an optional
+``nulls`` segment (bitmap, bit ``i`` set when row ``i`` is None) and an
+optional ``dict`` segment (the string dictionary as a JSON array, in
+code order).  The header is pure JSON so ``repro-ecs dataset info`` can
+describe a file without touching any segment.
 
-    offset 0   MAGIC            b"RPRCOL01" (8 bytes)
-    offset 8   header length    u32, little-endian
-    offset 12  header           UTF-8 JSON (schema name, row count,
-                                per-column segment table)
-    ...        segments         8-byte aligned; offsets in the header
-                                are relative to the first segment
-
-Per column the header records a ``data`` segment (the packed values —
-dictionary codes for string columns), an optional ``nulls`` segment
-(bitmap, bit ``i`` set when row ``i`` is None) and an optional ``dict``
-segment (the string dictionary as a JSON array, in code order).  The
-header is pure JSON so ``repro-ecs dataset info`` can describe a file
-without touching any segment.
-
-Version 2 (``RPRCOL02``) chunks the same segments into *row groups* so
-generation, merge and replay all run out-of-core: writers stream groups
-through a bounded buffer (:class:`GroupedColumnarWriter`), readers walk
-one group at a time (:class:`RowGroupReader`), and every group carries
-its own group-local string dictionaries so merges can copy whole groups
-verbatim.  See the layout comment above :class:`GroupedColumnarWriter`
-and ``docs/datasets.md`` for the v2 header diagram and dictionary remap
-rules.  v1 files still open everywhere (and remain the default output
-of ``generate``), and :func:`convert_columnar` moves files between the
-two layouts losslessly.
+Every file this module writes is the row-group layout (``RPRCOL02``):
+generation, merge and replay all run out-of-core because writers stream
+groups through a bounded buffer (:class:`GroupedColumnarWriter`),
+readers walk one group at a time (:class:`RowGroupReader`), and every
+group carries its own group-local string dictionaries so merges can
+copy whole groups verbatim.  See the layout comment above
+:class:`GroupedColumnarWriter` and ``docs/datasets.md`` for the header
+diagram and dictionary remap rules.  The older single-block layout
+(``RPRCOL01``: header first, one set of segments) is read-only: the one
+header parser (:func:`_read_header`) presents it as a file of one row
+group, so every reader opens both.
 
 Everything here is deterministic: dictionaries assign codes in first-
 appearance order, merges are stable k-way merges keyed on ``(ts, shard
@@ -48,18 +40,20 @@ depends on process or machine identity.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import dataclasses
 import itertools
 import json
 import mmap
+import os
 import struct
 import weakref
 from array import array
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Type, Union)
+from typing import (Any, BinaryIO, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple, Type, Union)
 
 from ..engine.sharding import bucket_group_ranges, stable_bucket
 from ..obs import metrics as _obs_metrics
@@ -69,17 +63,18 @@ from .records import (AllNamesRecord, CdnQueryRecord, PublicCdnRecord,
 
 #: Declared for the whole-program linter (RS202): stores and readers wrap
 #: mmap'd files, so instances must never cross a pickle boundary —
-#: workers reopen by path (see ``repro.engine.replay._columnar_store``).
+#: workers reopen by path (see ``repro.engine.replay._open_cached``).
 STATICCHECK_UNPICKLABLE = ("repro.datasets.columnar:ColumnarStore",
                            "repro.datasets.columnar:RowGroupReader")
 
-#: File magic: format name + two-digit major version.
+#: Magic of the legacy single-block layout; read, never written.
 MAGIC = b"RPRCOL01"
 #: Row-group layout magic (format version 2; see ``docs/datasets.md``).
 MAGIC_V2 = b"RPRCOL02"
-#: Header ``version`` field; bump on any incompatible layout change.
+#: Header ``version`` of the legacy single-block layout.
 FORMAT_VERSION = 1
-#: Header ``version`` of the row-group layout.
+#: Header ``version`` of the row-group layout; bump on any incompatible
+#: layout change.
 FORMAT_VERSION_V2 = 2
 #: Segment alignment, so typed memoryview casts are always aligned.
 ALIGN = 8
@@ -244,11 +239,11 @@ def _raw_bytes(column: Any) -> bytes:
 
 
 class ColumnarWriter:
-    """Streaming columnar builder: append records, then save or wrap.
+    """One row group's column buffer: append records, then wrap.
 
-    Appending never touches disk; :meth:`save` serializes the columns in
-    one pass and :meth:`store` wraps them as an in-memory
-    :class:`ColumnarStore` without copying.
+    Appending never touches disk; :meth:`store` wraps the columns as an
+    in-memory :class:`ColumnarStore` without copying, which is what
+    :class:`GroupedColumnarWriter` serializes group by group.
     """
 
     def __init__(self, schema: Schema) -> None:
@@ -261,10 +256,6 @@ class ColumnarWriter:
         self._nulls: Dict[str, bytearray] = {
             c.name: bytearray() for c in schema.columns if c.nullable}
         self._getters = tuple(attrgetter(c.name) for c in schema.columns)
-
-    def _intern(self, column: str, value: str) -> int:
-        codes = self._interns[column]
-        return codes.setdefault(value, len(codes))
 
     def _set_null(self, column: str, row: int) -> None:
         bitmap = self._nulls[column]
@@ -355,61 +346,17 @@ class ColumnarWriter:
             self._append_columns([list(map(get, chunk))
                                   for get in self._getters])
 
-    def extend_store(self, store: "ColumnarStore") -> int:
-        """Concatenate another store's segments onto this writer.
-
-        The segment-level fast path for shard concatenation: numeric and
-        bool columns append their packed bytes wholesale; string columns
-        remap the incoming dictionary codes onto this writer's merged
-        dictionary (one lookup per *dictionary entry*, one integer per
-        row); null bitmaps re-pack at the new row offset.
-        """
-        if store.schema.name != self.schema.name:
-            raise ValueError(f"cannot concatenate schema "
-                             f"{store.schema.name!r} onto "
-                             f"{self.schema.name!r}")
-        base = self.rows
-        for spec in self.schema.columns:
-            raw = store.raw_column(spec.name)
-            arr = self._arrays[spec.name]
-            if spec.kind != "str":
-                arr.frombytes(_raw_bytes(raw))
-            else:
-                remap = [self._intern(spec.name, value)
-                         for value in store.dictionary(spec.name)]
-                if spec.nullable:
-                    null_of = store.null_checker(spec.name)
-                    arr.extend(0 if null_of(row) else remap[raw[row]]
-                               for row in range(store.rows))
-                else:
-                    arr.extend(remap[code] for code in raw)
-            if spec.nullable:
-                null_of = store.null_checker(spec.name)
-                for row in range(store.rows):
-                    if null_of(row):
-                        self._set_null(spec.name, base + row)
-        self.rows = base + store.rows
-        return store.rows
-
     def extend_rows(self, store: "ColumnarStore", lo: int = 0,
                     hi: Optional[int] = None,
-                    rows: Optional[Sequence[int]] = None,
-                    code_maps: Optional[Dict[str, List[int]]] = None) -> int:
+                    rows: Optional[Sequence[int]] = None) -> int:
         """Append a row range (or row selection) of another store.
 
-        The canonical-order twin of :meth:`extend_store`: where that
-        method interns the incoming store's *entire* dictionary in
-        dictionary order (right for whole-shard concatenation), this one
-        interns a string the first time an appended row references it —
-        exactly the order a row-by-row ``append_values`` loop would
-        produce.  Run-granular merges built on it therefore stay
-        byte-identical to the per-row reference merge.
-
-        ``rows`` selects arbitrary row indices instead of ``[lo, hi)``
-        (used by the pre-bucketing writer).  ``code_maps`` is an optional
-        per-source cache of incoming-code -> local-code tables keyed by
-        column name, reusable across calls for the *same* source store;
-        pass a fresh dict per source (codes are store-local).
+        A string is interned the first time an appended row references
+        it — exactly the order a row-by-row ``append_values`` loop would
+        produce, so run-granular merges built on this stay byte-identical
+        to the per-row reference merge.  ``rows`` selects arbitrary row
+        indices instead of ``[lo, hi)`` (used by the pre-bucketing
+        writer).
         """
         if store.schema.name != self.schema.name:
             raise ValueError(f"cannot append rows of schema "
@@ -429,12 +376,8 @@ class ColumnarWriter:
             arr = self._arrays[spec.name]
             if spec.kind == "str":
                 dictionary = store.dictionary(spec.name)
-                cmap: Optional[List[int]]
-                cmap = None if code_maps is None else code_maps.get(spec.name)
-                if cmap is None:
-                    cmap = [-1] * len(dictionary)
-                    if code_maps is not None:
-                        code_maps[spec.name] = cmap
+                interned = self._interns[spec.name]
+                cmap = [-1] * len(dictionary)
                 null_of = (store.null_checker(spec.name)
                            if spec.nullable else None)
                 codes: List[int] = []
@@ -445,7 +388,8 @@ class ColumnarWriter:
                     code = raw[row]
                     mapped = cmap[code]
                     if mapped < 0:
-                        mapped = self._intern(spec.name, dictionary[code])
+                        mapped = interned.setdefault(dictionary[code],
+                                                     len(interned))
                         cmap[code] = mapped
                     codes.append(mapped)
                 arr.extend(codes)
@@ -475,36 +419,31 @@ class ColumnarWriter:
         for bitmap in self._nulls.values():
             if len(bitmap) < needed:
                 bitmap.extend(b"\x00" * (needed - len(bitmap)))
-        nulls = {name: (bitmap, 0) for name, bitmap in self._nulls.items()}
         return ColumnarStore(self.schema, self.rows, dict(self._arrays),
-                             nulls, {name: self._dict_list(name)
-                                     for name in self._interns})
-
-    def save(self, path: Union[str, Path]) -> int:
-        """Serialize to ``path``; returns the number of rows written."""
-        return self.store().save(path)
+                             dict(self._nulls),
+                             {name: self._dict_list(name)
+                              for name in self._interns})
 
 
 class ColumnarStore:
-    """A columnar trace: in memory, or zero-copy over an mmap'd file.
+    """One row group's columns: in memory, or zero-copy over a mapping.
 
-    Opened stores keep one :func:`mmap.mmap` (or one bytes object with
-    ``use_mmap=False``) and expose every column as a typed
-    ``memoryview`` into it.  :meth:`slice` shares those buffers, so
-    row-range shards of one file cost O(1) memory each.
+    A store issued by :class:`RowGroupReader` exposes every column as a
+    typed ``memoryview`` into the reader's one :func:`mmap.mmap`; a
+    store wrapped around a :class:`ColumnarWriter` shares its arrays.
+    :meth:`open` returns a whole file as one store.
     """
 
     def __init__(self, schema: Schema, rows: int,
-                 data: Dict[str, Any],
-                 nulls: Dict[str, Tuple[Any, int]],
-                 dicts: Dict[str, List[str]],
-                 closer: Optional[Callable[[], None]] = None) -> None:
+                 data: Dict[str, Any], nulls: Dict[str, Any],
+                 dicts: Dict[str, List[str]]) -> None:
         self.schema = schema
         self.rows = rows
         self._data = data
         self._nulls = nulls
         self._dicts = dicts
-        self._closer = closer
+        #: Set by :meth:`open` when the store owns its reader's mapping.
+        self._closer: Optional[Callable[[], None]] = None
         self._bucket_memo: Dict[Tuple[str, int], List["array[Any]"]] = {}
         self._getter_cache: Optional[List[Callable[[int], Any]]] = None
 
@@ -520,85 +459,40 @@ class ColumnarStore:
         return writer.store()
 
     @classmethod
-    def open(cls, path: Union[str, Path],
-             use_mmap: bool = True) -> "ColumnarStore":
-        """Open an on-disk store; columns are views into one mapping.
+    def open(cls, path: Union[str, Path]) -> "ColumnarStore":
+        """Open an on-disk trace as one store.
 
-        A v1 (``RPRCOL01``) file opens zero-copy.  A v2 row-group file
-        opens through :class:`RowGroupReader` and is *flattened* into
-        one in-memory store — the O(rows) compatibility path; readers
-        that care about bounded memory should walk the groups via
-        :class:`RowGroupReader` directly.
+        A file of one row group (every legacy v1 file, and any v2 file
+        that fits one group) opens zero-copy: the store is that group's
+        view and owns the mapping.  A file of several groups is
+        *flattened* into one in-memory store — the O(rows) compatibility
+        path; readers that care about bounded memory should walk the
+        groups via :class:`RowGroupReader` directly.
         """
-        fh = open(path, "rb")
-        try:
-            prelude = fh.read(12)
-            if len(prelude) >= 8 and prelude[:8] == MAGIC_V2:
-                fh.close()
-                with RowGroupReader(path) as reader:
-                    writer = ColumnarWriter(reader.schema)
-                    for index in range(reader.group_count):
-                        group = reader.group(index)
-                        writer.extend_rows(group)
-                        group.close()
-                    return writer.store()
-            if len(prelude) < 12 or prelude[:8] != MAGIC:
-                raise ValueError(f"{path}: not a columnar trace "
-                                 f"(bad magic)")
-            (header_len,) = struct.unpack("<I", prelude[8:12])
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-            if header.get("version") != FORMAT_VERSION:
-                raise ValueError(f"{path}: unsupported columnar format "
-                                 f"version {header.get('version')!r} "
-                                 f"(expected {FORMAT_VERSION})")
-            buf: Any
-            closer: Optional[Callable[[], None]]
-            if use_mmap:
-                mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-                buf = memoryview(mapping)
-                closer = _make_closer(buf, mapping)
-            else:
-                fh.seek(0)
-                buf = memoryview(fh.read())
-                closer = None
-        finally:
-            fh.close()
-        schema = schema_for(header["schema"])
-        rows = int(header["rows"])
-        start = 12 + header_len + _align_pad(12 + header_len)
-        data: Dict[str, Any] = {}
-        nulls: Dict[str, Tuple[Any, int]] = {}
-        dicts: Dict[str, List[str]] = {}
-        for entry in header["columns"]:
-            name = entry["name"]
-            spec = next(c for c in schema.columns if c.name == name)
-            off, length = entry["data"]
-            data[name] = buf[start + off:start + off + length] \
-                .cast(spec.typecode)
-            if entry.get("nulls") is not None:
-                off, length = entry["nulls"]
-                nulls[name] = (buf[start + off:start + off + length], 0)
-            if entry.get("dict") is not None:
-                off, length = entry["dict"]
-                dicts[name] = json.loads(
-                    bytes(buf[start + off:start + off + length])
-                    .decode("utf-8"))
-        return cls(schema, rows, data, nulls, dicts, closer)
+        with contextlib.ExitStack() as stack:
+            reader = stack.enter_context(RowGroupReader(path))
+            if reader.group_count == 1:
+                store = reader.group(0)
+                # The store now owns the reader: closing it unmaps.
+                store._closer = stack.pop_all().close
+                return store
+            writer = ColumnarWriter(reader.schema)
+            for index in range(reader.group_count):
+                group = reader.group(index)
+                writer.extend_rows(group)
+                group.close()
+            return writer.store()
 
     def close(self) -> None:
         """Release the underlying mapping (no-op for in-memory stores).
 
         Every column view is released first — an mmap cannot close while
-        exported buffers exist.  Live :meth:`slice` children keep their
-        own views, so close the parent only after its slices are done.
+        exported buffers exist.
         """
         self._getter_cache = None
-        for view in self._data.values():
+        for view in (*self._data.values(), *self._nulls.values()):
             if isinstance(view, memoryview):
                 view.release()
-        for bitmap, _ in self._nulls.values():
-            if isinstance(bitmap, memoryview):
-                bitmap.release()
         if self._closer is not None:
             closer, self._closer = self._closer, None
             closer()
@@ -614,27 +508,19 @@ class ColumnarStore:
 
     # -- serialization -----------------------------------------------------
 
-    def _null_bitmap_bytes(self, name: str) -> bytes:
-        """The column's null bitmap re-packed to bit offset zero."""
-        checker = self.null_checker(name)
-        bitmap = bytearray((self.rows + 7) >> 3)
-        for row in range(self.rows):
-            if checker(row):
-                bitmap[row >> 3] |= 1 << (row & 7)
-        return bytes(bitmap)
-
     def _column_payloads(self) -> Iterator[Tuple[ColumnSpec, bytes,
                                                  Optional[bytes],
                                                  Optional[bytes], int]]:
         """Per column: (spec, data, nulls, dict payload, dict entries).
 
-        The single serialization order both the v1 :meth:`save` and the
-        v2 :class:`GroupedColumnarWriter` group flush emit: data, then
-        null bitmap, then dictionary — per column, in schema order.
+        The serialization order of a :class:`GroupedColumnarWriter`
+        group flush: data, then null bitmap, then dictionary — per
+        column, in schema order.
         """
+        bitmap_bytes = (self.rows + 7) >> 3
         for spec in self.schema.columns:
             data = _raw_bytes(self._data[spec.name])
-            nulls = (self._null_bitmap_bytes(spec.name)
+            nulls = (bytes(self._nulls[spec.name][:bitmap_bytes])
                      if spec.nullable else None)
             dict_payload: Optional[bytes] = None
             dict_entries = 0
@@ -645,50 +531,6 @@ class ColumnarStore:
                     ensure_ascii=False).encode("utf-8")
                 dict_entries = len(dictionary)
             yield spec, data, nulls, dict_payload, dict_entries
-
-    def save(self, path: Union[str, Path]) -> int:
-        """Write the versioned header + aligned segments; returns rows."""
-        segments: List[bytes] = []
-        columns: List[Dict[str, Any]] = []
-        offset = 0
-
-        def add_segment(payload: bytes) -> Tuple[int, int]:
-            nonlocal offset
-            pad = _align_pad(offset)
-            if pad:
-                segments.append(b"\x00" * pad)
-                offset += pad
-            start = offset
-            segments.append(payload)
-            offset += len(payload)
-            return (start, len(payload))
-
-        for spec, data, nulls, dict_payload, entries in \
-                self._column_payloads():
-            entry: Dict[str, Any] = {
-                "name": spec.name, "kind": spec.kind,
-                "typecode": spec.typecode,
-                "data": add_segment(data),
-                "nulls": None, "dict": None}
-            if nulls is not None:
-                entry["nulls"] = add_segment(nulls)
-            if dict_payload is not None:
-                entry["dict"] = add_segment(dict_payload)
-                entry["dict_entries"] = entries
-            columns.append(entry)
-
-        header = json.dumps(
-            {"version": FORMAT_VERSION, "schema": self.schema.name,
-             "rows": self.rows, "columns": columns},
-            separators=(",", ":")).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(header)))
-            fh.write(header)
-            fh.write(b"\x00" * _align_pad(12 + len(header)))
-            for segment in segments:
-                fh.write(segment)
-        return self.rows
 
     # -- column access -----------------------------------------------------
 
@@ -706,16 +548,10 @@ class ColumnarStore:
 
     def null_checker(self, name: str) -> Callable[[int], bool]:
         """A ``row -> is-null`` predicate (always False when not nullable)."""
-        entry = self._nulls.get(name)
-        if entry is None:
+        bitmap = self._nulls.get(name)
+        if bitmap is None:
             return lambda row: False
-        bitmap, base = entry
-
-        def is_null(row: int) -> bool:
-            bit = base + row
-            return bool(bitmap[bit >> 3] & (1 << (bit & 7)))
-
-        return is_null
+        return lambda row: bool(bitmap[row >> 3] & (1 << (row & 7)))
 
     def _value_getter(self, spec: ColumnSpec) -> Callable[[int], Any]:
         raw = self._data[spec.name]
@@ -762,26 +598,6 @@ class ColumnarStore:
 
     # -- shard arithmetic --------------------------------------------------
 
-    def slice(self, lo: int, hi: int) -> "ColumnarStore":
-        """Rows ``[lo, hi)`` as a store sharing this one's buffers.
-
-        Zero-copy: numeric columns are memoryview slices, dictionaries
-        are shared outright, and null bitmaps carry a bit offset instead
-        of being re-packed.  The parent store must stay open for the
-        slice's lifetime.
-        """
-        if not 0 <= lo <= hi <= self.rows:
-            raise ValueError(f"slice [{lo}, {hi}) out of range for "
-                             f"{self.rows} rows")
-        data = {name: (memoryview(col) if isinstance(col, array) else col)
-                [lo:hi] for name, col in self._data.items()}
-        # Each child gets its own bitmap *view* so closing one slice
-        # cannot release a buffer its siblings (or the parent) still use.
-        nulls = {name: (memoryview(bitmap) if isinstance(bitmap, memoryview)
-                        else bitmap, base + lo)
-                 for name, (bitmap, base) in self._nulls.items()}
-        return ColumnarStore(self.schema, hi - lo, data, nulls, self._dicts)
-
     def row_buckets(self, column: str, shards: int) -> List["array[Any]"]:
         """Row indices per :func:`stable_bucket` shard of a str column.
 
@@ -825,48 +641,181 @@ class ColumnarStore:
         return self.stats().total_bytes
 
 
-def _make_closer(view: memoryview, mapping: mmap.mmap
-                 ) -> Callable[[], None]:
-    def closer() -> None:
-        view.release()
-        mapping.close()
-
-    return closer
-
-
 # ---------------------------------------------------------------------------
-# The v2 row-group layout (RPRCOL02)
+# On-disk layout
 #
-# Layout of a v2 ``.col`` file::
+# Layout of a ``.col`` file (v2, ``RPRCOL02``)::
 #
 #     offset 0   MAGIC_V2        b"RPRCOL02" (8 bytes)
 #     offset 8   header offset   u64 LE, patched when the file closes
 #     offset 16  segment area    row groups back to back, 8-byte aligned
 #     ...        header          UTF-8 JSON, runs to end of file
 #
-# The header moved to the *tail* so a writer can stream groups through a
+# The header sits at the *tail* so a writer can stream groups through a
 # bounded buffer and never seek except to patch the u64 — no reader or
 # writer ever holds a full shard in memory.  Each group carries its own
 # per-column segments *including its own string dictionaries* (codes are
 # group-local), so a group's bytes are position-independent: merges copy
 # whole groups verbatim, and readers remap codes across groups on read.
+#
+# The legacy v1 layout (``RPRCOL01``) has a u32 header length and the
+# header *before* one set of segments.  :func:`_read_header` turns it
+# into a one-group header of the shape above whose segment area starts
+# after the (8-byte padded) header instead of at offset 16; nothing
+# past that function knows which layout a file has.
+
+
+class ColumnarFormatError(ValueError):
+    """A columnar file whose header or segment table cannot be trusted."""
+
+
+@dataclass(frozen=True)
+class _Header:
+    """A file's header in the v2 shape, whichever layout it came from."""
+
+    version: int
+    schema: Schema
+    rows: int
+    row_group_rows: Optional[int]
+    buckets: Optional[int]
+    #: Per group: ``{"rows", "bucket", "columns": [segment entries]}``.
+    groups: List[Dict[str, Any]]
+    #: File offset that segment offsets count from.
+    base: int
+    header_bytes: int
+
+    def bucket_ranges(self) -> Optional[List[Tuple[int, int]]]:
+        """Per-bucket ``[start, end)`` group ranges; None when untagged."""
+        if self.buckets is None:
+            return None
+        return bucket_group_ranges([g.get("bucket") for g in self.groups],
+                                   self.buckets)
+
+
+#: Bytes per packed value, by :mod:`array` typecode.
+_ITEMSIZE = {code: array(code).itemsize for code in KIND_TYPECODES.values()}
+
+
+def _read_header(path: Union[str, Path], fh: BinaryIO) -> _Header:
+    """Parse and check the header of an open columnar file.
+
+    The only place a header is located and decoded.  Everything a
+    header can promise about its segments is checked here, so a file
+    that opens can be read: every segment lies inside the segment area,
+    every data segment holds exactly its group's rows, every null bitmap
+    covers them.  Anything else raises :class:`ColumnarFormatError`
+    naming the file (and group).
+    """
+    size = os.fstat(fh.fileno()).st_size
+    magic = fh.read(len(MAGIC))
+    if magic == MAGIC_V2:
+        version, base = FORMAT_VERSION_V2, _V2_PRELUDE
+        word = fh.read(8)
+        area_end = int.from_bytes(word, "little")
+        if len(word) < 8 or area_end < _V2_PRELUDE:
+            raise ColumnarFormatError(f"{path}: truncated columnar file "
+                                      f"(header offset not patched)")
+        if area_end > size:
+            raise ColumnarFormatError(
+                f"{path}: header offset {area_end} is past the end of "
+                f"the {size}-byte file")
+        fh.seek(area_end)
+        payload = fh.read()
+    elif magic == MAGIC:
+        version, area_end = FORMAT_VERSION, size
+        length = int.from_bytes(fh.read(4), "little")
+        payload = fh.read(length)
+        base = 12 + length + _align_pad(12 + length)
+        if len(payload) < length:
+            raise ColumnarFormatError(f"{path}: truncated columnar file "
+                                      f"(header runs past the end)")
+    else:
+        raise ColumnarFormatError(f"{path}: not a columnar trace "
+                                  f"(bad magic)")
+    try:
+        raw = json.loads(payload.decode("utf-8"))
+    except ValueError as exc:
+        raise ColumnarFormatError(f"{path}: header is not JSON (truncated "
+                                  f"file?): {exc}") from exc
+    try:
+        if raw.get("version") != version:
+            raise ColumnarFormatError(
+                f"{path}: unsupported columnar format version "
+                f"{raw.get('version')!r} (expected {version})")
+        schema = schema_for(raw["schema"])
+        rows = int(raw["rows"])
+        groups = raw["groups"] if version == FORMAT_VERSION_V2 else [
+            {"rows": rows, "bucket": None, "columns": raw["columns"]}]
+        for index, group in enumerate(groups):
+            _check_group(f"{path}: group {index}", schema, group,
+                         area_end - base)
+        if sum(int(group["rows"]) for group in groups) != rows:
+            raise ColumnarFormatError(f"{path}: groups do not add up to "
+                                      f"the header's {rows} rows")
+        return _Header(version, schema, rows, raw.get("row_group_rows"),
+                       raw.get("buckets"), groups, base, len(payload))
+    except ColumnarFormatError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ColumnarFormatError(f"{path}: malformed header "
+                                  f"({exc!r})") from exc
+
+
+def _check_group(where: str, schema: Schema, group: Dict[str, Any],
+                 area: int) -> None:
+    """Check one group's segment table against its row count."""
+    rows = int(group["rows"])
+    columns = group["columns"]
+    names = tuple(col["name"] for col in columns)
+    if names != schema.field_names:
+        raise ColumnarFormatError(f"{where}: columns {names} are not the "
+                                  f"{schema.name!r} schema's")
+    for spec, col in zip(schema.columns, columns):
+        for key in ("data", "nulls", "dict"):
+            if col.get(key) is not None:
+                off, length = col[key]
+                if off < 0 or length < 0 or off + length > area:
+                    raise ColumnarFormatError(
+                        f"{where}: {spec.name} {key} segment [{off}, "
+                        f"+{length}) is outside the {area}-byte segment "
+                        f"area")
+        if col["data"][1] != rows * _ITEMSIZE[spec.typecode]:
+            raise ColumnarFormatError(
+                f"{where}: {spec.name} data is {col['data'][1]} bytes, "
+                f"expected {rows} rows x {_ITEMSIZE[spec.typecode]}")
+        if spec.nullable and col["nulls"][1] < (rows + 7) >> 3:
+            raise ColumnarFormatError(
+                f"{where}: {spec.name} null bitmap is {col['nulls'][1]} "
+                f"bytes, too short for {rows} rows")
+        if spec.kind == "str" and col["dict"] is None:
+            raise ColumnarFormatError(f"{where}: {spec.name} has no "
+                                      f"dictionary segment")
 
 
 class GroupedColumnarWriter:
-    """Stream records into a v2 row-group file with bounded memory.
+    """Stream records into a row-group file with bounded memory.
 
-    Rows buffer in an ordinary :class:`ColumnarWriter`; every
-    ``row_group_rows`` rows the buffer flushes to disk as one row group
-    and resets, so peak memory is one group regardless of trace length.
-    Group dictionaries intern in first-appearance order *within the
-    group* automatically, because each group starts from an empty
-    buffer.  :meth:`close` writes the JSON header at the tail and
-    patches the header-offset word; use as a context manager.
+    The one class that writes ``.col`` files.  Rows buffer in an
+    ordinary :class:`ColumnarWriter`; every ``row_group_rows`` rows
+    (``None``: :data:`DEFAULT_ROW_GROUP_ROWS`) the buffer flushes to
+    disk as one row group and resets, so peak memory is one group
+    regardless of trace length.  Group dictionaries intern in
+    first-appearance order *within the group* automatically, because
+    each group starts from an empty buffer.
+
+    Output is atomic: groups stream into ``<path>.tmp``, and
+    :meth:`close` writes the JSON header at the tail, patches the
+    header-offset word and renames the file into place.  Use as a
+    context manager — leaving the block on an exception removes the
+    temporary file instead, so ``path`` is either absent (or whatever it
+    was before) or complete.
     """
 
     def __init__(self, schema: Union[str, Schema], path: Union[str, Path],
-                 row_group_rows: int = DEFAULT_ROW_GROUP_ROWS,
+                 row_group_rows: Optional[int] = None,
                  buckets: Optional[int] = None) -> None:
+        if row_group_rows is None:
+            row_group_rows = DEFAULT_ROW_GROUP_ROWS
         if row_group_rows < 1:
             raise ValueError("row_group_rows must be >= 1")
         self.schema = schema if isinstance(schema, Schema) \
@@ -879,7 +828,8 @@ class GroupedColumnarWriter:
         self._groups: List[Dict[str, Any]] = []
         self._offset = 0
         self._buffer = ColumnarWriter(self.schema)
-        self._fh: Optional[Any] = open(self.path, "wb")
+        self._tmp = self.path.with_name(self.path.name + ".tmp")
+        self._fh: Optional[BinaryIO] = open(self._tmp, "wb")
         self._fh.write(MAGIC_V2)
         self._fh.write(struct.pack("<Q", 0))
 
@@ -971,13 +921,12 @@ class GroupedColumnarWriter:
         self._offset += len(payload)
         return (start, len(payload))
 
-    def _flush_group(self) -> None:
-        if self._buffer.rows == 0:
-            return
-        store = self._buffer.store()
+    def _add_group(self, rows: int, payloads: Iterable[
+            Tuple[ColumnSpec, bytes, Optional[bytes], Optional[bytes], int]]
+            ) -> None:
+        """Write one group's segments and record its header entry."""
         columns: List[Dict[str, Any]] = []
-        for spec, data, nulls, dict_payload, entries in \
-                store._column_payloads():
+        for spec, data, nulls, dict_payload, entries in payloads:
             entry: Dict[str, Any] = {
                 "name": spec.name, "kind": spec.kind,
                 "typecode": spec.typecode,
@@ -989,11 +938,17 @@ class GroupedColumnarWriter:
                 entry["dict"] = self._add_segment(dict_payload)
                 entry["dict_entries"] = entries
             columns.append(entry)
-        self._groups.append({"rows": store.rows, "bucket": self._bucket,
+        self._groups.append({"rows": rows, "bucket": self._bucket,
                              "columns": columns})
-        self.rows += store.rows
-        self._buffer = ColumnarWriter(self.schema)
+        self.rows += rows
         record_row_groups("written", self.schema.name, 1)
+
+    def _flush_group(self) -> None:
+        if self._buffer.rows == 0:
+            return
+        store = self._buffer.store()
+        self._add_group(store.rows, store._column_payloads())
+        self._buffer = ColumnarWriter(self.schema)
 
     def flush(self) -> None:
         """Force the buffered rows out as a (possibly short) group."""
@@ -1006,8 +961,8 @@ class GroupedColumnarWriter:
         dictionaries are group-local, so its segment bytes are
         position-independent and re-encoding them row by row would
         reproduce exactly these bytes.  Flushes any pending buffered
-        rows first (as their own group).  Only v2 sources have
-        position-independent groups; copying from a v1 reader raises.
+        rows first (as their own group).  A legacy v1 file is one group
+        of any size, so copying from a v1 reader raises.
         """
         if reader.format_version != FORMAT_VERSION_V2:
             raise ValueError("copy_group requires a v2 (row-group) source")
@@ -1016,33 +971,24 @@ class GroupedColumnarWriter:
                              f"into a {self.schema.name!r} file")
         if self._buffer.rows:
             self._flush_group()
+
+        def copied(segment: Optional[Sequence[int]]) -> Optional[bytes]:
+            return None if segment is None else reader.segment_bytes(segment)
+
         entry = reader.group_entry(group_index)
-        columns: List[Dict[str, Any]] = []
-        for col in entry["columns"]:
-            new_col: Dict[str, Any] = {
-                "name": col["name"], "kind": col["kind"],
-                "typecode": col["typecode"],
-                "data": self._add_segment(reader.segment_bytes(col["data"])),
-                "nulls": None, "dict": None}
-            if col.get("nulls") is not None:
-                new_col["nulls"] = self._add_segment(
-                    reader.segment_bytes(col["nulls"]))
-            if col.get("dict") is not None:
-                new_col["dict"] = self._add_segment(
-                    reader.segment_bytes(col["dict"]))
-                new_col["dict_entries"] = col.get("dict_entries", 0)
-            columns.append(new_col)
         rows = int(entry["rows"])
-        self._groups.append({"rows": rows, "bucket": self._bucket,
-                             "columns": columns})
-        self.rows += rows
-        record_row_groups("written", self.schema.name, 1)
+        self._add_group(rows, (
+            (spec, reader.segment_bytes(col["data"]),
+             copied(col.get("nulls")), copied(col.get("dict")),
+             col.get("dict_entries", 0))
+            for spec, col in zip(self.schema.columns, entry["columns"])))
         return rows
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> int:
-        """Flush, write the tail header, patch the offset; returns rows."""
+        """Flush, write the tail header, patch the offset and move the
+        finished file to ``path``; returns rows."""
         if self._fh is None:
             return self.rows
         self._flush_group()
@@ -1059,22 +1005,34 @@ class GroupedColumnarWriter:
         self._fh.write(struct.pack("<Q", header_offset))
         self._fh.close()
         self._fh = None
+        os.replace(self._tmp, self.path)
         return self.rows
+
+    def _abort(self) -> None:
+        """Drop an unfinished file; a no-op once :meth:`close` succeeded."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+            self._tmp.unlink(missing_ok=True)
 
     def __enter__(self) -> "GroupedColumnarWriter":
         return self
 
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+    def __exit__(self, exc_type: Any, *exc: Any) -> None:
+        try:
+            if exc_type is None:
+                self.close()
+        finally:
+            self._abort()
 
 
 class RowGroupReader:
-    """Format-agnostic row-group view of a columnar file.
+    """Row-group view of a columnar file, whichever layout it has.
 
-    A v2 file maps once and exposes each row group as a zero-copy
-    :class:`ColumnarStore` over its own segments; a v1 file opens as a
-    single group covering the whole store, so streaming consumers
-    (merge, conversion, row-range replay) read both layouts through one
+    The file maps once and each row group is exposed as a zero-copy
+    :class:`ColumnarStore` over its own segments; a legacy v1 file is
+    one group covering the whole trace, so streaming consumers (merge,
+    conversion, row-range replay) read both layouts through one
     interface.  Group stores are built on demand and not memoized —
     sequential scans drop each group's decoded dictionaries as they go,
     which is what keeps reader memory bounded.
@@ -1082,72 +1040,43 @@ class RowGroupReader:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self._store: Optional[ColumnarStore] = None
-        self._mapping: Optional[mmap.mmap] = None
-        self._buf: Optional[memoryview] = None
         self._issued: "weakref.WeakSet[ColumnarStore]" = weakref.WeakSet()
-        with open(self.path, "rb") as probe:
-            magic = probe.read(8)
-        if magic == MAGIC:
-            self.format_version = FORMAT_VERSION
-            self._store = ColumnarStore.open(self.path)
-            self.schema = self._store.schema
-            self.rows = self._store.rows
-            self.row_group_rows: Optional[int] = None
-            self.buckets: Optional[int] = None
-            self._groups: List[Dict[str, Any]] = [
-                {"rows": self.rows, "bucket": None}]
-            return
-        if magic != MAGIC_V2:
-            raise ValueError(f"{path}: not a columnar trace (bad magic)")
-        self.format_version = FORMAT_VERSION_V2
-        fh = open(self.path, "rb")
-        try:
-            prelude = fh.read(_V2_PRELUDE)
-            (header_offset,) = struct.unpack("<Q", prelude[8:16])
-            if header_offset < _V2_PRELUDE:
-                raise ValueError(f"{path}: truncated columnar file "
-                                 f"(header offset not patched)")
-            mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        finally:
-            fh.close()
-        self._mapping = mapping
-        self._buf = memoryview(mapping)
-        header = json.loads(bytes(self._buf[header_offset:])
-                            .decode("utf-8"))
-        if header.get("version") != FORMAT_VERSION_V2:
-            raise ValueError(f"{path}: unsupported columnar format "
-                             f"version {header.get('version')!r} "
-                             f"(expected {FORMAT_VERSION_V2})")
-        self.schema = schema_for(header["schema"])
-        self.rows = int(header["rows"])
-        self.row_group_rows = header.get("row_group_rows")
-        self.buckets = header.get("buckets")
-        self._groups = header["groups"]
+        with open(self.path, "rb") as fh:
+            header = _read_header(self.path, fh)
+            self._mapping: Optional[mmap.mmap] = mmap.mmap(
+                fh.fileno(), 0, access=mmap.ACCESS_READ)
+        self._buf: Optional[memoryview] = memoryview(self._mapping)
+        self._header = header
+        self.format_version = header.version
+        self.schema = header.schema
+        self.rows = header.rows
+        self.row_group_rows = header.row_group_rows
+        self.buckets = header.buckets
 
     # -- group access ------------------------------------------------------
 
     @property
     def group_count(self) -> int:
-        return len(self._groups)
+        return len(self._header.groups)
 
     def group_rows(self, index: int) -> int:
-        return int(self._groups[index]["rows"])
+        return int(self._header.groups[index]["rows"])
 
     def group_bucket(self, index: int) -> Optional[int]:
-        return self._groups[index].get("bucket")
+        return self._header.groups[index].get("bucket")
 
     def group_entry(self, index: int) -> Dict[str, Any]:
         """The raw header entry of one group (segment offsets included)."""
-        return self._groups[index]
+        return self._header.groups[index]
+
+    def _segment(self, segment: Sequence[int]) -> memoryview:
+        assert self._buf is not None
+        start = self._header.base + segment[0]
+        return self._buf[start:start + segment[1]]
 
     def segment_bytes(self, segment: Sequence[int]) -> bytes:
         """One segment's payload bytes (copied; bounded by group size)."""
-        if self._buf is None:
-            raise ValueError("raw segments are only available on v2 files")
-        off, length = segment
-        start = _V2_PRELUDE + off
-        return bytes(self._buf[start:start + length])
+        return bytes(self._segment(segment))
 
     def bucket_ranges(self) -> Optional[List[Tuple[int, int]]]:
         """Per-bucket contiguous group ranges of a pre-bucketed file.
@@ -1156,36 +1085,28 @@ class RowGroupReader:
         :func:`prebucket_columnar`; otherwise one ``[start, end)`` group
         range per bucket, validated contiguous.
         """
-        if self.buckets is None:
-            return None
-        return bucket_group_ranges([g.get("bucket") for g in self._groups],
-                                   self.buckets)
+        return self._header.bucket_ranges()
 
     def group(self, index: int) -> ColumnarStore:
-        """Row group ``index`` as a store (zero-copy for v2 segments)."""
-        if self._store is not None:
-            return self._store
-        assert self._buf is not None
-        entry = self._groups[index]
-        buf = self._buf
-        data: Dict[str, Any] = {}
-        nulls: Dict[str, Tuple[Any, int]] = {}
+        """Row group ``index`` as a zero-copy store over its segments."""
+        entry = self._header.groups[index]
+        columns = list(zip(self.schema.columns, entry["columns"]))
+        # Dictionaries first: a rejected one must not leave column views
+        # exported from the mapping.
         dicts: Dict[str, List[str]] = {}
-        for col in entry["columns"]:
-            name = col["name"]
-            spec = next(c for c in self.schema.columns if c.name == name)
-            off, length = col["data"]
-            start = _V2_PRELUDE + off
-            data[name] = buf[start:start + length].cast(spec.typecode)
-            if col.get("nulls") is not None:
-                off, length = col["nulls"]
-                start = _V2_PRELUDE + off
-                nulls[name] = (buf[start:start + length], 0)
+        for spec, col in columns:
             if col.get("dict") is not None:
-                off, length = col["dict"]
-                start = _V2_PRELUDE + off
-                dicts[name] = json.loads(
-                    bytes(buf[start:start + length]).decode("utf-8"))
+                try:
+                    dicts[spec.name] = json.loads(
+                        self.segment_bytes(col["dict"]).decode("utf-8"))
+                except ValueError as exc:
+                    raise ColumnarFormatError(
+                        f"{self.path}: group {index}: {spec.name} "
+                        f"dictionary is not JSON: {exc}") from exc
+        data = {spec.name: self._segment(col["data"]).cast(spec.typecode)
+                for spec, col in columns}
+        nulls = {spec.name: self._segment(col["nulls"])
+                 for spec, col in columns if col.get("nulls") is not None}
         store = ColumnarStore(self.schema, int(entry["rows"]), data, nulls,
                               dicts)
         self._issued.add(store)
@@ -1196,17 +1117,12 @@ class RowGroupReader:
         for index in range(self.group_count):
             store = self.group(index)
             yield from store.iter_records()
-            if self._store is None:   # v1 shares one store; keep it open
-                store.close()
+            store.close()
 
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
         """Release every issued group view and the file mapping."""
-        if self._store is not None:
-            self._store.close()
-            self._store = None
-            return
         for store in list(self._issued):
             store.close()
         if self._buf is not None:
@@ -1239,93 +1155,45 @@ def is_columnar(path: Union[str, Path]) -> bool:
 def file_info(path: Union[str, Path]) -> Dict[str, Any]:
     """Describe a columnar file from its header alone (no segment reads).
 
-    Works for both layouts: a v1 header sits behind the magic, a v2
-    header at the tail (one seek).  v2 results add ``row_groups``,
-    ``row_group_rows`` and ``buckets``, and per-column byte totals are
-    aggregated across groups.
+    Per-column byte totals are aggregated across row groups; a legacy v1
+    file reports one group and no ``row_group_rows``.
     """
     target = Path(path)
     with open(target, "rb") as fh:
-        magic = fh.read(8)
-        if magic == MAGIC_V2:
-            (header_offset,) = struct.unpack("<Q", fh.read(8))
-            fh.seek(header_offset)
-            header = json.loads(fh.read().decode("utf-8"))
-            header_len = target.stat().st_size - header_offset
-        elif magic == MAGIC:
-            (header_len,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        else:
-            raise ValueError(f"{path}: not a columnar trace (bad magic)")
-    rows = int(header["rows"])
-    columns: List[Dict[str, Any]] = []
-    if header["version"] == FORMAT_VERSION_V2:
-        by_name: Dict[str, Dict[str, Any]] = {}
-        for group in header["groups"]:
-            for entry in group["columns"]:
-                agg = by_name.get(entry["name"])
-                if agg is None:
-                    agg = {"name": entry["name"], "kind": entry["kind"],
-                           "typecode": entry["typecode"], "data_bytes": 0,
-                           "null_bytes": 0, "dict_bytes": 0,
-                           "dict_entries": 0}
-                    by_name[entry["name"]] = agg
-                    columns.append(agg)
-                agg["data_bytes"] += entry["data"][1]
-                if entry.get("nulls"):
-                    agg["null_bytes"] += entry["nulls"][1]
-                if entry.get("dict"):
-                    agg["dict_bytes"] += entry["dict"][1]
-                    agg["dict_entries"] += entry.get("dict_entries", 0)
-    else:
-        for entry in header["columns"]:
-            columns.append({
-                "name": entry["name"], "kind": entry["kind"],
-                "typecode": entry["typecode"],
-                "data_bytes": entry["data"][1],
-                "null_bytes": entry["nulls"][1] if entry.get("nulls") else 0,
-                "dict_bytes": entry["dict"][1] if entry.get("dict") else 0,
-                "dict_entries": entry.get("dict_entries", 0)})
+        header = _read_header(target, fh)
+    columns = [{"name": spec.name, "kind": spec.kind,
+                "typecode": spec.typecode, "data_bytes": 0, "null_bytes": 0,
+                "dict_bytes": 0, "dict_entries": 0}
+               for spec in header.schema.columns]
+    for group in header.groups:
+        for agg, entry in zip(columns, group["columns"]):
+            agg["data_bytes"] += entry["data"][1]
+            if entry.get("nulls"):
+                agg["null_bytes"] += entry["nulls"][1]
+            if entry.get("dict"):
+                agg["dict_bytes"] += entry["dict"][1]
+                agg["dict_entries"] += entry.get("dict_entries", 0)
     file_bytes = target.stat().st_size
-    info = {"path": str(target), "version": header["version"],
-            "schema": header["schema"], "rows": rows,
-            "header_bytes": header_len, "file_bytes": file_bytes,
-            "bytes_per_row": file_bytes / rows if rows else 0.0,
-            "columns": columns}
-    if header["version"] == FORMAT_VERSION_V2:
-        info["row_groups"] = len(header["groups"])
-        info["row_group_rows"] = header.get("row_group_rows")
-        info["buckets"] = header.get("buckets")
-    return info
+    return {"path": str(target), "version": header.version,
+            "schema": header.schema.name, "rows": header.rows,
+            "header_bytes": header.header_bytes, "file_bytes": file_bytes,
+            "bytes_per_row": file_bytes / header.rows if header.rows else 0.0,
+            "columns": columns, "row_groups": len(header.groups),
+            "row_group_rows": header.row_group_rows,
+            "buckets": header.buckets}
 
 
 def bucketed_group_ranges(path: Union[str, Path]
                           ) -> Optional[List[Tuple[int, int]]]:
-    """Per-bucket group ranges of a pre-bucketed v2 file, header-only.
+    """Per-bucket group ranges of a pre-bucketed file, header-only.
 
-    ``None`` for v1 files and for v2 files without bucket tags — the
-    replay parent uses that to fall back to the flat bucketing path.
-    Reads only the prelude and the tail header, never a segment, so the
-    parent's dispatch decision is O(header) regardless of trace size.
+    ``None`` for files without bucket tags — the replay parent uses that
+    to fall back to the flat bucketing path.  Reads only the header,
+    never a segment, so the parent's dispatch decision is O(header)
+    regardless of trace size.
     """
     with open(path, "rb") as fh:
-        prelude = fh.read(_V2_PRELUDE)
-        if len(prelude) < _V2_PRELUDE or prelude[:8] != MAGIC_V2:
-            return None
-        (header_offset,) = struct.unpack("<Q", prelude[8:16])
-        fh.seek(header_offset)
-        header = json.loads(fh.read().decode("utf-8"))
-    buckets = header.get("buckets")
-    if buckets is None:
-        return None
-    return bucket_group_ranges([g.get("bucket") for g in header["groups"]],
-                               buckets)
-
-
-def write_columnar(records: Iterable[Any], path: Union[str, Path],
-                   schema: Union[str, Schema]) -> int:
-    """Columnarize and save an iterable of records; returns the count."""
-    return ColumnarStore.from_records(records, schema).save(path)
+        return _read_header(path, fh).bucket_ranges()
 
 
 def read_columnar(path: Union[str, Path]) -> List[Any]:
@@ -1336,9 +1204,8 @@ def read_columnar(path: Union[str, Path]) -> List[Any]:
 
 def write_columnar_stream(records: Iterable[Any], path: Union[str, Path],
                           schema: Union[str, Schema],
-                          row_group_rows: int = DEFAULT_ROW_GROUP_ROWS
-                          ) -> int:
-    """Stream an already-ordered record iterable into a v2 file.
+                          row_group_rows: Optional[int] = None) -> int:
+    """Stream an already-ordered record iterable into a columnar file.
 
     Bounded memory: at most ``row_group_rows`` records' worth of columns
     buffer at once.  The stream's order is preserved — use
@@ -1351,71 +1218,56 @@ def write_columnar_stream(records: Iterable[Any], path: Union[str, Path],
 
 def write_columnar_sorted(records: Iterable[Any], path: Union[str, Path],
                           schema: Union[str, Schema],
-                          row_group_rows: int = DEFAULT_ROW_GROUP_ROWS,
-                          ts_column: str = "ts") -> int:
-    """External sort of a record stream into a ts-ordered v2 file.
+                          row_group_rows: Optional[int] = None) -> int:
+    """External sort of a record stream into a ts-ordered columnar file.
 
     Buffers ``row_group_rows`` records, stable-sorts each full buffer by
-    ``ts_column`` and spills it as a sorted *run* file, then k-way
-    merges the runs.  The merge breaks ts ties toward the earlier run,
-    and each run is a consecutive chunk of the input stream stably
-    sorted — so the result is exactly the global stable sort the
-    in-memory ``records.sort(key=...)`` path produces, row for row.
-    Peak memory is one buffer plus one group per run.
+    ``ts`` and spills it as a sorted *run* file, then k-way merges the
+    runs.  The merge breaks ts ties toward the earlier run, and each run
+    is a consecutive chunk of the input stream stably sorted — so the
+    result is exactly the global stable sort the in-memory
+    ``records.sort(key=...)`` path produces, row for row.  Peak memory
+    is one buffer plus one group per run.
     """
     resolved = schema if isinstance(schema, Schema) else schema_for(schema)
     target = Path(path)
-    key = attrgetter(ts_column)
+    key = attrgetter("ts")
+    budget = (DEFAULT_ROW_GROUP_ROWS if row_group_rows is None
+              else row_group_rows)
     buffer: List[Any] = []
     run_paths: List[Path] = []
 
     def spill() -> None:
         buffer.sort(key=key)
         run_path = target.with_name(f"{target.name}.run{len(run_paths):04d}")
-        with GroupedColumnarWriter(resolved, run_path,
-                                   row_group_rows) as run:
-            run.extend(buffer)
+        write_columnar_stream(buffer, run_path, resolved, row_group_rows)
         run_paths.append(run_path)
         buffer.clear()
 
     try:
         for record in records:
             buffer.append(record)
-            if len(buffer) >= row_group_rows:
+            if len(buffer) >= budget:
                 spill()
         if not run_paths:
             buffer.sort(key=key)
-            with GroupedColumnarWriter(resolved, target,
-                                       row_group_rows) as writer:
-                writer.extend(buffer)
-            return writer.rows
+            return write_columnar_stream(buffer, target, resolved,
+                                         row_group_rows)
         if buffer:
             spill()
-        return merge_columnar_shards(run_paths, target, ts_column,
-                                     row_group_rows)
+        return merge_columnar_shards(run_paths, target, row_group_rows)
     finally:
         for run_path in run_paths:
-            if run_path.exists():
-                run_path.unlink()
+            run_path.unlink(missing_ok=True)
 
 
 def jsonl_to_columnar(src: Union[str, Path], dst: Union[str, Path],
                       schema: Union[str, Schema],
                       row_group_rows: Optional[int] = None) -> int:
-    """Convert a JSONL trace to columnar, streaming record by record.
-
-    ``row_group_rows=None`` writes the v1 single-block layout (the
-    byte-canonical default); setting it writes a v2 row-group file with
-    bounded conversion memory.
-    """
+    """Convert a JSONL trace to columnar, streaming record by record."""
     resolved = schema if isinstance(schema, Schema) else schema_for(schema)
-    if row_group_rows is not None:
-        return write_columnar_stream(iter_jsonl(src, resolved.record_type),
-                                     dst, resolved, row_group_rows)
-    writer = ColumnarWriter(resolved)
-    writer.extend(iter_jsonl(src, resolved.record_type))
-    writer.save(dst)
-    return writer.rows
+    return write_columnar_stream(iter_jsonl(src, resolved.record_type),
+                                 dst, resolved, row_group_rows)
 
 
 def columnar_to_jsonl(src: Union[str, Path],
@@ -1425,7 +1277,7 @@ def columnar_to_jsonl(src: Union[str, Path],
     Round-trips byte-identically with :func:`jsonl_to_columnar` for any
     trace the JSONL writers produced: values decode to the exact Python
     objects the records held, and ``json.dumps`` is deterministic.
-    Reads v2 files one group at a time, so memory stays bounded.
+    Reads one group at a time, so memory stays bounded.
     """
     with RowGroupReader(src) as reader:
         return write_jsonl(reader.iter_records(), dst)
@@ -1433,44 +1285,33 @@ def columnar_to_jsonl(src: Union[str, Path],
 
 def convert_columnar(src: Union[str, Path], dst: Union[str, Path],
                      row_group_rows: Optional[int] = None,
-                     bucket_shards: Optional[int] = None,
-                     key_column: str = "qname") -> int:
-    """Re-layout a columnar file between v1 and v2 (and pre-bucketing).
+                     bucket_shards: Optional[int] = None) -> int:
+    """Rewrite a columnar file with another group budget (or bucketed).
 
-    ``row_group_rows=None`` emits v1; a value emits v2 with that group
-    budget.  Either direction is value-identical, and the v1 -> v2 ->
-    v1 round trip is *byte*-identical: flattening a v2 file re-interns
-    strings in first-appearance order, which is exactly the order the
-    original v1 writer assigned codes in.  ``bucket_shards`` routes to
-    :func:`prebucket_columnar` instead, producing a bucket-tagged v2
-    file for row-range replay.
+    The source may be either layout; the output holds the same rows in
+    groups of ``row_group_rows``.  Groups re-intern their strings in
+    first-appearance order, so the bytes depend only on the rows and the
+    budget: two files holding one trace convert to identical bytes.
+    ``bucket_shards`` routes to :func:`prebucket_columnar` instead,
+    producing a bucket-tagged file for row-range replay.
     """
     if bucket_shards is not None:
-        return prebucket_columnar(src, dst, bucket_shards, key_column,
-                                  row_group_rows)
-    with RowGroupReader(src) as reader:
-        if row_group_rows is None:
-            writer = ColumnarWriter(reader.schema)
-            for index in range(reader.group_count):
-                store = reader.group(index)
-                writer.extend_rows(store)
-                store.close()
-            return writer.save(dst)
-        with GroupedColumnarWriter(reader.schema, dst,
-                                   row_group_rows) as out:
-            for index in range(reader.group_count):
-                store = reader.group(index)
-                out.extend_store(store)
-                store.close()
-        return out.rows
+        return prebucket_columnar(src, dst, bucket_shards, row_group_rows)
+    with RowGroupReader(src) as reader, \
+            GroupedColumnarWriter(reader.schema, dst, row_group_rows) as out:
+        for index in range(reader.group_count):
+            store = reader.group(index)
+            out.extend_store(store)
+            store.close()
+    return out.rows
 
 
 def prebucket_columnar(src: Union[str, Path], dst: Union[str, Path],
-                       shards: int, key_column: str = "qname",
+                       shards: int,
                        row_group_rows: Optional[int] = None) -> int:
     """Rewrite a columnar trace with rows grouped by qname bucket.
 
-    Rows land in :func:`stable_bucket` order of ``key_column`` — every
+    Rows land in :func:`stable_bucket` order of their qname — every
     group of the output belongs to exactly one bucket, buckets appear in
     ascending order, and the header records the bucket count — so
     sharded replay can dispatch disjoint ``(group_start, group_end)``
@@ -1483,54 +1324,44 @@ def prebucket_columnar(src: Union[str, Path], dst: Union[str, Path],
     """
     if shards <= 0:
         raise ValueError("shards must be >= 1")
-    rows_per_group = row_group_rows or DEFAULT_ROW_GROUP_ROWS
     target = Path(dst)
-    with RowGroupReader(src) as reader:
-        schema = reader.schema
-        spill_paths = [target.with_name(f"{target.name}.bucket{b:02d}")
-                       for b in range(shards)]
-        spills = [GroupedColumnarWriter(schema, p, rows_per_group)
-                  for p in spill_paths]
-        try:
+    spill_paths = [target.with_name(f"{target.name}.bucket{b:02d}")
+                   for b in range(shards)]
+    try:
+        with RowGroupReader(src) as reader, contextlib.ExitStack() as stack:
+            schema = reader.schema
+            spills = [stack.enter_context(
+                GroupedColumnarWriter(schema, p, row_group_rows))
+                for p in spill_paths]
             for index in range(reader.group_count):
                 store = reader.group(index)
-                for b, rows in enumerate(store.row_buckets(key_column,
-                                                           shards)):
+                for b, rows in enumerate(store.row_buckets("qname", shards)):
                     if rows:
                         spills[b].extend_store(store, rows=rows)
                 store.close()
-        finally:
-            for spill in spills:
-                spill.close()
-        final = GroupedColumnarWriter(schema, target, rows_per_group,
-                                      buckets=shards)
-        try:
+        with GroupedColumnarWriter(schema, target, row_group_rows,
+                                   buckets=shards) as final:
             for b, spill_path in enumerate(spill_paths):
                 final.set_bucket(b)
                 with RowGroupReader(spill_path) as bucket_reader:
                     for index in range(bucket_reader.group_count):
                         final.copy_group(bucket_reader, index)
-        finally:
-            final.close()
-            for spill_path in spill_paths:
-                if spill_path.exists():
-                    spill_path.unlink()
         return final.rows
+    finally:
+        for spill_path in spill_paths:
+            spill_path.unlink(missing_ok=True)
 
 
 class _MergeCursor:
     """One shard's read position inside the group-granular merge."""
 
-    def __init__(self, reader: RowGroupReader, index: int,
-                 ts_column: str) -> None:
+    def __init__(self, reader: RowGroupReader, index: int) -> None:
         self.reader = reader
         self.index = index
-        self.ts_column = ts_column
         self.group_index = -1
         self.store: Optional[ColumnarStore] = None
         self.ts: Any = None
         self.row = 0
-        self.code_maps: Dict[str, List[int]] = {}
 
     def advance_group(self) -> bool:
         """Move to the next non-empty group; False when exhausted."""
@@ -1542,10 +1373,8 @@ class _MergeCursor:
             if self.reader.group_rows(self.group_index) == 0:
                 continue
             self.store = self.reader.group(self.group_index)
-            self.ts = self.store.raw_column(self.ts_column)
+            self.ts = self.store.raw_column("ts")
             self.row = 0
-            # Codes are group-local; a fresh map per group is mandatory.
-            self.code_maps = {}
             return True
         return False
 
@@ -1556,7 +1385,6 @@ class _MergeCursor:
 
 def merge_columnar_shards(paths: Sequence[Union[str, Path]],
                           out_path: Union[str, Path],
-                          ts_column: str = "ts",
                           row_group_rows: Optional[int] = None) -> int:
     """Order-stable k-way merge of ts-sorted columnar shard files.
 
@@ -1564,24 +1392,24 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
     the earlier shard, exactly like
     :func:`repro.datasets.records.merge_jsonl_shards` — so a columnar
     generate merged this way holds the same canonical record order as
-    the JSONL route.  Output is byte-identical to the per-row heapq
+    the JSONL route.  Row for row the output equals the per-row heapq
     reference merge (kept next to its test in ``tests/test_columnar.py``),
-    but the walk is
-    *run*-granular: whenever the head shard's next rows all sort before
-    every other shard's head (found by bisecting the ts column), the
-    whole run moves in one vectorized append instead of one heap pop
-    per row.  Shards whose ts ranges do not overlap therefore merge at
-    group-copy speed; only genuinely interleaved spans pay per-row
-    work.
+    but the walk is *run*-granular: whenever the head shard's next rows
+    all sort before every other shard's head (found by bisecting the ts
+    column), the whole run moves in one vectorized append instead of one
+    heap pop per row, and a run that covers a whole source group while
+    nothing is buffered is copied verbatim.  Shards whose ts ranges do
+    not overlap therefore merge at group-copy speed; only genuinely
+    interleaved spans pay per-row work.
 
     Inputs may be v1 or v2 but not a mix — mixed format versions raise,
-    as do mixed schemas.  ``row_group_rows=None`` writes a v1 file (the
-    byte-canonical default for generate); a value writes a v2 row-group
-    file with bounded memory, copying whole source groups verbatim when
-    a run covers one.  Returns the number of rows written.
+    as do mixed schemas.  The output is written with bounded memory in
+    groups of at most ``row_group_rows`` rows (copied groups keep their
+    source size) and is absent if the merge raises.  Returns the number
+    of rows written.
     """
-    readers = [RowGroupReader(p) for p in paths]
-    try:
+    with contextlib.ExitStack() as stack:
+        readers = [stack.enter_context(RowGroupReader(p)) for p in paths]
         schemas = {reader.schema.name for reader in readers}
         if len(schemas) > 1:
             raise ValueError(f"cannot merge mixed schemas: "
@@ -1593,32 +1421,20 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
                 f"{sorted(versions)}: convert the shards to one layout "
                 f"first (see convert_columnar)")
         schema = readers[0].schema
-        writer: Optional[ColumnarWriter] = None
-        grouped: Optional[GroupedColumnarWriter] = None
-        if row_group_rows is None:
-            writer = ColumnarWriter(schema)
-        else:
-            grouped = GroupedColumnarWriter(schema, out_path,
-                                            row_group_rows)
+        out = stack.enter_context(
+            GroupedColumnarWriter(schema, out_path, row_group_rows))
 
         def emit(cursor: _MergeCursor, lo: int, hi: int) -> None:
             store = cursor.store
             assert store is not None
-            if grouped is not None:
-                if (lo == 0 and hi == store.rows
-                        and grouped.pending_rows == 0
-                        and cursor.reader.format_version
-                        == FORMAT_VERSION_V2):
-                    grouped.copy_group(cursor.reader, cursor.group_index)
-                else:
-                    grouped.extend_store(store, lo, hi)
+            if (lo == 0 and hi == store.rows and out.pending_rows == 0
+                    and cursor.reader.format_version == FORMAT_VERSION_V2):
+                out.copy_group(cursor.reader, cursor.group_index)
             else:
-                assert writer is not None
-                writer.extend_rows(store, lo, hi,
-                                   code_maps=cursor.code_maps)
+                out.extend_store(store, lo, hi)
 
         active = [cursor for cursor in
-                  (_MergeCursor(reader, index, ts_column)
+                  (_MergeCursor(reader, index)
                    for index, reader in enumerate(readers))
                   if cursor.advance_group()]
         merged_groups = 0
@@ -1651,37 +1467,4 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
                 if not cursor.advance_group():
                     active.remove(cursor)
         record_row_groups("merged", schema.name, merged_groups)
-        if grouped is not None:
-            grouped.close()
-            return grouped.rows
-        assert writer is not None
-        writer.save(out_path)
-        return writer.rows
-    finally:
-        for reader in readers:
-            reader.close()
-
-
-def concat_columnar_shards(paths: Sequence[Union[str, Path]],
-                           out_path: Union[str, Path]) -> int:
-    """Pure segment concatenation of shard files, in path order.
-
-    The cheap merge for shards that are already globally ordered (e.g.
-    contiguous time windows): numeric segments append bytewise, string
-    columns remap codes onto a merged dictionary, null bitmaps re-pack
-    at their new row offsets.  No per-row ordering pass.
-    """
-    stores = [ColumnarStore.open(p) for p in paths]
-    try:
-        schemas = {store.schema.name for store in stores}
-        if len(schemas) > 1:
-            raise ValueError(f"cannot concatenate mixed schemas: "
-                             f"{sorted(schemas)}")
-        writer = ColumnarWriter(stores[0].schema)
-        for store in stores:
-            writer.extend_store(store)
-        writer.save(out_path)
-        return writer.rows
-    finally:
-        for store in stores:
-            store.close()
+        return out.close()

@@ -30,19 +30,17 @@ __all__ = [
     "BUILDER_REGISTRY", "DEFAULT_SHARDS", "EngineReport", "PoolError",
     "PoolShutdownError", "ShardDispatchError", "ShardSpec", "ShardStats",
     "WORLD_SHARD", "WorkerCrashError", "WorkerPool", "derive_seed",
-    "generate_columnar", "generate_dataset", "generate_dataset_spec",
-    "generate_jsonl", "generate_records", "generate_records_spec",
-    "partition_by_key", "register_builder", "replay_columnar_sharded",
-    "replay_jsonl_sharded", "replay_sharded", "resolve_builder",
-    "run_sharded", "shard_bounds", "stable_bucket", "world_seed",
+    "generate_columnar", "generate_dataset_spec", "generate_jsonl",
+    "generate_records_spec", "partition_by_key", "register_builder",
+    "replay_columnar_sharded", "replay_jsonl_sharded", "replay_sharded",
+    "resolve_builder", "run_sharded", "shard_bounds", "stable_bucket",
+    "world_seed",
 ]
 
 _LAZY = {
     "generate_columnar": "generate",
-    "generate_dataset": "generate",
     "generate_dataset_spec": "generate",
     "generate_jsonl": "generate",
-    "generate_records": "generate",
     "generate_records_spec": "generate",
     "replay_columnar_sharded": "replay",
     "replay_jsonl_sharded": "replay",

@@ -1,4 +1,4 @@
-"""Sharded dataset generation: builder-object and shard-spec dispatch.
+"""Sharded dataset generation by shard-spec dispatch.
 
 A *shardable builder* exposes three methods::
 
@@ -13,33 +13,26 @@ The engine then guarantees the merged output is identical for any worker
 count, because shards are generated from fixed seeds and merged in shard
 order.
 
-Two dispatch flavors coexist:
-
-* the **builder-object** path (:func:`generate_records` /
-  :func:`generate_dataset`) ships the builder instance as the run's
-  shared state — serialized once per run, not once per shard — and
-  returns materialized record lists to the parent.  It is the readable
-  reference the equivalence suite pins the spec path against.
-
-* the **spec** path (:func:`generate_records_spec` /
-  :func:`generate_dataset_spec` / :func:`generate_jsonl`) ships a
-  :class:`~repro.engine.sharding.ShardSpec` (builder name + kwargs, tens
-  of bytes) and rebuilds the builder inside the worker.
-  :func:`generate_jsonl` goes one step further: each worker writes its
-  shard's records to the conventional ``<file>.shardNN`` sibling itself
-  and returns only a count, so for the ``generate`` command *nothing*
-  record-shaped crosses the pool boundary in either direction — the
-  parent just k-way-merges the shard files.
+Every entry point ships a :class:`~repro.engine.sharding.ShardSpec`
+(builder name + kwargs, tens of bytes) and rebuilds the builder inside
+the worker; the engine-free reference the equivalence suite pins them
+against is ``spec.make_builder().build_shard(i, n)`` called in-process.
+:func:`generate_records_spec` / :func:`generate_dataset_spec` return the
+shard record lists to the parent.  :func:`generate_jsonl` and
+:func:`generate_columnar` go one step further: each worker writes its
+shard to the conventional ``<file>.shardNN`` sibling itself and returns
+only a count, so for the ``generate`` command *nothing* record-shaped
+crosses the pool boundary in either direction — the parent just
+k-way-merges the shard files.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
-from ..datasets.columnar import (DEFAULT_ROW_GROUP_ROWS,
-                                 merge_columnar_shards,
+from ..datasets.columnar import (merge_columnar_shards,
                                  write_columnar_sorted,
                                  write_columnar_stream)
 from ..datasets.records import merge_jsonl_shards, shard_path, write_jsonl
@@ -47,33 +40,10 @@ from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
 from .executor import EngineReport, run_sharded
 from .pool import WorkerPool, worker_entrypoint
-from .sharding import DEFAULT_SHARDS, ShardSpec
+from .sharding import ShardSpec
 
 
-class ShardableBuilder(Protocol):
-    """Structural contract for builders the engine can shard.
-
-    Any dataset builder with these three methods (all of
-    ``repro.datasets``'s builders qualify) can be handed to
-    :func:`generate_records` / :func:`generate_dataset`; no inheritance
-    is required.
-    """
-
-    def shard_units(self) -> int:
-        """Size of the unit universe being divided across shards."""
-        ...
-
-    def build_shard(self, shard_index: int,
-                    shard_count: int) -> List[Any]:
-        """One shard's records, ts-sorted, seeded only by the index."""
-        ...
-
-    def assemble(self, shard_lists: Sequence[List[Any]]) -> Any:
-        """Order-stable merge of the shard lists into the dataset."""
-        ...
-
-
-def _count_generated_rows(builder: ShardableBuilder, count: int) -> None:
+def _count_generated_rows(builder: Any, count: int) -> None:
     """Record the per-shard generation counter (all dispatch paths)."""
     reg = _obs_metrics.ACTIVE
     if reg is not None:
@@ -82,28 +52,13 @@ def _count_generated_rows(builder: ShardableBuilder, count: int) -> None:
                     ("builder",)).inc(count, type(builder).__name__)
 
 
-def _count_generated(builder: ShardableBuilder,
-                     records: List[Any]) -> List[Any]:
-    """List-returning convenience over :func:`_count_generated_rows`."""
-    _count_generated_rows(builder, len(records))
-    return records
-
-
-@worker_entrypoint
-def _build_shard(builder: ShardableBuilder, shard_index: int,
-                 shard_count: int) -> List[Any]:
-    """Worker entry point; module-level so it pickles by reference."""
-    return _count_generated(builder,
-                            builder.build_shard(shard_index, shard_count))
-
-
 @worker_entrypoint
 def _build_shard_from_spec(spec: ShardSpec, shard_index: int) -> List[Any]:
     """Worker entry point for spec dispatch: rebuild, then build."""
     builder = spec.make_builder()
-    return _count_generated(builder,
-                            builder.build_shard(shard_index,
-                                                spec.shard_count))
+    records: List[Any] = builder.build_shard(shard_index, spec.shard_count)
+    _count_generated_rows(builder, len(records))
+    return records
 
 
 @worker_entrypoint
@@ -140,71 +95,37 @@ def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
     """
     builder = spec.make_builder()
     path = shard_path(out_base, shard_index)
-    rows_per_group = (DEFAULT_ROW_GROUP_ROWS if row_group_rows is None
-                      else row_group_rows)
     iter_shard = getattr(builder, "iter_shard", None)
     if iter_shard is None:
         count = write_columnar_stream(
             builder.build_shard(shard_index, spec.shard_count), path,
-            schema, rows_per_group)
+            schema, row_group_rows)
     elif getattr(builder, "ITER_SHARD_SORTED", False):
         count = write_columnar_stream(
             iter_shard(shard_index, spec.shard_count), path, schema,
-            rows_per_group)
+            row_group_rows)
     else:
         count = write_columnar_sorted(
             iter_shard(shard_index, spec.shard_count), path, schema,
-            rows_per_group)
+            row_group_rows)
     _count_generated_rows(builder, count)
     return count
-
-
-def generate_records(builder: ShardableBuilder,
-                     shards: int = DEFAULT_SHARDS,
-                     workers: int = 1, chunk_size: Optional[int] = None,
-                     pool: Optional[WorkerPool] = None
-                     ) -> Tuple[List[List[Any]], EngineReport]:
-    """Generate all shards of ``builder``; returns per-shard record lists.
-
-    The lists come back in shard order, each sorted by timestamp — ready
-    for :func:`repro.datasets.records.write_jsonl_shards` or for
-    ``builder.assemble``.  The builder travels as shared run state
-    (serialized once per run, decoded once per worker); ``chunk_size``
-    batches shard dispatch and never affects the generated records.
-    """
-    if shards <= 0:
-        raise ValueError("shards must be >= 1")
-    name = type(builder).__name__
-    shard_args = [(i, shards) for i in range(shards)]
-    return run_sharded(_build_shard, shard_args, workers=workers,
-                       task=f"generate:{name}", chunk_size=chunk_size,
-                       shared=(builder,), pool=pool)
-
-
-def generate_dataset(builder: ShardableBuilder,
-                     shards: int = DEFAULT_SHARDS,
-                     workers: int = 1,
-                     chunk_size: Optional[int] = None,
-                     pool: Optional[WorkerPool] = None
-                     ) -> Tuple[Any, EngineReport]:
-    """Generate and assemble a full dataset object from shards."""
-    shard_lists, report = generate_records(builder, shards=shards,
-                                           workers=workers,
-                                           chunk_size=chunk_size, pool=pool)
-    return builder.assemble(shard_lists), report
 
 
 def generate_records_spec(spec: ShardSpec, workers: int = 1,
                           chunk_size: Optional[int] = None,
                           pool: Optional[WorkerPool] = None
                           ) -> Tuple[List[List[Any]], EngineReport]:
-    """Spec-dispatch twin of :func:`generate_records`.
+    """Generate all shards of ``spec``; returns per-shard record lists.
 
-    Workers rebuild the builder from ``spec`` (name + kwargs), so the
-    inbound boundary carries O(shards) tuples of two small values; the
-    shard record lists still return to the parent.  Byte-identical to
-    the builder-object path for the same spec by construction — the
-    equivalence suite asserts it.
+    The lists come back in shard order, each sorted by timestamp — ready
+    for :func:`repro.datasets.records.write_jsonl_shards` or for the
+    builder's ``assemble``.  Workers rebuild the builder from ``spec``
+    (name + kwargs), so the inbound boundary carries O(shards) tuples of
+    two small values; ``chunk_size`` batches shard dispatch and never
+    affects the generated records.  Equal to calling ``build_shard`` on
+    ``spec.make_builder()`` in-process, shard by shard — the equivalence
+    suite asserts it.
     """
     shard_args = [(i,) for i in range(spec.shard_count)]
     return run_sharded(_build_shard_from_spec, shard_args, workers=workers,
@@ -223,6 +144,44 @@ def generate_dataset_spec(spec: ShardSpec, workers: int = 1,
     return spec.make_builder().assemble(shard_lists), report
 
 
+def _generate_to_file(spec: ShardSpec, out_path: Union[str, Path],
+                      write_shard: Callable[..., int],
+                      shared: Tuple[Any, ...],
+                      merge: Callable[[Sequence[Path], Path], int],
+                      workers: int, chunk_size: Optional[int],
+                      pool: Optional[WorkerPool]
+                      ) -> Tuple[int, EngineReport]:
+    """Workers write shard files, the parent merges them into one trace.
+
+    ``write_shard`` is the worker entry point; it receives ``(spec, out
+    path, *shared, shard index)``, writes the ``<file>.shardNN`` sibling
+    and returns its record count.  ``merge(paths, out)`` is the format's
+    order-stable k-way merge.  The shard files are removed afterwards
+    and the merged count is checked against the workers' counts.
+    """
+    out = Path(out_path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    task = f"generate:{spec.builder}"
+    shard_args = [(i,) for i in range(spec.shard_count)]
+    counts, report = run_sharded(
+        write_shard, shard_args, workers=workers, task=task,
+        chunk_size=chunk_size, shared=(spec, str(out), *shared), pool=pool,
+        count_of=int)
+    paths = [shard_path(out, i) for i in range(spec.shard_count)]
+    merge_start = time.perf_counter()
+    total = merge(paths, out)
+    emitter = _obs_live.ACTIVE
+    if emitter is not None:
+        emitter.event("merge", task=task, records=total,
+                      seconds=time.perf_counter() - merge_start)
+    for path in paths:
+        path.unlink()
+    if total != sum(counts):
+        raise RuntimeError(f"shard merge wrote {total} records, workers "
+                           f"reported {sum(counts)}")
+    return total, report
+
+
 def generate_jsonl(spec: ShardSpec, out_path: Union[str, Path],
                    workers: int = 1, chunk_size: Optional[int] = None,
                    pool: Optional[WorkerPool] = None
@@ -232,33 +191,13 @@ def generate_jsonl(spec: ShardSpec, out_path: Union[str, Path],
     Each worker writes its own ``<file>.shardNN`` sibling; the parent
     k-way-merges them into the final trace and removes the shard files.
     Record payloads never cross the pool boundary in either direction,
-    and the merged bytes are identical for any (workers, chunk size,
-    pool mode) — the same bytes the parent-side
+    and the merged bytes are identical for any (workers, chunk size) —
+    the same bytes the parent-side
     :func:`~repro.datasets.records.write_jsonl_shards` route produces.
     Returns ``(record count, engine report)``.
     """
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    shard_args = [(i,) for i in range(spec.shard_count)]
-    counts, report = run_sharded(
-        _write_shard_from_spec, shard_args, workers=workers,
-        task=f"generate:{spec.builder}", chunk_size=chunk_size,
-        shared=(spec, str(out)), pool=pool,
-        count_of=lambda count: int(count))
-    paths = [shard_path(out, i) for i in range(spec.shard_count)]
-    merge_start = time.perf_counter()
-    total = merge_jsonl_shards(paths, out)
-    emitter = _obs_live.ACTIVE
-    if emitter is not None:
-        emitter.event("merge", task=f"generate:{spec.builder}",
-                      records=total,
-                      seconds=time.perf_counter() - merge_start)
-    for path in paths:
-        path.unlink()
-    if total != sum(counts):
-        raise RuntimeError(f"shard merge wrote {total} records, workers "
-                           f"reported {sum(counts)}")
-    return total, report
+    return _generate_to_file(spec, out_path, _write_shard_from_spec, (),
+                             merge_jsonl_shards, workers, chunk_size, pool)
 
 
 def generate_columnar(spec: ShardSpec, out_path: Union[str, Path],
@@ -278,35 +217,16 @@ def generate_columnar(spec: ShardSpec, out_path: Union[str, Path],
     file holding the same canonical record order as the JSONL route.
     ``schema`` defaults to the spec's builder name; pass it explicitly
     for builders registered outside :data:`SCHEMAS` whose records use
-    one of the standard schemas.  ``row_group_rows=None`` (the default)
-    writes the final file in the v1 single-block layout — byte-identical
-    to what this function has always produced; a value keeps the final
-    file in the v2 row-group layout with that group budget, making the
-    whole generate→merge path out-of-core.  Either way the output is
-    byte-identical for any (workers, chunk size, pool mode).  Returns
-    ``(record count, engine report)``.
+    one of the standard schemas.  ``row_group_rows`` is the row-group
+    budget of the shard files and of the final file (``None``:
+    :data:`repro.datasets.columnar.DEFAULT_ROW_GROUP_ROWS`); the whole
+    generate→merge path is out-of-core and the output is byte-identical
+    for any (workers, chunk size).  Returns ``(record count, engine
+    report)``.
     """
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    schema_name = spec.builder if schema is None else schema
-    shard_args = [(i,) for i in range(spec.shard_count)]
-    counts, report = run_sharded(
-        _write_columnar_shard_from_spec, shard_args, workers=workers,
-        task=f"generate:{spec.builder}", chunk_size=chunk_size,
-        shared=(spec, str(out), schema_name, row_group_rows), pool=pool,
-        count_of=lambda count: int(count))
-    paths = [shard_path(out, i) for i in range(spec.shard_count)]
-    merge_start = time.perf_counter()
-    total = merge_columnar_shards(paths, out,
-                                  row_group_rows=row_group_rows)
-    emitter = _obs_live.ACTIVE
-    if emitter is not None:
-        emitter.event("merge", task=f"generate:{spec.builder}",
-                      records=total,
-                      seconds=time.perf_counter() - merge_start)
-    for path in paths:
-        path.unlink()
-    if total != sum(counts):
-        raise RuntimeError(f"columnar shard merge wrote {total} records, "
-                           f"workers reported {sum(counts)}")
-    return total, report
+    return _generate_to_file(
+        spec, out_path, _write_columnar_shard_from_spec,
+        (spec.builder if schema is None else schema, row_group_rows),
+        lambda paths, out: merge_columnar_shards(
+            paths, out, row_group_rows=row_group_rows),
+        workers, chunk_size, pool)

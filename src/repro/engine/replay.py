@@ -189,6 +189,24 @@ def _check_kind_and_shards(kind: str, shards: int) -> None:
         raise ValueError("shards must be >= 1")
 
 
+def _replay_shards(worker: Callable[..., ReplayPartial],
+                   shard_args: Sequence[Tuple[Any, ...]],
+                   shared: Tuple[Any, ...], kind: str, workers: int,
+                   chunk_size: Optional[int], pool: Optional[WorkerPool]
+                   ) -> Tuple[ReplayResult, EngineReport]:
+    """Run one replay worker call per shard and merge the partials.
+
+    The common tail of every sharded replay: ``worker`` receives
+    ``(*shared, *shard_args[i])``; the partials merge associatively via
+    :func:`repro.analysis.cache_sim.merge_partials`.
+    """
+    partials, report = run_sharded(
+        worker, shard_args, workers=workers, task=f"replay:{kind}",
+        count_of=lambda partial: partial.queries, chunk_size=chunk_size,
+        shared=shared, pool=pool)
+    return merge_partials(partials), report
+
+
 def replay_sharded(records: Sequence[Any], kind: str,
                    shards: int = DEFAULT_SHARDS, workers: int = 1,
                    chunk_size: Optional[int] = None,
@@ -198,8 +216,7 @@ def replay_sharded(records: Sequence[Any], kind: str,
 
     ``kind`` selects the record accessors (see :data:`ACCESSORS`).  The
     trace is partitioned by qname so every cache key lives in exactly one
-    shard; shard partials merge associatively via
-    :func:`repro.analysis.cache_sim.merge_partials`.
+    shard.
 
     This path ships materialized record lists to the workers — the very
     cost spec dispatch exists to avoid — so it is the readable reference
@@ -209,12 +226,9 @@ def replay_sharded(records: Sequence[Any], kind: str,
     """
     _check_kind_and_shards(kind, shards)
     buckets = partition_by_key(records, shards, _qname_of)
-    shard_args = [(bucket,) for bucket in buckets]
-    partials, report = run_sharded(
-        _replay_shard_of_kind, shard_args, workers=workers,
-        task=f"replay:{kind}", count_of=lambda partial: partial.queries,
-        chunk_size=chunk_size, shared=(kind,), pool=pool)
-    return merge_partials(partials), report
+    return _replay_shards(_replay_shard_of_kind,
+                          [(bucket,) for bucket in buckets], (kind,), kind,
+                          workers, chunk_size, pool)
 
 
 @worker_entrypoint
@@ -284,16 +298,13 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
         emitter.event("bucket", task=f"replay:{kind}",
                       records=sum(len(bucket) for bucket in buckets),
                       seconds=time.perf_counter() - bucket_start)
-    shard_args = [(bucket,) for bucket in buckets]
-    partials, report = run_sharded(
-        _replay_lines_shard, shard_args, workers=workers,
-        task=f"replay:{kind}", count_of=lambda partial: partial.queries,
-        chunk_size=chunk_size, shared=(kind,), pool=pool)
-    return merge_partials(partials), report
+    return _replay_shards(_replay_lines_shard,
+                          [(bucket,) for bucket in buckets], (kind,), kind,
+                          workers, chunk_size, pool)
 
 
 # ---------------------------------------------------------------------------
-# Columnar dispatch: workers mmap one shared file.
+# Columnar dispatch: workers open one shared file by path.
 
 
 @functools.lru_cache(maxsize=8)
@@ -302,10 +313,13 @@ def _opened(opener: Callable[[str], Any], path: str, size: int,
     """One open trace per (opener, path, stat identity), per process.
 
     The per-worker dataset cache of the columnar paths: a worker
-    replaying several shards of one trace opens the mapping once, and
-    every worker maps the *same* file, so the OS shares the pages.  A
-    :class:`RowGroupReader` holds only the mapping and the header; its
-    group stores are issued (and closed) per replay task.  The stat
+    replaying several shards of one trace opens it once.  A
+    :class:`RowGroupReader` holds only the mapping and the header (every
+    worker maps the *same* file, so the OS shares the pages); its group
+    stores are issued (and closed) per replay task.  A
+    :meth:`ColumnarStore.open` result is the mapped group of a
+    single-group file, or the flattened in-memory copy of a multi-group
+    one — built once per worker, not once per shard.  The stat
     identity keys out stale hits when a path is rewritten (tests do this
     constantly with tmp files); deterministic because what is opened
     depends only on the file bytes.
@@ -321,13 +335,17 @@ def _open_cached(opener: Callable[[str], Any], path: str) -> Any:
 @worker_entrypoint
 def _replay_columnar_shard(path: str, kind: str, shards: int,
                            bucket: int) -> ReplayPartial:
-    """Worker entry point: replay one qname bucket of a mapped trace.
+    """Worker entry point: replay one qname bucket of a whole trace.
 
     The work unit crossing the pool boundary is ``(bucket,)`` plus the
-    shared ``(path, kind, shards)`` header — never rows.  Row selection
-    is the memoized per-store bucket table
+    shared ``(path, kind, shards)`` header — never rows.  The worker
+    holds the whole trace as one store (cached by :func:`_opened`): the
+    mapped columns of a single-group file, or a multi-group file
+    flattened into memory once per worker — O(rows) per worker, which
+    is what :func:`_replay_columnar_range` over a pre-bucketed file
+    avoids.  Row selection is the memoized per-store bucket table
     (:meth:`~repro.datasets.columnar.ColumnarStore.row_buckets`), and
-    the hot loop runs straight over the mapped columns, traced or not.
+    the hot loop runs straight over the columns, traced or not.
     """
     store: ColumnarStore = _open_cached(ColumnarStore.open, path)
     rows = store.row_buckets("qname", shards)[bucket]
@@ -373,21 +391,25 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
                             chunk_size: Optional[int] = None,
                             pool: Optional[WorkerPool] = None
                             ) -> Tuple[ReplayResult, EngineReport]:
-    """Replay a columnar trace; every worker mmaps the same file.
+    """Replay a columnar trace; every worker opens the same file.
 
-    The zero-copy counterpart of :func:`replay_jsonl_sharded`: instead
-    of routing raw lines through the pool, the parent ships only the
-    shared ``(path, kind, shards)`` header and per-shard bucket indices;
-    workers map the file (pages shared across processes), bucket rows by
-    qname dictionary codes, and run the vectorized column replay.
+    The counterpart of :func:`replay_jsonl_sharded` that ships no rows:
+    instead of routing raw lines through the pool, the parent ships only
+    the shared ``(path, kind, shards)`` header and per-shard bucket
+    indices; workers open the file, bucket rows by qname dictionary
+    codes, and run the vectorized column replay.  A single-group file
+    (every legacy v1 file) is mapped zero-copy, its pages shared across
+    processes; a multi-group file is flattened into memory once per
+    worker, so this path is O(rows) per worker for such files.
     Counter-identical to ``replay_sharded(read_columnar(path), kind)``
     for any (workers, pool, chunk size) — the equivalence suite pins it.
 
-    A file pre-bucketed for exactly ``shards`` buckets (see
-    :func:`repro.datasets.columnar.prebucket_columnar`) takes the
-    out-of-core fast path instead: the parent reads only the tail
-    header, dispatches disjoint ``(group_start, group_end)`` row-group
-    ranges, and each worker streams its own groups with bounded memory.
+    Bounded memory needs a file pre-bucketed for exactly ``shards``
+    buckets (``repro-ecs convert --bucket-shards``, see
+    :func:`repro.datasets.columnar.prebucket_columnar`), which takes
+    the out-of-core path instead: the parent reads only the header,
+    dispatches disjoint ``(group_start, group_end)`` row-group ranges,
+    and each worker streams its own groups, one resident at a time.
     Rows within a bucket keep their file order, so results are
     counter-identical to the flat path over the same trace.
     """
@@ -404,16 +426,10 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
                 f"{path} is pre-bucketed for {len(ranges)} shards; "
                 f"replay it with shards={len(ranges)} or re-bucket it "
                 f"for {shards} (repro-ecs convert --bucket-shards)")
-        range_args: List[Tuple[Any, ...]] = list(ranges)
-        partials, report = run_sharded(
-            _replay_columnar_range, range_args, workers=workers,
-            task=f"replay:{kind}",
-            count_of=lambda partial: partial.queries,
-            chunk_size=chunk_size, shared=(resolved, kind), pool=pool)
-        return merge_partials(partials), report
-    shard_args = [(bucket,) for bucket in range(shards)]
-    partials, report = run_sharded(
-        _replay_columnar_shard, shard_args, workers=workers,
-        task=f"replay:{kind}", count_of=lambda partial: partial.queries,
-        chunk_size=chunk_size, shared=(resolved, kind, shards), pool=pool)
-    return merge_partials(partials), report
+        return _replay_shards(_replay_columnar_range, ranges,
+                              (resolved, kind), kind, workers, chunk_size,
+                              pool)
+    return _replay_shards(_replay_columnar_shard,
+                          [(bucket,) for bucket in range(shards)],
+                          (resolved, kind, shards), kind, workers,
+                          chunk_size, pool)

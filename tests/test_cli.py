@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _Reporter, build_parser, main
+from repro.datasets.columnar import file_info, read_columnar
 
 
 class TestParser:
@@ -176,12 +180,54 @@ class TestColumnarCommands:
         assert back.read_bytes() == jsonl.read_bytes()
 
     def test_generate_format_columnar_matches_convert(self, tmp_path):
+        """Two producers of one trace: the same rows, and — `generate`
+        and `convert` may cut groups at different rows — the same bytes
+        once both are rewritten with one ``--row-group-rows``."""
         jsonl = self._generate(tmp_path)
         direct = self._generate(tmp_path, fmt="columnar")
         converted = tmp_path / "converted.col"
         assert main(["--quiet", "convert", "allnames", str(jsonl),
                      str(converted)]) == 0
-        assert direct.read_bytes() == converted.read_bytes()
+        assert read_columnar(direct) == read_columnar(converted)
+        normalised = []
+        for src in (direct, converted):
+            dst = src.with_suffix(".norm")
+            assert main(["--quiet", "convert", "allnames", str(src),
+                         str(dst), "--to", "columnar",
+                         "--row-group-rows", "1000"]) == 0
+            normalised.append(dst.read_bytes())
+        assert normalised[0] == normalised[1]
+
+    def test_legacy_v1_file_through_every_command(self, tmp_path, capsys):
+        """The committed v1 trace: ``dataset info``, ``convert`` to v2 and
+        to JSONL, and ``replay`` with the report of its v2 conversion."""
+        data = Path(__file__).parent / "data"
+        v1 = data / "allnames_v1.col"
+        assert main(["dataset", "info", str(v1)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^format version\s+1\s*$", out, re.M)
+        assert re.search(r"^rows\s+300\s*$", out, re.M)
+        assert re.search(r"^row groups\s+1\s*$", out, re.M)
+        assert "client_ip" in out
+        v2 = tmp_path / "v2.col"
+        assert main(["--quiet", "convert", "allnames", str(v1), str(v2),
+                     "--to", "columnar", "--row-group-rows", "64"]) == 0
+        assert file_info(v2)["version"] == 2
+        assert file_info(v2)["row_groups"] == 5
+        back = tmp_path / "back.jsonl"
+        assert main(["--quiet", "convert", "allnames", str(v1),
+                     str(back)]) == 0
+        assert back.read_bytes() == (data / "allnames_v1.jsonl").read_bytes()
+        reports = []
+        for tag, trace, workers in (("v1", v1, "1"), ("v1w2", v1, "2"),
+                                    ("v2", v2, "2")):
+            assert main(["--quiet", "--out", str(tmp_path / tag), "replay",
+                         "allnames", str(trace), "--shards", "4",
+                         "--workers", workers]) == 0
+            reports.append((tmp_path / tag / "replay.txt")
+                           .read_text().splitlines()[2:])
+        assert reports[0] == reports[1] == reports[2]
+        assert "blow-up factor" in "\n".join(reports[0])
 
     def test_dataset_info_reports_layout(self, tmp_path, capsys):
         col = self._generate(tmp_path, fmt="columnar")

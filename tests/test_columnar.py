@@ -4,21 +4,23 @@ The store's contract has four layers, each pinned here:
 
 * **Round-trip fidelity** — records → columns → records is the identity
   for every schema and every Optional/null shape (Hypothesis drives the
-  shapes), through both the mmap and the in-memory open paths, and
-  JSONL → columnar → JSONL reproduces the exact bytes.
+  shapes), and JSONL → columnar → JSONL reproduces the exact bytes.
 * **Shard algebra** — ``merge_columnar_shards`` equals the canonical
-  ts/k-way merge the JSONL route uses; ``concat_columnar_shards``
-  equals list concatenation; slices are views of the parent's rows.
+  ts/k-way merge the JSONL route uses.
 * **Replay equivalence** — :func:`replay_partial_columns` is
   counter-identical to the object-path reference for whole stores, row
   buckets, and TTL overrides.
 * **Row-group layout (v2)** — random group budgets (including 1 and
   larger than the trace) round-trip value-identically with group-local
-  dictionaries remapped on read; v1 ↔ v2 conversion is lossless (and
-  v1 → v2 → v1 byte-identical); the group-granular merge is
-  byte-canonical against the per-row heapq reference on overlapping-ts
-  fixtures; mixed-version merges fail loudly; v1 files still open and
-  replay counter-identically through every v2-aware entry point.
+  dictionaries remapped on read; the group-granular merge equals the
+  per-row heapq reference on overlapping-ts fixtures, byte for byte
+  once both are converted to one group budget; mixed-version merges
+  fail loudly; an interrupted writer leaves no file behind.
+* **One parser** — the committed legacy v1 files (``tests/data``,
+  written by the last commit that could) open through every reader
+  with the records, ``file_info``, conversions and replay counters of
+  their v2 conversion; a damaged header of either layout raises
+  :class:`ColumnarFormatError` naming the file.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import dataclasses
 import heapq
 import json
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -38,23 +41,39 @@ from repro.analysis.cache_sim import (replay_partial, replay_partial_batched,
                                       replay_partial_column_groups,
                                       replay_partial_columns)
 from repro.datasets import columnar
-from repro.datasets.columnar import (MAGIC, MAGIC_V2, SCHEMAS, ColumnarStats,
+from repro.datasets.columnar import (MAGIC, MAGIC_V2, SCHEMAS,
+                                     ColumnarFormatError, ColumnarStats,
                                      ColumnarStore, ColumnarWriter,
                                      GroupedColumnarWriter, RowGroupReader,
                                      bucketed_group_ranges,
-                                     columnar_to_jsonl,
-                                     concat_columnar_shards,
-                                     convert_columnar, file_info,
-                                     is_columnar, jsonl_to_columnar,
+                                     columnar_to_jsonl, convert_columnar,
+                                     file_info, is_columnar,
+                                     jsonl_to_columnar,
                                      merge_columnar_shards,
                                      prebucket_columnar, read_columnar,
-                                     schema_for, write_columnar,
-                                     write_columnar_sorted,
+                                     schema_for, write_columnar_sorted,
                                      write_columnar_stream)
 from repro.datasets.records import (AllNamesRecord, CdnQueryRecord,
-                                    PublicCdnRecord, write_jsonl)
+                                    PublicCdnRecord, read_jsonl, write_jsonl)
 from repro.datasets.workload import merge_sorted_records
+from repro.engine.replay import replay_columnar_sharded
 from repro.engine.sharding import partition_by_key
+
+#: Legacy v1 (``RPRCOL01``) files and their JSONL twins, written once by
+#: ``write_columnar`` / ``write_jsonl`` at the last commit that had a v1
+#: writer: the first 300 records of ``AllNamesBuilder(scale=0.01,
+#: seed=9)`` and the first 120 of ``CdnDatasetBuilder(scale=0.004,
+#: seed=7, duration_s=900.0)`` (27 null ECS addresses, every ECS scope
+#: null).  Nothing under ``src/`` can regenerate the ``.col`` files.
+DATA = Path(__file__).parent / "data"
+V1_FIXTURES = ("allnames", "cdn")
+
+
+def _v1_fixture(name: str):
+    """A committed v1 file and the records it holds."""
+    return (DATA / f"{name}_v1.col",
+            read_jsonl(DATA / f"{name}_v1.jsonl", SCHEMAS[name].record_type))
+
 
 # ---------------------------------------------------------------------------
 # Record strategies, one per schema, covering every Optional/null shape.
@@ -123,11 +142,9 @@ def _hand_records(name: str, count: int = 60, seed: int = 3) -> list:
 def test_roundtrip_all_schemas(name, tmp_path):
     records = _hand_records(name)
     path = tmp_path / f"{name}.col"
-    assert write_columnar(records, path, name) == len(records)
+    assert write_columnar_stream(records, path, name) == len(records)
     assert is_columnar(path)
     assert read_columnar(path) == records
-    with ColumnarStore.open(path, use_mmap=False) as store:
-        assert store.to_records() == records
 
 
 @pytest.mark.parametrize("name", sorted(RECORD_STRATEGIES))
@@ -140,7 +157,7 @@ def test_roundtrip_property(name, data, tmp_path_factory):
     assert store.to_records() == records
     assert len(store) == len(records)
     path = tmp_path_factory.mktemp("prop") / "trace.col"
-    store.save(path)
+    write_columnar_stream(records, path, name)
     with ColumnarStore.open(path) as opened:
         assert opened.to_records() == records
 
@@ -248,7 +265,8 @@ def _writer_state(writer: ColumnarWriter):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_extend_byte_identical_to_row_loop(name, data, tmp_path_factory):
-    """``extend`` == ``append`` loop == the old per-cell loop, on disk.
+    """``extend`` == ``append`` loop == the old per-cell loop: the same
+    buffer state (every byte a flush serializes) and the same file.
 
     The chunk constant is drawn small so chunk edges fall inside the
     lists; the group budget is drawn so lengths straddle group edges;
@@ -264,7 +282,6 @@ def test_extend_byte_identical_to_row_loop(name, data, tmp_path_factory):
         batched = ColumnarWriter(SCHEMAS[name])
         assert batched.extend(records[:split]) == split
         assert batched.extend(iter(records[split:])) == len(records) - split
-        batched.save(out / "batched.col")
         with GroupedColumnarWriter(name, out / "batched.v2.col",
                                    budget) as grouped:
             assert grouped.extend(iter(records[:split])) == split
@@ -277,12 +294,8 @@ def test_extend_byte_identical_to_row_loop(name, data, tmp_path_factory):
             looped.append(record)
             _append_cellwise(cellwise, record)
             grouped_loop.append(record)
-    looped.save(out / "looped.col")
-    cellwise.save(out / "cellwise.col")
-    assert _writer_state(batched) == _writer_state(cellwise)
-    assert (out / "batched.col").read_bytes() \
-        == (out / "looped.col").read_bytes() \
-        == (out / "cellwise.col").read_bytes()
+    assert _writer_state(batched) == _writer_state(looped) \
+        == _writer_state(cellwise)
     assert (out / "batched.v2.col").read_bytes() \
         == (out / "looped.v2.col").read_bytes()
     assert grouped.rows == grouped_loop.rows == len(records)
@@ -373,7 +386,7 @@ def test_open_rejects_bad_magic_and_version(tmp_path):
 def test_file_info_matches_store(tmp_path):
     records = _hand_records("public-cdn", 80)
     path = tmp_path / "pc.col"
-    write_columnar(records, path, "public-cdn")
+    write_columnar_stream(records, path, "public-cdn")
     info = file_info(path)
     assert info["schema"] == "public-cdn"
     assert info["rows"] == 80
@@ -387,18 +400,6 @@ def test_file_info_matches_store(tmp_path):
 
 # ---------------------------------------------------------------------------
 # Shard algebra
-
-
-def test_slice_is_zero_copy_view(tmp_path):
-    records = _hand_records("cdn", 90)
-    path = tmp_path / "c.col"
-    write_columnar(records, path, "cdn")
-    with ColumnarStore.open(path) as store:
-        for lo, hi in ((0, 90), (10, 50), (33, 33), (89, 90)):
-            with store.slice(lo, hi) as piece:
-                assert piece.to_records() == records[lo:hi]
-        with pytest.raises(ValueError, match="out of range"):
-            store.slice(10, 91)
 
 
 def test_merge_shards_matches_canonical_merge(tmp_path):
@@ -416,7 +417,7 @@ def test_merge_shards_matches_canonical_merge(tmp_path):
     paths = []
     for i, records in enumerate(shard_lists):
         path = tmp_path / f"s{i}.col"
-        write_columnar(records, path, "allnames")
+        write_columnar_stream(records, path, "allnames")
         paths.append(path)
     out = tmp_path / "merged.col"
     reference = merge_sorted_records(shard_lists)
@@ -424,28 +425,14 @@ def test_merge_shards_matches_canonical_merge(tmp_path):
     assert read_columnar(out) == reference
 
 
-def test_concat_shards_matches_concatenation(tmp_path):
-    shard_lists = [_hand_records("cdn", 30, seed=s) for s in range(3)]
-    paths = []
-    for i, records in enumerate(shard_lists):
-        path = tmp_path / f"c{i}.col"
-        write_columnar(records, path, "cdn")
-        paths.append(path)
-    out = tmp_path / "concat.col"
-    reference = [r for shard in shard_lists for r in shard]
-    assert concat_columnar_shards(paths, out) == len(reference)
-    assert read_columnar(out) == reference
-
-
 def test_merge_rejects_mixed_schemas(tmp_path):
     a = tmp_path / "a.col"
     b = tmp_path / "b.col"
-    write_columnar(_hand_records("allnames", 5), a, "allnames")
-    write_columnar(_hand_records("cdn", 5), b, "cdn")
+    write_columnar_stream(_hand_records("allnames", 5), a, "allnames")
+    write_columnar_stream(_hand_records("cdn", 5), b, "cdn")
     with pytest.raises(ValueError, match="mixed schemas"):
         merge_columnar_shards([a, b], tmp_path / "out.col")
-    with pytest.raises(ValueError, match="mixed schemas"):
-        concat_columnar_shards([a, b], tmp_path / "out.col")
+    assert not list(tmp_path.glob("out.col*"))
 
 
 def test_row_buckets_match_partition_by_key():
@@ -621,18 +608,30 @@ def test_v2_group_dictionaries_are_group_local(tmp_path):
                 == {r.qname for r in chunk}
 
 
-def test_convert_v1_to_v2_and_back_byte_identical(tmp_path):
-    records = _hand_records("cdn", 120, seed=5)
-    v1 = tmp_path / "v1.col"
-    write_columnar(records, v1, "cdn")
+def test_convert_is_value_identical_and_canonical(tmp_path):
+    """Conversion keeps every value, and its bytes depend only on the
+    rows and the group budget: two producers of one trace — a legacy v1
+    file and a fresh writer cutting groups elsewhere — are byte-identical
+    once both are converted to the same ``row_group_rows``."""
+    v1, records = _v1_fixture("cdn")
     v2 = tmp_path / "v2.col"
     assert convert_columnar(v1, v2, row_group_rows=32) == len(records)
     assert v2.read_bytes()[:8] == MAGIC_V2
     assert read_columnar(v2) == records
     assert file_info(v2)["row_groups"] == 4
-    back = tmp_path / "back.col"
-    assert convert_columnar(v2, back) == len(records)
-    assert back.read_bytes() == v1.read_bytes()
+    other = tmp_path / "other.col"
+    write_columnar_stream(records, other, "cdn", 50)
+    assert other.read_bytes() != v2.read_bytes()
+    for src in (other, v2):
+        again = tmp_path / f"again.{src.name}"
+        assert convert_columnar(src, again, row_group_rows=32) \
+            == len(records)
+        assert again.read_bytes() == v2.read_bytes()
+    default = tmp_path / "default.col"
+    assert convert_columnar(v1, default) == len(records)
+    assert file_info(default)["row_group_rows"] \
+        == columnar.DEFAULT_ROW_GROUP_ROWS
+    assert read_columnar(default) == records
 
 
 def test_write_columnar_sorted_equals_stable_sort(tmp_path):
@@ -656,7 +655,14 @@ def test_write_columnar_sorted_equals_stable_sort(tmp_path):
 
 
 def _overlapping_shards(tmp_path, version: int, shards: int = 3):
-    """Pre-sorted shard files with forced cross-shard ts ties."""
+    """Pre-sorted shard files with forced cross-shard ts ties.
+
+    The only v1 shards there are: the committed file, once per shard —
+    every row ties with its twins in the other shards.
+    """
+    if version == 1:
+        path, records = _v1_fixture("allnames")
+        return [records] * shards, [path] * shards
     rng = random.Random(11)
     shard_lists = []
     paths = []
@@ -666,35 +672,30 @@ def _overlapping_shards(tmp_path, version: int, shards: int = 3):
             r.ts = float(rng.randrange(5))
         records.sort(key=lambda r: r.ts)
         shard_lists.append(records)
-        path = tmp_path / f"s{shard}.v{version}.col"
-        if version == 1:
-            write_columnar(records, path, "allnames")
-        else:
-            write_columnar_stream(records, path, "allnames", 13)
+        path = tmp_path / f"s{shard}.col"
+        write_columnar_stream(records, path, "allnames", 13)
         paths.append(path)
     return shard_lists, paths
 
 
-def merge_columnar_shards_rowwise(paths, out_path, ts_column="ts") -> int:
+def merge_columnar_shards_rowwise(paths, out_path) -> int:
     """Per-row heapq reference merge (the pre-row-group implementation).
 
-    The byte-canonicity oracle of :func:`merge_columnar_shards`: one
-    heap pop and one ``append_values`` per row, ordered by ``(ts, shard
-    index, row index)``.  O(rows) memory.
+    The oracle of :func:`merge_columnar_shards`: one heap pop and one
+    ``append_values`` per row, ordered by ``(ts, shard index, row
+    index)``.  O(rows) memory.
     """
     stores = [ColumnarStore.open(p) for p in paths]
     try:
-        writer = ColumnarWriter(stores[0].schema)
-
         def stream(index, store):
-            ts_col = store.raw_column(ts_column)
+            ts_col = store.raw_column("ts")
             for row in range(store.rows):
                 yield (ts_col[row], index, row)
 
-        for _, index, row in heapq.merge(*[stream(i, s)
-                                           for i, s in enumerate(stores)]):
-            writer.append_values(stores[index].row_values(row))
-        writer.save(out_path)
+        with GroupedColumnarWriter(stores[0].schema, out_path) as writer:
+            for _, index, row in heapq.merge(
+                    *[stream(i, s) for i, s in enumerate(stores)]):
+                writer.append_values(stores[index].row_values(row))
         return writer.rows
     finally:
         for store in stores:
@@ -703,7 +704,9 @@ def merge_columnar_shards_rowwise(paths, out_path, ts_column="ts") -> int:
 
 @pytest.mark.parametrize("version", (1, 2))
 def test_group_merge_byte_identical_to_rowwise(tmp_path, version):
-    """Group-granular merge == per-row heapq reference, byte for byte."""
+    """Group-granular merge == per-row heapq reference: row for row, and
+    byte for byte at one group budget (the merge may copy a source group
+    whole where the reference cuts at the budget)."""
     shard_lists, paths = _overlapping_shards(tmp_path, version)
     reference = merge_sorted_records(shard_lists)
     grouped = tmp_path / "grouped.col"
@@ -711,7 +714,10 @@ def test_group_merge_byte_identical_to_rowwise(tmp_path, version):
     assert merge_columnar_shards(paths, grouped) == len(reference)
     assert merge_columnar_shards_rowwise(paths, rowwise) == len(reference)
     assert read_columnar(grouped) == reference
-    assert grouped.read_bytes() == rowwise.read_bytes()
+    for path in (grouped, rowwise):
+        convert_columnar(path, path.with_suffix(".norm"), row_group_rows=32)
+    assert grouped.with_suffix(".norm").read_bytes() \
+        == rowwise.with_suffix(".norm").read_bytes()
 
 
 def test_group_merge_v2_output_layout(tmp_path):
@@ -728,27 +734,11 @@ def test_group_merge_v2_output_layout(tmp_path):
 
 
 def test_merge_rejects_mixed_format_versions(tmp_path):
-    records = _hand_records("allnames", 20)
-    v1 = tmp_path / "v1.col"
+    v1, records = _v1_fixture("allnames")
     v2 = tmp_path / "v2.col"
-    write_columnar(records, v1, "allnames")
     write_columnar_stream(records, v2, "allnames", 8)
     with pytest.raises(ValueError, match="mixed columnar format versions"):
         merge_columnar_shards([v1, v2], tmp_path / "out.col")
-
-
-def test_row_group_reader_wraps_v1(tmp_path):
-    """v1 files open through the v2 reader as a single group."""
-    records = _hand_records("public-cdn", 50)
-    path = tmp_path / "v1.col"
-    write_columnar(records, path, "public-cdn")
-    with RowGroupReader(path) as reader:
-        assert reader.format_version == 1
-        assert reader.group_count == 1
-        assert reader.group_rows(0) == len(records)
-        assert reader.bucket_ranges() is None
-        assert list(reader.iter_records()) == records
-        assert reader.group(0).to_records() == records
 
 
 def test_prebucket_groups_and_ranges(tmp_path):
@@ -813,3 +803,214 @@ def test_replay_column_groups_ttl_override(ttl_override, tmp_path):
     flat = ColumnarStore.from_records(records, "public-cdn")
     assert got == replay_partial_columns(flat, "ecs_address",
                                          ttl_override=ttl_override)
+
+
+# ---------------------------------------------------------------------------
+# One parser: legacy v1 files, damaged headers, interrupted writers
+
+
+def test_row_group_reader_wraps_v1(tmp_path):
+    """The committed v1 files read as one-group files through every
+    reader, and convert to v2 and to JSONL without losing a value."""
+    for name in V1_FIXTURES:
+        path, records = _v1_fixture(name)
+        assert path.read_bytes()[:8] == MAGIC
+        assert read_columnar(path) == records
+        with RowGroupReader(path) as reader:
+            assert reader.format_version == 1
+            assert reader.group_count == 1
+            assert reader.group_rows(0) == reader.rows == len(records)
+            assert reader.bucket_ranges() is None
+            assert list(reader.iter_records()) == records
+            assert reader.group(0).to_records() == records
+        assert bucketed_group_ranges(path) is None
+        v2 = tmp_path / f"{name}.v2.col"
+        assert convert_columnar(path, v2, row_group_rows=64) == len(records)
+        assert read_columnar(v2) == records
+        old, new = file_info(path), file_info(v2)
+        assert (old["version"], new["version"]) == (1, 2)
+        assert (old["row_groups"], old["row_group_rows"]) == (1, None)
+        assert new["row_groups"] == -(-len(records) // 64)
+        assert old["file_bytes"] == path.stat().st_size
+        for key in ("schema", "rows"):
+            assert old[key] == new[key]
+        for before, after in zip(old["columns"], new["columns"]):
+            assert before["data_bytes"] == after["data_bytes"]
+            assert (before["name"], before["kind"]) \
+                == (after["name"], after["kind"])
+        back = tmp_path / f"{name}.jsonl"
+        assert columnar_to_jsonl(path, back) == len(records)
+        assert back.read_bytes() \
+            == (DATA / f"{name}_v1.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_v1_replay_equals_its_v2_conversion(workers, tmp_path):
+    """Zero-copy v1, flattened v2 and pre-bucketed v2 replay alike."""
+    v1, records = _v1_fixture("allnames")
+    v2 = tmp_path / "v2.col"
+    convert_columnar(v1, v2, row_group_rows=64)
+    bucketed = tmp_path / "bucketed.col"
+    convert_columnar(v1, bucketed, row_group_rows=64, bucket_shards=4)
+    want = cache_sim.merge_partials(
+        _oracle(bucket) for bucket
+        in partition_by_key(records, 4, lambda r: r.qname))
+    for path in (v1, v2, bucketed):
+        got, report = replay_columnar_sharded(path, "allnames", shards=4,
+                                              workers=workers)
+        assert got == want, path
+        assert report.total_records == len(records)
+
+
+def _header_span(raw: bytes, version: int):
+    """``(start, end)`` of the header JSON inside a file's bytes."""
+    if version == 2:
+        return int.from_bytes(raw[8:16], "little"), len(raw)
+    return 12, 12 + int.from_bytes(raw[8:12], "little")
+
+
+def _edit_header(mutate):
+    """A damage function that rewrites the header through ``mutate(header,
+    columns of the first group)`` and leaves every segment in place."""
+    def damage(raw: bytes, version: int) -> bytes:
+        start, end = _header_span(raw, version)
+        header = json.loads(raw[start:end])
+        mutate(header, header["groups"][0]["columns"] if version == 2
+               else header["columns"])
+        payload = json.dumps(header, separators=(",", ":")).encode()
+        if version == 2:
+            return raw[:start] + payload
+        new_end = 12 + len(payload)
+        return (MAGIC + len(payload).to_bytes(4, "little") + payload
+                + b"\x00" * (-new_end % 8) + raw[end + -end % 8:])
+    return damage
+
+
+def _set(path, value):
+    """A header mutation: ``columns[i][key][j] = value`` or
+    ``header[key] = value``."""
+    def mutate(header, columns):
+        target = header if isinstance(path[0], str) else columns
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+    return mutate
+
+
+def _replace_header_byte(raw: bytes, version: int) -> bytes:
+    start, _ = _header_span(raw, version)
+    return raw[:start] + b"!" + raw[start + 1:]
+
+
+#: (id, versions it applies to, damage(raw, version) -> bytes, message).
+#: Column 5 of the cdn schema is the nullable ``ecs_address``.
+_DAMAGE = (
+    ("bad-magic", (1, 2), lambda raw, v: b"NOTMAGIC" + raw[8:], "bad magic"),
+    ("offset-unpatched", (2,),
+     lambda raw, v: raw[:8] + bytes(8) + raw[16:], "not patched"),
+    ("offset-past-eof", (2,),
+     lambda raw, v: raw[:8] + (len(raw) + 1).to_bytes(8, "little")
+     + raw[16:], "past the end"),
+    ("header-length-past-eof", (1,),
+     lambda raw, v: raw[:8] + len(raw).to_bytes(4, "little") + raw[12:],
+     "truncated"),
+    ("header-truncated", (1, 2),
+     lambda raw, v: raw[:40] if v == 1 else raw[:-10],
+     "truncated"),
+    ("header-not-json", (1, 2), _replace_header_byte, "not JSON"),
+    ("version", (1, 2), _edit_header(_set(("version",), 99)),
+     "unsupported columnar format version 99"),
+    ("segment-outside", (1, 2), _edit_header(_set((0, "data", 0), 10 ** 9)),
+     "group 0: ts data segment .* outside"),
+    ("data-length", (1, 2), _edit_header(_set((3, "data", 1), 44)),
+     "group 0: qtype data is 44 bytes, expected"),
+    ("short-null-bitmap", (1, 2), _edit_header(_set((5, "nulls", 1), 1)),
+     "group 0: ecs_address null bitmap is 1 bytes"),
+    ("rows-do-not-add-up", (2,), _edit_header(_set(("rows",), 7)),
+     "do not add up"),
+    ("missing-key", (1, 2), _edit_header(lambda header, cols:
+                                         cols[0].pop("data")),
+     "malformed header"),
+)
+
+
+@pytest.mark.parametrize("version,damage,message", [
+    pytest.param(version, damage, message, id=f"{label}-v{version}")
+    for label, versions, damage, message in _DAMAGE
+    for version in versions])
+def test_damaged_header_raises_format_error(version, damage, message,
+                                            tmp_path):
+    """Every reader goes through the one parser, which names the file."""
+    source, records = _v1_fixture("cdn")
+    if version == 2:
+        source = tmp_path / "good.col"
+        write_columnar_stream(records, source, "cdn", 50)
+    path = tmp_path / "damaged.col"
+    path.write_bytes(damage(source.read_bytes(), version))
+    for opener in (ColumnarStore.open, RowGroupReader, file_info,
+                   bucketed_group_ranges, read_columnar):
+        with pytest.raises(ColumnarFormatError, match=message) as caught:
+            opener(path)
+        assert str(path) in str(caught.value)
+    # A typed error is still the ValueError callers used to catch.
+    assert issubclass(ColumnarFormatError, ValueError)
+
+
+@pytest.mark.parametrize("version", (1, 2))
+def test_damaged_dictionary_names_file_and_group(version, tmp_path):
+    """A dictionary segment that is not JSON passes the header checks and
+    fails when its group is read, with no view left on the mapping."""
+    source, records = _v1_fixture("cdn")
+    if version == 2:
+        source = tmp_path / "good.col"
+        write_columnar_stream(records, source, "cdn", 50)
+    path = tmp_path / "damaged.col"
+    # Column 2 (qname) gets column 0's packed floats as its dictionary.
+    path.write_bytes(_edit_header(
+        lambda header, cols: cols[2].__setitem__("dict", cols[0]["data"]))(
+            source.read_bytes(), version))
+    assert file_info(path)["rows"] == len(records)
+    with RowGroupReader(path) as reader:
+        with pytest.raises(ColumnarFormatError,
+                           match="group 0: qname dictionary is not JSON"):
+            reader.group(0)
+    with pytest.raises(ColumnarFormatError, match=str(path)):
+        ColumnarStore.open(path)
+
+
+def test_interrupted_writer_leaves_no_file(tmp_path):
+    """``.col`` output is atomic: an exception inside the ``with`` block
+    (or inside a merge) leaves the destination absent — or as it was —
+    and no temporary file behind."""
+    records = _hand_records("allnames", 60)
+    path = tmp_path / "trace.col"
+    with pytest.raises(RuntimeError, match="boom"):
+        with GroupedColumnarWriter("allnames", path, 16) as writer:
+            writer.extend(records[:40])
+            assert not path.exists()
+            raise RuntimeError("boom")
+    assert not list(tmp_path.iterdir())
+
+    write_columnar_stream(records, path, "allnames", 16)
+    complete = path.read_bytes()
+    with pytest.raises(RuntimeError, match="boom"):
+        with GroupedColumnarWriter("allnames", path, 16) as writer:
+            writer.extend(records[:5])
+            raise RuntimeError("boom")
+    assert path.read_bytes() == complete
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.col"]
+
+    # A merge that fails on its second input group, after writing rows.
+    shard = tmp_path / "shard.col"
+    shard.write_bytes(_edit_header(
+        lambda header, cols: header["groups"][1]["columns"][2].__setitem__(
+            "dict", cols[0]["data"]))(complete, 2))
+    merged = tmp_path / "merged.col"
+    with pytest.raises(ColumnarFormatError, match="group 1"):
+        merge_columnar_shards([shard, path], merged, row_group_rows=16)
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["shard.col", "trace.col"]
+    with pytest.raises(ColumnarFormatError, match="group 1"):
+        prebucket_columnar(shard, merged, 2, row_group_rows=16)
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["shard.col", "trace.col"]

@@ -5,6 +5,8 @@ output of ``workers=1`` must equal the merged output of ``workers=4``
 exactly — same records, same ReplayResults, same rendered report text —
 because shard random streams are seeded from ``derive_seed(root_seed,
 shard_index)`` and merged in shard order, independent of scheduling.
+The engine-free reference is the builder's own ``build_shard`` /
+``assemble`` called in-process.
 """
 
 from __future__ import annotations
@@ -14,33 +16,43 @@ import hashlib
 import pytest
 
 from repro.analysis.cache_sim import replay
-from repro.datasets import (AllNamesBuilder, CdnDatasetBuilder,
-                            PublicCdnBuilder, RootTraceBuilder)
+from repro.datasets import AllNamesBuilder
 from repro.engine import derive_seed, shard_bounds, world_seed
 from repro.datasets.records import write_jsonl
-from repro.engine.generate import (generate_columnar, generate_dataset,
-                                   generate_jsonl, generate_records)
+from repro.engine.generate import (generate_columnar, generate_dataset_spec,
+                                   generate_jsonl, generate_records_spec)
 from repro.engine.replay import replay_sharded
 from repro.engine.sharding import ShardSpec
 
 SHARDS = 4
 
-BUILDERS = {
-    "allnames": lambda seed: AllNamesBuilder(scale=0.01, seed=seed),
-    "public-cdn": lambda seed: PublicCdnBuilder(scale=0.002, seed=seed,
-                                                duration_s=300.0),
-    "cdn": lambda seed: CdnDatasetBuilder(scale=0.002, seed=seed,
-                                          duration_s=900.0),
-    "root": lambda seed: RootTraceBuilder(resolver_count=48, violators=5,
-                                          seed=seed),
+
+def _spec(name: str, **kwargs) -> ShardSpec:
+    return ShardSpec.create(name, shard_count=SHARDS, **kwargs)
+
+
+SPECS = {
+    "allnames": lambda seed: _spec("allnames", scale=0.01, seed=seed),
+    "public-cdn": lambda seed: _spec("public-cdn", scale=0.002, seed=seed,
+                                     duration_s=300.0),
+    "cdn": lambda seed: _spec("cdn", scale=0.002, seed=seed,
+                              duration_s=900.0),
+    "root": lambda seed: _spec("root-trace", resolver_count=48, violators=5,
+                               seed=seed),
 }
+
+
+def _in_process(spec: ShardSpec):
+    """The reference: the builder's own methods, no engine involved."""
+    builder = spec.make_builder()
+    shard_lists = [builder.build_shard(i, spec.shard_count)
+                   for i in range(spec.shard_count)]
+    return shard_lists, builder.assemble(shard_lists)
 
 
 @pytest.fixture(scope="module")
 def small_allnames_records():
-    dataset, _ = generate_dataset(AllNamesBuilder(scale=0.01, seed=9),
-                                  shards=SHARDS, workers=1)
-    return dataset.records
+    return _in_process(SPECS["allnames"](9))[1].records
 
 
 class TestSeeding:
@@ -61,36 +73,33 @@ class TestSeeding:
 
 
 class TestBuilderDeterminism:
-    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    @pytest.mark.parametrize("kind", sorted(SPECS))
     def test_workers_1_vs_4_identical_records(self, kind):
-        make = BUILDERS[kind]
-        serial, _ = generate_records(make(5), shards=SHARDS, workers=1)
-        parallel, _ = generate_records(make(5), shards=SHARDS, workers=4)
-        assert serial == parallel
+        spec = SPECS[kind](5)
+        serial, _ = generate_records_spec(spec, workers=1)
+        parallel, _ = generate_records_spec(spec, workers=4)
+        assert serial == parallel == _in_process(spec)[0]
 
-    @pytest.mark.parametrize("kind", sorted(BUILDERS))
+    @pytest.mark.parametrize("kind", sorted(SPECS))
     def test_assembled_dataset_identical(self, kind):
-        make = BUILDERS[kind]
-        ds1, _ = generate_dataset(make(5), shards=SHARDS, workers=1)
-        ds4, _ = generate_dataset(make(5), shards=SHARDS, workers=4)
-        assert ds1.records == ds4.records
+        spec = SPECS[kind](5)
+        ds1, _ = generate_dataset_spec(spec, workers=1)
+        ds4, _ = generate_dataset_spec(spec, workers=4)
+        assert ds1.records == ds4.records == _in_process(spec)[1].records
 
     def test_different_seeds_differ(self):
-        a, _ = generate_records(BUILDERS["allnames"](1), shards=SHARDS)
-        b, _ = generate_records(BUILDERS["allnames"](2), shards=SHARDS)
+        a, _ = generate_records_spec(SPECS["allnames"](1))
+        b, _ = generate_records_spec(SPECS["allnames"](2))
         assert a != b
 
     def test_merged_records_time_sorted(self):
-        dataset, _ = generate_dataset(BUILDERS["public-cdn"](5),
-                                      shards=SHARDS, workers=1)
+        dataset, _ = generate_dataset_spec(SPECS["public-cdn"](5))
         timestamps = [r.ts for r in dataset.records]
         assert timestamps == sorted(timestamps)
 
     def test_root_trace_ground_truth_stable(self):
-        rt1, _ = generate_dataset(BUILDERS["root"](5), shards=SHARDS,
-                                  workers=1)
-        rt4, _ = generate_dataset(BUILDERS["root"](5), shards=SHARDS,
-                                  workers=4)
+        rt1, _ = generate_dataset_spec(SPECS["root"](5), workers=1)
+        rt4, _ = generate_dataset_spec(SPECS["root"](5), workers=4)
         assert rt1.violator_ips == rt4.violator_ips
         assert len(rt1.violator_ips) == 5
 
@@ -113,8 +122,7 @@ class TestReplayDeterminism:
         assert sharded == legacy
 
     def test_public_cdn_kind(self):
-        dataset, _ = generate_dataset(BUILDERS["public-cdn"](9),
-                                      shards=SHARDS, workers=1)
+        dataset = _in_process(SPECS["public-cdn"](9))[1]
         r1, _ = replay_sharded(dataset.records, "public-cdn",
                                shards=SHARDS, workers=1)
         r4, _ = replay_sharded(dataset.records, "public-cdn",

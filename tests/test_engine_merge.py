@@ -20,12 +20,17 @@ from repro.analysis.cache_sim import (ReplayPartial, merge_partials,
 from repro.datasets import (AllNamesBuilder, merge_jsonl_shards,
                             merge_sorted_records, write_jsonl,
                             write_jsonl_shards)
-from repro.engine.generate import generate_records
 from repro.engine.replay import _replay_shard
 from repro.engine.sharding import partition_by_key
 from repro.faults import preset
 from repro.faults.chaos import CHAOS_RETRY_POLICY, ChaosPartial, _chaos_shard
 from repro.net.transport import NetworkStats
+
+
+def _shard_lists(shards: int) -> list:
+    """The allnames shards, built in-process (no engine involved)."""
+    builder = AllNamesBuilder(scale=0.01, seed=6)
+    return [builder.build_shard(i, shards) for i in range(shards)]
 
 
 def _random_partial(rng: random.Random) -> ReplayPartial:
@@ -73,8 +78,7 @@ class TestShardOrderIndependence:
 
     @pytest.fixture(scope="class")
     def shard_partials(self):
-        shard_lists, _ = generate_records(AllNamesBuilder(scale=0.01, seed=6),
-                                          shards=6, workers=1)
+        shard_lists = _shard_lists(6)
         records = merge_sorted_records(shard_lists)
         buckets = partition_by_key(records, 6, lambda r: r.qname)
         return [_replay_shard(bucket, "allnames") for bucket in buckets]
@@ -207,8 +211,7 @@ class TestOrderStableMerges:
         assert merged == sorted(concat, key=lambda r: r.ts)
 
     def test_jsonl_shard_merge_equals_in_memory_merge(self, tmp_path):
-        shard_lists, _ = generate_records(AllNamesBuilder(scale=0.01, seed=6),
-                                          shards=4, workers=1)
+        shard_lists = _shard_lists(4)
         base = tmp_path / "trace.jsonl"
         paths = write_jsonl_shards(shard_lists, base)
         assert [p.name for p in paths] == [f"trace.jsonl.shard{i:02d}"
@@ -230,8 +233,7 @@ class TestOrderStableMerges:
         assert tags == ["a", "c", "b", "d"]
 
     def test_replay_partial_counts_queries(self):
-        shard_lists, _ = generate_records(AllNamesBuilder(scale=0.01, seed=6),
-                                          shards=4, workers=1)
+        shard_lists = _shard_lists(4)
         records = merge_sorted_records(shard_lists)
         partial = replay_partial(records,
                                  client_of=lambda r: r.client_ip,

@@ -21,14 +21,14 @@ from repro.analysis.report import format_network_stats
 from repro.cli import main as cli_main
 from repro.core.cache import ScopeTracker
 from repro.datasets import AllNamesBuilder, merge_sorted_records
-from repro.datasets.columnar import (prebucket_columnar, write_columnar,
+from repro.datasets.columnar import (prebucket_columnar,
                                      write_columnar_stream)
 from repro.datasets.records import write_jsonl
-from repro.engine.generate import generate_records
+from repro.engine.generate import generate_records_spec
 from repro.engine.replay import (TRACED_RECORDS_PER_SHARD, _replay_shard,
                                  replay_columnar_sharded,
                                  replay_jsonl_sharded, replay_sharded)
-from repro.engine.sharding import partition_by_key
+from repro.engine.sharding import ShardSpec, partition_by_key
 from repro.net.transport import NetworkStats
 from repro.obs import (MetricsRegistry, Tracer, merge_registries, observe,
                        parse_prometheus, profile_call, read_spans_jsonl,
@@ -207,9 +207,9 @@ class TestPrometheusExport:
 
 @pytest.fixture()
 def allnames_records():
-    shard_lists, _ = generate_records(AllNamesBuilder(scale=0.01, seed=6),
-                                      shards=4, workers=1)
-    return merge_sorted_records(shard_lists)
+    builder = AllNamesBuilder(scale=0.01, seed=6)
+    return merge_sorted_records([builder.build_shard(i, 4)
+                                 for i in range(4)])
 
 
 class TestShardCapture:
@@ -217,8 +217,9 @@ class TestShardCapture:
 
     def _generate_metrics(self, workers: int):
         with observe(metrics=True) as session:
-            generate_records(AllNamesBuilder(scale=0.01, seed=6),
-                             shards=4, workers=workers)
+            generate_records_spec(
+                ShardSpec.create("allnames", shard_count=4, scale=0.01,
+                                 seed=6), workers=workers)
         return session.registry.as_dict()
 
     def test_generate_metrics_worker_independent(self):
@@ -252,10 +253,11 @@ class TestShardCapture:
         # The same trace in every on-disk form, replayed under a tracer:
         # counters equal the untraced run, spans are capped per shard, and
         # each span's verdicts are what the oracle returns for that row.
-        jsonl, v1, v2, bucketed = (tmp_path / name for name in (
-            "t.jsonl", "v1.col", "v2.col", "bucketed.col"))
+        # (one group: mapped zero-copy; 256-row groups: flattened).
+        jsonl, one, v2, bucketed = (tmp_path / name for name in (
+            "t.jsonl", "one.col", "v2.col", "bucketed.col"))
         write_jsonl(allnames_records, jsonl)
-        write_columnar(allnames_records, v1, "allnames")
+        write_columnar_stream(allnames_records, one, "allnames")
         write_columnar_stream(allnames_records, v2, "allnames", 256)
         prebucket_columnar(v2, bucketed, 4, row_group_rows=256)
         assert max(map(len, buckets)) > TRACED_RECORDS_PER_SHARD  # cap bites
@@ -268,7 +270,7 @@ class TestShardCapture:
                             r.ttl),
                  no_ecs.access(r.ts, r.qname, r.qtype, None, 0, r.ttl))
                 for r in bucket[:TRACED_RECORDS_PER_SHARD]])
-        for path in (jsonl, v1, v2, bucketed):
+        for path in (jsonl, one, v2, bucketed):
             replay = (replay_jsonl_sharded if path is jsonl
                       else replay_columnar_sharded)
             with observe(tracing=True) as session:

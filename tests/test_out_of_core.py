@@ -140,10 +140,15 @@ def test_pipeline_output_matches_in_memory_reference(tmp_path):
     ranged, _ = replay_columnar_sharded(bucketed, "allnames",
                                         shards=SHARDS, workers=1)
     assert ranged == reference
-    # And the v2 trace holds exactly the v1 pipeline's records.
-    v1 = tmp_path / "v1.col"
-    generate_columnar(spec, v1, workers=1)
-    assert read_columnar(flat) == read_columnar(v1)
+    # And the trace holds exactly the records the builder assembles
+    # in memory, whatever the group budget.
+    builder = spec.make_builder()
+    records = list(builder.assemble(
+        [builder.build_shard(i, SHARDS) for i in range(SHARDS)]).records)
+    assert read_columnar(flat) == records
+    default = tmp_path / "default.col"
+    generate_columnar(spec, default, workers=1)
+    assert read_columnar(default) == records
 
 
 def test_prebucketed_replay_rejects_wrong_shard_count(tmp_path):

@@ -4,8 +4,9 @@ The engine's contract is that ``--workers`` and ``--chunk-size`` are
 pure execution detail: for every shardable builder and for chaos
 presets, the merged JSONL bytes, replay results, metrics and rendered
 reports must be byte-identical across worker counts and chunk sizes —
-and the spec-dispatch paths must reproduce the list-based reference
-paths exactly.
+and the spec-dispatch paths must reproduce the engine-free reference
+(the builder's own ``build_shard`` / ``assemble`` called in-process)
+exactly.
 
 Real-pool coverage runs a small execution matrix per case (inline,
 pooled, odd chunk sizes); the Hypothesis property drives the full wire
@@ -27,9 +28,9 @@ from hypothesis import strategies as st
 from repro.datasets.columnar import read_columnar
 from repro.datasets.records import AllNamesRecord, write_jsonl_shards
 from repro.engine import (ShardSpec, WorkerPool, generate_columnar,
-                          generate_jsonl, generate_records,
-                          generate_records_spec, register_builder,
-                          replay_columnar_sharded, shard_bounds)
+                          generate_jsonl, generate_records_spec,
+                          register_builder, replay_columnar_sharded,
+                          shard_bounds)
 from repro.engine.executor import _chunk_bounds, _run_header_chunk
 from repro.engine.pool import encode_header, encode_shard_args
 from repro.engine.replay import (_replay_shard_of_kind, replay_jsonl_sharded,
@@ -67,12 +68,19 @@ def _spec(name: str) -> ShardSpec:
     return ShardSpec.create(name, shard_count=SHARDS, **BUILDER_CASES[name])
 
 
+def _in_process(spec: ShardSpec):
+    """The reference: ``(shard lists, assembled dataset)`` from the
+    builder's own methods, no engine involved."""
+    builder = spec.make_builder()
+    shard_lists = [builder.build_shard(i, SHARDS) for i in range(SHARDS)]
+    return shard_lists, builder.assemble(shard_lists)
+
+
 @pytest.mark.parametrize("name", sorted(BUILDER_CASES))
 def test_generate_records_equivalent_across_matrix(name):
-    """Spec dispatch reproduces the builder-object reference, per shard."""
+    """Spec dispatch reproduces in-process ``build_shard``, per shard."""
     spec = _spec(name)
-    reference, _ = generate_records(spec.make_builder(), shards=SHARDS,
-                                    workers=1)
+    reference, _ = _in_process(spec)
     for workers, chunk in EXECUTION_MATRIX:
         with WorkerPool(workers) as pool:
             lists, report = generate_records_spec(spec, workers=workers,
@@ -89,8 +97,7 @@ def test_generate_jsonl_identical_bytes_across_matrix(name, tmp_path):
     # Reference route: records materialized in the parent, shard files
     # written parent-side, same k-way merge.
     from repro.datasets.records import merge_jsonl_shards
-    shard_lists, _ = generate_records(spec.make_builder(), shards=SHARDS,
-                                      workers=1)
+    shard_lists, _ = _in_process(spec)
     ref_path = tmp_path / "reference.jsonl"
     paths = write_jsonl_shards(shard_lists, ref_path)
     merge_jsonl_shards(paths, ref_path)
@@ -115,9 +122,7 @@ def test_replay_equivalent_across_matrix(kind, tmp_path):
     generate_jsonl(spec, trace, workers=1)
     # The list-based reference replays the assembled dataset (ts-merged),
     # the same canonical order the JSONL trace and spec paths see.
-    from repro.engine import generate_dataset
-    dataset, _ = generate_dataset(spec.make_builder(), shards=SHARDS,
-                                  workers=1)
+    _, dataset = _in_process(spec)
     reference, ref_report = replay_sharded(dataset.records, kind,
                                            shards=SHARDS, workers=1)
     for workers, chunk in EXECUTION_MATRIX:
@@ -147,9 +152,7 @@ def test_generate_columnar_identical_bytes_across_matrix(kind, tmp_path):
     merge to the canonical ts-ordered k-way merge, not concatenation.
     """
     spec = _spec(kind)
-    from repro.engine import generate_dataset
-    dataset, _ = generate_dataset(spec.make_builder(), shards=SHARDS,
-                                  workers=1)
+    _, dataset = _in_process(spec)
     ref_out = tmp_path / "reference.col"
     generate_columnar(spec, ref_out, workers=1)
     assert read_columnar(ref_out) == list(dataset.records)
@@ -169,9 +172,7 @@ def test_generate_columnar_identical_bytes_across_matrix(kind, tmp_path):
 def test_replay_columnar_equivalent_across_matrix(kind, tmp_path):
     """Columnar replay == JSONL replay == list reference, any pool shape."""
     spec = _spec(kind)
-    from repro.engine import generate_dataset
-    dataset, _ = generate_dataset(spec.make_builder(), shards=SHARDS,
-                                  workers=1)
+    _, dataset = _in_process(spec)
     reference, ref_report = replay_sharded(dataset.records, kind,
                                            shards=SHARDS, workers=1)
     col_trace = tmp_path / f"{kind}.col"
@@ -340,8 +341,8 @@ def test_run_sharded_payload_accounting():
 @pytest.mark.parametrize("flush_rows", (37, 256))
 def test_row_group_generate_identical_bytes_across_matrix(kind, flush_rows,
                                                           tmp_path):
-    """v2 generation is byte-identical across pools AND value-identical
-    to the v1 reference for every worker flush cadence.
+    """Generation is byte-identical across pools AND value-identical to
+    the default-budget output for every worker flush cadence.
 
     ``row_group_rows`` bounds how many rows a worker buffers before
     flushing a group; like ``--workers`` it must never leak into the
