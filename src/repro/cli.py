@@ -19,7 +19,7 @@ dataset     inspect an on-disk trace file (``dataset info FILE``)
 chaos       run the scan campaign under a fault-injection preset
 all         every analysis command, sequentially
 lint        run the repro.staticcheck invariant linter (RS001-RS100,
-            interprocedural RS201-RS204 under --graph)
+            RS201-RS204), always whole-program
 
 Every command accepts ``--seed`` and a size knob and writes rendered
 reports to ``--out`` (default: print to stdout only); ``--quiet``

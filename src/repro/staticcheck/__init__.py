@@ -9,16 +9,16 @@ relying on review discipline:
 
 - :mod:`repro.staticcheck.core` — rule registry, per-file AST dispatch,
   ``# repro-lint: disable=RULE`` suppressions with unused-suppression
-  detection.
-- :mod:`repro.staticcheck.rules` — the domain rules RS001-RS005, the
-  non-AST Prometheus exposition rule RS100, and the interprocedural
-  family RS201-RS204 (worker-reachability determinism, pickle
-  safety, merge reachability, obs-slot escape).
-- :mod:`repro.staticcheck.graph` — the whole-program pass behind
-  ``--graph``: project index, approximate call graph, incremental
-  SHA-256 cache, WorkerPool-parallel indexing.
-- :mod:`repro.staticcheck.reporters` — text, schema-stable JSON, and
-  SARIF 2.1.0 output.
+  detection, and :func:`lint_source`, the one-string entry.
+- :mod:`repro.staticcheck.rules` — the per-file rules RS001-RS005 and
+  RS204 (obs-slot escape), the non-AST Prometheus exposition rule
+  RS100, and the interprocedural family RS201-RS203
+  (worker-reachability determinism, pickle safety, merge
+  reachability).
+- :mod:`repro.staticcheck.graph` — project index, approximate call
+  graph, and :func:`lint_paths`, the one driver: every run is
+  whole-program, cold and in process.
+- :mod:`repro.staticcheck.reporters` — text and schema-stable JSON.
 - :mod:`repro.staticcheck.config` — ``[tool.repro-staticcheck]`` in
   ``pyproject.toml``.
 
@@ -32,15 +32,15 @@ from __future__ import annotations
 from .config import Config, load_config
 from .core import (SYNTAX_ID, UNUSED_ID, AstRule, FileRule, GraphRule,
                    LintContext, Violation, all_rule_ids, ast_rules,
-                   file_rules, graph_rules, lint_paths, lint_source,
-                   register)
-from .reporters import (SCHEMA_VERSION, render_json, render_sarif,
-                        render_text, violations_to_dict)
+                   file_rules, graph_rules, lint_source, register)
+from .graph import lint_paths
+from .reporters import (SCHEMA_VERSION, render_json, render_text,
+                        violations_to_dict)
 
 __all__ = [
     "AstRule", "Config", "FileRule", "GraphRule", "LintContext",
     "SCHEMA_VERSION", "SYNTAX_ID", "UNUSED_ID", "Violation",
     "all_rule_ids", "ast_rules", "file_rules", "graph_rules",
     "lint_paths", "lint_source", "load_config", "render_json",
-    "render_sarif", "render_text", "register", "violations_to_dict",
+    "render_text", "register", "violations_to_dict",
 ]

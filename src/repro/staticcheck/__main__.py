@@ -5,29 +5,23 @@ The same driver backs the ``repro-ecs lint`` subcommand
 (:func:`add_lint_arguments` + :func:`run_from_args` are shared with
 :mod:`repro.cli`).
 
-``--graph`` switches to the whole-program pass
-(:mod:`repro.staticcheck.graph`): the interprocedural RS2xx rules run on
-top of the per-file families, per-file indexing fans out over
-``--workers`` pool processes, and ``--cache`` keeps an incremental index
-on disk so unchanged files are never re-parsed.  ``--changed`` lints
-only files that differ from ``--base`` (plus, under ``--graph``, their
-reverse import closure).
+Every run is the one whole-program pass of
+:func:`repro.staticcheck.graph.lint_paths`: per-file rules, then the
+interprocedural RS2xx rules over everything named on the command line.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
+import dataclasses
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .config import Config, load_config
-from .core import all_rule_ids, lint_paths
+from .config import load_config
+from .core import all_rule_ids
+from .graph import lint_paths
 from .reporters import render
-
-#: Default location of the incremental graph index, relative to CWD.
-DEFAULT_CACHE = ".repro-staticcheck-cache.json"
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -35,7 +29,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories to lint "
                              "(default: src/repro)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="report format")
     parser.add_argument("--select", default=None, metavar="RS001,RS003",
                         help="comma-separated rule IDs to run exclusively")
@@ -50,28 +44,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                              "one above the current directory)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print registered rule IDs and exit")
-    parser.add_argument("--graph", action="store_true",
-                        help="run the whole-program pass (RS201-RS204) "
-                             "on top of the per-file rules")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="worker processes for --graph indexing "
-                             "(default: 1; reports are byte-identical "
-                             "at any value)")
-    parser.add_argument("--cache", default=DEFAULT_CACHE, metavar="FILE",
-                        help="incremental index cache for --graph "
-                             f"(default: {DEFAULT_CACHE})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write the --graph cache")
-    parser.add_argument("--stats", action="store_true",
-                        help="print cache hit/miss counters to stderr "
-                             "after a --graph run")
-    parser.add_argument("--changed", action="store_true",
-                        help="lint only files changed vs --base "
-                             "(widened to their reverse import closure "
-                             "under --graph)")
-    parser.add_argument("--base", default="HEAD", metavar="REF",
-                        help="git ref --changed diffs against "
-                             "(default: HEAD)")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -88,37 +60,6 @@ def _split_ids(raw: Optional[str]) -> Tuple[str, ...]:
     if not raw:
         return ()
     return tuple(part.strip() for part in raw.split(",") if part.strip())
-
-
-def _git_lines(args: List[str]) -> Optional[List[str]]:
-    try:
-        proc = subprocess.run(["git", *args], capture_output=True,
-                              text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return [line.strip() for line in proc.stdout.splitlines()
-            if line.strip()]
-
-
-def changed_files(base: str) -> Optional[Set[str]]:
-    """Resolved paths of files changed vs ``base`` (plus untracked).
-
-    ``None`` means git itself failed (not a repository, unknown ref) —
-    the caller reports a usage error rather than silently linting
-    nothing.
-    """
-    diff = _git_lines(["diff", "--name-only", base, "--"])
-    if diff is None:
-        return None
-    untracked = _git_lines(["ls-files", "--others", "--exclude-standard"])
-    top = _git_lines(["rev-parse", "--show-toplevel"])
-    root = Path(top[0]) if top else Path.cwd()
-    out: Set[str] = set()
-    for name in diff + (untracked or []):
-        candidate = root / name
-        if candidate.is_file():
-            out.add(str(candidate.resolve()))
-    return out
 
 
 def run_from_args(args: argparse.Namespace) -> int:
@@ -142,12 +83,9 @@ def run_from_args(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     if select or ignore:
-        config = Config(select=select or config.select,
-                        ignore=tuple(sorted({*config.ignore, *ignore})),
-                        exclude=config.exclude,
-                        determinism_allow=config.determinism_allow,
-                        test_paths=config.test_paths,
-                        source=config.source)
+        config = dataclasses.replace(
+            config, select=select or config.select,
+            ignore=tuple(sorted({*config.ignore, *ignore})))
     paths: List[str] = list(args.paths or [])
     paths.extend(args.prom)
     if not paths:
@@ -162,55 +100,9 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"error: no such path(s): {', '.join(missing)}",
               file=sys.stderr)
         return 2
-    report_paths: Optional[Set[str]] = None
-    if getattr(args, "changed", False):
-        changed = changed_files(getattr(args, "base", "HEAD"))
-        if changed is None:
-            print("error: --changed requires a git checkout and a valid "
-                  "--base ref", file=sys.stderr)
-            return 2
-        report_paths = changed
-    if getattr(args, "graph", False):
-        return _run_graph(args, config, paths, report_paths)
-    if report_paths is not None:
-        # Without the graph there is nothing to widen: lint exactly the
-        # changed files that fall under the requested paths.
-        from .core import iter_lintable_files
-        universe = iter_lintable_files(paths, config)
-        paths = [str(p) for p in universe
-                 if str(p.resolve()) in report_paths]
-        if not paths:
-            print(render([], 0, args.format))
-            return 0
     violations, files_checked = lint_paths(paths, config)
     print(render(violations, files_checked, args.format))
     return 1 if violations else 0
-
-
-def _run_graph(args: argparse.Namespace, config: Config,
-               paths: List[str],
-               report_paths: Optional[Set[str]]) -> int:
-    from .graph import lint_paths_graph
-    if getattr(args, "workers", 1) < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 2
-    cache_path = None if getattr(args, "no_cache", False) \
-        else getattr(args, "cache", DEFAULT_CACHE)
-    resolved_report: Optional[Set[str]] = None
-    if report_paths is not None:
-        from .core import iter_lintable_files
-        universe = iter_lintable_files(paths, config)
-        resolved_report = {str(p) for p in universe
-                           if str(p.resolve()) in report_paths}
-    result = lint_paths_graph(paths, config, workers=args.workers,
-                              cache_path=cache_path,
-                              report_paths=resolved_report,
-                              widen_to_importers=resolved_report
-                              is not None)
-    print(render(result.violations, result.files_checked, args.format))
-    if getattr(args, "stats", False):
-        print(result.stats.summary(), file=sys.stderr)
-    return 1 if result.violations else 0
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

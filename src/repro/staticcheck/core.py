@@ -1,11 +1,13 @@
-"""Rule registry, suppression handling, and the per-file lint driver.
+"""Rule registry, suppression handling, and the one-string lint entry.
 
 The framework is deliberately tiny: a *rule* is an object with an ``id``
 (``RSnnn``), a ``name``, and a ``check`` hook.  AST rules receive a
 :class:`LintContext` wrapping one parsed Python file and append
 :class:`Violation` records to it; file rules (e.g. the Prometheus
 exposition check) receive a path and return violations directly, so
-non-Python artifacts ride the same reporting pipeline.
+non-Python artifacts ride the same reporting pipeline; graph rules
+(RS2xx) receive the linked project index.  The driver over files and
+directories is :func:`repro.staticcheck.graph.lint_paths`.
 
 Suppressions are source comments::
 
@@ -53,17 +55,6 @@ class Violation:
     def render(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: "
                 f"{self.rule_id} [{self.rule_name}] {self.message}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-cache form (field order pinned for byte-stable caches)."""
-        return {"path": self.path, "line": self.line, "col": self.col,
-                "rule_id": self.rule_id, "rule_name": self.rule_name,
-                "message": self.message}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Violation":
-        return cls(data["path"], data["line"], data["col"],
-                   data["rule_id"], data["rule_name"], data["message"])
 
 
 class LintContext:
@@ -124,27 +115,17 @@ class FileRule:
 class GraphRule:
     """Base class for whole-program rules over the project index.
 
-    Graph rules run only under ``--graph`` (:mod:`repro.staticcheck.graph`
-    builds the index and drives them); they are registered here so the
-    selection machinery, ``--list-rules`` and unused-suppression
-    accounting treat RS2xx exactly like the per-file families.
-    ``closure_cacheable`` marks rules whose findings for a module depend
-    only on that module's forward import closure — those re-run only on
-    the closure a change touched; the rest re-run whole-program (their
-    findings depend on reverse reachability, which any module can alter).
+    :func:`repro.staticcheck.graph.lint_paths` builds the index and
+    drives them; they are registered here so the selection machinery,
+    ``--list-rules`` and unused-suppression accounting treat RS2xx
+    exactly like the per-file families.
     """
 
     id: str = ""
     name: str = ""
-    closure_cacheable: bool = False
 
     def check_project(self, project: "object",
                       config: Config) -> List[Violation]:
-        raise NotImplementedError
-
-    def check_module(self, project: "object", module: "object",
-                     config: Config) -> List[Violation]:
-        """Per-module entry for ``closure_cacheable`` rules."""
         raise NotImplementedError
 
 
@@ -199,11 +180,16 @@ def _ensure_rules_loaded() -> None:
     from . import rules  # noqa: F401  (import for side effect)
 
 
-def _selected_ids(config: Config) -> Set[str]:
+def _selected_ids(config: Config,
+                  rule_ids: Optional[Sequence[str]] = None) -> Set[str]:
+    """Rule IDs a run executes: ``select`` minus ``ignore``, cut to
+    ``rule_ids`` when the caller restricts the run."""
     ids = set(all_rule_ids())
     if config.select:
         ids &= set(config.select)
     ids -= set(config.ignore)
+    if rule_ids is not None:
+        ids &= set(rule_ids)
     return ids
 
 
@@ -247,29 +233,6 @@ class Suppressions:
             return True
         return False
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-cache form; ``used`` is deliberately not persisted (it is
-        per-run settlement state, not a property of the file)."""
-        return {
-            "by_line": {str(line): sorted(ids)
-                        for line, ids in sorted(self.by_line.items())},
-            "file_level": sorted(self.file_level),
-            "declared_at": [[line, rule_id, comment]
-                            for (line, rule_id), comment
-                            in sorted(self.declared_at.items())],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Suppressions":
-        table = cls()
-        table.by_line = {int(line): set(ids)
-                         for line, ids in data["by_line"].items()}
-        table.file_level = set(data["file_level"])
-        table.declared_at = {(line, rule_id): comment
-                             for line, rule_id, comment
-                             in data["declared_at"]}
-        return table
-
     def unused(self, active_ids: Set[str]) -> List[Tuple[int, str]]:
         """(comment line, rule id) of suppressions that silenced nothing.
 
@@ -312,7 +275,7 @@ def parse_suppressions(source: str) -> Suppressions:
 
 
 # ---------------------------------------------------------------------------
-# the per-file driver
+# one file: analyze, then settle
 
 
 @dataclass
@@ -322,37 +285,41 @@ class FileAnalysis:
     ``violations`` are the raw AST-rule findings (RS999 alone on a parse
     failure); ``suppressions`` is the file's directive table, which the
     caller settles *after* any whole-program findings for the same file
-    are merged in — that deferral is what lets a ``--graph`` run use one
-    suppression both for a per-file and an interprocedural finding
-    without RS000 flagging either half unused.
+    are merged in — that deferral is what lets one suppression serve
+    both a per-file and an interprocedural finding without RS000
+    flagging either half unused.  ``tree`` is the parse the AST rules
+    ran on (``None`` when the file is broken), kept so the indexer never
+    parses the file a second time.
     """
 
     path: str
     violations: List[Violation]
     suppressions: Suppressions
-    broken: bool = False
+    tree: Optional[ast.Module] = None
+
+    @property
+    def broken(self) -> bool:
+        return self.tree is None
 
 
 def analyze_source(source: str, path: str, config: Optional[Config] = None,
                    rule_ids: Optional[Sequence[str]] = None) -> FileAnalysis:
     """Run the AST rules over one source string (no suppression settling)."""
     config = config or Config()
-    active = _selected_ids(config)
-    if rule_ids is not None:
-        active &= set(rule_ids)
-    suppressions = parse_suppressions(source)
+    active = _selected_ids(config, rule_ids)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         broken = [Violation(path, exc.lineno or 1, (exc.offset or 1) - 1,
                             SYNTAX_ID, SYNTAX_NAME,
                             f"file does not parse: {exc.msg}")]
-        return FileAnalysis(path, broken, Suppressions(), broken=True)
+        return FileAnalysis(path, broken, Suppressions())
     ctx = LintContext(path, source, tree, config)
     for rule in ast_rules():
         if rule.id in active:
             rule.check(ctx)
-    return FileAnalysis(path, ctx.violations, suppressions)
+    return FileAnalysis(path, ctx.violations, parse_suppressions(source),
+                        tree)
 
 
 def settle_file(analysis: FileAnalysis, active: Set[str],
@@ -361,7 +328,7 @@ def settle_file(analysis: FileAnalysis, active: Set[str],
 
     ``extra`` carries graph-rule findings attributed to this file; they
     consult the same line/file directives, so one suppression table
-    serves both passes and unused-suppression accounting sees the union.
+    serves both kinds and unused-suppression accounting sees the union.
     """
     if analysis.broken:
         return sorted(analysis.violations)
@@ -382,67 +349,8 @@ def lint_source(source: str, path: str, config: Optional[Config] = None,
     ``config.select``/``config.ignore``.
     """
     config = config or Config()
-    # Graph rules (RS2xx) only run under --graph; a suppression held for
-    # them must not count as unused in a plain per-file pass.
-    active = _selected_ids(config) - set(_GRAPH_RULES)
-    if rule_ids is not None:
-        active &= set(rule_ids)
+    # One string is not a program: the graph rules (RS2xx) need
+    # lint_paths, so a suppression held for them is not "unused" here.
+    active = _selected_ids(config, rule_ids) - set(_GRAPH_RULES)
     return settle_file(analyze_source(source, path, config, rule_ids),
                        active)
-
-
-def _lint_one_file(path: Path, config: Config,
-                   rule_ids: Optional[Sequence[str]]) -> List[Violation]:
-    if path.suffix == ".py":
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            return [Violation(str(path), 1, 0, SYNTAX_ID, SYNTAX_NAME,
-                              f"cannot read file: {exc}")]
-        return lint_source(source, str(path), config, rule_ids)
-    active = _selected_ids(config)
-    if rule_ids is not None:
-        active &= set(rule_ids)
-    out: List[Violation] = []
-    for rule in file_rules():
-        if rule.id in active and rule.applies(path):
-            out.extend(rule.check_file(path, config))
-    return sorted(out)
-
-
-def iter_lintable_files(paths: Sequence["str | Path"],
-                        config: Config) -> List[Path]:
-    """Expand ``paths``: directories walk to ``*.py``, files pass through.
-
-    Non-Python files are only linted when named explicitly (or via
-    ``--prom``): directory walks stick to Python sources, so a reports
-    directory inside a lint root never drags artifacts into the run.
-    """
-    out: List[Path] = []
-    seen: Set[Path] = set()
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            candidates: List[Path] = sorted(path.rglob("*.py"))
-        else:
-            candidates = [path]
-        for candidate in candidates:
-            if config.is_excluded(candidate.as_posix()):
-                continue
-            if candidate not in seen:
-                seen.add(candidate)
-                out.append(candidate)
-    return out
-
-
-def lint_paths(paths: Sequence["str | Path"],
-               config: Optional[Config] = None,
-               rule_ids: Optional[Sequence[str]] = None
-               ) -> Tuple[List[Violation], int]:
-    """Lint files/directories; returns (violations, files checked)."""
-    config = config or Config()
-    files = iter_lintable_files(paths, config)
-    violations: List[Violation] = []
-    for path in files:
-        violations.extend(_lint_one_file(path, config, rule_ids))
-    return sorted(violations), len(files)

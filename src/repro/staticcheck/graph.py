@@ -1,57 +1,45 @@
-"""Whole-program analysis: project index, call graph, incremental cache.
+"""Whole-program analysis: project index, call graph, and the lint driver.
 
-The per-file rules (RS001–RS100) see one module at a time, so a helper
-three calls away from a worker entrypoint can reach ambient entropy, or
-smuggle an unpicklable object into a :class:`~repro.engine.sharding.ShardSpec`,
-without any lint firing.  This module closes that gap:
+The per-file rules (RS001–RS100, RS204) see one module at a time, so a
+helper three calls away from a worker entrypoint can reach ambient
+entropy, or smuggle an unpicklable object into a
+:class:`~repro.engine.sharding.ShardSpec`, without any of them firing.
+This module closes that gap:
 
 * :class:`ModuleIndex` — one file's contribution to the program: import
   map, symbol table, per-function call sites (with receiver-type
-  inference from annotations and local constructor bindings), ambient
-  nondeterminism uses, and the introspection *facts* other layers
-  declare for the analyzer (``@worker_entrypoint`` decorations,
-  ``BUILDER_REGISTRY`` literals, ``STATICCHECK_PICKLE_BOUNDARIES`` /
+  inference from annotations and local constructor bindings), waived
+  clock reads, and the introspection *facts* other layers declare for
+  the analyzer (``@worker_entrypoint`` decorations, ``BUILDER_REGISTRY``
+  literals, ``STATICCHECK_PICKLE_BOUNDARIES`` /
   ``STATICCHECK_WORKER_SEEDS`` / ``STATICCHECK_UNPICKLABLE`` tuples).
 * :class:`ProjectIndex` — the linked whole: an approximate call graph
   resolved through imports, methods, protocols and the builder/spec
   registries, plus the worker-reachability closure the RS2xx rules run
   over.
-* :class:`IndexCache` — an on-disk JSON cache keyed by per-file content
-  SHA-256: unchanged files are never re-parsed or re-indexed, a fully
-  unchanged project reuses the previous graph-rule report wholesale, and
-  closure-cacheable rules (RS202/RS204) re-run only on modules whose
-  forward import closure a change touched.
-* :func:`lint_paths_graph` — the ``--graph`` driver: per-file indexing
-  fans out on the engine's own :class:`~repro.engine.pool.WorkerPool`,
-  results merge in sorted path order, and the report is byte-identical
-  at any worker count and across cold/warm caches.
+* :func:`lint_paths` — the one driver: every Python file is read and
+  parsed once, the AST rules run on it and it is indexed; the RS2xx
+  rules run over the linked project; each file's suppression table is
+  settled once against both kinds of finding.
 
-Everything here is deterministic: traversals iterate sorted structures,
-the cache serializes with sorted keys, and no wall clock, hash salt or
-ambient RNG is ever consulted.
+Everything here is deterministic: traversals iterate sorted structures
+and no wall clock, hash salt or ambient RNG is ever consulted.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Dict, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..engine.pool import worker_entrypoint
 from .config import Config
-from .core import (FileAnalysis, Suppressions, Violation, _selected_ids,
-                   all_rule_ids, analyze_source, file_rules, graph_rules,
-                   iter_lintable_files, settle_file)
+from .core import (SYNTAX_ID, SYNTAX_NAME, FileAnalysis, Violation,
+                   _selected_ids, analyze_source, file_rules, graph_rules,
+                   settle_file)
 from .rules.determinism import _CLOCK_SOURCES, _ImportMap, dotted_name
-from .rules.obsguard import _active_name_aliases, _obs_module_aliases
-
-#: Bump when the on-disk cache layout changes; stale caches reload cold.
-CACHE_VERSION = 1
+from .rules.merge import MERGE_METHODS
+from .rules.obsguard import _ActiveSlots
 
 #: The decorator (by canonical dotted name) marking pool dispatch targets.
 _ENTRYPOINT_DECORATOR = "repro.engine.pool.worker_entrypoint"
@@ -61,14 +49,9 @@ _FACT_TUPLES = ("STATICCHECK_PICKLE_BOUNDARIES",
                 "STATICCHECK_WORKER_SEEDS",
                 "STATICCHECK_UNPICKLABLE")
 
-#: ``register_builder("name", "module:Class")`` call targets.
-_REGISTER_BUILDER = ("repro.engine.sharding.register_builder",
-                     "repro.engine.register_builder")
-
 
 # ---------------------------------------------------------------------------
-# Index data model.  Every field is JSON-representable (str/int/bool,
-# lists, string-keyed dicts) so the cache round-trips without pickle.
+# Index data model.
 
 
 @dataclass
@@ -80,15 +63,6 @@ class ArgInfo:
     kind: str  # "const" | "name" | "lambda" | "genexp" | "other"
     value: Optional[str]  # repr for const, identifier for name
     params: List[str]  # enclosing-function parameters inside the expr
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"pos": self.pos, "kw": self.kw, "kind": self.kind,
-                "value": self.value, "params": self.params}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ArgInfo":
-        return cls(data["pos"], data["kw"], data["kind"], data["value"],
-                   list(data["params"]))
 
 
 @dataclass
@@ -109,35 +83,14 @@ class CallSite:
             return self.text.rsplit(".", 1)[1]
         return None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"line": self.line, "col": self.col, "text": self.text,
-                "recv_type": self.recv_type, "recv_obs": self.recv_obs,
-                "args": [a.to_dict() for a in self.args]}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallSite":
-        return cls(data["line"], data["col"], data["text"],
-                   data["recv_type"], data["recv_obs"],
-                   [ArgInfo.from_dict(a) for a in data["args"]])
-
 
 @dataclass
 class AmbientUse:
-    """One ambient nondeterminism source inside a function body."""
+    """One wall-clock / entropy read inside a function body."""
 
     line: int
     col: int
-    source: str  # canonical dotted name ("time.time", "random.random", ...)
-    category: str  # "random" | "clock" | "hash" | "set-order"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"line": self.line, "col": self.col, "source": self.source,
-                "category": self.category}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "AmbientUse":
-        return cls(data["line"], data["col"], data["source"],
-                   data["category"])
+    source: str  # canonical dotted name ("time.time", "os.urandom", ...)
 
 
 @dataclass
@@ -155,31 +108,7 @@ class FunctionInfo:
     #: Local bindings the pickle rule consults: name -> classification
     #: ("lambda" | "nested" | "call:<dotted>" | "obs_active").
     local_binds: Dict[str, str] = field(default_factory=dict)
-    #: Line of a ``return`` handing out the raw obs ACTIVE slot, if any.
-    returns_obs_active: Optional[int] = None
     is_entrypoint: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname, "line": self.line, "col": self.col,
-            "params": self.params,
-            "calls": [c.to_dict() for c in self.calls],
-            "ambient": [a.to_dict() for a in self.ambient],
-            "rng_seed_params": self.rng_seed_params,
-            "local_binds": self.local_binds,
-            "returns_obs_active": self.returns_obs_active,
-            "is_entrypoint": self.is_entrypoint,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionInfo":
-        return cls(data["qualname"], data["line"], data["col"],
-                   list(data["params"]),
-                   [CallSite.from_dict(c) for c in data["calls"]],
-                   [AmbientUse.from_dict(a) for a in data["ambient"]],
-                   list(data["rng_seed_params"]),
-                   dict(data["local_binds"]),
-                   data["returns_obs_active"], data["is_entrypoint"])
 
 
 @dataclass
@@ -193,79 +122,26 @@ class ClassInfo:
     is_protocol: bool = False
     merge_methods: List[str] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "line": self.line, "bases": self.bases,
-                "methods": {name: m.to_dict()
-                            for name, m in sorted(self.methods.items())},
-                "is_protocol": self.is_protocol,
-                "merge_methods": self.merge_methods}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassInfo":
-        return cls(data["name"], data["line"], list(data["bases"]),
-                   {name: FunctionInfo.from_dict(m)
-                    for name, m in data["methods"].items()},
-                   data["is_protocol"], list(data["merge_methods"]))
-
 
 @dataclass
 class ModuleIndex:
     """Everything the graph layer keeps about one Python file."""
 
     path: str  # posix path, as linted
-    sha: str  # content SHA-256 (the cache key)
     module: str  # dotted module name ("repro.engine.pool")
     #: local name -> "module" or "module:attr" (absolute, relative resolved)
     imports: Dict[str, str] = field(default_factory=dict)
-    imported_modules: List[str] = field(default_factory=list)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    #: builder name -> "module:Class" (literal dict + register_builder calls)
+    #: builder name -> "module:Class" (the ``BUILDER_REGISTRY`` literal)
     builder_registry: Dict[str, str] = field(default_factory=dict)
     #: declared analyzer facts, keyed by declaration name
     facts: Dict[str, List[str]] = field(default_factory=dict)
-    #: module-level ``NAME = <obs module>.ACTIVE`` aliases: (name, line)
-    obs_slot_aliases: List[Tuple[str, int]] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path, "sha": self.sha, "module": self.module,
-            "imports": dict(sorted(self.imports.items())),
-            "imported_modules": self.imported_modules,
-            "functions": {name: f.to_dict()
-                          for name, f in sorted(self.functions.items())},
-            "classes": {name: c.to_dict()
-                        for name, c in sorted(self.classes.items())},
-            "builder_registry": dict(sorted(self.builder_registry.items())),
-            "facts": {name: values
-                      for name, values in sorted(self.facts.items())},
-            "obs_slot_aliases": [list(pair)
-                                 for pair in self.obs_slot_aliases],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleIndex":
-        return cls(
-            data["path"], data["sha"], data["module"],
-            dict(data["imports"]), list(data["imported_modules"]),
-            {name: FunctionInfo.from_dict(f)
-             for name, f in data["functions"].items()},
-            {name: ClassInfo.from_dict(c)
-             for name, c in data["classes"].items()},
-            dict(data["builder_registry"]),
-            {name: list(values) for name, values in data["facts"].items()},
-            [(str(name), int(line))
-             for name, line in data["obs_slot_aliases"]],
-        )
 
 
 # ---------------------------------------------------------------------------
-# Module-name derivation and content hashing.
-
-
-def file_sha256(source: str) -> str:
-    """The cache key for one file's content."""
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+# Module-name derivation.
 
 
 def module_name_for(path: Path) -> str:
@@ -287,9 +163,6 @@ def module_name_for(path: Path) -> str:
 
 # ---------------------------------------------------------------------------
 # The per-file indexer.
-
-
-_MERGE_METHODS = ("merge", "merge_from", "merge_into", "merge_segments")
 
 
 def _annotation_dotted(node: Optional[ast.expr]) -> Optional[str]:
@@ -333,12 +206,11 @@ def _const_tuple(node: ast.expr) -> Optional[List[str]]:
 class _FileIndexer:
     """Builds a :class:`ModuleIndex` from one parsed module."""
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
+    def __init__(self, path: str, tree: ast.Module) -> None:
         self.tree = tree
         self.import_map = _ImportMap(tree)
-        self.obs_modules = _obs_module_aliases(tree)
-        self.obs_names = _active_name_aliases(tree)
-        self.index = ModuleIndex(path=path, sha=file_sha256(source),
+        self.obs_slots = _ActiveSlots(tree)
+        self.index = ModuleIndex(path=path,
                                  module=module_name_for(Path(path)))
         self._collect_imports(tree)
 
@@ -346,7 +218,6 @@ class _FileIndexer:
 
     def _collect_imports(self, tree: ast.Module) -> None:
         index = self.index
-        modules: Set[str] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -354,18 +225,15 @@ class _FileIndexer:
                     target = alias.name if alias.asname \
                         else alias.name.split(".")[0]
                     index.imports[local] = target
-                    modules.add(alias.name)
             elif isinstance(node, ast.ImportFrom):
                 base = self._resolve_from(node)
                 if base is None:
                     continue
-                modules.add(base)
                 for alias in node.names:
                     if alias.name == "*":
                         continue
                     local = alias.asname or alias.name
                     index.imports[local] = f"{base}:{alias.name}"
-        index.imported_modules = sorted(modules)
 
     def _resolve_from(self, node: ast.ImportFrom) -> Optional[str]:
         """Absolute module a ``from ... import`` pulls from (dots resolved)."""
@@ -421,7 +289,7 @@ class _FileIndexer:
                         local_binds=module_fn.local_binds)
 
     def _module_assignment(self, name: str, value: ast.expr) -> None:
-        """Collect registry literals, fact tuples, and ACTIVE aliases."""
+        """Collect the registry literal and the fact tuples."""
         index = self.index
         if name == "BUILDER_REGISTRY" and isinstance(value, ast.Dict):
             for key, val in zip(value.keys, value.values):
@@ -435,28 +303,6 @@ class _FileIndexer:
             values = _const_tuple(value)
             if values is not None:
                 index.facts.setdefault(name, []).extend(values)
-            return
-        if self._is_obs_active(value):
-            index.obs_slot_aliases.append((name, value.lineno))
-
-    def _is_obs_active(self, node: ast.expr) -> bool:
-        """``<obs module>.ACTIVE`` / ``active()`` / an imported ACTIVE."""
-        if isinstance(node, ast.Attribute) and node.attr == "ACTIVE":
-            base = dotted_name(node.value)
-            return (isinstance(node.value, ast.Name)
-                    and node.value.id in self.obs_modules) or (
-                        base is not None
-                        and base.endswith(("obs.metrics", "obs.trace",
-                                           "obs.live")))
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "active":
-                return (isinstance(func.value, ast.Name)
-                        and func.value.id in self.obs_modules)
-            return isinstance(func, ast.Name) and func.id in self.obs_names
-        if isinstance(node, ast.Name):
-            return node.id in self.obs_names
-        return False
 
     # -- classes -------------------------------------------------------------
 
@@ -477,7 +323,7 @@ class _FileIndexer:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 info.methods[stmt.name] = self._index_function(
                     stmt, f"{node.name}.{stmt.name}", node.name)
-                if stmt.name in _MERGE_METHODS:
+                if stmt.name in MERGE_METHODS:
                     info.merge_methods.append(stmt.name)
         self.index.classes[node.name] = info
 
@@ -518,7 +364,7 @@ class _FileIndexer:
 
     def _scan_body(self, body: Sequence[ast.stmt], info: FunctionInfo,
                    params: Set[str], local_binds: Dict[str, str]) -> None:
-        """One pass over a body: bindings, calls, ambient uses, returns."""
+        """One pass over a body: bindings, calls, clock reads."""
         for stmt in body:
             for node in ast.walk(stmt):
                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
@@ -531,15 +377,10 @@ class _FileIndexer:
                 elif isinstance(node, ast.Call):
                     self._index_call(node, info, params, local_binds)
                     self._index_ambient_call(node, info)
-                elif isinstance(node, (ast.For, ast.comprehension)):
-                    self._index_set_iteration(node, info)
-                elif isinstance(node, ast.Return) and node.value is not None:
-                    if self._returns_obs_slot(node.value, local_binds):
-                        info.returns_obs_active = node.lineno
 
     def _classify_binding(self, name: str, value: ast.expr,
                           local_binds: Dict[str, str]) -> None:
-        if self._is_obs_active(value):
+        if self.obs_slots.reads(value):
             local_binds[name] = "obs_active"
             return
         if isinstance(value, ast.Lambda):
@@ -554,13 +395,6 @@ class _FileIndexer:
                 resolved = self.canonical(dotted) or dotted
                 local_binds[name] = f"call:{resolved}"
 
-    def _returns_obs_slot(self, value: ast.expr,
-                          local_binds: Dict[str, str]) -> bool:
-        if self._is_obs_active(value):
-            return True
-        return (isinstance(value, ast.Name)
-                and local_binds.get(value.id) == "obs_active")
-
     def _index_call(self, node: ast.Call, info: FunctionInfo,
                     params: Set[str], local_binds: Dict[str, str]) -> None:
         text = dotted_name(node.func)
@@ -568,7 +402,7 @@ class _FileIndexer:
         recv_obs = False
         if isinstance(node.func, ast.Attribute):
             base = node.func.value
-            if self._is_obs_active(base):
+            if self.obs_slots.reads(base):
                 recv_obs = True
             elif isinstance(base, ast.Name):
                 bind = local_binds.get(base.id)
@@ -612,19 +446,11 @@ class _FileIndexer:
     def _index_ambient_call(self, node: ast.Call,
                             info: FunctionInfo) -> None:
         canonical = self.import_map.canonical(node.func)
-        if canonical is not None:
-            if canonical.startswith("random.") \
-                    and canonical != "random.Random":
-                info.ambient.append(AmbientUse(node.lineno, node.col_offset,
-                                               canonical, "random"))
-            elif canonical in _CLOCK_SOURCES:
-                info.ambient.append(AmbientUse(node.lineno, node.col_offset,
-                                               canonical, "clock"))
-            elif canonical == "random.Random":
-                self._index_rng_seed(node, info)
-        if isinstance(node.func, ast.Name) and node.func.id == "hash":
+        if canonical in _CLOCK_SOURCES:
             info.ambient.append(AmbientUse(node.lineno, node.col_offset,
-                                           "hash", "hash"))
+                                           canonical))
+        elif canonical == "random.Random":
+            self._index_rng_seed(node, info)
 
     def _index_rng_seed(self, node: ast.Call, info: FunctionInfo) -> None:
         """Parameters whose value reaches this ``random.Random`` seed."""
@@ -636,23 +462,10 @@ class _FileIndexer:
                         and name.id not in info.rng_seed_params:
                     info.rng_seed_params.append(name.id)
 
-    def _index_set_iteration(self, node: "ast.For | ast.comprehension",
-                             info: FunctionInfo) -> None:
-        iterable = node.iter
-        is_set = isinstance(iterable, (ast.Set, ast.SetComp)) or (
-            isinstance(iterable, ast.Call)
-            and isinstance(iterable.func, ast.Name)
-            and iterable.func.id in ("set", "frozenset"))
-        if is_set:
-            anchor = iterable if isinstance(node, ast.comprehension) else node
-            info.ambient.append(AmbientUse(anchor.lineno, anchor.col_offset,
-                                           "set-iteration", "set-order"))
-
 
 def index_source(source: str, path: str) -> ModuleIndex:
     """Index one Python source string (raises ``SyntaxError`` if broken)."""
-    tree = ast.parse(source, filename=path)
-    return _FileIndexer(path, source, tree).build()
+    return _FileIndexer(path, ast.parse(source, filename=path)).build()
 
 
 # ---------------------------------------------------------------------------
@@ -933,36 +746,6 @@ class ProjectIndex:
             chain.append(parents[chain[-1]])
         return " <- ".join(part.split(":", 1)[1] for part in chain)
 
-    # -- import closure (for the incremental cache and --changed) ------------
-
-    def import_closure(self, path: str) -> List[str]:
-        """Paths of the module plus everything it transitively imports."""
-        start = self.modules.get(path)
-        if start is None:
-            return [path]
-        seen: Set[str] = {start.module}
-        queue = [start.module]
-        while queue:
-            index = self.by_name.get(queue.pop(0))
-            if index is None:
-                continue
-            for imported in index.imported_modules:
-                if imported in self.by_name and imported not in seen:
-                    seen.add(imported)
-                    queue.append(imported)
-        return sorted(self.by_name[name].path for name in sorted(seen)
-                      if name in self.by_name)
-
-    def reverse_import_closure(self, paths: Set[str]) -> Set[str]:
-        """``paths`` plus every module whose import closure touches them."""
-        out = set(paths)
-        for path in self.modules:
-            if path in out:
-                continue
-            if any(dep in paths for dep in self.import_closure(path)):
-                out.add(path)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Runtime introspection of the engine's declared hooks.
@@ -976,325 +759,92 @@ def runtime_engine_facts() -> Dict[str, List[str]]:
     under analysis that cannot import the engine (pure fixtures) simply
     contribute their own ``STATICCHECK_*`` declarations.
     """
-    facts: Dict[str, List[str]] = {}
-    try:
-        from ..engine import pool as engine_pool
-        from ..engine import sharding as engine_sharding
-    except Exception:  # pragma: no cover - engine always importable here
-        return facts
-    facts["STATICCHECK_PICKLE_BOUNDARIES"] = \
-        list(engine_pool.PICKLE_BOUNDARIES)
-    facts["STATICCHECK_WORKER_SEEDS"] = \
-        list(engine_pool.WORKER_SEEDS) + list(engine_pool.WORKER_ENTRYPOINTS)
-    facts["BUILDER_REGISTRY"] = sorted(
-        path for _, path in engine_sharding.registered_builders())
-    return facts
-
-
-# ---------------------------------------------------------------------------
-# The incremental cache.
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss accounting the acceptance tests assert on (not timing)."""
-
-    files: int = 0
-    hits: int = 0
-    misses: int = 0
-    graph_reused: bool = False
-    closure_hits: int = 0
-    closure_misses: int = 0
-
-    def summary(self) -> str:
-        return (f"cache: {self.hits} hits, {self.misses} misses "
-                f"over {self.files} files; graph "
-                f"{'reused' if self.graph_reused else 'recomputed'} "
-                f"({self.closure_hits} closure hits, "
-                f"{self.closure_misses} misses)")
-
-
-def _config_digest(config: Config,
-                   rule_ids: Optional[Sequence[str]]) -> str:
-    payload = json.dumps({
-        "version": CACHE_VERSION,
-        "select": sorted(config.select),
-        "ignore": sorted(config.ignore),
-        "exclude": sorted(config.exclude),
-        "determinism_allow": sorted(config.determinism_allow),
-        "test_paths": sorted(config.test_paths),
-        "rule_ids": sorted(rule_ids) if rule_ids is not None else None,
-        "rules": all_rule_ids(),
-    }, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-class IndexCache:
-    """On-disk JSON cache of per-file indexes and graph-rule results."""
-
-    def __init__(self, path: Optional[Path], digest: str) -> None:
-        self.path = path
-        self.digest = digest
-        self.files: Dict[str, Dict[str, Any]] = {}
-        self.graph: Dict[str, Any] = {}
-        self.closures: Dict[str, Dict[str, Any]] = {}
-        if path is not None and path.is_file():
-            self._load(path)
-
-    def _load(self, path: Path) -> None:
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return
-        if not isinstance(data, dict) \
-                or data.get("cache_version") != CACHE_VERSION \
-                or data.get("config_digest") != self.digest:
-            return  # cold: layout or configuration changed
-        self.files = dict(data.get("files", {}))
-        self.graph = dict(data.get("graph", {}))
-        self.closures = dict(data.get("closures", {}))
-
-    def lookup(self, path: str, sha: str) -> Optional[Dict[str, Any]]:
-        entry = self.files.get(path)
-        if entry is not None and entry.get("sha") == sha:
-            return entry
-        return None
-
-    def store(self, path: str, entry: Dict[str, Any]) -> None:
-        self.files[path] = entry
-
-    def save(self, live_paths: Set[str]) -> None:
-        """Persist (atomically), dropping entries for vanished files."""
-        if self.path is None:
-            return
-        document = {
-            "cache_version": CACHE_VERSION,
-            "config_digest": self.digest,
-            "files": {path: self.files[path]
-                      for path in sorted(self.files)
-                      if path in live_paths},
-            "graph": self.graph,
-            "closures": {path: self.closures[path]
-                         for path in sorted(self.closures)
-                         if path in live_paths},
-        }
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(json.dumps(document, sort_keys=True,
-                                  separators=(",", ":")) + "\n",
-                       encoding="utf-8")
-        os.replace(tmp, self.path)
-
-
-# ---------------------------------------------------------------------------
-# Parallel per-file indexing (dogfooding the engine's WorkerPool).
-
-
-def _analyze_one(path_str: str, config: Config,
-                 rule_ids: Optional[Tuple[str, ...]]) -> Dict[str, Any]:
-    """Index + per-file lint one Python file; JSON-ready payload."""
-    path = Path(path_str)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        violation = Violation(path_str, 1, 0, "RS999", "syntax-error",
-                              f"cannot read file: {exc}")
-        return {"path": path_str, "sha": "", "broken": True,
-                "index": None, "suppressions": Suppressions().to_dict(),
-                "violations": [violation.to_dict()]}
-    analysis = analyze_source(source, path_str, config, rule_ids)
-    payload: Dict[str, Any] = {
-        "path": path_str,
-        "sha": file_sha256(source),
-        "broken": analysis.broken,
-        "suppressions": analysis.suppressions.to_dict(),
-        "violations": [v.to_dict() for v in analysis.violations],
-        "index": None,
+    from ..engine import pool as engine_pool
+    from ..engine import sharding as engine_sharding
+    return {
+        "STATICCHECK_PICKLE_BOUNDARIES": list(engine_pool.PICKLE_BOUNDARIES),
+        "STATICCHECK_WORKER_SEEDS": [*engine_pool.WORKER_SEEDS,
+                                     *engine_pool.WORKER_ENTRYPOINTS],
+        "BUILDER_REGISTRY": sorted(
+            path for _, path in engine_sharding.registered_builders()),
     }
-    if not analysis.broken:
-        payload["index"] = index_source(source, path_str).to_dict()
-    return payload
 
 
-@worker_entrypoint
-def _analyze_chunk(paths: Tuple[str, ...], config: Config,
-                   rule_ids: Optional[Tuple[str, ...]]
-                   ) -> List[Dict[str, Any]]:
-    """Pool worker entrypoint: analyze a chunk of files."""
-    return [_analyze_one(path, config, rule_ids) for path in paths]
+# ---------------------------------------------------------------------------
+# The driver.
 
 
-def _analyze_parallel(paths: Sequence[str], config: Config,
-                      rule_ids: Optional[Tuple[str, ...]],
-                      workers: int) -> List[Dict[str, Any]]:
-    """Fan per-file analysis out over a WorkerPool; order-stable merge."""
-    if workers <= 1 or len(paths) <= 1:
-        return [_analyze_one(path, config, rule_ids) for path in paths]
-    from ..engine.pool import WorkerPool
-    chunk = max(1, (len(paths) + workers * 4 - 1) // (workers * 4))
-    chunks = [tuple(paths[lo:lo + chunk])
-              for lo in range(0, len(paths), chunk)]
-    with WorkerPool(workers) as pool:
-        results = pool.run_batch(
-            _analyze_chunk, [(part, config, rule_ids) for part in chunks],
-            task="staticcheck-index")
-    out: List[Dict[str, Any]] = []
-    for part in results:
-        out.extend(part)
+def iter_lintable_files(paths: Sequence["str | Path"],
+                        config: Config) -> List[Path]:
+    """Expand ``paths``: directories walk to ``*.py``, files pass through.
+
+    Non-Python files are only linted when named explicitly (or via
+    ``--prom``): directory walks stick to Python sources, so a reports
+    directory inside a lint root never drags artifacts into the run.
+    """
+    out: List[Path] = []
+    seen: Set[Path] = set()
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            candidates: List[Path] = sorted(path.rglob("*.py"))
+        else:
+            candidates = [path]
+        for candidate in candidates:
+            if config.is_excluded(candidate.as_posix()):
+                continue
+            if candidate not in seen:
+                seen.add(candidate)
+                out.append(candidate)
     return out
 
 
-# ---------------------------------------------------------------------------
-# The --graph driver.
+def lint_paths(paths: Sequence["str | Path"],
+               config: Optional[Config] = None,
+               rule_ids: Optional[Sequence[str]] = None
+               ) -> Tuple[List[Violation], int]:
+    """Lint files/directories; returns (sorted violations, files checked).
 
-
-@dataclass
-class GraphRunResult:
-    """Everything a ``--graph`` run produced."""
-
-    violations: List[Violation]
-    files_checked: int
-    stats: CacheStats
-    project: Optional[ProjectIndex] = None
-
-
-def _closure_digest(project: ProjectIndex, path: str) -> str:
-    pairs = [[dep, project.modules[dep].sha]
-             for dep in project.import_closure(path)
-             if dep in project.modules]
-    return hashlib.sha256(
-        json.dumps(pairs, sort_keys=True).encode("utf-8")).hexdigest()
-
-
-def _graph_violations(project: ProjectIndex, config: Config,
-                      active: Set[str], cache: IndexCache,
-                      stats: CacheStats) -> List[Violation]:
-    """Run the graph rules, reusing cached results where sound."""
-    project_digest = hashlib.sha256(json.dumps(
-        [[path, index.sha] for path, index
-         in sorted(project.modules.items())],
-        sort_keys=True).encode("utf-8")).hexdigest()
-    selected = [rule for rule in graph_rules() if rule.id in active]
-    if cache.graph.get("project_digest") == project_digest:
-        stats.graph_reused = True
-        stats.closure_hits += len(project.modules)
-        return [Violation.from_dict(v)
-                for v in cache.graph.get("violations", [])]
-    violations: List[Violation] = []
-    whole = [rule for rule in selected if not rule.closure_cacheable]
-    per_module = [rule for rule in selected if rule.closure_cacheable]
-    for rule in whole:
-        violations.extend(rule.check_project(project, config))
-    fresh_closures: Dict[str, Dict[str, Any]] = {}
-    for path in sorted(project.modules):
-        digest = _closure_digest(project, path)
-        cached = cache.closures.get(path)
-        if cached is not None and cached.get("digest") == digest:
-            stats.closure_hits += 1
-            module_violations = [Violation.from_dict(v)
-                                 for v in cached.get("violations", [])]
-        else:
-            stats.closure_misses += 1
-            module_violations = []
-            for rule in per_module:
-                module_violations.extend(
-                    rule.check_module(project, project.modules[path],
-                                      config))
-            module_violations.sort()
-        fresh_closures[path] = {
-            "digest": digest,
-            "violations": [v.to_dict() for v in module_violations]}
-        violations.extend(module_violations)
-    cache.closures = fresh_closures
-    violations.sort()
-    cache.graph = {"project_digest": project_digest,
-                   "violations": [v.to_dict() for v in violations]}
-    return violations
-
-
-def lint_paths_graph(paths: Sequence["str | Path"],
-                     config: Optional[Config] = None,
-                     rule_ids: Optional[Sequence[str]] = None,
-                     workers: int = 1,
-                     cache_path: Optional["str | Path"] = None,
-                     report_paths: Optional[Set[str]] = None,
-                     widen_to_importers: bool = False) -> GraphRunResult:
-    """Whole-program lint: per-file rules plus the RS2xx graph family.
-
-    ``report_paths`` (posix strings) restricts which files *report*
-    violations — ``--changed`` widens a git diff to its import closure
-    and passes it here — while indexing still covers every path so the
-    graph stays whole-program.  The rendered report is byte-identical
-    for any ``workers`` value and across cold/warm caches.
+    One whole-program pass: each Python file is read and parsed once,
+    the AST rules run on it and it is indexed; the RS2xx rules run over
+    the project linked from those indexes; then each file's suppression
+    table is settled once against both kinds of finding, so one
+    ``disable=`` comment can cover a per-file and an interprocedural
+    finding on its line and an unused RS2xx suppression is RS000.
+    ``rule_ids`` restricts the run; it composes with
+    ``config.select``/``config.ignore``.
     """
     config = config or Config()
-    active = _selected_ids(config)
-    if rule_ids is not None:
-        active &= set(rule_ids)
-    rule_tuple = tuple(sorted(rule_ids)) if rule_ids is not None else None
+    active = _selected_ids(config, rule_ids)
     files = iter_lintable_files(paths, config)
-    py_files = [f for f in files if f.suffix == ".py"]
-    other_files = [f for f in files if f.suffix != ".py"]
-    stats = CacheStats(files=len(py_files))
-    cache = IndexCache(Path(cache_path) if cache_path else None,
-                       _config_digest(config, rule_ids))
-
-    # -- per-file pass (cached, parallel) ------------------------------------
-    entries: Dict[str, Dict[str, Any]] = {}
-    misses: List[str] = []
-    for path in py_files:
-        path_str = str(path)
-        try:
-            sha = file_sha256(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError):
-            sha = ""
-        hit = cache.lookup(path_str, sha) if sha else None
-        if hit is not None:
-            stats.hits += 1
-            entries[path_str] = hit
-        else:
-            misses.append(path_str)
-    stats.misses = len(misses)
-    for payload in _analyze_parallel(misses, config, rule_tuple, workers):
-        entries[payload["path"]] = payload
-        cache.store(payload["path"], payload)
-
-    # -- link and run the graph rules ----------------------------------------
-    indexes = [ModuleIndex.from_dict(entry["index"])
-               for _, entry in sorted(entries.items())
-               if entry["index"] is not None]
-    project = ProjectIndex(indexes, runtime_facts=runtime_engine_facts())
-    if report_paths is not None and widen_to_importers:
-        # --changed under --graph: a change can introduce violations in
-        # every module that (transitively) imports it, so report on the
-        # whole reverse import closure, not just the diff.
-        report_paths = project.reverse_import_closure(report_paths)
-    graph_violations = _graph_violations(project, config, active, cache,
-                                         stats)
-    by_path: Dict[str, List[Violation]] = {}
-    for violation in graph_violations:
-        by_path.setdefault(violation.path, []).append(violation)
-
-    # -- settle suppressions per file ----------------------------------------
     violations: List[Violation] = []
-    reported = 0
-    for path_str, entry in sorted(entries.items()):
-        if report_paths is not None and path_str not in report_paths:
+    analyses: List[FileAnalysis] = []
+    for path in files:
+        if path.suffix != ".py":
+            for rule in file_rules():
+                if rule.id in active and rule.applies(path):
+                    violations.extend(rule.check_file(path, config))
             continue
-        reported += 1
-        analysis = FileAnalysis(
-            path_str,
-            [Violation.from_dict(v) for v in entry["violations"]],
-            Suppressions.from_dict(entry["suppressions"]),
-            broken=bool(entry["broken"]))
+        try:
+            source = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            violations.append(Violation(str(path), 1, 0, SYNTAX_ID,
+                                        SYNTAX_NAME,
+                                        f"cannot read file: {exc}"))
+            continue
+        analyses.append(analyze_source(source, str(path), config, rule_ids))
+    project = ProjectIndex(
+        [_FileIndexer(analysis.path, analysis.tree).build()
+         for analysis in analyses if analysis.tree is not None],
+        runtime_facts=runtime_engine_facts())
+    found: Dict[str, List[Violation]] = {}
+    for rule in graph_rules():
+        if rule.id in active:
+            for violation in rule.check_project(project, config):
+                found.setdefault(violation.path, []).append(violation)
+    for analysis in analyses:
         violations.extend(settle_file(analysis, active,
-                                      extra=by_path.get(path_str, [])))
-    for path in other_files:
-        if report_paths is not None and str(path) not in report_paths:
-            continue
-        reported += 1
-        for rule in file_rules():
-            if rule.id in active and rule.applies(path):
-                violations.extend(rule.check_file(path, config))
-    cache.save(live_paths={str(p) for p in py_files})
-    return GraphRunResult(sorted(violations), reported, stats, project)
+                                      found.get(analysis.path, ())))
+    return sorted(violations), len(files)
+
+

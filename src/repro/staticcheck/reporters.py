@@ -1,26 +1,18 @@
-"""Violation reporters: human text, machine-stable JSON, SARIF 2.1.0.
+"""Violation reporters: human text and machine-stable JSON.
 
 The JSON schema is versioned and pinned by ``tests/test_staticcheck.py``;
 bump ``SCHEMA_VERSION`` when changing any key so downstream consumers
-(CI annotations, dashboards) can branch on it.  The SARIF document
-targets the 2.1.0 schema so CI can upload it via
-``github/codeql-action/upload-sarif`` and findings annotate PR diffs.
+(CI annotations, dashboards) can branch on it.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from .core import (SYNTAX_ID, UNUSED_ID, Violation, ast_rules, file_rules,
-                   graph_rules)
+from .core import Violation
 
 SCHEMA_VERSION = 1
-
-#: Pinned SARIF identity (the upload action validates both).
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
 
 def render_text(violations: Sequence[Violation], files_checked: int) -> str:
@@ -66,81 +58,10 @@ def render_json(violations: Sequence[Violation], files_checked: int) -> str:
                       indent=2, sort_keys=True)
 
 
-def _rule_catalog() -> List[Tuple[str, str, str]]:
-    """Sorted ``(id, name, short description)`` for every known rule.
-
-    The description is the first line of the rule class docstring, so
-    SARIF metadata stays in lockstep with the implementation.
-    """
-    catalog: Dict[str, Tuple[str, str]] = {
-        UNUSED_ID: ("unused-suppression",
-                    "A repro-lint suppression comment matched nothing."),
-        SYNTAX_ID: ("syntax-error", "The file does not parse."),
-    }
-    rules = (*ast_rules(), *file_rules(), *graph_rules())
-    for rule in rules:
-        doc = (rule.__class__.__doc__ or "").strip()
-        first = doc.splitlines()[0].strip() if doc else rule.name
-        catalog[rule.id] = (rule.name, first)
-    return [(rid, catalog[rid][0], catalog[rid][1])
-            for rid in sorted(catalog)]
-
-
-def render_sarif(violations: Sequence[Violation],
-                 files_checked: int) -> str:
-    """The run as a SARIF 2.1.0 document (deterministic, sorted keys)."""
-    catalog = _rule_catalog()
-    rule_index = {rid: index for index, (rid, _, _) in enumerate(catalog)}
-    results = []
-    for violation in violations:
-        results.append({
-            "ruleId": violation.rule_id,
-            "ruleIndex": rule_index.get(violation.rule_id, -1),
-            "level": "error",
-            "message": {"text": violation.message},
-            "locations": [{
-                "physicalLocation": {
-                    "artifactLocation": {
-                        "uri": Path(violation.path).as_posix(),
-                        "uriBaseId": "SRCROOT",
-                    },
-                    "region": {
-                        "startLine": max(1, violation.line),
-                        "startColumn": violation.col + 1,
-                    },
-                },
-            }],
-        })
-    document = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "repro-staticcheck",
-                    "rules": [
-                        {
-                            "id": rid,
-                            "name": name,
-                            "shortDescription": {"text": description},
-                        }
-                        for rid, name, description in catalog
-                    ],
-                },
-            },
-            "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-            "results": results,
-        }],
-    }
-    return json.dumps(document, indent=2, sort_keys=True)
-
-
 def render(violations: List[Violation], files_checked: int,
            fmt: str) -> str:
     if fmt == "json":
         return render_json(violations, files_checked)
     if fmt == "text":
         return render_text(violations, files_checked)
-    if fmt == "sarif":
-        return render_sarif(violations, files_checked)
     raise ValueError(f"unknown report format {fmt!r}")

@@ -18,9 +18,10 @@ RS203     merge-reachability    worker-built mergeables merged somewhere
 RS204     obs-escape            the obs ACTIVE slot never returned or aliased
 ========  ====================  ==============================================
 
-(RS000 unused-suppression and RS999 syntax-error live in the core.  The
-RS2xx family is interprocedural: those rules run only under ``--graph``,
-over the project index built by :mod:`repro.staticcheck.graph`.)
+(RS000 unused-suppression and RS999 syntax-error live in the core.
+RS201-RS203 are interprocedural: they run over the project index that
+:func:`repro.staticcheck.graph.lint_paths` links from every file in the
+run.  RS204 keeps its number but is a per-file rule beside RS003.)
 """
 
 from __future__ import annotations

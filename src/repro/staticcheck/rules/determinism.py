@@ -95,12 +95,6 @@ class _ImportMap:
         return None
 
 
-def _is_sorted_wrapped(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in ("sorted", "len", "sum", "min", "max",
-                                 "frozenset", "set", "any", "all"))
-
-
 class DeterminismRule(AstRule):
     """RS001 — ban ambient nondeterminism sources."""
 

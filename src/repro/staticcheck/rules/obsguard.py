@@ -1,4 +1,4 @@
-"""RS003 — obs-guard.
+"""RS003 (obs-guard) and RS204 (obs-escape).
 
 ``repro.obs`` is strictly out-of-band: experiment outputs must be
 byte-identical with observability on or off, and a *disabled* collector
@@ -24,6 +24,12 @@ guard would drop metrics on the first instrument of a shard.
 Modules inside ``repro/obs/`` and test code are exempt; helper functions
 that *receive* an already-guarded collector as a parameter are out of
 scope (the binding from ``ACTIVE`` is what starts tracking).
+
+RS204 closes the two ways a reference can leave that local discipline:
+a helper that *returns* the slot hands its callers an alias RS003 cannot
+track, and a module-level ``NAME = <obs module>.ACTIVE`` captures the
+slot at import time and goes stale when it is re-activated.  Both are
+visible in the one file that commits them, so the rule lives here.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from __future__ import annotations
 import ast
 from typing import List, Optional, Set, Tuple
 
-from ..core import AstRule, LintContext, register
+from ..core import AstRule, LintContext, Violation, register
+from .determinism import dotted_name
 
 #: Module basenames whose ``ACTIVE``/``active()`` starts tracking.
 _OBS_MODULES = ("metrics", "trace", "live")
@@ -40,36 +47,50 @@ _OBS_MODULES = ("metrics", "trace", "live")
 _OBS_SUFFIXES = ("obs.metrics", "obs.trace", "obs.live")
 
 
-def _obs_module_aliases(tree: ast.Module) -> Set[str]:
-    """Local names that refer to ``repro.obs.metrics`` / ``repro.obs.trace``."""
-    aliases: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module == "obs" or module.endswith(".obs"):
-                for alias in node.names:
-                    if alias.name in _OBS_MODULES:
-                        aliases.add(alias.asname or alias.name)
-            elif module.endswith(_OBS_SUFFIXES):
-                pass  # "from repro.obs.metrics import ACTIVE" handled below
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.endswith(_OBS_SUFFIXES) and alias.asname:
-                    aliases.add(alias.asname)
-    return aliases
+class _ActiveSlots:
+    """Recognizes reads of a ``repro.obs`` ACTIVE slot within one module."""
 
+    def __init__(self, tree: ast.Module) -> None:
+        #: local names of ``repro.obs.metrics`` / ``.trace`` / ``.live``
+        self.module_aliases: Set[str] = set()
+        #: names bound by ``from repro.obs.metrics import ACTIVE [as x]``
+        self.active_names: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if module == "obs" or module.endswith(".obs"):
+                    self.module_aliases.update(
+                        alias.asname or alias.name for alias in node.names
+                        if alias.name in _OBS_MODULES)
+                elif module.endswith(_OBS_SUFFIXES):
+                    self.active_names.update(
+                        alias.asname or alias.name for alias in node.names
+                        if alias.name in ("ACTIVE", "active"))
+            elif isinstance(node, ast.Import):
+                self.module_aliases.update(
+                    alias.asname for alias in node.names
+                    if alias.name.endswith(_OBS_SUFFIXES) and alias.asname)
 
-def _active_name_aliases(tree: ast.Module) -> Set[str]:
-    """Names bound by ``from repro.obs.metrics import ACTIVE [as x]``."""
-    aliases: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if module.endswith(_OBS_SUFFIXES):
-                for alias in node.names:
-                    if alias.name in ("ACTIVE", "active"):
-                        aliases.add(alias.asname or alias.name)
-    return aliases
+    def reads(self, node: ast.AST) -> bool:
+        """True for ``<obs module>.ACTIVE``, ``<obs module>.active()``,
+        or a name imported directly from the obs modules."""
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "active":
+                return self._is_obs_module(func.value)
+            return isinstance(func, ast.Name) \
+                and func.id in self.active_names
+        if isinstance(node, ast.Attribute) and node.attr == "ACTIVE":
+            return self._is_obs_module(node.value)
+        if isinstance(node, ast.Name):
+            return node.id in self.active_names
+        return False
+
+    def _is_obs_module(self, node: ast.AST) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in self.module_aliases
+        dotted = dotted_name(node)
+        return dotted is not None and dotted.endswith(_OBS_SUFFIXES)
 
 
 class _Guards:
@@ -118,9 +139,8 @@ class ObsGuardRule(AstRule):
         if ctx.in_obs or ctx.is_test:
             return
         self._ctx = ctx
-        self._module_aliases = _obs_module_aliases(ctx.tree)
-        self._active_names = _active_name_aliases(ctx.tree)
-        if not self._module_aliases and not self._active_names:
+        self._slots = _ActiveSlots(ctx.tree)
+        if not self._slots.module_aliases and not self._slots.active_names:
             return
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -129,29 +149,6 @@ class ObsGuardRule(AstRule):
         # module-level statements can misuse ACTIVE too
         self._check_body(ctx.tree.body, _Guards(set(), set()),
                          skip_defs=True)
-
-    # -- ACTIVE expressions --------------------------------------------------
-
-    def _is_active_expr(self, node: ast.AST) -> bool:
-        """True for ``<obs module>.ACTIVE``, ``<obs module>.active()``,
-        or a name imported directly from the obs modules."""
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "active":
-                return self._is_obs_module(func.value)
-            return isinstance(func, ast.Name) \
-                and func.id in self._active_names
-        if isinstance(node, ast.Attribute) and node.attr == "ACTIVE":
-            return self._is_obs_module(node.value)
-        if isinstance(node, ast.Name):
-            return node.id in self._active_names
-        return False
-
-    def _is_obs_module(self, node: ast.AST) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id in self._module_aliases
-        dotted = _dotted(node)
-        return dotted is not None and dotted.endswith(_OBS_SUFFIXES)
 
     # -- statement walk ------------------------------------------------------
 
@@ -170,7 +167,7 @@ class ObsGuardRule(AstRule):
             if value is not None:
                 targets = stmt.targets if isinstance(stmt, ast.Assign) \
                     else [stmt.target]
-                if self._is_active_expr(value) and len(targets) == 1 \
+                if self._slots.reads(value) and len(targets) == 1 \
                         and isinstance(targets[0], ast.Name):
                     # a fresh unguarded binding from the ACTIVE slot
                     name = targets[0].id
@@ -278,7 +275,7 @@ class ObsGuardRule(AstRule):
             self._scan_expr(node.body, guards)
             self._scan_expr(node.orelse, guards)
             return
-        if isinstance(node, ast.Attribute) and self._is_active_expr(node):
+        if isinstance(node, ast.Attribute) and self._slots.reads(node):
             return  # bare read of the slot (e.g. into a variable) is fine
         if self._is_direct_active_use(node):
             self._report(node, "repro.obs ACTIVE slot used inline without "
@@ -300,21 +297,72 @@ class ObsGuardRule(AstRule):
     def _is_direct_active_use(self, node: ast.expr) -> bool:
         """``_obs_metrics.ACTIVE.counter(...)`` — attribute on the raw slot."""
         return (isinstance(node, ast.Attribute)
-                and self._is_active_expr(node.value))
+                and self._slots.reads(node.value))
 
     def _report(self, node: ast.AST, message: str) -> None:
         self._ctx.report(self, node, message)
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+class ObsEscapeRule(AstRule):
+    """RS204 — no returning or module-aliasing the obs ACTIVE slot."""
+
+    id = "RS204"
+    name = "obs-escape"
+
+    def check(self, ctx: LintContext) -> None:
+        if ctx.in_obs or ctx.is_test:
+            return
+        slots = _ActiveSlots(ctx.tree)
+        for stmt in ctx.tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                self._check_returns(ctx, slots, stmt, stmt.name)
+            elif isinstance(stmt, ast.ClassDef):
+                for sub in stmt.body:
+                    if isinstance(sub, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef)):
+                        self._check_returns(ctx, slots, sub,
+                                            f"{stmt.name}.{sub.name}")
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                    else [stmt.target]
+                if len(targets) == 1 and isinstance(targets[0], ast.Name) \
+                        and stmt.value is not None \
+                        and slots.reads(stmt.value):
+                    self._report(
+                        ctx, stmt,
+                        f"module-level alias '{targets[0].id}' captures "
+                        f"the obs ACTIVE slot at import time; it goes "
+                        f"stale when the slot is re-activated and bypasses "
+                        f"RS003 guard tracking — read the slot inside the "
+                        f"function that uses it")
+
+    def _check_returns(self, ctx: LintContext, slots: _ActiveSlots,
+                       fn: "ast.FunctionDef | ast.AsyncFunctionDef",
+                       qualname: str) -> None:
+        """Flag returns of the slot or of a local bound from it."""
+        nodes = list(ast.walk(fn))
+        bound = {node.targets[0].id for node in nodes
+                 if isinstance(node, ast.Assign) and len(node.targets) == 1
+                 and isinstance(node.targets[0], ast.Name)
+                 and slots.reads(node.value)}
+        for node in nodes:
+            if isinstance(node, ast.Return) and node.value is not None \
+                    and (slots.reads(node.value)
+                         or (isinstance(node.value, ast.Name)
+                             and node.value.id in bound)):
+                self._report(
+                    ctx, node,
+                    f"{qualname} returns the raw obs ACTIVE slot; callers "
+                    f"receive an unguarded alias that escapes RS003's "
+                    f"local None-guard — have callers take the slot "
+                    f"themselves and guard it locally")
+
+    def _report(self, ctx: LintContext, node: ast.stmt,
+                message: str) -> None:
+        # anchored at column 0: the finding is about the statement
+        ctx.violations.append(Violation(ctx.path, node.lineno, 0, self.id,
+                                        self.name, message))
 
 
 register(ObsGuardRule())
+register(ObsEscapeRule())

@@ -61,21 +61,18 @@ class PickleSafetyRule(GraphRule):
 
     id = "RS202"
     name = "pickle-safety"
-    closure_cacheable = True  # resolution needs only the forward closure
 
     def check_project(self, project: "ProjectIndex",
                       config: Config) -> List[Violation]:
         violations: List[Violation] = []
         for path in sorted(project.modules):
-            violations.extend(self.check_module(
-                project, project.modules[path], config))
+            if not config.is_test_path(path):
+                violations.extend(self._check_module(
+                    project, project.modules[path]))
         return sorted(violations)
 
-    def check_module(self, project: "ProjectIndex",
-                     module: "ModuleIndex",
-                     config: Config) -> List[Violation]:
-        if config.is_test_path(module.path):
-            return []
+    def _check_module(self, project: "ProjectIndex",
+                      module: "ModuleIndex") -> List[Violation]:
         boundaries: Dict[str, Optional[Set[str]]] = {}
         dotted_boundaries: Dict[str, Tuple[str, Optional[Set[str]]]] = {}
         boundary_methods: Dict[str, Optional[Set[str]]] = {}

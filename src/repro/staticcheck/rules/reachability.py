@@ -1,8 +1,8 @@
-"""RS201/RS203/RS204: worker-reachability rules over the project graph.
+"""RS201/RS203: worker-reachability rules over the project graph.
 
-These rules run only under ``--graph``.  They consume the
-:class:`~repro.staticcheck.graph.ProjectIndex` built by the graph
-driver: a call graph resolved through imports, methods, protocols, and
+They consume the :class:`~repro.staticcheck.graph.ProjectIndex` that
+:func:`~repro.staticcheck.graph.lint_paths` links from every file in the
+run: a call graph resolved through imports, methods, protocols, and
 the engine's declared registries (``BUILDER_REGISTRY`` builders,
 ``@worker_entrypoint`` functions, ``STATICCHECK_WORKER_SEEDS``).
 
@@ -10,15 +10,13 @@ the engine's declared registries (``BUILDER_REGISTRY`` builders,
   RS001/RS005.  Everything reachable from a worker entrypoint must stay
   deterministic: an ambient clock read three frames deep breaks replay
   byte-equivalence even when its own file carries a determinism-allow
-  waiver, and a constant seed threaded through call arguments into
-  ``random.Random`` collapses every shard onto one stream.
+  waiver (the one thing per-file RS001 cannot see), and a constant seed
+  threaded through call arguments into ``random.Random`` collapses
+  every shard onto one stream.
 * **RS203 cross-module merge-algebra** — RS002 made whole-program: a
   mergeable class constructed in worker context whose merge method no
   caller anywhere ever invokes is a partial that silently drops data at
   the join point.
-* **RS204 obs-guard escape** — helpers that *return* or *alias* the obs
-  ``ACTIVE`` slot hand callers an unguarded reference, bypassing the
-  local ``if slot is not None`` discipline RS003 enforces per file.
 """
 
 from __future__ import annotations
@@ -29,19 +27,7 @@ from ..config import Config
 from ..core import GraphRule, Violation, register
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..graph import ModuleIndex, ProjectIndex
-
-#: Ambient categories RS201 reports per reachable-function context.
-#: "clock" escapes per-file RS001 via determinism-allow fragments;
-#: the others escape it only inside test paths.
-_TEST_ONLY_CATEGORIES = ("random", "hash", "set-order")
-
-_CATEGORY_WHY = {
-    "random": "the process-global random stream ignores shard seeds",
-    "clock": "wall-clock reads differ across workers and replays",
-    "hash": "hash() is salted per process (PYTHONHASHSEED)",
-    "set-order": "set iteration order is not deterministic",
-}
+    from ..graph import ProjectIndex
 
 
 def _seed_sink_params(project: "ProjectIndex") -> Dict[str, Set[str]]:
@@ -97,7 +83,6 @@ class WorkerDeterminismRule(GraphRule):
 
     id = "RS201"
     name = "worker-determinism"
-    closure_cacheable = False  # depends on reverse reachability
 
     def check_project(self, project: "ProjectIndex",
                       config: Config) -> List[Violation]:
@@ -107,22 +92,20 @@ class WorkerDeterminismRule(GraphRule):
             module, fn = project.functions[key]
             if project.is_obs_path(module.path):
                 continue  # the live plane is out-of-band by contract
-            allow_clock = config.allows_clock(module.path)
-            is_test = config.is_test_path(module.path)
+            # Only report what per-file RS001 could not see: clock reads
+            # its waivers silenced in *this* file but which are now known
+            # to run inside a worker.
+            if not (config.allows_clock(module.path)
+                    or config.is_test_path(module.path)):
+                continue
             for use in fn.ambient:
-                # Only report what per-file RS001 could not see: sources
-                # its waivers silenced in *this* file but which are now
-                # known to run inside a worker.
-                if use.category == "clock" and not (allow_clock or is_test):
-                    continue
-                if use.category in _TEST_ONLY_CATEGORIES and not is_test:
-                    continue
                 chain = project.chain_to(key, parents)
                 violations.append(Violation(
                     module.path, use.line, use.col, self.id, self.name,
                     f"{use.source} is reachable from a worker entrypoint "
-                    f"(via {chain}); {_CATEGORY_WHY[use.category]} — "
-                    f"derive per-shard values from the bound seed instead",
+                    f"(via {chain}); wall-clock reads differ across "
+                    f"workers and replays — derive per-shard values from "
+                    f"the bound seed instead",
                 ))
         violations.extend(self._constant_seeds(project, config, reachable))
         return sorted(violations)
@@ -167,7 +150,6 @@ class MergeReachabilityRule(GraphRule):
 
     id = "RS203"
     name = "merge-reachability"
-    closure_cacheable = False  # "is it ever merged" is a global property
 
     def check_project(self, project: "ProjectIndex",
                       config: Config) -> List[Violation]:
@@ -244,64 +226,5 @@ class MergeReachabilityRule(GraphRule):
         return merged
 
 
-class ObsEscapeRule(GraphRule):
-    """RS204: no returning or module-aliasing the obs ACTIVE slot."""
-
-    id = "RS204"
-    name = "obs-escape"
-    closure_cacheable = True  # purely local to each module
-
-    def check_project(self, project: "ProjectIndex",
-                      config: Config) -> List[Violation]:
-        violations: List[Violation] = []
-        for path in sorted(project.modules):
-            violations.extend(self.check_module(
-                project, project.modules[path], config))
-        return sorted(violations)
-
-    def check_module(self, project: "ProjectIndex",
-                     module: "ModuleIndex",
-                     config: Config) -> List[Violation]:
-        if project.is_obs_path(module.path) \
-                or config.is_test_path(module.path):
-            return []
-        violations: List[Violation] = []
-        for name, line in module.obs_slot_aliases:
-            violations.append(Violation(
-                module.path, line, 0, self.id, self.name,
-                f"module-level alias '{name}' captures the obs ACTIVE "
-                f"slot at import time; it goes stale when the slot is "
-                f"re-activated and bypasses RS003 guard tracking — read "
-                f"the slot inside the function that uses it",
-            ))
-        for qualname in sorted(module.functions):
-            fn = module.functions[qualname]
-            if fn.returns_obs_active is not None:
-                violations.append(Violation(
-                    module.path, fn.returns_obs_active, 0, self.id,
-                    self.name,
-                    f"{qualname} returns the raw obs ACTIVE slot; "
-                    f"callers receive an unguarded alias that escapes "
-                    f"RS003's local None-guard — have callers take the "
-                    f"slot themselves and guard it locally",
-                ))
-        for class_name in sorted(module.classes):
-            cls = module.classes[class_name]
-            for method_name in sorted(cls.methods):
-                fn = cls.methods[method_name]
-                if fn.returns_obs_active is not None:
-                    violations.append(Violation(
-                        module.path, fn.returns_obs_active, 0, self.id,
-                        self.name,
-                        f"{fn.qualname} returns the raw obs ACTIVE "
-                        f"slot; callers receive an unguarded alias that "
-                        f"escapes RS003's local None-guard — have "
-                        f"callers take the slot themselves and guard it "
-                        f"locally",
-                    ))
-        return sorted(violations)
-
-
 register(WorkerDeterminismRule())
 register(MergeReachabilityRule())
-register(ObsEscapeRule())

@@ -1,7 +1,7 @@
-"""Whole-program (--graph) linter tests: RS201-RS204, cache, reporters.
+"""Whole-program linter tests: RS201-RS204, suppressions, the driver.
 
 Each test builds a small fixture package under ``tmp_path`` and runs
-:func:`repro.staticcheck.graph.lint_paths_graph` over it.  The fixtures
+:func:`repro.staticcheck.graph.lint_paths` over it.  The fixtures
 import the *real* engine introspection surface (``worker_entrypoint``,
 ``ShardSpec``, ``repro.obs``) by dotted name only — the analyzer never
 imports fixture code, so nothing here executes.
@@ -14,18 +14,20 @@ with ``test_paths=()``.
 
 from __future__ import annotations
 
-import json
+import ast
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
-from repro.staticcheck import lint_source
+from repro.staticcheck import Violation, lint_source
+from repro.staticcheck.__main__ import run as lint_cli_run
 from repro.staticcheck.config import Config
-from repro.staticcheck.core import all_rule_ids
-from repro.staticcheck.graph import (GraphRunResult, file_sha256,
-                                     lint_paths_graph, module_name_for)
-from repro.staticcheck.reporters import render, render_sarif
+from repro.staticcheck.core import all_rule_ids, graph_rules
+from repro.staticcheck.graph import (ProjectIndex, index_source,
+                                     iter_lintable_files, lint_paths,
+                                     module_name_for, runtime_engine_facts)
+from repro.staticcheck.reporters import render
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -48,13 +50,12 @@ def write_pkg(root: Path, files: Dict[str, str]) -> Path:
     return pkg
 
 
-def run_graph(pkg: Path, config: Config, **kwargs: object
-              ) -> GraphRunResult:
-    return lint_paths_graph([pkg], config=config, **kwargs)  # type: ignore[arg-type]
+def run_graph(pkg: Path, config: Config) -> List[Violation]:
+    return lint_paths([pkg], config)[0]
 
 
-def rule_ids(result: GraphRunResult) -> Tuple[str, ...]:
-    return tuple(v.rule_id for v in result.violations)
+def rule_ids(violations: List[Violation]) -> Tuple[str, ...]:
+    return tuple(v.rule_id for v in violations)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,7 @@ class TestRS201Ambient:
         config = _config(determinism_allow=("pkg/helpers.py",))
         result = run_graph(pkg, config)
         assert rule_ids(result) == ("RS201",)
-        violation = result.violations[0]
+        violation = result[0]
         assert violation.path.endswith("helpers.py")
         assert "time.time" in violation.message
         # The chain names every frame back to the entrypoint.
@@ -154,7 +155,7 @@ class TestRS201ConstantSeed:
                                    "helpers.py": SEED_HELPERS})
         result = run_graph(pkg, _config())
         assert rule_ids(result) == ("RS201",)
-        message = result.violations[0].message
+        message = result[0].message
         assert "constant seed 42" in message
         assert "'seed'" in message and "make_rng" in message
 
@@ -197,7 +198,7 @@ class TestRS202PickleSafety:
         pkg = write_pkg(tmp_path, {"specs.py": SPEC_BAD})
         result = run_graph(pkg, _config())
         assert rule_ids(result) == ("RS202",)
-        message = result.violations[0].message
+        message = result[0].message
         assert "lambda" in message
         assert "ShardSpec.create" in message
 
@@ -263,7 +264,7 @@ class TestRS203MergeAlgebra:
                                    "build.py": PARTIAL_BUILD})
         result = run_graph(pkg, _config())
         assert rule_ids(result) == ("RS203",)
-        message = result.violations[0].message
+        message = result[0].message
         assert "Partial" in message and "merge_from" in message
 
     def test_merged_in_another_module_does_not_fire(
@@ -305,7 +306,7 @@ class TestRS204ObsEscape:
         pkg = write_pkg(tmp_path, {"escape.py": ESCAPE})
         result = run_graph(pkg, _config())
         assert rule_ids(result) == ("RS204", "RS204")
-        messages = [v.message for v in result.violations]
+        messages = [v.message for v in result]
         assert any("module-level alias 'SLOT'" in m for m in messages)
         assert any("leak returns the raw obs ACTIVE" in m
                    for m in messages)
@@ -318,7 +319,7 @@ class TestRS204ObsEscape:
 
 
 # ---------------------------------------------------------------------------
-# Suppressions under --graph.
+# Suppressions: one table per file, settled once for both kinds of finding.
 
 
 class TestGraphSuppressions:
@@ -341,15 +342,35 @@ class TestGraphSuppressions:
         assert rule_ids(result) == ("RS000",)
 
     def test_unused_graph_suppression_silent_in_plain_lint(self) -> None:
-        # Plain per-file runs never execute RS2xx, so holding a
-        # suppression for one is not "unused" there.
+        # One string is not a program: lint_source never executes the
+        # graph rules, so holding a suppression for one is not "unused".
         out = lint_source("x = 1  # repro-lint: disable=RS201\n", "a.py",
                           config=_config())
         assert out == []
 
 
+    def test_one_comment_covers_per_file_and_graph_finding(
+            self, tmp_path: Path) -> None:
+        # RS001 (the global stream) and RS201 (a constant seed reaching
+        # random.Random through a helper) land on the same line; one
+        # comment names both, and neither half is reported unused.
+        line = "    return make_rng(42).random() + random.random()"
+        workers = SEED_WORKERS.replace(
+            "    rng = make_rng(42)\n    return rng.random()", line
+        ).replace("from repro", "import random\n\nfrom repro")
+        pkg = write_pkg(tmp_path, {"workers.py": workers,
+                                   "helpers.py": SEED_HELPERS})
+        found = run_graph(pkg, _config())
+        assert sorted(rule_ids(found)) == ["RS001", "RS201"]
+        assert len({(v.path, v.line) for v in found}) == 1
+        (pkg / "workers.py").write_text(workers.replace(
+            line, line + "  # repro-lint: disable=RS001,RS201"),
+            encoding="utf-8")
+        assert run_graph(pkg, _config()) == []
+
+
 # ---------------------------------------------------------------------------
-# Incremental cache + determinism of the report.
+# The driver: one parse per file, order-independent reports.
 
 
 def _full_fixture(tmp_path: Path) -> Tuple[Path, Config]:
@@ -364,124 +385,61 @@ def _full_fixture(tmp_path: Path) -> Tuple[Path, Config]:
     return pkg, _config(determinism_allow=("pkg/helpers.py",))
 
 
-class TestIncrementalCache:
-    def test_cold_then_warm_hit_counters_and_identical_report(
+class TestDriver:
+    def test_each_file_is_parsed_exactly_once(
+            self, tmp_path: Path, monkeypatch: pytest.MonkeyPatch) -> None:
+        pkg = write_pkg(tmp_path, {"workers.py": AMBIENT_WORKERS,
+                                   "helpers.py": AMBIENT_HELPERS})
+        parsed: List[str] = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(str(filename))
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        violations, files = lint_paths(
+            [pkg], _config(determinism_allow=("pkg/helpers.py",)))
+        assert files == 3 and rule_ids(violations) == ("RS201",)
+        assert sorted(parsed) == sorted(
+            str(pkg / name)
+            for name in ("__init__.py", "helpers.py", "workers.py"))
+
+    def test_report_is_independent_of_path_argument_order(
             self, tmp_path: Path) -> None:
         pkg, config = _full_fixture(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold = run_graph(pkg, config, cache_path=cache)
-        assert cold.stats.hits == 0
-        assert cold.stats.misses == cold.stats.files > 0
-        assert not cold.stats.graph_reused
-        assert cold.stats.closure_misses == cold.stats.files
+        names = sorted(path.name for path in pkg.iterdir())
+        forward = lint_paths([pkg / name for name in names], config)
+        backward = lint_paths([pkg / name for name in reversed(names)],
+                              config)
+        assert sorted(rule_ids(forward[0])) == ["RS201", "RS202", "RS203",
+                                                "RS204", "RS204"]
+        for fmt in ("text", "json"):
+            assert render(*forward, fmt) == render(*backward, fmt)
 
-        warm = run_graph(pkg, config, cache_path=cache)
-        assert warm.stats.hits == warm.stats.files == cold.stats.files
-        assert warm.stats.misses == 0
-        assert warm.stats.graph_reused
-        assert warm.stats.closure_hits == warm.stats.files
-        assert warm.stats.closure_misses == 0
+    def test_removed_options_are_usage_errors(
+            self, tmp_path: Path,
+            capsys: pytest.CaptureFixture[str]) -> None:
+        good = tmp_path / "good.py"
+        good.write_text("x = 1\n", encoding="utf-8")
+        for argv in (["--graph"], ["--workers", "2"], ["--changed"],
+                     ["--format", "sarif"]):
+            with pytest.raises(SystemExit) as excinfo:
+                lint_cli_run([*argv, str(good)])
+            assert excinfo.value.code == 2
+            capsys.readouterr()
 
-        for fmt in ("text", "json", "sarif"):
-            assert render(cold.violations, cold.files_checked, fmt) \
-                == render(warm.violations, warm.files_checked, fmt)
-
-    def test_single_file_edit_reparses_only_that_file(
-            self, tmp_path: Path) -> None:
-        pkg, config = _full_fixture(tmp_path)
-        cache = tmp_path / "cache.json"
-        run_graph(pkg, config, cache_path=cache)
-        # Touch one module without changing any import edges.
-        escape = pkg / "escape.py"
-        escape.write_text(ESCAPE + "\n# trailing comment\n",
-                          encoding="utf-8")
-        result = run_graph(pkg, config, cache_path=cache)
-        assert result.stats.misses == 1
-        assert result.stats.hits == result.stats.files - 1
-        # The whole-program digest changed, but closure-cacheable rules
-        # re-run only where the import closure changed.
-        assert not result.stats.graph_reused
-        assert result.stats.closure_misses >= 1
-        assert result.stats.closure_hits \
-            == result.stats.files - result.stats.closure_misses
-
-    def test_report_is_byte_identical_across_worker_counts(
-            self, tmp_path: Path) -> None:
-        pkg, config = _full_fixture(tmp_path)
-        solo = run_graph(pkg, config, workers=1)
-        fleet = run_graph(pkg, config, workers=4)
-        assert solo.stats.files == fleet.stats.files
-        for fmt in ("text", "json", "sarif"):
-            assert render(solo.violations, solo.files_checked, fmt) \
-                == render(fleet.violations, fleet.files_checked, fmt)
-
-    def test_config_change_invalidates_cache(self,
-                                             tmp_path: Path) -> None:
-        pkg, config = _full_fixture(tmp_path)
-        cache = tmp_path / "cache.json"
-        run_graph(pkg, config, cache_path=cache)
-        reconfigured = _config(determinism_allow=())
-        again = run_graph(pkg, reconfigured, cache_path=cache)
-        assert again.stats.hits == 0
-        assert again.stats.misses == again.stats.files
-
-
-# ---------------------------------------------------------------------------
-# Report-path restriction (the --changed machinery).
-
-
-class TestReportPaths:
-    def test_report_paths_restrict_output_but_not_the_graph(
-            self, tmp_path: Path) -> None:
-        pkg, config = _full_fixture(tmp_path)
-        helpers = str(pkg / "helpers.py")
-        result = run_graph(pkg, config, report_paths={helpers})
-        # The RS201 finding lives in helpers.py but only exists because
-        # workers.py (outside report_paths) was still indexed.
-        assert result.files_checked == 1
-        assert "RS201" in rule_ids(result)
-        assert all(v.path == helpers for v in result.violations)
-
-    def test_widening_reports_reverse_importers(self,
-                                                tmp_path: Path) -> None:
-        pkg, config = _full_fixture(tmp_path)
-        helpers = str(pkg / "helpers.py")
-        result = run_graph(pkg, config, report_paths={helpers},
-                           widen_to_importers=True)
-        # workers.py imports helpers.py, so the widened report covers it.
-        assert result.files_checked >= 2
-
-
-# ---------------------------------------------------------------------------
-# SARIF reporter.
-
-
-class TestSarif:
-    def test_sarif_shape_and_rules_metadata(self, tmp_path: Path) -> None:
-        pkg, config = _full_fixture(tmp_path)
-        result = run_graph(pkg, config)
-        document = json.loads(
-            render_sarif(result.violations, result.files_checked))
-        assert document["version"] == "2.1.0"
-        run = document["runs"][0]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-staticcheck"
-        catalog = {rule["id"] for rule in driver["rules"]}
-        assert set(GRAPH_IDS) <= catalog
-        assert {"RS000", "RS999"} <= catalog
-        assert len(run["results"]) == len(result.violations)
-        for entry in run["results"]:
-            assert entry["ruleId"] in catalog
-            location = entry["locations"][0]["physicalLocation"]
-            region = location["region"]
-            assert region["startLine"] >= 1
-            assert region["startColumn"] >= 1
-
-    def test_sarif_rule_index_points_at_its_rule(self) -> None:
-        document = json.loads(render_sarif([], 0))
-        rules = document["runs"][0]["tool"]["driver"]["rules"]
-        assert [rule["id"] for rule in rules] \
-            == sorted(rule["id"] for rule in rules)
+    def test_prom_only_run_has_an_empty_project(
+            self, tmp_path: Path,
+            capsys: pytest.CaptureFixture[str]) -> None:
+        prom = tmp_path / "m.prom"
+        prom.write_text("# HELP up Liveness.\n# TYPE up gauge\nup 1\n",
+                        encoding="utf-8")
+        assert lint_cli_run(["--prom", str(prom)]) == 0
+        assert "clean: 0 violations in 1 file" in capsys.readouterr().out
+        prom.write_text("up 1\n", encoding="utf-8")  # sample, no TYPE
+        assert lint_cli_run(["--prom", str(prom)]) == 1
+        assert "RS100" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +448,19 @@ class TestSarif:
 
 class TestSelfLint:
     def test_src_repro_is_graph_clean(self) -> None:
-        result = lint_paths_graph([SRC])
-        assert result.violations == [], render(
-            result.violations, result.files_checked, "text")
-        assert result.project is not None
-        # The engine's declared seeds reach a non-trivial worker slice.
-        assert len(result.project.worker_seeds()) > 10
+        # The full self-lint is tests/test_staticcheck.py's meta-test;
+        # this pins that a clean RS2xx result there is not vacuous: the
+        # engine's declarations resolve to real functions in the index
+        # and reach well beyond themselves.
+        project = ProjectIndex(
+            [index_source(path.read_text(encoding="utf-8"), str(path))
+             for path in iter_lintable_files([SRC], Config())],
+            runtime_facts=runtime_engine_facts())
+        assert len(project.worker_seeds()) > 10
+        assert len(project.worker_reachable()[0]) \
+            > 2 * len(project.worker_seeds())
+        for rule in graph_rules():
+            assert rule.check_project(project, Config()) == [], rule.id
 
     def test_rule_universe_includes_graph_family(self) -> None:
         assert set(GRAPH_IDS) <= set(all_rule_ids())
@@ -506,10 +471,6 @@ class TestSelfLint:
 
 
 class TestUnits:
-    def test_file_sha256_is_stable(self) -> None:
-        assert file_sha256("x = 1\n") == file_sha256("x = 1\n")
-        assert file_sha256("x = 1\n") != file_sha256("x = 2\n")
-
     def test_module_name_walks_packages(self, tmp_path: Path) -> None:
         pkg = write_pkg(tmp_path, {"mod.py": "x = 1\n"})
         assert module_name_for(pkg / "mod.py") == "pkg.mod"
