@@ -65,9 +65,9 @@ def test_engine_generate_throughput(engine_bench, save_report):
     shard_lists = {}
     reports = {}
     for workers in WORKER_COUNTS:
-        with WorkerPool(workers) as pool:
+        with WorkerPool(workers):
             lists, report = generate_records_spec(GENERATE_SPEC,
-                                                  workers=workers, pool=pool)
+                                                  workers=workers)
         shard_lists[workers] = lists
         reports[workers] = report
         _record(engine_bench, f"generate_allnames_workers{workers}", report)
@@ -92,10 +92,10 @@ def test_engine_replay_throughput(engine_bench, save_report, tmp_path):
     results = {}
     reports = {}
     for workers in WORKER_COUNTS:
-        with WorkerPool(workers) as pool:
+        with WorkerPool(workers):
             result, report = replay_jsonl_sharded(trace, "public-cdn",
                                                   shards=DEFAULT_SHARDS,
-                                                  workers=workers, pool=pool)
+                                                  workers=workers)
         results[workers] = result
         reports[workers] = report
         _record(engine_bench, f"replay_public_cdn_workers{workers}", report)

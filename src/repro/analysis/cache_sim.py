@@ -180,25 +180,23 @@ class ReplayKernel:
             cmap.append(entry)
         return Segment(columns, qnames, clients, qmap, cmap)
 
-    def store_segment(self, store: "ColumnarStore", client_field: str,
-                      scope_field: str = "scope",
-                      ttl_field: str = "ttl") -> Segment:
+    def store_segment(self, store: "ColumnarStore",
+                      client_field: str) -> Segment:
         """One columnar store (a whole file or one row group), zero-copy."""
-        fields = ("ts", "qname", "qtype", client_field, scope_field, ttl_field)
+        fields = ("ts", "qname", "qtype", client_field, "scope", "ttl")
         return self.segment([store.column(name) for name in fields],
                             store.dictionary("qname"),
                             store.dictionary(client_field))
 
-    def record_segments(self, records: Iterable, client_field: str,
-                        scope_field: str = "scope",
-                        ttl_field: str = "ttl") -> Iterator[Segment]:
+    def record_segments(self, records: Iterable,
+                        client_field: str) -> Iterator[Segment]:
         """Record objects, transposed :data:`RECORD_CHUNK_ROWS` at a time
         (one C-level ``map`` per column) and dictionary-encoded per chunk.
 
         A record without a client keeps the scope-free key, as in
         :meth:`ScopeTracker._key`: its scope is rewritten to 0.
         """
-        fields = ("ts", "qname", "qtype", client_field, scope_field, ttl_field)
+        fields = ("ts", "qname", "qtype", client_field, "scope", "ttl")
         stream = iter(records)
         while True:
             chunk = list(islice(stream, RECORD_CHUNK_ROWS))
@@ -297,23 +295,18 @@ class ReplayKernel:
 
 
 def replay_partial_batched(records: Iterable, client_field: str,
-                           scope_field: str = "scope",
-                           ttl_field: str = "ttl",
                            ttl_override: Optional[float] = None
                            ) -> ReplayPartial:
     """Object lane: record instances read by field *name*; counters equal
     :func:`replay_partial` with the matching accessors."""
     kernel = ReplayKernel(ttl_override)
-    for segment in kernel.record_segments(records, client_field,
-                                          scope_field, ttl_field):
+    for segment in kernel.record_segments(records, client_field):
         kernel.feed(segment)
     return kernel.partial()
 
 
 def replay_partial_columns(store: "ColumnarStore", client_field: str,
                            rows: Optional[Iterable[int]] = None,
-                           scope_field: str = "scope",
-                           ttl_field: str = "ttl",
                            ttl_override: Optional[float] = None
                            ) -> ReplayPartial:
     """Columnar lane: one store's packed columns, no record objects.
@@ -321,15 +314,12 @@ def replay_partial_columns(store: "ColumnarStore", client_field: str,
     ``rows`` selects a subset in replay order (one qname bucket).
     """
     kernel = ReplayKernel(ttl_override)
-    kernel.feed(kernel.store_segment(store, client_field, scope_field,
-                                     ttl_field), rows)
+    kernel.feed(kernel.store_segment(store, client_field), rows)
     return kernel.partial()
 
 
 def replay_partial_column_groups(stores: Iterable["ColumnarStore"],
                                  client_field: str,
-                                 scope_field: str = "scope",
-                                 ttl_field: str = "ttl",
                                  ttl_override: Optional[float] = None
                                  ) -> ReplayPartial:
     """Out-of-core lane: row-group stores in file order through one kernel.
@@ -341,8 +331,7 @@ def replay_partial_column_groups(stores: Iterable["ColumnarStore"],
     """
     kernel = ReplayKernel(ttl_override)
     for store in stores:
-        kernel.feed(kernel.store_segment(store, client_field, scope_field,
-                                         ttl_field))
+        kernel.feed(kernel.store_segment(store, client_field))
     return kernel.partial()
 
 

@@ -19,15 +19,14 @@ dataset     inspect an on-disk trace file (``dataset info FILE``)
 chaos       run the scan campaign under a fault-injection preset
 all         every analysis command, sequentially
 lint        run the repro.staticcheck invariant linter (RS001-RS100,
-            RS201-RS204), always whole-program
+            RS201, RS203, RS204), always whole-program
 
 Every command accepts ``--seed`` and a size knob and writes rendered
 reports to ``--out`` (default: print to stdout only); ``--quiet``
 silences stdout.  ``generate``, ``blowup``, ``replay``, ``chaos`` and
-``all`` also take ``--workers N`` / ``--shards K`` plus the dispatch
-knob ``--chunk-size C``: work is split into K deterministically-seeded
-shards executed on N processes via compact shard specs, and the merged
-output is byte-identical for every (N, C) combination (see
+``all`` also take ``--workers N`` / ``--shards K``: work is split into
+K deterministically-seeded shards executed on N processes via compact
+shard specs, and the merged output is byte-identical for every N (see
 ``docs/engine.md``).
 """
 
@@ -57,7 +56,6 @@ from .datasets.columnar import (DEFAULT_ROW_GROUP_ROWS, SCHEMAS,
 from .datasets.ditl import generate_root_trace
 from .engine import (DEFAULT_SHARDS, ShardSpec, WorkerPool,
                      generate_dataset_spec, generate_jsonl)
-from .engine import pool as engine_pool
 from .engine.executor import EngineReport
 from .engine.replay import replay_columnar_sharded, replay_jsonl_sharded
 from .faults.chaos import run_chaos
@@ -209,7 +207,7 @@ def cmd_blowup(args: argparse.Namespace, reporter: _Reporter) -> None:
                             scale=args.scale, seed=args.seed,
                             duration_s=args.hours * 3600.0)
     public_cdn, engine_report = generate_dataset_spec(
-        spec, workers=args.workers, chunk_size=args.chunk_size)
+        spec, workers=args.workers)
     reporter.engine(engine_report)
     series = fig1_series(public_cdn, ttls=(20, 40, 60))
     reporter.emit("fig1", cdf_table(
@@ -219,7 +217,7 @@ def cmd_blowup(args: argparse.Namespace, reporter: _Reporter) -> None:
     allnames, engine_report = generate_dataset_spec(
         ShardSpec.create("allnames", shard_count=args.shards,
                          scale=args.allnames_scale, seed=args.seed),
-        workers=args.workers, chunk_size=args.chunk_size)
+        workers=args.workers)
     reporter.engine(engine_report)
     fractions = (0.1, 0.25, 0.5, 0.75, 1.0)
     f2 = fig2_series(allnames, fractions=fractions, seeds=(1, 2))
@@ -261,7 +259,7 @@ def cmd_generate(args: argparse.Namespace, reporter: _Reporter) -> None:
     ``<file>.shardNN`` siblings, then an order-stable merge produces the
     final trace and removes the shard files.  No record payloads cross
     the pool boundary, and the merged bytes are identical for any
-    ``--workers`` / ``--chunk-size`` value.
+    ``--workers`` value.
     """
     if args.dataset == "allnames":
         spec = ShardSpec.create("allnames", shard_count=args.shards,
@@ -274,14 +272,12 @@ def cmd_generate(args: argparse.Namespace, reporter: _Reporter) -> None:
         from .engine import generate_columnar
         count, engine_report = generate_columnar(
             spec, args.file, workers=args.workers,
-            chunk_size=args.chunk_size,
             row_group_rows=args.row_group_rows)
     else:
         if args.row_group_rows is not None:
             raise SystemExit("--row-group-rows requires --format columnar")
         count, engine_report = generate_jsonl(
-            spec, args.file, workers=args.workers,
-            chunk_size=args.chunk_size)
+            spec, args.file, workers=args.workers)
     reporter.engine(engine_report)
     reporter.note(f"wrote {count} {args.dataset} records to {args.file}")
 
@@ -402,11 +398,11 @@ def cmd_replay(args: argparse.Namespace, reporter: _Reporter) -> None:
     if is_columnar(args.file):
         result, engine_report = replay_columnar_sharded(
             args.file, args.dataset, shards=args.shards,
-            workers=args.workers, chunk_size=args.chunk_size)
+            workers=args.workers)
     else:
         result, engine_report = replay_jsonl_sharded(
             args.file, args.dataset, shards=args.shards,
-            workers=args.workers, chunk_size=args.chunk_size)
+            workers=args.workers)
     reporter.engine(engine_report)
     reporter.emit("replay", format_table(
         ("metric", "value"),
@@ -429,8 +425,7 @@ def cmd_chaos(args: argparse.Namespace, reporter: _Reporter) -> None:
     plan = preset(args.preset)
     result, engine_report = run_chaos(
         plan, seed=args.seed, fault_seed=args.fault_seed,
-        ingress=args.ingress, shards=args.shards, workers=args.workers,
-        chunk_size=args.chunk_size)
+        ingress=args.ingress, shards=args.shards, workers=args.workers)
     reporter.engine(engine_report)
     reporter.emit("chaos", result.report())
 
@@ -511,10 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--shards", type=positive_int, default=DEFAULT_SHARDS,
                          help="shard count; part of the experiment's "
                               "identity, independent of --workers")
-        cmd.add_argument("--chunk-size", type=positive_int, default=None,
-                         help="consecutive shards per pool submission "
-                              "(default: auto); dispatch detail only, "
-                              "never affects output")
 
     scan = sub.add_parser("scan", help="active scan campaign (sections 4/5/8.2)")
     scan.add_argument("--ingress", type=int, default=300,
@@ -629,25 +620,17 @@ def _dispatch(args: argparse.Namespace, reporter: _Reporter) -> None:
     """Run the selected command (or, for ``all``, every analysis).
 
     Engine commands run against one :class:`WorkerPool` for their whole
-    duration: the worker processes spawn once and serve every sharded
-    call the command makes — for ``all``, that is every sub-command.
-    The pool is installed in the ambient slot so library code reaches it
-    without threading it through every call.
+    duration: the worker processes spawn once (on the first pooled
+    dispatch, so never at ``--workers 1``) and serve every sharded call
+    the command makes — for ``all``, that is every sub-command.
     """
-    workers = getattr(args, "workers", 1)
-    pool = WorkerPool(workers) if workers > 1 else None
-    previous = engine_pool.activate(pool) if pool is not None else None
-    try:
+    with WorkerPool(getattr(args, "workers", 1)):
         if args.command == "all":
             for name, command in _ANALYSIS_COMMANDS.items():
                 reporter.note(f"### {name}\n")
                 command(args, reporter)
             return
         _COMMANDS[args.command](args, reporter)
-    finally:
-        if pool is not None:
-            engine_pool.activate(previous)
-            pool.shutdown()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -61,12 +61,6 @@ from .records import (AllNamesRecord, CdnQueryRecord, PublicCdnRecord,
                       RootQueryRecord, ScanQueryRecord, iter_jsonl,
                       write_jsonl)
 
-#: Declared for the whole-program linter (RS202): stores and readers wrap
-#: mmap'd files, so instances must never cross a pickle boundary —
-#: workers reopen by path (see ``repro.engine.replay._open_cached``).
-STATICCHECK_UNPICKLABLE = ("repro.datasets.columnar:ColumnarStore",
-                           "repro.datasets.columnar:RowGroupReader")
-
 #: Magic of the legacy single-block layout; read, never written.
 MAGIC = b"RPRCOL01"
 #: Row-group layout magic (format version 2; see ``docs/datasets.md``).

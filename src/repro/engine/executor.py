@@ -231,30 +231,26 @@ def _run_header_chunk(header: bytes, args_blobs: Sequence[bytes],
     return outcomes
 
 
-def _timed_call(fn: Callable[..., Any],
-                args: Tuple[Any, ...]) -> Tuple[Any, float]:
-    """Run ``fn(*args)`` and measure it (no observability capture)."""
-    result, seconds, _, _, _ = _observed_call(fn, args, 0, False, False)
-    return result, seconds
-
-
 def _chunk_bounds(total: int, chunk_size: int) -> List[Tuple[int, int]]:
     """Consecutive ``[lo, hi)`` slices of length <= ``chunk_size``."""
     return [(lo, min(lo + chunk_size, total))
             for lo in range(0, total, chunk_size)]
 
 
-def _resolve_pool(pool: Optional[WorkerPool],
-                  workers: int) -> Tuple[WorkerPool, bool]:
+#: Pool submissions aimed at per worker.  A submission costs ~150 µs of
+#: round trip, so shards are batched once they outnumber this many per
+#: worker; fewer, larger submissions would leave workers idle at the tail.
+SUBMISSIONS_PER_WORKER = 4
+
+
+def _resolve_pool(workers: int) -> Tuple[WorkerPool, bool]:
     """The pool a parallel run executes on, and whether it is ephemeral.
 
-    Precedence: an explicitly passed pool, then the ambient
-    :data:`repro.engine.pool.ACTIVE` pool (the CLI installs one per
-    command), then a throwaway pool for direct library callers, which
+    The ambient :data:`repro.engine.pool.ACTIVE` pool (installed by an
+    enclosing ``with WorkerPool(n):``, as the CLI does per command),
+    else a throwaway pool for a bare library call, which
     :func:`run_sharded` shuts down when the run ends.
     """
-    if pool is not None:
-        return pool, False
     ambient = pool_mod.ACTIVE
     if ambient is not None:
         return ambient, False
@@ -265,16 +261,15 @@ def run_sharded(fn: Callable[..., Any],
                 shard_args: Sequence[Tuple[Any, ...]],
                 workers: int = 1, task: str = "engine",
                 count_of: Optional[Callable[[Any], int]] = None,
-                chunk_size: Optional[int] = None,
-                shared: Tuple[Any, ...] = (),
-                pool: Optional[WorkerPool] = None
+                shared: Tuple[Any, ...] = ()
                 ) -> Tuple[List[Any], EngineReport]:
     """Run ``fn(*shared, *args)`` for every argument tuple, one per shard.
 
     ``fn`` must be a module-level (picklable) function.  With
-    ``workers > 1`` the calls run on a worker pool (an explicit ``pool``,
-    the ambient CLI pool, or a throwaway one); results are still
-    collected in shard order, so output never depends on scheduling.
+    ``workers > 1`` the calls run on a worker pool (the one of an
+    enclosing ``with WorkerPool(n):``, else a throwaway one); results
+    are still collected in shard order, so output never depends on
+    scheduling.
     ``count_of`` extracts a record count from each result for the stats
     (defaults to ``len`` where available).
 
@@ -284,12 +279,11 @@ def run_sharded(fn: Callable[..., Any],
     ``args`` tuple alone; keep per-shard tuples down to indices and
     bounds and the pool boundary carries O(shards) small objects total.
 
-    ``chunk_size`` batches that many consecutive shards per pool
-    submission to cut round-trips when shards far outnumber workers;
-    ``None`` picks a size that keeps every worker busy with ~4
-    submissions.  Chunking is pure dispatch — shard inputs, per-shard
-    seeding and result order are unchanged, so outputs stay byte-identical
-    for any (workers, chunk_size) combination.
+    Consecutive shards are batched per pool submission to cut
+    round-trips when shards far outnumber workers, sized so every worker
+    gets about :data:`SUBMISSIONS_PER_WORKER` submissions.  Batching is
+    pure dispatch — shard inputs, per-shard seeding and result order are
+    unchanged, so outputs stay byte-identical for any worker count.
     """
     workers = max(1, workers)
     capture_metrics = obs_metrics.ACTIVE is not None
@@ -313,10 +307,10 @@ def run_sharded(fn: Callable[..., Any],
         blobs = [encode_shard_args(tuple(args), index)
                  for index, args in enumerate(shard_args)]
         payload_bytes = [len(blob) for blob in blobs]
-        if chunk_size is None:
-            chunk_size = max(1, len(shard_args) // (workers * 4))
-        bounds = _chunk_bounds(len(shard_args), max(1, chunk_size))
-        run_pool, ephemeral = _resolve_pool(pool, workers)
+        chunk_size = max(1, len(shard_args)
+                         // (workers * SUBMISSIONS_PER_WORKER))
+        bounds = _chunk_bounds(len(shard_args), chunk_size)
+        run_pool, ephemeral = _resolve_pool(workers)
         pool_mode = "persistent"
         submissions = [(header, blobs[lo:hi], lo,
                         capture_metrics, capture_traces, task)
@@ -328,7 +322,7 @@ def run_sharded(fn: Callable[..., Any],
                                  queue_depth=len(bounds) - position)
         try:
             for chunk in run_pool.run_batch(_run_header_chunk, submissions,
-                                            task=task):
+                                            bounds, task=task):
                 outcomes.extend(chunk)
         finally:
             if ephemeral:

@@ -39,7 +39,7 @@ from ..datasets.records import merge_jsonl_shards, shard_path, write_jsonl
 from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
 from .executor import EngineReport, run_sharded
-from .pool import WorkerPool, worker_entrypoint
+from .pool import worker_entrypoint
 from .sharding import ShardSpec
 
 
@@ -112,9 +112,7 @@ def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
     return count
 
 
-def generate_records_spec(spec: ShardSpec, workers: int = 1,
-                          chunk_size: Optional[int] = None,
-                          pool: Optional[WorkerPool] = None
+def generate_records_spec(spec: ShardSpec, workers: int = 1
                           ) -> Tuple[List[List[Any]], EngineReport]:
     """Generate all shards of ``spec``; returns per-shard record lists.
 
@@ -122,25 +120,19 @@ def generate_records_spec(spec: ShardSpec, workers: int = 1,
     for :func:`repro.datasets.records.write_jsonl_shards` or for the
     builder's ``assemble``.  Workers rebuild the builder from ``spec``
     (name + kwargs), so the inbound boundary carries O(shards) tuples of
-    two small values; ``chunk_size`` batches shard dispatch and never
-    affects the generated records.  Equal to calling ``build_shard`` on
+    two small values.  Equal to calling ``build_shard`` on
     ``spec.make_builder()`` in-process, shard by shard — the equivalence
     suite asserts it.
     """
     shard_args = [(i,) for i in range(spec.shard_count)]
     return run_sharded(_build_shard_from_spec, shard_args, workers=workers,
-                       task=f"generate:{spec.builder}",
-                       chunk_size=chunk_size, shared=(spec,), pool=pool)
+                       task=f"generate:{spec.builder}", shared=(spec,))
 
 
-def generate_dataset_spec(spec: ShardSpec, workers: int = 1,
-                          chunk_size: Optional[int] = None,
-                          pool: Optional[WorkerPool] = None
+def generate_dataset_spec(spec: ShardSpec, workers: int = 1
                           ) -> Tuple[Any, EngineReport]:
     """Generate and assemble a dataset from a shard spec."""
-    shard_lists, report = generate_records_spec(spec, workers=workers,
-                                                chunk_size=chunk_size,
-                                                pool=pool)
+    shard_lists, report = generate_records_spec(spec, workers=workers)
     return spec.make_builder().assemble(shard_lists), report
 
 
@@ -148,9 +140,7 @@ def _generate_to_file(spec: ShardSpec, out_path: Union[str, Path],
                       write_shard: Callable[..., int],
                       shared: Tuple[Any, ...],
                       merge: Callable[[Sequence[Path], Path], int],
-                      workers: int, chunk_size: Optional[int],
-                      pool: Optional[WorkerPool]
-                      ) -> Tuple[int, EngineReport]:
+                      workers: int) -> Tuple[int, EngineReport]:
     """Workers write shard files, the parent merges them into one trace.
 
     ``write_shard`` is the worker entry point; it receives ``(spec, out
@@ -165,8 +155,7 @@ def _generate_to_file(spec: ShardSpec, out_path: Union[str, Path],
     shard_args = [(i,) for i in range(spec.shard_count)]
     counts, report = run_sharded(
         write_shard, shard_args, workers=workers, task=task,
-        chunk_size=chunk_size, shared=(spec, str(out), *shared), pool=pool,
-        count_of=int)
+        shared=(spec, str(out), *shared), count_of=int)
     paths = [shard_path(out, i) for i in range(spec.shard_count)]
     merge_start = time.perf_counter()
     total = merge(paths, out)
@@ -183,27 +172,23 @@ def _generate_to_file(spec: ShardSpec, out_path: Union[str, Path],
 
 
 def generate_jsonl(spec: ShardSpec, out_path: Union[str, Path],
-                   workers: int = 1, chunk_size: Optional[int] = None,
-                   pool: Optional[WorkerPool] = None
-                   ) -> Tuple[int, EngineReport]:
+                   workers: int = 1) -> Tuple[int, EngineReport]:
     """Generate ``spec`` straight to a JSONL trace at ``out_path``.
 
     Each worker writes its own ``<file>.shardNN`` sibling; the parent
     k-way-merges them into the final trace and removes the shard files.
     Record payloads never cross the pool boundary in either direction,
-    and the merged bytes are identical for any (workers, chunk size) —
-    the same bytes the parent-side
+    and the merged bytes are identical for any worker count — the same
+    bytes the parent-side
     :func:`~repro.datasets.records.write_jsonl_shards` route produces.
     Returns ``(record count, engine report)``.
     """
     return _generate_to_file(spec, out_path, _write_shard_from_spec, (),
-                             merge_jsonl_shards, workers, chunk_size, pool)
+                             merge_jsonl_shards, workers)
 
 
 def generate_columnar(spec: ShardSpec, out_path: Union[str, Path],
                       schema: Optional[str] = None, workers: int = 1,
-                      chunk_size: Optional[int] = None,
-                      pool: Optional[WorkerPool] = None,
                       row_group_rows: Optional[int] = None
                       ) -> Tuple[int, EngineReport]:
     """Generate ``spec`` straight to a columnar trace at ``out_path``.
@@ -221,12 +206,11 @@ def generate_columnar(spec: ShardSpec, out_path: Union[str, Path],
     budget of the shard files and of the final file (``None``:
     :data:`repro.datasets.columnar.DEFAULT_ROW_GROUP_ROWS`); the whole
     generate→merge path is out-of-core and the output is byte-identical
-    for any (workers, chunk size).  Returns ``(record count, engine
-    report)``.
+    for any worker count.  Returns ``(record count, engine report)``.
     """
     return _generate_to_file(
         spec, out_path, _write_columnar_shard_from_spec,
         (spec.builder if schema is None else schema, row_group_rows),
         lambda paths, out: merge_columnar_shards(
             paths, out, row_group_rows=row_group_rows),
-        workers, chunk_size, pool)
+        workers)

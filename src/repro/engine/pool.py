@@ -1,30 +1,18 @@
 """Persistent worker pools and the spec-dispatch wire protocol.
 
-The engine's original executor created a fresh ``ProcessPoolExecutor``
-per :func:`~repro.engine.executor.run_sharded` call and shipped whole
-argument tuples — for replay, entire materialized record lists — through
-the pickle boundary on every chunk.  ``BENCH_engine.json`` showed the
-consequence: ``--workers 4`` ran ~5x *slower* than ``--workers 1``
-because serialization dominated the useful work.
-
-This module replaces that with two orthogonal pieces:
+Two orthogonal pieces behind :func:`~repro.engine.executor.run_sharded`:
 
 * :class:`WorkerPool` — a pool whose worker processes are created once
-  per run and reused by every sharded call of the run.
+  and reused by every sharded call made inside its ``with`` block.
 
 * a **spec dispatch protocol** — each sharded run serializes its *run
   header* (the worker function's import token plus everything shared by
   all shards: builder spec, trace kind, fault plan, …) exactly **once**
-  in the parent; every chunk submission carries that same header blob
+  in the parent; every pool submission carries that same header blob
   plus the per-shard argument blobs.  Workers memoize the decoded header
   by content digest (:data:`_HEADER_CACHE`), so a run deserializes its
-  shared state once per worker — not once per chunk, and never once per
-  shard.
-
-Workers additionally memoize expensive *derived* state (for example a
-dataset materialized from a builder spec) in :data:`_DERIVED_CACHE`,
-keyed by the same digest, so a worker that replays eight shards of one
-spec builds the dataset a single time.
+  shared state once per worker — not once per submission, and never
+  once per shard.
 
 Everything here is deterministic plumbing: which pool executes a shard,
 and how its inputs travel, can never change the shard's output.
@@ -38,8 +26,8 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from types import TracebackType
-from typing import (Any, Callable, Dict, List, Optional, Tuple, Type,
-                    TypeVar)
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Type, TypeVar)
 
 from ..obs import live as _obs_live
 
@@ -48,28 +36,14 @@ from ..obs import live as _obs_live
 #
 # The whole-program linter (``repro.staticcheck.graph``) reads these
 # declarations instead of hard-coding engine internals: which functions
-# are worker entrypoints, which call edges cross a pickle boundary, and
-# which extra seeds the worker-reachability closure starts from.  The
-# declarations live *here*, next to the machinery they describe, so the
-# engine and the analyzer cannot drift apart.
+# are worker entrypoints and which extra seeds the worker-reachability
+# closure starts from.  The declarations live *here*, next to the
+# machinery they describe, so the engine and the analyzer cannot drift
+# apart.
 
 #: ``"module:qualname"`` of every function decorated as a worker
 #: entrypoint, in registration (import) order.
 WORKER_ENTRYPOINTS: List[str] = []
-
-#: Call edges whose arguments are pickled for dispatch.  Entries are
-#: ``"module:Qual"`` naming a function, method, or class constructor;
-#: an optional ``"#kw1,kw2"`` suffix restricts the check to the named
-#: parameters (``run_sharded`` pickles ``shard_args``/``shared`` but
-#: its ``count_of`` callback stays in the parent).
-PICKLE_BOUNDARIES: Tuple[str, ...] = (
-    "repro.engine.sharding:ShardSpec",
-    "repro.engine.sharding:ShardSpec.create",
-    "repro.engine.pool:encode_header",
-    "repro.engine.pool:encode_shard_args",
-    "repro.engine.executor:run_sharded#shard_args,shared",
-    "repro.obs.live:LiveEmitter.event",
-)
 
 #: Extra worker-reachability roots beyond ``@worker_entrypoint`` and the
 #: builder registry: methods invoked inside workers by contract.
@@ -112,8 +86,9 @@ class WorkerCrashError(PoolError):
     """A worker process died mid-shard (segfault, ``os._exit``, OOM kill).
 
     Wraps :class:`concurrent.futures.process.BrokenProcessPool` with the
-    task name and the shard range that was in flight, so the failure is
-    attributable; the broken executor is discarded, never hung on.
+    task name and the first shard range whose result was lost, so the
+    failure is attributable; the broken executor is discarded, never
+    hung on.
     """
 
 
@@ -174,29 +149,15 @@ _HEADER_CACHE: Dict[bytes, Tuple[Callable[..., Any], Tuple[Any, ...]]] = {}
 #: Total header deserializations in this process (test observability).
 _HEADER_LOADS = 0
 
-#: digest+tag -> derived object (e.g. a materialized dataset).
-_DERIVED_CACHE: Dict[Tuple[bytes, str], Any] = {}
-
-#: Bound on both caches; two run headers is plenty (one per live run).
+#: Bound on the cache; two run headers is plenty (one per live run).
 _CACHE_KEEP = 2
-
-
-def _evict(cache: Dict[Any, Any]) -> None:
-    """Drop oldest entries beyond the bound (dict preserves insert order)."""
-    while len(cache) > _CACHE_KEEP:
-        cache.pop(next(iter(cache)))
-
-
-def header_digest(header: bytes) -> bytes:
-    """Content key for the worker-side caches."""
-    return hashlib.sha256(header).digest()
 
 
 def decode_header(header: bytes
                   ) -> Tuple[Callable[..., Any], Tuple[Any, ...]]:
     """Decode (memoized) one run header into ``(fn, shared)``."""
     global _HEADER_LOADS
-    digest = header_digest(header)
+    digest = hashlib.sha256(header).digest()
     hit = _HEADER_CACHE.get(digest)
     if hit is not None:
         return hit
@@ -204,29 +165,14 @@ def decode_header(header: bytes
     fn = getattr(importlib.import_module(module), qualname)
     _HEADER_LOADS += 1
     _HEADER_CACHE[digest] = (fn, shared)
-    _evict(_HEADER_CACHE)
+    while len(_HEADER_CACHE) > _CACHE_KEEP:  # oldest first: insert order
+        _HEADER_CACHE.pop(next(iter(_HEADER_CACHE)))
     return fn, shared
 
 
 def header_loads() -> int:
     """How many run headers this process has deserialized (for tests)."""
     return _HEADER_LOADS
-
-
-def derived_state(header_digest_key: bytes, tag: str,
-                  build: Callable[[], Any]) -> Any:
-    """Memoized per-worker derived state for one run.
-
-    ``build()`` runs at most once per (run, tag) in each process;
-    subsequent shards of the same run reuse the object.  Used by the
-    spec replay path to materialize a builder's dataset once per worker
-    instead of once per shard.
-    """
-    key = (header_digest_key, tag)
-    if key not in _DERIVED_CACHE:
-        _DERIVED_CACHE[key] = build()
-        _evict(_DERIVED_CACHE)
-    return _DERIVED_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +182,14 @@ def derived_state(header_digest_key: bytes, tag: str,
 class WorkerPool:
     """A process pool with an explicit lifecycle and crash attribution.
 
-    The executor is created lazily on first dispatch and reused until
-    :meth:`shutdown` — one process spawn per run, shared by every
-    sharded call (``repro-ecs all`` runs its whole command sequence on
-    one set of workers).
+    ``with WorkerPool(n):`` is the one way to share workers across
+    sharded calls: inside the block the pool is the ambient one
+    (:data:`ACTIVE`) that :func:`~repro.engine.executor.run_sharded`
+    dispatches to; leaving it restores the previous ambient pool and
+    shuts this one down.  The executor is created lazily on first
+    dispatch and reused until :meth:`shutdown` — one process spawn per
+    block (``repro-ecs all`` runs its whole command sequence on one set
+    of workers).
     """
 
     def __init__(self, workers: int):
@@ -248,6 +198,7 @@ class WorkerPool:
         self.workers = workers
         self._executor: Optional[ProcessPoolExecutor] = None
         self._closed = False
+        self._previous: Optional[WorkerPool] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -291,49 +242,53 @@ class WorkerPool:
             executor.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "WorkerPool":
+        self._previous = activate(self)
         return self
 
     def __exit__(self, exc_type: Optional[Type[BaseException]],
                  exc: Optional[BaseException],
                  tb: Optional[TracebackType]) -> None:
+        activate(self._previous)
         self.shutdown()
 
     # -- dispatch ------------------------------------------------------------
 
     def run_batch(self, worker: Callable[..., Any],
                   submissions: List[Tuple[Any, ...]],
+                  bounds: Sequence[Tuple[int, int]],
                   task: str = "engine") -> List[Any]:
         """Submit ``worker(*submission)`` for each entry; results in order.
 
         ``worker`` must be a module-level function (it crosses the pickle
-        boundary by reference).  A worker-process death surfaces as
-        :class:`WorkerCrashError` naming ``task`` and the submission that
-        was lost — promptly, never as a hang, because a broken pool fails
-        every outstanding future.
+        boundary by reference); ``bounds[i]`` is the ``[lo, hi)`` shard
+        range submission ``i`` carries.  A worker-process death surfaces
+        as :class:`WorkerCrashError` naming ``task`` and the first shard
+        range whose result was not retrieved — promptly, never as a
+        hang, because a broken pool fails every outstanding future (so
+        the named range is where the loss starts, not necessarily where
+        the crash happened).
         """
         executor = self._ensure_executor()
         futures = [executor.submit(worker, *submission)
                    for submission in submissions]
         results: List[Any] = []
-        for index, future in enumerate(futures):
+        for (lo, hi), future in zip(bounds, futures):
             try:
                 results.append(future.result())
             except BrokenProcessPool as exc:
                 self._discard_broken()
                 raise WorkerCrashError(
-                    f"{task}: worker process died while running "
-                    f"batch submission {index}/{len(futures)} "
-                    f"(see shard bounds in the traceback context); "
-                    f"results were discarded, no partial merge was "
-                    f"attempted") from exc
+                    f"{task}: a worker process died; shards [{lo}, {hi}) "
+                    f"are the first whose result was not retrieved, and "
+                    f"they and every later shard were lost; results were "
+                    f"discarded, no partial merge was attempted") from exc
         return results
 
 
 # ---------------------------------------------------------------------------
-# The ambient pool slot.  The CLI opens one pool per command and
-# activates it here; ``run_sharded`` picks it up so every sharded call
-# of the command shares the same workers.  Tests and library callers can
-# also pass a pool explicitly.
+# The ambient pool slot.  ``with WorkerPool(n):`` installs the pool here
+# (the CLI opens one per command); ``run_sharded`` picks it up so every
+# sharded call inside the block shares the same workers.
 
 ACTIVE: Optional[WorkerPool] = None
 

@@ -37,7 +37,7 @@ from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
 from .executor import EngineReport, run_sharded
-from .pool import WorkerPool, worker_entrypoint
+from .pool import worker_entrypoint
 from .sharding import DEFAULT_SHARDS, partition_by_key, stable_bucket
 
 
@@ -191,8 +191,7 @@ def _check_kind_and_shards(kind: str, shards: int) -> None:
 
 def _replay_shards(worker: Callable[..., ReplayPartial],
                    shard_args: Sequence[Tuple[Any, ...]],
-                   shared: Tuple[Any, ...], kind: str, workers: int,
-                   chunk_size: Optional[int], pool: Optional[WorkerPool]
+                   shared: Tuple[Any, ...], kind: str, workers: int
                    ) -> Tuple[ReplayResult, EngineReport]:
     """Run one replay worker call per shard and merge the partials.
 
@@ -202,15 +201,12 @@ def _replay_shards(worker: Callable[..., ReplayPartial],
     """
     partials, report = run_sharded(
         worker, shard_args, workers=workers, task=f"replay:{kind}",
-        count_of=lambda partial: partial.queries, chunk_size=chunk_size,
-        shared=shared, pool=pool)
+        count_of=lambda partial: partial.queries, shared=shared)
     return merge_partials(partials), report
 
 
 def replay_sharded(records: Sequence[Any], kind: str,
-                   shards: int = DEFAULT_SHARDS, workers: int = 1,
-                   chunk_size: Optional[int] = None,
-                   pool: Optional[WorkerPool] = None
+                   shards: int = DEFAULT_SHARDS, workers: int = 1
                    ) -> Tuple[ReplayResult, EngineReport]:
     """Replay an in-memory trace across shards; the list-based reference.
 
@@ -228,7 +224,7 @@ def replay_sharded(records: Sequence[Any], kind: str,
     buckets = partition_by_key(records, shards, _qname_of)
     return _replay_shards(_replay_shard_of_kind,
                           [(bucket,) for bucket in buckets], (kind,), kind,
-                          workers, chunk_size, pool)
+                          workers)
 
 
 @worker_entrypoint
@@ -270,9 +266,7 @@ def _replay_lines_shard(kind: str, lines: List[str]) -> ReplayPartial:
 
 
 def replay_jsonl_sharded(path: Union[str, Path], kind: str,
-                         shards: int = DEFAULT_SHARDS, workers: int = 1,
-                         chunk_size: Optional[int] = None,
-                         pool: Optional[WorkerPool] = None
+                         shards: int = DEFAULT_SHARDS, workers: int = 1
                          ) -> Tuple[ReplayResult, EngineReport]:
     """Replay a saved JSONL trace; record parsing happens in the workers.
 
@@ -300,7 +294,7 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
                       seconds=time.perf_counter() - bucket_start)
     return _replay_shards(_replay_lines_shard,
                           [(bucket,) for bucket in buckets], (kind,), kind,
-                          workers, chunk_size, pool)
+                          workers)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +381,7 @@ def _replay_columnar_range(path: str, kind: str, group_start: int,
 
 
 def replay_columnar_sharded(path: Union[str, Path], kind: str,
-                            shards: int = DEFAULT_SHARDS, workers: int = 1,
-                            chunk_size: Optional[int] = None,
-                            pool: Optional[WorkerPool] = None
+                            shards: int = DEFAULT_SHARDS, workers: int = 1
                             ) -> Tuple[ReplayResult, EngineReport]:
     """Replay a columnar trace; every worker opens the same file.
 
@@ -402,7 +394,7 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
     processes; a multi-group file is flattened into memory once per
     worker, so this path is O(rows) per worker for such files.
     Counter-identical to ``replay_sharded(read_columnar(path), kind)``
-    for any (workers, pool, chunk size) — the equivalence suite pins it.
+    for any worker count — the equivalence suite pins it.
 
     Bounded memory needs a file pre-bucketed for exactly ``shards``
     buckets (``repro-ecs convert --bucket-shards``, see
@@ -427,9 +419,7 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
                 f"replay it with shards={len(ranges)} or re-bucket it "
                 f"for {shards} (repro-ecs convert --bucket-shards)")
         return _replay_shards(_replay_columnar_range, ranges,
-                              (resolved, kind), kind, workers, chunk_size,
-                              pool)
+                              (resolved, kind), kind, workers)
     return _replay_shards(_replay_columnar_shard,
                           [(bucket,) for bucket in range(shards)],
-                          (resolved, kind, shards), kind, workers,
-                          chunk_size, pool)
+                          (resolved, kind, shards), kind, workers)

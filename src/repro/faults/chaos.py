@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis.report import format_network_stats, format_table
 from ..datasets.scan_dataset import ScanUniverseBuilder
 from ..engine.executor import EngineReport, run_sharded
-from ..engine.pool import WorkerPool, worker_entrypoint
+from ..engine.pool import worker_entrypoint
 from ..engine.seeding import derive_seed
 from ..engine.sharding import DEFAULT_SHARDS, shard_bounds
 from ..measure.scanner import Scanner
@@ -164,9 +164,7 @@ def _chaos_shard(plan: FaultPlan, policy: RetryPolicy, seed: int,
 def run_chaos(plan: FaultPlan, *, seed: int = 0, fault_seed: int = 0,
               ingress: int = 120, shards: int = DEFAULT_SHARDS,
               workers: int = 1,
-              retry_policy: Optional[RetryPolicy] = None,
-              chunk_size: Optional[int] = None,
-              pool: Optional[WorkerPool] = None
+              retry_policy: Optional[RetryPolicy] = None
               ) -> Tuple[ChaosResult, EngineReport]:
     """Run the chaos campaign sharded; returns (result, engine report).
 
@@ -181,8 +179,7 @@ def run_chaos(plan: FaultPlan, *, seed: int = 0, fault_seed: int = 0,
     partials, engine_report = run_sharded(
         _chaos_shard, shard_args, workers=workers,
         task=f"chaos[{plan.name}]", count_of=_probe_count,
-        chunk_size=chunk_size, shared=(plan, policy, seed, fault_seed),
-        pool=pool)
+        shared=(plan, policy, seed, fault_seed))
     totals = ChaosPartial()
     for partial in partials:
         totals.merge_from(partial)

@@ -12,9 +12,8 @@ relying on review discipline:
   detection, and :func:`lint_source`, the one-string entry.
 - :mod:`repro.staticcheck.rules` — the per-file rules RS001-RS005 and
   RS204 (obs-slot escape), the non-AST Prometheus exposition rule
-  RS100, and the interprocedural family RS201-RS203
-  (worker-reachability determinism, pickle safety, merge
-  reachability).
+  RS100, and the interprocedural rules RS201 and RS203
+  (worker-reachability determinism, merge reachability).
 - :mod:`repro.staticcheck.graph` — project index, approximate call
   graph, and :func:`lint_paths`, the one driver: every run is
   whole-program, cold and in process.

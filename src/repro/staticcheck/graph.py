@@ -2,17 +2,14 @@
 
 The per-file rules (RS001–RS100, RS204) see one module at a time, so a
 helper three calls away from a worker entrypoint can reach ambient
-entropy, or smuggle an unpicklable object into a
-:class:`~repro.engine.sharding.ShardSpec`, without any of them firing.
-This module closes that gap:
+entropy without any of them firing.  This module closes that gap:
 
 * :class:`ModuleIndex` — one file's contribution to the program: import
   map, symbol table, per-function call sites (with receiver-type
   inference from annotations and local constructor bindings), waived
   clock reads, and the introspection *facts* other layers declare for
   the analyzer (``@worker_entrypoint`` decorations, ``BUILDER_REGISTRY``
-  literals, ``STATICCHECK_PICKLE_BOUNDARIES`` /
-  ``STATICCHECK_WORKER_SEEDS`` / ``STATICCHECK_UNPICKLABLE`` tuples).
+  literals, ``STATICCHECK_WORKER_SEEDS`` tuples).
 * :class:`ProjectIndex` — the linked whole: an approximate call graph
   resolved through imports, methods, protocols and the builder/spec
   registries, plus the worker-reachability closure the RS2xx rules run
@@ -39,15 +36,12 @@ from .core import (SYNTAX_ID, SYNTAX_NAME, FileAnalysis, Violation,
                    settle_file)
 from .rules.determinism import _CLOCK_SOURCES, _ImportMap, dotted_name
 from .rules.merge import MERGE_METHODS
-from .rules.obsguard import _ActiveSlots
 
 #: The decorator (by canonical dotted name) marking pool dispatch targets.
 _ENTRYPOINT_DECORATOR = "repro.engine.pool.worker_entrypoint"
 
 #: Module-level declarations the indexer collects as analyzer facts.
-_FACT_TUPLES = ("STATICCHECK_PICKLE_BOUNDARIES",
-                "STATICCHECK_WORKER_SEEDS",
-                "STATICCHECK_UNPICKLABLE")
+_FACT_TUPLES = ("STATICCHECK_WORKER_SEEDS",)
 
 
 # ---------------------------------------------------------------------------
@@ -56,12 +50,11 @@ _FACT_TUPLES = ("STATICCHECK_PICKLE_BOUNDARIES",
 
 @dataclass
 class ArgInfo:
-    """One argument at a call site, classified for taint/pickle rules."""
+    """One argument at a call site, as the seed-taint rule needs it."""
 
     pos: Optional[int]
     kw: Optional[str]
-    kind: str  # "const" | "name" | "lambda" | "genexp" | "other"
-    value: Optional[str]  # repr for const, identifier for name
+    const: Optional[str]  # repr of a literal argument, else None
     params: List[str]  # enclosing-function parameters inside the expr
 
 
@@ -73,7 +66,6 @@ class CallSite:
     col: int
     text: Optional[str]  # dotted source text ("spec.bind", "ShardSpec.create")
     recv_type: Optional[str]  # inferred receiver type, dotted class name
-    recv_obs: bool  # receiver was bound from a repro.obs ACTIVE slot
     args: List[ArgInfo]
 
     @property
@@ -105,8 +97,8 @@ class FunctionInfo:
     ambient: List[AmbientUse] = field(default_factory=list)
     #: Parameters whose value flows into a ``random.Random(...)`` seed.
     rng_seed_params: List[str] = field(default_factory=list)
-    #: Local bindings the pickle rule consults: name -> classification
-    #: ("lambda" | "nested" | "call:<dotted>" | "obs_active").
+    #: Local bindings receiver-type inference consults: name -> dotted
+    #: type, from a parameter annotation or a constructor-call binding.
     local_binds: Dict[str, str] = field(default_factory=dict)
     is_entrypoint: bool = False
 
@@ -209,7 +201,6 @@ class _FileIndexer:
     def __init__(self, path: str, tree: ast.Module) -> None:
         self.tree = tree
         self.import_map = _ImportMap(tree)
-        self.obs_slots = _ActiveSlots(tree)
         self.index = ModuleIndex(path=path,
                                  module=module_name_for(Path(path)))
         self._collect_imports(tree)
@@ -343,7 +334,7 @@ class _FileIndexer:
             dotted = _annotation_dotted(arg.annotation)
             if dotted is not None:
                 resolved = self.canonical(dotted) or dotted
-                info.local_binds[arg.arg] = f"type:{resolved}"
+                info.local_binds[arg.arg] = resolved
         self._scan_body(node.body, info, params=set(params),
                         local_binds=info.local_binds)
         return info
@@ -367,10 +358,7 @@ class _FileIndexer:
         """One pass over a body: bindings, calls, clock reads."""
         for stmt in body:
             for node in ast.walk(stmt):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        and node is not stmt:
-                    local_binds.setdefault(node.name, "nested")
-                elif isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                         and isinstance(node.targets[0], ast.Name):
                     self._classify_binding(node.targets[0].id, node.value,
                                            local_binds)
@@ -380,36 +368,20 @@ class _FileIndexer:
 
     def _classify_binding(self, name: str, value: ast.expr,
                           local_binds: Dict[str, str]) -> None:
-        if self.obs_slots.reads(value):
-            local_binds[name] = "obs_active"
-            return
-        if isinstance(value, ast.Lambda):
-            local_binds[name] = "lambda"
-            return
-        if isinstance(value, ast.GeneratorExp):
-            local_binds[name] = "genexp"
-            return
         if isinstance(value, ast.Call):
             dotted = dotted_name(value.func)
             if dotted is not None:
                 resolved = self.canonical(dotted) or dotted
-                local_binds[name] = f"call:{resolved}"
+                local_binds[name] = resolved
 
     def _index_call(self, node: ast.Call, info: FunctionInfo,
                     params: Set[str], local_binds: Dict[str, str]) -> None:
         text = dotted_name(node.func)
         recv_type: Optional[str] = None
-        recv_obs = False
         if isinstance(node.func, ast.Attribute):
             base = node.func.value
-            if self.obs_slots.reads(base):
-                recv_obs = True
-            elif isinstance(base, ast.Name):
-                bind = local_binds.get(base.id)
-                if bind == "obs_active":
-                    recv_obs = True
-                elif bind is not None and bind.startswith(("call:", "type:")):
-                    recv_type = bind.split(":", 1)[1]
+            if isinstance(base, ast.Name):
+                recv_type = local_binds.get(base.id)
             elif isinstance(base, ast.Call):
                 # chained constructor: Cls(...).method()
                 dotted = dotted_name(base.func)
@@ -426,22 +398,14 @@ class _FileIndexer:
             args.append(self._arg_info(keyword.value, None, keyword.arg,
                                        params))
         info.calls.append(CallSite(line=node.lineno, col=node.col_offset,
-                                   text=text, recv_type=recv_type,
-                                   recv_obs=recv_obs, args=args))
+                                   text=text, recv_type=recv_type, args=args))
 
     def _arg_info(self, expr: ast.expr, pos: Optional[int],
                   kw: Optional[str], params: Set[str]) -> ArgInfo:
         inner = sorted({n.id for n in ast.walk(expr)
                         if isinstance(n, ast.Name) and n.id in params})
-        if isinstance(expr, ast.Constant):
-            return ArgInfo(pos, kw, "const", repr(expr.value), inner)
-        if isinstance(expr, ast.Lambda):
-            return ArgInfo(pos, kw, "lambda", None, inner)
-        if isinstance(expr, ast.GeneratorExp):
-            return ArgInfo(pos, kw, "genexp", None, inner)
-        if isinstance(expr, ast.Name):
-            return ArgInfo(pos, kw, "name", expr.id, inner)
-        return ArgInfo(pos, kw, "other", None, inner)
+        const = repr(expr.value) if isinstance(expr, ast.Constant) else None
+        return ArgInfo(pos, kw, const, inner)
 
     def _index_ambient_call(self, node: ast.Call,
                             info: FunctionInfo) -> None:
@@ -559,28 +523,6 @@ class ProjectIndex:
             return None
         return self.resolve_absolute(
             target.replace(":", ".") + (f".{rest}" if rest else ""))
-
-    def canonical_text(self, module: ModuleIndex,
-                       dotted: Optional[str]) -> Optional[str]:
-        """Fully-dotted form of a reference, via the import map alone.
-
-        Unlike :meth:`_canonicalize` this never requires the target
-        module to be indexed, so boundary declarations can point at
-        modules outside the linted tree (fixture projects matching the
-        engine's real boundaries, for example).  The result uses dots
-        throughout — compare against ``"mod:Qual"`` keys by normalizing
-        the colon away.
-        """
-        if dotted is None:
-            return None
-        head, _, rest = dotted.partition(".")
-        target = module.imports.get(head)
-        if target is None:
-            if head in module.classes or head in module.functions:
-                return f"{module.module}.{dotted}"
-            return None
-        base = target.replace(":", ".")
-        return f"{base}.{rest}" if rest else base
 
     def lookup_method(self, class_key: str,
                       method: str) -> Optional[str]:
@@ -754,15 +696,14 @@ class ProjectIndex:
 def runtime_engine_facts() -> Dict[str, List[str]]:
     """Facts imported from the engine's own declarations.
 
-    The analyzer reads :data:`repro.engine.pool.PICKLE_BOUNDARIES` and
-    the builder registry instead of hard-coding the names; projects
-    under analysis that cannot import the engine (pure fixtures) simply
-    contribute their own ``STATICCHECK_*`` declarations.
+    The analyzer reads the engine's worker seeds and the builder
+    registry instead of hard-coding the names; projects under analysis
+    that cannot import the engine (pure fixtures) simply contribute
+    their own ``STATICCHECK_WORKER_SEEDS`` declarations.
     """
     from ..engine import pool as engine_pool
     from ..engine import sharding as engine_sharding
     return {
-        "STATICCHECK_PICKLE_BOUNDARIES": list(engine_pool.PICKLE_BOUNDARIES),
         "STATICCHECK_WORKER_SEEDS": [*engine_pool.WORKER_SEEDS,
                                      *engine_pool.WORKER_ENTRYPOINTS],
         "BUILDER_REGISTRY": sorted(

@@ -13,13 +13,12 @@ RS004     ecs-conformance       ECS literals within RFC 7871 bounds
 RS005     seeded-rng            every ``random.Random`` is plumbed a seed
 RS100     prom-exposition       ``.prom`` files parse as strict Prometheus
 RS201     worker-determinism    worker-reachable code free of ambient entropy
-RS202     pickle-safety         nothing unpicklable crosses a spec boundary
 RS203     merge-reachability    worker-built mergeables merged somewhere
 RS204     obs-escape            the obs ACTIVE slot never returned or aliased
 ========  ====================  ==============================================
 
 (RS000 unused-suppression and RS999 syntax-error live in the core.
-RS201-RS203 are interprocedural: they run over the project index that
+RS201 and RS203 are interprocedural: they run over the project index that
 :func:`repro.staticcheck.graph.lint_paths` links from every file in the
 run.  RS204 keeps its number but is a per-file rule beside RS003.)
 """
@@ -27,7 +26,7 @@ run.  RS204 keeps its number but is a per-file rule beside RS003.)
 from __future__ import annotations
 
 from . import (determinism, ecs, merge, obsguard,  # noqa: F401
-               pickle_safety, prom, reachability)
+               prom, reachability)
 
-__all__ = ["determinism", "ecs", "merge", "obsguard", "pickle_safety",
-           "prom", "reachability"]
+__all__ = ["determinism", "ecs", "merge", "obsguard", "prom",
+           "reachability"]

@@ -127,7 +127,7 @@ class WorkerDeterminismRule(GraphRule):
                     continue
                 _, callee = project.functions[resolution.target]
                 for arg in site.args:
-                    if arg.kind != "const":
+                    if arg.const is None:
                         continue
                     target_param = _map_param(callee.params, arg.pos,
                                               arg.kw, resolution.bound)
@@ -136,7 +136,7 @@ class WorkerDeterminismRule(GraphRule):
                         violations.append(Violation(
                             module.path, site.line, site.col, self.id,
                             self.name,
-                            f"constant seed {arg.value} flows into "
+                            f"constant seed {arg.const} flows into "
                             f"random.Random via parameter "
                             f"'{target_param}' of {short}; every shard "
                             f"gets the same stream — thread the bound "

@@ -37,6 +37,12 @@ class TestParser:
         defaults = build_parser().parse_args(argv)
         assert defaults.workers == 1 and defaults.shards >= 1
 
+    def test_removed_chunk_size_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", "allnames", "x", "--chunk-size", "2"])
+        assert excinfo.value.code == 2
+        assert "--chunk-size" in capsys.readouterr().err
+
     def test_quiet_flag(self):
         args = build_parser().parse_args(["--quiet", "scan"])
         assert args.quiet is True

@@ -19,9 +19,10 @@ from repro.analysis.cache_sim import replay
 from repro.datasets import AllNamesBuilder
 from repro.engine import derive_seed, shard_bounds, world_seed
 from repro.datasets.records import write_jsonl
+from repro.engine.executor import SUBMISSIONS_PER_WORKER, _chunk_bounds
 from repro.engine.generate import (generate_columnar, generate_dataset_spec,
                                    generate_jsonl, generate_records_spec)
-from repro.engine.replay import replay_sharded
+from repro.engine.replay import replay_columnar_sharded, replay_sharded
 from repro.engine.sharding import ShardSpec
 
 SHARDS = 4
@@ -132,6 +133,21 @@ class TestReplayDeterminism:
     def test_unknown_kind_rejected(self, small_allnames_records):
         with pytest.raises(ValueError):
             replay_sharded(small_allnames_records, "nope")
+
+
+def test_batched_submissions_equal_inline_reference(tmp_path):
+    """16 shards on 2 workers go out 2 per pool submission (the auto
+    rule); generated bytes and replay counters still equal the inline run."""
+    assert _chunk_bounds(16, 16 // (2 * SUBMISSIONS_PER_WORKER))[0] == (0, 2)
+    spec = ShardSpec.create("allnames", shard_count=16, scale=0.01, seed=5)
+    runs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}.col"
+        generate_columnar(spec, out, workers=workers)
+        result, _ = replay_columnar_sharded(out, "allnames", shards=16,
+                                            workers=workers)
+        runs.append((out.read_bytes(), result))
+    assert runs[0] == runs[1]
 
 
 class TestGoldenBytes:

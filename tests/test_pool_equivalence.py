@@ -1,23 +1,23 @@
 """Parallel-equivalence suite: spec dispatch can never change output.
 
-The engine's contract is that ``--workers`` and ``--chunk-size`` are
-pure execution detail: for every shardable builder and for chaos
-presets, the merged JSONL bytes, replay results, metrics and rendered
-reports must be byte-identical across worker counts and chunk sizes —
-and the spec-dispatch paths must reproduce the engine-free reference
-(the builder's own ``build_shard`` / ``assemble`` called in-process)
-exactly.
+The engine's contract is that ``--workers`` is pure execution detail:
+for every shardable builder and for chaos presets, the merged JSONL
+bytes, replay results, metrics and rendered reports must be
+byte-identical across worker counts — and the spec-dispatch paths must
+reproduce the engine-free reference (the builder's own ``build_shard``
+/ ``assemble`` called in-process) exactly.
 
-Real-pool coverage runs a small execution matrix per case (inline,
-pooled, odd chunk sizes); the Hypothesis property drives the full wire
-protocol (header encode → memoized decode → per-shard blob decode →
-chunked execution) in-process over arbitrary (total, shards,
-chunk_size), which keeps the search wide without spawning processes
-per example.
+Real-pool coverage runs a few worker counts per case (inline and
+pooled); how shards are batched into pool submissions is the engine's
+own rule, so the Hypothesis property drives the full wire protocol
+(header encode → memoized decode → per-shard blob decode → chunked
+execution) in-process over arbitrary (total, shards, chunk_size), which
+keeps the search wide without spawning processes per example.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, List, Sequence
 
@@ -28,9 +28,9 @@ from hypothesis import strategies as st
 from repro.datasets.columnar import read_columnar
 from repro.datasets.records import AllNamesRecord, write_jsonl_shards
 from repro.engine import (ShardSpec, WorkerPool, generate_columnar,
-                          generate_jsonl, generate_records_spec,
-                          register_builder, replay_columnar_sharded,
-                          shard_bounds)
+                          generate_dataset_spec, generate_jsonl,
+                          generate_records_spec, register_builder,
+                          replay_columnar_sharded, run_sharded, shard_bounds)
 from repro.engine.executor import _chunk_bounds, _run_header_chunk
 from repro.engine.pool import encode_header, encode_shard_args
 from repro.engine.replay import (_replay_shard_of_kind, replay_jsonl_sharded,
@@ -41,13 +41,9 @@ from repro.faults.presets import preset
 from repro.obs import observe
 from repro.obs.export import to_prometheus
 
-#: (workers, chunk_size) combinations exercised per case.
+#: Worker counts exercised per case.
 #: workers=1 is the inline reference; the rest hit real process pools.
-EXECUTION_MATRIX = (
-    (1, None),
-    (2, 1),
-    (4, 2),
-)
+EXECUTION_MATRIX = (1, 2, 4)
 
 #: Tiny-but-nonempty constructor kwargs per registered builder.
 BUILDER_CASES = {
@@ -81,12 +77,10 @@ def test_generate_records_equivalent_across_matrix(name):
     """Spec dispatch reproduces in-process ``build_shard``, per shard."""
     spec = _spec(name)
     reference, _ = _in_process(spec)
-    for workers, chunk in EXECUTION_MATRIX:
-        with WorkerPool(workers) as pool:
-            lists, report = generate_records_spec(spec, workers=workers,
-                                                  chunk_size=chunk,
-                                                  pool=pool)
-        assert lists == reference, (name, workers, chunk)
+    for workers in EXECUTION_MATRIX:
+        with WorkerPool(workers):
+            lists, report = generate_records_spec(spec, workers=workers)
+        assert lists == reference, (name, workers)
         assert report.total_records == sum(len(s) for s in reference)
 
 
@@ -102,12 +96,11 @@ def test_generate_jsonl_identical_bytes_across_matrix(name, tmp_path):
     paths = write_jsonl_shards(shard_lists, ref_path)
     merge_jsonl_shards(paths, ref_path)
     reference = ref_path.read_bytes()
-    for workers, chunk in EXECUTION_MATRIX:
-        out = tmp_path / f"{name}-w{workers}-c{chunk}.jsonl"
-        with WorkerPool(workers) as pool:
-            count, _ = generate_jsonl(spec, out, workers=workers,
-                                      chunk_size=chunk, pool=pool)
-        assert out.read_bytes() == reference, (name, workers, chunk)
+    for workers in EXECUTION_MATRIX:
+        out = tmp_path / f"{name}-w{workers}.jsonl"
+        with WorkerPool(workers):
+            count, _ = generate_jsonl(spec, out, workers=workers)
+        assert out.read_bytes() == reference, (name, workers)
         assert count == sum(len(s) for s in shard_lists)
         assert not list(tmp_path.glob(f"{out.name}.shard*")), \
             "shard files must be cleaned up"
@@ -125,21 +118,19 @@ def test_replay_equivalent_across_matrix(kind, tmp_path):
     _, dataset = _in_process(spec)
     reference, ref_report = replay_sharded(dataset.records, kind,
                                            shards=SHARDS, workers=1)
-    for workers, chunk in EXECUTION_MATRIX:
-        with WorkerPool(workers) as pool:
+    for workers in EXECUTION_MATRIX:
+        with WorkerPool(workers):
             from_lines, line_report = replay_jsonl_sharded(
-                trace, kind, shards=SHARDS, workers=workers,
-                chunk_size=chunk, pool=pool)
+                trace, kind, shards=SHARDS, workers=workers)
             # Builder spec -> columnar file -> replay, all on one pool:
             # the dataset never materializes in the parent.
-            spec_trace = tmp_path / f"{kind}-w{workers}-c{chunk}.col"
+            spec_trace = tmp_path / f"{kind}-w{workers}.col"
             generate_columnar(spec, spec_trace, schema=kind,
-                              workers=workers, chunk_size=chunk, pool=pool)
+                              workers=workers)
             from_spec, spec_report = replay_columnar_sharded(
-                spec_trace, kind, shards=SHARDS, workers=workers,
-                chunk_size=chunk, pool=pool)
-        assert from_lines == reference, (kind, workers, chunk)
-        assert from_spec == reference, (kind, workers, chunk)
+                spec_trace, kind, shards=SHARDS, workers=workers)
+        assert from_lines == reference, (kind, workers)
+        assert from_spec == reference, (kind, workers)
         assert (line_report.total_records == spec_report.total_records
                 == ref_report.total_records)
 
@@ -157,12 +148,11 @@ def test_generate_columnar_identical_bytes_across_matrix(kind, tmp_path):
     generate_columnar(spec, ref_out, workers=1)
     assert read_columnar(ref_out) == list(dataset.records)
     reference = ref_out.read_bytes()
-    for workers, chunk in EXECUTION_MATRIX:
-        out = tmp_path / f"{kind}-w{workers}-c{chunk}.col"
-        with WorkerPool(workers) as pool:
-            count, _ = generate_columnar(spec, out, workers=workers,
-                                         chunk_size=chunk, pool=pool)
-        assert out.read_bytes() == reference, (kind, workers, chunk)
+    for workers in EXECUTION_MATRIX:
+        out = tmp_path / f"{kind}-w{workers}.col"
+        with WorkerPool(workers):
+            count, _ = generate_columnar(spec, out, workers=workers)
+        assert out.read_bytes() == reference, (kind, workers)
         assert count == len(dataset.records)
         assert not list(tmp_path.glob(f"{out.name}.shard*")), \
             "columnar shard files must be cleaned up"
@@ -179,32 +169,29 @@ def test_replay_columnar_equivalent_across_matrix(kind, tmp_path):
     generate_columnar(spec, col_trace, workers=1)
     jsonl_trace = tmp_path / f"{kind}.jsonl"
     generate_jsonl(spec, jsonl_trace, workers=1)
-    for workers, chunk in EXECUTION_MATRIX:
-        with WorkerPool(workers) as pool:
+    for workers in EXECUTION_MATRIX:
+        with WorkerPool(workers):
             from_cols, col_report = replay_columnar_sharded(
-                col_trace, kind, shards=SHARDS, workers=workers,
-                chunk_size=chunk, pool=pool)
+                col_trace, kind, shards=SHARDS, workers=workers)
             from_lines, line_report = replay_jsonl_sharded(
-                jsonl_trace, kind, shards=SHARDS, workers=workers,
-                chunk_size=chunk, pool=pool)
-        assert from_cols == reference, (kind, workers, chunk)
-        assert from_lines == reference, (kind, workers, chunk)
+                jsonl_trace, kind, shards=SHARDS, workers=workers)
+        assert from_cols == reference, (kind, workers)
+        assert from_lines == reference, (kind, workers)
         assert (col_report.total_records == line_report.total_records
                 == ref_report.total_records)
 
 
 def test_replay_metrics_identical_across_workers(tmp_path):
-    """The exported Prometheus text is workers/chunk-invariant."""
+    """The exported Prometheus text is workers-invariant."""
     spec = _spec("allnames")
     trace = tmp_path / "metrics.jsonl"
     generate_jsonl(spec, trace, workers=1)
     renderings = set()
-    for workers, chunk in EXECUTION_MATRIX:
+    for workers in EXECUTION_MATRIX:
         with observe(metrics=True) as session:
-            with WorkerPool(workers) as pool:
+            with WorkerPool(workers):
                 replay_jsonl_sharded(trace, "allnames", shards=SHARDS,
-                                     workers=workers, chunk_size=chunk,
-                                     pool=pool)
+                                     workers=workers)
         renderings.add(to_prometheus(session.registry))
     assert len(renderings) == 1
 
@@ -214,11 +201,10 @@ def test_chaos_report_identical_across_matrix(preset_name):
     """Chaos campaigns render byte-identical reports on any pool config."""
     plan = preset(preset_name)
     reports = set()
-    for workers, chunk in EXECUTION_MATRIX:
-        with WorkerPool(workers) as pool:
+    for workers in EXECUTION_MATRIX:
+        with WorkerPool(workers):
             result, _ = run_chaos(plan, seed=3, fault_seed=11, ingress=16,
-                                  shards=SHARDS, workers=workers,
-                                  chunk_size=chunk, pool=pool)
+                                  shards=SHARDS, workers=workers)
         reports.add(result.report())
     assert len(reports) == 1
 
@@ -324,13 +310,22 @@ def test_run_sharded_payload_accounting():
     assert inline_report.pool_mode == "inline"
     assert inline_report.payload_bytes == 0
     assert inline_report.header_bytes == 0
-    with WorkerPool(2) as pool:
-        _, pooled_report = generate_records_spec(spec, workers=2, pool=pool)
+    with WorkerPool(2):
+        _, pooled_report = generate_records_spec(spec, workers=2)
     assert pooled_report.pool_mode == "persistent"
     assert pooled_report.header_bytes > 0
     assert all(s.payload_bytes > 0 for s in pooled_report.shards)
     # The whole point: per-shard specs are tiny, not record-list-sized.
     assert pooled_report.payload_bytes_per_shard < 1024
+
+
+def test_sharded_entry_points_take_no_dispatch_options():
+    for fn in (run_sharded, replay_sharded, replay_jsonl_sharded,
+               replay_columnar_sharded, generate_records_spec,
+               generate_dataset_spec, generate_jsonl, generate_columnar,
+               run_chaos):
+        assert not {"chunk_size", "pool"} \
+            & set(inspect.signature(fn).parameters), fn
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +349,10 @@ def test_row_group_generate_identical_bytes_across_matrix(kind, flush_rows,
     generate_columnar(spec, ref_out, workers=1)
     reference_records = read_columnar(ref_out)
     ref_bytes = None
-    for workers, chunk in EXECUTION_MATRIX:
-        out = tmp_path / f"{kind}-w{workers}-c{chunk}.col"
-        with WorkerPool(workers) as pool:
+    for workers in EXECUTION_MATRIX:
+        out = tmp_path / f"{kind}-w{workers}.col"
+        with WorkerPool(workers):
             count, _ = generate_columnar(spec, out, workers=workers,
-                                         chunk_size=chunk, pool=pool,
                                          row_group_rows=flush_rows)
         assert count == len(reference_records)
         if ref_bytes is None:
@@ -370,7 +364,7 @@ def test_row_group_generate_identical_bytes_across_matrix(kind, flush_rows,
                            for g in range(reader.group_count))
         else:
             assert out.read_bytes() == ref_bytes, (kind, flush_rows,
-                                                   workers, chunk)
+                                                   workers)
 
 
 @pytest.mark.parametrize("kind", REPLAY_CASES)
@@ -389,12 +383,10 @@ def test_row_range_replay_equivalent_across_matrix(kind, flush_rows,
     bucketed = tmp_path / f"{kind}.bucketed.col"
     prebucket_columnar(flat, bucketed, SHARDS, row_group_rows=flush_rows)
     assert bucketed_group_ranges(bucketed) is not None
-    for workers, chunk in EXECUTION_MATRIX:
-        with WorkerPool(workers) as pool:
+    for workers in EXECUTION_MATRIX:
+        with WorkerPool(workers):
             got, report = replay_columnar_sharded(bucketed, kind,
                                                   shards=SHARDS,
-                                                  workers=workers,
-                                                  chunk_size=chunk,
-                                                  pool=pool)
-        assert got == reference, (kind, flush_rows, workers, chunk)
+                                                  workers=workers)
+        assert got == reference, (kind, flush_rows, workers)
         assert report.total_records == ref_report.total_records

@@ -20,13 +20,16 @@ import pytest
 from repro.engine import (PoolShutdownError, ShardDispatchError,
                           WorkerCrashError, WorkerPool, run_sharded)
 from repro.engine import pool as pool_mod
-from repro.engine.pool import (decode_header, derived_state, encode_header,
-                               encode_shard_args, fn_token, header_digest,
-                               header_loads)
+from repro.engine.pool import (decode_header, encode_header,
+                               encode_shard_args, fn_token, header_loads)
 
 
 def _double(shard_index: int) -> int:
     return shard_index * 2
+
+
+def _worker_pid(shard_index: int) -> int:
+    return os.getpid()
 
 
 def _exit_worker(target: int, shard_index: int) -> int:
@@ -67,27 +70,49 @@ def _use_state(state: CountingState, shard_index: int) -> str:
 
 
 def test_worker_crash_raises_promptly_with_task_name():
-    with WorkerPool(2) as pool:
-        with pytest.raises(WorkerCrashError, match="chaos-crash.*died"):
+    # Shard 2 dies; the first result lost is its own or an earlier one's.
+    with WorkerPool(2):
+        with pytest.raises(WorkerCrashError,
+                           match=r"chaos-crash.*died; shards \[[0-2], [1-3]\)"
+                                 r".*every later shard were lost"):
             run_sharded(_exit_worker, [(i,) for i in range(4)], workers=2,
-                        task="chaos-crash", chunk_size=1, shared=(2,),
-                        pool=pool)
+                        task="chaos-crash", shared=(2,))
 
 
 def test_persistent_pool_recovers_after_crash():
     """A crash discards the broken executor; the next batch respawns."""
-    with WorkerPool(2) as pool:
+    with WorkerPool(2):
         with pytest.raises(WorkerCrashError):
             run_sharded(_exit_worker, [(i,) for i in range(4)], workers=2,
-                        chunk_size=1, shared=(1,), pool=pool)
+                        shared=(1,))
         results, report = run_sharded(_double, [(i,) for i in range(4)],
-                                      workers=2, chunk_size=1, pool=pool)
+                                      workers=2)
         assert results == [0, 2, 4, 6]
         assert report.pool_mode == "persistent"
 
 
 # ---------------------------------------------------------------------------
-# Shutdown semantics.
+# Lifecycle: the with block shares workers; shutdown semantics.
+
+
+def test_with_block_shares_workers_across_calls():
+    shards = [(i,) for i in range(4)]
+    with WorkerPool(2) as pool:
+        first, _ = run_sharded(_worker_pid, shards, workers=2)
+        executor = pool._executor
+        second, _ = run_sharded(_worker_pid, shards, workers=2)
+        assert pool._executor is executor is not None
+    assert os.getpid() not in first and len({*first, *second}) <= 2
+
+
+def test_nested_with_restores_outer_pool():
+    assert pool_mod.ACTIVE is None
+    with WorkerPool(2) as outer:
+        with WorkerPool(2) as inner:
+            assert pool_mod.ACTIVE is inner
+        assert pool_mod.ACTIVE is outer
+        assert run_sharded(_double, [(0,), (1,)], workers=2)[0] == [0, 2]
+    assert pool_mod.ACTIVE is None
 
 
 def test_shutdown_is_idempotent_even_on_unused_pool():
@@ -95,18 +120,20 @@ def test_shutdown_is_idempotent_even_on_unused_pool():
     pool.shutdown()
     pool.shutdown()  # second call must be a no-op, not an error
 
-    used = WorkerPool(2)
-    assert run_sharded(_double, [(0,), (1,)], workers=2,
-                       pool=used)[0] == [0, 2]
-    used.shutdown()
-    used.shutdown()
+    with WorkerPool(2) as used:
+        assert run_sharded(_double, [(0,), (1,)], workers=2)[0] == [0, 2]
+    used.shutdown()  # the with block already shut it down
 
 
 def test_use_after_shutdown_raises_pool_shutdown_error():
     pool = WorkerPool(2)
     pool.shutdown()
-    with pytest.raises(PoolShutdownError, match="shut down"):
-        run_sharded(_double, [(0,), (1,)], workers=2, pool=pool)
+    previous = pool_mod.activate(pool)
+    try:
+        with pytest.raises(PoolShutdownError, match="shut down"):
+            run_sharded(_double, [(0,), (1,)], workers=2)
+    finally:
+        pool_mod.activate(previous)
 
 
 def test_pool_constructor_validates():
@@ -119,14 +146,13 @@ def test_pool_constructor_validates():
 
 
 def test_unpicklable_shard_arg_names_the_shard():
-    pool = WorkerPool(2)
     args: List[Tuple[Any, ...]] = [(0,), (1,), (threading.Lock(),), (3,)]
-    with pytest.raises(ShardDispatchError, match=r"shard 2 spec"):
-        run_sharded(_double, args, workers=2, pool=pool)
-    # Dispatch failed during encoding, before anything was submitted:
-    # the persistent pool never had to spawn its executor.
-    assert pool._executor is None
-    pool.shutdown()
+    with WorkerPool(2) as pool:
+        with pytest.raises(ShardDispatchError, match=r"shard 2 spec"):
+            run_sharded(_double, args, workers=2)
+        # Dispatch failed during encoding, before anything was submitted:
+        # the persistent pool never had to spawn its executor.
+        assert pool._executor is None
 
 
 def test_unpicklable_shared_state_fails_fast():
@@ -152,13 +178,12 @@ def test_fn_token_rejects_unaddressable_functions():
 
 
 def test_shared_state_pickled_once_per_run_despite_many_chunks():
-    """The re-pickle fix: 8 shards x chunk_size=1 is still ONE pickle."""
+    """The re-pickle fix: 8 one-shard submissions are still ONE pickle."""
     CountingState.serializations = 0
     state = CountingState()
-    with WorkerPool(2) as pool:
+    with WorkerPool(2):
         results, _ = run_sharded(_use_state, [(i,) for i in range(8)],
-                                 workers=2, chunk_size=1, shared=(state,),
-                                 pool=pool)
+                                 workers=2, shared=(state,))
     assert results == [f"shared:{i}" for i in range(8)]
     assert CountingState.serializations == 1
 
@@ -171,11 +196,10 @@ def test_header_decoded_once_per_worker_not_per_chunk():
     the memoized decode — never one load per chunk.
     """
     baseline = header_loads()
-    with WorkerPool(2) as pool:
+    with WorkerPool(2):
         results, _ = run_sharded(_report_header_loads,
                                  [(i,) for i in range(8)], workers=2,
-                                 chunk_size=1, shared=("run-tag",),
-                                 pool=pool)
+                                 shared=("run-tag",))
     assert set(results) == {baseline + 1}
 
 
@@ -189,22 +213,6 @@ def test_decode_header_memoizes_by_content():
     assert header_loads() == loads_before + 1
     assert first[0] is _double
     assert first[1] == ("memo-test",)
-
-
-def test_derived_state_builds_once_per_key():
-    digest = header_digest(b"derived-state-test")
-    calls = []
-
-    def build() -> str:
-        calls.append(1)
-        return "built"
-
-    assert derived_state(digest, "dataset", build) == "built"
-    assert derived_state(digest, "dataset", build) == "built"
-    assert len(calls) == 1
-    # A different tag under the same run digest builds separately.
-    assert derived_state(digest, "other", build) == "built"
-    assert len(calls) == 2
 
 
 def test_worker_caches_stay_bounded():

@@ -606,8 +606,8 @@ class TestConfig:
 
     def test_rule_catalogue(self):
         assert all_rule_ids() == ["RS001", "RS002", "RS003", "RS004",
-                                  "RS005", "RS100", "RS201", "RS202",
-                                  "RS203", "RS204"]
+                                  "RS005", "RS100", "RS201", "RS203",
+                                  "RS204"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Whole-program linter tests: RS201-RS204, suppressions, the driver.
+"""Whole-program linter tests: RS201/RS203/RS204, suppressions, the driver.
 
 Each test builds a small fixture package under ``tmp_path`` and runs
 :func:`repro.staticcheck.graph.lint_paths` over it.  The fixtures
 import the *real* engine introspection surface (``worker_entrypoint``,
-``ShardSpec``, ``repro.obs``) by dotted name only — the analyzer never
+``repro.obs``) by dotted name only — the analyzer never
 imports fixture code, so nothing here executes.
 
 pytest's ``tmp_path`` contains the test name (``.../test_rs201.../``)
@@ -32,7 +32,7 @@ from repro.staticcheck.reporters import render
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 
-GRAPH_IDS = ("RS201", "RS202", "RS203", "RS204")
+GRAPH_IDS = ("RS201", "RS203", "RS204")
 
 
 def _config(**kwargs: object) -> Config:
@@ -165,61 +165,6 @@ class TestRS201ConstantSeed:
                                    "helpers.py": SEED_HELPERS})
         result = run_graph(pkg, _config())
         assert rule_ids(result) == ()
-
-
-# ---------------------------------------------------------------------------
-# RS202: pickle safety at declared boundaries.
-
-
-SPEC_BAD = """\
-from repro.engine.sharding import ShardSpec
-
-
-def bad_spec() -> ShardSpec:
-    return ShardSpec.create("allnames", fn=lambda: 1)
-"""
-
-SPEC_GOOD = """\
-from repro.engine.sharding import ShardSpec
-
-
-def _one() -> int:
-    return 1
-
-
-def good_spec() -> ShardSpec:
-    return ShardSpec.create("allnames", fn=_one)
-"""
-
-
-class TestRS202PickleSafety:
-    def test_lambda_into_shardspec_create_fires(self,
-                                                tmp_path: Path) -> None:
-        pkg = write_pkg(tmp_path, {"specs.py": SPEC_BAD})
-        result = run_graph(pkg, _config())
-        assert rule_ids(result) == ("RS202",)
-        message = result[0].message
-        assert "lambda" in message
-        assert "ShardSpec.create" in message
-
-    def test_module_level_callable_does_not_fire(self,
-                                                 tmp_path: Path) -> None:
-        pkg = write_pkg(tmp_path, {"specs.py": SPEC_GOOD})
-        result = run_graph(pkg, _config())
-        assert rule_ids(result) == ()
-
-    def test_unpicklable_bind_fires(self, tmp_path: Path) -> None:
-        source = (
-            "import threading\n"
-            "from repro.engine.sharding import ShardSpec\n"
-            "\n"
-            "\n"
-            "def locked_spec() -> ShardSpec:\n"
-            "    lock = threading.Lock()\n"
-            "    return ShardSpec.create('allnames', fn=lock)\n")
-        pkg = write_pkg(tmp_path, {"specs.py": source})
-        result = run_graph(pkg, _config())
-        assert rule_ids(result) == ("RS202",)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +322,6 @@ def _full_fixture(tmp_path: Path) -> Tuple[Path, Config]:
     pkg = write_pkg(tmp_path, {
         "workers.py": AMBIENT_WORKERS,
         "helpers.py": AMBIENT_HELPERS,
-        "specs.py": SPEC_BAD,
         "model.py": PARTIAL_DEF,
         "build.py": PARTIAL_BUILD,
         "escape.py": ESCAPE,
@@ -412,8 +356,8 @@ class TestDriver:
         forward = lint_paths([pkg / name for name in names], config)
         backward = lint_paths([pkg / name for name in reversed(names)],
                               config)
-        assert sorted(rule_ids(forward[0])) == ["RS201", "RS202", "RS203",
-                                                "RS204", "RS204"]
+        assert sorted(rule_ids(forward[0])) == ["RS201", "RS203", "RS204",
+                                                "RS204"]
         for fmt in ("text", "json"):
             assert render(*forward, fmt) == render(*backward, fmt)
 
