@@ -112,11 +112,11 @@ def test_live_heartbeat_overhead(obs_bench, replay_records):
         off_result, seconds = timed()
         off_seconds = min(off_seconds, seconds)
         sink = LiveSink()
-        previous = obs_live.activate(SinkEmitter(sink))
+        previous = obs_live.swap(SinkEmitter(sink))
         try:
             on_result, seconds = timed()
         finally:
-            obs_live.activate(previous)
+            obs_live.swap(previous)
             sink.close()
         on_seconds = min(on_seconds, seconds)
 

@@ -18,8 +18,8 @@ convert     convert a trace between JSONL and the columnar format
 dataset     inspect an on-disk trace file (``dataset info FILE``)
 chaos       run the scan campaign under a fault-injection preset
 all         every analysis command, sequentially
-lint        run the repro.staticcheck invariant linter (RS001-RS100,
-            RS201, RS203, RS204), always whole-program
+lint        run the repro.staticcheck invariant linter (RS001-RS003,
+            RS005, RS100, RS201, RS203, RS204), always whole-program
 
 Every command accepts ``--seed`` and a size knob and writes rendered
 reports to ``--out`` (default: print to stdout only); ``--quiet``
@@ -61,10 +61,10 @@ from .engine.replay import replay_columnar_sharded, replay_jsonl_sharded
 from .faults.chaos import run_chaos
 from .faults.presets import preset, preset_names
 from .measure import Scanner
-from .obs import (LiveSink, SinkEmitter, TelemetryServer, observe,
-                  profile_call, write_chrome_trace, write_prometheus,
-                  write_spans_jsonl, write_timeline_jsonl)
+from .obs import ObsSession, observe
 from .obs import live as obs_live
+from .obs.export import (write_chrome_trace, write_prometheus,
+                         write_spans_jsonl, write_text_atomic)
 from .units import human_bytes, human_count
 
 
@@ -89,9 +89,7 @@ class _Reporter:
             print(text)
             print()
         if self.out_dir:
-            path = self.out_dir / f"{name}.txt"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text + "\n")
+            write_text_atomic(self.out_dir / f"{name}.txt", (text, "\n"))
 
     def note(self, text: str) -> None:
         """Print an incidental status line (never written to files).
@@ -138,8 +136,8 @@ class _LiveProgress:
         self._task = ""
         self._wrote = False
 
-    def __call__(self, sink: LiveSink,
-                 beat: "obs_live.Heartbeat") -> None:
+    def __call__(self, sink: obs_live.LiveSink,
+                 beat: obs_live.Heartbeat) -> None:
         if beat.kind == "run_start":
             self._task = beat.task
             self._total += beat.shards
@@ -484,9 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "explicit PORT before the subcommand "
                              "(0 picks a free port)")
     parser.add_argument("--timeline-out", default=None, metavar="FILE",
-                        help="export the run timeline after the command: "
-                             "Chrome trace-event JSON when FILE ends in "
-                             ".json (opens in Perfetto), JSONL otherwise")
+                        help="export the run timeline after the command "
+                             "as Chrome trace-event JSON (opens in "
+                             "Perfetto), whatever FILE's suffix")
     parser.add_argument("--live", action="store_true",
                         help="render a one-line live progress ticker on "
                              "stderr (out-of-band, like --serve-metrics)")
@@ -633,21 +631,37 @@ def _dispatch(args: argparse.Namespace, reporter: _Reporter) -> None:
         _COMMANDS[args.command](args, reporter)
 
 
+def _export_artefacts(args: argparse.Namespace, reporter: _Reporter,
+                      session: ObsSession,
+                      sink: Optional[obs_live.LiveSink]) -> None:
+    """Write the timeline, metrics and span files collected so far."""
+    if args.timeline_out is not None and sink is not None:
+        events = sink.timeline.events()
+        write_chrome_trace(events, args.timeline_out,
+                           dropped=sink.timeline.dropped)
+        reporter.note(f"wrote {len(events)} timeline events "
+                      f"to {args.timeline_out}")
+    if args.metrics_out is not None:
+        write_prometheus(session.registry, args.metrics_out)
+        reporter.note(f"wrote metrics to {args.metrics_out}")
+    if args.trace_out is not None:
+        write_spans_jsonl(session.tracer.spans, args.trace_out,
+                          dropped=session.tracer.dropped)
+        reporter.note(f"wrote {len(session.tracer.spans)} spans "
+                      f"to {args.trace_out}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
-    Observability flags wrap the whole command: metrics/tracing activate
-    before any experiment runs and export after it finishes, so one
-    ``.prom`` / one span JSONL covers everything the command did
-    (including all sub-commands of ``all``).  The collectors are
-    out-of-band — reports are byte-identical with the flags on or off.
-
-    The live plane (``--serve-metrics`` / ``--timeline-out`` /
-    ``--live``) follows the same contract: a :class:`LiveSink` is wired
-    up *before* the command dispatches (so worker pools install the
-    heartbeat side channel at spawn), torn down after, and everything it
-    collects rides heartbeats — experiment outputs stay byte-identical
-    at any worker count with the plane on or off.
+    Observability flags wrap the whole command (for ``all``, every
+    sub-command): the collectors and the live plane's
+    :class:`~repro.obs.live.LiveSink` are installed before it dispatches
+    — so worker pools pick up the heartbeat side channel at spawn — and
+    the artefacts are written when it ends, also when it ends in an
+    exception, which then propagates unchanged.  All of it is
+    out-of-band: reports are byte-identical at any worker count with
+    the flags on or off.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -658,65 +672,51 @@ def main(argv: Optional[List[str]] = None) -> int:
         return run_from_args(args)
     reporter = _Reporter(args.out, quiet=args.quiet,
                          show_report=args.report)
-    want_metrics = args.metrics_out is not None
-    want_traces = args.trace_out is not None
     live_enabled = (args.serve_metrics is not None
                     or args.timeline_out is not None or args.live)
     progress = _LiveProgress() if args.live else None
-    sink: Optional[LiveSink] = None
-    server: Optional[TelemetryServer] = None
+    sink: Optional[obs_live.LiveSink] = None
+    server = None
     previous_emitter: Optional[obs_live.LiveEmitter] = None
     if live_enabled:
-        # Shard registries ride shard_end heartbeats, so the sink needs
-        # metrics capture on even when no --metrics-out was asked for.
-        sink = LiveSink(on_beat=progress)
-        previous_emitter = obs_live.activate(SinkEmitter(sink))
+        sink = obs_live.LiveSink(on_beat=progress)
+        previous_emitter = obs_live.swap(obs_live.SinkEmitter(sink))
         if args.serve_metrics is not None:
+            from .obs.server import TelemetryServer
             server = TelemetryServer(sink, port=args.serve_metrics)
             port = server.start()
             reporter.note(f"serving live telemetry on "
                           f"http://127.0.0.1:{port} "
                           f"(/metrics, /healthz, /run)")
-    try:
-        with observe(metrics=want_metrics or live_enabled,
-                     tracing=want_traces) as session:
+    # Shard registries ride shard_end heartbeats, so the sink needs
+    # metrics capture on even when no --metrics-out was asked for.
+    with observe(metrics=args.metrics_out is not None or live_enabled,
+                 tracing=args.trace_out is not None) as session:
+        try:
             if args.profile is not None:
+                from .obs.profile import profile_call
                 _, stats_text = profile_call(
                     _dispatch, args, reporter,
                     title=f"repro-ecs {args.command}")
-                path = Path(args.profile)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(stats_text + "\n")
+                write_text_atomic(args.profile, (stats_text, "\n"))
                 reporter.note(f"wrote profile to {args.profile}")
             else:
                 _dispatch(args, reporter)
-    finally:
-        if live_enabled:
-            obs_live.activate(previous_emitter)
-            if server is not None:
-                server.stop()
+        finally:
+            failed = sys.exc_info()[0] is not None
             if sink is not None:
+                obs_live.swap(previous_emitter)
+                if server is not None:
+                    server.stop()
                 sink.close()
             if progress is not None:
                 progress.finish()
-    if args.timeline_out is not None and sink is not None:
-        events = sink.timeline.events()
-        timeline_path = Path(args.timeline_out)
-        if timeline_path.suffix == ".json":
-            write_chrome_trace(events, timeline_path)
-        else:
-            write_timeline_jsonl(events, timeline_path,
-                                 dropped=sink.timeline.dropped)
-        reporter.note(f"wrote {len(events)} timeline events "
-                      f"to {args.timeline_out}")
-    if want_metrics:
-        write_prometheus(session.registry, args.metrics_out)
-        reporter.note(f"wrote metrics to {args.metrics_out}")
-    if want_traces:
-        write_spans_jsonl(session.tracer.spans, args.trace_out,
-                          dropped=session.tracer.dropped)
-        reporter.note(f"wrote {len(session.tracer.spans)} spans "
-                      f"to {args.trace_out}")
+            try:
+                _export_artefacts(args, reporter, session, sink)
+            except Exception as exc:
+                if not failed:
+                    raise  # else the command's own exception wins
+                print(f"repro-ecs: export failed: {exc!r}", file=sys.stderr)
     return 0
 
 

@@ -43,7 +43,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from ..obs import live as obs_live
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, merge_registries
 from ..obs.trace import Span, Tracer
 from . import pool as pool_mod
 from .pool import (WorkerPool, decode_header, encode_header,
@@ -353,10 +353,8 @@ def _fold_observability(report: EngineReport, outcomes: Sequence[_Outcome],
                         capture_metrics: bool, capture_traces: bool) -> None:
     """Merge per-shard snapshots in shard order; feed the parent's obs."""
     if capture_metrics:
-        merged = MetricsRegistry()
-        for _, _, registry, _, _ in outcomes:
-            if registry is not None:
-                merged.merge_from(registry)
+        merged = merge_registries(registry for _, _, registry, _, _
+                                  in outcomes if registry is not None)
         report.metrics = merged
         parent = obs_metrics.ACTIVE
         if parent is not None:

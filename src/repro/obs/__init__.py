@@ -3,23 +3,33 @@
 The observability layer is strictly out-of-band, like
 :class:`~repro.engine.executor.ShardStats`: experiment outputs are
 byte-identical whether it is enabled or not, and a disabled registry or
-tracer costs one global load per instrumented call site.  Three parts:
+tracer costs one global load per instrumented call site.  Each collector
+answers one question and has one on-disk form:
 
-- :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry`
-  of named :class:`Counter`/:class:`Gauge`/:class:`Histogram`
-  instruments with label support, mergeable across engine shards
-  exactly like ``ReplayPartial``.
-- :mod:`repro.obs.trace` — lightweight span tracing (``span("resolve",
-  qname=...)``, monotonic-clock timing, parent/child span IDs) forming
-  per-query DNS lifecycle traces.
-- :mod:`repro.obs.export` / :mod:`repro.obs.profile` — Prometheus text
-  and JSONL span export, plus a cProfile hook for whole commands or
-  individual shards.
-- :mod:`repro.obs.live` / :mod:`repro.obs.server` /
-  :mod:`repro.obs.timeline` — the live plane: loss-tolerant heartbeat
-  streaming from pool workers into a :class:`LiveSink`, a stdlib HTTP
-  scrape endpoint (``/metrics``, ``/healthz``, ``/run``), and run
-  timelines exportable as JSONL or Chrome trace-event JSON.
+- :mod:`repro.obs.metrics` — *how many?*  A process-local
+  :class:`MetricsRegistry` of named counters, gauges and histograms with
+  label support, mergeable across engine shards exactly like
+  ``ReplayPartial``; exported as Prometheus text.
+- :mod:`repro.obs.trace` — *which path did one query take?*  Span
+  tracing (``tracer.span("resolve", qname=...)``, monotonic-clock
+  timing, parent/child span IDs) forming per-query DNS lifecycle traces;
+  exported as span JSONL.
+- :mod:`repro.obs.live` with :mod:`repro.obs.timeline` — *where did the
+  run's wall time go across workers?*  Loss-tolerant heartbeats stream
+  from pool workers into a :class:`~repro.obs.live.LiveSink` whose
+  bounded timeline ring is exported as Chrome trace-event JSON.
+
+Around them: :mod:`repro.obs.export` holds the three writers and the
+atomic text-file helper they share, :mod:`repro.obs.server` the stdlib
+HTTP scrape endpoint (``/metrics``, ``/healthz``, ``/run``), and
+:mod:`repro.obs.profile` the cProfile hook.
+
+Each of ``metrics``, ``trace`` and ``live`` has one ``ACTIVE`` slot that
+instrumented code reads and one setter, ``swap(x) -> previous``.  This
+package imports only ``metrics`` and ``trace`` — what every instrumented
+module reads; import ``live``, ``timeline``, ``export``, ``server`` and
+``profile`` by module path where they are used, so a pool worker never
+loads ``http.server`` or ``cProfile`` for flags it never got.
 
 See ``docs/observability.md`` for the instrument catalogue, the live
 plane's heartbeat protocol and how to read a query trace.
@@ -32,42 +42,11 @@ from typing import Iterator, Optional
 
 from . import metrics as _metrics
 from . import trace as _trace
-from .export import (parse_prometheus, read_spans_jsonl, spans_to_jsonl,
-                     to_prometheus, write_prometheus, write_spans_jsonl)
-from .live import (Heartbeat, LiveEmitter, LiveSink, QueueEmitter,
-                   SinkEmitter)
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      merge_registries)
-from .profile import profile_call, profiled, render_stats
-from .server import TelemetryServer
-from .timeline import (Timeline, TimelineEvent, events_to_jsonl,
-                       jsonl_to_chrome, read_timeline_jsonl,
-                       to_chrome_trace, write_chrome_trace,
-                       write_timeline_jsonl)
-from .trace import Span, Tracer, event, span
+from .metrics import MetricsRegistry, merge_registries
+from .trace import Tracer
 
-__all__ = [
-    "Counter", "Gauge", "Heartbeat", "Histogram", "LiveEmitter",
-    "LiveSink", "MetricsRegistry", "ObsSession", "QueueEmitter",
-    "SinkEmitter", "Span", "TelemetryServer", "Timeline",
-    "TimelineEvent", "Tracer", "active_registry", "active_tracer",
-    "event", "events_to_jsonl", "jsonl_to_chrome", "merge_registries",
-    "observe", "parse_prometheus", "profile_call", "profiled",
-    "read_spans_jsonl", "read_timeline_jsonl", "render_stats", "span",
-    "spans_to_jsonl", "to_chrome_trace", "to_prometheus",
-    "write_chrome_trace", "write_prometheus", "write_spans_jsonl",
-    "write_timeline_jsonl",
-]
-
-
-def active_registry() -> Optional[MetricsRegistry]:
-    """The process's active metrics registry, or ``None`` when disabled."""
-    return _metrics.ACTIVE
-
-
-def active_tracer() -> Optional[Tracer]:
-    """The process's active tracer, or ``None`` when disabled."""
-    return _trace.ACTIVE
+__all__ = ["MetricsRegistry", "ObsSession", "Tracer", "merge_registries",
+           "observe"]
 
 
 class ObsSession:
@@ -80,9 +59,8 @@ class ObsSession:
 
 
 @contextmanager
-def observe(metrics: bool = True, tracing: bool = False,
-            span_limit: int = _trace.DEFAULT_SPAN_LIMIT
-            ) -> Iterator[ObsSession]:
+def observe(metrics: bool = True,
+            tracing: bool = False) -> Iterator[ObsSession]:
     """Enable collection for a block; restores the previous state after.
 
     The yielded :class:`ObsSession` keeps the registry/tracer so callers
@@ -94,7 +72,7 @@ def observe(metrics: bool = True, tracing: bool = False,
         write_spans_jsonl(session.tracer.spans, "trace.jsonl")
     """
     registry = MetricsRegistry() if metrics else None
-    tracer = Tracer(limit=span_limit) if tracing else None
+    tracer = Tracer() if tracing else None
     previous_registry = _metrics.swap(registry) if metrics else None
     previous_tracer = _trace.swap(tracer) if tracing else None
     try:

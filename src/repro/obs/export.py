@@ -1,4 +1,13 @@
-"""Exporters: Prometheus text format and JSONL event streams.
+"""Exporters: one format and one atomic writer per artefact.
+
+Each collector has exactly one on-disk form — registry → Prometheus
+text (:func:`write_prometheus`), tracer → span JSONL
+(:func:`write_spans_jsonl`), timeline → Chrome trace-event JSON
+(:func:`write_chrome_trace`) — and every one of them, like the CLI's
+report and profile files, reaches disk through
+:func:`write_text_atomic`: streamed to ``<name>.tmp`` beside the
+destination and renamed into place, so an interrupted run leaves an
+artefact absent or complete, never half-written.
 
 :func:`to_prometheus` renders a :class:`~repro.obs.metrics.MetricsRegistry`
 in the Prometheus text exposition format (``# HELP``/``# TYPE`` headers,
@@ -18,11 +27,37 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple, Union
+from typing import (Any, Dict, Iterable, Iterator, List, Sequence, Set,
+                    Tuple, Union)
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .timeline import TimelineEvent, to_chrome_trace
 from .trace import Span
+
+
+def write_text_atomic(path: Union[str, Path],
+                      chunks: Iterable[str]) -> Path:
+    """Stream ``chunks`` to ``path`` so it is either absent or complete.
+
+    The text goes to ``<name>.tmp`` beside the destination (parents
+    created) and is renamed over it at the end — the convention of
+    :class:`~repro.datasets.columnar.GroupedColumnarWriter`.  If the
+    iterable or a write raises, the temporary is removed and whatever
+    ``path`` held before is untouched.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def _escape_help(text: str) -> str:
@@ -87,11 +122,8 @@ def to_prometheus(registry: MetricsRegistry) -> str:
 
 def write_prometheus(registry: MetricsRegistry,
                      path: Union[str, Path]) -> Path:
-    """Write the Prometheus rendering to ``path`` (parents created)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(to_prometheus(registry))
-    return path
+    """Write the Prometheus rendering to ``path`` (atomically)."""
+    return write_text_atomic(path, (to_prometheus(registry),))
 
 
 # ---------------------------------------------------------------------------
@@ -239,38 +271,29 @@ def _check_histogram_family(
 
 
 # ---------------------------------------------------------------------------
-# JSONL event streams
-
-
-def spans_to_jsonl(spans: Iterable[Span]) -> str:
-    """One JSON object per span, in the given (completion) order."""
-    return "".join(json.dumps(span.as_dict(), sort_keys=True) + "\n"
-                   for span in spans)
+# Span JSONL and Chrome-trace timelines
 
 
 def write_spans_jsonl(spans: Sequence[Span], path: Union[str, Path],
                       dropped: int = 0) -> Path:
-    """Write spans as JSONL, with a trailing summary object.
+    """Write one JSON object per span, in the given (completion) order.
 
-    The summary line (``{"event": "tracer_summary", ...}``) records the
-    span and overflow counts so a truncated trace is self-describing.
+    The trailing summary line (``{"event": "tracer_summary", ...}``)
+    records the span and overflow counts so a truncated trace is
+    self-describing.  Lines stream to disk one at a time: a full tracer
+    (500k spans) is never rendered as one string.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    summary = json.dumps({"event": "tracer_summary", "spans": len(spans),
-                          "dropped": dropped}, sort_keys=True)
-    path.write_text(spans_to_jsonl(spans) + summary + "\n")
-    return path
+    def lines() -> Iterator[str]:
+        for span in spans:
+            yield json.dumps(span.as_dict(), sort_keys=True) + "\n"
+        yield json.dumps({"event": "tracer_summary", "spans": len(spans),
+                          "dropped": dropped}, sort_keys=True) + "\n"
+
+    return write_text_atomic(path, lines())
 
 
-def read_spans_jsonl(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Load span dicts back (summary lines excluded)."""
-    out: List[Dict[str, Any]] = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        if doc.get("event") == "tracer_summary":
-            continue
-        out.append(doc)
-    return out
+def write_chrome_trace(events: Sequence[TimelineEvent],
+                       path: Union[str, Path], dropped: int = 0) -> Path:
+    """Write the timeline's Chrome trace-event rendering to ``path``."""
+    document = json.dumps(to_chrome_trace(events, dropped), sort_keys=True)
+    return write_text_atomic(path, (document, "\n"))

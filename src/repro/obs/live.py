@@ -250,11 +250,10 @@ class LiveSink:
     so scrapes are consistent snapshots.
     """
 
-    def __init__(self, timeline_capacity: int = 65536,
-                 on_beat: Optional[OnBeat] = None) -> None:
+    def __init__(self, on_beat: Optional[OnBeat] = None) -> None:
         self._lock = threading.Lock()
         self._registry = MetricsRegistry()
-        self.timeline = Timeline(capacity=timeline_capacity)
+        self.timeline = Timeline()
         self.on_beat = on_beat
         self.started = time.monotonic()
         self.heartbeats = 0
@@ -485,27 +484,11 @@ class LiveSink:
 ACTIVE: Optional[LiveEmitter] = None
 
 
-def active() -> Optional[LiveEmitter]:
-    """The emitter instrumented code should use (``None`` = off)."""
-    return ACTIVE
-
-
-def activate(emitter: Optional[LiveEmitter]) -> Optional[LiveEmitter]:
-    """Install ``emitter`` as the active one; returns the previous one."""
-    global ACTIVE
-    previous = ACTIVE
-    ACTIVE = emitter
-    return previous
-
-
-def deactivate() -> Optional[LiveEmitter]:
-    """Disable the live plane; returns the emitter that was active."""
-    return activate(None)
-
-
 def swap(emitter: Optional[LiveEmitter]) -> Optional[LiveEmitter]:
-    """Alias of :func:`activate`, matching the metrics/trace module API."""
-    return activate(emitter)
+    """Install ``emitter`` (possibly ``None``), returning the previous one."""
+    global ACTIVE
+    previous, ACTIVE = ACTIVE, emitter
+    return previous
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +502,7 @@ def _install_queue_emitter(channel: "BeatChannel") -> None:
     is the parent's :class:`SinkEmitter`, whose sink copy would be
     written blindly) with a :class:`QueueEmitter` on the shared channel.
     """
-    activate(QueueEmitter(channel))
+    swap(QueueEmitter(channel))
 
 
 def pool_initializer(

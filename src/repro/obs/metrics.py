@@ -10,13 +10,13 @@ change the merged totals.  The algebra is pinned by
 ``tests/test_obs.py`` exactly like the ``ReplayPartial`` algebra is
 pinned by ``tests/test_engine_merge.py``.
 
-Activation is explicit and out-of-band: instrumented code reads the
-module-level :data:`ACTIVE` slot and does nothing when it is ``None``
-(one global load and an ``is not None`` test), so a disabled registry
-costs effectively zero on hot paths and experiment outputs are
-byte-identical with metrics on or off.  Everything here is stdlib-only
-and picklable, so shard registries cross process-pool boundaries as
-ordinary return values.
+Activation is explicit and out-of-band: :func:`swap` is the slot's one
+setter, instrumented code reads the module-level :data:`ACTIVE` slot and
+does nothing when it is ``None`` (one global load and an ``is not None``
+test), so a disabled registry costs effectively zero on hot paths and
+experiment outputs are byte-identical with metrics on or off.
+Everything here is stdlib-only and picklable, so shard registries cross
+process-pool boundaries as ordinary return values.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
 
 LabelKey = Tuple[str, ...]
 
-#: One histogram label-state: ``[bucket_counts, sum, count]``.  A plain
+#: One histogram label-state: ``[counts, sum, count]``.  A plain
 #: mutable list (not a dataclass) so states pickle small and merge fast;
 #: the heterogeneous slots force ``Any`` element typing.
 HistogramState = List[Any]
@@ -108,9 +108,6 @@ class Gauge:
         key = labelvalues
         self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, *labelvalues: str) -> None:
-        self.inc(-amount, *labelvalues)
-
     def value(self, *labelvalues: str) -> float:
         return self._values.get(labelvalues, 0.0)
 
@@ -132,8 +129,8 @@ class Gauge:
 class Histogram:
     """Cumulative-bucket histogram (Prometheus semantics).
 
-    Per label tuple the state is ``(bucket_counts, sum, count)`` where
-    ``bucket_counts`` has one slot per declared upper bound plus the
+    Per label tuple the state is ``(counts, sum, count)`` where
+    ``counts`` has one slot per declared upper bound plus the
     implicit ``+Inf`` overflow slot.  Merging adds everything
     element-wise, which requires both sides to declare identical
     buckets.
@@ -172,11 +169,6 @@ class Histogram:
     def sum(self, *labelvalues: str) -> float:
         state = self._states.get(labelvalues)
         return float(state[1]) if state else 0.0
-
-    def bucket_counts(self, *labelvalues: str) -> List[int]:
-        """Per-bucket (non-cumulative) counts, overflow slot last."""
-        state = self._states.get(labelvalues)
-        return list(state[0]) if state else [0] * (len(self.buckets) + 1)
 
     def samples(self) -> Dict[LabelKey, HistogramState]:
         return self._states
@@ -290,26 +282,6 @@ class MetricsRegistry:
         """Pure merge: a new registry holding the combined samples."""
         return MetricsRegistry().merge_from(self).merge_from(other)
 
-    def as_dict(self) -> Dict[str, Dict[str, Any]]:
-        """JSON-friendly snapshot (label tuples become ``|``-joined keys)."""
-        out: Dict[str, Dict[str, Any]] = {}
-        for instrument in self.instruments():
-            values: Dict[str, Any]
-            if isinstance(instrument, Histogram):
-                values = {"|".join(k): {"count": s[2], "sum": s[1],
-                                        "buckets": list(s[0])}
-                          for k, s in sorted(instrument.samples().items())}
-            else:
-                values = {"|".join(k): v
-                          for k, v in sorted(instrument.samples().items())}
-            out[instrument.name] = {
-                "kind": instrument.kind,
-                "help": instrument.help,
-                "labelnames": list(instrument.labelnames),
-                "values": values,
-            }
-        return out
-
 
 def merge_registries(registries: Iterable[MetricsRegistry]
                      ) -> MetricsRegistry:
@@ -327,25 +299,6 @@ def merge_registries(registries: Iterable[MetricsRegistry]
 #: guards read this slot directly (``metrics.ACTIVE is not None``) so the
 #: disabled cost is one attribute load per instrumented operation.
 ACTIVE: Optional[MetricsRegistry] = None
-
-
-def active() -> Optional[MetricsRegistry]:
-    """The registry instrumented code should write to (``None`` = off)."""
-    return ACTIVE
-
-
-def activate(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Install ``registry`` (or a fresh one) as the active registry."""
-    global ACTIVE
-    ACTIVE = registry if registry is not None else MetricsRegistry()
-    return ACTIVE
-
-
-def deactivate() -> Optional[MetricsRegistry]:
-    """Disable metrics collection; returns the registry that was active."""
-    global ACTIVE
-    registry, ACTIVE = ACTIVE, None
-    return registry
 
 
 def swap(registry: Optional[MetricsRegistry]

@@ -1,11 +1,8 @@
-"""cProfile hooks: wrap any task and report top cumulative functions.
+"""cProfile hook: run any task and report top cumulative functions.
 
 :func:`profile_call` is the generic wrapper the CLI's ``--profile`` flag
 uses — it runs a callable (typically a whole sharded command) under
 :mod:`cProfile` and renders the hottest functions by cumulative time.
-:func:`profiled` wraps a shard worker function so individual shards can
-be profiled through :func:`repro.engine.executor.run_sharded` without
-changing the executor.
 
 Profiling is strictly observational: the wrapped callable's return value
 passes through untouched, so profiled runs keep producing byte-identical
@@ -15,7 +12,6 @@ experiment outputs (only slower).
 from __future__ import annotations
 
 import cProfile
-import functools
 import pstats
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -68,22 +64,3 @@ def profile_call(fn: Callable[..., Any], *args: Any,
     finally:
         profile.disable()
     return result, render_stats(profile, top_n=top_n, title=title)
-
-
-def profiled(fn: Callable[..., Any], top_n: int = DEFAULT_TOP,
-             sink: Callable[[str], None] = print) -> Callable[..., Any]:
-    """Wrap a (shard) function so every call is profiled.
-
-    The wrapper stays picklable as long as ``fn`` and ``sink`` are
-    module-level, so it can be handed to ``run_sharded`` in place of the
-    raw worker function; each shard's report goes through ``sink``.
-    """
-    @functools.wraps(fn)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        result, report = profile_call(fn, *args, top_n=top_n,
-                                      title=getattr(fn, "__name__", "shard"),
-                                      **kwargs)
-        sink(report)
-        return result
-
-    return wrapper

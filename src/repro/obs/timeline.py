@@ -1,4 +1,4 @@
-"""Run timelines: lifecycle events in a ring buffer, exportable two ways.
+"""Run timelines: lifecycle events in a ring buffer, one export format.
 
 A :class:`Timeline` records :class:`TimelineEvent` objects — run,
 dispatch, shard and worker lifecycle moments fed by the live heartbeat
@@ -6,17 +6,16 @@ sink (:mod:`repro.obs.live`) — in a bounded ring buffer, so a very long
 run can never grow the parent's memory without bound; overflow is
 counted, not silently lost.
 
-Export targets:
-
-* **JSONL** (:func:`write_timeline_jsonl`) — one event per line plus a
-  trailing ``timeline_summary`` object, mirroring the span export in
-  :mod:`repro.obs.export` so truncated files stay self-describing.
-* **Chrome trace-event JSON** (:func:`to_chrome_trace` /
-  :func:`write_chrome_trace`) — the ``{"traceEvents": [...]}`` format
-  that ``chrome://tracing`` and Perfetto (https://ui.perfetto.dev) open
-  directly: events with a duration render as complete (``"ph": "X"``)
-  slices per worker pid, instants as thread-scoped markers, which gives
-  a flamegraph-style view of shard occupancy across workers.
+The one export format is **Chrome trace-event JSON**
+(:func:`to_chrome_trace`, written to disk by
+:func:`repro.obs.export.write_chrome_trace`) — the
+``{"traceEvents": [...]}`` document that ``chrome://tracing`` and
+Perfetto (https://ui.perfetto.dev) open directly: events with a duration
+render as complete (``"ph": "X"``) slices per worker pid, instants as
+thread-scoped markers, which gives a flamegraph-style view of shard
+occupancy across workers.  Its ``otherData`` object records the event
+and overflow counts, so a truncated timeline is self-describing (as the
+``tracer_summary`` line makes a span file).
 
 Timestamps are ``time.monotonic()`` seconds (system-wide on Linux, so
 parent and worker clocks agree); the Chrome export rebases them to the
@@ -27,11 +26,9 @@ depend on whether a timeline was recorded.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Deque, Dict, List, Optional, Sequence
 
 #: Default ring-buffer capacity; at one event per shard boundary this
 #: covers runs tens of thousands of shards deep before dropping.
@@ -45,8 +42,8 @@ class TimelineEvent:
     ``ts`` is the event's *start* in ``time.monotonic()`` seconds;
     ``dur`` (seconds) turns the event into a slice covering
     ``[ts, ts + dur)``.  ``attrs`` carries free-form context (queue
-    depth, payload bytes, record counts) and survives both export
-    formats.
+    depth, payload bytes, record counts) and is exported as the event's
+    ``args``.
     """
 
     ts: float
@@ -56,27 +53,6 @@ class TimelineEvent:
     shard: Optional[int] = None
     dur: Optional[float] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """JSON-friendly form; attrs are flattened as ``attr_*`` keys."""
-        doc: Dict[str, Any] = {"ts": self.ts, "kind": self.kind,
-                               "name": self.name, "pid": self.pid}
-        if self.shard is not None:
-            doc["shard"] = self.shard
-        if self.dur is not None:
-            doc["dur"] = self.dur
-        for key in sorted(self.attrs):
-            doc[f"attr_{key}"] = self.attrs[key]
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Dict[str, Any]) -> "TimelineEvent":
-        """Inverse of :meth:`as_dict` (round-trips through JSONL)."""
-        attrs = {key[len("attr_"):]: value for key, value in doc.items()
-                 if key.startswith("attr_")}
-        return cls(ts=float(doc["ts"]), kind=str(doc["kind"]),
-                   name=str(doc["name"]), pid=int(doc.get("pid", 0)),
-                   shard=doc.get("shard"), dur=doc.get("dur"), attrs=attrs)
 
 
 class Timeline:
@@ -110,46 +86,11 @@ class Timeline:
 
 
 # ---------------------------------------------------------------------------
-# JSONL export (mirrors the span JSONL conventions in obs.export).
-
-
-def events_to_jsonl(events: Iterable[TimelineEvent]) -> str:
-    """One JSON object per event, in the given order."""
-    return "".join(json.dumps(event.as_dict(), sort_keys=True) + "\n"
-                   for event in events)
-
-
-def write_timeline_jsonl(events: Sequence[TimelineEvent],
-                         path: Union[str, Path],
-                         dropped: int = 0) -> Path:
-    """Write events as JSONL with a trailing ``timeline_summary`` line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    summary = json.dumps({"event": "timeline_summary",
-                          "events": len(events), "dropped": dropped},
-                         sort_keys=True)
-    path.write_text(events_to_jsonl(events) + summary + "\n")
-    return path
-
-
-def read_timeline_jsonl(path: Union[str, Path]) -> List[TimelineEvent]:
-    """Load events back (summary lines excluded)."""
-    out: List[TimelineEvent] = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
-        if doc.get("event") == "timeline_summary":
-            continue
-        out.append(TimelineEvent.from_dict(doc))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Chrome trace-event export (Perfetto / chrome://tracing).
 
 
-def to_chrome_trace(events: Sequence[TimelineEvent]) -> Dict[str, Any]:
+def to_chrome_trace(events: Sequence[TimelineEvent],
+                    dropped: int = 0) -> Dict[str, Any]:
     """Render events as a Chrome trace-event JSON document.
 
     Slices (events with ``dur``) become complete events (``"ph": "X"``)
@@ -157,7 +98,8 @@ def to_chrome_trace(events: Sequence[TimelineEvent]) -> Dict[str, Any]:
     (``"ph": "i"``).  Timestamps rebase to the earliest event and
     convert to microseconds, so the document is valid regardless of the
     monotonic clock's epoch.  Output ordering is deterministic:
-    ``(ts, kind, name)``.
+    ``(ts, kind, name)``.  ``dropped`` is the ring's overflow count
+    (:attr:`Timeline.dropped`), reported under ``otherData``.
     """
     base = min((event.ts for event in events), default=0.0)
     trace_events: List[Dict[str, Any]] = []
@@ -180,24 +122,5 @@ def to_chrome_trace(events: Sequence[TimelineEvent]) -> Dict[str, Any]:
             doc["ph"] = "i"
             doc["s"] = "t"
         trace_events.append(doc)
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(events: Sequence[TimelineEvent],
-                       path: Union[str, Path]) -> Path:
-    """Write the Chrome trace-event rendering to ``path``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_chrome_trace(events), sort_keys=True)
-                    + "\n")
-    return path
-
-
-def jsonl_to_chrome(src: Union[str, Path], dst: Union[str, Path]) -> int:
-    """Convert a timeline JSONL file to Chrome trace format.
-
-    Returns the number of events converted, so callers can report it.
-    """
-    events = read_timeline_jsonl(src)
-    write_chrome_trace(events, dst)
-    return len(events)
+    return {"traceEvents": trace_events, "displayTimeUnit": "ms",
+            "otherData": {"events": len(trace_events), "dropped": dropped}}

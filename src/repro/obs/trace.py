@@ -3,9 +3,9 @@
 A :class:`Tracer` collects :class:`Span` records — named, attributed,
 monotonic-clock-timed intervals with parent/child IDs — from anywhere in
 the process via a thread of nested ``with tracer.span(...)`` blocks.
-Instrumented library code uses the module-level :func:`span` helper,
-which no-ops (a shared ``nullcontext``) when no tracer is active, so
-tracing that is switched off costs one global load per call site.
+Instrumented library code reads the module-level :data:`ACTIVE` slot
+(set only through :func:`swap`) and skips the span when it is ``None``,
+so tracing that is switched off costs one global load per call site.
 
 Span identity is deterministic: IDs are ``<prefix>-<seq>`` with a
 per-tracer sequence, and the shard executor gives each shard's tracer a
@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import itertools
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (Any, ContextManager, Dict, Iterator, List, Optional,
-                    Tuple)
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Spans kept per tracer before further spans are counted but not stored
 #: (a memory backstop for long runs with tracing left on).
@@ -82,10 +81,6 @@ class Tracer:
     def _next_id(self) -> str:
         return f"{self.id_prefix}-{next(self._seq)}"
 
-    def current(self) -> Optional[Tuple[str, str]]:
-        """(trace_id, span_id) of the innermost open span, if any."""
-        return self._stack[-1] if self._stack else None
-
     # -- recording ----------------------------------------------------------
 
     @contextmanager
@@ -137,17 +132,6 @@ class Tracer:
             self.dropped += len(spans) - max(0, room)
         self.dropped += dropped
 
-    # -- queries (for tests and analysis) -----------------------------------
-
-    def by_trace(self) -> Dict[str, List[Span]]:
-        out: Dict[str, List[Span]] = {}
-        for record in self.spans:
-            out.setdefault(record.trace_id, []).append(record)
-        return out
-
-    def children_of(self, span_id: str) -> List[Span]:
-        return [s for s in self.spans if s.parent_id == span_id]
-
 
 # ---------------------------------------------------------------------------
 # activation: the process-wide current tracer
@@ -156,46 +140,9 @@ class Tracer:
 #: guards read this slot directly (``trace.ACTIVE is not None``).
 ACTIVE: Optional[Tracer] = None
 
-_NULL: ContextManager[None] = nullcontext(None)
-
-
-def active() -> Optional[Tracer]:
-    """The tracer instrumented code should write to (``None`` = off)."""
-    return ACTIVE
-
-
-def activate(tracer: Optional[Tracer] = None) -> Tracer:
-    """Install ``tracer`` (or a fresh one) as the active tracer."""
-    global ACTIVE
-    ACTIVE = tracer if tracer is not None else Tracer()
-    return ACTIVE
-
-
-def deactivate() -> Optional[Tracer]:
-    """Disable tracing; returns the tracer that was active."""
-    global ACTIVE
-    tracer, ACTIVE = ACTIVE, None
-    return tracer
-
 
 def swap(tracer: Optional[Tracer]) -> Optional[Tracer]:
     """Install ``tracer`` (possibly ``None``), returning the previous one."""
     global ACTIVE
     previous, ACTIVE = ACTIVE, tracer
     return previous
-
-
-def span(name: str, **attrs: Any) -> ContextManager[Optional[Span]]:
-    """Open a span on the active tracer; a no-op context when disabled."""
-    tracer = ACTIVE
-    if tracer is None:
-        return _NULL
-    return tracer.span(name, **attrs)
-
-
-def event(name: str, **attrs: Any) -> Optional[Span]:
-    """Record a zero-duration span on the active tracer, if any."""
-    tracer = ACTIVE
-    if tracer is None:
-        return None
-    return tracer.event(name, **attrs)

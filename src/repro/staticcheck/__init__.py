@@ -2,16 +2,15 @@
 
 The reproduction's headline claims are *invariants*: shard-count
 independence (every RNG seeded and plumbed), byte-identical output with
-observability on or off (every obs call guarded), RFC 7871 conformance
-(every ECS literal in bounds), and lossless shard merging (every field
-folded).  This package machine-checks them on every change instead of
-relying on review discipline:
+observability on or off (every obs call guarded), and lossless shard
+merging (every field folded).  This package machine-checks them on
+every change instead of relying on review discipline:
 
 - :mod:`repro.staticcheck.core` — rule registry, per-file AST dispatch,
   ``# repro-lint: disable=RULE`` suppressions with unused-suppression
   detection, and :func:`lint_source`, the one-string entry.
-- :mod:`repro.staticcheck.rules` — the per-file rules RS001-RS005 and
-  RS204 (obs-slot escape), the non-AST Prometheus exposition rule
+- :mod:`repro.staticcheck.rules` — the per-file rules RS001-RS003,
+  RS005 and RS204 (obs-slot escape), the non-AST Prometheus exposition rule
   RS100, and the interprocedural rules RS201 and RS203
   (worker-reachability determinism, merge reachability).
 - :mod:`repro.staticcheck.graph` — project index, approximate call

@@ -33,7 +33,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                         default="text", help="report format")
     parser.add_argument("--select", default=None, metavar="RS001,RS003",
                         help="comma-separated rule IDs to run exclusively")
-    parser.add_argument("--ignore", default=None, metavar="RS004",
+    parser.add_argument("--ignore", default=None, metavar="RS005",
                         help="comma-separated rule IDs to skip")
     parser.add_argument("--prom", action="append", default=[],
                         metavar="FILE",
@@ -50,8 +50,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.staticcheck",
         description="AST-based invariant linter for the ECS reproduction "
-                    "(determinism, merge algebra, obs guards, RFC 7871 "
-                    "bounds, worker-reachability, pickle safety).")
+                    "(determinism, merge algebra, obs guards, "
+                    "worker-reachability).")
     add_lint_arguments(parser)
     return parser
 

@@ -9,7 +9,6 @@ ID        name                  invariant
 RS001     determinism           no wall-clock/entropy/hash-order sources
 RS002     merge-completeness    merge methods fold every field
 RS003     obs-guard             obs calls guarded on the ACTIVE slot
-RS004     ecs-conformance       ECS literals within RFC 7871 bounds
 RS005     seeded-rng            every ``random.Random`` is plumbed a seed
 RS100     prom-exposition       ``.prom`` files parse as strict Prometheus
 RS201     worker-determinism    worker-reachable code free of ambient entropy
@@ -25,8 +24,6 @@ run.  RS204 keeps its number but is a per-file rule beside RS003.)
 
 from __future__ import annotations
 
-from . import (determinism, ecs, merge, obsguard,  # noqa: F401
-               prom, reachability)
+from . import determinism, merge, obsguard, prom, reachability  # noqa: F401
 
-__all__ = ["determinism", "ecs", "merge", "obsguard", "prom",
-           "reachability"]
+__all__ = ["determinism", "merge", "obsguard", "prom", "reachability"]

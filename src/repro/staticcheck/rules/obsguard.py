@@ -9,12 +9,11 @@ hold only if every call site follows the guard idiom::
     if reg is not None:
         reg.counter(...).inc(...)
 
-This rule tracks names bound from the ``ACTIVE`` slot (or the
-``active()`` accessor) of :mod:`repro.obs.metrics`,
-:mod:`repro.obs.trace` and :mod:`repro.obs.live` (the heartbeat
-emitter slot follows the exact same contract) and reports any use of
-such a name that is not dominated by an
-``is None`` / ``is not None`` check: an early ``if x is None: return``,
+This rule tracks names bound from the ``ACTIVE`` slot of
+:mod:`repro.obs.metrics`, :mod:`repro.obs.trace` and
+:mod:`repro.obs.live` (the heartbeat emitter slot follows the exact
+same contract) and reports any use of such a name that is not dominated
+by an ``is None`` / ``is not None`` check: an early ``if x is None: return``,
 an ``if x is not None:`` block, the guarded arm of a conditional
 expression, or the tail of an ``x is not None and ...`` BoolOp.  Plain
 truthiness (``if reg:``) is deliberately rejected — an empty
@@ -40,7 +39,7 @@ from typing import List, Optional, Set, Tuple
 from ..core import AstRule, LintContext, Violation, register
 from .determinism import dotted_name
 
-#: Module basenames whose ``ACTIVE``/``active()`` starts tracking.
+#: Module basenames whose ``ACTIVE`` slot starts tracking.
 _OBS_MODULES = ("metrics", "trace", "live")
 
 #: Dotted-suffix forms of the same modules (``repro.obs.live`` etc.).
@@ -65,21 +64,15 @@ class _ActiveSlots:
                 elif module.endswith(_OBS_SUFFIXES):
                     self.active_names.update(
                         alias.asname or alias.name for alias in node.names
-                        if alias.name in ("ACTIVE", "active"))
+                        if alias.name == "ACTIVE")
             elif isinstance(node, ast.Import):
                 self.module_aliases.update(
                     alias.asname for alias in node.names
                     if alias.name.endswith(_OBS_SUFFIXES) and alias.asname)
 
     def reads(self, node: ast.AST) -> bool:
-        """True for ``<obs module>.ACTIVE``, ``<obs module>.active()``,
-        or a name imported directly from the obs modules."""
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "active":
-                return self._is_obs_module(func.value)
-            return isinstance(func, ast.Name) \
-                and func.id in self.active_names
+        """True for ``<obs module>.ACTIVE`` or a name imported as that
+        slot directly from the obs modules."""
         if isinstance(node, ast.Attribute) and node.attr == "ACTIVE":
             return self._is_obs_module(node.value)
         if isinstance(node, ast.Name):

@@ -1,12 +1,15 @@
 """Tests for the command-line interface."""
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 from repro.cli import _Reporter, build_parser, main
-from repro.datasets.columnar import file_info, read_columnar
+from repro.datasets.columnar import (ColumnarFormatError, file_info,
+                                     read_columnar)
+from repro.obs.export import parse_prometheus, write_text_atomic
 
 
 class TestParser:
@@ -160,6 +163,53 @@ class TestCommands:
         assert rc == 0
         assert capsys.readouterr().out == ""
         assert "blow-up factor" in (out_dir / "replay.txt").read_text()
+
+
+class TestArtefactsOnFailure:
+    """A failed or interrupted run leaves each artefact absent or complete,
+    and a failing command raises what it raised before the flags existed."""
+
+    @pytest.fixture()
+    def damaged(self, tmp_path):
+        path = tmp_path / "damaged.col"
+        path.write_bytes(b"RPRCOL02garbage")
+        return path
+
+    def test_failing_command_still_exports(self, tmp_path, damaged):
+        prom, spans, timeline = (tmp_path / name for name in (
+            "m.prom", "t.jsonl", "tl.json"))
+        with pytest.raises(ColumnarFormatError, match="truncated"):
+            main(["--quiet", "--out", str(tmp_path / "reports"),
+                  "--metrics-out", str(prom), "--trace-out", str(spans),
+                  "--timeline-out", str(timeline),
+                  "replay", "allnames", str(damaged)])
+        assert parse_prometheus(prom.read_text()) == {}
+        assert json.loads(spans.read_text().splitlines()[-1]) == {
+            "event": "tracer_summary", "spans": 0, "dropped": 0}
+        doc = json.loads(timeline.read_text())
+        assert doc["traceEvents"] == []
+        assert doc["otherData"] == {"events": 0, "dropped": 0}
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_export_failure_does_not_mask_the_command(self, damaged,
+                                                      capsys):
+        with pytest.raises(ColumnarFormatError):  # not the export's OSError
+            main(["--quiet", "--metrics-out", str(damaged / "m.prom"),
+                  "replay", "allnames", str(damaged)])
+        assert "export failed" in capsys.readouterr().err
+
+    def test_atomic_writer_is_all_or_nothing(self, tmp_path):
+        def chunks():
+            yield "partial\n"
+            raise RuntimeError("midway")
+
+        fresh, existing = tmp_path / "sub" / "new.txt", tmp_path / "old.txt"
+        existing.write_text("complete\n")
+        for path in (fresh, existing):
+            with pytest.raises(RuntimeError, match="midway"):
+                write_text_atomic(path, chunks())
+        assert not fresh.exists() and existing.read_text() == "complete\n"
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestColumnarCommands:

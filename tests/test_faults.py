@@ -332,10 +332,11 @@ class TestRetryLadder:
         assert outcome.query_ecs is None  # the answered query had no ECS
         assert [q.ecs() is not None for q, _ in server.queries] == \
             [True, False]
-        snap = session.registry.as_dict()
-        assert snap["repro_ecs_downgrades_total"]["values"]["testsite"] == 1
-        assert snap["repro_retries_total"]["values"][
-            "testsite|formerr_noecs"] == 1
+        registry = session.registry
+        assert registry.get("repro_ecs_downgrades_total").value(
+            "testsite") == 1
+        assert registry.get("repro_retries_total").value(
+            "testsite", "formerr_noecs") == 1
 
     def test_formerr_walks_full_ladder_to_plain_dns(self):
         net, a, b = _net_pair()

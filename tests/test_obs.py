@@ -11,7 +11,10 @@ observability is enabled or not.
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,11 +33,12 @@ from repro.engine.replay import (TRACED_RECORDS_PER_SHARD, _replay_shard,
                                  replay_jsonl_sharded, replay_sharded)
 from repro.engine.sharding import ShardSpec, partition_by_key
 from repro.net.transport import NetworkStats
-from repro.obs import (MetricsRegistry, Tracer, merge_registries, observe,
-                       parse_prometheus, profile_call, read_spans_jsonl,
-                       to_prometheus, write_spans_jsonl)
+from repro.obs import MetricsRegistry, Tracer, merge_registries, observe
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.obs.export import (parse_prometheus, to_prometheus,
+                              write_spans_jsonl)
+from repro.obs.profile import profile_call, render_stats
 
 
 def _random_registry(rng: random.Random) -> MetricsRegistry:
@@ -63,21 +67,21 @@ class TestRegistryAlgebra:
         rng = random.Random(1)
         reg = _random_registry(rng)
         empty = MetricsRegistry()
-        assert reg.merge(empty).as_dict() == reg.as_dict()
-        assert empty.merge(reg).as_dict() == reg.as_dict()
+        assert to_prometheus(reg.merge(empty)) == to_prometheus(reg)
+        assert to_prometheus(empty.merge(reg)) == to_prometheus(reg)
 
     def test_associative(self):
         rng = random.Random(2)
         for _ in range(20):
             a, b, c = (_random_registry(rng) for _ in range(3))
-            assert (a.merge(b).merge(c).as_dict()
-                    == a.merge(b.merge(c)).as_dict())
+            assert (to_prometheus(a.merge(b).merge(c))
+                    == to_prometheus(a.merge(b.merge(c))))
 
     def test_commutative(self):
         rng = random.Random(3)
         for _ in range(20):
             a, b = (_random_registry(rng) for _ in range(2))
-            assert a.merge(b).as_dict() == b.merge(a).as_dict()
+            assert to_prometheus(a.merge(b)) == to_prometheus(b.merge(a))
 
     def test_merge_registries_equals_fold(self):
         rng = random.Random(4)
@@ -85,7 +89,7 @@ class TestRegistryAlgebra:
         folded = MetricsRegistry()
         for reg in regs:
             folded.merge_from(reg)
-        assert merge_registries(regs).as_dict() == folded.as_dict()
+        assert to_prometheus(merge_registries(regs)) == to_prometheus(folded)
 
     def test_max_gauge_takes_watermark(self):
         a, b = MetricsRegistry(), MetricsRegistry()
@@ -130,12 +134,6 @@ class TestTracer:
             tracer.event("e", i=i)
         assert len(tracer.spans) == 2
         assert tracer.dropped == 3
-
-    def test_disabled_helpers_are_noops(self):
-        assert obs_trace.ACTIVE is None
-        with obs_trace.span("anything", x=1) as record:
-            assert record is None
-        assert obs_trace.event("anything") is None
 
     def test_id_prefix_namespaces_shards(self):
         a, b = Tracer(id_prefix="s0"), Tracer(id_prefix="s1")
@@ -192,10 +190,9 @@ class TestPrometheusExport:
             tracer.event("inner", hit=True)
         path = tmp_path / "trace.jsonl"
         write_spans_jsonl(tracer.spans, path, dropped=2)
-        rows = read_spans_jsonl(path)  # summary line excluded
+        *rows, summary = map(json.loads, path.read_text().splitlines())
         assert [r["name"] for r in rows] == ["inner", "outer"]
         assert rows[0]["attr_hit"] is True
-        summary = json.loads(path.read_text().splitlines()[-1])
         assert summary == {"event": "tracer_summary", "spans": 2,
                            "dropped": 2}
 
@@ -220,7 +217,7 @@ class TestShardCapture:
             generate_records_spec(
                 ShardSpec.create("allnames", shard_count=4, scale=0.01,
                                  seed=6), workers=workers)
-        return session.registry.as_dict()
+        return to_prometheus(session.registry)
 
     def test_generate_metrics_worker_independent(self):
         assert self._generate_metrics(1) == self._generate_metrics(2)
@@ -231,15 +228,15 @@ class TestShardCapture:
                 result, report = replay_sharded(allnames_records, "allnames",
                                                 shards=4, workers=workers)
             assert report.metrics is not None
-            return result, session.registry.as_dict()
+            return result, session.registry
 
         result_1, metrics_1 = run(1)
         result_2, metrics_2 = run(2)
         assert result_1 == result_2
-        assert metrics_1 == metrics_2
-        lookups = sum(v for k, v in
-                      metrics_1["repro_replay_cache_lookups_total"]
-                      ["values"].items() if "ecs" in k.split("|"))
+        assert to_prometheus(metrics_1) == to_prometheus(metrics_2)
+        lookups = sum(v for k, v in metrics_1.get(
+            "repro_replay_cache_lookups_total").samples().items()
+            if "ecs" in k)
         assert lookups == len(allnames_records)
 
     def test_traced_replay_counter_identical(self, allnames_records,
@@ -345,7 +342,7 @@ class TestCliDeterminism:
                          "caching", "--ingress", "25"]) == 0
         assert _read_reports(plain) == _read_reports(observed)
         assert parse_prometheus((tmp_path / "m.prom").read_text())
-        assert read_spans_jsonl(tmp_path / "t.jsonl")
+        assert len((tmp_path / "t.jsonl").read_text().splitlines()) > 1
 
     def test_replay_identical_across_workers_and_obs(self, tmp_path):
         trace = tmp_path / "allnames.jsonl"
@@ -366,6 +363,38 @@ class TestCliDeterminism:
                 == (tmp_path / "c.prom").read_bytes())
 
 
+class TestImportFootprint:
+    """Instrumented code pays only for the modules whose slots it reads."""
+
+    def _modules_after(self, code):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; {code}; print(*sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        return set(proc.stdout.split())
+
+    def test_instrumented_code_loads_no_server_or_profiler(self):
+        loaded = self._modules_after(
+            "import repro.net.transport, repro.engine.replay, "
+            "repro.engine.generate, repro.faults.chaos, "
+            "repro.measure.scanner")
+        assert "repro.obs.live" in loaded  # the engine reads that slot
+        assert not loaded & {"http.server", "cProfile", "pstats",
+                             "repro.obs.server", "repro.obs.profile"}
+
+    def test_package_import_loads_metrics_and_trace_only(self):
+        # ``import repro`` pulls in the engine (and with it obs.live), so
+        # a bare stand-in parent isolates what obs/__init__.py imports.
+        loaded = self._modules_after(
+            "import types; from importlib.machinery import PathFinder; "
+            "pkg = sys.modules['repro'] = types.ModuleType('repro'); "
+            "pkg.__path__ = PathFinder.find_spec('repro')"
+            ".submodule_search_locations; import repro.obs")
+        assert {m for m in loaded if m.startswith("repro.obs.")} == {
+            "repro.obs.metrics", "repro.obs.trace"}
+
+
 class TestLifecycleTrace:
     """A query is followable client -> resolver -> authoritative."""
 
@@ -374,7 +403,7 @@ class TestLifecycleTrace:
         path = tmp_path_factory.mktemp("trace") / "caching.jsonl"
         assert cli_main(["--quiet", "--trace-out", str(path),
                          "caching", "--ingress", "20"]) == 0
-        return read_spans_jsonl(path)
+        return list(map(json.loads, path.read_text().splitlines()[:-1]))
 
     def test_lifecycle_followable(self, spans):
         by_id = {s["span_id"]: s for s in spans}
@@ -444,7 +473,6 @@ class TestRenderStats:
         return profile
 
     def test_top_n_limits_rows(self):
-        from repro.obs.profile import render_stats
         report = render_stats(self._profile(), top_n=1, title="tiny")
         body = [line for line in report.splitlines()[2:]
                 if line.strip() and not line.startswith("(")]
@@ -452,6 +480,5 @@ class TestRenderStats:
         assert "top 1 by cumulative time" in report
 
     def test_ordering_is_deterministic(self):
-        from repro.obs.profile import render_stats
         profile = self._profile()
         assert render_stats(profile, top_n=5) == render_stats(profile, top_n=5)

@@ -8,8 +8,7 @@ triangle plus its engine and CLI integration:
   redeliveries ignored, non-blocking worker emitters);
 - the scrape endpoint serving parseable Prometheus text whose counters
   are monotonically non-decreasing across concurrent mid-run scrapes;
-- timeline ring-buffer bounds, JSONL round-trips and Chrome trace-event
-  export;
+- timeline ring-buffer bounds and Chrome trace-event export;
 - the out-of-band contract: experiment outputs are byte-identical with
   the live plane on or off, at any worker count.
 """
@@ -31,21 +30,19 @@ from repro.engine.replay import replay_sharded
 from repro.faults.chaos import run_chaos
 from repro.faults.presets import preset
 from repro.obs import live as obs_live
-from repro.obs.export import parse_prometheus
+from repro.obs.export import parse_prometheus, write_chrome_trace
 from repro.obs.live import (Heartbeat, LiveSink, QueueEmitter, SinkEmitter,
                             pool_initializer)
 from repro.obs.server import TelemetryServer
-from repro.obs.timeline import (Timeline, TimelineEvent, jsonl_to_chrome,
-                                read_timeline_jsonl, to_chrome_trace,
-                                write_chrome_trace, write_timeline_jsonl)
+from repro.obs.timeline import Timeline, TimelineEvent, to_chrome_trace
 
 
 @pytest.fixture(autouse=True)
 def _live_plane_off():
     """Every test starts and ends with the live plane deactivated."""
-    previous = obs_live.deactivate()
+    previous = obs_live.swap(None)
     yield
-    obs_live.activate(previous)
+    obs_live.swap(previous)
 
 
 def _beat(seq, pid=100, kind="progress", **kwargs):
@@ -123,13 +120,13 @@ class TestHeartbeatProtocol:
 
     def test_pool_initializer_installs_queue_emitter(self):
         sink = LiveSink()
-        obs_live.activate(SinkEmitter(sink))
+        obs_live.swap(SinkEmitter(sink))
         init = pool_initializer()
         assert init is not None
         initializer, initargs = init
         initializer(*initargs)   # what each fresh worker process runs
         assert isinstance(obs_live.ACTIVE, QueueEmitter)
-        obs_live.deactivate()
+        obs_live.swap(None)
         sink.close()
 
 
@@ -190,11 +187,11 @@ class TestEngineIntegration:
 
     def test_inline_run_emits_lifecycle_beats(self, records):
         sink = LiveSink()
-        obs_live.activate(SinkEmitter(sink))
+        obs_live.swap(SinkEmitter(sink))
         try:
             with_live, _ = replay_sharded(records, "allnames", shards=4)
         finally:
-            obs_live.deactivate()
+            obs_live.swap(None)
             sink.close()
         without_live, _ = replay_sharded(records, "allnames", shards=4)
         assert with_live == without_live
@@ -205,12 +202,12 @@ class TestEngineIntegration:
 
     def test_pooled_run_streams_worker_heartbeats(self, records):
         sink = LiveSink()
-        obs_live.activate(SinkEmitter(sink))
+        obs_live.swap(SinkEmitter(sink))
         try:
             with_live, _ = replay_sharded(records, "allnames", shards=4,
                                           workers=2)
         finally:
-            obs_live.deactivate()
+            obs_live.swap(None)
             sink.close()
         without_live, _ = replay_sharded(records, "allnames", shards=4,
                                          workers=2)
@@ -227,12 +224,12 @@ class TestEngineIntegration:
         result, _ = run_chaos(plan, seed=1, fault_seed=7, ingress=24,
                               shards=4)
         sink = LiveSink()
-        obs_live.activate(SinkEmitter(sink))
+        obs_live.swap(SinkEmitter(sink))
         try:
             live_result, _ = run_chaos(plan, seed=1, fault_seed=7,
                                        ingress=24, shards=4, workers=2)
         finally:
-            obs_live.deactivate()
+            obs_live.swap(None)
             sink.close()
         assert live_result.report() == result.report()
         # chaos shards emitted universe + progress events
@@ -291,7 +288,7 @@ class TestTelemetryServer:
         sink = LiveSink()
         server = TelemetryServer(sink)
         port = server.start()
-        obs_live.activate(SinkEmitter(sink))
+        obs_live.swap(SinkEmitter(sink))
         done = threading.Event()
 
         def run():
@@ -317,7 +314,7 @@ class TestTelemetryServer:
                 time.sleep(0.01)
         finally:
             worker.join()
-            obs_live.deactivate()
+            obs_live.swap(None)
             server.stop()
             sink.close()
         assert len(seen) >= 2
@@ -343,23 +340,9 @@ class TestTimeline:
         assert timeline.dropped == 3
         assert [e.name for e in timeline.events()] == \
             ["e3", "e4", "e5", "e6"]
-
-    def test_jsonl_round_trip(self, tmp_path):
-        events = [
-            TimelineEvent(ts=1.0, kind="run_start", name="t", pid=42),
-            TimelineEvent(ts=1.5, kind="shard_end", name="t[0]", pid=42,
-                          shard=0, dur=0.5, attrs={"records": 10}),
-        ]
-        path = tmp_path / "timeline.jsonl"
-        write_timeline_jsonl(events, path, dropped=2)
-        lines = path.read_text().splitlines()
-        summary = json.loads(lines[-1])
-        assert summary == {"event": "timeline_summary", "events": 2,
-                           "dropped": 2}
-        loaded = read_timeline_jsonl(path)
-        assert [e.kind for e in loaded] == ["run_start", "shard_end"]
-        assert loaded[1].attrs["records"] == 10
-        assert loaded[1].dur == 0.5 and loaded[1].shard == 0
+        # the export says what the ring lost
+        doc = to_chrome_trace(timeline.events(), dropped=timeline.dropped)
+        assert doc["otherData"] == {"events": 4, "dropped": 3}
 
     def test_chrome_trace_structure(self):
         events = [
@@ -368,7 +351,7 @@ class TestTimeline:
                           shard=0, dur=0.2, attrs={"records": 5}),
         ]
         doc = to_chrome_trace(events)
-        assert set(doc) == {"traceEvents", "displayTimeUnit"}
+        assert set(doc) == {"traceEvents", "displayTimeUnit", "otherData"}
         by_name = {e["name"]: e for e in doc["traceEvents"]}
         instant = by_name["t"]
         assert instant["ph"] == "i" and instant["ts"] == 0
@@ -383,20 +366,6 @@ class TestTimeline:
         write_chrome_trace(events, path)
         doc = json.loads(path.read_text())
         assert isinstance(doc["traceEvents"], list)
-
-    def test_jsonl_to_chrome_conversion(self, tmp_path):
-        events = [
-            TimelineEvent(ts=0.0, kind="run_start", name="t"),
-            TimelineEvent(ts=0.5, kind="shard_end", name="t[1]", shard=1,
-                          dur=0.25),
-        ]
-        src = tmp_path / "timeline.jsonl"
-        dst = tmp_path / "trace.json"
-        write_timeline_jsonl(events, src, dropped=0)
-        count = jsonl_to_chrome(src, dst)
-        assert count == 2
-        doc = json.loads(dst.read_text())
-        assert len(doc["traceEvents"]) == 2
 
     def test_deterministic_ordering(self):
         a = TimelineEvent(ts=1.0, kind="b", name="x")
@@ -432,13 +401,14 @@ class TestCliLivePlane:
         assert any(name.startswith("chaos[lossy]") for name in kinds)
 
     def test_timeline_jsonl_suffix(self, tmp_path):
-        timeline = tmp_path / "timeline.jsonl"
-        rc = main(["--quiet", "--timeline-out", str(timeline),
-                   "chaos", "--preset", "heavy-loss", "--ingress", "8",
-                   "--shards", "2"])
-        assert rc == 0
-        lines = timeline.read_text().splitlines()
-        assert json.loads(lines[-1])["event"] == "timeline_summary"
+        """One format: the file's suffix no longer selects another."""
+        for name in ("timeline.jsonl", "timeline.json", "timeline"):
+            rc = main(["--quiet", "--timeline-out", str(tmp_path / name),
+                       "chaos", "--preset", "heavy-loss", "--ingress", "8",
+                       "--shards", "2"])
+            assert rc == 0
+            doc = json.loads((tmp_path / name).read_text())
+            assert doc["traceEvents"] and doc["otherData"]["dropped"] == 0
 
     def test_live_flag_writes_progress_to_stderr(self, tmp_path, capsys):
         rc = main(["--quiet", "--live", "chaos", "--preset", "lossy",

@@ -284,64 +284,6 @@ class TestObsGuardRule:
 
 
 # ---------------------------------------------------------------------------
-# RS004 — ECS conformance
-
-
-class TestEcsConformanceRule:
-    def test_valid_literals_clean(self):
-        src = ("from repro.dnslib.edns import EcsOption\n"
-               "a = EcsOption(1, 24, 0, '10.0.0.0')\n"
-               "b = EcsOption(2, 56, 0, '2001:db8::')\n"
-               "c = EcsOption(family=1, source_prefix_length=32,\n"
-               "              scope_prefix_length=24, address='10.0.0.0')\n")
-        assert lint(src, rule_ids=["RS004"]) == []
-
-    def test_bad_family_flagged(self):
-        src = ("from repro.dnslib.edns import EcsOption\n"
-               "a = EcsOption(3, 24, 0, 'x')\n")
-        violations = lint(src, rule_ids=["RS004"])
-        assert ids_of(violations) == ["RS004"]
-        assert "family 3" in violations[0].message
-
-    def test_ipv4_prefix_over_32_flagged(self):
-        src = ("from repro.dnslib.edns import EcsOption\n"
-               "a = EcsOption(1, 33, 0, '10.0.0.0')\n")
-        violations = lint(src, rule_ids=["RS004"])
-        assert ids_of(violations) == ["RS004"]
-        assert "0..32" in violations[0].message
-
-    def test_ipv6_prefix_over_128_flagged(self):
-        src = ("from repro.dnslib.edns import EcsOption\n"
-               "a = EcsOption(2, 129, 0, '2001:db8::')\n")
-        assert ids_of(lint(src, rule_ids=["RS004"])) == ["RS004"]
-
-    def test_negative_prefix_flagged(self):
-        src = ("from repro.dnslib.edns import EcsOption\n"
-               "a = EcsOption(1, -1, 0, '10.0.0.0')\n")
-        assert ids_of(lint(src, rule_ids=["RS004"])) == ["RS004"]
-
-    def test_from_client_address_family_inference(self):
-        bad = ("from repro.dnslib.edns import EcsOption\n"
-               "a = EcsOption.from_client_address('10.1.2.3', 48)\n")
-        good = ("from repro.dnslib.edns import EcsOption\n"
-                "a = EcsOption.from_client_address('2001:db8::1', 48)\n")
-        assert ids_of(lint(bad, rule_ids=["RS004"])) == ["RS004"]
-        assert lint(good, rule_ids=["RS004"]) == []
-
-    def test_response_to_bounds(self):
-        bad = "scoped = opt.response_to(140)\n"
-        good = "scoped = opt.response_to(24)\n"
-        assert ids_of(lint(bad, rule_ids=["RS004"])) == ["RS004"]
-        assert lint(good, rule_ids=["RS004"]) == []
-
-    def test_runtime_values_not_judged(self):
-        src = ("from repro.dnslib.edns import EcsOption\n"
-               "def f(fam, plen):\n"
-               "    return EcsOption(fam, plen, 0, 'x')\n")
-        assert lint(src, rule_ids=["RS004"]) == []
-
-
-# ---------------------------------------------------------------------------
 # RS005 — seeded-RNG plumbing
 
 
@@ -605,9 +547,8 @@ class TestConfig:
             config_from_mapping({"selct": ["RS001"]})
 
     def test_rule_catalogue(self):
-        assert all_rule_ids() == ["RS001", "RS002", "RS003", "RS004",
-                                  "RS005", "RS100", "RS201", "RS203",
-                                  "RS204"]
+        assert all_rule_ids() == ["RS001", "RS002", "RS003", "RS005",
+                                  "RS100", "RS201", "RS203", "RS204"]
 
 
 # ---------------------------------------------------------------------------
