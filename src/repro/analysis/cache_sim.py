@@ -298,7 +298,12 @@ def replay_partial_batched(records: Iterable, client_field: str,
                            ttl_override: Optional[float] = None
                            ) -> ReplayPartial:
     """Object lane: record instances read by field *name*; counters equal
-    :func:`replay_partial` with the matching accessors."""
+    :func:`replay_partial` with the matching accessors.
+
+    For records that already live in the caller: the figure helpers
+    below and :func:`repro.engine.replay.replay_sharded`.  Traces on
+    disk, JSONL included, replay as columns and build no records.
+    """
     kernel = ReplayKernel(ttl_override)
     for segment in kernel.record_segments(records, client_field):
         kernel.feed(segment)

@@ -50,15 +50,15 @@ import struct
 import weakref
 from array import array
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import (Any, BinaryIO, Callable, Dict, Iterable, Iterator, List,
                     Optional, Sequence, Tuple, Type, Union)
 
 from ..engine.sharding import bucket_group_ranges, stable_bucket
 from ..obs import metrics as _obs_metrics
-from .records import (AllNamesRecord, CdnQueryRecord, PublicCdnRecord,
-                      RootQueryRecord, ScanQueryRecord, iter_jsonl,
+from .records import (AllNamesRecord, CdnQueryRecord, JsonlFormatError,
+                      PublicCdnRecord, RootQueryRecord, ScanQueryRecord,
                       write_jsonl)
 
 #: Magic of the legacy single-block layout; read, never written.
@@ -85,6 +85,11 @@ DEFAULT_ROW_GROUP_ROWS = 65536
 #: under a MiB however large the row group, so peak RSS does not depend
 #: on ``row_group_rows``.
 EXTEND_CHUNK_ROWS = 512
+#: JSONL lines per bulk parse (one ``json.loads`` of the lines joined
+#: into an array, then one transpose per column).  Rows/s is flat from
+#: 256 lines up (``docs/performance.md`` has the sweep); at this size
+#: the chunk's row dicts and joined text stay under a MiB.
+PARSE_CHUNK_LINES = 1024
 
 
 def record_row_groups(op: str, schema: str, groups: int) -> None:
@@ -450,6 +455,23 @@ class ColumnarStore:
         resolved = schema if isinstance(schema, Schema) else schema_for(schema)
         writer = ColumnarWriter(resolved)
         writer.extend(records)
+        return writer.store()
+
+    @classmethod
+    def from_jsonl_lines(cls, lines: Sequence[str],
+                         schema: Union[str, Schema]) -> "ColumnarStore":
+        """Columnarize stripped, non-blank JSONL lines, no record objects.
+
+        Lines parse :data:`PARSE_CHUNK_LINES` at a time straight into
+        column values; a line that is not a row of the schema raises
+        :class:`~repro.datasets.records.JsonlFormatError` numbering it
+        within ``lines``.
+        """
+        resolved = schema if isinstance(schema, Schema) else schema_for(schema)
+        writer = ColumnarWriter(resolved)
+        for start in range(0, len(lines), PARSE_CHUNK_LINES):
+            _append_jsonl(writer._append_columns, resolved,
+                          lines[start:start + PARSE_CHUNK_LINES], start)
         return writer.store()
 
     @classmethod
@@ -860,6 +882,32 @@ class GroupedColumnarWriter:
             if self._buffer.rows >= self.row_group_rows:
                 self._flush_group()
 
+    def extend_columns(self, columns: Sequence[Sequence[Any]]) -> int:
+        """Append rows given one equal-length value sequence per column,
+        in schema order; returns how many were appended.
+
+        The column-wise twin of :meth:`extend`: the rows split at group
+        edges, so groups hold exactly ``row_group_rows`` rows however
+        the caller chunks its input and the bytes written are those of
+        ``extend`` over the same rows as records.
+        """
+        if (len(columns) != len(self.schema.columns)
+                or len(set(map(len, columns))) != 1):
+            raise ValueError(f"schema {self.schema.name!r} takes "
+                             f"{len(self.schema.columns)} equal-length "
+                             f"columns")
+        total = len(columns[0])
+        start = 0
+        while start < total:
+            take = min(self.row_group_rows - self._buffer.rows,
+                       total - start)
+            self._buffer._append_columns(
+                [values[start:start + take] for values in columns])
+            start += take
+            if self._buffer.rows >= self.row_group_rows:
+                self._flush_group()
+        return total
+
     def extend_store(self, store: ColumnarStore, lo: int = 0,
                      hi: Optional[int] = None,
                      rows: Optional[Sequence[int]] = None) -> int:
@@ -1255,13 +1303,157 @@ def write_columnar_sorted(records: Iterable[Any], path: Union[str, Path],
             run_path.unlink(missing_ok=True)
 
 
+# ---------------------------------------------------------------------------
+# JSONL lines -> columns
+#
+# The schema is the contract for JSONL as it is for ``.col`` files: a
+# line is a row when it is one JSON object holding exactly the schema's
+# fields, each of its column's JSON type and range, ``null`` only where
+# the column is nullable (the table is in ``docs/datasets.md``).
+# :func:`_line_defect` states that rule a line at a time, readably;
+# :func:`_jsonl_columns` enforces the same rule a chunk at a time, fast.
+
+_NULL = type(None)
+#: What a JSON value decodes to, per column kind.  ``bool`` is not an
+#: integer here although Python says so, and an integer is a valid f8.
+_JSON_TYPES: Dict[str, frozenset] = {
+    "f8": frozenset((float, int)), "i4": frozenset((int,)),
+    "i8": frozenset((int,)), "bool": frozenset((bool,)),
+    "str": frozenset((str,))}
+#: How error messages name a column kind and a decoded JSON value.
+_KIND_WORDS = {"f8": "a number", "i4": "a 32-bit integer",
+               "i8": "a 64-bit integer", "bool": "a boolean",
+               "str": "a string"}
+_JSON_WORDS = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", float: "a float", bool: "a boolean",
+               _NULL: "null"}
+#: What a chunk that holds a non-row makes the bulk path raise.
+_REJECTIONS = (ValueError, TypeError, KeyError, OverflowError,
+               RecursionError)
+
+
+def _jsonl_columns(schema: Schema, lines: Sequence[str]) -> List[List[Any]]:
+    """One value list per column from stripped, non-blank JSONL lines.
+
+    The hot path: one C-level parse of the lines joined into a JSON
+    array, one C-level ``map`` per column to transpose, one to check
+    types; ranges and nulls are left to the writer's encoding routine.
+    Any exception means some line is not a row — :func:`_line_defect`
+    says which and why.
+
+    A chunk passes only if every line, parsed alone, is one object of
+    the schema.  The joiner makes that so: a raw newline may not appear
+    inside a JSON string, so a line cannot end mid-string and swallow
+    its successor; every line after the first starts with ``{`` (the
+    count below), which after a comma can only open an array element;
+    and a row cannot hold the array such an element would sit in,
+    because every field is type-checked as a scalar.  So all ``n - 1``
+    joins separate top-level values, and ``n`` values in all leaves no
+    line holding two.
+    """
+    text = "[" + ",\n".join(lines) + "]"
+    rows = json.loads(text)
+    if len(rows) != len(lines) or text.count("\n{") != len(lines) - 1:
+        raise ValueError("lines and JSON objects do not pair up")
+    if set(map(len, rows)) != {len(schema.columns)}:
+        raise ValueError("a row has too many or too few fields")
+    columns: List[List[Any]] = []
+    for spec in schema.columns:
+        values = list(map(itemgetter(spec.name), rows))
+        allowed = _JSON_TYPES[spec.kind]
+        if spec.nullable:
+            allowed = allowed | {_NULL}
+        if not allowed.issuperset(map(type, values)):
+            raise TypeError(f"column {spec.name!r} holds a value that is "
+                            f"not {_KIND_WORDS[spec.kind]}")
+        columns.append(values)
+    return columns
+
+
+def _line_defect(schema: Schema, line: str) -> Optional[str]:
+    """Why ``line`` is not a row of ``schema``; None when it is one."""
+    try:
+        row = json.loads(line)
+    except RecursionError:
+        return "invalid JSON (nested too deeply)"
+    except json.JSONDecodeError as exc:
+        if exc.msg == "Extra data":
+            return (f"more than one JSON value on the line (the second "
+                    f"starts at column {exc.colno})")
+        return f"invalid JSON ({exc.msg}: column {exc.colno})"
+    if type(row) is not dict:
+        return f"not a JSON object but {_JSON_WORDS[type(row)]}"
+    names = schema.field_names
+    for name in names:
+        if name not in row:
+            return f"missing field {name!r}"
+    for name in row:
+        if name not in names:
+            return (f"unknown field {name!r}; the {schema.name!r} schema "
+                    f"has {', '.join(names)}")
+    for spec in schema.columns:
+        value = row[spec.name]
+        if value is None:
+            if not spec.nullable:
+                return (f"field {spec.name!r} is null and the column is "
+                        f"not nullable")
+        elif type(value) not in _JSON_TYPES[spec.kind]:
+            return (f"field {spec.name!r} is {_JSON_WORDS[type(value)]}, "
+                    f"expected {_KIND_WORDS[spec.kind]}")
+        elif spec.kind != "str":
+            try:
+                array(spec.typecode, (value,))
+            except OverflowError:
+                return (f"field {spec.name!r} is out of range for "
+                        f"{_KIND_WORDS[spec.kind]}")
+    return None
+
+
+def _append_jsonl(append: Callable[[List[List[Any]]], Any], schema: Schema,
+                  lines: Sequence[str], base: int) -> None:
+    """Parse one chunk of lines and hand its columns to ``append``.
+
+    The one JSONL-to-columns step, behind both the replay lane and
+    ``convert``.  When the chunk is rejected — by the parse or by the
+    writer's encoder — it is re-read line by line and the first
+    defective line raises, numbered from ``base`` lines before it.
+    """
+    try:
+        append(_jsonl_columns(schema, lines))
+    except _REJECTIONS as exc:
+        for number, line in enumerate(lines, base + 1):
+            reason = _line_defect(schema, line)
+            if reason is not None:
+                raise JsonlFormatError(None, number, reason, line) from exc
+        raise
+
+
 def jsonl_to_columnar(src: Union[str, Path], dst: Union[str, Path],
                       schema: Union[str, Schema],
                       row_group_rows: Optional[int] = None) -> int:
-    """Convert a JSONL trace to columnar, streaming record by record."""
+    """Convert a JSONL trace to columnar, a chunk of lines at a time.
+
+    No record object is built: lines parse straight into column values
+    (:data:`PARSE_CHUNK_LINES` per chunk, blank lines skipped) that the
+    writer splits at group edges, so memory is one chunk plus one group.
+    A line that is not a row of the schema raises
+    :class:`~repro.datasets.records.JsonlFormatError` naming ``src`` and
+    the line, and leaves no ``dst`` behind.
+    """
     resolved = schema if isinstance(schema, Schema) else schema_for(schema)
-    return write_columnar_stream(iter_jsonl(src, resolved.record_type),
-                                 dst, resolved, row_group_rows)
+    try:
+        with GroupedColumnarWriter(resolved, dst, row_group_rows) as writer, \
+                open(src, "r", encoding="utf-8") as fh:
+            lines = filter(None, map(str.strip, fh))
+            while True:
+                chunk = list(itertools.islice(lines, PARSE_CHUNK_LINES))
+                if not chunk:
+                    break
+                _append_jsonl(writer.extend_columns, resolved, chunk,
+                              writer.rows + writer.pending_rows)
+    except JsonlFormatError as exc:
+        raise exc.located(src) from None
+    return writer.rows
 
 
 def columnar_to_jsonl(src: Union[str, Path],

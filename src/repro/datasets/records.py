@@ -100,6 +100,52 @@ class RootQueryRecord:
 # IO
 
 
+class JsonlFormatError(ValueError):
+    """A JSONL trace line that is not one row of its schema.
+
+    The JSONL twin of :class:`repro.datasets.columnar.ColumnarFormatError`:
+    ``path`` and the 1-based ``line`` number say where, ``reason`` says
+    what, ``text`` is the stripped line itself.  The parse step sees
+    lines, not files, so it raises with ``path=None`` and ``line``
+    counting within the lines it was given; the file-level entry points
+    (``replay_jsonl_sharded``, ``jsonl_to_columnar``) re-raise it
+    :meth:`located`.
+    """
+
+    def __init__(self, path: Optional[str], line: int, reason: str,
+                 text: str) -> None:
+        # The constructor arguments are the exception's args, so it
+        # unpickles on the parent's side of a worker pool.
+        super().__init__(path, line, reason, text)
+        self.path = path
+        self.line = line
+        self.reason = reason
+        self.text = text
+
+    def __str__(self) -> str:
+        return (f"{self.path or '<lines>'}: line {self.line}: "
+                f"{self.reason}")
+
+    def located(self, path: Union[str, Path]) -> "JsonlFormatError":
+        """This defect with the file and file line number it sits at.
+
+        The failure path's one scan of ``path`` for the rejected text —
+        nothing is carried per row to make an error message.  Only a
+        file's last line can lack its newline, and one that does not
+        parse is what a killed writer leaves behind.
+        """
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            for number, raw in enumerate(fh, 1):
+                if raw.strip() == self.text:
+                    reason = self.reason
+                    if (not raw.endswith("\n")
+                            and reason.startswith("invalid JSON")):
+                        reason = f"truncated final line: {reason}"
+                    return JsonlFormatError(str(path), number, reason,
+                                            self.text)
+        return self
+
+
 def write_jsonl(records: Iterable[object], path: Union[str, Path]) -> int:
     """Write dataclass records as JSON lines; returns the count written."""
     # Records are flat dataclasses of scalars: reading the fields by

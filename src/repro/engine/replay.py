@@ -23,7 +23,7 @@ import re
 import time
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence, Tuple, Type, Union)
+                    Sequence, Tuple, Union)
 
 from ..analysis.cache_sim import (ReplayKernel, ReplayPartial, ReplayResult,
                                   Segment, merge_partials,
@@ -32,7 +32,7 @@ from ..analysis.cache_sim import (ReplayKernel, ReplayPartial, ReplayResult,
                                   replay_partial_columns)
 from ..datasets.columnar import (ColumnarStore, RowGroupReader,
                                  bucketed_group_ranges, record_row_groups)
-from ..datasets.records import AllNamesRecord, PublicCdnRecord
+from ..datasets.records import JsonlFormatError
 from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
@@ -60,10 +60,8 @@ def _ttl(r: Any) -> int:
 #: One field accessor: trace records are plain dataclasses read by name.
 Accessor = Callable[[Any], Any]
 
-#: Accessor trios by trace kind.  Module-level named functions (not
-#: lambdas) so shard work units pickle cleanly into pool workers.  Kept
-#: as the readable reference; the shard worker itself uses the batched
-#: field-name path below.
+#: Accessor trios by trace kind, for the readable ``replay_partial``
+#: oracle.  Module-level named functions (not lambdas) so they pickle.
 ACCESSORS: Dict[str, Tuple[Accessor, Accessor, Accessor]] = {
     "allnames": (_allnames_client, _scope, _ttl),
     "public-cdn": (_public_cdn_client, _scope, _ttl),
@@ -73,12 +71,6 @@ ACCESSORS: Dict[str, Tuple[Accessor, Accessor, Accessor]] = {
 CLIENT_FIELDS: Dict[str, str] = {
     "allnames": "client_ip",
     "public-cdn": "ecs_address",
-}
-
-#: JSONL record class per trace kind (what workers parse lines into).
-RECORD_TYPES: Dict[str, Type[Any]] = {
-    "allnames": AllNamesRecord,
-    "public-cdn": PublicCdnRecord,
 }
 
 
@@ -234,67 +226,105 @@ def _replay_shard_of_kind(kind: str, records: List[Any]) -> ReplayPartial:
 
 
 # ---------------------------------------------------------------------------
-# Spec dispatch: rebuild the records inside the worker.
+# JSONL dispatch: the parent routes raw lines, workers parse them into
+# columns.
 
-#: Fast-path qname extraction from a compact JSONL line.  Falls back to
-#: a full JSON parse for escaped or re-ordered lines, so bucketing is
-#: correct for any valid JSONL input.
+#: Fast-path qname extraction from a compact JSONL line; anything else
+#: (escapes, re-ordered whitespace, damage) goes to :func:`_slow_qname`.
 _QNAME_RE = re.compile(r'"qname":"([^"\\]*)"')
 
-
-def _qname_of_line(line: str) -> str:
-    match = _QNAME_RE.search(line)
-    if match is not None:
-        return match.group(1)
-    return str(json.loads(line)["qname"])
+#: Distinct qnames whose bucket the routing loop remembers before it
+#: starts over: the hash runs once per name, not once per row, and the
+#: table (about 120 bytes a name) stays under 4 MiB on any trace.
+_ROUTE_MEMO_NAMES = 1 << 15
 
 
-def _parse_lines(kind: str, lines: Sequence[str]) -> List[Any]:
-    """Materialize one shard's records from its raw JSONL lines."""
-    record_type = RECORD_TYPES[kind]
-    return [record_type(**json.loads(line)) for line in lines]
+def _slow_qname(line: str) -> str:
+    """The qname of a line the regex cannot read, by a full JSON parse.
+
+    A line with none routes as ``""``: it goes to some shard, whose
+    parse rejects it with the reason.
+    """
+    try:
+        qname = json.loads(line)["qname"]
+    except (ValueError, KeyError, TypeError, RecursionError):
+        return ""
+    return qname if type(qname) is str else ""
+
+
+def _parse_lines(kind: str, lines: Sequence[str]) -> ColumnarStore:
+    """One shard's raw JSONL lines as an in-memory columnar store.
+
+    A function of its own, called once per shard, because
+    ``benchmarks/e2e`` times it by name as the JSONL parse layer.
+    """
+    return ColumnarStore.from_jsonl_lines(lines, kind)
 
 
 @worker_entrypoint
 def _replay_lines_shard(kind: str, lines: List[str]) -> ReplayPartial:
     """Worker entry point: parse one shard's JSONL lines, then replay.
 
-    Counter-identical to ``_replay_shard`` over the parsed records —
-    parsing location (parent vs worker) can never change replay output.
+    The lines become columns (no record object per row) and take the
+    columnar lane's two calls, so the parsing location (parent vs
+    worker) and the file format can never change replay output.
     """
-    return _replay_shard(_parse_lines(kind, lines), kind)
+    store = _parse_lines(kind, lines)
+    field = CLIENT_FIELDS[kind]
+    return _observed_replay(
+        kind, lambda: replay_partial_columns(store, field),
+        lambda kernel: [(kernel.store_segment(store, field), None)])
 
 
 def replay_jsonl_sharded(path: Union[str, Path], kind: str,
                          shards: int = DEFAULT_SHARDS, workers: int = 1
                          ) -> Tuple[ReplayResult, EngineReport]:
-    """Replay a saved JSONL trace; record parsing happens in the workers.
+    """Replay a saved JSONL trace; line parsing happens in the workers.
 
     The parent streams the file once, routes each *raw line* to its
-    qname bucket (a substring scan — no JSON parse), and ships lines.
-    Workers parse their own shard's lines into records and replay them,
-    so the expensive work — object construction plus the replay itself —
-    parallelizes, and the pool boundary carries flat strings instead of
-    per-record object pickles.  Byte-identical to
-    ``replay_sharded(read_jsonl(path), kind)`` by construction.
+    qname bucket (a substring scan — no JSON parse; the bucket of a
+    name is remembered, so the hash runs once per distinct name), and
+    ships lines.  Workers parse their own shard's lines a chunk at a
+    time into the columns the replay kernel reads, so the expensive
+    work — the JSON parse plus the replay itself — parallelizes, and
+    the pool boundary carries flat strings.  Counter-identical to
+    ``replay_sharded(read_jsonl(path), kind)``.
+
+    Every line must be a row of the ``kind`` schema, exactly as
+    ``convert`` requires; one that is not raises
+    :class:`~repro.datasets.records.JsonlFormatError` naming the file
+    and the line.
     """
     _check_kind_and_shards(kind, shards)
     bucket_start = time.perf_counter()
     buckets: List[List[str]] = [[] for _ in range(shards)]
+    appends = [bucket.append for bucket in buckets]
+    route: Dict[str, Callable[[str], None]] = {}
+    search = _QNAME_RE.search
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
+        for line in map(str.strip, fh):
             if line:
-                buckets[stable_bucket(_qname_of_line(line), shards)] \
-                    .append(line)
+                match = search(line)
+                qname = (match.group(1) if match is not None
+                         else _slow_qname(line))
+                append = route.get(qname)
+                if append is None:
+                    if len(route) >= _ROUTE_MEMO_NAMES:
+                        route.clear()
+                    append = route[qname] = \
+                        appends[stable_bucket(qname, shards)]
+                append(line)
     emitter = _obs_live.ACTIVE
     if emitter is not None:
         emitter.event("bucket", task=f"replay:{kind}",
                       records=sum(len(bucket) for bucket in buckets),
                       seconds=time.perf_counter() - bucket_start)
-    return _replay_shards(_replay_lines_shard,
-                          [(bucket,) for bucket in buckets], (kind,), kind,
-                          workers)
+    try:
+        return _replay_shards(_replay_lines_shard,
+                              [(bucket,) for bucket in buckets], (kind,),
+                              kind, workers)
+    except JsonlFormatError as exc:
+        raise exc.located(path) from None
 
 
 # ---------------------------------------------------------------------------

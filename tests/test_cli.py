@@ -9,6 +9,7 @@ import pytest
 from repro.cli import _Reporter, build_parser, main
 from repro.datasets.columnar import (ColumnarFormatError, file_info,
                                      read_columnar)
+from repro.datasets.records import JsonlFormatError
 from repro.obs.export import parse_prometheus, write_text_atomic
 
 
@@ -314,3 +315,21 @@ class TestColumnarCommands:
         # Identical bodies; only the title line embeds the file name.
         assert report_j[2:] == report_c[2:]
         assert "blow-up factor" in "\n".join(report_c)
+
+    def test_truncated_jsonl_names_file_and_line(self, tmp_path):
+        """A trace cut mid-line (a killed ``generate``) fails ``replay``
+        and ``convert`` with the file and the last line's number, and
+        ``convert`` leaves no output, finished or temporary."""
+        jsonl = self._generate(tmp_path)
+        raw = jsonl.read_bytes()
+        lines = raw.count(b"\n")
+        jsonl.write_bytes(raw[:-40])
+        col = tmp_path / "trace.col"
+        for argv in (["replay", "allnames", str(jsonl), "--workers", "2"],
+                     ["convert", "allnames", str(jsonl), str(col)]):
+            with pytest.raises(JsonlFormatError,
+                               match="truncated final line") as caught:
+                main(["--quiet", *argv])
+            assert (caught.value.path, caught.value.line) \
+                == (str(jsonl), lines)
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]

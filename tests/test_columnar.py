@@ -21,6 +21,12 @@ The store's contract has four layers, each pinned here:
   with the records, ``file_info``, conversions and replay counters of
   their v2 conversion; a damaged header of either layout raises
   :class:`ColumnarFormatError` naming the file.
+* **JSONL lane** — lines parse a chunk at a time straight into columns:
+  the parsed store equals ``from_records(read_jsonl(...))`` for any key
+  order, whitespace, escapes and chunk edge; ``replay_jsonl_sharded``
+  equals the oracle; no record object is built; and a line that is not
+  a row of the schema raises :class:`JsonlFormatError` naming file and
+  line from ``replay`` and ``convert`` alike.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import json
+import pickle
 import random
 from pathlib import Path
 from unittest import mock
@@ -54,10 +61,16 @@ from repro.datasets.columnar import (MAGIC, MAGIC_V2, SCHEMAS,
                                      schema_for, write_columnar_sorted,
                                      write_columnar_stream)
 from repro.datasets.records import (AllNamesRecord, CdnQueryRecord,
-                                    PublicCdnRecord, read_jsonl, write_jsonl)
+                                    JsonlFormatError, PublicCdnRecord,
+                                    read_jsonl, write_jsonl)
 from repro.datasets.workload import merge_sorted_records
-from repro.engine.replay import replay_columnar_sharded
+from repro.engine import WorkerPool
+from repro.engine import replay as engine_replay
+from repro.engine.replay import (ACCESSORS, _parse_lines,
+                                 replay_columnar_sharded,
+                                 replay_jsonl_sharded)
 from repro.engine.sharding import partition_by_key
+from repro.obs import observe
 
 #: Legacy v1 (``RPRCOL01``) files and their JSONL twins, written once by
 #: ``write_columnar`` / ``write_jsonl`` at the last commit that had a v1
@@ -1014,3 +1027,296 @@ def test_interrupted_writer_leaves_no_file(tmp_path):
         prebucket_columnar(shard, merged, 2, row_group_rows=16)
     assert sorted(p.name for p in tmp_path.iterdir()) \
         == ["shard.col", "trace.col"]
+
+
+# ---------------------------------------------------------------------------
+# JSONL lane: lines -> columns, no record objects
+
+
+def _store_state(store: ColumnarStore):
+    """Every byte a flush of ``store`` would serialize."""
+    return (store.rows,
+            {name: bytes(data) for name, data in store._data.items()},
+            {name: bytes(bitmap) for name, bitmap in store._nulls.items()},
+            store._dicts)
+
+
+def _render(draw, record) -> str:
+    """One record as a JSON line in a drawn shape: key order, whitespace
+    after ``:`` and ``,``, and the qname spelled in ``\\uXXXX`` escapes."""
+    row = dataclasses.asdict(record)
+    colon = ":" + draw(st.sampled_from(("", " ", "\t ")))
+    comma = "," + draw(st.sampled_from(("", " ", "  ")))
+    escape = draw(st.booleans())
+
+    def value(name):
+        if name == "qname" and escape:
+            return '"%s"' % "".join(f"\\u{ord(ch):04x}" for ch in row[name])
+        return json.dumps(row[name], ensure_ascii=False)
+
+    return "{%s}" % comma.join(json.dumps(name) + colon + value(name)
+                               for name in draw(st.permutations(list(row))))
+
+
+def _jsonl_text(draw, records) -> str:
+    """A JSONL file body of drawn line shapes, with blank lines between
+    and with or without the final newline."""
+    blank = st.sampled_from(("", "", "\n", " \t\n"))
+    body = "\n".join(draw(blank) + _render(draw, record)
+                     for record in records)
+    return body + draw(st.sampled_from(("\n", "", "\n\n")))
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_jsonl_lines_parse_like_read_jsonl(name, data, tmp_path_factory):
+    """Lines -> columns == lines -> records -> columns, and ``convert``
+    writes the bytes the record route writes, across chunk and group
+    edges, for every nullable shape of every schema."""
+    records = data.draw(st.lists(ANY_RECORDS[name], max_size=50))
+    chunk = data.draw(st.integers(1, 12), label="parse chunk lines")
+    budget = data.draw(st.integers(1, 30), label="row group rows")
+    out = tmp_path_factory.mktemp("jsonl")
+    src = out / "trace.jsonl"
+    src.write_text(_jsonl_text(data.draw, records), encoding="utf-8")
+    parsed_records = read_jsonl(src, SCHEMAS[name].record_type)
+    assert parsed_records == records
+    lines = [line.strip() for line in src.read_text("utf-8").splitlines()
+             if line.strip()]
+    with mock.patch.object(columnar, "PARSE_CHUNK_LINES", chunk):
+        store = _parse_lines(name, lines)
+        assert jsonl_to_columnar(src, out / "lines.col", name,
+                                 budget) == len(records)
+    assert _store_state(store) \
+        == _store_state(ColumnarStore.from_records(parsed_records, name))
+    write_columnar_stream(parsed_records, out / "records.col", name, budget)
+    assert (out / "lines.col").read_bytes() \
+        == (out / "records.col").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def two_workers():
+    """One pool for every ``workers=2`` call of the tests below."""
+    with WorkerPool(2) as pool:
+        yield pool
+
+
+@pytest.mark.parametrize("kind", sorted(ACCESSORS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_jsonl_replay_equals_oracle(kind, data, tmp_path_factory,
+                                    two_workers):
+    """``replay_jsonl_sharded`` == ``replay_partial`` per qname bucket, at
+    workers 1 and 2, traced and untraced, whatever the line shapes, the
+    parse chunk and the size of the routing memo."""
+    records = data.draw(st.lists(RECORD_STRATEGIES[kind], max_size=50))
+    records.sort(key=lambda r: r.ts)
+    shards = data.draw(st.integers(1, 4), label="shards")
+    src = tmp_path_factory.mktemp("replay") / "trace.jsonl"
+    src.write_text(_jsonl_text(data.draw, records), encoding="utf-8")
+    want = cache_sim.merge_partials(
+        replay_partial(bucket, *ACCESSORS[kind]) for bucket
+        in partition_by_key(records, shards, lambda r: r.qname))
+    with mock.patch.object(columnar, "PARSE_CHUNK_LINES",
+                           data.draw(st.integers(1, 12))), \
+            mock.patch.object(engine_replay, "_ROUTE_MEMO_NAMES",
+                              data.draw(st.integers(1, 8))):
+        for workers in (1, 2):
+            got, report = replay_jsonl_sharded(src, kind, shards=shards,
+                                               workers=workers)
+            with observe(tracing=True) as session:
+                traced, _ = replay_jsonl_sharded(src, kind, shards=shards,
+                                                 workers=workers)
+            assert got == traced == want, workers
+            assert report.total_records == len(records)
+            assert len(session.tracer.spans) == len(records)
+
+
+def test_jsonl_lane_builds_no_record(tmp_path, monkeypatch):
+    built = []
+    init = AllNamesRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    src = DATA / "allnames_v1.jsonl"
+    monkeypatch.setattr(AllNamesRecord, "__init__", counting_init)
+    assert len(read_jsonl(src, AllNamesRecord)) == len(built) == 300
+    del built[:]
+    _, report = replay_jsonl_sharded(src, "allnames", workers=1)
+    with observe(tracing=True):
+        replay_jsonl_sharded(src, "allnames", workers=1)
+    assert report.total_records == 300
+    assert jsonl_to_columnar(src, tmp_path / "t.col", "allnames", 64) == 300
+    assert built == []
+
+
+def test_extend_columns_checks_shape(tmp_path):
+    with GroupedColumnarWriter("allnames", tmp_path / "t.col", 4) as writer:
+        with pytest.raises(ValueError, match="6 equal-length columns"):
+            writer.extend_columns([[0.5], ["10.0.0.1"], ["a."], [1], [24]])
+        with pytest.raises(ValueError, match="6 equal-length columns"):
+            writer.extend_columns([[0.5, 1.5], ["10.0.0.1"], ["a."], [1],
+                                   [24], [60]])
+        assert writer.extend_columns([[]] * 6) == 0
+        assert (writer.rows, writer.pending_rows) == (0, 0)
+
+
+_GOOD = ('{"ts":1.5,"client_ip":"10.0.0.1","qname":"a.example.",'
+         '"qtype":1,"scope":24,"ttl":30}')
+
+
+def _edited(**changes) -> str:
+    """``_GOOD`` with fields replaced (``...`` drops the field)."""
+    row = {**json.loads(_GOOD), **changes}
+    return json.dumps({name: value for name, value in row.items()
+                       if value is not ...}, separators=(",", ":"))
+
+
+#: (id, line, reason): lines that are not rows of the allnames schema.
+_HOSTILE = (
+    ("invalid-json", _GOOD[:-1] + ",}", "invalid JSON .*: column 8"),
+    ("not-an-object", "[1.5, 1, 24, 30]", "not a JSON object but an array"),
+    ("a-number", "42", "not a JSON object but an integer"),
+    ("two-objects", _GOOD + "," + _GOOD, "more than one JSON value"),
+    ("two-objects-spaced", _GOOD + " " + _GOOD, "more than one JSON value"),
+    ("object-and-a-half", _GOOD + "," + _GOOD[:40],
+     "more than one JSON value"),
+    ("missing-field", _edited(ttl=...), "missing field 'ttl'"),
+    ("unknown-field", _edited(source="x"), "unknown field 'source'"),
+    ("renamed-field", _edited(client_ip=..., client="10.0.0.1"),
+     "missing field 'client_ip'"),
+    ("string-ttl", _edited(ttl="20"),
+     "field 'ttl' is a string, expected a 64-bit integer"),
+    ("float-ttl", _edited(ttl=20.0),
+     "field 'ttl' is a float, expected a 64-bit integer"),
+    ("boolean-qtype", _edited(qtype=True),
+     "field 'qtype' is a boolean, expected a 32-bit integer"),
+    ("string-ts", _edited(ts="noon"),
+     "field 'ts' is a string, expected a number"),
+    ("integer-qname", _edited(qname=5),
+     "field 'qname' is an integer, expected a string"),
+    ("array-qname", _edited(qname=["a.example."]),
+     "field 'qname' is an array, expected a string"),
+    ("object-client", _edited(client_ip={"v4": "10.0.0.1"}),
+     "field 'client_ip' is an object, expected a string"),
+    ("qtype-out-of-range", _edited(qtype=1 << 31),
+     "field 'qtype' is out of range for a 32-bit integer"),
+    ("ttl-out-of-range", _edited(ttl=-(1 << 63) - 1),
+     "field 'ttl' is out of range for a 64-bit integer"),
+    ("null-client", _edited(client_ip=None),
+     "field 'client_ip' is null and the column is not nullable"),
+    ("null-ttl", _edited(ttl=None),
+     "field 'ttl' is null and the column is not nullable"),
+    ("nested-too-deep", "[" * 100_000, "nested too deeply"),
+)
+
+#: Lines that are rows although ``write_jsonl`` would not spell them so.
+_ACCEPTED = (
+    ("integer-ts", _edited(ts=2)),
+    ("spaced", json.dumps(json.loads(_GOOD))),
+    ("reordered", json.dumps(dict(reversed(json.loads(_GOOD).items())))),
+    ("escaped-qname", _GOOD.replace("a.example.", "\\u0061.example.")),
+    ("repeated-key", _GOOD[:-1] + ',"ttl":30}'),
+    ("indented", "  \t" + _GOOD + "  "),
+)
+
+
+def _both_lanes(src, dst, workers, shards=3):
+    """``replay`` and ``convert`` (two-row groups) over one file."""
+    return (lambda: replay_jsonl_sharded(src, "allnames", shards=shards,
+                                         workers=workers),
+            lambda: jsonl_to_columnar(src, dst, "allnames", 2))
+
+
+@pytest.mark.parametrize("line,reason", [
+    pytest.param(line, reason, id=label) for label, line, reason in _HOSTILE])
+def test_hostile_jsonl_line_names_itself(line, reason, tmp_path,
+                                         two_workers):
+    """One validity rule: ``replay`` and ``convert`` both raise the typed
+    error, with the file, the line number and the same reason, inline
+    and from a pool worker; ``convert`` leaves nothing behind."""
+    src, dst = tmp_path / "trace.jsonl", tmp_path / "trace.col"
+    later = _edited(ts=3.5, qname="b.example.")
+    # Line 5 of 6 (line 2 is blank), past the first two-row group and,
+    # with the chunk patched to 2, past the first parsed chunk.
+    src.write_text("\n".join((_GOOD, "", _GOOD, later, line, later)) + "\n")
+    seen = set()
+    with mock.patch.object(columnar, "PARSE_CHUNK_LINES", 2):
+        for workers in (1, 2):
+            for lane in _both_lanes(src, dst, workers):
+                with pytest.raises(JsonlFormatError, match=reason) as caught:
+                    lane()
+                error = caught.value
+                assert (error.path, error.line) == (str(src), 5)
+                assert error.text == line.strip()
+                assert str(error).startswith(f"{src}: line 5: ")
+                seen.add(error.reason)
+    assert len(seen) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+
+
+@pytest.mark.parametrize("line", [
+    pytest.param(line, id=label) for label, line in _ACCEPTED])
+def test_unusual_jsonl_line_is_accepted_by_both_lanes(line, tmp_path):
+    src, dst = tmp_path / "trace.jsonl", tmp_path / "trace.col"
+    src.write_text("\n".join((_GOOD, line, "", _GOOD)))  # no final newline
+    replay, convert = _both_lanes(src, dst, 1)
+    assert replay()[1].total_records == convert() == 3
+    assert read_columnar(dst) == read_jsonl(src, AllNamesRecord)
+
+
+def test_truncated_final_line_says_so(tmp_path):
+    """What a killed ``generate --format jsonl`` leaves: the last line
+    stops mid-value and has no newline."""
+    src, dst = tmp_path / "trace.jsonl", tmp_path / "trace.col"
+    src.write_text(_GOOD + "\n" + _GOOD + "\n" + _GOOD[:53])
+    for lane in _both_lanes(src, dst, 1):
+        with pytest.raises(JsonlFormatError,
+                           match="line 3: truncated final line: invalid "
+                                 "JSON") as caught:
+            lane()
+        assert caught.value.line == 3
+    # The same damage in mid-file is plain invalid JSON.
+    src.write_text(_GOOD + "\n" + _GOOD[:53] + "\n" + _GOOD + "\n")
+    for lane in _both_lanes(src, dst, 1):
+        with pytest.raises(JsonlFormatError,
+                           match="line 2: invalid JSON") as caught:
+            lane()
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("head,tail", (
+    pytest.param(_GOOD[:_GOOD.index(',"qname"')],
+                 _GOOD[_GOOD.index('"qname"'):], id="between-fields"),
+    pytest.param(_GOOD[:_GOOD.index("example")],
+                 "{" + _GOOD[_GOOD.index("example"):], id="inside-a-string")))
+def test_lines_that_only_parse_together_are_rejected(head, tail, tmp_path):
+    """A line holding a row and a half, the next line the other half:
+    read as one text they are two rows for two lines, so the row count
+    alone would let them through the joined-array parse."""
+    src, dst = tmp_path / "trace.jsonl", tmp_path / "trace.col"
+    src.write_text("\n".join((_GOOD + "," + head, tail, _GOOD)) + "\n")
+    assert len(json.loads("[%s]" % ",".join(
+        src.read_text().splitlines()))) == 3
+    # One shard and a chunk of all three lines: both lanes see the two
+    # halves side by side.
+    for lane in _both_lanes(src, dst, 1, shards=1):
+        with pytest.raises(JsonlFormatError,
+                           match="line 1: more than one JSON value"):
+            lane()
+
+
+def test_jsonl_format_error_is_a_picklable_value_error():
+    error = JsonlFormatError("t.jsonl", 7, "missing field 'ttl'", "{}")
+    clone = pickle.loads(pickle.dumps(error))
+    assert isinstance(clone, ValueError)
+    assert (clone.path, clone.line, clone.reason, clone.text) \
+        == ("t.jsonl", 7, "missing field 'ttl'", "{}")
+    assert str(clone) == "t.jsonl: line 7: missing field 'ttl'"
+    # Unlocated, as the parse step raises it: numbered within its input.
+    with pytest.raises(JsonlFormatError, match="<lines>: line 2: ") as caught:
+        _parse_lines("allnames", [_GOOD, "{}"])
+    assert (caught.value.path, caught.value.line) == (None, 2)

@@ -12,11 +12,13 @@ The engine-free reference is the builder's own ``build_shard`` /
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.cache_sim import replay
 from repro.datasets import AllNamesBuilder
+from repro.datasets.columnar import jsonl_to_columnar
 from repro.engine import derive_seed, shard_bounds, world_seed
 from repro.datasets.records import write_jsonl
 from repro.engine.executor import SUBMISSIONS_PER_WORKER, _chunk_bounds
@@ -182,6 +184,28 @@ class TestGoldenBytes:
         rows, _ = generate_jsonl(spec, tmp_path / "t.jsonl")
         assert rows == 5500
         assert self._sha256(tmp_path / "t.jsonl") == self.GOLDEN["jsonl"]
+
+    #: ``jsonl_to_columnar`` over the committed JSONL fixtures, as one
+    #: default-size group and in 64-row groups; recorded at the commit
+    #: before ``convert`` stopped building a record per line (PR 19's
+    #: parent).
+    CONVERTED = {
+        "allnames": ("fbf3b6c525f3aca0120bd0f7219a0326"
+                     "7a5c843081da0f7742cf265a41dcd89d",
+                     "df3cd81afefa236b6188119a2ab0af08"
+                     "5b28b45a398c0edd4dfa03b93dc99f3a"),
+        "cdn": ("b9e102ab63a4d99d70abf8fa3ac14a78"
+                "0f2ec5ba2f187c109e2c6343d2e3dddf",
+                "554fe04ce3e585ef9dfee7e330c0eca8"
+                "9e8303b5e9d3c546c57754d9103b8c1a"),
+    }
+
+    @pytest.mark.parametrize("schema", sorted(CONVERTED))
+    def test_converted_jsonl_sha256(self, schema, tmp_path):
+        src = Path(__file__).parent / "data" / f"{schema}_v1.jsonl"
+        for group_rows, digest in zip((None, 64), self.CONVERTED[schema]):
+            jsonl_to_columnar(src, tmp_path / "t.col", schema, group_rows)
+            assert self._sha256(tmp_path / "t.col") == digest, group_rows
 
     def test_allnames_unsharded_build_sha256(self, tmp_path):
         """``build()`` draws from a different seed than the shards but

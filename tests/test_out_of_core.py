@@ -26,7 +26,8 @@ import pytest
 
 from repro.datasets.columnar import (is_columnar, prebucket_columnar,
                                      read_columnar)
-from repro.engine import ShardSpec, generate_columnar, replay_columnar_sharded
+from repro.engine import (ShardSpec, generate_columnar, generate_jsonl,
+                          replay_columnar_sharded, replay_jsonl_sharded)
 from repro.engine.replay import _opened
 from repro.obs import observe
 
@@ -121,6 +122,36 @@ def test_traced_row_range_replay_stays_group_bounded(tmp_path, monkeypatch):
     assert spans == cap * SHARDS
     # ~0.5 KiB per stored span, so 1 KiB each is generous; one record
     # object per row of a shard (what tracing used to build) is ~2.5 MiB.
+    assert peak_traced < peak_plain + spans * 1024, \
+        f"tracing added {(peak_traced - peak_plain) >> 10} KiB of heap " \
+        f"for {spans} spans over {total_queries} rows"
+
+
+def test_traced_jsonl_replay_costs_spans_not_rows(tmp_path, monkeypatch):
+    """The JSONL lane under ``--trace-out``: a shard's lines become columns
+    once and the kernel reads those, traced or not, so over the untraced
+    peak tracing may cost the capped spans — and no object per row
+    (12,000 records would be some 2 MiB)."""
+    cap, total_queries = 100, 12_000
+    monkeypatch.setattr("repro.engine.replay.TRACED_RECORDS_PER_SHARD", cap)
+    spec = ShardSpec.create("allnames", shard_count=SHARDS,
+                            total_queries=total_queries, **FIXED_UNIVERSE)
+    trace = tmp_path / "trace.jsonl"
+    generate_jsonl(spec, trace, workers=1)
+
+    def replay():
+        return replay_jsonl_sharded(trace, "allnames", shards=SHARDS,
+                                    workers=1)[0]
+
+    def traced_replay():
+        with observe(tracing=True) as session:
+            result = replay()
+        return result, len(session.tracer.spans)
+
+    plain, peak_plain = peak_alloc_of(replay)
+    (traced, spans), peak_traced = peak_alloc_of(traced_replay)
+    assert traced == plain
+    assert spans == cap * SHARDS
     assert peak_traced < peak_plain + spans * 1024, \
         f"tracing added {(peak_traced - peak_plain) >> 10} KiB of heap " \
         f"for {spans} spans over {total_queries} rows"
