@@ -24,7 +24,6 @@ from repro.analysis.cache_sim import replay_partial, replay_partial_batched
 from repro.datasets.allnames import AllNamesBuilder
 from repro.dnslib import (EcsOption, EdnsInfo, Message, Name, Question,
                           RecordType, decode_message, encode_message)
-from repro.dnslib.edns import clear_options_cache
 from repro.dnslib.wire import clear_codec_caches
 from repro.net.addr import parse_addr, prefix_key, prefix_key_int
 
@@ -98,11 +97,10 @@ def _ecs_query(qname: str, client: str) -> Message:
 def test_hotpath_wire_roundtrip(hotpath_bench):
     """Encode/decode with warm codec caches vs cold-per-message encoding.
 
-    The reference run clears the qname/OPT encode caches before every
-    message — the pre-cache behavior, where each encode redoes the label
-    walk and option serialization.  The fast run reuses warm caches, the
-    steady state of a simulation sending the same qnames and client
-    prefixes repeatedly.
+    The reference run clears the codec tables before every message, so
+    each encode redoes the qname's label walk.  The fast run reuses warm
+    tables, the steady state of a simulation sending the same qnames
+    repeatedly.
     """
     rng = random.Random(11)
     qnames = [f"h{i}.s{i % 19:05d}.com." for i in range(60)]
@@ -113,17 +111,14 @@ def test_hotpath_wire_roundtrip(hotpath_bench):
                            clients[i % len(clients)]) for i in range(n)]
 
     clear_codec_caches()
-    clear_options_cache()
     start = time.perf_counter()
     ref_wires = []
     for msg in messages:
         clear_codec_caches()
-        clear_options_cache()
         ref_wires.append(encode_message(msg))
     ref_seconds = time.perf_counter() - start
 
     clear_codec_caches()
-    clear_options_cache()
     start = time.perf_counter()
     fast_wires = [encode_message(msg) for msg in messages]
     fast_seconds = time.perf_counter() - start

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..dnslib import (A, Message, Name, Rcode, RecordType, ResourceRecord)
+from ..net.addr import parse_addr
 from ..net.transport import Network
 from .server import DnsServer, source_minus
 
-_PROBE_LABEL = re.compile(r"^ip-(\d+)-(\d+)-(\d+)-(\d+)$")
+_PROBE_LABEL = re.compile(rb"^ip-(\d+)-(\d+)-(\d+)-(\d+)$")
 
 
 def encode_probe_name(probe_ip: str, domain: Name, nonce: str = "") -> Name:
@@ -29,8 +30,15 @@ def encode_probe_name(probe_ip: str, domain: Name, nonce: str = "") -> Name:
     ``nonce`` makes trial names unique so cached answers from one trial
     cannot contaminate another (section 6.3's methodology).
     """
-    addr = ipaddress.IPv4Address(probe_ip)
-    label = "ip-" + "-".join(str(b) for b in addr.packed)
+    try:
+        version, value = parse_addr(probe_ip)
+    except ValueError:
+        version = 0
+    if version != 4:
+        # Not an IPv4 address: raise what the strict parse raises.
+        value = int(ipaddress.IPv4Address(probe_ip))
+    label = (f"ip-{value >> 24}-{value >> 16 & 255}-{value >> 8 & 255}"
+             f"-{value & 255}")
     name = domain.child(nonce).child(label) if nonce else domain.child(label)
     return name
 
@@ -39,14 +47,13 @@ def decode_probe_name(qname: Name, domain: Name) -> Optional[str]:
     """Recover the probed ingress IP from a scan qname, or ``None``."""
     if not qname.is_subdomain_of(domain) or len(qname) <= len(domain):
         return None
-    first = qname.labels[0].decode("ascii", "replace")
-    match = _PROBE_LABEL.match(first)
+    match = _PROBE_LABEL.match(qname.labels[0])
     if not match:
         return None
-    octets = [int(g) for g in match.groups()]
-    if any(o > 255 for o in octets):
+    a, b, c, d = map(int, match.groups())
+    if a > 255 or b > 255 or c > 255 or d > 255:
         return None
-    return ".".join(str(o) for o in octets)
+    return f"{a}.{b}.{c}.{d}"
 
 
 @dataclass

@@ -114,7 +114,10 @@ class DnsServer:
         self._log(query, response, src_ip, net)
         response_wire = encode_message(response)
         if not tcp:
-            limit = 512 if query.edns is None else query.edns.payload_size
+            # RFC 6891 section 6.2.3: an advertised payload size below
+            # 512 is treated as 512.
+            limit = 512 if query.edns is None \
+                else max(512, query.edns.payload_size)
             if len(response_wire) > limit:
                 # UDP size exceeded: answer with an empty TC=1 response so
                 # the client retries over TCP (RFC 1035 section 4.2.1).

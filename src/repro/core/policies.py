@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from ..dnslib import EcsOption, Name, RecordType
-from ..net.addr import truncate_address
+from ..net.addr import MASKS4, parse_addr
 
 IPAddressLike = Union[str, ipaddress.IPv4Address, ipaddress.IPv6Address]
 
@@ -232,14 +232,17 @@ def build_query_ecs(policy: EcsPolicy, decision: EcsDecision,
         # lengthen, the client-supplied prefix.
         return EcsOption.from_client_address(incoming_ecs.address, source)
 
-    addr = ipaddress.ip_address(client_ip)
-    if addr.version == 4:
+    # The one parse of the client's text; the option is built from the
+    # integer, through an address object that is never re-stringified.
+    version, value = parse_addr(client_ip)
+    if version == 4:
         if policy.jam_last_byte is not None:
-            jammed = (int(truncate_address(addr, 24))
-                      | (policy.jam_last_byte & 0xFF))
+            jammed = (value & MASKS4[24]) | (policy.jam_last_byte & 0xFF)
             return EcsOption(1, 32, 0, ipaddress.IPv4Address(jammed))
         source = policy.source_prefix_v4
         if source_limit is not None:
             source = min(source, source_limit)
-        return EcsOption.from_client_address(addr, source)
-    return EcsOption.from_client_address(addr, policy.source_prefix_v6)
+        return EcsOption.from_client_address(ipaddress.IPv4Address(value),
+                                             source)
+    return EcsOption.from_client_address(ipaddress.IPv6Address(value),
+                                         policy.source_prefix_v6)

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Tuple, Type, Union
 
 from .constants import ECS_FAMILY_IPV4, ECS_FAMILY_IPV6, EdnsOptionCode
 from .errors import BadEcsError, BadOptionError, TruncatedMessageError
+from .rdata import address_int
 
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 
@@ -25,29 +26,12 @@ IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 _ECS_HEADER = struct.Struct("!HBB")
 _OPTION_HEADER = struct.Struct("!HH")
 
-#: Encode cache for repeated OPT payloads.  Simulated resolvers send the
-#: same option list (one ECS option per client prefix) over and over; all
-#: modeled options are frozen dataclasses, so the list keys by its tuple.
-#: Unhashable (user-defined) options simply bypass the cache.  Bounded by
-#: wholesale clearing — a miss only costs one re-encode.
-_OPTIONS_CACHE: Dict[tuple, bytes] = {}
-_OPTIONS_CACHE_MAX = 4096
-
-#: Decode memo for ECS payloads, keyed by the exact option bytes.  A
-#: forwarder chain carries one client prefix through every hop of a
-#: lookup, so the same few octets are parsed (and their ``ipaddress``
-#: object rebuilt) again and again.  :class:`EcsOption` is frozen, so the
-#: decoded instance is shared.  Only payloads that passed every check are
-#: stored; bounded like ``_OPTIONS_CACHE``.
-_ECS_DECODE_CACHE: Dict[bytes, "EcsOption"] = {}
-_ECS_DECODE_CACHE_MAX = 4096
-
-
-def clear_options_cache() -> None:
-    """Drop the OPT payload encode cache and the ECS decode memo
-    (benchmarks/tests hook)."""
-    _OPTIONS_CACHE.clear()
-    _ECS_DECODE_CACHE.clear()
+#: IP version -> (ECS family, RFC 7871 default source prefix length,
+#: address width in bits, address class).
+_FAMILY_OF_VERSION = {
+    4: (ECS_FAMILY_IPV4, 24, 32, ipaddress.IPv4Address),
+    6: (ECS_FAMILY_IPV6, 56, 128, ipaddress.IPv6Address),
+}
 
 
 class EdnsOption:
@@ -136,21 +120,27 @@ class EcsOption(EdnsOption):
 
         ``source_prefix_length`` defaults to the RFC-recommended truncation:
         24 bits for IPv4 and 56 bits for IPv6.  Bits beyond the source prefix
-        are zeroed as the RFC requires.
+        are zeroed as the RFC requires.  Text is parsed once per distinct
+        string (``rdata.address_int``); an address object gives its version
+        and integer and is never turned back into text.
         """
-        addr = ipaddress.ip_address(address)
-        if addr.version == 4:
-            family = ECS_FAMILY_IPV4
-            source = 24 if source_prefix_length is None else source_prefix_length
-            maxbits = 32
+        if isinstance(address, str):
+            version, value = address_int(address)
         else:
-            family = ECS_FAMILY_IPV6
-            source = 56 if source_prefix_length is None else source_prefix_length
-            maxbits = 128
+            if not isinstance(address, (ipaddress.IPv4Address,
+                                        ipaddress.IPv6Address)):
+                address = ipaddress.ip_address(address)
+            version, value = address.version, int(address)
+        family, default, maxbits, address_class = _FAMILY_OF_VERSION[version]
+        source = default if source_prefix_length is None \
+            else source_prefix_length
         if not 0 <= source <= maxbits:
             raise BadEcsError(f"source prefix length {source} out of range for family")
-        truncated = _truncate(addr, source)
-        return cls(family, source, scope_prefix_length, truncated)
+        # Built from the masked integer with the explicit class:
+        # ``ip_address(int)`` would guess IPv4 for any value below 2**32.
+        shift = maxbits - source
+        return cls(family, source, scope_prefix_length,
+                   address_class(value >> shift << shift))
 
     # -- semantics ---------------------------------------------------------
 
@@ -234,9 +224,6 @@ class EcsOption(EdnsOption):
     @classmethod
     def from_wire(cls, data: bytes) -> "EcsOption":
         data = bytes(data)
-        cached = _ECS_DECODE_CACHE.get(data)
-        if cached is not None:
-            return cached
         if len(data) < 4:
             raise BadEcsError("ECS option shorter than 4 octets")
         family, source, scope = _ECS_HEADER.unpack_from(data)
@@ -260,11 +247,7 @@ class EcsOption(EdnsOption):
         trailing = nbytes * 8 - source
         if trailing and payload and payload[-1] & ~(0xFF << trailing) & 0xFF:
             raise BadEcsError("non-zero bits beyond ECS source prefix")
-        option = cls(family, source, scope, addr)
-        if len(_ECS_DECODE_CACHE) >= _ECS_DECODE_CACHE_MAX:
-            _ECS_DECODE_CACHE.clear()
-        _ECS_DECODE_CACHE[data] = option
-        return option
+        return cls(family, source, scope, addr)
 
     def to_text(self) -> str:
         return (f"ECS {self.address}/{self.source_prefix_length} "
@@ -272,20 +255,6 @@ class EcsOption(EdnsOption):
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-def _truncate(addr: IPAddress, bits: int) -> IPAddress:
-    """Zero all bits of ``addr`` beyond the first ``bits``."""
-    width = 32 if addr.version == 4 else 128
-    if bits >= width:
-        return addr
-    as_int = int(addr)
-    mask = ((1 << bits) - 1) << (width - bits) if bits else 0
-    # Rebuild with the explicit class: ip_address(int) would guess IPv4
-    # for any value below 2**32.
-    if addr.version == 4:
-        return ipaddress.IPv4Address(as_int & mask)
-    return ipaddress.IPv6Address(as_int & mask)
 
 
 _OPTION_CLASSES: Dict[int, Type[EdnsOption]] = {
@@ -303,30 +272,15 @@ def decode_option(code: int, data: bytes) -> EdnsOption:
 
 
 def encode_options(options: List[EdnsOption]) -> bytes:
-    """Serialize a list of options into the OPT RDATA payload.
-
-    Successful encodes of hashable option lists are memoized (see
-    ``_OPTIONS_CACHE``); the cached bytes are immutable, so sharing them
-    is safe.
-    """
-    try:
-        key: Optional[tuple] = tuple(options)
-        cached = _OPTIONS_CACHE.get(key)
-        if cached is not None:
-            return cached
-    except TypeError:
-        key = None
+    """Serialize a list of options into the OPT RDATA payload."""
+    if not options:
+        return b""
     out = bytearray()
     for opt in options:
         payload = opt.to_wire()
         out += _OPTION_HEADER.pack(int(opt.code), len(payload))
         out += payload
-    wire = bytes(out)
-    if key is not None:
-        if len(_OPTIONS_CACHE) >= _OPTIONS_CACHE_MAX:
-            _OPTIONS_CACHE.clear()
-        _OPTIONS_CACHE[key] = wire
-    return wire
+    return bytes(out)
 
 
 def decode_options(data: bytes) -> List[EdnsOption]:

@@ -41,14 +41,6 @@ def _from_text_interned(text: str) -> "Name":
     return Name(labels)
 
 
-def _validate_label(label: bytes) -> bytes:
-    if not label:
-        raise NameError_("empty label")
-    if len(label) > MAX_LABEL_LENGTH:
-        raise NameError_(f"label exceeds {MAX_LABEL_LENGTH} octets: {label!r}")
-    return label
-
-
 class Name:
     """A fully-qualified domain name.
 
@@ -61,12 +53,20 @@ class Name:
     __slots__ = ("_labels", "_folded", "_hash", "_text")
 
     def __init__(self, labels: Iterable[bytes]):
-        labels = tuple(_validate_label(bytes(lab)) for lab in labels)
-        wire_len = sum(len(lab) + 1 for lab in labels) + 1
+        labels = tuple(map(bytes, labels))
+        wire_len = 1
+        for label in labels:
+            size = len(label)
+            if not size:
+                raise NameError_("empty label")
+            if size > MAX_LABEL_LENGTH:
+                raise NameError_(
+                    f"label exceeds {MAX_LABEL_LENGTH} octets: {label!r}")
+            wire_len += size + 1
         if wire_len > MAX_NAME_LENGTH:
             raise NameError_(f"name exceeds {MAX_NAME_LENGTH} octets")
         self._labels = labels
-        self._folded = tuple(lab.lower() for lab in labels)
+        self._folded = tuple([label.lower() for label in labels])
         # Cached __hash__ value only; per-process salting is fine because
         # the hash never orders any observable output.
         self._hash = hash(self._folded)  # repro-lint: disable=RS001

@@ -68,6 +68,22 @@ def _text(text_by_packed: Dict[bytes, str], packed_by_text: Dict[str, bytes],
     return text
 
 
+def address_int(address: str) -> Tuple[int, int]:
+    """``(version, integer value)`` of a textual address of either family,
+    through the text tables above; raises what ``ipaddress.ip_address``
+    raises.  For the ECS option, which is built from the same client and
+    answer addresses the A/AAAA records carry."""
+    packed = _V4_PACKED.get(address)
+    if packed is None:
+        packed = _V6_PACKED.get(address)
+        if packed is None:
+            parsed = ipaddress.ip_address(address)
+            packed = parsed.packed
+            _remember(_V4_PACKED if parsed.version == 4 else _V6_PACKED,
+                      address, packed)
+    return (4 if len(packed) == 4 else 6), int.from_bytes(packed, "big")
+
+
 class Rdata:
     """Base class for RDATA payloads."""
 

@@ -10,15 +10,14 @@ simulation exercises the same byte-level paths a real deployment would.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .constants import Opcode, Rcode, RecordClass, RecordType
-from .edns import (EdnsInfo, clear_options_cache, decode_options,
-                   encode_options)
+from .edns import EdnsInfo, EdnsOption, decode_options, encode_options
 from .errors import (BadOptionError, BadPointerError, NameError_,
                      TruncatedMessageError, WireFormatError)
 from .message import Message, Question, ResourceRecord
-from .name import MAX_LABEL_LENGTH, Name
+from .name import MAX_LABEL_LENGTH, ROOT, Name
 from .rdata import GenericRdata, clear_address_tables, rdata_class_for
 
 _FLAG_QR = 0x8000
@@ -37,13 +36,15 @@ _HEADER = struct.Struct("!HHHHHH")
 _QFIXED = struct.Struct("!HH")
 _RRFIXED = struct.Struct("!HHIH")
 
+#: Compression-table entries (folded suffix -> offset) a qname seeds.
+_Seeds = Tuple[Tuple[Tuple[bytes, ...], int], ...]
+
 #: Question-name encode cache.  The question section always starts at
 #: offset 12 (right after the fixed header), so the wire bytes of a qname
 #: and the compression-table entries it seeds are identical across
 #: messages.  Keyed by the exact label tuple (spelling is preserved on the
 #: wire); bounded by wholesale clearing, which only costs re-encoding.
-_QNAME_CACHE: Dict[Tuple[bytes, ...],
-                   Tuple[bytes, Tuple[Tuple[Tuple[bytes, ...], int], ...]]] = {}
+_QNAME_CACHE: Dict[Tuple[bytes, ...], Tuple[bytes, _Seeds]] = {}
 _QNAME_CACHE_MAX = 4096
 
 #: Decoded-name intern table.  One lookup carries the same few names
@@ -55,6 +56,34 @@ _QNAME_CACHE_MAX = 4096
 _NAME_TABLE: Dict[Tuple[bytes, ...], Name] = {}
 _NAME_TABLE_MAX = 4096
 
+# Element tables.  A lookup carries one question, one or two OPT records
+# and one address record through every datagram of every hop, so
+# ``decode_message`` recognises each of them from its exact bytes.  A miss
+# runs the full parse below, and only a parse that passed every check
+# stores; each table is bounded by wholesale clearing, like
+# ``_QNAME_CACHE``.
+
+#: Question section bytes (qname, type, class — always at offset 12) ->
+#: the frozen ``Question``.  Only pointer-free qnames are stored: such a
+#: name is a function of its own bytes, so equal bytes decode equally in
+#: any message.
+_QUESTION_TABLE: Dict[bytes, Question] = {}
+_QUESTION_TABLE_MAX = 2048
+
+#: OPT fixed fields + RDATA -> ``(extended rcode, payload size, version,
+#: DO, options)``.  The options are immutable and shared; the
+#: ``EdnsInfo`` and its list are built fresh for every message.
+_OPT_TABLE: Dict[bytes, Tuple[int, int, int, bool,
+                              Tuple[EdnsOption, ...]]] = {}
+_OPT_TABLE_MAX = 2048
+
+#: ``(owner labels, fixed fields + RDATA)`` -> the frozen A/AAAA
+#: ``ResourceRecord``.  Address RDATA holds no names, so it parses the
+#: same wherever it sits; name-bearing types may hold compression
+#: pointers and are never stored.
+_ADDRESS_RR_TABLE: Dict[Tuple[Tuple[bytes, ...], bytes], ResourceRecord] = {}
+_ADDRESS_RR_TABLE_MAX = 2048
+
 # Wire value -> enum member: a dict lookup costs a fraction of
 # ``Enum.__call__``, and ``dict.get(value, value)`` keeps an unknown type
 # or class as the plain integer it arrived as.
@@ -63,16 +92,21 @@ _RECORD_CLASSES: Dict[int, RecordClass] = {int(c): c for c in RecordClass}
 _OPCODES: Dict[int, Opcode] = {int(o): o for o in Opcode}
 _RCODES: Dict[int, Rcode] = {int(r): r for r in Rcode}
 _TYPE_OPT = int(RecordType.OPT)
+_TYPE_A = int(RecordType.A)
+_TYPE_AAAA = int(RecordType.AAAA)
+#: A compression pointer to offset 12, where the question name starts.
+_QNAME_POINTER = b"\xc0\x0c"
 
 
 def clear_codec_caches() -> None:
     """Drop every codec memo table (benchmarks/tests hook): the qname
-    encode cache and name intern table here, the option tables in
-    :mod:`~repro.dnslib.edns`, the address tables in
-    :mod:`~repro.dnslib.rdata`."""
+    encode cache, the name intern table and the element tables here, the
+    address tables in :mod:`~repro.dnslib.rdata`."""
     _QNAME_CACHE.clear()
     _NAME_TABLE.clear()
-    clear_options_cache()
+    _QUESTION_TABLE.clear()
+    _OPT_TABLE.clear()
+    _ADDRESS_RR_TABLE.clear()
     clear_address_tables()
 
 
@@ -99,13 +133,12 @@ def encode_name(name: Name, buf: bytearray,
     buf.append(0)
 
 
-def _encode_question_name(name: Name, buf: bytearray,
-                          compress: Dict[Tuple[bytes, ...], int]) -> None:
-    """Append the qname (always at offset 12) from the encode cache.
+def _question_name_wire(name: Name) -> Tuple[bytes, _Seeds]:
+    """The qname's wire bytes (always at offset 12) and the suffix→offset
+    entries it seeds the compression table with, from the encode cache.
 
     Equivalent to ``encode_name`` with an empty compression table and a
-    12-byte buffer; the cached entry carries both the wire bytes and the
-    suffix→offset seeds the rest of the message compresses against.
+    12-byte buffer.
     """
     key = name.labels
     cached = _QNAME_CACHE.get(key)
@@ -117,9 +150,7 @@ def _encode_question_name(name: Name, buf: bytearray,
         if len(_QNAME_CACHE) >= _QNAME_CACHE_MAX:
             _QNAME_CACHE.clear()
         _QNAME_CACHE[key] = cached
-    wire, entries = cached
-    buf += wire
-    compress.update(entries)
+    return cached
 
 
 def decode_name(wire: bytes, offset: int) -> Tuple[Name, int]:
@@ -184,11 +215,17 @@ def decode_name(wire: bytes, offset: int) -> Tuple[Name, int]:
 
 
 def _encode_rr(rr: ResourceRecord, buf: bytearray,
-               compress: Dict[Tuple[bytes, ...], int]) -> None:
-    encode_name(rr.name, buf, compress)
+               compress: Dict[Tuple[bytes, ...], int],
+               qfolded: Optional[Tuple[bytes, ...]]) -> None:
+    if rr.name.folded == qfolded:
+        # The owner is the (non-root) question name: the pointer
+        # ``encode_name`` would find first in the table the qname seeded.
+        buf += _QNAME_POINTER
+    else:
+        encode_name(rr.name, buf, compress)
     rdata = rr.rdata.to_wire()
-    buf += _RRFIXED.pack(int(rr.rdtype), int(rr.rdclass),
-                         rr.ttl & 0xFFFFFFFF, len(rdata))
+    buf += _RRFIXED.pack(rr.rdtype, rr.rdclass, rr.ttl & 0xFFFFFFFF,
+                         len(rdata))
     buf += rdata
 
 
@@ -201,7 +238,7 @@ def encode_message(msg: Message) -> bytes:
     flags = 0
     if msg.is_response:
         flags |= _FLAG_QR
-    flags |= (int(msg.opcode) & 0xF) << 11
+    flags |= (msg.opcode & 0xF) << 11
     if msg.authoritative:
         flags |= _FLAG_AA
     if msg.truncated:
@@ -210,32 +247,40 @@ def encode_message(msg: Message) -> bytes:
         flags |= _FLAG_RD
     if msg.recursion_available:
         flags |= _FLAG_RA
-    flags |= int(msg.rcode) & 0xF
+    rcode = msg.rcode
+    flags |= rcode & 0xF
 
-    arcount = len(msg.additional) + (1 if msg.edns is not None else 0)
-    buf = bytearray()
-    buf += _HEADER.pack(msg.msg_id & 0xFFFF, flags,
-                        1 if msg.question else 0,
-                        len(msg.answers), len(msg.authority), arcount)
-    compress: Dict[Tuple[bytes, ...], int] = {}
-    if msg.question is not None:
-        _encode_question_name(msg.question.qname, buf, compress)
-        buf += _QFIXED.pack(int(msg.question.qtype), int(msg.question.qclass))
-    for rr in msg.answers:
-        _encode_rr(rr, buf, compress)
-    for rr in msg.authority:
-        _encode_rr(rr, buf, compress)
-    for rr in msg.additional:
-        _encode_rr(rr, buf, compress)
-    if msg.edns is not None:
-        edns = msg.edns
+    question = msg.question
+    edns = msg.edns
+    answers, authority, additional = msg.answers, msg.authority, \
+        msg.additional
+    buf = bytearray(_HEADER.pack(
+        msg.msg_id & 0xFFFF, flags, 0 if question is None else 1, len(answers),
+        len(authority), len(additional) + (1 if edns is not None else 0)))
+    qfolded = None
+    entries: _Seeds = ()
+    if question is not None:
+        name_wire, entries = _question_name_wire(question.qname)
+        buf += name_wire
+        buf += _QFIXED.pack(question.qtype, question.qclass)
+        # The root seeds no entry and is written as a single zero octet,
+        # never as a pointer.
+        qfolded = question.qname.folded or None
+    if answers or authority or additional:
+        # Only a name after the question reads the compression table, so
+        # a query never builds one.
+        compress = dict(entries)
+        for section in (answers, authority, additional):
+            for rr in section:
+                _encode_rr(rr, buf, compress, qfolded)
+    if edns is not None:
         buf.append(0)  # root owner name
-        ext_rcode = (int(msg.rcode) >> 4) & 0xFF
-        opt_ttl = (ext_rcode << 24) | ((edns.version & 0xFF) << 16) \
+        opt_ttl = (((rcode >> 4) & 0xFF) << 24) \
+            | ((edns.version & 0xFF) << 16) \
             | (0x8000 if edns.dnssec_ok else 0)
         rdata = encode_options(edns.options)
-        buf += _RRFIXED.pack(int(RecordType.OPT),
-                             edns.payload_size & 0xFFFF, opt_ttl, len(rdata))
+        buf += _RRFIXED.pack(_TYPE_OPT, edns.payload_size & 0xFFFF, opt_ttl,
+                             len(rdata))
         buf += rdata
     return bytes(buf)
 
@@ -246,7 +291,11 @@ def decode_message(wire: bytes) -> Message:
     The OPT pseudo-record, if present, is lifted out of the additional
     section into ``msg.edns``.  Every way a packet can be malformed
     raises a :class:`WireFormatError` (or a subclass), never another type.
+    ``bytearray`` and ``memoryview`` input is copied to ``bytes`` once, at
+    entry: the element tables key on slices of the packet.
     """
+    if not isinstance(wire, bytes):
+        wire = bytes(wire)
     size = len(wire)
     if size < 12:
         raise TruncatedMessageError("message shorter than header")
@@ -256,14 +305,37 @@ def decode_message(wire: bytes) -> Message:
         raise WireFormatError(f"multi-question message (qdcount={qdcount})")
     offset = 12
     question = None
+    #: The question's name, when an owner written as a pointer to offset
+    #: 12 may reuse it: only a pointer-free qname, since behind one more
+    #: pointer a hostile pointer chain must still hit the hop limit.
+    qname_at_12 = None
     if qdcount:
-        qname, offset = decode_name(wire, offset)
-        if offset + 4 > size:
-            raise TruncatedMessageError("question truncated")
-        qtype, qclass = _QFIXED.unpack_from(wire, offset)
-        offset += 4
-        question = Question(qname, _RECORD_TYPES.get(qtype, qtype),
-                            _RECORD_CLASSES.get(qclass, qclass))
+        # A pointer-free name runs to its first zero octet.  Where ``find``
+        # stops early (a zero inside a label) or finds nothing, the slice
+        # is not the whole question and was never stored: a miss.
+        zero = wire.find(0, 12)
+        key = wire[12:zero + 5]
+        question = _QUESTION_TABLE.get(key)
+        if question is not None:
+            qname_at_12 = question.qname
+            offset = zero + 5
+        else:
+            qname, offset = decode_name(wire, offset)
+            if offset + 4 > size:
+                raise TruncatedMessageError("question truncated")
+            qtype, qclass = _QFIXED.unpack_from(wire, offset)
+            offset += 4
+            question = Question(qname, _RECORD_TYPES.get(qtype, qtype),
+                                _RECORD_CLASSES.get(qclass, qclass))
+            # A pointer ends the in-place encoding two octets in, so the
+            # in-place length equals the name's own only without one.
+            labels = qname.labels
+            if offset - 17 == sum(map(len, labels)) + len(labels):
+                qname_at_12 = qname
+                if zero + 5 == offset:      # ``key`` is the whole question
+                    if len(_QUESTION_TABLE) >= _QUESTION_TABLE_MAX:
+                        _QUESTION_TABLE.clear()
+                    _QUESTION_TABLE[key] = question
 
     answers: List[ResourceRecord] = []
     authority: List[ResourceRecord] = []
@@ -273,7 +345,15 @@ def decode_message(wire: bytes) -> Message:
     for count, section in ((ancount, answers), (nscount, authority),
                            (arcount, additional)):
         for _ in range(count):
-            name, offset = decode_name(wire, offset)
+            if qname_at_12 is not None \
+                    and wire.startswith(_QNAME_POINTER, offset):
+                name = qname_at_12
+                offset += 2
+            elif wire.startswith(b"\x00", offset):
+                name = ROOT                 # every OPT's owner
+                offset += 1
+            else:
+                name, offset = decode_name(wire, offset)
             if offset + 10 > size:
                 raise TruncatedMessageError("record header truncated")
             rdtype, rdclass, ttl, rdlength = _RRFIXED.unpack_from(wire, offset)
@@ -283,21 +363,40 @@ def decode_message(wire: bytes) -> Message:
                 raise TruncatedMessageError("rdata truncated")
             if rdtype == _TYPE_OPT and section is additional:
                 # OPT reuses the fixed fields: class is the payload size,
-                # TTL packs extended rcode / version / DO.
-                try:
-                    options = decode_options(wire[offset:end])
-                except BadOptionError as exc:
-                    raise WireFormatError(
-                        f"bad EDNS option: {exc}") from exc
-                ext_rcode = (ttl >> 24) & 0xFF
-                edns = EdnsInfo(payload_size=rdclass,
-                                version=(ttl >> 16) & 0xFF,
-                                dnssec_ok=bool(ttl & 0x8000),
-                                options=options)
+                # TTL packs extended rcode / version / DO.  The owner is
+                # ignored, so the key starts after it.
+                opt_key = wire[offset - 10:end]
+                opt = _OPT_TABLE.get(opt_key)
+                if opt is None:
+                    try:
+                        options = decode_options(wire[offset:end])
+                    except BadOptionError as exc:
+                        raise WireFormatError(
+                            f"bad EDNS option: {exc}") from exc
+                    opt = ((ttl >> 24) & 0xFF, rdclass, (ttl >> 16) & 0xFF,
+                           bool(ttl & 0x8000), tuple(options))
+                    if len(_OPT_TABLE) >= _OPT_TABLE_MAX:
+                        _OPT_TABLE.clear()
+                    _OPT_TABLE[opt_key] = opt
+                ext_rcode = opt[0]
+                edns = EdnsInfo(opt[1], opt[2], opt[3], 0, list(opt[4]))
+            elif rdtype == _TYPE_A or rdtype == _TYPE_AAAA:
+                rr_key = (name.labels, wire[offset - 10:end])
+                record = _ADDRESS_RR_TABLE.get(rr_key)
+                if record is None:
+                    rdata = rdata_class_for(rdtype).from_wire(
+                        wire, offset, rdlength, decode_name)
+                    record = ResourceRecord(
+                        name, _RECORD_TYPES[rdtype], ttl, rdata,
+                        _RECORD_CLASSES.get(rdclass, rdclass))
+                    if len(_ADDRESS_RR_TABLE) >= _ADDRESS_RR_TABLE_MAX:
+                        _ADDRESS_RR_TABLE.clear()
+                    _ADDRESS_RR_TABLE[rr_key] = record
+                section.append(record)
             else:
                 klass = rdata_class_for(rdtype)
                 if klass is GenericRdata:
-                    rdata = GenericRdata(rdtype, bytes(wire[offset:end]))
+                    rdata = GenericRdata(rdtype, wire[offset:end])
                 else:
                     rdata = klass.from_wire(wire, offset, rdlength,
                                             decode_name)

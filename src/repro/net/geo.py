@@ -12,7 +12,10 @@ from __future__ import annotations
 import ipaddress
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple, Union
+
+from .addr import MASKS4, MASKS6, parse_addr
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -29,8 +32,13 @@ class GeoPoint:
         return haversine_km(self.lat, self.lon, other.lat, other.lon)
 
 
+@lru_cache(maxsize=4096)
 def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance between two lat/lon pairs, in kilometres."""
+    """Great-circle distance between two lat/lon pairs, in kilometres.
+
+    Memoised: every datagram asks for the distance between two of the
+    registry's cities, a few thousand pairs at most.
+    """
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
     dphi = math.radians(lat2 - lat1)
     dlam = math.radians(lon2 - lon1)
@@ -139,24 +147,30 @@ class GeoDatabase:
     """
 
     def __init__(self) -> None:
-        self._tables: Dict[Tuple[int, int], Dict[int, City]] = {}
+        #: Per address version, one ``(prefix length, {network: city})``
+        #: pair per registered length, longest prefix first.
+        self._tables: Dict[int, List[Tuple[int, Dict[int, City]]]] = \
+            {4: [], 6: []}
 
     def add(self, network: Union[str, IPNetwork], location: City) -> None:
         """Register ``network`` as located in ``location``."""
         net = ipaddress.ip_network(network, strict=False)
-        table = self._tables.setdefault((net.version, net.prefixlen), {})
+        tables = self._tables[net.version]
+        for length, table in tables:
+            if length == net.prefixlen:
+                break
+        else:
+            table = {}
+            tables.append((net.prefixlen, table))
+            tables.sort(key=lambda pair: pair[0], reverse=True)
         table[int(net.network_address)] = location
 
     def locate(self, address: str) -> Optional[City]:
         """The most specific location covering ``address``, or ``None``."""
-        addr = ipaddress.ip_address(address)
-        width = 32 if addr.version == 4 else 128
-        as_int = int(addr)
-        lengths = sorted((length for version, length in self._tables
-                          if version == addr.version), reverse=True)
-        for length in lengths:
-            mask = ((1 << length) - 1) << (width - length) if length else 0
-            hit = self._tables[(addr.version, length)].get(as_int & mask)
+        version, value = parse_addr(address)
+        masks = MASKS4 if version == 4 else MASKS6
+        for length, table in self._tables[version]:
+            hit = table.get(value & masks[length])
             if hit is not None:
                 return hit
         return None
@@ -174,4 +188,5 @@ class GeoDatabase:
         return a.distance_km(b)
 
     def __len__(self) -> int:
-        return sum(len(t) for t in self._tables.values())
+        return sum(len(table) for tables in self._tables.values()
+                   for _, table in tables)

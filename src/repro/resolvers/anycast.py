@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..net.addr import prefix_text
+from ..net.addr import parse_addr, prefix_text
 
 from ..core.policies import EcsPolicy
 from ..dnslib import EcsOption, Message, Rcode
@@ -65,8 +65,11 @@ class AnycastFrontEnd(DnsServer):
     def _egress_for(self, src_ip: str) -> str:
         """Sticky egress selection: clients in one /16 (or /32 for IPv6)
         share an egress, so their queries share one cache."""
-        bits = 16 if ":" not in src_ip else 32
-        token = prefix_text(src_ip, bits)
+        version, value = parse_addr(src_ip)
+        if version == 4:
+            token = f"{value >> 24}.{value >> 16 & 255}.0.0/16"
+        else:
+            token = prefix_text(src_ip, 32)
         digest = hashlib.sha256(token.encode("ascii")).digest()
         return self.egress_ips[int.from_bytes(digest[:4], "big")
                                % len(self.egress_ips)]

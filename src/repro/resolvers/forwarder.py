@@ -55,9 +55,6 @@ class Forwarder(DnsServer):
 
     def handle_query(self, query: Message, src_ip: str,
                      net: Network) -> Optional[Message]:
-        base = query.copy()
-        if self.strip_ecs:
-            base.set_ecs(None)
         self.forwarded += 1
         reg = _obs_metrics.ACTIVE
         if reg is not None:
@@ -67,9 +64,9 @@ class Forwarder(DnsServer):
                 1, "strip" if self.strip_ecs else "pass")
 
         def make_query(edns_ok: bool, ecs_ok: bool) -> Message:
-            msg = base.copy()
+            msg = query.copy()
             msg.msg_id = next(self._msg_ids) & 0xFFFF
-            if not ecs_ok:
+            if self.strip_ecs or not ecs_ok:
                 msg.set_ecs(None)
             if not edns_ok:
                 msg.edns = None

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import EcsCache
 from repro.dnslib import (A, EcsOption, Message, Name, Rcode, RecordType,
-                          ResourceRecord, SOA, TXT)
+                          ResourceRecord, SOA, TXT, encode_message)
 from repro.measure import StubClient
 from repro.net import SimClock, city
 
@@ -168,3 +168,50 @@ class TestTcpFallback:
                               RecordType.TXT, retry_on_truncation=False)
         assert not result.response.truncated
         assert result.response.answers
+
+
+class TestAdvertisedPayloadFloor:
+    """RFC 6891 section 6.2.3: a requestor's payload size below 512 is
+    treated as 512, on a live ``AuthoritativeServer``."""
+
+    @staticmethod
+    def _ask(small_world, server, label, rdtype, payload_size, tcp=False):
+        query = Message.make_query(Name.from_text(f"{label}.example.com"),
+                                   rdtype, msg_id=9)
+        query.edns.payload_size = payload_size
+        outcome = small_world.net.query(small_world.client_ip, server.ip,
+                                        query, tcp=tcp)
+        return outcome.response
+
+    @pytest.fixture
+    def server(self, small_world):
+        StubClient(small_world.client_ip, small_world.net).query(
+            small_world.resolver_ip, "www.example.com")
+        return TestTcpFallback._example_com_server(small_world)
+
+    @pytest.mark.parametrize("advertised", [0, 100, 511, 512])
+    def test_small_answer_to_a_tiny_advert_arrives_whole(
+            self, small_world, server, advertised):
+        response = self._ask(small_world, server, "www", RecordType.A,
+                             advertised)
+        assert len(encode_message(response)) < 100
+        assert not response.truncated
+        assert response.answer_addresses() == ["93.184.216.34"]
+
+    @pytest.mark.parametrize("advertised", [0, 512])
+    def test_large_answer_still_truncates_at_the_floor(
+            self, small_world, server, advertised):
+        small_world.zone.add(
+            Name.from_text("fat4.example.com"), RecordType.TXT,
+            TXT(tuple(b"x" * 200 for _ in range(3))), ttl=60)
+        response = self._ask(small_world, server, "fat4", RecordType.TXT,
+                             advertised)
+        assert response.truncated and not response.answers
+        # 600 octets of TXT fit once the advert says so ...
+        assert self._ask(small_world, server, "fat4", RecordType.TXT,
+                         1232).answers
+        # ... and TCP is never truncated, whatever was advertised.
+        over_tcp = self._ask(small_world, server, "fat4", RecordType.TXT,
+                             advertised, tcp=True)
+        assert not over_tcp.truncated
+        assert len(encode_message(over_tcp)) > 512

@@ -10,29 +10,33 @@ caches.
 
 from __future__ import annotations
 
+import hashlib
 import ipaddress
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.cache_sim import (public_cdn_blowups, replay_partial,
                                       replay_partial_batched)
+from repro.auth.scan_experiment import decode_probe_name, encode_probe_name
 from repro.core.cache import ScopeTracker
+from repro.core.policies import EcsDecision, EcsPolicy, build_query_ecs
 from repro.datasets.allnames import AllNamesBuilder
 from repro.datasets.public_cdn import PublicCdnBuilder
-from repro.dnslib import (A, AAAA, DnsError, EcsOption, EdnsInfo, Message,
+from repro.dnslib import (A, AAAA, BadEcsError, EcsOption, EdnsInfo, Message,
                           Name, Question, RecordType, ResourceRecord,
-                          WireFormatError, decode_message, encode_message,
-                          encode_options)
-from repro.dnslib import edns as edns_module
+                          decode_message, encode_message, encode_options)
 from repro.dnslib import rdata as rdata_module
 from repro.dnslib import wire as wire_module
-from repro.dnslib.edns import clear_options_cache
 from repro.dnslib.wire import clear_codec_caches
 from repro.net.addr import (MASKS4, MASKS6, parse_addr, prefix_key,
-                            prefix_key_int, truncate_address, truncate_int)
+                            prefix_key_int, prefix_text, truncate_address,
+                            truncate_int)
+from repro.resolvers.anycast import AnycastFrontEnd
 
-from wire_strategies import messages
+from wire_strategies import decode_outcome, messages
 
 # -- strategies --------------------------------------------------------------
 
@@ -124,6 +128,192 @@ class TestTrackerKeying:
         assert tracker._key("q.", 1, "192.0.2.1", 0) == ("q.", 1)
 
 
+# -- addresses: parsed once, never re-stringified ----------------------------
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call gives, in comparable form: its value, or the type and
+    message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:    # noqa: BLE001 - the oracle decides which
+        return type(exc), str(exc)
+
+
+def reference_from_client_address(address, source_prefix_length=None,
+                                  scope_prefix_length=0):
+    """``EcsOption.from_client_address`` before it went through integers:
+    every input through ``ipaddress.ip_address``, text included."""
+    addr = ipaddress.ip_address(address)
+    if addr.version == 4:
+        family = 1
+        source = 24 if source_prefix_length is None else source_prefix_length
+        maxbits = 32
+    else:
+        family = 2
+        source = 56 if source_prefix_length is None else source_prefix_length
+        maxbits = 128
+    if not 0 <= source <= maxbits:
+        raise BadEcsError(
+            f"source prefix length {source} out of range for family")
+    return EcsOption(family, source, scope_prefix_length,
+                     truncate_address(addr, source))
+
+
+def reference_build_query_ecs(policy, decision, client_ip, resolver_ip,
+                              incoming_ecs=None, source_limit=None):
+    """``build_query_ecs`` as it was: ``ip_address(client_ip)``, then a
+    second parse of the object inside ``from_client_address``."""
+    make = reference_from_client_address
+    if not decision.send_ecs:
+        return None
+    if decision.use_loopback:
+        return make("127.0.0.1", 32)
+    if decision.use_own_address:
+        return make(resolver_ip, None)
+    if policy.fixed_prefix is not None:
+        return make(policy.fixed_prefix, policy.fixed_prefix_len)
+    if policy.accept_client_ecs and incoming_ecs is not None:
+        source = incoming_ecs.source_prefix_length
+        limit = (policy.max_accepted_prefix_v4
+                 if incoming_ecs.family == 1 else None)
+        if limit is None and incoming_ecs.family == 1:
+            limit = policy.source_prefix_v4
+        if limit is not None:
+            source = min(source, limit)
+        return make(incoming_ecs.address, source)
+    addr = ipaddress.ip_address(client_ip)
+    if addr.version == 4:
+        if policy.jam_last_byte is not None:
+            jammed = (int(truncate_address(addr, 24))
+                      | (policy.jam_last_byte & 0xFF))
+            return EcsOption(1, 32, 0, ipaddress.IPv4Address(jammed))
+        source = policy.source_prefix_v4
+        if source_limit is not None:
+            source = min(source, source_limit)
+        return make(addr, source)
+    return make(addr, policy.source_prefix_v6)
+
+
+def reference_probe_label(probe_ip):
+    addr = ipaddress.IPv4Address(probe_ip)
+    return "ip-" + "-".join(str(b) for b in addr.packed)
+
+
+def reference_egress_for(frontend, src_ip):
+    bits = 16 if ":" not in src_ip else 32
+    token = prefix_text(src_ip, bits)
+    digest = hashlib.sha256(token.encode("ascii")).digest()
+    return frontend.egress_ips[int.from_bytes(digest[:4], "big")
+                               % len(frontend.egress_ips)]
+
+
+JUNK_ADDRESSES = ["", "junk", "1.2.3", "1.2.3.4.5", "256.1.1.1", "01.2.3.4",
+                  " 1.2.3.4", "1.2.3.4/24", "::g", ":::", "1::2::3",
+                  "12345::", "fe80::1%eth0"]
+
+
+class TestAddressFastLane:
+    @staticmethod
+    def same_option(address, *lengths):
+        got = outcome(EcsOption.from_client_address, address, *lengths)
+        want = outcome(reference_from_client_address, address, *lengths)
+        assert got == want
+        if isinstance(want, EcsOption):
+            assert type(got.address) is type(want.address)
+            assert got.to_wire() == want.to_wire()
+
+    @given(v4_ints, st.one_of(st.none(), st.integers(-2, 35)), v4_bits)
+    @settings(max_examples=150)
+    def test_from_client_address_v4_inputs(self, value, source, scope):
+        addr = ipaddress.IPv4Address(value)
+        for address in (str(addr), addr, value, addr.packed):
+            self.same_option(address, source, scope)
+
+    @given(v6_ints, st.one_of(st.none(), st.integers(-2, 131)), v6_bits)
+    @settings(max_examples=150)
+    def test_from_client_address_v6_inputs(self, value, source, scope):
+        addr = ipaddress.IPv6Address(value)
+        for address in (str(addr), addr.exploded, addr, addr.packed,
+                        value if value >= 2**32 else addr):
+            self.same_option(address, source, scope)
+
+    def test_from_client_address_every_prefix_length(self):
+        for text, width in (("203.0.113.255", 32),
+                            ("2001:db8:ffff:ffff:ffff:ffff:ffff:ffff", 128)):
+            for source in range(-1, width + 2):
+                self.same_option(text, source)
+                self.same_option(ipaddress.ip_address(text), source)
+
+    @pytest.mark.parametrize("address", JUNK_ADDRESSES + [
+        b"", b"\x01\x02\x03", b"\x00" * 5, -1, 2**128, None, 1.5])
+    def test_from_client_address_junk(self, address):
+        clear_codec_caches()
+        for _ in range(2):                  # cold tables, then warm
+            self.same_option(address)
+            self.same_option(address, 8)
+
+    def test_probe_names_on_drawn_addresses(self):
+        domain = Name.from_text("scan.example.org")
+        rng = random.Random(20)
+        for _ in range(1000):
+            text = str(ipaddress.IPv4Address(rng.getrandbits(32)))
+            label = reference_probe_label(text)
+            assert encode_probe_name(text, domain) == domain.child(label)
+            assert encode_probe_name(text, domain).labels[0] \
+                == label.encode("ascii")
+            assert decode_probe_name(encode_probe_name(text, domain, "n7"),
+                                     domain) == text
+
+    @pytest.mark.parametrize("address", JUNK_ADDRESSES + [
+        "2001:db8::1", "::ffff:192.0.2.1"])
+    def test_probe_names_reject_as_before(self, address):
+        domain = Name.from_text("scan.example.org")
+        want = outcome(reference_probe_label, address)
+        assert isinstance(want, tuple)
+        assert outcome(encode_probe_name, address, domain) == want
+
+    def test_sticky_egress_on_drawn_addresses(self):
+        frontend = AnycastFrontEnd("192.0.2.53", [f"198.51.100.{i}"
+                                                  for i in range(1, 8)])
+        rng = random.Random(21)
+        texts = [str(ipaddress.IPv4Address(rng.getrandbits(32)))
+                 for _ in range(1000)]
+        texts += [str(ipaddress.IPv6Address(rng.getrandbits(128)))
+                  for _ in range(200)]
+        for text in texts + JUNK_ADDRESSES:
+            assert outcome(frontend._egress_for, text) \
+                == outcome(reference_egress_for, frontend, text)
+
+    def test_build_query_ecs_over_the_decision_product(self):
+        decisions = [EcsDecision(False), EcsDecision(True),
+                     EcsDecision(True, use_loopback=True),
+                     EcsDecision(True, use_own_address=True)]
+        incoming = [None,
+                    EcsOption.from_client_address("198.51.100.77", 32),
+                    EcsOption.from_client_address("198.51.100.0", 20),
+                    EcsOption.from_client_address("2001:db8:1:2::", 64)]
+        clients = ["10.1.2.200", "2610:1:2:3::9",
+                   ipaddress.ip_address("10.1.2.200"), "junk"]
+        cases = 0
+        for fixed, accept, jam, cap, v4_len in itertools.product(
+                (None, "10.0.0.0"), (False, True), (None, 0, 1),
+                (None, 22), (24, 32)):
+            policy = EcsPolicy(fixed_prefix=fixed, accept_client_ecs=accept,
+                               jam_last_byte=jam, source_prefix_v4=v4_len,
+                               max_accepted_prefix_v4=cap)
+            for decision, ecs, client, limit in itertools.product(
+                    decisions, incoming, clients, (None, 16, 24)):
+                args = (policy, decision, client, "192.0.2.53", ecs, limit)
+                got = outcome(build_query_ecs, *args)
+                assert got == outcome(reference_build_query_ecs, *args)
+                if isinstance(got, EcsOption):
+                    assert got.to_wire() == \
+                        reference_build_query_ecs(*args).to_wire()
+                cases += 1
+        assert cases == 48 * 192
+
+
 # -- codec caches ------------------------------------------------------------
 
 
@@ -141,14 +331,12 @@ class TestCodecCaches:
 
     @given(v4_ints, st.integers(min_value=0, max_value=24))
     @settings(max_examples=60)
-    def test_options_cache_identical_bytes(self, value, source):
+    def test_options_payload_roundtrip(self, value, source):
         ecs = EcsOption.from_client_address(
             str(ipaddress.IPv4Address(value)), source)
-        clear_options_cache()
-        cold = encode_options([ecs])
-        warm = encode_options([ecs])
-        assert warm == cold
-        assert EcsOption.from_wire(cold[4:]) == ecs
+        payload = encode_options([ecs])
+        assert payload[:4] == bytes([0, 8, 0, len(payload) - 4])
+        assert EcsOption.from_wire(payload[4:]) == ecs
 
     @given(names)
     @settings(max_examples=60)
@@ -168,7 +356,6 @@ class TestCodecCaches:
         msg.edns = EdnsInfo(options=[
             EcsOption.from_client_address("192.0.2.77", 24)])
         clear_codec_caches()
-        clear_options_cache()
         wire_cold = encode_message(msg)
         wire_warm = encode_message(msg)
         assert wire_cold == wire_warm
@@ -177,26 +364,6 @@ class TestCodecCaches:
 
 
 # -- decoder tables ----------------------------------------------------------
-
-
-def decode_outcome(wire):
-    """What one decode of ``wire`` gives, in comparable form: the message,
-    its name spellings (``Name.__eq__`` folds case) and its re-encoding,
-    or the type of the error raised on the way."""
-    try:
-        msg = decode_message(wire)
-    except WireFormatError as exc:
-        return type(exc)
-    spellings = [rr.name.labels for section in (msg.answers, msg.authority,
-                                                msg.additional)
-                 for rr in section]
-    if msg.question is not None:
-        spellings.append(msg.question.qname.labels)
-    try:
-        again = encode_message(msg)
-    except DnsError as exc:     # e.g. a 3-octet server cookie decodes only
-        again = type(exc)
-    return msg, spellings, again
 
 
 class TestDecoderTables:
@@ -250,11 +417,14 @@ class TestDecoderTables:
         bound = 8
         monkeypatch.setattr(wire_module, "_NAME_TABLE_MAX", bound)
         monkeypatch.setattr(rdata_module, "_ADDRESS_TABLE_MAX", bound)
-        monkeypatch.setattr(edns_module, "_ECS_DECODE_CACHE_MAX", bound)
+        monkeypatch.setattr(wire_module, "_QUESTION_TABLE_MAX", bound)
+        monkeypatch.setattr(wire_module, "_OPT_TABLE_MAX", bound)
+        monkeypatch.setattr(wire_module, "_ADDRESS_RR_TABLE_MAX", bound)
         clear_codec_caches()
-        tables = (wire_module._NAME_TABLE, rdata_module._V4_PACKED,
-                  rdata_module._V4_TEXT, rdata_module._V6_PACKED,
-                  rdata_module._V6_TEXT, edns_module._ECS_DECODE_CACHE)
+        tables = (wire_module._NAME_TABLE, wire_module._QUESTION_TABLE,
+                  wire_module._OPT_TABLE, wire_module._ADDRESS_RR_TABLE,
+                  rdata_module._V4_PACKED, rdata_module._V4_TEXT,
+                  rdata_module._V6_PACKED, rdata_module._V6_TEXT)
         for i in range(5 * bound):
             name = Name.from_text(f"host{i}.example.")
             query = Message.make_query(
@@ -270,6 +440,28 @@ class TestDecoderTables:
             assert encode_message(decode_message(wire)) == wire
             assert all(len(table) <= bound for table in tables)
         assert all(tables)              # every table was actually in use
+        clear_codec_caches()
+        assert not any(tables)
+
+    def test_clear_codec_caches_leaves_every_table_empty(self):
+        """Every table, found by how tables are named, so that one added
+        later and not cleared shows here."""
+        tables = [table for module in (wire_module, rdata_module)
+                  for name, table in vars(module).items()
+                  if isinstance(table, dict)
+                  and (name.endswith(("_TABLE", "_CACHE"))
+                       or name.startswith(("_V4_", "_V6_")))]
+        assert len(tables) == 9
+        name = Name.from_text("q.example")
+        response = Message.make_query(
+            name, RecordType.A,
+            ecs=EcsOption.from_client_address("192.0.2.0", 24)
+        ).make_response()
+        response.answers += [
+            ResourceRecord(name, RecordType.A, 1, A("192.0.2.1")),
+            ResourceRecord(name, RecordType.AAAA, 1, AAAA("2001:db8::1"))]
+        decode_message(encode_message(response))
+        assert all(tables)
         clear_codec_caches()
         assert not any(tables)
 

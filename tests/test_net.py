@@ -5,6 +5,7 @@ import ipaddress
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dnslib import Message, Name, RecordType
 from repro.net import (AddressAllocator, LatencyModel, Network, SimClock,
@@ -158,6 +159,69 @@ class TestGeo:
         db = GeoDatabase()
         db.add("2600::/32", city("Paris"))
         assert db.locate("2600::1").name == "Paris"
+
+    def test_geodb_len_counts_every_prefix(self):
+        db = GeoDatabase()
+        for network in ("10.0.0.0/8", "10.1.0.0/16", "10.2.0.0/16",
+                        "2600::/32"):
+            db.add(network, city("Paris"))
+        db.add("10.1.0.0/16", city("Tokyo"))        # replaces, not adds
+        assert len(db) == 4
+
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 2**128 - 1),
+                              st.integers(0, 128),
+                              st.sampled_from(WORLD_CITIES)), max_size=12),
+           st.lists(st.tuples(st.booleans(), st.integers(0, 2**128 - 1)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_geodb_locate_equals_the_sorting_loop(self, entries, probes):
+        """``locate`` keeps its lengths sorted at ``add`` and parses
+        through ``parse_addr``; the loop it replaced, which sorted and
+        parsed on every call, is the oracle."""
+        db, oracle = GeoDatabase(), SortingGeoDatabase()
+        texts = []
+        for v6, value, bits, where in entries:
+            net = ipaddress.ip_network(
+                (value, bits) if v6 else (value >> 96, bits % 33),
+                strict=False)
+            db.add(net, where)
+            oracle.add(net, where)
+            # One address inside what was just added, so hits are common.
+            texts.append(str(net.network_address + (value & 7)
+                             if net.prefixlen < net.max_prefixlen - 3
+                             else net.network_address))
+        texts += [str(ipaddress.IPv6Address(value) if v6
+                      else ipaddress.IPv4Address(value >> 96))
+                  for v6, value in probes]
+        for text in texts:
+            assert db.locate(text) is oracle.locate(text)
+        assert len(db) == sum(len(t) for t in oracle._tables.values())
+
+
+class SortingGeoDatabase:
+    """``GeoDatabase.add`` / ``locate`` as they were before the lengths
+    were kept sorted: the oracle for the test above."""
+
+    def __init__(self):
+        self._tables = {}
+
+    def add(self, network, location):
+        net = ipaddress.ip_network(network, strict=False)
+        table = self._tables.setdefault((net.version, net.prefixlen), {})
+        table[int(net.network_address)] = location
+
+    def locate(self, address):
+        addr = ipaddress.ip_address(address)
+        width = 32 if addr.version == 4 else 128
+        as_int = int(addr)
+        lengths = sorted((length for version, length in self._tables
+                          if version == addr.version), reverse=True)
+        for length in lengths:
+            mask = ((1 << length) - 1) << (width - length) if length else 0
+            hit = self._tables[(addr.version, length)].get(as_int & mask)
+            if hit is not None:
+                return hit
+        return None
 
 
 class TestLatency:
