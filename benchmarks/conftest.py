@@ -16,6 +16,7 @@ import pytest
 
 from repro.datasets import (AllNamesBuilder, CdnDatasetBuilder,
                             PublicCdnBuilder, ScanUniverseBuilder)
+from repro.datasets.columnar import ColumnarStore
 from repro.measure import Scanner
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -152,3 +153,14 @@ def allnames_dataset():
 def public_cdn_dataset():
     return PublicCdnBuilder(scale=0.01, seed=42,
                             duration_s=1800.0).build()
+
+
+@pytest.fixture(scope="session")
+def allnames_store(allnames_dataset):
+    return ColumnarStore.from_records(allnames_dataset.records, "allnames")
+
+
+@pytest.fixture(scope="session")
+def public_cdn_store(public_cdn_dataset):
+    return ColumnarStore.from_records(public_cdn_dataset.records,
+                                      "public-cdn")

@@ -12,19 +12,17 @@ floor, because a 1-core container cannot demonstrate parallel speedup
 no matter how cheap dispatch is.
 
 The machine-independent evidence lives in ``*_payload_bytes_per_shard``:
-spec dispatch ships index-sized blobs where the legacy protocol shipped
-whole materialized record lists, and that ratio holds on any host.
+spec dispatch ships index-sized blobs, never rows, on any host.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 
 import pytest
 
-from repro.engine import ShardSpec, WorkerPool, generate_jsonl
-from repro.engine.generate import generate_records_spec
+from repro.engine import (ShardSpec, WorkerPool, generate_columnar,
+                          generate_jsonl)
 from repro.engine.replay import replay_jsonl_sharded
 from repro.engine.sharding import DEFAULT_SHARDS
 
@@ -61,25 +59,20 @@ def _speedup(engine_bench, base: str) -> None:
 
 
 @pytest.mark.engine
-def test_engine_generate_throughput(engine_bench, save_report):
-    shard_lists = {}
+def test_engine_generate_throughput(engine_bench, save_report, tmp_path):
+    """What ``repro-ecs generate --format columnar`` runs, merge included."""
+    traces = {}
     reports = {}
     for workers in WORKER_COUNTS:
+        traces[workers] = tmp_path / f"allnames-w{workers}.col"
         with WorkerPool(workers):
-            lists, report = generate_records_spec(GENERATE_SPEC,
-                                                  workers=workers)
-        shard_lists[workers] = lists
+            _, report = generate_columnar(GENERATE_SPEC, traces[workers],
+                                          workers=workers)
         reports[workers] = report
         _record(engine_bench, f"generate_allnames_workers{workers}", report)
     # The determinism contract, at bench scale.
-    assert shard_lists[1] == shard_lists[4]
+    assert traces[1].read_bytes() == traces[4].read_bytes()
     assert reports[4].pool_mode == "persistent"
-    # What the legacy protocol would have shipped back per shard versus
-    # what spec dispatch actually sends out: the structural win.
-    legacy = sum(len(pickle.dumps(s)) for s in shard_lists[1]) \
-        / max(1, len(shard_lists[1]))
-    engine_bench["generate_allnames_workers4"][
-        "legacy_payload_bytes_per_shard"] = round(legacy, 1)
     _speedup(engine_bench, "generate_allnames")
     save_report("engine_generate_throughput",
                 "\n\n".join(reports[w].report() for w in WORKER_COUNTS))

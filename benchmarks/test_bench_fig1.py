@@ -10,9 +10,9 @@ from repro.analysis import cdf_table, fig1_series, percentile
 from repro.datasets import paper_numbers as paper
 
 
-def test_bench_fig1_blowup_cdf(public_cdn_dataset, benchmark, save_report):
+def test_bench_fig1_blowup_cdf(public_cdn_store, benchmark, save_report):
     series = benchmark.pedantic(
-        lambda: fig1_series(public_cdn_dataset, ttls=(20, 40, 60)),
+        lambda: fig1_series(public_cdn_store, ttls=(20, 40, 60)),
         rounds=1, iterations=1)
 
     labeled = {f"TTL {ttl}s": values for ttl, values in series.items()}

@@ -5,17 +5,18 @@ no flattening at the right edge — busier resolvers blow up more.  The
 shape: a monotonically increasing, still-rising curve.
 """
 
-from repro.analysis import fig2_series, format_table
+from repro.analysis import client_sweep, fig2_series, format_table
 from repro.datasets import paper_numbers as paper
 
 FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
-def test_bench_fig2_blowup_vs_clients(allnames_dataset, benchmark,
-                                      save_report):
+def test_bench_fig2_blowup_vs_clients(allnames_dataset, allnames_store,
+                                      benchmark, save_report):
     series = benchmark.pedantic(
-        lambda: fig2_series(allnames_dataset, fractions=FRACTIONS,
-                            seeds=(1, 2, 3)),
+        lambda: fig2_series(client_sweep(
+            allnames_store, allnames_dataset.client_ips,
+            fractions=FRACTIONS, seeds=(1, 2, 3))),
         rounds=1, iterations=1)
 
     rows = [(f"{frac:.0%}", round(blowup, 2)) for frac, blowup in series]

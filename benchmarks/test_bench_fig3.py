@@ -5,16 +5,18 @@ ECS to ≈30% with it — less than half — and the with-ECS curve grows far
 more slowly with client population than the without-ECS curve.
 """
 
-from repro.analysis import fig3_series, format_table
+from repro.analysis import client_sweep, fig3_series, format_table
 from repro.datasets import paper_numbers as paper
 
 FRACTIONS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
-def test_bench_fig3_hit_rate(allnames_dataset, benchmark, save_report):
+def test_bench_fig3_hit_rate(allnames_dataset, allnames_store, benchmark,
+                             save_report):
     series = benchmark.pedantic(
-        lambda: fig3_series(allnames_dataset, fractions=FRACTIONS,
-                            seeds=(1, 2, 3)),
+        lambda: fig3_series(client_sweep(
+            allnames_store, allnames_dataset.client_ips,
+            fractions=FRACTIONS, seeds=(1, 2, 3))),
         rounds=1, iterations=1)
 
     rows = [(f"{frac:.0%}", f"{no_ecs:.1%}", f"{with_ecs:.1%}")

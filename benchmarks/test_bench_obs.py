@@ -5,7 +5,7 @@ free on the PR-2 fast paths (one module-global load per instrumented
 call, and the batched replay loop contains none at all) and that
 *enabled* metrics stay cheap because the replay path records per-shard
 aggregates after the hot loop rather than per-record samples.  These
-benchmarks measure all three modes over the same batched replay and
+benchmarks measure all three modes over the same column replay and
 write ``benchmarks/results/BENCH_obs.json`` via the ``obs_bench``
 fixture; ``compare_bench.py`` picks the ``*_rps`` keys up automatically.
 
@@ -19,9 +19,10 @@ import time
 
 import pytest
 
-from repro.analysis.cache_sim import replay_partial_batched
+from repro.analysis.cache_sim import replay_partial_columns
 from repro.datasets.allnames import AllNamesBuilder
-from repro.engine.replay import _replay_shard, replay_sharded
+from repro.datasets.columnar import ColumnarStore, write_columnar_stream
+from repro.engine.replay import replay_columnar_sharded
 from repro.obs import observe
 from repro.obs import live as obs_live
 from repro.obs.live import LiveSink, SinkEmitter
@@ -42,35 +43,41 @@ LIVE_FLOOR = 0.8
 
 
 @pytest.fixture(scope="module")
-def replay_records():
-    return AllNamesBuilder(scale=0.25 * SCALE, seed=42).build().records
+def replay_trace(tmp_path_factory):
+    """A one-group ``.col`` (mapped zero-copy) of the bench trace."""
+    path = tmp_path_factory.mktemp("obs") / "allnames.col"
+    write_columnar_stream(
+        AllNamesBuilder(scale=0.25 * SCALE, seed=42).build().records, path,
+        "allnames", row_group_rows=1 << 30)
+    return path
 
 
-def _time_replay(records):
+def _time_replay(trace, shards=1):
+    """The instrumented entry point: one shard is the whole trace."""
     start = time.perf_counter()
-    partial = _replay_shard(records, "allnames")
-    return partial, time.perf_counter() - start
+    result, _ = replay_columnar_sharded(trace, "allnames", shards=shards)
+    return result, time.perf_counter() - start
 
 
 @pytest.mark.hotpath
-def test_obs_overhead_on_replay(obs_bench, replay_records):
-    """Disabled vs metrics-enabled vs traced throughput, same records."""
-    records = replay_records
-    baseline = replay_partial_batched(records, "client_ip")
+def test_obs_overhead_on_replay(obs_bench, replay_trace):
+    """Disabled vs metrics-enabled vs traced throughput, same rows."""
+    with ColumnarStore.open(replay_trace) as store:
+        n = len(store)
+        baseline = replay_partial_columns(store, "client_ip").result()
 
-    disabled_partial, disabled_seconds = _time_replay(records)
+    disabled_result, disabled_seconds = _time_replay(replay_trace)
     with observe(metrics=True):
-        metrics_partial, metrics_seconds = _time_replay(records)
+        metrics_result, metrics_seconds = _time_replay(replay_trace)
     with observe(metrics=True, tracing=True):
-        traced_partial, traced_seconds = _time_replay(records)
+        traced_result, traced_seconds = _time_replay(replay_trace)
 
     # Collection never changes results: all three modes are
-    # counter-identical to the bare batched replay.
-    assert disabled_partial == baseline
-    assert metrics_partial == baseline
-    assert traced_partial == baseline
+    # counter-identical to the bare column replay.
+    assert disabled_result == baseline
+    assert metrics_result == baseline
+    assert traced_result == baseline
 
-    n = len(records)
     disabled_rps = n / disabled_seconds
     metrics_rps = n / metrics_seconds
     traced_rps = n / traced_seconds
@@ -87,7 +94,7 @@ def test_obs_overhead_on_replay(obs_bench, replay_records):
 
 
 @pytest.mark.hotpath
-def test_live_heartbeat_overhead(obs_bench, replay_records):
+def test_live_heartbeat_overhead(obs_bench, replay_trace):
     """Sharded replay throughput with the heartbeat plane off vs on.
 
     Heartbeats fire at shard boundaries (run/dispatch/shard events),
@@ -97,13 +104,10 @@ def test_live_heartbeat_overhead(obs_bench, replay_records):
     written ``live_on_rps``/``live_off_rps`` pair to a <= 5% overhead
     bound via ``compare_bench.py --check-obs-overhead``.
     """
-    records = replay_records
     shards = 8
 
     def timed():
-        start = time.perf_counter()
-        result, _ = replay_sharded(records, "allnames", shards=shards)
-        return result, time.perf_counter() - start
+        return _time_replay(replay_trace, shards)
 
     off_result = on_result = None
     off_seconds = on_seconds = float("inf")
@@ -125,7 +129,8 @@ def test_live_heartbeat_overhead(obs_bench, replay_records):
     assert on_result == off_result
     assert sink is not None and sink.heartbeats >= 2 * shards + 2
 
-    n = len(records)
+    with ColumnarStore.open(replay_trace) as store:
+        n = len(store)
     off_rps = n / off_seconds
     on_rps = n / on_seconds
     obs_bench["replay_allnames_live"] = {

@@ -10,10 +10,11 @@ the Figure 1/2/3 series next to the paper's reported values.
 
 import sys
 
-from repro.analysis import (cdf_table, fig1_series, fig2_series, fig3_series,
-                            format_table, percentile)
+from repro.analysis import (cdf_table, client_sweep, fig1_series, fig2_series,
+                            fig3_series, format_table, percentile)
 from repro.datasets import AllNamesBuilder, PublicCdnBuilder
 from repro.datasets import paper_numbers as paper
+from repro.datasets.columnar import ColumnarStore
 
 
 def main() -> None:
@@ -28,7 +29,9 @@ def main() -> None:
           f"{len(public_cdn.resolver_ips)} egress resolver IPs")
 
     print("\nFigure 1 — cache blow-up CDF (TTL 20/40/60 s):")
-    series = fig1_series(public_cdn, ttls=(20, 40, 60))
+    series = fig1_series(
+        ColumnarStore.from_records(public_cdn.records, "public-cdn"),
+        ttls=(20, 40, 60))
     print(cdf_table({f"TTL {t}s": v for t, v in series.items()}))
     print(f"paper: median ≈ 4, max {paper.FIG1_MAX_BLOWUP[20]} @TTL20, "
           f"{paper.FIG1_MAX_BLOWUP[40]} @TTL40, "
@@ -41,16 +44,20 @@ def main() -> None:
     print(f"  {len(allnames.records)} queries from "
           f"{len(allnames.client_ips)} clients")
 
-    fractions = (0.1, 0.25, 0.5, 0.75, 1.0)
+    # One sweep of (fraction, seed) replays; both figures project it.
+    sweep = client_sweep(
+        ColumnarStore.from_records(allnames.records, "allnames"),
+        allnames.client_ips, fractions=(0.1, 0.25, 0.5, 0.75, 1.0),
+        seeds=(1, 2))
     print("\nFigure 2 — blow-up vs client fraction:")
-    f2 = fig2_series(allnames, fractions=fractions, seeds=(1, 2))
+    f2 = fig2_series(sweep)
     print(format_table(("clients", "blow-up"),
                        [(f"{f:.0%}", round(b, 2)) for f, b in f2]))
     print(f"paper: ≈1.9 at 10% rising to {paper.FIG2_FULL_POPULATION_BLOWUP}"
           " at 100%")
 
     print("\nFigure 3 — hit rate with/without ECS:")
-    f3 = fig3_series(allnames, fractions=fractions, seeds=(1, 2))
+    f3 = fig3_series(sweep)
     print(format_table(("clients", "no ECS", "with ECS"),
                        [(f"{f:.0%}", f"{a:.1%}", f"{b:.1%}")
                         for f, a, b in f3]))

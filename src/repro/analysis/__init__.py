@@ -1,9 +1,9 @@
 """Per-section analyses reproducing the paper's tables and figures."""
 
 from .cache_sim import (ReplayPartial, ReplayResult, allnames_replay,
-                        cdf_points, fig1_series, fig2_series, fig3_series,
-                        merge_partials, percentile, public_cdn_blowups,
-                        replay, replay_partial)
+                        cdf_points, client_sweep, fig1_series, fig2_series,
+                        fig3_series, merge_partials, percentile, replay,
+                        replay_partial)
 from .caching_behavior import (CachingBehaviorAnalysis,
                                analyze_caching_behavior)
 from .discovery import DiscoveryAnalysis, analyze_discovery
@@ -43,14 +43,14 @@ __all__ = [
     "analyze_hidden_resolvers", "analyze_probing",
     "analyze_root_violations", "build_table1", "cdf_points", "cdf_table",
     "compare_blast_radius", "poisoning_report", "run_poisoning_experiment",
-    "run_privacy_study",
+    "run_privacy_study", "client_sweep",
     "export_all", "export_fig1", "export_fig2", "export_fig3",
     "export_fig45", "export_fig67",
     "cdn_prefix_profiles", "crossover_prefix_length", "fig1_series",
     "fig2_series", "fig3_series", "format_comparisons",
     "format_network_stats", "format_table",
     "measure_mapping_quality", "merge_partials", "percentile",
-    "public_cdn_blowups", "replay", "replay_partial",
+    "replay", "replay_partial",
     "run_flattening_case_study", "run_table2", "run_whitelist_comparison",
     "scan_prefix_profiles",
     "summarize_allnames", "summarize_cdn", "summarize_public_cdn",

@@ -18,9 +18,6 @@ from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
                     NamedTuple, Optional, Sequence, Tuple)
 
 from ..core.cache import ScopeTracker
-from ..datasets.allnames import AllNamesDataset
-from ..datasets.public_cdn import PublicCdnDataset
-from ..datasets.records import AllNamesRecord, PublicCdnRecord
 from ..net.addr import _MASKS_BY_VERSION, parse_addr, truncate_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (datasets -> net)
@@ -144,7 +141,7 @@ class ReplayKernel:
     handle equality identical to string equality), and clients parse
     once per distinct string.  Memory is the caches, sized by the
     unique-key universe, never the row count.  ``ttl_override`` replaces
-    every row's TTL; ``0`` is honored (see :func:`public_cdn_blowups`).
+    every row's TTL; ``0`` is honored (see :func:`fig1_series`).
     """
 
     def __init__(self, ttl_override: Optional[float] = None) -> None:
@@ -300,9 +297,9 @@ def replay_partial_batched(records: Iterable, client_field: str,
     """Object lane: record instances read by field *name*; counters equal
     :func:`replay_partial` with the matching accessors.
 
-    For records that already live in the caller: the figure helpers
-    below and :func:`repro.engine.replay.replay_sharded`.  Traces on
-    disk, JSONL included, replay as columns and build no records.
+    For records already in a caller's hands.  Nothing in ``repro``
+    calls it: traces on disk, JSONL included, and the figure helpers
+    below replay as columns and build no records.
     """
     kernel = ReplayKernel(ttl_override)
     for segment in kernel.record_segments(records, client_field):
@@ -357,29 +354,27 @@ def replay(records: Iterable, client_of, scope_of, ttl_of) -> ReplayResult:
 # Figure 1 — blow-up CDF across the public service's egress resolvers
 
 
-def public_cdn_blowups(dataset: PublicCdnDataset,
-                       ttl: Optional[int] = None) -> List[float]:
-    """Per-resolver blow-up factors, ready for a CDF.
+def fig1_series(store: "ColumnarStore",
+                ttls: Sequence[Optional[int]] = (20, 40, 60)
+                ) -> Dict[Optional[int], List[float]]:
+    """The Fig 1 CDF series: TTL → sorted per-resolver blow-up factors.
 
-    ``ttl`` overrides the trace TTL (the paper replays the 20-second CDN
-    trace with 40- and 60-second TTLs to show the trend); ``ttl=0``
-    is a valid override meaning nothing outlives its arrival instant.
+    ``store`` holds public-cdn rows in any order that keeps each
+    resolver's own rows time-ordered (a ts-sorted trace, a
+    resolver-major shard); a resolver without rows is no data point.
+    Each TTL overrides the trace TTL (the paper replays the 20-second
+    CDN trace with 40- and 60-second TTLs to show the trend): ``None``
+    keeps the trace's own, and ``0`` is a valid override meaning nothing
+    outlives its arrival instant.
     """
-    out: List[float] = []
-    for ip, records in dataset.by_resolver().items():
-        if not records:
-            continue
-        result = replay_partial_batched(records, "ecs_address",
-                                        ttl_override=ttl).result()
-        out.append(result.blowup)
-    out.sort()
-    return out
-
-
-def fig1_series(dataset: PublicCdnDataset,
-                ttls: Sequence[int] = (20, 40, 60)) -> Dict[int, List[float]]:
-    """The Fig 1 CDF series: TTL → sorted blow-up factors."""
-    return {ttl: public_cdn_blowups(dataset, ttl) for ttl in ttls}
+    by_resolver: List[List[int]] = [[] for _ in
+                                    store.dictionary("resolver_ip")]
+    for row, code in enumerate(store.column("resolver_ip")):
+        by_resolver[code].append(row)
+    return {ttl: sorted(replay_partial_columns(store, "ecs_address", rows,
+                                               ttl).result().blowup
+                        for rows in by_resolver if rows)
+            for ttl in ttls}
 
 
 def cdf_points(sorted_values: Sequence[float]) -> List[Tuple[float, float]]:
@@ -413,60 +408,61 @@ def overall_blowup(ecs_blowup: float, ecs_fraction: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Figure 2 — blow-up vs client-population fraction (All-Names resolver)
+# Figures 2 and 3 — blow-up and hit rate vs client-population fraction
+# (All-Names resolver): one sweep, two projections
+
+#: Per client fraction, one replay per sampling seed.
+ClientSweep = List[Tuple[float, List[ReplayResult]]]
 
 
-def _sampled_records(dataset: AllNamesDataset, fraction: float,
-                     seed: int) -> List[AllNamesRecord]:
+def client_sample_rows(store: "ColumnarStore", clients: Sequence[str],
+                       fraction: float, seed: int) -> Optional[List[int]]:
+    """The rows of a random ``fraction`` of ``clients`` (None: every row).
+
+    ``clients`` is the population as its builder lists it
+    (``AllNamesDataset.client_ips``), not the trace dictionary: the
+    sample depends on the list's order and on clients that never query.
+    """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
-    clients = dataset.client_ips
     if fraction >= 1.0:
-        chosen = set(clients)
-    else:
-        rng = random.Random(seed)
-        chosen = set(rng.sample(clients, max(1, int(len(clients) * fraction))))
-    return [r for r in dataset.records if r.client_ip in chosen]
+        return None
+    rng = random.Random(seed)
+    chosen = set(rng.sample(clients, max(1, int(len(clients) * fraction))))
+    keep = [client in chosen for client in store.dictionary("client_ip")]
+    return [row for row, code in enumerate(store.column("client_ip"))
+            if keep[code]]
 
 
-def allnames_replay(dataset: AllNamesDataset, fraction: float = 1.0,
-                    seed: int = 0) -> ReplayResult:
+def allnames_replay(store: "ColumnarStore", clients: Sequence[str],
+                    fraction: float = 1.0, seed: int = 0) -> ReplayResult:
     """Replay the All-Names trace for a random fraction of clients."""
-    records = _sampled_records(dataset, fraction, seed)
-    return replay_partial_batched(records, "client_ip").result()
+    rows = client_sample_rows(store, clients, fraction, seed)
+    return replay_partial_columns(store, "client_ip", rows).result()
 
 
-def fig2_series(dataset: AllNamesDataset,
-                fractions: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5,
-                                              0.6, 0.7, 0.8, 0.9, 1.0),
-                seeds: Sequence[int] = (1, 2, 3)) -> List[Tuple[float, float]]:
-    """(client fraction, mean blow-up) — the Fig 2 curve.
+def client_sweep(store: "ColumnarStore", clients: Sequence[str],
+                 fractions: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5,
+                                               0.6, 0.7, 0.8, 0.9, 1.0),
+                 seeds: Sequence[int] = (1, 2, 3)) -> ClientSweep:
+    """Every (fraction, seed) replay behind Figures 2 and 3, computed once.
 
-    Each point averages ``len(seeds)`` random client samples, as the paper
-    averages three runs per fraction.
+    Each fraction gets ``len(seeds)`` random client samples, as the
+    paper averages three runs per fraction.
     """
-    series: List[Tuple[float, float]] = []
-    for fraction in fractions:
-        values = [allnames_replay(dataset, fraction, seed).blowup
-                  for seed in seeds]
-        series.append((fraction, sum(values) / len(values)))
-    return series
+    return [(fraction, [allnames_replay(store, clients, fraction, seed)
+                        for seed in seeds]) for fraction in fractions]
 
 
-# ---------------------------------------------------------------------------
-# Figure 3 — hit rate vs client-population fraction
+def fig2_series(sweep: ClientSweep) -> List[Tuple[float, float]]:
+    """(client fraction, mean blow-up) — the Fig 2 curve."""
+    return [(fraction, sum(r.blowup for r in results) / len(results))
+            for fraction, results in sweep]
 
 
-def fig3_series(dataset: AllNamesDataset,
-                fractions: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5,
-                                              0.6, 0.7, 0.8, 0.9, 1.0),
-                seeds: Sequence[int] = (1, 2, 3)
-                ) -> List[Tuple[float, float, float]]:
+def fig3_series(sweep: ClientSweep) -> List[Tuple[float, float, float]]:
     """(fraction, hit rate without ECS, hit rate with ECS) triples."""
-    series: List[Tuple[float, float, float]] = []
-    for fraction in fractions:
-        results = [allnames_replay(dataset, fraction, seed) for seed in seeds]
-        no_ecs = sum(r.hit_rate_no_ecs for r in results) / len(results)
-        with_ecs = sum(r.hit_rate_ecs for r in results) / len(results)
-        series.append((fraction, no_ecs, with_ecs))
-    return series
+    return [(fraction,
+             sum(r.hit_rate_no_ecs for r in results) / len(results),
+             sum(r.hit_rate_ecs for r in results) / len(results))
+            for fraction, results in sweep]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, TextIO
@@ -41,8 +42,7 @@ from typing import Callable, Dict, List, Optional, TextIO
 from .analysis import (analyze_caching_behavior, analyze_discovery,
                        analyze_hidden_resolvers, analyze_probing,
                        analyze_root_violations, build_table1, cdf_table,
-                       fig1_series, fig2_series, fig3_series,
-                       format_network_stats, format_table,
+                       fig2_series, fig3_series, format_network_stats, format_table,
                        run_flattening_case_study, run_table2, summarize_scan)
 from .analysis.flattening import FlatteningLab
 from .analysis.mapping_quality import (MappingQualityLab,
@@ -54,10 +54,11 @@ from .datasets.columnar import (DEFAULT_ROW_GROUP_ROWS, SCHEMAS,
                                 columnar_to_jsonl, convert_columnar,
                                 file_info, is_columnar, jsonl_to_columnar)
 from .datasets.ditl import generate_root_trace
-from .engine import (DEFAULT_SHARDS, ShardSpec, WorkerPool,
-                     generate_dataset_spec, generate_jsonl)
+from .engine import (DEFAULT_SHARDS, ShardSpec, WorkerPool, generate_columnar,
+                     generate_jsonl)
 from .engine.executor import EngineReport
-from .engine.replay import replay_columnar_sharded, replay_jsonl_sharded
+from .engine.replay import (client_sweep_sharded, fig1_sharded,
+                            replay_columnar_sharded, replay_jsonl_sharded)
 from .faults.chaos import run_chaos
 from .faults.presets import preset, preset_names
 from .measure import Scanner
@@ -201,32 +202,38 @@ def cmd_caching(args: argparse.Namespace, reporter: _Reporter) -> None:
 
 def cmd_blowup(args: argparse.Namespace, reporter: _Reporter) -> None:
     """The section 7 cache replays: Figures 1, 2 and 3."""
-    spec = ShardSpec.create("public-cdn", shard_count=args.shards,
-                            scale=args.scale, seed=args.seed,
-                            duration_s=args.hours * 3600.0)
-    public_cdn, engine_report = generate_dataset_spec(
-        spec, workers=args.workers)
+    public_cdn = ShardSpec.create("public-cdn", shard_count=args.shards,
+                                  scale=args.scale, seed=args.seed,
+                                  duration_s=args.hours * 3600.0)
+    series, engine_report = fig1_sharded(public_cdn, ttls=(20, 40, 60),
+                                         workers=args.workers)
     reporter.engine(engine_report)
-    series = fig1_series(public_cdn, ttls=(20, 40, 60))
     reporter.emit("fig1", cdf_table(
         {f"TTL {t}s": v for t, v in series.items()},
         title="Figure 1 — cache blow-up factor CDF"))
 
-    allnames, engine_report = generate_dataset_spec(
-        ShardSpec.create("allnames", shard_count=args.shards,
-                         scale=args.allnames_scale, seed=args.seed),
-        workers=args.workers)
+    allnames = ShardSpec.create("allnames", shard_count=args.shards,
+                                scale=args.allnames_scale, seed=args.seed)
+    # The sweep samples the builder's client list, in the builder's order
+    # and silent clients included; assembling no shards yields it.
+    clients = allnames.make_builder().assemble([]).client_ips
+    with tempfile.TemporaryDirectory(prefix="repro-blowup-") as scratch:
+        trace = Path(scratch) / "allnames.col"
+        _, engine_report = generate_columnar(allnames, trace,
+                                             workers=args.workers)
+        reporter.engine(engine_report)
+        sweep, engine_report = client_sweep_sharded(
+            trace, clients, fractions=(0.1, 0.25, 0.5, 0.75, 1.0),
+            seeds=(1, 2), workers=args.workers)
     reporter.engine(engine_report)
-    fractions = (0.1, 0.25, 0.5, 0.75, 1.0)
-    f2 = fig2_series(allnames, fractions=fractions, seeds=(1, 2))
     reporter.emit("fig2", format_table(
         ("clients", "blow-up"),
-        [(f"{f:.0%}", round(b, 2)) for f, b in f2],
+        [(f"{f:.0%}", round(b, 2)) for f, b in fig2_series(sweep)],
         title="Figure 2 — blow-up vs client fraction"))
-    f3 = fig3_series(allnames, fractions=fractions, seeds=(1, 2))
     reporter.emit("fig3", format_table(
         ("clients", "no ECS", "with ECS"),
-        [(f"{f:.0%}", f"{a:.1%}", f"{b:.1%}") for f, a, b in f3],
+        [(f"{f:.0%}", f"{a:.1%}", f"{b:.1%}")
+         for f, a, b in fig3_series(sweep)],
         title="Figure 3 — cache hit rate"))
 
 
@@ -267,7 +274,6 @@ def cmd_generate(args: argparse.Namespace, reporter: _Reporter) -> None:
                                 scale=args.scale, seed=args.seed,
                                 duration_s=args.hours * 3600.0)
     if args.format == "columnar":
-        from .engine import generate_columnar
         count, engine_report = generate_columnar(
             spec, args.file, workers=args.workers,
             row_group_rows=args.row_group_rows)

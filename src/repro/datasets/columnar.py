@@ -1585,8 +1585,14 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
     column), the whole run moves in one vectorized append instead of one
     heap pop per row, and a run that covers a whole source group while
     nothing is buffered is copied verbatim.  Shards whose ts ranges do
-    not overlap therefore merge at group-copy speed; only genuinely
-    interleaved spans pay per-row work.
+    not overlap (allnames: time windows) therefore merge at group-copy
+    speed.  Shards that cover the same clock are interleaved end to end
+    — every public-cdn shard is a resolver range over the whole time
+    range, and so is every sorted run :func:`write_columnar_sorted`
+    merges inside one — and there a run is one or two rows, so the merge
+    makes about one ``extend_store`` call per row (a public-cdn generate
+    costs ~29 µs/row against allnames' ~1.6; ``docs/performance.md``,
+    "The interleaved-shard cliff").
 
     Inputs may be v1 or v2 but not a mix — mixed format versions raise,
     as do mixed schemas.  The output is written with bounded memory in

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 from ..engine.seeding import derive_seed
 from ..engine.sharding import shard_bounds
@@ -26,18 +26,12 @@ from .workload import ZipfSampler, merge_sorted_records, poisson_arrivals
 
 @dataclass
 class PublicCdnDataset:
-    """The generated trace, grouped by egress resolver on demand."""
+    """The generated trace (ts-ordered) and the egress resolvers behind it."""
 
     records: List[PublicCdnRecord]
     resolver_ips: List[str]
     duration_s: float
     ttl: int
-
-    def by_resolver(self) -> Dict[str, List[PublicCdnRecord]]:
-        out: Dict[str, List[PublicCdnRecord]] = {ip: [] for ip in self.resolver_ips}
-        for record in self.records:
-            out[record.resolver_ip].append(record)
-        return out
 
 
 class PublicCdnBuilder:

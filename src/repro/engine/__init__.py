@@ -29,22 +29,20 @@ from .sharding import (BUILDER_REGISTRY, DEFAULT_SHARDS, ShardSpec,
 __all__ = [
     "BUILDER_REGISTRY", "DEFAULT_SHARDS", "EngineReport", "PoolError",
     "PoolShutdownError", "ShardDispatchError", "ShardSpec", "ShardStats",
-    "WORLD_SHARD", "WorkerCrashError", "WorkerPool", "derive_seed",
-    "generate_columnar", "generate_dataset_spec", "generate_jsonl",
-    "generate_records_spec", "partition_by_key", "register_builder",
-    "replay_columnar_sharded", "replay_jsonl_sharded", "replay_sharded",
-    "resolve_builder", "run_sharded", "shard_bounds", "stable_bucket",
-    "world_seed",
+    "WORLD_SHARD", "WorkerCrashError", "WorkerPool", "client_sweep_sharded",
+    "derive_seed", "fig1_sharded", "generate_columnar", "generate_jsonl",
+    "partition_by_key", "register_builder", "replay_columnar_sharded",
+    "replay_jsonl_sharded", "resolve_builder", "run_sharded", "shard_bounds",
+    "stable_bucket", "world_seed",
 ]
 
 _LAZY = {
+    "client_sweep_sharded": "replay",
+    "fig1_sharded": "replay",
     "generate_columnar": "generate",
-    "generate_dataset_spec": "generate",
     "generate_jsonl": "generate",
-    "generate_records_spec": "generate",
     "replay_columnar_sharded": "replay",
     "replay_jsonl_sharded": "replay",
-    "replay_sharded": "replay",
 }
 
 

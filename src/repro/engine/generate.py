@@ -17,20 +17,19 @@ Every entry point ships a :class:`~repro.engine.sharding.ShardSpec`
 (builder name + kwargs, tens of bytes) and rebuilds the builder inside
 the worker; the engine-free reference the equivalence suite pins them
 against is ``spec.make_builder().build_shard(i, n)`` called in-process.
-:func:`generate_records_spec` / :func:`generate_dataset_spec` return the
-shard record lists to the parent.  :func:`generate_jsonl` and
-:func:`generate_columnar` go one step further: each worker writes its
-shard to the conventional ``<file>.shardNN`` sibling itself and returns
-only a count, so for the ``generate`` command *nothing* record-shaped
-crosses the pool boundary in either direction — the parent just
-k-way-merges the shard files.
+No entry point returns records: each :func:`generate_jsonl` /
+:func:`generate_columnar` worker writes its shard to the conventional
+``<file>.shardNN`` sibling itself and returns only a count, so
+*nothing* record-shaped crosses the pool boundary in either direction —
+the parent just k-way-merges the shard files.  (Figure 1 writes no
+file at all: :func:`repro.engine.replay.fig1_sharded`.)
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
 from ..datasets.columnar import (merge_columnar_shards,
                                  write_columnar_sorted,
@@ -53,15 +52,6 @@ def _count_generated_rows(builder: Any, count: int) -> None:
 
 
 @worker_entrypoint
-def _build_shard_from_spec(spec: ShardSpec, shard_index: int) -> List[Any]:
-    """Worker entry point for spec dispatch: rebuild, then build."""
-    builder = spec.make_builder()
-    records: List[Any] = builder.build_shard(shard_index, spec.shard_count)
-    _count_generated_rows(builder, len(records))
-    return records
-
-
-@worker_entrypoint
 def _write_shard_from_spec(spec: ShardSpec, out_base: str,
                            shard_index: int) -> int:
     """Worker entry point: build one shard and write its JSONL file.
@@ -70,7 +60,9 @@ def _write_shard_from_spec(spec: ShardSpec, out_base: str,
     :func:`repro.datasets.records.shard_path`, where the parent's k-way
     merge picks them up.
     """
-    records = _build_shard_from_spec(spec, shard_index)
+    builder = spec.make_builder()
+    records = builder.build_shard(shard_index, spec.shard_count)
+    _count_generated_rows(builder, len(records))
     return write_jsonl(records, shard_path(out_base, shard_index))
 
 
@@ -110,30 +102,6 @@ def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
             row_group_rows)
     _count_generated_rows(builder, count)
     return count
-
-
-def generate_records_spec(spec: ShardSpec, workers: int = 1
-                          ) -> Tuple[List[List[Any]], EngineReport]:
-    """Generate all shards of ``spec``; returns per-shard record lists.
-
-    The lists come back in shard order, each sorted by timestamp — ready
-    for :func:`repro.datasets.records.write_jsonl_shards` or for the
-    builder's ``assemble``.  Workers rebuild the builder from ``spec``
-    (name + kwargs), so the inbound boundary carries O(shards) tuples of
-    two small values.  Equal to calling ``build_shard`` on
-    ``spec.make_builder()`` in-process, shard by shard — the equivalence
-    suite asserts it.
-    """
-    shard_args = [(i,) for i in range(spec.shard_count)]
-    return run_sharded(_build_shard_from_spec, shard_args, workers=workers,
-                       task=f"generate:{spec.builder}", shared=(spec,))
-
-
-def generate_dataset_spec(spec: ShardSpec, workers: int = 1
-                          ) -> Tuple[Any, EngineReport]:
-    """Generate and assemble a dataset from a shard spec."""
-    shard_lists, report = generate_records_spec(spec, workers=workers)
-    return spec.make_builder().assemble(shard_lists), report
 
 
 def _generate_to_file(spec: ShardSpec, out_path: Union[str, Path],

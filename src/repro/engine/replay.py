@@ -21,13 +21,14 @@ import json
 import os
 import re
 import time
+from itertools import chain
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
-from ..analysis.cache_sim import (ReplayKernel, ReplayPartial, ReplayResult,
-                                  Segment, merge_partials,
-                                  replay_partial_batched,
+from ..analysis.cache_sim import (ClientSweep, ReplayKernel, ReplayPartial,
+                                  ReplayResult, Segment, client_sample_rows,
+                                  fig1_series, merge_partials,
                                   replay_partial_column_groups,
                                   replay_partial_columns)
 from ..datasets.columnar import (ColumnarStore, RowGroupReader,
@@ -37,8 +38,9 @@ from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
 from .executor import EngineReport, run_sharded
+from .generate import _count_generated_rows
 from .pool import worker_entrypoint
-from .sharding import DEFAULT_SHARDS, partition_by_key, stable_bucket
+from .sharding import DEFAULT_SHARDS, ShardSpec, stable_bucket
 
 
 def _allnames_client(r: Any) -> str:
@@ -131,16 +133,6 @@ def _observed_replay(kind: str, untraced: Callable[[], ReplayPartial],
     return partial
 
 
-def _replay_shard(records: Iterable[Any], kind: str) -> ReplayPartial:
-    """Replay one shard of record objects (field names, no accessors);
-    counter-identical to ``replay_partial`` over ``ACCESSORS[kind]``."""
-    field = CLIENT_FIELDS[kind]
-    return _observed_replay(
-        kind, lambda: replay_partial_batched(records, field),
-        lambda kernel: ((segment, None) for segment
-                        in kernel.record_segments(records, field)))
-
-
 def _record_replay_metrics(reg: _obs_metrics.MetricsRegistry, kind: str,
                            partial: ReplayPartial) -> None:
     """Record one shard's replay outcome as aggregate instruments.
@@ -169,10 +161,6 @@ def _record_replay_metrics(reg: _obs_metrics.MetricsRegistry, kind: str,
                 ("kind",)).inc(partial.queries, kind)
 
 
-def _qname_of(record: Any) -> str:
-    return str(record.qname)
-
-
 def _check_kind_and_shards(kind: str, shards: int) -> None:
     if kind not in CLIENT_FIELDS:
         raise ValueError(f"unknown trace kind {kind!r}; "
@@ -195,34 +183,6 @@ def _replay_shards(worker: Callable[..., ReplayPartial],
         worker, shard_args, workers=workers, task=f"replay:{kind}",
         count_of=lambda partial: partial.queries, shared=shared)
     return merge_partials(partials), report
-
-
-def replay_sharded(records: Sequence[Any], kind: str,
-                   shards: int = DEFAULT_SHARDS, workers: int = 1
-                   ) -> Tuple[ReplayResult, EngineReport]:
-    """Replay an in-memory trace across shards; the list-based reference.
-
-    ``kind`` selects the record accessors (see :data:`ACCESSORS`).  The
-    trace is partitioned by qname so every cache key lives in exactly one
-    shard.
-
-    This path ships materialized record lists to the workers — the very
-    cost spec dispatch exists to avoid — so it is the readable reference
-    the equivalence suite pins :func:`replay_jsonl_sharded` and
-    :func:`replay_columnar_sharded` against, and the right call only
-    when the records already live in the parent.
-    """
-    _check_kind_and_shards(kind, shards)
-    buckets = partition_by_key(records, shards, _qname_of)
-    return _replay_shards(_replay_shard_of_kind,
-                          [(bucket,) for bucket in buckets], (kind,), kind,
-                          workers)
-
-
-@worker_entrypoint
-def _replay_shard_of_kind(kind: str, records: List[Any]) -> ReplayPartial:
-    """Worker entry point with ``kind`` as shared run state."""
-    return _replay_shard(records, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +247,9 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
     ships lines.  Workers parse their own shard's lines a chunk at a
     time into the columns the replay kernel reads, so the expensive
     work — the JSON parse plus the replay itself — parallelizes, and
-    the pool boundary carries flat strings.  Counter-identical to
-    ``replay_sharded(read_jsonl(path), kind)``.
+    the pool boundary carries flat strings.  Counter-identical to the
+    ``replay_partial`` oracle over ``read_jsonl(path)``, qname bucket by
+    qname bucket.
 
     Every line must be a row of the ``kind`` schema, exactly as
     ``convert`` requires; one that is not raises
@@ -423,8 +384,9 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
     (every legacy v1 file) is mapped zero-copy, its pages shared across
     processes; a multi-group file is flattened into memory once per
     worker, so this path is O(rows) per worker for such files.
-    Counter-identical to ``replay_sharded(read_columnar(path), kind)``
-    for any worker count — the equivalence suite pins it.
+    Counter-identical to the ``replay_partial`` oracle over
+    ``read_columnar(path)``, qname bucket by qname bucket, for any
+    worker count — the equivalence suite pins it.
 
     Bounded memory needs a file pre-bucketed for exactly ``shards``
     buckets (``repro-ecs convert --bucket-shards``, see
@@ -453,3 +415,73 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
     return _replay_shards(_replay_columnar_shard,
                           [(bucket,) for bucket in range(shards)],
                           (resolved, kind, shards), kind, workers)
+
+
+# ---------------------------------------------------------------------------
+# Figure dispatch: the section 7 figures, replayed where the rows are.
+
+
+@worker_entrypoint
+def _fig1_shard(spec: ShardSpec, ttls: Tuple[Optional[int], ...],
+                shard_index: int
+                ) -> Tuple[int, Dict[Optional[int], List[float]]]:
+    """Worker entry point: generate one shard's resolvers, replay each.
+
+    The rows stay here as one in-memory store; what crosses the pool is
+    ``(row count, TTL -> this shard's blow-ups)``.
+    """
+    builder = spec.make_builder()
+    store = ColumnarStore.from_records(
+        builder.iter_shard(shard_index, spec.shard_count), spec.builder)
+    _count_generated_rows(builder, len(store))
+    return len(store), fig1_series(store, ttls)
+
+
+def fig1_sharded(spec: ShardSpec, ttls: Sequence[Optional[int]],
+                 workers: int = 1
+                 ) -> Tuple[Dict[Optional[int], List[float]], EngineReport]:
+    """Figure 1 from a public-cdn spec, one shard of resolvers per task.
+
+    Needs no global order, hence no trace file and no merge: every
+    egress resolver lives in exactly one shard, whose ``iter_shard``
+    emits each resolver's rows in arrival order — all that
+    :func:`~repro.analysis.cache_sim.fig1_series` asks of a store — so
+    the sorted union of the shards' factors is the whole trace's series.
+    """
+    ttls = tuple(ttls)
+    parts, report = run_sharded(
+        _fig1_shard, [(i,) for i in range(spec.shard_count)],
+        workers=workers, task=f"fig1:{spec.builder}",
+        count_of=lambda part: part[0], shared=(spec, ttls))
+    return {ttl: sorted(chain.from_iterable(series[ttl]
+                                            for _, series in parts))
+            for ttl in ttls}, report
+
+
+@worker_entrypoint
+def _client_sample_replay(path: str, clients: List[str], fraction: float,
+                          seed: int) -> ReplayPartial:
+    """Worker entry point: one (fraction, seed) unit of the client sweep."""
+    store: ColumnarStore = _open_cached(ColumnarStore.open, path)
+    return replay_partial_columns(
+        store, "client_ip", client_sample_rows(store, clients, fraction, seed))
+
+
+def client_sweep_sharded(path: Union[str, Path], clients: Sequence[str],
+                         fractions: Sequence[float], seeds: Sequence[int],
+                         workers: int = 1
+                         ) -> Tuple[ClientSweep, EngineReport]:
+    """:func:`~repro.analysis.cache_sim.client_sweep` over an allnames
+    ``.col``, every (fraction, seed) replay its own task: the pool
+    carries the shared ``(path, clients)`` header and two numbers per
+    unit, and each worker opens the trace once (:func:`_opened`).
+    """
+    units = [(fraction, seed) for fraction in fractions for seed in seeds]
+    partials, report = run_sharded(
+        _client_sample_replay, units, workers=workers,
+        task="sweep:allnames", count_of=lambda partial: partial.queries,
+        shared=(str(Path(path).resolve()), list(clients)))
+    results = [partial.result() for partial in partials]
+    per = len(seeds)
+    return [(fraction, results[i * per:(i + 1) * per])
+            for i, fraction in enumerate(fractions)], report

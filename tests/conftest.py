@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.cache_sim import merge_partials, replay_partial
 from repro.auth import CdnAuthoritative, DnsHierarchy, build_edge_pools
 from repro.datasets import (AllNamesBuilder, CdnDatasetBuilder,
                             PublicCdnBuilder, ScanUniverseBuilder)
+from repro.datasets.columnar import ColumnarStore
 from repro.dnslib import Name, Zone
+from repro.engine.replay import ACCESSORS
+from repro.engine.sharding import partition_by_key
 from repro.measure import Scanner
 from repro.net import Network, Topology, city
 from repro.resolvers import RecursiveResolver
@@ -91,3 +95,30 @@ def allnames_dataset():
 def public_cdn_dataset():
     return PublicCdnBuilder(scale=0.004, seed=4,
                             duration_s=1200.0).build()
+
+
+@pytest.fixture(scope="session")
+def allnames_store(allnames_dataset):
+    return ColumnarStore.from_records(allnames_dataset.records, "allnames")
+
+
+@pytest.fixture(scope="session")
+def public_cdn_store(public_cdn_dataset):
+    return ColumnarStore.from_records(public_cdn_dataset.records,
+                                      "public-cdn")
+
+
+@pytest.fixture(scope="session")
+def oracle_replay():
+    """``(records, kind, shards) -> ReplayResult`` by the readable oracle.
+
+    What every sharded replay must equal: the ``ScopeTracker``-based
+    ``replay_partial`` over each qname bucket, merged.  It shares no
+    code with the ``ReplayKernel`` lanes it is compared against.
+    """
+    def replay(records, kind, shards):
+        return merge_partials(
+            replay_partial(bucket, *ACCESSORS[kind])
+            for bucket in partition_by_key(records, shards,
+                                           lambda r: r.qname))
+    return replay

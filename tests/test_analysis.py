@@ -11,13 +11,16 @@ from repro.analysis import (analyze_caching_behavior, analyze_discovery,
                             run_flattening_case_study, run_table2,
                             summarize_allnames, summarize_cdn,
                             summarize_public_cdn, summarize_scan)
-from repro.analysis.cache_sim import allnames_replay
+from repro.analysis.cache_sim import allnames_replay, client_sweep
 from repro.analysis.flattening import FlatteningLab
 from repro.analysis.mapping_quality import (MappingQualityLab,
                                             measure_mapping_quality)
 from repro.analysis.unroutable import UnroutableLab
 from repro.core.classify import CachingCategory, ProbingCategory
+from repro.datasets import AllNamesBuilder
+from repro.datasets.columnar import ColumnarStore, write_columnar_stream
 from repro.datasets.ditl import generate_root_trace
+from repro.engine import ShardSpec, client_sweep_sharded, fig1_sharded
 
 
 class TestProbingAnalysis:
@@ -99,48 +102,102 @@ class TestDiscovery:
 
 
 class TestCacheSimulations:
-    def test_fig1_blowup_increases_with_ttl(self, public_cdn_dataset):
-        series = fig1_series(public_cdn_dataset, ttls=(20, 60))
+    def test_fig1_blowup_increases_with_ttl(self, public_cdn_store):
+        series = fig1_series(public_cdn_store, ttls=(20, 60))
         assert max(series[60]) >= max(series[20])
         assert percentile(series[60], 0.5) >= percentile(series[20], 0.5)
 
-    def test_fig1_median_blowup_substantial(self, public_cdn_dataset):
-        series = fig1_series(public_cdn_dataset, ttls=(20,))
+    def test_fig1_median_blowup_substantial(self, public_cdn_store):
+        series = fig1_series(public_cdn_store, ttls=(20,))
         # The paper's headline: half the resolvers blow up 4× or more.
         assert percentile(series[20], 0.5) > 2.0
 
-    def test_blowup_at_least_one(self, public_cdn_dataset):
-        series = fig1_series(public_cdn_dataset, ttls=(20,))
+    def test_blowup_at_least_one(self, public_cdn_store):
+        series = fig1_series(public_cdn_store, ttls=(20,))
         assert all(b >= 1.0 for b in series[20])
 
-    def test_fig2_blowup_grows_with_clients(self, allnames_dataset):
-        series = fig2_series(allnames_dataset, fractions=(0.1, 0.5, 1.0),
-                             seeds=(1,))
+    def test_fig1_resolver_without_rows_is_skipped(self, public_cdn_store):
+        """An idle resolver is no data point — not a blow-up of 1.0."""
+        resolvers = public_cdn_store.dictionary("resolver_ip")
+        before = fig1_series(public_cdn_store, ttls=(20,))[20]
+        assert len(before) == len(resolvers) and min(before) > 1.0
+        resolvers.append("8.255.255.53")
+        try:
+            assert fig1_series(public_cdn_store, ttls=(20,))[20] == before
+        finally:
+            resolvers.pop()
+
+    def test_fig1_row_order_across_resolvers_is_free(self):
+        """One ts-ordered store (resolvers interleaved) == the sorted
+        union over resolver-major shard stores == the sharded dispatch."""
+        spec = ShardSpec.create("public-cdn", shard_count=3, scale=0.003,
+                                seed=5, duration_s=600.0)
+        builder = spec.make_builder()
+        shards = [list(builder.iter_shard(i, 3)) for i in range(3)]
+        dataset = builder.assemble([sorted(shard, key=lambda r: r.ts)
+                                    for shard in shards])
+        ttls = (20, 60)
+        whole = fig1_series(
+            ColumnarStore.from_records(dataset.records, "public-cdn"), ttls)
+        parts = [fig1_series(ColumnarStore.from_records(shard, "public-cdn"),
+                             ttls) for shard in shards]
+        assert whole == {ttl: sorted(b for part in parts for b in part[ttl])
+                         for ttl in ttls}
+        for workers in (1, 2):
+            assert fig1_sharded(spec, ttls, workers=workers)[0] == whole
+
+    def test_client_sweep_sharded_equals_in_process(self, tmp_path):
+        builder = AllNamesBuilder(scale=0.02, seed=3)
+        dataset = builder.build()
+        path = tmp_path / "allnames.col"
+        write_columnar_stream(dataset.records, path, "allnames")
+        expected = client_sweep(
+            ColumnarStore.from_records(dataset.records, "allnames"),
+            dataset.client_ips, fractions=(0.3, 1.0), seeds=(1, 2))
+        for workers in (1, 2):
+            sweep, report = client_sweep_sharded(
+                path, dataset.client_ips, fractions=(0.3, 1.0),
+                seeds=(1, 2), workers=workers)
+            assert sweep == expected
+            assert len(report.shards) == 4
+        assert report.shards[-1].records == len(dataset.records)
+
+    def test_fig2_blowup_grows_with_clients(self, allnames_dataset,
+                                            allnames_store):
+        series = fig2_series(client_sweep(
+            allnames_store, allnames_dataset.client_ips,
+            fractions=(0.1, 0.5, 1.0), seeds=(1,)))
         values = [b for _, b in series]
         assert values[0] < values[-1]
         assert values[-1] > 1.5
 
-    def test_fig3_ecs_halves_hit_rate(self, allnames_dataset):
-        series = fig3_series(allnames_dataset, fractions=(1.0,), seeds=(1,))
+    def test_fig3_ecs_halves_hit_rate(self, allnames_dataset,
+                                      allnames_store):
+        series = fig3_series(client_sweep(
+            allnames_store, allnames_dataset.client_ips, fractions=(1.0,),
+            seeds=(1,)))
         _, no_ecs, with_ecs = series[0]
         assert with_ecs < no_ecs / 2 + 0.05
         assert no_ecs > 0.5
 
-    def test_fig3_no_ecs_grows_faster(self, allnames_dataset):
-        series = fig3_series(allnames_dataset, fractions=(0.1, 1.0),
-                             seeds=(1,))
+    def test_fig3_no_ecs_grows_faster(self, allnames_dataset,
+                                      allnames_store):
+        series = fig3_series(client_sweep(
+            allnames_store, allnames_dataset.client_ips,
+            fractions=(0.1, 1.0), seeds=(1,)))
         growth_no_ecs = series[1][1] - series[0][1]
         growth_ecs = series[1][2] - series[0][2]
         assert growth_no_ecs > growth_ecs
 
-    def test_replay_deterministic(self, allnames_dataset):
-        a = allnames_replay(allnames_dataset, 0.5, seed=7)
-        b = allnames_replay(allnames_dataset, 0.5, seed=7)
+    def test_replay_deterministic(self, allnames_dataset, allnames_store):
+        clients = allnames_dataset.client_ips
+        a = allnames_replay(allnames_store, clients, 0.5, seed=7)
+        b = allnames_replay(allnames_store, clients, 0.5, seed=7)
         assert a == b
 
-    def test_bad_fraction_rejected(self, allnames_dataset):
-        with pytest.raises(ValueError):
-            allnames_replay(allnames_dataset, 0.0)
+    def test_bad_fraction_rejected(self, allnames_dataset, allnames_store):
+        with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\]"):
+            allnames_replay(allnames_store, allnames_dataset.client_ips, 0.0)
 
     def test_cdf_points(self):
         points = cdf_points([1.0, 2.0, 4.0])

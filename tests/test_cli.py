@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _Reporter, build_parser, main
+from repro.datasets import PublicCdnBuilder
+from repro.engine import DEFAULT_SHARDS
 from repro.datasets.columnar import (ColumnarFormatError, file_info,
                                      read_columnar)
 from repro.datasets.records import JsonlFormatError
@@ -115,6 +117,52 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "Figure 1" in out and "Figure 3" in out
+
+    @pytest.mark.parametrize("seed", (0, 7))
+    def test_blowup_reports_equal_record_lane_golden(self, seed, tmp_path,
+                                                     monkeypatch):
+        """``tests/data/blowup_seed*`` are the section 7 reports as the
+        record-list implementation (PR 20) wrote them; the column lane
+        reproduces them bytewise at any ``--workers``, with
+        workers-invariant metrics and no scratch trace left behind."""
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+        golden = Path(__file__).parent / "data" / f"blowup_seed{seed}"
+        for workers in (1, 4):
+            out = tmp_path / f"w{workers}"
+            rc = main(["--quiet", "--seed", str(seed), "--out", str(out),
+                       "--metrics-out", str(tmp_path / f"w{workers}.prom"),
+                       "blowup", "--scale", "0.002", "--allnames-scale",
+                       "0.05", "--hours", "0.1", "--workers", str(workers)])
+            assert rc == 0
+            for fig in ("fig1", "fig2", "fig3"):
+                assert (out / f"{fig}.txt").read_bytes() == \
+                    (golden / f"{fig}.txt").read_bytes(), (fig, workers)
+        assert not list(tmp_path.glob("repro-blowup-*"))
+        prom = (tmp_path / "w1.prom").read_text()
+        assert prom == (tmp_path / "w4.prom").read_text()
+        # Generation is counted once per shard, inside the Figure 1 task.
+        builder = PublicCdnBuilder(scale=0.002, seed=seed, duration_s=360.0)
+        generated = {labels["builder"]: value for _, labels, value
+                     in parse_prometheus(prom)[
+                         "repro_generate_records_total"]["samples"]}
+        assert generated["PublicCdnBuilder"] == sum(
+            len(builder.build_shard(i, DEFAULT_SHARDS))
+            for i in range(DEFAULT_SHARDS))
+
+    def test_blowup_scratch_trace_removed_on_error(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+
+        def broken_sweep(trace, *args, **kwargs):
+            assert Path(trace).parent.parent == tmp_path and \
+                Path(trace).exists()
+            raise RuntimeError("sweep failed")
+
+        monkeypatch.setattr("repro.cli.client_sweep_sharded", broken_sweep)
+        with pytest.raises(RuntimeError, match="sweep failed"):
+            main(["--quiet", "blowup", "--scale", "0.002",
+                  "--allnames-scale", "0.02", "--hours", "0.05"])
+        assert not list(tmp_path.glob("repro-blowup-*"))
 
     def test_generate_then_replay_roundtrip(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"

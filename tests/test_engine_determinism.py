@@ -18,13 +18,13 @@ import pytest
 
 from repro.analysis.cache_sim import replay
 from repro.datasets import AllNamesBuilder
-from repro.datasets.columnar import jsonl_to_columnar
+from repro.datasets.columnar import (jsonl_to_columnar, read_columnar,
+                                     write_columnar_stream)
 from repro.engine import derive_seed, shard_bounds, world_seed
-from repro.datasets.records import write_jsonl
+from repro.datasets.records import read_jsonl, write_jsonl
 from repro.engine.executor import SUBMISSIONS_PER_WORKER, _chunk_bounds
-from repro.engine.generate import (generate_columnar, generate_dataset_spec,
-                                   generate_jsonl, generate_records_spec)
-from repro.engine.replay import replay_columnar_sharded, replay_sharded
+from repro.engine.generate import generate_columnar, generate_jsonl
+from repro.engine.replay import replay_columnar_sharded, replay_jsonl_sharded
 from repro.engine.sharding import ShardSpec
 
 SHARDS = 4
@@ -77,64 +77,86 @@ class TestSeeding:
 
 class TestBuilderDeterminism:
     @pytest.mark.parametrize("kind", sorted(SPECS))
-    def test_workers_1_vs_4_identical_records(self, kind):
+    def test_workers_1_vs_4_identical_records(self, kind, tmp_path):
         spec = SPECS[kind](5)
-        serial, _ = generate_records_spec(spec, workers=1)
-        parallel, _ = generate_records_spec(spec, workers=4)
-        assert serial == parallel == _in_process(spec)[0]
+        reference = _in_process(spec)[1].records
+        for workers in (1, 4):
+            generate_jsonl(spec, tmp_path / f"w{workers}.jsonl",
+                           workers=workers)
+        assert (tmp_path / "w1.jsonl").read_bytes() == \
+            (tmp_path / "w4.jsonl").read_bytes()
+        assert read_jsonl(tmp_path / "w4.jsonl",
+                          type(reference[0])) == reference
 
     @pytest.mark.parametrize("kind", sorted(SPECS))
-    def test_assembled_dataset_identical(self, kind):
+    def test_assembled_dataset_identical(self, kind, tmp_path):
+        """The columnar route holds the in-process ``assemble`` order."""
         spec = SPECS[kind](5)
-        ds1, _ = generate_dataset_spec(spec, workers=1)
-        ds4, _ = generate_dataset_spec(spec, workers=4)
-        assert ds1.records == ds4.records == _in_process(spec)[1].records
+        for workers in (1, 4):
+            generate_columnar(spec, tmp_path / f"w{workers}.col",
+                              workers=workers)
+        assert (tmp_path / "w1.col").read_bytes() == \
+            (tmp_path / "w4.col").read_bytes()
+        assert read_columnar(tmp_path / "w4.col") == \
+            _in_process(spec)[1].records
 
     def test_different_seeds_differ(self):
-        a, _ = generate_records_spec(SPECS["allnames"](1))
-        b, _ = generate_records_spec(SPECS["allnames"](2))
-        assert a != b
+        assert _in_process(SPECS["allnames"](1))[0] != \
+            _in_process(SPECS["allnames"](2))[0]
 
-    def test_merged_records_time_sorted(self):
-        dataset, _ = generate_dataset_spec(SPECS["public-cdn"](5))
-        timestamps = [r.ts for r in dataset.records]
+    def test_merged_records_time_sorted(self, tmp_path):
+        generate_columnar(SPECS["public-cdn"](5), tmp_path / "t.col")
+        timestamps = [r.ts for r in read_columnar(tmp_path / "t.col")]
         assert timestamps == sorted(timestamps)
 
     def test_root_trace_ground_truth_stable(self):
-        rt1, _ = generate_dataset_spec(SPECS["root"](5), workers=1)
-        rt4, _ = generate_dataset_spec(SPECS["root"](5), workers=4)
-        assert rt1.violator_ips == rt4.violator_ips
-        assert len(rt1.violator_ips) == 5
+        first = _in_process(SPECS["root"](5))[1]
+        again = _in_process(SPECS["root"](5))[1]
+        assert first.violator_ips == again.violator_ips
+        assert len(first.violator_ips) == 5
 
 
 class TestReplayDeterminism:
-    def test_workers_1_vs_4_identical_result(self, small_allnames_records):
-        r1, _ = replay_sharded(small_allnames_records, "allnames",
-                               shards=SHARDS, workers=1)
-        r4, _ = replay_sharded(small_allnames_records, "allnames",
-                               shards=SHARDS, workers=4)
-        assert r1 == r4
+    @pytest.fixture()
+    def small_allnames_trace(self, small_allnames_records, tmp_path):
+        path = tmp_path / "allnames.col"
+        write_columnar_stream(small_allnames_records, path, "allnames")
+        return path
 
-    def test_single_shard_matches_legacy_replay(self, small_allnames_records):
-        sharded, _ = replay_sharded(small_allnames_records, "allnames",
-                                    shards=1, workers=1)
+    def test_workers_1_vs_4_identical_result(self, small_allnames_records,
+                                             small_allnames_trace,
+                                             oracle_replay):
+        r1, _ = replay_columnar_sharded(small_allnames_trace, "allnames",
+                                        shards=SHARDS, workers=1)
+        r4, _ = replay_columnar_sharded(small_allnames_trace, "allnames",
+                                        shards=SHARDS, workers=4)
+        assert r1 == r4 == oracle_replay(small_allnames_records,
+                                         "allnames", SHARDS)
+
+    def test_single_shard_matches_legacy_replay(self, small_allnames_records,
+                                                small_allnames_trace):
+        sharded, _ = replay_columnar_sharded(small_allnames_trace,
+                                             "allnames", shards=1, workers=1)
         legacy = replay(small_allnames_records,
                         client_of=lambda r: r.client_ip,
                         scope_of=lambda r: r.scope,
                         ttl_of=lambda r: r.ttl)
         assert sharded == legacy
 
-    def test_public_cdn_kind(self):
-        dataset = _in_process(SPECS["public-cdn"](9))[1]
-        r1, _ = replay_sharded(dataset.records, "public-cdn",
-                               shards=SHARDS, workers=1)
-        r4, _ = replay_sharded(dataset.records, "public-cdn",
-                               shards=SHARDS, workers=4)
-        assert r1 == r4
+    def test_public_cdn_kind(self, tmp_path, oracle_replay):
+        records = _in_process(SPECS["public-cdn"](9))[1].records
+        path = tmp_path / "public-cdn.col"
+        write_columnar_stream(records, path, "public-cdn")
+        r1, _ = replay_columnar_sharded(path, "public-cdn",
+                                        shards=SHARDS, workers=1)
+        r4, _ = replay_columnar_sharded(path, "public-cdn",
+                                        shards=SHARDS, workers=4)
+        assert r1 == r4 == oracle_replay(records, "public-cdn", SHARDS)
 
-    def test_unknown_kind_rejected(self, small_allnames_records):
-        with pytest.raises(ValueError):
-            replay_sharded(small_allnames_records, "nope")
+    def test_unknown_kind_rejected(self, small_allnames_trace):
+        for replay_trace in (replay_columnar_sharded, replay_jsonl_sharded):
+            with pytest.raises(ValueError, match="unknown trace kind"):
+                replay_trace(small_allnames_trace, "nope")
 
 
 def test_batched_submissions_equal_inline_reference(tmp_path):

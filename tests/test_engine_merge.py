@@ -20,7 +20,7 @@ from repro.analysis.cache_sim import (ReplayPartial, merge_partials,
 from repro.datasets import (AllNamesBuilder, merge_jsonl_shards,
                             merge_sorted_records, write_jsonl,
                             write_jsonl_shards)
-from repro.engine.replay import _replay_shard
+from repro.engine.replay import ACCESSORS
 from repro.engine.sharding import partition_by_key
 from repro.faults import preset
 from repro.faults.chaos import CHAOS_RETRY_POLICY, ChaosPartial, _chaos_shard
@@ -81,7 +81,8 @@ class TestShardOrderIndependence:
         shard_lists = _shard_lists(6)
         records = merge_sorted_records(shard_lists)
         buckets = partition_by_key(records, 6, lambda r: r.qname)
-        return [_replay_shard(bucket, "allnames") for bucket in buckets]
+        return [replay_partial(bucket, *ACCESSORS["allnames"])
+                for bucket in buckets]
 
     def test_shuffled_shards_same_result(self, shard_partials):
         baseline = merge_partials(shard_partials)

@@ -8,8 +8,8 @@ import pytest
 
 from repro.analysis import (analyze_hidden_resolvers, export_all,
                             export_fig1, export_fig2, export_fig3,
-                            export_fig45, export_fig67, fig1_series,
-                            fig2_series, fig3_series)
+                            export_fig45, export_fig67, client_sweep,
+                            fig1_series, fig2_series, fig3_series)
 from repro.analysis.mapping_quality import (MappingQualityLab,
                                             measure_mapping_quality)
 from repro.core import EcsCache
@@ -25,24 +25,27 @@ def read_csv(path):
 
 
 class TestExports:
-    def test_fig1_export(self, public_cdn_dataset, tmp_path):
-        series = fig1_series(public_cdn_dataset, ttls=(20,))
+    def test_fig1_export(self, public_cdn_store, tmp_path):
+        series = fig1_series(public_cdn_store, ttls=(20,))
         n = export_fig1(series, tmp_path / "fig1.csv")
         rows = read_csv(tmp_path / "fig1.csv")
         assert rows[0] == ["ttl_s", "blowup", "cdf"]
         assert len(rows) == n + 1
         assert float(rows[-1][2]) == pytest.approx(1.0)
 
-    def test_fig2_export(self, allnames_dataset, tmp_path):
-        series = fig2_series(allnames_dataset, fractions=(0.5, 1.0),
-                             seeds=(1,))
+    def test_fig2_export(self, allnames_dataset, allnames_store, tmp_path):
+        series = fig2_series(client_sweep(
+            allnames_store, allnames_dataset.client_ips,
+            fractions=(0.5, 1.0), seeds=(1,)))
         export_fig2(series, tmp_path / "fig2.csv")
         rows = read_csv(tmp_path / "fig2.csv")
         assert len(rows) == 3
         assert float(rows[1][0]) == 0.5
 
-    def test_fig3_export(self, allnames_dataset, tmp_path):
-        series = fig3_series(allnames_dataset, fractions=(1.0,), seeds=(1,))
+    def test_fig3_export(self, allnames_dataset, allnames_store, tmp_path):
+        series = fig3_series(client_sweep(
+            allnames_store, allnames_dataset.client_ips, fractions=(1.0,),
+            seeds=(1,)))
         export_fig3(series, tmp_path / "fig3.csv")
         rows = read_csv(tmp_path / "fig3.csv")
         assert rows[0][-1] == "hit_rate_ecs"
@@ -64,8 +67,8 @@ class TestExports:
         lengths = {row[0] for row in rows[1:]}
         assert lengths == {"23", "24"}
 
-    def test_export_all(self, public_cdn_dataset, tmp_path):
-        series = fig1_series(public_cdn_dataset, ttls=(20,))
+    def test_export_all(self, public_cdn_store, tmp_path):
+        series = fig1_series(public_cdn_store, ttls=(20,))
         written = export_all(tmp_path / "figures", fig1=series)
         assert written == ["fig1_blowup_cdf.csv"]
         assert (tmp_path / "figures" / "fig1_blowup_cdf.csv").exists()

@@ -18,12 +18,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.cache_sim import (public_cdn_blowups, replay_partial,
+from repro.analysis.cache_sim import (fig1_series, replay_partial,
                                       replay_partial_batched)
 from repro.auth.scan_experiment import decode_probe_name, encode_probe_name
 from repro.core.cache import ScopeTracker
 from repro.core.policies import EcsDecision, EcsPolicy, build_query_ecs
 from repro.datasets.allnames import AllNamesBuilder
+from repro.datasets.columnar import ColumnarStore
 from repro.datasets.public_cdn import PublicCdnBuilder
 from repro.dnslib import (A, AAAA, BadEcsError, EcsOption, EdnsInfo, Message,
                           Name, Question, RecordType, ResourceRecord,
@@ -503,24 +504,26 @@ class TestBatchedReplay:
 
 
 class TestTtlZeroOverride:
-    def test_ttl_zero_is_honored(self):
-        """``public_cdn_blowups(ttl=0)`` must apply the override, not fall
+    @pytest.fixture(scope="class")
+    def store(self):
+        return ColumnarStore.from_records(
+            PublicCdnBuilder(scale=0.005, seed=3,
+                             duration_s=600.0).build().records, "public-cdn")
+
+    def test_ttl_zero_is_honored(self, store):
+        """A TTL of 0 in ``fig1_series`` must apply the override, not fall
         back to the trace TTL (the old ``if ttl`` truthiness bug)."""
-        dataset = PublicCdnBuilder(scale=0.005, seed=3,
-                                   duration_s=600.0).build()
-        zero = public_cdn_blowups(dataset, ttl=0)
-        trace = public_cdn_blowups(dataset)
+        series = fig1_series(store, ttls=(0, None))
+        zero, trace = series[0], series[None]
         # With TTL 0 nothing survives to be reused, so every resolver's
         # with/without-ECS peaks match pairwise: blow-up exactly 1.0.
         assert zero and all(b == 1.0 for b in zero)
         # The trace TTL (20 s) produces real blow-up for busy resolvers.
         assert max(trace) > 1.0
 
-    def test_ttl_override_still_works(self):
-        dataset = PublicCdnBuilder(scale=0.005, seed=3,
-                                   duration_s=600.0).build()
-        assert public_cdn_blowups(dataset, ttl=40) != \
-            public_cdn_blowups(dataset, ttl=0)
+    def test_ttl_override_still_works(self, store):
+        series = fig1_series(store, ttls=(40, 0))
+        assert series[40] != series[0]
 
 
 # -- slots -------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cache_sim import merge_partials, replay_partial_batched
+from repro.analysis.cache_sim import merge_partials, replay_partial
 from repro.analysis.report import format_network_stats
 from repro.cli import main as cli_main
 from repro.core.cache import ScopeTracker
@@ -27,10 +27,10 @@ from repro.datasets import AllNamesBuilder, merge_sorted_records
 from repro.datasets.columnar import (prebucket_columnar,
                                      write_columnar_stream)
 from repro.datasets.records import write_jsonl
-from repro.engine.generate import generate_records_spec
-from repro.engine.replay import (TRACED_RECORDS_PER_SHARD, _replay_shard,
+from repro.engine.generate import generate_columnar
+from repro.engine.replay import (ACCESSORS, TRACED_RECORDS_PER_SHARD,
                                  replay_columnar_sharded,
-                                 replay_jsonl_sharded, replay_sharded)
+                                 replay_jsonl_sharded)
 from repro.engine.sharding import ShardSpec, partition_by_key
 from repro.net.transport import NetworkStats
 from repro.obs import MetricsRegistry, Tracer, merge_registries, observe
@@ -209,24 +209,33 @@ def allnames_records():
                                  for i in range(4)])
 
 
+@pytest.fixture()
+def allnames_trace(allnames_records, tmp_path):
+    path = tmp_path / "allnames.col"
+    write_columnar_stream(allnames_records, path, "allnames")
+    return path
+
+
 class TestShardCapture:
     """Per-shard capture merges identically for every worker count."""
 
-    def _generate_metrics(self, workers: int):
-        with observe(metrics=True) as session:
-            generate_records_spec(
-                ShardSpec.create("allnames", shard_count=4, scale=0.01,
-                                 seed=6), workers=workers)
-        return to_prometheus(session.registry)
+    def test_generate_metrics_worker_independent(self, tmp_path):
+        def generate_metrics(workers):
+            with observe(metrics=True) as session:
+                generate_columnar(
+                    ShardSpec.create("allnames", shard_count=4, scale=0.01,
+                                     seed=6), tmp_path / f"w{workers}.col",
+                    workers=workers)
+            return to_prometheus(session.registry)
 
-    def test_generate_metrics_worker_independent(self):
-        assert self._generate_metrics(1) == self._generate_metrics(2)
+        assert generate_metrics(1) == generate_metrics(2)
 
-    def test_replay_metrics_worker_independent(self, allnames_records):
+    def test_replay_metrics_worker_independent(self, allnames_records,
+                                               allnames_trace):
         def run(workers):
             with observe(metrics=True) as session:
-                result, report = replay_sharded(allnames_records, "allnames",
-                                                shards=4, workers=workers)
+                result, report = replay_columnar_sharded(
+                    allnames_trace, "allnames", shards=4, workers=workers)
             assert report.metrics is not None
             return result, session.registry
 
@@ -242,10 +251,7 @@ class TestShardCapture:
     def test_traced_replay_counter_identical(self, allnames_records,
                                              tmp_path):
         buckets = partition_by_key(allnames_records, 4, lambda r: r.qname)
-        plain = [replay_partial_batched(b, "client_ip") for b in buckets]
-        with observe(tracing=True):
-            traced = [_replay_shard(b, "allnames") for b in buckets]
-        assert traced == plain
+        plain = [replay_partial(b, *ACCESSORS["allnames"]) for b in buckets]
 
         # The same trace in every on-disk form, replayed under a tracer:
         # counters equal the untraced run, spans are capped per shard, and
@@ -281,11 +287,11 @@ class TestShardCapture:
                          a["plain_hit"]) for a in spans] == rows, \
                     (path.name, shard)
 
-    def test_trace_topology_worker_independent(self, allnames_records):
+    def test_trace_topology_worker_independent(self, allnames_trace):
         def topology(workers):
             with observe(tracing=True) as session:
-                replay_sharded(allnames_records, "allnames",
-                               shards=4, workers=workers)
+                replay_columnar_sharded(allnames_trace, "allnames",
+                                        shards=4, workers=workers)
             return [(s.trace_id, s.span_id, s.parent_id, s.name)
                     for s in session.tracer.spans]
 

@@ -25,8 +25,9 @@ import pytest
 
 from repro.cli import main
 from repro.datasets.allnames import AllNamesBuilder
+from repro.datasets.columnar import write_columnar_stream
 from repro.engine.executor import run_sharded
-from repro.engine.replay import replay_sharded
+from repro.engine.replay import replay_columnar_sharded
 from repro.faults.chaos import run_chaos
 from repro.faults.presets import preset
 from repro.obs import live as obs_live
@@ -185,32 +186,40 @@ class TestEngineIntegration:
     def records(self):
         return AllNamesBuilder(scale=0.02, seed=3).build().records
 
-    def test_inline_run_emits_lifecycle_beats(self, records):
+    @pytest.fixture()
+    def trace(self, records, tmp_path):
+        path = tmp_path / "allnames.col"
+        write_columnar_stream(records, path, "allnames")
+        return path
+
+    def test_inline_run_emits_lifecycle_beats(self, records, trace):
         sink = LiveSink()
         obs_live.swap(SinkEmitter(sink))
         try:
-            with_live, _ = replay_sharded(records, "allnames", shards=4)
+            with_live, _ = replay_columnar_sharded(trace, "allnames",
+                                                   shards=4)
         finally:
             obs_live.swap(None)
             sink.close()
-        without_live, _ = replay_sharded(records, "allnames", shards=4)
+        without_live, _ = replay_columnar_sharded(trace, "allnames",
+                                                  shards=4)
         assert with_live == without_live
         status = sink.run_status()["tasks"]["replay:allnames"]
         assert status == {"shards_total": 4, "dispatched": 0, "started": 4,
                           "done": 4, "in_flight": 0,
                           "records": len(records), "payload_bytes": 0}
 
-    def test_pooled_run_streams_worker_heartbeats(self, records):
+    def test_pooled_run_streams_worker_heartbeats(self, trace):
         sink = LiveSink()
         obs_live.swap(SinkEmitter(sink))
         try:
-            with_live, _ = replay_sharded(records, "allnames", shards=4,
-                                          workers=2)
+            with_live, _ = replay_columnar_sharded(trace, "allnames",
+                                                   shards=4, workers=2)
         finally:
             obs_live.swap(None)
             sink.close()
-        without_live, _ = replay_sharded(records, "allnames", shards=4,
-                                         workers=2)
+        without_live, _ = replay_columnar_sharded(trace, "allnames",
+                                                  shards=4, workers=2)
         assert with_live == without_live
         status = sink.run_status()
         task = status["tasks"]["replay:allnames"]

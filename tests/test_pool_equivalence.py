@@ -18,7 +18,9 @@ keeps the search wide without spawning processes per example.
 from __future__ import annotations
 
 import inspect
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, List, Sequence
 
 import pytest
@@ -26,15 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.columnar import read_columnar
-from repro.datasets.records import AllNamesRecord, write_jsonl_shards
-from repro.engine import (ShardSpec, WorkerPool, generate_columnar,
-                          generate_dataset_spec, generate_jsonl,
-                          generate_records_spec, register_builder,
-                          replay_columnar_sharded, run_sharded, shard_bounds)
+from repro.datasets.records import (AllNamesRecord, read_jsonl, shard_path,
+                                    write_jsonl, write_jsonl_shards)
+from repro.engine import (ShardSpec, WorkerPool, client_sweep_sharded,
+                          fig1_sharded, generate_columnar, generate_jsonl,
+                          register_builder, replay_columnar_sharded,
+                          run_sharded, shard_bounds)
 from repro.engine.executor import _chunk_bounds, _run_header_chunk
+from repro.engine.generate import _write_shard_from_spec
 from repro.engine.pool import encode_header, encode_shard_args
-from repro.engine.replay import (_replay_shard_of_kind, replay_jsonl_sharded,
-                                 replay_sharded)
+from repro.engine.replay import _replay_lines_shard, replay_jsonl_sharded
 from repro.engine.sharding import partition_by_key
 from repro.faults.chaos import run_chaos
 from repro.faults.presets import preset
@@ -73,15 +76,19 @@ def _in_process(spec: ShardSpec):
 
 
 @pytest.mark.parametrize("name", sorted(BUILDER_CASES))
-def test_generate_records_equivalent_across_matrix(name):
-    """Spec dispatch reproduces in-process ``build_shard``, per shard."""
+def test_generate_records_equivalent_across_matrix(name, tmp_path):
+    """Spec dispatch reproduces in-process ``build_shard``, per shard:
+    each worker reports its shard's count, and the merged trace parses
+    back to the in-process ``assemble``."""
     spec = _spec(name)
-    reference, _ = _in_process(spec)
+    reference, dataset = _in_process(spec)
     for workers in EXECUTION_MATRIX:
+        out = tmp_path / f"{name}-w{workers}.jsonl"
         with WorkerPool(workers):
-            lists, report = generate_records_spec(spec, workers=workers)
-        assert lists == reference, (name, workers)
-        assert report.total_records == sum(len(s) for s in reference)
+            _, report = generate_jsonl(spec, out, workers=workers)
+        assert [s.records for s in report.shards] == \
+            [len(shard) for shard in reference], (name, workers)
+        assert read_jsonl(out, type(dataset.records[0])) == dataset.records
 
 
 @pytest.mark.parametrize("name", sorted(BUILDER_CASES))
@@ -107,17 +114,15 @@ def test_generate_jsonl_identical_bytes_across_matrix(name, tmp_path):
 
 
 @pytest.mark.parametrize("kind", REPLAY_CASES)
-def test_replay_equivalent_across_matrix(kind, tmp_path):
-    """JSONL-line and spec-generated columnar replays equal the list-based
-    reference."""
+def test_replay_equivalent_across_matrix(kind, tmp_path, oracle_replay):
+    """JSONL-line and spec-generated columnar replays equal the oracle."""
     spec = _spec(kind)
     trace = tmp_path / f"{kind}.jsonl"
     generate_jsonl(spec, trace, workers=1)
-    # The list-based reference replays the assembled dataset (ts-merged),
-    # the same canonical order the JSONL trace and spec paths see.
+    # The oracle replays the assembled dataset (ts-merged), the same
+    # canonical order the JSONL trace and spec paths see.
     _, dataset = _in_process(spec)
-    reference, ref_report = replay_sharded(dataset.records, kind,
-                                           shards=SHARDS, workers=1)
+    reference = oracle_replay(dataset.records, kind, SHARDS)
     for workers in EXECUTION_MATRIX:
         with WorkerPool(workers):
             from_lines, line_report = replay_jsonl_sharded(
@@ -132,7 +137,7 @@ def test_replay_equivalent_across_matrix(kind, tmp_path):
         assert from_lines == reference, (kind, workers)
         assert from_spec == reference, (kind, workers)
         assert (line_report.total_records == spec_report.total_records
-                == ref_report.total_records)
+                == len(dataset.records))
 
 
 @pytest.mark.parametrize("kind", REPLAY_CASES)
@@ -159,12 +164,12 @@ def test_generate_columnar_identical_bytes_across_matrix(kind, tmp_path):
 
 
 @pytest.mark.parametrize("kind", REPLAY_CASES)
-def test_replay_columnar_equivalent_across_matrix(kind, tmp_path):
-    """Columnar replay == JSONL replay == list reference, any pool shape."""
+def test_replay_columnar_equivalent_across_matrix(kind, tmp_path,
+                                                  oracle_replay):
+    """Columnar replay == JSONL replay == the oracle, any pool shape."""
     spec = _spec(kind)
     _, dataset = _in_process(spec)
-    reference, ref_report = replay_sharded(dataset.records, kind,
-                                           shards=SHARDS, workers=1)
+    reference = oracle_replay(dataset.records, kind, SHARDS)
     col_trace = tmp_path / f"{kind}.col"
     generate_columnar(spec, col_trace, workers=1)
     jsonl_trace = tmp_path / f"{kind}.jsonl"
@@ -178,7 +183,7 @@ def test_replay_columnar_equivalent_across_matrix(kind, tmp_path):
         assert from_cols == reference, (kind, workers)
         assert from_lines == reference, (kind, workers)
         assert (col_report.total_records == line_report.total_records
-                == ref_report.total_records)
+                == len(dataset.records))
 
 
 def test_replay_metrics_identical_across_workers(tmp_path):
@@ -270,28 +275,35 @@ def _run_protocol(fn, shard_args, shared, chunk_size) -> List[Any]:
 @given(total=st.integers(min_value=0, max_value=80),
        shards=st.integers(min_value=1, max_value=6),
        chunk_size=st.integers(min_value=1, max_value=5))
-def test_spec_protocol_reproduces_reference(total, shards, chunk_size):
-    """Property: spec dispatch == list-based reference for any split."""
-    from repro.engine.generate import _build_shard_from_spec
+def test_spec_protocol_reproduces_reference(total, shards, chunk_size,
+                                            oracle_replay):
+    """Property: spec dispatch == in-process reference for any split."""
     spec = ShardSpec.create("tiny-trace", shard_count=shards, total=total,
                             seed=total % 7)
     builder = spec.make_builder()
     reference_lists = [builder.build_shard(i, shards)
                        for i in range(shards)]
-    spec_lists = _run_protocol(_build_shard_from_spec,
-                               [(i,) for i in range(shards)],
-                               (spec,), chunk_size)
-    assert spec_lists == reference_lists
-
     records = builder.assemble(reference_lists).records
-    reference_replay, _ = replay_sharded(records, "allnames", shards=shards,
-                                         workers=1)
-    buckets = partition_by_key(records, shards, lambda r: str(r.qname))
-    partials = _run_protocol(_replay_shard_of_kind,
-                             [(bucket,) for bucket in buckets],
+    with tempfile.TemporaryDirectory() as scratch:
+        base = Path(scratch) / "tiny.jsonl"
+        counts = _run_protocol(_write_shard_from_spec,
+                               [(i,) for i in range(shards)],
+                               (spec, str(base)), chunk_size)
+        assert counts == [len(shard) for shard in reference_lists]
+        assert [read_jsonl(shard_path(base, i), AllNamesRecord)
+                for i in range(shards)] == reference_lists
+        write_jsonl(records, base)
+        lines = base.read_text().splitlines()
+
+    buckets = partition_by_key(list(zip(records, lines)), shards,
+                               lambda pair: pair[0].qname)
+    partials = _run_protocol(_replay_lines_shard,
+                             [([line for _, line in bucket],)
+                              for bucket in buckets],
                              ("allnames",), chunk_size)
     from repro.analysis.cache_sim import merge_partials
-    assert merge_partials(partials) == reference_replay
+    assert merge_partials(partials) == oracle_replay(records, "allnames",
+                                                     shards)
 
 
 def test_registry_rejects_unknown_and_conflicting_names():
@@ -305,13 +317,13 @@ def test_registry_rejects_unknown_and_conflicting_names():
 
 def test_run_sharded_payload_accounting():
     """Pooled dispatch records per-shard payload bytes; inline records 0."""
-    spec = _spec("allnames")
-    _, inline_report = generate_records_spec(spec, workers=1)
+    spec = _spec("public-cdn")
+    _, inline_report = fig1_sharded(spec, (20,), workers=1)
     assert inline_report.pool_mode == "inline"
     assert inline_report.payload_bytes == 0
     assert inline_report.header_bytes == 0
     with WorkerPool(2):
-        _, pooled_report = generate_records_spec(spec, workers=2)
+        _, pooled_report = fig1_sharded(spec, (20,), workers=2)
     assert pooled_report.pool_mode == "persistent"
     assert pooled_report.header_bytes > 0
     assert all(s.payload_bytes > 0 for s in pooled_report.shards)
@@ -320,10 +332,9 @@ def test_run_sharded_payload_accounting():
 
 
 def test_sharded_entry_points_take_no_dispatch_options():
-    for fn in (run_sharded, replay_sharded, replay_jsonl_sharded,
-               replay_columnar_sharded, generate_records_spec,
-               generate_dataset_spec, generate_jsonl, generate_columnar,
-               run_chaos):
+    for fn in (run_sharded, replay_jsonl_sharded, replay_columnar_sharded,
+               fig1_sharded, client_sweep_sharded, generate_jsonl,
+               generate_columnar, run_chaos):
         assert not {"chunk_size", "pool"} \
             & set(inspect.signature(fn).parameters), fn
 
