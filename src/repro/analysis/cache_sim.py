@@ -129,6 +129,21 @@ class Segment(NamedTuple):
     cmap: List[Optional[Tuple[int, int, Sequence[int]]]]
 
 
+def _client_entries(clients: Sequence[Optional[str]]
+                    ) -> List[Optional[Tuple[int, int, Sequence[int]]]]:
+    """``(version, value, mask table)`` per client address (None stays
+    None): a :class:`Segment`'s ``cmap``, which depends on the
+    dictionary alone and not on the kernel it is bound to."""
+    cmap: List[Optional[Tuple[int, int, Sequence[int]]]] = []
+    for address in clients:
+        if address is None:
+            cmap.append(None)
+        else:
+            version, value = parse_addr(address)
+            cmap.append((version, value, _MASKS_BY_VERSION[version]))
+    return cmap
+
+
 class ReplayKernel:
     """The section 7 dual-cache step, written once for every fast lane.
 
@@ -138,10 +153,11 @@ class ReplayKernel:
     :func:`replay_partial` over the same rows.  Cache keys carry integer
     qname *handles* interned run-globally (dictionary codes are
     segment-local; one dict lookup per dictionary entry per segment keeps
-    handle equality identical to string equality), and clients parse
-    once per distinct string.  Memory is the caches, sized by the
-    unique-key universe, never the row count.  ``ttl_override`` replaces
-    every row's TTL; ``0`` is honored (see :func:`fig1_series`).
+    handle equality identical to string equality), and a store's client
+    dictionary is parsed once for all kernels.  Memory is the caches,
+    sized by the unique-key universe, never the row count.
+    ``ttl_override`` replaces every row's TTL; ``0`` is honored (see
+    :func:`fig1_series`).
     """
 
     def __init__(self, ttl_override: Optional[float] = None) -> None:
@@ -153,7 +169,6 @@ class ReplayKernel:
         self._ecs_heap: List[Tuple[float, tuple]] = []
         self._plain_heap: List[Tuple[float, tuple]] = []
         self._qname_handles: Dict[str, int] = {}
-        self._parsed_clients: Dict[str, Tuple[int, int, Sequence[int]]] = {}
 
     def partial(self) -> ReplayPartial:
         """The counters accumulated so far."""
@@ -161,29 +176,32 @@ class ReplayKernel:
                              self.hits_no_ecs, self.misses_no_ecs,
                              self.max_size_ecs, self.max_size_no_ecs)
 
+    def _handles(self, qnames: Sequence[str]) -> List[int]:
+        handles = self._qname_handles
+        return [handles.setdefault(value, len(handles)) for value in qnames]
+
     def segment(self, columns: Sequence[Sequence[Any]], qnames: Sequence[str],
                 clients: Sequence[Optional[str]]) -> Segment:
         """Bind six columns and their two dictionaries to this kernel."""
-        handles = self._qname_handles
-        qmap = [handles.setdefault(value, len(handles)) for value in qnames]
-        parsed = self._parsed_clients
-        cmap = []
-        for address in clients:
-            entry = parsed.get(address)
-            if entry is None and address is not None:
-                version, value = parse_addr(address)
-                entry = parsed[address] = (version, value,
-                                           _MASKS_BY_VERSION[version])
-            cmap.append(entry)
-        return Segment(columns, qnames, clients, qmap, cmap)
+        return Segment(columns, qnames, clients, self._handles(qnames),
+                       _client_entries(clients))
 
     def store_segment(self, store: "ColumnarStore",
                       client_field: str) -> Segment:
-        """One columnar store (a whole file or one row group), zero-copy."""
+        """One columnar store (a whole file or one row group), zero-copy.
+
+        The client dictionary is parsed once per store, not once per
+        kernel (``store.memo``): Figure 1 binds one store to a kernel
+        per (resolver, TTL).  A malformed address raises from here every
+        time, since nothing is remembered for a parse that failed.
+        """
         fields = ("ts", "qname", "qtype", client_field, "scope", "ttl")
-        return self.segment([store.column(name) for name in fields],
-                            store.dictionary("qname"),
-                            store.dictionary(client_field))
+        qnames = store.dictionary("qname")
+        clients = store.dictionary(client_field)
+        return Segment([store.column(name) for name in fields], qnames,
+                       clients, self._handles(qnames),
+                       store.memo(("client entries", client_field),
+                                  lambda: _client_entries(clients)))
 
     def record_segments(self, records: Iterable,
                         client_field: str) -> Iterator[Segment]:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..engine.seeding import derive_seed, world_seed
 from ..engine.sharding import shard_bounds
 from .records import AllNamesRecord
-from .workload import SldPolicy, ZipfSampler, merge_sorted_records
+from .workload import (COLUMN_CHUNK_ROWS, SldPolicy, ZipfSampler,
+                       merge_sorted_records)
 
 #: Authoritative scope mixture (scope bits, weight): most ECS adopters
 #: tailor at /24, some coarser, a few echo the full source length.
@@ -129,23 +130,28 @@ class AllNamesBuilder:
         policies = self._policies(sorted({_sld_of(h) for h in hostnames}), rng)
         return hostnames, policies, self._clients(rng)
 
-    def _rows(self, world: _World, rng: random.Random, lo: int,
-              hi: int) -> Iterator[AllNamesRecord]:
-        """The query stream for global indices ``[lo, hi)``.
+    def _column_chunks(self, world: _World, rng: random.Random, lo: int,
+                       hi: int) -> Iterator[List[List[Any]]]:
+        """The query stream for global indices ``[lo, hi)``, as columns.
 
-        The clock starts at the window boundary ``lo * step``.  Whatever
-        depends only on the hostname or only on the client is tabulated
-        before the loop; each row then costs its three draws
-        (inter-arrival, hostname rank, client rank — in that order, the
-        order every golden depends on), two table reads and the record.
+        The builder's one row loop.  It fills the ``allnames`` schema's
+        six columns (plain lists, schema order) and yields them every
+        :data:`COLUMN_CHUNK_ROWS` rows, so the columnar writers take the
+        rows as they are and nothing is built per row; :meth:`_records`
+        is the record view of the same stream.  The clock starts at the
+        window boundary ``lo * step``.  Whatever depends only on the
+        hostname or only on the client is tabulated before the loop;
+        each row then costs its three draws (inter-arrival, hostname
+        rank, client rank — in that order, the order every golden
+        depends on), two table reads and six appends.
         """
         hostnames, policies, clients = world
         names = []
         for hostname in hostnames:
             policy = policies[_sld_of(hostname)]
-            names.append((hostname, policy.ttl, policy.scope,
-                          0 if policy.scope == 0 else 48))
-        all_clients = [(client, ":" in client)
+            names.append((hostname, policy.ttl,
+                          (policy.scope, 0 if policy.scope == 0 else 48)))
+        all_clients = [(client, 28, 1) if ":" in client else (client, 1, 0)
                        for client in clients.all_clients]
         sample_name = ZipfSampler(len(names), self.zipf_alpha).sample
         sample_client = ZipfSampler(len(all_clients),
@@ -153,20 +159,35 @@ class AllNamesBuilder:
         expovariate = rng.expovariate
         step = self.duration_s / self.total_queries
         t = lo * step
-        for _ in range(lo, hi):
-            t += expovariate(1.0) * step
-            hostname, ttl, scope4, scope6 = names[sample_name(rng)]
-            client, is_v6 = all_clients[sample_client(rng)]
-            if is_v6:
-                yield AllNamesRecord(t, client, hostname, 28, scope6, ttl)
-            else:
-                yield AllNamesRecord(t, client, hostname, 1, scope4, ttl)
+        for start in range(lo, hi, COLUMN_CHUNK_ROWS):
+            chunk: List[List[Any]] = [[], [], [], [], [], []]
+            (add_ts, add_client, add_qname, add_qtype, add_scope,
+             add_ttl) = [column.append for column in chunk]
+            for _ in range(start, min(hi, start + COLUMN_CHUNK_ROWS)):
+                t += expovariate(1.0) * step
+                hostname, ttl, scopes = names[sample_name(rng)]
+                client, qtype, family = all_clients[sample_client(rng)]
+                add_ts(t)
+                add_client(client)
+                add_qname(hostname)
+                add_qtype(qtype)
+                add_scope(scopes[family])
+                add_ttl(ttl)
+            yield chunk
+
+    @staticmethod
+    def _records(chunks: Iterable[List[List[Any]]]
+                 ) -> Iterator[AllNamesRecord]:
+        """The record view of a column stream: same rows, same order."""
+        for chunk in chunks:
+            yield from map(AllNamesRecord, *chunk)
 
     def build(self) -> AllNamesDataset:
         """Generate the trace (deterministic in the builder's seed)."""
         rng = random.Random(self.seed)
         world = hostnames, policies, clients = self._draw_world(rng)
-        records = list(self._rows(world, rng, 0, self.total_queries))
+        records = list(self._records(
+            self._column_chunks(world, rng, 0, self.total_queries)))
         return AllNamesDataset(records, clients, hostnames, policies,
                                self.duration_s)
 
@@ -187,33 +208,42 @@ class AllNamesBuilder:
         """The unit universe sharded over: individual queries."""
         return self.total_queries
 
-    #: The query clock only moves forward, so :meth:`iter_shard` yields
-    #: in global ts order and streaming writers need no sort pass.
+    #: The query clock only moves forward, so :meth:`iter_shard_columns`
+    #: (and :meth:`iter_shard`, its record view) emits in global ts
+    #: order and streaming writers need no sort pass.
     ITER_SHARD_SORTED = True
 
-    def iter_shard(self, shard_index: int,
-                   shard_count: int) -> Iterator[AllNamesRecord]:
-        """Generate one shard's queries as a stream (ts-ascending).
+    def iter_shard_columns(self, shard_index: int,
+                           shard_count: int) -> Iterator[List[List[Any]]]:
+        """Generate one shard's queries as column chunks (ts-ascending).
 
-        The generator path of :meth:`build_shard`: same records in the
-        same order, but one at a time, so out-of-core writers never hold
-        a shard's record list.  Shard ``i`` of ``n`` emits the queries
-        with global indices in ``shard_bounds(total_queries, n)[i]``,
-        starting its clock at the window boundary; its random stream is
-        seeded by ``derive_seed(seed, i)`` so output depends only on the
-        shard decomposition, never on the worker that ran it.
+        Each chunk is one list per ``allnames`` schema column, in schema
+        order, holding 1 to :data:`COLUMN_CHUNK_ROWS` rows — what
+        ``GroupedColumnarWriter.extend_columns`` takes.  Shard ``i`` of
+        ``n`` emits the queries with global indices in
+        ``shard_bounds(total_queries, n)[i]``, starting its clock at the
+        window boundary; its random stream is seeded by
+        ``derive_seed(seed, i)`` so output depends only on the shard
+        decomposition, never on the worker that ran it.
         """
         lo, hi = shard_bounds(self.total_queries, shard_count)[shard_index]
         rng = random.Random(derive_seed(self.seed, shard_index,
                                         self._SEED_NS))
-        yield from self._rows(self._world(), rng, lo, hi)
+        return self._column_chunks(self._world(), rng, lo, hi)
+
+    def iter_shard(self, shard_index: int,
+                   shard_count: int) -> Iterator[AllNamesRecord]:
+        """:meth:`iter_shard_columns` as a stream of records, one at a
+        time, so record consumers never hold a shard's list."""
+        yield from self._records(
+            self.iter_shard_columns(shard_index, shard_count))
 
     def build_shard(self, shard_index: int,
                     shard_count: int) -> List[AllNamesRecord]:
         """Generate the queries of one shard (a contiguous time window).
 
         The materialized form of :meth:`iter_shard` — one definition of
-        the record stream, two consumption modes.
+        the row stream, three consumption modes.
         """
         return list(self.iter_shard(shard_index, shard_count))
 

@@ -237,6 +237,14 @@ def _raw_bytes(column: Any) -> bytes:
     return column.tobytes()
 
 
+def _check_columns(schema: Schema, columns: Sequence[Sequence[Any]]) -> None:
+    """Raise unless ``columns`` is one equal-length sequence per column."""
+    if (len(columns) != len(schema.columns)
+            or len(set(map(len, columns))) != 1):
+        raise ValueError(f"schema {schema.name!r} takes "
+                         f"{len(schema.columns)} equal-length columns")
+
+
 class ColumnarWriter:
     """One row group's column buffer: append records, then wrap.
 
@@ -443,7 +451,7 @@ class ColumnarStore:
         self._dicts = dicts
         #: Set by :meth:`open` when the store owns its reader's mapping.
         self._closer: Optional[Callable[[], None]] = None
-        self._bucket_memo: Dict[Tuple[str, int], List["array[Any]"]] = {}
+        self._memo: Dict[Any, Any] = {}
         self._getter_cache: Optional[List[Callable[[int], Any]]] = None
 
     # -- construction ------------------------------------------------------
@@ -455,6 +463,22 @@ class ColumnarStore:
         resolved = schema if isinstance(schema, Schema) else schema_for(schema)
         writer = ColumnarWriter(resolved)
         writer.extend(records)
+        return writer.store()
+
+    @classmethod
+    def from_column_chunks(cls, chunks: Iterable[Sequence[Sequence[Any]]],
+                           schema: Union[str, Schema]) -> "ColumnarStore":
+        """Columnarize a stream of column chunks, no record objects.
+
+        Each chunk is one equal-length value sequence per column, in
+        schema order (a builder's ``iter_shard_columns``); the store
+        equals :meth:`from_records` over the same rows as records.
+        """
+        resolved = schema if isinstance(schema, Schema) else schema_for(schema)
+        writer = ColumnarWriter(resolved)
+        for chunk in chunks:
+            _check_columns(resolved, chunk)
+            writer._append_columns(chunk)
         return writer.store()
 
     @classmethod
@@ -622,17 +646,30 @@ class ColumnarStore:
         a table lookup per row.  Memoized per (column, shards): workers
         replaying several shards of one mapped file pay the scan once.
         """
-        memo_key = (column, shards)
-        buckets = self._bucket_memo.get(memo_key)
-        if buckets is None:
+        def scan() -> List["array[Any]"]:
             by_code = array("i", (stable_bucket(value, shards)
                                   for value in self._dicts[column]))
             buckets = [array("q") for _ in range(shards)]
             appends = [bucket.append for bucket in buckets]
             for row, code in enumerate(self._data[column]):
                 appends[by_code[code]](row)
-            self._bucket_memo[memo_key] = buckets
-        return buckets
+            return buckets
+
+        return self.memo(("row buckets", column, shards), scan)
+
+    def memo(self, key: Any, build: Callable[[], Any]) -> Any:
+        """``build()``, computed once per ``key`` and kept with the store.
+
+        For values derived from the columns or dictionaries alone (they
+        never change once a store exists) that several passes over one
+        store would otherwise recompute.  Nothing is kept when ``build``
+        raises.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     # -- accounting --------------------------------------------------------
 
@@ -891,11 +928,7 @@ class GroupedColumnarWriter:
         the caller chunks its input and the bytes written are those of
         ``extend`` over the same rows as records.
         """
-        if (len(columns) != len(self.schema.columns)
-                or len(set(map(len, columns))) != 1):
-            raise ValueError(f"schema {self.schema.name!r} takes "
-                             f"{len(self.schema.columns)} equal-length "
-                             f"columns")
+        _check_columns(self.schema, columns)
         total = len(columns[0])
         start = 0
         while start < total:

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import Any, Iterable, Iterator, List, Sequence
 
 from ..engine.seeding import derive_seed
 from ..engine.sharding import shard_bounds
 from . import paper_numbers as paper
 from .records import PublicCdnRecord
-from .workload import ZipfSampler, merge_sorted_records, poisson_arrivals
+from .workload import (COLUMN_CHUNK_ROWS, ZipfSampler, merge_sorted_records,
+                       poisson_arrivals)
 
 
 @dataclass
@@ -64,45 +65,64 @@ class PublicCdnBuilder:
     def _resolver_ip(r: int) -> str:
         return f"8.{(r >> 8) & 0xFF}.{r & 0xFF}.53"
 
-    def _iter_resolver(self, r: int, hostnames: Sequence[str],
-                       zipf: ZipfSampler, rng: random.Random
-                       ) -> Iterator[PublicCdnRecord]:
-        """One egress resolver's query stream, in its own arrival order."""
-        ip = self._resolver_ip(r)
-        # Log-uniform volume: busy front-line resolvers vs near-idle ones.
-        spread = self.volume_spread_decades
-        qps = self.mean_qps * (10.0 ** rng.uniform(-spread, spread))
-        # Client diversity grows with volume (busier egress = more
-        # front-ends routing to it = more client subnets).
-        lo, hi = self.subnet_multiplier
-        subnet_count = max(1, int(qps / self.mean_qps * rng.uniform(lo, hi)))
-        subnets = [f"{rng.randrange(90, 120)}.{rng.randrange(256)}"
-                   f".{rng.randrange(256)}.0" for _ in range(subnet_count)]
-        for ts in poisson_arrivals(qps, self.duration_s, rng):
-            subnet = rng.choice(subnets)
-            hostname = hostnames[zipf.sample(rng)]
-            yield PublicCdnRecord(ts, ip, hostname, 1, subnet, 24, 24,
-                                  self.ttl)
+    def _column_chunks(self, rng: random.Random, lo: int,
+                       hi: int) -> Iterator[List[List[Any]]]:
+        """The query streams of egress resolvers ``[lo, hi)``, as columns.
 
-    def _emit_resolver(self, r: int, hostnames: Sequence[str],
-                       zipf: ZipfSampler, rng: random.Random,
-                       records: List[PublicCdnRecord]) -> None:
-        """Append one egress resolver's query stream to ``records``."""
-        records.extend(self._iter_resolver(r, hostnames, zipf, rng))
+        The builder's one row loop.  Resolver-major: each resolver's
+        arrivals are time-ordered, resolvers overlap.  A chunk is one
+        list per ``public-cdn`` schema column, in schema order, holding
+        1 to :data:`COLUMN_CHUNK_ROWS` rows of one resolver (a resolver
+        without arrivals yields nothing); :meth:`_records` is the record
+        view of the same stream.  Per row only the subnet and the
+        hostname are drawn — in that order, after the resolver's whole
+        arrival series — and every other column is constant.
+        """
+        hostnames = [f"a{i:04d}.cdn.example."
+                     for i in range(self.hostname_count)]
+        sample_name = ZipfSampler(len(hostnames), self.zipf_alpha).sample
+        choice = rng.choice
+        spread = self.volume_spread_decades
+        low, high = self.subnet_multiplier
+        for r in range(lo, hi):
+            ip = self._resolver_ip(r)
+            # Log-uniform volume: busy front-line resolvers vs near-idle ones.
+            qps = self.mean_qps * (10.0 ** rng.uniform(-spread, spread))
+            # Client diversity grows with volume (busier egress = more
+            # front-ends routing to it = more client subnets).
+            subnet_count = max(1, int(qps / self.mean_qps
+                                      * rng.uniform(low, high)))
+            subnets = [f"{rng.randrange(90, 120)}.{rng.randrange(256)}"
+                       f".{rng.randrange(256)}.0" for _ in range(subnet_count)]
+            arrivals = poisson_arrivals(qps, self.duration_s, rng)
+            for start in range(0, len(arrivals), COLUMN_CHUNK_ROWS):
+                ts = arrivals[start:start + COLUMN_CHUNK_ROWS]
+                qnames: List[str] = []
+                addresses: List[str] = []
+                add_qname, add_address = qnames.append, addresses.append
+                for _ in ts:
+                    add_address(choice(subnets))
+                    add_qname(hostnames[sample_name(rng)])
+                rows = len(ts)
+                yield [ts, [ip] * rows, qnames, [1] * rows, addresses,
+                       [24] * rows, [24] * rows, [self.ttl] * rows]
+
+    @staticmethod
+    def _records(chunks: Iterable[List[List[Any]]]
+                 ) -> Iterator[PublicCdnRecord]:
+        """The record view of a column stream: same rows, same order."""
+        for chunk in chunks:
+            yield from map(PublicCdnRecord, *chunk)
 
     def build(self) -> PublicCdnDataset:
         rng = random.Random(self.seed)
         resolver_count = self.resolver_count()
-        hostnames = [f"a{i:04d}.cdn.example." for i in range(self.hostname_count)]
-        zipf = ZipfSampler(len(hostnames), self.zipf_alpha)
-
-        records: List[PublicCdnRecord] = []
-        resolver_ips: List[str] = []
-        for r in range(resolver_count):
-            resolver_ips.append(self._resolver_ip(r))
-            self._emit_resolver(r, hostnames, zipf, rng, records)
+        records = list(self._records(
+            self._column_chunks(rng, 0, resolver_count)))
         records.sort(key=lambda rec: rec.ts)
-        return PublicCdnDataset(records, resolver_ips, self.duration_s, self.ttl)
+        return PublicCdnDataset(
+            records, [self._resolver_ip(r) for r in range(resolver_count)],
+            self.duration_s, self.ttl)
 
     # -- sharded generation (repro.engine) ---------------------------------
 
@@ -112,24 +132,26 @@ class PublicCdnBuilder:
         """The unit universe sharded over: egress resolvers."""
         return self.resolver_count()
 
-    def iter_shard(self, shard_index: int,
-                   shard_count: int) -> Iterator[PublicCdnRecord]:
-        """Stream one resolver range's queries, in emission order.
+    def iter_shard_columns(self, shard_index: int,
+                           shard_count: int) -> Iterator[List[List[Any]]]:
+        """Stream one resolver range's queries as column chunks.
 
         Resolver-major, *not* globally ts-sorted (each resolver's
-        arrivals are time-ordered but resolvers overlap): out-of-core
-        writers pair this with an external sort.  The random stream is
-        consumed in exactly the :meth:`build_shard` order, so both paths
-        generate identical records.
+        arrivals are time-ordered but resolvers overlap): enough for
+        Figure 1, which replays resolver by resolver; out-of-core
+        writers pair the record view with an external sort.
         """
-        hostnames = [f"a{i:04d}.cdn.example."
-                     for i in range(self.hostname_count)]
-        zipf = ZipfSampler(len(hostnames), self.zipf_alpha)
         lo, hi = shard_bounds(self.resolver_count(), shard_count)[shard_index]
         rng = random.Random(derive_seed(self.seed, shard_index,
                                         self._SEED_NS))
-        for r in range(lo, hi):
-            yield from self._iter_resolver(r, hostnames, zipf, rng)
+        return self._column_chunks(rng, lo, hi)
+
+    def iter_shard(self, shard_index: int,
+                   shard_count: int) -> Iterator[PublicCdnRecord]:
+        """:meth:`iter_shard_columns` as a stream of records, in
+        emission order."""
+        yield from self._records(
+            self.iter_shard_columns(shard_index, shard_count))
 
     def build_shard(self, shard_index: int,
                     shard_count: int) -> List[PublicCdnRecord]:

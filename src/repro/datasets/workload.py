@@ -19,6 +19,13 @@ from ..net.addr import host_in
 
 R = TypeVar("R")
 
+#: Most rows a builder's column stream (``iter_shard_columns``) puts in
+#: one chunk.  Write throughput is flat from 1,024 rows to 16,384
+#: (``docs/performance.md`` has the sweep on ``trace_write``); at this
+#: size a chunk's value lists stay a few hundred KiB, far under one row
+#: group, so a worker's peak RSS does not depend on it.
+COLUMN_CHUNK_ROWS = 4096
+
 
 def merge_sorted_records(shard_lists: Sequence[Sequence[R]],
                          key: Callable[[R], float] = None) -> List[R]:

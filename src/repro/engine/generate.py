@@ -6,12 +6,20 @@ A *shardable builder* exposes three methods::
     build_shard(index, count) -> List[record] # one shard, ts-sorted
     assemble(shard_lists) -> dataset          # order-stable merge + wrap
 
+and, optionally, its streams::
+
+    iter_shard(index, count) -> Iterator[record]          # emission order
+    iter_shard_columns(index, count) -> Iterator[chunk]   # same rows, as
+        # one list per schema column, 1..COLUMN_CHUNK_ROWS rows a chunk
+    ITER_SHARD_SORTED = True   # the column stream is in global ts order
+
 ``build_shard`` must depend only on the builder's parameters and the
 shard index (its random stream is seeded via
 :func:`repro.engine.seeding.derive_seed`), never on which worker runs it.
 The engine then guarantees the merged output is identical for any worker
 count, because shards are generated from fixed seeds and merged in shard
-order.
+order.  A builder with a column stream has *one* row loop, the one that
+fills the columns; its record methods are views of that stream.
 
 Every entry point ships a :class:`~repro.engine.sharding.ShardSpec`
 (builder name + kwargs, tens of bytes) and rebuilds the builder inside
@@ -31,7 +39,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
-from ..datasets.columnar import (merge_columnar_shards,
+from ..datasets.columnar import (GroupedColumnarWriter,
+                                 merge_columnar_shards,
                                  write_columnar_sorted,
                                  write_columnar_stream)
 from ..datasets.records import merge_jsonl_shards, shard_path, write_jsonl
@@ -76,10 +85,12 @@ def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
     The columnar twin of :func:`_write_shard_from_spec`: only the count
     crosses the pool boundary; the packed segments wait on disk for the
     parent's merge.  Shard files are always the v2 row-group layout so
-    worker memory stays bounded by one row group: a builder whose
-    ``iter_shard`` emits in global ts order streams straight into
-    :func:`~repro.datasets.columnar.write_columnar_stream`; other
-    builders stream through the external sort
+    worker memory stays bounded by one row group.  A builder whose
+    column stream is in global ts order (``ITER_SHARD_SORTED``) hands
+    its ``iter_shard_columns`` chunks to
+    :meth:`~repro.datasets.columnar.GroupedColumnarWriter.extend_columns`
+    as they are — no record is built and nothing is transposed; other
+    builders stream their records through the external sort
     (:func:`~repro.datasets.columnar.write_columnar_sorted`), whose
     output is exactly the stable sort ``build_shard`` performs.
     Builders without a generator path fall back to the materialized
@@ -93,9 +104,11 @@ def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
             builder.build_shard(shard_index, spec.shard_count), path,
             schema, row_group_rows)
     elif getattr(builder, "ITER_SHARD_SORTED", False):
-        count = write_columnar_stream(
-            iter_shard(shard_index, spec.shard_count), path, schema,
-            row_group_rows)
+        with GroupedColumnarWriter(schema, path, row_group_rows) as writer:
+            for chunk in builder.iter_shard_columns(shard_index,
+                                                    spec.shard_count):
+                writer.extend_columns(chunk)
+        count = writer.rows
     else:
         count = write_columnar_sorted(
             iter_shard(shard_index, spec.shard_count), path, schema,

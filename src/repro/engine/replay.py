@@ -431,8 +431,9 @@ def _fig1_shard(spec: ShardSpec, ttls: Tuple[Optional[int], ...],
     ``(row count, TTL -> this shard's blow-ups)``.
     """
     builder = spec.make_builder()
-    store = ColumnarStore.from_records(
-        builder.iter_shard(shard_index, spec.shard_count), spec.builder)
+    store = ColumnarStore.from_column_chunks(
+        builder.iter_shard_columns(shard_index, spec.shard_count),
+        spec.builder)
     _count_generated_rows(builder, len(store))
     return len(store), fig1_series(store, ttls)
 
@@ -443,7 +444,7 @@ def fig1_sharded(spec: ShardSpec, ttls: Sequence[Optional[int]],
     """Figure 1 from a public-cdn spec, one shard of resolvers per task.
 
     Needs no global order, hence no trace file and no merge: every
-    egress resolver lives in exactly one shard, whose ``iter_shard``
+    egress resolver lives in exactly one shard, whose ``iter_shard_columns``
     emits each resolver's rows in arrival order — all that
     :func:`~repro.analysis.cache_sim.fig1_series` asks of a store — so
     the sorted union of the shards' factors is the whole trace's series.

@@ -1,0 +1,174 @@
+"""The builders' column streams (``iter_shard_columns``) and their edges.
+
+``AllNamesBuilder`` and ``PublicCdnBuilder`` have one row loop each and
+it fills the schema's columns; ``iter_shard`` / ``build_shard`` /
+``build()`` are record views of that stream.  These tests hold the
+stream to the shape the columnar writers take, and hold every consumer
+of it — ``generate_columnar``'s column lane, ``fig1_sharded``'s
+in-memory store — to what the record views say the rows are.
+"""
+
+from __future__ import annotations
+
+from itertools import groupby
+
+import pytest
+
+from repro.analysis.cache_sim import fig1_series
+from repro.datasets.columnar import (SCHEMAS, ColumnarStore, RowGroupReader,
+                                     file_info)
+from repro.datasets.records import shard_path
+from repro.datasets.workload import COLUMN_CHUNK_ROWS
+from repro.engine.generate import (_write_columnar_shard_from_spec,
+                                   generate_columnar)
+from repro.engine.replay import fig1_sharded
+from repro.engine.sharding import ShardSpec
+
+#: Small enough for tier-1: 11,000 allnames queries (a lone shard spans
+#: three chunks), five public-cdn resolvers.
+PARAMS = {
+    "allnames": dict(scale=0.02),
+    "public-cdn": dict(scale=0.002, duration_s=240.0),
+}
+#: Five resolvers of about 5,000 arrivals each: every one of them ends
+#: a full chunk and starts a short one.
+BUSY_RESOLVERS = dict(scale=0.002, duration_s=50.0, mean_qps=100.0,
+                      volume_spread_decades=0.0)
+#: What each column kind's values must be, exactly (``bool`` is an
+#: ``int`` to ``isinstance``; the writers pack these and nothing else).
+PYTHON_TYPES = {"f8": float, "i4": int, "i8": int, "str": str}
+
+matrix = pytest.mark.parametrize("shards", (1, 3, 8))
+seeds = pytest.mark.parametrize("seed", (0, 7))
+builders = pytest.mark.parametrize("name", sorted(PARAMS))
+
+
+def _spec(name: str, shards: int, seed: int, **params) -> ShardSpec:
+    return ShardSpec.create(name, shard_count=shards, seed=seed,
+                            **(params or PARAMS[name]))
+
+
+@pytest.mark.parametrize("name,params", (("allnames", PARAMS["allnames"]),
+                                         ("public-cdn", BUSY_RESOLVERS)))
+@seeds
+@matrix
+def test_chunks_have_the_schemas_shape(name, params, seed, shards):
+    builder = _spec(name, shards, seed, **params).make_builder()
+    columns = SCHEMAS[name].columns
+    sizes = []
+    for index in range(shards):
+        # A chunk never spans two runs: a run is an allnames shard, or
+        # one resolver of a public-cdn shard.
+        records = builder.iter_shard(index, shards)
+        runs = [len(list(run)) for _, run in groupby(
+            records, key=lambda r: getattr(r, "resolver_ip", None))]
+        want = [size for run in runs
+                for size in [COLUMN_CHUNK_ROWS] * (run // COLUMN_CHUNK_ROWS)
+                + [run % COLUMN_CHUNK_ROWS] if size]
+        got = []
+        for chunk in builder.iter_shard_columns(index, shards):
+            assert len(chunk) == len(columns)
+            assert all(type(values) is list for values in chunk)
+            (size,) = set(map(len, chunk))
+            for spec, values in zip(columns, chunk):
+                assert set(map(type, values)) == {PYTHON_TYPES[spec.kind]}
+            got.append(size)
+        assert got == want
+        sizes += got
+    assert min(sizes) >= 1 and max(sizes) <= COLUMN_CHUNK_ROWS
+    if shards == 1:
+        assert COLUMN_CHUNK_ROWS in sizes and len(set(sizes)) > 1
+
+
+@builders
+@seeds
+@matrix
+def test_generated_col_holds_the_assembled_records(name, seed, shards,
+                                                   tmp_path):
+    spec = _spec(name, shards, seed)
+    builder = spec.make_builder()
+    want = builder.assemble([builder.build_shard(index, shards)
+                             for index in range(shards)]).records
+    rows, _ = generate_columnar(spec, tmp_path / "t.col", row_group_rows=1000)
+    with RowGroupReader(tmp_path / "t.col") as reader:
+        assert list(reader.iter_records()) == want
+    assert rows == len(want)
+
+
+@seeds
+@matrix
+def test_store_from_chunks_equals_store_from_records(seed, shards):
+    builder = _spec("public-cdn", shards, seed).make_builder()
+    for index in range(shards):
+        got = ColumnarStore.from_column_chunks(
+            builder.iter_shard_columns(index, shards), "public-cdn")
+        want = ColumnarStore.from_records(
+            builder.iter_shard(index, shards), "public-cdn")
+        assert len(got) == len(want)
+        for spec in SCHEMAS["public-cdn"].columns:
+            assert got.column(spec.name) == want.column(spec.name)
+            if spec.kind == "str":
+                # first-appearance order, not merely the same set
+                assert (got.dictionary(spec.name)
+                        == want.dictionary(spec.name))
+
+
+def test_from_column_chunks_rejects_a_ragged_chunk():
+    with pytest.raises(ValueError, match="6 equal-length columns"):
+        ColumnarStore.from_column_chunks(
+            [[[0.5, 1.5], ["10.0.0.1"], ["a."], [1], [24], [60]]],
+            "allnames")
+
+
+@pytest.mark.parametrize("seed,rows,speakers", ((0, 29, 4), (7, 9, 2)))
+def test_mostly_silent_resolvers(seed, rows, speakers, tmp_path):
+    """A second of four resolvers, in 8 shards: four shards own no
+    resolver, and at seed 7 two of the resolvers have no arrival — an
+    empty shard is a valid file and a silent resolver no chunk at all."""
+    spec = ShardSpec.create("public-cdn", shard_count=8, scale=0.0001,
+                            seed=seed, duration_s=1.0)
+    builder = spec.make_builder()
+    want = builder.assemble([builder.build_shard(index, 8)
+                             for index in range(8)]).records
+    assert len(want) == rows
+    chunks = [chunk for index in range(8)
+              for chunk in builder.iter_shard_columns(index, 8)]
+    assert [len(chunk[0]) for chunk in chunks] == [
+        len(list(run)) for _, run in groupby(sorted(
+            r.resolver_ip for r in want))]
+    assert len(chunks) == speakers
+
+    assert generate_columnar(spec, tmp_path / "t.col")[0] == rows
+    with RowGroupReader(tmp_path / "t.col") as reader:
+        assert list(reader.iter_records()) == want
+    ttls = (None, 0, 40)
+    for workers in (1, 2):
+        series, report = fig1_sharded(spec, ttls, workers=workers)
+        assert series == fig1_series(
+            ColumnarStore.from_records(want, "public-cdn"), ttls)
+        assert len(series[40]) == speakers
+        assert report.total_records == rows
+
+
+def test_more_shards_than_units_on_the_column_lane(tmp_path):
+    """100 allnames queries in 128 shards: 28 shards write a valid file
+    of no rows, and the merge of all 128 is the trace."""
+    spec = ShardSpec.create("allnames", shard_count=128, scale=0.0001,
+                            seed=0)
+    builder = spec.make_builder()
+    assert list(builder.iter_shard_columns(127, 128)) == []
+    out = tmp_path / "t.col"
+    assert _write_columnar_shard_from_spec(spec, str(out), "allnames",
+                                           None, 127) == 0
+    info = file_info(shard_path(out, 127))
+    assert (info["rows"], info["row_groups"]) == (0, 0)
+    with RowGroupReader(shard_path(out, 127)) as reader:
+        assert list(reader.iter_records()) == []
+
+    want = builder.assemble([builder.build_shard(index, 128)
+                             for index in range(128)]).records
+    rows, _ = generate_columnar(spec, out)
+    with RowGroupReader(out) as reader:
+        assert list(reader.iter_records()) == want
+    assert rows == len(want) == 100
+    assert not shard_path(out, 127).exists()

@@ -571,6 +571,38 @@ def test_out_of_range_scope_raises_like_oracle(lane, scope, client):
         run()
 
 
+def test_client_dictionary_parses_once_per_store():
+    """Kernels bound to one store share its parsed client dictionary
+    (Figure 1 runs one per resolver and TTL); a parse that fails is not
+    remembered, so every kernel raises, from ``store_segment``, before a
+    row is fed."""
+    records = [AllNamesRecord(0.0, "10.9.8.7", "a.example.", 1, 24, 60),
+               AllNamesRecord(1.0, "2001:db8::1", "a.example.", 28, 48, 60),
+               AllNamesRecord(2.0, "10.9.8.7", "b.example.", 1, 16, 60)]
+    store = ColumnarStore.from_records(records, "allnames")
+    with mock.patch.object(cache_sim, "parse_addr",
+                           wraps=cache_sim.parse_addr) as parse:
+        for ttl in (None, 0, 40):
+            assert replay_partial_columns(store, "client_ip",
+                                          ttl_override=ttl) \
+                == _oracle(records, ttl)
+        assert parse.call_count == 2
+        assert replay_partial_column_groups(
+            [ColumnarStore.from_records(records, "allnames")],
+            "client_ip") == _oracle(records)
+        assert parse.call_count == 4
+
+    records[1] = AllNamesRecord(1.0, "10.9.8.777", "a.example.", 1, 24, 60)
+    store = ColumnarStore.from_records(records, "allnames")
+    for _ in range(3):
+        kernel = cache_sim.ReplayKernel()
+        with pytest.raises(ValueError, match="10.9.8.777"):
+            kernel.store_segment(store, "client_ip")
+        assert kernel.partial().queries == 0
+        with pytest.raises(ValueError, match="10.9.8.777"):
+            replay_partial_columns(store, "client_ip", rows=[0])
+
+
 # ---------------------------------------------------------------------------
 # Row-group layout (v2)
 
@@ -1154,14 +1186,23 @@ def test_jsonl_lane_builds_no_record(tmp_path, monkeypatch):
 
 
 def test_extend_columns_checks_shape(tmp_path):
-    with GroupedColumnarWriter("allnames", tmp_path / "t.col", 4) as writer:
-        with pytest.raises(ValueError, match="6 equal-length columns"):
-            writer.extend_columns([[0.5], ["10.0.0.1"], ["a."], [1], [24]])
-        with pytest.raises(ValueError, match="6 equal-length columns"):
-            writer.extend_columns([[0.5, 1.5], ["10.0.0.1"], ["a."], [1],
-                                   [24], [60]])
-        assert writer.extend_columns([[]] * 6) == 0
-        assert (writer.rows, writer.pending_rows) == (0, 0)
+    """A chunk of the wrong shape raises and leaves the writer as it
+    was, mid-group included: the file is the one the good rows make."""
+    good = [[0.5, 1.5, 2.5], ["10.0.0.1", "10.0.0.2", "10.0.0.1"],
+            ["a.", "b.", "a."], [1, 28, 1], [24, 0, 24], [60, 30, 60]]
+    for name, ragged in (("bare", False), ("tried", True)):
+        with GroupedColumnarWriter("allnames", tmp_path / name, 2) as writer:
+            if ragged:
+                with pytest.raises(ValueError, match="6 equal-length"):
+                    writer.extend_columns([column[:1] for column in good[:5]])
+            assert writer.extend_columns(good) == 3
+            if ragged:
+                with pytest.raises(ValueError, match="6 equal-length"):
+                    writer.extend_columns([[3.5, 4.5], *(
+                        column[:1] for column in good[1:])])
+                assert writer.extend_columns([[]] * 6) == 0
+            assert (writer.rows, writer.pending_rows) == (2, 1)
+    assert (tmp_path / "tried").read_bytes() == (tmp_path / "bare").read_bytes()
 
 
 _GOOD = ('{"ts":1.5,"client_ip":"10.0.0.1","qname":"a.example.",'

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.cache_sim import replay
-from repro.datasets import AllNamesBuilder
+from repro.datasets import AllNamesBuilder, PublicCdnBuilder
 from repro.datasets.columnar import (jsonl_to_columnar, read_columnar,
                                      write_columnar_stream)
 from repro.engine import derive_seed, shard_bounds, world_seed
@@ -190,6 +190,12 @@ class TestGoldenBytes:
                  "1f9df40dc7826c75ea8960270ddc4ead",
         "build": "89e195f9e50fa2c1fed3e29d3d1e64d1"
                  "bf7948a2c394f7c6dd9e7cc01e5806c9",
+        # public-cdn, recorded at the commit before its builder went
+        # column-at-a-time (PR 22's parent)
+        "public-cdn jsonl": "5b9db7724cc7f5d74f95ab3e90cae194"
+                            "9c9cdb9e7599cd8aa1fb053ad7d9e0d9",
+        "public-cdn build": "829208c1857336e1a38a4658be778f4c"
+                            "33f4d9d8231b1b0c6b1df93fe0921cdd",
     }
 
     @staticmethod
@@ -235,6 +241,22 @@ class TestGoldenBytes:
         records = AllNamesBuilder(scale=0.01, seed=0).build().records
         write_jsonl(records, tmp_path / "b.jsonl")
         assert self._sha256(tmp_path / "b.jsonl") == self.GOLDEN["build"]
+
+    def test_public_cdn_trace_sha256(self, tmp_path):
+        """The sharded stream and the unsharded ``build()`` (another
+        seed, the same row loop) of the builder no allnames digest
+        covers."""
+        spec = ShardSpec.create("public-cdn", shard_count=4, scale=0.002,
+                                seed=0, duration_s=360)
+        rows, _ = generate_jsonl(spec, tmp_path / "t.jsonl")
+        assert rows == 18786
+        assert (self._sha256(tmp_path / "t.jsonl")
+                == self.GOLDEN["public-cdn jsonl"])
+        records = PublicCdnBuilder(scale=0.002, seed=0,
+                                   duration_s=360).build().records
+        assert write_jsonl(records, tmp_path / "b.jsonl") == 21436
+        assert (self._sha256(tmp_path / "b.jsonl")
+                == self.GOLDEN["public-cdn build"])
 
 
 class TestCliDeterminism:
