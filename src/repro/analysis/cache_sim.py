@@ -5,20 +5,24 @@ returned TTL, never evict early, and — in the ECS run — key entries by the
 authoritative scope, so several copies of one answer coexist when clients
 span multiple scope-sized subnets.  The *blow-up factor* for a resolver is
 the ratio of the peak cache size with ECS to the peak size without.
+:func:`replay_partial` is that method spelled out; :class:`ReplayKernel`
+is the same step over dense integer key ids derived once from the rows.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
+from array import array
 from dataclasses import dataclass
-from itertools import islice
-from operator import attrgetter
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
-                    NamedTuple, Optional, Sequence, Tuple)
+from functools import lru_cache
+from itertools import chain, compress, count, islice, repeat
+from math import inf
+from operator import attrgetter, gt, itemgetter, le
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Sequence, Tuple)
 
 from ..core.cache import ScopeTracker
-from ..net.addr import _MASKS_BY_VERSION, parse_addr, truncate_int
+from ..net.addr import parse_addr, truncate_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (datasets -> net)
     from ..datasets.columnar import ColumnarStore
@@ -109,199 +113,188 @@ def replay_partial(records: Iterable, client_of, scope_of,
                          ecs.max_size, plain.max_size)
 
 
-#: Records transposed per segment on the object path.  Throughput is flat
-#: from 256 rows up; this keeps the six column lists small.
-RECORD_CHUNK_ROWS = 4096
+#: Rows the kernel replays between two settlings of peak size, and records
+#: transposed per segment on the object path (sweep: docs/performance.md).
+CHUNK_ROWS = 2048
+
+#: A stretch of trace in the one shape :meth:`ReplayKernel.feed` reads: ts,
+#: ttl and the id of the ECS cache key, row by row, then ECS key id -> id
+#: of its plain key; ids in the space of the :func:`_key_space` that made it.
+Segment = Tuple[Sequence[float], Sequence[float], Sequence[int], Sequence[int]]
 
 
-class Segment(NamedTuple):
-    """A stretch of trace in the one shape :meth:`ReplayKernel.feed` reads,
-    bound to the kernel that made it (``qmap`` handles are kernel-local)."""
+def _key_space() -> Callable[[Sequence[Iterable[Any]]], Segment]:
+    """A fresh space of dense integer ids for cache keys, as the function
+    that keys the rows of six columns (ts, qname, qtype, parsed client
+    address, scope, ttl) in it.
 
-    #: ``(ts, qname, qtype, client, scope, ttl)``, aligned by row; qname
-    #: and client hold codes into ``qnames`` / ``clients``.
-    columns: Sequence[Sequence[Any]]
-    qnames: Sequence[str]
-    clients: Sequence[Optional[str]]
-    #: qname code -> run-global handle; client code -> ``(version, value,
-    #: mask table)``, or None where the dictionary entry is None.
-    qmap: List[int]
-    cmap: List[Optional[Tuple[int, int, Sequence[int]]]]
+    A row's plain key is ``(qname, qtype)``; its ECS key adds the client's
+    scope-long prefix, or nothing when the scope is 0 or the client None
+    (:meth:`ScopeTracker._key`); a scope outside the family width raises
+    as :func:`truncate_int` does.  Ids come in two stages — plain key and
+    prefix, then their pair — from C-level memo tables that run Python
+    once per *distinct* key, and names and addresses are read by value,
+    so row groups with their local dictionary codes meet in one space.
+    """
+    plain_of: List[int] = []
+    plain_ids = count()
+    prefixes: Dict[Tuple[int, int, int], int] = {}
+
+    @lru_cache(maxsize=None)
+    def plain_id(qname: str, qtype: int) -> int:
+        return next(plain_ids)
+
+    @lru_cache(maxsize=None)
+    def prefix_id(address: Optional[Tuple[int, int]], scope: int) -> int:
+        if scope == 0 or address is None:
+            return 0
+        return prefixes.setdefault(
+            (address[0], scope, truncate_int(*address, scope)),
+            len(prefixes) + 1)
+
+    @lru_cache(maxsize=None)
+    def pair_id(plain: int, prefix: int) -> int:
+        plain_of.append(plain)
+        return len(plain_of) - 1
+
+    def segment(columns: Sequence[Iterable[Any]]) -> Segment:
+        ts, qnames, qtypes, addresses, scopes, ttl = columns
+        return ts, ttl, array("i", map(
+            pair_id, map(plain_id, qnames, qtypes),
+            map(prefix_id, addresses, scopes))), plain_of
+
+    return segment
 
 
-def _client_entries(clients: Sequence[Optional[str]]
-                    ) -> List[Optional[Tuple[int, int, Sequence[int]]]]:
-    """``(version, value, mask table)`` per client address (None stays
-    None): a :class:`Segment`'s ``cmap``, which depends on the
-    dictionary alone and not on the kernel it is bound to."""
-    cmap: List[Optional[Tuple[int, int, Sequence[int]]]] = []
-    for address in clients:
-        if address is None:
-            cmap.append(None)
-        else:
-            version, value = parse_addr(address)
-            cmap.append((version, value, _MASKS_BY_VERSION[version]))
-    return cmap
+def _store_columns(store: "ColumnarStore", client_field: str,
+                   rows: Optional[Sequence[int]] = None) -> List[Any]:
+    """What a :func:`_key_space` function takes, from ``store``: every row
+    zero-copy, or ``rows`` with ts (f8) and ttl (i8) packed; key columns
+    are only streamed.  Every address is parsed here, before a row is
+    read, so a malformed one raises whatever the rows hold."""
+    parsed = [parse_addr(value) for value in store.dictionary(client_field)]
+    ts, qname, qtype, client, scope, ttl = (
+        store.column(name) if rows is None
+        else map(store.column(name).__getitem__, rows)
+        for name in ("ts", "qname", "qtype", client_field, "scope", "ttl"))
+    if rows is not None:
+        ts, ttl = array("d", ts), array("q", ttl)
+    return [ts, map(store.dictionary("qname").__getitem__, qname), qtype,
+            map(parsed.__getitem__, client), scope, ttl]
+
+
+class _Cache:
+    """One cache between chunks: expiry by key id (``-inf``: never
+    stored), the sorted expiries of the entries still live, counters."""
+
+    def __init__(self) -> None:
+        self.expiry, self.live = [], []  # type: List[float], List[float]
+        self.misses = self.peak = 0
+
+    def settle(self, noted: List[float]) -> None:
+        """Count a chunk's misses, ``noted`` as ``now, expiry`` pairs in
+        time order.  The size after a miss is the entries stored so far
+        less the expiries at or before that instant; an entry that does
+        not outlive its arrival (TTL 0) counts at its own instant only."""
+        times, expiries = noted[::2], noted[1::2]
+        outlives = list(map(gt, expiries, times))
+        pending = sorted(chain(self.live, compress(expiries, outlives)))
+        pending.append(inf)
+        stored, gone, peak = len(self.live), 0, self.peak
+        for now, outlived in zip(times, outlives):
+            while pending[gone] <= now:
+                gone += 1
+            if stored - gone >= peak:
+                peak = stored - gone + 1
+            stored += outlived
+        self.live = pending[gone:-1]
+        self.misses += len(times)
+        self.peak = peak
 
 
 class ReplayKernel:
     """The section 7 dual-cache step, written once for every fast lane.
 
-    :meth:`feed` inlines :meth:`ScopeTracker.access` for an ECS-keyed and
-    a plain cache — purge, lookup, a hit iff the stored expiry exceeds
-    ``now``, insert and peak update only on a miss — so counters equal
-    :func:`replay_partial` over the same rows.  Cache keys carry integer
-    qname *handles* interned run-globally (dictionary codes are
-    segment-local; one dict lookup per dictionary entry per segment keeps
-    handle equality identical to string equality), and a store's client
-    dictionary is parsed once for all kernels.  Memory is the caches,
-    sized by the unique-key universe, never the row count.
-    ``ttl_override`` replaces every row's TTL; ``0`` is honored (see
-    :func:`fig1_series`).
+    :meth:`feed` reads a row's two cache keys as dense integer ids: the
+    row hits a cache iff the expiry stored under its id exceeds ``now``,
+    a miss stores ``now + ttl`` and is noted, and peak sizes are settled
+    from the notes chunk by chunk (:meth:`_Cache.settle`), so counters
+    equal :func:`replay_partial` over the same, time-ordered rows.  One
+    kernel replays one id space: a :meth:`store_segment`, or the segments
+    of its own.  Memory is one float per key id and cache, the live
+    entries and a chunk, never the row count.  ``ttl_override`` replaces
+    every row's TTL; ``0`` is honored (see :func:`fig1_series`).
     """
 
     def __init__(self, ttl_override: Optional[float] = None) -> None:
         self.ttl_override = ttl_override
-        self.hits_ecs = self.misses_ecs = self.max_size_ecs = 0
-        self.hits_no_ecs = self.misses_no_ecs = self.max_size_no_ecs = 0
-        self._ecs_expiry: Dict[tuple, float] = {}
-        self._plain_expiry: Dict[tuple, float] = {}
-        self._ecs_heap: List[Tuple[float, tuple]] = []
-        self._plain_heap: List[Tuple[float, tuple]] = []
-        self._qname_handles: Dict[str, int] = {}
+        self.rows, self._last = 0, -inf
+        self._ecs, self._plain = _Cache(), _Cache()
+        self._segment = _key_space()
 
     def partial(self) -> ReplayPartial:
         """The counters accumulated so far."""
-        return ReplayPartial(self.hits_ecs, self.misses_ecs,
-                             self.hits_no_ecs, self.misses_no_ecs,
-                             self.max_size_ecs, self.max_size_no_ecs)
+        ecs, plain = self._ecs, self._plain
+        return ReplayPartial(self.rows - ecs.misses, ecs.misses,
+                             self.rows - plain.misses, plain.misses,
+                             ecs.peak, plain.peak)
 
-    def _handles(self, qnames: Sequence[str]) -> List[int]:
-        handles = self._qname_handles
-        return [handles.setdefault(value, len(handles)) for value in qnames]
-
-    def segment(self, columns: Sequence[Sequence[Any]], qnames: Sequence[str],
-                clients: Sequence[Optional[str]]) -> Segment:
-        """Bind six columns and their two dictionaries to this kernel."""
-        return Segment(columns, qnames, clients, self._handles(qnames),
-                       _client_entries(clients))
+    def group_segment(self, store: "ColumnarStore",
+                      client_field: str) -> Segment:
+        """One row group of a trace, zero-copy, keyed in the kernel's space."""
+        return self._segment(_store_columns(store, client_field))
 
     def store_segment(self, store: "ColumnarStore",
                       client_field: str) -> Segment:
-        """One columnar store (a whole file or one row group), zero-copy.
-
-        The client dictionary is parsed once per store, not once per
-        kernel (``store.memo``): Figure 1 binds one store to a kernel
-        per (resolver, TTL).  A malformed address raises from here every
-        time, since nothing is remembered for a parse that failed.
-        """
-        fields = ("ts", "qname", "qtype", client_field, "scope", "ttl")
-        qnames = store.dictionary("qname")
-        clients = store.dictionary(client_field)
-        return Segment([store.column(name) for name in fields], qnames,
-                       clients, self._handles(qnames),
-                       store.memo(("client entries", client_field),
-                                  lambda: _client_entries(clients)))
-
-    def record_segments(self, records: Iterable,
-                        client_field: str) -> Iterator[Segment]:
-        """Record objects, transposed :data:`RECORD_CHUNK_ROWS` at a time
-        (one C-level ``map`` per column) and dictionary-encoded per chunk.
-
-        A record without a client keeps the scope-free key, as in
-        :meth:`ScopeTracker._key`: its scope is rewritten to 0.
-        """
-        fields = ("ts", "qname", "qtype", client_field, "scope", "ttl")
-        stream = iter(records)
-        while True:
-            chunk = list(islice(stream, RECORD_CHUNK_ROWS))
-            if not chunk:
-                return
-            ts, qnames, qtypes, clients, scopes, ttls = (
-                list(map(attrgetter(name), chunk)) for name in fields)
-            if None in clients:
-                scopes = [0 if client is None else scope
-                          for client, scope in zip(clients, scopes)]
-            qcodes: Dict[str, int] = {}
-            ccodes: Dict[Optional[str], int] = {}
-            yield self.segment(
-                (ts, [qcodes.setdefault(v, len(qcodes)) for v in qnames],
-                 qtypes, [ccodes.setdefault(v, len(ccodes)) for v in clients],
-                 scopes, ttls), list(qcodes), list(ccodes))
+        """A store holding the whole trace, zero-copy, keyed in a space of
+        its own: once per store (``store.memo``) for every kernel fed from
+        it, and not at all when the derivation raises."""
+        return store.memo(
+            ("key ids", client_field),
+            lambda: _key_space()(_store_columns(store, client_field)))
 
     def feed(self, segment: Segment,
              rows: Optional[Iterable[int]] = None) -> None:
         """Replay ``rows`` of ``segment`` (default: all) in the order given:
         a qname bucket's row indices, or one row at a time when a tracer
-        wants each verdict (the hit counters' delta)."""
-        (ts_col, qname_col, qtype_col, client_col, scope_col,
-         ttl_col), _, _, qmap, cmap = segment
-        if rows is None:
-            rows = range(len(ts_col))
-        ttl_override = self.ttl_override
-        ecs_expiry, plain_expiry = self._ecs_expiry, self._plain_expiry
-        ecs_heap, plain_heap = self._ecs_heap, self._plain_heap
-        heappush, heappop = heapq.heappush, heapq.heappop
-        hits_ecs, misses_ecs = self.hits_ecs, self.misses_ecs
-        hits_no_ecs, misses_no_ecs = self.hits_no_ecs, self.misses_no_ecs
-        max_ecs, max_plain = self.max_size_ecs, self.max_size_no_ecs
-        try:
-            for row in rows:
-                now = ts_col[row]
-                qcode = qmap[qname_col[row]]
-                qtype = qtype_col[row]
-                scope = scope_col[row]
-                ttl = ttl_col[row] if ttl_override is None else ttl_override
-
-                # ECS cache: purge, then lookup, then insert on miss.
-                while ecs_heap and ecs_heap[0][0] <= now:
-                    expiry, key = heappop(ecs_heap)
-                    current = ecs_expiry.get(key)
-                    if current is not None and current <= now:
-                        del ecs_expiry[key]
-                if scope > 0:
-                    version, value, masks = cmap[client_col[row]]
-                    key = (qcode, qtype, version, scope, value & masks[scope])
-                elif scope == 0:
-                    key = (qcode, qtype)
-                else:
-                    raise IndexError(scope)
-                expiry_now = ecs_expiry.get(key)
-                if expiry_now is not None and expiry_now > now:
-                    hits_ecs += 1
-                else:
-                    misses_ecs += 1
-                    ecs_expiry[key] = now + ttl
-                    heappush(ecs_heap, (now + ttl, key))
-                    if len(ecs_expiry) > max_ecs:
-                        max_ecs = len(ecs_expiry)
-
-                # Plain cache: same sequence with the scope-free key.
-                while plain_heap and plain_heap[0][0] <= now:
-                    expiry, key = heappop(plain_heap)
-                    current = plain_expiry.get(key)
-                    if current is not None and current <= now:
-                        del plain_expiry[key]
-                key = (qcode, qtype)
-                expiry_now = plain_expiry.get(key)
-                if expiry_now is not None and expiry_now > now:
-                    hits_no_ecs += 1
-                else:
-                    misses_no_ecs += 1
-                    plain_expiry[key] = now + ttl
-                    heappush(plain_heap, (now + ttl, key))
-                    if len(plain_expiry) > max_plain:
-                        max_plain = len(plain_expiry)
-        except IndexError:
-            # The loop range-checks no scope on the ``scope > 0`` path;
-            # truncate_int names a bad prefix length as the oracle does,
-            # and any other overrun re-raises as it was.
-            version, value, _ = cmap[client_col[row]]
-            truncate_int(version, value, scope_col[row])
-            raise
-        self.hits_ecs, self.misses_ecs = hits_ecs, misses_ecs
-        self.hits_no_ecs, self.misses_no_ecs = hits_no_ecs, misses_no_ecs
-        self.max_size_ecs, self.max_size_no_ecs = max_ecs, max_plain
+        wants each verdict (the partial's delta)."""
+        ts_col, ttl_col, key_ids, plain_of = segment
+        ecs, plain = self._ecs, self._plain
+        ecs_expiry, plain_expiry = ecs.expiry, plain.expiry
+        for expiry in (ecs_expiry, plain_expiry):
+            expiry.extend(repeat(-inf, len(plain_of) - len(expiry)))
+        stream = iter(range(len(ts_col)) if rows is None else rows)
+        while chunk := tuple(islice(stream, CHUNK_ROWS)):
+            # One slice where it can be; itemgetter(row) is a bare value.
+            gather = itemgetter(slice(chunk[0], chunk[-1] + 1 or None)) \
+                if rows is None or len(chunk) == 1 else itemgetter(*chunk)
+            ts, ids = gather(ts_col), gather(key_ids)
+            if not (all(map(le, chain((self._last,), ts), ts))
+                    and ts[-1] < inf):
+                at, last = 0, self._last
+                while last <= ts[at] < inf:
+                    at, last = at + 1, ts[at]
+                raise ValueError(
+                    f"row {chunk[at]}: ts {ts[at]!r} follows ts {last!r}; a "
+                    f"replay needs a finite, time-ordered trace")
+            self._last = ts[-1]
+            ttls = gather(ttl_col) if self.ttl_override is None \
+                else repeat(self.ttl_override)
+            ecs_noted, plain_noted = [], []  # type: List[float], List[float]
+            ecs_note, plain_note = ecs_noted.append, plain_noted.append
+            for now, ek, pk, ttl in zip(ts, ids, map(plain_of.__getitem__,
+                                                     ids), ttls):
+                if not ecs_expiry[ek] > now:
+                    ecs_expiry[ek] = expiry = now + ttl
+                    ecs_note(now)
+                    ecs_note(expiry)
+                if not plain_expiry[pk] > now:
+                    plain_expiry[pk] = expiry = now + ttl
+                    plain_note(now)
+                    plain_note(expiry)
+            ecs.settle(ecs_noted)
+            plain.settle(plain_noted)
+            self.rows += len(ts)
 
 
 # Three adapters over the kernel.  They stay separate functions that never
@@ -312,16 +305,21 @@ class ReplayKernel:
 def replay_partial_batched(records: Iterable, client_field: str,
                            ttl_override: Optional[float] = None
                            ) -> ReplayPartial:
-    """Object lane: record instances read by field *name*; counters equal
-    :func:`replay_partial` with the matching accessors.
+    """Object lane: record instances read by field *name*, transposed
+    :data:`CHUNK_ROWS` at a time (one C-level ``map`` per column); counters
+    equal :func:`replay_partial` with the matching accessors.
 
-    For records already in a caller's hands.  Nothing in ``repro``
-    calls it: traces on disk, JSONL included, and the figure helpers
-    below replay as columns and build no records.
+    For records already in a caller's hands; nothing in ``repro`` calls
+    it (traces on disk and the figure helpers replay as columns).
     """
     kernel = ReplayKernel(ttl_override)
-    for segment in kernel.record_segments(records, client_field):
-        kernel.feed(segment)
+    stream = iter(records)
+    while chunk := list(islice(stream, CHUNK_ROWS)):
+        columns = [list(map(attrgetter(name), chunk)) for name in
+                   ("ts", "qname", "qtype", client_field, "scope", "ttl")]
+        columns[3] = [None if client is None else parse_addr(client)
+                      for client in columns[3]]
+        kernel.feed(kernel._segment(columns))
     return kernel.partial()
 
 
@@ -329,10 +327,8 @@ def replay_partial_columns(store: "ColumnarStore", client_field: str,
                            rows: Optional[Iterable[int]] = None,
                            ttl_override: Optional[float] = None
                            ) -> ReplayPartial:
-    """Columnar lane: one store's packed columns, no record objects.
-
-    ``rows`` selects a subset in replay order (one qname bucket).
-    """
+    """Columnar lane: one store's packed columns, no record objects;
+    ``rows`` selects a subset in replay order (one qname bucket)."""
     kernel = ReplayKernel(ttl_override)
     kernel.feed(kernel.store_segment(store, client_field), rows)
     return kernel.partial()
@@ -351,7 +347,7 @@ def replay_partial_column_groups(stores: Iterable["ColumnarStore"],
     """
     kernel = ReplayKernel(ttl_override)
     for store in stores:
-        kernel.feed(kernel.store_segment(store, client_field))
+        kernel.feed(kernel.group_segment(store, client_field))
     return kernel.partial()
 
 
@@ -385,14 +381,18 @@ def fig1_series(store: "ColumnarStore",
     keeps the trace's own, and ``0`` is a valid override meaning nothing
     outlives its arrival instant.
     """
-    by_resolver: List[List[int]] = [[] for _ in
-                                    store.dictionary("resolver_ip")]
+    by_resolver = [array("q") for _ in store.dictionary("resolver_ip")]
     for row, code in enumerate(store.column("resolver_ip")):
         by_resolver[code].append(row)
-    return {ttl: sorted(replay_partial_columns(store, "ecs_address", rows,
-                                               ttl).result().blowup
-                        for rows in by_resolver if rows)
-            for ttl in ttls}
+    series: Dict[Optional[int], List[float]] = {ttl: [] for ttl in ttls}
+    for rows in filter(None, by_resolver):
+        # Keyed once (ids do not depend on the TTL), 20 bytes a row.
+        segment = _key_space()(_store_columns(store, "ecs_address", rows))
+        for ttl, factors in series.items():
+            kernel = ReplayKernel(ttl)
+            kernel.feed(segment)
+            factors.append(kernel.partial().result().blowup)
+    return {ttl: sorted(factors) for ttl, factors in series.items()}
 
 
 def cdf_points(sorted_values: Sequence[float]) -> List[Tuple[float, float]]:

@@ -645,11 +645,13 @@ class ColumnarStore:
         the hash runs once per unique string, then bucketing the rows is
         a table lookup per row.  Memoized per (column, shards): workers
         replaying several shards of one mapped file pay the scan once.
+        A row index takes four bytes unless the store has 2**32 rows.
         """
         def scan() -> List["array[Any]"]:
             by_code = array("i", (stable_bucket(value, shards)
                                   for value in self._dicts[column]))
-            buckets = [array("q") for _ in range(shards)]
+            code = "I" if len(self) < 1 << 32 else "q"
+            buckets = [array(code) for _ in range(shards)]
             appends = [bucket.append for bucket in buckets]
             for row, code in enumerate(self._data[column]):
                 appends[by_code[code]](row)
@@ -662,8 +664,10 @@ class ColumnarStore:
 
         For values derived from the columns or dictionaries alone (they
         never change once a store exists) that several passes over one
-        store would otherwise recompute.  Nothing is kept when ``build``
-        raises.
+        store would otherwise recompute: the row-bucket tables and the
+        replay kernel's cache-key ids (``ReplayKernel.store_segment``),
+        four bytes a row each, for as long as the store lives.  Nothing
+        is kept when ``build`` raises.
         """
         try:
             return self._memo[key]

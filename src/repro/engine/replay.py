@@ -83,9 +83,9 @@ CLIENT_FIELDS: Dict[str, str] = {
 TRACED_RECORDS_PER_SHARD = 1000
 
 
-#: What a traced shard hands the kernel: segments in replay order, each
-#: with its row selection (None for every row).
-Feeds = Iterable[Tuple[Segment, Optional[Sequence[int]]]]
+#: What a traced shard hands the kernel: stores in replay order, each
+#: with its segment and row selection (None for every row).
+Feeds = Iterable[Tuple[ColumnarStore, Segment, Optional[Sequence[int]]]]
 
 
 def _observed_replay(kind: str, untraced: Callable[[], ReplayPartial],
@@ -100,7 +100,8 @@ def _observed_replay(kind: str, untraced: Callable[[], ReplayPartial],
     :data:`TRACED_RECORDS_PER_SHARD` rows one at a time, each inside a
     ``replay.query`` span whose two verdicts are the hit counters'
     deltas, and the rest in bulk — so counters are identical and no
-    record object is ever built for a columnar row.  A registry gets the
+    record object is ever built for a columnar row; span attributes
+    are read from the store each feed came from.  A registry gets the
     partial's aggregate counters after the fact.  The None guards live
     here, once (RS003).
     """
@@ -110,20 +111,26 @@ def _observed_replay(kind: str, untraced: Callable[[], ReplayPartial],
     else:
         kernel = ReplayKernel()
         budget = TRACED_RECORDS_PER_SHARD
-        for segment, rows in feeds(kernel):
-            ts, qname, qtype, client, scope, _ = segment.columns
+        field = CLIENT_FIELDS[kind]
+        for store, segment, rows in feeds(kernel):
+            ts, qname, qtype, client, scope = (
+                store.column(name)
+                for name in ("ts", "qname", "qtype", field, "scope"))
+            qnames = store.dictionary("qname")
+            clients = store.dictionary(field)
             if rows is None:
                 rows = range(len(ts))
             for row in rows[:budget]:
                 with tracer.span("replay.query", kind=kind, ts=ts[row],
-                                 qname=segment.qnames[qname[row]],
-                                 qtype=qtype[row],
-                                 client=segment.clients[client[row]],
+                                 qname=qnames[qname[row]], qtype=qtype[row],
+                                 client=clients[client[row]],
                                  scope=scope[row]) as span:
-                    ecs_hits, plain_hits = kernel.hits_ecs, kernel.hits_no_ecs
+                    before = kernel.partial()
                     kernel.feed(segment, (row,))
-                    span.attrs["ecs_hit"] = kernel.hits_ecs > ecs_hits
-                    span.attrs["plain_hit"] = kernel.hits_no_ecs > plain_hits
+                    after = kernel.partial()
+                    span.attrs["ecs_hit"] = after.hits_ecs > before.hits_ecs
+                    span.attrs["plain_hit"] = \
+                        after.hits_no_ecs > before.hits_no_ecs
             kernel.feed(segment, rows[budget:])
             budget = max(0, budget - len(rows))
         partial = kernel.partial()
@@ -233,7 +240,7 @@ def _replay_lines_shard(kind: str, lines: List[str]) -> ReplayPartial:
     field = CLIENT_FIELDS[kind]
     return _observed_replay(
         kind, lambda: replay_partial_columns(store, field),
-        lambda kernel: [(kernel.store_segment(store, field), None)])
+        lambda kernel: [(store, kernel.store_segment(store, field), None)])
 
 
 def replay_jsonl_sharded(path: Union[str, Path], kind: str,
@@ -329,15 +336,16 @@ def _replay_columnar_shard(path: str, kind: str, shards: int,
     flattened into memory once per worker — O(rows) per worker, which
     is what :func:`_replay_columnar_range` over a pre-bucketed file
     avoids.  Row selection is the memoized per-store bucket table
-    (:meth:`~repro.datasets.columnar.ColumnarStore.row_buckets`), and
-    the hot loop runs straight over the columns, traced or not.
+    (:meth:`~repro.datasets.columnar.ColumnarStore.row_buckets`) and the
+    rows' cache-key ids are memoized beside it, so the buckets of one
+    trace share both; the hot loop reads them, traced or not.
     """
     store: ColumnarStore = _open_cached(ColumnarStore.open, path)
     rows = store.row_buckets("qname", shards)[bucket]
     field = CLIENT_FIELDS[kind]
     return _observed_replay(
         kind, lambda: replay_partial_columns(store, field, rows=rows),
-        lambda kernel: [(kernel.store_segment(store, field), rows)])
+        lambda kernel: [(store, kernel.store_segment(store, field), rows)])
 
 
 @worker_entrypoint
@@ -348,9 +356,10 @@ def _replay_columnar_range(path: str, kind: str, group_start: int,
     The out-of-core work unit: ``(group_start, group_end)`` plus the
     shared ``(path, kind)`` header cross the pool boundary, and the
     worker walks only its own groups' pages — one group's columns
-    resident at a time, traced or not; the kernel re-maps group-local
-    dictionary codes onto run-global handles so counters are identical
-    to a flat replay of the same rows.
+    resident at a time, traced or not; the kernel keys every group's rows
+    in its own id space, by name and address rather than by group-local
+    dictionary code, so counters are identical to a flat replay of the
+    same rows.
     """
     reader: RowGroupReader = _open_cached(RowGroupReader, path)
 
@@ -367,7 +376,7 @@ def _replay_columnar_range(path: str, kind: str, group_start: int,
                       group_end - group_start)
     return _observed_replay(
         kind, lambda: replay_partial_column_groups(groups(), field),
-        lambda kernel: ((kernel.store_segment(store, field), None)
+        lambda kernel: ((store, kernel.group_segment(store, field), None)
                         for store in groups()))
 
 

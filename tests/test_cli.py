@@ -334,6 +334,49 @@ class TestColumnarCommands:
         assert reports[0] == reports[1] == reports[2]
         assert "blow-up factor" in "\n".join(reports[0])
 
+    @staticmethod
+    def _replay_table(trace, workers, traced, out):
+        """What ``replay`` prints below the title line (which embeds the
+        file name)."""
+        spans = ["--trace-out", str(out / "spans.jsonl")] if traced else []
+        assert main(["--quiet", *spans, "--out", str(out), "replay",
+                     "allnames", str(trace), "--workers", workers]) == 0
+        return (out / "replay.txt").read_text().splitlines()[2:]
+
+    @pytest.fixture(scope="class")
+    def one_trace(self, tmp_path_factory):
+        """The committed v1 trace (nothing writes v1 any more), the three
+        other shapes ``convert`` makes of it, and the table ``replay``
+        prints for the v1 file at one worker, untraced."""
+        root = tmp_path_factory.mktemp("one-trace")
+        v1 = Path(__file__).parent / "data" / "allnames_v1.col"
+        shapes = {"v1": v1, "jsonl": root / "trace.jsonl",
+                  "v2": root / "rg.col", "bucketed": root / "bucketed.col"}
+        for shape, extra in (
+                ("jsonl", []),
+                ("v2", ["--to", "columnar", "--row-group-rows", "64"]),
+                ("bucketed", ["--to", "columnar", "--bucket-shards", "8",
+                              "--row-group-rows", "64"])):
+            assert main(["--quiet", "convert", "allnames", str(v1),
+                         str(shapes[shape]), *extra]) == 0
+        want = self._replay_table(v1, "1", False, root / "want")
+        assert "blow-up factor" in "\n".join(want)
+        return shapes, want
+
+    @pytest.mark.parametrize("traced", (False, True),
+                             ids=("untraced", "traced"))
+    @pytest.mark.parametrize("workers", ("1", "2"))
+    @pytest.mark.parametrize("shape", ("jsonl", "v1", "v2", "bucketed"))
+    def test_one_replay_table_across_shape_workers_and_tracing(
+            self, one_trace, shape, workers, traced, tmp_path):
+        """Every input shape ends in the one replay kernel, traced or
+        not: all sixteen print one table."""
+        shapes, want = one_trace
+        assert self._replay_table(shapes[shape], workers, traced,
+                                  tmp_path) == want
+        if traced:
+            assert (tmp_path / "spans.jsonl").stat().st_size > 0
+
     def test_dataset_info_reports_layout(self, tmp_path, capsys):
         col = self._generate(tmp_path, fmt="columnar")
         rc = main(["dataset", "info", str(col)])

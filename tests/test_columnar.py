@@ -503,7 +503,7 @@ def test_replay_columns_equals_object_path(records, shards, ttl_override,
     records.sort(key=lambda r: r.ts)
     store = ColumnarStore.from_records(records, "allnames")
     chunk = data.draw(st.integers(1, 70), label="record chunk rows")
-    with mock.patch.object(cache_sim, "RECORD_CHUNK_ROWS", chunk):
+    with mock.patch.object(cache_sim, "CHUNK_ROWS", chunk):
         batched = replay_partial_batched(records, "client_ip",
                                          ttl_override=ttl_override)
     assert batched == _oracle(records, ttl_override)
@@ -525,7 +525,7 @@ def test_replay_columns_equals_object_path(records, shards, ttl_override,
                           label="rows without a client") if records else ()
     holed = [dataclasses.replace(r, client_ip=None) if i in anonymous else r
              for i, r in enumerate(records)]
-    with mock.patch.object(cache_sim, "RECORD_CHUNK_ROWS", chunk):
+    with mock.patch.object(cache_sim, "CHUNK_ROWS", chunk):
         assert replay_partial_batched(holed, "client_ip",
                                       ttl_override=ttl_override) \
             == _oracle(holed, ttl_override)
@@ -572,10 +572,11 @@ def test_out_of_range_scope_raises_like_oracle(lane, scope, client):
 
 
 def test_client_dictionary_parses_once_per_store():
-    """Kernels bound to one store share its parsed client dictionary
-    (Figure 1 runs one per resolver and TTL); a parse that fails is not
-    remembered, so every kernel raises, from ``store_segment``, before a
-    row is fed."""
+    """Kernels fed from one store share the key ids derived from it (one
+    per qname bucket, one per sweep sample), so its client dictionary is
+    parsed once, when they are derived; a parse that fails leaves nothing
+    with the store, so every kernel raises, from ``store_segment``,
+    before a row is fed."""
     records = [AllNamesRecord(0.0, "10.9.8.7", "a.example.", 1, 24, 60),
                AllNamesRecord(1.0, "2001:db8::1", "a.example.", 28, 48, 60),
                AllNamesRecord(2.0, "10.9.8.7", "b.example.", 1, 16, 60)]
@@ -587,6 +588,7 @@ def test_client_dictionary_parses_once_per_store():
                                           ttl_override=ttl) \
                 == _oracle(records, ttl)
         assert parse.call_count == 2
+        assert list(store._memo) == [("key ids", "client_ip")]
         assert replay_partial_column_groups(
             [ColumnarStore.from_records(records, "allnames")],
             "client_ip") == _oracle(records)
@@ -601,6 +603,7 @@ def test_client_dictionary_parses_once_per_store():
         assert kernel.partial().queries == 0
         with pytest.raises(ValueError, match="10.9.8.777"):
             replay_partial_columns(store, "client_ip", rows=[0])
+        assert store._memo == {}
 
 
 # ---------------------------------------------------------------------------
@@ -1303,7 +1306,9 @@ def test_hostile_jsonl_line_names_itself(line, reason, tmp_path,
     pytest.param(line, id=label) for label, line in _ACCEPTED])
 def test_unusual_jsonl_line_is_accepted_by_both_lanes(line, tmp_path):
     src, dst = tmp_path / "trace.jsonl", tmp_path / "trace.col"
-    src.write_text("\n".join((_GOOD, line, "", _GOOD)))  # no final newline
+    # The unusual line last (integer-ts is the latest row: a replay needs
+    # time order), after a blank one and without a final newline.
+    src.write_text("\n".join((_GOOD, "", _GOOD, line)))
     replay, convert = _both_lanes(src, dst, 1)
     assert replay()[1].total_records == convert() == 3
     assert read_columnar(dst) == read_jsonl(src, AllNamesRecord)
