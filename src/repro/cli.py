@@ -256,7 +256,8 @@ def cmd_pitfalls(args: argparse.Namespace, reporter: _Reporter) -> None:
 
 
 def cmd_generate(args: argparse.Namespace, reporter: _Reporter) -> None:
-    """Write one synthetic dataset to a JSONL trace file.
+    """Write one synthetic dataset to a trace file, JSONL or columnar
+    (``--format``).
 
     Generation is sharded through :mod:`repro.engine` by spec dispatch:
     workers rebuild the dataset builder from a compact
@@ -538,10 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="Atlas-like probes for Figs 6/7")
 
     generate = sub.add_parser("generate",
-                              help="write a synthetic dataset as JSONL")
+                              help="write a synthetic dataset as a trace "
+                                   "file")
     generate.add_argument("dataset",
                           choices=("allnames", "public-cdn", "cdn"))
-    generate.add_argument("file", help="output JSONL path")
+    generate.add_argument("file",
+                          help="output trace path (JSONL, or columnar "
+                               "with --format columnar)")
     generate.add_argument("--scale", type=float, default=0.05)
     generate.add_argument("--hours", type=float, default=1.0)
     generate.add_argument("--format", choices=("jsonl", "columnar"),
@@ -552,8 +556,9 @@ def build_parser() -> argparse.ArgumentParser:
                           default=None,
                           help="with --format columnar: rows per row "
                                "group of the output file (default "
-                               f"{DEFAULT_ROW_GROUP_ROWS}); generation "
-                               "streams with memory bounded by it")
+                               f"{DEFAULT_ROW_GROUP_ROWS}); the group "
+                               "size and nothing else: --shards is what "
+                               "bounds a worker's memory")
     add_engine_flags(generate)
 
     replay_cmd = sub.add_parser("replay",

@@ -3,7 +3,7 @@
 from . import paper_numbers
 from .allnames import AllNamesBuilder, AllNamesDataset
 from .cdn_dataset import CdnDataset, CdnDatasetBuilder, ResolverSpec
-from .columnar import (SCHEMAS, ColumnarStats, ColumnarStore, ColumnarWriter,
+from .columnar import (SCHEMAS, ColumnarStore, ColumnarWriter,
                        columnar_to_jsonl, file_info, is_columnar,
                        jsonl_to_columnar, merge_columnar_shards,
                        read_columnar, schema_for, write_columnar_stream)
@@ -22,7 +22,7 @@ from .workload import (ClientPopulation, HostnameUniverse, SldPolicy,
 __all__ = [
     "AllNamesBuilder", "AllNamesDataset", "AllNamesRecord", "CdnDataset",
     "CdnDatasetBuilder", "CdnQueryRecord", "ChainSpec", "ClientPopulation",
-    "ColumnarStats", "ColumnarStore", "ColumnarWriter", "EgressSpec",
+    "ColumnarStore", "ColumnarWriter", "EgressSpec",
     "HostnameUniverse", "PublicCdnBuilder", "PublicCdnDataset",
     "PublicCdnRecord", "ResolverSpec", "RootQueryRecord", "RootTrace",
     "RootTraceBuilder", "SCHEMAS", "ScanQueryRecord", "ScanUniverse",

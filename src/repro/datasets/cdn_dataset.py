@@ -283,9 +283,8 @@ class CdnDatasetBuilder:
         """Stream one resolver slice's queries, in emission order.
 
         Resolver-major (each resolver's records are internally sorted,
-        resolvers overlap in time), so out-of-core writers pair this
-        with an external sort.  Consumes the shard's random stream in
-        exactly the :meth:`build_shard` order.
+        resolvers overlap in time): :meth:`build_shard` is this stream,
+        stably sorted.
         """
         specs = self._world_specs()
         hostnames = self._hostnames()

@@ -19,7 +19,7 @@ code order).  The header is pure JSON so ``repro-ecs dataset info`` can
 describe a file without touching any segment.
 
 Every file this module writes is the row-group layout (``RPRCOL02``):
-generation, merge and replay all run out-of-core because writers stream
+merge, conversion and replay all run out-of-core because writers stream
 groups through a bounded buffer (:class:`GroupedColumnarWriter`),
 readers walk one group at a time (:class:`RowGroupReader`), and every
 group carries its own group-local string dictionaries so merges can
@@ -194,47 +194,8 @@ def schema_for(dataset: Union[str, Type[Any], Any]) -> Schema:
     raise KeyError(f"no columnar schema for record type {cls.__name__!r}")
 
 
-@dataclass(frozen=True)
-class ColumnarStats:
-    """Size accounting for one store or shard, mergeable across shards.
-
-    Every field sums when shards are concatenated or merged, so shard
-    stats fold associatively into whole-trace stats (``dict_entries``
-    sums the per-shard dictionary sizes — an upper bound on the merged
-    dictionary, exact when shard dictionaries are disjoint).
-    """
-
-    rows: int = 0
-    data_bytes: int = 0
-    null_bytes: int = 0
-    dict_bytes: int = 0
-    dict_entries: int = 0
-
-    @property
-    def total_bytes(self) -> int:
-        return self.data_bytes + self.null_bytes + self.dict_bytes
-
-    @property
-    def bytes_per_row(self) -> float:
-        return self.total_bytes / self.rows if self.rows else 0.0
-
-    def merge_segments(self, other: "ColumnarStats") -> "ColumnarStats":
-        """Fold another shard's stats in (field-wise sum)."""
-        return ColumnarStats(
-            self.rows + other.rows,
-            self.data_bytes + other.data_bytes,
-            self.null_bytes + other.null_bytes,
-            self.dict_bytes + other.dict_bytes,
-            self.dict_entries + other.dict_entries)
-
-
 def _align_pad(offset: int) -> int:
     return (-offset) % ALIGN
-
-
-def _raw_bytes(column: Any) -> bytes:
-    """Packed bytes of a raw column (array or typed memoryview)."""
-    return column.tobytes()
 
 
 def _check_columns(schema: Schema, columns: Sequence[Sequence[Any]]) -> None:
@@ -353,30 +314,27 @@ class ColumnarWriter:
             self._append_columns([list(map(get, chunk))
                                   for get in self._getters])
 
-    def extend_rows(self, store: "ColumnarStore", lo: int = 0,
-                    hi: Optional[int] = None,
+    def extend_rows(self, store: "ColumnarStore",
                     rows: Optional[Sequence[int]] = None) -> int:
-        """Append a row range (or row selection) of another store.
+        """Append every row of another store, or the selection ``rows``.
 
         A string is interned the first time an appended row references
         it — exactly the order a row-by-row ``append_values`` loop would
         produce, so run-granular merges built on this stay byte-identical
-        to the per-row reference merge.  ``rows`` selects arbitrary row
-        indices instead of ``[lo, hi)`` (used by the pre-bucketing
-        writer).
+        to the per-row reference merge.  ``rows`` is any sequence of row
+        indices (a shard's ts order, a qname bucket); when it is a
+        ``range`` of step 1 the packed columns are copied as bytes.
         """
         if store.schema.name != self.schema.name:
             raise ValueError(f"cannot append rows of schema "
                              f"{store.schema.name!r} onto "
                              f"{self.schema.name!r}")
-        stop = store.rows if hi is None else hi
-        if rows is None:
-            if not 0 <= lo <= stop <= store.rows:
-                raise ValueError(f"row range [{lo}, {stop}) out of range "
-                                 f"for {store.rows} rows")
-            selection: Sequence[int] = range(lo, stop)
-        else:
-            selection = rows
+        selection = range(store.rows) if rows is None else rows
+        span = isinstance(selection, range) and selection.step == 1
+        if span and not 0 <= selection.start <= selection.stop <= store.rows:
+            raise ValueError(f"row range [{selection.start}, "
+                             f"{selection.stop}) out of range for "
+                             f"{store.rows} rows")
         base = self.rows
         for spec in self.schema.columns:
             raw = store.raw_column(spec.name)
@@ -400,8 +358,8 @@ class ColumnarWriter:
                         cmap[code] = mapped
                     codes.append(mapped)
                 arr.extend(codes)
-            elif rows is None:
-                arr.frombytes(raw[lo:stop].tobytes())
+            elif span:
+                arr.frombytes(raw[selection.start:selection.stop].tobytes())
             else:
                 arr.extend(raw[row] for row in selection)
             if spec.nullable:
@@ -559,7 +517,7 @@ class ColumnarStore:
         """
         bitmap_bytes = (self.rows + 7) >> 3
         for spec in self.schema.columns:
-            data = _raw_bytes(self._data[spec.name])
+            data = self._data[spec.name].tobytes()
             nulls = (bytes(self._nulls[spec.name][:bitmap_bytes])
                      if spec.nullable else None)
             dict_payload: Optional[bytes] = None
@@ -675,28 +633,6 @@ class ColumnarStore:
             value = self._memo[key] = build()
             return value
 
-    # -- accounting --------------------------------------------------------
-
-    def stats(self) -> ColumnarStats:
-        """Byte/row accounting over the packed segments."""
-        data_bytes = sum(len(_raw_bytes(self._data[c.name]))
-                         for c in self.schema.columns)
-        null_bytes = sum((self.rows + 7) >> 3
-                         for c in self.schema.columns if c.nullable)
-        dict_bytes = 0
-        dict_entries = 0
-        for name, dictionary in self._dicts.items():
-            dict_entries += len(dictionary)
-            dict_bytes += len(json.dumps(dictionary, separators=(",", ":"),
-                                         ensure_ascii=False).encode("utf-8"))
-        return ColumnarStats(self.rows, data_bytes, null_bytes, dict_bytes,
-                             dict_entries)
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the packed representation."""
-        return self.stats().total_bytes
-
 
 # ---------------------------------------------------------------------------
 # On-disk layout
@@ -709,11 +645,12 @@ class ColumnarStore:
 #     ...        header          UTF-8 JSON, runs to end of file
 #
 # The header sits at the *tail* so a writer can stream groups through a
-# bounded buffer and never seek except to patch the u64 — no reader or
-# writer ever holds a full shard in memory.  Each group carries its own
-# per-column segments *including its own string dictionaries* (codes are
-# group-local), so a group's bytes are position-independent: merges copy
-# whole groups verbatim, and readers remap codes across groups on read.
+# bounded buffer and never seek except to patch the u64 — the format
+# never asks a reader or writer to hold more than one group.  Each
+# group carries its own per-column segments *including its own string
+# dictionaries* (codes are group-local), so a group's bytes are
+# position-independent: merges copy whole groups verbatim, and readers
+# remap codes across groups on read.
 #
 # The legacy v1 layout (``RPRCOL01``) has a u32 header length and the
 # header *before* one set of segments.  :func:`_read_header` turns it
@@ -955,27 +892,17 @@ class GroupedColumnarWriter:
         codes re-intern per group in first-appearance order (see
         :meth:`ColumnarWriter.extend_rows`).
         """
-        appended = 0
-        if rows is not None:
-            pos, total = 0, len(rows)
-            while pos < total:
-                take = min(self.row_group_rows - self._buffer.rows,
-                           total - pos)
-                self._buffer.extend_rows(store, rows=rows[pos:pos + take])
-                pos += take
-                appended += take
-                if self._buffer.rows >= self.row_group_rows:
-                    self._flush_group()
-            return appended
-        stop = store.rows if hi is None else hi
-        while lo < stop:
-            take = min(self.row_group_rows - self._buffer.rows, stop - lo)
-            self._buffer.extend_rows(store, lo, lo + take)
-            lo += take
-            appended += take
+        selection: Sequence[int] = (
+            range(lo, store.rows if hi is None else hi) if rows is None
+            else rows)
+        pos, total = 0, len(selection)
+        while pos < total:
+            take = min(self.row_group_rows - self._buffer.rows, total - pos)
+            self._buffer.extend_rows(store, rows=selection[pos:pos + take])
+            pos += take
             if self._buffer.rows >= self.row_group_rows:
                 self._flush_group()
-        return appended
+        return total
 
     def set_bucket(self, bucket: Optional[int]) -> None:
         """Tag subsequent groups with a qname-bucket index.
@@ -1287,57 +1214,12 @@ def write_columnar_stream(records: Iterable[Any], path: Union[str, Path],
     """Stream an already-ordered record iterable into a columnar file.
 
     Bounded memory: at most ``row_group_rows`` records' worth of columns
-    buffer at once.  The stream's order is preserved — use
-    :func:`write_columnar_sorted` when the source emits out of ts order.
+    buffer at once.  The stream's order is preserved; nothing here
+    sorts.
     """
     with GroupedColumnarWriter(schema, path, row_group_rows) as writer:
         writer.extend(records)
     return writer.rows
-
-
-def write_columnar_sorted(records: Iterable[Any], path: Union[str, Path],
-                          schema: Union[str, Schema],
-                          row_group_rows: Optional[int] = None) -> int:
-    """External sort of a record stream into a ts-ordered columnar file.
-
-    Buffers ``row_group_rows`` records, stable-sorts each full buffer by
-    ``ts`` and spills it as a sorted *run* file, then k-way merges the
-    runs.  The merge breaks ts ties toward the earlier run, and each run
-    is a consecutive chunk of the input stream stably sorted — so the
-    result is exactly the global stable sort the in-memory
-    ``records.sort(key=...)`` path produces, row for row.  Peak memory
-    is one buffer plus one group per run.
-    """
-    resolved = schema if isinstance(schema, Schema) else schema_for(schema)
-    target = Path(path)
-    key = attrgetter("ts")
-    budget = (DEFAULT_ROW_GROUP_ROWS if row_group_rows is None
-              else row_group_rows)
-    buffer: List[Any] = []
-    run_paths: List[Path] = []
-
-    def spill() -> None:
-        buffer.sort(key=key)
-        run_path = target.with_name(f"{target.name}.run{len(run_paths):04d}")
-        write_columnar_stream(buffer, run_path, resolved, row_group_rows)
-        run_paths.append(run_path)
-        buffer.clear()
-
-    try:
-        for record in records:
-            buffer.append(record)
-            if len(buffer) >= budget:
-                spill()
-        if not run_paths:
-            buffer.sort(key=key)
-            return write_columnar_stream(buffer, target, resolved,
-                                         row_group_rows)
-        if buffer:
-            spill()
-        return merge_columnar_shards(run_paths, target, row_group_rows)
-    finally:
-        for run_path in run_paths:
-            run_path.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1625,11 +1507,9 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
     not overlap (allnames: time windows) therefore merge at group-copy
     speed.  Shards that cover the same clock are interleaved end to end
     — every public-cdn shard is a resolver range over the whole time
-    range, and so is every sorted run :func:`write_columnar_sorted`
-    merges inside one — and there a run is one or two rows, so the merge
-    makes about one ``extend_store`` call per row (a public-cdn generate
-    costs ~29 µs/row against allnames' ~1.6; ``docs/performance.md``,
-    "The interleaved-shard cliff").
+    range — and there a run is one or two rows, so the merge makes
+    about one ``extend_store`` call per row (``docs/performance.md``,
+    "The interleaved-shard cliff", has the price).
 
     Inputs may be v1 or v2 but not a mix — mixed format versions raise,
     as do mixed schemas.  The output is written with bounded memory in

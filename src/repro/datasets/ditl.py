@@ -107,9 +107,8 @@ class RootTraceBuilder:
                    shard_count: int) -> Iterator[RootQueryRecord]:
         """Stream one resolver range's queries, in emission order.
 
-        Resolver-major (not globally ts-sorted); pairs with an external
-        sort in out-of-core writers.  Consumes the shard's random
-        stream in exactly the :meth:`build_shard` order.
+        Resolver-major (not globally ts-sorted): :meth:`build_shard`
+        is this stream, stably sorted.
         """
         lo, hi = shard_bounds(self.resolver_count, shard_count)[shard_index]
         rng = random.Random(derive_seed(self.seed, shard_index,

@@ -138,8 +138,9 @@ class PublicCdnBuilder:
 
         Resolver-major, *not* globally ts-sorted (each resolver's
         arrivals are time-ordered but resolvers overlap): enough for
-        Figure 1, which replays resolver by resolver; out-of-core
-        writers pair the record view with an external sort.
+        Figure 1, which replays resolver by resolver; the ``.col``
+        writer holds the chunks as one store and writes it through its
+        stable ts order.
         """
         lo, hi = shard_bounds(self.resolver_count(), shard_count)[shard_index]
         rng = random.Random(derive_seed(self.seed, shard_index,

@@ -19,6 +19,8 @@ from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
                     Type, TypeVar, Union)
 
+from ..obs.export import write_text_atomic
+
 T = TypeVar("T")
 
 
@@ -146,6 +148,23 @@ class JsonlFormatError(ValueError):
         return self
 
 
+def _write_lines(path: Union[str, Path], lines: Iterable[str]) -> int:
+    """Stream ``lines`` to ``path`` tmp-then-rename; returns how many.
+
+    If ``lines`` raises mid-way, ``path`` is left as it was
+    (:func:`~repro.obs.export.write_text_atomic`).
+    """
+    count = 0
+
+    def counted() -> Iterator[str]:
+        nonlocal count
+        for count, line in enumerate(lines, 1):
+            yield line
+
+    write_text_atomic(path, counted())
+    return count
+
+
 def write_jsonl(records: Iterable[object], path: Union[str, Path]) -> int:
     """Write dataclass records as JSON lines; returns the count written."""
     # Records are flat dataclasses of scalars: reading the fields by
@@ -153,17 +172,15 @@ def write_jsonl(records: Iterable[object], path: Union[str, Path]) -> int:
     # recursive copy, and one encoder serves every line.
     encode = json.JSONEncoder(separators=(",", ":")).encode
     names_of: Dict[type, Tuple[str, ...]] = {}
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            names = names_of.get(type(record))
-            if names is None:
-                names = names_of[type(record)] = tuple(
-                    f.name for f in dataclasses.fields(record))
-            fh.write(encode({name: getattr(record, name)
-                             for name in names}) + "\n")
-            count += 1
-    return count
+
+    def line_of(record: object) -> str:
+        names = names_of.get(type(record))
+        if names is None:
+            names = names_of[type(record)] = tuple(
+                f.name for f in dataclasses.fields(record))
+        return encode({name: getattr(record, name) for name in names}) + "\n"
+
+    return _write_lines(path, map(line_of, records))
 
 
 def read_jsonl(path: Union[str, Path], record_type: Type[T]) -> List[T]:
@@ -226,17 +243,12 @@ def merge_jsonl_shards(paths: Sequence[Union[str, Path]],
             if line:
                 yield (json.loads(line)[ts_field], index, line)
 
-    count = 0
     with contextlib.ExitStack() as stack:
         handles = [stack.enter_context(open(p, "r", encoding="utf-8"))
                    for p in paths]
-        out = stack.enter_context(open(out_path, "w", encoding="utf-8"))
         streams = [stream(i, h) for i, h in enumerate(handles)]
-        for _, _, line in heapq.merge(*streams):
-            out.write(line)
-            out.write("\n")
-            count += 1
-    return count
+        return _write_lines(out_path, (line + "\n" for _, _, line
+                                       in heapq.merge(*streams)))
 
 
 def write_csv(records: Sequence[object], path: Union[str, Path]) -> int:

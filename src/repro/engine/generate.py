@@ -19,7 +19,11 @@ shard index (its random stream is seeded via
 The engine then guarantees the merged output is identical for any worker
 count, because shards are generated from fixed seeds and merged in shard
 order.  A builder with a column stream has *one* row loop, the one that
-fills the columns; its record methods are views of that stream.
+fills the columns; its record methods are views of that stream.  The
+engine reads ``build_shard`` (JSONL shards) and, where there is one,
+the column stream (``.col`` shards, put in ts order once and without a
+temporary file: :func:`_write_columnar_shard_from_spec`); ``iter_shard``
+is for callers that want records one at a time.
 
 Every entry point ships a :class:`~repro.engine.sharding.ShardSpec`
 (builder name + kwargs, tens of bytes) and rebuilds the builder inside
@@ -39,9 +43,8 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Tuple, Union
 
-from ..datasets.columnar import (GroupedColumnarWriter,
+from ..datasets.columnar import (ColumnarStore, GroupedColumnarWriter,
                                  merge_columnar_shards,
-                                 write_columnar_sorted,
                                  write_columnar_stream)
 from ..datasets.records import merge_jsonl_shards, shard_path, write_jsonl
 from ..obs import live as _obs_live
@@ -80,39 +83,46 @@ def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
                                     schema: str,
                                     row_group_rows: Optional[int],
                                     shard_index: int) -> int:
-    """Worker entry point: stream one shard into a columnar sibling.
+    """Worker entry point: write one shard, ts-ordered, as a columnar
+    sibling.
 
     The columnar twin of :func:`_write_shard_from_spec`: only the count
     crosses the pool boundary; the packed segments wait on disk for the
-    parent's merge.  Shard files are always the v2 row-group layout so
-    worker memory stays bounded by one row group.  A builder whose
-    column stream is in global ts order (``ITER_SHARD_SORTED``) hands
-    its ``iter_shard_columns`` chunks to
-    :meth:`~repro.datasets.columnar.GroupedColumnarWriter.extend_columns`
-    as they are — no record is built and nothing is transposed; other
-    builders stream their records through the external sort
-    (:func:`~repro.datasets.columnar.write_columnar_sorted`), whose
-    output is exactly the stable sort ``build_shard`` performs.
-    Builders without a generator path fall back to the materialized
-    ``build_shard`` list.
+    parent's merge.  Shard files are always the v2 row-group layout and
+    ``row_group_rows`` is their group size, nothing else.  The rows
+    reach the writer in ``build_shard``'s order by the cheapest route
+    the builder offers, never through a temporary file:
+
+    * a column stream in global ts order (``ITER_SHARD_SORTED``) goes to
+      :meth:`~repro.datasets.columnar.GroupedColumnarWriter.extend_columns`
+      chunk by chunk — no record, no transposition, one row group held;
+    * an unordered column stream becomes one in-memory store written
+      through its stable ts order (``build_shard``'s sort, ties in
+      emission order) — no record either, but the worker holds the
+      shard's columns: about 130 B a row at its peak, under the JSONL
+      worker's 150 (``docs/datasets.md``), so ``--shards`` bounds it;
+    * a builder with no column stream hands over ``build_shard``.
     """
     builder = spec.make_builder()
     path = shard_path(out_base, shard_index)
-    iter_shard = getattr(builder, "iter_shard", None)
-    if iter_shard is None:
+    iter_columns = getattr(builder, "iter_shard_columns", None)
+    if iter_columns is None:
         count = write_columnar_stream(
             builder.build_shard(shard_index, spec.shard_count), path,
             schema, row_group_rows)
     elif getattr(builder, "ITER_SHARD_SORTED", False):
         with GroupedColumnarWriter(schema, path, row_group_rows) as writer:
-            for chunk in builder.iter_shard_columns(shard_index,
-                                                    spec.shard_count):
+            for chunk in iter_columns(shard_index, spec.shard_count):
                 writer.extend_columns(chunk)
         count = writer.rows
     else:
-        count = write_columnar_sorted(
-            iter_shard(shard_index, spec.shard_count), path, schema,
-            row_group_rows)
+        store = ColumnarStore.from_column_chunks(
+            iter_columns(shard_index, spec.shard_count), schema)
+        ts = store.raw_column("ts")
+        with GroupedColumnarWriter(schema, path, row_group_rows) as writer:
+            writer.extend_store(store, rows=sorted(range(store.rows),
+                                                   key=ts.__getitem__))
+        count = writer.rows
     _count_generated_rows(builder, count)
     return count
 
@@ -127,25 +137,28 @@ def _generate_to_file(spec: ShardSpec, out_path: Union[str, Path],
     ``write_shard`` is the worker entry point; it receives ``(spec, out
     path, *shared, shard index)``, writes the ``<file>.shardNN`` sibling
     and returns its record count.  ``merge(paths, out)`` is the format's
-    order-stable k-way merge.  The shard files are removed afterwards
-    and the merged count is checked against the workers' counts.
+    order-stable k-way merge.  The shard files are removed afterwards,
+    also when a worker or the merge raises, and the merged count is
+    checked against the workers' counts.
     """
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     task = f"generate:{spec.builder}"
     shard_args = [(i,) for i in range(spec.shard_count)]
-    counts, report = run_sharded(
-        write_shard, shard_args, workers=workers, task=task,
-        shared=(spec, str(out), *shared), count_of=int)
     paths = [shard_path(out, i) for i in range(spec.shard_count)]
-    merge_start = time.perf_counter()
-    total = merge(paths, out)
-    emitter = _obs_live.ACTIVE
-    if emitter is not None:
-        emitter.event("merge", task=task, records=total,
-                      seconds=time.perf_counter() - merge_start)
-    for path in paths:
-        path.unlink()
+    try:
+        counts, report = run_sharded(
+            write_shard, shard_args, workers=workers, task=task,
+            shared=(spec, str(out), *shared), count_of=int)
+        merge_start = time.perf_counter()
+        total = merge(paths, out)
+        emitter = _obs_live.ACTIVE
+        if emitter is not None:
+            emitter.event("merge", task=task, records=total,
+                          seconds=time.perf_counter() - merge_start)
+    finally:
+        for path in paths:
+            path.unlink(missing_ok=True)
     if total != sum(counts):
         raise RuntimeError(f"shard merge wrote {total} records, workers "
                            f"reported {sum(counts)}")
@@ -174,20 +187,22 @@ def generate_columnar(spec: ShardSpec, out_path: Union[str, Path],
                       ) -> Tuple[int, EngineReport]:
     """Generate ``spec`` straight to a columnar trace at ``out_path``.
 
-    The columnar twin of :func:`generate_jsonl`: each worker *streams*
-    its shard into a packed ``<file>.shardNN`` row-group sibling (peak
-    worker memory is one row group, not one shard), and the parent
-    merges the shard *segments* — a group-granular stable k-way merge
-    on ``(ts, shard index, row index)``
-    (:func:`repro.datasets.columnar.merge_columnar_shards`) — into one
-    file holding the same canonical record order as the JSONL route.
+    The columnar twin of :func:`generate_jsonl`: each worker writes its
+    shard as a packed, ts-ordered ``<file>.shardNN`` row-group sibling
+    (:func:`_write_columnar_shard_from_spec`: one row group in memory
+    when the builder's column stream is ordered, the shard's columns
+    when it is not), and the parent merges the shard *segments* — a
+    group-granular stable k-way merge on ``(ts, shard index, row
+    index)`` (:func:`repro.datasets.columnar.merge_columnar_shards`),
+    one group per shard in memory — into one file holding the same
+    canonical record order as the JSONL route.
     ``schema`` defaults to the spec's builder name; pass it explicitly
     for builders registered outside :data:`SCHEMAS` whose records use
-    one of the standard schemas.  ``row_group_rows`` is the row-group
-    budget of the shard files and of the final file (``None``:
-    :data:`repro.datasets.columnar.DEFAULT_ROW_GROUP_ROWS`); the whole
-    generate→merge path is out-of-core and the output is byte-identical
-    for any worker count.  Returns ``(record count, engine report)``.
+    one of the standard schemas.  ``row_group_rows`` is the group size
+    of the shard files and of the final file (``None``:
+    :data:`repro.datasets.columnar.DEFAULT_ROW_GROUP_ROWS`); the output
+    is byte-identical for any worker count.  Returns ``(record count,
+    engine report)``.
     """
     return _generate_to_file(
         spec, out_path, _write_columnar_shard_from_spec,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import pickle
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from types import TracebackType
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
@@ -266,22 +266,29 @@ class WorkerPool:
         range whose result was not retrieved — promptly, never as a
         hang, because a broken pool fails every outstanding future (so
         the named range is where the loss starts, not necessarily where
-        the crash happened).
+        the crash happened).  When a submission raises, the rest are
+        cancelled or awaited before the error is re-raised: nothing of
+        a failed batch still writes files while its caller cleans up.
         """
         executor = self._ensure_executor()
         futures = [executor.submit(worker, *submission)
                    for submission in submissions]
         results: List[Any] = []
-        for (lo, hi), future in zip(bounds, futures):
-            try:
+        try:
+            for (lo, hi), future in zip(bounds, futures):
                 results.append(future.result())
-            except BrokenProcessPool as exc:
-                self._discard_broken()
-                raise WorkerCrashError(
-                    f"{task}: a worker process died; shards [{lo}, {hi}) "
-                    f"are the first whose result was not retrieved, and "
-                    f"they and every later shard were lost; results were "
-                    f"discarded, no partial merge was attempted") from exc
+        except BrokenProcessPool as exc:
+            self._discard_broken()
+            raise WorkerCrashError(
+                f"{task}: a worker process died; shards [{lo}, {hi}) "
+                f"are the first whose result was not retrieved, and "
+                f"they and every later shard were lost; results were "
+                f"discarded, no partial merge was attempted") from exc
+        except Exception:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
         return results
 
 

@@ -6,10 +6,6 @@ the :class:`~repro.obs.metrics.MetricsRegistry` instruments, and
 :class:`~repro.engine.executor.EngineReport` snapshots.  Adding a field
 without extending the merge silently drops data only when shards > 1 —
 the exact class of bug property tests catch only probabilistically.
-``merge_segments`` joins the family for the columnar substrate:
-:class:`~repro.datasets.columnar.ColumnarStats` folds per-shard segment
-accounting the same way, and a segment-merge that skips a field
-under-reports every multi-shard trace.
 
 The rule collects a class's fields (dataclass annotations, plus
 ``self.x = ...`` assignments in ``__init__`` for plain classes) and
@@ -26,7 +22,7 @@ from typing import List, Set
 
 from ..core import AstRule, LintContext, register
 
-MERGE_METHODS = ("merge", "merge_from", "merge_into", "merge_segments")
+MERGE_METHODS = ("merge", "merge_from", "merge_into")
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -5,24 +5,29 @@ it fills the schema's columns; ``iter_shard`` / ``build_shard`` /
 ``build()`` are record views of that stream.  These tests hold the
 stream to the shape the columnar writers take, and hold every consumer
 of it — ``generate_columnar``'s column lane, ``fig1_sharded``'s
-in-memory store — to what the record views say the rows are.
+in-memory store — to what the record views say the rows are.  The last
+section holds the lane's one ordering rule: whatever a builder offers,
+its ``.col`` shard is ``build_shard`` in order, byte for byte.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
+from typing import Any, Iterator, List, Sequence
 
 import pytest
 
 from repro.analysis.cache_sim import fig1_series
 from repro.datasets.columnar import (SCHEMAS, ColumnarStore, RowGroupReader,
-                                     file_info)
-from repro.datasets.records import shard_path
+                                     file_info, read_columnar,
+                                     write_columnar_stream)
+from repro.datasets.records import AllNamesRecord, shard_path
 from repro.datasets.workload import COLUMN_CHUNK_ROWS
 from repro.engine.generate import (_write_columnar_shard_from_spec,
                                    generate_columnar)
 from repro.engine.replay import fig1_sharded
-from repro.engine.sharding import ShardSpec
+from repro.engine.sharding import (ShardSpec, register_builder,
+                                   shard_bounds)
 
 #: Small enough for tier-1: 11,000 allnames queries (a lone shard spans
 #: three chunks), five public-cdn resolvers.
@@ -172,3 +177,102 @@ def test_more_shards_than_units_on_the_column_lane(tmp_path):
         assert list(reader.iter_records()) == want
     assert rows == len(want) == 100
     assert not shard_path(out, 127).exists()
+
+
+# ---------------------------------------------------------------------------
+# One ordering rule: a ``.col`` shard is ``build_shard``, in order.
+
+
+class TiedTraceBuilder:
+    """Units that emit the same few ``ts`` values, out of order.
+
+    Every unit walks the clock 0, 3, 1, 4, 2, 0, ... so a shard's rows
+    are unordered and almost all of them tie; ``client_ip`` names the
+    unit and the position a row was emitted at, so only the *stable*
+    ts order — ties in emission order — reproduces ``build_shard``.
+    """
+
+    def __init__(self, units: int = 7, rows: int = 23, seed: int = 0):
+        self.units = units
+        self.rows = rows
+        self.seed = seed
+
+    def shard_units(self) -> int:
+        return self.units
+
+    def iter_shard_columns(self, shard_index: int,
+                           shard_count: int) -> Iterator[List[List[Any]]]:
+        lo, hi = shard_bounds(self.units, shard_count)[shard_index]
+        for unit in range(lo, hi):
+            span = range(self.rows)
+            yield [[float((3 * j + self.seed) % 5) for j in span],
+                   [f"10.9.{unit}.{j}" for j in span],
+                   [f"h{j % 4}.example." for j in span],
+                   [1] * self.rows, [24] * self.rows, [60] * self.rows]
+
+    def build_shard(self, shard_index: int,
+                    shard_count: int) -> List[AllNamesRecord]:
+        records = [record for chunk in self.iter_shard_columns(
+            shard_index, shard_count) for record in map(AllNamesRecord, *chunk)]
+        records.sort(key=lambda record: record.ts)
+        return records
+
+    def assemble(self, shard_lists: Sequence[List[AllNamesRecord]]) -> Any:
+        raise NotImplementedError("shard files only")
+
+
+register_builder("tied-trace", "test_column_stream:TiedTraceBuilder")
+
+#: Every registry builder and the tie-heavy one: (builder, schema, kwargs).
+ORDERING_CASES = (
+    ("allnames", "allnames", PARAMS["allnames"]),
+    ("public-cdn", "public-cdn", PARAMS["public-cdn"]),
+    ("cdn", "cdn", dict(scale=0.004, duration_s=900.0)),
+    ("root-trace", "root-trace", dict(resolver_count=30, violators=4,
+                                      duration_s=600.0)),
+    ("tied-trace", "allnames", {}),
+)
+
+
+@pytest.mark.parametrize("row_group_rows", (None, 7))
+@pytest.mark.parametrize("name,schema,params", ORDERING_CASES,
+                         ids=[case[0] for case in ORDERING_CASES])
+def test_shard_file_is_build_shard_in_order(name, schema, params,
+                                            row_group_rows, tmp_path,
+                                            monkeypatch):
+    """The shard file equals ``write_columnar_stream(build_shard(i, n))``
+    byte for byte, whichever of the three routes wrote it; a builder
+    with a column stream gets there without a record, and no route
+    leaves a run file or a temporary behind."""
+    shards = 3
+    spec = ShardSpec.create(name, shard_count=shards, seed=7, **params)
+    builder = spec.make_builder()
+    want = [builder.build_shard(index, shards) for index in range(shards)]
+    if name == "tied-trace":
+        assert all(sum(a.ts == b.ts for a, b in zip(shard, shard[1:]))
+                   >= len(shard) - 5 for shard in want)
+
+    built = []
+    record_type = SCHEMAS[schema].record_type
+    init = record_type.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    out = tmp_path / "t.col"
+    with monkeypatch.context() as patch:
+        patch.setattr(record_type, "__init__", counting_init)
+        counts = [_write_columnar_shard_from_spec(
+            spec, str(out), schema, row_group_rows, index)
+            for index in range(shards)]
+    assert counts == [len(shard) for shard in want]
+    assert (not built) == hasattr(builder, "iter_shard_columns")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        shard_path(out, index).name for index in range(shards)]
+
+    reference = tmp_path / "reference.col"
+    for index, records in enumerate(want):
+        write_columnar_stream(records, reference, schema, row_group_rows)
+        assert shard_path(out, index).read_bytes() == reference.read_bytes()
+        assert read_columnar(shard_path(out, index)) == records

@@ -49,8 +49,8 @@ from repro.analysis.cache_sim import (replay_partial, replay_partial_batched,
                                       replay_partial_columns)
 from repro.datasets import columnar
 from repro.datasets.columnar import (MAGIC, MAGIC_V2, SCHEMAS,
-                                     ColumnarFormatError, ColumnarStats,
-                                     ColumnarStore, ColumnarWriter,
+                                     ColumnarFormatError, ColumnarStore,
+                                     ColumnarWriter,
                                      GroupedColumnarWriter, RowGroupReader,
                                      bucketed_group_ranges,
                                      columnar_to_jsonl, convert_columnar,
@@ -58,11 +58,11 @@ from repro.datasets.columnar import (MAGIC, MAGIC_V2, SCHEMAS,
                                      jsonl_to_columnar,
                                      merge_columnar_shards,
                                      prebucket_columnar, read_columnar,
-                                     schema_for, write_columnar_sorted,
-                                     write_columnar_stream)
+                                     schema_for, write_columnar_stream)
 from repro.datasets.records import (AllNamesRecord, CdnQueryRecord,
                                     JsonlFormatError, PublicCdnRecord,
-                                    read_jsonl, write_jsonl)
+                                    merge_jsonl_shards, read_jsonl,
+                                    write_jsonl)
 from repro.datasets.workload import merge_sorted_records
 from repro.engine import WorkerPool
 from repro.engine import replay as engine_replay
@@ -460,23 +460,6 @@ def test_row_buckets_match_partition_by_key():
     assert store.row_buckets("qname", 3) is store.row_buckets("qname", 3)
 
 
-def test_stats_merge_segments_sums_every_field(tmp_path):
-    lists = [_hand_records("cdn", n, seed=n) for n in (20, 35)]
-    stores = [ColumnarStore.from_records(records, "cdn")
-              for records in lists]
-    merged = stores[0].stats().merge_segments(stores[1].stats())
-    assert merged.rows == 55
-    assert merged.data_bytes == sum(s.stats().data_bytes for s in stores)
-    assert merged.null_bytes == sum(s.stats().null_bytes for s in stores)
-    assert merged.dict_bytes == sum(s.stats().dict_bytes for s in stores)
-    assert merged.dict_entries == sum(s.stats().dict_entries
-                                      for s in stores)
-    assert merged.total_bytes == merged.data_bytes + merged.null_bytes \
-        + merged.dict_bytes
-    assert ColumnarStats().bytes_per_row == 0.0
-    assert stores[0].nbytes == stores[0].stats().total_bytes
-
-
 # ---------------------------------------------------------------------------
 # Vectorized replay equivalence
 
@@ -680,26 +663,6 @@ def test_convert_is_value_identical_and_canonical(tmp_path):
     assert file_info(default)["row_group_rows"] \
         == columnar.DEFAULT_ROW_GROUP_ROWS
     assert read_columnar(default) == records
-
-
-def test_write_columnar_sorted_equals_stable_sort(tmp_path):
-    """The external sort's spill-and-merge == one in-memory stable sort."""
-    rng = random.Random(2)
-    records = _hand_records("allnames", 150, seed=4)
-    # Unsorted input with heavy ts ties: stability is observable.
-    for r in records:
-        r.ts = float(rng.randrange(6))
-    rng.shuffle(records)
-    reference = sorted(records, key=lambda r: r.ts)
-    spilled = tmp_path / "spill.col"
-    assert write_columnar_sorted(iter(records), spilled, "allnames",
-                                 row_group_rows=16) == len(records)
-    assert read_columnar(spilled) == reference
-    assert not list(tmp_path.glob("*.run*")), "spill runs must be removed"
-    in_memory = tmp_path / "mem.col"
-    assert write_columnar_sorted(iter(records), in_memory, "allnames",
-                                 row_group_rows=4096) == len(records)
-    assert read_columnar(in_memory) == reference
 
 
 def _overlapping_shards(tmp_path, version: int, shards: int = 3):
@@ -1062,6 +1025,46 @@ def test_interrupted_writer_leaves_no_file(tmp_path):
         prebucket_columnar(shard, merged, 2, row_group_rows=16)
     assert sorted(p.name for p in tmp_path.iterdir()) \
         == ["shard.col", "trace.col"]
+
+    # JSONL output is atomic too: the same damaged file, converted, has
+    # written a group of rows when its stream raises.
+    with pytest.raises(ColumnarFormatError, match="group 1"):
+        columnar_to_jsonl(shard, tmp_path / "trace.jsonl")
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["shard.col", "trace.col"]
+
+
+def test_interrupted_jsonl_writer_leaves_no_file(tmp_path):
+    """A record stream that raises mid-way leaves neither the JSONL file
+    nor a ``.tmp`` — or the file as it was — under ``write_jsonl`` and
+    under ``merge_jsonl_shards``."""
+    records = _hand_records("allnames", 60)
+    path = tmp_path / "trace.jsonl"
+
+    def cut_short():
+        yield from records[:40]
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        write_jsonl(cut_short(), path)
+    assert not list(tmp_path.iterdir())
+
+    assert write_jsonl(records, path) == 60
+    complete = path.read_bytes()
+    with pytest.raises(RuntimeError, match="boom"):
+        write_jsonl(cut_short(), path)
+    assert path.read_bytes() == complete
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+
+    # A merge whose second shard was cut mid-line by a killed writer.
+    cut = tmp_path / "cut.jsonl"
+    cut.write_bytes(complete[:-40])
+    merged = tmp_path / "merged.jsonl"
+    with pytest.raises(ValueError):
+        merge_jsonl_shards([path, cut], merged)
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["cut.jsonl", "trace.jsonl"]
+    assert merge_jsonl_shards([path, path], merged) == 120
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import inspect
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Sequence
+from typing import Any, List, Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -227,18 +227,23 @@ class TinyTraceBuilder:
     """A deterministic synthetic builder for protocol-level properties.
 
     Record ``j`` depends only on ``j``, so any (shards, chunk) split of
-    ``[0, total)`` must reassemble to the same trace.
+    ``[0, total)`` must reassemble to the same trace.  ``fail_shard``
+    names a shard whose build raises.
     """
 
-    def __init__(self, total: int = 40, seed: int = 0):
+    def __init__(self, total: int = 40, seed: int = 0,
+                 fail_shard: Optional[int] = None):
         self.total = total
         self.seed = seed
+        self.fail_shard = fail_shard
 
     def shard_units(self) -> int:
         return self.total
 
     def build_shard(self, shard_index: int,
                     shard_count: int) -> List[AllNamesRecord]:
+        if shard_index == self.fail_shard:
+            raise RuntimeError(f"shard {shard_index} cannot be built")
         lo, hi = shard_bounds(self.total, shard_count)[shard_index]
         return [AllNamesRecord(ts=float(j), client_ip=f"10.{self.seed % 200}."
                                f"{j % 8}.{j % 5 + 1}",
@@ -304,6 +309,25 @@ def test_spec_protocol_reproduces_reference(total, shards, chunk_size,
     from repro.analysis.cache_sim import merge_partials
     assert merge_partials(partials) == oracle_replay(records, "allnames",
                                                      shards)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("fail_shard", (0, 3))
+@pytest.mark.parametrize("generate,name", ((generate_jsonl, "x.jsonl"),
+                                           (generate_columnar, "x.col")))
+def test_failed_generate_leaves_nothing_behind(generate, name, fail_shard,
+                                               workers, tmp_path):
+    """One shard of four raises — the last, after the others finished,
+    or the first, while a shared pool is still building the others:
+    neither the trace nor one of its ``<file>.shardNN`` siblings is on
+    disk once the pool is done."""
+    spec = ShardSpec.create("tiny-trace", shard_count=4, total=40000,
+                            fail_shard=fail_shard)
+    extra = {"schema": "allnames"} if generate is generate_columnar else {}
+    with WorkerPool(workers):
+        with pytest.raises(RuntimeError, match="cannot be built"):
+            generate(spec, tmp_path / name, workers=workers, **extra)
+    assert not list(tmp_path.iterdir())
 
 
 def test_registry_rejects_unknown_and_conflicting_names():

@@ -10,9 +10,6 @@ RS001's hash()/clock checks and all of RS005).
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -616,35 +613,3 @@ class TestCli:
         prom.write_text(INVALID_PROM)
         assert cli_main(["lint", "--prom", str(prom)]) == 1
         assert "RS100" in capsys.readouterr().out
-
-
-# ---------------------------------------------------------------------------
-# the tools/ shims
-
-
-class TestToolShims:
-    def run_tool(self, script, *args):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src")
-        return subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / script), *args],
-            capture_output=True, text=True, env=env, cwd=REPO_ROOT)
-
-    def test_run_mypy_wrapper_never_crashes(self):
-        # With mypy absent this exercises the graceful-skip path; with
-        # mypy present it must pass the strict profile.
-        proc = self.run_tool("run_mypy.py", "--strict-only")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-
-# ---------------------------------------------------------------------------
-# mypy strict profile (runs only where mypy is installed, e.g. CI)
-
-
-def test_mypy_strict_profile_passes():
-    pytest.importorskip("mypy")
-    proc = subprocess.run(
-        [sys.executable, "-m", "mypy", "-p", "repro.obs", "-p",
-         "repro.engine", "-p", "repro.staticcheck"],
-        capture_output=True, text=True, cwd=REPO_ROOT)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
