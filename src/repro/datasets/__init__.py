@@ -12,7 +12,7 @@ from .public_cdn import PublicCdnBuilder, PublicCdnDataset
 from .records import (AllNamesRecord, CdnQueryRecord, PublicCdnRecord,
                       RootQueryRecord, ScanQueryRecord, iter_jsonl,
                       merge_jsonl_shards, read_jsonl, shard_path, write_csv,
-                      write_jsonl, write_jsonl_shards)
+                      write_jsonl)
 from .scan_dataset import (ChainSpec, EgressSpec, ScanUniverse,
                            ScanUniverseBuilder)
 from .workload import (ClientPopulation, HostnameUniverse, SldPolicy,
@@ -32,5 +32,4 @@ __all__ = [
     "merge_jsonl_shards", "merge_sorted_records", "paper_numbers",
     "poisson_arrivals", "read_columnar", "read_jsonl", "schema_for",
     "shard_path", "write_columnar_stream", "write_csv", "write_jsonl",
-    "write_jsonl_shards",
 ]

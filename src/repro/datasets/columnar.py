@@ -53,13 +53,14 @@ from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import (Any, BinaryIO, Callable, Dict, Iterable, Iterator, List,
-                    Optional, Sequence, Tuple, Type, Union)
+                    NoReturn, Optional, Sequence, Tuple, Type, Union)
 
 from ..engine.sharding import bucket_group_ranges, stable_bucket
 from ..obs import metrics as _obs_metrics
-from .records import (AllNamesRecord, CdnQueryRecord, JsonlFormatError,
-                      PublicCdnRecord, RootQueryRecord, ScanQueryRecord,
-                      write_jsonl)
+from .records import (EXTEND_CHUNK_ROWS, AllNamesRecord, CdnQueryRecord,
+                      JsonlFormatError, PublicCdnRecord, RootQueryRecord,
+                      ScanQueryRecord, json_column, json_rows,
+                      write_jsonl_text)
 
 #: Magic of the legacy single-block layout; read, never written.
 MAGIC = b"RPRCOL01"
@@ -78,13 +79,6 @@ _V2_PRELUDE = 16
 #: that per-group overheads (dictionaries, header entries) amortize,
 #: small enough that a buffered group stays a few MiB.
 DEFAULT_ROW_GROUP_ROWS = 65536
-#: Most records a writer's ``extend`` holds at once while it transposes
-#: them into columns.  Big enough that the per-chunk work (one ``map``
-#: and one ``array`` per column) amortizes to nothing per row; small
-#: enough that the chunk's record objects and value lists stay well
-#: under a MiB however large the row group, so peak RSS does not depend
-#: on ``row_group_rows``.
-EXTEND_CHUNK_ROWS = 512
 #: JSONL lines per bulk parse (one ``json.loads`` of the lines joined
 #: into an array, then one transpose per column).  Rows/s is flat from
 #: 256 lines up (``docs/performance.md`` has the sweep); at this size
@@ -447,14 +441,21 @@ class ColumnarStore:
         Lines parse :data:`PARSE_CHUNK_LINES` at a time straight into
         column values; a line that is not a row of the schema raises
         :class:`~repro.datasets.records.JsonlFormatError` numbering it
-        within ``lines``.
+        within ``lines``.  Strings are checked for lone surrogates once
+        each, as dictionary entries, after the last chunk.
         """
         resolved = schema if isinstance(schema, Schema) else schema_for(schema)
         writer = ColumnarWriter(resolved)
         for start in range(0, len(lines), PARSE_CHUNK_LINES):
             _append_jsonl(writer._append_columns, resolved,
                           lines[start:start + PARSE_CHUNK_LINES], start)
-        return writer.store()
+        store = writer.store()
+        try:
+            for name in writer._interns:
+                "".join(store.dictionary(name)).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            _reject(resolved, lines, 0, exc)
+        return store
 
     @classmethod
     def open(cls, path: Union[str, Path]) -> "ColumnarStore":
@@ -593,6 +594,61 @@ class ColumnarStore:
     def to_records(self) -> List[Any]:
         """Materialize the whole store as a record list."""
         return list(self.iter_records())
+
+    # -- JSONL -------------------------------------------------------------
+
+    def jsonl_chunks(self, rows: Optional[Sequence[int]] = None
+                     ) -> Iterator[str]:
+        """Every row, or the selection ``rows``, as JSONL text.
+
+        Yields pieces of at most :data:`EXTEND_CHUNK_ROWS` lines, byte
+        for byte what :func:`~repro.datasets.records.write_jsonl` writes
+        for the same rows as records.  No record is built: each column
+        of a piece is rendered once (:func:`json_column`), a str column
+        through a table of its dictionary's JSON texts indexed by code,
+        and null cells are patched in from the bitmap.
+        """
+        selection = range(self.rows) if rows is None else rows
+        names = self.schema.field_names
+        for start in range(0, len(selection), EXTEND_CHUNK_ROWS):
+            piece = selection[start:start + EXTEND_CHUNK_ROWS]
+            yield json_rows(names, [self._json_texts(spec, piece)
+                                    for spec in self.schema.columns])
+
+    def _json_texts(self, spec: ColumnSpec,
+                    rows: Sequence[int]) -> List[str]:
+        """One column's JSON texts at ``rows`` (a range or a selection)."""
+        raw = self._data[spec.name]
+        span = isinstance(rows, range) and rows.step == 1
+        values = (raw[rows.start:rows.stop].tolist() if span
+                  else list(map(raw.__getitem__, rows)))
+        if spec.kind == "str":
+            dictionary = self._dicts[spec.name]
+            # A column of nulls only has no dictionary, and its rows
+            # hold the placeholder code 0.
+            table = self.memo(("json texts", spec.name),
+                              lambda: json_column(dictionary) or ["null"])
+            texts = list(map(table.__getitem__, values))
+        elif spec.kind == "bool":
+            texts = json_column(list(map(bool, values)))
+        else:
+            texts = json_column(values)
+        if spec.nullable:
+            flags = self.memo(("null flags", spec.name),
+                              lambda: self._null_flags(spec.name))
+            picked = (flags[rows.start:rows.stop] if span
+                      else "".join(map(flags.__getitem__, rows)))
+            at = picked.find("1")
+            while at >= 0:
+                texts[at] = "null"
+                at = picked.find("1", at + 1)
+        return texts
+
+    def _null_flags(self, name: str) -> str:
+        """One character per row of a nullable column, ``"1"`` where the
+        row is null: the bitmap read LSB-first, at C level."""
+        bits = format(int.from_bytes(self._nulls[name], "little"), "b")
+        return bits[::-1].ljust(self.rows, "0")[:self.rows]
 
     # -- shard arithmetic --------------------------------------------------
 
@@ -1319,13 +1375,29 @@ def _line_defect(schema: Schema, line: str) -> Optional[str]:
         elif type(value) not in _JSON_TYPES[spec.kind]:
             return (f"field {spec.name!r} is {_JSON_WORDS[type(value)]}, "
                     f"expected {_KIND_WORDS[spec.kind]}")
-        elif spec.kind != "str":
+        elif spec.kind == "str":
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                return f"field {spec.name!r} holds a lone surrogate"
+        else:
             try:
                 array(spec.typecode, (value,))
             except OverflowError:
                 return (f"field {spec.name!r} is out of range for "
                         f"{_KIND_WORDS[spec.kind]}")
     return None
+
+
+def _reject(schema: Schema, lines: Sequence[str], base: int,
+            exc: BaseException) -> NoReturn:
+    """Raise for the first of ``lines`` that is not a row, numbered from
+    ``base`` lines before it; re-raise ``exc`` when every line is one."""
+    for number, line in enumerate(lines, base + 1):
+        reason = _line_defect(schema, line)
+        if reason is not None:
+            raise JsonlFormatError(None, number, reason, line) from exc
+    raise exc
 
 
 def _append_jsonl(append: Callable[[List[List[Any]]], Any], schema: Schema,
@@ -1340,11 +1412,32 @@ def _append_jsonl(append: Callable[[List[List[Any]]], Any], schema: Schema,
     try:
         append(_jsonl_columns(schema, lines))
     except _REJECTIONS as exc:
-        for number, line in enumerate(lines, base + 1):
-            reason = _line_defect(schema, line)
+        _reject(schema, lines, base, exc)
+
+
+def jsonl_file_defect(path: Union[str, Path], schema: Union[str, Schema]
+                      ) -> Optional[JsonlFormatError]:
+    """The first line of ``path`` that is not a row of ``schema``.
+
+    The failure path of the file-level entry points when reading or
+    encoding raised a :class:`UnicodeError`: one scan of the raw bytes,
+    a line at a time, for a line that is not UTF-8 (``byte`` counts
+    from 1 within the line) or that breaks the schema's rule — a lone
+    surrogate included.  None when every line is a row.
+    """
+    resolved = schema if isinstance(schema, Schema) else schema_for(schema)
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                return JsonlFormatError(
+                    str(path), number, f"not UTF-8 at byte {exc.start + 1}",
+                    raw.decode("utf-8", "replace").strip())
+            reason = _line_defect(resolved, line) if line else None
             if reason is not None:
-                raise JsonlFormatError(None, number, reason, line) from exc
-        raise
+                return JsonlFormatError(str(path), number, reason, line)
+    return None
 
 
 def jsonl_to_columnar(src: Union[str, Path], dst: Union[str, Path],
@@ -1357,7 +1450,9 @@ def jsonl_to_columnar(src: Union[str, Path], dst: Union[str, Path],
     writer splits at group edges, so memory is one chunk plus one group.
     A line that is not a row of the schema raises
     :class:`~repro.datasets.records.JsonlFormatError` naming ``src`` and
-    the line, and leaves no ``dst`` behind.
+    the line, and leaves no ``dst`` behind.  Bytes that are not UTF-8
+    fail the read and a lone surrogate fails its group's dictionary
+    encode; both are then found by :func:`jsonl_file_defect`.
     """
     resolved = schema if isinstance(schema, Schema) else schema_for(schema)
     try:
@@ -1372,20 +1467,30 @@ def jsonl_to_columnar(src: Union[str, Path], dst: Union[str, Path],
                               writer.rows + writer.pending_rows)
     except JsonlFormatError as exc:
         raise exc.located(src) from None
+    except UnicodeError as exc:
+        raise (jsonl_file_defect(src, resolved) or exc) from None
     return writer.rows
 
 
 def columnar_to_jsonl(src: Union[str, Path],
                       dst: Union[str, Path]) -> int:
-    """Convert a columnar trace back to JSONL, streaming row by row.
+    """Convert a columnar trace back to JSONL, a group at a time.
 
     Round-trips byte-identically with :func:`jsonl_to_columnar` for any
     trace the JSONL writers produced: values decode to the exact Python
-    objects the records held, and ``json.dumps`` is deterministic.
-    Reads one group at a time, so memory stays bounded.
+    objects the records held, and each group's columns are rendered as
+    the row encoder renders them (:meth:`ColumnarStore.jsonl_chunks`),
+    no record built.  One group and one piece of text are held at a
+    time, so memory stays bounded.
     """
     with RowGroupReader(src) as reader:
-        return write_jsonl(reader.iter_records(), dst)
+        def texts() -> Iterator[str]:
+            for index in range(reader.group_count):
+                store = reader.group(index)
+                yield from store.jsonl_chunks()
+                store.close()
+
+        return write_jsonl_text(texts(), dst)
 
 
 def convert_columnar(src: Union[str, Path], dst: Union[str, Path],

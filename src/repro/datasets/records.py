@@ -14,14 +14,27 @@ import csv
 import dataclasses
 import heapq
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain, groupby, islice, repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
-                    Type, TypeVar, Union)
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Type, TypeVar, Union)
 
 from ..obs.export import write_text_atomic
 
 T = TypeVar("T")
+
+#: Most records a writer holds at once while it transposes them into
+#: columns (``ColumnarWriter.extend``, :func:`write_jsonl`), and most
+#: rows a store renders into one piece of JSONL text.  Big enough that
+#: the per-chunk work (one ``map`` and one ``array`` or one rendering
+#: per column) amortizes to nothing per row; small enough that the
+#: chunk's record objects, value lists and text stay well under a MiB
+#: however large the row group, so peak RSS does not depend on
+#: ``row_group_rows``.
+EXTEND_CHUNK_ROWS = 512
 
 
 @dataclass(slots=True)
@@ -148,39 +161,114 @@ class JsonlFormatError(ValueError):
         return self
 
 
-def _write_lines(path: Union[str, Path], lines: Iterable[str]) -> int:
-    """Stream ``lines`` to ``path`` tmp-then-rename; returns how many.
+# ---------------------------------------------------------------------------
+# Columns -> JSONL lines
+#
+# Every JSONL writer renders columns, never a record: a line is what
+# ``json.JSONEncoder(separators=(",", ":")).encode`` makes of the row's
+# field dict, and :func:`json_column` produces each field's share of it
+# for a whole column at once.
 
-    If ``lines`` raises mid-way, ``path`` is left as it was
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def json_column(values: Sequence[Any]) -> List[str]:
+    """The JSON text of each value, as the row encoder spells it.
+
+    One C-level pass per column: finite floats through ``float.__repr__``
+    and bools through a two-entry table; str, int and ``None`` through
+    a memo of one rendering per distinct value — keyed only on types
+    whose equal values have equal text, so never on floats (``-0.0 ==
+    0.0``) or bools (``True == 1``).  Anything else (NaN and ±inf,
+    int subclasses, mixed columns) goes to the encoder a value at a
+    time.
+    """
+    kinds = set(map(type, values))
+    if kinds == {float} and math.isfinite(sum(values)):
+        return list(map(float.__repr__, values))
+    if kinds == {bool}:
+        return list(map(("false", "true").__getitem__, values))
+    if kinds <= {str, int, type(None)}:
+        distinct = set(values)
+        render = int.__repr__ if kinds == {int} else _encode
+        memo = dict(zip(distinct, map(render, distinct)))
+        return list(map(memo.__getitem__, values))
+    return list(map(_encode, values))
+
+
+def json_rows(names: Sequence[str], texts: Sequence[Sequence[str]]) -> str:
+    """Rows as JSONL text, given each column's rendered values.
+
+    ``texts`` holds one equal-length sequence of JSON texts per field in
+    ``names`` (:func:`json_column`); the lines come out of one zip and
+    one join, each ending in a newline.
+    """
+    if not texts:
+        raise ValueError("a JSONL row needs at least one field")
+    keys = [_encode(name) + ":" for name in names]
+    parts: List[Iterable[str]] = []
+    for lead, key, column in zip(chain("{", repeat(",")), keys, texts):
+        parts += (repeat(lead + key), column)
+    parts.append(repeat("}\n"))
+    return "".join(chain.from_iterable(zip(*parts)))
+
+
+def jsonl_lines(names: Sequence[str],
+                columns: Sequence[Sequence[Any]]) -> str:
+    """The JSONL line encoder: rows given one value sequence per field.
+
+    Each line is byte for byte ``encode(dict(zip(names, row))) + "\\n"``
+    for the compact encoder every writer shares.
+    """
+    return json_rows(names, [json_column(values) for values in columns])
+
+
+def write_jsonl_text(texts: Iterable[str], path: Union[str, Path]) -> int:
+    """Stream JSONL ``texts`` — whole lines, one or many a piece — to
+    ``path`` tmp-then-rename; returns how many lines.
+
+    If ``texts`` raises mid-way, ``path`` is left as it was
     (:func:`~repro.obs.export.write_text_atomic`).
     """
     count = 0
 
     def counted() -> Iterator[str]:
         nonlocal count
-        for count, line in enumerate(lines, 1):
-            yield line
+        for text in texts:
+            count += text.count("\n")
+            yield text
 
     write_text_atomic(path, counted())
     return count
 
 
 def write_jsonl(records: Iterable[object], path: Union[str, Path]) -> int:
-    """Write dataclass records as JSON lines; returns the count written."""
-    # Records are flat dataclasses of scalars: reading the fields by
-    # name yields the dict ``dataclasses.asdict`` would, without its
-    # recursive copy, and one encoder serves every line.
-    encode = json.JSONEncoder(separators=(",", ":")).encode
+    """Write dataclass records as JSON lines; returns the count written.
+
+    Records are pulled :data:`EXTEND_CHUNK_ROWS` at a time and each run
+    of one record type in a chunk is transposed into its columns (one
+    ``attrgetter`` pass per field) and rendered by :func:`jsonl_lines`
+    — the dict ``dataclasses.asdict`` would give, spelled without
+    building it.
+    """
     names_of: Dict[type, Tuple[str, ...]] = {}
 
-    def line_of(record: object) -> str:
-        names = names_of.get(type(record))
-        if names is None:
-            names = names_of[type(record)] = tuple(
-                f.name for f in dataclasses.fields(record))
-        return encode({name: getattr(record, name) for name in names}) + "\n"
+    def texts() -> Iterator[str]:
+        stream = iter(records)
+        while True:
+            chunk = list(islice(stream, EXTEND_CHUNK_ROWS))
+            if not chunk:
+                return
+            for cls, run in groupby(chunk, type):
+                names = names_of.get(cls)
+                if names is None:
+                    names = names_of[cls] = tuple(
+                        f.name for f in dataclasses.fields(cls))
+                rows = list(run)
+                yield jsonl_lines(names, [list(map(attrgetter(name), rows))
+                                          for name in names])
 
-    return _write_lines(path, map(line_of, records))
+    return write_jsonl_text(texts(), path)
 
 
 def read_jsonl(path: Union[str, Path], record_type: Type[T]) -> List[T]:
@@ -209,23 +297,6 @@ def shard_path(base_path: Union[str, Path], shard_index: int) -> Path:
     return base.with_name(f"{base.name}.shard{shard_index:02d}")
 
 
-def write_jsonl_shards(shard_lists: Sequence[Iterable[object]],
-                       base_path: Union[str, Path]) -> List[Path]:
-    """Write one JSONL file per shard next to ``base_path``.
-
-    Shard workers can call :func:`write_jsonl` on their own shard file
-    concurrently; this helper is the serial equivalent, used once the
-    per-shard record lists are back in the parent.  Returns the shard
-    paths in shard order — the order :func:`merge_jsonl_shards` expects.
-    """
-    paths: List[Path] = []
-    for index, records in enumerate(shard_lists):
-        path = shard_path(base_path, index)
-        write_jsonl(records, path)
-        paths.append(path)
-    return paths
-
-
 def merge_jsonl_shards(paths: Sequence[Union[str, Path]],
                        out_path: Union[str, Path],
                        ts_field: str = "ts") -> int:
@@ -247,8 +318,8 @@ def merge_jsonl_shards(paths: Sequence[Union[str, Path]],
         handles = [stack.enter_context(open(p, "r", encoding="utf-8"))
                    for p in paths]
         streams = [stream(i, h) for i, h in enumerate(handles)]
-        return _write_lines(out_path, (line + "\n" for _, _, line
-                                       in heapq.merge(*streams)))
+        return write_jsonl_text((line + "\n" for _, _, line
+                                 in heapq.merge(*streams)), out_path)
 
 
 def write_csv(records: Sequence[object], path: Union[str, Path]) -> int:

@@ -19,11 +19,13 @@ shard index (its random stream is seeded via
 The engine then guarantees the merged output is identical for any worker
 count, because shards are generated from fixed seeds and merged in shard
 order.  A builder with a column stream has *one* row loop, the one that
-fills the columns; its record methods are views of that stream.  The
-engine reads ``build_shard`` (JSONL shards) and, where there is one,
-the column stream (``.col`` shards, put in ts order once and without a
-temporary file: :func:`_write_columnar_shard_from_spec`); ``iter_shard``
-is for callers that want records one at a time.
+fills the columns; its record methods are views of that stream.  Where
+there is one, the engine reads the column stream for both formats —
+``.col`` shards are packed from it and JSONL shards rendered from it,
+put in ts order once and without a temporary file
+(:func:`_write_columnar_shard_from_spec`, :func:`_write_shard_from_spec`)
+— and ``build_shard`` only where there is none; ``iter_shard`` is for
+callers that want records one at a time.
 
 Every entry point ships a :class:`~repro.engine.sharding.ShardSpec`
 (builder name + kwargs, tens of bytes) and rebuilds the builder inside
@@ -41,12 +43,14 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
-from ..datasets.columnar import (ColumnarStore, GroupedColumnarWriter,
+from ..datasets.columnar import (SCHEMAS, ColumnarStore,
+                                 GroupedColumnarWriter,
                                  merge_columnar_shards,
                                  write_columnar_stream)
-from ..datasets.records import merge_jsonl_shards, shard_path, write_jsonl
+from ..datasets.records import (jsonl_lines, merge_jsonl_shards, shard_path,
+                                write_jsonl, write_jsonl_text)
 from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
 from .executor import EngineReport, run_sharded
@@ -63,19 +67,47 @@ def _count_generated_rows(builder: Any, count: int) -> None:
                     ("builder",)).inc(count, type(builder).__name__)
 
 
+def _stable_ts_order(store: ColumnarStore) -> List[int]:
+    """Row indices of ``store`` in ts order, ties in emission order: the
+    sort ``build_shard`` performs on records."""
+    return sorted(range(store.rows), key=store.raw_column("ts").__getitem__)
+
+
 @worker_entrypoint
 def _write_shard_from_spec(spec: ShardSpec, out_base: str,
                            shard_index: int) -> int:
-    """Worker entry point: build one shard and write its JSONL file.
+    """Worker entry point: write one shard, ts-ordered, as a JSONL file.
 
     Returns only the record count — the shard's bytes stay on disk at
     :func:`repro.datasets.records.shard_path`, where the parent's k-way
-    merge picks them up.
+    merge picks them up.  The rows take the routes of
+    :func:`_write_columnar_shard_from_spec` and are rendered a chunk of
+    columns at a time (:func:`~repro.datasets.records.jsonl_lines`):
+
+    * a column stream in global ts order is rendered chunk by chunk;
+    * an unordered one becomes one in-memory store, rendered through
+      its stable ts order — the worker holds the shard's columns;
+    * a builder with no column stream, or none named after a schema,
+      hands over ``build_shard``'s records.
     """
     builder = spec.make_builder()
-    records = builder.build_shard(shard_index, spec.shard_count)
-    _count_generated_rows(builder, len(records))
-    return write_jsonl(records, shard_path(out_base, shard_index))
+    path = shard_path(out_base, shard_index)
+    schema = SCHEMAS.get(spec.builder)
+    iter_columns = getattr(builder, "iter_shard_columns", None)
+    if iter_columns is None or schema is None:
+        count = write_jsonl(builder.build_shard(shard_index,
+                                                spec.shard_count), path)
+    elif getattr(builder, "ITER_SHARD_SORTED", False):
+        count = write_jsonl_text(
+            (jsonl_lines(schema.field_names, chunk)
+             for chunk in iter_columns(shard_index, spec.shard_count)), path)
+    else:
+        store = ColumnarStore.from_column_chunks(
+            iter_columns(shard_index, spec.shard_count), schema)
+        count = write_jsonl_text(
+            store.jsonl_chunks(_stable_ts_order(store)), path)
+    _count_generated_rows(builder, count)
+    return count
 
 
 @worker_entrypoint
@@ -99,8 +131,8 @@ def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
     * an unordered column stream becomes one in-memory store written
       through its stable ts order (``build_shard``'s sort, ties in
       emission order) — no record either, but the worker holds the
-      shard's columns: about 130 B a row at its peak, under the JSONL
-      worker's 150 (``docs/datasets.md``), so ``--shards`` bounds it;
+      shard's columns: about 130 B a row at its peak
+      (``docs/datasets.md``), so ``--shards`` bounds it;
     * a builder with no column stream hands over ``build_shard``.
     """
     builder = spec.make_builder()
@@ -118,10 +150,8 @@ def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
     else:
         store = ColumnarStore.from_column_chunks(
             iter_columns(shard_index, spec.shard_count), schema)
-        ts = store.raw_column("ts")
         with GroupedColumnarWriter(schema, path, row_group_rows) as writer:
-            writer.extend_store(store, rows=sorted(range(store.rows),
-                                                   key=ts.__getitem__))
+            writer.extend_store(store, rows=_stable_ts_order(store))
         count = writer.rows
     _count_generated_rows(builder, count)
     return count
@@ -169,13 +199,12 @@ def generate_jsonl(spec: ShardSpec, out_path: Union[str, Path],
                    workers: int = 1) -> Tuple[int, EngineReport]:
     """Generate ``spec`` straight to a JSONL trace at ``out_path``.
 
-    Each worker writes its own ``<file>.shardNN`` sibling; the parent
-    k-way-merges them into the final trace and removes the shard files.
-    Record payloads never cross the pool boundary in either direction,
-    and the merged bytes are identical for any worker count — the same
-    bytes the parent-side
-    :func:`~repro.datasets.records.write_jsonl_shards` route produces.
-    Returns ``(record count, engine report)``.
+    Each worker writes its own ``<file>.shardNN`` sibling
+    (:func:`_write_shard_from_spec`); the parent k-way-merges them into
+    the final trace and removes the shard files.  Record payloads never
+    cross the pool boundary in either direction, and the merged bytes
+    are identical for any worker count.  Returns ``(record count,
+    engine report)``.
     """
     return _generate_to_file(spec, out_path, _write_shard_from_spec, (),
                              merge_jsonl_shards, workers)

@@ -32,7 +32,8 @@ from ..analysis.cache_sim import (ClientSweep, ReplayKernel, ReplayPartial,
                                   replay_partial_column_groups,
                                   replay_partial_columns)
 from ..datasets.columnar import (ColumnarStore, RowGroupReader,
-                                 bucketed_group_ranges, record_row_groups)
+                                 bucketed_group_ranges, jsonl_file_defect,
+                                 record_row_groups)
 from ..datasets.records import JsonlFormatError
 from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
@@ -269,19 +270,24 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
     appends = [bucket.append for bucket in buckets]
     route: Dict[str, Callable[[str], None]] = {}
     search = _QNAME_RE.search
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in map(str.strip, fh):
-            if line:
-                match = search(line)
-                qname = (match.group(1) if match is not None
-                         else _slow_qname(line))
-                append = route.get(qname)
-                if append is None:
-                    if len(route) >= _ROUTE_MEMO_NAMES:
-                        route.clear()
-                    append = route[qname] = \
-                        appends[stable_bucket(qname, shards)]
-                append(line)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in map(str.strip, fh):
+                if line:
+                    match = search(line)
+                    qname = (match.group(1) if match is not None
+                             else _slow_qname(line))
+                    append = route.get(qname)
+                    if append is None:
+                        if len(route) >= _ROUTE_MEMO_NAMES:
+                            route.clear()
+                        append = route[qname] = \
+                            appends[stable_bucket(qname, shards)]
+                    append(line)
+    except UnicodeError as exc:
+        # Bytes that are not UTF-8, or a qname holding a lone surrogate
+        # (hashing it encodes it): found and numbered by one file scan.
+        raise (jsonl_file_defect(path, kind) or exc) from None
     emitter = _obs_live.ACTIVE
     if emitter is not None:
         emitter.event("bucket", task=f"replay:{kind}",

@@ -1258,6 +1258,11 @@ _HOSTILE = (
     ("null-ttl", _edited(ttl=None),
      "field 'ttl' is null and the column is not nullable"),
     ("nested-too-deep", "[" * 100_000, "nested too deeply"),
+    # A qname is hashed by the router, a client only packed by the parse.
+    ("surrogate-qname", _edited(qname="\ud800.com."),
+     "field 'qname' holds a lone surrogate"),
+    ("surrogate-client", _edited(client_ip="10.0.0.\udc80"),
+     "field 'client_ip' holds a lone surrogate"),
 )
 
 #: Lines that are rows although ``write_jsonl`` would not spell them so.
@@ -1315,6 +1320,27 @@ def test_unusual_jsonl_line_is_accepted_by_both_lanes(line, tmp_path):
     replay, convert = _both_lanes(src, dst, 1)
     assert replay()[1].total_records == convert() == 3
     assert read_columnar(dst) == read_jsonl(src, AllNamesRecord)
+
+
+@pytest.mark.parametrize("lead", (b"", (_GOOD.encode() + b"\n") * 2000),
+                         ids=("short", "past-the-read-buffer"))
+def test_non_utf8_jsonl_names_line_and_byte(lead, tmp_path, two_workers):
+    """A byte that is not UTF-8 fails the read, in the router and in
+    ``convert``; both name the file, the line and the byte, and
+    ``convert`` leaves nothing behind."""
+    src, dst = tmp_path / "trace.jsonl", tmp_path / "trace.col"
+    bad = _GOOD.encode().replace(b"a.example.", b"a.\xffxample.")
+    src.write_bytes(lead + _GOOD.encode() + b"\n" + bad + b"\n"
+                    + _GOOD.encode() + b"\n")
+    line = lead.count(b"\n") + 2
+    for workers in (1, 2):
+        for lane in _both_lanes(src, dst, workers):
+            with pytest.raises(JsonlFormatError,
+                               match="not UTF-8 at byte 45$") as caught:
+                lane()
+            assert (caught.value.path, caught.value.line) == (str(src), line)
+            assert "a.�xample." in caught.value.text
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
 
 
 def test_truncated_final_line_says_so(tmp_path):

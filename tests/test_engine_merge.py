@@ -18,13 +18,14 @@ import pytest
 from repro.analysis.cache_sim import (ReplayPartial, merge_partials,
                                       replay_partial)
 from repro.datasets import (AllNamesBuilder, merge_jsonl_shards,
-                            merge_sorted_records, write_jsonl,
-                            write_jsonl_shards)
+                            merge_sorted_records, write_jsonl)
 from repro.engine.replay import ACCESSORS
 from repro.engine.sharding import partition_by_key
 from repro.faults import preset
 from repro.faults.chaos import CHAOS_RETRY_POLICY, ChaosPartial, _chaos_shard
 from repro.net.transport import NetworkStats
+
+from jsonl_reference import write_jsonl_shards
 
 
 def _shard_lists(shards: int) -> list:

@@ -418,6 +418,7 @@ class TestCliLivePlane:
             assert rc == 0
             doc = json.loads((tmp_path / name).read_text())
             assert doc["traceEvents"] and doc["otherData"]["dropped"] == 0
+            assert all(e["ph"] in ("X", "i") for e in doc["traceEvents"])
 
     def test_live_flag_writes_progress_to_stderr(self, tmp_path, capsys):
         rc = main(["--quiet", "--live", "chaos", "--preset", "lossy",
@@ -437,6 +438,22 @@ class TestCliLivePlane:
                      str(tmp_path / "tl.jsonl"), "generate", "allnames",
                      str(lively)] + tail + ["--workers", "2"]) == 0
         assert plain.read_bytes() == lively.read_bytes()
+
+        # A chaos run serving metrics and writing a timeline reports what
+        # plain runs at 1 and 4 workers report.
+        reports = {}
+        for tag, flags, workers in (
+                ("live", ["--serve-metrics", "0", "--timeline-out",
+                          str(tmp_path / "tl.json")], 4),
+                ("plain1", [], 1), ("plain4", [], 4)):
+            out = tmp_path / tag
+            assert main(["--quiet", "--out", str(out), *flags, "chaos",
+                         "--preset", "lossy", "--fault-seed", "7",
+                         "--ingress", "16", "--workers", str(workers)]) == 0
+            reports[tag] = {path.relative_to(out): path.read_bytes()
+                            for path in out.rglob("*") if path.is_file()}
+        assert reports["live"]
+        assert reports["live"] == reports["plain1"] == reports["plain4"]
 
     def test_live_plane_restored_after_command(self):
         assert obs_live.ACTIVE is None

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.datasets.columnar import read_columnar
 from repro.datasets.records import (AllNamesRecord, read_jsonl, shard_path,
-                                    write_jsonl, write_jsonl_shards)
+                                    write_jsonl)
 from repro.engine import (ShardSpec, WorkerPool, client_sweep_sharded,
                           fig1_sharded, generate_columnar, generate_jsonl,
                           register_builder, replay_columnar_sharded,
@@ -43,6 +43,8 @@ from repro.faults.chaos import run_chaos
 from repro.faults.presets import preset
 from repro.obs import observe
 from repro.obs.export import to_prometheus
+
+from jsonl_reference import write_jsonl_shards
 
 #: Worker counts exercised per case.
 #: workers=1 is the inline reference; the rest hit real process pools.
