@@ -11,8 +11,7 @@ from .ditl import RootTrace, RootTraceBuilder, generate_root_trace
 from .public_cdn import PublicCdnBuilder, PublicCdnDataset
 from .records import (AllNamesRecord, CdnQueryRecord, PublicCdnRecord,
                       RootQueryRecord, ScanQueryRecord, iter_jsonl,
-                      merge_jsonl_shards, read_jsonl, shard_path, write_csv,
-                      write_jsonl)
+                      read_jsonl, shard_path, write_csv, write_jsonl)
 from .scan_dataset import (ChainSpec, EgressSpec, ScanUniverse,
                            ScanUniverseBuilder)
 from .workload import (ClientPopulation, HostnameUniverse, SldPolicy,
@@ -29,7 +28,7 @@ __all__ = [
     "ScanUniverseBuilder", "SldPolicy", "ZipfSampler", "assign_sld_policies",
     "columnar_to_jsonl", "file_info", "generate_root_trace", "is_columnar",
     "iter_jsonl", "jsonl_to_columnar", "merge_columnar_shards",
-    "merge_jsonl_shards", "merge_sorted_records", "paper_numbers",
+    "merge_sorted_records", "paper_numbers",
     "poisson_arrivals", "read_columnar", "read_jsonl", "schema_for",
     "shard_path", "write_columnar_stream", "write_csv", "write_jsonl",
 ]

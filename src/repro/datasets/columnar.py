@@ -31,10 +31,11 @@ header parser (:func:`_read_header`) presents it as a file of one row
 group, so every reader opens both.
 
 Everything here is deterministic: dictionaries assign codes in first-
-appearance order, merges are stable k-way merges keyed on ``(ts, shard
-index, row index)`` — the exact tie-break of
-:func:`repro.datasets.records.merge_jsonl_shards` — and no content ever
-depends on process or machine identity.
+appearance order, the shard merge is a stable k-way merge keyed on
+``(ts, shard index, row index)`` — the order of a stable ts sort of the
+shards' concatenation — and no content ever depends on process or
+machine identity.  A JSONL trace is a ``.col`` trace rendered
+(:func:`columnar_to_jsonl`), so both formats hold that one order.
 """
 
 from __future__ import annotations
@@ -597,9 +598,8 @@ class ColumnarStore:
 
     # -- JSONL -------------------------------------------------------------
 
-    def jsonl_chunks(self, rows: Optional[Sequence[int]] = None
-                     ) -> Iterator[str]:
-        """Every row, or the selection ``rows``, as JSONL text.
+    def jsonl_chunks(self) -> Iterator[str]:
+        """Every row as JSONL text.
 
         Yields pieces of at most :data:`EXTEND_CHUNK_ROWS` lines, byte
         for byte what :func:`~repro.datasets.records.write_jsonl` writes
@@ -608,20 +608,16 @@ class ColumnarStore:
         through a table of its dictionary's JSON texts indexed by code,
         and null cells are patched in from the bitmap.
         """
-        selection = range(self.rows) if rows is None else rows
         names = self.schema.field_names
-        for start in range(0, len(selection), EXTEND_CHUNK_ROWS):
-            piece = selection[start:start + EXTEND_CHUNK_ROWS]
-            yield json_rows(names, [self._json_texts(spec, piece)
+        for start in range(0, self.rows, EXTEND_CHUNK_ROWS):
+            stop = min(start + EXTEND_CHUNK_ROWS, self.rows)
+            yield json_rows(names, [self._json_texts(spec, start, stop)
                                     for spec in self.schema.columns])
 
-    def _json_texts(self, spec: ColumnSpec,
-                    rows: Sequence[int]) -> List[str]:
-        """One column's JSON texts at ``rows`` (a range or a selection)."""
-        raw = self._data[spec.name]
-        span = isinstance(rows, range) and rows.step == 1
-        values = (raw[rows.start:rows.stop].tolist() if span
-                  else list(map(raw.__getitem__, rows)))
+    def _json_texts(self, spec: ColumnSpec, start: int,
+                    stop: int) -> List[str]:
+        """One column's JSON texts for rows ``start`` to ``stop``."""
+        values = self._data[spec.name][start:stop].tolist()
         if spec.kind == "str":
             dictionary = self._dicts[spec.name]
             # A column of nulls only has no dictionary, and its rows
@@ -636,8 +632,7 @@ class ColumnarStore:
         if spec.nullable:
             flags = self.memo(("null flags", spec.name),
                               lambda: self._null_flags(spec.name))
-            picked = (flags[rows.start:rows.stop] if span
-                      else "".join(map(flags.__getitem__, rows)))
+            picked = flags[start:stop]
             at = picked.find("1")
             while at >= 0:
                 texts[at] = "null"
@@ -1562,35 +1557,10 @@ def prebucket_columnar(src: Union[str, Path], dst: Union[str, Path],
             spill_path.unlink(missing_ok=True)
 
 
-class _MergeCursor:
-    """One shard's read position inside the group-granular merge."""
-
-    def __init__(self, reader: RowGroupReader, index: int) -> None:
-        self.reader = reader
-        self.index = index
-        self.group_index = -1
-        self.store: Optional[ColumnarStore] = None
-        self.ts: Any = None
-        self.row = 0
-
-    def advance_group(self) -> bool:
-        """Move to the next non-empty group; False when exhausted."""
-        if self.store is not None:
-            self.store.close()
-            self.store = None
-        while self.group_index + 1 < self.reader.group_count:
-            self.group_index += 1
-            if self.reader.group_rows(self.group_index) == 0:
-                continue
-            self.store = self.reader.group(self.group_index)
-            self.ts = self.store.raw_column("ts")
-            self.row = 0
-            return True
-        return False
-
-    def key(self) -> Tuple[float, int]:
-        assert self.store is not None
-        return (self.ts[self.row], self.index)
+def _stable_ts_order(store: ColumnarStore) -> List[int]:
+    """Row indices of ``store`` in ts order, ties in row order: the sort
+    ``build_shard`` performs on records, and the merge's on a window."""
+    return sorted(range(store.rows), key=store.raw_column("ts").__getitem__)
 
 
 def merge_columnar_shards(paths: Sequence[Union[str, Path]],
@@ -1599,22 +1569,30 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
     """Order-stable k-way merge of ts-sorted columnar shard files.
 
     Rows merge by ``(ts, shard index, row index)`` — ties break toward
-    the earlier shard, exactly like
-    :func:`repro.datasets.records.merge_jsonl_shards` — so a columnar
-    generate merged this way holds the same canonical record order as
-    the JSONL route.  Row for row the output equals the per-row heapq
-    reference merge (kept next to its test in ``tests/test_columnar.py``),
-    but the walk is *run*-granular: whenever the head shard's next rows
-    all sort before every other shard's head (found by bisecting the ts
-    column), the whole run moves in one vectorized append instead of one
-    heap pop per row, and a run that covers a whole source group while
-    nothing is buffered is copied verbatim.  Shards whose ts ranges do
-    not overlap (allnames: time windows) therefore merge at group-copy
-    speed.  Shards that cover the same clock are interleaved end to end
-    — every public-cdn shard is a resolver range over the whole time
-    range — and there a run is one or two rows, so the merge makes
-    about one ``extend_store`` call per row (``docs/performance.md``,
-    "The interleaved-shard cliff", has the price).
+    the earlier shard, the order of ``assemble`` over ``build_shard`` —
+    and the bytes equal the per-row reference merge kept next to its
+    test in ``tests/test_columnar.py``.  One group per shard is held,
+    and rows move in two kinds of step:
+
+    * a *run*: the head shard's rows that sort before every other
+      shard's head, found by bisecting its ts column, go by range.
+      Shards whose ts ranges do not overlap (allnames: time windows)
+      merge this way, a whole group at a time;
+    * a *window*, when the run stops inside its group: from every
+      shard, the rows whose ``(ts, shard)`` key sorts at or before a
+      bound are concatenated in shard order and put in merged order by
+      one stable ts sort, then appended in one call.  The bound is the
+      smallest key among each shard's group end and its row
+      ``row_group_rows // active shards`` ahead, so a window holds about
+      one output group.  Shards that cover one clock (every public-cdn
+      shard is a resolver range over the whole time range) merge this
+      way: one sort per window, not one append per row.
+
+    In either step a source group whose rows are contiguous in the
+    merged order, met while no output row is pending, is copied verbatim
+    (its dictionaries are group-local, so re-encoding would give the same
+    segments and only cost time).  A group that may be one is never cut
+    by a window: the window stops before it and a run takes it.
 
     Inputs may be v1 or v2 but not a mix — mixed format versions raise,
     as do mixed schemas.  The output is written with bounded memory in
@@ -1637,48 +1615,92 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
         schema = readers[0].schema
         out = stack.enter_context(
             GroupedColumnarWriter(schema, out_path, row_group_rows))
-
-        def emit(cursor: _MergeCursor, lo: int, hi: int) -> None:
-            store = cursor.store
-            assert store is not None
-            if (lo == 0 and hi == store.rows and out.pending_rows == 0
-                    and cursor.reader.format_version == FORMAT_VERSION_V2):
-                out.copy_group(cursor.reader, cursor.group_index)
-            else:
-                out.extend_store(store, lo, hi)
-
-        active = [cursor for cursor in
-                  (_MergeCursor(reader, index)
-                   for index, reader in enumerate(readers))
-                  if cursor.advance_group()]
+        copyable = readers[0].format_version == FORMAT_VERSION_V2
+        # Per shard: its current group's index, store and ts column, and
+        # the first row of that group not yet written.
+        group_of = [-1] * len(readers)
+        stores: List[Any] = [None] * len(readers)
+        ts_of: List[Any] = [None] * len(readers)
+        pos = [0] * len(readers)
         merged_groups = 0
-        while active:
-            if len(active) == 1:
-                cursor = active[0]
-                while True:
-                    assert cursor.store is not None
-                    emit(cursor, cursor.row, cursor.store.rows)
-                    merged_groups += 1
-                    if not cursor.advance_group():
-                        break
-                break
-            cursor = min(active, key=_MergeCursor.key)
-            other = min((c.key() for c in active if c is not cursor))
-            assert cursor.store is not None
-            # Rows of the head shard that sort before every other head:
-            # ties (equal ts) stay with the head only when its shard
-            # index is lower, matching the (ts, shard, row) order.
-            if cursor.index < other[1]:
-                hi = bisect.bisect_right(cursor.ts, other[0], cursor.row,
-                                         cursor.store.rows)
-            else:
-                hi = bisect.bisect_left(cursor.ts, other[0], cursor.row,
-                                        cursor.store.rows)
-            emit(cursor, cursor.row, hi)
-            cursor.row = hi
-            if cursor.row >= cursor.store.rows:
+
+        def advance(shard: int) -> bool:
+            """Move to the shard's next non-empty group; False at its end."""
+            nonlocal merged_groups
+            if stores[shard] is not None:
+                stores[shard].close()
                 merged_groups += 1
-                if not cursor.advance_group():
-                    active.remove(cursor)
+            reader = readers[shard]
+            while group_of[shard] + 1 < reader.group_count:
+                group_of[shard] += 1
+                if reader.group_rows(group_of[shard]):
+                    stores[shard] = reader.group(group_of[shard])
+                    ts_of[shard] = stores[shard].raw_column("ts")
+                    pos[shard] = 0
+                    return True
+            stores[shard] = None
+            return False
+
+        def key(shard: int, row: int) -> Tuple[float, int]:
+            return (ts_of[shard][row], shard)
+
+        def end_at(shard: int, bound: Tuple[float, int]) -> int:
+            """End of the shard's rows, from its position, whose key sorts
+            at or before ``bound``."""
+            cut = bisect.bisect_right if shard <= bound[1] \
+                else bisect.bisect_left
+            return cut(ts_of[shard], bound[0], pos[shard], stores[shard].rows)
+
+        def window(active: List[int]) -> None:
+            step = out.row_group_rows // len(active)
+            bound = min(key(shard, min(pos[shard] + step,
+                                       stores[shard].rows - 1))
+                        for shard in active)
+            batch = ColumnarWriter(schema)
+            spans = []
+            for shard in active:
+                end = end_at(shard, bound)
+                spans.append((shard, batch.rows, end - pos[shard]))
+                batch.extend_rows(stores[shard], rows=range(pos[shard], end))
+            rows = batch.store()
+            order = _stable_ts_order(rows)
+            stop, copies = len(order), []
+            for shard, start, taken in spans:
+                if copyable and taken and pos[shard] == 0:
+                    first = order.index(start)
+                    if taken == stores[shard].rows:
+                        if order[first + taken - 1] == start + taken - 1:
+                            copies.append((first, shard))
+                    elif first + taken == len(order):
+                        # The group's head ends the window: it may be
+                        # contiguous, so a run decides it whole.
+                        stop, taken = first, 0
+                pos[shard] += taken
+            done = 0
+            for first, shard in sorted(copies):
+                out.extend_store(rows, rows=order[done:first])
+                done = first
+                if out.pending_rows == 0:
+                    out.copy_group(readers[shard], group_of[shard])
+                    done += stores[shard].rows
+            out.extend_store(rows, rows=order[done:stop])
+
+        active = [shard for shard in range(len(readers)) if advance(shard)]
+        while active:
+            head = min(active, key=lambda shard: key(shard, pos[shard]))
+            rows = stores[head].rows
+            others = [key(shard, pos[shard])
+                      for shard in active if shard != head]
+            end = end_at(head, min(others)) if others else rows
+            if (pos[head] == 0 and end == rows and copyable
+                    and out.pending_rows == 0):
+                out.copy_group(readers[head], group_of[head])
+            else:
+                out.extend_store(stores[head], pos[head], end)
+            pos[head] = end
+            if end < rows:
+                window(active)
+            active = [shard for shard in active
+                      if pos[shard] < stores[shard].rows or advance(shard)]
         record_row_groups("merged", schema.name, merged_groups)
         return out.close()

@@ -9,10 +9,8 @@ paper's pipelines consume the operators' logs.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -295,31 +293,6 @@ def shard_path(base_path: Union[str, Path], shard_index: int) -> Path:
     """The conventional on-disk name of one shard of ``base_path``."""
     base = Path(base_path)
     return base.with_name(f"{base.name}.shard{shard_index:02d}")
-
-
-def merge_jsonl_shards(paths: Sequence[Union[str, Path]],
-                       out_path: Union[str, Path],
-                       ts_field: str = "ts") -> int:
-    """Order-stable k-way merge of timestamp-sorted shard files.
-
-    Lines are merged by their ``ts_field`` value; ties break toward the
-    earlier shard in ``paths``, matching a stable sort of the shard
-    concatenation.  Streams line-by-line, so merging never materializes a
-    whole dataset in memory.  Returns the number of records written.
-    """
-
-    def stream(index: int, handle) -> Iterator[tuple]:
-        for line in handle:
-            line = line.strip()
-            if line:
-                yield (json.loads(line)[ts_field], index, line)
-
-    with contextlib.ExitStack() as stack:
-        handles = [stack.enter_context(open(p, "r", encoding="utf-8"))
-                   for p in paths]
-        streams = [stream(i, h) for i, h in enumerate(handles)]
-        return write_jsonl_text((line + "\n" for _, _, line
-                                 in heapq.merge(*streams)), out_path)
 
 
 def write_csv(records: Sequence[object], path: Union[str, Path]) -> int:

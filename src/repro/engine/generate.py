@@ -20,37 +20,37 @@ The engine then guarantees the merged output is identical for any worker
 count, because shards are generated from fixed seeds and merged in shard
 order.  A builder with a column stream has *one* row loop, the one that
 fills the columns; its record methods are views of that stream.  Where
-there is one, the engine reads the column stream for both formats —
-``.col`` shards are packed from it and JSONL shards rendered from it,
+there is one, the engine packs ``.col`` shards from the column stream,
 put in ts order once and without a temporary file
-(:func:`_write_columnar_shard_from_spec`, :func:`_write_shard_from_spec`)
-— and ``build_shard`` only where there is none; ``iter_shard`` is for
-callers that want records one at a time.
+(:func:`_write_columnar_shard_from_spec`), and ``build_shard`` only
+where there is none; ``iter_shard`` is for callers that want records
+one at a time.
 
-Every entry point ships a :class:`~repro.engine.sharding.ShardSpec`
-(builder name + kwargs, tens of bytes) and rebuilds the builder inside
-the worker; the engine-free reference the equivalence suite pins them
-against is ``spec.make_builder().build_shard(i, n)`` called in-process.
-No entry point returns records: each :func:`generate_jsonl` /
-:func:`generate_columnar` worker writes its shard to the conventional
-``<file>.shardNN`` sibling itself and returns only a count, so
-*nothing* record-shaped crosses the pool boundary in either direction —
-the parent just k-way-merges the shard files.  (Figure 1 writes no
-file at all: :func:`repro.engine.replay.fig1_sharded`.)
+There is one generation pipeline.  Every entry point ships a
+:class:`~repro.engine.sharding.ShardSpec` (builder name + kwargs, tens
+of bytes) and rebuilds the builder inside the worker; the engine-free
+reference the equivalence suite pins them against is
+``spec.make_builder().build_shard(i, n)`` called in-process.  No entry
+point returns records: each :func:`generate_columnar` worker writes its
+shard to the conventional ``<file>.shardNN`` sibling itself and returns
+only a count, so *nothing* record-shaped crosses the pool boundary in
+either direction — the parent just merges the shard files.
+:func:`generate_jsonl` is that pipeline into a scratch ``.col``,
+rendered by :func:`~repro.datasets.columnar.columnar_to_jsonl`.
+(Figure 1 writes no file at all: :func:`repro.engine.replay.fig1_sharded`.)
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
-from ..datasets.columnar import (SCHEMAS, ColumnarStore,
-                                 GroupedColumnarWriter,
+from ..datasets.columnar import (ColumnarStore, GroupedColumnarWriter,
+                                 _stable_ts_order, columnar_to_jsonl,
                                  merge_columnar_shards,
                                  write_columnar_stream)
-from ..datasets.records import (jsonl_lines, merge_jsonl_shards, shard_path,
-                                write_jsonl, write_jsonl_text)
+from ..datasets.records import shard_path
 from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
 from .executor import EngineReport, run_sharded
@@ -67,49 +67,6 @@ def _count_generated_rows(builder: Any, count: int) -> None:
                     ("builder",)).inc(count, type(builder).__name__)
 
 
-def _stable_ts_order(store: ColumnarStore) -> List[int]:
-    """Row indices of ``store`` in ts order, ties in emission order: the
-    sort ``build_shard`` performs on records."""
-    return sorted(range(store.rows), key=store.raw_column("ts").__getitem__)
-
-
-@worker_entrypoint
-def _write_shard_from_spec(spec: ShardSpec, out_base: str,
-                           shard_index: int) -> int:
-    """Worker entry point: write one shard, ts-ordered, as a JSONL file.
-
-    Returns only the record count — the shard's bytes stay on disk at
-    :func:`repro.datasets.records.shard_path`, where the parent's k-way
-    merge picks them up.  The rows take the routes of
-    :func:`_write_columnar_shard_from_spec` and are rendered a chunk of
-    columns at a time (:func:`~repro.datasets.records.jsonl_lines`):
-
-    * a column stream in global ts order is rendered chunk by chunk;
-    * an unordered one becomes one in-memory store, rendered through
-      its stable ts order — the worker holds the shard's columns;
-    * a builder with no column stream, or none named after a schema,
-      hands over ``build_shard``'s records.
-    """
-    builder = spec.make_builder()
-    path = shard_path(out_base, shard_index)
-    schema = SCHEMAS.get(spec.builder)
-    iter_columns = getattr(builder, "iter_shard_columns", None)
-    if iter_columns is None or schema is None:
-        count = write_jsonl(builder.build_shard(shard_index,
-                                                spec.shard_count), path)
-    elif getattr(builder, "ITER_SHARD_SORTED", False):
-        count = write_jsonl_text(
-            (jsonl_lines(schema.field_names, chunk)
-             for chunk in iter_columns(shard_index, spec.shard_count)), path)
-    else:
-        store = ColumnarStore.from_column_chunks(
-            iter_columns(shard_index, spec.shard_count), schema)
-        count = write_jsonl_text(
-            store.jsonl_chunks(_stable_ts_order(store)), path)
-    _count_generated_rows(builder, count)
-    return count
-
-
 @worker_entrypoint
 def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
                                     schema: str,
@@ -118,10 +75,10 @@ def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
     """Worker entry point: write one shard, ts-ordered, as a columnar
     sibling.
 
-    The columnar twin of :func:`_write_shard_from_spec`: only the count
-    crosses the pool boundary; the packed segments wait on disk for the
-    parent's merge.  Shard files are always the v2 row-group layout and
-    ``row_group_rows`` is their group size, nothing else.  The rows
+    Only the count crosses the pool boundary; the packed segments wait
+    on disk for the parent's merge.  Shard files are always the v2
+    row-group layout and ``row_group_rows`` is their group size,
+    nothing else.  The rows
     reach the writer in ``build_shard``'s order by the cheapest route
     the builder offers, never through a temporary file:
 
@@ -157,31 +114,45 @@ def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
     return count
 
 
-def _generate_to_file(spec: ShardSpec, out_path: Union[str, Path],
-                      write_shard: Callable[..., int],
-                      shared: Tuple[Any, ...],
-                      merge: Callable[[Sequence[Path], Path], int],
-                      workers: int) -> Tuple[int, EngineReport]:
-    """Workers write shard files, the parent merges them into one trace.
+def generate_columnar(spec: ShardSpec, out_path: Union[str, Path],
+                      schema: Optional[str] = None, workers: int = 1,
+                      row_group_rows: Optional[int] = None
+                      ) -> Tuple[int, EngineReport]:
+    """Generate ``spec`` straight to a columnar trace at ``out_path``.
 
-    ``write_shard`` is the worker entry point; it receives ``(spec, out
-    path, *shared, shard index)``, writes the ``<file>.shardNN`` sibling
-    and returns its record count.  ``merge(paths, out)`` is the format's
-    order-stable k-way merge.  The shard files are removed afterwards,
-    also when a worker or the merge raises, and the merged count is
-    checked against the workers' counts.
+    Each worker writes its shard as a packed, ts-ordered
+    ``<file>.shardNN`` row-group sibling
+    (:func:`_write_columnar_shard_from_spec`: one row group in memory
+    when the builder's column stream is ordered, the shard's columns
+    when it is not) and returns only its count.  The parent merges the
+    shard files on ``(ts, shard index, row index)``
+    (:func:`repro.datasets.columnar.merge_columnar_shards`, one group
+    per shard in memory) into one file holding the canonical record
+    order, removes them — also when a worker or the merge raises — and
+    checks the merged count against the workers' counts.
+    ``schema`` defaults to the spec's builder name; pass it explicitly
+    for builders registered outside
+    :data:`~repro.datasets.columnar.SCHEMAS` whose records use
+    one of the standard schemas.  ``row_group_rows`` is the group size
+    of the shard files and of the final file (``None``:
+    :data:`repro.datasets.columnar.DEFAULT_ROW_GROUP_ROWS`); the output
+    is byte-identical for any worker count.  Returns ``(record count,
+    engine report)``.
     """
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     task = f"generate:{spec.builder}"
-    shard_args = [(i,) for i in range(spec.shard_count)]
     paths = [shard_path(out, i) for i in range(spec.shard_count)]
     try:
         counts, report = run_sharded(
-            write_shard, shard_args, workers=workers, task=task,
-            shared=(spec, str(out), *shared), count_of=int)
+            _write_columnar_shard_from_spec,
+            [(i,) for i in range(spec.shard_count)], workers=workers,
+            task=task, count_of=int,
+            shared=(spec, str(out), spec.builder if schema is None
+                    else schema, row_group_rows))
         merge_start = time.perf_counter()
-        total = merge(paths, out)
+        total = merge_columnar_shards(paths, out,
+                                      row_group_rows=row_group_rows)
         emitter = _obs_live.ACTIVE
         if emitter is not None:
             emitter.event("merge", task=task, records=total,
@@ -197,45 +168,22 @@ def _generate_to_file(spec: ShardSpec, out_path: Union[str, Path],
 
 def generate_jsonl(spec: ShardSpec, out_path: Union[str, Path],
                    workers: int = 1) -> Tuple[int, EngineReport]:
-    """Generate ``spec`` straight to a JSONL trace at ``out_path``.
+    """Generate ``spec`` to a JSONL trace at ``out_path``.
 
-    Each worker writes its own ``<file>.shardNN`` sibling
-    (:func:`_write_shard_from_spec`); the parent k-way-merges them into
-    the final trace and removes the shard files.  Record payloads never
-    cross the pool boundary in either direction, and the merged bytes
-    are identical for any worker count.  Returns ``(record count,
-    engine report)``.
+    The trace is :func:`generate_columnar`'s, rendered: the columnar
+    pipeline writes a scratch ``<file>.col`` beside ``out_path`` and
+    :func:`~repro.datasets.columnar.columnar_to_jsonl` turns it into
+    the destination, so the bytes are those of ``generate --format
+    columnar`` + ``convert --to jsonl`` and identical for any worker
+    count.  The scratch file is removed however the call ends, and the
+    destination is written atomically.  Returns ``(record count, engine
+    report)``.
     """
-    return _generate_to_file(spec, out_path, _write_shard_from_spec, (),
-                             merge_jsonl_shards, workers)
-
-
-def generate_columnar(spec: ShardSpec, out_path: Union[str, Path],
-                      schema: Optional[str] = None, workers: int = 1,
-                      row_group_rows: Optional[int] = None
-                      ) -> Tuple[int, EngineReport]:
-    """Generate ``spec`` straight to a columnar trace at ``out_path``.
-
-    The columnar twin of :func:`generate_jsonl`: each worker writes its
-    shard as a packed, ts-ordered ``<file>.shardNN`` row-group sibling
-    (:func:`_write_columnar_shard_from_spec`: one row group in memory
-    when the builder's column stream is ordered, the shard's columns
-    when it is not), and the parent merges the shard *segments* — a
-    group-granular stable k-way merge on ``(ts, shard index, row
-    index)`` (:func:`repro.datasets.columnar.merge_columnar_shards`),
-    one group per shard in memory — into one file holding the same
-    canonical record order as the JSONL route.
-    ``schema`` defaults to the spec's builder name; pass it explicitly
-    for builders registered outside :data:`SCHEMAS` whose records use
-    one of the standard schemas.  ``row_group_rows`` is the group size
-    of the shard files and of the final file (``None``:
-    :data:`repro.datasets.columnar.DEFAULT_ROW_GROUP_ROWS`); the output
-    is byte-identical for any worker count.  Returns ``(record count,
-    engine report)``.
-    """
-    return _generate_to_file(
-        spec, out_path, _write_columnar_shard_from_spec,
-        (spec.builder if schema is None else schema, row_group_rows),
-        lambda paths, out: merge_columnar_shards(
-            paths, out, row_group_rows=row_group_rows),
-        workers)
+    out = Path(out_path)
+    scratch = out.with_name(out.name + ".col")
+    try:
+        count, report = generate_columnar(spec, scratch, workers=workers)
+        columnar_to_jsonl(scratch, out)
+    finally:
+        scratch.unlink(missing_ok=True)
+    return count, report

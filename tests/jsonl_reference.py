@@ -1,19 +1,24 @@
-"""The per-record JSONL writer every column-rendering writer must equal.
+"""The per-record JSONL route every column-rendering writer must equal.
 
 ``line_of`` is the encoder the JSONL writers used before they rendered
 columns: one dict per record, read field by field, and one call of the
 shared compact encoder per line.  ``write_jsonl_shards`` writes shard
-files with it, the reference output of the generate and merge suites.
+files with it and ``merge_jsonl_shards`` merges them a line at a time:
+together the reference output of the generate and merge suites, which
+shares nothing but the atomic file write with the columnar pipeline
+``generate_jsonl`` runs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import heapq
 import json
 from pathlib import Path
-from typing import Iterable, List, Sequence, Union
+from typing import Iterable, Iterator, List, Sequence, Union
 
-from repro.datasets.records import shard_path
+from repro.datasets.records import shard_path, write_jsonl_text
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 
@@ -34,3 +39,28 @@ def write_jsonl_shards(shard_lists: Sequence[Iterable[object]],
         path.write_text("".join(map(line_of, records)), encoding="utf-8")
         paths.append(path)
     return paths
+
+
+def merge_jsonl_shards(paths: Sequence[Union[str, Path]],
+                       out_path: Union[str, Path],
+                       ts_field: str = "ts") -> int:
+    """Order-stable k-way merge of timestamp-sorted JSONL shard files.
+
+    Lines are merged by their ``ts_field`` value; ties break toward the
+    earlier shard in ``paths``, matching a stable sort of the shard
+    concatenation.  Streams line by line and writes atomically; returns
+    the number of records written.
+    """
+
+    def stream(index: int, handle) -> Iterator[tuple]:
+        for line in handle:
+            line = line.strip()
+            if line:
+                yield (json.loads(line)[ts_field], index, line)
+
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(open(p, "r", encoding="utf-8"))
+                   for p in paths]
+        streams = [stream(i, h) for i, h in enumerate(handles)]
+        return write_jsonl_text((line + "\n" for _, _, line
+                                 in heapq.merge(*streams)), out_path)

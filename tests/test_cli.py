@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -259,6 +263,52 @@ class TestArtefactsOnFailure:
                 write_text_atomic(path, chunks())
         assert not fresh.exists() and existing.read_text() == "complete\n"
         assert not list(tmp_path.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("command", ("jsonl", "columnar", "convert"))
+    def test_killed_writer_leaves_no_destination(self, command, tmp_path):
+        """``generate`` (either format) and ``convert --to jsonl`` killed
+        by SIGKILL once a shard or ``.tmp`` file is on disk leave no
+        destination, and a re-run into the same path — over the files
+        the killed run left — writes the bytes of an undisturbed run and
+        nothing else."""
+        source = tmp_path / "source.col"
+
+        def argv(dest):
+            if command == "convert":
+                return ["--quiet", "convert", "allnames", str(source),
+                        str(dest), "--to", "jsonl"]
+            return ["--quiet", "generate", "allnames", str(dest), "--format",
+                    command, "--scale", "0.1", "--workers", "1"]
+
+        if command == "convert":
+            # Rendering is the whole run: a bigger trace keeps it going
+            # for a while after its .tmp appears.
+            assert main(["--quiet", "generate", "allnames", str(source),
+                         "--format", "columnar", "--scale", "0.25"]) == 0
+
+        name = "t.col" if command == "columnar" else "t.jsonl"
+        reference = tmp_path / "reference" / name
+        assert main(argv(reference)) == 0
+        work = tmp_path / "work"
+        work.mkdir()
+        dest = work / name
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv(dest)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        deadline = time.monotonic() + 60
+        try:
+            while not any(work.iterdir()):
+                assert proc.poll() is None, "finished before it was killed"
+                assert time.monotonic() < deadline, "wrote nothing in 60 s"
+                time.sleep(0.001)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert not dest.exists()
+        assert list(work.iterdir())
+        assert main(argv(dest)) == 0
+        assert dest.read_bytes() == reference.read_bytes()
+        assert [p.name for p in work.iterdir()] == [name]
 
 
 class TestColumnarCommands:

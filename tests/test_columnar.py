@@ -6,15 +6,15 @@ The store's contract has four layers, each pinned here:
   for every schema and every Optional/null shape (Hypothesis drives the
   shapes), and JSONL → columnar → JSONL reproduces the exact bytes.
 * **Shard algebra** — ``merge_columnar_shards`` equals the canonical
-  ts/k-way merge the JSONL route uses.
+  ts/k-way merge of the shards' records.
 * **Replay equivalence** — :func:`replay_partial_columns` is
   counter-identical to the object-path reference for whole stores, row
   buckets, and TTL overrides.
 * **Row-group layout (v2)** — random group budgets (including 1 and
   larger than the trace) round-trip value-identically with group-local
-  dictionaries remapped on read; the group-granular merge equals the
-  per-row heapq reference on overlapping-ts fixtures, byte for byte
-  once both are converted to one group budget; mixed-version merges
+  dictionaries remapped on read; the merge writes the bytes of the
+  per-row heapq reference (group copies included) on overlapping-ts
+  fixtures and on drawn shards with heavy ts ties; mixed-version merges
   fail loudly; an interrupted writer leaves no file behind.
 * **One parser** — the committed legacy v1 files (``tests/data``,
   written by the last commit that could) open through every reader
@@ -61,8 +61,7 @@ from repro.datasets.columnar import (MAGIC, MAGIC_V2, SCHEMAS,
                                      schema_for, write_columnar_stream)
 from repro.datasets.records import (AllNamesRecord, CdnQueryRecord,
                                     JsonlFormatError, PublicCdnRecord,
-                                    merge_jsonl_shards, read_jsonl,
-                                    write_jsonl)
+                                    read_jsonl, write_jsonl)
 from repro.datasets.workload import merge_sorted_records
 from repro.engine import WorkerPool
 from repro.engine import replay as engine_replay
@@ -71,6 +70,8 @@ from repro.engine.replay import (ACCESSORS, _parse_lines,
                                  replay_jsonl_sharded)
 from repro.engine.sharding import partition_by_key
 from repro.obs import observe
+
+from jsonl_reference import merge_jsonl_shards
 
 #: Legacy v1 (``RPRCOL01``) files and their JSONL twins, written once by
 #: ``write_columnar`` / ``write_jsonl`` at the last commit that had a v1
@@ -668,8 +669,8 @@ def test_convert_is_value_identical_and_canonical(tmp_path):
 def _overlapping_shards(tmp_path, version: int, shards: int = 3):
     """Pre-sorted shard files with forced cross-shard ts ties.
 
-    The only v1 shards there are: the committed file, once per shard —
-    every row ties with its twins in the other shards.
+    The v1 shards are the committed file, once per shard — every row
+    ties with its twins in the other shards.
     """
     if version == 1:
         path, records = _v1_fixture("allnames")
@@ -689,35 +690,56 @@ def _overlapping_shards(tmp_path, version: int, shards: int = 3):
     return shard_lists, paths
 
 
-def merge_columnar_shards_rowwise(paths, out_path) -> int:
-    """Per-row heapq reference merge (the pre-row-group implementation).
+def merge_columnar_shards_rowwise(paths, out_path,
+                                  row_group_rows=None) -> int:
+    """Per-row heapq reference merge, with the group-copy rule.
 
-    The oracle of :func:`merge_columnar_shards`: one heap pop and one
-    ``append_values`` per row, ordered by ``(ts, shard index, row
-    index)``.  O(rows) memory.
+    The oracle of :func:`merge_columnar_shards`: rows come off one heap
+    in ``(ts, shard index, row index)`` order and are appended one at a
+    time — except that a v2 source group whose rows come off back to
+    back, reached while the writer holds no pending row, is copied
+    verbatim.  O(rows) memory.
     """
-    stores = [ColumnarStore.open(p) for p in paths]
+    readers = [RowGroupReader(p) for p in paths]
     try:
-        def stream(index, store):
-            ts_col = store.raw_column("ts")
-            for row in range(store.rows):
-                yield (ts_col[row], index, row)
+        groups = [[reader.group(g) for g in range(reader.group_count)]
+                  for reader in readers]
 
-        with GroupedColumnarWriter(stores[0].schema, out_path) as writer:
-            for _, index, row in heapq.merge(
-                    *[stream(i, s) for i, s in enumerate(stores)]):
-                writer.append_values(stores[index].row_values(row))
+        def stream(shard):
+            seq = 0
+            for g, store in enumerate(groups[shard]):
+                ts_col = store.raw_column("ts")
+                for row in range(store.rows):
+                    yield (ts_col[row], shard, seq, g, row)
+                    seq += 1
+
+        merged = [(shard, g, row) for _, shard, _, g, row in heapq.merge(
+            *map(stream, range(len(readers))))]
+        with GroupedColumnarWriter(readers[0].schema, out_path,
+                                   row_group_rows) as writer:
+            at = 0
+            while at < len(merged):
+                shard, g, row = merged[at]
+                size = groups[shard][g].rows
+                if (row == 0 and readers[shard].format_version == 2
+                        and writer.pending_rows == 0
+                        and merged[at + size - 1:at + size]
+                        == [(shard, g, size - 1)]):
+                    writer.copy_group(readers[shard], g)
+                    at += size
+                else:
+                    writer.append_values(groups[shard][g].row_values(row))
+                    at += 1
         return writer.rows
     finally:
-        for store in stores:
-            store.close()
+        for reader in readers:
+            reader.close()
 
 
 @pytest.mark.parametrize("version", (1, 2))
 def test_group_merge_byte_identical_to_rowwise(tmp_path, version):
-    """Group-granular merge == per-row heapq reference: row for row, and
-    byte for byte at one group budget (the merge may copy a source group
-    whole where the reference cuts at the budget)."""
+    """Group-granular merge == per-row heapq reference: row for row and
+    byte for byte, group copies included."""
     shard_lists, paths = _overlapping_shards(tmp_path, version)
     reference = merge_sorted_records(shard_lists)
     grouped = tmp_path / "grouped.col"
@@ -725,10 +747,92 @@ def test_group_merge_byte_identical_to_rowwise(tmp_path, version):
     assert merge_columnar_shards(paths, grouped) == len(reference)
     assert merge_columnar_shards_rowwise(paths, rowwise) == len(reference)
     assert read_columnar(grouped) == reference
-    for path in (grouped, rowwise):
-        convert_columnar(path, path.with_suffix(".norm"), row_group_rows=32)
-    assert grouped.with_suffix(".norm").read_bytes() \
-        == rowwise.with_suffix(".norm").read_bytes()
+    assert grouped.read_bytes() == rowwise.read_bytes()
+
+
+def _write_v1(records, path, schema) -> None:
+    """Write ``records`` in the legacy single-block layout (``RPRCOL01``):
+    the header first, after its u32 length, then one set of 8-byte
+    aligned segments — the column payloads a v2 group flush writes."""
+    store = ColumnarStore.from_records(records, schema)
+    area = bytearray()
+
+    def segment(payload):
+        if payload is None:
+            return None
+        area.extend(bytes(-len(area) % 8))
+        area.extend(payload)
+        return [len(area) - len(payload), len(payload)]
+
+    columns = []
+    for spec, data, nulls, words, entries in store._column_payloads():
+        columns.append({"name": spec.name, "kind": spec.kind,
+                        "typecode": spec.typecode, "data": segment(data),
+                        "nulls": segment(nulls), "dict": segment(words),
+                        "dict_entries": entries})
+    header = json.dumps({"version": 1, "schema": store.schema.name,
+                         "rows": store.rows, "columns": columns}).encode()
+    path.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header
+                     + bytes(-(12 + len(header)) % 8) + area)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_merge_bytes_equal_the_rowwise_oracle(data, tmp_path_factory):
+    """Property: the merge writes the oracle's file, byte for byte — runs,
+    windows and group copies alike — for 1–6 shards (some empty), ts
+    drawn from at most four values, any shard and output group size
+    from 1 to 9, and either layout."""
+    version = data.draw(st.sampled_from((1, 2)), label="layout")
+    stamps = data.draw(st.lists(_TS, min_size=1, max_size=4), label="ts")
+    rows = st.builds(AllNamesRecord, ts=st.sampled_from(stamps),
+                     client_ip=_IP4, qname=_QNAME, qtype=_QTYPE,
+                     scope=_SCOPE, ttl=_TTL)
+    shard_lists = data.draw(st.lists(st.lists(rows, max_size=20),
+                                     min_size=1, max_size=6), label="shards")
+    directory = tmp_path_factory.mktemp("merge")
+    paths = []
+    for index, records in enumerate(shard_lists):
+        records.sort(key=lambda r: r.ts)
+        path = directory / f"s{index}.col"
+        if version == 1:
+            _write_v1(records, path, "allnames")
+        else:
+            write_columnar_stream(records, path, "allnames", data.draw(
+                st.integers(1, 9), label="shard group rows"))
+        paths.append(path)
+    budget = data.draw(st.integers(1, 9), label="output group rows")
+    merged, oracle = directory / "merged.col", directory / "oracle.col"
+    assert merge_columnar_shards(paths, merged, budget) \
+        == merge_columnar_shards_rowwise(paths, oracle, budget) \
+        == sum(map(len, shard_lists))
+    assert merged.read_bytes() == oracle.read_bytes()
+    assert read_columnar(merged) == merge_sorted_records(shard_lists)
+
+
+@pytest.mark.parametrize("stamps,groups", (
+    (((0.0, 0.1, 0.2, 5.0), (0.15,)), [2, 1, 2]),
+    (((0.0, 0.2, 5.0), (1.0, 1.1, 1.2, 1.3, 1.4, 1.5)), [2, 6, 1]),
+), ids=("inside", "cut"))
+def test_merge_window_copies_a_contiguous_group(stamps, groups, tmp_path):
+    """Shard 0's run stops after two rows, with no output row pending,
+    and a window follows.  Shard 1's one group sorts whole before shard
+    0's next row: it is copied verbatim when the window holds all of it,
+    and left to a run — never cut — when the window's bound falls
+    inside it."""
+    paths = []
+    for index, shard in enumerate(stamps):
+        paths.append(tmp_path / f"s{index}.col")
+        write_columnar_stream(
+            [AllNamesRecord(ts, "10.0.0.1", "a.example.", 1, 24, 60)
+             for ts in shard], paths[-1], "allnames", len(shard))
+    merged, oracle = tmp_path / "merged.col", tmp_path / "oracle.col"
+    merge_columnar_shards(paths, merged, row_group_rows=2)
+    merge_columnar_shards_rowwise(paths, oracle, row_group_rows=2)
+    assert merged.read_bytes() == oracle.read_bytes()
+    with RowGroupReader(merged) as reader:
+        assert [reader.group_rows(g)
+                for g in range(reader.group_count)] == groups
 
 
 def test_group_merge_v2_output_layout(tmp_path):
@@ -1037,7 +1141,8 @@ def test_interrupted_writer_leaves_no_file(tmp_path):
 def test_interrupted_jsonl_writer_leaves_no_file(tmp_path):
     """A record stream that raises mid-way leaves neither the JSONL file
     nor a ``.tmp`` — or the file as it was — under ``write_jsonl`` and
-    under ``merge_jsonl_shards``."""
+    under the reference shard merge, which writes through the same
+    ``write_jsonl_text``."""
     records = _hand_records("allnames", 60)
     path = tmp_path / "trace.jsonl"
 

@@ -3,8 +3,9 @@
 The engine's correctness under concurrency reduces to these properties:
 partial merging is associative, commutative, and has an identity, so any
 shard order (and therefore any completion order) yields the same final
-ReplayResult; the record/JSONL merges are stable k-way merges equivalent
-to a stable sort of the shard concatenation.
+ReplayResult; the record merge and the per-line JSONL reference merge
+(``jsonl_reference.py``) are stable k-way merges equivalent to a stable
+sort of the shard concatenation.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ import pytest
 
 from repro.analysis.cache_sim import (ReplayPartial, merge_partials,
                                       replay_partial)
-from repro.datasets import (AllNamesBuilder, merge_jsonl_shards,
-                            merge_sorted_records, write_jsonl)
+from repro.datasets import (AllNamesBuilder, merge_sorted_records,
+                            write_jsonl)
 from repro.engine.replay import ACCESSORS
 from repro.engine.sharding import partition_by_key
 from repro.faults import preset
 from repro.faults.chaos import CHAOS_RETRY_POLICY, ChaosPartial, _chaos_shard
 from repro.net.transport import NetworkStats
 
-from jsonl_reference import write_jsonl_shards
+from jsonl_reference import merge_jsonl_shards, write_jsonl_shards
 
 
 def _shard_lists(shards: int) -> list:

@@ -1,15 +1,15 @@
 """JSONL is written from columns: the line encoder against its reference.
 
-Every JSONL writer — ``write_jsonl``, ``ColumnarStore.jsonl_chunks``
-(``columnar_to_jsonl``) and a ``generate --format jsonl`` worker —
-renders a chunk of rows a column at a time (``json_column``) and joins
-the lines once (``json_rows``).  The reference is the per-record encoder
-those writers replaced (``line_of`` in ``jsonl_reference.py``): one dict
-and one ``json.JSONEncoder`` call per row.  These tests hold the two to
-the same bytes on the values a per-value memo could get wrong — equal
-keys with different text (``-0.0``/``0.0``, ``True``/``1``), text JSON
-must escape, values JSON cannot spell natively — and tie the two
-generate lanes to one table.
+Every JSONL writer — ``write_jsonl`` and ``ColumnarStore.jsonl_chunks``
+(``columnar_to_jsonl``, which is also how ``generate --format jsonl``
+writes) — renders a chunk of rows a column at a time (``json_column``)
+and joins the lines once (``json_rows``).  The reference is the
+per-record encoder those writers replaced (``line_of`` in
+``jsonl_reference.py``): one dict and one ``json.JSONEncoder`` call per
+row.  These tests hold the two to the same bytes on the values a
+per-value memo could get wrong — equal keys with different text
+(``-0.0``/``0.0``, ``True``/``1``), text JSON must escape, values JSON
+cannot spell natively — and tie the two generate formats to one table.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.datasets.records import (AllNamesRecord, CdnQueryRecord,
                                     json_column, shard_path, write_jsonl)
 from repro.dnslib import RecordType
 from repro.engine import ShardSpec, generate_columnar, generate_jsonl
-from repro.engine.generate import _write_shard_from_spec
+from repro.engine.generate import _write_columnar_shard_from_spec
 
 from jsonl_reference import line_of
 
@@ -74,10 +74,9 @@ def _reference(rows) -> bytes:
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_writers_equal_the_per_record_encoder(name, data, tmp_path_factory):
-    """``write_jsonl`` and a store's rendering, whole or through a drawn
-    row selection, are the per-record encoder's bytes."""
+    """``write_jsonl`` and a store's rendering are the per-record
+    encoder's bytes."""
     rows = data.draw(st.lists(HOSTILE_RECORDS[name], max_size=30))
-    order = data.draw(st.permutations(range(len(rows))))
     path = tmp_path_factory.mktemp("jsonl") / "t.jsonl"
     chunk = data.draw(st.integers(1, 8), label="chunk rows")
     # ``columnar`` imports the constant: both bindings move.
@@ -86,9 +85,7 @@ def test_writers_equal_the_per_record_encoder(name, data, tmp_path_factory):
         assert write_jsonl(rows, path) == len(rows)
         store = ColumnarStore.from_records(rows, name)
         whole = "".join(store.jsonl_chunks()).encode("utf-8")
-        picked = "".join(store.jsonl_chunks(order)).encode("utf-8")
     assert path.read_bytes() == whole == _reference(rows)
-    assert picked == _reference([rows[i] for i in order])
 
 
 #: Values that are equal, or hash alike, with different JSON text.
@@ -143,8 +140,8 @@ BUILDERS = (
                          ids=[name for name, _ in BUILDERS])
 def test_jsonl_shard_is_build_shard_rendered(name, params, tmp_path,
                                              monkeypatch):
-    """A worker's shard file is the reference encoding of
-    ``build_shard``, and a builder with a column stream gets there
+    """A worker's shard file, rendered, is the reference encoding of
+    ``build_shard``, and a builder with a column stream writes it
     without building a record."""
     shards = 3
     spec = ShardSpec.create(name, shard_count=shards, seed=7, **params)
@@ -158,15 +155,18 @@ def test_jsonl_shard_is_build_shard_rendered(name, params, tmp_path,
         built.append(1)
         init(self, *args, **kwargs)
 
-    out = tmp_path / "t.jsonl"
+    out = tmp_path / "t.col"
     with monkeypatch.context() as patch:
         patch.setattr(record_type, "__init__", counting_init)
-        counts = [_write_shard_from_spec(spec, str(out), index)
+        counts = [_write_columnar_shard_from_spec(spec, str(out), name, None,
+                                                  index)
                   for index in range(shards)]
     assert counts == [len(shard) for shard in want]
     assert (not built) == hasattr(builder, "iter_shard_columns")
     for index, shard in enumerate(want):
-        assert shard_path(out, index).read_bytes() == _reference(shard)
+        rendered = tmp_path / f"t{index}.jsonl"
+        columnar_to_jsonl(shard_path(out, index), rendered)
+        assert rendered.read_bytes() == _reference(shard)
 
 
 @pytest.mark.parametrize("seed", (0, 7))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import inspect
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, List, Optional, Sequence
 
@@ -27,15 +28,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.columnar import read_columnar
+from repro.datasets.columnar import RowGroupReader, read_columnar
 from repro.datasets.records import (AllNamesRecord, read_jsonl, shard_path,
-                                    write_jsonl)
+                                    write_jsonl, write_jsonl_text)
 from repro.engine import (ShardSpec, WorkerPool, client_sweep_sharded,
                           fig1_sharded, generate_columnar, generate_jsonl,
                           register_builder, replay_columnar_sharded,
                           run_sharded, shard_bounds)
 from repro.engine.executor import _chunk_bounds, _run_header_chunk
-from repro.engine.generate import _write_shard_from_spec
+from repro.engine import generate as engine_generate
+from repro.engine.generate import _write_columnar_shard_from_spec
 from repro.engine.pool import encode_header, encode_shard_args
 from repro.engine.replay import _replay_lines_shard, replay_jsonl_sharded
 from repro.engine.sharding import partition_by_key
@@ -44,7 +46,7 @@ from repro.faults.presets import preset
 from repro.obs import observe
 from repro.obs.export import to_prometheus
 
-from jsonl_reference import write_jsonl_shards
+from jsonl_reference import merge_jsonl_shards, write_jsonl_shards
 
 #: Worker counts exercised per case.
 #: workers=1 is the inline reference; the rest hit real process pools.
@@ -98,8 +100,7 @@ def test_generate_jsonl_identical_bytes_across_matrix(name, tmp_path):
     """Worker-written shard files merge to the reference trace, bytewise."""
     spec = _spec(name)
     # Reference route: records materialized in the parent, shard files
-    # written parent-side, same k-way merge.
-    from repro.datasets.records import merge_jsonl_shards
+    # written parent-side, merged a line at a time.
     shard_lists, _ = _in_process(spec)
     ref_path = tmp_path / "reference.jsonl"
     paths = write_jsonl_shards(shard_lists, ref_path)
@@ -292,12 +293,13 @@ def test_spec_protocol_reproduces_reference(total, shards, chunk_size,
                        for i in range(shards)]
     records = builder.assemble(reference_lists).records
     with tempfile.TemporaryDirectory() as scratch:
-        base = Path(scratch) / "tiny.jsonl"
-        counts = _run_protocol(_write_shard_from_spec,
+        base = Path(scratch) / "tiny.col"
+        counts = _run_protocol(_write_columnar_shard_from_spec,
                                [(i,) for i in range(shards)],
-                               (spec, str(base)), chunk_size)
+                               (spec, str(base), "allnames", None),
+                               chunk_size)
         assert counts == [len(shard) for shard in reference_lists]
-        assert [read_jsonl(shard_path(base, i), AllNamesRecord)
+        assert [read_columnar(shard_path(base, i))
                 for i in range(shards)] == reference_lists
         write_jsonl(records, base)
         lines = base.read_text().splitlines()
@@ -315,21 +317,51 @@ def test_spec_protocol_reproduces_reference(total, shards, chunk_size,
 
 @pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("fail_shard", (0, 3))
-@pytest.mark.parametrize("generate,name", ((generate_jsonl, "x.jsonl"),
-                                           (generate_columnar, "x.col")))
+@pytest.mark.parametrize("generate,name", (("generate_jsonl", "x.jsonl"),
+                                           ("generate_columnar", "x.col")))
 def test_failed_generate_leaves_nothing_behind(generate, name, fail_shard,
-                                               workers, tmp_path):
+                                               workers, tmp_path,
+                                               monkeypatch):
     """One shard of four raises — the last, after the others finished,
     or the first, while a shared pool is still building the others:
-    neither the trace nor one of its ``<file>.shardNN`` siblings is on
-    disk once the pool is done."""
+    neither the trace, nor JSONL's scratch ``.col``, nor one of the
+    ``<file>.shardNN`` siblings is on disk once the pool is done."""
     spec = ShardSpec.create("tiny-trace", shard_count=4, total=40000,
                             fail_shard=fail_shard)
-    extra = {"schema": "allnames"} if generate is generate_columnar else {}
+    # The tiny builder has no schema of its own: its rows are allnames,
+    # for the columnar case and for the pipeline under the JSONL one.
+    monkeypatch.setattr(engine_generate, "generate_columnar",
+                        partial(generate_columnar, schema="allnames"))
     with WorkerPool(workers):
         with pytest.raises(RuntimeError, match="cannot be built"):
-            generate(spec, tmp_path / name, workers=workers, **extra)
+            getattr(engine_generate, generate)(spec, tmp_path / name,
+                                               workers=workers)
     assert not list(tmp_path.iterdir())
+
+
+def test_failed_render_leaves_nothing_behind(tmp_path, monkeypatch):
+    """The JSONL route's last step raising mid-write — after the columnar
+    pipeline finished — leaves no destination and no scratch ``.col``;
+    whatever the destination held before stays."""
+    def render_then_fail(src, dst):
+        def lines():
+            with RowGroupReader(src) as reader:
+                yield from reader.group(0).jsonl_chunks()
+            raise RuntimeError("render failed")
+        return write_jsonl_text(lines(), dst)
+
+    monkeypatch.setattr(engine_generate, "columnar_to_jsonl",
+                        render_then_fail)
+    spec = _spec("allnames")
+    out = tmp_path / "x.jsonl"
+    with pytest.raises(RuntimeError, match="render failed"):
+        generate_jsonl(spec, out)
+    assert not list(tmp_path.iterdir())
+    out.write_text("before\n")
+    with pytest.raises(RuntimeError, match="render failed"):
+        generate_jsonl(spec, out)
+    assert [p.name for p in tmp_path.iterdir()] == ["x.jsonl"]
+    assert out.read_text() == "before\n"
 
 
 def test_registry_rejects_unknown_and_conflicting_names():
@@ -380,7 +412,6 @@ def test_row_group_generate_identical_bytes_across_matrix(kind, flush_rows,
     flushing a group; like ``--workers`` it must never leak into the
     values, only into the layout.
     """
-    from repro.datasets.columnar import RowGroupReader
     spec = _spec(kind)
     ref_out = tmp_path / "reference.col"
     generate_columnar(spec, ref_out, workers=1)
