@@ -97,7 +97,7 @@ def replay_partial(records: Iterable, client_of, scope_of,
 
     The readable reference path: per-record accessor callables, one
     attribute lookup at a time.  ``fast=False`` additionally routes the
-    trackers' prefix keying through the ``ipaddress``-based reference —
+    trackers' prefix keying through the address-object reference —
     results are identical either way (pinned by the equivalence suite);
     the flag exists for benchmarking the before/after.
     """

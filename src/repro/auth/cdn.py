@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..dnslib import (A, AAAA, EcsOption, Message, Name, Rcode, RecordType,
                       ResourceRecord)
@@ -63,7 +63,7 @@ def _hash_index(token: str, modulus: int) -> int:
     return int.from_bytes(digest[:8], "big") % modulus
 
 
-@dataclass
+@dataclass(slots=True)
 class MappingDecision:
     """Diagnostic record of one edge-selection decision."""
 
@@ -89,9 +89,13 @@ class CdnAuthoritative(DnsServer):
                  answers_per_response: int = 2):
         super().__init__(ip)
         self.domains = list(domains)
-        self.edges = list(edges)
+        #: A tuple, so the per-city table below cannot go stale.
+        self.edges: Tuple[EdgePool, ...] = tuple(edges)
         if not self.edges:
             raise ValueError("a CDN needs at least one edge pool")
+        #: City -> its nearest pool, filled on first use: at most one
+        #: entry per city the topology places hosts in.
+        self._pool_of_city: Dict[City, EdgePool] = {}
         self.topology = topology
         self.ttl = ttl
         self.scope_v4 = scope_v4
@@ -114,8 +118,13 @@ class CdnAuthoritative(DnsServer):
         location = self.topology.city_of(hint_ip)
         if location is None:
             return self.edges[_hash_index(hint_ip, len(self.edges))]
-        return min(self.edges,
-                   key=lambda pool: pool.city.point.distance_km(location.point))
+        pool = self._pool_of_city.get(location)
+        if pool is None:
+            # ``min`` keeps the first of equally near pools.
+            pool = min(self.edges, key=lambda edge:
+                       edge.city.point.distance_km(location.point))
+            self._pool_of_city[location] = pool
+        return pool
 
     def select_edges(self, hint_ip: str, qname: Name,
                      hint_source: str,
@@ -137,8 +146,8 @@ class CdnAuthoritative(DnsServer):
         if not ecs.is_routable():
             if self.unroutable_policy is UnroutablePolicy.USE_RESOLVER:
                 return src_ip, "resolver", True
-            return str(ecs.address), "unroutable-literal", True
-        return str(ecs.address), "ecs", True
+            return ecs.address_text, "unroutable-literal", True
+        return ecs.address_text, "ecs", True
 
     # -- protocol --------------------------------------------------------------
 

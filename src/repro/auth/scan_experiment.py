@@ -10,13 +10,12 @@ no ECS option, per the RFC.
 
 from __future__ import annotations
 
-import ipaddress
 import re
 from dataclasses import dataclass
 from typing import List, Optional
 
 from ..dnslib import (A, Message, Name, Rcode, RecordType, ResourceRecord)
-from ..net.addr import parse_addr
+from ..net.addr import ipv4_int
 from ..net.transport import Network
 from .server import DnsServer, source_minus
 
@@ -30,13 +29,7 @@ def encode_probe_name(probe_ip: str, domain: Name, nonce: str = "") -> Name:
     ``nonce`` makes trial names unique so cached answers from one trial
     cannot contaminate another (section 6.3's methodology).
     """
-    try:
-        version, value = parse_addr(probe_ip)
-    except ValueError:
-        version = 0
-    if version != 4:
-        # Not an IPv4 address: raise what the strict parse raises.
-        value = int(ipaddress.IPv4Address(probe_ip))
+    value = ipv4_int(probe_ip)
     label = (f"ip-{value >> 24}-{value >> 16 & 255}-{value >> 8 & 255}"
              f"-{value & 255}")
     name = domain.child(nonce).child(label) if nonce else domain.child(label)
@@ -56,7 +49,7 @@ def decode_probe_name(qname: Name, domain: Name) -> Optional[str]:
     return f"{a}.{b}.{c}.{d}"
 
 
-@dataclass
+@dataclass(slots=True)
 class ScanObservation:
     """One scan-relevant arrival: which ingress was probed, which egress
     showed up, and what ECS (if any) it attached."""
@@ -98,14 +91,10 @@ class ScanExperimentServer(DnsServer):
 
         ecs = query.ecs()
         self.observations.append(ScanObservation(
-            ts=net.clock.now(),
-            ingress_ip=decode_probe_name(qname, self.domain),
-            egress_ip=src_ip,
-            qname=qname.to_text(),
-            has_ecs=ecs is not None,
-            ecs_address=str(ecs.address) if ecs else None,
-            ecs_source_len=ecs.source_prefix_length if ecs else None,
-        ))
+            net.clock.now(), decode_probe_name(qname, self.domain), src_ip,
+            qname.to_text(), ecs is not None,
+            ecs.address_text if ecs else None,
+            ecs.source_prefix_length if ecs else None))
 
         if query.question.qtype == RecordType.A:
             response.answers.append(ResourceRecord(

@@ -18,7 +18,7 @@ from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
 
 
-@dataclass
+@dataclass(slots=True)
 class AuthLogRecord:
     """One query as logged by an authoritative server.
 
@@ -95,7 +95,7 @@ class DnsServer:
                     span.attrs["qtype"] = int(query.question.qtype)
                 ecs_in = query.ecs()
                 if ecs_in is not None:
-                    span.attrs["ecs_address"] = str(ecs_in.address)
+                    span.attrs["ecs_address"] = ecs_in.address_text
                     span.attrs["ecs_source_len"] = ecs_in.source_prefix_length
                 response = self._respond(query, src_ip, net)
                 if response is not None:
@@ -144,16 +144,12 @@ class DnsServer:
         ecs = query.ecs()
         resp_ecs = response.ecs()
         self.log.append(AuthLogRecord(
-            ts=net.clock.now(),
-            src_ip=src_ip,
-            qname=query.question.qname.to_text(),
-            qtype=int(query.question.qtype),
-            has_ecs=ecs is not None,
-            ecs_address=str(ecs.address) if ecs else None,
-            ecs_source_len=ecs.source_prefix_length if ecs else None,
-            ecs_scope_sent=resp_ecs.scope_prefix_length if resp_ecs else None,
-            rcode=int(response.rcode),
-        ))
+            net.clock.now(), src_ip, query.question.qname.to_text(),
+            int(query.question.qtype), ecs is not None,
+            ecs.address_text if ecs else None,
+            ecs.source_prefix_length if ecs else None,
+            resp_ecs.scope_prefix_length if resp_ecs else None,
+            int(response.rcode)))
 
     def handle_query(self, query: Message, src_ip: str,
                      net: Network) -> Optional[Message]:

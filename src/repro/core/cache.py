@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import enum
 import heapq
-import ipaddress
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..dnslib import EcsOption, Message, Name, RecordType, ResourceRecord
-from ..net.addr import parse_addr, prefix_key, prefix_key_int
+from ..net.addr import IPAddress, parse_addr, prefix_key, prefix_key_int
 from ..net.clock import SimClock
 from ..obs import metrics as _obs_metrics
 
-IPAddressLike = Union[str, ipaddress.IPv4Address, ipaddress.IPv6Address]
+IPAddressLike = Union[str, IPAddress]
 
 
 class ScopeMode(enum.Enum):
@@ -251,8 +250,7 @@ class EcsCache:
                 return False
             scope_bits = scope
             family = 4 if query_ecs.family == 1 else 6
-            version, value = parse_addr(query_ecs.address)
-            net_key = prefix_key_int(version, value, scope_bits)
+            net_key = prefix_key_int(family, query_ecs.address, scope_bits)
 
         entry = _Entry(scope_bits, net_key, family, response.copy(),
                        now, now + ttl, last_used=now)
@@ -324,7 +322,7 @@ class ScopeTracker:
 
     def __init__(self, use_ecs: bool = True, fast: bool = True):
         self.use_ecs = use_ecs
-        #: ``fast=False`` keys through the readable ``ipaddress``-based
+        #: ``fast=False`` keys through the readable address-object
         #: reference (``prefix_key``) instead of the integer fast lane.
         #: Both produce identical keys — the flag exists so benchmarks and
         #: the equivalence suite can exercise the reference path.

@@ -15,11 +15,12 @@ Two families of classifiers:
 from __future__ import annotations
 
 import enum
-import ipaddress
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from ..net.addr import address_kind, parse_addr
 
 #: Queries for the same name closer together than this are "within a short
 #: time window" for the on-miss heuristic (the paper uses one minute).
@@ -81,7 +82,7 @@ def _is_loopback(address: Optional[str]) -> bool:
     if address is None:
         return False
     try:
-        return ipaddress.ip_address(address).is_loopback
+        return address_kind(address) == "loopback"
     except ValueError:
         return False
 
@@ -204,15 +205,15 @@ def prefix_length_profile(observations: Sequence[QueryObservation]
     for o in observations:
         if not o.has_ecs or o.ecs_source_len is None or o.ecs_address is None:
             continue
-        addr = ipaddress.ip_address(o.ecs_address)
-        if addr.version == 4:
+        version, value = parse_addr(o.ecs_address)
+        if version == 4:
             profile.v4_lengths.add(o.ecs_source_len)
             # The "jammed last byte" pattern applies to full-length /32
             # prefixes only (section 6.2); /25–/31 prefixes are judged on
             # their own.
             if o.ecs_source_len == 32:
                 saw_full_length = True
-                full_length_last_bytes.add(int(addr) & 0xFF)
+                full_length_last_bytes.add(value & 0xFF)
         else:
             profile.v6_lengths.add(o.ecs_source_len)
     if saw_full_length and len(full_length_last_bytes) == 1:

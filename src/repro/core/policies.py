@@ -11,14 +11,13 @@ instantiated from configuration.
 from __future__ import annotations
 
 import enum
-import ipaddress
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from ..dnslib import EcsOption, Name, RecordType
-from ..net.addr import MASKS4, parse_addr
+from ..net.addr import MASKS4, IPAddress, parse_addr
 
-IPAddressLike = Union[str, ipaddress.IPv4Address, ipaddress.IPv6Address]
+IPAddressLike = Union[str, IPAddress]
 
 
 class ProbingStrategy(enum.Enum):
@@ -124,7 +123,7 @@ class AuthoritativeEcsState:
     last_scope_seen: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class EcsDecision:
     """The outcome of the per-query policy evaluation."""
 
@@ -230,19 +229,18 @@ def build_query_ecs(policy: EcsPolicy, decision: EcsDecision,
             source = min(source, limit)
         # RFC 7871 section 7.1.2: a forwarding resolver may shorten, never
         # lengthen, the client-supplied prefix.
-        return EcsOption.from_client_address(incoming_ecs.address, source)
+        return EcsOption.from_int(4 if incoming_ecs.family == 1 else 6,
+                                  incoming_ecs.address, source)
 
     # The one parse of the client's text; the option is built from the
-    # integer, through an address object that is never re-stringified.
+    # integer.
     version, value = parse_addr(client_ip)
     if version == 4:
         if policy.jam_last_byte is not None:
             jammed = (value & MASKS4[24]) | (policy.jam_last_byte & 0xFF)
-            return EcsOption(1, 32, 0, ipaddress.IPv4Address(jammed))
+            return EcsOption(1, 32, 0, jammed)
         source = policy.source_prefix_v4
         if source_limit is not None:
             source = min(source, source_limit)
-        return EcsOption.from_client_address(ipaddress.IPv4Address(value),
-                                             source)
-    return EcsOption.from_client_address(ipaddress.IPv6Address(value),
-                                         policy.source_prefix_v6)
+        return EcsOption.from_int(4, value, source)
+    return EcsOption.from_int(6, value, policy.source_prefix_v6)

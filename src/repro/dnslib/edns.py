@@ -10,32 +10,47 @@ source prefix MUST be zero.
 
 from __future__ import annotations
 
-import ipaddress
-import math
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from .constants import ECS_FAMILY_IPV4, ECS_FAMILY_IPV6, EdnsOptionCode
 from .errors import BadEcsError, BadOptionError, TruncatedMessageError
-from .rdata import address_int
-
-IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
+from .rdata import address_int, int_to_object, int_to_text
 
 # Precompiled wire structs (format parsed once, not per call).
 _ECS_HEADER = struct.Struct("!HBB")
 _OPTION_HEADER = struct.Struct("!HH")
 
 #: IP version -> (ECS family, RFC 7871 default source prefix length,
-#: address width in bits, address class).
+#: address width in bits).
 _FAMILY_OF_VERSION = {
-    4: (ECS_FAMILY_IPV4, 24, 32, ipaddress.IPv4Address),
-    6: (ECS_FAMILY_IPV6, 56, 128, ipaddress.IPv6Address),
+    4: (ECS_FAMILY_IPV4, 24, 32),
+    6: (ECS_FAMILY_IPV6, 56, 128),
 }
+
+#: Address width -> the netmask keeping the first ``bits`` bits, at index
+#: ``bits``.
+_MASKS = {width: tuple(((1 << bits) - 1) << (width - bits)
+                       for bits in range(width + 1)) for width in (32, 128)}
+
+#: ``(family, address) -> EcsOption.is_routable()``: the classification
+#: is the interpreter's (``rdata.int_to_object``), asked once per distinct
+#: prefix.  Bounded by wholesale clearing like the codec tables and
+#: emptied by ``wire.clear_codec_caches()``.
+_ROUTABLE_TABLE: Dict[Tuple[int, int], bool] = {}
+_ROUTABLE_TABLE_MAX = 4096
+
+
+def clear_ecs_tables() -> None:
+    """Drop the ECS routability table (benchmarks/tests hook)."""
+    _ROUTABLE_TABLE.clear()
 
 
 class EdnsOption:
     """Base class for EDNS0 options carried in the OPT pseudo-record."""
+
+    __slots__ = ()
 
     code: int
 
@@ -48,7 +63,7 @@ class EdnsOption:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenericOption(EdnsOption):
     """An EDNS option the codec does not model, kept as opaque bytes."""
 
@@ -67,7 +82,7 @@ class GenericOption(EdnsOption):
         return cls(0, data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CookieOption(EdnsOption):
     """DNS cookie (RFC 7873); modeled because busy resolvers send it."""
 
@@ -89,17 +104,18 @@ class CookieOption(EdnsOption):
         return cls(data[:8], data[8:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EcsOption(EdnsOption):
     """The edns-client-subnet option (RFC 7871).
 
-    ``address`` always holds a full IPv4/IPv6 address object whose bits
-    beyond ``source_prefix_length`` are zero; the wire form carries only the
-    significant octets.
+    ``address`` is the client address as an integer, ``family`` says how
+    wide it is (32 bits for family 1, 128 for family 2), and every bit
+    beyond ``source_prefix_length`` is zero; the wire form carries only the
+    significant octets.  ``address_text`` is its presentation form.
 
     >>> opt = EcsOption.from_client_address("192.0.2.77", 24)
-    >>> opt.network().with_prefixlen
-    '192.0.2.0/24'
+    >>> opt.address == 0xC0000200, opt.address_text, opt.network()
+    (True, '192.0.2.0', '192.0.2.0/24')
     >>> EcsOption.from_wire(opt.to_wire()) == opt
     True
     """
@@ -107,13 +123,13 @@ class EcsOption(EdnsOption):
     family: int
     source_prefix_length: int
     scope_prefix_length: int
-    address: IPAddress
+    address: int
     code = EdnsOptionCode.ECS
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_client_address(cls, address: Union[str, IPAddress],
+    def from_client_address(cls, address: Any,
                             source_prefix_length: Optional[int] = None,
                             scope_prefix_length: int = 0) -> "EcsOption":
         """Build a query-side ECS option from a client address.
@@ -124,23 +140,24 @@ class EcsOption(EdnsOption):
         string (``rdata.address_int``); an address object gives its version
         and integer and is never turned back into text.
         """
-        if isinstance(address, str):
-            version, value = address_int(address)
-        else:
-            if not isinstance(address, (ipaddress.IPv4Address,
-                                        ipaddress.IPv6Address)):
-                address = ipaddress.ip_address(address)
-            version, value = address.version, int(address)
-        family, default, maxbits, address_class = _FAMILY_OF_VERSION[version]
+        version, value = address_int(address)
+        return cls.from_int(version, value, source_prefix_length,
+                            scope_prefix_length)
+
+    @classmethod
+    def from_int(cls, version: int, value: int,
+                 source_prefix_length: Optional[int] = None,
+                 scope_prefix_length: int = 0) -> "EcsOption":
+        """:meth:`from_client_address` for an address already parsed to
+        ``(IP version, integer)``."""
+        family, default, maxbits = _FAMILY_OF_VERSION[version]
         source = default if source_prefix_length is None \
             else source_prefix_length
         if not 0 <= source <= maxbits:
             raise BadEcsError(f"source prefix length {source} out of range for family")
-        # Built from the masked integer with the explicit class:
-        # ``ip_address(int)`` would guess IPv4 for any value below 2**32.
         shift = maxbits - source
         return cls(family, source, scope_prefix_length,
-                   address_class(value >> shift << shift))
+                   value >> shift << shift)
 
     # -- semantics ---------------------------------------------------------
 
@@ -152,29 +169,44 @@ class EcsOption(EdnsOption):
             return 128
         raise BadEcsError(f"unknown ECS family {self.family}")
 
-    def network(self) -> Union[ipaddress.IPv4Network, ipaddress.IPv6Network]:
-        """The client subnet as an ``ip_network`` at the source prefix length."""
-        return ipaddress.ip_network((self.address, self.source_prefix_length),
-                                    strict=False)
+    @property
+    def address_text(self) -> str:
+        """The address in presentation form (``192.0.2.0``), from the
+        codec's packed -> text table."""
+        return int_to_text(4 if self.family == ECS_FAMILY_IPV4 else 6,
+                           self.address)
 
-    def scope_network(self) -> Union[ipaddress.IPv4Network, ipaddress.IPv6Network]:
+    def _mask(self, bits: int) -> int:
+        """The netmask keeping the first ``bits`` bits of this family."""
+        width = self.max_bits()
+        if not 0 <= bits <= width:
+            raise ValueError(f"prefix length {bits} out of range for family")
+        return _MASKS[width][bits]
+
+    def _prefix(self, bits: int) -> str:
+        masked = self.address & self._mask(bits)
+        version = 4 if self.family == ECS_FAMILY_IPV4 else 6
+        return f"{int_to_text(version, masked)}/{bits}"
+
+    def network(self) -> str:
+        """The client subnet at the source prefix length (``192.0.2.0/24``)."""
+        return self._prefix(self.source_prefix_length)
+
+    def scope_network(self) -> str:
         """The subnet at the *scope* prefix length (response-side semantics)."""
-        return ipaddress.ip_network((self.address, self.scope_prefix_length),
-                                    strict=False)
+        return self._prefix(self.scope_prefix_length)
 
-    def covers(self, client: Union[str, IPAddress], bits: Optional[int] = None) -> bool:
+    def covers(self, client: Any, bits: Optional[int] = None) -> bool:
         """True if ``client`` falls inside this option's prefix.
 
         ``bits`` selects the prefix length to test at (defaults to the scope
         prefix length, which is what response caching uses).
         """
-        addr = ipaddress.ip_address(client)
-        if addr.version != (4 if self.family == ECS_FAMILY_IPV4 else 6):
+        version, value = address_int(client)
+        if version != (4 if self.family == ECS_FAMILY_IPV4 else 6):
             return False
-        if bits is None:
-            bits = self.scope_prefix_length
-        net = ipaddress.ip_network((self.address, bits), strict=False)
-        return addr in net
+        mask = self._mask(self.scope_prefix_length if bits is None else bits)
+        return value & mask == self.address & mask
 
     def is_routable(self) -> bool:
         """False for loopback, link-local, and RFC1918/ULA client prefixes.
@@ -183,8 +215,17 @@ class EcsOption(EdnsOption):
         127.0.0.0/24 and 169.254.252.0/24 prefixes; authoritative servers
         need this predicate to detect them.
         """
-        addr = self.address
-        return not (addr.is_loopback or addr.is_link_local or addr.is_private)
+        key = (self.family, self.address)
+        routable = _ROUTABLE_TABLE.get(key)
+        if routable is None:
+            addr = int_to_object(4 if self.family == ECS_FAMILY_IPV4 else 6,
+                                 self.address)
+            routable = not (addr.is_loopback or addr.is_link_local
+                            or addr.is_private)
+            if len(_ROUTABLE_TABLE) >= _ROUTABLE_TABLE_MAX:
+                _ROUTABLE_TABLE.clear()
+            _ROUTABLE_TABLE[key] = routable
+        return routable
 
     def response_to(self, scope_prefix_length: int) -> "EcsOption":
         """The option an authoritative server echoes back with ``scope`` set.
@@ -206,20 +247,20 @@ class EcsOption(EdnsOption):
 
     def to_wire(self) -> bytes:
         maxbits = self.max_bits()
-        if not 0 <= self.source_prefix_length <= maxbits:
-            raise BadEcsError(f"source prefix {self.source_prefix_length} exceeds "
+        source = self.source_prefix_length
+        if not 0 <= source <= maxbits:
+            raise BadEcsError(f"source prefix {source} exceeds "
                               f"family width {maxbits}")
         if not 0 <= self.scope_prefix_length <= maxbits:
             raise BadEcsError(f"scope prefix {self.scope_prefix_length} exceeds "
                               f"family width {maxbits}")
-        nbytes = math.ceil(self.source_prefix_length / 8)
-        packed = self.address.packed[:nbytes]
-        # RFC 7871: bits beyond the source prefix MUST be zero on the wire.
-        trailing = nbytes * 8 - self.source_prefix_length
-        if trailing and packed:
-            packed = packed[:-1] + bytes([packed[-1] & (0xFF << trailing) & 0xFF])
-        return _ECS_HEADER.pack(self.family, self.source_prefix_length,
-                                self.scope_prefix_length) + packed
+        nbytes = (source + 7) >> 3
+        # The first ``source`` bits, then zeros to the octet boundary:
+        # RFC 7871's bits beyond the source prefix MUST be zero on the wire.
+        value = self.address >> (maxbits - source) << (nbytes * 8 - source)
+        return _ECS_HEADER.pack(self.family, source,
+                                self.scope_prefix_length) \
+            + value.to_bytes(nbytes, "big")
 
     @classmethod
     def from_wire(cls, data: bytes) -> "EcsOption":
@@ -228,29 +269,26 @@ class EcsOption(EdnsOption):
             raise BadEcsError("ECS option shorter than 4 octets")
         family, source, scope = _ECS_HEADER.unpack_from(data)
         if family == ECS_FAMILY_IPV4:
-            maxbits, width = 32, 4
+            maxbits = 32
         elif family == ECS_FAMILY_IPV6:
-            maxbits, width = 128, 16
+            maxbits = 128
         else:
             raise BadEcsError(f"unknown ECS family {family}")
         if source > maxbits:
             raise BadEcsError(f"source prefix {source} exceeds family width")
         if scope > maxbits:
             raise BadEcsError(f"scope prefix {scope} exceeds family width")
-        nbytes = math.ceil(source / 8)
-        payload = data[4:]
-        if len(payload) != nbytes:
-            raise BadEcsError(f"ECS address field is {len(payload)} octets, "
+        nbytes = (source + 7) >> 3
+        if len(data) - 4 != nbytes:
+            raise BadEcsError(f"ECS address field is {len(data) - 4} octets, "
                               f"expected {nbytes} for /{source}")
-        packed = payload + b"\x00" * (width - nbytes)
-        addr = ipaddress.ip_address(packed)
-        trailing = nbytes * 8 - source
-        if trailing and payload and payload[-1] & ~(0xFF << trailing) & 0xFF:
+        value = int.from_bytes(data[4:], "big")
+        if value & ((1 << (nbytes * 8 - source)) - 1):
             raise BadEcsError("non-zero bits beyond ECS source prefix")
-        return cls(family, source, scope, addr)
+        return cls(family, source, scope, value << (maxbits - nbytes * 8))
 
     def to_text(self) -> str:
-        return (f"ECS {self.address}/{self.source_prefix_length} "
+        return (f"ECS {self.address_text}/{self.source_prefix_length} "
                 f"scope/{self.scope_prefix_length}")
 
     def __str__(self) -> str:
@@ -299,7 +337,7 @@ def decode_options(data: bytes) -> List[EdnsOption]:
     return options
 
 
-@dataclass
+@dataclass(slots=True)
 class EdnsInfo:
     """The EDNS0 state of a message: payload size, flags and options."""
 

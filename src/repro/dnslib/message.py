@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .constants import Opcode, Rcode, RecordClass, RecordType
+from .constants import (DEFAULT_EDNS_PAYLOAD, Opcode, Rcode, RecordClass,
+                        RecordType)
 from .edns import EcsOption, EdnsInfo
 from .name import Name
 from .rdata import Rdata
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Question:
     """The question section entry: name, type, class."""
 
@@ -29,7 +30,7 @@ class Question:
         return f"{self.qname.to_text()} {self.qclass.name} {self.qtype.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceRecord:
     """One record in an answer/authority/additional section."""
 
@@ -48,7 +49,7 @@ class ResourceRecord:
                 f"{RecordType(self.rdtype).name} {self.rdata.to_text()}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A DNS query or response."""
 
@@ -76,20 +77,22 @@ class Message:
         """Build a query message; attaches EDNS (and optionally ECS)."""
         edns = None
         if use_edns or ecs is not None:
-            edns = EdnsInfo()
-            if ecs is not None:
-                edns.options.append(ecs)
-        return cls(msg_id=msg_id, question=Question(qname, qtype),
-                   recursion_desired=recursion_desired, edns=edns)
+            edns = EdnsInfo(DEFAULT_EDNS_PAYLOAD, 0, False, 0,
+                            [] if ecs is None else [ecs])
+        # Every field positionally: keywords plus ``default_factory`` cost
+        # twice as much for a message built once per datagram.
+        return cls(msg_id, Opcode.QUERY, Rcode.NOERROR, False, False, False,
+                   recursion_desired, False,
+                   Question(qname, qtype, RecordClass.IN), [], [], [], edns)
 
     def make_response(self) -> "Message":
         """A response skeleton echoing this query's id, question and EDNS."""
-        resp = Message(msg_id=self.msg_id, question=self.question,
-                       is_response=True,
-                       recursion_desired=self.recursion_desired)
-        if self.edns is not None:
-            resp.edns = EdnsInfo(payload_size=self.edns.payload_size)
-        return resp
+        edns = self.edns
+        return Message(self.msg_id, Opcode.QUERY, Rcode.NOERROR, True, False,
+                       False, self.recursion_desired, False, self.question,
+                       [], [], [],
+                       None if edns is None
+                       else EdnsInfo(edns.payload_size, 0, False, 0, []))
 
     # -- ECS helpers -------------------------------------------------------
 

@@ -68,11 +68,18 @@ def _text(text_by_packed: Dict[bytes, str], packed_by_text: Dict[str, bytes],
     return text
 
 
-def address_int(address: str) -> Tuple[int, int]:
-    """``(version, integer value)`` of a textual address of either family,
-    through the text tables above; raises what ``ipaddress.ip_address``
-    raises.  For the ECS option, which is built from the same client and
-    answer addresses the A/AAAA records carry."""
+def address_int(address: Any) -> Tuple[int, int]:
+    """``(version, integer value)`` of an address of either family; raises
+    what ``ipaddress.ip_address`` raises.  Text goes through the tables
+    above, an address object gives its fields, anything else (an integer,
+    packed octets) is handed to ``ip_address``.  For the ECS option, which
+    is built from the same client and answer addresses the A/AAAA records
+    carry."""
+    if not isinstance(address, str):
+        if not isinstance(address, (ipaddress.IPv4Address,
+                                    ipaddress.IPv6Address)):
+            address = ipaddress.ip_address(address)
+        return address.version, int(address)
     packed = _V4_PACKED.get(address)
     if packed is None:
         packed = _V6_PACKED.get(address)
@@ -84,8 +91,28 @@ def address_int(address: str) -> Tuple[int, int]:
     return (4 if len(packed) == 4 else 6), int.from_bytes(packed, "big")
 
 
+def int_to_text(version: int, value: int) -> str:
+    """Canonical text of the integer address ``value`` of IP ``version``,
+    through the packed -> text tables above (the ECS option's text)."""
+    if version == 4:
+        return _text(_V4_TEXT, _V4_PACKED, ipaddress.IPv4Address,
+                     value.to_bytes(4, "big"))
+    return _text(_V6_TEXT, _V6_PACKED, ipaddress.IPv6Address,
+                 value.to_bytes(16, "big"))
+
+
+def int_to_object(version: int, value: int) -> Any:
+    """The interpreter's address object for an integer address, for the
+    classifications (loopback, private, ...) only it should define."""
+    if version == 4:
+        return ipaddress.IPv4Address(value)
+    return ipaddress.IPv6Address(value)
+
+
 class Rdata:
     """Base class for RDATA payloads."""
+
+    __slots__ = ()
 
     rdtype: RecordType
 
@@ -104,7 +131,7 @@ class Rdata:
         return f"<{type(self).__name__} {self.to_text()}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class A(Rdata):
     """IPv4 address record."""
 
@@ -128,7 +155,7 @@ class A(Rdata):
         return self.address
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AAAA(Rdata):
     """IPv6 address record."""
 
@@ -152,7 +179,7 @@ class AAAA(Rdata):
         return self.address
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NS(Rdata):
     """Delegation: the name of an authoritative nameserver."""
 
@@ -171,7 +198,7 @@ class NS(Rdata):
         return self.target.to_text()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CNAME(Rdata):
     """Canonical-name alias."""
 
@@ -190,7 +217,7 @@ class CNAME(Rdata):
         return self.target.to_text()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PTR(Rdata):
     """Pointer record (reverse DNS)."""
 
@@ -209,7 +236,7 @@ class PTR(Rdata):
         return self.target.to_text()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MX(Rdata):
     """Mail exchanger."""
 
@@ -232,7 +259,7 @@ class MX(Rdata):
         return f"{self.preference} {self.exchange.to_text()}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TXT(Rdata):
     """Text record; ``strings`` holds the character-string segments."""
 
@@ -272,7 +299,7 @@ class TXT(Rdata):
         return " ".join('"%s"' % s.decode("utf-8", "replace") for s in self.strings)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SOA(Rdata):
     """Start-of-authority record."""
 
@@ -304,7 +331,7 @@ class SOA(Rdata):
                 f"{self.refresh} {self.retry} {self.expire} {self.minimum}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenericRdata(Rdata):
     """Opaque RDATA for record types the codec does not model."""
 

@@ -13,7 +13,8 @@ import struct
 from typing import Dict, List, Optional, Tuple
 
 from .constants import Opcode, Rcode, RecordClass, RecordType
-from .edns import EdnsInfo, EdnsOption, decode_options, encode_options
+from .edns import (EdnsInfo, EdnsOption, clear_ecs_tables, decode_options,
+                   encode_options)
 from .errors import (BadOptionError, BadPointerError, NameError_,
                      TruncatedMessageError, WireFormatError)
 from .message import Message, Question, ResourceRecord
@@ -101,13 +102,15 @@ _QNAME_POINTER = b"\xc0\x0c"
 def clear_codec_caches() -> None:
     """Drop every codec memo table (benchmarks/tests hook): the qname
     encode cache, the name intern table and the element tables here, the
-    address tables in :mod:`~repro.dnslib.rdata`."""
+    address tables in :mod:`~repro.dnslib.rdata` and the ECS routability
+    table in :mod:`~repro.dnslib.edns`."""
     _QNAME_CACHE.clear()
     _NAME_TABLE.clear()
     _QUESTION_TABLE.clear()
     _OPT_TABLE.clear()
     _ADDRESS_RR_TABLE.clear()
     clear_address_tables()
+    clear_ecs_tables()
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ class RetryPolicy:
         return reached * rounds * per_round
 
 
-@dataclass
+@dataclass(slots=True)
 class RetryOutcome:
     """What one policy-driven execution produced."""
 
@@ -228,8 +228,7 @@ def execute_with_retries(net: Network, src_ip: str,
                         on_downgrade("edns", server_ip)
                     continue
             return RetryOutcome(response, total_elapsed, attempts, retries,
-                                server_ip, query_ecs=sent_ecs,
-                                ecs_downgraded=ecs_downgraded,
-                                edns_downgraded=edns_downgraded)
+                                server_ip, sent_ecs, ecs_downgraded,
+                                edns_downgraded, False)
     return RetryOutcome(None, total_elapsed, attempts, retries, None,
                         timed_out=True)

@@ -32,7 +32,7 @@ from ..auth.server import fixed_scope
 from ..core.classify import CachingCategory, CachingProbeOutcome, classify_caching
 from ..datasets.scan_dataset import ChainSpec, ScanUniverse
 from ..dnslib import EcsOption, Name, RecordType
-from ..net.addr import same_prefix
+from ..net.addr import address_kind, same_prefix
 from .digclient import StubClient
 
 #: The twin-query prefixes: different /24, same /16.
@@ -44,11 +44,7 @@ def _is_private_block(address: Optional[str]) -> bool:
     """True for RFC1918-style private prefixes (the section 6.3
     misconfiguration), excluding loopback/link-local, which the paper
     treats separately in section 8.1."""
-    if address is None:
-        return False
-    import ipaddress
-    addr = ipaddress.ip_address(address)
-    return addr.is_private and not (addr.is_loopback or addr.is_link_local)
+    return address is not None and address_kind(address) == "private"
 
 
 @dataclass
@@ -74,10 +70,13 @@ class CachingBehaviorProber:
     def _trial_name(self) -> Name:
         return self.universe.domain.child(f"trial-{next(self._trial)}")
 
-    def _seen_count(self, qname: Name) -> int:
+    def _seen_count(self, qname: Name, since: int) -> int:
+        """Arrivals for ``qname`` among the observations the experiment
+        server logged from index ``since`` on: only the trial's own, since
+        another prober on the same universe reuses trial names."""
         text = qname.to_text()
-        return sum(1 for o in self.universe.experiment_server.observations
-                   if o.qname == text)
+        observations = self.universe.experiment_server.observations[since:]
+        return sum(1 for o in observations if o.qname == text)
 
     def _deliver_direct(self, resolver_ip: str, qname: Name,
                         subnet: str, prefix_len: int = 24) -> None:
@@ -103,8 +102,9 @@ class CachingBehaviorProber:
         server.scope_policy = fixed_scope(scope_bits)
         try:
             qname = self._trial_name()
+            before = len(server.observations)
             deliver_pair(qname)
-            seen = self._seen_count(qname)
+            seen = self._seen_count(qname, before)
         finally:
             server.scope_policy = old_policy
         if seen == 0:
@@ -147,9 +147,11 @@ class CachingBehaviorProber:
         server.scope_policy = fixed_scope(0)
         try:
             qname = self._trial_name()
+            before = len(server.observations)
             self._deliver_direct(resolver_ip, qname, PROBE_SUBNET_A, 24)
             self._deliver_direct(resolver_ip, qname, PROBE_SUBNET_A, 24)
-            outcome.caches_zero_scope = self._seen_count(qname) == 1
+            outcome.caches_zero_scope = \
+                self._seen_count(qname, before) == 1
         finally:
             server.scope_policy = old_policy
 

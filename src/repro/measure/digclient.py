@@ -21,7 +21,7 @@ from ..net.transport import Network
 DEFAULT_STUB_POLICY = RetryPolicy()
 
 
-@dataclass
+@dataclass(slots=True)
 class DigResult:
     """Everything a measurement needs from one query."""
 

@@ -85,6 +85,18 @@ def prefix_key_int(version: int, value: int,
     return (version, bits, truncate_int(version, value, bits))
 
 
+def ipv4_int(address: str) -> int:
+    """The integer of an IPv4 address; for anything else, raises what
+    ``ipaddress.IPv4Address`` raises."""
+    try:
+        version, value = parse_addr(address)
+    except ValueError:
+        version = 0
+    if version != 4:
+        value = int(ipaddress.IPv4Address(address))
+    return value
+
+
 def address_width(address: Union[str, IPAddress]) -> int:
     """32 for IPv4 addresses, 128 for IPv6."""
     return 32 if ipaddress.ip_address(address).version == 4 else 128
@@ -126,10 +138,12 @@ def prefix_text(address: Union[str, IPAddress], bits: int) -> str:
 def same_prefix(a: Union[str, IPAddress], b: Union[str, IPAddress],
                 bits: int) -> bool:
     """True if ``a`` and ``b`` fall in the same ``bits``-long prefix."""
-    addr_a, addr_b = ipaddress.ip_address(a), ipaddress.ip_address(b)
-    if addr_a.version != addr_b.version:
+    version_a, value_a = parse_addr(a)
+    version_b, value_b = parse_addr(b)
+    if version_a != version_b:
         return False
-    return truncate_address(addr_a, bits) == truncate_address(addr_b, bits)
+    return truncate_int(version_a, value_a, bits) \
+        == truncate_int(version_b, value_b, bits)
 
 
 def random_address_in(network: Union[str, IPNetwork],
@@ -149,11 +163,26 @@ def host_in(network: Union[str, IPNetwork], index: int) -> IPAddress:
     return ipaddress.ip_address(int(net.network_address) + index)
 
 
+@lru_cache(maxsize=4096)
+def address_kind(address: Union[str, IPAddress]) -> str:
+    """How the interpreter's ``ipaddress`` classifies ``address``, asked
+    once per distinct address: the first of ``"loopback"``,
+    ``"link-local"``, ``"private"``, ``"unspecified"`` and ``"multicast"``
+    that applies, else ``"public"``."""
+    addr = ipaddress.ip_address(address)
+    for kind, special in (("loopback", addr.is_loopback),
+                          ("link-local", addr.is_link_local),
+                          ("private", addr.is_private),
+                          ("unspecified", addr.is_unspecified),
+                          ("multicast", addr.is_multicast)):
+        if special:
+            return kind
+    return "public"
+
+
 def is_routable(address: Union[str, IPAddress]) -> bool:
     """False for loopback / link-local / private / unspecified addresses."""
-    addr = ipaddress.ip_address(address)
-    return not (addr.is_loopback or addr.is_link_local or addr.is_private
-                or addr.is_unspecified or addr.is_multicast)
+    return address_kind(address) == "public"
 
 
 class AddressAllocator:

@@ -47,7 +47,7 @@ class Endpoint(Protocol):
         """
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryOutcome:
     """Result of one round trip: the response (or None on timeout) and timing."""
 

@@ -11,7 +11,6 @@ deviant — are reachable through policy configuration; see
 
 from __future__ import annotations
 
-import ipaddress
 import itertools
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -103,7 +102,8 @@ class RecursiveResolver(DnsServer):
             # Anti-spoofing behavior of many resolvers: override client ECS
             # with the immediate sender's address (section 8.2).
             usable_ecs = None
-        client_hint = str(usable_ecs.address) if usable_ecs is not None else src_ip
+        client_hint = usable_ecs.address_text if usable_ecs is not None \
+            else src_ip
 
         response, scope = self.resolve(query.question.qname,
                                        query.question.qtype,

@@ -3,13 +3,16 @@ experiment server, and the delegation hierarchy."""
 
 import pytest
 
+from repro.analysis.unroutable import EDGE_CITIES
 from repro.auth import (AuthoritativeServer, CdnAuthoritative, DnsHierarchy,
                         EdgePool, ScanExperimentServer, UnroutablePolicy,
                         build_edge_pools, decode_probe_name,
                         encode_probe_name, fixed_scope, source_minus)
 from repro.dnslib import (EcsOption, Message, Name, Rcode, RecordType, Zone,
                           encode_message)
+from repro.auth.cdn import _hash_index
 from repro.net import Network, Topology, city
+from repro.net.geo import WORLD_CITIES
 
 from wire_strategies import bad_ecs_family_query, overlong_qname_query
 
@@ -155,6 +158,39 @@ class TestCdn:
         client_near_chicago = topology.create_as("mw", "US").host_in(
             city("Chicago"))
         return net, cdn, client_near_chicago
+
+    def test_nearest_pool_table_equals_min_for_every_city(self, world):
+        topology = world[0]
+        pools = build_edge_pools(topology, topology.create_as("cdn", "US"),
+                                 [city(n) for n in EDGE_CITIES], 1)
+        cdn = CdnAuthoritative("16.0.0.1", [Name.from_text("cdn.example.")],
+                               pools, topology)
+        clients = topology.create_as("clients", "US")
+        hosts = {c: clients.host_in(c) for c in WORLD_CITIES}
+        assert isinstance(cdn.edges, tuple)
+        for _ in range(2):              # fills the table, then reads it
+            for place, ip in hosts.items():
+                assert cdn.nearest_pool(ip) is min(
+                    pools, key=lambda pool: pool.city.distance_km(place))
+        assert len(cdn._pool_of_city) == len(WORLD_CITIES)
+
+    def test_nearest_pool_tie_keeps_the_first_pool(self, world):
+        topology = world[0]
+        first, second = (EdgePool(city("Zurich"), (ip,))
+                         for ip in ("16.9.0.1", "16.9.0.2"))
+        client = topology.create_as("ch", "CH").host_in(city("Milan"))
+        for pools in ([first, second], [second, first]):
+            cdn = CdnAuthoritative("16.0.0.1", [Name.from_text("x.")], pools,
+                                   topology)
+            assert cdn.nearest_pool(client) is pools[0]
+            assert cdn.nearest_pool(client) is pools[0]
+
+    def test_unlocated_hint_hashes_and_fills_no_table(self, world):
+        net, cdn, _ = self._cdn(world)
+        for hint in ("203.0.113.9", "2001:db8::7", "127.0.0.1"):
+            assert cdn.nearest_pool(hint) \
+                is cdn.edges[_hash_index(hint, len(cdn.edges))]
+        assert not cdn._pool_of_city
 
     def test_maps_by_resolver_without_ecs(self, world):
         net, cdn, client = self._cdn(world)

@@ -44,7 +44,7 @@ class TestAdaptiveSourcing:
         opt = build_query_ecs(EcsPolicy(), EcsDecision(True), "10.1.2.3",
                               "1.1.1.1", source_limit=16)
         assert opt.source_prefix_length == 16
-        assert str(opt.address) == "10.1.0.0"
+        assert opt.address_text == "10.1.0.0"
 
     def test_source_limit_never_lengthens(self):
         opt = build_query_ecs(EcsPolicy(source_prefix_v4=20),

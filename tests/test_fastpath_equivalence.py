@@ -10,9 +10,11 @@ caches.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import ipaddress
 import itertools
+import pickle
 import random
 
 import pytest
@@ -29,6 +31,7 @@ from repro.datasets.public_cdn import PublicCdnBuilder
 from repro.dnslib import (A, AAAA, BadEcsError, EcsOption, EdnsInfo, Message,
                           Name, Question, RecordType, ResourceRecord,
                           decode_message, encode_message, encode_options)
+from repro.dnslib import edns as edns_module
 from repro.dnslib import rdata as rdata_module
 from repro.dnslib import wire as wire_module
 from repro.dnslib.wire import clear_codec_caches
@@ -144,7 +147,8 @@ def outcome(fn, *args, **kwargs):
 def reference_from_client_address(address, source_prefix_length=None,
                                   scope_prefix_length=0):
     """``EcsOption.from_client_address`` before it went through integers:
-    every input through ``ipaddress.ip_address``, text included."""
+    every input through ``ipaddress.ip_address``, text included (the
+    option now holds the masked address as an integer)."""
     addr = ipaddress.ip_address(address)
     if addr.version == 4:
         family = 1
@@ -158,7 +162,7 @@ def reference_from_client_address(address, source_prefix_length=None,
         raise BadEcsError(
             f"source prefix length {source} out of range for family")
     return EcsOption(family, source, scope_prefix_length,
-                     truncate_address(addr, source))
+                     int(truncate_address(addr, source)))
 
 
 def reference_build_query_ecs(policy, decision, client_ip, resolver_ip,
@@ -188,7 +192,7 @@ def reference_build_query_ecs(policy, decision, client_ip, resolver_ip,
         if policy.jam_last_byte is not None:
             jammed = (int(truncate_address(addr, 24))
                       | (policy.jam_last_byte & 0xFF))
-            return EcsOption(1, 32, 0, ipaddress.IPv4Address(jammed))
+            return EcsOption(1, 32, 0, jammed)
         source = policy.source_prefix_v4
         if source_limit is not None:
             source = min(source, source_limit)
@@ -421,16 +425,19 @@ class TestDecoderTables:
         monkeypatch.setattr(wire_module, "_QUESTION_TABLE_MAX", bound)
         monkeypatch.setattr(wire_module, "_OPT_TABLE_MAX", bound)
         monkeypatch.setattr(wire_module, "_ADDRESS_RR_TABLE_MAX", bound)
+        monkeypatch.setattr(edns_module, "_ROUTABLE_TABLE_MAX", bound)
         clear_codec_caches()
         tables = (wire_module._NAME_TABLE, wire_module._QUESTION_TABLE,
                   wire_module._OPT_TABLE, wire_module._ADDRESS_RR_TABLE,
                   rdata_module._V4_PACKED, rdata_module._V4_TEXT,
-                  rdata_module._V6_PACKED, rdata_module._V6_TEXT)
+                  rdata_module._V6_PACKED, rdata_module._V6_TEXT,
+                  edns_module._ROUTABLE_TABLE)
         for i in range(5 * bound):
             name = Name.from_text(f"host{i}.example.")
             query = Message.make_query(
                 name, RecordType.A,
                 ecs=EcsOption.from_client_address(f"10.{i}.0.0", 24))
+            assert query.ecs().is_routable() is False
             response = query.make_response()
             response.set_ecs(query.ecs().response_to(24))
             response.answers += [
@@ -447,17 +454,18 @@ class TestDecoderTables:
     def test_clear_codec_caches_leaves_every_table_empty(self):
         """Every table, found by how tables are named, so that one added
         later and not cleared shows here."""
-        tables = [table for module in (wire_module, rdata_module)
+        tables = [table for module in (wire_module, rdata_module, edns_module)
                   for name, table in vars(module).items()
                   if isinstance(table, dict)
                   and (name.endswith(("_TABLE", "_CACHE"))
                        or name.startswith(("_V4_", "_V6_")))]
-        assert len(tables) == 9
+        assert len(tables) == 10
         name = Name.from_text("q.example")
-        response = Message.make_query(
+        query = Message.make_query(
             name, RecordType.A,
-            ecs=EcsOption.from_client_address("192.0.2.0", 24)
-        ).make_response()
+            ecs=EcsOption.from_client_address("192.0.2.0", 24))
+        query.ecs().is_routable()
+        response = query.make_response()
         response.answers += [
             ResourceRecord(name, RecordType.A, 1, A("192.0.2.1")),
             ResourceRecord(name, RecordType.AAAA, 1, AAAA("2001:db8::1"))]
@@ -544,3 +552,59 @@ class TestSlots:
         from repro.core.cache import _Entry
         entry = _Entry(None, None, None, Message(), 0.0, 1.0)
         assert not hasattr(entry, "__dict__")
+
+    @staticmethod
+    def live_records():
+        """One of every record a datagram builds, filled in."""
+        from repro.auth.cdn import EdgePool, MappingDecision
+        from repro.auth.scan_experiment import ScanObservation
+        from repro.auth.server import AuthLogRecord
+        from repro.dnslib import (CNAME, MX, NS, PTR, SOA, TXT, CookieOption,
+                                  GenericOption, GenericRdata)
+        from repro.faults.retry import RetryOutcome
+        from repro.measure.digclient import DigResult
+        from repro.net.geo import city
+        from repro.net.transport import QueryOutcome
+        name = Name.from_text("www.example.")
+        ecs = EcsOption.from_client_address("2001:db8::1", 48, 40)
+        rdatas = [A("192.0.2.1"), AAAA("2001:db8::5"), NS(name), CNAME(name),
+                  PTR(name), MX(10, name), TXT((b"v=1", b"")),
+                  SOA(name, name, 1, 2, 3, 4, 5), GenericRdata(99, b"\x01")]
+        response = Message.make_query(name, RecordType.A, 7,
+                                      ecs=ecs).make_response()
+        response.answers = [ResourceRecord(name, r.rdtype, 60, r)
+                            for r in rdatas]
+        response.set_ecs(ecs.response_to(40))
+        response.edns.options += [CookieOption(bytes(8)),
+                                  GenericOption(65001, b"opaque")]
+        return rdatas + response.edns.options + response.answers + [
+            response, response.edns, response.question,
+            QueryOutcome(response, 12.5),
+            RetryOutcome(response, 12.5, 1, 0, "192.0.2.53", ecs),
+            DigResult(response, 12.5),
+            AuthLogRecord(1.0, "192.0.2.53", "www.example.", 1, True,
+                          ecs.address_text, 48, 40),
+            ScanObservation(1.0, "192.0.2.9", "192.0.2.53", "www.example.",
+                            True, ecs.address_text, 48),
+            MappingDecision(ecs.address_text, "ecs",
+                            EdgePool(city("Zurich"), ("16.9.0.1",)), 40),
+            EcsDecision(True, use_own_address=True)]
+
+    def test_live_records_are_slotted_and_pickle(self):
+        """Slotted records still cross the worker pool (chaos partials)."""
+        records = self.live_records()
+        assert len({type(r) for r in records}) == 23
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record)
+            assert pickle.loads(pickle.dumps(record)) == record
+
+    def test_frozen_records_stay_frozen(self):
+        name = Name.from_text("www.example.")
+        for record, attr in (
+                (Question(name, RecordType.A), "qname"),
+                (ResourceRecord(name, RecordType.A, 60, A("192.0.2.1")),
+                 "ttl"),
+                (EcsOption.from_client_address("192.0.2.1"), "address"),
+                (A("192.0.2.1"), "address")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, attr, getattr(record, attr))

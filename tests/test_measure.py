@@ -1,5 +1,7 @@
 """Tests for the measurement tooling: scanner, caching prober, Atlas."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.classify import CachingCategory
@@ -81,6 +83,18 @@ class TestCachingProber:
         prober = CachingBehaviorProber(universe)
         truth = {s.ip: s.policy_name for s in universe.egress_specs}
         return universe, prober.probe_all(), prober.probe_megadns(), truth
+
+    def test_reprobing_a_universe_classifies_it_alike(self):
+        """Trial names restart for every prober, so a trial may count only
+        the arrivals logged since it began, not an earlier prober's."""
+        universe = ScanUniverseBuilder(seed=13, ingress_count=40).build()
+        rounds = []
+        for _ in range(2):
+            prober = CachingBehaviorProber(universe)
+            rounds.append((Counter(r.category for r in prober.probe_all()),
+                           prober.probe_megadns().category))
+        assert rounds[0] == rounds[1]
+        assert rounds[0][0][CachingCategory.CORRECT] > 0
 
     def _by_policy(self, reports, truth, policy):
         return [r for r in reports if truth[r.resolver_ip] == policy]
