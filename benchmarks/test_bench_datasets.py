@@ -13,6 +13,7 @@ peak heap per row into ``BENCH_datasets.json`` (gated by
 
 from __future__ import annotations
 
+import json
 import os
 import time
 import tracemalloc
@@ -25,7 +26,7 @@ from repro.analysis.cache_sim import (replay_partial_batched,
 from repro.datasets import AllNamesBuilder, CdnDatasetBuilder
 from repro.datasets.columnar import (ColumnarStore, RowGroupReader,
                                      file_info, write_columnar_stream)
-from repro.datasets.records import read_jsonl, write_jsonl
+from repro.datasets.records import write_jsonl
 
 #: Group budget of the out-of-core samples: small enough that several
 #: groups exist at bench scale, large enough to amortize per-group setup.
@@ -77,10 +78,17 @@ def test_bench_public_cdn_summary(public_cdn_dataset, benchmark,
 # Columnar substrate: replay throughput and storage density per format.
 
 
+def _read_records(path, record_type) -> list:
+    """JSONL -> record objects, one ``json.loads`` per line."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return [record_type(**json.loads(line)) for line in handle
+                if line.strip()]
+
+
 def _resident_object_bytes(path, record_type) -> int:
     """Peak allocation of materializing the trace as record objects."""
     tracemalloc.start()
-    records = read_jsonl(path, record_type)
+    records = _read_records(path, record_type)
     size, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     del records
@@ -100,7 +108,7 @@ def _bench_columnar_case(datasets_bench, name, records, client_field,
 
     # Object pipeline: parse JSONL into record objects, then replay.
     start = time.perf_counter()
-    parsed = read_jsonl(jsonl_path, record_type)
+    parsed = _read_records(jsonl_path, record_type)
     object_partial = replay_partial_batched(parsed, client_field)
     object_seconds = time.perf_counter() - start
 

@@ -10,7 +10,7 @@ classifier that recovers the generator's ground truth.
 
 from repro.analysis import analyze_probing, analyze_root_violations
 from repro.core.classify import ProbingCategory
-from repro.datasets.ditl import generate_root_trace
+from repro.datasets.ditl import RootTraceBuilder
 
 
 def test_bench_probing_classification(cdn_dataset, benchmark, save_report):
@@ -32,7 +32,7 @@ def test_bench_probing_classification(cdn_dataset, benchmark, save_report):
 
 
 def test_bench_root_ecs_violations(benchmark, save_report):
-    trace = generate_root_trace(resolver_count=400, violators=15, seed=42)
+    trace = RootTraceBuilder(resolver_count=400, violators=15, seed=42).build()
     analysis = benchmark.pedantic(lambda: analyze_root_violations(trace),
                                   rounds=1, iterations=1)
     save_report("section6_1_root_violations", analysis.report())

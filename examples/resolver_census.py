@@ -14,7 +14,7 @@ from collections import Counter
 
 from repro.analysis import analyze_probing, build_table1
 from repro.datasets import CdnDatasetBuilder
-from repro.datasets.ditl import generate_root_trace
+from repro.datasets.ditl import RootTraceBuilder
 from repro.analysis import analyze_root_violations
 
 
@@ -39,7 +39,7 @@ def main() -> None:
     print(build_table1(cdn_dataset=dataset).report())
 
     print("\nsection 6.1 — the DITL check (ECS sent to root servers):")
-    trace = generate_root_trace(resolver_count=300, violators=15, seed=3)
+    trace = RootTraceBuilder(resolver_count=300, violators=15, seed=3).build()
     print(analyze_root_violations(trace).report())
 
 

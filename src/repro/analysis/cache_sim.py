@@ -92,17 +92,14 @@ class ReplayPartial:
 
 
 def replay_partial(records: Iterable, client_of, scope_of,
-                   ttl_of, fast: bool = True) -> ReplayPartial:
+                   ttl_of) -> ReplayPartial:
     """Replay one record stream, keeping raw counters for merging.
 
     The readable reference path: per-record accessor callables, one
-    attribute lookup at a time.  ``fast=False`` additionally routes the
-    trackers' prefix keying through the address-object reference —
-    results are identical either way (pinned by the equivalence suite);
-    the flag exists for benchmarking the before/after.
+    attribute lookup at a time.
     """
-    ecs = ScopeTracker(use_ecs=True, fast=fast)
-    plain = ScopeTracker(use_ecs=False, fast=fast)
+    ecs = ScopeTracker(use_ecs=True)
+    plain = ScopeTracker(use_ecs=False)
     for r in records:
         client = client_of(r)
         scope = scope_of(r)

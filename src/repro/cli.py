@@ -53,7 +53,7 @@ from .datasets import CdnDatasetBuilder, ScanUniverseBuilder
 from .datasets.columnar import (DEFAULT_ROW_GROUP_ROWS, SCHEMAS,
                                 columnar_to_jsonl, convert_columnar,
                                 file_info, is_columnar, jsonl_to_columnar)
-from .datasets.ditl import generate_root_trace
+from .datasets.ditl import RootTraceBuilder
 from .engine import (DEFAULT_SHARDS, ShardSpec, WorkerPool, generate_columnar,
                      generate_jsonl)
 from .engine.executor import EngineReport
@@ -185,8 +185,8 @@ def cmd_census(args: argparse.Namespace, reporter: _Reporter) -> None:
                                 duration_s=args.hours * 3600.0).build()
     reporter.emit("probing", analyze_probing(dataset).report())
     reporter.emit("table1_cdn", build_table1(cdn_dataset=dataset).report())
-    trace = generate_root_trace(resolver_count=400, violators=15,
-                                seed=args.seed)
+    trace = RootTraceBuilder(resolver_count=400, violators=15,
+                             seed=args.seed).build()
     reporter.emit("root_violations", analyze_root_violations(trace).report())
 
 

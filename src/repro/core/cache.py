@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..dnslib import EcsOption, Message, Name, RecordType, ResourceRecord
-from ..net.addr import IPAddress, parse_addr, prefix_key, prefix_key_int
+from ..net.addr import IPAddress, parse_addr, prefix_key_int
 from ..net.clock import SimClock
 from ..obs import metrics as _obs_metrics
 
@@ -320,13 +320,8 @@ class ScopeTracker:
     ``tests/test_export_and_differential.py`` verifies the agreement.
     """
 
-    def __init__(self, use_ecs: bool = True, fast: bool = True):
+    def __init__(self, use_ecs: bool = True):
         self.use_ecs = use_ecs
-        #: ``fast=False`` keys through the readable address-object
-        #: reference (``prefix_key``) instead of the integer fast lane.
-        #: Both produce identical keys — the flag exists so benchmarks and
-        #: the equivalence suite can exercise the reference path.
-        self.fast = fast
         self._expiry: Dict[tuple, float] = {}
         self._heap: List[Tuple[float, tuple]] = []
         self.current_size = 0
@@ -338,10 +333,8 @@ class ScopeTracker:
              scope: int) -> tuple:
         if not self.use_ecs or scope == 0 or client is None:
             return (qname, qtype)
-        if self.fast:
-            version, value = parse_addr(client)
-            return (qname, qtype) + prefix_key_int(version, value, scope)
-        return (qname, qtype) + prefix_key(client, scope)
+        version, value = parse_addr(client)
+        return (qname, qtype) + prefix_key_int(version, value, scope)
 
     def access(self, now: float, qname: str, qtype: int,
                client: Optional[str], scope: int, ttl: float) -> bool:

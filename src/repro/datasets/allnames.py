@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from ..engine.seeding import derive_seed, world_seed
 from ..engine.sharding import shard_bounds
 from .records import AllNamesRecord
 from .workload import (COLUMN_CHUNK_ROWS, SldPolicy, ZipfSampler,
-                       merge_sorted_records)
+                       column_records, merge_sorted_records)
 
 #: Authoritative scope mixture (scope bits, weight): most ECS adopters
 #: tailor at /24, some coarser, a few echo the full source length.
@@ -137,9 +137,10 @@ class AllNamesBuilder:
         The builder's one row loop.  It fills the ``allnames`` schema's
         six columns (plain lists, schema order) and yields them every
         :data:`COLUMN_CHUNK_ROWS` rows, so the columnar writers take the
-        rows as they are and nothing is built per row; :meth:`_records`
-        is the record view of the same stream.  The clock starts at the
-        window boundary ``lo * step``.  Whatever depends only on the
+        rows as they are and nothing is built per row; :meth:`build`
+        and :meth:`iter_shard` read the same stream as records.  The
+        clock starts at the window boundary ``lo * step``.  Whatever
+        depends only on the
         hostname or only on the client is tabulated before the loop;
         each row then costs its three draws (inter-arrival, hostname
         rank, client rank — in that order, the order every golden
@@ -175,19 +176,12 @@ class AllNamesBuilder:
                 add_ttl(ttl)
             yield chunk
 
-    @staticmethod
-    def _records(chunks: Iterable[List[List[Any]]]
-                 ) -> Iterator[AllNamesRecord]:
-        """The record view of a column stream: same rows, same order."""
-        for chunk in chunks:
-            yield from map(AllNamesRecord, *chunk)
-
     def build(self) -> AllNamesDataset:
         """Generate the trace (deterministic in the builder's seed)."""
         rng = random.Random(self.seed)
         world = hostnames, policies, clients = self._draw_world(rng)
-        records = list(self._records(
-            self._column_chunks(world, rng, 0, self.total_queries)))
+        records = list(column_records(AllNamesRecord, self._column_chunks(
+            world, rng, 0, self.total_queries)))
         return AllNamesDataset(records, clients, hostnames, policies,
                                self.duration_s)
 
@@ -235,8 +229,8 @@ class AllNamesBuilder:
                    shard_count: int) -> Iterator[AllNamesRecord]:
         """:meth:`iter_shard_columns` as a stream of records, one at a
         time, so record consumers never hold a shard's list."""
-        yield from self._records(
-            self.iter_shard_columns(shard_index, shard_count))
+        yield from column_records(AllNamesRecord, self.iter_shard_columns(
+            shard_index, shard_count))
 
     def build_shard(self, shard_index: int,
                     shard_count: int) -> List[AllNamesRecord]:

@@ -15,14 +15,16 @@ the recovered distribution and their own accuracy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.seeding import derive_seed, world_seed
 from ..engine.sharding import shard_bounds
 from . import paper_numbers as paper
 from .records import CdnQueryRecord
-from .workload import ZipfSampler, merge_sorted_records, poisson_arrivals
+from .workload import (ZipfSampler, column_records, merge_sorted_records,
+                       poisson_arrivals, split_columns)
 
 #: (category label, paper count) — the section 6.1 buckets.
 PROBING_MIX: Tuple[Tuple[str, int], ...] = (
@@ -179,84 +181,107 @@ class CdnDatasetBuilder:
 
     # -- per-strategy streams ----------------------------------------------------
 
-    def _emit(self, spec: ResolverSpec, hostnames: Sequence[str],
-              zipf: ZipfSampler, rng: random.Random
-              ) -> List[CdnQueryRecord]:
-        subnets = self._client_subnets(spec, rng)
-        rate = self.base_rate_qps * rng.uniform(0.5, 3.0)
-        arrivals = poisson_arrivals(rate, self.duration_s, rng)
-        qtype = 28 if spec.is_v6 else 1
-        records: List[CdnQueryRecord] = []
+    def _column_chunks(self, specs: Sequence[ResolverSpec],
+                       rng: random.Random) -> Iterator[List[List[Any]]]:
+        """The query streams of ``specs``, as columns.
 
-        def rec(ts: float, qname: str, with_ecs: bool) -> CdnQueryRecord:
-            if with_ecs:
-                addr, srclen = self._ecs_payload(spec, rng.choice(subnets), rng)
-                return CdnQueryRecord(ts, spec.ip, qname, qtype, True,
-                                      addr, srclen, None, self.record_ttl)
-            return CdnQueryRecord(ts, spec.ip, qname, qtype, False,
-                                  ttl=self.record_ttl)
+        The builder's one row loop.  Resolver-major: each resolver's rows
+        are one run, put in stable ts order and cut into chunks of the
+        ``cdn`` schema's columns; runs overlap in time.  Per resolver its
+        subnets, rate and arrival series are drawn first, then its
+        strategy's rows in emission order: a hostname rank, then (mixed
+        only) the ECS coin, then an ECS row's subnet and payload.
+        ``has_ecs`` is whether a row has an ECS address, and no row
+        carries a scope (no resolver here is whitelisted).
+        """
+        hostnames = self._hostnames()
+        sample_name = ZipfSampler(len(hostnames), alpha=1.0).sample
+        duration = self.duration_s
+        for spec in specs:
+            subnets = self._client_subnets(spec, rng)
+            rate = self.base_rate_qps * rng.uniform(0.5, 3.0)
+            arrivals = poisson_arrivals(rate, duration, rng)
+            ts: List[float] = []
+            qnames: List[str] = []
+            addresses: List[Optional[str]] = []
+            lengths: List[Optional[int]] = []
 
-        if spec.probing == "always_ecs":
-            if not arrivals:  # every resolver in the dataset sent something
-                arrivals = [rng.uniform(0, self.duration_s) for _ in range(3)]
-            for ts in arrivals:
-                records.append(rec(ts, hostnames[zipf.sample(rng)], True))
-        elif spec.probing == "hostname_probes":
-            # Background non-ECS traffic, never touching the probe names.
-            for ts in arrivals:
-                records.append(rec(ts, hostnames[zipf.sample(rng)], False))
-            # Probe names re-queried well inside the 20 s TTL.
-            gap = rng.uniform(5.0, 0.8 * self.record_ttl)
-            for name in spec.probe_names:
-                t = rng.uniform(0, gap)
-                while t < self.duration_s:
-                    records.append(rec(t, name, True))
-                    t += gap
-        elif spec.probing == "interval_loopback":
-            for ts in arrivals:
-                records.append(rec(ts, hostnames[zipf.sample(rng)], False))
-            interval = 1800.0 * rng.choice((1, 1, 2))
-            name = spec.probe_names[0]
-            t = rng.uniform(0, 60.0)
-            while t < self.duration_s:
-                records.append(CdnQueryRecord(
-                    t, spec.ip, name, qtype, True, "127.0.0.1", 32,
-                    None, self.record_ttl))
-                t += interval * rng.choice((1, 1, 1, 2))
-        elif spec.probing == "hostnames_on_miss":
-            for ts in arrivals:
-                records.append(rec(ts, hostnames[zipf.sample(rng)], False))
-            for name in spec.probe_names:
-                t = rng.uniform(0, 120.0)
-                while t < self.duration_s:
-                    records.append(rec(t, name, True))
-                    # Past the TTL *and* the one-minute window.
-                    t += rng.uniform(90.0, 900.0)
-        else:  # mixed
-            ecs_fraction = rng.uniform(0.2, 0.8)
-            for ts in arrivals:
-                records.append(rec(ts, hostnames[zipf.sample(rng)],
-                                   rng.random() < ecs_fraction))
-            # Guarantee the stream is genuinely mixed.
-            if records:
-                records.append(rec(self.duration_s / 2, hostnames[0], True))
-                records.append(rec(self.duration_s / 2 + 1, hostnames[0], False))
-        records.sort(key=lambda r: r.ts)
-        return records
+            def row(t: float, qname: str, with_ecs: bool) -> None:
+                address = length = None
+                if with_ecs:
+                    address, length = self._ecs_payload(
+                        spec, rng.choice(subnets), rng)
+                ts.append(t)
+                qnames.append(qname)
+                addresses.append(address)
+                lengths.append(length)
+
+            if spec.probing == "always_ecs":
+                if not arrivals:  # every resolver in the dataset sent something
+                    arrivals = [rng.uniform(0, duration) for _ in range(3)]
+                for t in arrivals:
+                    row(t, hostnames[sample_name(rng)], True)
+            elif spec.probing == "hostname_probes":
+                # Background non-ECS traffic, never touching the probe names.
+                for t in arrivals:
+                    row(t, hostnames[sample_name(rng)], False)
+                # Probe names re-queried well inside the 20 s TTL.
+                gap = rng.uniform(5.0, 0.8 * self.record_ttl)
+                for name in spec.probe_names:
+                    t = rng.uniform(0, gap)
+                    while t < duration:
+                        row(t, name, True)
+                        t += gap
+            elif spec.probing == "interval_loopback":
+                for t in arrivals:
+                    row(t, hostnames[sample_name(rng)], False)
+                interval = 1800.0 * rng.choice((1, 1, 2))
+                name = spec.probe_names[0]
+                t = rng.uniform(0, 60.0)
+                while t < duration:
+                    ts.append(t)
+                    qnames.append(name)
+                    addresses.append("127.0.0.1")
+                    lengths.append(32)
+                    t += interval * rng.choice((1, 1, 1, 2))
+            elif spec.probing == "hostnames_on_miss":
+                for t in arrivals:
+                    row(t, hostnames[sample_name(rng)], False)
+                for name in spec.probe_names:
+                    t = rng.uniform(0, 120.0)
+                    while t < duration:
+                        row(t, name, True)
+                        # Past the TTL *and* the one-minute window.
+                        t += rng.uniform(90.0, 900.0)
+            else:  # mixed
+                ecs_fraction = rng.uniform(0.2, 0.8)
+                for t in arrivals:
+                    row(t, hostnames[sample_name(rng)],
+                        rng.random() < ecs_fraction)
+                # Guarantee the stream is genuinely mixed.
+                if ts:
+                    row(duration / 2, hostnames[0], True)
+                    row(duration / 2 + 1, hostnames[0], False)
+            order = sorted(range(len(ts)), key=ts.__getitem__)
+            ts, qnames, addresses, lengths = [
+                [values[i] for i in order]
+                for values in (ts, qnames, addresses, lengths)]
+            rows = len(ts)
+            yield from split_columns([
+                ts, [spec.ip] * rows, qnames, [28 if spec.is_v6 else 1] * rows,
+                [address is not None for address in addresses], addresses,
+                lengths, [None] * rows, [self.record_ttl] * rows])
 
     # -- entry point --------------------------------------------------------------
 
     def build(self) -> CdnDataset:
         """Generate the dataset (deterministic in the builder's seed)."""
         rng = random.Random(self.seed)
-        hostnames = [f"e{i:04d}.cdn.example." for i in range(self.hostname_count)]
-        zipf = ZipfSampler(len(hostnames), alpha=1.0)
         specs = self._build_resolvers(rng)
-        records: List[CdnQueryRecord] = []
-        for spec in specs:
-            records.extend(self._emit(spec, hostnames, zipf, rng))
-        records.sort(key=lambda r: r.ts)
-        return CdnDataset(records, specs, hostnames, self.duration_s)
+        records = list(column_records(CdnQueryRecord,
+                                      self._column_chunks(specs, rng)))
+        records.sort(key=attrgetter("ts"))
+        return CdnDataset(records, specs, self._hostnames(), self.duration_s)
 
     # -- sharded generation (repro.engine) ---------------------------------
 
@@ -278,28 +303,31 @@ class CdnDatasetBuilder:
         """The unit universe sharded over: resolvers."""
         return len(self._world_specs())
 
-    def iter_shard(self, shard_index: int,
-                   shard_count: int) -> Iterator[CdnQueryRecord]:
-        """Stream one resolver slice's queries, in emission order.
+    def iter_shard_columns(self, shard_index: int,
+                           shard_count: int) -> Iterator[List[List[Any]]]:
+        """Stream one resolver slice's queries as column chunks.
 
-        Resolver-major (each resolver's records are internally sorted,
-        resolvers overlap in time): :meth:`build_shard` is this stream,
-        stably sorted.
+        Resolver-major (each resolver's rows are in ts order, resolvers
+        overlap in time): the ``.col`` writer holds the chunks as one
+        store and writes it through its stable ts order.
         """
         specs = self._world_specs()
-        hostnames = self._hostnames()
-        zipf = ZipfSampler(len(hostnames), alpha=1.0)
         lo, hi = shard_bounds(len(specs), shard_count)[shard_index]
         rng = random.Random(derive_seed(self.seed, shard_index,
                                         self._SEED_NS))
-        for spec in specs[lo:hi]:
-            yield from self._emit(spec, hostnames, zipf, rng)
+        return self._column_chunks(specs[lo:hi], rng)
+
+    def iter_shard(self, shard_index: int,
+                   shard_count: int) -> Iterator[CdnQueryRecord]:
+        """:meth:`iter_shard_columns` as records, in emission order."""
+        return column_records(CdnQueryRecord, self.iter_shard_columns(
+            shard_index, shard_count))
 
     def build_shard(self, shard_index: int,
                     shard_count: int) -> List[CdnQueryRecord]:
-        """Emit the streams of one contiguous slice of the population."""
+        """One slice of the population's queries, stably sorted by ts."""
         records = list(self.iter_shard(shard_index, shard_count))
-        records.sort(key=lambda r: r.ts)
+        records.sort(key=attrgetter("ts"))
         return records
 
     def assemble(self,

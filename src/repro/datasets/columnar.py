@@ -202,7 +202,7 @@ def _check_columns(schema: Schema, columns: Sequence[Sequence[Any]]) -> None:
 
 
 class ColumnarWriter:
-    """One row group's column buffer: append records, then wrap.
+    """One row group's column buffer: append rows, then wrap.
 
     Appending never touches disk; :meth:`store` wraps the columns as an
     in-memory :class:`ColumnarStore` without copying, which is what
@@ -281,18 +281,6 @@ class ColumnarWriter:
                 self._set_null(name, row)
         self.rows = base + len(columns[0])
 
-    def append_values(self, values: Sequence[Any]) -> None:
-        """Append one row given its field values in schema order."""
-        if len(values) != len(self.schema.columns):
-            raise ValueError(f"schema {self.schema.name!r} has "
-                             f"{len(self.schema.columns)} columns, got "
-                             f"{len(values)} values")
-        self._append_columns([(value,) for value in values])
-
-    def append(self, record: Any) -> None:
-        """Append one record (a dataclass instance of the schema's type)."""
-        self._append_columns([(get(record),) for get in self._getters])
-
     def extend(self, records: Iterable[Any]) -> int:
         """Append many records; returns how many were appended.
 
@@ -314,11 +302,12 @@ class ColumnarWriter:
         """Append every row of another store, or the selection ``rows``.
 
         A string is interned the first time an appended row references
-        it — exactly the order a row-by-row ``append_values`` loop would
-        produce, so run-granular merges built on this stay byte-identical
-        to the per-row reference merge.  ``rows`` is any sequence of row
-        indices (a shard's ts order, a qname bucket); when it is a
-        ``range`` of step 1 the packed columns are copied as bytes.
+        it — exactly the order appending the selected rows' values one
+        row at a time would produce, so run-granular merges built on
+        this stay byte-identical to the per-row reference merge.
+        ``rows`` is any sequence of row indices (a shard's ts order, a
+        qname bucket); when it is a ``range`` of step 1 the packed
+        columns are copied as bytes.
         """
         if store.schema.name != self.schema.name:
             raise ValueError(f"cannot append rows of schema "
@@ -884,18 +873,6 @@ class GroupedColumnarWriter:
     def pending_rows(self) -> int:
         """Rows buffered but not yet flushed as a group."""
         return self._buffer.rows
-
-    def append_values(self, values: Sequence[Any]) -> None:
-        """Append one row given its field values in schema order."""
-        self._buffer.append_values(values)
-        if self._buffer.rows >= self.row_group_rows:
-            self._flush_group()
-
-    def append(self, record: Any) -> None:
-        """Append one record (a dataclass instance of the schema's type)."""
-        self._buffer.append(record)
-        if self._buffer.rows >= self.row_group_rows:
-            self._flush_group()
 
     def extend(self, records: Iterable[Any]) -> int:
         """Append a record stream; returns how many were appended."""

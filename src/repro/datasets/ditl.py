@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from operator import attrgetter
+from typing import Any, Iterator, List, Sequence
 
 from ..engine.seeding import derive_seed
 from ..engine.sharding import shard_bounds
 from .records import RootQueryRecord
-from .workload import merge_sorted_records, poisson_arrivals
+from .workload import (column_records, merge_sorted_records,
+                       poisson_arrivals, split_columns)
 
 _TLDS = ("com.", "net.", "org.", "io.", "de.", "cn.", "uk.", "jp.", "br.")
 
@@ -28,52 +30,21 @@ class RootTrace:
     violator_ips: List[str]
 
 
-def generate_root_trace(resolver_count: int = 400, violators: int = 15,
-                        duration_s: float = 3600.0, seed: int = 0,
-                        mean_qps: float = 0.01) -> RootTrace:
-    """A root-server trace where ``violators`` resolvers attach ECS.
-
-    Ordinary resolvers send priming/NS/TLD queries without ECS; the
-    violators attach ECS to (some of) their queries, as the 15 resolvers in
-    the DITL data did.
-    """
-    if violators > resolver_count:
-        raise ValueError("more violators than resolvers")
-    rng = random.Random(seed)
-    records: List[RootQueryRecord] = []
-    violator_ips: List[str] = []
-    for i in range(resolver_count):
-        ip = f"77.{(i >> 8) & 0xFF}.{i & 0xFF}.53"
-        is_violator = i < violators
-        if is_violator:
-            violator_ips.append(ip)
-        rate = mean_qps * rng.uniform(0.3, 3.0)
-        for ts in poisson_arrivals(rate, duration_s, rng) or \
-                [rng.uniform(0, duration_s)]:
-            qname = rng.choice(_TLDS)
-            qtype = rng.choice((2, 1, 28))
-            has_ecs = is_violator and rng.random() < 0.8
-            records.append(RootQueryRecord(ts, ip, qname, qtype, has_ecs))
-        if is_violator and not any(r.resolver_ip == ip and r.has_ecs
-                                   for r in records):
-            records.append(RootQueryRecord(rng.uniform(0, duration_s), ip,
-                                           "com.", 1, True))
-    records.sort(key=lambda r: r.ts)
-    return RootTrace(records, violator_ips)
-
-
 def count_root_ecs_violators(records: List[RootQueryRecord]) -> int:
     """Resolvers sending at least one ECS query to the root."""
     return len({r.resolver_ip for r in records if r.has_ecs})
 
 
 class RootTraceBuilder:
-    """Shardable builder form of :func:`generate_root_trace`.
+    """A root-server trace where ``violators`` resolvers attach ECS.
 
-    ``build()`` is the legacy sequential generator; ``build_shard`` /
-    ``assemble`` let :mod:`repro.engine` spread the resolver universe
-    across workers.  A resolver's violator status depends only on its
-    index, so ground truth is identical under any shard decomposition.
+    Ordinary resolvers send priming/NS/TLD queries without ECS; the
+    violators attach ECS to (some of) their queries, as the 15 resolvers
+    in the DITL data did.  ``build()`` generates the whole trace from the
+    root seed; ``iter_shard_columns`` / ``assemble`` let
+    :mod:`repro.engine` spread the resolver universe across workers.  A
+    resolver's violator status depends only on its index, so ground
+    truth is identical under any shard decomposition.
     """
 
     _SEED_NS = "ditl"
@@ -93,52 +64,83 @@ class RootTraceBuilder:
     def _resolver_ip(i: int) -> str:
         return f"77.{(i >> 8) & 0xFF}.{i & 0xFF}.53"
 
+    def _column_chunks(self, rng: random.Random, lo: int,
+                       hi: int) -> Iterator[List[List[Any]]]:
+        """The queries of resolvers ``[lo, hi)``, as columns.
+
+        The builder's one row loop.  Resolver-major: each resolver's
+        rows are one run (arrivals, then a violator's guaranteed ECS
+        query if none of its arrivals drew one), cut into chunks of the
+        ``root-trace`` schema's columns; runs overlap in time.  Per row
+        the TLD, the qtype and — for a violator — the ECS coin are
+        drawn, in that order, after the resolver's whole arrival series.
+        """
+        duration = self.duration_s
+        choice = rng.choice
+        for i in range(lo, hi):
+            is_violator = i < self.violators
+            rate = self.mean_qps * rng.uniform(0.3, 3.0)
+            ts = poisson_arrivals(rate, duration, rng) or \
+                [rng.uniform(0, duration)]
+            qnames: List[str] = []
+            qtypes: List[int] = []
+            has_ecs: List[bool] = []
+            for _ in ts:
+                qnames.append(choice(_TLDS))
+                qtypes.append(choice((2, 1, 28)))
+                has_ecs.append(is_violator and rng.random() < 0.8)
+            if is_violator and not any(has_ecs):
+                ts.append(rng.uniform(0, duration))
+                qnames.append("com.")
+                qtypes.append(1)
+                has_ecs.append(True)
+            yield from split_columns([ts, [self._resolver_ip(i)] * len(ts),
+                                      qnames, qtypes, has_ecs])
+
     def build(self) -> RootTrace:
-        """The legacy single-stream generator (unchanged semantics)."""
-        return generate_root_trace(self.resolver_count, self.violators,
-                                   self.duration_s, self.seed,
-                                   self.mean_qps)
+        """The whole trace from one stream seeded by the root seed."""
+        records = list(column_records(RootQueryRecord, self._column_chunks(
+            random.Random(self.seed), 0, self.resolver_count)))
+        records.sort(key=attrgetter("ts"))
+        return RootTrace(records, self._violator_ips())
+
+    def _violator_ips(self) -> List[str]:
+        return [self._resolver_ip(i) for i in range(self.violators)]
+
+    # -- sharded generation (repro.engine) ---------------------------------
 
     def shard_units(self) -> int:
         """The unit universe sharded over: resolvers."""
         return self.resolver_count
 
-    def iter_shard(self, shard_index: int,
-                   shard_count: int) -> Iterator[RootQueryRecord]:
-        """Stream one resolver range's queries, in emission order.
+    def iter_shard_columns(self, shard_index: int,
+                           shard_count: int) -> Iterator[List[List[Any]]]:
+        """Stream one resolver range's queries as column chunks.
 
-        Resolver-major (not globally ts-sorted): :meth:`build_shard`
-        is this stream, stably sorted.
+        Resolver-major, *not* globally ts-sorted: the ``.col`` writer
+        holds the chunks as one store and writes it through its stable
+        ts order.
         """
         lo, hi = shard_bounds(self.resolver_count, shard_count)[shard_index]
         rng = random.Random(derive_seed(self.seed, shard_index,
                                         self._SEED_NS))
-        for i in range(lo, hi):
-            ip = self._resolver_ip(i)
-            is_violator = i < self.violators
-            rate = self.mean_qps * rng.uniform(0.3, 3.0)
-            sent_ecs = False
-            for ts in poisson_arrivals(rate, self.duration_s, rng) or \
-                    [rng.uniform(0, self.duration_s)]:
-                qname = rng.choice(_TLDS)
-                qtype = rng.choice((2, 1, 28))
-                has_ecs = is_violator and rng.random() < 0.8
-                sent_ecs = sent_ecs or has_ecs
-                yield RootQueryRecord(ts, ip, qname, qtype, has_ecs)
-            if is_violator and not sent_ecs:
-                yield RootQueryRecord(rng.uniform(0, self.duration_s),
-                                      ip, "com.", 1, True)
+        return self._column_chunks(rng, lo, hi)
+
+    def iter_shard(self, shard_index: int,
+                   shard_count: int) -> Iterator[RootQueryRecord]:
+        """:meth:`iter_shard_columns` as records, in emission order."""
+        return column_records(RootQueryRecord, self.iter_shard_columns(
+            shard_index, shard_count))
 
     def build_shard(self, shard_index: int,
                     shard_count: int) -> List[RootQueryRecord]:
-        """Emit the streams of one contiguous resolver-index range."""
+        """One resolver range's queries, stably sorted by ts."""
         records = list(self.iter_shard(shard_index, shard_count))
-        records.sort(key=lambda r: r.ts)
+        records.sort(key=attrgetter("ts"))
         return records
 
     def assemble(self,
                  shard_records: Sequence[List[RootQueryRecord]]) -> RootTrace:
         """Order-stable merge of shard outputs into a full trace."""
-        records = merge_sorted_records(shard_records)
-        violator_ips = [self._resolver_ip(i) for i in range(self.violators)]
-        return RootTrace(records, violator_ips)
+        return RootTrace(merge_sorted_records(shard_records),
+                         self._violator_ips())

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, List, Sequence
+from operator import attrgetter
+from typing import Any, Iterator, List, Sequence
 
 from ..engine.seeding import derive_seed
 from ..engine.sharding import shard_bounds
 from . import paper_numbers as paper
 from .records import PublicCdnRecord
-from .workload import (COLUMN_CHUNK_ROWS, ZipfSampler, merge_sorted_records,
-                       poisson_arrivals)
+from .workload import (COLUMN_CHUNK_ROWS, ZipfSampler, column_records,
+                       merge_sorted_records, poisson_arrivals)
 
 
 @dataclass
@@ -73,8 +74,8 @@ class PublicCdnBuilder:
         arrivals are time-ordered, resolvers overlap.  A chunk is one
         list per ``public-cdn`` schema column, in schema order, holding
         1 to :data:`COLUMN_CHUNK_ROWS` rows of one resolver (a resolver
-        without arrivals yields nothing); :meth:`_records` is the record
-        view of the same stream.  Per row only the subnet and the
+        without arrivals yields nothing); the record views read the same
+        stream.  Per row only the subnet and the
         hostname are drawn — in that order, after the resolver's whole
         arrival series — and every other column is constant.
         """
@@ -107,19 +108,12 @@ class PublicCdnBuilder:
                 yield [ts, [ip] * rows, qnames, [1] * rows, addresses,
                        [24] * rows, [24] * rows, [self.ttl] * rows]
 
-    @staticmethod
-    def _records(chunks: Iterable[List[List[Any]]]
-                 ) -> Iterator[PublicCdnRecord]:
-        """The record view of a column stream: same rows, same order."""
-        for chunk in chunks:
-            yield from map(PublicCdnRecord, *chunk)
-
     def build(self) -> PublicCdnDataset:
         rng = random.Random(self.seed)
         resolver_count = self.resolver_count()
-        records = list(self._records(
-            self._column_chunks(rng, 0, resolver_count)))
-        records.sort(key=lambda rec: rec.ts)
+        records = list(column_records(PublicCdnRecord, self._column_chunks(
+            rng, 0, resolver_count)))
+        records.sort(key=attrgetter("ts"))
         return PublicCdnDataset(
             records, [self._resolver_ip(r) for r in range(resolver_count)],
             self.duration_s, self.ttl)
@@ -149,16 +143,15 @@ class PublicCdnBuilder:
 
     def iter_shard(self, shard_index: int,
                    shard_count: int) -> Iterator[PublicCdnRecord]:
-        """:meth:`iter_shard_columns` as a stream of records, in
-        emission order."""
-        yield from self._records(
-            self.iter_shard_columns(shard_index, shard_count))
+        """:meth:`iter_shard_columns` as records, in emission order."""
+        return column_records(PublicCdnRecord, self.iter_shard_columns(
+            shard_index, shard_count))
 
     def build_shard(self, shard_index: int,
                     shard_count: int) -> List[PublicCdnRecord]:
-        """Emit the query streams of one contiguous resolver range."""
+        """One resolver range's queries, stably sorted by ts."""
         records = list(self.iter_shard(shard_index, shard_count))
-        records.sort(key=lambda rec: rec.ts)
+        records.sort(key=attrgetter("ts"))
         return records
 
     def assemble(self,

@@ -1,15 +1,16 @@
-"""Canonical log-record schemas for the four datasets, with JSONL/CSV IO.
+"""Canonical log-record schemas for the four datasets, and the JSONL writer.
 
 Every dataset in the paper is, at bottom, a log of DNS interactions seen
 from one vantage point.  These dataclasses pin down the fields each
-analysis needs; generators emit them, IO helpers persist them, and the
-analyses are pure functions over sequences of them — mirroring how the
-paper's pipelines consume the operators' logs.
+analysis needs: the builders' column streams are read back as them, and
+the analyses are pure functions over sequences of them — mirroring how
+the paper's pipelines consume the operators' logs.  JSONL is written
+here, from columns (:func:`jsonl_lines`), and read back through the
+schema-checked parser in :mod:`repro.datasets.columnar`.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
@@ -18,11 +19,9 @@ from itertools import chain, groupby, islice, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Type, TypeVar, Union)
+                    Tuple, Union)
 
 from ..obs.export import write_text_atomic
-
-T = TypeVar("T")
 
 #: Most records a writer holds at once while it transposes them into
 #: columns (``ColumnarWriter.extend``, :func:`write_jsonl`), and most
@@ -269,42 +268,7 @@ def write_jsonl(records: Iterable[object], path: Union[str, Path]) -> int:
     return write_jsonl_text(texts(), path)
 
 
-def read_jsonl(path: Union[str, Path], record_type: Type[T]) -> List[T]:
-    """Load JSONL records back into dataclass instances."""
-    out: List[T] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(record_type(**json.loads(line)))
-    return out
-
-
-def iter_jsonl(path: Union[str, Path], record_type: Type[T]) -> Iterator[T]:
-    """Stream JSONL records without materializing the whole list."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield record_type(**json.loads(line))
-
-
 def shard_path(base_path: Union[str, Path], shard_index: int) -> Path:
     """The conventional on-disk name of one shard of ``base_path``."""
     base = Path(base_path)
     return base.with_name(f"{base.name}.shard{shard_index:02d}")
-
-
-def write_csv(records: Sequence[object], path: Union[str, Path]) -> int:
-    """Write dataclass records as CSV with a header row."""
-    records = list(records)
-    if not records:
-        Path(path).write_text("")
-        return 0
-    fields = [f.name for f in dataclasses.fields(records[0])]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for record in records:
-            writer.writerow(dataclasses.asdict(record))
-    return len(records)

@@ -1,21 +1,20 @@
-"""Workload models: hostname popularity, arrivals, client populations.
+"""Workload models and the column streams the trace builders emit.
 
 DNS query streams are famously skewed; the generators here provide the
-standard building blocks — Zipf-distributed name popularity, Poisson
-arrivals, and client subnet populations with configurable diversity — that
-the four dataset generators compose.
+standard building blocks — Zipf-distributed name popularity and Poisson
+arrivals — that the four trace builders compose, and the two helpers
+every builder's column stream shares: cutting a run of rows into chunks
+and reading a stream back as records.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
-
-from ..net.addr import host_in
+from typing import (Any, Callable, Iterable, Iterator, List, Sequence,
+                    TypeVar)
 
 R = TypeVar("R")
 
@@ -25,6 +24,20 @@ R = TypeVar("R")
 #: size a chunk's value lists stay a few hundred KiB, far under one row
 #: group, so a worker's peak RSS does not depend on it.
 COLUMN_CHUNK_ROWS = 4096
+
+
+def split_columns(columns: Sequence[List[Any]]) -> Iterator[List[List[Any]]]:
+    """One run of rows, given one list per column, as chunks of 1 to
+    :data:`COLUMN_CHUNK_ROWS` rows; an empty run yields nothing."""
+    for start in range(0, len(columns[0]), COLUMN_CHUNK_ROWS):
+        yield [values[start:start + COLUMN_CHUNK_ROWS] for values in columns]
+
+
+def column_records(record_type: Callable[..., R],
+                   chunks: Iterable[Sequence[Sequence[Any]]]) -> Iterator[R]:
+    """The record view of a column stream: same rows, same order."""
+    for chunk in chunks:
+        yield from map(record_type, *chunk)
 
 
 def merge_sorted_records(shard_lists: Sequence[Sequence[R]],
@@ -85,106 +98,8 @@ def poisson_arrivals(rate_per_s: float, duration_s: float,
 
 
 @dataclass
-class HostnameUniverse:
-    """A set of hostnames spread across second-level domains.
-
-    The All-Names dataset spans 134,925 hostnames in 19,014 SLDs; this
-    builder reproduces that structure at any scale.
-    """
-
-    hostnames: List[str]
-    slds: List[str]
-
-    @classmethod
-    def generate(cls, sld_count: int, hostnames_per_sld: float,
-                 rng: random.Random, tld: str = "com") -> "HostnameUniverse":
-        """Create ``sld_count`` SLDs with a geometric number of hosts each."""
-        hostnames: List[str] = []
-        slds: List[str] = []
-        labels = ("www", "api", "cdn", "static", "img", "video", "mail",
-                  "app", "edge", "assets")
-        for i in range(sld_count):
-            sld = f"site{i:05d}.{tld}."
-            slds.append(sld)
-            count = max(1, min(len(labels),
-                               int(rng.expovariate(1.0 / hostnames_per_sld)) + 1))
-            for label in labels[:count]:
-                hostnames.append(f"{label}.{sld}")
-        return cls(hostnames, slds)
-
-
-@dataclass
-class ClientPopulation:
-    """Clients grouped into /24 (IPv4) and /48 (IPv6) subnets."""
-
-    v4_clients: List[str]
-    v6_clients: List[str]
-
-    @classmethod
-    def generate(cls, v4_subnet_count: int, v6_subnet_count: int,
-                 clients_per_subnet: float, rng: random.Random,
-                 v4_base: str = "100.64.0.0/10",
-                 v6_base: int = 0x2610) -> "ClientPopulation":
-        """Spread clients over subnets (≥1 client per subnet).
-
-        The v4 subnets are consecutive /24s inside ``v4_base``; v6 subnets
-        are /48s under ``v6_base``::/16.
-        """
-        v4: List[str] = []
-        for i in range(v4_subnet_count):
-            base = f"100.{64 + (i >> 8) % 64}.{i & 0xFF}.0/24"
-            count = max(1, int(rng.expovariate(1.0 / clients_per_subnet)))
-            chosen = rng.sample(range(1, 255), min(count, 254))
-            prefix = base.rsplit(".", 1)[0]
-            v4.extend(f"{prefix}.{h}" for h in chosen)
-        v6: List[str] = []
-        for i in range(v6_subnet_count):
-            count = max(1, int(rng.expovariate(1.0 / clients_per_subnet)))
-            for _ in range(count):
-                host = rng.randrange(1, 1 << 32)
-                v6.append(f"{v6_base:x}:{(i >> 16) & 0xFFFF:x}:{i & 0xFFFF:x}::{host & 0xFFFF:x}:{(host >> 16) & 0xFFFF:x}")
-        return cls(v4, v6)
-
-    @property
-    def all_clients(self) -> List[str]:
-        return self.v4_clients + self.v6_clients
-
-    def sample(self, rng: random.Random, skew: float = 1.0) -> str:
-        """Draw a client; ``skew`` > 0 Zipf-weights toward early clients."""
-        clients = self.all_clients
-        if skew <= 0:
-            return rng.choice(clients)
-        # Rank-weighted choice without building a sampler per call.
-        u = rng.random() ** (1.0 / skew) if skew != 1.0 else rng.random()
-        idx = int(u * u * len(clients))  # quadratic skew toward low ranks
-        return clients[min(idx, len(clients) - 1)]
-
-
-@dataclass
 class SldPolicy:
     """Per-SLD authoritative behavior: TTL and the ECS scope it returns."""
 
     ttl: int
     scope: int
-
-
-def assign_sld_policies(slds: Sequence[str], rng: random.Random,
-                        ttl_choices: Sequence[int] = (20, 30, 60, 300),
-                        scope_choices: Sequence[Tuple[int, float]] = (
-                            (24, 0.55), (16, 0.15), (20, 0.10),
-                            (22, 0.10), (32, 0.10)),
-                        ) -> dict:
-    """Give each SLD a stable (TTL, scope) policy.
-
-    The mixture defaults approximate the diversity of authoritative ECS
-    deployments: most tailor at /24, some coarser, a few echo full length.
-    """
-    scopes = [s for s, _ in scope_choices]
-    weights = [w for _, w in scope_choices]
-    policies = {}
-    for sld in slds:
-        policies[sld] = SldPolicy(
-            ttl=rng.choice(list(ttl_choices)),
-            scope=rng.choices(scopes, weights=weights, k=1)[0],
-        )
-    return policies

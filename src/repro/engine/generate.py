@@ -1,30 +1,22 @@
 """Sharded dataset generation by shard-spec dispatch.
 
-A *shardable builder* exposes three methods::
+A *shardable builder* has one row loop, and it fills columns.  The
+engine reads three things of it::
 
-    shard_units() -> int                      # size of the unit universe
-    build_shard(index, count) -> List[record] # one shard, ts-sorted
-    assemble(shard_lists) -> dataset          # order-stable merge + wrap
-
-and, optionally, its streams::
-
-    iter_shard(index, count) -> Iterator[record]          # emission order
-    iter_shard_columns(index, count) -> Iterator[chunk]   # same rows, as
+    shard_units() -> int                                # unit universe
+    iter_shard_columns(index, count) -> Iterator[chunk] # one shard's rows,
         # one list per schema column, 1..COLUMN_CHUNK_ROWS rows a chunk
-    ITER_SHARD_SORTED = True   # the column stream is in global ts order
+    ITER_SHARD_SORTED = True   # optional: the stream is in global ts order
 
-``build_shard`` must depend only on the builder's parameters and the
-shard index (its random stream is seeded via
-:func:`repro.engine.seeding.derive_seed`), never on which worker runs it.
-The engine then guarantees the merged output is identical for any worker
-count, because shards are generated from fixed seeds and merged in shard
-order.  A builder with a column stream has *one* row loop, the one that
-fills the columns; its record methods are views of that stream.  Where
-there is one, the engine packs ``.col`` shards from the column stream,
-put in ts order once and without a temporary file
-(:func:`_write_columnar_shard_from_spec`), and ``build_shard`` only
-where there is none; ``iter_shard`` is for callers that want records
-one at a time.
+and the builder offers record views of the same stream for in-process
+callers: ``iter_shard(index, count)`` (emission order),
+``build_shard(index, count)`` (the shard in stable ts order) and
+``assemble(shard_lists)`` (order-stable merge + wrap).  A shard's stream
+must depend only on the builder's parameters and the shard index (its
+random stream is seeded via :func:`repro.engine.seeding.derive_seed`),
+never on which worker runs it.  The engine then guarantees the merged
+output is identical for any worker count, because shards are generated
+from fixed seeds and merged in shard order.
 
 There is one generation pipeline.  Every entry point ships a
 :class:`~repro.engine.sharding.ShardSpec` (builder name + kwargs, tens
@@ -32,7 +24,8 @@ of bytes) and rebuilds the builder inside the worker; the engine-free
 reference the equivalence suite pins them against is
 ``spec.make_builder().build_shard(i, n)`` called in-process.  No entry
 point returns records: each :func:`generate_columnar` worker writes its
-shard to the conventional ``<file>.shardNN`` sibling itself and returns
+shard to the conventional ``<file>.shardNN`` sibling itself, from the
+column stream (:func:`_write_columnar_shard_from_spec`), and returns
 only a count, so *nothing* record-shaped crosses the pool boundary in
 either direction — the parent just merges the shard files.
 :func:`generate_jsonl` is that pipeline into a scratch ``.col``,
@@ -48,8 +41,7 @@ from typing import Any, Optional, Tuple, Union
 
 from ..datasets.columnar import (ColumnarStore, GroupedColumnarWriter,
                                  _stable_ts_order, columnar_to_jsonl,
-                                 merge_columnar_shards,
-                                 write_columnar_stream)
+                                 merge_columnar_shards)
 from ..datasets.records import shard_path
 from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
@@ -78,38 +70,29 @@ def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
     Only the count crosses the pool boundary; the packed segments wait
     on disk for the parent's merge.  Shard files are always the v2
     row-group layout and ``row_group_rows`` is their group size,
-    nothing else.  The rows
-    reach the writer in ``build_shard``'s order by the cheapest route
-    the builder offers, never through a temporary file:
+    nothing else.  The rows reach the writer as the builder's column
+    stream — no record, no temporary file — in ``build_shard``'s order,
+    by one of two routes:
 
-    * a column stream in global ts order (``ITER_SHARD_SORTED``) goes to
+    * a stream in global ts order (``ITER_SHARD_SORTED``) goes to
       :meth:`~repro.datasets.columnar.GroupedColumnarWriter.extend_columns`
-      chunk by chunk — no record, no transposition, one row group held;
-    * an unordered column stream becomes one in-memory store written
-      through its stable ts order (``build_shard``'s sort, ties in
-      emission order) — no record either, but the worker holds the
+      chunk by chunk, one row group held;
+    * any other stream becomes one in-memory store written through its
+      stable ts order (ties in emission order), so the worker holds the
       shard's columns: about 130 B a row at its peak
-      (``docs/datasets.md``), so ``--shards`` bounds it;
-    * a builder with no column stream hands over ``build_shard``.
+      (``docs/datasets.md``), and ``--shards`` bounds it.
     """
     builder = spec.make_builder()
-    path = shard_path(out_base, shard_index)
-    iter_columns = getattr(builder, "iter_shard_columns", None)
-    if iter_columns is None:
-        count = write_columnar_stream(
-            builder.build_shard(shard_index, spec.shard_count), path,
-            schema, row_group_rows)
-    elif getattr(builder, "ITER_SHARD_SORTED", False):
-        with GroupedColumnarWriter(schema, path, row_group_rows) as writer:
-            for chunk in iter_columns(shard_index, spec.shard_count):
+    chunks = builder.iter_shard_columns(shard_index, spec.shard_count)
+    with GroupedColumnarWriter(schema, shard_path(out_base, shard_index),
+                               row_group_rows) as writer:
+        if getattr(builder, "ITER_SHARD_SORTED", False):
+            for chunk in chunks:
                 writer.extend_columns(chunk)
-        count = writer.rows
-    else:
-        store = ColumnarStore.from_column_chunks(
-            iter_columns(shard_index, spec.shard_count), schema)
-        with GroupedColumnarWriter(schema, path, row_group_rows) as writer:
+        else:
+            store = ColumnarStore.from_column_chunks(chunks, schema)
             writer.extend_store(store, rows=_stable_ts_order(store))
-        count = writer.rows
+    count = writer.rows
     _count_generated_rows(builder, count)
     return count
 

@@ -256,7 +256,7 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
     time into the columns the replay kernel reads, so the expensive
     work — the JSON parse plus the replay itself — parallelizes, and
     the pool boundary carries flat strings.  Counter-identical to the
-    ``replay_partial`` oracle over ``read_jsonl(path)``, qname bucket by
+    ``replay_partial`` oracle over the file's records, qname bucket by
     qname bucket.
 
     Every line must be a row of the ``kind`` schema, exactly as

@@ -6,7 +6,9 @@ shared compact encoder per line.  ``write_jsonl_shards`` writes shard
 files with it and ``merge_jsonl_shards`` merges them a line at a time:
 together the reference output of the generate and merge suites, which
 shares nothing but the atomic file write with the columnar pipeline
-``generate_jsonl`` runs.
+``generate_jsonl`` runs.  ``read_jsonl`` is how the suites read a JSONL
+trace back as records: through the schema-checked parser, so a line
+that is not a row raises ``JsonlFormatError``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator, List, Sequence, Union
 
+from repro.datasets.columnar import ColumnarStore, schema_for
 from repro.datasets.records import shard_path, write_jsonl_text
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -27,6 +30,14 @@ def line_of(record: object) -> str:
     """One dataclass record as one JSONL line, newline included."""
     return _encode({f.name: getattr(record, f.name)
                     for f in dataclasses.fields(record)}) + "\n"
+
+
+def read_jsonl(path: Union[str, Path], record_type: type) -> list:
+    """The records of a JSONL trace, parsed against their schema."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = [line for line in map(str.strip, handle) if line]
+    return ColumnarStore.from_jsonl_lines(
+        lines, schema_for(record_type)).to_records()
 
 
 def write_jsonl_shards(shard_lists: Sequence[Iterable[object]],

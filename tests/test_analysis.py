@@ -19,7 +19,7 @@ from repro.analysis.unroutable import UnroutableLab
 from repro.core.classify import CachingCategory, ProbingCategory
 from repro.datasets import AllNamesBuilder
 from repro.datasets.columnar import ColumnarStore, write_columnar_stream
-from repro.datasets.ditl import generate_root_trace
+from repro.datasets.ditl import RootTraceBuilder
 from repro.engine import ShardSpec, client_sweep_sharded, fig1_sharded
 
 
@@ -35,7 +35,8 @@ class TestProbingAnalysis:
         assert "always_ecs" in text and "paper" in text
 
     def test_root_violations(self):
-        trace = generate_root_trace(resolver_count=200, violators=15, seed=3)
+        trace = RootTraceBuilder(resolver_count=200, violators=15,
+                                 seed=3).build()
         analysis = analyze_root_violations(trace)
         assert analysis.violators_found == 15
         assert "15" in analysis.report()

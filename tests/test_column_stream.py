@@ -1,13 +1,13 @@
 """The builders' column streams (``iter_shard_columns``) and their edges.
 
-``AllNamesBuilder`` and ``PublicCdnBuilder`` have one row loop each and
-it fills the schema's columns; ``iter_shard`` / ``build_shard`` /
-``build()`` are record views of that stream.  These tests hold the
+Every registered builder has one row loop and it fills the schema's
+columns; ``iter_shard`` / ``build_shard`` / ``build()`` are record views
+of that stream.  These tests hold the
 stream to the shape the columnar writers take, and hold every consumer
 of it — ``generate_columnar``'s column lane, ``fig1_sharded``'s
 in-memory store — to what the record views say the rows are.  The last
-section holds the lane's one ordering rule: whatever a builder offers,
-its ``.col`` shard is ``build_shard`` in order, byte for byte.
+section holds the lane's one ordering rule: by either route, a
+builder's ``.col`` shard is ``build_shard`` in order, byte for byte.
 """
 
 from __future__ import annotations
@@ -241,9 +241,9 @@ def test_shard_file_is_build_shard_in_order(name, schema, params,
                                             row_group_rows, tmp_path,
                                             monkeypatch):
     """The shard file equals ``write_columnar_stream(build_shard(i, n))``
-    byte for byte, whichever of the three routes wrote it; a builder
-    with a column stream gets there without a record, and no route
-    leaves a run file or a temporary behind."""
+    byte for byte, whichever of the two routes wrote it (allnames is
+    ordered, every other builder not); no builder gets there through a
+    record, and no route leaves a run file or a temporary behind."""
     shards = 3
     spec = ShardSpec.create(name, shard_count=shards, seed=7, **params)
     builder = spec.make_builder()
@@ -267,7 +267,7 @@ def test_shard_file_is_build_shard_in_order(name, schema, params,
             spec, str(out), schema, row_group_rows, index)
             for index in range(shards)]
     assert counts == [len(shard) for shard in want]
-    assert (not built) == hasattr(builder, "iter_shard_columns")
+    assert not built
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         shard_path(out, index).name for index in range(shards)]
 

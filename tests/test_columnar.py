@@ -22,7 +22,8 @@ The store's contract has four layers, each pinned here:
   their v2 conversion; a damaged header of either layout raises
   :class:`ColumnarFormatError` naming the file.
 * **JSONL lane** — lines parse a chunk at a time straight into columns:
-  the parsed store equals ``from_records(read_jsonl(...))`` for any key
+  the parsed store equals ``from_records`` over the lines decoded one
+  ``json.loads`` at a time, for any key
   order, whitespace, escapes and chunk edge; ``replay_jsonl_sharded``
   equals the oracle; no record object is built; and a line that is not
   a row of the schema raises :class:`JsonlFormatError` naming file and
@@ -61,7 +62,7 @@ from repro.datasets.columnar import (MAGIC, MAGIC_V2, SCHEMAS,
                                      schema_for, write_columnar_stream)
 from repro.datasets.records import (AllNamesRecord, CdnQueryRecord,
                                     JsonlFormatError, PublicCdnRecord,
-                                    read_jsonl, write_jsonl)
+                                    write_jsonl)
 from repro.datasets.workload import merge_sorted_records
 from repro.engine import WorkerPool
 from repro.engine import replay as engine_replay
@@ -71,7 +72,7 @@ from repro.engine.replay import (ACCESSORS, _parse_lines,
 from repro.engine.sharding import partition_by_key
 from repro.obs import observe
 
-from jsonl_reference import merge_jsonl_shards
+from jsonl_reference import merge_jsonl_shards, read_jsonl
 
 #: Legacy v1 (``RPRCOL01``) files and their JSONL twins, written once by
 #: ``write_columnar`` / ``write_jsonl`` at the last commit that had a v1
@@ -200,20 +201,28 @@ def test_schema_resolution():
 def test_non_nullable_rejects_none():
     writer = ColumnarWriter(SCHEMAS["allnames"])
     with pytest.raises(ValueError, match="not nullable"):
-        writer.append_values((0.0, None, "a.", 1, 0, 60))
+        writer.extend([AllNamesRecord(0.0, None, "a.", 1, 0, 60)])
 
 
-def test_append_values_checks_arity():
-    """A short or long tuple is refused whole: ``zip`` used to append to
+def test_append_values_checks_arity(tmp_path):
+    """A row one value short or long is refused whole, by the writer and
+    by the store built from column chunks: ``zip`` alone would append to
     some columns only and leave every later row misaligned."""
-    writer = ColumnarWriter(SCHEMAS["allnames"])
-    writer.append_values((0.5, "10.0.0.1", "a.", 1, 24, 60))
-    before = _writer_state(writer)
-    with pytest.raises(ValueError, match="'allnames' has 6 columns, got 5"):
-        writer.append_values((1.0, "10.0.0.2", "b.", 1, 24))
-    with pytest.raises(ValueError, match="'allnames' has 6 columns, got 7"):
-        writer.append_values((1.0, "10.0.0.2", "b.", 1, 24, 60, 0))
-    assert _writer_state(writer) == before
+    row = (0.5, "10.0.0.1", "a.", 1, 24, 60)
+    with GroupedColumnarWriter("allnames", tmp_path / "t.col", 4) as writer:
+        writer.extend_columns([[value] for value in row])
+        before = _writer_state(writer._buffer)
+        for values in ((1.0, "10.0.0.2", "b.", 1, 24),
+                       (1.0, "10.0.0.2", "b.", 1, 24, 60, 0)):
+            with pytest.raises(ValueError,
+                               match="'allnames' takes 6 equal-length"):
+                writer.extend_columns([[value] for value in values])
+            with pytest.raises(ValueError,
+                               match="'allnames' takes 6 equal-length"):
+                ColumnarStore.from_column_chunks(
+                    [[[value] for value in values]], "allnames")
+            assert _writer_state(writer._buffer) == before
+        assert writer.rows + writer.pending_rows == 1
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +253,7 @@ ANY_RECORDS = {
 
 
 def _append_cellwise(writer: ColumnarWriter, record) -> None:
-    """The per-cell loop ``append_values`` ran before encoding went
+    """The per-cell loop the writer ran before encoding went
     column-at-a-time, kept as the oracle for the batched routine."""
     row = writer.rows
     for spec in writer.schema.columns:
@@ -279,8 +288,9 @@ def _writer_state(writer: ColumnarWriter):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_extend_byte_identical_to_row_loop(name, data, tmp_path_factory):
-    """``extend`` == ``append`` loop == the old per-cell loop: the same
-    buffer state (every byte a flush serializes) and the same file.
+    """``extend`` == a one-record ``extend`` per row == the old per-cell
+    loop: the same buffer state (every byte a flush serializes) and the
+    same file.
 
     The chunk constant is drawn small so chunk edges fall inside the
     lists; the group budget is drawn so lengths straddle group edges;
@@ -305,9 +315,9 @@ def test_extend_byte_identical_to_row_loop(name, data, tmp_path_factory):
     with GroupedColumnarWriter(name, out / "looped.v2.col",
                                budget) as grouped_loop:
         for record in records:
-            looped.append(record)
+            looped.extend([record])
             _append_cellwise(cellwise, record)
-            grouped_loop.append(record)
+            grouped_loop.extend([record])
     assert _writer_state(batched) == _writer_state(looped) \
         == _writer_state(cellwise)
     assert (out / "batched.v2.col").read_bytes() \
@@ -348,7 +358,7 @@ def test_extend_rejected_chunk_leaves_writer_unchanged(field, value, error):
         writer.extend(batch)
     assert _writer_state(writer) == before
     with pytest.raises(error):
-        writer.append(batch[5])
+        writer.extend([batch[5]])
     assert _writer_state(writer) == before
 
 
@@ -728,7 +738,8 @@ def merge_columnar_shards_rowwise(paths, out_path,
                     writer.copy_group(readers[shard], g)
                     at += size
                 else:
-                    writer.append_values(groups[shard][g].row_values(row))
+                    writer.extend_columns(
+                        [[value] for value in groups[shard][g].row_values(row)])
                     at += 1
         return writer.rows
     finally:
@@ -1223,10 +1234,12 @@ def test_jsonl_lines_parse_like_read_jsonl(name, data, tmp_path_factory):
     out = tmp_path_factory.mktemp("jsonl")
     src = out / "trace.jsonl"
     src.write_text(_jsonl_text(data.draw, records), encoding="utf-8")
-    parsed_records = read_jsonl(src, SCHEMAS[name].record_type)
-    assert parsed_records == records
     lines = [line.strip() for line in src.read_text("utf-8").splitlines()
              if line.strip()]
+    # The route with no schema: one json.loads and one record per line.
+    parsed_records = [SCHEMAS[name].record_type(**json.loads(line))
+                      for line in lines]
+    assert parsed_records == records
     with mock.patch.object(columnar, "PARSE_CHUNK_LINES", chunk):
         store = _parse_lines(name, lines)
         assert jsonl_to_columnar(src, out / "lines.col", name,
@@ -1424,7 +1437,9 @@ def test_unusual_jsonl_line_is_accepted_by_both_lanes(line, tmp_path):
     src.write_text("\n".join((_GOOD, "", _GOOD, line)))
     replay, convert = _both_lanes(src, dst, 1)
     assert replay()[1].total_records == convert() == 3
-    assert read_columnar(dst) == read_jsonl(src, AllNamesRecord)
+    assert read_columnar(dst) == [
+        AllNamesRecord(**json.loads(line))
+        for line in src.read_text().splitlines() if line.strip()]
 
 
 @pytest.mark.parametrize("lead", (b"", (_GOOD.encode() + b"\n") * 2000),

@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 
 from repro.core.classify import classify_probing, prefix_length_profile
 from repro.datasets import (AllNamesBuilder, CdnDatasetBuilder,
-                            PublicCdnBuilder, ScanUniverseBuilder,
-                            ZipfSampler, poisson_arrivals, read_jsonl,
-                            write_csv, write_jsonl)
+                            PublicCdnBuilder, RootTraceBuilder,
+                            ScanUniverseBuilder, ZipfSampler,
+                            poisson_arrivals, write_jsonl)
 from repro.datasets.allnames import _sld_of
-from repro.datasets.ditl import count_root_ecs_violators, generate_root_trace
-from repro.datasets.records import AllNamesRecord, CdnQueryRecord, iter_jsonl
+from repro.datasets.ditl import count_root_ecs_violators
+from repro.datasets.records import AllNamesRecord, CdnQueryRecord
 from repro.net import same_prefix
+
+from jsonl_reference import read_jsonl
 
 
 class TestZipf:
@@ -133,25 +135,6 @@ class TestRecordIO:
     def test_jsonl_rejects_non_dataclass(self, tmp_path):
         with pytest.raises(TypeError):
             write_jsonl([("not", "a", "record")], tmp_path / "bad.jsonl")
-
-    def test_iter_jsonl_streams(self, tmp_path):
-        records = [CdnQueryRecord(float(i), "r", "q.", 1, False)
-                   for i in range(5)]
-        path = tmp_path / "records.jsonl"
-        write_jsonl(records, path)
-        assert list(iter_jsonl(path, CdnQueryRecord)) == records
-
-    def test_csv_header_and_rows(self, tmp_path):
-        records = [AllNamesRecord(1.0, "10.0.0.1", "a.com.", 1, 24, 60)]
-        path = tmp_path / "records.csv"
-        write_csv(records, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("ts,client_ip")
-        assert len(lines) == 2
-
-    def test_csv_empty(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        assert write_csv([], path) == 0
 
 
 class TestCdnDataset:
@@ -291,14 +274,16 @@ class TestScanUniverse:
 
 class TestDitl:
     def test_violator_count_exact(self):
-        trace = generate_root_trace(resolver_count=100, violators=7, seed=2)
+        trace = RootTraceBuilder(resolver_count=100, violators=7,
+                                 seed=2).build()
         assert count_root_ecs_violators(trace.records) == 7
         assert len(trace.violator_ips) == 7
 
     def test_regular_resolvers_clean(self):
-        trace = generate_root_trace(resolver_count=50, violators=0, seed=2)
+        trace = RootTraceBuilder(resolver_count=50, violators=0,
+                                 seed=2).build()
         assert count_root_ecs_violators(trace.records) == 0
 
     def test_too_many_violators_rejected(self):
         with pytest.raises(ValueError):
-            generate_root_trace(resolver_count=5, violators=6)
+            RootTraceBuilder(resolver_count=5, violators=6)

@@ -17,15 +17,18 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.cache_sim import replay
-from repro.datasets import AllNamesBuilder, PublicCdnBuilder
+from repro.datasets import (AllNamesBuilder, CdnDatasetBuilder,
+                            PublicCdnBuilder, RootTraceBuilder)
 from repro.datasets.columnar import (jsonl_to_columnar, read_columnar,
                                      write_columnar_stream)
 from repro.engine import derive_seed, shard_bounds, world_seed
-from repro.datasets.records import read_jsonl, write_jsonl
+from repro.datasets.records import write_jsonl
 from repro.engine.executor import SUBMISSIONS_PER_WORKER, _chunk_bounds
 from repro.engine.generate import generate_columnar, generate_jsonl
 from repro.engine.replay import replay_columnar_sharded, replay_jsonl_sharded
 from repro.engine.sharding import ShardSpec
+
+from jsonl_reference import read_jsonl
 
 SHARDS = 4
 
@@ -257,6 +260,48 @@ class TestGoldenBytes:
         assert write_jsonl(records, tmp_path / "b.jsonl") == 21436
         assert (self._sha256(tmp_path / "b.jsonl")
                 == self.GOLDEN["public-cdn build"])
+
+    #: cdn and root-trace, recorded at the commit before their builders
+    #: went column-at-a-time: ``(rows, sha256)`` of
+    #: ``generate_columnar`` (4 shards, 256-row groups) and of
+    #: ``write_jsonl(build().records)``, per seed.
+    BUILDERS = {
+        ("cdn", 0): ((850, "9e6d04308b500e0153f7f990c7c0d377"
+                           "7d3b91971c48fe3ef0284bb3a532d837"),
+                     (852, "e2cf4a85ed2fae21f9a1c031fec91674"
+                           "0c889e5c14f04cc49b725d17e189a9ab")),
+        ("cdn", 7): ((999, "4243ef80a4f3472680ee836eda75379c"
+                           "bf88bc969d512e18054ea078473c530c"),
+                     (861, "a989e8b4043453588712f1773f66e834"
+                           "ddfe0426a37aeeaf00c0d02e0ec66812")),
+        ("root-trace", 0): ((476, "5b5fa5c4321afa04303193a6a841c902"
+                                  "c72b4000b54e3ea793e47c139e492fda"),
+                            (23459, "6caef0aa2e429fb0461f9eff8d556485"
+                                    "f4611e66baa3b90897794fde9813ebb9")),
+        ("root-trace", 7): ((505, "e4224f2fd8319d41bfed01c80d211ef5"
+                                  "dfbbd9d04737cbe9d83e2283d02d47ac"),
+                            (23622, "524ba02faf08b95f83fd3ab9844738d4"
+                                    "e244146d668566130c0f2eddad5dc28c")),
+    }
+
+    @pytest.mark.parametrize("name,seed", sorted(BUILDERS))
+    def test_census_builder_sha256(self, name, seed, tmp_path):
+        """The two section 6.1 builders: the sharded stream and the
+        unsharded ``build()``."""
+        (rows, digest), (built, built_digest) = self.BUILDERS[name, seed]
+        if name == "cdn":
+            kwargs = dict(scale=0.004, duration_s=900)
+            builder = CdnDatasetBuilder(seed=seed, **kwargs)
+        else:
+            kwargs = dict(resolver_count=48, violators=5, duration_s=600)
+            builder = RootTraceBuilder(400, 15, seed=seed)
+        spec = ShardSpec.create(name, shard_count=4, seed=seed, **kwargs)
+        assert generate_columnar(spec, tmp_path / "t.col",
+                                 row_group_rows=256)[0] == rows
+        assert self._sha256(tmp_path / "t.col") == digest
+        assert write_jsonl(builder.build().records,
+                           tmp_path / "b.jsonl") == built
+        assert self._sha256(tmp_path / "b.jsonl") == built_digest
 
 
 class TestCliDeterminism:

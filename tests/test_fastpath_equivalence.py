@@ -118,16 +118,18 @@ class TestPrefixFastLane:
 
 
 class TestTrackerKeying:
-    @given(v4_ints, st.integers(min_value=1, max_value=32))
-    def test_fast_and_reference_keys_agree(self, value, scope):
-        client = str(ipaddress.IPv4Address(value))
-        fast = ScopeTracker(fast=True)
-        ref = ScopeTracker(fast=False)
-        assert fast._key("q.example.", 1, client, scope) == \
-            ref._key("q.example.", 1, client, scope)
+    @given(st.one_of(v4_ints.map(ipaddress.IPv4Address),
+                     v6_ints.map(ipaddress.IPv6Address)), st.data())
+    def test_fast_and_reference_keys_agree(self, address, data):
+        """The tracker's integer keying == the readable address-object
+        reference (``prefix_key``), for either family."""
+        client = str(address)
+        scope = data.draw(st.integers(1, address.max_prefixlen))
+        assert ScopeTracker()._key("q.example.", 1, client, scope) == \
+            ("q.example.", 1) + prefix_key(client, scope)
 
     def test_global_keys_unchanged(self):
-        tracker = ScopeTracker(fast=True)
+        tracker = ScopeTracker()
         assert tracker._key("q.", 1, None, 24) == ("q.", 1)
         assert tracker._key("q.", 1, "192.0.2.1", 0) == ("q.", 1)
 
@@ -484,8 +486,7 @@ class TestBatchedReplay:
         ref = replay_partial(records,
                              client_of=lambda r: r.client_ip,
                              scope_of=lambda r: r.scope,
-                             ttl_of=lambda r: r.ttl,
-                             fast=False)
+                             ttl_of=lambda r: r.ttl)
         assert replay_partial_batched(records, "client_ip") == ref
 
     def test_batched_equals_reference_public_cdn(self):

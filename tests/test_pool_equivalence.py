@@ -22,15 +22,16 @@ import tempfile
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.columnar import RowGroupReader, read_columnar
-from repro.datasets.records import (AllNamesRecord, read_jsonl, shard_path,
+from repro.datasets.records import (AllNamesRecord, shard_path,
                                     write_jsonl, write_jsonl_text)
+from repro.datasets.workload import column_records, split_columns
 from repro.engine import (ShardSpec, WorkerPool, client_sweep_sharded,
                           fig1_sharded, generate_columnar, generate_jsonl,
                           register_builder, replay_columnar_sharded,
@@ -46,7 +47,8 @@ from repro.faults.presets import preset
 from repro.obs import observe
 from repro.obs.export import to_prometheus
 
-from jsonl_reference import merge_jsonl_shards, write_jsonl_shards
+from jsonl_reference import (merge_jsonl_shards, read_jsonl,
+                             write_jsonl_shards)
 
 #: Worker counts exercised per case.
 #: workers=1 is the inline reference; the rest hit real process pools.
@@ -229,10 +231,13 @@ class TinyDataset:
 class TinyTraceBuilder:
     """A deterministic synthetic builder for protocol-level properties.
 
-    Record ``j`` depends only on ``j``, so any (shards, chunk) split of
-    ``[0, total)`` must reassemble to the same trace.  ``fail_shard``
-    names a shard whose build raises.
+    Row ``j`` depends only on ``j``, so any (shards, chunk) split of
+    ``[0, total)`` must reassemble to the same trace; ``ts`` is ``j``, so
+    the stream is in global ts order.  ``fail_shard`` names a shard
+    whose stream raises, inside the worker.
     """
+
+    ITER_SHARD_SORTED = True
 
     def __init__(self, total: int = 40, seed: int = 0,
                  fail_shard: Optional[int] = None):
@@ -243,16 +248,21 @@ class TinyTraceBuilder:
     def shard_units(self) -> int:
         return self.total
 
-    def build_shard(self, shard_index: int,
-                    shard_count: int) -> List[AllNamesRecord]:
+    def iter_shard_columns(self, shard_index: int,
+                           shard_count: int) -> Iterator[List[List[Any]]]:
         if shard_index == self.fail_shard:
             raise RuntimeError(f"shard {shard_index} cannot be built")
-        lo, hi = shard_bounds(self.total, shard_count)[shard_index]
-        return [AllNamesRecord(ts=float(j), client_ip=f"10.{self.seed % 200}."
-                               f"{j % 8}.{j % 5 + 1}",
-                               qname=f"h{j % 13}.example.", qtype=1,
-                               scope=16 if j % 3 else 24, ttl=60)
-                for j in range(lo, hi)]
+        span = range(*shard_bounds(self.total, shard_count)[shard_index])
+        yield from split_columns([
+            [float(j) for j in span],
+            [f"10.{self.seed % 200}.{j % 8}.{j % 5 + 1}" for j in span],
+            [f"h{j % 13}.example." for j in span], [1] * len(span),
+            [16 if j % 3 else 24 for j in span], [60] * len(span)])
+
+    def build_shard(self, shard_index: int,
+                    shard_count: int) -> List[AllNamesRecord]:
+        return list(column_records(AllNamesRecord, self.iter_shard_columns(
+            shard_index, shard_count)))
 
     def assemble(self, shard_lists: Sequence[List[AllNamesRecord]]
                  ) -> TinyDataset:

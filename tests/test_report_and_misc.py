@@ -1,4 +1,4 @@
-"""Tests for report rendering, workload helpers, and cross-cutting
+"""Tests for report rendering, dataset helpers, and cross-cutting
 consistency checks."""
 
 import pytest
@@ -7,9 +7,6 @@ from repro.analysis.report import (Comparison, cdf_table,
                                    format_comparisons, format_table)
 from repro.datasets import paper_numbers as paper
 from repro.datasets.cdn_dataset import _jammed, _profile_lengths
-from repro.datasets.workload import (ClientPopulation, HostnameUniverse,
-                                     SldPolicy, assign_sld_policies)
-import random
 
 
 class TestFormatTable:
@@ -47,34 +44,6 @@ class TestFormatTable:
     def test_cdf_table_empty_series(self):
         text = cdf_table({"empty": []}, quantiles=(0.5,))
         assert "-" in text
-
-
-class TestWorkloadHelpers:
-    def test_hostname_universe_structure(self):
-        rng = random.Random(1)
-        universe = HostnameUniverse.generate(20, 3.0, rng)
-        assert len(universe.slds) == 20
-        assert len(universe.hostnames) >= 20
-        assert all(h.endswith(".com.") for h in universe.hostnames)
-
-    def test_client_population(self):
-        rng = random.Random(1)
-        pop = ClientPopulation.generate(10, 2, 3.0, rng)
-        assert len(pop.v4_clients) >= 10
-        assert len(pop.v6_clients) >= 2
-        assert pop.all_clients == pop.v4_clients + pop.v6_clients
-
-    def test_client_sample(self):
-        rng = random.Random(1)
-        pop = ClientPopulation.generate(5, 0, 2.0, rng)
-        for _ in range(20):
-            assert pop.sample(rng) in pop.all_clients
-
-    def test_sld_policies_stable_mapping(self):
-        rng = random.Random(2)
-        policies = assign_sld_policies(["a.com.", "b.com."], rng)
-        assert set(policies) == {"a.com.", "b.com."}
-        assert all(isinstance(p, SldPolicy) for p in policies.values())
 
 
 class TestCdnDatasetHelpers:
