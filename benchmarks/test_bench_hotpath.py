@@ -2,14 +2,14 @@
 
 Each benchmark times one per-query hot path both ways — the readable
 ``ipaddress``/callable/uncached reference and the integer-native/batched/
-cached fast lane — over the same inputs, asserts the results agree, and
-records before-vs-after throughput into ``benchmarks/results/
-BENCH_hotpath.json`` via the ``hotpath_bench`` fixture.  The equivalence
-contract itself (random inputs, edge bits) lives in
-``tests/test_fastpath_equivalence.py``; here identical output is asserted
-once more at bench scale, then throughput is measured.
+cached fast lane — over the same inputs, asserts the results agree,
+prints before-vs-after throughput through ``save_report`` and holds the
+speedup to the bar each test states.  The equivalence contract itself
+(random inputs, edge bits) lives in ``tests/test_fastpath_equivalence.py``;
+here identical output is asserted once more at bench scale, then
+throughput is measured.
 
-Scale with ``HOTPATH_BENCH_SCALE`` (default 1.0; CI smoke uses 0.1).
+Scale with ``HOTPATH_BENCH_SCALE`` (default 1.0; CI uses 0.1).
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from repro.dnslib import (EcsOption, EdnsInfo, Message, Name, Question,
 from repro.dnslib.wire import clear_codec_caches
 from repro.net.addr import parse_addr, prefix_key, prefix_key_int
 
+from bench_timing import best_of_three
+
 SCALE = float(os.environ.get("HOTPATH_BENCH_SCALE", "1.0"))
 
 
@@ -35,16 +37,16 @@ def _rate(count: int, seconds: float) -> float:
     return count / seconds if seconds > 0 else 0.0
 
 
-def _record(hotpath_bench, name: str, records: int,
-            ref_seconds: float, fast_seconds: float) -> None:
+def _speedup(save_report, name: str, records: int,
+             ref_seconds: float, fast_seconds: float) -> float:
+    """Print both rates through ``save_report``; return fast / reference."""
     ref_rps = _rate(records, ref_seconds)
     fast_rps = _rate(records, fast_seconds)
-    hotpath_bench[name] = {
-        "records": records,
-        "reference_rps": round(ref_rps, 1),
-        "fast_rps": round(fast_rps, 1),
-        "speedup": round(fast_rps / ref_rps, 2) if ref_rps else 0.0,
-    }
+    speedup = fast_rps / ref_rps if ref_rps else 0.0
+    save_report(f"hotpath_{name}",
+                f"{name}: {records} records, reference {ref_rps:,.0f} "
+                f"rec/s, fast {fast_rps:,.0f} rec/s, speedup {speedup:.2f}x")
+    return speedup
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +54,7 @@ def _record(hotpath_bench, name: str, records: int,
 
 
 @pytest.mark.hotpath
-def test_hotpath_prefix_keying(hotpath_bench):
+def test_hotpath_prefix_keying(save_report):
     """parse_addr + prefix_key_int vs the ipaddress-based prefix_key."""
     rng = random.Random(7)
     # A realistic client mix: many repeats (trace locality), some v6.
@@ -76,11 +78,10 @@ def test_hotpath_prefix_keying(hotpath_bench):
     fast_seconds = time.perf_counter() - start
 
     assert fast == ref          # interchangeable as dict keys
-    _record(hotpath_bench, "prefix_keying", len(addrs),
-            ref_seconds, fast_seconds)
     # The acceptance bar: the integer fast lane must be >= 2x the
     # reference (measured ~10-17x in development).
-    assert hotpath_bench["prefix_keying"]["speedup"] >= 2.0
+    assert _speedup(save_report, "prefix_keying", len(addrs),
+                    ref_seconds, fast_seconds) >= 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +96,7 @@ def _ecs_query(qname: str, client: str) -> Message:
 
 
 @pytest.mark.hotpath
-def test_hotpath_wire_roundtrip(hotpath_bench):
+def test_hotpath_wire_roundtrip(save_report):
     """Encode/decode with warm codec caches vs cold-per-message encoding.
 
     The reference run clears the codec tables before every message, so
@@ -128,9 +129,8 @@ def test_hotpath_wire_roundtrip(hotpath_bench):
     for wire in fast_wires[:50]:
         decoded = decode_message(wire)
         assert decoded.question is not None
-    _record(hotpath_bench, "wire_roundtrip", n, ref_seconds, fast_seconds)
-    assert hotpath_bench["wire_roundtrip"]["fast_rps"] > \
-        hotpath_bench["wire_roundtrip"]["reference_rps"]
+    assert _speedup(save_report, "wire_roundtrip", n,
+                    ref_seconds, fast_seconds) > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def test_hotpath_wire_roundtrip(hotpath_bench):
 
 
 @pytest.mark.hotpath
-def test_hotpath_replay(hotpath_bench):
+def test_hotpath_replay(save_report):
     """Batched replay (columns transposed per chunk, the key-id kernel)
     vs reference replay (per-record lambdas, two tracker accesses a
     row)."""
@@ -157,14 +157,13 @@ def test_hotpath_replay(hotpath_bench):
     fast_seconds = time.perf_counter() - start
 
     assert fast == ref               # counter-identical partials
-    _record(hotpath_bench, "replay_allnames", len(records),
-            ref_seconds, fast_seconds)
     # "Measurable end-to-end speedup": well clear of timing noise.
-    assert hotpath_bench["replay_allnames"]["speedup"] >= 1.2
+    assert _speedup(save_report, "replay_allnames", len(records),
+                    ref_seconds, fast_seconds) >= 1.2
 
 
 @pytest.mark.hotpath
-def test_hotpath_replay_obs_disabled_is_free(hotpath_bench, tmp_path):
+def test_hotpath_replay_obs_disabled_is_free(save_report, tmp_path):
     """The engine's instrumented replay entry point vs the bare loop.
 
     With no registry or tracer active, a replay worker adds exactly two
@@ -188,26 +187,15 @@ def test_hotpath_replay_obs_disabled_is_free(hotpath_bench, tmp_path):
     store = ColumnarStore.open(trace)
     rows = store.row_buckets("qname", 1)[0]
 
-    # One shard is the whole trace.  Best of three, interleaved: at the
-    # CI smoke scale a pass is ~20 ms, inside GC and scheduler noise, and
-    # the first worker call pays its cached open and bucket table.
-    bare_seconds = instrumented_seconds = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        bare = replay_partial_columns(store, "client_ip", rows)
-        bare_seconds = min(bare_seconds, time.perf_counter() - start)
-        start = time.perf_counter()
-        instrumented = _replay_columnar_shard(trace, "allnames", 1, 0)
-        instrumented_seconds = min(instrumented_seconds,
-                                   time.perf_counter() - start)
+    # One shard is the whole trace.  Best of three: at the CI scale a
+    # pass is ~20 ms, inside GC and scheduler noise, and the first worker
+    # call pays its cached open and bucket table.
+    results, seconds = best_of_three({
+        "bare": lambda: replay_partial_columns(store, "client_ip", rows),
+        "instrumented": lambda: _replay_columnar_shard(trace, "allnames",
+                                                       1, 0)})
 
-    assert instrumented == bare
-    bare_rps = _rate(len(records), bare_seconds)
-    instrumented_rps = _rate(len(records), instrumented_seconds)
-    hotpath_bench["replay_obs_disabled"] = {
-        "records": len(records),
-        "bare_rps": round(bare_rps, 1),
-        "instrumented_rps": round(instrumented_rps, 1),
-        "ratio": round(instrumented_rps / bare_rps, 3) if bare_rps else 0.0,
-    }
-    assert instrumented_rps >= 0.8 * bare_rps
+    assert results["instrumented"] == results["bare"]
+    # Printed as reference = the bare loop, fast = the instrumented entry.
+    assert _speedup(save_report, "replay_obs_disabled", len(records),
+                    seconds["bare"], seconds["instrumented"]) >= 0.8

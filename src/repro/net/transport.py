@@ -7,18 +7,17 @@ one-way latency), handled — possibly triggering nested queries that advance
 the clock further — and the response propagates back.  The elapsed virtual
 time for a full recursive resolution therefore falls out naturally.
 
-Failure injection: per-destination drop rules let tests exercise timeout
-paths, a byte-budget counter supports query-amplification analyses, and an
-installable :class:`FaultInjector` hook (see :mod:`repro.faults`) lets a
-composed fault plan drop, delay, truncate, rewrite, or error-answer any
-datagram deterministically.
+Failure injection: one installable :class:`FaultInjector` hook (see
+:mod:`repro.faults`) lets a composed fault plan drop, delay, truncate,
+rewrite, or error-answer any datagram deterministically, and a
+byte-budget counter supports query-amplification analyses.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Protocol
+from typing import Dict, Optional, Protocol
 
 from ..dnslib import (Message, Rcode, WireFormatError, decode_message,
                       encode_message)
@@ -160,8 +159,6 @@ class Network:
         self.advance_clock = advance_clock
         self.stats = NetworkStats()
         self._endpoints: Dict[str, Endpoint] = {}
-        self._loss: Dict[str, float] = {}
-        self._filters: list[Callable[[str, str, bytes], bool]] = []
         self._injector: Optional[FaultInjector] = None
         # A Network built without an explicit rng still has a stable
         # identity: its stream derives from ``seed`` through the same
@@ -185,27 +182,9 @@ class Network:
 
     # -- failure injection ---------------------------------------------------
 
-    def set_loss(self, dst_ip: str, probability: float) -> None:
-        """Drop datagrams to ``dst_ip`` with the given probability."""
-        self._loss[dst_ip] = probability
-
-    def add_filter(self, predicate: Callable[[str, str, bytes], bool]) -> None:
-        """Install a drop filter ``(src, dst, wire) -> drop?``."""
-        self._filters.append(predicate)
-
     def install_injector(self, injector: Optional[FaultInjector]) -> None:
-        """Install (or, with ``None``, remove) the fault-injection hook.
-
-        The ad-hoc ``set_loss``/``add_filter`` rules stay functional as a
-        shim; a :mod:`repro.faults` plan is the structured replacement.
-        """
+        """Install (or, with ``None``, remove) the fault-injection hook."""
         self._injector = injector
-
-    def _dropped(self, src_ip: str, dst_ip: str, wire: bytes) -> bool:
-        p = self._loss.get(dst_ip, 0.0)
-        if p and self._rng.random() < p:
-            return True
-        return any(f(src_ip, dst_ip, wire) for f in self._filters)
 
     def _note_fault(self, kind: str) -> None:
         self.stats.faults_injected += 1
@@ -269,8 +248,7 @@ class Network:
             one_way_s += action.extra_one_way_ms / 1000.0
 
         endpoint = self._endpoints.get(dst_ip)
-        if (action is not None and action.drop) or endpoint is None \
-                or self._dropped(src_ip, dst_ip, wire):
+        if (action is not None and action.drop) or endpoint is None:
             if endpoint is None:
                 self.stats.timeouts += 1
                 outcome_label = "timeout"

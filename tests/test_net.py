@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.dnslib import Message, Name, RecordType
+from repro.faults import QUERY, BoundInjector, FaultPlan, PacketLossSpec
 from repro.net import (AddressAllocator, LatencyModel, Network, SimClock,
                        Topology, city, haversine_km, is_routable, prefix_key,
                        prefix_text, same_prefix, truncate_address)
 from repro.net.addr import host_in, random_address_in
 from repro.net.geo import GeoDatabase, GeoPoint, WORLD_CITIES, cities_in
+from repro.net.transport import FaultAction
 
 from wire_strategies import bad_ecs_family_query
 
@@ -319,6 +321,16 @@ class _Garbler(_Echo):
         return bad_ecs_family_query()
 
 
+class _DropQueriesTo(BoundInjector):
+    """Injector dropping every query sent to one address."""
+
+    def __init__(self, dst):
+        self.dst = dst
+
+    def on_query(self, src_ip, dst_ip, message, tcp, now):
+        return FaultAction("test", drop=True) if dst_ip == self.dst else None
+
+
 class TestTransport:
     def _net(self):
         topo = Topology()
@@ -362,7 +374,8 @@ class TestTransport:
     def test_loss_injection(self):
         net, a, b = self._net()
         net.attach(_Echo(b))
-        net.set_loss(b, 1.0)
+        net.install_injector(FaultPlan("loss", (
+            PacketLossSpec(1.0, dst=b, direction=QUERY),)).bind(0))
         out = net.query(a, b, Message.make_query(Name.from_text("x."),
                                                  RecordType.A))
         assert out.timed_out
@@ -381,7 +394,7 @@ class TestTransport:
     def test_filter_injection(self):
         net, a, b = self._net()
         net.attach(_Echo(b))
-        net.add_filter(lambda src, dst, wire: dst == b)
+        net.install_injector(_DropQueriesTo(b))
         out = net.query(a, b, Message.make_query(Name.from_text("x."),
                                                  RecordType.A))
         assert out.timed_out

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.policies import EcsPolicy
 from repro.datasets import ScanUniverseBuilder
+from repro.faults import QUERY, FaultPlan, PacketLossSpec
 from repro.dnslib import (EcsOption, Message, Name, RecordType,
                           decode_message, encode_message)
 from repro.measure import ScopeReactionProber, StubClient
@@ -100,6 +101,12 @@ class TestGoldenWireVectors:
         assert wire[22:24] == b"\xc0\x0c"
 
 
+def _query_loss(dst, rate):
+    """A bound plan losing ``rate`` of the queries sent to ``dst``."""
+    return FaultPlan("query-loss", (
+        PacketLossSpec(rate, dst=dst, direction=QUERY),)).bind(0)
+
+
 class TestFailureInjection:
     def test_resolution_survives_lossy_authoritative(self, small_world):
         """50% loss toward the zone server: retries across the (single)
@@ -112,7 +119,7 @@ class TestFailureInjection:
             ep for ip in list(small_world.net.stats.per_destination)
             if (ep := small_world.net.endpoint_at(ip)) is not None
             and any(z.origin == origin for z in getattr(ep, "zones", [])))
-        small_world.net.set_loss(server.ip, 0.5)
+        small_world.net.install_injector(_query_loss(server.ip, 0.5))
         small_world.topology.clock.advance(301)
         outcomes = set()
         for i in range(6):
@@ -131,7 +138,7 @@ class TestFailureInjection:
             ep for ip in list(small_world.net.stats.per_destination)
             if (ep := small_world.net.endpoint_at(ip)) is not None
             and any(z.origin == origin for z in getattr(ep, "zones", [])))
-        small_world.net.set_loss(server.ip, 1.0)
+        small_world.net.install_injector(_query_loss(server.ip, 1.0))
         small_world.topology.clock.advance(301)
         from repro.dnslib import Rcode
         result = client.query(small_world.resolver_ip, "www.example.com")
@@ -140,7 +147,8 @@ class TestFailureInjection:
     def test_scan_with_packet_loss_still_classifies(self):
         universe = ScanUniverseBuilder(seed=19, ingress_count=30).build()
         # 20% loss toward the experiment server.
-        universe.net.set_loss(universe.experiment_server.ip, 0.2)
+        universe.net.install_injector(
+            _query_loss(universe.experiment_server.ip, 0.2))
         from repro.measure import Scanner
         result = Scanner(universe).scan()
         # Some probes are lost, but the survivors still carry ECS data.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.auth import AuthoritativeServer
 from repro.dnslib import Name, Zone
+from repro.faults import QUERY, FaultPlan, PacketLossSpec
 from repro.measure import StubClient
 from repro.net import Network, Topology, city
 from repro.resolvers import RecursiveResolver
@@ -63,7 +64,8 @@ class TestServerSelection:
     def test_unresponsive_server_demoted(self, dual_ns_world):
         net, resolver, client, near_ip, far_ip = dual_ns_world
         # Make the near server unresponsive before anything is learned.
-        net.set_loss(near_ip, 1.0)
+        net.install_injector(FaultPlan("near-down", (
+            PacketLossSpec(1.0, dst=near_ip, direction=QUERY),)).bind(0))
         self._exercise(net, resolver, client, rounds=2)
         assert resolver._srtt.get(near_ip, 0) >= net.TIMEOUT_MS * 0.5
         # Resolution still succeeded via the far server.

@@ -10,12 +10,13 @@ report empty/partial results instead.
 import pytest
 
 from repro.datasets import ScanUniverseBuilder
-from repro.faults import FaultPlan, OutageSpec, PacketLossSpec
+from repro.faults import BoundInjector, FaultPlan, OutageSpec, PacketLossSpec
 from repro.measure import Scanner
 from repro.measure.caching_probe import CachingBehaviorProber
 from repro.measure.digclient import StubClient
 from repro.measure.scope_reaction import ScopeReactionProber
 from repro.dnslib import Rcode
+from repro.net.transport import FaultAction
 
 BLACKOUT = FaultPlan("blackout", (PacketLossSpec(rate=1.0),))
 
@@ -70,13 +71,22 @@ class TestBlackoutConsumers:
         assert len(result.responding_ingress) > 0
 
 
+class _DropQueriesFrom(BoundInjector):
+    """Injector dropping every query one address sends."""
+
+    def __init__(self, src):
+        self.src = src
+
+    def on_query(self, src_ip, dst_ip, message, tcp, now):
+        return FaultAction("test", drop=True) if src_ip == self.src else None
+
+
 class TestRecursiveUpstreamBlackout:
     def test_client_gets_servfail_not_an_exception(self, small_world):
         # Drop everything the resolver sends upstream; the client's
         # query must come back SERVFAIL, never raise through the stack.
         resolver_ip = small_world.resolver_ip
-        small_world.net.add_filter(
-            lambda src, dst, wire: src == resolver_ip)
+        small_world.net.install_injector(_DropQueriesFrom(resolver_ip))
         client = StubClient(small_world.client_ip, small_world.net)
         result = client.query(resolver_ip, "www.example.com.")
         assert result.response is not None
@@ -85,12 +95,11 @@ class TestRecursiveUpstreamBlackout:
 
     def test_resolver_recovers_after_filters_clear(self, small_world):
         resolver_ip = small_world.resolver_ip
-        predicate = lambda src, dst, wire: src == resolver_ip
-        small_world.net.add_filter(predicate)
+        small_world.net.install_injector(_DropQueriesFrom(resolver_ip))
         client = StubClient(small_world.client_ip, small_world.net)
         first = client.query(resolver_ip, "www.example.com.")
         assert first.response.rcode == Rcode.SERVFAIL
-        small_world.net._filters.remove(predicate)
+        small_world.net.install_injector(None)
         second = client.query(resolver_ip, "www.example.com.")
         assert second.response.rcode == Rcode.NOERROR
         assert "93.184.216.34" in second.addresses
