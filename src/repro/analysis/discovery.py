@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import Set
 
 from ..datasets import paper_numbers as paper
 from ..datasets.scan_dataset import ScanUniverse
@@ -32,10 +32,6 @@ class DiscoveryAnalysis:
     @property
     def overlap(self) -> Set[str]:
         return self.active_found & self.passive_found
-
-    @property
-    def active_only(self) -> Set[str]:
-        return self.active_found - self.passive_found
 
     def report(self) -> str:
         items = [

@@ -17,7 +17,7 @@ careful variant (backend ECS forwarding) removes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..auth.cdn import CdnAuthoritative, build_edge_pools
 from ..auth.flattening import FlatteningProvider
@@ -113,11 +113,6 @@ class FlatteningTimings:
         apex resolution + connecting to the mis-mapped edge + fetching the
         redirect (steps 1–8 of Figure 8)."""
         return self.apex_dns_ms + self.apex_handshake_ms + self.redirect_fetch_ms
-
-    @property
-    def direct_total_ms(self) -> float:
-        """What accessing www directly would have cost (steps 9–14 + fetch)."""
-        return self.www_dns_ms + self.www_handshake_ms
 
     @property
     def penalty_ms(self) -> float:

@@ -8,10 +8,10 @@ builders consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
-from ..dnslib import (DnsError, EcsOption, Message, Name, Rcode, RecordType,
+from ..dnslib import (DnsError, EcsOption, Message, Name, Rcode,
                       WireFormatError, Zone, decode_message, encode_message)
 from ..net.transport import Network
 from ..obs import metrics as _obs_metrics
@@ -154,11 +154,6 @@ class DnsServer:
     def handle_query(self, query: Message, src_ip: str,
                      net: Network) -> Optional[Message]:
         raise NotImplementedError
-
-    def log_for(self, src_ip: str) -> List[AuthLogRecord]:
-        """This server's log filtered to one resolver."""
-        return [r for r in self.log if r.src_ip == src_ip]
-
 
 class AuthoritativeServer(DnsServer):
     """Serves one or more static zones.

@@ -138,12 +138,6 @@ class EcsCache:
             self._next_expiry = next_expiry
         return self._live
 
-    def entries_for(self, qname: Name, qtype: RecordType) -> List[_Entry]:
-        """Live entries for one question (test/analysis hook)."""
-        now = self.clock.now()
-        return [e for e in self._entries.get((qname, int(qtype)), [])
-                if e.expires_at > now]
-
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, qname: Name, qtype: RecordType,

@@ -66,9 +66,6 @@ class CdnDataset:
     hostnames: List[str]
     duration_s: float
 
-    def records_for(self, resolver_ip: str) -> List[CdnQueryRecord]:
-        return [r for r in self.records if r.resolver_ip == resolver_ip]
-
     def by_resolver(self) -> Dict[str, List[CdnQueryRecord]]:
         out: Dict[str, List[CdnQueryRecord]] = {}
         for r in self.records:

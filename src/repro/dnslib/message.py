@@ -9,7 +9,7 @@ and materialized into an OPT pseudo-record only at wire-encoding time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .constants import (DEFAULT_EDNS_PAYLOAD, Opcode, Rcode, RecordClass,
                         RecordType)
@@ -164,8 +164,3 @@ class Message:
         if ecs is not None:
             lines.append(f"  {ecs}")
         return "\n".join(lines)
-
-
-def rrset_ttl(records: Sequence[ResourceRecord]) -> int:
-    """Minimum TTL across ``records`` (0 for an empty sequence)."""
-    return min((rr.ttl for rr in records), default=0)

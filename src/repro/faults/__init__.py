@@ -22,10 +22,10 @@ from __future__ import annotations
 from typing import Any
 
 from .injectors import (BOTH, QUERY, RESPONSE, BoundInjector, BurstLossSpec,
-                        EcsStripSpec, LatencyJitterSpec, LatencySpikeSpec,
-                        OutageSpec, PacketLossSpec, RcodeFaultSpec,
-                        TruncationSpec)
-from .plan import BoundPlan, FaultPlan, InjectorSpec
+                        EcsStripSpec, FaultSpec, LatencyJitterSpec,
+                        LatencySpikeSpec, OutageSpec, PacketLossSpec,
+                        RcodeFaultSpec, TruncationSpec)
+from .plan import BoundPlan, FaultPlan
 from .presets import PRESETS, preset, preset_names
 from .retry import (QueryFactory, RetryOutcome, RetryPolicy,
                     backoff_delay_ms, backoff_jitter, execute_with_retries)
@@ -33,7 +33,7 @@ from .retry import (QueryFactory, RetryOutcome, RetryPolicy,
 __all__ = [
     "BOTH", "BoundInjector", "BoundPlan", "BurstLossSpec",
     "CHAOS_RETRY_POLICY", "ChaosPartial", "ChaosResult", "EcsStripSpec",
-    "FaultPlan", "InjectorSpec", "LatencyJitterSpec", "LatencySpikeSpec",
+    "FaultPlan", "FaultSpec", "LatencyJitterSpec", "LatencySpikeSpec",
     "OutageSpec", "PRESETS", "PacketLossSpec", "QUERY", "QueryFactory",
     "RESPONSE", "RcodeFaultSpec", "RetryOutcome", "RetryPolicy",
     "TruncationSpec", "backoff_delay_ms", "backoff_jitter",

@@ -5,14 +5,16 @@ Each spec is a small frozen (hence picklable — chaos shards cross process
 boundaries) dataclass describing one fault source: Bernoulli packet loss,
 Gilbert–Elliott burst loss, latency jitter and spikes, forced truncation,
 error rcodes on ECS-bearing queries, ECS-stripping middleboxes, and
-scheduled outages.  ``spec.bind(rng)`` turns the description into a
-*bound* injector holding its own :class:`random.Random` stream; the plan
-derives one stream per injector from the engine's SHA-256 seeding, so the
-same plan + seed replays the same faults at any worker count.
+scheduled outages.  A spec names the legs it acts on (``direction``) and
+makes its decision for one datagram in :meth:`FaultSpec.fault`.
+``spec.bind(rng)`` pairs it with its own :class:`random.Random` stream in a
+:class:`BoundInjector`; the plan derives one stream per injector from the
+engine's SHA-256 seeding, so the same plan + seed replays the same faults
+at any worker count.
 
-Bound injectors implement the :class:`~repro.net.transport.FaultInjector`
-hook pair and draw from their stream **only for datagrams matching their
-filter**, which keeps each injector's stream independent of unrelated
+A bound injector implements the :class:`~repro.net.transport.FaultInjector`
+hook pair and consults its spec **only for datagrams matching its ``dst``
+and direction**, which keeps each injector's stream independent of unrelated
 traffic.
 """
 
@@ -30,70 +32,96 @@ QUERY = "query"
 RESPONSE = "response"
 BOTH = "both"
 
+#: Per-link state a bound injector carries between datagrams: whether the
+#: (src, dst) link's Gilbert–Elliott chain is in its burst state.
+LinkState = Dict[Tuple[str, str], bool]
 
-def _matches(dst: Optional[str], dst_ip: str) -> bool:
-    return dst is None or dst == dst_ip
+
+class FaultSpec:
+    """Base of every injector spec.
+
+    A spec carries a ``kind`` label, a ``dst`` filter (``None``: every
+    destination), the ``direction`` it acts on (the query leg unless a
+    spec says otherwise; the loss specs take it as a field), and
+    :meth:`fault`, the decision for one datagram that passed both
+    filters.
+    """
+
+    kind: ClassVar[str]
+    direction: ClassVar[str] = QUERY
+    dst: Optional[str]
+
+    def bind(self, rng: random.Random) -> "BoundInjector":
+        """Attach the spec to its private random stream."""
+        return BoundInjector(self, rng)
+
+    def fault(self, rng: random.Random, state: LinkState, src_ip: str,
+              dst_ip: str, message: Message, tcp: bool,
+              now: float) -> Optional[FaultAction]:
+        """The action for one matching datagram, or ``None`` for none."""
+        raise NotImplementedError
 
 
 class BoundInjector:
-    """Base bound injector: a no-op :class:`FaultInjector`.
+    """A spec bound to its random stream: the installable hook pair.
 
-    Subclasses override one or both hooks; returning ``None`` means "no
-    fault for this datagram".
+    Applies the spec's ``dst`` and direction filters, so the spec draws from
+    ``rng`` only for datagrams it acts on, and holds the per-link state of
+    a burst chain.
     """
+
+    __slots__ = ("spec", "rng", "_burst", "_dst", "_on_query",
+                 "_on_response", "_fault")
+
+    def __init__(self, spec: FaultSpec, rng: random.Random) -> None:
+        self.spec = spec
+        self.rng = rng
+        self._burst: LinkState = {}
+        self._dst = spec.dst
+        self._on_query = spec.direction in (QUERY, BOTH)
+        self._on_response = spec.direction in (RESPONSE, BOTH)
+        self._fault = spec.fault
 
     def on_query(self, src_ip: str, dst_ip: str, message: Message,
                  tcp: bool, now: float) -> Optional[FaultAction]:
-        return None
+        if not self._on_query or (self._dst is not None
+                                  and self._dst != dst_ip):
+            return None
+        return self._fault(self.rng, self._burst, src_ip, dst_ip, message,
+                           tcp, now)
 
     def on_response(self, src_ip: str, dst_ip: str, response: Message,
                     tcp: bool, now: float) -> Optional[FaultAction]:
-        return None
+        if not self._on_response or (self._dst is not None
+                                     and self._dst != dst_ip):
+            return None
+        return self._fault(self.rng, self._burst, src_ip, dst_ip, response,
+                           tcp, now)
 
 
 # -- packet loss -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class PacketLossSpec:
+class PacketLossSpec(FaultSpec):
     """Independent (Bernoulli) per-datagram loss on matching links."""
 
     kind: ClassVar[str] = "loss"
 
     rate: float
     dst: Optional[str] = None
-    direction: str = BOTH
+    direction: str = BOTH  # type: ignore[misc]
 
-    def bind(self, rng: random.Random) -> "_BoundLoss":
-        return _BoundLoss(self, rng)
-
-
-class _BoundLoss(BoundInjector):
-    def __init__(self, spec: PacketLossSpec, rng: random.Random) -> None:
-        self.spec = spec
-        self.rng = rng
-
-    def _roll(self, dst_ip: str, direction: str) -> Optional[FaultAction]:
-        spec = self.spec
-        if not _matches(spec.dst, dst_ip):
-            return None
-        if spec.direction not in (direction, BOTH):
-            return None
-        if self.rng.random() < spec.rate:
-            return FaultAction(kind=spec.kind, drop=True)
+    def fault(self, rng: random.Random, state: LinkState, src_ip: str,
+              dst_ip: str, message: Message, tcp: bool,
+              now: float) -> Optional[FaultAction]:
+        if rng.random() < self.rate:
+            return FaultAction(kind=self.kind, drop=True)
         return None
-
-    def on_query(self, src_ip: str, dst_ip: str, message: Message,
-                 tcp: bool, now: float) -> Optional[FaultAction]:
-        return self._roll(dst_ip, QUERY)
-
-    def on_response(self, src_ip: str, dst_ip: str, response: Message,
-                    tcp: bool, now: float) -> Optional[FaultAction]:
-        return self._roll(dst_ip, RESPONSE)
 
 
 @dataclass(frozen=True)
-class BurstLossSpec:
+class BurstLossSpec(FaultSpec):
     """Gilbert–Elliott two-state burst loss.
 
     Each (src, dst) link carries its own good/burst Markov chain: every
@@ -110,51 +138,28 @@ class BurstLossSpec:
     loss_good: float = 0.0
     loss_burst: float = 0.9
     dst: Optional[str] = None
-    direction: str = BOTH
+    direction: str = BOTH  # type: ignore[misc]
 
-    def bind(self, rng: random.Random) -> "_BoundBurstLoss":
-        return _BoundBurstLoss(self, rng)
-
-
-class _BoundBurstLoss(BoundInjector):
-    def __init__(self, spec: BurstLossSpec, rng: random.Random) -> None:
-        self.spec = spec
-        self.rng = rng
-        self._burst: Dict[Tuple[str, str], bool] = {}
-
-    def _roll(self, src_ip: str, dst_ip: str,
-              direction: str) -> Optional[FaultAction]:
-        spec = self.spec
-        if not _matches(spec.dst, dst_ip):
-            return None
-        if spec.direction not in (direction, BOTH):
-            return None
+    def fault(self, rng: random.Random, state: LinkState, src_ip: str,
+              dst_ip: str, message: Message, tcp: bool,
+              now: float) -> Optional[FaultAction]:
         link = (src_ip, dst_ip)
-        in_burst = self._burst.get(link, False)
-        if in_burst:
-            in_burst = not (self.rng.random() < spec.p_exit_burst)
+        if state.get(link, False):
+            in_burst = not (rng.random() < self.p_exit_burst)
         else:
-            in_burst = self.rng.random() < spec.p_enter_burst
-        self._burst[link] = in_burst
-        rate = spec.loss_burst if in_burst else spec.loss_good
-        if rate and self.rng.random() < rate:
-            return FaultAction(kind=spec.kind, drop=True)
+            in_burst = rng.random() < self.p_enter_burst
+        state[link] = in_burst
+        rate = self.loss_burst if in_burst else self.loss_good
+        if rate and rng.random() < rate:
+            return FaultAction(kind=self.kind, drop=True)
         return None
-
-    def on_query(self, src_ip: str, dst_ip: str, message: Message,
-                 tcp: bool, now: float) -> Optional[FaultAction]:
-        return self._roll(src_ip, dst_ip, QUERY)
-
-    def on_response(self, src_ip: str, dst_ip: str, response: Message,
-                    tcp: bool, now: float) -> Optional[FaultAction]:
-        return self._roll(src_ip, dst_ip, RESPONSE)
 
 
 # -- latency ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LatencyJitterSpec:
+class LatencyJitterSpec(FaultSpec):
     """Uniform extra one-way latency in ``[0, max_extra_ms]`` per query.
 
     Touches every matching query datagram (the fault counter therefore
@@ -167,26 +172,15 @@ class LatencyJitterSpec:
     max_extra_ms: float = 30.0
     dst: Optional[str] = None
 
-    def bind(self, rng: random.Random) -> "_BoundJitter":
-        return _BoundJitter(self, rng)
-
-
-class _BoundJitter(BoundInjector):
-    def __init__(self, spec: LatencyJitterSpec, rng: random.Random) -> None:
-        self.spec = spec
-        self.rng = rng
-
-    def on_query(self, src_ip: str, dst_ip: str, message: Message,
-                 tcp: bool, now: float) -> Optional[FaultAction]:
-        spec = self.spec
-        if not _matches(spec.dst, dst_ip):
-            return None
-        extra = self.rng.uniform(0.0, spec.max_extra_ms)
-        return FaultAction(kind=spec.kind, extra_one_way_ms=extra)
+    def fault(self, rng: random.Random, state: LinkState, src_ip: str,
+              dst_ip: str, message: Message, tcp: bool,
+              now: float) -> Optional[FaultAction]:
+        extra = rng.uniform(0.0, self.max_extra_ms)
+        return FaultAction(kind=self.kind, extra_one_way_ms=extra)
 
 
 @dataclass(frozen=True)
-class LatencySpikeSpec:
+class LatencySpikeSpec(FaultSpec):
     """Occasional large latency spikes (bufferbloat, rerouting events)."""
 
     kind: ClassVar[str] = "spike"
@@ -195,23 +189,11 @@ class LatencySpikeSpec:
     extra_ms: float = 500.0
     dst: Optional[str] = None
 
-    def bind(self, rng: random.Random) -> "_BoundSpike":
-        return _BoundSpike(self, rng)
-
-
-class _BoundSpike(BoundInjector):
-    def __init__(self, spec: LatencySpikeSpec, rng: random.Random) -> None:
-        self.spec = spec
-        self.rng = rng
-
-    def on_query(self, src_ip: str, dst_ip: str, message: Message,
-                 tcp: bool, now: float) -> Optional[FaultAction]:
-        spec = self.spec
-        if not _matches(spec.dst, dst_ip):
-            return None
-        if self.rng.random() < spec.probability:
-            return FaultAction(kind=spec.kind,
-                               extra_one_way_ms=spec.extra_ms)
+    def fault(self, rng: random.Random, state: LinkState, src_ip: str,
+              dst_ip: str, message: Message, tcp: bool,
+              now: float) -> Optional[FaultAction]:
+        if rng.random() < self.probability:
+            return FaultAction(kind=self.kind, extra_one_way_ms=self.extra_ms)
         return None
 
 
@@ -219,43 +201,34 @@ class _BoundSpike(BoundInjector):
 
 
 @dataclass(frozen=True)
-class TruncationSpec:
+class TruncationSpec(FaultSpec):
     """Force TC=1 on UDP responses so clients must fall back to TCP."""
 
     kind: ClassVar[str] = "truncate"
+    direction: ClassVar[str] = RESPONSE
 
     probability: float = 0.1
     dst: Optional[str] = None
 
-    def bind(self, rng: random.Random) -> "_BoundTruncation":
-        return _BoundTruncation(self, rng)
-
-
-class _BoundTruncation(BoundInjector):
-    def __init__(self, spec: TruncationSpec, rng: random.Random) -> None:
-        self.spec = spec
-        self.rng = rng
-
-    def on_response(self, src_ip: str, dst_ip: str, response: Message,
-                    tcp: bool, now: float) -> Optional[FaultAction]:
-        spec = self.spec
-        if tcp or response.truncated:
+    def fault(self, rng: random.Random, state: LinkState, src_ip: str,
+              dst_ip: str, message: Message, tcp: bool,
+              now: float) -> Optional[FaultAction]:
+        if tcp or message.truncated:
             return None
-        if not _matches(spec.dst, dst_ip):
-            return None
-        if self.rng.random() < spec.probability:
-            return FaultAction(kind=spec.kind, truncate=True)
+        if rng.random() < self.probability:
+            return FaultAction(kind=self.kind, truncate=True)
         return None
 
 
 @dataclass(frozen=True)
-class RcodeFaultSpec:
+class RcodeFaultSpec(FaultSpec):
     """Answer matching queries with an error rcode, server never consulted.
 
     With ``only_ecs`` (the default) the fault hits ECS-bearing queries
     only — the RFC 7871 §7.1 scenario where an authoritative (or a
     middlebox in front of it) chokes on the option and the client must
-    retry without ECS.
+    retry without ECS.  The action's kind names the rcode
+    (``rcode-formerr``).
     """
 
     kind: ClassVar[str] = "rcode"
@@ -265,30 +238,19 @@ class RcodeFaultSpec:
     only_ecs: bool = True
     dst: Optional[str] = None
 
-    def bind(self, rng: random.Random) -> "_BoundRcodeFault":
-        return _BoundRcodeFault(self, rng)
-
-
-class _BoundRcodeFault(BoundInjector):
-    def __init__(self, spec: RcodeFaultSpec, rng: random.Random) -> None:
-        self.spec = spec
-        self.rng = rng
-        self._label = f"rcode-{spec.rcode.name.lower()}"
-
-    def on_query(self, src_ip: str, dst_ip: str, message: Message,
-                 tcp: bool, now: float) -> Optional[FaultAction]:
-        spec = self.spec
-        if not _matches(spec.dst, dst_ip):
+    def fault(self, rng: random.Random, state: LinkState, src_ip: str,
+              dst_ip: str, message: Message, tcp: bool,
+              now: float) -> Optional[FaultAction]:
+        if self.only_ecs and message.ecs() is None:
             return None
-        if spec.only_ecs and message.ecs() is None:
-            return None
-        if self.rng.random() < spec.probability:
-            return FaultAction(kind=self._label, rcode=spec.rcode)
+        if rng.random() < self.probability:
+            return FaultAction(kind=f"rcode-{self.rcode.name.lower()}",
+                               rcode=self.rcode)
         return None
 
 
 @dataclass(frozen=True)
-class EcsStripSpec:
+class EcsStripSpec(FaultSpec):
     """A middlebox that silently removes the ECS option from queries.
 
     The classic "home router drops unknown EDNS options" failure the
@@ -300,26 +262,15 @@ class EcsStripSpec:
     probability: float = 1.0
     dst: Optional[str] = None
 
-    def bind(self, rng: random.Random) -> "_BoundEcsStrip":
-        return _BoundEcsStrip(self, rng)
-
-
-class _BoundEcsStrip(BoundInjector):
-    def __init__(self, spec: EcsStripSpec, rng: random.Random) -> None:
-        self.spec = spec
-        self.rng = rng
-
-    def on_query(self, src_ip: str, dst_ip: str, message: Message,
-                 tcp: bool, now: float) -> Optional[FaultAction]:
-        spec = self.spec
-        if not _matches(spec.dst, dst_ip):
-            return None
+    def fault(self, rng: random.Random, state: LinkState, src_ip: str,
+              dst_ip: str, message: Message, tcp: bool,
+              now: float) -> Optional[FaultAction]:
         if message.ecs() is None:
             return None
-        if self.rng.random() < spec.probability:
+        if rng.random() < self.probability:
             stripped = message.copy()
             stripped.set_ecs(None)
-            return FaultAction(kind=spec.kind, replace=stripped)
+            return FaultAction(kind=self.kind, replace=stripped)
         return None
 
 
@@ -327,7 +278,7 @@ class _BoundEcsStrip(BoundInjector):
 
 
 @dataclass(frozen=True)
-class OutageSpec:
+class OutageSpec(FaultSpec):
     """Scheduled blackout: drop everything to ``dst`` (or everywhere)
     while the *virtual* clock is inside ``[start_s, end_s)``.
 
@@ -336,31 +287,15 @@ class OutageSpec:
     """
 
     kind: ClassVar[str] = "outage"
+    direction: ClassVar[str] = BOTH
 
     start_s: float
     end_s: float
     dst: Optional[str] = None
 
-    def bind(self, rng: random.Random) -> "_BoundOutage":
-        return _BoundOutage(self)
-
-
-class _BoundOutage(BoundInjector):
-    def __init__(self, spec: OutageSpec) -> None:
-        self.spec = spec
-
-    def _blackout(self, dst_ip: str, now: float) -> Optional[FaultAction]:
-        spec = self.spec
-        if not _matches(spec.dst, dst_ip):
-            return None
-        if spec.start_s <= now < spec.end_s:
-            return FaultAction(kind=spec.kind, drop=True)
+    def fault(self, rng: random.Random, state: LinkState, src_ip: str,
+              dst_ip: str, message: Message, tcp: bool,
+              now: float) -> Optional[FaultAction]:
+        if self.start_s <= now < self.end_s:
+            return FaultAction(kind=self.kind, drop=True)
         return None
-
-    def on_query(self, src_ip: str, dst_ip: str, message: Message,
-                 tcp: bool, now: float) -> Optional[FaultAction]:
-        return self._blackout(dst_ip, now)
-
-    def on_response(self, src_ip: str, dst_ip: str, response: Message,
-                    tcp: bool, now: float) -> Optional[FaultAction]:
-        return self._blackout(dst_ip, now)

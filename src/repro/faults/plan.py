@@ -16,30 +16,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dnslib import Message
 from ..engine.seeding import derive_seed
 from ..net.transport import FaultAction
-
-
-class InjectorSpec(Protocol):
-    """What a plan composes: a picklable spec that binds to an RNG."""
-
-    kind: str
-
-    def bind(self, rng: random.Random) -> "BoundInjectorLike":
-        """Attach the spec to its private random stream."""
-
-
-class BoundInjectorLike(Protocol):
-    def on_query(self, src_ip: str, dst_ip: str, message: Message,
-                 tcp: bool, now: float) -> Optional[FaultAction]:
-        """Inspect a query datagram."""
-
-    def on_response(self, src_ip: str, dst_ip: str, response: Message,
-                    tcp: bool, now: float) -> Optional[FaultAction]:
-        """Inspect a response datagram."""
+from .injectors import BoundInjector, FaultSpec
 
 
 @dataclass(frozen=True)
@@ -47,11 +29,11 @@ class FaultPlan:
     """An ordered composition of injector specs under one scenario name."""
 
     name: str = "custom"
-    injectors: Tuple[InjectorSpec, ...] = ()
+    injectors: Tuple[FaultSpec, ...] = ()
 
     def bind(self, fault_seed: int, shard_index: int = 0) -> "BoundPlan":
         """Bind every injector to its derived random stream."""
-        bound: List[BoundInjectorLike] = []
+        bound: List[BoundInjector] = []
         for index, spec in enumerate(self.injectors):
             stream = random.Random(derive_seed(
                 fault_seed, shard_index,
@@ -81,7 +63,7 @@ class BoundPlan:
     """
 
     def __init__(self, name: str,
-                 injectors: Tuple[BoundInjectorLike, ...]) -> None:
+                 injectors: Tuple[BoundInjector, ...]) -> None:
         self.name = name
         self.injectors = injectors
         self.injected: Dict[str, int] = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..dnslib import EcsOption, Message, Rcode
 from ..net.transport import Network
@@ -29,6 +29,9 @@ from ..obs import metrics as _obs_metrics
 #: mints a new message id each call so retried queries are distinct.
 QueryFactory = Callable[[bool, bool], Message]
 
+#: Each backoff wait is this many times the one before it.
+BACKOFF_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -38,14 +41,13 @@ class RetryPolicy:
     the first).  Protocol downgrades — TCP after truncation, no-ECS and
     no-EDNS after FORMERR — are *extra* rungs outside that budget: they
     respond to explicit server feedback, not silence, and each fires at
-    most once per server.
+    most once per server.  Exhausting a server always fails over to the
+    next one.
     """
 
     max_attempts: int = 1
     backoff_base_ms: float = 0.0
-    backoff_factor: float = 2.0
     jitter_fraction: float = 0.0
-    failover: bool = True
     tcp_on_truncation: bool = True
     retry_without_ecs_on_formerr: bool = False
     retry_without_edns_on_formerr: bool = False
@@ -61,8 +63,7 @@ class RetryPolicy:
             + (1 if self.retry_without_ecs_on_formerr else 0) \
             + (1 if self.retry_without_edns_on_formerr else 0)
         per_round = 2 if self.tcp_on_truncation else 1
-        reached = max(1, servers) if self.failover else 1
-        return reached * rounds * per_round
+        return max(1, servers) * rounds * per_round
 
 
 @dataclass(slots=True)
@@ -77,7 +78,10 @@ class RetryOutcome:
     #: ECS option on the final query actually sent (``None`` after a
     #: no-ECS downgrade) — what a cache must key the stored answer on.
     query_ecs: Optional[EcsOption] = None
+    #: The answering server needed the no-ECS rung.
     ecs_downgraded: bool = False
+    #: The last server tried needed the no-EDNS rung (answered or not): a
+    #: pre-EDNS0 server the caller may remember.
     edns_downgraded: bool = False
     timed_out: bool = False
 
@@ -98,7 +102,7 @@ def backoff_jitter(site: str, server_ip: str, attempt: int) -> float:
 def backoff_delay_ms(policy: RetryPolicy, site: str, server_ip: str,
                      retry_index: int, attempt: int) -> float:
     """Exponential backoff with deterministic jitter, in milliseconds."""
-    delay = policy.backoff_base_ms * (policy.backoff_factor ** retry_index)
+    delay = policy.backoff_base_ms * (BACKOFF_FACTOR ** retry_index)
     if policy.jitter_fraction:
         delay *= 1.0 + policy.jitter_fraction * backoff_jitter(
             site, server_ip, attempt)
@@ -121,28 +125,12 @@ def _note_ecs_downgrade(site: str) -> None:
                     ("site",)).inc(1, site)
 
 
-def _backoff(net: Network, policy: RetryPolicy, site: str, server_ip: str,
-             retry_index: int, attempt: int) -> float:
-    delay_ms = backoff_delay_ms(policy, site, server_ip, retry_index,
-                                attempt)
-    if delay_ms <= 0.0:
-        return 0.0
-    if net.advance_clock:
-        net.clock.advance(delay_ms / 1000.0)
-    return delay_ms
-
-
 def execute_with_retries(net: Network, src_ip: str,
                          servers: Sequence[str],
                          make_query: QueryFactory,
                          policy: RetryPolicy, *,
                          site: str = "client",
-                         tcp: bool = False,
-                         on_retry: Optional[
-                             Callable[[str, str], None]] = None,
-                         on_downgrade: Optional[
-                             Callable[[str, str], None]] = None
-                         ) -> RetryOutcome:
+                         tcp: bool = False) -> RetryOutcome:
     """Run the full ladder against ``servers`` in order.
 
     Per server: up to ``max_attempts`` timed-out attempts with backoff
@@ -152,20 +140,18 @@ def execute_with_retries(net: Network, src_ip: str,
     them yields a ``timed_out`` outcome.  ``elapsed_ms`` charges every
     wire leg and backoff wait exactly once.
 
-    ``on_retry(reason, server)`` fires for every retry decision
+    Every retry is counted in ``repro_retries_total{site, reason}``
     (reasons: ``timeout``, ``truncation``, ``formerr_noecs``,
-    ``formerr_noedns``); ``on_downgrade(kind, server)`` fires on the
-    ``ecs``/``edns`` rungs so callers can pin per-server state (e.g. a
-    resolver's no-EDNS server set).
+    ``formerr_noedns``); per-server state a caller keeps, such as a
+    resolver's no-EDNS server set, is read off the outcome.
     """
     if not servers:
         raise ValueError("execute_with_retries needs at least one server")
-    server_list: List[str] = list(servers) if policy.failover \
-        else list(servers)[:1]
     total_elapsed = 0.0
     attempts = 0
     retries = 0
-    for server_ip in server_list:
+    edns_downgraded = False
+    for server_ip in servers:
         edns_ok = True
         ecs_ok = True
         ecs_downgraded = False
@@ -183,8 +169,6 @@ def execute_with_retries(net: Network, src_ip: str,
                 # RFC 1035 section 4.2.1: identical question over TCP.
                 retries += 1
                 _note_retry(site, "truncation")
-                if on_retry is not None:
-                    on_retry("truncation", server_ip)
                 attempts += 1
                 tcp_outcome = net.query(src_ip, server_ip, msg, tcp=True)
                 total_elapsed += tcp_outcome.elapsed_ms
@@ -194,10 +178,11 @@ def execute_with_retries(net: Network, src_ip: str,
                 if budget > 0:
                     retries += 1
                     _note_retry(site, "timeout")
-                    if on_retry is not None:
-                        on_retry("timeout", server_ip)
-                    total_elapsed += _backoff(net, policy, site, server_ip,
-                                              backoffs, attempts)
+                    delay_ms = backoff_delay_ms(policy, site, server_ip,
+                                                backoffs, attempts)
+                    if delay_ms and net.advance_clock:
+                        net.clock.advance(delay_ms / 1000.0)
+                    total_elapsed += delay_ms
                     backoffs += 1
                 continue
             sent_ecs = msg.ecs()
@@ -210,10 +195,6 @@ def execute_with_retries(net: Network, src_ip: str,
                     retries += 1
                     _note_retry(site, "formerr_noecs")
                     _note_ecs_downgrade(site)
-                    if on_retry is not None:
-                        on_retry("formerr_noecs", server_ip)
-                    if on_downgrade is not None:
-                        on_downgrade("ecs", server_ip)
                     continue
                 if (msg.edns is not None and not edns_downgraded
                         and policy.retry_without_edns_on_formerr):
@@ -222,13 +203,9 @@ def execute_with_retries(net: Network, src_ip: str,
                     edns_ok = False
                     retries += 1
                     _note_retry(site, "formerr_noedns")
-                    if on_retry is not None:
-                        on_retry("formerr_noedns", server_ip)
-                    if on_downgrade is not None:
-                        on_downgrade("edns", server_ip)
                     continue
             return RetryOutcome(response, total_elapsed, attempts, retries,
                                 server_ip, sent_ecs, ecs_downgraded,
                                 edns_downgraded, False)
     return RetryOutcome(None, total_elapsed, attempts, retries, None,
-                        timed_out=True)
+                        edns_downgraded=edns_downgraded, timed_out=True)

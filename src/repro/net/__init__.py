@@ -1,9 +1,8 @@
 """Simulated internet: virtual time, geography, addressing, transport."""
 
-from .addr import (AddressAllocator, address_width, host_in, is_routable,
-                   parse_addr, prefix_key, prefix_key_int, prefix_text,
-                   random_address_in, same_prefix, truncate_address,
-                   truncate_int)
+from .addr import (AddressAllocator, host_in, is_routable, parse_addr,
+                   prefix_key, prefix_key_int, prefix_text, random_address_in,
+                   same_prefix, truncate_address, truncate_int)
 from .clock import SimClock
 from .geo import (WORLD_CITIES, City, GeoDatabase, GeoPoint, cities_in, city,
                   haversine_km)
@@ -17,7 +16,7 @@ __all__ = [
     "Endpoint", "FaultAction", "FaultInjector", "GeoDatabase", "GeoPoint",
     "LatencyModel", "Network",
     "NetworkStats", "QueryOutcome", "SimClock", "Topology", "WORLD_CITIES",
-    "address_width", "cities_in", "city", "haversine_km", "host_in",
+    "cities_in", "city", "haversine_km", "host_in",
     "is_routable", "parse_addr", "prefix_key", "prefix_key_int",
     "prefix_text", "random_address_in", "same_prefix", "truncate_address",
     "truncate_int",

@@ -97,11 +97,6 @@ def ipv4_int(address: str) -> int:
     return value
 
 
-def address_width(address: Union[str, IPAddress]) -> int:
-    """32 for IPv4 addresses, 128 for IPv6."""
-    return 32 if ipaddress.ip_address(address).version == 4 else 128
-
-
 def truncate_address(address: Union[str, IPAddress], bits: int) -> IPAddress:
     """Zero every bit of ``address`` beyond the first ``bits``.
 

@@ -13,7 +13,7 @@ import ipaddress
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .addr import MASKS4, MASKS6, parse_addr
 
@@ -174,11 +174,6 @@ class GeoDatabase:
             if hit is not None:
                 return hit
         return None
-
-    def locate_point(self, address: str) -> Optional[GeoPoint]:
-        """The coordinates for ``address``, or ``None`` if unknown."""
-        c = self.locate(address)
-        return c.point if c else None
 
     def distance_km(self, addr_a: str, addr_b: str) -> Optional[float]:
         """Great-circle distance between two addresses, if both geolocate."""

@@ -136,9 +136,6 @@ class Topology:
         self._ases[asn] = as_
         return as_
 
-    def autonomous_system(self, asn: int) -> AutonomousSystem:
-        return self._ases[asn]
-
     def ases(self) -> List[AutonomousSystem]:
         return list(self._ases.values())
 

@@ -246,6 +246,9 @@ class Network:
         one_way_s = self.topology.rtt_ms(src_ip, dst_ip, rng) / 2.0 / 1000.0
         if action is not None and action.extra_one_way_ms:
             one_way_s += action.extra_one_way_ms / 1000.0
+        # A fabric that does not move the clock charges the round trip
+        # from the legs: the TCP handshake is one more round trip.
+        handshake_ms = one_way_s * 2000.0 if tcp else 0.0
 
         endpoint = self._endpoints.get(dst_ip)
         if (action is not None and action.drop) or endpoint is None:
@@ -273,7 +276,7 @@ class Network:
                     self.clock.advance(2 * one_way_s)  # TCP handshake
                 self.clock.advance(2 * one_way_s)
             elapsed_ms = (self.clock.now() - start) * 1000.0 \
-                if self.advance_clock else one_way_s * 2000.0
+                if self.advance_clock else handshake_ms + one_way_s * 2000.0
             if reg is not None:
                 self._record_outcome(reg, transport, "faulted", elapsed_ms)
             return QueryOutcome(faulted, elapsed_ms)
@@ -310,7 +313,7 @@ class Network:
         if self.advance_clock:
             self.clock.advance(one_way_s)
         elapsed_ms = (self.clock.now() - start) * 1000.0 if self.advance_clock \
-            else one_way_s * 2000.0
+            else handshake_ms + one_way_s * 2000.0
         if reg is not None:
             self._record_outcome(reg, transport, "answered", elapsed_ms)
         return QueryOutcome(response, elapsed_ms)

@@ -287,28 +287,12 @@ class RecursiveResolver(DnsServer):
                                       ecs=ecs_opt if (q_edns and ecs_ok)
                                       else None)
 
-        def on_retry(reason: str, server_ip: str) -> None:
-            if reason != "truncation":
-                return
-            reg2 = _obs_metrics.ACTIVE
-            if reg2 is not None:
-                reg2.counter("repro_resolver_tcp_fallback_total",
-                             "Truncated answers retried over TCP.").inc()
-            tracer = _obs_trace.ACTIVE
-            if tracer is not None:
-                tracer.event("tcp_fallback", resolver=self.ip,
-                             ns=server_ip, qname=qname.to_text())
-
-        def on_downgrade(kind: str, server_ip: str) -> None:
-            if kind == "edns":
-                # Pre-EDNS0 server: remember so future queries go plain.
-                self._no_edns_servers.add(server_ip)
-
         result = execute_with_retries(net, self.ip, (ns_ip,), make_query,
-                                      self.retry_policy, site="resolver",
-                                      on_retry=on_retry,
-                                      on_downgrade=on_downgrade)
+                                      self.retry_policy, site="resolver")
         self.upstream_queries += result.attempts
+        if result.edns_downgraded:
+            # Pre-EDNS0 server: remember so future queries go plain.
+            self._no_edns_servers.add(ns_ip)
         if result.response is None:
             # Penalize unresponsive servers heavily in selection.
             self._note_rtt(ns_ip, net.TIMEOUT_MS)

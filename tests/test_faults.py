@@ -8,6 +8,7 @@ produces byte-identical reports and metrics at every ``--workers``
 count while degrading gracefully — never crashing — up to 30% loss.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -282,12 +283,11 @@ class TestRetryLadder:
     @settings(max_examples=30, deadline=None)
     @given(max_attempts=st.integers(min_value=1, max_value=4),
            servers=st.integers(min_value=1, max_value=3),
-           failover=st.booleans(),
            tcp_on_truncation=st.booleans())
     def test_attempts_bounded_under_total_loss(self, max_attempts, servers,
-                                               failover, tcp_on_truncation):
+                                               tcp_on_truncation):
         net = Network(advance_clock=False)
-        policy = RetryPolicy(max_attempts=max_attempts, failover=failover,
+        policy = RetryPolicy(max_attempts=max_attempts,
                              tcp_on_truncation=tcp_on_truncation,
                              retry_without_ecs_on_formerr=True)
         ips = [f"203.0.113.{i + 1}" for i in range(servers)]  # no endpoints
@@ -295,10 +295,9 @@ class TestRetryLadder:
             net, "10.0.0.1", ips, lambda edns, ecs: _query(), policy)
         assert outcome.timed_out and outcome.response is None
         assert outcome.attempts <= policy.max_queries(len(ips))
-        reached = len(ips) if failover else 1
-        assert outcome.attempts == reached * max_attempts
+        assert outcome.attempts == len(ips) * max_attempts
         # Failover is not a retry; only re-attempts of one server count.
-        assert outcome.retries == outcome.attempts - reached
+        assert outcome.retries == outcome.attempts - len(ips)
         assert outcome.elapsed_ms == outcome.attempts * Network.TIMEOUT_MS
 
     def test_requires_a_server(self):
@@ -354,6 +353,28 @@ class TestRetryLadder:
         assert outcome.attempts == 3
         assert server.queries[-1][0].edns is None
 
+    def test_timed_out_outcome_names_pre_edns_server(self):
+        # A server that FORMERRs on EDNS and then never answers plain DNS
+        # is still reported as pre-EDNS0, so a resolver can remember it.
+        class _FormerrThenSilent(_FormerrOnEdns):
+            def handle_datagram(self, wire, src_ip, net, tcp=False):
+                response = super().handle_datagram(wire, src_ip, net, tcp)
+                edns = self.queries[-1][0].edns
+                return response if edns is not None else None
+
+        net, a, b = _net_pair()
+        net.attach(_FormerrThenSilent(b))
+        policy = RetryPolicy(retry_without_ecs_on_formerr=True,
+                             retry_without_edns_on_formerr=True)
+        outcome = execute_with_retries(
+            net, a, (b,),
+            lambda edns, ecs: _query(ecs=ECS if ecs else None,
+                                     use_edns=edns),
+            policy)
+        assert outcome.timed_out and outcome.response is None
+        assert outcome.edns_downgraded and not outcome.ecs_downgraded
+        assert outcome.attempts == 3
+
     def test_formerr_reported_when_downgrades_disabled(self):
         net, a, b = _net_pair()
         net.attach(_FormerrOnEcs(b))
@@ -382,7 +403,7 @@ class TestRetryLadder:
         assert policy.max_queries(1) == 8
         assert policy.max_queries(3) == 24
         assert RetryPolicy().max_queries(1) == 2
-        assert RetryPolicy(failover=False).max_queries(5) == 2
+        assert RetryPolicy().max_queries(5) == 10
 
 
 class TestBackoff:
@@ -395,7 +416,7 @@ class TestBackoff:
             backoff_jitter("site", "1.2.3.4", 0)
 
     def test_delay_grows_exponentially(self):
-        policy = RetryPolicy(backoff_base_ms=100.0, backoff_factor=2.0)
+        policy = RetryPolicy(backoff_base_ms=100.0)
         delays = [backoff_delay_ms(policy, "s", "ip", i, i)
                   for i in range(3)]
         assert delays == [100.0, 200.0, 400.0]
@@ -508,3 +529,78 @@ class TestChaos:
         assert totals.network.faults_injected == 0
         assert not result.degraded
         assert result.response_rate == 1.0
+
+
+#: (preset, fault seed) -> (sha256 of the chaos report, merged fault
+#: tallies) at ``seed=0, ingress=8, shards=2, workers=1``.  Any change to
+#: an injector's draws, its filters, the plan's fold or the retry ladder
+#: moves these.
+CHAOS_GOLDENS = {
+    ("bursty", 0): (
+        "c47c723887a200be1cd69746ca290ec732fad460744aba795943b0e55a2418b3",
+        {"burst-loss": 137}),
+    ("bursty", 7): (
+        "8032f91e10156651c2d89143cd02338d52e1b7f13cb893c8a96a36c2af9c3921",
+        {"burst-loss": 141}),
+    ("clean", 0): (
+        "e619a6f929959a14a8acf15ef14d222d3e7c81359ea71bad776ea9d7422d75f9",
+        {}),
+    ("clean", 7): (
+        "b1ed3cd70a2ce19c9dee00a58bc42f812d7d9f4617bd61cba93fdc35238bcccb",
+        {}),
+    ("ecs-hostile", 0): (
+        "b53891b1cb112dd3f5f970851df7a8b30382439ca5eccbb2877b525b13345f12",
+        {"ecs-strip": 140, "rcode-refused": 21}),
+    ("ecs-hostile", 7): (
+        "61d6052efc8c7460cb7d25ff842cec68014e786da15f2cd5c7fc0ec1cb76ecfd",
+        {"ecs-strip": 168, "rcode-refused": 22}),
+    ("flaky-auth", 0): (
+        "5f122018b10bc311e982695bb916dfe1e97f9354099d440c4be79ad70e33e845",
+        {"loss": 100, "rcode-formerr": 70}),
+    ("flaky-auth", 7): (
+        "e7e23764d86bea9ff97d4f616e9db189f6cf0e3c5bb2d844c0c2d55cc641bb3c",
+        {"loss": 115, "rcode-formerr": 75}),
+    ("heavy-loss", 0): (
+        "9c030a300c41b4c56f38e32679de087bed59bb7dc06108f4e73680888825e952",
+        {"loss": 568}),
+    ("heavy-loss", 7): (
+        "41cbbc9b4a07ba52e9dba929012c97016d25f4dc0b4846297fdac82b689a736f",
+        {"loss": 573}),
+    ("jittery", 0): (
+        "d2deac40407dfc0dccba52472afd48cdd6d38c8d72250f528cdcbf4df705dfe7",
+        {"jitter": 1038, "spike": 56}),
+    ("jittery", 7): (
+        "ba6799c8f2297c37f85b6146b866e476b60057c94e287179ce91ce5b2cc3ecfb",
+        {"jitter": 1038, "spike": 42}),
+    ("lossy", 0): (
+        "57ad4ebde7898c38b0b107436913d47c3368116bb4e574748840f83114e0063c",
+        {"loss": 311}),
+    ("lossy", 7): (
+        "aad862e0a4c7ea7a2079b9201753ac9c0394ab2cfe36a52d9d283fa2f71a5565",
+        {"loss": 309}),
+    ("outage", 0): (
+        "9202e2c06018efef0c86ad235ea3ea57e0938d9fcc871c1f923fadb13c9a72d3",
+        {"outage": 20}),
+    ("outage", 7): (
+        "267dcf9b9402125253009748fb6ec2012689b860ec0336e6215489cb8b68e24a",
+        {"outage": 20}),
+    ("truncating", 0): (
+        "73be38b4d45a61f44d9718a5ba63e6f297d98f60bb2077dba06938954c73c787",
+        {"truncate": 336}),
+    ("truncating", 7): (
+        "8b634bb2a8cddafde9e98d683ab132e8754b6c30d9be5758816e7e8f73c7f5a5",
+        {"truncate": 331}),
+}
+
+
+def test_chaos_goldens_cover_every_preset():
+    assert {name for name, _ in CHAOS_GOLDENS} == set(preset_names())
+
+
+@pytest.mark.parametrize("name,fault_seed", sorted(CHAOS_GOLDENS))
+def test_chaos_report_golden(name, fault_seed):
+    digest, faults = CHAOS_GOLDENS[(name, fault_seed)]
+    result, _ = run_chaos(preset(name), seed=0, fault_seed=fault_seed,
+                          ingress=8, shards=2, workers=1)
+    assert result.totals.faults_by_kind == faults
+    assert hashlib.sha256(result.report().encode()).hexdigest() == digest

@@ -7,8 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dnslib import Message, Name, RecordType
-from repro.faults import QUERY, BoundInjector, FaultPlan, PacketLossSpec
+from repro.dnslib import Message, Name, Rcode, RecordType
+from repro.faults import QUERY, FaultPlan, PacketLossSpec, RcodeFaultSpec
 from repro.net import (AddressAllocator, LatencyModel, Network, SimClock,
                        Topology, city, haversine_km, is_routable, prefix_key,
                        prefix_text, same_prefix, truncate_address)
@@ -321,7 +321,7 @@ class _Garbler(_Echo):
         return bad_ecs_family_query()
 
 
-class _DropQueriesTo(BoundInjector):
+class _DropQueriesTo:
     """Injector dropping every query sent to one address."""
 
     def __init__(self, dst):
@@ -329,6 +329,9 @@ class _DropQueriesTo(BoundInjector):
 
     def on_query(self, src_ip, dst_ip, message, tcp, now):
         return FaultAction("test", drop=True) if dst_ip == self.dst else None
+
+    def on_response(self, src_ip, dst_ip, response, tcp, now):
+        return None
 
 
 class TestTransport:
@@ -390,6 +393,28 @@ class TestTransport:
         assert garbler.seen == 1
         assert out.timed_out and out.response is None
         assert net.stats.drops == 1
+
+    @pytest.mark.parametrize("advance_clock", [True, False])
+    @pytest.mark.parametrize("faulted", [False, True])
+    @pytest.mark.parametrize("tcp", [False, True])
+    def test_elapsed_charges_tcp_handshake(self, advance_clock, faulted, tcp):
+        # A stream query costs the handshake RTT plus the exchange RTT,
+        # whether or not the network moves the shared clock, and whether
+        # the server or an injected error rcode answers.
+        topo = Topology()
+        net = Network(topo, advance_clock=advance_clock)
+        as_ = topo.create_as("t", "US")
+        a, b = as_.host_in(city("Cleveland")), as_.host_in(city("Tokyo"))
+        net.attach(_Echo(b))
+        if faulted:
+            net.install_injector(FaultPlan("formerr", (
+                RcodeFaultSpec(only_ecs=False),)).bind(0))
+        out = net.query(a, b, Message.make_query(Name.from_text("x."),
+                                                 RecordType.A), tcp=tcp)
+        assert out.response is not None
+        assert (out.response.rcode == Rcode.FORMERR) == faulted
+        rtt = topo.rtt_ms(a, b)
+        assert out.elapsed_ms == pytest.approx((2 if tcp else 1) * rtt)
 
     def test_filter_injection(self):
         net, a, b = self._net()

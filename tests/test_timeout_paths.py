@@ -10,7 +10,7 @@ report empty/partial results instead.
 import pytest
 
 from repro.datasets import ScanUniverseBuilder
-from repro.faults import BoundInjector, FaultPlan, OutageSpec, PacketLossSpec
+from repro.faults import FaultPlan, OutageSpec, PacketLossSpec
 from repro.measure import Scanner
 from repro.measure.caching_probe import CachingBehaviorProber
 from repro.measure.digclient import StubClient
@@ -71,7 +71,7 @@ class TestBlackoutConsumers:
         assert len(result.responding_ingress) > 0
 
 
-class _DropQueriesFrom(BoundInjector):
+class _DropQueriesFrom:
     """Injector dropping every query one address sends."""
 
     def __init__(self, src):
@@ -79,6 +79,9 @@ class _DropQueriesFrom(BoundInjector):
 
     def on_query(self, src_ip, dst_ip, message, tcp, now):
         return FaultAction("test", drop=True) if src_ip == self.src else None
+
+    def on_response(self, src_ip, dst_ip, response, tcp, now):
+        return None
 
 
 class TestRecursiveUpstreamBlackout:
