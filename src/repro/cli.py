@@ -19,7 +19,7 @@ dataset     inspect an on-disk trace file (``dataset info FILE``)
 chaos       run the scan campaign under a fault-injection preset
 all         every analysis command, sequentially
 lint        run the repro.staticcheck invariant linter (RS001-RS003,
-            RS005, RS100, RS201, RS203, RS204), always whole-program
+            RS005, RS100, RS203, RS204)
 
 Every command accepts ``--seed`` and a size knob and writes rendered
 reports to ``--out`` (default: print to stdout only); ``--quiet``

@@ -47,7 +47,7 @@ from ..obs.metrics import MetricsRegistry, merge_registries
 from ..obs.trace import Span, Tracer
 from . import pool as pool_mod
 from .pool import (WorkerPool, decode_header, encode_header,
-                   encode_shard_args, worker_entrypoint)
+                   encode_shard_args)
 
 
 @dataclass
@@ -201,7 +201,6 @@ def _observed_call(fn: Callable[..., Any], args: Tuple[Any, ...],
     return result, seconds, registry, spans, dropped
 
 
-@worker_entrypoint
 def _run_header_chunk(header: bytes, args_blobs: Sequence[bytes],
                       base_index: int, capture_metrics: bool,
                       capture_traces: bool,

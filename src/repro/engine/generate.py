@@ -46,7 +46,6 @@ from ..datasets.records import shard_path
 from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
 from .executor import EngineReport, run_sharded
-from .pool import worker_entrypoint
 from .sharding import ShardSpec
 
 
@@ -59,7 +58,6 @@ def _count_generated_rows(builder: Any, count: int) -> None:
                     ("builder",)).inc(count, type(builder).__name__)
 
 
-@worker_entrypoint
 def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
                                     schema: str,
                                     row_group_rows: Optional[int],

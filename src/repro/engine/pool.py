@@ -27,46 +27,9 @@ from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from types import TracebackType
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Type, TypeVar)
+                    Type)
 
 from ..obs import live as _obs_live
-
-# ---------------------------------------------------------------------------
-# Analyzer introspection hooks.
-#
-# The whole-program linter (``repro.staticcheck.graph``) reads these
-# declarations instead of hard-coding engine internals: which functions
-# are worker entrypoints and which extra seeds the worker-reachability
-# closure starts from.  The declarations live *here*, next to the
-# machinery they describe, so the engine and the analyzer cannot drift
-# apart.
-
-#: ``"module:qualname"`` of every function decorated as a worker
-#: entrypoint, in registration (import) order.
-WORKER_ENTRYPOINTS: List[str] = []
-
-#: Extra worker-reachability roots beyond ``@worker_entrypoint`` and the
-#: builder registry: methods invoked inside workers by contract.
-WORKER_SEEDS: Tuple[str, ...] = (
-    "repro.faults.plan:FaultPlan.bind",
-)
-
-#: Typed alias so the decorator preserves the wrapped signature.
-_F = TypeVar("_F", bound=Callable[..., Any])
-
-
-def worker_entrypoint(fn: _F) -> _F:
-    """Mark ``fn`` as a function the pool dispatches into workers.
-
-    Purely declarative: the function is returned unchanged (no wrapper,
-    so ``fn_token`` addressing still works) and its ``module:qualname``
-    is recorded in :data:`WORKER_ENTRYPOINTS`.  The static analyzer
-    seeds its worker-reachability closure from these declarations.
-    """
-    token = f"{fn.__module__}:{fn.__qualname__}"
-    if token not in WORKER_ENTRYPOINTS:
-        WORKER_ENTRYPOINTS.append(token)
-    return fn
 
 
 class PoolError(RuntimeError):

@@ -40,7 +40,6 @@ from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
 from .executor import EngineReport, run_sharded
 from .generate import _count_generated_rows
-from .pool import worker_entrypoint
 from .sharding import DEFAULT_SHARDS, ShardSpec, stable_bucket
 
 
@@ -229,7 +228,6 @@ def _parse_lines(kind: str, lines: Sequence[str]) -> ColumnarStore:
     return ColumnarStore.from_jsonl_lines(lines, kind)
 
 
-@worker_entrypoint
 def _replay_lines_shard(kind: str, lines: List[str]) -> ReplayPartial:
     """Worker entry point: parse one shard's JSONL lines, then replay.
 
@@ -330,7 +328,6 @@ def _open_cached(opener: Callable[[str], Any], path: str) -> Any:
     return _opened(opener, path, stat.st_size, stat.st_mtime_ns)
 
 
-@worker_entrypoint
 def _replay_columnar_shard(path: str, kind: str, shards: int,
                            bucket: int) -> ReplayPartial:
     """Worker entry point: replay one qname bucket of a whole trace.
@@ -354,7 +351,6 @@ def _replay_columnar_shard(path: str, kind: str, shards: int,
         lambda kernel: [(store, kernel.store_segment(store, field), rows)])
 
 
-@worker_entrypoint
 def _replay_columnar_range(path: str, kind: str, group_start: int,
                            group_end: int) -> ReplayPartial:
     """Worker entry point: replay one group range of a pre-bucketed file.
@@ -436,7 +432,6 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
 # Figure dispatch: the section 7 figures, replayed where the rows are.
 
 
-@worker_entrypoint
 def _fig1_shard(spec: ShardSpec, ttls: Tuple[Optional[int], ...],
                 shard_index: int
                 ) -> Tuple[int, Dict[Optional[int], List[float]]]:
@@ -474,7 +469,6 @@ def fig1_sharded(spec: ShardSpec, ttls: Sequence[Optional[int]],
             for ttl in ttls}, report
 
 
-@worker_entrypoint
 def _client_sample_replay(path: str, clients: List[str], fraction: float,
                           seed: int) -> ReplayPartial:
     """Worker entry point: one (fraction, seed) unit of the client sweep."""

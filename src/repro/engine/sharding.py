@@ -136,16 +136,6 @@ def register_builder(name: str, import_path: str) -> None:
     BUILDER_REGISTRY[name] = import_path
 
 
-def registered_builders() -> Tuple[Tuple[str, str], ...]:
-    """Sorted ``(name, "module:Class")`` snapshot of the registry.
-
-    The introspection surface the static analyzer (and anything else
-    that wants to enumerate spec-dispatchable builders) reads, so the
-    registry's storage layout stays private to this module.
-    """
-    return tuple(sorted(BUILDER_REGISTRY.items()))
-
-
 def resolve_builder(name: str) -> Callable[..., Any]:
     """The builder class registered under ``name`` (imported on demand)."""
     try:

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis.report import format_network_stats, format_table
 from ..datasets.scan_dataset import ScanUniverseBuilder
 from ..engine.executor import EngineReport, run_sharded
-from ..engine.pool import worker_entrypoint
 from ..engine.seeding import derive_seed
 from ..engine.sharding import DEFAULT_SHARDS, shard_bounds
 from ..measure.scanner import Scanner
@@ -128,7 +127,6 @@ def _probe_count(partial: ChaosPartial) -> int:
     return partial.probes
 
 
-@worker_entrypoint
 def _chaos_shard(plan: FaultPlan, policy: RetryPolicy, seed: int,
                  fault_seed: int, shard_index: int,
                  ingress_count: int) -> ChaosPartial:

@@ -8,14 +8,12 @@ every change instead of relying on review discipline:
 
 - :mod:`repro.staticcheck.core` — rule registry, per-file AST dispatch,
   ``# repro-lint: disable=RULE`` suppressions with unused-suppression
-  detection, and :func:`lint_source`, the one-string entry.
+  detection, :func:`lint_source` (one string) and :func:`lint_paths`
+  (files and directories: each file parsed once, cold and in process).
 - :mod:`repro.staticcheck.rules` — the per-file rules RS001-RS003,
-  RS005 and RS204 (obs-slot escape), the non-AST Prometheus exposition rule
-  RS100, and the interprocedural rules RS201 and RS203
-  (worker-reachability determinism, merge reachability).
-- :mod:`repro.staticcheck.graph` — project index, approximate call
-  graph, and :func:`lint_paths`, the one driver: every run is
-  whole-program, cold and in process.
+  RS005 and RS204 (obs-slot escape), the non-AST Prometheus exposition
+  rule RS100, and RS203, which checks across the run's files that every
+  merge method is called somewhere.
 - :mod:`repro.staticcheck.reporters` — text and schema-stable JSON.
 - :mod:`repro.staticcheck.config` — ``[tool.repro-staticcheck]`` in
   ``pyproject.toml``.
@@ -30,8 +28,8 @@ from __future__ import annotations
 from .config import Config, load_config
 from .core import (SYNTAX_ID, UNUSED_ID, AstRule, FileRule, GraphRule,
                    LintContext, Violation, all_rule_ids, ast_rules,
-                   file_rules, graph_rules, lint_source, register)
-from .graph import lint_paths
+                   file_rules, graph_rules, lint_paths, lint_source,
+                   register)
 from .reporters import (SCHEMA_VERSION, render_json, render_text,
                         violations_to_dict)
 

@@ -5,9 +5,8 @@ The same driver backs the ``repro-ecs lint`` subcommand
 (:func:`add_lint_arguments` + :func:`run_from_args` are shared with
 :mod:`repro.cli`).
 
-Every run is the one whole-program pass of
-:func:`repro.staticcheck.graph.lint_paths`: per-file rules, then the
-interprocedural RS2xx rules over everything named on the command line.
+Every run is one pass of :func:`repro.staticcheck.core.lint_paths`:
+per-file rules, then RS203 over every file named on the command line.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from .config import load_config
-from .core import all_rule_ids
-from .graph import lint_paths
+from .core import all_rule_ids, lint_paths
 from .reporters import render
 
 
@@ -50,8 +48,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.staticcheck",
         description="AST-based invariant linter for the ECS reproduction "
-                    "(determinism, merge algebra, obs guards, "
-                    "worker-reachability).")
+                    "(determinism, merge algebra, obs guards).")
     add_lint_arguments(parser)
     return parser
 

@@ -12,7 +12,7 @@ optional, all lists of strings):
     Posix-path fragments; files whose path contains one are skipped.
 ``determinism-allow``
     Path fragments where RS001's wall-clock/entropy sources are legal
-    (the virtual clock and the out-of-band observability layer).
+    (the out-of-band observability layer).
 ``test-paths``
     Path fragments treated as test code (RS001/RS005 relax there:
     tests may pin constant seeds and call ``hash()`` freely).
@@ -34,9 +34,9 @@ try:  # Python 3.11+
 except ImportError:  # pragma: no cover - exercised only on <3.11
     tomllib = None  # type: ignore[assignment]
 
-#: RS001 time/entropy sources are allowed here: the virtual clock module
-#: owns time by design and ``repro.obs`` is strictly out-of-band.
-DEFAULT_DETERMINISM_ALLOW: Tuple[str, ...] = ("net/clock.py", "obs/")
+#: RS001 time/entropy sources are allowed here: ``repro.obs`` is strictly
+#: out-of-band.
+DEFAULT_DETERMINISM_ALLOW: Tuple[str, ...] = ("obs/",)
 
 #: Paths treated as test code (constant seeds and ``hash()`` are fine).
 DEFAULT_TEST_PATHS: Tuple[str, ...] = ("tests/", "benchmarks/",

@@ -1,4 +1,4 @@
-"""Rule registry, suppression handling, and the one-string lint entry.
+"""Rule registry, suppression handling, and the two lint entry points.
 
 The framework is deliberately tiny: a *rule* is an object with an ``id``
 (``RSnnn``), a ``name``, and a ``check`` hook.  AST rules receive a
@@ -6,8 +6,8 @@ The framework is deliberately tiny: a *rule* is an object with an ``id``
 :class:`Violation` records to it; file rules (e.g. the Prometheus
 exposition check) receive a path and return violations directly, so
 non-Python artifacts ride the same reporting pipeline; graph rules
-(RS2xx) receive the linked project index.  The driver over files and
-directories is :func:`repro.staticcheck.graph.lint_paths`.
+(RS203) receive every ``(path, tree)`` pair of the run.  The driver over
+files and directories is :func:`lint_paths`.
 
 Suppressions are source comments::
 
@@ -113,19 +113,19 @@ class FileRule:
 
 
 class GraphRule:
-    """Base class for whole-program rules over the project index.
+    """Base class for rules over all the parsed trees of one run.
 
-    :func:`repro.staticcheck.graph.lint_paths` builds the index and
-    drives them; they are registered here so the selection machinery,
-    ``--list-rules`` and unused-suppression accounting treat RS2xx
+    :func:`lint_paths` hands them the ``(path, tree)`` pairs it already
+    parsed; they are registered here so the selection machinery,
+    ``--list-rules`` and unused-suppression accounting treat them
     exactly like the per-file families.
     """
 
     id: str = ""
     name: str = ""
 
-    def check_project(self, project: "object",
-                      config: Config) -> List[Violation]:
+    def check_trees(self, trees: Sequence[Tuple[str, ast.Module]],
+                    config: Config) -> List[Violation]:
         raise NotImplementedError
 
 
@@ -284,22 +284,17 @@ class FileAnalysis:
 
     ``violations`` are the raw AST-rule findings (RS999 alone on a parse
     failure); ``suppressions`` is the file's directive table, which the
-    caller settles *after* any whole-program findings for the same file
-    are merged in — that deferral is what lets one suppression serve
-    both a per-file and an interprocedural finding without RS000
-    flagging either half unused.  ``tree`` is the parse the AST rules
-    ran on (``None`` when the file is broken), kept so the indexer never
-    parses the file a second time.
+    caller settles *after* any graph-rule findings for the same file
+    are merged in, so one suppression can serve both kinds without
+    RS000 flagging either half unused.  ``tree`` is the parse the AST
+    rules ran on (``None`` when the file is broken), which the graph
+    rules reuse.
     """
 
     path: str
     violations: List[Violation]
     suppressions: Suppressions
     tree: Optional[ast.Module] = None
-
-    @property
-    def broken(self) -> bool:
-        return self.tree is None
 
 
 def analyze_source(source: str, path: str, config: Optional[Config] = None,
@@ -330,7 +325,7 @@ def settle_file(analysis: FileAnalysis, active: Set[str],
     consult the same line/file directives, so one suppression table
     serves both kinds and unused-suppression accounting sees the union.
     """
-    if analysis.broken:
+    if analysis.tree is None:
         return sorted(analysis.violations)
     merged = [*analysis.violations, *extra]
     kept = [v for v in merged if not analysis.suppressions.suppresses(v)]
@@ -349,8 +344,83 @@ def lint_source(source: str, path: str, config: Optional[Config] = None,
     ``config.select``/``config.ignore``.
     """
     config = config or Config()
-    # One string is not a program: the graph rules (RS2xx) need
-    # lint_paths, so a suppression held for them is not "unused" here.
+    # One string is not a program: the graph rules need lint_paths, so
+    # a suppression held for them is not "unused" here.
     active = _selected_ids(config, rule_ids) - set(_GRAPH_RULES)
     return settle_file(analyze_source(source, path, config, rule_ids),
                        active)
+
+
+# ---------------------------------------------------------------------------
+# the driver over files and directories
+
+
+def iter_lintable_files(paths: Sequence["str | Path"],
+                        config: Config) -> List[Path]:
+    """Expand ``paths``: directories walk to ``*.py``, files pass through.
+
+    Non-Python files are linted only when named (or via ``--prom``), so a
+    reports directory inside a lint root drags no artifacts into the run.
+    A file named twice (``a.py`` and ``$PWD/a.py``) is linted once, under
+    its first spelling.
+    """
+    out: List[Path] = []
+    seen: Set[Path] = set()
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            candidates: List[Path] = sorted(path.rglob("*.py"))
+        else:
+            candidates = [path]
+        for candidate in candidates:
+            if config.is_excluded(candidate.as_posix()):
+                continue
+            key = candidate.resolve()
+            if key not in seen:
+                seen.add(key)
+                out.append(candidate)
+    return out
+
+
+def lint_paths(paths: Sequence["str | Path"],
+               config: Optional[Config] = None,
+               rule_ids: Optional[Sequence[str]] = None
+               ) -> Tuple[List[Violation], int]:
+    """Lint files/directories; returns (sorted violations, files checked).
+
+    Each Python file is parsed once for the AST rules; the graph rules
+    run over all the trees; each file's suppressions are then settled
+    once against both kinds of finding, so an unused graph-rule
+    suppression is RS000.  ``rule_ids`` composes with ``config.select``
+    and ``config.ignore``.
+    """
+    config = config or Config()
+    active = _selected_ids(config, rule_ids)
+    files = iter_lintable_files(paths, config)
+    violations: List[Violation] = []
+    analyses: List[FileAnalysis] = []
+    for path in files:
+        if path.suffix != ".py":
+            for rule in file_rules():
+                if rule.id in active and rule.applies(path):
+                    violations.extend(rule.check_file(path, config))
+            continue
+        try:
+            source = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            violations.append(Violation(str(path), 1, 0, SYNTAX_ID,
+                                        SYNTAX_NAME,
+                                        f"cannot read file: {exc}"))
+            continue
+        analyses.append(analyze_source(source, str(path), config, rule_ids))
+    trees = [(analysis.path, analysis.tree) for analysis in analyses
+             if analysis.tree is not None]
+    found: Dict[str, List[Violation]] = {}
+    for rule in graph_rules():
+        if rule.id in active:
+            for violation in rule.check_trees(trees, config):
+                found.setdefault(violation.path, []).append(violation)
+    for analysis in analyses:
+        violations.extend(settle_file(analysis, active,
+                                      found.get(analysis.path, ())))
+    return sorted(violations), len(files)

@@ -1,4 +1,4 @@
-"""RS002 — merge-completeness.
+"""RS002 merge-completeness and RS203 merge-called.
 
 The engine's shard algebra rests on classes whose ``merge``/``merge_from``
 methods fold *every* field: :class:`~repro.analysis.cache_sim.ReplayPartial`,
@@ -13,14 +13,22 @@ requires every field name to be referenced — as an attribute or as a
 constructor keyword — somewhere in the union of the class's merge-family
 methods.  Declaration-identity fields that a merge legitimately ignores
 get a reviewed inline suppression.
+
+RS203 looks from the caller's side: a non-test class defining a
+merge-family method is reported when no ``.<that name>(`` call appears
+anywhere in the run.  A name check, not a call graph, it is blind to a
+class whose method is named ``merge`` (some ``.merge(`` is always called)
+and to a merge method called only on another class of the same name.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Set
+from pathlib import Path
+from typing import List, Sequence, Set, Tuple
 
-from ..core import AstRule, LintContext, register
+from ..config import Config
+from ..core import AstRule, GraphRule, LintContext, Violation, register
 
 MERGE_METHODS = ("merge", "merge_from", "merge_into")
 
@@ -69,6 +77,11 @@ def _init_fields(node: ast.ClassDef) -> List[str]:
     return []
 
 
+def _merge_methods(node: ast.ClassDef) -> List[ast.FunctionDef]:
+    return [stmt for stmt in node.body if isinstance(stmt, ast.FunctionDef)
+            and stmt.name in MERGE_METHODS]
+
+
 def _referenced_names(methods: List[ast.FunctionDef]) -> Set[str]:
     """Attribute names and constructor keywords used across the methods."""
     seen: Set[str] = set()
@@ -93,9 +106,7 @@ class MergeCompletenessRule(AstRule):
                 self._check_class(ctx, node)
 
     def _check_class(self, ctx: LintContext, node: ast.ClassDef) -> None:
-        merge_methods = [stmt for stmt in node.body
-                         if isinstance(stmt, ast.FunctionDef)
-                         and stmt.name in MERGE_METHODS]
+        merge_methods = _merge_methods(node)
         if not merge_methods:
             return
         if _is_dataclass(node):
@@ -116,4 +127,36 @@ class MergeCompletenessRule(AstRule):
                        f"across shards")
 
 
+class MergeCalledRule(GraphRule):
+    """RS203 — a mergeable class whose merge method nothing calls."""
+
+    id = "RS203"
+    name = "merge-called"
+
+    def check_trees(self, trees: Sequence[Tuple[str, ast.Module]],
+                    config: Config) -> List[Violation]:
+        called: Set[str] = set()
+        mergeable: List[Tuple[str, ast.ClassDef, List[str]]] = []
+        for path, tree in trees:
+            is_test = config.is_test_path(Path(path).as_posix())
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in MERGE_METHODS):
+                    called.add(node.func.attr)
+                elif isinstance(node, ast.ClassDef) and not is_test:
+                    names = [method.name for method in _merge_methods(node)]
+                    if names:
+                        mergeable.append((path, node, names))
+        return [Violation(path, node.lineno, node.col_offset, self.id,
+                          self.name,
+                          f"no call of {'/'.join(names)} appears anywhere "
+                          f"in the run, so {node.name} partials are never "
+                          f"folded — call its merge method on the parent's "
+                          f"merge path")
+                for path, node, names in mergeable
+                if called.isdisjoint(names)]
+
+
 register(MergeCompletenessRule())
+register(MergeCalledRule())

@@ -1,16 +1,20 @@
-"""The invariant linter: rules RS001-RS005 and RS100, suppressions,
-reporters, config, CLI wiring — and the meta-test that ``src/repro``
-itself lints clean.
+"""The invariant linter: every rule, suppressions, reporters, config,
+the driver, CLI wiring — and the meta-test that ``src/repro`` itself
+lints clean.
 
 Fixture sources are linted under synthetic non-test paths (the default
 config treats ``tests/`` and ``test_*.py`` as test code, which relaxes
-RS001's hash()/clock checks and all of RS005).
+RS001's hash()/clock checks and all of RS005).  Fixture packages written
+under pytest's ``tmp_path`` (whose name holds ``/test_``) are linted
+with ``test_paths=()`` for the same reason.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
+from typing import Dict, List
 
 import pytest
 
@@ -20,7 +24,10 @@ from repro.staticcheck import (SCHEMA_VERSION, Config, lint_paths,
                                lint_source, load_config, render_json,
                                render_text, violations_to_dict)
 from repro.staticcheck.__main__ import run as lint_cli_run
-from repro.staticcheck.core import SYNTAX_ID, UNUSED_ID, all_rule_ids
+from repro.staticcheck.core import (SYNTAX_ID, UNUSED_ID, all_rule_ids,
+                                    graph_rules, iter_lintable_files)
+from repro.staticcheck.reporters import render
+from repro.staticcheck.rules.merge import MERGE_METHODS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_PATH = "src/repro/example.py"
@@ -32,6 +39,19 @@ def ids_of(violations):
 
 def lint(source: str, path: str = SRC_PATH, **kwargs):
     return lint_source(source, path, **kwargs)
+
+
+def write_pkg(root: Path, files: Dict[str, str]) -> Path:
+    pkg = root / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("", encoding="utf-8")
+    for name, source in files.items():
+        (pkg / name).write_text(source, encoding="utf-8")
+    return pkg
+
+
+def lint_pkg(pkg: Path) -> List[str]:
+    return ids_of(lint_paths([pkg], Config(test_paths=()))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -65,12 +85,14 @@ class TestDeterminismRule:
         assert ids_of(violations) == ["RS001"]
         assert "wall-clock" in violations[0].message
 
-    def test_wall_clock_allowed_in_clock_module_and_obs(self):
+    def test_wall_clock_allowed_only_in_obs(self):
         src = "import time\nnow = time.time()\n"
-        assert lint(src, path="src/repro/net/clock.py",
+        assert lint(src, path="src/repro/obs/live.py",
                     rule_ids=["RS001"]) == []
         assert lint(src, path="src/repro/obs/metrics.py",
                     rule_ids=["RS001"]) == []
+        assert ids_of(lint(src, path="src/repro/net/clock.py",
+                           rule_ids=["RS001"])) == ["RS001"]
 
     def test_datetime_now_and_uuid4_flagged(self):
         src = ("import datetime\nimport uuid\n"
@@ -278,6 +300,141 @@ class TestObsGuardRule:
             "    if emitter:\n"
             "        emitter.progress('t', 0, records=1)\n")
         assert ids_of(lint(src, rule_ids=["RS003"])) == ["RS003", "RS003"]
+
+    def test_escape_by_alias_and_return_fires(self):
+        # RS204: a module-level alias and a returned slot both hand out
+        # unguarded references.
+        src = OBS_PREFIX + (
+            "SLOT = _obs_metrics.ACTIVE\n\n\n"
+            "def leak():\n"
+            "    return _obs_metrics.ACTIVE\n")
+        violations = lint(src)
+        assert ids_of(violations) == ["RS204", "RS204"]
+        messages = [v.message for v in violations]
+        assert any("module-level alias 'SLOT'" in m for m in messages)
+        assert any("leak returns the raw obs ACTIVE" in m for m in messages)
+
+    def test_local_guarded_read_does_not_escape(self):
+        src = OBS_PREFIX + (
+            "def tally(name):\n"
+            "    slot = _obs_metrics.ACTIVE\n"
+            "    if slot is not None:\n"
+            "        slot.incr(name)\n")
+        assert lint(src) == []
+
+
+# ---------------------------------------------------------------------------
+# RS203 — merge-called (a graph rule over every file of the run)
+
+
+PARTIAL_DEF = """\
+class Partial:
+    def __init__(self) -> None:
+        self.count = 0
+
+    def merge_into(self, other: "Partial") -> None:
+        other.count += self.count
+"""
+
+PARTIAL_BUILD = """\
+from .model import Partial
+
+
+def build(index: int) -> Partial:
+    return Partial()
+"""
+
+PARTIAL_JOIN = """\
+from .model import Partial
+
+
+def join(parts: list) -> Partial:
+    total = Partial()
+    for part in parts:
+        part.merge_into(total)
+    return total
+"""
+
+
+class TestMergeCalledRule:
+    def test_never_merged_partial_fires(self, tmp_path):
+        pkg = write_pkg(tmp_path, {"model.py": PARTIAL_DEF,
+                                   "build.py": PARTIAL_BUILD})
+        violations = lint_paths([pkg], Config(test_paths=()))[0]
+        assert ids_of(violations) == ["RS203"]
+        assert violations[0].path.endswith("model.py")
+        assert violations[0].line == 1
+        assert "Partial" in violations[0].message
+        assert "merge_into" in violations[0].message
+
+    def test_merged_in_another_module_does_not_fire(self, tmp_path):
+        pkg = write_pkg(tmp_path, {"model.py": PARTIAL_DEF,
+                                   "build.py": PARTIAL_BUILD,
+                                   "join.py": PARTIAL_JOIN})
+        assert lint_pkg(pkg) == []
+
+    def test_fires_without_any_worker_building_the_class(self, tmp_path):
+        # Nothing constructs Partial at all: a merge method that no
+        # caller names is reported wherever the class lives.
+        pkg = write_pkg(tmp_path, {"model.py": PARTIAL_DEF})
+        assert lint_pkg(pkg) == ["RS203"]
+
+    def test_test_classes_are_exempt(self, tmp_path):
+        pkg = write_pkg(tmp_path, {"model.py": PARTIAL_DEF})
+        assert lint_paths([pkg])[0] == []  # tmp_path is a test path
+
+    def test_inline_suppression_silences_finding(self, tmp_path):
+        suppressed = PARTIAL_DEF.replace(
+            "class Partial:", "class Partial:  # repro-lint: disable=RS203")
+        pkg = write_pkg(tmp_path, {"model.py": suppressed})
+        assert lint_pkg(pkg) == []
+
+    def test_unused_suppression_is_rs000(self, tmp_path):
+        # Once a caller merges the class, the RS203 comment holds nothing.
+        suppressed = PARTIAL_DEF.replace(
+            "class Partial:", "class Partial:  # repro-lint: disable=RS203")
+        pkg = write_pkg(tmp_path, {"model.py": suppressed,
+                                   "join.py": PARTIAL_JOIN})
+        assert lint_pkg(pkg) == [UNUSED_ID]
+
+    def test_plain_lint_does_not_count_it_unused(self):
+        # One string is not a program: lint_source never runs RS203, so
+        # holding a suppression for it is not "unused".
+        src = "x = 1  # repro-lint: disable=RS203\n"
+        assert lint(src) == []
+
+    def test_one_comment_covers_per_file_and_graph_finding(self, tmp_path):
+        # RS001 (the global stream) and RS203 land in one file; one
+        # file-level comment names both, and neither half is unused.
+        source = "import random\n\nx = random.random()\n\n" + PARTIAL_DEF
+        pkg = write_pkg(tmp_path, {"model.py": source})
+        assert sorted(lint_pkg(pkg)) == ["RS001", "RS203"]
+        (pkg / "model.py").write_text(
+            "# repro-lint: disable-file=RS001,RS203\n" + source,
+            encoding="utf-8")
+        assert lint_pkg(pkg) == []
+
+    def test_rule_universe_includes_graph_rules(self):
+        graph_ids = [rule.id for rule in graph_rules()]
+        assert graph_ids == ["RS203"]
+        assert set(graph_ids) <= set(all_rule_ids())
+
+    def test_src_repro_is_graph_clean(self):
+        # The full self-lint is the meta-test below; this pins that a
+        # clean RS203 result there is not vacuous: src/repro holds
+        # several mergeable classes, and every one of them is merged.
+        trees = [(str(path), ast.parse(path.read_text(encoding="utf-8")))
+                 for path in iter_lintable_files([REPO_ROOT / "src" / "repro"],
+                                                 Config())]
+        mergeable = [node.name for _, tree in trees for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef)
+                     and any(isinstance(stmt, ast.FunctionDef)
+                             and stmt.name in MERGE_METHODS
+                             for stmt in node.body)]
+        assert "ReplayPartial" in mergeable
+        assert len(mergeable) > 3
+        for rule in graph_rules():
+            assert rule.check_trees(trees, Config()) == [], rule.id
 
 
 # ---------------------------------------------------------------------------
@@ -526,8 +683,7 @@ class TestConfig:
     def test_pyproject_section_loaded(self):
         config = load_config(start=REPO_ROOT)
         assert config.source is not None
-        assert "net/clock.py" in config.determinism_allow
-        assert "obs/" in config.determinism_allow
+        assert config.determinism_allow == ("obs/",)
 
     def test_exclude_fragments(self, tmp_path):
         (tmp_path / "keep.py").write_text("import random\nrandom.random()\n")
@@ -545,7 +701,7 @@ class TestConfig:
 
     def test_rule_catalogue(self):
         assert all_rule_ids() == ["RS001", "RS002", "RS003", "RS005",
-                                  "RS100", "RS201", "RS203", "RS204"]
+                                  "RS100", "RS203", "RS204"]
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +713,84 @@ def test_self_lint_src_repro_is_clean():
     violations, files = lint_paths([REPO_ROOT / "src" / "repro"], config)
     assert files > 50
     assert violations == [], "\n" + render_text(violations, files)
+
+
+# ---------------------------------------------------------------------------
+# the driver: one parse per file, order-independent reports
+
+
+ESCAPE = OBS_PREFIX + """\
+SLOT = _obs_metrics.ACTIVE
+
+
+def leak():
+    return _obs_metrics.ACTIVE
+"""
+
+
+class TestDriver:
+    def test_each_file_is_parsed_exactly_once(self, tmp_path, monkeypatch):
+        pkg = write_pkg(tmp_path, {"model.py": PARTIAL_DEF,
+                                   "build.py": PARTIAL_BUILD})
+        parsed: List[str] = []
+        real_parse = ast.parse
+
+        def counting_parse(source, filename="<unknown>", *args, **kwargs):
+            parsed.append(str(filename))
+            return real_parse(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        violations, files = lint_paths([pkg], Config(test_paths=()))
+        assert files == 3 and ids_of(violations) == ["RS203"]
+        assert sorted(parsed) == sorted(
+            str(pkg / name) for name in ("__init__.py", "build.py",
+                                         "model.py"))
+
+    def test_report_is_independent_of_path_argument_order(self, tmp_path):
+        pkg = write_pkg(tmp_path, {
+            "clock.py": "import time\n\nnow = time.time()\n",
+            "model.py": PARTIAL_DEF,
+            "build.py": PARTIAL_BUILD,
+            "escape.py": ESCAPE,
+        })
+        config = Config(test_paths=())
+        names = sorted(path.name for path in pkg.iterdir())
+        forward = lint_paths([pkg / name for name in names], config)
+        backward = lint_paths([pkg / name for name in reversed(names)],
+                              config)
+        assert sorted(ids_of(forward[0])) == ["RS001", "RS203", "RS204",
+                                              "RS204"]
+        for fmt in ("text", "json"):
+            assert render(*forward, fmt) == render(*backward, fmt)
+
+    def test_a_file_named_twice_is_linted_once(self, tmp_path, monkeypatch,
+                                               capsys):
+        (tmp_path / "bad.py").write_text("import random\nx = random.random()\n")
+        monkeypatch.chdir(tmp_path)
+        assert lint_cli_run(["bad.py", str(tmp_path / "bad.py")]) == 1
+        out = capsys.readouterr().out
+        assert out.count("RS001") == 1 and "bad.py:2:" in out
+        assert out.rstrip().endswith("1 violation in 1 file")
+
+    def test_removed_options_are_usage_errors(self, tmp_path, capsys):
+        good = tmp_path / "good.py"
+        good.write_text("x = 1\n", encoding="utf-8")
+        for argv in (["--graph"], ["--workers", "2"], ["--changed"],
+                     ["--format", "sarif"]):
+            with pytest.raises(SystemExit) as excinfo:
+                lint_cli_run([*argv, str(good)])
+            assert excinfo.value.code == 2
+            capsys.readouterr()
+
+    def test_prom_only_run(self, tmp_path, capsys):
+        prom = tmp_path / "m.prom"
+        prom.write_text("# HELP up Liveness.\n# TYPE up gauge\nup 1\n",
+                        encoding="utf-8")
+        assert lint_cli_run(["--prom", str(prom)]) == 0
+        assert "clean: 0 violations in 1 file" in capsys.readouterr().out
+        prom.write_text("up 1\n", encoding="utf-8")  # sample, no TYPE
+        assert lint_cli_run(["--prom", str(prom)]) == 1
+        assert "RS100" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
