@@ -52,7 +52,8 @@ from .analysis.unroutable import UnroutableLab
 from .datasets import CdnDatasetBuilder, ScanUniverseBuilder
 from .datasets.columnar import (DEFAULT_ROW_GROUP_ROWS, SCHEMAS,
                                 columnar_to_jsonl, convert_columnar,
-                                file_info, is_columnar, jsonl_to_columnar)
+                                file_info, is_columnar, jsonl_to_columnar,
+                                prebucket_columnar)
 from .datasets.ditl import RootTraceBuilder
 from .engine import (DEFAULT_SHARDS, ShardSpec, WorkerPool, generate_columnar,
                      generate_jsonl)
@@ -288,17 +289,18 @@ def cmd_generate(args: argparse.Namespace, reporter: _Reporter) -> None:
 
 
 def cmd_convert(args: argparse.Namespace, reporter: _Reporter) -> None:
-    """Convert a trace between JSONL and the columnar layouts.
+    """Convert a trace between JSONL and the columnar layout.
 
     The direction is auto-detected from the source file's magic unless
     ``--to`` forces it; every direction streams with bounded memory.
-    JSONL -> columnar -> JSONL round-trips byte-identically.  Columnar
-    output is always the row-group layout; ``--row-group-rows`` sets
-    how many rows a group holds.  ``--to columnar`` on a columnar source
-    (either layout, legacy v1 included) rewrites it with that group
-    size, and the bytes depend only on the rows and the size.
+    JSONL -> columnar -> JSONL round-trips byte-identically.
+    ``--row-group-rows`` sets how many rows a columnar output group
+    holds; ``--to columnar`` on a columnar source rewrites it with that
+    group size, and the bytes depend only on the rows and the size.
     ``--bucket-shards N`` pre-buckets a columnar output by qname for
-    out-of-core row-range replay with ``--shards N``.
+    out-of-core row-range replay with ``--shards N``; from JSONL, the
+    flat conversion goes to a sibling file, so ``dst`` is only ever
+    replaced by the finished pre-bucketed trace.
     """
     target = args.to
     if target == "auto":
@@ -308,25 +310,25 @@ def cmd_convert(args: argparse.Namespace, reporter: _Reporter) -> None:
             raise SystemExit("--row-group-rows/--bucket-shards apply to "
                              "columnar output only")
         count = columnar_to_jsonl(args.src, args.dst)
-    elif is_columnar(args.src):
+    elif args.bucket_shards is None and is_columnar(args.src):
         count = convert_columnar(args.src, args.dst,
-                                 row_group_rows=args.row_group_rows,
-                                 bucket_shards=args.bucket_shards)
-    else:
+                                 row_group_rows=args.row_group_rows)
+    elif args.bucket_shards is None:
         count = jsonl_to_columnar(args.src, args.dst, args.dataset,
                                   row_group_rows=args.row_group_rows)
-        if args.bucket_shards is not None:
-            # Bucket in place: the flat columnar file becomes the
-            # pre-bucketed layout via a sibling temp rewrite.
-            staging = Path(args.dst).with_name(Path(args.dst).name
-                                               + ".bucketing")
-            Path(args.dst).rename(staging)
-            try:
-                convert_columnar(staging, args.dst,
-                                 row_group_rows=args.row_group_rows,
-                                 bucket_shards=args.bucket_shards)
-            finally:
-                staging.unlink()
+    elif is_columnar(args.src):
+        count = prebucket_columnar(args.src, args.dst, args.bucket_shards,
+                                   args.row_group_rows)
+    else:
+        staging = Path(args.dst).with_name(Path(args.dst).name
+                                           + ".bucketing")
+        try:
+            jsonl_to_columnar(args.src, staging, args.dataset,
+                              row_group_rows=args.row_group_rows)
+            count = prebucket_columnar(staging, args.dst, args.bucket_shards,
+                                       args.row_group_rows)
+        finally:
+            staging.unlink(missing_ok=True)
     reporter.note(f"converted {count} {args.dataset} records: "
                   f"{args.src} -> {args.dst} ({target})")
 

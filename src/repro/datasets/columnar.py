@@ -25,10 +25,9 @@ readers walk one group at a time (:class:`RowGroupReader`), and every
 group carries its own group-local string dictionaries so merges can
 copy whole groups verbatim.  See the layout comment above
 :class:`GroupedColumnarWriter` and ``docs/datasets.md`` for the header
-diagram and dictionary remap rules.  The older single-block layout
-(``RPRCOL01``: header first, one set of segments) is read-only: the one
-header parser (:func:`_read_header`) presents it as a file of one row
-group, so every reader opens both.
+diagram and dictionary remap rules.  Every reader goes through the one
+header parser (:func:`_read_header`), which also holds the rule for
+pre-bucketed files.
 
 Everything here is deterministic: dictionaries assign codes in first-
 appearance order, the shard merge is a stable k-way merge keyed on
@@ -56,27 +55,22 @@ from pathlib import Path
 from typing import (Any, BinaryIO, Callable, Dict, Iterable, Iterator, List,
                     NoReturn, Optional, Sequence, Tuple, Type, Union)
 
-from ..engine.sharding import bucket_group_ranges, stable_bucket
+from ..engine.sharding import stable_bucket
 from ..obs import metrics as _obs_metrics
 from .records import (EXTEND_CHUNK_ROWS, AllNamesRecord, CdnQueryRecord,
                       JsonlFormatError, PublicCdnRecord, RootQueryRecord,
                       ScanQueryRecord, json_column, json_rows,
                       write_jsonl_text)
 
-#: Magic of the legacy single-block layout; read, never written.
-MAGIC = b"RPRCOL01"
-#: Row-group layout magic (format version 2; see ``docs/datasets.md``).
-MAGIC_V2 = b"RPRCOL02"
-#: Header ``version`` of the legacy single-block layout.
-FORMAT_VERSION = 1
-#: Header ``version`` of the row-group layout; bump on any incompatible
-#: layout change.
-FORMAT_VERSION_V2 = 2
+#: File magic of the row-group layout (see ``docs/datasets.md``).
+MAGIC = b"RPRCOL02"
+#: Header ``version``; bump on any incompatible layout change.
+FORMAT_VERSION = 2
 #: Segment alignment, so typed memoryview casts are always aligned.
 ALIGN = 8
-#: v2 prelude: magic (8 bytes) + u64 header offset, patched at close.
-_V2_PRELUDE = 16
-#: Default rows per row group for the v2 streaming writers: large enough
+#: Prelude: magic (8 bytes) + u64 header offset, patched at close.
+_PRELUDE = 16
+#: Default rows per row group for the streaming writers: large enough
 #: that per-group overheads (dictionaries, header entries) amortize,
 #: small enough that a buffered group stays a few MiB.
 DEFAULT_ROW_GROUP_ROWS = 65536
@@ -356,10 +350,6 @@ class ColumnarWriter:
         self.rows = base + len(selection)
         return len(selection)
 
-    def _dict_list(self, column: str) -> List[str]:
-        # Insertion order == code order for the interning dicts.
-        return list(self._interns[column])
-
     def store(self) -> "ColumnarStore":
         """Wrap the accumulated columns as an in-memory store (no copy)."""
         # Bitmaps grow lazily on _set_null; pad to full row coverage so
@@ -370,8 +360,9 @@ class ColumnarWriter:
                 bitmap.extend(b"\x00" * (needed - len(bitmap)))
         return ColumnarStore(self.schema, self.rows, dict(self._arrays),
                              dict(self._nulls),
-                             {name: self._dict_list(name)
-                              for name in self._interns})
+                             # Insertion order is code order.
+                             {name: list(interned)
+                              for name, interned in self._interns.items()})
 
 
 class ColumnarStore:
@@ -451,9 +442,8 @@ class ColumnarStore:
     def open(cls, path: Union[str, Path]) -> "ColumnarStore":
         """Open an on-disk trace as one store.
 
-        A file of one row group (every legacy v1 file, and any v2 file
-        that fits one group) opens zero-copy: the store is that group's
-        view and owns the mapping.  A file of several groups is
+        A file of one row group opens zero-copy: the store is that
+        group's view and owns the mapping.  A file of several groups is
         *flattened* into one in-memory store — the O(rows) compatibility
         path; readers that care about bounded memory should walk the
         groups via :class:`RowGroupReader` directly.
@@ -568,10 +558,6 @@ class ColumnarStore:
             self._getter_cache = getters
         return getters
 
-    def record(self, row: int) -> Any:
-        """Materialize one row as its record dataclass."""
-        return self.schema.record_type(*self.row_values(row))
-
     def iter_records(self, lo: int = 0,
                      hi: Optional[int] = None) -> Iterator[Any]:
         """Stream rows ``[lo, hi)`` as record instances."""
@@ -677,9 +663,9 @@ class ColumnarStore:
 # ---------------------------------------------------------------------------
 # On-disk layout
 #
-# Layout of a ``.col`` file (v2, ``RPRCOL02``)::
+# Layout of a ``.col`` file (``RPRCOL02``)::
 #
-#     offset 0   MAGIC_V2        b"RPRCOL02" (8 bytes)
+#     offset 0   MAGIC           b"RPRCOL02" (8 bytes)
 #     offset 8   header offset   u64 LE, patched when the file closes
 #     offset 16  segment area    row groups back to back, 8-byte aligned
 #     ...        header          UTF-8 JSON, runs to end of file
@@ -691,12 +677,6 @@ class ColumnarStore:
 # dictionaries* (codes are group-local), so a group's bytes are
 # position-independent: merges copy whole groups verbatim, and readers
 # remap codes across groups on read.
-#
-# The legacy v1 layout (``RPRCOL01``) has a u32 header length and the
-# header *before* one set of segments.  :func:`_read_header` turns it
-# into a one-group header of the shape above whose segment area starts
-# after the (8-byte padded) header instead of at offset 16; nothing
-# past that function knows which layout a file has.
 
 
 class ColumnarFormatError(ValueError):
@@ -705,25 +685,17 @@ class ColumnarFormatError(ValueError):
 
 @dataclass(frozen=True)
 class _Header:
-    """A file's header in the v2 shape, whichever layout it came from."""
+    """A file's checked header."""
 
-    version: int
     schema: Schema
     rows: int
     row_group_rows: Optional[int]
-    buckets: Optional[int]
     #: Per group: ``{"rows", "bucket", "columns": [segment entries]}``.
     groups: List[Dict[str, Any]]
-    #: File offset that segment offsets count from.
-    base: int
+    #: Per qname bucket of a pre-bucketed file, its ``[start, end)``
+    #: group range; None when the file is not pre-bucketed.
+    bucket_ranges: Optional[List[Tuple[int, int]]]
     header_bytes: int
-
-    def bucket_ranges(self) -> Optional[List[Tuple[int, int]]]:
-        """Per-bucket ``[start, end)`` group ranges; None when untagged."""
-        if self.buckets is None:
-            return None
-        return bucket_group_ranges([g.get("bucket") for g in self.groups],
-                                   self.buckets)
 
 
 #: Bytes per packed value, by :mod:`array` typecode.
@@ -737,62 +709,84 @@ def _read_header(path: Union[str, Path], fh: BinaryIO) -> _Header:
     header can promise about its segments is checked here, so a file
     that opens can be read: every segment lies inside the segment area,
     every data segment holds exactly its group's rows, every null bitmap
-    covers them.  Anything else raises :class:`ColumnarFormatError`
-    naming the file (and group).
+    covers them, and bucket tags partition the groups.  Anything else
+    raises :class:`ColumnarFormatError` naming the file (and group).
     """
     size = os.fstat(fh.fileno()).st_size
     magic = fh.read(len(MAGIC))
-    if magic == MAGIC_V2:
-        version, base = FORMAT_VERSION_V2, _V2_PRELUDE
-        word = fh.read(8)
-        area_end = int.from_bytes(word, "little")
-        if len(word) < 8 or area_end < _V2_PRELUDE:
-            raise ColumnarFormatError(f"{path}: truncated columnar file "
-                                      f"(header offset not patched)")
-        if area_end > size:
-            raise ColumnarFormatError(
-                f"{path}: header offset {area_end} is past the end of "
-                f"the {size}-byte file")
-        fh.seek(area_end)
-        payload = fh.read()
-    elif magic == MAGIC:
-        version, area_end = FORMAT_VERSION, size
-        length = int.from_bytes(fh.read(4), "little")
-        payload = fh.read(length)
-        base = 12 + length + _align_pad(12 + length)
-        if len(payload) < length:
-            raise ColumnarFormatError(f"{path}: truncated columnar file "
-                                      f"(header runs past the end)")
-    else:
+    if magic == b"RPRCOL01":
+        raise ColumnarFormatError(
+            f"{path}: RPRCOL01, the retired single-block columnar layout, "
+            f"is no longer read; every trace is a function of its seed, so "
+            f"re-create it with `repro-ecs generate ... --format columnar`")
+    if magic != MAGIC:
         raise ColumnarFormatError(f"{path}: not a columnar trace "
                                   f"(bad magic)")
+    word = fh.read(8)
+    area_end = int.from_bytes(word, "little")
+    if len(word) < 8 or area_end < _PRELUDE:
+        raise ColumnarFormatError(f"{path}: truncated columnar file "
+                                  f"(header offset not patched)")
+    if area_end > size:
+        raise ColumnarFormatError(
+            f"{path}: header offset {area_end} is past the end of "
+            f"the {size}-byte file")
+    fh.seek(area_end)
+    payload = fh.read()
     try:
         raw = json.loads(payload.decode("utf-8"))
     except ValueError as exc:
         raise ColumnarFormatError(f"{path}: header is not JSON (truncated "
                                   f"file?): {exc}") from exc
     try:
-        if raw.get("version") != version:
+        if raw.get("version") != FORMAT_VERSION:
             raise ColumnarFormatError(
                 f"{path}: unsupported columnar format version "
-                f"{raw.get('version')!r} (expected {version})")
+                f"{raw.get('version')!r} (expected {FORMAT_VERSION})")
         schema = schema_for(raw["schema"])
         rows = int(raw["rows"])
-        groups = raw["groups"] if version == FORMAT_VERSION_V2 else [
-            {"rows": rows, "bucket": None, "columns": raw["columns"]}]
+        groups = raw["groups"]
         for index, group in enumerate(groups):
             _check_group(f"{path}: group {index}", schema, group,
-                         area_end - base)
+                         area_end - _PRELUDE)
         if sum(int(group["rows"]) for group in groups) != rows:
             raise ColumnarFormatError(f"{path}: groups do not add up to "
                                       f"the header's {rows} rows")
-        return _Header(version, schema, rows, raw.get("row_group_rows"),
-                       raw.get("buckets"), groups, base, len(payload))
+        return _Header(schema, rows, raw.get("row_group_rows"), groups,
+                       _bucket_ranges(path, raw.get("buckets"), groups),
+                       len(payload))
     except ColumnarFormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ColumnarFormatError(f"{path}: malformed header "
                                   f"({exc!r})") from exc
+
+
+def _bucket_ranges(path: Union[str, Path], buckets: Any,
+                   groups: List[Dict[str, Any]]
+                   ) -> Optional[List[Tuple[int, int]]]:
+    """The pre-bucketing rule: None for a file without ``buckets`` (no
+    group tagged), else a positive int of buckets whose groups' tags are
+    ints below it that never decrease — so each bucket's groups are one
+    contiguous, possibly empty ``[start, end)`` range, returned per
+    bucket for row-range replay."""
+    tags = [group.get("bucket") for group in groups]
+    if buckets is None and tags.count(None) == len(tags):
+        return None
+    if type(buckets) is not int or buckets < 1:
+        raise ColumnarFormatError(f"{path}: bucket count {buckets!r} is "
+                                  f"not a positive integer")
+    for index, tag in enumerate(tags):
+        if type(tag) is not int or not 0 <= tag < buckets:
+            raise ColumnarFormatError(
+                f"{path}: group {index}: bucket tag {tag!r} is not an "
+                f"integer below the header's {buckets} buckets")
+        if index and tag < tags[index - 1]:
+            raise ColumnarFormatError(
+                f"{path}: group {index}: bucket tag {tag} follows tag "
+                f"{tags[index - 1]}; bucket tags never decrease")
+    edges = [bisect.bisect_left(tags, bucket) for bucket in range(buckets)]
+    return list(zip(edges, edges[1:] + [len(tags)]))
 
 
 def _check_group(where: str, schema: Schema, group: Dict[str, Any],
@@ -864,7 +858,7 @@ class GroupedColumnarWriter:
         self._buffer = ColumnarWriter(self.schema)
         self._tmp = self.path.with_name(self.path.name + ".tmp")
         self._fh: Optional[BinaryIO] = open(self._tmp, "wb")
-        self._fh.write(MAGIC_V2)
+        self._fh.write(MAGIC)
         self._fh.write(struct.pack("<Q", 0))
 
     # -- appending ---------------------------------------------------------
@@ -995,11 +989,8 @@ class GroupedColumnarWriter:
         dictionaries are group-local, so its segment bytes are
         position-independent and re-encoding them row by row would
         reproduce exactly these bytes.  Flushes any pending buffered
-        rows first (as their own group).  A legacy v1 file is one group
-        of any size, so copying from a v1 reader raises.
+        rows first (as their own group).
         """
-        if reader.format_version != FORMAT_VERSION_V2:
-            raise ValueError("copy_group requires a v2 (row-group) source")
         if reader.schema.name != self.schema.name:
             raise ValueError(f"cannot copy a {reader.schema.name!r} group "
                              f"into a {self.schema.name!r} file")
@@ -1027,13 +1018,13 @@ class GroupedColumnarWriter:
             return self.rows
         self._flush_group()
         header: Dict[str, Any] = {
-            "version": FORMAT_VERSION_V2, "schema": self.schema.name,
+            "version": FORMAT_VERSION, "schema": self.schema.name,
             "rows": self.rows, "row_group_rows": self.row_group_rows,
             "groups": self._groups}
         if self._buckets is not None:
             header["buckets"] = self._buckets
         payload = json.dumps(header, separators=(",", ":")).encode("utf-8")
-        header_offset = _V2_PRELUDE + self._offset
+        header_offset = _PRELUDE + self._offset
         self._fh.write(payload)
         self._fh.seek(8)
         self._fh.write(struct.pack("<Q", header_offset))
@@ -1061,15 +1052,14 @@ class GroupedColumnarWriter:
 
 
 class RowGroupReader:
-    """Row-group view of a columnar file, whichever layout it has.
+    """Row-group view of a columnar file.
 
     The file maps once and each row group is exposed as a zero-copy
-    :class:`ColumnarStore` over its own segments; a legacy v1 file is
-    one group covering the whole trace, so streaming consumers (merge,
-    conversion, row-range replay) read both layouts through one
-    interface.  Group stores are built on demand and not memoized —
-    sequential scans drop each group's decoded dictionaries as they go,
-    which is what keeps reader memory bounded.
+    :class:`ColumnarStore` over its own segments, so streaming consumers
+    (merge, conversion, row-range replay) hold one group at a time.
+    Group stores are built on demand and not memoized — sequential
+    scans drop each group's decoded dictionaries as they go, which is
+    what keeps reader memory bounded.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -1081,11 +1071,9 @@ class RowGroupReader:
                 fh.fileno(), 0, access=mmap.ACCESS_READ)
         self._buf: Optional[memoryview] = memoryview(self._mapping)
         self._header = header
-        self.format_version = header.version
         self.schema = header.schema
         self.rows = header.rows
         self.row_group_rows = header.row_group_rows
-        self.buckets = header.buckets
 
     # -- group access ------------------------------------------------------
 
@@ -1096,30 +1084,18 @@ class RowGroupReader:
     def group_rows(self, index: int) -> int:
         return int(self._header.groups[index]["rows"])
 
-    def group_bucket(self, index: int) -> Optional[int]:
-        return self._header.groups[index].get("bucket")
-
     def group_entry(self, index: int) -> Dict[str, Any]:
         """The raw header entry of one group (segment offsets included)."""
         return self._header.groups[index]
 
     def _segment(self, segment: Sequence[int]) -> memoryview:
         assert self._buf is not None
-        start = self._header.base + segment[0]
+        start = _PRELUDE + segment[0]
         return self._buf[start:start + segment[1]]
 
     def segment_bytes(self, segment: Sequence[int]) -> bytes:
         """One segment's payload bytes (copied; bounded by group size)."""
         return bytes(self._segment(segment))
-
-    def bucket_ranges(self) -> Optional[List[Tuple[int, int]]]:
-        """Per-bucket contiguous group ranges of a pre-bucketed file.
-
-        ``None`` when the file was not written by
-        :func:`prebucket_columnar`; otherwise one ``[start, end)`` group
-        range per bucket, validated contiguous.
-        """
-        return self._header.bucket_ranges()
 
     def group(self, index: int) -> ColumnarStore:
         """Row group ``index`` as a zero-copy store over its segments."""
@@ -1131,20 +1107,47 @@ class RowGroupReader:
         for spec, col in columns:
             if col.get("dict") is not None:
                 try:
-                    dicts[spec.name] = json.loads(
+                    words = json.loads(
                         self.segment_bytes(col["dict"]).decode("utf-8"))
+                    if type(words) is not list:
+                        raise ValueError(f"a {type(words).__name__}")
                 except ValueError as exc:
                     raise ColumnarFormatError(
                         f"{self.path}: group {index}: {spec.name} "
-                        f"dictionary is not JSON: {exc}") from exc
+                        f"dictionary is not a JSON array: {exc}") from exc
+                dicts[spec.name] = words
         data = {spec.name: self._segment(col["data"]).cast(spec.typecode)
                 for spec, col in columns}
         nulls = {spec.name: self._segment(col["nulls"])
                  for spec, col in columns if col.get("nulls") is not None}
         store = ColumnarStore(self.schema, int(entry["rows"]), data, nulls,
                               dicts)
+        try:
+            for spec in self.schema.columns:
+                if spec.kind == "str":
+                    self._check_codes(index, store, spec.name)
+        except ColumnarFormatError:
+            store.close()
+            raise
         self._issued.add(store)
         return store
+
+    def _check_codes(self, index: int, store: ColumnarStore,
+                     name: str) -> None:
+        """Raise unless every non-null cell of a str column holds a code
+        inside its group's dictionary; a null cell holds a placeholder
+        0 that may not (an all-null column has an empty dictionary)."""
+        codes = store.raw_column(name)
+        size = len(store.dictionary(name))
+        if not codes or max(codes) < size:
+            return
+        null_of = store.null_checker(name)
+        for row, code in enumerate(codes):
+            if code >= size and not null_of(row):
+                raise ColumnarFormatError(
+                    f"{self.path}: group {index}: {name} row {row} holds "
+                    f"dictionary code {code}, past its {size}-entry "
+                    f"dictionary")
 
     def iter_records(self) -> Iterator[Any]:
         """Stream every row as a record, one group resident at a time."""
@@ -1178,10 +1181,14 @@ class RowGroupReader:
 
 
 def is_columnar(path: Union[str, Path]) -> bool:
-    """True when ``path`` starts with either columnar magic (v1 or v2)."""
+    """True when ``path`` starts like a columnar file (``RPRCOL``).
+
+    The retired layout's magic counts too, so the commands route such a
+    file to the reader that refuses it by name.
+    """
     try:
         with open(path, "rb") as fh:
-            return fh.read(len(MAGIC)) in (MAGIC, MAGIC_V2)
+            return fh.read(6) == MAGIC[:6]
     except OSError:
         return False
 
@@ -1189,8 +1196,7 @@ def is_columnar(path: Union[str, Path]) -> bool:
 def file_info(path: Union[str, Path]) -> Dict[str, Any]:
     """Describe a columnar file from its header alone (no segment reads).
 
-    Per-column byte totals are aggregated across row groups; a legacy v1
-    file reports one group and no ``row_group_rows``.
+    Per-column byte totals are aggregated across row groups.
     """
     target = Path(path)
     with open(target, "rb") as fh:
@@ -1208,13 +1214,14 @@ def file_info(path: Union[str, Path]) -> Dict[str, Any]:
                 agg["dict_bytes"] += entry["dict"][1]
                 agg["dict_entries"] += entry.get("dict_entries", 0)
     file_bytes = target.stat().st_size
-    return {"path": str(target), "version": header.version,
+    ranges = header.bucket_ranges
+    return {"path": str(target), "version": FORMAT_VERSION,
             "schema": header.schema.name, "rows": header.rows,
             "header_bytes": header.header_bytes, "file_bytes": file_bytes,
             "bytes_per_row": file_bytes / header.rows if header.rows else 0.0,
             "columns": columns, "row_groups": len(header.groups),
             "row_group_rows": header.row_group_rows,
-            "buckets": header.buckets}
+            "buckets": None if ranges is None else len(ranges)}
 
 
 def bucketed_group_ranges(path: Union[str, Path]
@@ -1227,7 +1234,7 @@ def bucketed_group_ranges(path: Union[str, Path]
     regardless of trace size.
     """
     with open(path, "rb") as fh:
-        return _read_header(path, fh).bucket_ranges()
+        return _read_header(path, fh).bucket_ranges
 
 
 def read_columnar(path: Union[str, Path]) -> List[Any]:
@@ -1466,19 +1473,14 @@ def columnar_to_jsonl(src: Union[str, Path],
 
 
 def convert_columnar(src: Union[str, Path], dst: Union[str, Path],
-                     row_group_rows: Optional[int] = None,
-                     bucket_shards: Optional[int] = None) -> int:
-    """Rewrite a columnar file with another group budget (or bucketed).
+                     row_group_rows: Optional[int] = None) -> int:
+    """Rewrite a columnar file with another group budget.
 
-    The source may be either layout; the output holds the same rows in
-    groups of ``row_group_rows``.  Groups re-intern their strings in
-    first-appearance order, so the bytes depend only on the rows and the
-    budget: two files holding one trace convert to identical bytes.
-    ``bucket_shards`` routes to :func:`prebucket_columnar` instead,
-    producing a bucket-tagged file for row-range replay.
+    The output holds the same rows in groups of ``row_group_rows``.
+    Groups re-intern their strings in first-appearance order, so the
+    bytes depend only on the rows and the budget: two files holding one
+    trace convert to identical bytes.
     """
-    if bucket_shards is not None:
-        return prebucket_columnar(src, dst, bucket_shards, row_group_rows)
     with RowGroupReader(src) as reader, \
             GroupedColumnarWriter(reader.schema, dst, row_group_rows) as out:
         for index in range(reader.group_count):
@@ -1571,8 +1573,7 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
     segments and only cost time).  A group that may be one is never cut
     by a window: the window stops before it and a run takes it.
 
-    Inputs may be v1 or v2 but not a mix — mixed format versions raise,
-    as do mixed schemas.  The output is written with bounded memory in
+    Mixed schemas raise.  The output is written with bounded memory in
     groups of at most ``row_group_rows`` rows (copied groups keep their
     source size) and is absent if the merge raises.  Returns the number
     of rows written.
@@ -1583,16 +1584,9 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
         if len(schemas) > 1:
             raise ValueError(f"cannot merge mixed schemas: "
                              f"{sorted(schemas)}")
-        versions = {reader.format_version for reader in readers}
-        if len(versions) > 1:
-            raise ValueError(
-                f"cannot merge mixed columnar format versions "
-                f"{sorted(versions)}: convert the shards to one layout "
-                f"first (see convert_columnar)")
         schema = readers[0].schema
         out = stack.enter_context(
             GroupedColumnarWriter(schema, out_path, row_group_rows))
-        copyable = readers[0].format_version == FORMAT_VERSION_V2
         # Per shard: its current group's index, store and ts column, and
         # the first row of that group not yet written.
         group_of = [-1] * len(readers)
@@ -1643,7 +1637,7 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
             order = _stable_ts_order(rows)
             stop, copies = len(order), []
             for shard, start, taken in spans:
-                if copyable and taken and pos[shard] == 0:
+                if taken and pos[shard] == 0:
                     first = order.index(start)
                     if taken == stores[shard].rows:
                         if order[first + taken - 1] == start + taken - 1:
@@ -1669,8 +1663,7 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
             others = [key(shard, pos[shard])
                       for shard in active if shard != head]
             end = end_at(head, min(others)) if others else rows
-            if (pos[head] == 0 and end == rows and copyable
-                    and out.pending_rows == 0):
+            if pos[head] == 0 and end == rows and out.pending_rows == 0:
                 out.copy_group(readers[head], group_of[head])
             else:
                 out.extend_store(stores[head], pos[head], end)

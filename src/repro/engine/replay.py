@@ -392,9 +392,9 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
     the shared ``(path, kind, shards)`` header and per-shard bucket
     indices; workers open the file, bucket rows by qname dictionary
     codes, and run the vectorized column replay.  A single-group file
-    (every legacy v1 file) is mapped zero-copy, its pages shared across
-    processes; a multi-group file is flattened into memory once per
-    worker, so this path is O(rows) per worker for such files.
+    is mapped zero-copy, its pages shared across processes; a
+    multi-group file is flattened into memory once per worker, so this
+    path is O(rows) per worker for such files.
     Counter-identical to the ``replay_partial`` oracle over
     ``read_columnar(path)``, qname bucket by qname bucket, for any
     worker count — the equivalence suite pins it.

@@ -76,35 +76,6 @@ def partition_by_key(items: Sequence[T], shards: int,
     return buckets
 
 
-def bucket_group_ranges(group_buckets: Sequence[Any],
-                        buckets: int) -> List[Tuple[int, int]]:
-    """Per-bucket contiguous ``[start, end)`` ranges of a tagged sequence.
-
-    The shard-plan arithmetic behind row-range replay of a pre-bucketed
-    columnar trace: ``group_buckets`` is each row group's bucket tag in
-    file order, and the result assigns every bucket its contiguous group
-    range (possibly empty).  Tags must be ascending and fully cover the
-    sequence — an untagged or out-of-order group means the file was not
-    produced by the pre-bucketing writer, so this raises rather than
-    silently mis-partitioning the replay.
-    """
-    if buckets <= 0:
-        raise ValueError("buckets must be >= 1")
-    ranges: List[Tuple[int, int]] = []
-    pos = 0
-    total = len(group_buckets)
-    for bucket in range(buckets):
-        start = pos
-        while pos < total and group_buckets[pos] == bucket:
-            pos += 1
-        ranges.append((start, pos))
-    if pos != total:
-        raise ValueError(f"row groups are not bucket-contiguous for "
-                         f"{buckets} buckets (stopped at group {pos} "
-                         f"tagged {group_buckets[pos]!r})")
-    return ranges
-
-
 # ---------------------------------------------------------------------------
 # The shard-spec builder registry.
 

@@ -353,36 +353,43 @@ class TestColumnarCommands:
             normalised.append(dst.read_bytes())
         assert normalised[0] == normalised[1]
 
-    def test_legacy_v1_file_through_every_command(self, tmp_path, capsys):
-        """The committed v1 trace: ``dataset info``, ``convert`` to v2 and
-        to JSONL, and ``replay`` with the report of its v2 conversion."""
-        data = Path(__file__).parent / "data"
-        v1 = data / "allnames_v1.col"
-        assert main(["dataset", "info", str(v1)]) == 0
-        out = capsys.readouterr().out
-        assert re.search(r"^format version\s+1\s*$", out, re.M)
-        assert re.search(r"^rows\s+300\s*$", out, re.M)
-        assert re.search(r"^row groups\s+1\s*$", out, re.M)
-        assert "client_ip" in out
-        v2 = tmp_path / "v2.col"
-        assert main(["--quiet", "convert", "allnames", str(v1), str(v2),
-                     "--to", "columnar", "--row-group-rows", "64"]) == 0
-        assert file_info(v2)["version"] == 2
-        assert file_info(v2)["row_groups"] == 5
-        back = tmp_path / "back.jsonl"
-        assert main(["--quiet", "convert", "allnames", str(v1),
-                     str(back)]) == 0
-        assert back.read_bytes() == (data / "allnames_v1.jsonl").read_bytes()
-        reports = []
-        for tag, trace, workers in (("v1", v1, "1"), ("v1w2", v1, "2"),
-                                    ("v2", v2, "2")):
-            assert main(["--quiet", "--out", str(tmp_path / tag), "replay",
-                         "allnames", str(trace), "--shards", "4",
-                         "--workers", workers]) == 0
-            reports.append((tmp_path / tag / "replay.txt")
-                           .read_text().splitlines()[2:])
-        assert reports[0] == reports[1] == reports[2]
-        assert "blow-up factor" in "\n".join(reports[0])
+    def test_legacy_v1_file_through_every_command(self, tmp_path):
+        """A file in the retired single-block layout fails ``dataset
+        info``, ``convert`` (to JSONL, to columnar, pre-bucketed) and
+        ``replay``, naming the file, the layout and the command that
+        re-creates it, and nothing is written."""
+        v1 = tmp_path / "v1.col"
+        v1.write_bytes(b"RPRCOL01" + bytes(64))
+        out = str(tmp_path / "out")
+        for argv in (["dataset", "info", str(v1)],
+                     ["convert", "allnames", str(v1), out],
+                     ["convert", "allnames", str(v1), out, "--to",
+                      "columnar"],
+                     ["convert", "allnames", str(v1), out, "--to",
+                      "columnar", "--bucket-shards", "4"],
+                     ["replay", "allnames", str(v1), "--workers", "2"]):
+            with pytest.raises(ColumnarFormatError,
+                               match=f"{re.escape(str(v1))}: RPRCOL01, "
+                                     f"the retired single-block") as caught:
+                main(["--quiet", *argv])
+            assert "repro-ecs generate" in str(caught.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["v1.col"]
+
+    def test_failed_prebucket_leaves_dst_as_it_was(self, tmp_path):
+        """``convert --bucket-shards`` from JSONL writes its flat
+        conversion beside ``dst``, not over it: when pre-bucketing fails
+        (here: a directory where its first spill file goes), ``dst``
+        keeps its bytes and the flat file is gone."""
+        jsonl = Path(__file__).parent / "data" / "allnames_v1.jsonl"
+        dst = tmp_path / "trace.col"
+        dst.write_bytes(b"what dst held")
+        (tmp_path / "trace.col.bucket00.tmp").mkdir()
+        with pytest.raises(IsADirectoryError):
+            main(["--quiet", "convert", "allnames", str(jsonl), str(dst),
+                  "--to", "columnar", "--bucket-shards", "4"])
+        assert dst.read_bytes() == b"what dst held"
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["trace.col", "trace.col.bucket00.tmp"]
 
     @staticmethod
     def _replay_table(trace, workers, traced, out):
@@ -395,21 +402,24 @@ class TestColumnarCommands:
 
     @pytest.fixture(scope="class")
     def one_trace(self, tmp_path_factory):
-        """The committed v1 trace (nothing writes v1 any more), the three
-        other shapes ``convert`` makes of it, and the table ``replay``
-        prints for the v1 file at one worker, untraced."""
+        """The committed allnames trace as JSONL, the three columnar
+        shapes ``convert`` makes of it — one row group ("v1", the shape
+        of the retired layout it was first kept in), 64-row groups and
+        pre-bucketed — and the table ``replay`` prints for the one-group
+        file at one worker, untraced."""
         root = tmp_path_factory.mktemp("one-trace")
-        v1 = Path(__file__).parent / "data" / "allnames_v1.col"
-        shapes = {"v1": v1, "jsonl": root / "trace.jsonl",
+        jsonl = Path(__file__).parent / "data" / "allnames_v1.jsonl"
+        shapes = {"jsonl": jsonl, "v1": root / "one.col",
                   "v2": root / "rg.col", "bucketed": root / "bucketed.col"}
         for shape, extra in (
-                ("jsonl", []),
-                ("v2", ["--to", "columnar", "--row-group-rows", "64"]),
-                ("bucketed", ["--to", "columnar", "--bucket-shards", "8",
+                ("v1", []),
+                ("v2", ["--row-group-rows", "64"]),
+                ("bucketed", ["--bucket-shards", "8",
                               "--row-group-rows", "64"])):
-            assert main(["--quiet", "convert", "allnames", str(v1),
+            assert main(["--quiet", "convert", "allnames", str(jsonl),
                          str(shapes[shape]), *extra]) == 0
-        want = self._replay_table(v1, "1", False, root / "want")
+        assert file_info(shapes["v1"])["row_groups"] == 1
+        want = self._replay_table(shapes["v1"], "1", False, root / "want")
         assert "blow-up factor" in "\n".join(want)
         return shapes, want
 

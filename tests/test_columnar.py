@@ -10,17 +10,18 @@ The store's contract has four layers, each pinned here:
 * **Replay equivalence** — :func:`replay_partial_columns` is
   counter-identical to the object-path reference for whole stores, row
   buckets, and TTL overrides.
-* **Row-group layout (v2)** — random group budgets (including 1 and
-  larger than the trace) round-trip value-identically with group-local
+* **Row-group layout** — random group budgets (including 1 and larger
+  than the trace) round-trip value-identically with group-local
   dictionaries remapped on read; the merge writes the bytes of the
   per-row heapq reference (group copies included) on overlapping-ts
-  fixtures and on drawn shards with heavy ts ties; mixed-version merges
-  fail loudly; an interrupted writer leaves no file behind.
-* **One parser** — the committed legacy v1 files (``tests/data``,
-  written by the last commit that could) open through every reader
-  with the records, ``file_info``, conversions and replay counters of
-  their v2 conversion; a damaged header of either layout raises
-  :class:`ColumnarFormatError` naming the file.
+  fixtures and on drawn shards with heavy ts ties; a pre-bucketed file
+  replays like its flat source; an interrupted writer leaves no file
+  behind.
+* **One parser** — a damaged header, hostile bucket tags and a
+  dictionary code past its dictionary raise :class:`ColumnarFormatError`
+  naming the file from every reader, and a file in the retired
+  single-block layout (``RPRCOL01``) is refused by name whatever else
+  is wrong with it.
 * **JSONL lane** — lines parse a chunk at a time straight into columns:
   the parsed store equals ``from_records`` over the lines decoded one
   ``json.loads`` at a time, for any key
@@ -37,6 +38,7 @@ import heapq
 import json
 import pickle
 import random
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -49,7 +51,7 @@ from repro.analysis.cache_sim import (replay_partial, replay_partial_batched,
                                       replay_partial_column_groups,
                                       replay_partial_columns)
 from repro.datasets import columnar
-from repro.datasets.columnar import (MAGIC, MAGIC_V2, SCHEMAS,
+from repro.datasets.columnar import (MAGIC, SCHEMAS,
                                      ColumnarFormatError, ColumnarStore,
                                      ColumnarWriter,
                                      GroupedColumnarWriter, RowGroupReader,
@@ -74,20 +76,24 @@ from repro.obs import observe
 
 from jsonl_reference import merge_jsonl_shards, read_jsonl
 
-#: Legacy v1 (``RPRCOL01``) files and their JSONL twins, written once by
-#: ``write_columnar`` / ``write_jsonl`` at the last commit that had a v1
-#: writer: the first 300 records of ``AllNamesBuilder(scale=0.01,
-#: seed=9)`` and the first 120 of ``CdnDatasetBuilder(scale=0.004,
-#: seed=7, duration_s=900.0)`` (27 null ECS addresses, every ECS scope
-#: null).  Nothing under ``src/`` can regenerate the ``.col`` files.
+#: The committed JSONL twins of the two traces once kept in the retired
+#: single-block layout: the first 300 records of
+#: ``AllNamesBuilder(scale=0.01, seed=9)`` and the first 120 of
+#: ``CdnDatasetBuilder(scale=0.004, seed=7, duration_s=900.0)`` (27 null
+#: ECS addresses, every ECS scope null).
 DATA = Path(__file__).parent / "data"
-V1_FIXTURES = ("allnames", "cdn")
+#: Magic of the retired single-block layout, which no reader opens.
+V1_MAGIC = b"RPRCOL01"
 
 
-def _v1_fixture(name: str):
-    """A committed v1 file and the records it holds."""
-    return (DATA / f"{name}_v1.col",
-            read_jsonl(DATA / f"{name}_v1.jsonl", SCHEMAS[name].record_type))
+def _committed_trace(name: str, directory: Path, row_group_rows=None):
+    """The committed trace ``name`` converted from its JSONL twin into a
+    columnar file under ``directory`` (one group by default, the shape
+    the retired layout had), and the records it holds."""
+    src = DATA / f"{name}_v1.jsonl"
+    path = directory / f"{name}.col"
+    jsonl_to_columnar(src, path, name, row_group_rows)
+    return path, read_jsonl(src, SCHEMAS[name].record_type)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +406,10 @@ def test_open_rejects_bad_magic_and_version(tmp_path):
     assert not is_columnar(bogus)
     assert not is_columnar(tmp_path / "missing.col")
     header = json.dumps({"version": 99, "schema": "allnames", "rows": 0,
-                         "columns": []}).encode()
+                         "groups": []}).encode()
     stale = tmp_path / "stale.col"
-    stale.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header)
-    with pytest.raises(ValueError, match="version"):
+    stale.write_bytes(MAGIC + (16).to_bytes(8, "little") + header)
+    with pytest.raises(ValueError, match="version 99"):
         ColumnarStore.open(stale)
 
 
@@ -621,7 +627,7 @@ def test_v2_roundtrip_property(name, data, tmp_path_factory):
     assert write_columnar_stream(records, path, name, budget) \
         == len(records)
     assert is_columnar(path)
-    assert path.read_bytes()[:8] == MAGIC_V2
+    assert path.read_bytes()[:8] == MAGIC
     with ColumnarStore.open(path) as flat:
         assert flat.to_records() == records
     with RowGroupReader(path) as reader:
@@ -652,13 +658,13 @@ def test_v2_group_dictionaries_are_group_local(tmp_path):
 
 def test_convert_is_value_identical_and_canonical(tmp_path):
     """Conversion keeps every value, and its bytes depend only on the
-    rows and the group budget: two producers of one trace — a legacy v1
+    rows and the group budget: two producers of one trace — a one-group
     file and a fresh writer cutting groups elsewhere — are byte-identical
     once both are converted to the same ``row_group_rows``."""
-    v1, records = _v1_fixture("cdn")
+    v1, records = _committed_trace("cdn", tmp_path)
     v2 = tmp_path / "v2.col"
     assert convert_columnar(v1, v2, row_group_rows=32) == len(records)
-    assert v2.read_bytes()[:8] == MAGIC_V2
+    assert v2.read_bytes()[:8] == MAGIC
     assert read_columnar(v2) == records
     assert file_info(v2)["row_groups"] == 4
     other = tmp_path / "other.col"
@@ -676,14 +682,14 @@ def test_convert_is_value_identical_and_canonical(tmp_path):
     assert read_columnar(default) == records
 
 
-def _overlapping_shards(tmp_path, version: int, shards: int = 3):
+def _overlapping_shards(tmp_path, twins: bool, shards: int = 3):
     """Pre-sorted shard files with forced cross-shard ts ties.
 
-    The v1 shards are the committed file, once per shard — every row
-    ties with its twins in the other shards.
+    Twin shards are the committed allnames trace as one group, once per
+    shard — every row ties with its twins in the other shards.
     """
-    if version == 1:
-        path, records = _v1_fixture("allnames")
+    if twins:
+        path, records = _committed_trace("allnames", tmp_path)
         return [records] * shards, [path] * shards
     rng = random.Random(11)
     shard_lists = []
@@ -706,9 +712,9 @@ def merge_columnar_shards_rowwise(paths, out_path,
 
     The oracle of :func:`merge_columnar_shards`: rows come off one heap
     in ``(ts, shard index, row index)`` order and are appended one at a
-    time — except that a v2 source group whose rows come off back to
-    back, reached while the writer holds no pending row, is copied
-    verbatim.  O(rows) memory.
+    time — except that a source group whose rows come off back to back,
+    reached while the writer holds no pending row, is copied verbatim.
+    O(rows) memory.
     """
     readers = [RowGroupReader(p) for p in paths]
     try:
@@ -731,8 +737,7 @@ def merge_columnar_shards_rowwise(paths, out_path,
             while at < len(merged):
                 shard, g, row = merged[at]
                 size = groups[shard][g].rows
-                if (row == 0 and readers[shard].format_version == 2
-                        and writer.pending_rows == 0
+                if (row == 0 and writer.pending_rows == 0
                         and merged[at + size - 1:at + size]
                         == [(shard, g, size - 1)]):
                     writer.copy_group(readers[shard], g)
@@ -747,11 +752,12 @@ def merge_columnar_shards_rowwise(paths, out_path,
             reader.close()
 
 
-@pytest.mark.parametrize("version", (1, 2))
-def test_group_merge_byte_identical_to_rowwise(tmp_path, version):
+@pytest.mark.parametrize("twins", (True, False),
+                         ids=("twins", "overlapping"))
+def test_group_merge_byte_identical_to_rowwise(tmp_path, twins):
     """Group-granular merge == per-row heapq reference: row for row and
     byte for byte, group copies included."""
-    shard_lists, paths = _overlapping_shards(tmp_path, version)
+    shard_lists, paths = _overlapping_shards(tmp_path, twins)
     reference = merge_sorted_records(shard_lists)
     grouped = tmp_path / "grouped.col"
     rowwise = tmp_path / "rowwise.col"
@@ -762,9 +768,10 @@ def test_group_merge_byte_identical_to_rowwise(tmp_path, version):
 
 
 def _write_v1(records, path, schema) -> None:
-    """Write ``records`` in the legacy single-block layout (``RPRCOL01``):
-    the header first, after its u32 length, then one set of 8-byte
-    aligned segments — the column payloads a v2 group flush writes."""
+    """Write ``records`` in the retired single-block layout
+    (``RPRCOL01``), which no reader opens: the header first, after its
+    u32 length, then one set of 8-byte aligned segments — the column
+    payloads a group flush writes."""
     store = ColumnarStore.from_records(records, schema)
     area = bytearray()
 
@@ -783,18 +790,18 @@ def _write_v1(records, path, schema) -> None:
                         "dict_entries": entries})
     header = json.dumps({"version": 1, "schema": store.schema.name,
                          "rows": store.rows, "columns": columns}).encode()
-    path.write_bytes(MAGIC + len(header).to_bytes(4, "little") + header
+    path.write_bytes(V1_MAGIC + len(header).to_bytes(4, "little") + header
                      + bytes(-(12 + len(header)) % 8) + area)
 
 
+@pytest.mark.oracle
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_merge_bytes_equal_the_rowwise_oracle(data, tmp_path_factory):
     """Property: the merge writes the oracle's file, byte for byte — runs,
     windows and group copies alike — for 1–6 shards (some empty), ts
-    drawn from at most four values, any shard and output group size
-    from 1 to 9, and either layout."""
-    version = data.draw(st.sampled_from((1, 2)), label="layout")
+    drawn from at most four values, and any shard and output group size
+    from 1 to 9."""
     stamps = data.draw(st.lists(_TS, min_size=1, max_size=4), label="ts")
     rows = st.builds(AllNamesRecord, ts=st.sampled_from(stamps),
                      client_ip=_IP4, qname=_QNAME, qtype=_QTYPE,
@@ -806,11 +813,8 @@ def test_merge_bytes_equal_the_rowwise_oracle(data, tmp_path_factory):
     for index, records in enumerate(shard_lists):
         records.sort(key=lambda r: r.ts)
         path = directory / f"s{index}.col"
-        if version == 1:
-            _write_v1(records, path, "allnames")
-        else:
-            write_columnar_stream(records, path, "allnames", data.draw(
-                st.integers(1, 9), label="shard group rows"))
+        write_columnar_stream(records, path, "allnames", data.draw(
+            st.integers(1, 9), label="shard group rows"))
         paths.append(path)
     budget = data.draw(st.integers(1, 9), label="output group rows")
     merged, oracle = directory / "merged.col", directory / "oracle.col"
@@ -847,12 +851,12 @@ def test_merge_window_copies_a_contiguous_group(stamps, groups, tmp_path):
 
 
 def test_group_merge_v2_output_layout(tmp_path):
-    shard_lists, paths = _overlapping_shards(tmp_path, 2)
+    shard_lists, paths = _overlapping_shards(tmp_path, twins=False)
     reference = merge_sorted_records(shard_lists)
     out = tmp_path / "merged.col"
     assert merge_columnar_shards(paths, out, row_group_rows=25) \
         == len(reference)
-    assert out.read_bytes()[:8] == MAGIC_V2
+    assert out.read_bytes()[:8] == MAGIC
     assert read_columnar(out) == reference
     with RowGroupReader(out) as reader:
         assert all(reader.group_rows(i) <= 25
@@ -860,11 +864,14 @@ def test_group_merge_v2_output_layout(tmp_path):
 
 
 def test_merge_rejects_mixed_format_versions(tmp_path):
-    v1, records = _v1_fixture("allnames")
-    v2 = tmp_path / "v2.col"
-    write_columnar_stream(records, v2, "allnames", 8)
-    with pytest.raises(ValueError, match="mixed columnar format versions"):
-        merge_columnar_shards([v1, v2], tmp_path / "out.col")
+    """A shard in the retired layout fails the merge by name, and no
+    output is left."""
+    v2, records = _committed_trace("allnames", tmp_path)
+    v1 = tmp_path / "v1.col"
+    _write_v1(records, v1, "allnames")
+    with pytest.raises(ColumnarFormatError, match=_retired(v1)):
+        merge_columnar_shards([v2, v1], tmp_path / "out.col")
+    assert not list(tmp_path.glob("out.col*"))
 
 
 def test_prebucket_groups_and_ranges(tmp_path):
@@ -879,12 +886,13 @@ def test_prebucket_groups_and_ranges(tmp_path):
     ranges = bucketed_group_ranges(dst)
     assert ranges is not None and len(ranges) == shards
     assert bucketed_group_ranges(src) is None
+    assert (file_info(dst)["buckets"], file_info(src)["buckets"]) \
+        == (shards, None)
     seen = []
     with RowGroupReader(dst) as reader:
-        assert reader.bucket_ranges() == ranges
         for bucket, (lo, hi) in enumerate(ranges):
             for g in range(lo, hi):
-                assert reader.group_bucket(g) == bucket
+                assert reader.group_entry(g)["bucket"] == bucket
                 store = reader.group(g)
                 chunk = store.to_records()
                 assert all(stable_bucket(r.qname, shards) == bucket
@@ -932,56 +940,54 @@ def test_replay_column_groups_ttl_override(ttl_override, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# One parser: legacy v1 files, damaged headers, interrupted writers
+# One parser: the retired layout, damaged headers, interrupted writers
 
 
-def test_row_group_reader_wraps_v1(tmp_path):
-    """The committed v1 files read as one-group files through every
-    reader, and convert to v2 and to JSONL without losing a value."""
-    for name in V1_FIXTURES:
-        path, records = _v1_fixture(name)
-        assert path.read_bytes()[:8] == MAGIC
-        assert read_columnar(path) == records
-        with RowGroupReader(path) as reader:
-            assert reader.format_version == 1
-            assert reader.group_count == 1
-            assert reader.group_rows(0) == reader.rows == len(records)
-            assert reader.bucket_ranges() is None
-            assert list(reader.iter_records()) == records
-            assert reader.group(0).to_records() == records
-        assert bucketed_group_ranges(path) is None
-        v2 = tmp_path / f"{name}.v2.col"
-        assert convert_columnar(path, v2, row_group_rows=64) == len(records)
-        assert read_columnar(v2) == records
-        old, new = file_info(path), file_info(v2)
-        assert (old["version"], new["version"]) == (1, 2)
-        assert (old["row_groups"], old["row_group_rows"]) == (1, None)
-        assert new["row_groups"] == -(-len(records) // 64)
-        assert old["file_bytes"] == path.stat().st_size
-        for key in ("schema", "rows"):
-            assert old[key] == new[key]
-        for before, after in zip(old["columns"], new["columns"]):
-            assert before["data_bytes"] == after["data_bytes"]
-            assert (before["name"], before["kind"]) \
-                == (after["name"], after["kind"])
-        back = tmp_path / f"{name}.jsonl"
-        assert columnar_to_jsonl(path, back) == len(records)
-        assert back.read_bytes() \
-            == (DATA / f"{name}_v1.jsonl").read_bytes()
+def _retired(path) -> str:
+    """What every reader says about a file in the retired layout."""
+    return f"{re.escape(str(path))}: RPRCOL01, the retired single-block"
+
+
+def test_retired_v1_layout_is_refused_by_name(tmp_path):
+    """Every reader, converter, merge and replay refuses a file in the
+    retired single-block layout, naming it and the command that
+    re-creates it, and leaves no output behind."""
+    _, records = _committed_trace("allnames", tmp_path)
+    v1 = tmp_path / "v1.col"
+    _write_v1(records, v1, "allnames")
+    assert is_columnar(v1)
+    out = tmp_path / "out"
+    for call in (ColumnarStore.open, RowGroupReader, file_info,
+                 bucketed_group_ranges, read_columnar,
+                 lambda p: columnar_to_jsonl(p, out),
+                 lambda p: convert_columnar(p, out),
+                 lambda p: prebucket_columnar(p, out, 4),
+                 lambda p: merge_columnar_shards([p], out),
+                 lambda p: replay_columnar_sharded(p, "allnames")):
+        with pytest.raises(ColumnarFormatError, match=_retired(v1)) \
+                as caught:
+            call(v1)
+        assert "repro-ecs generate" in str(caught.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) \
+        == ["allnames.col", "v1.col"]
 
 
 @pytest.mark.parametrize("workers", (1, 2))
 def test_v1_replay_equals_its_v2_conversion(workers, tmp_path):
-    """Zero-copy v1, flattened v2 and pre-bucketed v2 replay alike."""
-    v1, records = _v1_fixture("allnames")
-    v2 = tmp_path / "v2.col"
-    convert_columnar(v1, v2, row_group_rows=64)
+    """The committed allnames trace replays alike from its JSONL twin, as
+    one mapped group, flattened from many groups and pre-bucketed."""
+    one, records = _committed_trace("allnames", tmp_path)
+    many = tmp_path / "many.col"
+    convert_columnar(one, many, row_group_rows=64)
     bucketed = tmp_path / "bucketed.col"
-    convert_columnar(v1, bucketed, row_group_rows=64, bucket_shards=4)
+    prebucket_columnar(one, bucketed, 4, row_group_rows=64)
     want = cache_sim.merge_partials(
         _oracle(bucket) for bucket
         in partition_by_key(records, 4, lambda r: r.qname))
-    for path in (v1, v2, bucketed):
+    got, report = replay_jsonl_sharded(DATA / "allnames_v1.jsonl",
+                                       "allnames", shards=4, workers=workers)
+    assert got == want
+    for path in (one, many, bucketed):
         got, report = replay_columnar_sharded(path, "allnames", shards=4,
                                               workers=workers)
         assert got == want, path
@@ -1007,7 +1013,7 @@ def _edit_header(mutate):
         if version == 2:
             return raw[:start] + payload
         new_end = 12 + len(payload)
-        return (MAGIC + len(payload).to_bytes(4, "little") + payload
+        return (V1_MAGIC + len(payload).to_bytes(4, "little") + payload
                 + b"\x00" * (-new_end % 8) + raw[end + -end % 8:])
     return damage
 
@@ -1023,13 +1029,24 @@ def _set(path, value):
     return mutate
 
 
+def _tags(buckets, *tags):
+    """A header mutation: the bucket count and the groups' bucket tags."""
+    def mutate(header, columns):
+        header["buckets"] = buckets
+        for group, tag in zip(header["groups"], tags):
+            group["bucket"] = tag
+    return mutate
+
+
 def _replace_header_byte(raw: bytes, version: int) -> bytes:
     start, _ = _header_span(raw, version)
     return raw[:start] + b"!" + raw[start + 1:]
 
 
-#: (id, versions it applies to, damage(raw, version) -> bytes, message).
-#: Column 5 of the cdn schema is the nullable ``ecs_address``.
+#: (id, layouts it applies to, damage(raw, version) -> bytes, message).
+#: Version 1 is the retired layout, refused by name however its header
+#: is damaged.  Column 5 of the cdn schema is the nullable
+#: ``ecs_address``; the version 2 file holds three groups.
 _DAMAGE = (
     ("bad-magic", (1, 2), lambda raw, v: b"NOTMAGIC" + raw[8:], "bad magic"),
     ("offset-unpatched", (2,),
@@ -1057,6 +1074,12 @@ _DAMAGE = (
     ("missing-key", (1, 2), _edit_header(lambda header, cols:
                                          cols[0].pop("data")),
      "malformed header"),
+    ("buckets-not-int", (2,), _edit_header(_set(("buckets",), "2")),
+     "bucket count '2' is not a positive integer"),
+    ("bucket-tags-decrease", (2,), _edit_header(_tags(2, 1, 0, 0)),
+     "group 1: bucket tag 0 follows tag 1"),
+    ("bucket-tag-past-buckets", (2,), _edit_header(_tags(2, 0, 1, 2)),
+     "group 2: bucket tag 2 is not an integer below the header's 2"),
 )
 
 
@@ -1067,12 +1090,14 @@ _DAMAGE = (
 def test_damaged_header_raises_format_error(version, damage, message,
                                             tmp_path):
     """Every reader goes through the one parser, which names the file."""
-    source, records = _v1_fixture("cdn")
-    if version == 2:
-        source = tmp_path / "good.col"
-        write_columnar_stream(records, source, "cdn", 50)
+    source, records = _committed_trace("cdn", tmp_path, 50)
+    if version == 1:
+        source = tmp_path / "retired.col"
+        _write_v1(records, source, "cdn")
     path = tmp_path / "damaged.col"
     path.write_bytes(damage(source.read_bytes(), version))
+    if path.read_bytes()[:8] == V1_MAGIC:
+        message = _retired(path)
     for opener in (ColumnarStore.open, RowGroupReader, file_info,
                    bucketed_group_ranges, read_columnar):
         with pytest.raises(ColumnarFormatError, match=message) as caught:
@@ -1082,26 +1107,75 @@ def test_damaged_header_raises_format_error(version, damage, message,
     assert issubclass(ColumnarFormatError, ValueError)
 
 
-@pytest.mark.parametrize("version", (1, 2))
-def test_damaged_dictionary_names_file_and_group(version, tmp_path):
-    """A dictionary segment that is not JSON passes the header checks and
-    fails when its group is read, with no view left on the mapping."""
-    source, records = _v1_fixture("cdn")
-    if version == 2:
-        source = tmp_path / "good.col"
-        write_columnar_stream(records, source, "cdn", 50)
-    path = tmp_path / "damaged.col"
+def _damage_segment(path: Path, group: int, column: int, rewrite) -> None:
+    """Replace one segment's bytes through ``rewrite(old) -> new`` (same
+    length), leaving the header as it was."""
+    raw = bytearray(path.read_bytes())
+    start, _ = _header_span(bytes(raw), 2)
+    header = json.loads(raw[start:])
+    offset, length = header["groups"][group]["columns"][column]["dict"]
+    at = 16 + offset
+    raw[at:at + length] = rewrite(bytes(raw[at:at + length]))
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("groups", (1, 2))
+def test_damaged_dictionary_names_file_and_group(groups, tmp_path):
+    """A dictionary segment that is not a JSON array passes the header
+    checks and fails when its group is read, with no view left on the
+    mapping."""
+    path, records = _committed_trace("cdn", tmp_path, 120 // groups)
+    last = groups - 1
     # Column 2 (qname) gets column 0's packed floats as its dictionary.
     path.write_bytes(_edit_header(
-        lambda header, cols: cols[2].__setitem__("dict", cols[0]["data"]))(
-            source.read_bytes(), version))
+        lambda header, cols: header["groups"][last]["columns"][2]
+        .__setitem__("dict", cols[0]["data"]))(path.read_bytes(), 2))
     assert file_info(path)["rows"] == len(records)
     with RowGroupReader(path) as reader:
         with pytest.raises(ColumnarFormatError,
-                           match="group 0: qname dictionary is not JSON"):
-            reader.group(0)
-    with pytest.raises(ColumnarFormatError, match=str(path)):
+                           match=f"group {last}: qname dictionary is not "
+                                 f"a JSON array"):
+            reader.group(last)
+    with pytest.raises(ColumnarFormatError, match=re.escape(str(path))):
         ColumnarStore.open(path)
+
+
+def _read_last_group(path, out):
+    with RowGroupReader(path) as reader:
+        return reader.group(reader.group_count - 1).to_records()
+
+
+@pytest.mark.parametrize("groups", (1, 2))
+@pytest.mark.parametrize("call", (
+    lambda p, out: ColumnarStore.open(p).to_records(),
+    lambda p, out: read_columnar(p),
+    _read_last_group,
+    columnar_to_jsonl,
+    lambda p, out: replay_columnar_sharded(p, "allnames", shards=2)),
+    ids=("open", "read_columnar", "group", "to_jsonl", "replay"))
+def test_dictionary_code_past_its_dictionary(call, groups, tmp_path):
+    """A ``qname`` dictionary cut to one entry, in the file's last group,
+    with the header intact: every read raises a typed error naming the
+    file, the group and the column, not an ``IndexError``."""
+    path, _ = _committed_trace("allnames", tmp_path, 300 // groups)
+    _damage_segment(path, groups - 1, 2, lambda old: json.dumps(
+        json.loads(old)[:1]).encode().ljust(len(old)))
+    with pytest.raises(ColumnarFormatError,
+                       match=f"{re.escape(str(path))}: group {groups - 1}: "
+                             f"qname row [0-9]+ holds dictionary code "
+                             f"[0-9]+, past its 1-entry dictionary"):
+        call(path, tmp_path / "out.jsonl")
+
+
+def test_null_cells_may_hold_a_code_past_an_empty_dictionary(tmp_path):
+    """A group whose nullable string column is all null has an empty
+    dictionary and placeholder codes 0, and reads."""
+    records = _hand_records("cdn", 8)
+    for record in records:
+        record.ecs_address = None
+    path = tmp_path / "nulls.col"
+    write_columnar_stream(records, path, "cdn")
+    assert read_columnar(path) == records
 
 
 def test_interrupted_writer_leaves_no_file(tmp_path):

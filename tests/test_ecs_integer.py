@@ -57,6 +57,7 @@ def options(draw, address=None):
     return (address, draw(st.integers(0, width)), draw(st.integers(0, width)))
 
 
+@pytest.mark.oracle
 class TestEcsAgainstOracle:
     def same(self, address: str, source: int, scope: int) -> EcsOption:
         got = EcsOption.from_client_address(address, source, scope)

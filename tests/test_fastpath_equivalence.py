@@ -373,6 +373,7 @@ class TestCodecCaches:
 # -- decoder tables ----------------------------------------------------------
 
 
+@pytest.mark.oracle
 class TestDecoderTables:
     """Decoding through warm intern/memo tables is decoding through cold
     ones: the tables may only ever save work."""

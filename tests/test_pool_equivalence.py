@@ -437,7 +437,6 @@ def test_row_group_generate_identical_bytes_across_matrix(kind, flush_rows,
             ref_bytes = out.read_bytes()
             assert read_columnar(out) == reference_records
             with RowGroupReader(out) as reader:
-                assert reader.format_version == 2
                 assert all(reader.group_rows(g) <= flush_rows
                            for g in range(reader.group_count))
         else:

@@ -42,6 +42,7 @@ def warm_and_cold(intact: bytes, wire: bytes):
     return warm, decode_outcome(wire)
 
 
+@pytest.mark.oracle
 class TestWireMutation:
     @given(messages, st.data())
     @settings(max_examples=100, deadline=None)
@@ -209,6 +210,7 @@ class TestWireMutation:
         assert not wire_module._OPT_TABLE
 
 
+@pytest.mark.oracle
 class TestDecodeInputTypes:
     """``decode_message`` takes ``bytes``, ``bytearray`` and ``memoryview``
     alike: anything but ``bytes`` is copied once at entry."""
@@ -262,6 +264,7 @@ class UnhashableOption(EdnsOption):
         return b"".join(self.chunks)
 
 
+@pytest.mark.oracle
 class TestEncoderOracle:
     @given(messages)
     @settings(max_examples=100, deadline=None)
