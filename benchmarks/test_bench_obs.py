@@ -23,7 +23,7 @@ from repro.datasets.columnar import ColumnarStore, write_columnar_stream
 from repro.engine.replay import replay_columnar_sharded
 from repro.obs import observe
 from repro.obs import live as obs_live
-from repro.obs.live import LiveSink, SinkEmitter
+from repro.obs.live import LiveSink
 
 from bench_timing import best_of_three
 
@@ -109,7 +109,7 @@ def test_live_heartbeat_overhead(save_report, replay_trace):
     def live_on():
         sink = LiveSink()
         sinks.append(sink)
-        previous = obs_live.swap(SinkEmitter(sink))
+        previous = obs_live.swap(sink.emitter())
         try:
             return _replay(replay_trace, shards)
         finally:
@@ -124,7 +124,8 @@ def test_live_heartbeat_overhead(save_report, replay_trace):
     # The live plane never touches results, and every shard's lifecycle
     # beats arrived (run_start + per-shard start/end + run_end).
     assert results["on"] == results["off"]
-    assert sinks[-1].heartbeats >= 2 * shards + 2
+    beats = sinks[-1].run_status()["heartbeats"]["received"]
+    assert beats >= 2 * shards + 2
 
     with ColumnarStore.open(replay_trace) as store:
         n = len(store)
@@ -133,6 +134,6 @@ def test_live_heartbeat_overhead(save_report, replay_trace):
         f"replay allnames, {n} rows, {shards} shards, best of 3: "
         f"live off {n / seconds['off']:,.0f} rec/s, "
         f"live on {n / seconds['on']:,.0f} rec/s "
-        f"({sinks[-1].heartbeats} heartbeats)\n"
+        f"({beats} heartbeats)\n"
         f"live-on/live-off = {live_ratio:.3f} (bar >= {LIVE_FLOOR})"))
     assert live_ratio >= LIVE_FLOOR

@@ -120,8 +120,9 @@ class _LiveProgress:
     """Rate-limited single-line progress renderer for ``--live``.
 
     Installed as the :class:`~repro.obs.live.LiveSink` beat callback; it
-    rewrites one stderr line (``\\r``) at most ~5 times a second, so a
-    long sharded run narrates itself without flooding the terminal.
+    rewrites one stderr line (``\\r``) at most ~5 times a second with
+    the beat's task as the sink's ledger (``/run``) counts it, so a long
+    sharded run narrates itself without flooding the terminal.
     Strictly out-of-band: it writes to stderr only, never to reports,
     so determinism diffs never see it.
     """
@@ -132,29 +133,23 @@ class _LiveProgress:
     def __init__(self, stream: Optional[TextIO] = None) -> None:
         self._stream = stream if stream is not None else sys.stderr
         self._last = 0.0
-        self._done = 0
-        self._total = 0
-        self._records = 0
-        self._task = ""
         self._wrote = False
 
     def __call__(self, sink: obs_live.LiveSink,
                  beat: obs_live.Heartbeat) -> None:
-        if beat.kind == "run_start":
-            self._task = beat.task
-            self._total += beat.shards
-        elif beat.kind == "shard_end":
-            self._done += 1
-            self._records += beat.records
-        elif beat.kind not in ("progress", "run_end"):
+        if beat.kind not in ("run_start", "shard_end", "progress",
+                             "run_end"):
             return
         now = time.monotonic()
         if beat.kind != "run_end" and now - self._last < self._INTERVAL:
             return
         self._last = now
+        task = sink.run_status()["tasks"].get(beat.task)
+        if task is None:
+            return
         self._stream.write(
-            f"\r[live] {self._task}: {self._done}/{self._total} shards, "
-            f"{human_count(self._records)} records")
+            f"\r[live] {beat.task}: {task['done']}/{task['shards_total']} "
+            f"shards, {human_count(task['records'])} records")
         self._stream.flush()
         self._wrote = True
 
@@ -649,10 +644,9 @@ def _export_artefacts(args: argparse.Namespace, reporter: _Reporter,
                       sink: Optional[obs_live.LiveSink]) -> None:
     """Write the timeline, metrics and span files collected so far."""
     if args.timeline_out is not None and sink is not None:
-        events = sink.timeline.events()
-        write_chrome_trace(events, args.timeline_out,
-                           dropped=sink.timeline.dropped)
-        reporter.note(f"wrote {len(events)} timeline events "
+        beats, dropped = sink.timeline()
+        write_chrome_trace(beats, args.timeline_out, dropped=dropped)
+        reporter.note(f"wrote {len(beats)} timeline events "
                       f"to {args.timeline_out}")
     if args.metrics_out is not None:
         write_prometheus(session.registry, args.metrics_out)
@@ -690,10 +684,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     progress = _LiveProgress() if args.live else None
     sink: Optional[obs_live.LiveSink] = None
     server = None
-    previous_emitter: Optional[obs_live.LiveEmitter] = None
+    previous_emitter: Optional[obs_live.Emitter] = None
     if live_enabled:
         sink = obs_live.LiveSink(on_beat=progress)
-        previous_emitter = obs_live.swap(obs_live.SinkEmitter(sink))
+        previous_emitter = obs_live.swap(sink.emitter())
         if args.serve_metrics is not None:
             from .obs.server import TelemetryServer
             server = TelemetryServer(sink, port=args.serve_metrics)

@@ -130,42 +130,29 @@ class EngineReport:
         return "\n".join(lines)
 
 
-#: One shard's outcome: (result, seconds, registry | None, spans | None,
-#: dropped span count).
-_Outcome = Tuple[Any, float, Optional[MetricsRegistry],
+#: One shard's outcome: (result, record count, seconds, registry | None,
+#: spans | None, dropped span count).
+_Outcome = Tuple[Any, int, float, Optional[MetricsRegistry],
                  Optional[List[Span]], int]
 
 
-def _live_record_count(result: Any) -> int:
-    """Best-effort record count for a shard's heartbeat.
-
-    The parent's ``count_of`` extractor is not picklable into workers,
-    so heartbeats use a structural guess: sized results report their
-    length, integer results (the JSONL/columnar writers return counts)
-    report themselves, partials expose ``queries`` or ``records``.  Only
-    the live plane reads this — :class:`ShardStats` keeps using
-    ``count_of``.
-    """
-    if hasattr(result, "__len__"):
-        return len(result)
-    if isinstance(result, int):
-        return result
-    for attr in ("queries", "records"):
-        value = getattr(result, attr, None)
-        if isinstance(value, int):
-            return value
-    return 0
+def _len_or_zero(result: Any) -> int:
+    """The default ``count_of``: ``len`` where the result has one."""
+    return len(result) if hasattr(result, "__len__") else 0
 
 
 def _observed_call(fn: Callable[..., Any], args: Tuple[Any, ...],
-                   shard_index: int, capture_metrics: bool,
-                   capture_traces: bool, task: str = "engine") -> _Outcome:
+                   shard_index: int, count_of: Callable[[Any], int],
+                   capture_metrics: bool, capture_traces: bool,
+                   task: str = "engine") -> _Outcome:
     """Run ``fn(*args)`` timed, against fresh per-shard obs collectors.
 
     Swapping (rather than merely activating) the registry/tracer makes
     inline and pooled execution indistinguishable to the instrumented
     code: either way the shard writes into its own collectors, which are
     snapshotted here and merged by the parent in shard order.
+    ``count_of`` runs here, where the shard ran, so its record count is
+    the one number :class:`ShardStats` and the live plane both report.
 
     With a live emitter active, the shard's boundaries stream out as
     ``shard_start``/``shard_end`` heartbeats; the end beat carries the
@@ -176,7 +163,7 @@ def _observed_call(fn: Callable[..., Any], args: Tuple[Any, ...],
     """
     emitter = obs_live.ACTIVE
     if emitter is not None:
-        emitter.shard_start(task, shard_index)
+        emitter.beat("shard_start", task, shard_index)
     registry: Optional[MetricsRegistry] = None
     spans: Optional[List[Span]] = None
     dropped = 0
@@ -194,16 +181,16 @@ def _observed_call(fn: Callable[..., Any], args: Tuple[Any, ...],
         if tracer is not None:
             obs_trace.swap(previous_tracer)
             spans, dropped = tracer.spans, tracer.dropped
+    records = count_of(result)
     if emitter is not None:
-        emitter.shard_end(task, shard_index,
-                          records=_live_record_count(result),
-                          seconds=seconds, metrics=registry)
-    return result, seconds, registry, spans, dropped
+        emitter.beat("shard_end", task, shard_index, records=records,
+                     seconds=seconds, metrics=registry)
+    return result, records, seconds, registry, spans, dropped
 
 
 def _run_header_chunk(header: bytes, args_blobs: Sequence[bytes],
-                      base_index: int, capture_metrics: bool,
-                      capture_traces: bool,
+                      base_index: int, count_of: Callable[[Any], int],
+                      capture_metrics: bool, capture_traces: bool,
                       task: str = "engine") -> List[_Outcome]:
     """Worker entry point: run several consecutive shards of one run.
 
@@ -219,12 +206,12 @@ def _run_header_chunk(header: bytes, args_blobs: Sequence[bytes],
     fn, shared = decode_header(header)
     emitter = obs_live.ACTIVE
     if emitter is not None and pool_mod.header_loads() != loads_before:
-        emitter.event("header_decode", task=task, bytes=len(header))
+        emitter.beat("header_decode", task, bytes=len(header))
     outcomes: List[_Outcome] = []
     for offset, blob in enumerate(args_blobs):
         args = pickle.loads(blob)
         outcomes.append(_observed_call(fn, tuple(shared) + tuple(args),
-                                       base_index + offset,
+                                       base_index + offset, count_of,
                                        capture_metrics, capture_traces,
                                        task))
     return outcomes
@@ -270,7 +257,8 @@ def run_sharded(fn: Callable[..., Any],
     are still collected in shard order, so output never depends on
     scheduling.
     ``count_of`` extracts a record count from each result for the stats
-    (defaults to ``len`` where available).
+    and the live plane (defaults to ``len`` where available); it runs in
+    the worker, so it too must be a module-level function.
 
     ``shared`` holds the arguments common to every shard — the builder
     spec, trace kind, fault plan.  It is serialized once per run and
@@ -287,9 +275,10 @@ def run_sharded(fn: Callable[..., Any],
     workers = max(1, workers)
     capture_metrics = obs_metrics.ACTIVE is not None
     capture_traces = obs_trace.ACTIVE is not None
+    count_of = count_of if count_of is not None else _len_or_zero
     emitter = obs_live.ACTIVE
     if emitter is not None:
-        emitter.run_start(task, shards=len(shard_args))
+        emitter.beat("run_start", task, shards=len(shard_args))
     wall_start = time.perf_counter()
     outcomes: List[_Outcome] = []
     payload_bytes: List[int] = [0] * len(shard_args)
@@ -298,7 +287,7 @@ def run_sharded(fn: Callable[..., Any],
     if workers == 1 or len(shard_args) <= 1:
         for index, args in enumerate(shard_args):
             outcomes.append(_observed_call(fn, tuple(shared) + tuple(args),
-                                           index, capture_metrics,
+                                           index, count_of, capture_metrics,
                                            capture_traces, task))
     else:
         header = encode_header(fn, tuple(shared))
@@ -311,14 +300,14 @@ def run_sharded(fn: Callable[..., Any],
         bounds = _chunk_bounds(len(shard_args), chunk_size)
         run_pool, ephemeral = _resolve_pool(workers)
         pool_mode = "persistent"
-        submissions = [(header, blobs[lo:hi], lo,
+        submissions = [(header, blobs[lo:hi], lo, count_of,
                         capture_metrics, capture_traces, task)
                        for lo, hi in bounds]
         if emitter is not None:
             for position, (lo, hi) in enumerate(bounds):
-                emitter.dispatch(task, shard=lo, shards=hi - lo,
-                                 payload_bytes=sum(payload_bytes[lo:hi]),
-                                 queue_depth=len(bounds) - position)
+                emitter.beat("dispatch", task, lo, shards=hi - lo,
+                             payload_bytes=sum(payload_bytes[lo:hi]),
+                             queue_depth=len(bounds) - position)
         try:
             for chunk in run_pool.run_batch(_run_header_chunk, submissions,
                                             bounds, task=task):
@@ -328,23 +317,15 @@ def run_sharded(fn: Callable[..., Any],
                 run_pool.shutdown()
     wall = time.perf_counter() - wall_start
 
-    results: List[Any] = []
-    stats: List[ShardStats] = []
-    for index, (result, seconds, _, _, _) in enumerate(outcomes):
-        if count_of is not None:
-            count = count_of(result)
-        elif hasattr(result, "__len__"):
-            count = len(result)
-        else:
-            count = 0
-        results.append(result)
-        stats.append(ShardStats(index, count, seconds,
-                                payload_bytes[index]))
+    results = [result for result, _, _, _, _, _ in outcomes]
+    stats = [ShardStats(index, records, seconds, payload_bytes[index])
+             for index, (_, records, seconds, _, _, _)
+             in enumerate(outcomes)]
     report = EngineReport(task, workers, wall, stats,
                           pool_mode=pool_mode, header_bytes=header_bytes)
     _fold_observability(report, outcomes, capture_metrics, capture_traces)
     if emitter is not None:
-        emitter.run_end(task, records=sum(s.records for s in stats))
+        emitter.beat("run_end", task, records=report.total_records)
     return results, report
 
 
@@ -352,7 +333,7 @@ def _fold_observability(report: EngineReport, outcomes: Sequence[_Outcome],
                         capture_metrics: bool, capture_traces: bool) -> None:
     """Merge per-shard snapshots in shard order; feed the parent's obs."""
     if capture_metrics:
-        merged = merge_registries(registry for _, _, registry, _, _
+        merged = merge_registries(registry for _, _, _, registry, _, _
                                   in outcomes if registry is not None)
         report.metrics = merged
         parent = obs_metrics.ACTIVE
@@ -361,7 +342,7 @@ def _fold_observability(report: EngineReport, outcomes: Sequence[_Outcome],
     if capture_traces:
         all_spans: List[Span] = []
         dropped_total = 0
-        for _, _, _, spans, dropped in outcomes:
+        for _, _, _, _, spans, dropped in outcomes:
             if spans:
                 all_spans.extend(spans)
             dropped_total += dropped

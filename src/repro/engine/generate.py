@@ -136,8 +136,8 @@ def generate_columnar(spec: ShardSpec, out_path: Union[str, Path],
                                       row_group_rows=row_group_rows)
         emitter = _obs_live.ACTIVE
         if emitter is not None:
-            emitter.event("merge", task=task, records=total,
-                          seconds=time.perf_counter() - merge_start)
+            emitter.beat("merge", task, records=total,
+                         seconds=time.perf_counter() - merge_start)
     finally:
         for path in paths:
             path.unlink(missing_ok=True)

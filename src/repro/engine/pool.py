@@ -229,9 +229,11 @@ class WorkerPool:
         range whose result was not retrieved — promptly, never as a
         hang, because a broken pool fails every outstanding future (so
         the named range is where the loss starts, not necessarily where
-        the crash happened).  When a submission raises, the rest are
-        cancelled or awaited before the error is re-raised: nothing of
-        a failed batch still writes files while its caller cleans up.
+        the crash happened); with the live plane on, a ``worker_crash``
+        beat naming the same range lands on the timeline first.  When a
+        submission raises, the rest are cancelled or awaited before the
+        error is re-raised: nothing of a failed batch still writes
+        files while its caller cleans up.
         """
         executor = self._ensure_executor()
         futures = [executor.submit(worker, *submission)
@@ -242,6 +244,9 @@ class WorkerPool:
                 results.append(future.result())
         except BrokenProcessPool as exc:
             self._discard_broken()
+            emitter = _obs_live.ACTIVE
+            if emitter is not None:
+                emitter.beat("worker_crash", task, lo, shards=hi - lo)
             raise WorkerCrashError(
                 f"{task}: a worker process died; shards [{lo}, {hi}) "
                 f"are the first whose result was not retrieved, and "

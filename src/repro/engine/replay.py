@@ -176,6 +176,11 @@ def _check_kind_and_shards(kind: str, shards: int) -> None:
         raise ValueError("shards must be >= 1")
 
 
+def _queries(partial: ReplayPartial) -> int:
+    """A replay shard's record count (runs in the worker: picklable)."""
+    return partial.queries
+
+
 def _replay_shards(worker: Callable[..., ReplayPartial],
                    shard_args: Sequence[Tuple[Any, ...]],
                    shared: Tuple[Any, ...], kind: str, workers: int
@@ -188,7 +193,7 @@ def _replay_shards(worker: Callable[..., ReplayPartial],
     """
     partials, report = run_sharded(
         worker, shard_args, workers=workers, task=f"replay:{kind}",
-        count_of=lambda partial: partial.queries, shared=shared)
+        count_of=_queries, shared=shared)
     return merge_partials(partials), report
 
 
@@ -288,9 +293,9 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
         raise (jsonl_file_defect(path, kind) or exc) from None
     emitter = _obs_live.ACTIVE
     if emitter is not None:
-        emitter.event("bucket", task=f"replay:{kind}",
-                      records=sum(len(bucket) for bucket in buckets),
-                      seconds=time.perf_counter() - bucket_start)
+        emitter.beat("bucket", f"replay:{kind}",
+                     records=sum(len(bucket) for bucket in buckets),
+                     seconds=time.perf_counter() - bucket_start)
     try:
         return _replay_shards(_replay_lines_shard,
                               [(bucket,) for bucket in buckets], (kind,),
@@ -448,6 +453,10 @@ def _fig1_shard(spec: ShardSpec, ttls: Tuple[Optional[int], ...],
     return len(store), fig1_series(store, ttls)
 
 
+def _fig1_rows(part: Tuple[int, Any]) -> int:
+    return part[0]
+
+
 def fig1_sharded(spec: ShardSpec, ttls: Sequence[Optional[int]],
                  workers: int = 1
                  ) -> Tuple[Dict[Optional[int], List[float]], EngineReport]:
@@ -463,7 +472,7 @@ def fig1_sharded(spec: ShardSpec, ttls: Sequence[Optional[int]],
     parts, report = run_sharded(
         _fig1_shard, [(i,) for i in range(spec.shard_count)],
         workers=workers, task=f"fig1:{spec.builder}",
-        count_of=lambda part: part[0], shared=(spec, ttls))
+        count_of=_fig1_rows, shared=(spec, ttls))
     return {ttl: sorted(chain.from_iterable(series[ttl]
                                             for _, series in parts))
             for ttl in ttls}, report
@@ -489,7 +498,7 @@ def client_sweep_sharded(path: Union[str, Path], clients: Sequence[str],
     units = [(fraction, seed) for fraction in fractions for seed in seeds]
     partials, report = run_sharded(
         _client_sample_replay, units, workers=workers,
-        task="sweep:allnames", count_of=lambda partial: partial.queries,
+        task="sweep:allnames", count_of=_queries,
         shared=(str(Path(path).resolve()), list(clients)))
     results = [partial.result() for partial in partials]
     per = len(seeds)

@@ -136,15 +136,15 @@ def _chaos_shard(plan: FaultPlan, policy: RetryPolicy, seed: int,
         ingress_count=ingress_count).build()
     emitter = _obs_live.ACTIVE
     if emitter is not None:
-        emitter.event("chaos_universe", task=f"chaos[{plan.name}]",
-                      shard=shard_index, ingress=ingress_count)
+        emitter.beat("chaos_universe", f"chaos[{plan.name}]", shard_index,
+                     ingress=ingress_count)
     bound = plan.bind(fault_seed, shard_index)
     universe.net.install_injector(bound)
     scanner = Scanner(universe, retry_policy=policy)
     result = scanner.scan()
     if emitter is not None:
-        emitter.progress(f"chaos[{plan.name}]", shard_index,
-                         records=len(result.records))
+        emitter.beat("progress", f"chaos[{plan.name}]", shard_index,
+                     records=len(result.records))
     targets = universe.forwarder_ips
     return ChaosPartial(
         probes=len(targets),

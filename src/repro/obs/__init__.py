@@ -14,10 +14,10 @@ answers one question and has one on-disk form:
   tracing (``tracer.span("resolve", qname=...)``, monotonic-clock
   timing, parent/child span IDs) forming per-query DNS lifecycle traces;
   exported as span JSONL.
-- :mod:`repro.obs.live` with :mod:`repro.obs.timeline` — *where did the
-  run's wall time go across workers?*  Loss-tolerant heartbeats stream
-  from pool workers into a :class:`~repro.obs.live.LiveSink` whose
-  bounded timeline ring is exported as Chrome trace-event JSON.
+- :mod:`repro.obs.live` — *where did the run's wall time go across
+  workers?*  Loss-tolerant heartbeats stream from pool workers into a
+  :class:`~repro.obs.live.LiveSink` whose bounded ring of beats, the
+  timeline, is exported as Chrome trace-event JSON.
 
 Around them: :mod:`repro.obs.export` holds the three writers and the
 atomic text-file helper they share, :mod:`repro.obs.server` the stdlib
@@ -27,7 +27,7 @@ HTTP scrape endpoint (``/metrics``, ``/healthz``, ``/run``), and
 Each of ``metrics``, ``trace`` and ``live`` has one ``ACTIVE`` slot that
 instrumented code reads and one setter, ``swap(x) -> previous``.  This
 package imports only ``metrics`` and ``trace`` — what every instrumented
-module reads; import ``live``, ``timeline``, ``export``, ``server`` and
+module reads; import ``live``, ``export``, ``server`` and
 ``profile`` by module path where they are used, so a pool worker never
 loads ``http.server`` or ``cProfile`` for flags it never got.
 

@@ -2,9 +2,9 @@
 
 Each collector has exactly one on-disk form — registry → Prometheus
 text (:func:`write_prometheus`), tracer → span JSONL
-(:func:`write_spans_jsonl`), timeline → Chrome trace-event JSON
-(:func:`write_chrome_trace`) — and every one of them, like the CLI's
-report and profile files, reaches disk through
+(:func:`write_spans_jsonl`), the live sink's ring of heartbeats →
+Chrome trace-event JSON (:func:`write_chrome_trace`) — and every one
+of them, like the CLI's report and profile files, reaches disk through
 :func:`write_text_atomic`: streamed to ``<name>.tmp`` beside the
 destination and renamed into place, so an interrupted run leaves an
 artefact absent or complete, never half-written.
@@ -32,8 +32,8 @@ from pathlib import Path
 from typing import (Any, Dict, Iterable, Iterator, List, Sequence, Set,
                     Tuple, Union)
 
+from .live import Heartbeat
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .timeline import TimelineEvent, to_chrome_trace
 from .trace import Span
 
 
@@ -292,8 +292,50 @@ def write_spans_jsonl(spans: Sequence[Span], path: Union[str, Path],
     return write_text_atomic(path, lines())
 
 
-def write_chrome_trace(events: Sequence[TimelineEvent],
+def to_chrome_trace(beats: Sequence[Heartbeat],
+                    dropped: int = 0) -> Dict[str, Any]:
+    """Render heartbeats as a Chrome trace-event JSON document.
+
+    The ``{"traceEvents": [...]}`` form ``chrome://tracing`` and
+    Perfetto (https://ui.perfetto.dev) open directly.  A beat with
+    ``seconds > 0`` becomes a complete event (``"ph": "X"``) covering
+    ``[ts - seconds, ts)`` on its pid's track, any other beat a
+    thread-scoped instant (``"ph": "i"``).  Timestamps rebase to the
+    earliest event and convert to microseconds, so the document is valid
+    whatever the monotonic clock's epoch; events order by ``(ts, kind,
+    name)``.  ``otherData`` records the event count and ``dropped``, the
+    ring's overflow, so a truncated timeline is self-describing.
+    """
+    rows = []
+    for beat in beats:
+        name = beat.task or beat.kind
+        if beat.shard is not None:
+            name = f"{name}[{beat.shard}]"
+        start = beat.ts - beat.seconds if beat.seconds > 0 else beat.ts
+        rows.append((start, beat.kind, name, beat))
+    base = min((row[0] for row in rows), default=0.0)
+    trace_events: List[Dict[str, Any]] = []
+    for start, kind, name, beat in sorted(rows, key=lambda r: r[:3]):
+        args: Dict[str, Any] = dict(sorted(beat.attrs.items()))
+        if beat.records:
+            args["records"] = beat.records
+        if beat.shard is not None:
+            args["shard"] = beat.shard
+        doc: Dict[str, Any] = {"name": name, "cat": kind, "pid": beat.pid,
+                               "tid": beat.pid,
+                               "ts": round((start - base) * 1e6, 3),
+                               "args": args}
+        if beat.seconds > 0:
+            doc.update(ph="X", dur=round(beat.seconds * 1e6, 3))
+        else:
+            doc.update(ph="i", s="t")
+        trace_events.append(doc)
+    return {"traceEvents": trace_events, "displayTimeUnit": "ms",
+            "otherData": {"events": len(trace_events), "dropped": dropped}}
+
+
+def write_chrome_trace(beats: Sequence[Heartbeat],
                        path: Union[str, Path], dropped: int = 0) -> Path:
     """Write the timeline's Chrome trace-event rendering to ``path``."""
-    document = json.dumps(to_chrome_trace(events, dropped), sort_keys=True)
+    document = json.dumps(to_chrome_trace(beats, dropped), sort_keys=True)
     return write_text_atomic(path, (document, "\n"))

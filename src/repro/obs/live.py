@@ -2,33 +2,31 @@
 
 The post-hoc obs layer (:mod:`repro.obs.metrics` / ``trace``) only
 materializes after :class:`~repro.engine.executor.EngineReport` merges
-shards, so a long run is a black box until it finishes.  This module
-adds the *live plane*: instrumented engine code emits sequence-numbered
-:class:`Heartbeat` messages — run/dispatch/shard lifecycle moments plus
-per-worker rusage samples — through the process-wide :data:`ACTIVE`
-emitter slot, and a parent-side :class:`LiveSink` folds them into a
-scrapeable registry (served by :mod:`repro.obs.server`), a run-status
-snapshot, and a :class:`~repro.obs.timeline.Timeline`.
+shards, so a long run is a black box until it finishes.  The *live
+plane* fixes that: instrumented code calls :meth:`Emitter.beat` on the
+process-wide :data:`ACTIVE` emitter, and each call — a
+sequence-numbered :class:`Heartbeat` carrying a rusage sample — reaches
+a parent-side :class:`LiveSink`.  The sink books it in its registry,
+the plane's one ledger (served as ``/metrics``, rendered as ``/run`` by
+:mod:`repro.obs.server`), and keeps the beat itself in a bounded ring,
+the run's timeline (``--timeline-out``).
 
-Transport follows the worker topology:
+An emitter hands each beat to a delivery callable: :meth:`LiveSink.offer`
+in the parent (:meth:`LiveSink.emitter`), a non-blocking ``put_nowait``
+into a ``multiprocessing`` queue in pool workers, installed by the
+initializer :func:`pool_initializer` hands
+:class:`~repro.engine.pool.WorkerPool`; the sink drains that queue on a
+daemon thread.
 
-* in the parent (and for inline ``workers=1`` runs) the slot holds a
-  :class:`SinkEmitter` that feeds the sink directly;
-* pool workers get a :class:`QueueEmitter` writing to a
-  ``multiprocessing`` queue.  :func:`pool_initializer` hands
-  :class:`~repro.engine.pool.WorkerPool` the initializer that installs
-  it, and the sink drains the queue on a daemon thread.
-
-The protocol is **loss-tolerant by design**: emitters never block
-(``put_nowait``; a full or closed channel drops the beat), every beat
-carries a per-emitter sequence number, and the sink counts gaps and
-stale deliveries instead of trusting transport.  It is also strictly
-**out-of-band**: heartbeats ride a side channel, never the result path,
-so experiment outputs stay byte-identical at any ``--workers`` with the
-live plane on or off.  Shard-end beats may attach the shard's own
-:class:`~repro.obs.metrics.MetricsRegistry`; because each shard registry
-is merged exactly once, every counter the sink serves is monotonically
-non-decreasing across scrapes.
+The protocol is **loss-tolerant by design**: emitters never block (a
+full or closed channel drops the beat), and the sink counts sequence
+gaps and stale deliveries instead of trusting transport.  It is also
+strictly **out-of-band**: heartbeats ride a side channel, never the
+result path, so experiment outputs stay byte-identical at any
+``--workers`` with the live plane on or off.  Shard-end beats may
+attach the shard's own :class:`~repro.obs.metrics.MetricsRegistry`;
+because each shard registry is merged exactly once, every counter the
+sink serves is monotonically non-decreasing across scrapes.
 """
 
 from __future__ import annotations
@@ -38,11 +36,12 @@ import os
 import queue as queue_mod
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple)
+from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
+                    Optional, Tuple)
 
 from .metrics import Counter, MetricsRegistry
-from .timeline import Timeline, TimelineEvent
 
 if TYPE_CHECKING:
     from multiprocessing.queues import Queue as _MpQueue
@@ -77,8 +76,10 @@ class Heartbeat:
     ``seq`` increments per emitter (so per process), letting the sink
     detect loss and discard stale redeliveries; ``ts`` is
     ``time.monotonic()`` (system-wide on Linux, comparable across the
-    pool).  All fields are picklable — beats cross the pool boundary as
-    plain queue items.
+    pool).  A beat with ``seconds > 0`` is a slice covering
+    ``[ts - seconds, ts)`` on the timeline.  ``attrs`` holds the rest
+    (``shards``, ``payload_bytes``, ``queue_depth``, ...).  All fields
+    are picklable — beats cross the pool boundary as plain queue items.
     """
 
     seq: int
@@ -89,294 +90,174 @@ class Heartbeat:
     shard: Optional[int] = None
     records: int = 0
     seconds: float = 0.0
-    payload_bytes: int = 0
-    queue_depth: int = 0
-    shards: int = 0
     rss_kb: int = 0
     cpu_seconds: float = 0.0
     metrics: Optional[MetricsRegistry] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
 
 
-class LiveEmitter:
-    """Builds sequence-numbered heartbeats; subclasses deliver them.
+class Emitter:
+    """Builds sequence-numbered heartbeats and hands each to ``deliver``.
 
-    The convenience methods (:meth:`run_start` … :meth:`event`) are the
-    vocabulary instrumented code speaks; delivery (and loss) policy
-    lives entirely in the subclass :meth:`emit`.
+    ``channel``, set only on a parent emitter, returns the queue pool
+    workers should deliver into (see :func:`pool_initializer`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, deliver: Callable[[Heartbeat], None],
+                 channel: Optional[Callable[[], "BeatChannel"]] = None
+                 ) -> None:
+        self._deliver = deliver
+        self.channel = channel
         self._seq = 0
         self._pid = os.getpid()
 
-    # -- delivery (subclass responsibility) ---------------------------------
-
-    def emit(self, beat: Heartbeat) -> None:
-        raise NotImplementedError
-
-    def worker_channel(self) -> Optional["BeatChannel"]:
-        """The queue pool workers should emit into (``None`` = no pool)."""
-        return None
-
-    # -- beat construction --------------------------------------------------
-
-    def _beat(self, kind: str, *, task: str = "",
-              shard: Optional[int] = None, records: int = 0,
-              seconds: float = 0.0, payload_bytes: int = 0,
-              queue_depth: int = 0, shards: int = 0,
-              metrics: Optional[MetricsRegistry] = None,
-              attrs: Optional[Dict[str, Any]] = None) -> Heartbeat:
+    def beat(self, kind: str, task: str = "", shard: Optional[int] = None,
+             records: int = 0, seconds: float = 0.0,
+             metrics: Optional[MetricsRegistry] = None,
+             **attrs: Any) -> None:
+        """Emit one beat; ``shard`` is a chunk's first index on dispatch."""
         self._seq += 1
         rss_kb, cpu_seconds = _rusage()
-        return Heartbeat(seq=self._seq, pid=self._pid, ts=time.monotonic(),
-                         kind=kind, task=task, shard=shard, records=records,
-                         seconds=seconds, payload_bytes=payload_bytes,
-                         queue_depth=queue_depth, shards=shards,
-                         rss_kb=rss_kb, cpu_seconds=cpu_seconds,
-                         metrics=metrics, attrs=attrs or {})
-
-    # -- instrumentation vocabulary -----------------------------------------
-
-    def run_start(self, task: str, shards: int) -> None:
-        self.emit(self._beat("run_start", task=task, shards=shards))
-
-    def run_end(self, task: str, records: int) -> None:
-        self.emit(self._beat("run_end", task=task, records=records))
-
-    def dispatch(self, task: str, shard: int, shards: int,
-                 payload_bytes: int, queue_depth: int) -> None:
-        """One chunk submission: ``shard`` is the chunk's first index."""
-        self.emit(self._beat("dispatch", task=task, shard=shard,
-                             shards=shards, payload_bytes=payload_bytes,
-                             queue_depth=queue_depth))
-
-    def shard_start(self, task: str, shard: int) -> None:
-        self.emit(self._beat("shard_start", task=task, shard=shard))
-
-    def shard_end(self, task: str, shard: int, records: int,
-                  seconds: float,
-                  metrics: Optional[MetricsRegistry] = None) -> None:
-        self.emit(self._beat("shard_end", task=task, shard=shard,
-                             records=records, seconds=seconds,
-                             metrics=metrics))
-
-    def progress(self, task: str, shard: Optional[int],
-                 records: int) -> None:
-        """A mid-shard tick for long shards (chaos scans, big merges)."""
-        self.emit(self._beat("progress", task=task, shard=shard,
-                             records=records))
-
-    def event(self, kind: str, task: str = "",
-              shard: Optional[int] = None, records: int = 0,
-              seconds: float = 0.0, **attrs: Any) -> None:
-        """A free-form lifecycle moment (``seconds > 0`` makes a slice)."""
-        self.emit(self._beat(kind, task=task, shard=shard, records=records,
-                             seconds=seconds, attrs=dict(attrs)))
+        self._deliver(Heartbeat(self._seq, self._pid, time.monotonic(),
+                                kind, task, shard, records, seconds,
+                                rss_kb, cpu_seconds, metrics, attrs))
 
 
-class SinkEmitter(LiveEmitter):
-    """Parent-side emitter: beats go straight into the sink."""
-
-    def __init__(self, sink: "LiveSink") -> None:
-        super().__init__()
-        self.sink = sink
-
-    def emit(self, beat: Heartbeat) -> None:
-        self.sink.offer(beat)
-
-    def worker_channel(self) -> Optional["BeatChannel"]:
-        return self.sink.worker_channel()
-
-
-class QueueEmitter(LiveEmitter):
-    """Worker-side emitter: non-blocking sends into the pool channel.
-
-    A full or torn-down channel silently drops the beat — the sequence
-    number still advanced, so the sink's loss counter records the gap.
-    Telemetry must never block or fail a shard.
-    """
-
-    def __init__(self, channel: "BeatChannel") -> None:
-        super().__init__()
-        self._channel = channel
-
-    def emit(self, beat: Heartbeat) -> None:
-        try:
-            self._channel.put_nowait(beat)
-        except (queue_mod.Full, ValueError, OSError):
-            pass
-
-
-@dataclass
-class WorkerStatus:
-    """Per-process view the sink maintains from heartbeats."""
-
-    pid: int
-    beats: int = 0
-    busy_seconds: float = 0.0
-    rss_kb: int = 0
-    cpu_seconds: float = 0.0
-    last_seq: int = 0
-
-
-@dataclass
-class TaskStatus:
-    """Per-task shard progress ledger."""
-
-    task: str
-    shards_total: int = 0
-    dispatched: int = 0
-    started: int = 0
-    done: int = 0
-    records: int = 0
-    payload_bytes: int = 0
-
-
-#: Signature of the optional per-beat callback (the ``--live`` printer).
-OnBeat = Callable[["LiveSink", Heartbeat], None]
+#: ``/run`` task fields and the ledger instrument each one reads; every
+#: task that sent a beat has an in-flight sample.
+_TASK_FIELDS = (("shards_total", "repro_live_shards_total"),
+                ("dispatched", "repro_live_shards_dispatched_total"),
+                ("started", "repro_live_shards_started_total"),
+                ("done", "repro_live_shards_done_total"),
+                ("in_flight", "repro_live_shards_in_flight"),
+                ("records", "repro_live_records_total"),
+                ("payload_bytes", "repro_live_payload_bytes_total"))
 
 
 class LiveSink:
     """Folds heartbeats into scrapeable state (thread-safe).
 
-    Owns three views of the run: a cumulative
-    :class:`~repro.obs.metrics.MetricsRegistry` (``repro_live_*``
-    instruments plus every shard registry attached to a ``shard_end``
-    beat), a JSON-friendly run status (shard progress per task, worker
-    utilization, loss accounting), and a bounded
-    :class:`~repro.obs.timeline.Timeline`.  All three are read by
-    :class:`~repro.obs.server.TelemetryServer` under the sink's lock,
-    so scrapes are consistent snapshots.
+    Keeps one cumulative :class:`~repro.obs.metrics.MetricsRegistry`
+    (the ``repro_live_*`` ledger plus every shard registry attached to
+    a ``shard_end`` beat) and a ring of the last ``capacity`` accepted
+    beats, the run's timeline.  Both are read under the sink's lock, so
+    scrapes are consistent snapshots.  ``on_beat(sink, beat)`` (the
+    ``--live`` printer) is called after each accepted beat.
     """
 
-    def __init__(self, on_beat: Optional[OnBeat] = None) -> None:
+    def __init__(self,
+                 on_beat: Optional[Callable[["LiveSink", Heartbeat],
+                                            None]] = None,
+                 capacity: int = 65536) -> None:
         self._lock = threading.Lock()
         self._registry = MetricsRegistry()
-        self.timeline = Timeline()
+        self._ring: Deque[Heartbeat] = deque(maxlen=capacity)
         self.on_beat = on_beat
         self.started = time.monotonic()
-        self.heartbeats = 0
-        self.lost = 0
-        self.stale = 0
-        self._workers: Dict[int, WorkerStatus] = {}
-        self._tasks: Dict[str, TaskStatus] = {}
+        #: Transport state, not ledger: the last sequence seen per pid.
+        self._last_seq: Dict[int, int] = {}
         self._channel: Optional["BeatChannel"] = None
         self._drain: Optional[threading.Thread] = None
         self._stop = threading.Event()
+
+    def emitter(self) -> Emitter:
+        """A parent-side emitter delivering straight into this sink."""
+        return Emitter(self.offer, self.worker_channel)
 
     # -- ingestion ----------------------------------------------------------
 
     def offer(self, beat: Heartbeat) -> None:
         """Fold one heartbeat in; stale (re-)deliveries are ignored."""
-        callback: Optional[OnBeat] = None
         with self._lock:
-            self.heartbeats += 1
-            worker = self._workers.get(beat.pid)
-            if worker is None:
-                worker = WorkerStatus(pid=beat.pid)
-                self._workers[beat.pid] = worker
-            if beat.seq <= worker.last_seq:
-                self.stale += 1
+            last = self._last_seq.get(beat.pid, 0)
+            if beat.seq <= last:
+                self._registry.counter(
+                    "repro_live_heartbeats_stale_total",
+                    "Stale or repeated heartbeats ignored.").inc()
                 return
-            lost_now = beat.seq - worker.last_seq - 1
-            worker.last_seq = beat.seq
-            self.lost += lost_now
-            worker.beats += 1
-            worker.rss_kb = max(worker.rss_kb, beat.rss_kb)
-            worker.cpu_seconds = max(worker.cpu_seconds, beat.cpu_seconds)
-            self._absorb(beat, worker, lost_now)
+            self._last_seq[beat.pid] = beat.seq
+            if beat.seq - last > 1:
+                self._registry.counter(
+                    "repro_live_heartbeats_lost_total",
+                    "Heartbeats dropped in transit (sequence gaps).").inc(
+                        float(beat.seq - last - 1))
+            self._absorb(beat)
+            self._ring.append(beat)
             callback = self.on_beat
         if callback is not None:
             callback(self, beat)
 
-    def _absorb(self, beat: Heartbeat, worker: WorkerStatus,
-                lost_now: int) -> None:
-        """Update registry, task ledger and timeline (lock held)."""
-        reg = self._registry
+    def _absorb(self, beat: Heartbeat) -> None:
+        """Book one accepted beat in the ledger (lock held)."""
+        reg, task, pid, kind = (self._registry, beat.task, str(beat.pid),
+                                beat.kind)
         reg.counter("repro_live_heartbeats_total",
                     "Live-plane heartbeats received, by beat kind.",
-                    ("kind",)).inc(1.0, beat.kind)
-        if lost_now:
-            reg.counter("repro_live_heartbeats_lost_total",
-                        "Heartbeats dropped in transit (sequence gaps)."
-                        ).inc(float(lost_now))
-        task = self._task(beat.task) if beat.task else None
-        kind = beat.kind
-        if kind == "run_start" and task is not None:
-            task.shards_total += beat.shards
+                    ("kind",)).inc(1.0, kind)
+        reg.counter("repro_live_worker_beats_total",
+                    "Heartbeats accepted, per emitting process.",
+                    ("pid",)).inc(1.0, pid)
+        if task and kind == "run_start":
             reg.counter("repro_live_runs_total",
                         "Sharded runs started, per task.",
-                        ("task",)).inc(1.0, beat.task)
-        elif kind == "dispatch" and task is not None:
-            task.dispatched += beat.shards
-            task.payload_bytes += beat.payload_bytes
+                        ("task",)).inc(1.0, task)
+            reg.counter("repro_live_shards_total",
+                        "Shards announced by run starts, per task.",
+                        ("task",)).inc(beat.attrs.get("shards", 0), task)
+        elif task and kind == "dispatch":
+            reg.counter("repro_live_shards_dispatched_total",
+                        "Shards submitted to the worker pool, per task.",
+                        ("task",)).inc(beat.attrs.get("shards", 0), task)
             reg.counter("repro_live_payload_bytes_total",
                         "Serialized shard-spec bytes dispatched, per task.",
-                        ("task",)).inc(float(beat.payload_bytes), beat.task)
+                        ("task",)).inc(beat.attrs.get("payload_bytes", 0),
+                                       task)
             reg.gauge("repro_live_queue_depth",
                       "Chunk submissions still queued behind this one.",
-                      mode="max").set(float(beat.queue_depth))
-        elif kind == "shard_start" and task is not None:
-            task.started += 1
-        elif kind == "shard_end" and task is not None:
-            task.done += 1
-            task.records += beat.records
-            worker.busy_seconds += beat.seconds
+                      mode="max").set(beat.attrs.get("queue_depth", 0))
+        elif task and kind == "shard_start":
+            reg.counter("repro_live_shards_started_total",
+                        "Shards started, per task.", ("task",)).inc(1.0, task)
+        elif task and kind == "shard_end":
             reg.counter("repro_live_shards_done_total",
                         "Shards completed, per task.",
-                        ("task",)).inc(1.0, beat.task)
+                        ("task",)).inc(1.0, task)
             reg.counter("repro_live_records_total",
                         "Records processed by completed shards, per task.",
-                        ("task",)).inc(float(beat.records), beat.task)
+                        ("task",)).inc(float(beat.records), task)
+            reg.counter("repro_live_worker_busy_seconds_total",
+                        "Seconds spent in completed shards, per process.",
+                        ("pid",)).inc(beat.seconds, pid)
             if beat.metrics is not None:
                 reg.merge_from(beat.metrics)
-        if task is not None:
+        if task:
+            in_flight = (
+                self._column("repro_live_shards_started_total").get(task, 0)
+                - self._column("repro_live_shards_done_total").get(task, 0))
             reg.gauge("repro_live_shards_in_flight",
                       "Shards started but not yet finished, per task.",
-                      ("task",), mode="max").set(
-                          float(max(0, task.started - task.done)), beat.task)
+                      ("task",), mode="max").set(max(0.0, in_flight), task)
         if beat.rss_kb:
             reg.gauge("repro_live_worker_rss_kb",
                       "Peak resident set size per worker process (KiB).",
-                      ("pid",), mode="max").set(float(worker.rss_kb),
-                                                str(beat.pid))
+                      ("pid",), mode="max").set_max(float(beat.rss_kb), pid)
         if beat.cpu_seconds:
             reg.gauge("repro_live_worker_cpu_seconds",
                       "User+system CPU time per worker process.",
-                      ("pid",), mode="max").set(worker.cpu_seconds,
-                                                str(beat.pid))
-        self.timeline.add(self._timeline_event(beat))
+                      ("pid",), mode="max").set_max(beat.cpu_seconds, pid)
 
-    def _task(self, name: str) -> TaskStatus:
-        task = self._tasks.get(name)
-        if task is None:
-            task = TaskStatus(task=name)
-            self._tasks[name] = task
-        return task
+    def _column(self, name: str) -> Dict[str, float]:
+        """One instrument's samples keyed by its one label value ("")."""
+        instrument = self._registry.get(name)
+        if instrument is None:
+            return {}
+        return {key[0] if key else "": value
+                for key, value in instrument.samples().items()}
 
-    @staticmethod
-    def _timeline_event(beat: Heartbeat) -> TimelineEvent:
-        name = beat.task or beat.kind
-        if beat.shard is not None:
-            name = f"{name}[{beat.shard}]"
-        attrs: Dict[str, Any] = {}
-        if beat.records:
-            attrs["records"] = beat.records
-        if beat.payload_bytes:
-            attrs["payload_bytes"] = beat.payload_bytes
-        if beat.queue_depth:
-            attrs["queue_depth"] = beat.queue_depth
-        if beat.shards:
-            attrs["shards"] = beat.shards
-        attrs.update(beat.attrs)
-        has_span = beat.seconds > 0
-        return TimelineEvent(
-            ts=beat.ts - beat.seconds if has_span else beat.ts,
-            kind=beat.kind, name=name, pid=beat.pid, shard=beat.shard,
-            dur=beat.seconds if has_span else None, attrs=attrs)
+    def _sum(self, name: str) -> int:
+        return int(sum(self._column(name).values()))
 
-    # -- snapshots (what the HTTP server reads) -----------------------------
+    # -- snapshots (what the HTTP server and the exporters read) ------------
 
     def registry_snapshot(self) -> MetricsRegistry:
         """A consistent copy of the cumulative registry, plus uptime."""
@@ -387,38 +268,50 @@ class LiveSink:
                            time.monotonic() - self.started)
         return snapshot
 
-    def run_status(self) -> Dict[str, Any]:
-        """JSON-friendly run snapshot for the ``/run`` route."""
+    def timeline(self) -> Tuple[List[Heartbeat], int]:
+        """The ring's beats, oldest first, and how many it dropped."""
         with self._lock:
-            tasks = {
-                name: {"shards_total": t.shards_total,
-                       "dispatched": t.dispatched,
-                       "started": t.started, "done": t.done,
-                       "in_flight": max(0, t.started - t.done),
-                       "records": t.records,
-                       "payload_bytes": t.payload_bytes}
-                for name, t in sorted(self._tasks.items())}
+            return list(self._ring), self._dropped()
+
+    def _dropped(self) -> int:
+        return self._sum("repro_live_heartbeats_total") - len(self._ring)
+
+    def run_status(self) -> Dict[str, Any]:
+        """The ``/run`` document, rendered from the ledger counters."""
+        with self._lock:
+            col = self._column
+            tasks = {task: {key: int(col(name).get(task, 0))
+                            for key, name in _TASK_FIELDS}
+                     for task in sorted(col("repro_live_shards_in_flight"))}
+            busy = col("repro_live_worker_busy_seconds_total")
+            rss = col("repro_live_worker_rss_kb")
+            cpu = col("repro_live_worker_cpu_seconds")
+            beats = col("repro_live_worker_beats_total")
             workers = {
-                str(pid): {"beats": w.beats,
-                           "busy_seconds": round(w.busy_seconds, 6),
-                           "rss_kb": w.rss_kb,
-                           "cpu_seconds": round(w.cpu_seconds, 6)}
-                for pid, w in sorted(self._workers.items())}
-            counters: Dict[str, float] = {}
-            for instrument in self._registry.instruments():
-                if isinstance(instrument, Counter) and \
-                        instrument.name.startswith(_STATUS_COUNTER_PREFIXES):
-                    counters[instrument.name] = \
-                        sum(instrument.samples().values())
+                pid: {"beats": int(count),
+                      "busy_seconds": round(busy.get(pid, 0.0), 6),
+                      "rss_kb": int(rss.get(pid, 0)),
+                      "cpu_seconds": round(cpu.get(pid, 0.0), 6)}
+                for pid, count in sorted(beats.items(),
+                                         key=lambda item: int(item[0]))}
+            counters = {
+                instrument.name: sum(instrument.samples().values())
+                for instrument in self._registry.instruments()
+                if isinstance(instrument, Counter) and
+                instrument.name.startswith(_STATUS_COUNTER_PREFIXES)}
+            stale = self._sum("repro_live_heartbeats_stale_total")
             return {
                 "uptime_seconds": round(time.monotonic() - self.started, 3),
-                "heartbeats": {"received": self.heartbeats,
-                               "lost": self.lost, "stale": self.stale},
+                "heartbeats": {
+                    "received": self._sum("repro_live_heartbeats_total")
+                    + stale,
+                    "lost": self._sum("repro_live_heartbeats_lost_total"),
+                    "stale": stale},
                 "tasks": tasks,
                 "workers": workers,
                 "counters": counters,
-                "timeline": {"events": len(self.timeline),
-                             "dropped": self.timeline.dropped},
+                "timeline": {"events": len(self._ring),
+                             "dropped": self._dropped()},
             }
 
     # -- the pool side channel ----------------------------------------------
@@ -481,10 +374,10 @@ class LiveSink:
 #: The active live emitter, or ``None`` when the live plane is off.
 #: Instrumented code guards every read (``x = live.ACTIVE; if x is not
 #: None: ...``) — RS003 enforces the idiom, exactly as for metrics.
-ACTIVE: Optional[LiveEmitter] = None
+ACTIVE: Optional[Emitter] = None
 
 
-def swap(emitter: Optional[LiveEmitter]) -> Optional[LiveEmitter]:
+def swap(emitter: Optional[Emitter]) -> Optional[Emitter]:
     """Install ``emitter`` (possibly ``None``), returning the previous one."""
     global ACTIVE
     previous, ACTIVE = ACTIVE, emitter
@@ -495,14 +388,22 @@ def swap(emitter: Optional[LiveEmitter]) -> Optional[LiveEmitter]:
 # pool wiring: how WorkerPool arranges for workers to emit.
 
 
-def _install_queue_emitter(channel: "BeatChannel") -> None:
+def _install_worker_emitter(channel: "BeatChannel") -> None:
     """Pool-initializer body: runs once in each fresh worker process.
 
     Replaces whatever emitter the worker inherited (under ``fork`` that
-    is the parent's :class:`SinkEmitter`, whose sink copy would be
-    written blindly) with a :class:`QueueEmitter` on the shared channel.
+    is the parent's, whose sink copy would be written blindly) with one
+    delivering into the shared channel.  A full or torn-down channel
+    drops the beat — its sequence number still advanced, so the sink
+    counts the gap.  Telemetry must never block or fail a shard.
     """
-    swap(QueueEmitter(channel))
+    def deliver(beat: Heartbeat) -> None:
+        try:
+            channel.put_nowait(beat)
+        except (queue_mod.Full, ValueError, OSError):
+            pass
+
+    swap(Emitter(deliver))
 
 
 def pool_initializer(
@@ -516,9 +417,6 @@ def pool_initializer(
     under ``fork``, pickled into the spawning context under ``spawn``.
     """
     emitter = ACTIVE
-    if emitter is None:
+    if emitter is None or emitter.channel is None:
         return None
-    channel = emitter.worker_channel()
-    if channel is None:
-        return None
-    return _install_queue_emitter, (channel,)
+    return _install_worker_emitter, (emitter.channel(),)

@@ -11,9 +11,9 @@ stdlib, daemon threads) around three read-only routes:
 ``/healthz``
     ``ok`` — liveness only, for scrape-loop readiness checks.
 ``/run``
-    The sink's run status as JSON: per-task shard progress, worker
-    utilization (busy seconds, RSS, CPU), heartbeat loss accounting and
-    the fault/retry counter totals.
+    The sink's run status as JSON, rendered from the same registry:
+    per-task shard progress, worker utilization (busy seconds, RSS,
+    CPU), heartbeat loss accounting and the fault/retry counter totals.
 
 The server binds ``127.0.0.1`` by default (telemetry is not an
 experiment output and is never exposed beyond the host unless asked)
@@ -110,10 +110,6 @@ class TelemetryServer:
                                         daemon=True)
         self._thread.start()
         return self.port
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
 
     def stop(self) -> None:
         """Shut the listener down; idempotent."""

@@ -1,20 +1,22 @@
 """Live telemetry plane: heartbeats, sink accounting, HTTP endpoints,
 timelines.
 
-Covers the repro.obs.live / repro.obs.server / repro.obs.timeline
-triangle plus its engine and CLI integration:
+Covers repro.obs.live and repro.obs.server plus the plane's engine and
+CLI integration:
 
 - the loss-tolerant heartbeat protocol (sequence gaps counted, stale
   redeliveries ignored, non-blocking worker emitters);
 - the scrape endpoint serving parseable Prometheus text whose counters
   are monotonically non-decreasing across concurrent mid-run scrapes;
-- timeline ring-buffer bounds and Chrome trace-event export;
+- the sink's ring of beats (bounds, overflow count) and its Chrome
+  trace-event export;
 - the out-of-band contract: experiment outputs are byte-identical with
   the live plane on or off, at any worker count.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 import time
@@ -23,19 +25,19 @@ import urllib.request
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _LiveProgress, main
 from repro.datasets.allnames import AllNamesBuilder
 from repro.datasets.columnar import write_columnar_stream
+from repro.engine import ShardSpec, WorkerPool, generate_columnar
 from repro.engine.executor import run_sharded
-from repro.engine.replay import replay_columnar_sharded
+from repro.engine.replay import fig1_sharded, replay_columnar_sharded
 from repro.faults.chaos import run_chaos
 from repro.faults.presets import preset
 from repro.obs import live as obs_live
-from repro.obs.export import parse_prometheus, write_chrome_trace
-from repro.obs.live import (Heartbeat, LiveSink, QueueEmitter, SinkEmitter,
-                            pool_initializer)
+from repro.obs.export import (parse_prometheus, to_chrome_trace,
+                              write_chrome_trace)
+from repro.obs.live import Emitter, Heartbeat, LiveSink, pool_initializer
 from repro.obs.server import TelemetryServer
-from repro.obs.timeline import Timeline, TimelineEvent, to_chrome_trace
 
 
 @pytest.fixture(autouse=True)
@@ -51,29 +53,31 @@ def _beat(seq, pid=100, kind="progress", **kwargs):
                      **kwargs)
 
 
+def _heartbeats(sink):
+    return sink.run_status()["heartbeats"]
+
+
 class TestHeartbeatProtocol:
     def test_emitter_sequences_increment_per_emitter(self):
         sink = LiveSink()
-        emitter = SinkEmitter(sink)
-        emitter.run_start("t", shards=2)
-        emitter.shard_start("t", 0)
-        emitter.shard_end("t", 0, records=10, seconds=0.5)
-        assert sink.heartbeats == 3
-        assert sink.lost == 0 and sink.stale == 0
+        emitter = sink.emitter()
+        emitter.beat("run_start", "t", shards=2)
+        emitter.beat("shard_start", "t", 0)
+        emitter.beat("shard_end", "t", 0, records=10, seconds=0.5)
+        assert [beat.seq for beat in sink.timeline()[0]] == [1, 2, 3]
+        assert _heartbeats(sink) == {"received": 3, "lost": 0, "stale": 0}
 
     def test_sequence_gaps_count_as_lost(self):
         sink = LiveSink()
         sink.offer(_beat(1))
         sink.offer(_beat(5))           # 2,3,4 dropped in transit
-        assert sink.lost == 3
-        assert sink.heartbeats == 2
+        assert _heartbeats(sink) == {"received": 2, "lost": 3, "stale": 0}
 
     def test_stale_redelivery_ignored(self):
         sink = LiveSink()
         sink.offer(_beat(2, kind="shard_start", task="t"))
         sink.offer(_beat(2, kind="shard_start", task="t"))  # duplicate
         sink.offer(_beat(1, kind="shard_start", task="t"))  # reordered
-        assert sink.stale == 2
         status = sink.run_status()
         assert status["tasks"]["t"]["started"] == 1
         assert status["heartbeats"]["stale"] == 2
@@ -82,7 +86,7 @@ class TestHeartbeatProtocol:
         sink = LiveSink()
         sink.offer(_beat(1, pid=100))
         sink.offer(_beat(1, pid=200))
-        assert sink.lost == 0 and sink.stale == 0
+        assert _heartbeats(sink) == {"received": 2, "lost": 0, "stale": 0}
         assert set(sink.run_status()["workers"]) == {"100", "200"}
 
     def test_queue_emitter_never_raises_on_dead_channel(self):
@@ -90,27 +94,33 @@ class TestHeartbeatProtocol:
             def put_nowait(self, item):
                 raise ValueError("queue is closed")
 
-        emitter = QueueEmitter(_Closed())
-        emitter.run_start("t", shards=1)   # must not raise
-        emitter.shard_end("t", 0, records=1, seconds=0.1)
+        sink = LiveSink()
+        obs_live.swap(sink.emitter())
+        initializer, _ = pool_initializer()
+        initializer(_Closed())       # a worker whose channel has died
+        obs_live.ACTIVE.beat("run_start", "t", shards=1)  # must not raise
+        obs_live.ACTIVE.beat("shard_end", "t", 0, records=1, seconds=0.1)
+        sink.close()
 
     def test_worker_channel_round_trip(self):
         sink = LiveSink()
-        channel = SinkEmitter(sink).worker_channel()
-        QueueEmitter(channel).shard_end("t", 3, records=7, seconds=0.2)
+        channel = sink.emitter().channel()
+        Emitter(channel.put_nowait).beat("shard_end", "t", 3, records=7,
+                                         seconds=0.2)
         deadline = time.monotonic() + 5.0
-        while sink.heartbeats == 0 and time.monotonic() < deadline:
+        while _heartbeats(sink)["received"] == 0 and \
+                time.monotonic() < deadline:
             time.sleep(0.01)
         sink.close()
-        assert sink.heartbeats == 1
+        assert _heartbeats(sink)["received"] == 1
         assert sink.run_status()["tasks"]["t"]["done"] == 1
 
     def test_close_drains_residual_beats(self):
         sink = LiveSink()
         channel = sink.worker_channel()
-        emitter = QueueEmitter(channel)
+        emitter = Emitter(channel.put_nowait)
         for shard in range(5):
-            emitter.shard_end("t", shard, records=1, seconds=0.0)
+            emitter.beat("shard_end", "t", shard, records=1)
         sink.close()   # folds anything the drain thread had not consumed
         assert sink.run_status()["tasks"]["t"]["done"] == 5
         sink.close()   # idempotent
@@ -121,27 +131,33 @@ class TestHeartbeatProtocol:
 
     def test_pool_initializer_installs_queue_emitter(self):
         sink = LiveSink()
-        obs_live.swap(SinkEmitter(sink))
+        parent = sink.emitter()
+        obs_live.swap(parent)
         init = pool_initializer()
         assert init is not None
         initializer, initargs = init
         initializer(*initargs)   # what each fresh worker process runs
-        assert isinstance(obs_live.ACTIVE, QueueEmitter)
+        worker = obs_live.ACTIVE
+        assert isinstance(worker, Emitter) and worker is not parent
+        assert worker.channel is None   # a worker hands out no channel
+        worker.beat("shard_start", "t", 0)
         obs_live.swap(None)
         sink.close()
+        assert sink.run_status()["tasks"]["t"]["started"] == 1
 
 
 class TestSinkRegistry:
     def test_lifecycle_beats_build_counters(self):
         sink = LiveSink()
-        emitter = SinkEmitter(sink)
-        emitter.run_start("replay:t", shards=2)
-        emitter.dispatch("replay:t", shard=0, shards=2, payload_bytes=64,
-                         queue_depth=1)
+        emitter = sink.emitter()
+        emitter.beat("run_start", "replay:t", shards=2)
+        emitter.beat("dispatch", "replay:t", 0, shards=2, payload_bytes=64,
+                     queue_depth=1)
         for shard in (0, 1):
-            emitter.shard_start("replay:t", shard)
-            emitter.shard_end("replay:t", shard, records=50, seconds=0.1)
-        emitter.run_end("replay:t", records=100)
+            emitter.beat("shard_start", "replay:t", shard)
+            emitter.beat("shard_end", "replay:t", shard, records=50,
+                         seconds=0.1)
+        emitter.beat("run_end", "replay:t", records=100)
         text = sink.registry_snapshot()
         rendered = {i.name: i for i in text.instruments()}
         assert rendered["repro_live_shards_done_total"].samples()[
@@ -158,11 +174,11 @@ class TestSinkRegistry:
     def test_shard_registries_merge_exactly_once(self):
         from repro.obs.metrics import MetricsRegistry
         sink = LiveSink()
-        emitter = SinkEmitter(sink)
+        emitter = sink.emitter()
         shard_reg = MetricsRegistry()
         shard_reg.counter("repro_faults_total", "h").inc(4.0)
-        emitter.shard_end("t", 0, records=1, seconds=0.1,
-                          metrics=shard_reg)
+        emitter.beat("shard_end", "t", 0, records=1, seconds=0.1,
+                     metrics=shard_reg)
         snapshot = sink.registry_snapshot()
         fault = [i for i in snapshot.instruments()
                  if i.name == "repro_faults_total"]
@@ -194,7 +210,7 @@ class TestEngineIntegration:
 
     def test_inline_run_emits_lifecycle_beats(self, records, trace):
         sink = LiveSink()
-        obs_live.swap(SinkEmitter(sink))
+        obs_live.swap(sink.emitter())
         try:
             with_live, _ = replay_columnar_sharded(trace, "allnames",
                                                    shards=4)
@@ -211,7 +227,7 @@ class TestEngineIntegration:
 
     def test_pooled_run_streams_worker_heartbeats(self, trace):
         sink = LiveSink()
-        obs_live.swap(SinkEmitter(sink))
+        obs_live.swap(sink.emitter())
         try:
             with_live, _ = replay_columnar_sharded(trace, "allnames",
                                                    shards=4, workers=2)
@@ -228,12 +244,46 @@ class TestEngineIntegration:
         # worker processes appear alongside the parent
         assert len(status["workers"]) >= 2
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_live_records_equal_engine_report(self, trace, tmp_path,
+                                              workers):
+        """``/run`` counts a shard's records with the run's own
+        ``count_of``, the number :class:`EngineReport` totals — not a
+        guess from the shape of the result."""
+        runs = {
+            "fig1:public-cdn": lambda: fig1_sharded(
+                ShardSpec.create("public-cdn", shard_count=4, scale=0.003,
+                                 seed=5, duration_s=600.0),
+                (None, 40), workers=workers),
+            "chaos[lossy]": lambda: run_chaos(
+                preset("lossy"), seed=1, fault_seed=7, ingress=24,
+                shards=4, workers=workers),
+            "replay:allnames": lambda: replay_columnar_sharded(
+                trace, "allnames", shards=4, workers=workers),
+            "generate:allnames": lambda: generate_columnar(
+                ShardSpec.create("allnames", shard_count=4, scale=0.01,
+                                 seed=5), tmp_path / "g.col",
+                workers=workers),
+        }
+        sink = LiveSink()
+        obs_live.swap(sink.emitter())
+        try:
+            with WorkerPool(workers):
+                reports = {task: run()[1] for task, run in runs.items()}
+        finally:
+            obs_live.swap(None)
+            sink.close()
+        tasks = sink.run_status()["tasks"]
+        for task, report in reports.items():
+            assert report.task == task
+            assert tasks[task]["records"] == report.total_records > 0, task
+
     def test_chaos_report_identical_with_live_plane(self):
         plan = preset("lossy")
         result, _ = run_chaos(plan, seed=1, fault_seed=7, ingress=24,
                               shards=4)
         sink = LiveSink()
-        obs_live.swap(SinkEmitter(sink))
+        obs_live.swap(sink.emitter())
         try:
             live_result, _ = run_chaos(plan, seed=1, fault_seed=7,
                                        ingress=24, shards=4, workers=2)
@@ -242,7 +292,7 @@ class TestEngineIntegration:
             sink.close()
         assert live_result.report() == result.report()
         # chaos shards emitted universe + progress events
-        kinds = {e.kind for e in sink.timeline.events()}
+        kinds = {beat.kind for beat in sink.timeline()[0]}
         assert "chaos_universe" in kinds and "progress" in kinds
 
 
@@ -255,7 +305,7 @@ def _fetch(url):
 class TestTelemetryServer:
     def test_routes(self):
         sink = LiveSink()
-        SinkEmitter(sink).run_start("t", shards=3)
+        sink.emitter().beat("run_start", "t", shards=3)
         server = TelemetryServer(sink)
         port = server.start()
         try:
@@ -297,7 +347,7 @@ class TestTelemetryServer:
         sink = LiveSink()
         server = TelemetryServer(sink)
         port = server.start()
-        obs_live.swap(SinkEmitter(sink))
+        obs_live.swap(sink.emitter())
         done = threading.Event()
 
         def run():
@@ -341,44 +391,45 @@ def _slow_shard(index):
 
 class TestTimeline:
     def test_ring_buffer_counts_drops(self):
-        timeline = Timeline(capacity=4)
+        sink = LiveSink(capacity=4)
         for i in range(7):
-            timeline.add(TimelineEvent(ts=float(i), kind="progress",
-                                       name=f"e{i}"))
-        assert len(timeline) == 4
-        assert timeline.dropped == 3
-        assert [e.name for e in timeline.events()] == \
-            ["e3", "e4", "e5", "e6"]
+            sink.offer(_beat(i + 1, task=f"e{i}"))
+        beats, dropped = sink.timeline()
+        assert dropped == 3
+        assert [beat.task for beat in beats] == ["e3", "e4", "e5", "e6"]
+        assert sink.run_status()["timeline"] == {"events": 4, "dropped": 3}
         # the export says what the ring lost
-        doc = to_chrome_trace(timeline.events(), dropped=timeline.dropped)
+        doc = to_chrome_trace(beats, dropped=dropped)
         assert doc["otherData"] == {"events": 4, "dropped": 3}
 
     def test_chrome_trace_structure(self):
-        events = [
-            TimelineEvent(ts=10.0, kind="run_start", name="t", pid=1),
-            TimelineEvent(ts=10.2, kind="shard_end", name="t[0]", pid=2,
-                          shard=0, dur=0.2, attrs={"records": 5}),
+        beats = [
+            Heartbeat(seq=1, pid=1, ts=10.0, kind="run_start", task="t"),
+            Heartbeat(seq=1, pid=2, ts=10.4, kind="shard_end", task="t",
+                      shard=0, records=5, seconds=0.2),
         ]
-        doc = to_chrome_trace(events)
+        doc = to_chrome_trace(beats)
         assert set(doc) == {"traceEvents", "displayTimeUnit", "otherData"}
         by_name = {e["name"]: e for e in doc["traceEvents"]}
         instant = by_name["t"]
         assert instant["ph"] == "i" and instant["ts"] == 0
         slice_ = by_name["t[0]"]
         assert slice_["ph"] == "X"
+        assert slice_["ts"] == pytest.approx(200_000)  # starts 0.2s early
         assert slice_["dur"] == pytest.approx(200_000)  # 0.2s in us
-        assert slice_["args"]["records"] == 5
+        assert slice_["args"] == {"records": 5, "shard": 0}
 
     def test_write_chrome_trace_is_valid_json(self, tmp_path):
-        events = [TimelineEvent(ts=0.0, kind="run_start", name="t")]
+        beats = [Heartbeat(seq=1, pid=1, ts=0.0, kind="run_start",
+                           task="t")]
         path = tmp_path / "trace.json"
-        write_chrome_trace(events, path)
+        write_chrome_trace(beats, path)
         doc = json.loads(path.read_text())
         assert isinstance(doc["traceEvents"], list)
 
     def test_deterministic_ordering(self):
-        a = TimelineEvent(ts=1.0, kind="b", name="x")
-        b = TimelineEvent(ts=1.0, kind="a", name="x")
+        a = Heartbeat(seq=1, pid=1, ts=1.0, kind="b", task="x")
+        b = Heartbeat(seq=2, pid=1, ts=1.0, kind="a", task="x")
         forward = to_chrome_trace([a, b])
         backward = to_chrome_trace([b, a])
         assert forward == backward
@@ -427,6 +478,20 @@ class TestCliLivePlane:
         assert rc == 0
         assert "[live]" in captured.err
         assert captured.err.endswith("\n")
+
+    def test_live_line_counts_only_its_own_task(self):
+        """The ticker reads the sink's ledger for the beat's task: a second
+        run's line does not add the first run's shards or records."""
+        stream = io.StringIO()
+        sink = LiveSink(on_beat=_LiveProgress(stream))
+        emitter = sink.emitter()
+        for task, shards in (("fig1:public-cdn", 2), ("generate:t", 3)):
+            emitter.beat("run_start", task, shards=shards)
+            for shard in range(shards):
+                emitter.beat("shard_end", task, shard, records=10)
+            emitter.beat("run_end", task, records=10 * shards)
+        assert stream.getvalue().split("\r")[-1] == \
+            "[live] generate:t: 3/3 shards, 30 records"
 
     def test_outputs_identical_with_and_without_live(self, tmp_path):
         base = ["--quiet", "generate", "allnames"]

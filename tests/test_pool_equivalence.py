@@ -36,7 +36,8 @@ from repro.engine import (ShardSpec, WorkerPool, client_sweep_sharded,
                           fig1_sharded, generate_columnar, generate_jsonl,
                           register_builder, replay_columnar_sharded,
                           run_sharded, shard_bounds)
-from repro.engine.executor import _chunk_bounds, _run_header_chunk
+from repro.engine.executor import (_chunk_bounds, _len_or_zero,
+                                   _run_header_chunk)
 from repro.engine import generate as engine_generate
 from repro.engine.generate import _write_columnar_shard_from_spec
 from repro.engine.pool import encode_header, encode_shard_args
@@ -285,8 +286,8 @@ def _run_protocol(fn, shard_args, shared, chunk_size) -> List[Any]:
     outcomes = []
     for lo, hi in _chunk_bounds(len(blobs), chunk_size):
         outcomes.extend(_run_header_chunk(header, blobs[lo:hi], lo,
-                                          False, False))
-    return [result for result, _, _, _, _ in outcomes]
+                                          _len_or_zero, False, False))
+    return [result for result, _, _, _, _, _ in outcomes]
 
 
 @settings(max_examples=30, deadline=None)

@@ -22,6 +22,8 @@ from repro.engine import (PoolShutdownError, ShardDispatchError,
 from repro.engine import pool as pool_mod
 from repro.engine.pool import (decode_header, encode_header,
                                encode_shard_args, fn_token, header_loads)
+from repro.obs import live as obs_live
+from repro.obs.live import LiveSink
 
 
 def _double(shard_index: int) -> int:
@@ -77,6 +79,28 @@ def test_worker_crash_raises_promptly_with_task_name():
                                  r".*every later shard were lost"):
             run_sharded(_exit_worker, [(i,) for i in range(4)], workers=2,
                         task="chaos-crash", shared=(2,))
+
+
+def test_worker_crash_leaves_a_timeline_event():
+    """With the live plane on, the crash is a beat in the sink's ring
+    naming the task and the first lost shard range, as the error does."""
+    sink = LiveSink()
+    previous = obs_live.swap(sink.emitter())
+    try:
+        with WorkerPool(2):
+            with pytest.raises(WorkerCrashError) as excinfo:
+                run_sharded(_exit_worker, [(i,) for i in range(4)],
+                            workers=2, task="crash-beat", shared=(2,))
+    finally:
+        obs_live.swap(previous)
+        sink.close()
+    crashes = [beat for beat in sink.timeline()[0]
+               if beat.kind == "worker_crash"]
+    assert len(crashes) == 1
+    crash = crashes[0]
+    assert crash.task == "crash-beat"
+    lo, hi = crash.shard, crash.shard + crash.attrs["shards"]
+    assert f"shards [{lo}, {hi})" in str(excinfo.value)
 
 
 def test_persistent_pool_recovers_after_crash():

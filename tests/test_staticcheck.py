@@ -273,14 +273,14 @@ class TestObsGuardRule:
             "def f():\n"
             "    emitter = _obs_live.ACTIVE\n"
             "    if emitter is not None:\n"
-            "        emitter.run_start('t', shards=4)\n")
+            "        emitter.beat('run_start', 't', shards=4)\n")
         assert lint(src, rule_ids=["RS003"]) == []
 
     def test_live_slot_unguarded_use_flagged(self):
         src = LIVE_PREFIX + (
             "def f():\n"
             "    emitter = _obs_live.ACTIVE\n"
-            "    emitter.run_start('t', shards=4)\n")
+            "    emitter.beat('run_start', 't', shards=4)\n")
         violations = lint(src, rule_ids=["RS003"])
         assert ids_of(violations) == ["RS003"]
         assert "'emitter'" in violations[0].message
@@ -288,7 +288,7 @@ class TestObsGuardRule:
     def test_live_slot_inline_use_flagged(self):
         src = LIVE_PREFIX + (
             "def f():\n"
-            "    _obs_live.ACTIVE.shard_start('t', 0)\n")
+            "    _obs_live.ACTIVE.beat('shard_start', 't', 0)\n")
         violations = lint(src, rule_ids=["RS003"])
         assert ids_of(violations) == ["RS003"]
         assert "inline" in violations[0].message
@@ -298,7 +298,7 @@ class TestObsGuardRule:
             "def f():\n"
             "    emitter = _obs_live.ACTIVE\n"
             "    if emitter:\n"
-            "        emitter.progress('t', 0, records=1)\n")
+            "        emitter.beat('progress', 't', 0, records=1)\n")
         assert ids_of(lint(src, rule_ids=["RS003"])) == ["RS003", "RS003"]
 
     def test_escape_by_alias_and_return_fires(self):
