@@ -58,8 +58,9 @@ from .datasets.ditl import RootTraceBuilder
 from .engine import (DEFAULT_SHARDS, ShardSpec, WorkerPool, generate_columnar,
                      generate_jsonl)
 from .engine.executor import EngineReport
-from .engine.replay import (client_sweep_sharded, fig1_sharded,
-                            replay_columnar_sharded, replay_jsonl_sharded)
+from .engine.replay import (_file_rejected_beat, client_sweep_sharded,
+                            fig1_sharded, replay_columnar_sharded,
+                            replay_jsonl_sharded)
 from .faults.chaos import run_chaos
 from .faults.presets import preset, preset_names
 from .measure import Scanner
@@ -295,37 +296,44 @@ def cmd_convert(args: argparse.Namespace, reporter: _Reporter) -> None:
     ``--bucket-shards N`` pre-buckets a columnar output by qname for
     out-of-core row-range replay with ``--shards N``; from JSONL, the
     flat conversion goes to a sibling file, so ``dst`` is only ever
-    replaced by the finished pre-bucketed trace.
+    replaced by the finished pre-bucketed trace.  A source that is not
+    a trace of its kind exits 1 naming the file, after a
+    ``file_rejected`` beat when the live plane is on.
     """
     target = args.to
     if target == "auto":
         target = "jsonl" if is_columnar(args.src) else "columnar"
-    if target == "jsonl":
-        if args.row_group_rows is not None or args.bucket_shards is not None:
-            raise SystemExit("--row-group-rows/--bucket-shards apply to "
-                             "columnar output only")
-        count = columnar_to_jsonl(args.src, args.dst)
-    elif args.bucket_shards is None and is_columnar(args.src):
-        count = convert_columnar(args.src, args.dst,
-                                 row_group_rows=args.row_group_rows)
-    elif args.bucket_shards is None:
-        count = jsonl_to_columnar(args.src, args.dst, args.dataset,
-                                  row_group_rows=args.row_group_rows)
-    elif is_columnar(args.src):
-        count = prebucket_columnar(args.src, args.dst, args.bucket_shards,
-                                   args.row_group_rows)
-    else:
-        staging = Path(args.dst).with_name(Path(args.dst).name
-                                           + ".bucketing")
-        try:
-            jsonl_to_columnar(args.src, staging, args.dataset,
-                              row_group_rows=args.row_group_rows)
-            count = prebucket_columnar(staging, args.dst, args.bucket_shards,
-                                       args.row_group_rows)
-        finally:
-            staging.unlink(missing_ok=True)
+    if target == "jsonl" and (args.row_group_rows is not None
+                              or args.bucket_shards is not None):
+        raise SystemExit("--row-group-rows/--bucket-shards apply to "
+                         "columnar output only")
+    with _file_rejected_beat(f"convert:{args.dataset}", args.src):
+        count = _convert(args, target)
     reporter.note(f"converted {count} {args.dataset} records: "
                   f"{args.src} -> {args.dst} ({target})")
+
+
+def _convert(args: argparse.Namespace, target: str) -> int:
+    """:func:`cmd_convert`'s conversion; returns the rows converted."""
+    if target == "jsonl":
+        return columnar_to_jsonl(args.src, args.dst)
+    if args.bucket_shards is None and is_columnar(args.src):
+        return convert_columnar(args.src, args.dst,
+                                row_group_rows=args.row_group_rows)
+    if args.bucket_shards is None:
+        return jsonl_to_columnar(args.src, args.dst, args.dataset,
+                                 row_group_rows=args.row_group_rows)
+    if is_columnar(args.src):
+        return prebucket_columnar(args.src, args.dst, args.bucket_shards,
+                                  args.row_group_rows)
+    staging = Path(args.dst).with_name(Path(args.dst).name + ".bucketing")
+    try:
+        jsonl_to_columnar(args.src, staging, args.dataset,
+                          row_group_rows=args.row_group_rows)
+        return prebucket_columnar(staging, args.dst, args.bucket_shards,
+                                  args.row_group_rows)
+    finally:
+        staging.unlink(missing_ok=True)
 
 
 def _quantity(value: int, fmt: Callable[[int], str]) -> str:

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate, repeat, starmap
+from math import log
+from operator import getitem
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from ..engine.seeding import derive_seed, world_seed
@@ -134,47 +137,60 @@ class AllNamesBuilder:
                        hi: int) -> Iterator[List[List[Any]]]:
         """The query stream for global indices ``[lo, hi)``, as columns.
 
-        The builder's one row loop.  It fills the ``allnames`` schema's
-        six columns (plain lists, schema order) and yields them every
-        :data:`COLUMN_CHUNK_ROWS` rows, so the columnar writers take the
-        rows as they are and nothing is built per row; :meth:`build`
-        and :meth:`iter_shard` read the same stream as records.  The
-        clock starts at the window boundary ``lo * step``.  Whatever
-        depends only on the
-        hostname or only on the client is tabulated before the loop;
-        each row then costs its three draws (inter-arrival, hostname
-        rank, client rank — in that order, the order every golden
-        depends on), two table reads and six appends.
+        Fills the ``allnames`` schema's six columns (plain lists, schema
+        order) and yields them every :data:`COLUMN_CHUNK_ROWS` rows, so
+        the columnar writers take the rows as they are and nothing is
+        built per row; :meth:`build` and :meth:`iter_shard` read the
+        same stream as records.  The clock starts at the window boundary
+        ``lo * step``.
+
+        A chunk is drawn at C level, with no Python statement per row:
+        one call draws its ``3 x rows`` uniforms, row by row in the
+        order every golden depends on (inter-arrival, hostname rank,
+        client rank).  The clock advances by ``-log(1.0 - u) * step``,
+        which is what ``rng.expovariate(1.0) * step`` computes from its
+        one ``random()``; the ranks come from
+        :meth:`ZipfSampler.ranks`; and each column is a table read per
+        rank, the tables holding whatever depends only on the hostname
+        or only on the client.  ``tests/test_datasets.py`` holds the
+        per-row loop this replaced, as the oracle of this stream.
         """
         hostnames, policies, clients = world
-        names = []
+        ttls: List[int] = []
+        scope_pairs: List[Tuple[int, int]] = []
         for hostname in hostnames:
             policy = policies[_sld_of(hostname)]
-            names.append((hostname, policy.ttl,
-                          (policy.scope, 0 if policy.scope == 0 else 48)))
-        all_clients = [(client, 28, 1) if ":" in client else (client, 1, 0)
-                       for client in clients.all_clients]
-        sample_name = ZipfSampler(len(names), self.zipf_alpha).sample
-        sample_client = ZipfSampler(len(all_clients),
-                                    self.client_alpha).sample
-        expovariate = rng.expovariate
+            ttls.append(policy.ttl)
+            scope_pairs.append((policy.scope,
+                                0 if policy.scope == 0 else 48))
+        all_clients = clients.all_clients
+        qtypes = [28 if ":" in client else 1 for client in all_clients]
+        families = [1 if ":" in client else 0 for client in all_clients]
+        name_ranks = ZipfSampler(len(hostnames), self.zipf_alpha).ranks
+        client_ranks = ZipfSampler(len(all_clients), self.client_alpha).ranks
+        draw = rng.random
         step = self.duration_s / self.total_queries
         t = lo * step
         for start in range(lo, hi, COLUMN_CHUNK_ROWS):
-            chunk: List[List[Any]] = [[], [], [], [], [], []]
-            (add_ts, add_client, add_qname, add_qtype, add_scope,
-             add_ttl) = [column.append for column in chunk]
-            for _ in range(start, min(hi, start + COLUMN_CHUNK_ROWS)):
-                t += expovariate(1.0) * step
-                hostname, ttl, scopes = names[sample_name(rng)]
-                client, qtype, family = all_clients[sample_client(rng)]
-                add_ts(t)
-                add_client(client)
-                add_qname(hostname)
-                add_qtype(qtype)
-                add_scope(scopes[family])
-                add_ttl(ttl)
-            yield chunk
+            rows = min(hi, start + COLUMN_CHUNK_ROWS) - start
+            us = list(starmap(draw, repeat((), 3 * rows)))
+            ts = list(accumulate(
+                map((-step).__mul__, map(log, map((1.0).__sub__, us[::3]))),
+                initial=t))
+            del ts[0]
+            t = ts[-1]
+            names = name_ranks(us[1::3])
+            who = client_ranks(us[2::3])
+            # Not held while the consumer writes the chunk: 3 x rows
+            # floats are about a MiB of the process's peak.
+            del us
+            yield [ts,
+                   list(map(all_clients.__getitem__, who)),
+                   list(map(hostnames.__getitem__, names)),
+                   list(map(qtypes.__getitem__, who)),
+                   list(map(getitem, map(scope_pairs.__getitem__, names),
+                            map(families.__getitem__, who))),
+                   list(map(ttls.__getitem__, names))]
 
     def build(self) -> AllNamesDataset:
         """Generate the trace (deterministic in the builder's seed)."""

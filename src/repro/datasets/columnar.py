@@ -226,6 +226,11 @@ class ColumnarWriter:
 
         The writer's one encoding routine: str -> dictionary code in
         first-appearance order, bool -> 0/1, ``None`` -> null bit + 0.
+        A column is not scanned for ``None`` up front: a numeric one is
+        packed straight away and takes the null path only when packing
+        fails, and a str one finds ``None`` among its distinct values,
+        the set its type check reads too (a str column takes only
+        ``str``; anything else raises :class:`TypeError` naming it).
         Every column is encoded into a fresh array before any of them
         is appended, and dictionary entries added on the way are popped
         again if a later value is rejected, so a failed call leaves the
@@ -237,7 +242,27 @@ class ColumnarWriter:
         try:
             for spec, values in zip(self.schema.columns, columns):
                 null_rows: Sequence[int] = ()
-                if None in values:
+                if spec.kind == "str":
+                    try:
+                        distinct: Iterable[Any] = dict.fromkeys(values)
+                    except TypeError:  # an unhashable value: not a str
+                        distinct = values
+                    has_null = None in distinct
+                elif spec.kind == "bool":
+                    has_null = None in values
+                else:
+                    try:
+                        staged.append((spec.name,
+                                       array(spec.typecode, values), ()))
+                        continue
+                    except (TypeError, ValueError, OverflowError):
+                        # A None fails the packing (TypeError), possibly
+                        # after another value did: with a None, the null
+                        # path decides, as when it was scanned for first.
+                        if None not in values:
+                            raise
+                    has_null = True
+                if has_null:
                     if not spec.nullable:
                         raise ValueError(
                             f"column {spec.name!r} of schema "
@@ -246,6 +271,13 @@ class ColumnarWriter:
                                  if value is None]
                 encoded: Iterable[Any]
                 if spec.kind == "str":
+                    if not {str, _NULL}.issuperset(map(type, distinct)):
+                        bad = next(value for value in values
+                                   if type(value) not in (str, _NULL))
+                        raise TypeError(
+                            f"column {spec.name!r} of schema "
+                            f"{self.schema.name!r} takes str, not "
+                            f"{type(bad).__name__} ({bad!r})")
                     codes = self._interns[spec.name]
                     grown.append((codes, len(codes)))
                     if null_rows:
@@ -253,15 +285,17 @@ class ColumnarWriter:
                                    else codes.setdefault(value, len(codes))
                                    for value in values]
                     else:
-                        encoded = [codes.setdefault(value, len(codes))
-                                   for value in values]
+                        # Distinct values come in first-appearance order,
+                        # so interning them gives each row's code.
+                        for value in distinct:
+                            if value not in codes:
+                                codes[value] = len(codes)
+                        encoded = map(codes.__getitem__, values)
                 elif spec.kind == "bool":
                     encoded = map(bool, values)
-                elif null_rows:
+                else:
                     encoded = [0 if value is None else value
                                for value in values]
-                else:
-                    encoded = values
                 staged.append((spec.name, array(spec.typecode, encoded),
                                null_rows))
         except BaseException:
@@ -317,15 +351,24 @@ class ColumnarWriter:
         for spec in self.schema.columns:
             raw = store.raw_column(spec.name)
             arr = self._arrays[spec.name]
-            if spec.kind == "str":
+            if spec.kind == "str" and not spec.nullable:
+                dictionary = store.dictionary(spec.name)
+                interned = self._interns[spec.name]
+                source = (raw[selection.start:selection.stop] if span
+                          else list(map(raw.__getitem__, selection)))
+                cmap = dict.fromkeys(source)
+                for code in cmap:
+                    cmap[code] = interned.setdefault(dictionary[code],
+                                                     len(interned))
+                arr.extend(map(cmap.__getitem__, source))
+            elif spec.kind == "str":
                 dictionary = store.dictionary(spec.name)
                 interned = self._interns[spec.name]
                 cmap = [-1] * len(dictionary)
-                null_of = (store.null_checker(spec.name)
-                           if spec.nullable else None)
+                null_of = store.null_checker(spec.name)
                 codes: List[int] = []
                 for row in selection:
-                    if null_of is not None and null_of(row):
+                    if null_of(row):
                         codes.append(0)
                         continue
                     code = raw[row]
@@ -898,6 +941,7 @@ class GroupedColumnarWriter:
             take = min(self.row_group_rows - self._buffer.rows,
                        total - start)
             self._buffer._append_columns(
+                columns if take == total else
                 [values[start:start + take] for values in columns])
             start += take
             if self._buffer.rows >= self.row_group_rows:
@@ -1115,6 +1159,14 @@ class RowGroupReader:
                     raise ColumnarFormatError(
                         f"{self.path}: group {index}: {spec.name} "
                         f"dictionary is not a JSON array: {exc}") from exc
+                if not {str}.issuperset(map(type, words)):
+                    code, word = next((code, word) for code, word
+                                      in enumerate(words)
+                                      if type(word) is not str)
+                    raise ColumnarFormatError(
+                        f"{self.path}: group {index}: {spec.name} "
+                        f"dictionary entry {code} is "
+                        f"{_JSON_WORDS[type(word)]}, not a string")
                 dicts[spec.name] = words
         data = {spec.name: self._segment(col["data"]).cast(spec.typecode)
                 for spec, col in columns}

@@ -13,6 +13,7 @@ import heapq
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (Any, Callable, Iterable, Iterator, List, Sequence,
                     TypeVar)
 
@@ -79,6 +80,11 @@ class ZipfSampler:
     def sample(self, rng: random.Random) -> int:
         """Draw one rank."""
         return bisect_left(self._cdf, rng.random(), 0, self.n - 1)
+
+    def ranks(self, uniforms: Iterable[float]) -> List[int]:
+        """The rank :meth:`sample` returns for each of ``uniforms``, one
+        C-level search per value over the same table and bounds."""
+        return list(map(bisect_left, repeat(self._cdf[:-1]), uniforms))
 
 
 def poisson_arrivals(rate_per_s: float, duration_s: float,

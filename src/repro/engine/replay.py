@@ -16,6 +16,7 @@ The shard count is fixed independently of the worker count, so
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -31,9 +32,9 @@ from ..analysis.cache_sim import (ClientSweep, ReplayKernel, ReplayPartial,
                                   fig1_series, merge_partials,
                                   replay_partial_column_groups,
                                   replay_partial_columns)
-from ..datasets.columnar import (ColumnarStore, RowGroupReader,
-                                 bucketed_group_ranges, jsonl_file_defect,
-                                 record_row_groups)
+from ..datasets.columnar import (ColumnarFormatError, ColumnarStore,
+                                 RowGroupReader, bucketed_group_ranges,
+                                 jsonl_file_defect, record_row_groups)
 from ..datasets.records import JsonlFormatError
 from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
@@ -181,6 +182,22 @@ def _queries(partial: ReplayPartial) -> int:
     return partial.queries
 
 
+@contextlib.contextmanager
+def _file_rejected_beat(task: str, path: Union[str, Path]) -> Iterator[None]:
+    """With the live plane on, a trace the block rejects (a
+    :class:`JsonlFormatError` or :class:`ColumnarFormatError`) leaves one
+    ``file_rejected`` beat naming ``task``, the path and the reason on
+    the timeline before the error propagates unchanged."""
+    try:
+        yield
+    except (JsonlFormatError, ColumnarFormatError) as exc:
+        emitter = _obs_live.ACTIVE
+        if emitter is not None:
+            emitter.beat("file_rejected", task, path=str(path),
+                         reason=str(exc))
+        raise
+
+
 def _replay_shards(worker: Callable[..., ReplayPartial],
                    shard_args: Sequence[Tuple[Any, ...]],
                    shared: Tuple[Any, ...], kind: str, workers: int
@@ -265,43 +282,45 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
     Every line must be a row of the ``kind`` schema, exactly as
     ``convert`` requires; one that is not raises
     :class:`~repro.datasets.records.JsonlFormatError` naming the file
-    and the line.
+    and the line (with the live plane on, after a ``file_rejected``
+    beat).
     """
     _check_kind_and_shards(kind, shards)
-    bucket_start = time.perf_counter()
-    buckets: List[List[str]] = [[] for _ in range(shards)]
-    appends = [bucket.append for bucket in buckets]
-    route: Dict[str, Callable[[str], None]] = {}
-    search = _QNAME_RE.search
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in map(str.strip, fh):
-                if line:
-                    match = search(line)
-                    qname = (match.group(1) if match is not None
-                             else _slow_qname(line))
-                    append = route.get(qname)
-                    if append is None:
-                        if len(route) >= _ROUTE_MEMO_NAMES:
-                            route.clear()
-                        append = route[qname] = \
-                            appends[stable_bucket(qname, shards)]
-                    append(line)
-    except UnicodeError as exc:
-        # Bytes that are not UTF-8, or a qname holding a lone surrogate
-        # (hashing it encodes it): found and numbered by one file scan.
-        raise (jsonl_file_defect(path, kind) or exc) from None
-    emitter = _obs_live.ACTIVE
-    if emitter is not None:
-        emitter.beat("bucket", f"replay:{kind}",
-                     records=sum(len(bucket) for bucket in buckets),
-                     seconds=time.perf_counter() - bucket_start)
-    try:
-        return _replay_shards(_replay_lines_shard,
-                              [(bucket,) for bucket in buckets], (kind,),
-                              kind, workers)
-    except JsonlFormatError as exc:
-        raise exc.located(path) from None
+    with _file_rejected_beat(f"replay:{kind}", path):
+        bucket_start = time.perf_counter()
+        buckets: List[List[str]] = [[] for _ in range(shards)]
+        appends = [bucket.append for bucket in buckets]
+        route: Dict[str, Callable[[str], None]] = {}
+        search = _QNAME_RE.search
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for line in map(str.strip, fh):
+                    if line:
+                        match = search(line)
+                        qname = (match.group(1) if match is not None
+                                 else _slow_qname(line))
+                        append = route.get(qname)
+                        if append is None:
+                            if len(route) >= _ROUTE_MEMO_NAMES:
+                                route.clear()
+                            append = route[qname] = \
+                                appends[stable_bucket(qname, shards)]
+                        append(line)
+        except UnicodeError as exc:
+            # Bytes that are not UTF-8, or a qname holding a lone surrogate
+            # (hashing it encodes it): found and numbered by one file scan.
+            raise (jsonl_file_defect(path, kind) or exc) from None
+        emitter = _obs_live.ACTIVE
+        if emitter is not None:
+            emitter.beat("bucket", f"replay:{kind}",
+                         records=sum(len(bucket) for bucket in buckets),
+                         seconds=time.perf_counter() - bucket_start)
+        try:
+            return _replay_shards(_replay_lines_shard,
+                                  [(bucket,) for bucket in buckets], (kind,),
+                                  kind, workers)
+        except JsonlFormatError as exc:
+            raise exc.located(path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -411,26 +430,30 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
     dispatches disjoint ``(group_start, group_end)`` row-group ranges,
     and each worker streams its own groups, one resident at a time.
     Rows within a bucket keep their file order, so results are
-    counter-identical to the flat path over the same trace.
+    counter-identical to the flat path over the same trace.  A file
+    that cannot be trusted raises
+    :class:`~repro.datasets.columnar.ColumnarFormatError` (with the
+    live plane on, after a ``file_rejected`` beat).
     """
     _check_kind_and_shards(kind, shards)
-    resolved = str(Path(path).resolve())
-    ranges = bucketed_group_ranges(resolved)
-    if ranges is not None:
-        if len(ranges) != shards:
-            # A pre-bucketed file is *not* globally ts-ordered, so
-            # replaying it under any other partition would interleave
-            # buckets out of time order and silently skew every TTL
-            # decision.  Refuse rather than mis-replay.
-            raise ValueError(
-                f"{path} is pre-bucketed for {len(ranges)} shards; "
-                f"replay it with shards={len(ranges)} or re-bucket it "
-                f"for {shards} (repro-ecs convert --bucket-shards)")
-        return _replay_shards(_replay_columnar_range, ranges,
-                              (resolved, kind), kind, workers)
-    return _replay_shards(_replay_columnar_shard,
-                          [(bucket,) for bucket in range(shards)],
-                          (resolved, kind, shards), kind, workers)
+    with _file_rejected_beat(f"replay:{kind}", path):
+        resolved = str(Path(path).resolve())
+        ranges = bucketed_group_ranges(resolved)
+        if ranges is not None:
+            if len(ranges) != shards:
+                # A pre-bucketed file is *not* globally ts-ordered, so
+                # replaying it under any other partition would interleave
+                # buckets out of time order and silently skew every TTL
+                # decision.  Refuse rather than mis-replay.
+                raise ValueError(
+                    f"{path} is pre-bucketed for {len(ranges)} shards; "
+                    f"replay it with shards={len(ranges)} or re-bucket it "
+                    f"for {shards} (repro-ecs convert --bucket-shards)")
+            return _replay_shards(_replay_columnar_range, ranges,
+                                  (resolved, kind), kind, workers)
+        return _replay_shards(_replay_columnar_shard,
+                              [(bucket,) for bucket in range(shards)],
+                              (resolved, kind, shards), kind, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ The reproduction's headline guarantee — identical output for every
 varies across runs or processes.  RS001 bans the ambient sources
 statically:
 
-- module-level :mod:`random` functions (``random.random()`` et al.)
-  share one process-global stream whose state depends on call order
-  across shards;
+- module-level :mod:`random` functions (``random.random()`` et al.,
+  called or passed on as values) share one process-global stream
+  whose state depends on call order across shards;
 - ``time.time()`` / ``datetime.now()`` / ``os.urandom()`` /
   ``uuid.uuid1/uuid4`` read the wall clock or OS entropy (legal only in
   the virtual clock module and the out-of-band ``repro.obs`` layer);
@@ -106,20 +106,32 @@ class DeterminismRule(AstRule):
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 self._check_call(ctx, imports, node)
+            elif isinstance(node, (ast.Attribute, ast.Name)):
+                self._check_random(ctx, imports, node)
             elif isinstance(node, (ast.For, ast.comprehension)):
                 self._check_iteration(ctx, node)
+
+    def _check_random(self, ctx: LintContext, imports: _ImportMap,
+                      node: "ast.Attribute | ast.Name") -> None:
+        """Flag a module-level :mod:`random` function, called or not: a
+        bound ``random.random`` handed to ``map`` draws from the global
+        stream as surely as a call does."""
+        canonical = imports.canonical(node)
+        if canonical is None:
+            return
+        module, _, function = canonical.partition(".")
+        if (module == "random" and function
+                and "." not in function
+                and function not in _RANDOM_ALLOWED):
+            ctx.report(self, node,
+                       f"{canonical} uses the process-global random "
+                       f"stream; construct a seeded random.Random and "
+                       f"pass it explicitly")
 
     def _check_call(self, ctx: LintContext, imports: _ImportMap,
                     node: ast.Call) -> None:
         canonical = imports.canonical(node.func)
         if canonical is not None:
-            if (canonical.startswith("random.")
-                    and canonical.split(".")[1] not in _RANDOM_ALLOWED):
-                ctx.report(self, node,
-                           f"{canonical}() uses the process-global random "
-                           f"stream; construct a seeded random.Random and "
-                           f"pass it explicitly")
-                return
             why = _CLOCK_SOURCES.get(canonical)
             if why is not None and not (ctx.allows_clock or ctx.is_test):
                 ctx.report(self, node,

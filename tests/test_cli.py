@@ -239,9 +239,13 @@ class TestArtefactsOnFailure:
         assert parse_prometheus(prom.read_text()) == {}
         assert json.loads(spans.read_text().splitlines()[-1]) == {
             "event": "tracer_summary", "spans": 0, "dropped": 0}
+        # The run's one beat: the rejected file, named with its reason.
         doc = json.loads(timeline.read_text())
-        assert doc["traceEvents"] == []
-        assert doc["otherData"] == {"events": 0, "dropped": 0}
+        assert [(event["cat"], event["name"], event["args"]["path"])
+                for event in doc["traceEvents"]] == [
+            ("file_rejected", "replay:allnames", str(damaged))]
+        assert "truncated" in doc["traceEvents"][0]["args"]["reason"]
+        assert doc["otherData"] == {"events": 1, "dropped": 0}
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_export_failure_does_not_mask_the_command(self, damaged,

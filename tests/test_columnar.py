@@ -72,7 +72,10 @@ from repro.engine.replay import (ACCESSORS, _parse_lines,
                                  replay_columnar_sharded,
                                  replay_jsonl_sharded)
 from repro.engine.sharding import partition_by_key
+from repro.cli import main
+from repro.obs import live as obs_live
 from repro.obs import observe
+from repro.obs.live import LiveSink
 
 from jsonl_reference import merge_jsonl_shards, read_jsonl
 
@@ -1176,6 +1179,189 @@ def test_null_cells_may_hold_a_code_past_an_empty_dictionary(tmp_path):
     path = tmp_path / "nulls.col"
     write_columnar_stream(records, path, "cdn")
     assert read_columnar(path) == records
+
+
+#: Values no str column refused before: each was interned as given,
+#: so the file held a JSON number or array, or (bytes) failed at close.
+_NOT_STR = (5, 1.5, True, ("a",), b"x", ["a"])
+_GOOD_COLUMNS = [[0.5, 1.5, 2.5], ["10.0.0.1", "10.0.0.2", "10.0.0.1"],
+                 ["a.", "b.", "a."], [1, 28, 1], [24, 0, 24], [60, 30, 60]]
+
+
+@pytest.mark.parametrize("field", ("client_ip", "qname"))
+@pytest.mark.parametrize("value", _NOT_STR, ids=repr)
+def test_str_column_takes_only_str(field, value, tmp_path):
+    """Both writers raise :class:`TypeError` naming the column and leave
+    the chunk, the rows and the dictionaries as they were — ``qname``
+    comes after ``client_ip``, whose strings are interned by then — so
+    the file is the one the good rows make."""
+    bad = [list(values) for values in _GOOD_COLUMNS]
+    bad[SCHEMAS["allnames"].field_names.index(field)][1] = value
+    chunk = [list(values) for values in bad]
+    records = [AllNamesRecord(*row) for row in zip(*bad)]
+    match = f"column '{field}' of schema 'allnames' takes str, not"
+
+    writer = ColumnarWriter(SCHEMAS["allnames"])
+    writer._append_columns(_GOOD_COLUMNS)
+    before = _writer_state(writer)
+    for append in (writer._append_columns, writer.extend):
+        with pytest.raises(TypeError, match=match):
+            append(bad if append == writer._append_columns else records)
+        assert _writer_state(writer) == before
+    assert bad == chunk
+
+    ref = tmp_path / "ref.col"
+    write_columnar_stream(
+        [AllNamesRecord(*row) for row in zip(*_GOOD_COLUMNS)], ref,
+        "allnames")
+    for name, append in (("columns", lambda w: w.extend_columns(bad)),
+                         ("records", lambda w: w.extend(records))):
+        path = tmp_path / f"{name}.col"
+        with GroupedColumnarWriter("allnames", path) as grouped:
+            grouped.extend_columns(_GOOD_COLUMNS)
+            with pytest.raises(TypeError, match=match):
+                append(grouped)
+        assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("bad", (1 << 70, "A", 2.5))
+def test_a_none_decides_the_error_however_packing_fails(bad):
+    """A numeric column is packed before anyone looks for ``None``; when
+    a value fails the packing ahead of a ``None``, the column still gets
+    the error a scan for ``None`` first gave."""
+    writer = ColumnarWriter(SCHEMAS["allnames"])
+    columns = [list(values) for values in _GOOD_COLUMNS]
+    columns[5] = [60, bad, None]
+    with pytest.raises(ValueError, match="column 'ttl' of schema "
+                                         "'allnames' is not nullable"):
+        writer._append_columns(columns)
+    assert writer.rows == 0
+    records = _hand_records("cdn", 3)
+    records[0].ecs_source_len, records[2].ecs_source_len = bad, None
+    # Nullable: the null path packs the other values, and ``bad`` fails.
+    with pytest.raises(OverflowError if type(bad) is int else TypeError):
+        ColumnarWriter(SCHEMAS["cdn"]).extend(records)
+
+
+def test_nullable_str_column_takes_str_or_none():
+    """In a nullable column ``None`` is a null and anything else that
+    is not a str is refused, with the rows that came before kept."""
+    records = _hand_records("cdn", 6)
+    writer = ColumnarWriter(SCHEMAS["cdn"])
+    writer.extend(records)
+    before = _writer_state(writer)
+    records[1].ecs_address = None
+    records[4].ecs_address = 7
+    with pytest.raises(TypeError, match="column 'ecs_address' of schema "
+                                        "'cdn' takes str, not int"):
+        writer.extend(records)
+    assert _writer_state(writer) == before
+
+
+def _non_str_dictionary_entry(path: Path, group: int, entry) -> None:
+    """Put ``entry`` first in ``client_ip``'s dictionary of ``group``,
+    in place, leaving the header and every code as they were."""
+    def rewrite(old: bytes) -> bytes:
+        words = json.loads(old)
+        new = json.dumps([entry] + words[1:],
+                         separators=(",", ":")).encode()
+        assert len(new) <= len(old)
+        return new.ljust(len(old))
+    _damage_segment(path, group, 1, rewrite)
+
+
+@pytest.mark.parametrize("groups", (1, 2))
+@pytest.mark.parametrize("entry,word", ((5, "an integer"),
+                                        (1.5, "a float"),
+                                        (None, "null"),
+                                        (["a"], "an array")))
+@pytest.mark.parametrize("call", (
+    lambda p, out: ColumnarStore.open(p),
+    _read_last_group,
+    columnar_to_jsonl,
+    lambda p, out: convert_columnar(p, out),
+    lambda p, out: replay_columnar_sharded(p, "allnames", shards=2)),
+    ids=("open", "group", "to_jsonl", "convert", "replay"))
+def test_non_string_dictionary_entry_names_file_group_and_column(
+        call, entry, word, groups, tmp_path):
+    """A hand-built ``.col`` whose ``client_ip`` dictionary holds a
+    number, a null or an array, header intact: every read raises a
+    typed error naming the file, the group and the column, where replay
+    used to fail on ``int.version`` and ``to_jsonl`` to write
+    ``"client_ip":5``."""
+    path, _ = _committed_trace("allnames", tmp_path, 300 // groups)
+    _non_str_dictionary_entry(path, groups - 1, entry)
+    assert file_info(path)["rows"] == 300
+    with pytest.raises(ColumnarFormatError,
+                       match=f"{re.escape(str(path))}: group {groups - 1}: "
+                             f"client_ip dictionary entry 0 is {word}, not "
+                             f"a string"):
+        call(path, tmp_path / "out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["allnames.col"]
+
+
+def _rejected(run):
+    """Run ``run`` with a live sink installed; return the error it
+    raised and the ``file_rejected`` beats on the sink's timeline.
+
+    The pool starts and stops inside the sink's lifetime, as under the
+    CLI: a worker that outlived the sink's drain would block at exit
+    on the beats it still holds."""
+    sink = LiveSink()
+    previous = obs_live.swap(sink.emitter())
+    try:
+        with WorkerPool(2), pytest.raises((ColumnarFormatError,
+                                           JsonlFormatError)) as caught:
+            run()
+    finally:
+        obs_live.swap(previous)
+        sink.close()
+    return caught.value, [beat for beat in sink.timeline()[0]
+                          if beat.kind == "file_rejected"]
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_rejected_trace_leaves_one_timeline_event(workers, tmp_path):
+    """With the live plane on, a replay that rejects its file — a cut
+    JSONL line, a damaged ``.col`` header, a non-string dictionary
+    entry met in a worker — leaves one ``file_rejected`` beat naming
+    the task, the path and the reason the error gives; with it off, the
+    same error and nothing else."""
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text(_GOOD + "\n" + _GOOD[:53])
+    header = tmp_path / "header.col"
+    header.write_bytes(MAGIC + b"garbage")
+    hostile, _ = _committed_trace("allnames", tmp_path, 150)
+    _non_str_dictionary_entry(hostile, 1, 5)
+    for path, replay in ((cut, replay_jsonl_sharded),
+                         (header, replay_columnar_sharded),
+                         (hostile, replay_columnar_sharded)):
+        def run():
+            replay(path, "allnames", shards=2, workers=workers)
+        error, beats = _rejected(run)
+        assert [(beat.task, beat.attrs) for beat in beats] == [
+            ("replay:allnames", {"path": str(path), "reason": str(error)})]
+        assert str(path) in str(error)
+        with pytest.raises(type(error), match=re.escape(str(error))):
+            run()
+
+
+def test_rejected_convert_source_leaves_a_timeline_event(tmp_path):
+    """``repro-ecs convert`` of a hostile ``.col``, with
+    ``--timeline-out``: the command fails with the reader's error and
+    the timeline file holds the ``file_rejected`` event."""
+    hostile, _ = _committed_trace("allnames", tmp_path, 150)
+    _non_str_dictionary_entry(hostile, 0, 1.5)
+    timeline = tmp_path / "timeline.json"
+    with pytest.raises(ColumnarFormatError) as caught:
+        main(["--quiet", "--timeline-out", str(timeline), "convert",
+              "allnames", str(hostile), str(tmp_path / "out.jsonl")])
+    events = [event for event in json.loads(timeline.read_text())[
+        "traceEvents"] if event["cat"] == "file_rejected"]
+    assert [(event["name"], event["args"]) for event in events] == [
+        ("convert:allnames", {"path": str(hostile),
+                              "reason": str(caught.value)})]
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_interrupted_writer_leaves_no_file(tmp_path):

@@ -14,9 +14,12 @@ from repro.datasets import (AllNamesBuilder, CdnDatasetBuilder,
                             PublicCdnBuilder, RootTraceBuilder,
                             ScanUniverseBuilder, ZipfSampler,
                             poisson_arrivals, write_jsonl)
-from repro.datasets.allnames import _sld_of
+from repro.datasets.allnames import _Clients, _sld_of
 from repro.datasets.ditl import count_root_ecs_violators
 from repro.datasets.records import AllNamesRecord, CdnQueryRecord
+from repro.datasets.workload import COLUMN_CHUNK_ROWS, SldPolicy
+from repro.engine.seeding import derive_seed
+from repro.engine.sharding import shard_bounds
 from repro.net import same_prefix
 
 from jsonl_reference import read_jsonl
@@ -95,6 +98,108 @@ class TestZipfMatchesBinarySearch:
         sampler = ZipfSampler(1, 1.0)
         assert [sampler.sample(_FixedDraw(u)) for u in (0.0, 0.5, 1.0)] \
             == [0, 0, 0]
+        assert sampler.ranks([0.0, 0.5, 1.0]) == [0, 0, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 300),
+           alpha=st.floats(0.0, 3.0, allow_nan=False),
+           us=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+           data=st.data())
+    def test_ranks_equal_sample_over_the_same_draws(self, n, alpha, us,
+                                                    data):
+        """``ranks(us)`` is ``sample`` once per ``u``, in order — with
+        ``u`` exactly on CDF entries mixed in, the search's edge."""
+        sampler = ZipfSampler(n, alpha)
+        edges = data.draw(st.lists(st.integers(0, n - 1), max_size=10))
+        us = us + [sampler._cdf[index] for index in edges]
+        us = data.draw(st.permutations(us))
+        assert sampler.ranks(us) \
+            == [sampler.sample(_FixedDraw(u)) for u in us]
+
+
+def _allnames_column_chunks_rowwise(builder, world, rng, lo, hi):
+    """The per-row loop ``AllNamesBuilder._column_chunks`` ran before it
+    drew a chunk at C level; kept as the oracle of that stream.
+
+    Per row: three draws (inter-arrival, hostname rank, client rank —
+    in that order, the order every golden depends on), two table reads
+    and six appends.
+    """
+    hostnames, policies, clients = world
+    names = []
+    for hostname in hostnames:
+        policy = policies[_sld_of(hostname)]
+        names.append((hostname, policy.ttl,
+                      (policy.scope, 0 if policy.scope == 0 else 48)))
+    all_clients = [(client, 28, 1) if ":" in client else (client, 1, 0)
+                   for client in clients.all_clients]
+    sample_name = ZipfSampler(len(names), builder.zipf_alpha).sample
+    sample_client = ZipfSampler(len(all_clients),
+                                builder.client_alpha).sample
+    expovariate = rng.expovariate
+    step = builder.duration_s / builder.total_queries
+    t = lo * step
+    for start in range(lo, hi, COLUMN_CHUNK_ROWS):
+        chunk = [[], [], [], [], [], []]
+        (add_ts, add_client, add_qname, add_qtype, add_scope,
+         add_ttl) = [column.append for column in chunk]
+        for _ in range(start, min(hi, start + COLUMN_CHUNK_ROWS)):
+            t += expovariate(1.0) * step
+            hostname, ttl, scopes = names[sample_name(rng)]
+            client, qtype, family = all_clients[sample_client(rng)]
+            add_ts(t)
+            add_client(client)
+            add_qname(hostname)
+            add_qtype(qtype)
+            add_scope(scopes[family])
+            add_ttl(ttl)
+        yield chunk
+
+
+@pytest.mark.oracle
+class TestAllNamesStreamMatchesRowLoop:
+    """The C-level chunk draw is the per-row loop it replaced: same
+    ``random()`` values in the same cells, column for column, for any
+    seed, scale and shard — empty shards and one-entry tables too."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32), scale=st.floats(0.001, 0.012),
+           data=st.data())
+    def test_shard_stream_equals_the_row_loop(self, seed, scale, data):
+        builder = AllNamesBuilder(scale=scale, seed=seed)
+        total = builder.total_queries
+        shard_count = data.draw(st.one_of(
+            st.integers(1, 6), st.integers(total, total + 4)))
+        shard_index = data.draw(st.integers(0, shard_count - 1))
+        lo, hi = shard_bounds(total, shard_count)[shard_index]
+        oracle = list(_allnames_column_chunks_rowwise(
+            builder, builder._world(), random.Random(
+                derive_seed(seed, shard_index, builder._SEED_NS)), lo, hi))
+        assert list(builder.iter_shard_columns(shard_index,
+                                               shard_count)) == oracle
+        assert sum(len(chunk[0]) for chunk in oracle) == hi - lo
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32), scope=st.sampled_from([0, 16, 24]),
+           v6=st.booleans(), lo=st.integers(0, 50),
+           rows=st.integers(0, 300) | st.sampled_from(
+               [COLUMN_CHUNK_ROWS - 1, COLUMN_CHUNK_ROWS,
+                COLUMN_CHUNK_ROWS + 3]))
+    def test_one_hostname_one_client(self, seed, scope, v6, lo, rows):
+        """Samplers of ``n=1``: every rank is 0, and the draws still
+        move the clock."""
+        builder = AllNamesBuilder(scale=0.01, seed=seed)
+        client = "2610:0:0::1" if v6 else "100.64.0.1"
+        world = (["h0.s00000.com."],
+                 {"s00000.com.": SldPolicy(ttl=60, scope=scope)},
+                 _Clients([] if v6 else [client], [client] if v6 else []))
+        chunks = list(builder._column_chunks(
+            world, random.Random(seed), lo, lo + rows))
+        assert chunks == list(_allnames_column_chunks_rowwise(
+            builder, world, random.Random(seed), lo, lo + rows))
+        assert [len(chunk[0]) for chunk in chunks] == [
+            min(COLUMN_CHUNK_ROWS, rows - start)
+            for start in range(0, rows, COLUMN_CHUNK_ROWS)]
 
 
 class TestPoisson:

@@ -74,6 +74,16 @@ class TestDeterminismRule:
         src = "from random import shuffle\nshuffle([])\n"
         assert ids_of(lint(src, rule_ids=["RS001"])) == ["RS001"]
 
+    def test_random_function_passed_on_flagged_once(self):
+        """A bound global-stream function handed to ``map`` draws as a
+        call does; a call is still one finding, not two."""
+        src = ("import random\nfrom itertools import repeat, starmap\n"
+               "draw = random.random\n"
+               "us = list(starmap(draw, repeat((), 3)))\n"
+               "x = random.random()\n")
+        violations = lint(src, rule_ids=["RS001"])
+        assert [v.line for v in violations] == [3, 5]
+
     def test_seeded_random_instance_ok(self):
         src = ("import random\n\ndef f(seed):\n"
                "    rng = random.Random(seed)\n    return rng.random()\n")
