@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..auth.hierarchy import DnsHierarchy
@@ -174,9 +175,7 @@ class ScanUniverseBuilder:
         for policy_name, count in self.egress_mix:
             for _ in range(count):
                 as_ = rng.choice(other_as)
-                where = rng.choice([c for c in WORLD_CITIES
-                                    if c.country == as_.country]
-                                   or list(WORLD_CITIES))
+                where = self._city_for(as_, rng)
                 ip = as_.host_in(where)
                 policy = behaviors.PRESETS[policy_name]
                 # The paper's 32 arbitrary-ECS resolvers (24 open + 8 via
@@ -195,18 +194,14 @@ class ScanUniverseBuilder:
                                         as_.country, where.name))
         return resolvers, specs
 
-    def _nearest_frontend(self, megadns: PublicDnsService,
-                          topology: Topology, from_ip: str) -> str:
-        from_city = topology.city_of(from_ip)
-        best_ip, best_d = megadns.frontend_ips[0], float("inf")
-        for fe_ip in megadns.frontend_ips:
-            fe_city = topology.city_of(fe_ip)
-            if from_city is None or fe_city is None:
-                continue
-            d = from_city.distance_km(fe_city)
-            if d < best_d:
-                best_ip, best_d = fe_ip, d
-        return best_ip
+    @staticmethod
+    def _nearest_frontends(megadns: PublicDnsService,
+                           topology: Topology) -> Dict[City, str]:
+        """Per registry city, the MegaDNS frontend nearest it (the first
+        nearest in ``frontend_ips`` order)."""
+        frontends = [(ip, topology.city_of(ip)) for ip in megadns.frontend_ips]
+        return {c: min(frontends, key=lambda fe: c.distance_km(fe[1]))[0]
+                for c in WORLD_CITIES}
 
     # -- assembly ------------------------------------------------------------
 
@@ -227,6 +222,8 @@ class ScanUniverseBuilder:
         scanner_ip = exp_as.host_in(city("Cleveland"))
 
         megadns = self._build_megadns(net, topology, hierarchy)
+        nearest_frontend = self._nearest_frontends(megadns, topology)
+        megadns_egress = megadns.egress_ips[0]
         other_egress, egress_specs = self._build_other_egress(
             net, topology, hierarchy, rng)
 
@@ -259,14 +256,14 @@ class ScanUniverseBuilder:
             where = self._city_for(as_, rng)
             for _sibling in range(2):
                 hid_ip = hidden_as.host_in_new_subnet(where)
-                fe_ip = self._nearest_frontend(megadns, topology, hid_ip)
+                fe_ip = nearest_frontend[where]
                 hidden = Forwarder(hid_ip, [fe_ip])
                 net.attach(hidden)
                 fwd_ip = as_.host_in_new_subnet(where)
                 fwd = Forwarder(fwd_ip, [hid_ip])
                 net.attach(fwd)
                 chains.append(ChainSpec(
-                    fwd_ip, (hid_ip,), megadns.egress_ips[0], True,
+                    fwd_ip, (hid_ip,), megadns_egress, True,
                     where.name, where.name, "Ashburn"))
 
         # Some open ingress resolvers are themselves recursive resolvers
@@ -296,7 +293,7 @@ class ScanUniverseBuilder:
             hidden_city: Optional[str] = None
 
             if via_megadns:
-                egress_ip = megadns.egress_ips[0]
+                egress_ip = megadns_egress
                 egress_city = "Ashburn"
             else:
                 spec = rng.choice(egress_specs)
@@ -310,15 +307,15 @@ class ScanUniverseBuilder:
                 hidden_ips = (hid_ip,)
                 hidden_city = hidden_where.name
                 if via_megadns:
-                    upstream = self._nearest_frontend(megadns, topology, hid_ip)
+                    upstream = nearest_frontend[hidden_where]
                 else:
                     upstream = egress_ip
                 hidden = Forwarder(hid_ip, [upstream])
                 net.attach(hidden)
                 next_hop = hid_ip
             else:
-                next_hop = (self._nearest_frontend(megadns, topology, fwd_ip)
-                            if via_megadns else egress_ip)
+                next_hop = (nearest_frontend[where] if via_megadns
+                            else egress_ip)
 
             fwd = Forwarder(fwd_ip, [next_hop])
             net.attach(fwd)
@@ -339,8 +336,7 @@ class ScanUniverseBuilder:
 
     @staticmethod
     def _city_for(as_: AutonomousSystem, rng: random.Random) -> City:
-        candidates = [c for c in WORLD_CITIES if c.country == as_.country]
-        return rng.choice(candidates or list(WORLD_CITIES))
+        return rng.choice(_city_tables()[0].get(as_.country, WORLD_CITIES))
 
     def _hidden_city(self, forwarder_city: City, egress_city_name: str,
                      rng: random.Random) -> City:
@@ -351,16 +347,28 @@ class ScanUniverseBuilder:
         and a small slice shares the egress's city (the on-diagonal,
         ECS-adds-nothing case).
         """
+        _, near, far = _city_tables()
         roll = rng.random()
         if roll < self.hidden_far_fraction:
-            far = [c for c in WORLD_CITIES
-                   if c.point.distance_km(forwarder_city.point) > 6000]
-            return rng.choice(far or list(WORLD_CITIES))
+            return rng.choice(far[forwarder_city] or WORLD_CITIES)
         if roll < self.hidden_far_fraction + self.hidden_same_city_fraction:
             try:
                 return city(egress_city_name)
             except KeyError:
                 return forwarder_city
-        near = [c for c in WORLD_CITIES
-                if c.point.distance_km(forwarder_city.point) < 1500]
-        return rng.choice(near or [forwarder_city])
+        return rng.choice(near[forwarder_city] or (forwarder_city,))
+
+
+@lru_cache(maxsize=None)
+def _city_tables() -> Tuple[dict, dict, dict]:
+    """The placement tables over the fixed city registry, built on first
+    use: the cities of each country, and per city those under 1,500 km
+    and over 6,000 km away, each a tuple in registry order."""
+    def ring(keep) -> Dict[City, Tuple[City, ...]]:
+        return {origin: tuple(c for c in WORLD_CITIES
+                              if keep(c.point.distance_km(origin.point)))
+                for origin in WORLD_CITIES}
+    countries = dict.fromkeys(c.country for c in WORLD_CITIES)
+    return ({country: tuple(c for c in WORLD_CITIES if c.country == country)
+             for country in countries},
+            ring(lambda km: km < 1500), ring(lambda km: km > 6000))

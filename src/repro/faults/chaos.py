@@ -17,6 +17,7 @@ layer certifies up to 30% loss.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -131,12 +132,14 @@ def _chaos_shard(plan: FaultPlan, policy: RetryPolicy, seed: int,
                  fault_seed: int, shard_index: int,
                  ingress_count: int) -> ChaosPartial:
     """Build one universe, fault it, scan it.  Module-level: picklable."""
+    started = time.perf_counter()
     universe = ScanUniverseBuilder(
         seed=derive_seed(seed, shard_index, "chaos.universe"),
         ingress_count=ingress_count).build()
     emitter = _obs_live.ACTIVE
     if emitter is not None:
         emitter.beat("chaos_universe", f"chaos[{plan.name}]", shard_index,
+                     seconds=time.perf_counter() - started,
                      ingress=ingress_count)
     bound = plan.bind(fault_seed, shard_index)
     universe.net.install_injector(bound)

@@ -16,6 +16,7 @@ from typing import Iterator, Tuple, Union
 
 IPAddress = Union[ipaddress.IPv4Address, ipaddress.IPv6Address]
 IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
+_NETWORKS = (ipaddress.IPv4Network, ipaddress.IPv6Network)
 
 # ---------------------------------------------------------------------------
 # Integer-native fast lane
@@ -153,9 +154,18 @@ def random_address_in(network: Union[str, IPNetwork],
 def host_in(network: Union[str, IPNetwork], index: int) -> IPAddress:
     """The ``index``-th address of ``network`` (deterministic placement)."""
     net = ipaddress.ip_network(network, strict=False)
-    if index >= net.num_addresses:
+    if not 0 <= index < net.num_addresses:
         raise ValueError(f"{network} has no host index {index}")
     return ipaddress.ip_address(int(net.network_address) + index)
+
+
+def address_text(version: int, value: int) -> str:
+    """Presentation form of an integer address: ``str(ip_address(value))``
+    of the family, with no object built for IPv4."""
+    if version == 4:
+        return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}." \
+            f"{value & 255}"
+    return str(ipaddress.IPv6Address(value))
 
 
 @lru_cache(maxsize=4096)
@@ -191,22 +201,32 @@ class AddressAllocator:
     """
 
     def __init__(self, supernet: Union[str, IPNetwork]):
-        self._supernet = ipaddress.ip_network(supernet, strict=False)
+        self._supernet = supernet if isinstance(supernet, _NETWORKS) \
+            else ipaddress.ip_network(supernet, strict=False)
+        self.version = self._supernet.version
+        self._width = 32 if self.version == 4 else 128
         self._cursor = int(self._supernet.network_address)
         self._end = self._cursor + self._supernet.num_addresses
 
-    def subnet(self, prefixlen: int) -> IPNetwork:
-        """Allocate the next free subnet of the requested length."""
+    def allocate(self, prefixlen: int) -> int:
+        """Allocate the next free subnet of the requested length; return
+        the integer of its network address."""
         if prefixlen < self._supernet.prefixlen:
             raise ValueError(f"/{prefixlen} larger than supernet {self._supernet}")
-        width = 32 if self._supernet.version == 4 else 128
-        size = 1 << (width - prefixlen)
+        if prefixlen > self._width:
+            raise ValueError(f"/{prefixlen} longer than the {self._width} "
+                             f"bits of an IPv{self.version} address")
+        size = 1 << (self._width - prefixlen)
         # Align the cursor to the subnet size.
         start = (self._cursor + size - 1) & ~(size - 1)
         if start + size > self._end:
             raise ValueError(f"supernet {self._supernet} exhausted")
         self._cursor = start + size
-        return ipaddress.ip_network((start, prefixlen))
+        return start
+
+    def subnet(self, prefixlen: int) -> IPNetwork:
+        """Allocate the next free subnet of the requested length."""
+        return type(self._supernet)((self.allocate(prefixlen), prefixlen))
 
     def subnets(self, prefixlen: int, count: int) -> Iterator[IPNetwork]:
         """Allocate ``count`` subnets of the same length."""

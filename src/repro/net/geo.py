@@ -155,15 +155,22 @@ class GeoDatabase:
     def add(self, network: Union[str, IPNetwork], location: City) -> None:
         """Register ``network`` as located in ``location``."""
         net = ipaddress.ip_network(network, strict=False)
-        tables = self._tables[net.version]
+        self.add_int(net.version, int(net.network_address), net.prefixlen,
+                     location)
+
+    def add_int(self, version: int, value: int, prefixlen: int,
+                location: City) -> None:
+        """:meth:`add` for the network whose address is the integer
+        ``value`` (host bits clear) and whose length is ``prefixlen``."""
+        tables = self._tables[version]
         for length, table in tables:
-            if length == net.prefixlen:
+            if length == prefixlen:
                 break
         else:
             table = {}
-            tables.append((net.prefixlen, table))
+            tables.append((prefixlen, table))
             tables.sort(key=lambda pair: pair[0], reverse=True)
-        table[int(net.network_address)] = location
+        table[value] = location
 
     def locate(self, address: str) -> Optional[City]:
         """The most specific location covering ``address``, or ``None``."""

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import ipaddress
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .addr import AddressAllocator, host_in
+from .addr import AddressAllocator, address_text
 from .clock import SimClock
 from .geo import City, GeoDatabase
 from .latency import DEFAULT_LATENCY, LatencyModel
@@ -29,7 +29,7 @@ DEFAULT_V6_SUPERNET = "2600::/16"
 class _CityBlock:
     """Allocation state for one (AS, city) pair."""
 
-    networks: List[ipaddress.IPv4Network] = field(default_factory=list)
+    network: int  # the integer of the current subnet's network address
     next_host: int = 1  # skip .0 (network address)
 
 
@@ -47,29 +47,41 @@ class AutonomousSystem:
         self._city_blocks: Dict[str, _CityBlock] = {}
         self._v6_city_blocks: Dict[str, _CityBlock] = {}
 
+    def _allocate(self, alloc: AddressAllocator, city: City,
+                  prefixlen: int) -> int:
+        """Allocate a subnet geolocated at ``city``; return its integer."""
+        value = alloc.allocate(prefixlen)
+        self._topology.geo.add_int(alloc.version, value, prefixlen, city)
+        return value
+
     def subnet_in(self, city: City, prefixlen: int = 24) -> ipaddress.IPv4Network:
         """Allocate a fresh IPv4 subnet geolocated at ``city``."""
-        net = self._v4.subnet(prefixlen)
-        self._topology.geo.add(net, city)
-        return net
+        return ipaddress.IPv4Network(
+            (self._allocate(self._v4, city, prefixlen), prefixlen))
 
     def subnet6_in(self, city: City, prefixlen: int = 48) -> ipaddress.IPv6Network:
         """Allocate a fresh IPv6 subnet geolocated at ``city``."""
-        net = self._v6.subnet(prefixlen)
-        self._topology.geo.add(net, city)
-        return net
+        return ipaddress.IPv6Network(
+            (self._allocate(self._v6, city, prefixlen), prefixlen))
 
-    def host_in(self, city: City) -> str:
-        """Place one IPv4 host in ``city``; /24s are allocated on demand."""
-        block = self._city_blocks.setdefault(city.name, _CityBlock())
-        if not block.networks or block.next_host >= 255:
-            block.networks.append(self.subnet_in(city, 24))
-            block.next_host = 1
-        ip = str(host_in(block.networks[-1], block.next_host))
+    def _place(self, city: City, blocks: Dict[str, _CityBlock],
+               alloc: AddressAllocator, prefixlen: int, hosts: int,
+               fresh: bool = False) -> str:
+        """Place one host in ``city``'s current block, or in a new
+        ``/prefixlen`` when the block is at ``hosts`` or ``fresh`` is set."""
+        block = blocks.get(city.name)
+        if fresh or block is None or block.next_host >= hosts:
+            block = blocks[city.name] = _CityBlock(
+                self._allocate(alloc, city, prefixlen))
+        ip = address_text(alloc.version, block.network + block.next_host)
         block.next_host += 1
         self._topology.host_as[ip] = self
         self._topology.host_city[ip] = city
         return ip
+
+    def host_in(self, city: City) -> str:
+        """Place one IPv4 host in ``city``; /24s are allocated on demand."""
+        return self._place(city, self._city_blocks, self._v4, 24, 255)
 
     def host_in_new_subnet(self, city: City) -> str:
         """Place an IPv4 host in ``city`` in a *fresh* /24.
@@ -79,26 +91,13 @@ class AutonomousSystem:
         come from its own /16 slice, two calls to this method give exactly
         that structure.
         """
-        block = self._city_blocks.setdefault(city.name, _CityBlock())
-        block.networks.append(self.subnet_in(city, 24))
-        block.next_host = 1
-        ip = str(host_in(block.networks[-1], block.next_host))
-        block.next_host += 1
-        self._topology.host_as[ip] = self
-        self._topology.host_city[ip] = city
-        return ip
+        return self._place(city, self._city_blocks, self._v4, 24, 255,
+                           fresh=True)
 
     def host6_in(self, city: City) -> str:
         """Place one IPv6 host in ``city``; /48s are allocated on demand."""
-        block = self._v6_city_blocks.setdefault(city.name, _CityBlock())
-        if not block.networks or block.next_host >= 1 << 16:
-            block.networks.append(self.subnet6_in(city, 48))
-            block.next_host = 1
-        ip = str(host_in(block.networks[-1], block.next_host))
-        block.next_host += 1
-        self._topology.host_as[ip] = self
-        self._topology.host_city[ip] = city
-        return ip
+        return self._place(city, self._v6_city_blocks, self._v6, 48,
+                           1 << 16)
 
     def __repr__(self) -> str:
         return f"AS{self.asn}({self.name!r}, {self.country})"

@@ -5,14 +5,15 @@ import ipaddress
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.datasets.scan_dataset import ScanUniverseBuilder, _city_tables
 from repro.dnslib import Message, Name, Rcode, RecordType
 from repro.faults import QUERY, FaultPlan, PacketLossSpec, RcodeFaultSpec
 from repro.net import (AddressAllocator, LatencyModel, Network, SimClock,
                        Topology, city, haversine_km, is_routable, prefix_key,
                        prefix_text, same_prefix, truncate_address)
-from repro.net.addr import host_in, random_address_in
+from repro.net.addr import address_text, host_in, random_address_in
 from repro.net.geo import GeoDatabase, GeoPoint, WORLD_CITIES, cities_in
 from repro.net.transport import FaultAction
 
@@ -86,6 +87,11 @@ class TestAddr:
         with pytest.raises(ValueError):
             host_in("10.0.0.0/30", 10)
 
+    def test_host_in_negative_index_rejected(self):
+        # -1 used to count back from the network address, out of the /24
+        with pytest.raises(ValueError, match="no host index -1"):
+            host_in("10.0.0.0/24", -1)
+
     def test_random_address_in_bounds(self):
         rng = random.Random(1)
         net = ipaddress.ip_network("203.0.113.0/24")
@@ -116,6 +122,107 @@ class TestAllocator:
     def test_larger_than_supernet_rejected(self):
         with pytest.raises(ValueError):
             AddressAllocator("10.0.0.0/16").subnet(8)
+
+    def test_over_long_prefix_names_the_family_width(self):
+        with pytest.raises(ValueError, match=r"/33 longer than the 32 bits"):
+            AddressAllocator("10.0.0.0/8").subnet(33)
+        with pytest.raises(ValueError, match=r"/129 longer than the 128 bits"):
+            AddressAllocator("2600::/16").subnet(129)
+
+
+def _reference_subnets(supernet, prefixes):
+    """The allocation sequence worked out with ``ipaddress`` objects:
+    each subnet is the first aligned one at or past the cursor, ``None``
+    where the allocator must raise (a prefix outside the supernet's range
+    or an exhausted supernet)."""
+    cursor, last = int(supernet.network_address), \
+        int(supernet.broadcast_address)
+    out = []
+    for prefixlen in prefixes:
+        if not supernet.prefixlen <= prefixlen <= 32 or cursor > last:
+            out.append(None)
+            continue
+        net = ipaddress.ip_network((cursor, prefixlen), strict=False)
+        start = int(net.network_address)
+        if start < cursor:
+            start += net.num_addresses
+        if start + net.num_addresses > last + 1:
+            out.append(None)
+            continue
+        net = ipaddress.ip_network((start, prefixlen))
+        out.append(net)
+        cursor = int(net.broadcast_address) + 1
+    return out
+
+
+@pytest.mark.oracle
+class TestPlacementOracle:
+    """Integer placement (the allocator's integers, the dotted-quad
+    formatter, the fixed city tables, the per-city nearest frontend)
+    equals the ``ipaddress`` objects and per-call comprehensions it
+    replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(base=st.integers(0, 2**32 - 1), length=st.integers(0, 32),
+           prefixes=st.lists(st.integers(-1, 34), max_size=12))
+    @example(base=0, length=0, prefixes=[0])
+    @example(base=2**32 - 1, length=32, prefixes=[32, 32])
+    def test_allocator_and_formatter_equal_ipaddress(self, base, length,
+                                                     prefixes):
+        supernet = ipaddress.ip_network((base, length), strict=False)
+        alloc = AddressAllocator(supernet)
+        for i, (prefixlen, want) in enumerate(
+                zip(prefixes, _reference_subnets(supernet, prefixes))):
+            take = alloc.subnet if i % 2 else alloc.allocate
+            if want is None:
+                with pytest.raises(ValueError):
+                    take(prefixlen)
+                continue
+            got = take(prefixlen)
+            if take == alloc.allocate:
+                got = ipaddress.ip_network((got, prefixlen))
+            assert got == want
+            for value in (int(want.network_address),
+                          int(want.broadcast_address)):
+                assert address_text(4, value) == \
+                    str(ipaddress.IPv4Address(value))
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.integers(0, 2**128 - 1))
+    @example(value=0)
+    @example(value=2**32 - 1)
+    def test_formatter_equals_ipaddress(self, value):
+        assert address_text(6, value) == str(ipaddress.IPv6Address(value))
+        value &= 2**32 - 1
+        assert address_text(4, value) == str(ipaddress.IPv4Address(value))
+
+    def test_city_tables_equal_comprehensions(self):
+        by_country, near, far = _city_tables()
+        countries = {c.country for c in WORLD_CITIES}
+        assert set(by_country) == countries
+        for country in countries:
+            assert list(by_country[country]) == \
+                [c for c in WORLD_CITIES if c.country == country]
+        for origin in WORLD_CITIES:
+            assert list(near[origin]) == [
+                c for c in WORLD_CITIES
+                if c.point.distance_km(origin.point) < 1500]
+            assert list(far[origin]) == [
+                c for c in WORLD_CITIES
+                if c.point.distance_km(origin.point) > 6000]
+
+    def test_nearest_frontend_once_per_city_equals_per_host(self):
+        universe = ScanUniverseBuilder(seed=3, ingress_count=60).build()
+        topology, megadns = universe.topology, universe.megadns
+        nearest = ScanUniverseBuilder._nearest_frontends(megadns, topology)
+        for ip in topology.host_as:
+            from_city = topology.city_of(ip)
+            best_ip, best_d = megadns.frontend_ips[0], float("inf")
+            for fe_ip in megadns.frontend_ips:
+                d = from_city.distance_km(topology.city_of(fe_ip))
+                if d < best_d:
+                    best_ip, best_d = fe_ip, d
+            assert nearest[from_city] == best_ip
 
 
 class TestGeo:

@@ -291,9 +291,14 @@ class TestEngineIntegration:
             obs_live.swap(None)
             sink.close()
         assert live_result.report() == result.report()
-        # chaos shards emitted universe + progress events
-        kinds = {beat.kind for beat in sink.timeline()[0]}
+        # chaos shards emitted universe + progress events; each shard's
+        # universe build is one timed slice
+        beats = sink.timeline()[0]
+        kinds = {beat.kind for beat in beats}
         assert "chaos_universe" in kinds and "progress" in kinds
+        builds = [beat for beat in beats if beat.kind == "chaos_universe"]
+        assert sorted(beat.shard for beat in builds) == [0, 1, 2, 3]
+        assert all(beat.seconds > 0 for beat in builds)
 
 
 def _fetch(url):
