@@ -15,7 +15,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import inf
 from operator import attrgetter, gt, itemgetter, le
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
@@ -120,10 +120,12 @@ CHUNK_ROWS = 2048
 Segment = Tuple[Sequence[float], Sequence[float], Sequence[int], Sequence[int]]
 
 
-def _key_space() -> Callable[[Sequence[Iterable[Any]]], Segment]:
+def _key_space(plain_names: Optional[List[str]] = None
+               ) -> Callable[[Sequence[Iterable[Any]]], Segment]:
     """A fresh space of dense integer ids for cache keys, as the function
     that keys the rows of six columns (ts, qname, qtype, parsed client
-    address, scope, ttl) in it.
+    address, scope, ttl) in it; ``plain_names``, when given, gets the
+    qname of each plain key id as the id is issued.
 
     A row's plain key is ``(qname, qtype)``; its ECS key adds the client's
     scope-long prefix, or nothing when the scope is 0 or the client None
@@ -134,12 +136,13 @@ def _key_space() -> Callable[[Sequence[Iterable[Any]]], Segment]:
     so row groups with their local dictionary codes meet in one space.
     """
     plain_of: List[int] = []
-    plain_ids = count()
+    names: List[str] = [] if plain_names is None else plain_names
     prefixes: Dict[Tuple[int, int, int], int] = {}
 
     @lru_cache(maxsize=None)
     def plain_id(qname: str, qtype: int) -> int:
-        return next(plain_ids)
+        names.append(qname)
+        return len(names) - 1
 
     @lru_cache(maxsize=None)
     def prefix_id(address: Optional[Tuple[int, int]], scope: int) -> int:
@@ -245,7 +248,9 @@ class ReplayKernel:
                       client_field: str) -> Segment:
         """A store holding the whole trace, zero-copy, keyed in a space of
         its own: once per store (``store.memo``) for every kernel fed from
-        it, and not at all when the derivation raises."""
+        it, and not at all when the derivation raises.  A
+        :class:`~repro.engine.replay.KeyedTrace` holds its ids from the
+        start."""
         return store.memo(
             ("key ids", client_field),
             lambda: _key_space()(_store_columns(store, client_field)))
@@ -324,7 +329,8 @@ def replay_partial_columns(store: "ColumnarStore", client_field: str,
                            rows: Optional[Iterable[int]] = None,
                            ttl_override: Optional[float] = None
                            ) -> ReplayPartial:
-    """Columnar lane: one store's packed columns, no record objects;
+    """Columnar lane: one store's packed columns (or a
+    :class:`~repro.engine.replay.KeyedTrace`), no record objects;
     ``rows`` selects a subset in replay order (one qname bucket)."""
     kernel = ReplayKernel(ttl_override)
     kernel.feed(kernel.store_segment(store, client_field), rows)
@@ -437,6 +443,8 @@ def client_sample_rows(store: "ColumnarStore", clients: Sequence[str],
     ``clients`` is the population as its builder lists it
     (``AllNamesDataset.client_ips``), not the trace dictionary: the
     sample depends on the list's order and on clients that never query.
+    ``store`` may be a :class:`~repro.engine.replay.KeyedTrace` built
+    with its client ids.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")

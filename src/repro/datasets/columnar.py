@@ -57,6 +57,7 @@ from typing import (Any, BinaryIO, Callable, Dict, Iterable, Iterator, List,
 
 from ..engine.sharding import stable_bucket
 from ..obs import metrics as _obs_metrics
+from ..obs.export import AtomicFile
 from .records import (EXTEND_CHUNK_ROWS, AllNamesRecord, CdnQueryRecord,
                       JsonlFormatError, PublicCdnRecord, RootQueryRecord,
                       ScanQueryRecord, json_column, json_rows,
@@ -70,6 +71,8 @@ FORMAT_VERSION = 2
 ALIGN = 8
 #: Prelude: magic (8 bytes) + u64 header offset, patched at close.
 _PRELUDE = 16
+#: How a reader drops a walked group's pages (None where mmap lacks it).
+_DONTNEED = getattr(mmap, "MADV_DONTNEED", None)
 #: Default rows per row group for the streaming writers: large enough
 #: that per-group overheads (dictionaries, header entries) amortize,
 #: small enough that a buffered group stays a few MiB.
@@ -487,9 +490,11 @@ class ColumnarStore:
 
         A file of one row group opens zero-copy: the store is that
         group's view and owns the mapping.  A file of several groups is
-        *flattened* into one in-memory store — the O(rows) compatibility
-        path; readers that care about bounded memory should walk the
-        groups via :class:`RowGroupReader` directly.
+        *flattened* into one in-memory store — the O(rows) path of
+        :func:`read_columnar`; no replay calls it (a replay worker holds
+        a trace as :class:`~repro.engine.replay.KeyedTrace`), and readers
+        that care about bounded memory walk the groups
+        (:meth:`RowGroupReader.walk`).
         """
         with contextlib.ExitStack() as stack:
             reader = stack.enter_context(RowGroupReader(path))
@@ -499,10 +504,8 @@ class ColumnarStore:
                 store._closer = stack.pop_all().close
                 return store
             writer = ColumnarWriter(reader.schema)
-            for index in range(reader.group_count):
-                group = reader.group(index)
+            for group in reader.walk():
                 writer.extend_rows(group)
-                group.close()
             return writer.store()
 
     def close(self) -> None:
@@ -874,12 +877,12 @@ class GroupedColumnarWriter:
     first-appearance order *within the group* automatically, because
     each group starts from an empty buffer.
 
-    Output is atomic: groups stream into ``<path>.tmp``, and
-    :meth:`close` writes the JSON header at the tail, patches the
-    header-offset word and renames the file into place.  Use as a
-    context manager — leaving the block on an exception removes the
-    temporary file instead, so ``path`` is either absent (or whatever it
-    was before) or complete.
+    Output is atomic: groups stream into ``<path>.tmp`` (an
+    :class:`~repro.obs.export.AtomicFile`), and :meth:`close` writes
+    the JSON header at the tail, patches the header-offset word and
+    renames the file into place.  Use as a context manager — leaving the
+    block on an exception removes the temporary file instead, so
+    ``path`` is either absent (or whatever it was before) or complete.
     """
 
     def __init__(self, schema: Union[str, Schema], path: Union[str, Path],
@@ -899,8 +902,8 @@ class GroupedColumnarWriter:
         self._groups: List[Dict[str, Any]] = []
         self._offset = 0
         self._buffer = ColumnarWriter(self.schema)
-        self._tmp = self.path.with_name(self.path.name + ".tmp")
-        self._fh: Optional[BinaryIO] = open(self._tmp, "wb")
+        self._out = AtomicFile(self.path, "wb")
+        self._fh: Optional[BinaryIO] = self._out.file
         self._fh.write(MAGIC)
         self._fh.write(struct.pack("<Q", 0))
 
@@ -1072,17 +1075,14 @@ class GroupedColumnarWriter:
         self._fh.write(payload)
         self._fh.seek(8)
         self._fh.write(struct.pack("<Q", header_offset))
-        self._fh.close()
         self._fh = None
-        os.replace(self._tmp, self.path)
+        self._out.commit()
         return self.rows
 
     def _abort(self) -> None:
         """Drop an unfinished file; a no-op once :meth:`close` succeeded."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-            self._tmp.unlink(missing_ok=True)
+        self._fh = None
+        self._out.discard()
 
     def __enter__(self) -> "GroupedColumnarWriter":
         return self
@@ -1100,7 +1100,8 @@ class RowGroupReader:
 
     The file maps once and each row group is exposed as a zero-copy
     :class:`ColumnarStore` over its own segments, so streaming consumers
-    (merge, conversion, row-range replay) hold one group at a time.
+    (merge, conversion, replay) hold one group at a time; :meth:`walk`
+    also drops each group's pages once it is done.
     Group stores are built on demand and not memoized — sequential
     scans drop each group's decoded dictionaries as they go, which is
     what keeps reader memory bounded.
@@ -1201,12 +1202,38 @@ class RowGroupReader:
                     f"dictionary code {code}, past its {size}-entry "
                     f"dictionary")
 
+    def walk(self, start: int = 0,
+             stop: Optional[int] = None) -> Iterator[ColumnarStore]:
+        """Groups ``start`` to ``stop`` (default: the last) in file order,
+        one resident at a time: each store is closed, and the mapped
+        pages up to its end released, before the next group is read."""
+        for index in range(start, self.group_count if stop is None
+                           else stop):
+            store = self.group(index)
+            try:
+                yield store
+            finally:
+                store.close()
+                self._release(index)
+
+    def _release(self, index: int) -> None:
+        """Drop the mapped pages up to the end of group ``index`` from the
+        process's resident set (``MADV_DONTNEED``: the OS keeps them
+        cached, and a later read maps them back in).  From the start of
+        the file, since a fault also maps the faulting page's neighbours,
+        pages of groups released before among them."""
+        if self._mapping is None or _DONTNEED is None:
+            return
+        end = _PRELUDE + max(
+            offset + length for col in self._header.groups[index]["columns"]
+            for offset, length in (col["data"], col.get("nulls") or (0, 0),
+                                   col.get("dict") or (0, 0)))
+        self._mapping.madvise(_DONTNEED, 0, end)
+
     def iter_records(self) -> Iterator[Any]:
         """Stream every row as a record, one group resident at a time."""
-        for index in range(self.group_count):
-            store = self.group(index)
+        for store in self.walk():
             yield from store.iter_records()
-            store.close()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -1516,10 +1543,8 @@ def columnar_to_jsonl(src: Union[str, Path],
     """
     with RowGroupReader(src) as reader:
         def texts() -> Iterator[str]:
-            for index in range(reader.group_count):
-                store = reader.group(index)
+            for store in reader.walk():
                 yield from store.jsonl_chunks()
-                store.close()
 
         return write_jsonl_text(texts(), dst)
 
@@ -1535,10 +1560,8 @@ def convert_columnar(src: Union[str, Path], dst: Union[str, Path],
     """
     with RowGroupReader(src) as reader, \
             GroupedColumnarWriter(reader.schema, dst, row_group_rows) as out:
-        for index in range(reader.group_count):
-            store = reader.group(index)
+        for store in reader.walk():
             out.extend_store(store)
-            store.close()
     return out.rows
 
 
@@ -1569,12 +1592,10 @@ def prebucket_columnar(src: Union[str, Path], dst: Union[str, Path],
             spills = [stack.enter_context(
                 GroupedColumnarWriter(schema, p, row_group_rows))
                 for p in spill_paths]
-            for index in range(reader.group_count):
-                store = reader.group(index)
+            for store in reader.walk():
                 for b, rows in enumerate(store.row_buckets("qname", shards)):
                     if rows:
                         spills[b].extend_store(store, rows=rows)
-                store.close()
         with GroupedColumnarWriter(schema, target, row_group_rows,
                                    buckets=shards) as final:
             for b, spill_path in enumerate(spill_paths):

@@ -17,18 +17,20 @@ The shard count is fixed independently of the worker count, so
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import os
 import re
 import time
-from itertools import chain
+from array import array
+from bisect import bisect_right
+from itertools import chain, groupby
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
 from ..analysis.cache_sim import (ClientSweep, ReplayKernel, ReplayPartial,
-                                  ReplayResult, Segment, client_sample_rows,
+                                  ReplayResult, Segment, _key_space,
+                                  _store_columns, client_sample_rows,
                                   fig1_series, merge_partials,
                                   replay_partial_column_groups,
                                   replay_partial_columns)
@@ -84,9 +86,11 @@ CLIENT_FIELDS: Dict[str, str] = {
 TRACED_RECORDS_PER_SHARD = 1000
 
 
-#: What a traced shard hands the kernel: stores in replay order, each
-#: with its segment and row selection (None for every row).
-Feeds = Iterable[Tuple[ColumnarStore, Segment, Optional[Sequence[int]]]]
+#: What a traced shard hands the kernel: stores (or a whole
+#: :class:`KeyedTrace`) in replay order, each with its segment and row
+#: selection (None for every row).
+Feeds = Iterable[Tuple[Union[ColumnarStore, "KeyedTrace"], Segment,
+                       Optional[Sequence[int]]]]
 
 
 def _observed_replay(kind: str, untraced: Callable[[], ReplayPartial],
@@ -102,9 +106,9 @@ def _observed_replay(kind: str, untraced: Callable[[], ReplayPartial],
     ``replay.query`` span whose two verdicts are the hit counters'
     deltas, and the rest in bulk — so counters are identical and no
     record object is ever built for a columnar row; span attributes
-    are read from the store each feed came from.  A registry gets the
-    partial's aggregate counters after the fact.  The None guards live
-    here, once (RS003).
+    are read from the store each feed came from (:func:`_span_attrs`).
+    A registry gets the partial's aggregate counters after the fact.
+    The None guards live here, once (RS003).
     """
     tracer = _obs_trace.ACTIVE
     if tracer is None:
@@ -113,19 +117,12 @@ def _observed_replay(kind: str, untraced: Callable[[], ReplayPartial],
         kernel = ReplayKernel()
         budget = TRACED_RECORDS_PER_SHARD
         field = CLIENT_FIELDS[kind]
-        for store, segment, rows in feeds(kernel):
-            ts, qname, qtype, client, scope = (
-                store.column(name)
-                for name in ("ts", "qname", "qtype", field, "scope"))
-            qnames = store.dictionary("qname")
-            clients = store.dictionary(field)
+        for source, segment, rows in feeds(kernel):
             if rows is None:
-                rows = range(len(ts))
-            for row in rows[:budget]:
-                with tracer.span("replay.query", kind=kind, ts=ts[row],
-                                 qname=qnames[qname[row]], qtype=qtype[row],
-                                 client=clients[client[row]],
-                                 scope=scope[row]) as span:
+                rows = range(len(segment[0]))
+            head = rows[:budget]
+            for row, attrs in zip(head, _span_attrs(source, field, head)):
+                with tracer.span("replay.query", kind=kind, **attrs) as span:
                     before = kernel.partial()
                     kernel.feed(segment, (row,))
                     after = kernel.partial()
@@ -139,6 +136,25 @@ def _observed_replay(kind: str, untraced: Callable[[], ReplayPartial],
     if reg is not None:
         _record_replay_metrics(reg, kind, partial)
     return partial
+
+
+def _span_attrs(source: Union[ColumnarStore, "KeyedTrace"], field: str,
+                rows: Sequence[int]) -> List[Dict[str, Any]]:
+    """Each row's ``replay.query`` attributes (ts, qname, qtype, client,
+    scope), read from ``source`` or, for a :class:`KeyedTrace`, from the
+    mapped group that holds the row."""
+    runs = source.groups_of(rows) if isinstance(source, KeyedTrace) \
+        else [(source, rows)]
+    attrs: List[Dict[str, Any]] = []
+    for store, local in runs:
+        ts, qname, qtype, client, scope = (
+            store.column(name)
+            for name in ("ts", "qname", "qtype", field, "scope"))
+        qnames, clients = store.dictionary("qname"), store.dictionary(field)
+        attrs.extend({"ts": ts[row], "qname": qnames[qname[row]],
+                      "qtype": qtype[row], "client": clients[client[row]],
+                      "scope": scope[row]} for row in local)
+    return attrs
 
 
 def _record_replay_metrics(reg: _obs_metrics.MetricsRegistry, kind: str,
@@ -327,29 +343,155 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
 # Columnar dispatch: workers open one shared file by path.
 
 
-@functools.lru_cache(maxsize=8)
-def _opened(opener: Callable[[str], Any], path: str, size: int,
-            mtime_ns: int) -> Any:
-    """One open trace per (opener, path, stat identity), per process.
+class KeyedTrace:
+    """A columnar trace held as the replay kernel's own columns.
 
-    The per-worker dataset cache of the columnar paths: a worker
-    replaying several shards of one trace opens it once.  A
-    :class:`RowGroupReader` holds only the mapping and the header (every
-    worker maps the *same* file, so the OS shares the pages); its group
-    stores are issued (and closed) per replay task.  A
-    :meth:`ColumnarStore.open` result is the mapped group of a
-    single-group file, or the flattened in-memory copy of a multi-group
-    one — built once per worker, not once per shard.  The stat
-    identity keys out stale hits when a path is rewritten (tests do this
-    constantly with tmp files); deterministic because what is opened
+    Built once: the file's row groups are walked in order
+    (:meth:`RowGroupReader.walk`, so one group's mapped pages are
+    resident at a time) and keyed into one id space
+    (:func:`~repro.analysis.cache_sim._key_space`).  Per row it keeps
+    only what the kernel reads — ts (f8), ttl (i8) and the ECS key id
+    (i4), 20 bytes — plus, with ``clients``, the client's id (i4) in a
+    trace-wide client dictionary, which the client sweep samples.
+
+    It answers the calls the replay lanes make of a whole-trace
+    :class:`ColumnarStore`: :meth:`memo`, which already holds the key
+    ids (so :meth:`ReplayKernel.store_segment` finds them), and
+    :meth:`column` / :meth:`dictionary` of the client field.  Its qname
+    buckets (:meth:`qname_buckets`) are derived from the plain keys'
+    names and memoized per shard count, 4 bytes a row each.  A traced
+    replay reads span attributes from the mapped group that holds each
+    annotated row (:meth:`groups_of`).
+    """
+
+    def __init__(self, path: str, client_field: str, clients: bool) -> None:
+        self._reader = reader = RowGroupReader(path)
+        try:
+            self._plain_names: List[str] = []
+            self._starts: List[int] = []
+            key = _key_space(self._plain_names)
+            ts, ttl, ids = (array(code, [0]) * reader.rows
+                            for code in ("d", "q", "i"))
+            plain_of: Sequence[int] = []
+            client_ids = array("i", [0]) * reader.rows if clients else None
+            client_codes: Dict[str, int] = {}
+            start = 0
+            for store in reader.walk():
+                end = start + len(store)
+                self._starts.append(start)
+                group_ts, group_ttl, group_ids, plain_of = key(
+                    _store_columns(store, client_field))
+                memoryview(ts)[start:end] = group_ts
+                memoryview(ttl)[start:end] = group_ttl
+                memoryview(ids)[start:end] = group_ids
+                if client_ids is not None:
+                    codes = [client_codes.setdefault(name, len(client_codes))
+                             for name in store.dictionary(client_field)]
+                    memoryview(client_ids)[start:end] = array(
+                        "i", map(codes.__getitem__,
+                                 store.column(client_field)))
+                start = end
+        except BaseException:
+            reader.close()
+            raise
+        self.rows = reader.rows
+        self._ids, self._plain_of = ids, plain_of
+        self._columns = {} if client_ids is None \
+            else {client_field: client_ids}
+        self._dicts = {} if client_ids is None \
+            else {client_field: list(client_codes)}
+        self._memo: Dict[Any, Any] = {
+            ("key ids", client_field): (ts, ttl, ids, plain_of)}
+
+    def column(self, name: str) -> "array[int]":
+        """Client ids, row by row (a trace built with ``clients``)."""
+        return self._columns[name]
+
+    def dictionary(self, name: str) -> List[str]:
+        """Client id -> address (a trace built with ``clients``)."""
+        return self._dicts[name]
+
+    def memo(self, key: Any, build: Callable[[], Any]) -> Any:
+        """As :meth:`ColumnarStore.memo`: ``build()`` once per ``key``."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
+    def qname_buckets(self, shards: int) -> List["array[int]"]:
+        """Row indices per :func:`stable_bucket` shard of the qname, as
+        :meth:`ColumnarStore.row_buckets` lists them: the hash runs once
+        per distinct name, then one table lookup per row."""
+        def scan() -> List["array[int]"]:
+            names = self._plain_names
+            by_name = {name: stable_bucket(name, shards)
+                       for name in dict.fromkeys(names)}
+            by_plain = list(map(by_name.__getitem__, names))
+            by_key = list(map(by_plain.__getitem__, self._plain_of))
+            code = "I" if self.rows < 1 << 32 else "q"
+            buckets = [array(code) for _ in range(shards)]
+            appends = [bucket.append for bucket in buckets]
+            for row, bucket in enumerate(map(by_key.__getitem__,
+                                             self._ids)):
+                appends[bucket](row)
+            return buckets
+
+        return self.memo(("qname buckets", shards), scan)
+
+    def groups_of(self, rows: Sequence[int]
+                  ) -> Iterator[Tuple[ColumnarStore, List[int]]]:
+        """``(group store, row indices within it)`` for each run of
+        ``rows`` that one group holds, in order; each group is read from
+        the mapping, and its pages released, before the next."""
+        starts = self._starts
+        for index, run in groupby(rows,
+                                  lambda row: bisect_right(starts, row) - 1):
+            for store in self._reader.walk(index, index + 1):
+                yield store, [row - starts[index] for row in run]
+
+    def close(self) -> None:
+        """Unmap the file (the kept columns are plain arrays)."""
+        self._reader.close()
+
+
+class _Slot:
+    """The one opened trace a process keeps between replay tasks.
+
+    The per-worker dataset cache of the columnar paths: every task over
+    one file finds the :class:`KeyedTrace` (or, for a pre-bucketed file,
+    the :class:`RowGroupReader`) the first one opened.  It is keyed by
+    the file's identity — ``(st_dev, st_ino, size, mtime_ns)`` — and by
+    what was opened, so a path rewritten or replaced in place (tests do
+    this constantly) is opened afresh, and opening anything else closes
+    and drops what was held.  Deterministic because what is opened
     depends only on the file bytes.
     """
-    return opener(path)
+
+    def __init__(self) -> None:
+        self.key: Optional[Tuple[Any, ...]] = None
+        self.value: Any = None
+
+    def open(self, opener: Callable[..., Any], path: str, *args: Any) -> Any:
+        """``opener(path, *args)``, or what the last call opened when
+        both name the same file and the same opener and arguments."""
+        stat = os.stat(path)
+        key = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns,
+               opener, *args)
+        if key != self.key:
+            self.clear()
+            self.value = opener(path, *args)
+            self.key = key
+        return self.value
+
+    def clear(self) -> None:
+        """Close and drop what is held."""
+        value, self.key, self.value = self.value, None, None
+        if value is not None:
+            value.close()
 
 
-def _open_cached(opener: Callable[[str], Any], path: str) -> Any:
-    stat = os.stat(path)
-    return _opened(opener, path, stat.st_size, stat.st_mtime_ns)
+_HELD = _Slot()
 
 
 def _replay_columnar_shard(path: str, kind: str, shards: int,
@@ -358,21 +500,16 @@ def _replay_columnar_shard(path: str, kind: str, shards: int,
 
     The work unit crossing the pool boundary is ``(bucket,)`` plus the
     shared ``(path, kind, shards)`` header — never rows.  The worker
-    holds the whole trace as one store (cached by :func:`_opened`): the
-    mapped columns of a single-group file, or a multi-group file
-    flattened into memory once per worker — O(rows) per worker, which
-    is what :func:`_replay_columnar_range` over a pre-bucketed file
-    avoids.  Row selection is the memoized per-store bucket table
-    (:meth:`~repro.datasets.columnar.ColumnarStore.row_buckets`) and the
-    rows' cache-key ids are memoized beside it, so the buckets of one
-    trace share both; the hot loop reads them, traced or not.
+    holds the trace once, as a :class:`KeyedTrace` (:data:`_HELD`), so
+    the buckets of one trace share its key ids and its memoized bucket
+    tables; the hot loop reads them, traced or not.
     """
-    store: ColumnarStore = _open_cached(ColumnarStore.open, path)
-    rows = store.row_buckets("qname", shards)[bucket]
     field = CLIENT_FIELDS[kind]
+    trace: KeyedTrace = _HELD.open(KeyedTrace, path, field, False)
+    rows = trace.qname_buckets(shards)[bucket]
     return _observed_replay(
-        kind, lambda: replay_partial_columns(store, field, rows=rows),
-        lambda kernel: [(store, kernel.store_segment(store, field), rows)])
+        kind, lambda: replay_partial_columns(trace, field, rows=rows),
+        lambda kernel: [(trace, kernel.store_segment(trace, field), rows)])
 
 
 def _replay_columnar_range(path: str, kind: str, group_start: int,
@@ -387,23 +524,15 @@ def _replay_columnar_range(path: str, kind: str, group_start: int,
     dictionary code, so counters are identical to a flat replay of the
     same rows.
     """
-    reader: RowGroupReader = _open_cached(RowGroupReader, path)
-
-    def groups() -> Iterator[ColumnarStore]:
-        for index in range(group_start, group_end):
-            store = reader.group(index)
-            try:
-                yield store
-            finally:
-                store.close()
-
+    reader: RowGroupReader = _HELD.open(RowGroupReader, path)
     field = CLIENT_FIELDS[kind]
     record_row_groups("replayed", reader.schema.name,
                       group_end - group_start)
     return _observed_replay(
-        kind, lambda: replay_partial_column_groups(groups(), field),
+        kind, lambda: replay_partial_column_groups(
+            reader.walk(group_start, group_end), field),
         lambda kernel: ((store, kernel.group_segment(store, field), None)
-                        for store in groups()))
+                        for store in reader.walk(group_start, group_end)))
 
 
 def replay_columnar_sharded(path: Union[str, Path], kind: str,
@@ -414,11 +543,9 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
     The counterpart of :func:`replay_jsonl_sharded` that ships no rows:
     instead of routing raw lines through the pool, the parent ships only
     the shared ``(path, kind, shards)`` header and per-shard bucket
-    indices; workers open the file, bucket rows by qname dictionary
-    codes, and run the vectorized column replay.  A single-group file
-    is mapped zero-copy, its pages shared across processes; a
-    multi-group file is flattened into memory once per worker, so this
-    path is O(rows) per worker for such files.
+    indices; each worker builds the trace's :class:`KeyedTrace` once,
+    a group's pages at a time, buckets its rows by qname and runs the
+    column replay.
     Counter-identical to the ``replay_partial`` oracle over
     ``read_columnar(path)``, qname bucket by qname bucket, for any
     worker count — the equivalence suite pins it.
@@ -504,9 +631,9 @@ def fig1_sharded(spec: ShardSpec, ttls: Sequence[Optional[int]],
 def _client_sample_replay(path: str, clients: List[str], fraction: float,
                           seed: int) -> ReplayPartial:
     """Worker entry point: one (fraction, seed) unit of the client sweep."""
-    store: ColumnarStore = _open_cached(ColumnarStore.open, path)
+    trace: KeyedTrace = _HELD.open(KeyedTrace, path, "client_ip", True)
     return replay_partial_columns(
-        store, "client_ip", client_sample_rows(store, clients, fraction, seed))
+        trace, "client_ip", client_sample_rows(trace, clients, fraction, seed))
 
 
 def client_sweep_sharded(path: Union[str, Path], clients: Sequence[str],
@@ -516,7 +643,7 @@ def client_sweep_sharded(path: Union[str, Path], clients: Sequence[str],
     """:func:`~repro.analysis.cache_sim.client_sweep` over an allnames
     ``.col``, every (fraction, seed) replay its own task: the pool
     carries the shared ``(path, clients)`` header and two numbers per
-    unit, and each worker opens the trace once (:func:`_opened`).
+    unit, and each worker opens the trace once (:data:`_HELD`).
     """
     units = [(fraction, seed) for fraction in fractions for seed in seeds]
     partials, report = run_sharded(

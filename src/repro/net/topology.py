@@ -9,7 +9,6 @@ the paper's EdgeScape-based ones.
 
 from __future__ import annotations
 
-import ipaddress
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -53,16 +52,6 @@ class AutonomousSystem:
         value = alloc.allocate(prefixlen)
         self._topology.geo.add_int(alloc.version, value, prefixlen, city)
         return value
-
-    def subnet_in(self, city: City, prefixlen: int = 24) -> ipaddress.IPv4Network:
-        """Allocate a fresh IPv4 subnet geolocated at ``city``."""
-        return ipaddress.IPv4Network(
-            (self._allocate(self._v4, city, prefixlen), prefixlen))
-
-    def subnet6_in(self, city: City, prefixlen: int = 48) -> ipaddress.IPv6Network:
-        """Allocate a fresh IPv6 subnet geolocated at ``city``."""
-        return ipaddress.IPv6Network(
-            (self._allocate(self._v6, city, prefixlen), prefixlen))
 
     def _place(self, city: City, blocks: Dict[str, _CityBlock],
                alloc: AddressAllocator, prefixlen: int, hosts: int,

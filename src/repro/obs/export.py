@@ -29,7 +29,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import (Any, Dict, Iterable, Iterator, List, Sequence, Set,
+from typing import (IO, Any, Dict, Iterable, Iterator, List, Sequence, Set,
                     Tuple, Union)
 
 from .live import Heartbeat
@@ -37,26 +37,59 @@ from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import Span
 
 
+class AtomicFile:
+    """One file written as ``<name>.tmp`` beside ``path``, then either
+    renamed over ``path`` (:meth:`commit`) or removed (:meth:`discard`),
+    so ``path`` is absent (or as it was) or complete, never half-written.
+
+    The one tmp-then-:func:`os.replace` routine of the artefact writers:
+    :func:`write_text_atomic` and
+    :class:`~repro.datasets.columnar.GroupedColumnarWriter`.  As a
+    context manager it yields the open file, commits on a clean exit and
+    discards on an exception.
+    """
+
+    def __init__(self, path: Union[str, Path], mode: str = "w") -> None:
+        self.path = Path(path)
+        self._tmp = self.path.with_name(self.path.name + ".tmp")
+        self.file: IO[Any] = open(self._tmp, mode, encoding=(
+            None if "b" in mode else "utf-8"))
+        self._pending = True
+
+    def commit(self) -> None:
+        """Close the temporary and rename it over ``path``."""
+        self.file.close()
+        os.replace(self._tmp, self.path)
+        self._pending = False
+
+    def discard(self) -> None:
+        """Close and remove the temporary; a no-op once committed."""
+        if self._pending:
+            self._pending = False
+            self.file.close()
+            self._tmp.unlink(missing_ok=True)
+
+    def __enter__(self) -> IO[Any]:
+        return self.file
+
+    def __exit__(self, exc_type: Any, *exc: Any) -> None:
+        try:
+            if exc_type is None:
+                self.commit()
+        finally:
+            self.discard()
+
+
 def write_text_atomic(path: Union[str, Path],
                       chunks: Iterable[str]) -> Path:
-    """Stream ``chunks`` to ``path`` so it is either absent or complete.
-
-    The text goes to ``<name>.tmp`` beside the destination (parents
-    created) and is renamed over it at the end — the convention of
-    :class:`~repro.datasets.columnar.GroupedColumnarWriter`.  If the
-    iterable or a write raises, the temporary is removed and whatever
-    ``path`` held before is untouched.
+    """Stream ``chunks`` to ``path`` (parents created) through an
+    :class:`AtomicFile`: if the iterable or a write raises, the
+    temporary is removed and whatever ``path`` held before is untouched.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with AtomicFile(path) as fh:
+        fh.writelines(chunks)
     return path
 
 

@@ -256,7 +256,8 @@ class TestShardCapture:
         # The same trace in every on-disk form, replayed under a tracer:
         # counters equal the untraced run, spans are capped per shard, and
         # each span's verdicts are what the oracle returns for that row.
-        # (one group: mapped zero-copy; 256-row groups: flattened).
+        # (one group or 256-row groups: the worker's KeyedTrace, each
+        # span's attributes read from the group holding its row).
         jsonl, one, v2, bucketed = (tmp_path / name for name in (
             "t.jsonl", "one.col", "v2.col", "bucketed.col"))
         write_jsonl(allnames_records, jsonl)
