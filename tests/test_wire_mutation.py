@@ -11,7 +11,10 @@ Two suites hold that to "the tables may only ever save work":
   no name walk runs unbounded;
 * the encoder oracle — ``encode_message`` equals ``reference_encode``,
   the one-table, every-name-through-``encode_name`` algorithm, on
-  generated messages and on the cases its shortcuts turn on.
+  generated messages and on the cases its shortcuts turn on;
+* the decoder oracle — ``decode_message`` equals ``reference_decode``,
+  one table-free pass written from the RFCs, on generated wires and their
+  mutants, and raises ``WireFormatError`` wherever the reference rejects.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.dnslib.wire import clear_codec_caches
 
 from wire_strategies import (CountingWire, Layout, decode_outcome, edns_infos,
                              messages, mutants, names, options, records,
-                             reference_encode)
+                             reference_decode, reference_encode)
 
 
 def warm_and_cold(intact: bytes, wire: bytes):
@@ -347,3 +350,32 @@ class TestEncoderOracle:
         msg.answers = [ResourceRecord(qname, RecordType.AAAA, 1,
                                       AAAA("2001:db8::1"))] * 3
         assert encode_message(msg) == reference_encode(msg)
+
+
+@pytest.mark.oracle
+class TestDecoderOracle:
+    @staticmethod
+    def agree(wire):
+        try:
+            want = reference_decode(wire)
+        except Exception:       # noqa: BLE001 - any rejection counts
+            with pytest.raises(WireFormatError):
+                decode_message(wire)
+            return False
+        got = decode_message(wire)
+        assert got == want
+        assert [rr.name.labels for rr in got.answers + got.authority
+                + got.additional] == [rr.name.labels for rr in want.answers
+                                      + want.authority + want.additional]
+        return True
+
+    @given(messages)
+    @settings(max_examples=30, deadline=None)
+    def test_generated_messages(self, msg):
+        clear_codec_caches()
+        assert self.agree(encode_message(msg))
+
+    @given(messages, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mutants(self, msg, data):
+        self.agree(data.draw(mutants(encode_message(msg))))

@@ -18,11 +18,12 @@ import struct
 
 from hypothesis import strategies as st
 
-from repro.dnslib import (A, AAAA, CNAME, MX, NS, SOA, TXT, CookieOption,
-                          DnsError, EcsOption, EdnsInfo, GenericOption,
-                          GenericRdata, Message, Name, Opcode, Question, Rcode,
-                          RecordType, ResourceRecord, WireFormatError,
-                          decode_message, encode_message, encode_name)
+from repro.dnslib import (A, AAAA, CNAME, MX, NS, PTR, SOA, TXT,
+                          CookieOption, DnsError, EcsOption, EdnsInfo,
+                          GenericOption, GenericRdata, Message, Name, Opcode,
+                          Question, Rcode, RecordType, ResourceRecord,
+                          WireFormatError, decode_message, encode_message,
+                          encode_name)
 
 labels = st.one_of(
     st.text(alphabet="abcXYZ019-", min_size=1, max_size=12).filter(
@@ -172,6 +173,88 @@ def reference_encode(msg):
             "!HHIH", 41, msg.edns.payload_size & 0xFFFF, opt_ttl,
             len(options)) + options
     return bytes(buf)
+
+
+def reference_decode(wire):
+    """``decode_message`` as one pass with no tables, from RFC 1035 §4.1,
+    RFC 6891 §6.1 and RFC 7871 §6.  A defect raises; which one is moot."""
+    msg_id, flags, *counts = struct.unpack_from("!HHHHHH", wire)
+    assert counts[0] <= 1, "one question at most"
+    def name(at):
+        labels, end, seen = [], None, set()
+        while wire[at]:
+            if wire[at] >= 0xC0:
+                end = at + 2 if end is None else end
+                at = struct.unpack_from("!H", wire, at)[0] & 0x3FFF
+                assert at not in seen and len(seen) < 64, "pointer loop"
+                seen.add(at)
+            else:
+                assert wire[at] <= 63 and at + 1 + wire[at] <= len(wire)
+                labels.append(wire[at + 1:at + 1 + wire[at]])
+                at += 1 + wire[at]
+        return Name(labels), at + 1 if end is None else end
+    def option(code, data):
+        if code == 8:
+            family, source, scope = struct.unpack_from("!HBB", data)
+            width = {1: 32, 2: 128}[family]
+            assert source <= width and scope <= width, "prefix over width"
+            assert len(data) == 4 + (source + 7) // 8, "address length"
+            value = int.from_bytes(data[4:].ljust(width // 8, b"\0"), "big")
+            assert value & ((1 << (width - source)) - 1) == 0, "host bits"
+            return EcsOption(family, source, scope, value)
+        if code == 10:
+            assert len(data) >= 8, "client cookie"
+            return CookieOption(data[:8], data[8:])
+        return GenericOption(code, data)
+    question, at = None, 12
+    if counts[0]:
+        qname, at = name(at)
+        question = Question(qname, *struct.unpack_from("!HH", wire, at))
+        at += 4
+    sections, edns, ext_rcode = ([], [], []), None, 0
+    for count, section in zip(counts[1:], sections):
+        for _ in range(count):
+            owner, at = name(at)
+            rdtype, rdclass, ttl, size = struct.unpack_from("!HHIH", wire, at)
+            start, at = at + 10, at + 10 + size
+            data = wire[start:at]
+            assert at <= len(wire), "rdata truncated"
+            if rdtype == 41 and section is sections[2]:
+                ext_rcode, options, o = ttl >> 24, [], 0
+                while o < size:
+                    code, length = struct.unpack_from("!HH", data, o)
+                    assert o + 4 + length <= size, "option truncated"
+                    options.append(option(code, data[o + 4:o + 4 + length]))
+                    o += 4 + length
+                edns = EdnsInfo(rdclass, ttl >> 16 & 0xFF,
+                                bool(ttl & 0x8000), 0, options)
+                continue
+            rdata = GenericRdata(rdtype, data)
+            if rdtype in (1, 28):
+                assert size == {1: 4, 28: 16}[rdtype], "address size"
+                rdata = {4: A, 16: AAAA}[size](str(ipaddress.ip_address(data)))
+            elif rdtype in (2, 5, 12):
+                rdata = {2: NS, 5: CNAME, 12: PTR}[rdtype](name(start)[0])
+            elif rdtype == 15:
+                assert size >= 3, "MX too short"
+                rdata = MX(data[0] << 8 | data[1], name(start + 2)[0])
+            elif rdtype == 16:
+                strings, o = [], 0
+                while o < size:
+                    assert o + 1 + data[o] <= size, "TXT segment"
+                    strings.append(data[o + 1:o + 1 + data[o]])
+                    o += 1 + data[o]
+                rdata = TXT(tuple(strings))
+            elif rdtype == 6:
+                mname, o = name(start)
+                rname, o = name(o)
+                rdata = SOA(mname, rname, *struct.unpack_from("!5I", wire, o))
+            section.append(ResourceRecord(owner, rdtype, ttl, rdata, rdclass))
+    rcode, opcode = ext_rcode << 4 | flags & 0xF, flags >> 11 & 0xF
+    rcode = Rcode(rcode if rcode in set(Rcode) else flags & 0xF)
+    opcode = Opcode(opcode if opcode in set(Opcode) else 0)
+    bits = (bool(flags & bit) for bit in (0x8000, 0x400, 0x200, 0x100, 0x80))
+    return Message(msg_id, opcode, rcode, *bits, question, *sections, edns)
 
 
 # ---------------------------------------------------------------------------
