@@ -21,8 +21,8 @@ from operator import attrgetter, gt, itemgetter, le
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Sequence, Tuple)
 
+from ..addr import parse_addr, truncate_int
 from ..core.cache import ScopeTracker
-from ..net.addr import parse_addr, truncate_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (datasets -> net)
     from ..datasets.columnar import ColumnarStore

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..addr import same_prefix
 from ..datasets import paper_numbers as paper
 from ..datasets.scan_dataset import ScanUniverse
 from ..measure.scanner import ScanResult
-from ..net.addr import same_prefix
 from .report import Comparison, format_comparisons
 
 #: Distances closer than this count as "equidistant" (geolocation noise).

@@ -23,13 +23,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..addr import is_routable, parse_addr, same_prefix
 from ..auth.cdn import CdnAuthoritative, build_edge_pools
 from ..auth.hierarchy import DnsHierarchy
 from ..auth.server import AuthLogRecord, AuthoritativeServer, fixed_scope
 from ..core.policies import EcsPolicy
 from ..dnslib import Name, Zone
 from ..measure.digclient import StubClient
-from ..net.addr import is_routable, same_prefix
 from ..net.geo import city
 from ..net.topology import Topology
 from ..net.transport import Network
@@ -101,7 +101,7 @@ def _count_client_bits(record: AuthLogRecord, client_ip: str) -> int:
     if not record.has_ecs or record.ecs_address is None \
             or record.ecs_source_len is None:
         return 0
-    if not is_routable(record.ecs_address):
+    if not is_routable(*parse_addr(record.ecs_address)):
         return 0
     bits = min(record.ecs_source_len, 24)
     if same_prefix(record.ecs_address, client_ip, bits):

@@ -14,8 +14,8 @@ import re
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..addr import address_text, parse_version
 from ..dnslib import (A, Message, Name, Rcode, RecordType, ResourceRecord)
-from ..net.addr import ipv4_int
 from ..net.transport import Network
 from .server import DnsServer, source_minus
 
@@ -29,9 +29,8 @@ def encode_probe_name(probe_ip: str, domain: Name, nonce: str = "") -> Name:
     ``nonce`` makes trial names unique so cached answers from one trial
     cannot contaminate another (section 6.3's methodology).
     """
-    value = ipv4_int(probe_ip)
-    label = (f"ip-{value >> 24}-{value >> 16 & 255}-{value >> 8 & 255}"
-             f"-{value & 255}")
+    label = "ip-" + address_text(4, parse_version(probe_ip, 4)).replace(
+        ".", "-")
     name = domain.child(nonce).child(label) if nonce else domain.child(label)
     return name
 

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..addr import IPAddress, parse_addr, prefix_key_int
 from ..dnslib import EcsOption, Message, Name, RecordType, ResourceRecord
-from ..net.addr import IPAddress, parse_addr, prefix_key_int
 from ..net.clock import SimClock
 from ..obs import metrics as _obs_metrics
 

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..net.addr import address_kind, parse_addr
+from ..addr import address_kind, parse_addr
 
 #: Queries for the same name closer together than this are "within a short
 #: time window" for the on-miss heuristic (the paper uses one minute).

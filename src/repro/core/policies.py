@@ -14,8 +14,8 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
+from ..addr import MASKS4, IPAddress, parse_addr
 from ..dnslib import EcsOption, Name, RecordType
-from ..net.addr import MASKS4, IPAddress, parse_addr
 
 IPAddressLike = Union[str, IPAddress]
 

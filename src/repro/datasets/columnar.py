@@ -592,10 +592,6 @@ class ColumnarStore:
         null_of = self.null_checker(spec.name)
         return lambda row: None if null_of(row) else plain(row)
 
-    def row_values(self, row: int) -> Tuple[Any, ...]:
-        """One row's decoded field values, in schema order."""
-        return tuple(g(row) for g in self._getters())
-
     def _getters(self) -> List[Callable[[int], Any]]:
         getters = self._getter_cache
         if getters is None:

@@ -147,17 +147,6 @@ class Name:
         """Append ``suffix``'s labels after this name's labels."""
         return Name(self._labels + suffix._labels)
 
-    def relativize(self, origin: "Name") -> Tuple[bytes, ...]:
-        """Labels of this name with ``origin``'s labels stripped from the end.
-
-        Raises :class:`NameError_` if this name is not a subdomain of
-        ``origin``.
-        """
-        if not self.is_subdomain_of(origin):
-            raise NameError_(f"{self} is not under {origin}")
-        n = len(origin._labels)
-        return self._labels[: len(self._labels) - n] if n else self._labels
-
     def is_subdomain_of(self, other: "Name") -> bool:
         """True if this name equals ``other`` or lies beneath it."""
         n = len(other._folded)

@@ -28,11 +28,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..addr import address_kind, same_prefix
 from ..auth.server import fixed_scope
 from ..core.classify import CachingCategory, CachingProbeOutcome, classify_caching
 from ..datasets.scan_dataset import ChainSpec, ScanUniverse
 from ..dnslib import EcsOption, Name, RecordType
-from ..net.addr import address_kind, same_prefix
 from .digclient import StubClient
 
 #: The twin-query prefixes: different /24, same /16.

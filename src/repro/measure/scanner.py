@@ -33,13 +33,6 @@ class ScanResult:
     ecs_ingress: Set[str]
     ecs_egress: Set[str]
 
-    def records_by_ingress(self) -> Dict[str, List[ScanQueryRecord]]:
-        out: Dict[str, List[ScanQueryRecord]] = {}
-        for r in self.records:
-            if r.ingress_ip:
-                out.setdefault(r.ingress_ip, []).append(r)
-        return out
-
     def records_by_egress(self) -> Dict[str, List[ScanQueryRecord]]:
         out: Dict[str, List[ScanQueryRecord]] = {}
         for r in self.records:

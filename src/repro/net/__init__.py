@@ -1,8 +1,7 @@
 """Simulated internet: virtual time, geography, addressing, transport."""
 
-from .addr import (AddressAllocator, host_in, is_routable, parse_addr,
-                   prefix_key, prefix_key_int, prefix_text, random_address_in,
-                   same_prefix, truncate_address, truncate_int)
+from ..addr import (AddressAllocator, host_in, is_routable, parse_addr,
+                    prefix_key_int, same_prefix, truncate_int)
 from .clock import SimClock
 from .geo import (WORLD_CITIES, City, GeoDatabase, GeoPoint, cities_in, city,
                   haversine_km)
@@ -17,7 +16,6 @@ __all__ = [
     "LatencyModel", "Network",
     "NetworkStats", "QueryOutcome", "SimClock", "Topology", "WORLD_CITIES",
     "cities_in", "city", "haversine_km", "host_in",
-    "is_routable", "parse_addr", "prefix_key", "prefix_key_int",
-    "prefix_text", "random_address_in", "same_prefix", "truncate_address",
+    "is_routable", "parse_addr", "prefix_key_int", "same_prefix",
     "truncate_int",
 ]

@@ -9,13 +9,12 @@ IP-to-location database playing the role of EdgeScape.
 
 from __future__ import annotations
 
-import ipaddress
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple, Union
 
-from .addr import MASKS4, MASKS6, parse_addr
+from ..addr import MASKS4, MASKS6, IPNetwork, parse_addr, parse_network
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -135,9 +134,6 @@ def cities_in(country: str) -> List[City]:
     return [c for c in WORLD_CITIES if c.country == country]
 
 
-IPNetwork = Union[ipaddress.IPv4Network, ipaddress.IPv6Network]
-
-
 class GeoDatabase:
     """Longest-prefix-match IP geolocation (the EdgeScape substitute).
 
@@ -154,9 +150,7 @@ class GeoDatabase:
 
     def add(self, network: Union[str, IPNetwork], location: City) -> None:
         """Register ``network`` as located in ``location``."""
-        net = ipaddress.ip_network(network, strict=False)
-        self.add_int(net.version, int(net.network_address), net.prefixlen,
-                     location)
+        self.add_int(*parse_network(network), location)
 
     def add_int(self, version: int, value: int, prefixlen: int,
                 location: City) -> None:

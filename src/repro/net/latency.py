@@ -16,8 +16,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .geo import GeoPoint
-
 #: Base RTT for any exchange (stack traversal, last mile), milliseconds.
 BASE_RTT_MS = 8.0
 #: Milliseconds of round-trip per kilometre of great-circle distance.  Fibre
@@ -43,11 +41,6 @@ class LatencyModel:
         if rng is not None and self.jitter_fraction:
             rtt *= 1.0 + rng.uniform(-self.jitter_fraction, self.jitter_fraction)
         return rtt
-
-    def rtt_between(self, a: GeoPoint, b: GeoPoint,
-                    rng: Optional[random.Random] = None) -> float:
-        """RTT between two geographic points."""
-        return self.rtt_ms(a.distance_km(b), rng)
 
 
 #: Shared default model.

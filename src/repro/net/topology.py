@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .addr import AddressAllocator, address_text
+from ..addr import AddressAllocator, address_text
 from .clock import SimClock
 from .geo import City, GeoDatabase
 from .latency import DEFAULT_LATENCY, LatencyModel

@@ -21,8 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..net.addr import parse_addr, prefix_text
-
+from ..addr import address_text, parse_addr, truncate_int
 from ..core.policies import EcsPolicy
 from ..dnslib import EcsOption, Message, Rcode
 from ..net.geo import City
@@ -66,10 +65,9 @@ class AnycastFrontEnd(DnsServer):
         """Sticky egress selection: clients in one /16 (or /32 for IPv6)
         share an egress, so their queries share one cache."""
         version, value = parse_addr(src_ip)
-        if version == 4:
-            token = f"{value >> 24}.{value >> 16 & 255}.0.0/16"
-        else:
-            token = prefix_text(src_ip, 32)
+        bits = 16 if version == 4 else 32
+        token = f"{address_text(version, truncate_int(version, value, bits))}" \
+            f"/{bits}"
         digest = hashlib.sha256(token.encode("ascii")).digest()
         return self.egress_ips[int.from_bytes(digest[:4], "big")
                                % len(self.egress_ips)]
@@ -146,9 +144,3 @@ class PublicDnsService:
     @property
     def egress_ips(self) -> List[str]:
         return [r.ip for r in self.egress_resolvers]
-
-    def combined_log(self) -> List[FrontEndLogRecord]:
-        """All front-end log records, time-ordered."""
-        records = [r for fe in self.frontends for r in fe.frontend_log]
-        records.sort(key=lambda r: r.ts)
-        return records

@@ -746,8 +746,10 @@ def merge_columnar_shards_rowwise(paths, out_path,
                     writer.copy_group(readers[shard], g)
                     at += size
                 else:
+                    record = next(groups[shard][g].iter_records(row, row + 1))
                     writer.extend_columns(
-                        [[value] for value in groups[shard][g].row_values(row)])
+                        [[getattr(record, name)]
+                         for name in readers[0].schema.field_names])
                     at += 1
         return writer.rows
     finally:

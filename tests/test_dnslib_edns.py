@@ -100,10 +100,6 @@ class TestEcsSemantics:
         opt = EcsOption.from_client_address("192.0.2.200", 24)
         assert opt.network() == "192.0.2.0/24"
 
-    def test_scope_network(self):
-        opt = EcsOption(1, 24, 16, int(ipaddress.ip_address("192.0.0.0")))
-        assert opt.scope_network() == "192.0.0.0/16"
-
     def test_covers_within_scope(self):
         opt = EcsOption(1, 24, 16, int(ipaddress.ip_address("192.0.2.0")))
         assert opt.covers("192.0.99.1")

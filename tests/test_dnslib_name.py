@@ -126,15 +126,6 @@ class TestAlgebra:
         with pytest.raises(NameError_):
             Name.from_text("a.b").split(5)
 
-    def test_relativize(self):
-        name = Name.from_text("www.example.com")
-        assert name.relativize(Name.from_text("example.com")) == (b"www",)
-
-    def test_relativize_outside_raises(self):
-        with pytest.raises(NameError_):
-            Name.from_text("www.other.com").relativize(
-                Name.from_text("example.com"))
-
     def test_len_is_label_count(self):
         assert len(Name.from_text("a.b.c")) == 3
         assert len(ROOT) == 0

@@ -11,6 +11,15 @@ from repro.measure import (AtlasPlatform, CachingBehaviorProber, Scanner,
 from repro.net import Network, Topology, same_prefix
 
 
+def by_ingress_ip(scan_result):
+    """The scan's records grouped by the ingress they probed."""
+    out = {}
+    for record in scan_result.records:
+        if record.ingress_ip:
+            out.setdefault(record.ingress_ip, []).append(record)
+    return out
+
+
 class TestScanner:
     def test_all_forwarders_respond(self, scan_universe, scan_result):
         assert scan_result.responding_ingress == \
@@ -39,7 +48,7 @@ class TestScanner:
         self_chains = [c for c in scan_universe.chains
                        if c.forwarder_ip == c.egress_ip]
         assert self_chains
-        by_ingress = scan_result.records_by_ingress()
+        by_ingress = by_ingress_ip(scan_result)
         for chain in self_chains[:3]:
             records = by_ingress.get(chain.forwarder_ip, [])
             assert records and records[0].egress_ip == chain.forwarder_ip
@@ -50,7 +59,7 @@ class TestScanner:
         # senders etc.) put their configured prefix in ECS instead.
         hidden_chains = [c for c in scan_universe.chains
                          if c.hidden_ips and c.via_megadns]
-        by_ingress = scan_result.records_by_ingress()
+        by_ingress = by_ingress_ip(scan_result)
         checked = 0
         for chain in hidden_chains:
             for record in by_ingress.get(chain.forwarder_ip, []):
@@ -65,7 +74,7 @@ class TestScanner:
                                                scan_result):
         direct = [c for c in scan_universe.chains
                   if not c.hidden_ips and c.forwarder_ip != c.egress_ip]
-        by_ingress = scan_result.records_by_ingress()
+        by_ingress = by_ingress_ip(scan_result)
         checked = 0
         for chain in direct[:20]:
             for record in by_ingress.get(chain.forwarder_ip, []):

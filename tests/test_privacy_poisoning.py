@@ -5,8 +5,33 @@ import pytest
 from repro.analysis.poisoning import (compare_blast_radius,
                                       poisoning_report,
                                       run_poisoning_experiment)
-from repro.analysis.privacy import (DEFAULT_STRATEGIES, run_privacy_study)
+from repro.analysis.privacy import (DEFAULT_STRATEGIES, _count_client_bits,
+                                    run_privacy_study)
+from repro.auth import CdnAuthoritative, build_edge_pools
+from repro.auth.server import AuthLogRecord
 from repro.core.cache import ScopeMode
+from repro.dnslib import EcsOption, Name
+from repro.net import Topology, city
+
+
+@pytest.mark.parametrize("address", [
+    "127.0.0.1", "169.254.252.1", "10.1.2.3", "0.0.0.0", "224.0.0.1",
+    "100.64.0.1", "::1", "fe80::1", "ff02::1", "2001:db8::1"])
+def test_cdn_and_privacy_count_share_one_routability_rule(address):
+    """The CDN's Table 2 fallback and the privacy count decide alike
+    whether an ECS prefix is routable (the paper's §8.1 kinds)."""
+    topology = Topology()
+    pools = build_edge_pools(topology, topology.create_as("cdn", "US"),
+                             [city("Chicago")])
+    cdn = CdnAuthoritative("16.0.0.1", [Name.from_text("cdn.example.")],
+                           pools, topology)
+    width = 128 if ":" in address else 32
+    ecs = EcsOption.from_client_address(address, width)
+    _, hint_source, _ = cdn._resolve_hint(ecs, "192.0.2.53")
+    record = AuthLogRecord(0.0, "192.0.2.53", "q.cdn.example.", 1, True,
+                           address, width)
+    assert (hint_source == "ecs") == \
+        (_count_client_bits(record, address) == width)
 
 
 class TestPrivacyStudy:

@@ -6,10 +6,12 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.addr import same_prefix
 from repro.core.cache import ScopeTracker, effective_scope
 from repro.dnslib import (A, EcsOption, Message, Name, RecordType,
                           ResourceRecord, decode_message, encode_message)
-from repro.net.addr import (prefix_key, same_prefix, truncate_address)
+
+from addr_reference import prefix_key, truncate_address
 
 # -- strategies --------------------------------------------------------------
 

@@ -309,10 +309,3 @@ class TestAnycastService:
         client = StubClient(small_world.client_ip, small_world.net)
         result = client.query(service.frontend_ips[0], WWW)
         assert result.response.ecs() is None
-
-    def test_combined_log_sorted(self, small_world, service):
-        client = StubClient(small_world.client_ip, small_world.net)
-        client.query(service.frontend_ips[0], WWW)
-        client.query(service.frontend_ips[1], CDN_NAME)
-        log = service.combined_log()
-        assert log == sorted(log, key=lambda r: r.ts)
