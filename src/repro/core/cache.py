@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -77,6 +76,13 @@ class _Entry:
     inserted_at: float
     expires_at: float
     last_used: float = 0.0
+    #: Still in :meth:`EcsCache.size`'s count: cleared when the entry is
+    #: replaced, evicted or popped from the expiry heap.
+    counted: bool = True
+
+    def __lt__(self, other: "_Entry") -> bool:
+        """Expiry order, for the expiry heap."""
+        return self.expires_at < other.expires_at
 
 
 class EcsCache:
@@ -108,34 +114,30 @@ class EcsCache:
         self.max_entries = max_entries
         self.stats = CacheStats()
         self._entries: Dict[Tuple[Name, int], List[_Entry]] = {}
-        #: Running live-entry count, exact while the clock is before
-        #: ``_next_expiry`` (the earliest expiry among the counted
-        #: entries; the clock never runs backwards).  Once that moment
-        #: passes, :meth:`size` recounts and re-arms both.
+        #: Running count of the counted entries, and a heap of them by
+        #: expiry.  Replaced and evicted entries stay in the heap until
+        #: their expiry pops them; ``counted`` tells :meth:`size` not to
+        #: count them twice.
         self._live = 0
-        self._next_expiry = math.inf
+        self._expiries: List[_Entry] = []
 
     # -- inspection --------------------------------------------------------
 
     def size(self) -> int:
         """Number of live (non-expired) entries.
 
-        O(1) while nothing counted has expired; otherwise a full scan
-        (expired entries are left where they are: removing them is
+        Pops what has expired off the expiry heap, O(log n) amortized
+        (expired entries stay in their lists: removing them is
         :meth:`lookup`'s and :meth:`store`'s job, and is counted there).
+        The clock never runs backwards, so a popped entry stays expired.
         """
         now = self.clock.now()
-        if now >= self._next_expiry:
-            live = 0
-            next_expiry = math.inf
-            for entries in self._entries.values():
-                for e in entries:
-                    if e.expires_at > now:
-                        live += 1
-                        if e.expires_at < next_expiry:
-                            next_expiry = e.expires_at
-            self._live = live
-            self._next_expiry = next_expiry
+        heap = self._expiries
+        while heap and heap[0].expires_at <= now:
+            entry = heapq.heappop(heap)
+            if entry.counted:
+                entry.counted = False
+                self._live -= 1
         return self._live
 
     # -- lookup ------------------------------------------------------------
@@ -255,14 +257,13 @@ class EcsCache:
             if e.expires_at > now:
                 if e.scope_bits == entry.scope_bits \
                         and e.net_key == entry.net_key:
-                    self._live -= 1         # replaced by the new entry
+                    self._uncount(e)        # replaced by the new entry
                 else:
                     kept.append(e)
         kept.append(entry)
         entries[:] = kept
         self._live += 1
-        if entry.expires_at < self._next_expiry:
-            self._next_expiry = entry.expires_at
+        heapq.heappush(self._expiries, entry)
         self.stats.insertions += 1
         self._count("insert")
         if self.max_entries is not None:
@@ -285,22 +286,35 @@ class EcsCache:
         if overflow <= 0:
             return
         live.sort(key=lambda pair: pair[1].last_used)
-        doomed = {id(e) for _, e in live[:overflow]}
+        doomed = set()
+        for _, e in live[:overflow]:
+            doomed.add(id(e))
+            self._uncount(e)
         for key in list(self._entries):
             kept = [e for e in self._entries[key] if id(e) not in doomed]
             if kept:
                 self._entries[key] = kept
             else:
                 del self._entries[key]
-        self._live -= overflow
         self.stats.evictions += overflow
         self._count("evict", overflow)
+
+    def _uncount(self, entry: _Entry) -> None:
+        """Take a live entry out of the count.  It leaves the heap when it
+        reaches the top, or when uncounted entries are over half the heap
+        and the heap is rebuilt without them."""
+        entry.counted = False
+        self._live -= 1
+        heap = self._expiries
+        if len(heap) > 2 * self._live + 64:
+            heap[:] = [e for e in heap if e.counted]
+            heapq.heapify(heap)
 
     def flush(self) -> None:
         """Drop everything (does not reset stats)."""
         self._entries.clear()
         self._live = 0
-        self._next_expiry = math.inf
+        self._expiries.clear()
 
 
 class ScopeTracker:

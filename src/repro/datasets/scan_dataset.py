@@ -100,8 +100,12 @@ class ScanUniverse:
     def egress_by_ip(self) -> Dict[str, RecursiveResolver]:
         return {r.ip: r for r in self.other_egress}
 
-    def chains_for_egress(self, egress_ip: str) -> List[ChainSpec]:
-        return [c for c in self.chains if c.egress_ip == egress_ip]
+    def chains_by_egress(self) -> Dict[str, List[ChainSpec]]:
+        """Every chain under its egress IP, in chain order."""
+        grouped: Dict[str, List[ChainSpec]] = {}
+        for chain in self.chains:
+            grouped.setdefault(chain.egress_ip, []).append(chain)
+        return grouped
 
 
 class ScanUniverseBuilder:

@@ -85,6 +85,21 @@ _OPT_TABLE_MAX = 2048
 _ADDRESS_RR_TABLE: Dict[Tuple[Tuple[bytes, ...], bytes], ResourceRecord] = {}
 _ADDRESS_RR_TABLE_MAX = 2048
 
+#: The relay table: a whole wire after its 2-byte ID -> ``(rcode,
+#: question, answers, authority, additional, OPT)``, the sections as
+#: tuples and the OPT as its ``_OPT_TABLE`` value (or ``None``); the
+#: other header fields are read from the wire itself.  A hop that passes
+#: a query or an answer on unchanged but for the ID, and a sweep that
+#: sends one query many times, parse each such wire once.  Two guards,
+#: set during the parse, keep the result a function of the key: every
+#: name is read without a pointer (bar an owner's ``C0 0C`` to a
+#: pointer-free qname), so no walk can reach the header where the ID
+#: sits; and every record is A, AAAA or OPT, whose RDATA holds no name.
+#: Each hit builds a fresh ``Message``, fresh section lists and a fresh
+#: ``EdnsInfo``, as a miss does.
+_MESSAGE_TABLE: Dict[bytes, tuple] = {}
+_MESSAGE_TABLE_MAX = 2048
+
 # Wire value -> enum member: a dict lookup costs a fraction of
 # ``Enum.__call__``, and ``dict.get(value, value)`` keeps an unknown type
 # or class as the plain integer it arrived as.
@@ -92,6 +107,11 @@ _RECORD_TYPES: Dict[int, RecordType] = {int(t): t for t in RecordType}
 _RECORD_CLASSES: Dict[int, RecordClass] = {int(c): c for c in RecordClass}
 _OPCODES: Dict[int, Opcode] = {int(o): o for o in Opcode}
 _RCODES: Dict[int, Rcode] = {int(r): r for r in Rcode}
+#: ``(opcode, QR, AA, TC, RD, RA)`` by the top nine bits of the flags
+#: word (``flags >> 7``): one lookup instead of a lookup and five tests.
+#: Filled on first use; a pure function of at most 512 keys, so never
+#: cleared.
+_FLAG_FIELDS: Dict[int, Tuple[Opcode, bool, bool, bool, bool, bool]] = {}
 _TYPE_OPT = int(RecordType.OPT)
 _TYPE_A = int(RecordType.A)
 _TYPE_AAAA = int(RecordType.AAAA)
@@ -101,13 +121,15 @@ _QNAME_POINTER = b"\xc0\x0c"
 
 def clear_codec_caches() -> None:
     """Drop every codec memo table (benchmarks/tests hook): the qname
-    encode cache, the name intern table and the element tables here, and
-    every address memo in :mod:`repro.addr` (parse, format, classify)."""
+    encode cache, the name intern table, the element tables and the relay
+    table here, and every address memo in :mod:`repro.addr` (parse,
+    format, classify)."""
     _QNAME_CACHE.clear()
     _NAME_TABLE.clear()
     _QUESTION_TABLE.clear()
     _OPT_TABLE.clear()
     _ADDRESS_RR_TABLE.clear()
+    _MESSAGE_TABLE.clear()
     clear_address_caches()
 
 
@@ -293,7 +315,7 @@ def decode_message(wire: bytes) -> Message:
     section into ``msg.edns``.  Every way a packet can be malformed
     raises a :class:`WireFormatError` (or a subclass), never another type.
     ``bytearray`` and ``memoryview`` input is copied to ``bytes`` once, at
-    entry: the element tables key on slices of the packet.
+    entry: the tables key on slices of the packet.
     """
     if not isinstance(wire, bytes):
         wire = bytes(wire)
@@ -302,6 +324,22 @@ def decode_message(wire: bytes) -> Message:
         raise TruncatedMessageError("message shorter than header")
     msg_id, flags, qdcount, ancount, nscount, arcount = \
         _HEADER.unpack_from(wire)
+    fields = _FLAG_FIELDS.get(flags >> 7)
+    if fields is None:
+        fields = _FLAG_FIELDS[flags >> 7] = (
+            _OPCODES.get((flags >> 11) & 0xF, Opcode.QUERY),
+            bool(flags & _FLAG_QR), bool(flags & _FLAG_AA),
+            bool(flags & _FLAG_TC), bool(flags & _FLAG_RD),
+            bool(flags & _FLAG_RA))
+    opcode, qr, aa, tc, rd, ra = fields
+    body = wire[2:]
+    parsed = _MESSAGE_TABLE.get(body)
+    if parsed is not None:
+        rcode, question, answers, authority, additional, opt = parsed
+        return Message(msg_id, opcode, rcode, qr, aa, tc, rd, ra, question,
+                       [*answers], [*authority], [*additional],
+                       None if opt is None
+                       else EdnsInfo(opt[1], opt[2], opt[3], 0, [*opt[4]]))
     if qdcount > 1:
         raise WireFormatError(f"multi-question message (qdcount={qdcount})")
     offset = 12
@@ -337,11 +375,15 @@ def decode_message(wire: bytes) -> Message:
                     if len(_QUESTION_TABLE) >= _QUESTION_TABLE_MAX:
                         _QUESTION_TABLE.clear()
                     _QUESTION_TABLE[key] = question
+    # The relay table's two guards (see ``_MESSAGE_TABLE``): cleared by a
+    # name read through ``decode_name`` and by a record that is not A,
+    # AAAA or OPT.
+    relayable = qname_at_12 is not None or not qdcount
 
     answers: List[ResourceRecord] = []
     authority: List[ResourceRecord] = []
     additional: List[ResourceRecord] = []
-    edns = None
+    opt = None
     ext_rcode = 0
     for count, section in ((ancount, answers), (nscount, authority),
                            (arcount, additional)):
@@ -355,6 +397,7 @@ def decode_message(wire: bytes) -> Message:
                 offset += 1
             else:
                 name, offset = decode_name(wire, offset)
+                relayable = False
             if offset + 10 > size:
                 raise TruncatedMessageError("record header truncated")
             rdtype, rdclass, ttl, rdlength = _RRFIXED.unpack_from(wire, offset)
@@ -380,7 +423,6 @@ def decode_message(wire: bytes) -> Message:
                         _OPT_TABLE.clear()
                     _OPT_TABLE[opt_key] = opt
                 ext_rcode = opt[0]
-                edns = EdnsInfo(opt[1], opt[2], opt[3], 0, list(opt[4]))
             elif rdtype == _TYPE_A or rdtype == _TYPE_AAAA:
                 rr_key = (name.labels, wire[offset - 10:end])
                 record = _ADDRESS_RR_TABLE.get(rr_key)
@@ -395,6 +437,7 @@ def decode_message(wire: bytes) -> Message:
                     _ADDRESS_RR_TABLE[rr_key] = record
                 section.append(record)
             else:
+                relayable = False
                 klass = rdata_class_for(rdtype)
                 if klass is GenericRdata:
                     rdata = GenericRdata(rdtype, wire[offset:end])
@@ -412,8 +455,12 @@ def decode_message(wire: bytes) -> Message:
         rcode = _RCODES.get(base_rcode)
         if rcode is None:
             raise WireFormatError(f"unsupported rcode {base_rcode}")
-    return Message(msg_id, _OPCODES.get((flags >> 11) & 0xF, Opcode.QUERY),
-                   rcode, bool(flags & _FLAG_QR), bool(flags & _FLAG_AA),
-                   bool(flags & _FLAG_TC), bool(flags & _FLAG_RD),
-                   bool(flags & _FLAG_RA), question, answers, authority,
-                   additional, edns)
+    if relayable:
+        if len(_MESSAGE_TABLE) >= _MESSAGE_TABLE_MAX:
+            _MESSAGE_TABLE.clear()
+        _MESSAGE_TABLE[body] = (rcode, question, tuple(answers),
+                                tuple(authority), tuple(additional), opt)
+    return Message(msg_id, opcode, rcode, qr, aa, tc, rd, ra, question,
+                   answers, authority, additional,
+                   None if opt is None
+                   else EdnsInfo(opt[1], opt[2], opt[3], 0, [*opt[4]]))

@@ -82,9 +82,11 @@ class CachingBehaviorProber:
                         subnet: str, prefix_len: int = 24) -> None:
         self.client.query_with_subnet(resolver_ip, qname, subnet, prefix_len)
 
-    def _sibling_chains(self, egress_ip: str) -> Optional[Tuple[ChainSpec, ChainSpec]]:
-        """Two chains to ``egress_ip`` whose heads share a /16 but not a /24."""
-        chains = self.universe.chains_for_egress(egress_ip)
+    @staticmethod
+    def _sibling_chains(chains: Sequence[ChainSpec]
+                        ) -> Optional[Tuple[ChainSpec, ChainSpec]]:
+        """Two of ``chains`` (all to one egress) whose heads share a /16
+        but not a /24."""
         for a, b in itertools.combinations(chains, 2):
             if a.hidden_ips or b.hidden_ips:
                 continue
@@ -215,15 +217,17 @@ class CachingBehaviorProber:
         sibling forwarder pairs when the universe contains them.
         """
         reports: List[ProbeReport] = []
+        resolvers = self.universe.egress_by_ip()
+        chains = self.universe.chains_by_egress()
         for spec in self.universe.egress_specs:
             if spec.policy_name == "no_ecs":
                 continue
-            resolver = self.universe.egress_by_ip().get(spec.ip)
+            resolver = resolvers.get(spec.ip)
             accepts = resolver is not None and resolver.policy.accept_client_ecs
             if spec.open_to_world and accepts:
                 reports.append(self.probe_direct(spec.ip))
                 continue
-            pair = self._sibling_chains(spec.ip)
+            pair = self._sibling_chains(chains.get(spec.ip, ()))
             if pair is None:
                 continue
             report = self.probe_via_forwarders(spec.ip, pair)

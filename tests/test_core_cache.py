@@ -163,8 +163,8 @@ class TestCompliantCache:
 
 
 def scanned_size(cache):
-    """``EcsCache.size`` as it was before the running count: every entry
-    of every key, each time.  Kept here as the oracle."""
+    """``EcsCache.size`` as it was before the expiry heap: every entry of
+    every key, each time.  Kept here as the oracle."""
     now = cache.clock.now()
     return sum(1 for entries in cache._entries.values()
                for e in entries if e.expires_at > now)
@@ -182,11 +182,13 @@ cache_steps = st.lists(st.tuples(
 
 
 class TestHighWatermark:
-    @given(cache_steps, st.sampled_from([None, 3]))
+    @given(cache_steps, st.sampled_from([None, 3]), st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_max_size_matches_the_full_scan(self, steps, max_entries):
+    def test_max_size_matches_the_full_scan(self, steps, max_entries,
+                                            cache_zero_scope):
         clock = SimClock()
-        cache = EcsCache(clock, max_entries=max_entries)
+        cache = EcsCache(clock, max_entries=max_entries,
+                         cache_zero_scope=cache_zero_scope)
         watermark = 0
         for kind, name, third_octet, scope, ttl, seconds in steps:
             qname = Name.from_text(f"n{name}.")
@@ -203,6 +205,55 @@ class TestHighWatermark:
                 cache.flush()
             assert cache.size() == scanned_size(cache)
             assert cache.stats.max_size == watermark
+
+    def test_every_way_out_of_the_count(self):
+        """Replacement, TTL 0, a refused scope 0, eviction, expiry and
+        flush, one after another, each checked against the scan."""
+        clock = SimClock()
+        cache = EcsCache(clock, max_entries=3, cache_zero_scope=False)
+
+        def store(name, third_octet, scope=24, ttl=30):
+            msg, ecs = response_with(scope, ttl=ttl,
+                                     address=f"10.0.{third_octet}.0")
+            return cache.store(Name.from_text(name), RecordType.A, msg, ecs)
+
+        steps = [
+            (lambda: store("a.", 1), 1),
+            (lambda: store("a.", 1, ttl=60), 1),        # replaced
+            (lambda: store("b.", 1, ttl=0), 1),         # dead on arrival
+            (lambda: store("c.", 1, scope=0), 1),       # refused
+            (lambda: clock.advance(1), 1),
+            (lambda: store("c.", 2), 2),
+            (lambda: store("d.", 3), 3),
+            (lambda: clock.advance(1), 3),
+            (lambda: cache.lookup(Name.from_text("a."), RecordType.A,
+                                  "10.0.1.9"), 3),
+            (lambda: store("e.", 4, ttl=5), 3),         # evicts c.
+            (lambda: clock.advance(10), 2),             # e. expires
+            (lambda: clock.advance(25), 1),             # then d.
+            (cache.flush, 0),
+            (lambda: store("f.", 5), 1),
+        ]
+        for step, live in steps:
+            step()
+            assert cache.size() == scanned_size(cache) == live
+        assert cache.stats.evictions == 1
+        assert cache.stats.max_size == 3
+
+    def test_replaced_entries_do_not_pile_up(self):
+        """A key replaced 200 times leaves one counted entry; the heap is
+        rebuilt without the other 199, and the survivor still expires."""
+        clock = SimClock()
+        cache = EcsCache(clock)
+        for ttl in range(200, 400):
+            msg, ecs = response_with(24, ttl=ttl)
+            cache.store(QNAME, RecordType.A, msg, ecs)
+            assert cache.size() == 1
+        assert len(cache._expiries) < 70
+        clock.advance(398)
+        assert cache.size() == scanned_size(cache) == 1
+        clock.advance(1)
+        assert cache.size() == scanned_size(cache) == 0
 
 
 class TestDeviantCaches:

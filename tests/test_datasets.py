@@ -349,8 +349,9 @@ class TestPublicCdnDataset:
 class TestScanUniverse:
     def test_paired_forwarders_exist_for_specs(self, scan_universe):
         from itertools import combinations
+        grouped = scan_universe.chains_by_egress()
         for spec in scan_universe.egress_specs[:5]:
-            chains = scan_universe.chains_for_egress(spec.ip)
+            chains = grouped[spec.ip]
             pairs = [(a, b) for a, b in combinations(chains, 2)
                      if not a.hidden_ips and not b.hidden_ips
                      and same_prefix(a.forwarder_ip, b.forwarder_ip, 16)

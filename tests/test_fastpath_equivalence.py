@@ -426,9 +426,11 @@ class TestDecoderTables:
         monkeypatch.setattr(wire_module, "_QUESTION_TABLE_MAX", bound)
         monkeypatch.setattr(wire_module, "_OPT_TABLE_MAX", bound)
         monkeypatch.setattr(wire_module, "_ADDRESS_RR_TABLE_MAX", bound)
+        monkeypatch.setattr(wire_module, "_MESSAGE_TABLE_MAX", bound)
         clear_codec_caches()
         tables = (wire_module._NAME_TABLE, wire_module._QUESTION_TABLE,
-                  wire_module._OPT_TABLE, wire_module._ADDRESS_RR_TABLE)
+                  wire_module._OPT_TABLE, wire_module._ADDRESS_RR_TABLE,
+                  wire_module._MESSAGE_TABLE)
         for i in range(5 * bound):
             name = Name.from_text(f"host{i}.example.")
             query = Message.make_query(
@@ -457,7 +459,7 @@ class TestDecoderTables:
                   and name.endswith(("_TABLE", "_CACHE"))]
         tables += [Sized(memo) for memo in vars(addr_module).values()
                    if hasattr(memo, "cache_clear")]
-        assert len(tables) == 8
+        assert len(tables) == 9
         name = Name.from_text("q.example")
         query = Message.make_query(
             name, RecordType.A,

@@ -1,8 +1,9 @@
 """The codec against aimed damage and against its own plain restatement.
 
 ``decode_message`` recognises a question, an OPT record and an address
-record from their exact bytes (``repro.dnslib.wire``, "Element tables").
-Two suites hold that to "the tables may only ever save work":
+record from their exact bytes (``repro.dnslib.wire``, "Element tables"),
+and a whole wire after its ID (the relay table).  These suites hold that
+to "the tables may only ever save work":
 
 * structure-aware mutation — valid wires damaged where their structure
   is (compression pointers, section counts, RDLENGTH, option lengths,
@@ -14,7 +15,10 @@ Two suites hold that to "the tables may only ever save work":
   generated messages and on the cases its shortcuts turn on;
 * the decoder oracle — ``decode_message`` equals ``reference_decode``,
   one table-free pass written from the RFCs, on generated wires and their
-  mutants, and raises ``WireFormatError`` wherever the reference rejects.
+  mutants, and raises ``WireFormatError`` wherever the reference rejects;
+* the relay table — a body decoded once decodes under another ID as a
+  cold parse and the reference do, and every container of a hit is the
+  caller's own.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dnslib import (A, AAAA, BadPointerError, CookieOption, EcsOption,
                           EdnsInfo, EdnsOption, GenericOption, Message, Name,
-                          NS, Question, RecordType, ResourceRecord,
+                          NS, Question, Rcode, RecordType, ResourceRecord,
                           TruncatedMessageError, WireFormatError,
                           decode_message, encode_message)
 from repro.dnslib import wire as wire_module
@@ -139,6 +143,7 @@ class TestWireMutation:
                 + b"\xc0\x00\x00\x01\x00\x01"
             assert decode_message(wire).question.qname.labels == (label,)
         assert not wire_module._QUESTION_TABLE
+        assert not wire_module._MESSAGE_TABLE
 
     def test_owner_pointer_behind_a_hostile_qname_still_hits_the_limit(self):
         """A qname that is itself a 64-hop pointer chain decodes; an owner
@@ -187,6 +192,7 @@ class TestWireMutation:
         assert first.answers[0] == second.answers[0]
         assert first.answers[0] is not second.answers[0]
         assert not wire_module._ADDRESS_RR_TABLE
+        assert not wire_module._MESSAGE_TABLE
 
     def test_edns_is_built_fresh_for_every_message(self):
         clear_codec_caches()
@@ -379,3 +385,112 @@ class TestDecoderOracle:
     @settings(max_examples=40, deadline=None)
     def test_mutants(self, msg, data):
         self.agree(data.draw(mutants(encode_message(msg))))
+
+
+def relayable(msg):
+    """``msg`` cut to the shape the relay table stores: its A and AAAA
+    records only, each owned by the question's name when there is one."""
+    def keep(section):
+        return [rr if msg.question is None else ResourceRecord(
+                    msg.question.qname, rr.rdtype, rr.ttl, rr.rdata)
+                for rr in section
+                if rr.rdtype in (RecordType.A, RecordType.AAAA)]
+    return Message(msg.msg_id, msg.opcode, msg.rcode, msg.is_response,
+                   msg.authoritative, msg.truncated, msg.recursion_desired,
+                   msg.recursion_available, msg.question, keep(msg.answers),
+                   keep(msg.authority), keep(msg.additional), msg.edns)
+
+
+def with_id(wire, msg_id):
+    return msg_id.to_bytes(2, "big") + wire[2:]
+
+
+@pytest.mark.oracle
+class TestRelayTable:
+    """``decode_message`` keeps a whole wire after its ID (the relay
+    table): a stored body decodes under any ID as a cold parse does."""
+
+    @given(st.one_of(messages, messages.map(relayable)), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_stored_body_decodes_under_any_id_as_a_cold_parse(
+            self, msg, data):
+        wire = encode_message(msg)
+        if data.draw(st.booleans()):
+            wire = data.draw(mutants(wire))
+        other = with_id(wire, data.draw(st.integers(0, 0xFFFF)))
+        clear_codec_caches()
+        decode_outcome(wire)                # stores the body if it may
+        warm = decode_outcome(other)
+        clear_codec_caches()
+        assert warm == decode_outcome(other)
+        TestDecoderOracle.agree(other)
+
+    def test_an_owner_read_out_of_the_header_is_read_per_message(self):
+        """``C0 00`` as an owner reads the name out of the header, where
+        the message id sits: equal bodies, different owners."""
+        clear_codec_caches()
+        for msg_id, label in ((b"\x01a", b"a"), (b"\x01b", b"b")):
+            wire = msg_id + b"\x00\x00\x00\x01\x00\x01" + bytes(4) \
+                + b"\x01q\x00\x00\x01\x00\x01" \
+                + b"\xc0\x00\x00\x01\x00\x01\x00\x00\x00\x3c\x00\x04" \
+                + b"\xc0\x00\x02\x01"
+            assert decode_message(wire).answers[0].name.labels == (label,)
+        assert not wire_module._MESSAGE_TABLE
+
+    def test_a_relayed_answer_is_parsed_once(self):
+        clear_codec_caches()
+        query = Message.make_query(
+            Name.from_text("www.example.com"), RecordType.A, msg_id=1,
+            ecs=EcsOption.from_client_address("192.0.2.0", 24))
+        response = query.make_response()
+        response.answers.append(ResourceRecord(
+            query.question.qname, RecordType.A, 60, A("198.51.100.7")))
+        wire = encode_message(response)
+        first = decode_message(wire)
+        assert list(wire_module._MESSAGE_TABLE) == [wire[2:]]
+        wire_module._QUESTION_TABLE.clear()     # a parse would walk the name
+        calls = []
+        decode_name = wire_module.decode_name
+        wire_module.decode_name = lambda *args: calls.append(args)
+        try:
+            relayed = decode_message(with_id(wire, 0xBEEF))
+        finally:
+            wire_module.decode_name = decode_name
+        assert not calls
+        assert relayed.msg_id == 0xBEEF
+        relayed.msg_id = first.msg_id
+        assert relayed == first
+
+    def test_a_hit_hands_out_fresh_containers(self):
+        """Mutate every container of a decoded message, the miss's and
+        then the hit's: the next decode of the body is untouched."""
+        clear_codec_caches()
+        qname = Name.from_text("q.example")
+        response = Message.make_query(
+            qname, RecordType.A, msg_id=7,
+            ecs=EcsOption.from_client_address("192.0.2.0", 24)
+        ).make_response()
+        response.edns.options.append(CookieOption(b"12345678"))
+        response.answers.append(ResourceRecord(qname, RecordType.A, 60,
+                                               A("192.0.2.1")))
+        response.authority.append(ResourceRecord(qname, RecordType.AAAA, 60,
+                                                 AAAA("2001:db8::1")))
+        response.additional.append(ResourceRecord(qname, RecordType.A, 60,
+                                                  A("192.0.2.2")))
+        wire = encode_message(response)
+        want = reference_decode(wire)
+        for _ in range(3):
+            got = decode_message(wire)
+            assert wire[2:] in wire_module._MESSAGE_TABLE
+            assert got == want and encode_message(got) == wire
+            got.answers.append(got.answers[0])
+            got.authority.clear()
+            got.additional[0] = got.answers[0]
+            got.edns.options.clear()
+            got.edns.payload_size = 512
+            got.edns.dnssec_ok = True
+            got.is_response = got.recursion_desired = False
+            got.rcode = Rcode.SERVFAIL
+            got.set_ecs(None)
+        assert decode_message(wire) == want
+        assert encode_message(decode_message(wire)) == wire
