@@ -461,27 +461,27 @@ class ColumnarStore:
         return writer.store()
 
     @classmethod
-    def from_jsonl_lines(cls, lines: Sequence[str],
+    def from_jsonl_lines(cls, lines: Iterable[str],
                          schema: Union[str, Schema]) -> "ColumnarStore":
-        """Columnarize stripped, non-blank JSONL lines, no record objects.
+        """Columnarize JSONL lines — a file handle or a list — with no
+        record objects.
 
-        Lines parse :data:`PARSE_CHUNK_LINES` at a time straight into
-        column values; a line that is not a row of the schema raises
-        :class:`~repro.datasets.records.JsonlFormatError` numbering it
-        within ``lines``.  Strings are checked for lone surrogates once
-        each, as dictionary entries, after the last chunk.
+        Lines are read by :func:`_jsonl_line_chunks` and parse a chunk at
+        a time straight into column values; a line that is not a row of
+        the schema raises :class:`~repro.datasets.records.JsonlFormatError`
+        numbering it among the non-blank lines.  Strings are checked for
+        lone surrogates once each, as dictionary entries, after the last
+        chunk: one raises :class:`UnicodeEncodeError`, and the file-level
+        entry points find its line with :func:`jsonl_file_defect`.
         """
         resolved = schema if isinstance(schema, Schema) else schema_for(schema)
         writer = ColumnarWriter(resolved)
-        for start in range(0, len(lines), PARSE_CHUNK_LINES):
-            _append_jsonl(writer._append_columns, resolved,
-                          lines[start:start + PARSE_CHUNK_LINES], start)
+        for chunk in _jsonl_line_chunks(lines):
+            _append_jsonl(writer._append_columns, resolved, chunk,
+                          writer.rows)
         store = writer.store()
-        try:
-            for name in writer._interns:
-                "".join(store.dictionary(name)).encode("utf-8")
-        except UnicodeEncodeError as exc:
-            _reject(resolved, lines, 0, exc)
+        for name in writer._interns:
+            "".join(store.dictionary(name)).encode("utf-8")
         return store
 
     @classmethod
@@ -1469,25 +1469,46 @@ def _append_jsonl(append: Callable[[List[List[Any]]], Any], schema: Schema,
         _reject(schema, lines, base, exc)
 
 
+def _jsonl_line_chunks(lines: Iterable[str]) -> Iterator[List[str]]:
+    """The one way JSONL lines are read: stripped (``str.strip``), blank
+    ones skipped, :data:`PARSE_CHUNK_LINES` at a time.
+
+    ``lines`` is a text-mode file (so lines end at ``\\n``, ``\\r\\n``
+    or a lone ``\\r``) or lines already split.
+    """
+    stripped = filter(None, map(str.strip, lines))
+    while True:
+        chunk = list(itertools.islice(stripped, PARSE_CHUNK_LINES))
+        if not chunk:
+            return
+        yield chunk
+
+
 def jsonl_file_defect(path: Union[str, Path], schema: Union[str, Schema]
                       ) -> Optional[JsonlFormatError]:
     """The first line of ``path`` that is not a row of ``schema``.
 
     The failure path of the file-level entry points when reading or
-    encoding raised a :class:`UnicodeError`: one scan of the raw bytes,
-    a line at a time, for a line that is not UTF-8 (``byte`` counts
-    from 1 within the line) or that breaks the schema's rule — a lone
-    surrogate included.  None when every line is a row.
+    encoding raised a :class:`UnicodeError`: one scan of the file, a
+    line at a time, for a line that is not UTF-8 (``byte`` counts from
+    1 within the line) or that breaks the schema's rule — a lone
+    surrogate included.  None when every line is a row.  Bytes that are
+    not UTF-8 read as escapes (``surrogateescape``), so lines split
+    where the readers split them: at ``\\n``, ``\\r\\n`` and a lone
+    ``\\r``.
     """
     resolved = schema if isinstance(schema, Schema) else schema_for(schema)
-    with open(path, "rb") as fh:
-        for number, raw in enumerate(fh, 1):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for number, text in enumerate(fh, 1):
             try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = len(text[:exc.start].encode("utf-8")) + 1
+                raw = text.encode("utf-8", "surrogateescape")
                 return JsonlFormatError(
-                    str(path), number, f"not UTF-8 at byte {exc.start + 1}",
+                    str(path), number, f"not UTF-8 at byte {byte}",
                     raw.decode("utf-8", "replace").strip())
+            line = text.strip()
             reason = _line_defect(resolved, line) if line else None
             if reason is not None:
                 return JsonlFormatError(str(path), number, reason, line)
@@ -1512,11 +1533,7 @@ def jsonl_to_columnar(src: Union[str, Path], dst: Union[str, Path],
     try:
         with GroupedColumnarWriter(resolved, dst, row_group_rows) as writer, \
                 open(src, "r", encoding="utf-8") as fh:
-            lines = filter(None, map(str.strip, fh))
-            while True:
-                chunk = list(itertools.islice(lines, PARSE_CHUNK_LINES))
-                if not chunk:
-                    break
+            for chunk in _jsonl_line_chunks(fh):
                 _append_jsonl(writer.extend_columns, resolved, chunk,
                               writer.rows + writer.pending_rows)
     except JsonlFormatError as exc:

@@ -20,10 +20,11 @@ import contextlib
 import json
 import os
 import re
+import tempfile
 import time
 from array import array
 from bisect import bisect_right
-from itertools import chain, groupby
+from itertools import chain, groupby, islice
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
@@ -231,8 +232,8 @@ def _replay_shards(worker: Callable[..., ReplayPartial],
 
 
 # ---------------------------------------------------------------------------
-# JSONL dispatch: the parent routes raw lines, workers parse them into
-# columns.
+# JSONL dispatch: the parent routes raw lines to one spill file per qname
+# bucket, workers parse their own file into columns.
 
 #: Fast-path qname extraction from a compact JSONL line; anything else
 #: (escapes, re-ordered whitespace, damage) goes to :func:`_slow_qname`.
@@ -243,6 +244,10 @@ _QNAME_RE = re.compile(r'"qname":"([^"\\]*)"')
 #: table (about 120 bytes a name) stays under 4 MiB on any trace.
 _ROUTE_MEMO_NAMES = 1 << 15
 
+#: Lines the router reads before it writes each bucket's share to its
+#: spill file: the parent holds one batch of lines, never the trace.
+_SPILL_BATCH_LINES = 4096
+
 
 def _slow_qname(line: str) -> str:
     """The qname of a line the regex cannot read, by a full JSON parse.
@@ -251,14 +256,15 @@ def _slow_qname(line: str) -> str:
     parse rejects it with the reason.
     """
     try:
-        qname = json.loads(line)["qname"]
+        qname = json.loads(line.strip())["qname"]
     except (ValueError, KeyError, TypeError, RecursionError):
         return ""
     return qname if type(qname) is str else ""
 
 
-def _parse_lines(kind: str, lines: Sequence[str]) -> ColumnarStore:
-    """One shard's raw JSONL lines as an in-memory columnar store.
+def _parse_lines(kind: str, lines: Iterable[str]) -> ColumnarStore:
+    """One shard's JSONL lines (its open spill file) as an in-memory
+    columnar store.
 
     A function of its own, called once per shard, because
     ``benchmarks/e2e`` times it by name as the JSONL parse layer.
@@ -266,18 +272,66 @@ def _parse_lines(kind: str, lines: Sequence[str]) -> ColumnarStore:
     return ColumnarStore.from_jsonl_lines(lines, kind)
 
 
-def _replay_lines_shard(kind: str, lines: List[str]) -> ReplayPartial:
-    """Worker entry point: parse one shard's JSONL lines, then replay.
+def _replay_lines_shard(kind: str, spill: str) -> ReplayPartial:
+    """Worker entry point: parse one shard's spill file, then replay.
 
-    The lines become columns (no record object per row) and take the
-    columnar lane's two calls, so the parsing location (parent vs
-    worker) and the file format can never change replay output.
+    The file is read a chunk of lines at a time into columns (no record
+    object per row), which take the columnar lane's two calls, so the
+    parsing location (parent vs worker) and the file format can never
+    change replay output.
     """
-    store = _parse_lines(kind, lines)
+    with open(spill, "r", encoding="utf-8") as fh:
+        store = _parse_lines(kind, fh)
     field = CLIENT_FIELDS[kind]
     return _observed_replay(
         kind, lambda: replay_partial_columns(store, field),
         lambda kernel: [(store, kernel.store_segment(store, field), None)])
+
+
+def _spill_buckets(path: Union[str, Path], shards: int,
+                   spill_dir: str) -> Tuple[List[str], int]:
+    """Route every non-blank line of ``path`` to its qname bucket's spill
+    file under ``spill_dir``; the files' paths and the lines routed.
+
+    One pass in text mode, so lines split where every JSONL reader
+    splits them.  A line is routed raw (a substring scan, no JSON
+    parse; the bucket of a name is remembered, so the hash runs once
+    per distinct name) and stripped by the worker that parses it.
+    """
+    spills = [os.path.join(spill_dir, f"bucket-{index:04d}.jsonl")
+              for index in range(shards)]
+    pending: List[List[str]] = [[] for _ in range(shards)]
+    appends = [bucket.append for bucket in pending]
+    route: Dict[str, Callable[[str], None]] = {}
+    search = _QNAME_RE.search
+    routed = 0
+    with contextlib.ExitStack() as stack:
+        outs = [stack.enter_context(open(spill, "w", encoding="utf-8"))
+                for spill in spills]
+        fh = stack.enter_context(open(path, "r", encoding="utf-8"))
+        while True:
+            batch = list(islice(fh, _SPILL_BATCH_LINES))
+            if not batch:
+                return spills, routed
+            for line in batch:
+                match = search(line)
+                if match is not None:
+                    qname = match.group(1)
+                elif line.isspace():
+                    continue
+                else:
+                    qname = _slow_qname(line)
+                append = route.get(qname)
+                if append is None:
+                    if len(route) >= _ROUTE_MEMO_NAMES:
+                        route.clear()
+                    append = route[qname] = \
+                        appends[stable_bucket(qname, shards)]
+                append(line)
+            for out, lines in zip(outs, pending):
+                routed += len(lines)
+                out.write("".join(lines))
+                lines.clear()
 
 
 def replay_jsonl_sharded(path: Union[str, Path], kind: str,
@@ -285,15 +339,16 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
                          ) -> Tuple[ReplayResult, EngineReport]:
     """Replay a saved JSONL trace; line parsing happens in the workers.
 
-    The parent streams the file once, routes each *raw line* to its
-    qname bucket (a substring scan — no JSON parse; the bucket of a
-    name is remembered, so the hash runs once per distinct name), and
-    ships lines.  Workers parse their own shard's lines a chunk at a
-    time into the columns the replay kernel reads, so the expensive
-    work — the JSON parse plus the replay itself — parallelizes, and
-    the pool boundary carries flat strings.  Counter-identical to the
-    ``replay_partial`` oracle over the file's records, qname bucket by
-    qname bucket.
+    The parent streams the file once and appends each raw line to its
+    qname bucket's spill file in a private temporary directory
+    (:func:`_spill_buckets`), holding one batch of lines at a time.
+    Each worker parses its own shard's file a chunk at a time into the
+    columns the replay kernel reads, so the expensive work — the JSON
+    parse plus the replay itself — parallelizes, and the pool boundary
+    carries one path per shard.  The directory (one transient copy of
+    the trace's non-blank lines) is removed however the replay ends.
+    Counter-identical to the ``replay_partial`` oracle over the file's
+    records, qname bucket by qname bucket.
 
     Every line must be a row of the ``kind`` schema, exactly as
     ``convert`` requires; one that is not raises
@@ -303,40 +358,25 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
     """
     _check_kind_and_shards(kind, shards)
     with _file_rejected_beat(f"replay:{kind}", path):
-        bucket_start = time.perf_counter()
-        buckets: List[List[str]] = [[] for _ in range(shards)]
-        appends = [bucket.append for bucket in buckets]
-        route: Dict[str, Callable[[str], None]] = {}
-        search = _QNAME_RE.search
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in map(str.strip, fh):
-                    if line:
-                        match = search(line)
-                        qname = (match.group(1) if match is not None
-                                 else _slow_qname(line))
-                        append = route.get(qname)
-                        if append is None:
-                            if len(route) >= _ROUTE_MEMO_NAMES:
-                                route.clear()
-                            append = route[qname] = \
-                                appends[stable_bucket(qname, shards)]
-                        append(line)
-        except UnicodeError as exc:
-            # Bytes that are not UTF-8, or a qname holding a lone surrogate
-            # (hashing it encodes it): found and numbered by one file scan.
-            raise (jsonl_file_defect(path, kind) or exc) from None
-        emitter = _obs_live.ACTIVE
-        if emitter is not None:
-            emitter.beat("bucket", f"replay:{kind}",
-                         records=sum(len(bucket) for bucket in buckets),
-                         seconds=time.perf_counter() - bucket_start)
-        try:
-            return _replay_shards(_replay_lines_shard,
-                                  [(bucket,) for bucket in buckets], (kind,),
-                                  kind, workers)
+            with tempfile.TemporaryDirectory(prefix="repro-replay-") \
+                    as spill_dir:
+                bucket_start = time.perf_counter()
+                spills, routed = _spill_buckets(path, shards, spill_dir)
+                emitter = _obs_live.ACTIVE
+                if emitter is not None:
+                    emitter.beat("bucket", f"replay:{kind}", records=routed,
+                                 seconds=time.perf_counter() - bucket_start)
+                return _replay_shards(_replay_lines_shard,
+                                      [(spill,) for spill in spills],
+                                      (kind,), kind, workers)
         except JsonlFormatError as exc:
             raise exc.located(path) from None
+        except UnicodeError as exc:
+            # Bytes that are not UTF-8, or a lone surrogate in a qname
+            # (hashing it encodes it) or in a shard's dictionary: found
+            # and numbered by one scan of the trace.
+            raise (jsonl_file_defect(path, kind) or exc) from None
 
 
 # ---------------------------------------------------------------------------

@@ -1475,12 +1475,27 @@ def _render(draw, record) -> str:
 
 
 def _jsonl_text(draw, records) -> str:
-    """A JSONL file body of drawn line shapes, with blank lines between
-    and with or without the final newline."""
-    blank = st.sampled_from(("", "", "\n", " \t\n"))
-    body = "\n".join(draw(blank) + _render(draw, record)
-                     for record in records)
-    return body + draw(st.sampled_from(("\n", "", "\n\n")))
+    """A JSONL file body of drawn line shapes: each line padded with
+    whitespace ``str.strip`` removes (a no-break space included, which
+    JSON does not accept) and ended by ``\\n``, ``\\r\\n`` or a lone
+    ``\\r``; blank lines between; the last line with or without its
+    end."""
+    pad = st.sampled_from(("", "", " ", "\t", "\u00a0"))
+    end = st.sampled_from(("\n", "\r\n", "\r"))
+
+    def line(text: str) -> str:
+        return draw(pad) + text + draw(pad) + draw(end)
+
+    lines = []
+    for record in records:
+        if draw(st.booleans()):
+            lines.append(line(""))
+        lines.append(line(_render(draw, record)))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    elif draw(st.booleans()):
+        lines.append(line(""))
+    return "".join(lines)
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
@@ -1496,7 +1511,10 @@ def test_jsonl_lines_parse_like_read_jsonl(name, data, tmp_path_factory):
     out = tmp_path_factory.mktemp("jsonl")
     src = out / "trace.jsonl"
     src.write_text(_jsonl_text(data.draw, records), encoding="utf-8")
-    lines = [line.strip() for line in src.read_text("utf-8").splitlines()
+    # read_text ends lines as the readers do (universal newlines: at
+    # "\n", "\r\n" and a lone "\r"); str.splitlines would also split at
+    # "\x1c", "\u2028" and the rest of its set.
+    lines = [line.strip() for line in src.read_text("utf-8").split("\n")
              if line.strip()]
     # The route with no schema: one json.loads and one record per line.
     parsed_records = [SCHEMAS[name].record_type(**json.loads(line))
@@ -1520,6 +1538,7 @@ def two_workers():
         yield pool
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("kind", sorted(ACCESSORS))
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
@@ -1722,6 +1741,32 @@ def test_non_utf8_jsonl_names_line_and_byte(lead, tmp_path, two_workers):
                 lane()
             assert (caught.value.path, caught.value.line) == (str(src), line)
             assert "a.�xample." in caught.value.text
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
+
+
+@pytest.mark.parametrize("ends", ((b"\r",) * 3, (b"\r\n",) * 3,
+                                  (b"\r\n", b"\r", b"\n")),
+                         ids=("cr", "crlf", "mixed"))
+def test_non_utf8_jsonl_is_numbered_where_the_readers_split(ends, tmp_path,
+                                                            two_workers):
+    """Lines end at ``\\n``, ``\\r\\n`` and a lone ``\\r`` for the
+    defect scan as for ``replay`` and ``convert``: a bad byte in line 3
+    reads ``line 3`` and its offset within that line, as bad JSON in
+    line 3 does."""
+    src, dst = tmp_path / "trace.jsonl", tmp_path / "trace.col"
+    good = _GOOD.encode()
+    for third, reason in (
+            (good.replace(b"a.example.", b"a.\xffxample."),
+             "not UTF-8 at byte 45$"),
+            (good[:-1] + b",}", "invalid JSON")):
+        src.write_bytes(good + ends[0] + good + ends[1] + third + ends[2]
+                        + good)
+        for workers in (1, 2):
+            for lane in _both_lanes(src, dst, workers):
+                with pytest.raises(JsonlFormatError,
+                                   match=f"line 3: {reason}") as caught:
+                    lane()
+                assert caught.value.line == 3
     assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]
 
 

@@ -168,6 +168,29 @@ def test_traced_jsonl_replay_costs_spans_not_rows(tmp_path, monkeypatch):
         f"for {spans} spans over {total_queries} rows"
 
 
+def test_jsonl_replay_heap_does_not_hold_the_trace(tmp_path):
+    """The JSONL lane routes lines to spill files and each shard parses
+    its own: at ``workers=1`` the heap holds one batch of lines and one
+    shard's columns, so 45,000 more rows may add under 16 bytes each
+    (holding every routed line costs some 180)."""
+    shards, small, large = 8, 15_000, 60_000
+    peaks = []
+    for total_queries in (small, large):
+        spec = ShardSpec.create("allnames", shard_count=SHARDS,
+                                total_queries=total_queries,
+                                **FIXED_UNIVERSE)
+        trace = tmp_path / f"t{total_queries}.jsonl"
+        generate_jsonl(spec, trace, workers=1)
+        (_, report), peak = peak_alloc_of(
+            lambda: replay_jsonl_sharded(trace, "allnames", shards=shards,
+                                         workers=1))
+        assert report.total_records == total_queries
+        peaks.append(peak)
+    per_row = (peaks[1] - peaks[0]) / (large - small)
+    assert per_row < 16, \
+        f"{per_row:.1f} B a row ({peaks[0] >> 10} KiB -> {peaks[1] >> 10} KiB)"
+
+
 def test_pipeline_output_matches_in_memory_reference(tmp_path):
     """The bounded pipeline is not just bounded — it is also *right*."""
     spec = ShardSpec.create("allnames", shard_count=SHARDS,

@@ -29,8 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.columnar import RowGroupReader, read_columnar
-from repro.datasets.records import (AllNamesRecord, shard_path,
-                                    write_jsonl, write_jsonl_text)
+from repro.datasets.records import (AllNamesRecord, JsonlFormatError,
+                                    shard_path, write_jsonl,
+                                    write_jsonl_text)
 from repro.datasets.workload import column_records, split_columns
 from repro.engine import (ShardSpec, WorkerPool, client_sweep_sharded,
                           fig1_sharded, generate_columnar, generate_jsonl,
@@ -40,6 +41,7 @@ from repro.engine.executor import (_chunk_bounds, _len_or_zero,
                                    _run_header_chunk)
 from repro.engine import generate as engine_generate
 from repro.engine.generate import _write_columnar_shard_from_spec
+from repro.engine import replay as engine_replay
 from repro.engine.pool import encode_header, encode_shard_args
 from repro.engine.replay import _replay_lines_shard, replay_jsonl_sharded
 from repro.engine.sharding import partition_by_key
@@ -144,6 +146,8 @@ def test_replay_equivalent_across_matrix(kind, tmp_path, oracle_replay):
         assert from_spec == reference, (kind, workers)
         assert (line_report.total_records == spec_report.total_records
                 == len(dataset.records))
+        # A JSONL shard ships its spill file's path, not its lines.
+        assert line_report.payload_bytes_per_shard < 1024
 
 
 @pytest.mark.parametrize("kind", REPLAY_CASES)
@@ -313,14 +317,16 @@ def test_spec_protocol_reproduces_reference(total, shards, chunk_size,
         assert [read_columnar(shard_path(base, i))
                 for i in range(shards)] == reference_lists
         write_jsonl(records, base)
-        lines = base.read_text().splitlines()
-
-    buckets = partition_by_key(list(zip(records, lines)), shards,
-                               lambda pair: pair[0].qname)
-    partials = _run_protocol(_replay_lines_shard,
-                             [([line for _, line in bucket],)
-                              for bucket in buckets],
-                             ("allnames",), chunk_size)
+        lines = base.read_text().splitlines(keepends=True)
+        buckets = partition_by_key(list(zip(records, lines)), shards,
+                                   lambda pair: pair[0].qname)
+        spills = [Path(scratch) / f"bucket-{index}.jsonl"
+                  for index in range(shards)]
+        for spill, bucket in zip(spills, buckets):
+            spill.write_text("".join(line for _, line in bucket))
+        partials = _run_protocol(_replay_lines_shard,
+                                 [(str(spill),) for spill in spills],
+                                 ("allnames",), chunk_size)
     from repro.analysis.cache_sim import merge_partials
     assert merge_partials(partials) == oracle_replay(records, "allnames",
                                                      shards)
@@ -348,6 +354,59 @@ def test_failed_generate_leaves_nothing_behind(generate, name, fail_shard,
             getattr(engine_generate, generate)(spec, tmp_path / name,
                                                workers=workers)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("damage", ("none", "hostile-line", "not-utf8",
+                                    "shard-raises"))
+def test_jsonl_replay_leaves_no_spill_directory(damage, workers, tmp_path,
+                                                monkeypatch):
+    """The spill files of a JSONL replay live in one private temporary
+    directory, which is gone once the replay ends: cleanly, on a line
+    that is not a row, on bytes that are not UTF-8, and when a shard
+    raises in its worker.  Nothing is written beside the trace."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    trace = tmp_path / "t.jsonl"
+    generate_jsonl(_spec("allnames"), trace, workers=1)
+    if damage == "hostile-line":
+        with open(trace, "a") as fh:
+            fh.write('{"ts":9e9}\n')
+    elif damage == "not-utf8":
+        with open(trace, "ab") as fh:
+            fh.write(b'{"ts":9e9,"qname":"a.\xffexample."}\n')
+    elif damage == "shard-raises":
+        # Every line a row, but no shard's rows in time order.
+        lines = trace.read_text().splitlines(keepends=True)
+        trace.write_text("".join(reversed(lines)))
+    seen = []
+    parse = engine_replay._parse_lines
+
+    def parse_and_look(kind, lines):
+        seen.extend(p.name for p in scratch.iterdir())
+        return parse(kind, lines)
+
+    # At workers=1 shards parse in this process, which sees the directory.
+    monkeypatch.setattr(engine_replay, "_parse_lines", parse_and_look)
+    with WorkerPool(workers):
+        if damage == "none":
+            _, report = replay_jsonl_sharded(trace, "allnames",
+                                             shards=SHARDS, workers=workers)
+            assert report.total_records > 0
+        else:
+            error, match = {
+                "hostile-line": (JsonlFormatError, "missing field"),
+                "not-utf8": (JsonlFormatError, "not UTF-8"),
+                "shard-raises": (ValueError, "follows ts")}[damage]
+            with pytest.raises(error, match=match):
+                replay_jsonl_sharded(trace, "allnames", shards=SHARDS,
+                                     workers=workers)
+    if workers == 1 and damage != "not-utf8":
+        assert seen and all(name.startswith("repro-replay-")
+                            for name in seen)
+    assert not list(scratch.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl", "tmp"]
 
 
 def test_failed_render_leaves_nothing_behind(tmp_path, monkeypatch):
