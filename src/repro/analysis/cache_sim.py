@@ -51,10 +51,10 @@ class ReplayPartial:
 
     Every field is an integer that sums across shards: hit/miss counters
     add exactly when the trace is partitioned along cache-key boundaries
-    (e.g. by qname), and peak sizes add because shard caches are
-    disjoint — the merged peak is the sum of per-shard peaks, exact
-    whenever shard occupancies peak together (true of the paper's
-    steady-state traces).  Field-wise addition makes the merge
+    (e.g. by qname).  Peak sizes add too, but shard caches peak at
+    different times, so the merged peak — the sum of per-bucket peaks —
+    is an upper bound on the whole cache's peak, exact only at one
+    shard.  Field-wise addition makes the merge
     associative, commutative, and possessed of an all-zero identity, so
     shard order never matters.
     """

@@ -23,7 +23,11 @@ lint        run the repro.staticcheck invariant linter (RS001-RS003,
 
 Every command accepts ``--seed`` and a size knob and writes rendered
 reports to ``--out`` (default: print to stdout only); ``--quiet``
-silences stdout.  ``generate``, ``blowup``, ``replay``, ``chaos`` and
+silences stdout; ``--report`` adds the per-shard engine breakdown and,
+after the command, a per-layer cost table (calls, self seconds and
+share of wall per span name: ``docs/observability.md``).  For a
+function-level profile, run ``python -m cProfile -s cumulative -m
+repro.cli ...``.  ``generate``, ``blowup``, ``replay``, ``chaos`` and
 ``all`` also take ``--workers N`` / ``--shards K``: work is split into
 K deterministically-seeded shards executed on N processes via compact
 shard specs, and the merged output is byte-identical for every N (see
@@ -68,6 +72,7 @@ from .obs import ObsSession, observe
 from .obs import live as obs_live
 from .obs.export import (write_chrome_trace, write_prometheus,
                          write_spans_jsonl, write_text_atomic)
+from .obs.trace import DEFAULT_SPAN_LIMIT, Tracer
 from .units import human_bytes, human_count
 
 
@@ -252,6 +257,22 @@ def cmd_pitfalls(args: argparse.Namespace, reporter: _Reporter) -> None:
     reporter.emit("fig8", timings.report())
 
 
+def _check_input(task: str, path: str) -> None:
+    """Reject an input path that cannot be opened — missing, a directory,
+    unreadable — before any work: with the live plane on a
+    ``file_rejected`` beat, then exit 1 with one line naming the path
+    and the reason.  An empty file opens: it is a zero-row JSONL trace
+    (``docs/datasets.md``)."""
+    try:
+        open(path, "rb").close()
+    except OSError as exc:
+        reason = exc.strerror or type(exc).__name__
+        emitter = obs_live.ACTIVE
+        if emitter is not None:
+            emitter.beat("file_rejected", task, path=path, reason=reason)
+        raise SystemExit(f"repro-ecs: {path}: {reason}") from None
+
+
 def cmd_generate(args: argparse.Namespace, reporter: _Reporter) -> None:
     """Write one synthetic dataset to a trace file, JSONL or columnar
     (``--format``).
@@ -300,6 +321,7 @@ def cmd_convert(args: argparse.Namespace, reporter: _Reporter) -> None:
     a trace of its kind exits 1 naming the file, after a
     ``file_rejected`` beat when the live plane is on.
     """
+    _check_input(f"convert:{args.dataset}", args.src)
     target = args.to
     if target == "auto":
         target = "jsonl" if is_columnar(args.src) else "columnar"
@@ -357,6 +379,7 @@ def cmd_dataset(args: argparse.Namespace, reporter: _Reporter) -> None:
     render through :mod:`repro.units` (``1.4 GiB``, ``3.8B rows``) with
     the exact integer alongside, so the table stays grep-able.
     """
+    _check_input("dataset:info", args.file)
     path = Path(args.file)
     if is_columnar(path):
         info = file_info(path)
@@ -405,6 +428,7 @@ def cmd_replay(args: argparse.Namespace, reporter: _Reporter) -> None:
     objects cross the pool boundary, and both formats of one trace
     render the identical report.
     """
+    _check_input(f"replay:{args.dataset}", args.file)
     if is_columnar(args.file):
         result, engine_report = replay_columnar_sharded(
             args.file, args.dataset, shards=args.shards,
@@ -475,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
                              " keeps shard workers from interleaving output")
     parser.add_argument("--report", action="store_true",
                         help="print the full per-shard engine breakdown "
-                             "instead of the one-line summary")
+                             "instead of the one-line summary, and after "
+                             "the command its per-layer cost table")
     parser.add_argument("--metrics-out", default=None, metavar="FILE",
                         help="collect runtime metrics and write them in "
                              "Prometheus text format (out-of-band: reports "
@@ -483,9 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-out", default=None, metavar="FILE",
                         help="record query-lifecycle spans and write them "
                              "as JSONL (out-of-band, like --metrics-out)")
-    parser.add_argument("--profile", default=None, metavar="FILE",
-                        help="run under cProfile and write the hottest "
-                             "cumulative-time functions to FILE")
     parser.add_argument("--serve-metrics", nargs="?", type=int, const=0,
                         default=None, metavar="PORT",
                         help="serve live telemetry over HTTP while the "
@@ -647,6 +669,24 @@ def _dispatch(args: argparse.Namespace, reporter: _Reporter) -> None:
         _COMMANDS[args.command](args, reporter)
 
 
+def _layer_table(tracer: Tracer, wall: float, command: str) -> str:
+    """The ledger as ``--report`` prints it: calls, self seconds and share
+    of the command's wall per span name, largest first, and the root
+    ``command`` span's own time as ``unattributed``.  A pooled shard's
+    seconds are a worker's, so above one worker the shares can sum past
+    100%."""
+    ledger = tracer.ledger()
+    _, unattributed = ledger.pop("command")
+    rows = [(name, int(calls), f"{seconds:.3f}", f"{seconds / wall:.1%}")
+            for name, (calls, seconds) in sorted(
+                ledger.items(), key=lambda item: (-item[1][1], item[0]))]
+    rows.append(("unattributed", 1, f"{unattributed:.3f}",
+                 f"{unattributed / wall:.1%}"))
+    return format_table(("layer", "calls", "self s", "share of wall"), rows,
+                        title=f"[layers] repro-ecs {command}: "
+                              f"{wall:.3f} s wall")
+
+
 def _export_artefacts(args: argparse.Namespace, reporter: _Reporter,
                       session: ObsSession,
                       sink: Optional[obs_live.LiveSink]) -> None:
@@ -657,6 +697,8 @@ def _export_artefacts(args: argparse.Namespace, reporter: _Reporter,
         reporter.note(f"wrote {len(beats)} timeline events "
                       f"to {args.timeline_out}")
     if args.metrics_out is not None:
+        if session.tracer is not None:
+            session.tracer.publish(session.registry)
         write_prometheus(session.registry, args.metrics_out)
         reporter.note(f"wrote metrics to {args.metrics_out}")
     if args.trace_out is not None:
@@ -705,16 +747,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                           f"(/metrics, /healthz, /run)")
     # Shard registries ride shard_end heartbeats, so the sink needs
     # metrics capture on even when no --metrics-out was asked for.
+    # --report alone traces into the ledger only (span limit 0).
     with observe(metrics=args.metrics_out is not None or live_enabled,
-                 tracing=args.trace_out is not None) as session:
+                 tracing=args.trace_out is not None or args.report,
+                 span_limit=0 if args.trace_out is None
+                 else DEFAULT_SPAN_LIMIT) as session:
         try:
-            if args.profile is not None:
-                from .obs.profile import profile_call
-                _, stats_text = profile_call(
-                    _dispatch, args, reporter,
-                    title=f"repro-ecs {args.command}")
-                write_text_atomic(args.profile, (stats_text, "\n"))
-                reporter.note(f"wrote profile to {args.profile}")
+            if args.report:
+                with session.tracer.span("command",
+                                         command=args.command) as root:
+                    _dispatch(args, reporter)
+                reporter.note(_layer_table(session.tracer, root.duration,
+                                           args.command))
             else:
                 _dispatch(args, reporter)
         finally:

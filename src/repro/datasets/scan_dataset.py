@@ -29,6 +29,7 @@ from ..dnslib import Name
 from ..net.geo import WORLD_CITIES, City, city
 from ..net.topology import AutonomousSystem, Topology
 from ..net.transport import Network
+from ..obs import trace as _obs_trace
 from ..resolvers import (Forwarder, PublicDnsService, RecursiveResolver,
                          behaviors)
 
@@ -210,6 +211,13 @@ class ScanUniverseBuilder:
     # -- assembly ------------------------------------------------------------
 
     def build(self) -> ScanUniverse:
+        tracer = _obs_trace.ACTIVE
+        if tracer is None:
+            return self._assemble()
+        with tracer.span("build", ingress=self.ingress_count):
+            return self._assemble()
+
+    def _assemble(self) -> ScanUniverse:
         rng = random.Random(self.seed)
         topology = Topology()
         net = Network(topology, rng=random.Random(self.seed + 1))

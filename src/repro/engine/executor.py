@@ -30,13 +30,15 @@ own), and the per-shard snapshots come back with the results, merge in
 shard order onto :class:`EngineReport`, and fold into the parent's
 active collectors.  Because registry merging is associative and
 commutative and span IDs are namespaced by shard index, the merged
-metrics and span topology are identical for every worker count.
+metrics, span topology and ledger call counts are identical for every
+worker count.  In the parent the whole run is one ``dispatch`` span.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -44,7 +46,7 @@ from ..obs import live as obs_live
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry, merge_registries
-from ..obs.trace import Span, Tracer
+from ..obs.trace import Tracer
 from . import pool as pool_mod
 from .pool import (WorkerPool, decode_header, encode_header,
                    encode_shard_args)
@@ -71,10 +73,9 @@ class ShardStats:
 class EngineReport:
     """Aggregate throughput of one sharded run.
 
-    ``metrics`` and ``spans`` hold the shard-order merge of the
-    per-shard observability snapshots when collection was active in the
-    parent (``None``/empty otherwise); they are never rendered into
-    experiment reports.
+    ``metrics`` holds the shard-order merge of the per-shard registries
+    when collection was active in the parent (``None`` otherwise); it is
+    never rendered into experiment reports.
     """
 
     task: str
@@ -82,8 +83,6 @@ class EngineReport:
     wall_seconds: float
     shards: List[ShardStats] = field(default_factory=list)
     metrics: Optional[MetricsRegistry] = None
-    spans: List[Span] = field(default_factory=list)
-    spans_dropped: int = 0
     #: How the shards executed: "inline" or, on a worker pool,
     #: "persistent".  Execution detail only — never affects output.
     pool_mode: str = "inline"
@@ -131,9 +130,9 @@ class EngineReport:
 
 
 #: One shard's outcome: (result, record count, seconds, registry | None,
-#: spans | None, dropped span count).
+#: tracer | None).
 _Outcome = Tuple[Any, int, float, Optional[MetricsRegistry],
-                 Optional[List[Span]], int]
+                 Optional[Tracer]]
 
 
 def _len_or_zero(result: Any) -> int:
@@ -143,14 +142,16 @@ def _len_or_zero(result: Any) -> int:
 
 def _observed_call(fn: Callable[..., Any], args: Tuple[Any, ...],
                    shard_index: int, count_of: Callable[[Any], int],
-                   capture_metrics: bool, capture_traces: bool,
+                   capture_metrics: bool, span_limit: Optional[int],
                    task: str = "engine") -> _Outcome:
     """Run ``fn(*args)`` timed, against fresh per-shard obs collectors.
 
     Swapping (rather than merely activating) the registry/tracer makes
     inline and pooled execution indistinguishable to the instrumented
     code: either way the shard writes into its own collectors, which are
-    snapshotted here and merged by the parent in shard order.
+    snapshotted here and merged by the parent in shard order.  The
+    shard tracer keeps the parent's ``span_limit`` (``None``: the parent
+    traces nothing) and, with a registry, publishes its ledger there.
     ``count_of`` runs here, where the shard ran, so its record count is
     the one number :class:`ShardStats` and the live plane both report.
 
@@ -165,12 +166,11 @@ def _observed_call(fn: Callable[..., Any], args: Tuple[Any, ...],
     if emitter is not None:
         emitter.beat("shard_start", task, shard_index)
     registry: Optional[MetricsRegistry] = None
-    spans: Optional[List[Span]] = None
-    dropped = 0
     previous_registry = (obs_metrics.swap(MetricsRegistry())
                          if capture_metrics else None)
-    tracer = Tracer(id_prefix=f"s{shard_index}") if capture_traces else None
-    previous_tracer = obs_trace.swap(tracer) if capture_traces else None
+    tracer = None if span_limit is None \
+        else Tracer(id_prefix=f"s{shard_index}", limit=span_limit)
+    previous_tracer = obs_trace.swap(tracer) if tracer is not None else None
     start = time.perf_counter()
     try:
         result = fn(*args)
@@ -180,17 +180,18 @@ def _observed_call(fn: Callable[..., Any], args: Tuple[Any, ...],
             registry = obs_metrics.swap(previous_registry)
         if tracer is not None:
             obs_trace.swap(previous_tracer)
-            spans, dropped = tracer.spans, tracer.dropped
+            if registry is not None:
+                tracer.publish(registry)
     records = count_of(result)
     if emitter is not None:
         emitter.beat("shard_end", task, shard_index, records=records,
                      seconds=seconds, metrics=registry)
-    return result, records, seconds, registry, spans, dropped
+    return result, records, seconds, registry, tracer
 
 
 def _run_header_chunk(header: bytes, args_blobs: Sequence[bytes],
                       base_index: int, count_of: Callable[[Any], int],
-                      capture_metrics: bool, capture_traces: bool,
+                      capture_metrics: bool, span_limit: Optional[int],
                       task: str = "engine") -> List[_Outcome]:
     """Worker entry point: run several consecutive shards of one run.
 
@@ -212,8 +213,7 @@ def _run_header_chunk(header: bytes, args_blobs: Sequence[bytes],
         args = pickle.loads(blob)
         outcomes.append(_observed_call(fn, tuple(shared) + tuple(args),
                                        base_index + offset, count_of,
-                                       capture_metrics, capture_traces,
-                                       task))
+                                       capture_metrics, span_limit, task))
     return outcomes
 
 
@@ -271,10 +271,24 @@ def run_sharded(fn: Callable[..., Any],
     gets about :data:`SUBMISSIONS_PER_WORKER` submissions.  Batching is
     pure dispatch — shard inputs, per-shard seeding and result order are
     unchanged, so outputs stay byte-identical for any worker count.
+    With a tracer active, the run is one ``dispatch`` span.
     """
+    tracer = obs_trace.ACTIVE
+    with (tracer.span("dispatch", task=task, shards=len(shard_args))
+          if tracer is not None else nullcontext()):
+        return _run_sharded(fn, shard_args, workers, task, count_of, shared,
+                            None if tracer is None else tracer.limit)
+
+
+def _run_sharded(fn: Callable[..., Any],
+                 shard_args: Sequence[Tuple[Any, ...]], workers: int,
+                 task: str, count_of: Optional[Callable[[Any], int]],
+                 shared: Tuple[Any, ...], span_limit: Optional[int]
+                 ) -> Tuple[List[Any], EngineReport]:
+    """:func:`run_sharded` inside its span; shard tracers get the parent
+    tracer's ``span_limit`` (``None``: no tracer)."""
     workers = max(1, workers)
     capture_metrics = obs_metrics.ACTIVE is not None
-    capture_traces = obs_trace.ACTIVE is not None
     count_of = count_of if count_of is not None else _len_or_zero
     emitter = obs_live.ACTIVE
     if emitter is not None:
@@ -288,7 +302,7 @@ def run_sharded(fn: Callable[..., Any],
         for index, args in enumerate(shard_args):
             outcomes.append(_observed_call(fn, tuple(shared) + tuple(args),
                                            index, count_of, capture_metrics,
-                                           capture_traces, task))
+                                           span_limit, task))
     else:
         header = encode_header(fn, tuple(shared))
         header_bytes = len(header)
@@ -301,7 +315,7 @@ def run_sharded(fn: Callable[..., Any],
         run_pool, ephemeral = _resolve_pool(workers)
         pool_mode = "persistent"
         submissions = [(header, blobs[lo:hi], lo, count_of,
-                        capture_metrics, capture_traces, task)
+                        capture_metrics, span_limit, task)
                        for lo, hi in bounds]
         if emitter is not None:
             for position, (lo, hi) in enumerate(bounds):
@@ -317,37 +331,36 @@ def run_sharded(fn: Callable[..., Any],
                 run_pool.shutdown()
     wall = time.perf_counter() - wall_start
 
-    results = [result for result, _, _, _, _, _ in outcomes]
+    results = [result for result, _, _, _, _ in outcomes]
     stats = [ShardStats(index, records, seconds, payload_bytes[index])
-             for index, (_, records, seconds, _, _, _)
+             for index, (_, records, seconds, _, _)
              in enumerate(outcomes)]
     report = EngineReport(task, workers, wall, stats,
                           pool_mode=pool_mode, header_bytes=header_bytes)
-    _fold_observability(report, outcomes, capture_metrics, capture_traces)
+    _fold_observability(report, outcomes, capture_metrics)
     if emitter is not None:
         emitter.beat("run_end", task, records=report.total_records)
     return results, report
 
 
 def _fold_observability(report: EngineReport, outcomes: Sequence[_Outcome],
-                        capture_metrics: bool, capture_traces: bool) -> None:
-    """Merge per-shard snapshots in shard order; feed the parent's obs."""
+                        capture_metrics: bool) -> None:
+    """Merge per-shard snapshots in shard order; feed the parent's obs.
+
+    An inline shard ran inside the parent's open ``dispatch`` span, so
+    the parent tracer books its ledger's seconds as that span's child
+    time: at one worker the ledger's rows sum to the wall.
+    """
     if capture_metrics:
-        merged = merge_registries(registry for _, _, _, registry, _, _
+        merged = merge_registries(registry for _, _, _, registry, _
                                   in outcomes if registry is not None)
         report.metrics = merged
         parent = obs_metrics.ACTIVE
         if parent is not None:
             parent.merge_from(merged)
-    if capture_traces:
-        all_spans: List[Span] = []
-        dropped_total = 0
-        for _, _, _, _, spans, dropped in outcomes:
-            if spans:
-                all_spans.extend(spans)
-            dropped_total += dropped
-        report.spans = all_spans
-        report.spans_dropped = dropped_total
-        parent_tracer = obs_trace.ACTIVE
-        if parent_tracer is not None:
-            parent_tracer.absorb(all_spans, dropped_total)
+    parent_tracer = obs_trace.ACTIVE
+    if parent_tracer is not None:
+        for _, _, _, _, tracer in outcomes:
+            if tracer is not None:
+                parent_tracer.absorb(tracer,
+                                     inline=report.pool_mode == "inline")

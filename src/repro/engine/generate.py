@@ -36,6 +36,7 @@ rendered by :func:`~repro.datasets.columnar.columnar_to_jsonl`.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Any, Optional, Tuple, Union
 
@@ -45,6 +46,7 @@ from ..datasets.columnar import (ColumnarStore, GroupedColumnarWriter,
 from ..datasets.records import shard_path
 from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
+from ..obs import trace as _obs_trace
 from .executor import EngineReport, run_sharded
 from .sharding import ShardSpec
 
@@ -82,8 +84,11 @@ def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
     """
     builder = spec.make_builder()
     chunks = builder.iter_shard_columns(shard_index, spec.shard_count)
-    with GroupedColumnarWriter(schema, shard_path(out_base, shard_index),
-                               row_group_rows) as writer:
+    tracer = _obs_trace.ACTIVE
+    with (tracer.span("shard", builder=spec.builder) if tracer is not None
+          else nullcontext()), \
+            GroupedColumnarWriter(schema, shard_path(out_base, shard_index),
+                                  row_group_rows) as writer:
         if getattr(builder, "ITER_SHARD_SORTED", False):
             for chunk in chunks:
                 writer.extend_columns(chunk)
@@ -132,8 +137,11 @@ def generate_columnar(spec: ShardSpec, out_path: Union[str, Path],
             shared=(spec, str(out), spec.builder if schema is None
                     else schema, row_group_rows))
         merge_start = time.perf_counter()
-        total = merge_columnar_shards(paths, out,
-                                      row_group_rows=row_group_rows)
+        tracer = _obs_trace.ACTIVE
+        with (tracer.span("merge", task=task) if tracer is not None
+              else nullcontext()):
+            total = merge_columnar_shards(paths, out,
+                                          row_group_rows=row_group_rows)
         emitter = _obs_live.ACTIVE
         if emitter is not None:
             emitter.beat("merge", task, records=total,
@@ -164,7 +172,10 @@ def generate_jsonl(spec: ShardSpec, out_path: Union[str, Path],
     scratch = out.with_name(out.name + ".col")
     try:
         count, report = generate_columnar(spec, scratch, workers=workers)
-        columnar_to_jsonl(scratch, out)
+        tracer = _obs_trace.ACTIVE
+        with (tracer.span("render", format="jsonl") if tracer is not None
+              else nullcontext()):
+            columnar_to_jsonl(scratch, out)
     finally:
         scratch.unlink(missing_ok=True)
     return count, report

@@ -5,10 +5,9 @@ one keyed by ``(qname, qtype)`` and the ECS one keyed by ``(qname,
 qtype, client prefix)`` — partition exactly along query names: no cache
 entry is ever shared between two qnames.  Partitioning the trace by a
 stable hash of the qname therefore yields shards whose replays are fully
-independent; their hit/miss counters add exactly, and peak cache sizes
-sum into the aggregate peak (the sum of per-shard peaks, exact whenever
-shard occupancies peak together, which the paper's steady-state traces
-do).
+independent; their hit/miss counters add exactly.  Peak cache sizes
+sum into the reported peak: the sum of per-bucket peaks, an upper bound
+on the whole cache's peak that is exact only at one shard.
 
 The shard count is fixed independently of the worker count, so
 ``workers=1`` and ``workers=N`` produce identical merged results.
@@ -101,13 +100,17 @@ def _observed_replay(kind: str, untraced: Callable[[], ReplayPartial],
     The one epilogue of every worker entry point.  Observability is
     strictly out-of-band: with no tracer, ``untraced()`` — one of the
     three :mod:`~repro.analysis.cache_sim` adapters — runs untouched.
-    With one, the same input goes as ``feeds(kernel)`` to the same
-    kernel those adapters feed: the shard's leading
+    With one, the shard is one ``replay`` span (attrs: kind, rows).  A
+    tracer that stores spans gets the same input as ``feeds(kernel)``
+    to the same kernel those adapters feed: the shard's leading
     :data:`TRACED_RECORDS_PER_SHARD` rows one at a time, each inside a
     ``replay.query`` span whose two verdicts are the hit counters'
     deltas, and the rest in bulk — so counters are identical and no
     record object is ever built for a columnar row; span attributes
     are read from the store each feed came from (:func:`_span_attrs`).
+    An aggregate-only tracer (``limit=0``) keeps no span to annotate,
+    so it runs ``untraced()`` inside the ``replay`` span: a row fed
+    alone costs some twenty times its share of a bulk feed.
     A registry gets the partial's aggregate counters after the fact.
     The None guards live here, once (RS003).
     """
@@ -115,28 +118,39 @@ def _observed_replay(kind: str, untraced: Callable[[], ReplayPartial],
     if tracer is None:
         partial = untraced()
     else:
-        kernel = ReplayKernel()
-        budget = TRACED_RECORDS_PER_SHARD
-        field = CLIENT_FIELDS[kind]
-        for source, segment, rows in feeds(kernel):
-            if rows is None:
-                rows = range(len(segment[0]))
-            head = rows[:budget]
-            for row, attrs in zip(head, _span_attrs(source, field, head)):
-                with tracer.span("replay.query", kind=kind, **attrs) as span:
-                    before = kernel.partial()
-                    kernel.feed(segment, (row,))
-                    after = kernel.partial()
-                    span.attrs["ecs_hit"] = after.hits_ecs > before.hits_ecs
-                    span.attrs["plain_hit"] = \
-                        after.hits_no_ecs > before.hits_no_ecs
-            kernel.feed(segment, rows[budget:])
-            budget = max(0, budget - len(rows))
-        partial = kernel.partial()
+        with tracer.span("replay", kind=kind) as shard_span:
+            partial = untraced() if not tracer.limit \
+                else _replay_head_traced(tracer, kind, feeds)
+            shard_span.attrs["rows"] = partial.queries
     reg = _obs_metrics.ACTIVE
     if reg is not None:
         _record_replay_metrics(reg, kind, partial)
     return partial
+
+
+def _replay_head_traced(tracer: _obs_trace.Tracer, kind: str,
+                        feeds: Callable[[ReplayKernel], Feeds]
+                        ) -> ReplayPartial:
+    """:func:`_observed_replay`'s storing lane: per-row ``replay.query``
+    spans over each shard's leading rows, the rest in bulk."""
+    kernel = ReplayKernel()
+    budget = TRACED_RECORDS_PER_SHARD
+    field = CLIENT_FIELDS[kind]
+    for source, segment, rows in feeds(kernel):
+        if rows is None:
+            rows = range(len(segment[0]))
+        head = rows[:budget]
+        for row, attrs in zip(head, _span_attrs(source, field, head)):
+            with tracer.span("replay.query", kind=kind, **attrs) as span:
+                before = kernel.partial()
+                kernel.feed(segment, (row,))
+                after = kernel.partial()
+                span.attrs["ecs_hit"] = after.hits_ecs > before.hits_ecs
+                span.attrs["plain_hit"] = \
+                    after.hits_no_ecs > before.hits_no_ecs
+        kernel.feed(segment, rows[budget:])
+        budget = max(0, budget - len(rows))
+    return kernel.partial()
 
 
 def _span_attrs(source: Union[ColumnarStore, "KeyedTrace"], field: str,
@@ -280,7 +294,10 @@ def _replay_lines_shard(kind: str, spill: str) -> ReplayPartial:
     parsing location (parent vs worker) and the file format can never
     change replay output.
     """
-    with open(spill, "r", encoding="utf-8") as fh:
+    tracer = _obs_trace.ACTIVE
+    with (tracer.span("parse", kind=kind) if tracer is not None
+          else contextlib.nullcontext()), \
+            open(spill, "r", encoding="utf-8") as fh:
         store = _parse_lines(kind, fh)
     field = CLIENT_FIELDS[kind]
     return _observed_replay(
@@ -362,7 +379,10 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
             with tempfile.TemporaryDirectory(prefix="repro-replay-") \
                     as spill_dir:
                 bucket_start = time.perf_counter()
-                spills, routed = _spill_buckets(path, shards, spill_dir)
+                tracer = _obs_trace.ACTIVE
+                with (tracer.span("bucket", kind=kind, shards=shards)
+                      if tracer is not None else contextlib.nullcontext()):
+                    spills, routed = _spill_buckets(path, shards, spill_dir)
                 emitter = _obs_live.ACTIVE
                 if emitter is not None:
                     emitter.beat("bucket", f"replay:{kind}", records=routed,

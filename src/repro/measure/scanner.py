@@ -13,6 +13,7 @@ dataset records from the experiment server's log.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
@@ -21,6 +22,7 @@ from ..datasets.records import ScanQueryRecord
 from ..datasets.scan_dataset import ScanUniverse
 from ..dnslib import Name, RecordType
 from ..faults.retry import RetryPolicy
+from ..obs import trace as _obs_trace
 from .digclient import StubClient
 
 
@@ -61,15 +63,18 @@ class Scanner:
                        else universe.forwarder_ips)
         start_index = len(universe.experiment_server.observations)
         responding: Set[str] = set()
-        for ingress_ip in targets:
-            qname = encode_probe_name(ingress_ip, universe.domain)
-            # The probe carries no ECS and asks for an A record, as the
-            # paper's scan did.
-            result = self.client.query(ingress_ip, qname, RecordType.A,
-                                       use_edns=False)
-            if result.response is not None and result.addresses:
-                responding.add(ingress_ip)
-            universe.net.clock.advance(self.inter_query_gap_s)
+        tracer = _obs_trace.ACTIVE
+        with (tracer.span("scan", targets=len(targets)) if tracer is not None
+              else nullcontext()):
+            for ingress_ip in targets:
+                qname = encode_probe_name(ingress_ip, universe.domain)
+                # The probe carries no ECS and asks for an A record, as
+                # the paper's scan did.
+                result = self.client.query(ingress_ip, qname, RecordType.A,
+                                           use_edns=False)
+                if result.response is not None and result.addresses:
+                    responding.add(ingress_ip)
+                universe.net.clock.advance(self.inter_query_gap_s)
 
         records: List[ScanQueryRecord] = []
         ecs_ingress: Set[str] = set()

@@ -299,6 +299,8 @@ class LiveSink:
                 for instrument in self._registry.instruments()
                 if isinstance(instrument, Counter) and
                 instrument.name.startswith(_STATUS_COUNTER_PREFIXES)}
+            calls, seconds = (col(f"repro_layer_{field}_total")
+                              for field in ("calls", "seconds"))
             stale = self._sum("repro_live_heartbeats_stale_total")
             return {
                 "uptime_seconds": round(time.monotonic() - self.started, 3),
@@ -310,6 +312,9 @@ class LiveSink:
                 "tasks": tasks,
                 "workers": workers,
                 "counters": counters,
+                "layers": {layer: {"calls": int(count),
+                                   "seconds": round(seconds[layer], 6)}
+                           for layer, count in sorted(calls.items())},
                 "timeline": {"events": len(self._ring),
                              "dropped": self._dropped()},
             }

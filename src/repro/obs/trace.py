@@ -1,4 +1,4 @@
-"""Lightweight span tracing for query-lifecycle provenance.
+"""Span tracing for query-lifecycle provenance, and the run's cost ledger.
 
 A :class:`Tracer` collects :class:`Span` records — named, attributed,
 monotonic-clock-timed intervals with parent/child IDs — from anywhere in
@@ -6,28 +6,29 @@ the process via a thread of nested ``with tracer.span(...)`` blocks.
 Instrumented library code reads the module-level :data:`ACTIVE` slot
 (set only through :func:`swap`) and skips the span when it is ``None``,
 so tracing that is switched off costs one global load per call site.
+Every closed span also books one call and its *self* time (duration
+minus child spans) per span name in the tracer's ledger, so the self
+times of a span tree sum to its root's duration; ``limit=0`` makes an
+aggregate-only tracer that stores no span and keeps only the ledger.
 
 Span identity is deterministic: IDs are ``<prefix>-<seq>`` with a
 per-tracer sequence, and the shard executor gives each shard's tracer a
-``s<shard_index>`` prefix before merging span lists in shard order —
-span *topology* is therefore identical for any worker count (only the
-wall-clock timestamps vary, and those never feed experiment reports).
-
-The DNS query lifecycle is expressed purely through span nesting and
-attributes: a client's ``query`` span parents the resolver's
-``cache_lookup`` (attrs: hit), a miss parents ``forward`` and
-``authoritative`` spans (attrs: ECS scope in/out, TCP fallback), and
-:func:`repro.obs.export.write_spans_jsonl` streams the finished spans as
-one JSON object per line.
+``s<shard_index>`` prefix before merging spans and ledgers in shard
+order — span *topology* and ledger call counts are therefore identical
+for any worker count (only wall-clock times vary, and those never feed
+experiment reports).  The DNS query lifecycle is expressed purely
+through span nesting and attributes (``docs/observability.md``), and
+:func:`repro.obs.export.write_spans_jsonl` streams finished spans as one
+JSON object per line.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
+
+from .metrics import MetricsRegistry
 
 #: Spans kept per tracer before further spans are counted but not stored
 #: (a memory backstop for long runs with tracing left on).
@@ -59,7 +60,8 @@ class Span:
 
 
 class Tracer:
-    """Collects spans; nesting is tracked per tracer (single-threaded).
+    """Collects spans and their ledger; nesting is tracked per tracer
+    (single-threaded).
 
     ``id_prefix`` namespaces span/trace IDs so shard tracers merge
     without collisions.  ``limit`` bounds stored spans; the overflow
@@ -72,49 +74,49 @@ class Tracer:
         self.limit = limit
         self.spans: List[Span] = []
         self.dropped = 0
-        self._seq = itertools.count(1)
-        #: (trace_id, span_id) of the open spans, outermost first.
-        self._stack: List[Tuple[str, str]] = []
-
-    # -- ids ----------------------------------------------------------------
-
-    def _next_id(self) -> str:
-        return f"{self.id_prefix}-{next(self._seq)}"
+        #: Span name -> [calls, self seconds] of the spans closed here.
+        self.totals: Dict[str, List[float]] = {}
+        #: The same, of the shard tracers folded in by :meth:`absorb`.
+        self.absorbed: Dict[str, List[float]] = {}
+        self._seq = 0
+        #: The open spans, outermost first.
+        self._stack: List[_Open] = []
 
     # -- recording ----------------------------------------------------------
 
-    @contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
-        """Open a span; yields the (mutable) record for extra attrs.
+    def span(self, name: str, **attrs: Any) -> "_Open":
+        """Open a span: ``with tracer.span(...) as record`` yields the
+        (mutable) record for extra attrs.
 
         The record is appended on exit, so ``tracer.spans`` is ordered
         by *completion* — children precede their parents, exactly the
         order a depth-first lifecycle walk finishes in.
         """
-        span_id = self._next_id()
-        parent = self._stack[-1] if self._stack else None
-        trace_id = parent[0] if parent else span_id
-        record = Span(trace_id, span_id, parent[1] if parent else None,
-                      name, time.monotonic(), 0.0, attrs)
-        self._stack.append((trace_id, span_id))
-        try:
-            yield record
-        finally:
-            self._stack.pop()
-            record.end = time.monotonic()
-            self._store(record)
+        self._seq += 1
+        span_id = f"{self.id_prefix}-{self._seq}"
+        parent = self._stack[-1].record if self._stack else None
+        return _Open(self, Span(
+            parent.trace_id if parent else span_id, span_id,
+            parent.span_id if parent else None, name, time.monotonic(), 0.0,
+            attrs))
 
     def event(self, name: str, **attrs: Any) -> Span:
         """A zero-duration span under the current parent."""
-        span_id = self._next_id()
-        parent = self._stack[-1] if self._stack else None
+        self._seq += 1
+        span_id = f"{self.id_prefix}-{self._seq}"
+        parent = self._stack[-1].record if self._stack else None
         now = time.monotonic()
-        record = Span(parent[0] if parent else span_id, span_id,
-                      parent[1] if parent else None, name, now, now, attrs)
-        self._store(record)
+        record = Span(parent.trace_id if parent else span_id, span_id,
+                      parent.span_id if parent else None, name, now, now,
+                      attrs)
+        self._close(record, 0.0)
         return record
 
-    def _store(self, record: Span) -> None:
+    def _close(self, record: Span, self_seconds: float) -> None:
+        """Book a finished span in the ledger; store it if there is room."""
+        total = self.totals.setdefault(record.name, [0, 0.0])
+        total[0] += 1
+        total[1] += self_seconds
         if len(self.spans) < self.limit:
             self.spans.append(record)
         else:
@@ -122,15 +124,69 @@ class Tracer:
 
     # -- merging ------------------------------------------------------------
 
-    def absorb(self, spans: List[Span], dropped: int = 0) -> None:
-        """Append shard spans (already uniquely prefixed) in order."""
-        room = self.limit - len(self.spans)
-        if room >= len(spans):
-            self.spans.extend(spans)
-        else:
-            self.spans.extend(spans[:max(0, room)])
-            self.dropped += len(spans) - max(0, room)
-        self.dropped += dropped
+    def absorb(self, shard: "Tracer", inline: bool = False) -> None:
+        """Fold a finished shard tracer in: its spans (already uniquely
+        prefixed) append in order, its ledger adds to :attr:`absorbed`.
+        ``inline``: it ran here, inside the open span, so its seconds are
+        that span's child time."""
+        room = max(0, self.limit - len(self.spans))
+        self.spans.extend(shard.spans[:room])
+        self.dropped += shard.dropped + max(0, len(shard.spans) - room)
+        for name, (calls, seconds) in shard.ledger().items():
+            total = self.absorbed.setdefault(name, [0, 0.0])
+            total[0] += calls
+            total[1] += seconds
+            if inline and self._stack:
+                self._stack[-1].child += seconds
+
+    def ledger(self) -> Dict[str, List[float]]:
+        """Span name -> [calls, self seconds] of this tracer's own spans
+        and its shards' together."""
+        merged: Dict[str, List[float]] = {}
+        for source in (self.totals, self.absorbed):
+            for name, (calls, seconds) in source.items():
+                total = merged.setdefault(name, [0, 0.0])
+                total[0] += calls
+                total[1] += seconds
+        return merged
+
+    def publish(self, registry: MetricsRegistry) -> None:
+        """Add the spans closed here to ``registry``'s ``repro_layer_*``
+        counters (absorbed shards' spans arrive in shard registries)."""
+        if not self.totals:
+            return
+        calls = registry.counter("repro_layer_calls_total",
+                                 "Spans closed, by span name.", ("layer",))
+        seconds = registry.counter(
+            "repro_layer_seconds_total",
+            "Span self seconds (duration minus child spans), by span name.",
+            ("layer",))
+        for name, (count, self_seconds) in sorted(self.totals.items()):
+            calls.inc(count, name)
+            seconds.inc(max(0.0, self_seconds), name)
+
+
+class _Open:
+    """The context manager of one span being recorded: it tracks the
+    seconds its child spans took, so closing it books its self time."""
+
+    __slots__ = ("tracer", "record", "child")
+
+    def __init__(self, tracer: Tracer, record: Span) -> None:
+        self.tracer, self.record, self.child = tracer, record, 0.0
+
+    def __enter__(self) -> Span:
+        self.tracer._stack.append(self)
+        return self.record
+
+    def __exit__(self, *exc: Any) -> None:
+        stack, record = self.tracer._stack, self.record
+        stack.pop()
+        record.end = time.monotonic()
+        duration = record.end - record.start
+        if stack:
+            stack[-1].child += duration
+        self.tracer._close(record, duration - self.child)
 
 
 # ---------------------------------------------------------------------------

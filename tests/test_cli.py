@@ -315,6 +315,70 @@ class TestArtefactsOnFailure:
         assert [p.name for p in work.iterdir()] == [name]
 
 
+#: Each file-reading command, given its input path.
+_READERS = {
+    "replay": lambda path, out: ["replay", "allnames", path],
+    "convert": lambda path, out: ["convert", "allnames", path, out],
+    "dataset info": lambda path, out: ["dataset", "info", path],
+}
+
+
+class TestUnopenableInput:
+    """One rule for an input path that cannot be opened: exit 1 with one
+    stderr line naming the path and the reason, never a traceback.  An
+    empty file opens, and is a zero-row trace."""
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        (tmp_path / "a-directory.col").mkdir()
+        (tmp_path / "empty.col").write_bytes(b"")
+        return {"missing": (tmp_path / "missing.col", "No such file"),
+                "directory": (tmp_path / "a-directory.col", "Is a directory"),
+                "empty": (tmp_path / "empty.col", None)}
+
+    @pytest.mark.parametrize("case", ("missing", "directory", "empty"))
+    @pytest.mark.parametrize("command", sorted(_READERS))
+    def test_matrix(self, command, case, inputs, tmp_path, capsys):
+        path, reason = inputs[case]
+        out = tmp_path / "out.jsonl"
+        argv = ["--quiet", *_READERS[command](str(path), str(out))]
+        if reason is None:
+            assert main(argv) == 0
+            assert capsys.readouterr().err == ""
+            return
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        message = caught.value.code
+        assert isinstance(message, str)  # the interpreter prints it, exit 1
+        assert message.startswith(f"repro-ecs: {path}: ")
+        assert reason in message and "\n" not in message
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_file_replays_zero_rows(self, inputs, tmp_path):
+        assert main(["--quiet", "--out", str(tmp_path / "r"), "replay",
+                     "allnames", str(inputs["empty"][0])]) == 0
+        assert "records replayed        0" in \
+            (tmp_path / "r" / "replay.txt").read_text()
+
+    def test_rejection_is_a_timeline_event_and_one_line(self, inputs,
+                                                        tmp_path):
+        path = inputs["missing"][0]
+        timeline = tmp_path / "tl.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--quiet", "--timeline-out",
+             str(timeline), "replay", "allnames", str(path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"repro-ecs: {path}: No such file or directory"]
+        events = json.loads(timeline.read_text())["traceEvents"]
+        assert [(e["cat"], e["name"], e["args"]) for e in events] == [
+            ("file_rejected", "replay:allnames",
+             {"path": str(path), "reason": "No such file or directory"})]
+
+
 class TestColumnarCommands:
     def _generate(self, tmp_path, fmt=None):
         trace = tmp_path / ("trace.col" if fmt == "columnar"

@@ -15,11 +15,14 @@ import random
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.cache_sim import (ReplayPartial, merge_partials,
-                                      replay_partial)
+                                      replay_partial, replay_partial_columns)
 from repro.datasets import (AllNamesBuilder, merge_sorted_records,
                             write_jsonl)
+from repro.datasets.columnar import ColumnarStore
 from repro.engine.replay import ACCESSORS
 from repro.engine.sharding import partition_by_key
 from repro.faults import preset
@@ -105,6 +108,34 @@ class TestShardOrderIndependence:
                      if i + 1 < len(level) else level[i]
                      for i in range(0, len(level), 2)]
         assert level[0].result() == merge_partials(shard_partials)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 1 << 16),
+       scale=st.sampled_from((0.002, 0.005, 0.01)))
+def test_shard_count_moves_only_the_peak(seed, scale):
+    """Hit counters are identical at any ``--shards``; the merged peak, a
+    sum of per-bucket peaks, bounds the one-shard peak from above."""
+    store = ColumnarStore.from_column_chunks(
+        AllNamesBuilder(scale=scale, seed=seed).iter_shard_columns(0, 1),
+        "allnames")
+
+    def merged(shards):
+        partial = ReplayPartial()
+        for rows in store.row_buckets("qname", shards):
+            partial = partial.merge(
+                replay_partial_columns(store, "client_ip", rows=rows))
+        return partial
+
+    whole = merged(1)
+    for shards in (8, 64):
+        split = merged(shards)
+        assert (split.hits_ecs, split.misses_ecs, split.hits_no_ecs,
+                split.misses_no_ecs) == (whole.hits_ecs, whole.misses_ecs,
+                                         whole.hits_no_ecs,
+                                         whole.misses_no_ecs)
+        assert split.max_size_ecs >= whole.max_size_ecs
+        assert split.max_size_no_ecs >= whole.max_size_no_ecs
 
 
 def _random_network_stats(rng: random.Random) -> NetworkStats:

@@ -38,7 +38,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.export import (parse_prometheus, to_prometheus,
                               write_spans_jsonl)
-from repro.obs.profile import profile_call, render_stats
 
 
 def _random_registry(rng: random.Random) -> MetricsRegistry:
@@ -196,11 +195,6 @@ class TestPrometheusExport:
         assert summary == {"event": "tracer_summary", "spans": 2,
                            "dropped": 2}
 
-    def test_profile_call_returns_result_and_report(self):
-        result, report = profile_call(sorted, [3, 1, 2], title="tiny")
-        assert result == [1, 2, 3]
-        assert "tiny" in report and "cumulative" in report
-
 
 @pytest.fixture()
 def allnames_records():
@@ -298,11 +292,11 @@ class TestShardCapture:
 
         topo = topology(1)
         assert topo == topology(2)
-        # Shard tracers namespace their IDs; empty shards emit nothing,
-        # so expect a subset of the four prefixes covering >1 shard.
-        prefixes = {span_id.split("-")[0] for _, span_id, _, _ in topo}
-        assert prefixes <= {"s0", "s1", "s2", "s3"}
-        assert len(prefixes) >= 2
+        # Shard tracers namespace their IDs; the parent's one span is the
+        # run's dispatch, closed after every shard span it folded in.
+        assert topo[-1] == ("t-1", "t-1", None, "dispatch")
+        prefixes = {span_id.split("-")[0] for _, span_id, _, _ in topo[:-1]}
+        assert prefixes == {"s0", "s1", "s2", "s3"}
 
     def test_observe_restores_previous_state(self):
         assert obs_metrics.ACTIVE is None and obs_trace.ACTIVE is None
@@ -343,7 +337,7 @@ class TestCliDeterminism:
         plain, observed = tmp_path / "plain", tmp_path / "observed"
         assert cli_main(["--quiet", "--out", str(plain),
                          "caching", "--ingress", "25"]) == 0
-        assert cli_main(["--quiet", "--out", str(observed),
+        assert cli_main(["--quiet", "--out", str(observed), "--report",
                          "--metrics-out", str(tmp_path / "m.prom"),
                          "--trace-out", str(tmp_path / "t.jsonl"),
                          "caching", "--ingress", "25"]) == 0
@@ -359,13 +353,14 @@ class TestCliDeterminism:
         for tag, workers, flags in (
                 ("a", "1", []),
                 ("b", "1", ["--metrics-out", str(tmp_path / "b.prom")]),
-                ("c", "2", ["--metrics-out", str(tmp_path / "c.prom")])):
+                ("c", "2", ["--metrics-out", str(tmp_path / "c.prom")]),
+                ("d", "2", ["--report"])):
             out = tmp_path / tag
             assert cli_main(["--quiet", "--out", str(out), *flags,
                              "replay", "allnames", str(trace),
                              "--workers", workers]) == 0
             outs.append(_read_reports(out))
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1] == outs[2] == outs[3]
         assert ((tmp_path / "b.prom").read_bytes()
                 == (tmp_path / "c.prom").read_bytes())
 
@@ -388,7 +383,7 @@ class TestImportFootprint:
             "repro.measure.scanner")
         assert "repro.obs.live" in loaded  # the engine reads that slot
         assert not loaded & {"http.server", "cProfile", "pstats",
-                             "repro.obs.server", "repro.obs.profile"}
+                             "repro.obs.server"}
 
     def test_package_import_loads_metrics_and_trace_only(self):
         # ``import repro`` pulls in the engine (and with it obs.live), so
@@ -464,28 +459,3 @@ class TestHumanUnits:
         assert human_count(999) == "999"
         assert human_count(3_800_000_000) == "3.8B"
         assert human_count(1_250_000) == "1.2M"
-
-
-class TestRenderStats:
-    def _profile(self):
-        import cProfile
-
-        def busy():
-            return sum(range(2000))
-
-        profile = cProfile.Profile()
-        profile.enable()
-        busy()
-        profile.disable()
-        return profile
-
-    def test_top_n_limits_rows(self):
-        report = render_stats(self._profile(), top_n=1, title="tiny")
-        body = [line for line in report.splitlines()[2:]
-                if line.strip() and not line.startswith("(")]
-        assert len(body) == 1
-        assert "top 1 by cumulative time" in report
-
-    def test_ordering_is_deterministic(self):
-        profile = self._profile()
-        assert render_stats(profile, top_n=5) == render_stats(profile, top_n=5)

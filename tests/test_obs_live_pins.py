@@ -110,6 +110,7 @@ EXPECTED_RUN = {
                  "repro_faults_total": 4.0,
                  "repro_retries_total": 2.0},
     "heartbeats": {"lost": 1, "received": 22, "stale": 1},
+    "layers": {},
     "tasks": {
         G: {"dispatched": 0, "done": 1, "in_flight": 1,
             "payload_bytes": 0, "records": 100, "shards_total": 2,

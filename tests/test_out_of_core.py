@@ -125,7 +125,8 @@ def test_traced_row_range_replay_stays_group_bounded(tmp_path, monkeypatch):
     def traced_replay():
         with observe(tracing=True) as session:
             result = replay()
-        return result, len(session.tracer.spans)
+        return result, sum(s.name == "replay.query"
+                           for s in session.tracer.spans)
 
     plain, peak_plain = peak_alloc_of(replay)
     (traced, spans), peak_traced = peak_alloc_of(traced_replay)
@@ -157,7 +158,8 @@ def test_traced_jsonl_replay_costs_spans_not_rows(tmp_path, monkeypatch):
     def traced_replay():
         with observe(tracing=True) as session:
             result = replay()
-        return result, len(session.tracer.spans)
+        return result, sum(s.name == "replay.query"
+                           for s in session.tracer.spans)
 
     plain, peak_plain = peak_alloc_of(replay)
     (traced, spans), peak_traced = peak_alloc_of(traced_replay)
@@ -297,7 +299,8 @@ def test_trace_replay_equals_the_oracle(row_group_rows, shards, small_trace,
                                        workers=1)[0] == want
     for shard, rows in enumerate(_span_oracle(records, shards, 40)):
         spans = [s.attrs for s in session.tracer.spans
-                 if s.span_id.startswith(f"s{shard}-")]
+                 if s.name == "replay.query"
+                 and s.span_id.startswith(f"s{shard}-")]
         assert [(a["ts"], a["qname"], a["client"], a["ecs_hit"],
                  a["plain_hit"]) for a in spans] == rows, shard
 

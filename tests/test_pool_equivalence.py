@@ -290,8 +290,8 @@ def _run_protocol(fn, shard_args, shared, chunk_size) -> List[Any]:
     outcomes = []
     for lo, hi in _chunk_bounds(len(blobs), chunk_size):
         outcomes.extend(_run_header_chunk(header, blobs[lo:hi], lo,
-                                          _len_or_zero, False, False))
-    return [result for result, _, _, _, _, _ in outcomes]
+                                          _len_or_zero, False, None))
+    return [outcome[0] for outcome in outcomes]
 
 
 @settings(max_examples=30, deadline=None)
