@@ -18,8 +18,9 @@ convert     convert a trace between JSONL and the columnar format
 dataset     inspect an on-disk trace file (``dataset info FILE``)
 chaos       run the scan campaign under a fault-injection preset
 all         every analysis command, sequentially
-lint        run the repro.staticcheck invariant linter (RS001-RS003,
-            RS005, RS100, RS203, RS204)
+
+The invariant linter is not a command here: run ``python -m
+repro.staticcheck`` (``docs/static-analysis.md``).
 
 Every command accepts ``--seed`` and a size knob and writes rendered
 reports to ``--out`` (default: print to stdout only); ``--quiet``
@@ -637,11 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="open ingress resolvers to probe")
     add_engine_flags(chaos)
 
-    lint = sub.add_parser(
-        "lint", help="run the repro.staticcheck invariant linter")
-    from .staticcheck.__main__ import add_lint_arguments
-    add_lint_arguments(lint)
-
     all_cmd = sub.add_parser("all", help="run every command")
     all_cmd.add_argument("--ingress", type=int, default=200)
     all_cmd.add_argument("--scale", type=float, default=0.005)
@@ -722,11 +718,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "lint":
-        # Static analysis never runs an experiment: no reporter, no
-        # observability session, exit code straight from the linter.
-        from .staticcheck.__main__ import run_from_args
-        return run_from_args(args)
     reporter = _Reporter(args.out, quiet=args.quiet,
                          show_report=args.report)
     live_enabled = (args.serve_metrics is not None

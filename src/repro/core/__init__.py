@@ -9,14 +9,14 @@ from .classify import (CachingCategory, CachingProbeOutcome,
                        prefix_length_profile)
 from .policies import (COMPLIANT_POLICY, AuthoritativeEcsState, EcsDecision,
                        EcsPolicy, ProbingEngine, ProbingStrategy,
-                       ScopeHandling, build_query_ecs)
+                       build_query_ecs)
 
 __all__ = [
     "AuthoritativeEcsState", "COMPLIANT_POLICY", "CacheStats",
     "CachingCategory", "CachingProbeOutcome", "EcsCache", "EcsDecision",
     "EcsPolicy", "PrefixProfile", "ProbingCategory",
     "ProbingClassification", "ProbingEngine", "ProbingStrategy",
-    "QueryObservation", "ScopeHandling", "ScopeMode", "ScopeTracker",
+    "QueryObservation", "ScopeMode", "ScopeTracker",
     "build_query_ecs", "classify_caching", "classify_probing",
     "effective_scope", "prefix_length_profile",
 ]

@@ -16,6 +16,7 @@ from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from ..addr import MASKS4, IPAddress, parse_addr
 from ..dnslib import EcsOption, Name, RecordType
+from .cache import ScopeMode
 
 IPAddressLike = Union[str, IPAddress]
 
@@ -42,14 +43,6 @@ class ProbingStrategy(enum.Enum):
     INTERVAL_OWN_ADDRESS = "interval_own_address"
     #: Never send ECS (the vast majority of all resolvers).
     NEVER = "never"
-
-
-class ScopeHandling(enum.Enum):
-    """Mirror of :class:`repro.core.cache.ScopeMode` for policy wiring."""
-
-    HONOR = "honor"
-    IGNORE = "ignore"
-    CLAMP = "clamp"
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ class EcsPolicy:
     fixed_prefix_len: int = 8
 
     #: Cache behavior.
-    scope_handling: ScopeHandling = ScopeHandling.HONOR
+    scope_handling: ScopeMode = ScopeMode.HONOR
     clamp_scope_bits: int = 22
     enforce_scope_le_source: bool = True
     cache_zero_scope: bool = True

@@ -352,7 +352,7 @@ class ColumnarWriter:
                              f"{store.rows} rows")
         base = self.rows
         for spec in self.schema.columns:
-            raw = store.raw_column(spec.name)
+            raw = store.column(spec.name)
             arr = self._arrays[spec.name]
             if spec.kind == "str" and not spec.nullable:
                 dictionary = store.dictionary(spec.name)
@@ -559,12 +559,8 @@ class ColumnarStore:
 
     # -- column access -----------------------------------------------------
 
-    def raw_column(self, name: str) -> Any:
-        """The packed value sequence (dictionary codes for str columns)."""
-        return self._data[name]
-
     def column(self, name: str) -> Any:
-        """Alias of :meth:`raw_column`; the replay hot path's entry."""
+        """The packed value sequence (dictionary codes for str columns)."""
         return self._data[name]
 
     def dictionary(self, name: str) -> List[str]:
@@ -1186,7 +1182,7 @@ class RowGroupReader:
         """Raise unless every non-null cell of a str column holds a code
         inside its group's dictionary; a null cell holds a placeholder
         0 that may not (an all-null column has an empty dictionary)."""
-        codes = store.raw_column(name)
+        codes = store.column(name)
         size = len(store.dictionary(name))
         if not codes or max(codes) < size:
             return
@@ -1625,7 +1621,7 @@ def prebucket_columnar(src: Union[str, Path], dst: Union[str, Path],
 def _stable_ts_order(store: ColumnarStore) -> List[int]:
     """Row indices of ``store`` in ts order, ties in row order: the sort
     ``build_shard`` performs on records, and the merge's on a window."""
-    return sorted(range(store.rows), key=store.raw_column("ts").__getitem__)
+    return sorted(range(store.rows), key=store.column("ts").__getitem__)
 
 
 def merge_columnar_shards(paths: Sequence[Union[str, Path]],
@@ -1692,7 +1688,7 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
                 group_of[shard] += 1
                 if reader.group_rows(group_of[shard]):
                     stores[shard] = reader.group(group_of[shard])
-                    ts_of[shard] = stores[shard].raw_column("ts")
+                    ts_of[shard] = stores[shard].column("ts")
                     pos[shard] = 0
                     return True
             stores[shard] = None

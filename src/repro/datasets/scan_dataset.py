@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..auth.hierarchy import DnsHierarchy
 from ..auth.scan_experiment import ScanExperimentServer
+from ..core.cache import ScopeMode
 from ..core.policies import EcsPolicy
 from ..dnslib import Name
 from ..net.geo import WORLD_CITIES, City, city
@@ -169,7 +170,7 @@ class ScanUniverseBuilder:
                     else "scope_ignorer_jammed"
                 policy = behaviors.JAMMED_LAST_BYTE if j % 2 == 0 else \
                     behaviors.JAMMED_LAST_BYTE.with_(
-                        scope_handling=behaviors.ScopeHandling.IGNORE)
+                        scope_handling=ScopeMode.IGNORE)
                 resolver = RecursiveResolver(ip, net.clock, hierarchy.root_ips,
                                              policy=policy)
                 net.attach(resolver)

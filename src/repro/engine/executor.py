@@ -71,18 +71,12 @@ class ShardStats:
 
 @dataclass
 class EngineReport:
-    """Aggregate throughput of one sharded run.
-
-    ``metrics`` holds the shard-order merge of the per-shard registries
-    when collection was active in the parent (``None`` otherwise); it is
-    never rendered into experiment reports.
-    """
+    """Aggregate throughput of one sharded run."""
 
     task: str
     workers: int
     wall_seconds: float
     shards: List[ShardStats] = field(default_factory=list)
-    metrics: Optional[MetricsRegistry] = None
     #: How the shards executed: "inline" or, on a worker pool,
     #: "persistent".  Execution detail only — never affects output.
     pool_mode: str = "inline"
@@ -337,27 +331,25 @@ def _run_sharded(fn: Callable[..., Any],
              in enumerate(outcomes)]
     report = EngineReport(task, workers, wall, stats,
                           pool_mode=pool_mode, header_bytes=header_bytes)
-    _fold_observability(report, outcomes, capture_metrics)
+    _fold_observability(report, outcomes)
     if emitter is not None:
         emitter.beat("run_end", task, records=report.total_records)
     return results, report
 
 
-def _fold_observability(report: EngineReport, outcomes: Sequence[_Outcome],
-                        capture_metrics: bool) -> None:
-    """Merge per-shard snapshots in shard order; feed the parent's obs.
+def _fold_observability(report: EngineReport,
+                        outcomes: Sequence[_Outcome]) -> None:
+    """Merge per-shard snapshots in shard order into the parent's obs.
 
     An inline shard ran inside the parent's open ``dispatch`` span, so
     the parent tracer books its ledger's seconds as that span's child
     time: at one worker the ledger's rows sum to the wall.
     """
-    if capture_metrics:
-        merged = merge_registries(registry for _, _, _, registry, _
-                                  in outcomes if registry is not None)
-        report.metrics = merged
-        parent = obs_metrics.ACTIVE
-        if parent is not None:
-            parent.merge_from(merged)
+    parent = obs_metrics.ACTIVE
+    if parent is not None:
+        parent.merge_from(merge_registries(
+            registry for _, _, _, registry, _ in outcomes
+            if registry is not None))
     parent_tracer = obs_trace.ACTIVE
     if parent_tracer is not None:
         for _, _, _, _, tracer in outcomes:

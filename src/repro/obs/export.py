@@ -19,8 +19,8 @@ insertion order — which is what lets ``--workers 1`` and ``--workers N``
 runs produce the same metrics file.
 
 :func:`parse_prometheus` is the matching validator: a small strict
-parser used by ``repro-ecs lint --prom`` (rule RS100) and the test suite
-to assert that everything we emit is well-formed.
+parser used by ``python -m repro.staticcheck --prom`` (rule RS100) and the
+test suite to assert that everything we emit is well-formed.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet
 
-from ..core.policies import EcsPolicy, ProbingStrategy, ScopeHandling
+from ..core.cache import ScopeMode
+from ..core.policies import EcsPolicy, ProbingStrategy
 from ..dnslib import Name
 
 
@@ -76,7 +77,7 @@ PREFIX_25 = EcsPolicy(source_prefix_v4=25)
 
 #: Reuses cached answers for any client, ignoring scope entirely (103 of
 #: the 203 studied resolvers — over half).
-SCOPE_IGNORER = EcsPolicy(scope_handling=ScopeHandling.IGNORE)
+SCOPE_IGNORER = EcsPolicy(scope_handling=ScopeMode.IGNORE)
 
 #: Accepts client prefixes longer than /24 and caches at those scopes
 #: (15 resolvers).
@@ -93,7 +94,7 @@ CLAMP_22 = EcsPolicy(
     accept_client_ecs=True,
     max_accepted_prefix_v4=22,
     source_prefix_v4=22,
-    scope_handling=ScopeHandling.CLAMP,
+    scope_handling=ScopeMode.CLAMP,
     clamp_scope_bits=22,
 )
 

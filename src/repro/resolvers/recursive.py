@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..core.cache import EcsCache, ScopeMode
+from ..core.cache import EcsCache
 from ..core.policies import (EcsDecision, EcsPolicy, ProbingEngine,
-                             ProbingStrategy, ScopeHandling, build_query_ecs)
+                             ProbingStrategy, build_query_ecs)
 from ..dnslib import (EcsOption, Message, Name, Rcode, RecordType,
                       ResolutionError)
 from ..faults.retry import RetryPolicy, execute_with_retries
@@ -37,13 +37,6 @@ DEFAULT_RESOLVER_RETRY_POLICY = RetryPolicy(
     retry_without_ecs_on_formerr=True,
     retry_without_edns_on_formerr=True)
 
-_SCOPE_MODE_FOR = {
-    ScopeHandling.HONOR: ScopeMode.HONOR,
-    ScopeHandling.IGNORE: ScopeMode.IGNORE,
-    ScopeHandling.CLAMP: ScopeMode.CLAMP,
-}
-
-
 class RecursiveResolver(DnsServer):
     """An egress resolver: takes client queries, resolves iteratively."""
 
@@ -62,7 +55,7 @@ class RecursiveResolver(DnsServer):
         self.probing = ProbingEngine(self.policy)
         self.cache = EcsCache(
             clock,
-            scope_mode=_SCOPE_MODE_FOR[self.policy.scope_handling],
+            scope_mode=self.policy.scope_handling,
             clamp_bits=self.policy.clamp_scope_bits,
             enforce_scope_le_source=self.policy.enforce_scope_le_source,
             cache_zero_scope=self.policy.cache_zero_scope,

@@ -6,8 +6,11 @@ The framework is deliberately tiny: a *rule* is an object with an ``id``
 :class:`Violation` records to it; file rules (e.g. the Prometheus
 exposition check) receive a path and return violations directly, so
 non-Python artifacts ride the same reporting pipeline; graph rules
-(RS203) receive every ``(path, tree)`` pair of the run.  The driver over
-files and directories is :func:`lint_paths`.
+(RS203) receive the :class:`LintContext` of every file in the run.  The
+driver over files and directories is :func:`lint_paths`.  Every rule
+runs on every file; what a file may do depends only on its role (test
+code, the obs layer), read from whole path components by
+:func:`role_parts`.
 
 Suppressions are source comments::
 
@@ -24,13 +27,12 @@ from __future__ import annotations
 
 import ast
 import io
+import os
 import re
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-from .config import Config
 
 #: Reported when a suppression comment matches no violation.
 UNUSED_ID = "RS000"
@@ -57,31 +59,61 @@ class Violation:
                 f"{self.rule_id} [{self.rule_name}] {self.message}")
 
 
+def render_text(violations: Sequence[Violation], files_checked: int) -> str:
+    """One ``path:line:col: RSnnn [name] message`` line per violation,
+    then a count."""
+    lines = [violation.render() for violation in violations]
+    noun = "file" if files_checked == 1 else "files"
+    if violations:
+        lines.append(f"{len(violations)} violation"
+                     f"{'' if len(violations) == 1 else 's'} "
+                     f"in {files_checked} {noun}")
+    else:
+        lines.append(f"clean: 0 violations in {files_checked} {noun}")
+    return "\n".join(lines)
+
+
+#: A directory of one of these names holds test code.
+_TEST_DIRS = frozenset({"tests", "benchmarks", "fixtures"})
+
+
+def role_parts(path: Path, root: Path) -> Tuple[str, ...]:
+    """The path components that decide ``path``'s role.
+
+    They are read below the current directory when the file lies under
+    it, else below the parent of ``root`` (the path named on the command
+    line): directories above the lint root never make a file test code
+    or obs code, however the root was spelled.
+    """
+    here = Path(os.path.abspath(path))
+    base = Path.cwd()
+    if not here.is_relative_to(base):
+        base = Path(os.path.abspath(root)).parent
+    return here.relative_to(base).parts
+
+
 class LintContext:
-    """Everything an AST rule needs about the file under inspection."""
+    """Everything a rule needs about one parsed Python file.
+
+    ``parts`` are the file's :func:`role_parts`.  A file is test code
+    (constant seeds, ``hash()`` and the clock are fine there) when a
+    component is ``tests``, ``benchmarks`` or ``fixtures`` or it is named
+    ``test_*.py`` or ``conftest.py``; it is in the out-of-band obs layer
+    when a component is ``obs`` or it is named ``obs.py``.
+    """
 
     def __init__(self, path: str, source: str, tree: ast.Module,
-                 config: Config) -> None:
+                 parts: Sequence[str]) -> None:
         self.path = path
-        self.posix_path = Path(path).as_posix()
         self.source = source
         self.tree = tree
-        self.config = config
+        name = parts[-1] if parts else ""
+        self.is_test = (not _TEST_DIRS.isdisjoint(parts)
+                        or name == "conftest.py"
+                        or (name.startswith("test_")
+                            and name.endswith(".py")))
+        self.in_obs = "obs" in parts or name == "obs.py"
         self.violations: List[Violation] = []
-
-    @property
-    def is_test(self) -> bool:
-        return self.config.is_test_path(self.posix_path)
-
-    @property
-    def allows_clock(self) -> bool:
-        return self.config.allows_clock(self.posix_path)
-
-    @property
-    def in_obs(self) -> bool:
-        """True inside ``repro.obs`` (the layer RS003 protects callers of)."""
-        return "/obs/" in self.posix_path or \
-            self.posix_path.endswith("/obs.py")
 
     def report(self, rule: "AstRule", node: ast.AST, message: str) -> None:
         self.violations.append(Violation(
@@ -108,24 +140,23 @@ class FileRule:
     def applies(self, path: Path) -> bool:
         raise NotImplementedError
 
-    def check_file(self, path: Path, config: Config) -> List[Violation]:
+    def check_file(self, path: Path) -> List[Violation]:
         raise NotImplementedError
 
 
 class GraphRule:
-    """Base class for rules over all the parsed trees of one run.
+    """Base class for rules over all the parsed files of one run.
 
-    :func:`lint_paths` hands them the ``(path, tree)`` pairs it already
-    parsed; they are registered here so the selection machinery,
-    ``--list-rules`` and unused-suppression accounting treat them
-    exactly like the per-file families.
+    :func:`lint_paths` hands them the contexts it already built; they
+    are registered here so ``rule_ids``, ``--list-rules`` and
+    unused-suppression accounting treat them exactly like the per-file
+    families.
     """
 
     id: str = ""
     name: str = ""
 
-    def check_trees(self, trees: Sequence[Tuple[str, ast.Module]],
-                    config: Config) -> List[Violation]:
+    def check_trees(self, files: Sequence[LintContext]) -> List[Violation]:
         raise NotImplementedError
 
 
@@ -180,17 +211,10 @@ def _ensure_rules_loaded() -> None:
     from . import rules  # noqa: F401  (import for side effect)
 
 
-def _selected_ids(config: Config,
-                  rule_ids: Optional[Sequence[str]] = None) -> Set[str]:
-    """Rule IDs a run executes: ``select`` minus ``ignore``, cut to
-    ``rule_ids`` when the caller restricts the run."""
+def _selected_ids(rule_ids: Optional[Sequence[str]] = None) -> Set[str]:
+    """Rule IDs a run executes: all of them, or ``rule_ids``."""
     ids = set(all_rule_ids())
-    if config.select:
-        ids &= set(config.select)
-    ids -= set(config.ignore)
-    if rule_ids is not None:
-        ids &= set(rule_ids)
-    return ids
+    return ids if rule_ids is None else ids & set(rule_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +260,8 @@ class Suppressions:
     def unused(self, active_ids: Set[str]) -> List[Tuple[int, str]]:
         """(comment line, rule id) of suppressions that silenced nothing.
 
-        Suppressions for rules that were not run (deselected or unknown
-        but plausibly from another toolchain) are not counted unused —
-        except completely unknown IDs, which are always reported so
+        Suppressions for known rules that were not run (outside
+        ``rule_ids``) are not counted unused; unknown IDs always are, so
         typos like ``RS0001`` cannot silently disarm a suppression.
         """
         out: List[Tuple[int, str]] = []
@@ -248,7 +271,7 @@ class Suppressions:
             if key in self.used:
                 continue
             if rule_id in known and rule_id not in active_ids:
-                continue  # rule deselected this run; keep the suppression
+                continue  # rule not run this time; keep the suppression
             out.append((comment_line, rule_id))
         return out
 
@@ -286,22 +309,21 @@ class FileAnalysis:
     failure); ``suppressions`` is the file's directive table, which the
     caller settles *after* any graph-rule findings for the same file
     are merged in, so one suppression can serve both kinds without
-    RS000 flagging either half unused.  ``tree`` is the parse the AST
-    rules ran on (``None`` when the file is broken), which the graph
+    RS000 flagging either half unused.  ``context`` holds the parse the
+    AST rules ran on (``None`` when the file is broken), which the graph
     rules reuse.
     """
 
     path: str
     violations: List[Violation]
     suppressions: Suppressions
-    tree: Optional[ast.Module] = None
+    context: Optional[LintContext] = None
 
 
-def analyze_source(source: str, path: str, config: Optional[Config] = None,
+def analyze_source(source: str, path: str, parts: Sequence[str],
                    rule_ids: Optional[Sequence[str]] = None) -> FileAnalysis:
     """Run the AST rules over one source string (no suppression settling)."""
-    config = config or Config()
-    active = _selected_ids(config, rule_ids)
+    active = _selected_ids(rule_ids)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -309,12 +331,12 @@ def analyze_source(source: str, path: str, config: Optional[Config] = None,
                             SYNTAX_ID, SYNTAX_NAME,
                             f"file does not parse: {exc.msg}")]
         return FileAnalysis(path, broken, Suppressions())
-    ctx = LintContext(path, source, tree, config)
+    ctx = LintContext(path, source, tree, parts)
     for rule in ast_rules():
         if rule.id in active:
             rule.check(ctx)
     return FileAnalysis(path, ctx.violations, parse_suppressions(source),
-                        tree)
+                        ctx)
 
 
 def settle_file(analysis: FileAnalysis, active: Set[str],
@@ -325,7 +347,7 @@ def settle_file(analysis: FileAnalysis, active: Set[str],
     consult the same line/file directives, so one suppression table
     serves both kinds and unused-suppression accounting sees the union.
     """
-    if analysis.tree is None:
+    if analysis.context is None:
         return sorted(analysis.violations)
     merged = [*analysis.violations, *extra]
     kept = [v for v in merged if not analysis.suppressions.suppresses(v)]
@@ -336,18 +358,18 @@ def settle_file(analysis: FileAnalysis, active: Set[str],
     return sorted(kept)
 
 
-def lint_source(source: str, path: str, config: Optional[Config] = None,
+def lint_source(source: str, path: str,
                 rule_ids: Optional[Sequence[str]] = None) -> List[Violation]:
     """Lint one Python source string; returns sorted violations.
 
-    ``rule_ids`` restricts the run (mainly for tests); it composes with
-    ``config.select``/``config.ignore``.
+    ``path`` is the file's name and its lint root; ``rule_ids``
+    restricts the run (mainly for tests).
     """
-    config = config or Config()
     # One string is not a program: the graph rules need lint_paths, so
     # a suppression held for them is not "unused" here.
-    active = _selected_ids(config, rule_ids) - set(_GRAPH_RULES)
-    return settle_file(analyze_source(source, path, config, rule_ids),
+    active = _selected_ids(rule_ids) - set(_GRAPH_RULES)
+    parts = role_parts(Path(path), Path(path))
+    return settle_file(analyze_source(source, path, parts, rule_ids),
                        active)
 
 
@@ -355,55 +377,48 @@ def lint_source(source: str, path: str, config: Optional[Config] = None,
 # the driver over files and directories
 
 
-def iter_lintable_files(paths: Sequence["str | Path"],
-                        config: Config) -> List[Path]:
-    """Expand ``paths``: directories walk to ``*.py``, files pass through.
+def iter_lintable_files(paths: Sequence["str | Path"]
+                        ) -> List[Tuple[Path, Tuple[str, ...]]]:
+    """Expand ``paths`` to ``(file, role_parts)``: directories walk to
+    ``*.py``, files pass through.
 
     Non-Python files are linted only when named (or via ``--prom``), so a
     reports directory inside a lint root drags no artifacts into the run.
     A file named twice (``a.py`` and ``$PWD/a.py``) is linted once, under
     its first spelling.
     """
-    out: List[Path] = []
+    out: List[Tuple[Path, Tuple[str, ...]]] = []
     seen: Set[Path] = set()
     for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            candidates: List[Path] = sorted(path.rglob("*.py"))
-        else:
-            candidates = [path]
+        root = Path(raw)
+        candidates = sorted(root.rglob("*.py")) if root.is_dir() else [root]
         for candidate in candidates:
-            if config.is_excluded(candidate.as_posix()):
-                continue
             key = candidate.resolve()
             if key not in seen:
                 seen.add(key)
-                out.append(candidate)
+                out.append((candidate, role_parts(candidate, root)))
     return out
 
 
 def lint_paths(paths: Sequence["str | Path"],
-               config: Optional[Config] = None,
                rule_ids: Optional[Sequence[str]] = None
                ) -> Tuple[List[Violation], int]:
     """Lint files/directories; returns (sorted violations, files checked).
 
     Each Python file is parsed once for the AST rules; the graph rules
-    run over all the trees; each file's suppressions are then settled
-    once against both kinds of finding, so an unused graph-rule
-    suppression is RS000.  ``rule_ids`` composes with ``config.select``
-    and ``config.ignore``.
+    run over all the parsed files; each file's suppressions are then
+    settled once against both kinds of finding, so an unused graph-rule
+    suppression is RS000.  ``rule_ids`` restricts the run.
     """
-    config = config or Config()
-    active = _selected_ids(config, rule_ids)
-    files = iter_lintable_files(paths, config)
+    active = _selected_ids(rule_ids)
+    files = iter_lintable_files(paths)
     violations: List[Violation] = []
     analyses: List[FileAnalysis] = []
-    for path in files:
+    for path, parts in files:
         if path.suffix != ".py":
             for rule in file_rules():
                 if rule.id in active and rule.applies(path):
-                    violations.extend(rule.check_file(path, config))
+                    violations.extend(rule.check_file(path))
             continue
         try:
             source = path.read_text(encoding="utf-8")
@@ -412,13 +427,13 @@ def lint_paths(paths: Sequence["str | Path"],
                                         SYNTAX_NAME,
                                         f"cannot read file: {exc}"))
             continue
-        analyses.append(analyze_source(source, str(path), config, rule_ids))
-    trees = [(analysis.path, analysis.tree) for analysis in analyses
-             if analysis.tree is not None]
+        analyses.append(analyze_source(source, str(path), parts, rule_ids))
+    contexts = [analysis.context for analysis in analyses
+                if analysis.context is not None]
     found: Dict[str, List[Violation]] = {}
     for rule in graph_rules():
         if rule.id in active:
-            for violation in rule.check_trees(trees, config):
+            for violation in rule.check_trees(contexts):
                 found.setdefault(violation.path, []).append(violation)
     for analysis in analyses:
         violations.extend(settle_file(analysis, active,

@@ -133,7 +133,7 @@ class DeterminismRule(AstRule):
         canonical = imports.canonical(node.func)
         if canonical is not None:
             why = _CLOCK_SOURCES.get(canonical)
-            if why is not None and not (ctx.allows_clock or ctx.is_test):
+            if why is not None and not (ctx.in_obs or ctx.is_test):
                 ctx.report(self, node,
                            f"{canonical}() reads {why}; experiment code "
                            f"must use the virtual clock (net/clock.py) or "

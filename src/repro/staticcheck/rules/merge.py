@@ -24,10 +24,8 @@ and to a merge method called only on another class of the same name.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import List, Sequence, Set, Tuple
 
-from ..config import Config
 from ..core import AstRule, GraphRule, LintContext, Violation, register
 
 MERGE_METHODS = ("merge", "merge_from", "merge_into")
@@ -133,21 +131,19 @@ class MergeCalledRule(GraphRule):
     id = "RS203"
     name = "merge-called"
 
-    def check_trees(self, trees: Sequence[Tuple[str, ast.Module]],
-                    config: Config) -> List[Violation]:
+    def check_trees(self, files: Sequence[LintContext]) -> List[Violation]:
         called: Set[str] = set()
         mergeable: List[Tuple[str, ast.ClassDef, List[str]]] = []
-        for path, tree in trees:
-            is_test = config.is_test_path(Path(path).as_posix())
-            for node in ast.walk(tree):
+        for ctx in files:
+            for node in ast.walk(ctx.tree):
                 if (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr in MERGE_METHODS):
                     called.add(node.func.attr)
-                elif isinstance(node, ast.ClassDef) and not is_test:
+                elif isinstance(node, ast.ClassDef) and not ctx.is_test:
                     names = [method.name for method in _merge_methods(node)]
                     if names:
-                        mergeable.append((path, node, names))
+                        mergeable.append((ctx.path, node, names))
         return [Violation(path, node.lineno, node.col_offset, self.id,
                           self.name,
                           f"no call of {'/'.join(names)} appears anywhere "

@@ -1,9 +1,9 @@
 """RS100 — Prometheus exposition conformance (a non-AST file rule).
 
 Wraps the strict parser from :func:`repro.obs.export.parse_prometheus`
-as a registered rule, so ``repro-ecs lint --prom metrics.prom`` (or
-naming a ``.prom`` file directly) is the one Prometheus linter — the CI
-obs-smoke job calls it too.
+as a registered rule, so ``python -m repro.staticcheck --prom
+metrics.prom`` (or naming a ``.prom`` file directly) is the one
+Prometheus linter — the CI obs-smoke job calls it too.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import re
 from pathlib import Path
 from typing import List
 
-from ..config import Config
 from ..core import FileRule, Violation, register
 
 _LINE_RE = re.compile(r"line (\d+):")
@@ -59,7 +58,7 @@ class PromExpositionRule(FileRule):
     def applies(self, path: Path) -> bool:
         return path.suffix in (".prom", ".scrape")
 
-    def check_file(self, path: Path, config: Config) -> List[Violation]:
+    def check_file(self, path: Path) -> List[Violation]:
         return lint_prom_file(path)
 
 

@@ -90,6 +90,33 @@ class TestCachingBehaviorAnalysis:
         text = analysis.report()
         assert "ignores_scope" in text and "correct" in text
 
+    def test_category_per_resolver_preset(self, analysis, scan_universe):
+        """Each §6.3 verdict is the one its egress preset was built for."""
+        expected = {
+            CachingCategory.CORRECT: (
+                "compliant", "always_ecs", "accepts_client_ecs",
+                "jammed_last_byte", "prefix_25"),
+            CachingCategory.IGNORES_SCOPE: (
+                "scope_ignorer", "scope_ignorer_jammed"),
+            CachingCategory.ACCEPTS_OVER_24: ("over_24_acceptor",),
+            CachingCategory.CLAMPS_AT_22: ("clamp_22",),
+            CachingCategory.PRIVATE_PREFIX: ("private_prefix_sender",),
+            # ROADMAP item 7's open decision: leave these fixed-prefix
+            # senders out of the §6.3 population, or give them a rule.
+            # Whichever way it goes, this row is its diff.
+            CachingCategory.UNCLASSIFIED: (
+                "loopback_32_sender", "link_local_sender"),
+        }
+        category_of = {preset: category
+                       for category, presets in expected.items()
+                       for preset in presets}
+        preset_of = {spec.ip: spec.policy_name
+                     for spec in scan_universe.egress_specs}
+        verdicts = {(preset_of[report.resolver_ip], report.category)
+                    for report in analysis.reports}
+        assert len(analysis.reports) == 49
+        assert verdicts == set(category_of.items())
+
 
 class TestDiscovery:
     def test_passive_sees_more(self, scan_universe, scan_result):

@@ -727,7 +727,7 @@ def merge_columnar_shards_rowwise(paths, out_path,
         def stream(shard):
             seq = 0
             for g, store in enumerate(groups[shard]):
-                ts_col = store.raw_column("ts")
+                ts_col = store.column("ts")
                 for row in range(store.rows):
                     yield (ts_col[row], shard, seq, g, row)
                     seq += 1

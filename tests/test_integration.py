@@ -3,6 +3,7 @@
 import pytest
 
 from repro.auth import fixed_scope
+from repro.core.cache import ScopeMode
 from repro.core.classify import classify_probing, ProbingCategory
 from repro.dnslib import EcsOption, Name, Rcode, RecordType
 from repro.measure import StubClient
@@ -64,7 +65,7 @@ class TestProbingObservedAtAuthoritative:
         resolver = RecursiveResolver(
             ip, small_world.topology.clock, small_world.hierarchy.root_ips,
             policy=behaviors.INTERVAL_LOOPBACK_PROBER.with_(
-                scope_handling=behaviors.ScopeHandling.IGNORE))
+                scope_handling=ScopeMode.IGNORE))
         small_world.net.attach(resolver)
         client = StubClient(small_world.client_ip, small_world.net)
         clock = small_world.topology.clock

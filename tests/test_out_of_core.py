@@ -424,12 +424,12 @@ def test_walking_a_file_keeps_one_group_resident(tmp_path):
         peak = 0
         for store in reader.walk():
             for name in names:
-                bytes(store.raw_column(name))
+                bytes(store.column(name))
             peak = max(peak, _resident_kib(path))
         assert 0 < peak <= group_kib + 2 * 64 + 8 < 2 * group_kib
         assert _resident_kib(path) <= 8
         stores = [reader.group(i) for i in range(reader.group_count)]
         for store in stores:
             for name in names:
-                bytes(store.raw_column(name))
+                bytes(store.column(name))
         assert _resident_kib(path) >= rows * 32 / 1024

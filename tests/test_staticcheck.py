@@ -1,18 +1,19 @@
-"""The invariant linter: every rule, suppressions, reporters, config,
-the driver, CLI wiring — and the meta-test that ``src/repro`` itself
-lints clean.
+"""The invariant linter: every rule, suppressions, path roles, the
+report, the driver, CLI wiring — and the meta-test that ``src/repro``
+itself lints clean.
 
-Fixture sources are linted under synthetic non-test paths (the default
-config treats ``tests/`` and ``test_*.py`` as test code, which relaxes
-RS001's hash()/clock checks and all of RS005).  Fixture packages written
-under pytest's ``tmp_path`` (whose name holds ``/test_``) are linted
-with ``test_paths=()`` for the same reason.
+Fixture sources are linted under synthetic non-test paths (a ``tests``
+component or a ``test_*.py`` name makes a file test code, which relaxes
+RS001's hash()/clock checks and all of RS005).  Fixture packages are
+written under pytest's ``tmp_path``; only components below the lint
+root count, so its ``test_*0`` directory makes nothing test code.
 """
 
 from __future__ import annotations
 
 import ast
-import json
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, List
 
@@ -20,13 +21,11 @@ import pytest
 
 import repro
 from repro.cli import main as cli_main
-from repro.staticcheck import (SCHEMA_VERSION, Config, lint_paths,
-                               lint_source, load_config, render_json,
-                               render_text, violations_to_dict)
+from repro.staticcheck import (LintContext, lint_paths, lint_source,
+                               render_text)
 from repro.staticcheck.__main__ import run as lint_cli_run
 from repro.staticcheck.core import (SYNTAX_ID, UNUSED_ID, all_rule_ids,
                                     graph_rules, iter_lintable_files)
-from repro.staticcheck.reporters import render
 from repro.staticcheck.rules.merge import MERGE_METHODS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -51,7 +50,7 @@ def write_pkg(root: Path, files: Dict[str, str]) -> Path:
 
 
 def lint_pkg(pkg: Path) -> List[str]:
-    return ids_of(lint_paths([pkg], Config(test_paths=()))[0])
+    return ids_of(lint_paths([pkg])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +369,7 @@ class TestMergeCalledRule:
     def test_never_merged_partial_fires(self, tmp_path):
         pkg = write_pkg(tmp_path, {"model.py": PARTIAL_DEF,
                                    "build.py": PARTIAL_BUILD})
-        violations = lint_paths([pkg], Config(test_paths=()))[0]
+        violations = lint_paths([pkg])[0]
         assert ids_of(violations) == ["RS203"]
         assert violations[0].path.endswith("model.py")
         assert violations[0].line == 1
@@ -390,8 +389,10 @@ class TestMergeCalledRule:
         assert lint_pkg(pkg) == ["RS203"]
 
     def test_test_classes_are_exempt(self, tmp_path):
-        pkg = write_pkg(tmp_path, {"model.py": PARTIAL_DEF})
-        assert lint_paths([pkg])[0] == []  # tmp_path is a test path
+        tests = tmp_path / "tests"
+        tests.mkdir()
+        write_pkg(tests, {"model.py": PARTIAL_DEF})
+        assert lint_paths([tests])[0] == []  # a tests/ tree is test code
 
     def test_inline_suppression_silences_finding(self, tmp_path):
         suppressed = PARTIAL_DEF.replace(
@@ -433,10 +434,12 @@ class TestMergeCalledRule:
         # The full self-lint is the meta-test below; this pins that a
         # clean RS203 result there is not vacuous: src/repro holds
         # several mergeable classes, and every one of them is merged.
-        trees = [(str(path), ast.parse(path.read_text(encoding="utf-8")))
-                 for path in iter_lintable_files([REPO_ROOT / "src" / "repro"],
-                                                 Config())]
-        mergeable = [node.name for _, tree in trees for node in ast.walk(tree)
+        files = []
+        for path, parts in iter_lintable_files([REPO_ROOT / "src" / "repro"]):
+            source = path.read_text(encoding="utf-8")
+            files.append(LintContext(str(path), source, ast.parse(source),
+                                     parts))
+        mergeable = [node.name for ctx in files for node in ast.walk(ctx.tree)
                      if isinstance(node, ast.ClassDef)
                      and any(isinstance(stmt, ast.FunctionDef)
                              and stmt.name in MERGE_METHODS
@@ -444,7 +447,7 @@ class TestMergeCalledRule:
         assert "ReplayPartial" in mergeable
         assert len(mergeable) > 3
         for rule in graph_rules():
-            assert rule.check_trees(trees, Config()) == [], rule.id
+            assert rule.check_trees(files) == [], rule.id
 
 
 # ---------------------------------------------------------------------------
@@ -662,56 +665,12 @@ class TestReporters:
         assert summary == "1 violation in 1 file"
         assert render_text([], 3).startswith("clean: 0 violations in 3 files")
 
-    def test_json_schema_stable(self):
-        src = "import random\nx = random.random()\n"
-        violations = lint(src, rule_ids=["RS001"])
-        doc = json.loads(render_json(violations, files_checked=1))
-        assert doc["schema_version"] == SCHEMA_VERSION
-        assert doc["files_checked"] == 1
-        assert doc["violation_count"] == 1
-        assert doc["counts_by_rule"] == {"RS001": 1}
-        entry = doc["violations"][0]
-        assert sorted(entry) == ["col", "line", "message", "path",
-                                 "rule_id", "rule_name"]
-        assert entry["path"] == SRC_PATH and entry["line"] == 2
-        assert entry["rule_id"] == "RS001"
-        assert entry["rule_name"] == "determinism"
-
     def test_violations_sorted_deterministically(self):
         src = ("import random\nimport time\n"
                "b = time.time()\na = random.random()\n")
         violations = lint(src, rule_ids=["RS001"])
         assert [v.line for v in violations] == [3, 4]
-        assert violations_to_dict(violations, 1)["violation_count"] == 2
-
-
-# ---------------------------------------------------------------------------
-# config
-
-
-class TestConfig:
-    def test_pyproject_section_loaded(self):
-        config = load_config(start=REPO_ROOT)
-        assert config.source is not None
-        assert config.determinism_allow == ("obs/",)
-
-    def test_exclude_fragments(self, tmp_path):
-        (tmp_path / "keep.py").write_text("import random\nrandom.random()\n")
-        (tmp_path / "skip.py").write_text("import random\nrandom.random()\n")
-        config = Config(exclude=("skip.py",))
-        violations, files = lint_paths([tmp_path], config,
-                                       rule_ids=["RS001"])
-        assert files == 1
-        assert all("keep" in v.path for v in violations)
-
-    def test_unknown_config_key_rejected(self):
-        from repro.staticcheck.config import config_from_mapping
-        with pytest.raises(ValueError, match="unknown"):
-            config_from_mapping({"selct": ["RS001"]})
-
-    def test_rule_catalogue(self):
-        assert all_rule_ids() == ["RS001", "RS002", "RS003", "RS005",
-                                  "RS100", "RS203", "RS204"]
+        assert render_text(violations, 1).endswith("2 violations in 1 file")
 
 
 # ---------------------------------------------------------------------------
@@ -719,8 +678,7 @@ class TestConfig:
 
 
 def test_self_lint_src_repro_is_clean():
-    config = load_config(start=REPO_ROOT)
-    violations, files = lint_paths([REPO_ROOT / "src" / "repro"], config)
+    violations, files = lint_paths([REPO_ROOT / "src" / "repro"])
     assert files > 50
     assert violations == [], "\n" + render_text(violations, files)
 
@@ -750,7 +708,7 @@ class TestDriver:
             return real_parse(source, filename, *args, **kwargs)
 
         monkeypatch.setattr(ast, "parse", counting_parse)
-        violations, files = lint_paths([pkg], Config(test_paths=()))
+        violations, files = lint_paths([pkg])
         assert files == 3 and ids_of(violations) == ["RS203"]
         assert sorted(parsed) == sorted(
             str(pkg / name) for name in ("__init__.py", "build.py",
@@ -763,15 +721,12 @@ class TestDriver:
             "build.py": PARTIAL_BUILD,
             "escape.py": ESCAPE,
         })
-        config = Config(test_paths=())
         names = sorted(path.name for path in pkg.iterdir())
-        forward = lint_paths([pkg / name for name in names], config)
-        backward = lint_paths([pkg / name for name in reversed(names)],
-                              config)
+        forward = lint_paths([pkg / name for name in names])
+        backward = lint_paths([pkg / name for name in reversed(names)])
         assert sorted(ids_of(forward[0])) == ["RS001", "RS203", "RS204",
                                               "RS204"]
-        for fmt in ("text", "json"):
-            assert render(*forward, fmt) == render(*backward, fmt)
+        assert render_text(*forward) == render_text(*backward)
 
     def test_a_file_named_twice_is_linted_once(self, tmp_path, monkeypatch,
                                                capsys):
@@ -786,7 +741,9 @@ class TestDriver:
         good = tmp_path / "good.py"
         good.write_text("x = 1\n", encoding="utf-8")
         for argv in (["--graph"], ["--workers", "2"], ["--changed"],
-                     ["--format", "sarif"]):
+                     ["--format", "sarif"], ["--format", "json"],
+                     ["--select", "RS001"], ["--ignore", "RS005"],
+                     ["--config", "pyproject.toml"]):
             with pytest.raises(SystemExit) as excinfo:
                 lint_cli_run([*argv, str(good)])
             assert excinfo.value.code == 2
@@ -821,39 +778,102 @@ class TestCli:
         assert "clean" in capsys.readouterr().out
 
     def test_module_entry_usage_errors(self, tmp_path, capsys):
-        assert lint_cli_run(["--select", "RS777", str(tmp_path)]) == 2
-        assert "unknown rule" in capsys.readouterr().err
         assert lint_cli_run([str(tmp_path / "nope.py")]) == 2
         assert "no such path" in capsys.readouterr().err
 
-    def test_select_and_ignore(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import random\nx = random.random()\n")
-        assert lint_cli_run(["--select", "RS002", str(bad)]) == 0
-        capsys.readouterr()
-        assert lint_cli_run(["--ignore", "RS001", str(bad)]) == 0
+    def test_rule_catalogue(self):
+        assert all_rule_ids() == ["RS001", "RS002", "RS003", "RS005",
+                                  "RS100", "RS203", "RS204"]
 
-    def test_json_format(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import random\nx = random.random()\n")
-        assert lint_cli_run(["--format", "json", str(bad)]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == SCHEMA_VERSION
-
-    def test_repro_cli_lint_subcommand(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import random\nx = random.random()\n")
-        assert cli_main(["lint", str(bad)]) == 1
-        assert "RS001" in capsys.readouterr().out
-        good = tmp_path / "good.py"
-        good.write_text("x = 1\n")
-        assert cli_main(["lint", str(good)]) == 0
+    def test_repro_cli_has_no_lint_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["lint", "src/repro"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
+        # ... and building its parser loads no part of the linter.
+        probe = ("import sys; from repro.cli import build_parser; "
+                 "build_parser(); "
+                 "print(sorted(m for m in sys.modules "
+                 "if m.startswith('repro.staticcheck')))")
+        out = subprocess.run([sys.executable, "-c", probe], check=True,
+                             capture_output=True, text=True,
+                             cwd=REPO_ROOT / "src").stdout
+        assert out.strip() == "[]"
 
     def test_prom_flag(self, tmp_path, capsys):
         prom = tmp_path / "m.prom"
         prom.write_text(VALID_PROM)
-        assert cli_main(["lint", "--prom", str(prom)]) == 0
+        assert lint_cli_run(["--prom", str(prom)]) == 0
         capsys.readouterr()
         prom.write_text(INVALID_PROM)
-        assert cli_main(["lint", "--prom", str(prom)]) == 1
+        assert lint_cli_run(["--prom", str(prom)]) == 1
         assert "RS100" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# path roles: whole components below the lint root
+
+
+HASH_AND_SEED = "import random\n\nkey = hash(1)\nrng = random.Random(42)\n"
+WALL_CLOCK = "import time\n\nnow = time.time()\n"
+UNGUARDED = OBS_PREFIX + (
+    "def f():\n"
+    "    reg = _obs_metrics.ACTIVE\n"
+    "    reg.counter('c').inc()\n")
+
+
+def write_tree(base: Path, files: Dict[str, str]) -> None:
+    for name, source in files.items():
+        path = base / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+
+
+class TestPathRoles:
+    @pytest.fixture
+    def elsewhere(self, tmp_path, monkeypatch):
+        """A current directory that holds none of the linted trees."""
+        cwd = tmp_path / "elsewhere"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+
+    def test_test_named_parent_above_the_root_is_not_a_role(
+            self, tmp_path, elsewhere):
+        write_tree(tmp_path, {"test_lint/pkg/mod.py": HASH_AND_SEED})
+        violations, _ = lint_paths([tmp_path / "test_lint" / "pkg"])
+        assert ids_of(violations) == ["RS001", "RS005"]
+
+    def test_a_name_ending_in_obs_is_not_the_obs_layer(self, tmp_path,
+                                                        monkeypatch):
+        write_tree(tmp_path, {"jobs/pkg/mod.py": WALL_CLOCK})
+        monkeypatch.chdir(tmp_path)
+        assert ids_of(lint_paths(["jobs/pkg"])[0]) == ["RS001"]
+
+    def test_obs_parent_above_the_root_is_not_a_role(self, tmp_path,
+                                                      elsewhere):
+        write_tree(tmp_path, {"obs/pkg/mod.py": UNGUARDED})
+        violations, _ = lint_paths([tmp_path / "obs" / "pkg"])
+        assert ids_of(violations) == ["RS003"]
+
+    def test_relative_and_absolute_spellings_agree(self, tmp_path,
+                                                   monkeypatch):
+        write_tree(tmp_path, {
+            "tree/pkg/mod.py": HASH_AND_SEED + WALL_CLOCK,
+            "tree/pkg/obs/clock.py": WALL_CLOCK + UNGUARDED,
+            "tree/tests/test_mod.py": HASH_AND_SEED,
+            "tree/jobs/run.py": UNGUARDED,
+        })
+        monkeypatch.chdir(tmp_path)
+
+        def findings(root):
+            return [(v.rule_id, v.line, v.col, v.message)
+                    for v in lint_paths([root])[0]]
+
+        relative = findings("tree")
+        assert relative == findings(str(tmp_path / "tree"))
+        assert sorted(rule for rule, *_ in relative) == [
+            "RS001", "RS001", "RS003", "RS005"]
+
+    def test_obs_module_named_directly_is_clean(self, monkeypatch):
+        monkeypatch.chdir(REPO_ROOT)
+        assert lint_paths(["src/repro/obs/live.py"]) == ([], 1)
