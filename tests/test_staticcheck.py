@@ -741,9 +741,7 @@ class TestDriver:
         good = tmp_path / "good.py"
         good.write_text("x = 1\n", encoding="utf-8")
         for argv in (["--graph"], ["--workers", "2"], ["--changed"],
-                     ["--format", "sarif"], ["--format", "json"],
-                     ["--select", "RS001"], ["--ignore", "RS005"],
-                     ["--config", "pyproject.toml"]):
+                     ["--format", "sarif"], ["--config", "pyproject.toml"]):
             with pytest.raises(SystemExit) as excinfo:
                 lint_cli_run([*argv, str(good)])
             assert excinfo.value.code == 2
@@ -781,8 +779,35 @@ class TestCli:
         assert lint_cli_run([str(tmp_path / "nope.py")]) == 2
         assert "no such path" in capsys.readouterr().err
 
+    def test_select_and_ignore(self, tmp_path, capsys):
+        # No rule can be switched off: --select and --ignore are usage
+        # errors, and the plain run reports the finding they once hid.
+        bad = tmp_path / "bad.py"
+        bad.write_text("import random\nx = random.random()\n")
+        for argv in (["--select", "RS002"], ["--ignore", "RS001"]):
+            with pytest.raises(SystemExit) as excinfo:
+                lint_cli_run([*argv, str(bad)])
+            assert excinfo.value.code == 2
+            assert (f"unrecognized arguments: {argv[0]}"
+                    in capsys.readouterr().err)
+        assert lint_cli_run([str(bad)]) == 1
+        assert "RS001" in capsys.readouterr().out
+
+    def test_json_format(self, tmp_path, capsys):
+        # The one report is text: --format json is a usage error.
+        bad = tmp_path / "bad.py"
+        bad.write_text("import random\nx = random.random()\n")
+        with pytest.raises(SystemExit) as excinfo:
+            lint_cli_run(["--format", "json", str(bad)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert lint_cli_run([str(bad)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"{bad}:2:") and "RS001" in lines[0]
+        assert lines[-1] == "1 violation in 1 file"
+
     def test_rule_catalogue(self):
-        assert all_rule_ids() == ["RS001", "RS002", "RS003", "RS005",
+        assert all_rule_ids() ==["RS001", "RS002", "RS003", "RS005",
                                   "RS100", "RS203", "RS204"]
 
     def test_repro_cli_has_no_lint_subcommand(self, capsys):
