@@ -7,10 +7,9 @@
 """
 
 from repro.analysis import format_table
-from repro.analysis.cache_sim import replay
 from repro.analysis.unroutable import UnroutableLab
 from repro.core.cache import ScopeTracker
-from repro.dnslib import EcsOption, Name, RecordType
+from repro.dnslib import EcsOption, RecordType
 from repro.measure import StubClient
 
 

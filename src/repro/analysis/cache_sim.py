@@ -257,9 +257,8 @@ class ReplayKernel:
 
     def feed(self, segment: Segment,
              rows: Optional[Iterable[int]] = None) -> None:
-        """Replay ``rows`` of ``segment`` (default: all) in the order given:
-        a qname bucket's row indices, or one row at a time when a tracer
-        wants each verdict (the partial's delta)."""
+        """Replay ``rows`` of ``segment`` (default: all) in the order
+        given, such as a qname bucket's row indices."""
         ts_col, ttl_col, key_ids, plain_of = segment
         ecs, plain = self._ecs, self._plain
         ecs_expiry, plain_expiry = ecs.expiry, plain.expiry

@@ -17,7 +17,7 @@ below the diagonal are cases where ECS actively *worsens* mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..addr import same_prefix
 from ..datasets import paper_numbers as paper

@@ -14,7 +14,7 @@ paper's findings:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..auth.cdn import CdnAuthoritative, build_edge_pools

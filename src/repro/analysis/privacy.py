@@ -20,13 +20,13 @@ their cost is the mapping confusion section 8.1 documents, not privacy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from ..addr import is_routable, parse_addr, same_prefix
 from ..auth.cdn import CdnAuthoritative, build_edge_pools
 from ..auth.hierarchy import DnsHierarchy
-from ..auth.server import AuthLogRecord, AuthoritativeServer, fixed_scope
+from ..auth.server import AuthLogRecord, AuthoritativeServer
 from ..core.policies import EcsPolicy
 from ..dnslib import Name, Zone
 from ..measure.digclient import StubClient

@@ -10,8 +10,8 @@ DITL-like trace.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..core.classify import (ProbingCategory, ProbingClassification,
                              classify_probing)

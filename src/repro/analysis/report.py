@@ -7,8 +7,8 @@ to the measured one so the shape comparison is immediate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Union
 
 Cell = Union[str, int, float, None]
 

@@ -6,9 +6,6 @@ section 4 gives for the real ones, scaled by the generator's scale factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
-
 from ..datasets import paper_numbers as paper
 from ..datasets.allnames import AllNamesDataset, _sld_of
 from ..datasets.cdn_dataset import CdnDataset

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..auth.cdn import CdnAuthoritative, EdgePool, UnroutablePolicy, build_edge_pools
+from ..auth.cdn import CdnAuthoritative, UnroutablePolicy, build_edge_pools
 from ..auth.hierarchy import DnsHierarchy
 from ..datasets import paper_numbers as paper
 from ..dnslib import EcsOption, Name, RecordType

@@ -14,14 +14,13 @@ whitelists exactly one of them.  Measured per resolver:
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..auth.cdn import CdnAuthoritative, build_edge_pools
 from ..auth.hierarchy import DnsHierarchy
-from ..dnslib import Name, RecordType
+from ..dnslib import Name
 from ..measure.digclient import StubClient
 from ..net.geo import city
 from ..net.topology import Topology

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..dnslib import A, NS, Name, RecordType, Zone
 from ..net.geo import City, city
-from ..net.topology import AutonomousSystem, Topology
+from ..net.topology import AutonomousSystem
 from ..net.transport import Network
 from .server import AuthoritativeServer, ScopeFunction
 

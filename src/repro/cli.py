@@ -56,10 +56,12 @@ from .analysis.mapping_quality import (MappingQualityLab,
 from .analysis.unroutable import UnroutableLab
 from .datasets import CdnDatasetBuilder, ScanUniverseBuilder
 from .datasets.columnar import (DEFAULT_ROW_GROUP_ROWS, SCHEMAS,
-                                columnar_to_jsonl, convert_columnar,
-                                file_info, is_columnar, jsonl_to_columnar,
+                                ColumnarFormatError, columnar_to_jsonl,
+                                convert_columnar, file_info, is_columnar,
+                                jsonl_file_defect, jsonl_to_columnar,
                                 prebucket_columnar)
 from .datasets.ditl import RootTraceBuilder
+from .datasets.records import JsonlFormatError
 from .engine import (DEFAULT_SHARDS, ShardSpec, WorkerPool, generate_columnar,
                      generate_jsonl)
 from .engine.executor import EngineReport
@@ -309,12 +311,13 @@ def cmd_generate(args: argparse.Namespace, reporter: _Reporter) -> None:
 def cmd_convert(args: argparse.Namespace, reporter: _Reporter) -> None:
     """Convert a trace between JSONL and the columnar layout.
 
-    The direction is auto-detected from the source file's magic unless
-    ``--to`` forces it; every direction streams with bounded memory.
-    JSONL -> columnar -> JSONL round-trips byte-identically.
+    The output is columnar when the source is JSONL or when
+    ``--row-group-rows`` or ``--bucket-shards`` is given, JSONL
+    otherwise; every direction streams with bounded memory.  JSONL ->
+    columnar -> JSONL round-trips byte-identically.
     ``--row-group-rows`` sets how many rows a columnar output group
-    holds; ``--to columnar`` on a columnar source rewrites it with that
-    group size, and the bytes depend only on the rows and the size.
+    holds; on a columnar source it rewrites the file with that group
+    size, and the bytes depend only on the rows and the size.
     ``--bucket-shards N`` pre-buckets a columnar output by qname for
     out-of-core row-range replay with ``--shards N``; from JSONL, the
     flat conversion goes to a sibling file, so ``dst`` is only ever
@@ -323,13 +326,9 @@ def cmd_convert(args: argparse.Namespace, reporter: _Reporter) -> None:
     ``file_rejected`` beat when the live plane is on.
     """
     _check_input(f"convert:{args.dataset}", args.src)
-    target = args.to
-    if target == "auto":
-        target = "jsonl" if is_columnar(args.src) else "columnar"
-    if target == "jsonl" and (args.row_group_rows is not None
-                              or args.bucket_shards is not None):
-        raise SystemExit("--row-group-rows/--bucket-shards apply to "
-                         "columnar output only")
+    target = "jsonl" if (is_columnar(args.src)
+                         and args.row_group_rows is None
+                         and args.bucket_shards is None) else "columnar"
     with _file_rejected_beat(f"convert:{args.dataset}", args.src):
         count = _convert(args, target)
     reporter.note(f"converted {count} {args.dataset} records: "
@@ -406,8 +405,11 @@ def cmd_dataset(args: argparse.Namespace, reporter: _Reporter) -> None:
             title="Per-column segments"))
     else:
         size = path.stat().st_size
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = sum(1 for line in fh if line.strip())
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = sum(1 for line in fh if line.strip())
+        except UnicodeDecodeError as exc:
+            raise (jsonl_file_defect(path) or exc) from None
         reporter.emit("dataset_info", format_table(
             ("property", "value"),
             [("format", "jsonl"),
@@ -603,19 +605,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="record schema of the trace")
     convert.add_argument("src", help="input trace path")
     convert.add_argument("dst", help="output trace path")
-    convert.add_argument("--to", choices=("auto", "columnar", "jsonl"),
-                         default="auto",
-                         help="target format (auto: the opposite of "
-                              "what src is; 'columnar' on a columnar "
-                              "src rewrites it with --row-group-rows)")
     convert.add_argument("--row-group-rows", type=positive_int,
                          default=None,
-                         help="columnar output: rows per row group "
-                              f"(default {DEFAULT_ROW_GROUP_ROWS})")
+                         help="columnar output (implied): rows per row "
+                              f"group (default {DEFAULT_ROW_GROUP_ROWS})")
     convert.add_argument("--bucket-shards", type=positive_int,
                          default=None,
-                         help="columnar output: pre-bucket rows by "
-                              "qname for out-of-core row-range replay "
+                         help="columnar output (implied): pre-bucket rows "
+                              "by qname for out-of-core row-range replay "
                               "with --shards N")
 
     dataset_cmd = sub.add_parser(
@@ -704,6 +701,10 @@ def _export_artefacts(args: argparse.Namespace, reporter: _Reporter,
                       f"to {args.trace_out}")
 
 
+#: The input trace's argument, per command that reads one.
+_TRACE_INPUTS = {"replay": "file", "convert": "src", "dataset": "file"}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
@@ -712,9 +713,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     :class:`~repro.obs.live.LiveSink` are installed before it dispatches
     — so worker pools pick up the heartbeat side channel at spawn — and
     the artefacts are written when it ends, also when it ends in an
-    exception, which then propagates unchanged.  All of it is
-    out-of-band: reports are byte-identical at any worker count with
-    the flags on or off.
+    exception, which then propagates unchanged, but for a rejected input
+    trace: that ends the command with one line, ``repro-ecs: PATH:
+    REASON``.  All of it is out-of-band: reports are byte-identical at
+    any worker count with the flags on or off.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -752,6 +754,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                                            args.command))
             else:
                 _dispatch(args, reporter)
+        except (JsonlFormatError, ColumnarFormatError) as exc:
+            if args.command not in _TRACE_INPUTS:
+                raise
+            # The error opens with the path it was read by (normalised,
+            # or resolved by a columnar replay); the exit names it as given.
+            given = getattr(args, _TRACE_INPUTS[args.command])
+            reason = str(exc)
+            for named in (given, Path(given), Path(given).resolve()):
+                reason = reason.removeprefix(f"{named}: ")
+            raise SystemExit(f"repro-ecs: {given}: {reason}") from None
         finally:
             failed = sys.exc_info()[0] is not None
             if sink is not None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..addr import IPAddress, parse_addr, prefix_key_int

@@ -15,10 +15,9 @@ Two families of classifiers:
 from __future__ import annotations
 
 import enum
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..addr import address_kind, parse_addr
 

@@ -11,7 +11,7 @@ instantiated from configuration.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from ..addr import MASKS4, IPAddress, parse_addr

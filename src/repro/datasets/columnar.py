@@ -1480,9 +1480,11 @@ def _jsonl_line_chunks(lines: Iterable[str]) -> Iterator[List[str]]:
         yield chunk
 
 
-def jsonl_file_defect(path: Union[str, Path], schema: Union[str, Schema]
+def jsonl_file_defect(path: Union[str, Path],
+                      schema: Union[str, Schema, None] = None
                       ) -> Optional[JsonlFormatError]:
-    """The first line of ``path`` that is not a row of ``schema``.
+    """The first line of ``path`` that is not a row of ``schema`` (with
+    no schema, the first that is not UTF-8).
 
     The failure path of the file-level entry points when reading or
     encoding raised a :class:`UnicodeError`: one scan of the file, a
@@ -1493,7 +1495,7 @@ def jsonl_file_defect(path: Union[str, Path], schema: Union[str, Schema]
     where the readers split them: at ``\\n``, ``\\r\\n`` and a lone
     ``\\r``.
     """
-    resolved = schema if isinstance(schema, Schema) else schema_for(schema)
+    resolved = schema_for(schema) if isinstance(schema, str) else schema
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for number, text in enumerate(fh, 1):
             try:
@@ -1505,7 +1507,8 @@ def jsonl_file_defect(path: Union[str, Path], schema: Union[str, Schema]
                     str(path), number, f"not UTF-8 at byte {byte}",
                     raw.decode("utf-8", "replace").strip())
             line = text.strip()
-            reason = _line_defect(resolved, line) if line else None
+            reason = _line_defect(resolved, line) \
+                if line and resolved is not None else None
             if reason is not None:
                 return JsonlFormatError(str(path), number, reason, line)
     return None

@@ -16,22 +16,22 @@ The shard count is fixed independently of the worker count, so
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 import re
 import tempfile
 import time
 from array import array
-from bisect import bisect_right
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple, Union)
 
-from ..analysis.cache_sim import (ClientSweep, ReplayKernel, ReplayPartial,
-                                  ReplayResult, Segment, _key_space,
-                                  _store_columns, client_sample_rows,
-                                  fig1_series, merge_partials,
+from ..analysis.cache_sim import (ClientSweep, ReplayPartial, ReplayResult,
+                                  _key_space, _store_columns,
+                                  client_sample_rows, fig1_series,
+                                  merge_partials,
                                   replay_partial_column_groups,
                                   replay_partial_columns)
 from ..datasets.columnar import (ColumnarFormatError, ColumnarStore,
@@ -79,97 +79,32 @@ CLIENT_FIELDS: Dict[str, str] = {
 }
 
 
-#: Per-shard ceiling on replay records that emit spans.  The replay
-#: traces run to millions of records; tracing each one would swamp any
-#: consumer, so a traced replay annotates the shard's leading records and
-#: keeps counting the rest (counters are never capped).
-TRACED_RECORDS_PER_SHARD = 1000
-
-
-#: What a traced shard hands the kernel: stores (or a whole
-#: :class:`KeyedTrace`) in replay order, each with its segment and row
-#: selection (None for every row).
-Feeds = Iterable[Tuple[Union[ColumnarStore, "KeyedTrace"], Segment,
-                       Optional[Sequence[int]]]]
-
-
-def _observed_replay(kind: str, untraced: Callable[[], ReplayPartial],
-                     feeds: Callable[[ReplayKernel], Feeds]) -> ReplayPartial:
+def _observed_replay(kind: str,
+                     replay: Callable[[], ReplayPartial]) -> ReplayPartial:
     """Replay one shard under whichever collectors are active.
 
-    The one epilogue of every worker entry point.  Observability is
-    strictly out-of-band: with no tracer, ``untraced()`` — one of the
-    three :mod:`~repro.analysis.cache_sim` adapters — runs untouched.
-    With one, the shard is one ``replay`` span (attrs: kind, rows).  A
-    tracer that stores spans gets the same input as ``feeds(kernel)``
-    to the same kernel those adapters feed: the shard's leading
-    :data:`TRACED_RECORDS_PER_SHARD` rows one at a time, each inside a
-    ``replay.query`` span whose two verdicts are the hit counters'
-    deltas, and the rest in bulk — so counters are identical and no
-    record object is ever built for a columnar row; span attributes
-    are read from the store each feed came from (:func:`_span_attrs`).
-    An aggregate-only tracer (``limit=0``) keeps no span to annotate,
-    so it runs ``untraced()`` inside the ``replay`` span: a row fed
-    alone costs some twenty times its share of a bulk feed.
-    A registry gets the partial's aggregate counters after the fact.
-    The None guards live here, once (RS003).
+    The one epilogue of the three trace-replay worker entry points.
+    Observability is strictly out-of-band: ``replay()`` — the entry's
+    :mod:`~repro.analysis.cache_sim` adapter call — runs the same with a
+    tracer or without.  A tracer gets one ``replay`` span per shard whose
+    attributes are the shard's whole outcome: ``kind``, ``rows`` and the
+    six :class:`ReplayPartial` fields under their own names, so a trace
+    file accounts for every replayed row and shows the per-shard peaks
+    that :meth:`ReplayPartial.merge` sums.  A registry gets the same
+    counters after the fact.  The None guards live here, once (RS003).
     """
     tracer = _obs_trace.ACTIVE
     if tracer is None:
-        partial = untraced()
+        partial = replay()
     else:
         with tracer.span("replay", kind=kind) as shard_span:
-            partial = untraced() if not tracer.limit \
-                else _replay_head_traced(tracer, kind, feeds)
-            shard_span.attrs["rows"] = partial.queries
+            partial = replay()
+            shard_span.attrs.update(rows=partial.queries,
+                                    **dataclasses.asdict(partial))
     reg = _obs_metrics.ACTIVE
     if reg is not None:
         _record_replay_metrics(reg, kind, partial)
     return partial
-
-
-def _replay_head_traced(tracer: _obs_trace.Tracer, kind: str,
-                        feeds: Callable[[ReplayKernel], Feeds]
-                        ) -> ReplayPartial:
-    """:func:`_observed_replay`'s storing lane: per-row ``replay.query``
-    spans over each shard's leading rows, the rest in bulk."""
-    kernel = ReplayKernel()
-    budget = TRACED_RECORDS_PER_SHARD
-    field = CLIENT_FIELDS[kind]
-    for source, segment, rows in feeds(kernel):
-        if rows is None:
-            rows = range(len(segment[0]))
-        head = rows[:budget]
-        for row, attrs in zip(head, _span_attrs(source, field, head)):
-            with tracer.span("replay.query", kind=kind, **attrs) as span:
-                before = kernel.partial()
-                kernel.feed(segment, (row,))
-                after = kernel.partial()
-                span.attrs["ecs_hit"] = after.hits_ecs > before.hits_ecs
-                span.attrs["plain_hit"] = \
-                    after.hits_no_ecs > before.hits_no_ecs
-        kernel.feed(segment, rows[budget:])
-        budget = max(0, budget - len(rows))
-    return kernel.partial()
-
-
-def _span_attrs(source: Union[ColumnarStore, "KeyedTrace"], field: str,
-                rows: Sequence[int]) -> List[Dict[str, Any]]:
-    """Each row's ``replay.query`` attributes (ts, qname, qtype, client,
-    scope), read from ``source`` or, for a :class:`KeyedTrace`, from the
-    mapped group that holds the row."""
-    runs = source.groups_of(rows) if isinstance(source, KeyedTrace) \
-        else [(source, rows)]
-    attrs: List[Dict[str, Any]] = []
-    for store, local in runs:
-        ts, qname, qtype, client, scope = (
-            store.column(name)
-            for name in ("ts", "qname", "qtype", field, "scope"))
-        qnames, clients = store.dictionary("qname"), store.dictionary(field)
-        attrs.extend({"ts": ts[row], "qname": qnames[qname[row]],
-                      "qtype": qtype[row], "client": clients[client[row]],
-                      "scope": scope[row]} for row in local)
-    return attrs
 
 
 def _record_replay_metrics(reg: _obs_metrics.MetricsRegistry, kind: str,
@@ -290,7 +225,7 @@ def _replay_lines_shard(kind: str, spill: str) -> ReplayPartial:
     """Worker entry point: parse one shard's spill file, then replay.
 
     The file is read a chunk of lines at a time into columns (no record
-    object per row), which take the columnar lane's two calls, so the
+    object per row), which take the columnar lane's adapter call, so the
     parsing location (parent vs worker) and the file format can never
     change replay output.
     """
@@ -299,10 +234,8 @@ def _replay_lines_shard(kind: str, spill: str) -> ReplayPartial:
           else contextlib.nullcontext()), \
             open(spill, "r", encoding="utf-8") as fh:
         store = _parse_lines(kind, fh)
-    field = CLIENT_FIELDS[kind]
     return _observed_replay(
-        kind, lambda: replay_partial_columns(store, field),
-        lambda kernel: [(store, kernel.store_segment(store, field), None)])
+        kind, lambda: replay_partial_columns(store, CLIENT_FIELDS[kind]))
 
 
 def _spill_buckets(path: Union[str, Path], shards: int,
@@ -419,26 +352,23 @@ class KeyedTrace:
     ids (so :meth:`ReplayKernel.store_segment` finds them), and
     :meth:`column` / :meth:`dictionary` of the client field.  Its qname
     buckets (:meth:`qname_buckets`) are derived from the plain keys'
-    names and memoized per shard count, 4 bytes a row each.  A traced
-    replay reads span attributes from the mapped group that holds each
-    annotated row (:meth:`groups_of`).
+    names and memoized per shard count, 4 bytes a row each.  The file
+    is unmapped once keyed: the trace is plain arrays.
     """
 
     def __init__(self, path: str, client_field: str, clients: bool) -> None:
-        self._reader = reader = RowGroupReader(path)
-        try:
-            self._plain_names: List[str] = []
-            self._starts: List[int] = []
-            key = _key_space(self._plain_names)
-            ts, ttl, ids = (array(code, [0]) * reader.rows
+        self._plain_names: List[str] = []
+        key = _key_space(self._plain_names)
+        with RowGroupReader(path) as reader:
+            self.rows = rows = reader.rows
+            ts, ttl, ids = (array(code, [0]) * rows
                             for code in ("d", "q", "i"))
             plain_of: Sequence[int] = []
-            client_ids = array("i", [0]) * reader.rows if clients else None
+            client_ids = array("i", [0]) * rows if clients else None
             client_codes: Dict[str, int] = {}
             start = 0
             for store in reader.walk():
                 end = start + len(store)
-                self._starts.append(start)
                 group_ts, group_ttl, group_ids, plain_of = key(
                     _store_columns(store, client_field))
                 memoryview(ts)[start:end] = group_ts
@@ -451,10 +381,6 @@ class KeyedTrace:
                         "i", map(codes.__getitem__,
                                  store.column(client_field)))
                 start = end
-        except BaseException:
-            reader.close()
-            raise
-        self.rows = reader.rows
         self._ids, self._plain_of = ids, plain_of
         self._columns = {} if client_ids is None \
             else {client_field: client_ids}
@@ -499,20 +425,8 @@ class KeyedTrace:
 
         return self.memo(("qname buckets", shards), scan)
 
-    def groups_of(self, rows: Sequence[int]
-                  ) -> Iterator[Tuple[ColumnarStore, List[int]]]:
-        """``(group store, row indices within it)`` for each run of
-        ``rows`` that one group holds, in order; each group is read from
-        the mapping, and its pages released, before the next."""
-        starts = self._starts
-        for index, run in groupby(rows,
-                                  lambda row: bisect_right(starts, row) - 1):
-            for store in self._reader.walk(index, index + 1):
-                yield store, [row - starts[index] for row in run]
-
     def close(self) -> None:
-        """Unmap the file (the kept columns are plain arrays)."""
-        self._reader.close()
+        """Nothing to release: the file was unmapped once keyed."""
 
 
 class _Slot:
@@ -568,8 +482,7 @@ def _replay_columnar_shard(path: str, kind: str, shards: int,
     trace: KeyedTrace = _HELD.open(KeyedTrace, path, field, False)
     rows = trace.qname_buckets(shards)[bucket]
     return _observed_replay(
-        kind, lambda: replay_partial_columns(trace, field, rows=rows),
-        lambda kernel: [(trace, kernel.store_segment(trace, field), rows)])
+        kind, lambda: replay_partial_columns(trace, field, rows=rows))
 
 
 def _replay_columnar_range(path: str, kind: str, group_start: int,
@@ -590,9 +503,7 @@ def _replay_columnar_range(path: str, kind: str, group_start: int,
                       group_end - group_start)
     return _observed_replay(
         kind, lambda: replay_partial_column_groups(
-            reader.walk(group_start, group_end), field),
-        lambda kernel: ((store, kernel.group_segment(store, field), None)
-                        for store in reader.walk(group_start, group_end)))
+            reader.walk(group_start, group_end), field))
 
 
 def replay_columnar_sharded(path: Union[str, Path], kind: str,

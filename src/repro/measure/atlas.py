@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..net.geo import WORLD_CITIES, City
-from ..net.topology import Topology
 from ..net.transport import Network
 
 

@@ -25,14 +25,14 @@ and private-prefix emission.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from ..addr import address_kind, same_prefix
 from ..auth.server import fixed_scope
 from ..core.classify import CachingCategory, CachingProbeOutcome, classify_caching
 from ..datasets.scan_dataset import ChainSpec, ScanUniverse
-from ..dnslib import EcsOption, Name, RecordType
+from ..dnslib import Name, RecordType
 from .digclient import StubClient
 
 #: The twin-query prefixes: different /24, same /16.

@@ -14,13 +14,13 @@ dataset records from the experiment server's log.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..auth.scan_experiment import encode_probe_name
 from ..datasets.records import ScanQueryRecord
 from ..datasets.scan_dataset import ScanUniverse
-from ..dnslib import Name, RecordType
+from ..dnslib import RecordType
 from ..faults.retry import RetryPolicy
 from ..obs import trace as _obs_trace
 from .digclient import StubClient

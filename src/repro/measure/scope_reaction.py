@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 from ..auth.server import fixed_scope
 from ..datasets.scan_dataset import ScanUniverse
-from ..dnslib import Name, RecordType
+from ..dnslib import RecordType
 from .digclient import StubClient
 
 

@@ -25,7 +25,7 @@ from ..addr import address_text, parse_addr, truncate_int
 from ..core.policies import EcsPolicy
 from ..dnslib import EcsOption, Message, Rcode
 from ..net.geo import City
-from ..net.topology import AutonomousSystem, Topology
+from ..net.topology import AutonomousSystem
 from ..net.transport import Network
 from .base import DnsServer
 from .recursive import RecursiveResolver

@@ -208,7 +208,7 @@ def all_rule_ids() -> List[str]:
 
 def _ensure_rules_loaded() -> None:
     """Import the rule modules exactly once (they self-register)."""
-    from . import rules  # noqa: F401  (import for side effect)
+    from . import rules  # repro-lint: disable=RS006 (import for side effect)
 
 
 def _selected_ids(rule_ids: Optional[Sequence[str]] = None) -> Set[str]:

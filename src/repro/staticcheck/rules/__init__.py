@@ -10,6 +10,7 @@ RS001     determinism           no wall-clock/entropy/hash-order sources
 RS002     merge-completeness    merge methods fold every field
 RS003     obs-guard             obs calls guarded on the ACTIVE slot
 RS005     seeded-rng            every ``random.Random`` is plumbed a seed
+RS006     unused-import         every imported name is used
 RS100     prom-exposition       ``.prom`` files parse as strict Prometheus
 RS203     merge-called          every merge method is called somewhere
 RS204     obs-escape            the obs ACTIVE slot never returned or aliased
@@ -23,6 +24,6 @@ its number but is a per-file rule beside RS003.)
 
 from __future__ import annotations
 
-from . import determinism, merge, obsguard, prom  # noqa: F401
+from . import determinism, imports, merge, obsguard, prom  # noqa: F401
 
-__all__ = ["determinism", "merge", "obsguard", "prom"]
+__all__ = ["determinism", "imports", "merge", "obsguard", "prom"]

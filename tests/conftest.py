@@ -6,9 +6,12 @@ test that mutates state builds its own instance.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
-from repro.analysis.cache_sim import merge_partials, replay_partial
+from repro.analysis.cache_sim import (ReplayPartial, merge_partials,
+                                      replay_partial)
 from repro.auth import CdnAuthoritative, DnsHierarchy, build_edge_pools
 from repro.datasets import (AllNamesBuilder, CdnDatasetBuilder,
                             PublicCdnBuilder, ScanUniverseBuilder)
@@ -122,3 +125,14 @@ def oracle_replay():
             for bucket in partition_by_key(records, shards,
                                            lambda r: r.qname))
     return replay
+
+
+@pytest.fixture(scope="session")
+def replay_spans():
+    """``spans -> [ReplayPartial]``: the outcome each ``replay`` span
+    records, one per shard in shard order."""
+    def partials(spans):
+        return [ReplayPartial(**{field.name: span.attrs[field.name]
+                                 for field in fields(ReplayPartial)})
+                for span in spans if span.name == "replay"]
+    return partials

@@ -8,8 +8,7 @@ from repro.auth import (AuthoritativeServer, CdnAuthoritative, DnsHierarchy,
                         EdgePool, ScanExperimentServer, UnroutablePolicy,
                         build_edge_pools, decode_probe_name,
                         encode_probe_name, fixed_scope, source_minus)
-from repro.dnslib import (EcsOption, Message, Name, Rcode, RecordType, Zone,
-                          encode_message)
+from repro.dnslib import EcsOption, Message, Name, Rcode, RecordType, Zone
 from repro.auth.cdn import _hash_index
 from repro.net import Network, Topology, city
 from repro.net.geo import WORLD_CITIES

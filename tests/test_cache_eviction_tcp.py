@@ -6,7 +6,7 @@ from repro.core import EcsCache
 from repro.dnslib import (A, EcsOption, Message, Name, Rcode, RecordType,
                           ResourceRecord, SOA, TXT, encode_message)
 from repro.measure import StubClient
-from repro.net import SimClock, city
+from repro.net import SimClock
 
 QNAME = Name.from_text("www.example.com")
 

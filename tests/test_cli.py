@@ -13,9 +13,8 @@ import pytest
 from repro.cli import _Reporter, build_parser, main
 from repro.datasets import PublicCdnBuilder
 from repro.engine import DEFAULT_SHARDS
-from repro.datasets.columnar import (ColumnarFormatError, file_info,
+from repro.datasets.columnar import (file_info, jsonl_to_columnar,
                                      read_columnar)
-from repro.datasets.records import JsonlFormatError
 from repro.obs.export import parse_prometheus, write_text_atomic
 
 
@@ -231,7 +230,9 @@ class TestArtefactsOnFailure:
     def test_failing_command_still_exports(self, tmp_path, damaged):
         prom, spans, timeline = (tmp_path / name for name in (
             "m.prom", "t.jsonl", "tl.json"))
-        with pytest.raises(ColumnarFormatError, match="truncated"):
+        with pytest.raises(SystemExit,
+                           match=f"^repro-ecs: {re.escape(str(damaged))}: "
+                                 f"truncated columnar file"):
             main(["--quiet", "--out", str(tmp_path / "reports"),
                   "--metrics-out", str(prom), "--trace-out", str(spans),
                   "--timeline-out", str(timeline),
@@ -250,7 +251,8 @@ class TestArtefactsOnFailure:
 
     def test_export_failure_does_not_mask_the_command(self, damaged,
                                                       capsys):
-        with pytest.raises(ColumnarFormatError):  # not the export's OSError
+        with pytest.raises(SystemExit,  # not the export's OSError
+                           match="truncated columnar file"):
             main(["--quiet", "--metrics-out", str(damaged / "m.prom"),
                   "replay", "allnames", str(damaged)])
         assert "export failed" in capsys.readouterr().err
@@ -270,7 +272,7 @@ class TestArtefactsOnFailure:
 
     @pytest.mark.parametrize("command", ("jsonl", "columnar", "convert"))
     def test_killed_writer_leaves_no_destination(self, command, tmp_path):
-        """``generate`` (either format) and ``convert --to jsonl`` killed
+        """``generate`` (either format) and ``convert`` to JSONL killed
         by SIGKILL once a shard or ``.tmp`` file is on disk leave no
         destination, and a re-run into the same path — over the files
         the killed run left — writes the bytes of an undisturbed run and
@@ -280,7 +282,7 @@ class TestArtefactsOnFailure:
         def argv(dest):
             if command == "convert":
                 return ["--quiet", "convert", "allnames", str(source),
-                        str(dest), "--to", "jsonl"]
+                        str(dest)]
             return ["--quiet", "generate", "allnames", str(dest), "--format",
                     command, "--scale", "0.1", "--workers", "1"]
 
@@ -324,19 +326,32 @@ _READERS = {
 
 
 class TestUnopenableInput:
-    """One rule for an input path that cannot be opened: exit 1 with one
-    stderr line naming the path and the reason, never a traceback.  An
-    empty file opens, and is a zero-row trace."""
+    """One rule for an input path that cannot be opened or read as a
+    trace: exit 1 with one stderr line naming the path and the reason,
+    never a traceback.  An empty file opens, and is a zero-row trace."""
 
     @pytest.fixture()
-    def inputs(self, tmp_path):
+    def inputs(self, tmp_path, monkeypatch):
         (tmp_path / "a-directory.col").mkdir()
         (tmp_path / "empty.col").write_bytes(b"")
+        cut = tmp_path / "cut.col"
+        jsonl_to_columnar(Path(__file__).parent / "data" / "allnames_v1.jsonl",
+                          cut, "allnames")
+        cut.write_bytes(cut.read_bytes()[:cut.stat().st_size // 2])
+        (tmp_path / "latin1.jsonl").write_bytes(
+            b'{"ts":1.0,"qname":"caf\xe9.example."}\n')
+        # The malformed files go by a relative path, which the readers
+        # normalise (and a replay resolves): the message keeps it as given.
+        monkeypatch.chdir(tmp_path)
         return {"missing": (tmp_path / "missing.col", "No such file"),
                 "directory": (tmp_path / "a-directory.col", "Is a directory"),
-                "empty": (tmp_path / "empty.col", None)}
+                "empty": (tmp_path / "empty.col", None),
+                "malformed-col": ("./cut.col", "past the end"),
+                "malformed-jsonl": ("./latin1.jsonl",
+                                    "line 1: not UTF-8 at byte 23")}
 
-    @pytest.mark.parametrize("case", ("missing", "directory", "empty"))
+    @pytest.mark.parametrize("case", ("missing", "directory", "empty",
+                                      "malformed-col", "malformed-jsonl"))
     @pytest.mark.parametrize("command", sorted(_READERS))
     def test_matrix(self, command, case, inputs, tmp_path, capsys):
         path, reason = inputs[case]
@@ -351,6 +366,7 @@ class TestUnopenableInput:
         message = caught.value.code
         assert isinstance(message, str)  # the interpreter prints it, exit 1
         assert message.startswith(f"repro-ecs: {path}: ")
+        assert Path(path).name not in message.split(": ", 2)[2]  # once
         assert reason in message and "\n" not in message
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
@@ -397,7 +413,7 @@ class TestColumnarCommands:
         assert rc == 0
         assert "columnar" in capsys.readouterr().out
         back = tmp_path / "back.jsonl"
-        # --to auto detects the columnar source and converts back.
+        # A columnar source with no group option converts back.
         assert main(["--quiet", "convert", "allnames", str(col),
                      str(back)]) == 0
         assert back.read_bytes() == jsonl.read_bytes()
@@ -416,8 +432,7 @@ class TestColumnarCommands:
         for src in (direct, converted):
             dst = src.with_suffix(".norm")
             assert main(["--quiet", "convert", "allnames", str(src),
-                         str(dst), "--to", "columnar",
-                         "--row-group-rows", "1000"]) == 0
+                         str(dst), "--row-group-rows", "1000"]) == 0
             normalised.append(dst.read_bytes())
         assert normalised[0] == normalised[1]
 
@@ -431,16 +446,17 @@ class TestColumnarCommands:
         out = str(tmp_path / "out")
         for argv in (["dataset", "info", str(v1)],
                      ["convert", "allnames", str(v1), out],
-                     ["convert", "allnames", str(v1), out, "--to",
-                      "columnar"],
-                     ["convert", "allnames", str(v1), out, "--to",
-                      "columnar", "--bucket-shards", "4"],
+                     ["convert", "allnames", str(v1), out,
+                      "--row-group-rows", "64"],
+                     ["convert", "allnames", str(v1), out,
+                      "--bucket-shards", "4"],
                      ["replay", "allnames", str(v1), "--workers", "2"]):
-            with pytest.raises(ColumnarFormatError,
-                               match=f"{re.escape(str(v1))}: RPRCOL01, "
-                                     f"the retired single-block") as caught:
+            with pytest.raises(SystemExit,
+                               match=f"^repro-ecs: {re.escape(str(v1))}: "
+                                     f"RPRCOL01, the retired single-block"
+                               ) as caught:
                 main(["--quiet", *argv])
-            assert "repro-ecs generate" in str(caught.value)
+            assert "repro-ecs generate" in caught.value.code
         assert [p.name for p in tmp_path.iterdir()] == ["v1.col"]
 
     def test_failed_prebucket_leaves_dst_as_it_was(self, tmp_path):
@@ -454,7 +470,7 @@ class TestColumnarCommands:
         (tmp_path / "trace.col.bucket00.tmp").mkdir()
         with pytest.raises(IsADirectoryError):
             main(["--quiet", "convert", "allnames", str(jsonl), str(dst),
-                  "--to", "columnar", "--bucket-shards", "4"])
+                  "--bucket-shards", "4"])
         assert dst.read_bytes() == b"what dst held"
         assert sorted(p.name for p in tmp_path.iterdir()) \
             == ["trace.col", "trace.col.bucket00.tmp"]
@@ -546,9 +562,8 @@ class TestColumnarCommands:
         col = tmp_path / "trace.col"
         for argv in (["replay", "allnames", str(jsonl), "--workers", "2"],
                      ["convert", "allnames", str(jsonl), str(col)]):
-            with pytest.raises(JsonlFormatError,
-                               match="truncated final line") as caught:
+            with pytest.raises(SystemExit) as caught:
                 main(["--quiet", *argv])
-            assert (caught.value.path, caught.value.line) \
-                == (str(jsonl), lines)
+            assert caught.value.code.startswith(
+                f"repro-ecs: {jsonl}: line {lines}: truncated final line")
         assert [p.name for p in tmp_path.iterdir()] == ["trace.jsonl"]

@@ -1350,19 +1350,20 @@ def test_rejected_trace_leaves_one_timeline_event(workers, tmp_path):
 
 def test_rejected_convert_source_leaves_a_timeline_event(tmp_path):
     """``repro-ecs convert`` of a hostile ``.col``, with
-    ``--timeline-out``: the command fails with the reader's error and
-    the timeline file holds the ``file_rejected`` event."""
+    ``--timeline-out``: the command exits with the reader's error as
+    one line and the timeline file holds the ``file_rejected`` event."""
     hostile, _ = _committed_trace("allnames", tmp_path, 150)
     _non_str_dictionary_entry(hostile, 0, 1.5)
     timeline = tmp_path / "timeline.json"
-    with pytest.raises(ColumnarFormatError) as caught:
+    with pytest.raises(SystemExit) as caught:
         main(["--quiet", "--timeline-out", str(timeline), "convert",
               "allnames", str(hostile), str(tmp_path / "out.jsonl")])
     events = [event for event in json.loads(timeline.read_text())[
         "traceEvents"] if event["cat"] == "file_rejected"]
-    assert [(event["name"], event["args"]) for event in events] == [
-        ("convert:allnames", {"path": str(hostile),
-                              "reason": str(caught.value)})]
+    assert [(event["name"], event["args"]["path"]) for event in events] \
+        == [("convert:allnames", str(hostile))]
+    assert caught.value.code \
+        == f"repro-ecs: {events[0]['args']['reason']}"
     assert not (tmp_path / "out.jsonl").exists()
 
 
@@ -1567,8 +1568,8 @@ def test_jsonl_replay_equals_oracle(kind, data, tmp_path_factory,
                                                  workers=workers)
             assert got == traced == want, workers
             assert report.total_records == len(records)
-            assert sum(s.name == "replay.query" for s in
-                       session.tracer.spans) == len(records)
+            assert sum(s.attrs["rows"] for s in session.tracer.spans
+                       if s.name == "replay") == len(records)
 
 
 def test_jsonl_lane_builds_no_record(tmp_path, monkeypatch):

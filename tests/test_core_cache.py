@@ -1,6 +1,5 @@
 """Tests for the ECS-aware cache: compliant behavior and every deviation."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import EcsCache, ScopeMode, effective_scope

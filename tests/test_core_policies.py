@@ -1,9 +1,5 @@
 """Tests for ECS probing policies and query-side option construction."""
 
-import ipaddress
-
-import pytest
-
 from repro.core.policies import (EcsDecision, EcsPolicy, ProbingEngine,
                                  ProbingStrategy, build_query_ecs)
 from repro.dnslib import EcsOption, Name, RecordType

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.classify import classify_probing, prefix_length_profile
 from repro.datasets import (AllNamesBuilder, CdnDatasetBuilder,
-                            PublicCdnBuilder, RootTraceBuilder,
-                            ScanUniverseBuilder, ZipfSampler,
+                            RootTraceBuilder, ScanUniverseBuilder, ZipfSampler,
                             poisson_arrivals, write_jsonl)
 from repro.datasets.allnames import _Clients, _sld_of
 from repro.datasets.ditl import count_root_ecs_violators

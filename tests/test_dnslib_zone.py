@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.dnslib import (A, CNAME, NS, Name, Rcode, RecordType, Zone,
-                          ZoneError)
+from repro.dnslib import CNAME, Name, Rcode, RecordType, Zone, ZoneError
 
 
 @pytest.fixture()

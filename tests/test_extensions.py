@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.cache_sim import overall_blowup
 from repro.core.policies import (EcsDecision, EcsPolicy, ProbingEngine,
                                  build_query_ecs)
-from repro.dnslib import Name, RecordType
+from repro.dnslib import Name
 from repro.measure import StubClient
 from repro.net import city
 from repro.resolvers import RecursiveResolver

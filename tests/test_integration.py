@@ -1,11 +1,7 @@
 """End-to-end integration scenarios spanning multiple subsystems."""
 
-import pytest
-
-from repro.auth import fixed_scope
 from repro.core.cache import ScopeMode
-from repro.core.classify import classify_probing, ProbingCategory
-from repro.dnslib import EcsOption, Name, Rcode, RecordType
+from repro.dnslib import Name, Rcode, RecordType
 from repro.measure import StubClient
 from repro.net import city, same_prefix
 from repro.resolvers import Forwarder, RecursiveResolver, behaviors

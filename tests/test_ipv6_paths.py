@@ -3,12 +3,10 @@ and the IPv4-only experimental server's IPv6 blind spot (section 5)."""
 
 import pytest
 
-from repro.auth import CdnAuthoritative, EdgePool, fixed_scope
-from repro.dnslib import (AAAA, EcsOption, Message, Name, Rcode, RecordType,
-                          Zone)
+from repro.auth import CdnAuthoritative, EdgePool
+from repro.dnslib import EcsOption, Name, RecordType
 from repro.measure import StubClient
 from repro.net import Network, Topology, city
-from repro.resolvers import RecursiveResolver
 
 
 @pytest.fixture()

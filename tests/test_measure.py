@@ -6,8 +6,7 @@ import pytest
 
 from repro.core.classify import CachingCategory
 from repro.datasets import ScanUniverseBuilder
-from repro.measure import (AtlasPlatform, CachingBehaviorProber, Scanner,
-                           StubClient)
+from repro.measure import AtlasPlatform, CachingBehaviorProber, StubClient
 from repro.net import Network, Topology, same_prefix
 
 

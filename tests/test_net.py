@@ -14,7 +14,7 @@ from repro.faults import QUERY, FaultPlan, PacketLossSpec, RcodeFaultSpec
 from repro.net import (AddressAllocator, LatencyModel, Network, SimClock,
                        Topology, city, haversine_km, is_routable, parse_addr,
                        same_prefix)
-from repro.net.geo import GeoDatabase, GeoPoint, WORLD_CITIES, cities_in
+from repro.net.geo import GeoDatabase, WORLD_CITIES, cities_in
 from repro.net.transport import FaultAction
 
 from addr_reference import prefix_key, prefix_text, truncate_address

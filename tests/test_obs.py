@@ -22,14 +22,12 @@ import pytest
 from repro.analysis.cache_sim import merge_partials, replay_partial
 from repro.analysis.report import format_network_stats
 from repro.cli import main as cli_main
-from repro.core.cache import ScopeTracker
 from repro.datasets import AllNamesBuilder, merge_sorted_records
 from repro.datasets.columnar import (prebucket_columnar,
                                      write_columnar_stream)
 from repro.datasets.records import write_jsonl
 from repro.engine.generate import generate_columnar
-from repro.engine.replay import (ACCESSORS, TRACED_RECORDS_PER_SHARD,
-                                 replay_columnar_sharded,
+from repro.engine.replay import (ACCESSORS, replay_columnar_sharded,
                                  replay_jsonl_sharded)
 from repro.engine.sharding import ShardSpec, partition_by_key
 from repro.net.transport import NetworkStats
@@ -244,44 +242,26 @@ class TestShardCapture:
         assert lookups == len(allnames_records)
 
     def test_traced_replay_counter_identical(self, allnames_records,
-                                             tmp_path):
+                                             tmp_path, replay_spans):
         buckets = partition_by_key(allnames_records, 4, lambda r: r.qname)
         plain = [replay_partial(b, *ACCESSORS["allnames"]) for b in buckets]
 
         # The same trace in every on-disk form, replayed under a tracer:
-        # counters equal the untraced run, spans are capped per shard, and
-        # each span's verdicts are what the oracle returns for that row.
-        # (one group or 256-row groups: the worker's KeyedTrace, each
-        # span's attributes read from the group holding its row).
+        # counters equal the untraced run, and each shard's one `replay`
+        # span records the oracle's partial of its qname bucket.
         jsonl, one, v2, bucketed = (tmp_path / name for name in (
             "t.jsonl", "one.col", "v2.col", "bucketed.col"))
         write_jsonl(allnames_records, jsonl)
         write_columnar_stream(allnames_records, one, "allnames")
         write_columnar_stream(allnames_records, v2, "allnames", 256)
         prebucket_columnar(v2, bucketed, 4, row_group_rows=256)
-        assert max(map(len, buckets)) > TRACED_RECORDS_PER_SHARD  # cap bites
-        expected = []
-        for bucket in buckets:
-            ecs, no_ecs = ScopeTracker(use_ecs=True), ScopeTracker(False)
-            expected.append([
-                (r.ts, r.qname, r.client_ip,
-                 ecs.access(r.ts, r.qname, r.qtype, r.client_ip, r.scope,
-                            r.ttl),
-                 no_ecs.access(r.ts, r.qname, r.qtype, None, 0, r.ttl))
-                for r in bucket[:TRACED_RECORDS_PER_SHARD]])
         for path in (jsonl, one, v2, bucketed):
             replay = (replay_jsonl_sharded if path is jsonl
                       else replay_columnar_sharded)
             with observe(tracing=True) as session:
                 result, _ = replay(path, "allnames", shards=4, workers=1)
             assert result == merge_partials(plain), path.name
-            for shard, rows in enumerate(expected):
-                spans = [s.attrs for s in session.tracer.spans
-                         if s.name == "replay.query"
-                         and s.span_id.startswith(f"s{shard}-")]
-                assert [(a["ts"], a["qname"], a["client"], a["ecs_hit"],
-                         a["plain_hit"]) for a in spans] == rows, \
-                    (path.name, shard)
+            assert replay_spans(session.tracer.spans) == plain, path.name
 
     def test_trace_topology_worker_independent(self, allnames_trace):
         def topology(workers):

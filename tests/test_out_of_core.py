@@ -30,8 +30,8 @@ from typing import Any, Callable, Tuple
 
 import pytest
 
-from repro.analysis.cache_sim import client_sweep
-from repro.core.cache import ScopeTracker
+from repro.analysis.cache_sim import (client_sweep, merge_partials,
+                                      replay_partial)
 from repro.datasets.columnar import (ColumnarStore, RowGroupReader,
                                      convert_columnar, is_columnar,
                                      prebucket_columnar, read_columnar,
@@ -39,7 +39,7 @@ from repro.datasets.columnar import (ColumnarStore, RowGroupReader,
 from repro.engine import (ShardSpec, client_sweep_sharded, generate_columnar,
                           generate_jsonl, partition_by_key,
                           replay_columnar_sharded, replay_jsonl_sharded)
-from repro.engine.replay import _HELD, KeyedTrace
+from repro.engine.replay import _HELD, ACCESSORS, KeyedTrace
 from repro.obs import observe
 
 SHARDS = 4
@@ -105,69 +105,56 @@ def test_peak_heap_is_sublinear_in_trace_length(tmp_path):
         f"({peak_small >> 10} KiB -> {peak_large >> 10} KiB)"
 
 
-def test_traced_row_range_replay_stays_group_bounded(tmp_path, monkeypatch):
-    """``--trace-out`` must not turn the out-of-core path in-core: a traced
-    row-range replay feeds the kernel group by group, so over the untraced
-    peak it may cost the capped spans — and nothing that scales with rows."""
-    cap, total_queries = 200, 40_000
-    monkeypatch.setattr("repro.engine.replay.TRACED_RECORDS_PER_SHARD", cap)
+@pytest.fixture(scope="module")
+def traced_inputs(tmp_path_factory):
+    """One 12,000-row allnames trace as JSONL, as a flat ``.col`` and
+    pre-bucketed for :data:`SHARDS`."""
     spec = ShardSpec.create("allnames", shard_count=SHARDS,
-                            total_queries=total_queries, **FIXED_UNIVERSE)
-    flat = tmp_path / "flat.col"
-    generate_columnar(spec, flat, workers=1, row_group_rows=GROUP_ROWS)
-    bucketed = tmp_path / "bucketed.col"
-    prebucket_columnar(flat, bucketed, SHARDS, row_group_rows=GROUP_ROWS)
-
-    def replay():
-        return replay_columnar_sharded(bucketed, "allnames", shards=SHARDS,
-                                       workers=1)[0]
-
-    def traced_replay():
-        with observe(tracing=True) as session:
-            result = replay()
-        return result, sum(s.name == "replay.query"
-                           for s in session.tracer.spans)
-
-    plain, peak_plain = peak_alloc_of(replay)
-    (traced, spans), peak_traced = peak_alloc_of(traced_replay)
-    assert traced == plain
-    assert spans == cap * SHARDS
-    # ~0.5 KiB per stored span, so 1 KiB each is generous; one record
-    # object per row of a shard (what tracing used to build) is ~2.5 MiB.
-    assert peak_traced < peak_plain + spans * 1024, \
-        f"tracing added {(peak_traced - peak_plain) >> 10} KiB of heap " \
-        f"for {spans} spans over {total_queries} rows"
+                            total_queries=12_000, **FIXED_UNIVERSE)
+    out = tmp_path_factory.mktemp("traced")
+    paths = {"jsonl": out / "trace.jsonl", "flat": out / "flat.col",
+             "bucketed": out / "bucketed.col"}
+    generate_jsonl(spec, paths["jsonl"], workers=1)
+    generate_columnar(spec, paths["flat"], workers=1,
+                      row_group_rows=GROUP_ROWS)
+    prebucket_columnar(paths["flat"], paths["bucketed"], SHARDS,
+                       row_group_rows=GROUP_ROWS)
+    return paths
 
 
-def test_traced_jsonl_replay_costs_spans_not_rows(tmp_path, monkeypatch):
-    """The JSONL lane under ``--trace-out``: a shard's lines become columns
-    once and the kernel reads those, traced or not, so over the untraced
-    peak tracing may cost the capped spans — and no object per row
-    (12,000 records would be some 2 MiB)."""
-    cap, total_queries = 100, 12_000
-    monkeypatch.setattr("repro.engine.replay.TRACED_RECORDS_PER_SHARD", cap)
-    spec = ShardSpec.create("allnames", shard_count=SHARDS,
-                            total_queries=total_queries, **FIXED_UNIVERSE)
-    trace = tmp_path / "trace.jsonl"
-    generate_jsonl(spec, trace, workers=1)
+@pytest.mark.parametrize("form", ("jsonl", "flat", "bucketed"))
+def test_traced_replay_is_the_untraced_replay(form, traced_inputs,
+                                              replay_spans):
+    """``--trace-out`` replays through the untraced adapter: at workers 1
+    and 2 the result is the untraced one, each shard is one ``replay``
+    span whose counters sum to the merged result, and over the untraced
+    peak heap tracing costs those spans — never an object per row, nor
+    (pre-bucketed) the out-of-core path turned in-core."""
+    path = traced_inputs[form]
+    replay = replay_jsonl_sharded if form == "jsonl" \
+        else replay_columnar_sharded
+    for workers in (1, 2):
+        def untraced():
+            return replay(path, "allnames", shards=SHARDS,
+                          workers=workers)
 
-    def replay():
-        return replay_jsonl_sharded(trace, "allnames", shards=SHARDS,
-                                    workers=1)[0]
+        def traced():
+            with observe(tracing=True) as session:
+                return untraced(), session.tracer.spans
 
-    def traced_replay():
-        with observe(tracing=True) as session:
-            result = replay()
-        return result, sum(s.name == "replay.query"
-                           for s in session.tracer.spans)
-
-    plain, peak_plain = peak_alloc_of(replay)
-    (traced, spans), peak_traced = peak_alloc_of(traced_replay)
-    assert traced == plain
-    assert spans == cap * SHARDS
-    assert peak_traced < peak_plain + spans * 1024, \
-        f"tracing added {(peak_traced - peak_plain) >> 10} KiB of heap " \
-        f"for {spans} spans over {total_queries} rows"
+        (plain, report), peak_plain = peak_alloc_of(untraced)
+        ((result, _), spans), peak_traced = peak_alloc_of(traced)
+        assert result == plain, workers
+        shards = replay_spans(spans)
+        assert len(shards) == SHARDS
+        assert merge_partials(shards) == plain
+        assert sum(span.attrs["rows"] for span in spans
+                   if span.name == "replay") == report.total_records
+        # A stored span is ~0.5 KiB and the session's own objects under 16;
+        # one record object per row is ~2 MiB.
+        assert peak_traced < peak_plain + len(spans) * 1024 + (16 << 10), \
+            f"tracing added {(peak_traced - peak_plain) >> 10} KiB of " \
+            f"heap for {len(spans)} spans at workers={workers}"
 
 
 def test_jsonl_replay_heap_does_not_hold_the_trace(tmp_path):
@@ -265,44 +252,26 @@ def regrouped(small_trace, tmp_path_factory):
     return paths
 
 
-def _span_oracle(records, shards, budget):
-    """Per qname bucket, ``(ts, qname, client, ecs hit, plain hit)`` of
-    its first ``budget`` rows, by ``ScopeTracker``."""
-    expected = []
-    for bucket in partition_by_key(records, shards, lambda r: r.qname):
-        ecs, plain = ScopeTracker(use_ecs=True), ScopeTracker(False)
-        expected.append([
-            (r.ts, r.qname, r.client_ip,
-             ecs.access(r.ts, r.qname, r.qtype, r.client_ip, r.scope, r.ttl),
-             plain.access(r.ts, r.qname, r.qtype, None, 0, r.ttl))
-            for r in bucket[:budget]])
-    return expected
-
-
 @pytest.mark.parametrize("shards", (1, 3, 8))
 @pytest.mark.parametrize("row_group_rows", (1, 7, 256))
 def test_trace_replay_equals_the_oracle(row_group_rows, shards, small_trace,
                                         regrouped, oracle_replay,
-                                        monkeypatch):
+                                        replay_spans):
     """Whatever the groups, a multi-group file replays as the oracle over
     its records, qname bucket by qname bucket; traced, the counters hold
-    and each span's verdicts are the oracle's, its attributes read from
-    the group that holds the row."""
+    and each shard's ``replay`` span records the oracle's partial of its
+    bucket."""
     _, records, _ = small_trace
     path = regrouped[row_group_rows]
     want = oracle_replay(records, "allnames", shards)
     assert replay_columnar_sharded(path, "allnames", shards=shards,
                                    workers=1)[0] == want
-    monkeypatch.setattr("repro.engine.replay.TRACED_RECORDS_PER_SHARD", 40)
     with observe(tracing=True) as session:
         assert replay_columnar_sharded(path, "allnames", shards=shards,
                                        workers=1)[0] == want
-    for shard, rows in enumerate(_span_oracle(records, shards, 40)):
-        spans = [s.attrs for s in session.tracer.spans
-                 if s.name == "replay.query"
-                 and s.span_id.startswith(f"s{shard}-")]
-        assert [(a["ts"], a["qname"], a["client"], a["ecs_hit"],
-                 a["plain_hit"]) for a in spans] == rows, shard
+    assert replay_spans(session.tracer.spans) == [
+        replay_partial(bucket, *ACCESSORS["allnames"])
+        for bucket in partition_by_key(records, shards, lambda r: r.qname)]
 
 
 @pytest.mark.parametrize("row_group_rows", (7, 256))

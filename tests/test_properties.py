@@ -2,7 +2,6 @@
 protocol invariants."""
 
 import ipaddress
-import random
 
 from hypothesis import given, settings, strategies as st
 

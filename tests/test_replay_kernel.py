@@ -11,6 +11,7 @@ evidence that the two are one model.  The error paths keep their text.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from math import inf, nan
 from unittest import mock
@@ -141,10 +142,11 @@ def test_seeded_traces_with_a_ttl_lost_to_rounding(seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(records=traces(), budget=st.integers(0, 90), data=st.data())
-def test_traced_equals_untraced(records, budget, data):
-    """``_observed_replay`` under a tracer feeds the leading rows one at a
-    time: same partial, and each span's verdicts are the oracle's."""
+@given(records=traces(), data=st.data())
+def test_traced_equals_untraced(records, data):
+    """``_observed_replay`` under a tracer runs the same adapter call
+    inside one ``replay`` span: the same partial, and the span's
+    attributes are that partial's six fields plus its row count."""
     store = _store(records)
     rows = sorted(data.draw(st.sets(st.sampled_from(range(len(records)))),
                             label="rows")) if records else []
@@ -152,26 +154,16 @@ def test_traced_equals_untraced(records, budget, data):
     def run():
         return _observed_replay(
             "allnames",
-            lambda: replay_partial_columns(store, "client_ip", rows=rows),
-            lambda kernel: [(store, kernel.store_segment(store, "client_ip"),
-                             rows)])
+            lambda: replay_partial_columns(store, "client_ip", rows=rows))
 
     untraced = run()
-    with mock.patch("repro.engine.replay.TRACED_RECORDS_PER_SHARD", budget), \
-            observe(metrics=False, tracing=True) as session:
+    with observe(metrics=False, tracing=True) as session:
         assert run() == untraced
-    spans = [span.attrs for span in session.tracer.spans
-             if span.name == "replay.query"]
-    assert len(spans) == min(budget, len(rows))
-    seen = []
-    for attrs, row in zip(spans, rows):
-        before = _oracle(seen)
-        seen.append(records[row])
-        after = _oracle(seen)
-        assert (attrs["ts"], attrs["qname"], attrs["client"]) == (
-            records[row].ts, records[row].qname, records[row].client_ip)
-        assert attrs["ecs_hit"] == (after.hits_ecs > before.hits_ecs)
-        assert attrs["plain_hit"] == (after.hits_no_ecs > before.hits_no_ecs)
+    [span] = session.tracer.spans
+    assert span.name == "replay"
+    assert span.attrs == {"kind": "allnames", "rows": len(rows),
+                          **dataclasses.asdict(untraced)}
+    assert untraced == _oracle([records[row] for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 """Tests for report rendering, dataset helpers, and cross-cutting
 consistency checks."""
 
-import pytest
-
 from repro.analysis.report import (Comparison, cdf_table,
                                    format_comparisons, format_table)
 from repro.datasets import paper_numbers as paper

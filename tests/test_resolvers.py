@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.auth import fixed_scope
-from repro.core.policies import EcsPolicy, ProbingStrategy
-from repro.dnslib import (EcsOption, Message, Name, Rcode, RecordType)
+from repro.dnslib import EcsOption, Name, Rcode
 from repro.measure import StubClient
 from repro.net import city
 from repro.resolvers import (Forwarder, PublicDnsService, RecursiveResolver,
@@ -77,7 +75,6 @@ class TestRecursiveResolution:
 
     def test_resolution_failure_raises_servfail_path(self, small_world):
         # Detach the only example.com server: resolution must not hang.
-        from repro.dnslib import ResolutionError
         zone_ip = None
         for ip, count in small_world.net.stats.per_destination.items():
             pass

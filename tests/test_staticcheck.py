@@ -19,7 +19,6 @@ from typing import Dict, List
 
 import pytest
 
-import repro
 from repro.cli import main as cli_main
 from repro.staticcheck import (LintContext, lint_paths, lint_source,
                                render_text)
@@ -518,6 +517,59 @@ class TestSeededRngRule:
 
 
 # ---------------------------------------------------------------------------
+# RS006 — unused imports
+
+
+class TestUnusedImportRule:
+    def test_unused_names_flagged(self):
+        src = ("import os\nfrom typing import Dict, List\n\n"
+               "def f() -> List[int]:\n    return []\n")
+        violations = lint(src, rule_ids=["RS006"])
+        assert ids_of(violations) == ["RS006", "RS006"]
+        assert [(v.line, v.message) for v in violations] == [
+            (1, "'os' is imported but never used; delete the import"),
+            (2, "'Dict' is imported but never used; delete the import")]
+
+    def test_function_level_and_aliased_imports_flagged(self):
+        src = ("import a.b as c\n\n"
+               "def f():\n    from m import g\n    return 1\n")
+        assert sorted(v.message.split()[0] for v in
+                      lint(src, rule_ids=["RS006"])) == ["'c'", "'g'"]
+
+    def test_loads_count(self):
+        src = ("import os\nfrom m import g, h as k\n\n"
+               "@g\ndef f():\n    return os.sep, k\n")
+        assert lint(src, rule_ids=["RS006"]) == []
+
+    def test_forward_references_and_all_count(self):
+        src = ("from typing import List\nfrom m import A, B, C, D\n"
+               "__all__ = ['D']\nAlias = List['B']\n"
+               "def f(x: 'A') -> 'List[C]':\n    return [x]\n")
+        assert lint(src, rule_ids=["RS006"]) == []
+
+    def test_a_string_elsewhere_does_not_count(self):
+        src = "import os\nname = 'os'\n"
+        assert ids_of(lint(src, rule_ids=["RS006"])) == ["RS006"]
+
+    def test_exemptions(self):
+        assert lint("from __future__ import annotations\n"
+                    "from m import *\nimport a.b\n",
+                    rule_ids=["RS006"]) == []
+        assert lint("from .core import thing\n",
+                    path="src/repro/pkg/__init__.py",
+                    rule_ids=["RS006"]) == []
+
+    def test_tests_are_not_exempt(self):
+        src = "import pytest\n"
+        assert ids_of(lint(src, path="tests/test_x.py",
+                           rule_ids=["RS006"])) == ["RS006"]
+
+    def test_suppression(self):
+        src = "from . import rules  # repro-lint: disable=RS006\n"
+        assert lint(src, rule_ids=["RS006"]) == []
+
+
+# ---------------------------------------------------------------------------
 # RS100 — Prometheus exposition (file rule)
 
 
@@ -807,8 +859,8 @@ class TestCli:
         assert lines[-1] == "1 violation in 1 file"
 
     def test_rule_catalogue(self):
-        assert all_rule_ids() ==["RS001", "RS002", "RS003", "RS005",
-                                  "RS100", "RS203", "RS204"]
+        assert all_rule_ids() == ["RS001", "RS002", "RS003", "RS005",
+                                  "RS006", "RS100", "RS203", "RS204"]
 
     def test_repro_cli_has_no_lint_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
