@@ -1,4 +1,4 @@
-"""The one timing loop the perf benches share."""
+"""The timing loops the perf benches share."""
 
 from __future__ import annotations
 
@@ -19,4 +19,26 @@ def best_of_three(modes):
             start = time.perf_counter()
             results[name] = run()
             seconds[name] = min(seconds[name], time.perf_counter() - start)
+    return results, seconds
+
+
+def alternating_rounds(modes, rounds):
+    """Run two ``modes`` (name -> callable) back to back ``rounds``
+    times, their order flipping every round, so drift between rounds
+    and a slow round reach both alike.
+
+    Returns ``(results, seconds)``: each mode's last result and its wall
+    seconds per round, index-aligned: ``seconds[a][i] / seconds[b][i]``
+    is round ``i``'s ratio, and their median an estimate that one noisy
+    round cannot move.
+    """
+    results = {}
+    seconds = {name: [] for name in modes}
+    order = list(modes.items())
+    for _ in range(rounds):
+        for name, run in order:
+            start = time.perf_counter()
+            results[name] = run()
+            seconds[name].append(time.perf_counter() - start)
+        order.reverse()
     return results, seconds

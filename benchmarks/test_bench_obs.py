@@ -14,6 +14,7 @@ Scale with ``HOTPATH_BENCH_SCALE`` (default 1.0; CI uses 0.1).
 from __future__ import annotations
 
 import os
+import statistics
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.obs import observe
 from repro.obs import live as obs_live
 from repro.obs.live import LiveSink
 
-from bench_timing import best_of_three
+from bench_timing import alternating_rounds, best_of_three
 
 SCALE = float(os.environ.get("HOTPATH_BENCH_SCALE", "1.0"))
 
@@ -36,6 +37,8 @@ METRICS_FLOOR = 0.8
 
 #: Live-heartbeat floor: the heartbeat plane costs at most 5% throughput.
 LIVE_FLOOR = 0.95
+#: Off/on rounds whose median ratio is held to ``LIVE_FLOOR``.
+LIVE_ROUNDS = 31
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +108,7 @@ def test_live_heartbeat_overhead(save_report, replay_trace):
 
     def live_on():
         sink = LiveSink()
-        sinks.append(sink)
+        sinks[:] = [sink]  # the last run's; older ones would grow the heap
         previous = obs_live.swap(sink.emitter())
         try:
             return _replay(replay_trace, shards)
@@ -113,10 +116,13 @@ def test_live_heartbeat_overhead(save_report, replay_trace):
             obs_live.swap(previous)
             sink.close()
 
-    results, seconds = best_of_three({
+    # A run's beats cost well under a millisecond, inside one run's
+    # timing noise, so the estimate is the median of alternating rounds'
+    # ratios: a best-of over three runs read that noise, of either sign.
+    results, times = alternating_rounds({
         "off": lambda: _replay(replay_trace, shards),
         "on": live_on,
-    })
+    }, LIVE_ROUNDS)
 
     # The live plane never touches results, and every shard's lifecycle
     # beats arrived (run_start + per-shard start/end + run_end).
@@ -126,9 +132,12 @@ def test_live_heartbeat_overhead(save_report, replay_trace):
 
     with ColumnarStore.open(replay_trace) as store:
         n = len(store)
-    live_ratio = seconds["off"] / seconds["on"]
+    live_ratio = statistics.median(
+        off / on for off, on in zip(times["off"], times["on"]))
+    seconds = {mode: statistics.median(times[mode]) for mode in times}
     save_report("obs_live_heartbeat_overhead", (
-        f"replay allnames, {n} rows, {shards} shards, best of 3: "
+        f"replay allnames, {n} rows, {shards} shards, median of "
+        f"{LIVE_ROUNDS} alternating rounds: "
         f"live off {n / seconds['off']:,.0f} rec/s, "
         f"live on {n / seconds['on']:,.0f} rec/s "
         f"({beats} heartbeats)\n"

@@ -56,18 +56,15 @@ from .analysis.mapping_quality import (MappingQualityLab,
 from .analysis.unroutable import UnroutableLab
 from .datasets import CdnDatasetBuilder, ScanUniverseBuilder
 from .datasets.columnar import (DEFAULT_ROW_GROUP_ROWS, SCHEMAS,
-                                ColumnarFormatError, columnar_to_jsonl,
-                                convert_columnar, file_info, is_columnar,
-                                jsonl_file_defect, jsonl_to_columnar,
-                                prebucket_columnar)
+                                columnar_to_jsonl, convert_columnar,
+                                file_info, trace_input)
 from .datasets.ditl import RootTraceBuilder
-from .datasets.records import JsonlFormatError
+from .datasets.records import TraceFormatError
 from .engine import (DEFAULT_SHARDS, ShardSpec, WorkerPool, generate_columnar,
                      generate_jsonl)
 from .engine.executor import EngineReport
-from .engine.replay import (_file_rejected_beat, client_sweep_sharded,
-                            fig1_sharded, replay_columnar_sharded,
-                            replay_jsonl_sharded)
+from .engine.replay import (client_sweep_sharded, fig1_sharded,
+                            replay_columnar_sharded, replay_jsonl_sharded)
 from .faults.chaos import run_chaos
 from .faults.presets import preset, preset_names
 from .measure import Scanner
@@ -260,22 +257,6 @@ def cmd_pitfalls(args: argparse.Namespace, reporter: _Reporter) -> None:
     reporter.emit("fig8", timings.report())
 
 
-def _check_input(task: str, path: str) -> None:
-    """Reject an input path that cannot be opened — missing, a directory,
-    unreadable — before any work: with the live plane on a
-    ``file_rejected`` beat, then exit 1 with one line naming the path
-    and the reason.  An empty file opens: it is a zero-row JSONL trace
-    (``docs/datasets.md``)."""
-    try:
-        open(path, "rb").close()
-    except OSError as exc:
-        reason = exc.strerror or type(exc).__name__
-        emitter = obs_live.ACTIVE
-        if emitter is not None:
-            emitter.beat("file_rejected", task, path=path, reason=reason)
-        raise SystemExit(f"repro-ecs: {path}: {reason}") from None
-
-
 def cmd_generate(args: argparse.Namespace, reporter: _Reporter) -> None:
     """Write one synthetic dataset to a trace file, JSONL or columnar
     (``--format``).
@@ -316,46 +297,25 @@ def cmd_convert(args: argparse.Namespace, reporter: _Reporter) -> None:
     otherwise; every direction streams with bounded memory.  JSONL ->
     columnar -> JSONL round-trips byte-identically.
     ``--row-group-rows`` sets how many rows a columnar output group
-    holds; on a columnar source it rewrites the file with that group
-    size, and the bytes depend only on the rows and the size.
+    holds; the bytes depend only on the rows and the size.
     ``--bucket-shards N`` pre-buckets a columnar output by qname for
-    out-of-core row-range replay with ``--shards N``; from JSONL, the
-    flat conversion goes to a sibling file, so ``dst`` is only ever
-    replaced by the finished pre-bucketed trace.  A source that is not
-    a trace of its kind exits 1 naming the file, after a
-    ``file_rejected`` beat when the live plane is on.
+    out-of-core row-range replay with ``--shards N``, from either
+    source format; ``dst`` is only ever replaced by the finished trace.
+    A source that is not a trace of its kind exits 1 naming the file,
+    after a ``file_rejected`` beat when the live plane is on.
     """
-    _check_input(f"convert:{args.dataset}", args.src)
-    target = "jsonl" if (is_columnar(args.src)
-                         and args.row_group_rows is None
-                         and args.bucket_shards is None) else "columnar"
-    with _file_rejected_beat(f"convert:{args.dataset}", args.src):
-        count = _convert(args, target)
+    with trace_input(f"convert:{args.dataset}", args.src,
+                     args.dataset) as fmt:
+        if (fmt == "columnar" and args.row_group_rows is None
+                and args.bucket_shards is None):
+            target, count = "jsonl", columnar_to_jsonl(args.src, args.dst)
+        else:
+            target, count = "columnar", convert_columnar(
+                args.src, args.dst, args.dataset,
+                row_group_rows=args.row_group_rows,
+                buckets=args.bucket_shards)
     reporter.note(f"converted {count} {args.dataset} records: "
                   f"{args.src} -> {args.dst} ({target})")
-
-
-def _convert(args: argparse.Namespace, target: str) -> int:
-    """:func:`cmd_convert`'s conversion; returns the rows converted."""
-    if target == "jsonl":
-        return columnar_to_jsonl(args.src, args.dst)
-    if args.bucket_shards is None and is_columnar(args.src):
-        return convert_columnar(args.src, args.dst,
-                                row_group_rows=args.row_group_rows)
-    if args.bucket_shards is None:
-        return jsonl_to_columnar(args.src, args.dst, args.dataset,
-                                 row_group_rows=args.row_group_rows)
-    if is_columnar(args.src):
-        return prebucket_columnar(args.src, args.dst, args.bucket_shards,
-                                  args.row_group_rows)
-    staging = Path(args.dst).with_name(Path(args.dst).name + ".bucketing")
-    try:
-        jsonl_to_columnar(args.src, staging, args.dataset,
-                          row_group_rows=args.row_group_rows)
-        return prebucket_columnar(staging, args.dst, args.bucket_shards,
-                                  args.row_group_rows)
-    finally:
-        staging.unlink(missing_ok=True)
 
 
 def _quantity(value: int, fmt: Callable[[int], str]) -> str:
@@ -379,37 +339,15 @@ def cmd_dataset(args: argparse.Namespace, reporter: _Reporter) -> None:
     render through :mod:`repro.units` (``1.4 GiB``, ``3.8B rows``) with
     the exact integer alongside, so the table stays grep-able.
     """
-    _check_input("dataset:info", args.file)
     path = Path(args.file)
-    if is_columnar(path):
-        info = file_info(path)
-        rows = [("schema", info["schema"]),
-                ("format version", info["version"]),
-                ("rows", _quantity(info["rows"], human_count)),
-                ("file bytes", _quantity(info["file_bytes"], human_bytes)),
-                ("bytes/row", round(info["bytes_per_row"], 2)),
-                ("header bytes",
-                 _quantity(info["header_bytes"], human_bytes))]
-        for label, key in (("row groups", "row_groups"),
-                           ("row-group rows", "row_group_rows"),
-                           ("qname buckets", "buckets")):
-            rows.append((label, "-" if info[key] is None else info[key]))
-        reporter.emit("dataset_info", format_table(
-            ("property", "value"), rows,
-            title=f"Columnar trace {path}"))
-        reporter.emit("dataset_columns", format_table(
-            ("column", "kind", "data B", "null B", "dict B", "dict entries"),
-            [(c["name"], c["kind"], c["data_bytes"], c["null_bytes"],
-              c["dict_bytes"], c["dict_entries"])
-             for c in info["columns"]],
-            title="Per-column segments"))
-    else:
-        size = path.stat().st_size
-        try:
+    with trace_input("dataset:info", args.file) as fmt:
+        if fmt == "columnar":
+            info = file_info(path)
+        else:
+            size = path.stat().st_size
             with open(path, "r", encoding="utf-8") as fh:
                 lines = sum(1 for line in fh if line.strip())
-        except UnicodeDecodeError as exc:
-            raise (jsonl_file_defect(path) or exc) from None
+    if fmt == "jsonl":
         reporter.emit("dataset_info", format_table(
             ("property", "value"),
             [("format", "jsonl"),
@@ -417,6 +355,25 @@ def cmd_dataset(args: argparse.Namespace, reporter: _Reporter) -> None:
              ("file bytes", _quantity(size, human_bytes)),
              ("bytes/row", round(size / lines, 2) if lines else 0.0)],
             title=f"JSONL trace {path}"))
+        return
+    rows = [("schema", info["schema"]),
+            ("format version", info["version"]),
+            ("rows", _quantity(info["rows"], human_count)),
+            ("file bytes", _quantity(info["file_bytes"], human_bytes)),
+            ("bytes/row", round(info["bytes_per_row"], 2)),
+            ("header bytes", _quantity(info["header_bytes"], human_bytes))]
+    for label, key in (("row groups", "row_groups"),
+                       ("row-group rows", "row_group_rows"),
+                       ("qname buckets", "buckets")):
+        rows.append((label, "-" if info[key] is None else info[key]))
+    reporter.emit("dataset_info", format_table(
+        ("property", "value"), rows, title=f"Columnar trace {path}"))
+    reporter.emit("dataset_columns", format_table(
+        ("column", "kind", "data B", "null B", "dict B", "dict entries"),
+        [(c["name"], c["kind"], c["data_bytes"], c["null_bytes"],
+          c["dict_bytes"], c["dict_entries"])
+         for c in info["columns"]],
+        title="Per-column segments"))
 
 
 def cmd_replay(args: argparse.Namespace, reporter: _Reporter) -> None:
@@ -431,15 +388,13 @@ def cmd_replay(args: argparse.Namespace, reporter: _Reporter) -> None:
     objects cross the pool boundary, and both formats of one trace
     render the identical report.
     """
-    _check_input(f"replay:{args.dataset}", args.file)
-    if is_columnar(args.file):
-        result, engine_report = replay_columnar_sharded(
-            args.file, args.dataset, shards=args.shards,
-            workers=args.workers)
-    else:
-        result, engine_report = replay_jsonl_sharded(
-            args.file, args.dataset, shards=args.shards,
-            workers=args.workers)
+    with trace_input(f"replay:{args.dataset}", args.file,
+                     args.dataset) as fmt:
+        replay = (replay_columnar_sharded if fmt == "columnar"
+                  else replay_jsonl_sharded)
+        result, engine_report = replay(args.file, args.dataset,
+                                       shards=args.shards,
+                                       workers=args.workers)
     reporter.engine(engine_report)
     reporter.emit("replay", format_table(
         ("metric", "value"),
@@ -701,10 +656,6 @@ def _export_artefacts(args: argparse.Namespace, reporter: _Reporter,
                       f"to {args.trace_out}")
 
 
-#: The input trace's argument, per command that reads one.
-_TRACE_INPUTS = {"replay": "file", "convert": "src", "dataset": "file"}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
@@ -754,16 +705,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                                            args.command))
             else:
                 _dispatch(args, reporter)
-        except (JsonlFormatError, ColumnarFormatError) as exc:
-            if args.command not in _TRACE_INPUTS:
-                raise
-            # The error opens with the path it was read by (normalised,
-            # or resolved by a columnar replay); the exit names it as given.
-            given = getattr(args, _TRACE_INPUTS[args.command])
-            reason = str(exc)
-            for named in (given, Path(given), Path(given).resolve()):
-                reason = reason.removeprefix(f"{named}: ")
-            raise SystemExit(f"repro-ecs: {given}: {reason}") from None
+        except TraceFormatError as exc:
+            # Its path is the one given (trace_input), its str that path
+            # and the reason (with a JSONL line's number).
+            raise SystemExit(f"repro-ecs: {exc}") from None
         finally:
             failed = sys.exc_info()[0] is not None
             if sink is not None:

@@ -4,14 +4,14 @@ from . import paper_numbers
 from .allnames import AllNamesBuilder, AllNamesDataset
 from .cdn_dataset import CdnDataset, CdnDatasetBuilder, ResolverSpec
 from .columnar import (SCHEMAS, ColumnarStore, ColumnarWriter,
-                       columnar_to_jsonl, file_info, is_columnar,
-                       jsonl_to_columnar, merge_columnar_shards,
-                       read_columnar, schema_for, write_columnar_stream)
+                       columnar_to_jsonl, convert_columnar, file_info,
+                       merge_columnar_shards, read_columnar, schema_for,
+                       trace_format, write_columnar_stream)
 from .ditl import RootTrace, RootTraceBuilder
 from .public_cdn import PublicCdnBuilder, PublicCdnDataset
 from .records import (AllNamesRecord, CdnQueryRecord, PublicCdnRecord,
-                      RootQueryRecord, ScanQueryRecord, shard_path,
-                      write_jsonl)
+                      RootQueryRecord, ScanQueryRecord, TraceFormatError,
+                      shard_path, write_jsonl)
 from .scan_dataset import (ChainSpec, EgressSpec, ScanUniverse,
                            ScanUniverseBuilder)
 from .workload import (SldPolicy, ZipfSampler, merge_sorted_records,
@@ -23,9 +23,9 @@ __all__ = [
     "ColumnarWriter", "EgressSpec", "PublicCdnBuilder", "PublicCdnDataset",
     "PublicCdnRecord", "ResolverSpec", "RootQueryRecord", "RootTrace",
     "RootTraceBuilder", "SCHEMAS", "ScanQueryRecord", "ScanUniverse",
-    "ScanUniverseBuilder", "SldPolicy", "ZipfSampler", "columnar_to_jsonl",
-    "file_info", "is_columnar", "jsonl_to_columnar", "merge_columnar_shards",
-    "merge_sorted_records", "paper_numbers", "poisson_arrivals",
-    "read_columnar", "schema_for", "shard_path", "write_columnar_stream",
-    "write_jsonl",
+    "ScanUniverseBuilder", "SldPolicy", "TraceFormatError", "ZipfSampler",
+    "columnar_to_jsonl", "convert_columnar", "file_info",
+    "merge_columnar_shards", "merge_sorted_records", "paper_numbers",
+    "poisson_arrivals", "read_columnar", "schema_for", "shard_path",
+    "trace_format", "write_columnar_stream", "write_jsonl",
 ]

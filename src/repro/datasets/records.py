@@ -112,26 +112,50 @@ class RootQueryRecord:
 # IO
 
 
-class JsonlFormatError(ValueError):
+class TraceFormatError(ValueError):
+    """A trace input that cannot be read: ``path`` names the file as its
+    reader was given it, ``reason`` says what is wrong with it.
+
+    The shape of every rejected input — a path that does not open (the
+    ``strerror``), a JSONL line (:class:`JsonlFormatError`) or a
+    ``.col`` header or segment
+    (:class:`repro.datasets.columnar.ColumnarFormatError`).  The
+    constructor arguments are the exception's args, so it unpickles on
+    the parent's side of a worker pool.
+    """
+
+    #: Set once a ``trace_input`` block has named and reported it.
+    reported = False
+
+    def __init__(self, path: Union[str, Path, None], reason: str) -> None:
+        super().__init__(path, reason)
+        self.path = None if path is None else str(path)
+        self.reason = reason
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.reason}"
+
+    def located(self, path: Union[str, Path]) -> "TraceFormatError":
+        """This defect, naming ``path`` as the caller gave it (a replay
+        worker reads the file by its resolved path)."""
+        return type(self)(path, self.reason)
+
+
+class JsonlFormatError(TraceFormatError):
     """A JSONL trace line that is not one row of its schema.
 
-    The JSONL twin of :class:`repro.datasets.columnar.ColumnarFormatError`:
     ``path`` and the 1-based ``line`` number say where, ``reason`` says
     what, ``text`` is the stripped line itself.  The parse step sees
     lines, not files, so it raises with ``path=None`` and ``line``
     counting within the lines it was given; the file-level entry points
-    (``replay_jsonl_sharded``, ``jsonl_to_columnar``) re-raise it
-    :meth:`located`.
+    re-raise it :meth:`located` (``repro.datasets.columnar.trace_input``).
     """
 
     def __init__(self, path: Optional[str], line: int, reason: str,
                  text: str) -> None:
-        # The constructor arguments are the exception's args, so it
-        # unpickles on the parent's side of a worker pool.
-        super().__init__(path, line, reason, text)
-        self.path = path
+        super().__init__(path, reason)
+        self.args = (path, line, reason, text)
         self.line = line
-        self.reason = reason
         self.text = text
 
     def __str__(self) -> str:

@@ -25,7 +25,7 @@ import time
 from array import array
 from itertools import chain, islice
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+from typing import (Any, Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
 from ..analysis.cache_sim import (ClientSweep, ReplayPartial, ReplayResult,
@@ -34,10 +34,9 @@ from ..analysis.cache_sim import (ClientSweep, ReplayPartial, ReplayResult,
                                   merge_partials,
                                   replay_partial_column_groups,
                                   replay_partial_columns)
-from ..datasets.columnar import (ColumnarFormatError, ColumnarStore,
-                                 RowGroupReader, bucketed_group_ranges,
-                                 jsonl_file_defect, record_row_groups)
-from ..datasets.records import JsonlFormatError
+from ..datasets.columnar import (ColumnarStore, RowGroupReader,
+                                 bucketed_group_ranges, record_row_groups,
+                                 trace_input)
 from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
@@ -146,22 +145,6 @@ def _check_kind_and_shards(kind: str, shards: int) -> None:
 def _queries(partial: ReplayPartial) -> int:
     """A replay shard's record count (runs in the worker: picklable)."""
     return partial.queries
-
-
-@contextlib.contextmanager
-def _file_rejected_beat(task: str, path: Union[str, Path]) -> Iterator[None]:
-    """With the live plane on, a trace the block rejects (a
-    :class:`JsonlFormatError` or :class:`ColumnarFormatError`) leaves one
-    ``file_rejected`` beat naming ``task``, the path and the reason on
-    the timeline before the error propagates unchanged."""
-    try:
-        yield
-    except (JsonlFormatError, ColumnarFormatError) as exc:
-        emitter = _obs_live.ACTIVE
-        if emitter is not None:
-            emitter.beat("file_rejected", task, path=str(path),
-                         reason=str(exc))
-        raise
 
 
 def _replay_shards(worker: Callable[..., ReplayPartial],
@@ -303,33 +286,26 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
     Every line must be a row of the ``kind`` schema, exactly as
     ``convert`` requires; one that is not raises
     :class:`~repro.datasets.records.JsonlFormatError` naming the file
-    and the line (with the live plane on, after a ``file_rejected``
-    beat).
+    as given and the line (:func:`~repro.datasets.columnar.trace_input`).
     """
     _check_kind_and_shards(kind, shards)
-    with _file_rejected_beat(f"replay:{kind}", path):
-        try:
-            with tempfile.TemporaryDirectory(prefix="repro-replay-") \
-                    as spill_dir:
-                bucket_start = time.perf_counter()
-                tracer = _obs_trace.ACTIVE
-                with (tracer.span("bucket", kind=kind, shards=shards)
-                      if tracer is not None else contextlib.nullcontext()):
-                    spills, routed = _spill_buckets(path, shards, spill_dir)
-                emitter = _obs_live.ACTIVE
-                if emitter is not None:
-                    emitter.beat("bucket", f"replay:{kind}", records=routed,
-                                 seconds=time.perf_counter() - bucket_start)
-                return _replay_shards(_replay_lines_shard,
-                                      [(spill,) for spill in spills],
-                                      (kind,), kind, workers)
-        except JsonlFormatError as exc:
-            raise exc.located(path) from None
-        except UnicodeError as exc:
-            # Bytes that are not UTF-8, or a lone surrogate in a qname
-            # (hashing it encodes it) or in a shard's dictionary: found
-            # and numbered by one scan of the trace.
-            raise (jsonl_file_defect(path, kind) or exc) from None
+    # Bytes that are not UTF-8, or a lone surrogate in a qname (hashing
+    # it encodes it) or in a shard's dictionary, fail as a UnicodeError
+    # that trace_input numbers by one scan of the trace.
+    with trace_input(f"replay:{kind}", path, kind), \
+            tempfile.TemporaryDirectory(prefix="repro-replay-") as spill_dir:
+        bucket_start = time.perf_counter()
+        tracer = _obs_trace.ACTIVE
+        with (tracer.span("bucket", kind=kind, shards=shards)
+              if tracer is not None else contextlib.nullcontext()):
+            spills, routed = _spill_buckets(path, shards, spill_dir)
+        emitter = _obs_live.ACTIVE
+        if emitter is not None:
+            emitter.beat("bucket", f"replay:{kind}", records=routed,
+                         seconds=time.perf_counter() - bucket_start)
+        return _replay_shards(_replay_lines_shard,
+                              [(spill,) for spill in spills],
+                              (kind,), kind, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +499,19 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
 
     Bounded memory needs a file pre-bucketed for exactly ``shards``
     buckets (``repro-ecs convert --bucket-shards``, see
-    :func:`repro.datasets.columnar.prebucket_columnar`), which takes
+    :func:`repro.datasets.columnar.convert_columnar`), which takes
     the out-of-core path instead: the parent reads only the header,
     dispatches disjoint ``(group_start, group_end)`` row-group ranges,
     and each worker streams its own groups, one resident at a time.
     Rows within a bucket keep their file order, so results are
     counter-identical to the flat path over the same trace.  A file
     that cannot be trusted raises
-    :class:`~repro.datasets.columnar.ColumnarFormatError` (with the
-    live plane on, after a ``file_rejected`` beat).
+    :class:`~repro.datasets.columnar.ColumnarFormatError` naming
+    ``path`` as given, a worker's reason intact
+    (:func:`~repro.datasets.columnar.trace_input`).
     """
     _check_kind_and_shards(kind, shards)
-    with _file_rejected_beat(f"replay:{kind}", path):
+    with trace_input(f"replay:{kind}", path):
         resolved = str(Path(path).resolve())
         ranges = bucketed_group_ranges(resolved)
         if ranges is not None:

@@ -13,8 +13,8 @@ import pytest
 from repro.cli import _Reporter, build_parser, main
 from repro.datasets import PublicCdnBuilder
 from repro.engine import DEFAULT_SHARDS
-from repro.datasets.columnar import (file_info, jsonl_to_columnar,
-                                     read_columnar)
+from repro.datasets.columnar import (RowGroupReader, convert_columnar,
+                                     file_info, read_columnar)
 from repro.obs.export import parse_prometheus, write_text_atomic
 
 
@@ -334,10 +334,18 @@ class TestUnopenableInput:
     def inputs(self, tmp_path, monkeypatch):
         (tmp_path / "a-directory.col").mkdir()
         (tmp_path / "empty.col").write_bytes(b"")
-        cut = tmp_path / "cut.col"
-        jsonl_to_columnar(Path(__file__).parent / "data" / "allnames_v1.jsonl",
-                          cut, "allnames")
+        committed = Path(__file__).parent / "data" / "allnames_v1.jsonl"
+        cut, code = tmp_path / "cut.col", tmp_path / "code.col"
+        convert_columnar(committed, cut, "allnames")
         cut.write_bytes(cut.read_bytes()[:cut.stat().st_size // 2])
+        # A header that checks out, and a qname dictionary cut to one
+        # entry: only a group read sees the codes past its end.
+        convert_columnar(committed, code, "allnames")
+        with RowGroupReader(code) as reader:
+            offset, length = reader.group_entry(0)["columns"][2]["dict"]
+        raw = bytearray(code.read_bytes())
+        raw[16 + offset:16 + offset + length] = b'["a."]'.ljust(length)
+        code.write_bytes(bytes(raw))
         (tmp_path / "latin1.jsonl").write_bytes(
             b'{"ts":1.0,"qname":"caf\xe9.example."}\n')
         # The malformed files go by a relative path, which the readers
@@ -371,6 +379,17 @@ class TestUnopenableInput:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    def test_worker_reason_reaches_the_exit_line(self, inputs):
+        """A damage only a group read sees, met in a pool worker (which
+        reads the file by its resolved path): the exit line names the
+        path as given and carries the worker's reason whole."""
+        with pytest.raises(SystemExit) as caught:
+            main(["--quiet", "replay", "allnames", "./code.col",
+                  "--workers", "2"])
+        assert re.fullmatch(r"repro-ecs: \./code\.col: group 0: qname row "
+                            r"\d+ holds dictionary code \d+, past its "
+                            r"1-entry dictionary", caught.value.code)
+
     def test_empty_file_replays_zero_rows(self, inputs, tmp_path):
         assert main(["--quiet", "--out", str(tmp_path / "r"), "replay",
                      "allnames", str(inputs["empty"][0])]) == 0
@@ -390,9 +409,11 @@ class TestUnopenableInput:
         assert proc.stderr.splitlines() == [
             f"repro-ecs: {path}: No such file or directory"]
         events = json.loads(timeline.read_text())["traceEvents"]
+        # The beat's reason is the error's text, as for a malformed file.
         assert [(e["cat"], e["name"], e["args"]) for e in events] == [
             ("file_rejected", "replay:allnames",
-             {"path": str(path), "reason": "No such file or directory"})]
+             {"path": str(path),
+              "reason": f"{path}: No such file or directory"})]
 
 
 class TestColumnarCommands:
@@ -460,20 +481,51 @@ class TestColumnarCommands:
         assert [p.name for p in tmp_path.iterdir()] == ["v1.col"]
 
     def test_failed_prebucket_leaves_dst_as_it_was(self, tmp_path):
-        """``convert --bucket-shards`` from JSONL writes its flat
-        conversion beside ``dst``, not over it: when pre-bucketing fails
-        (here: a directory where its first spill file goes), ``dst``
-        keeps its bytes and the flat file is gone."""
+        """``convert --bucket-shards`` from JSONL buckets the lines into
+        spill files beside ``dst``, not over it: when that fails — a
+        directory where the first spill file goes, or a line that is not
+        a row after groups were spilled — ``dst`` keeps its bytes and no
+        spill file is left."""
+        committed = Path(__file__).parent / "data" / "allnames_v1.jsonl"
+        for damage in ("spill-blocked", "rejected-line"):
+            root = tmp_path / damage
+            root.mkdir()
+            jsonl, dst = root / "trace.jsonl", root / "trace.col"
+            jsonl.write_bytes(committed.read_bytes() + b'{"ts":9e9}\n'
+                              * (damage == "rejected-line"))
+            dst.write_bytes(b"what dst held")
+            argv = ["--quiet", "convert", "allnames", str(jsonl), str(dst),
+                    "--bucket-shards", "4", "--row-group-rows", "16"]
+            if damage == "spill-blocked":
+                (root / "trace.col.bucket00.tmp").mkdir()
+                with pytest.raises(IsADirectoryError):
+                    main(argv)
+            else:
+                with pytest.raises(SystemExit, match=f"^repro-ecs: "
+                                   f"{re.escape(str(jsonl))}: line 301: "
+                                   f"missing field 'client_ip'$"):
+                    main(argv)
+            assert dst.read_bytes() == b"what dst held"
+            assert sorted(p.name for p in root.iterdir()) == sorted(
+                ["trace.col", "trace.jsonl"]
+                + ["trace.col.bucket00.tmp"] * (damage == "spill-blocked"))
+
+    @pytest.mark.parametrize("group_rows", ("16", "64"))
+    def test_bucketing_jsonl_equals_bucketing_its_col(self, group_rows,
+                                                      tmp_path):
+        """``convert --bucket-shards`` buckets a JSONL source directly,
+        to the bytes of bucketing its ``.col`` conversion."""
         jsonl = Path(__file__).parent / "data" / "allnames_v1.jsonl"
-        dst = tmp_path / "trace.col"
-        dst.write_bytes(b"what dst held")
-        (tmp_path / "trace.col.bucket00.tmp").mkdir()
-        with pytest.raises(IsADirectoryError):
-            main(["--quiet", "convert", "allnames", str(jsonl), str(dst),
-                  "--bucket-shards", "4"])
-        assert dst.read_bytes() == b"what dst held"
-        assert sorted(p.name for p in tmp_path.iterdir()) \
-            == ["trace.col", "trace.col.bucket00.tmp"]
+        flat, direct, staged = (tmp_path / name for name in
+                                ("flat.col", "direct.col", "staged.col"))
+        bucket = ["--bucket-shards", "4", "--row-group-rows", group_rows]
+        for argv in ([jsonl, direct, *bucket],
+                     [jsonl, flat, "--row-group-rows", group_rows],
+                     [flat, staged, *bucket]):
+            assert main(["--quiet", "convert", "allnames",
+                         *map(str, argv)]) == 0
+        assert file_info(direct)["buckets"] == 4
+        assert direct.read_bytes() == staged.read_bytes()
 
     @staticmethod
     def _replay_table(trace, workers, traced, out):

@@ -57,14 +57,12 @@ from repro.datasets.columnar import (MAGIC, SCHEMAS,
                                      GroupedColumnarWriter, RowGroupReader,
                                      bucketed_group_ranges,
                                      columnar_to_jsonl, convert_columnar,
-                                     file_info, is_columnar,
-                                     jsonl_to_columnar,
-                                     merge_columnar_shards,
-                                     prebucket_columnar, read_columnar,
-                                     schema_for, write_columnar_stream)
+                                     file_info, merge_columnar_shards,
+                                     read_columnar, schema_for,
+                                     trace_format, write_columnar_stream)
 from repro.datasets.records import (AllNamesRecord, CdnQueryRecord,
                                     JsonlFormatError, PublicCdnRecord,
-                                    write_jsonl)
+                                    TraceFormatError, write_jsonl)
 from repro.datasets.workload import merge_sorted_records
 from repro.engine import WorkerPool
 from repro.engine import replay as engine_replay
@@ -95,7 +93,7 @@ def _committed_trace(name: str, directory: Path, row_group_rows=None):
     the retired layout had), and the records it holds."""
     src = DATA / f"{name}_v1.jsonl"
     path = directory / f"{name}.col"
-    jsonl_to_columnar(src, path, name, row_group_rows)
+    convert_columnar(src, path, name, row_group_rows)
     return path, read_jsonl(src, SCHEMAS[name].record_type)
 
 
@@ -167,7 +165,7 @@ def test_roundtrip_all_schemas(name, tmp_path):
     records = _hand_records(name)
     path = tmp_path / f"{name}.col"
     assert write_columnar_stream(records, path, name) == len(records)
-    assert is_columnar(path)
+    assert trace_format(path) == "columnar"
     assert read_columnar(path) == records
 
 
@@ -191,7 +189,7 @@ def test_jsonl_roundtrip_byte_identical(tmp_path):
     src = tmp_path / "trace.jsonl"
     write_jsonl(records, src)
     col = tmp_path / "trace.col"
-    assert jsonl_to_columnar(src, col, "cdn") == len(records)
+    assert convert_columnar(src, col, "cdn") == len(records)
     back = tmp_path / "back.jsonl"
     assert columnar_to_jsonl(col, back) == len(records)
     assert back.read_bytes() == src.read_bytes()
@@ -406,8 +404,10 @@ def test_open_rejects_bad_magic_and_version(tmp_path):
     bogus.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
     with pytest.raises(ValueError, match="bad magic"):
         ColumnarStore.open(bogus)
-    assert not is_columnar(bogus)
-    assert not is_columnar(tmp_path / "missing.col")
+    assert trace_format(bogus) == "jsonl"
+    with pytest.raises(TraceFormatError,
+                       match="missing.col: No such file or directory"):
+        trace_format(tmp_path / "missing.col")
     header = json.dumps({"version": 99, "schema": "allnames", "rows": 0,
                          "groups": []}).encode()
     stale = tmp_path / "stale.col"
@@ -629,7 +629,7 @@ def test_v2_roundtrip_property(name, data, tmp_path_factory):
     path = tmp_path_factory.mktemp("v2prop") / "trace.col"
     assert write_columnar_stream(records, path, name, budget) \
         == len(records)
-    assert is_columnar(path)
+    assert trace_format(path) == "columnar"
     assert path.read_bytes()[:8] == MAGIC
     with ColumnarStore.open(path) as flat:
         assert flat.to_records() == records
@@ -886,8 +886,8 @@ def test_prebucket_groups_and_ranges(tmp_path):
     write_columnar_stream(records, src, "allnames", 40)
     dst = tmp_path / "bucketed.col"
     shards = 4
-    assert prebucket_columnar(src, dst, shards,
-                              row_group_rows=30) == len(records)
+    assert convert_columnar(src, dst, buckets=shards,
+                            row_group_rows=30) == len(records)
     ranges = bucketed_group_ranges(dst)
     assert ranges is not None and len(ranges) == shards
     assert bucketed_group_ranges(src) is None
@@ -960,13 +960,13 @@ def test_retired_v1_layout_is_refused_by_name(tmp_path):
     _, records = _committed_trace("allnames", tmp_path)
     v1 = tmp_path / "v1.col"
     _write_v1(records, v1, "allnames")
-    assert is_columnar(v1)
+    assert trace_format(v1) == "columnar"
     out = tmp_path / "out"
     for call in (ColumnarStore.open, RowGroupReader, file_info,
                  bucketed_group_ranges, read_columnar,
                  lambda p: columnar_to_jsonl(p, out),
                  lambda p: convert_columnar(p, out),
-                 lambda p: prebucket_columnar(p, out, 4),
+                 lambda p: convert_columnar(p, out, buckets=4),
                  lambda p: merge_columnar_shards([p], out),
                  lambda p: replay_columnar_sharded(p, "allnames")):
         with pytest.raises(ColumnarFormatError, match=_retired(v1)) \
@@ -985,7 +985,7 @@ def test_v1_replay_equals_its_v2_conversion(workers, tmp_path):
     many = tmp_path / "many.col"
     convert_columnar(one, many, row_group_rows=64)
     bucketed = tmp_path / "bucketed.col"
-    prebucket_columnar(one, bucketed, 4, row_group_rows=64)
+    convert_columnar(one, bucketed, buckets=4, row_group_rows=64)
     want = cache_sim.merge_partials(
         _oracle(bucket) for bucket
         in partition_by_key(records, 4, lambda r: r.qname))
@@ -1400,7 +1400,7 @@ def test_interrupted_writer_leaves_no_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) \
         == ["shard.col", "trace.col"]
     with pytest.raises(ColumnarFormatError, match="group 1"):
-        prebucket_columnar(shard, merged, 2, row_group_rows=16)
+        convert_columnar(shard, merged, buckets=2, row_group_rows=16)
     assert sorted(p.name for p in tmp_path.iterdir()) \
         == ["shard.col", "trace.col"]
 
@@ -1523,8 +1523,8 @@ def test_jsonl_lines_parse_like_read_jsonl(name, data, tmp_path_factory):
     assert parsed_records == records
     with mock.patch.object(columnar, "PARSE_CHUNK_LINES", chunk):
         store = _parse_lines(name, lines)
-        assert jsonl_to_columnar(src, out / "lines.col", name,
-                                 budget) == len(records)
+        assert convert_columnar(src, out / "lines.col", name,
+                                budget) == len(records)
     assert _store_state(store) \
         == _store_state(ColumnarStore.from_records(parsed_records, name))
     write_columnar_stream(parsed_records, out / "records.col", name, budget)
@@ -1588,7 +1588,7 @@ def test_jsonl_lane_builds_no_record(tmp_path, monkeypatch):
     with observe(tracing=True):
         replay_jsonl_sharded(src, "allnames", workers=1)
     assert report.total_records == 300
-    assert jsonl_to_columnar(src, tmp_path / "t.col", "allnames", 64) == 300
+    assert convert_columnar(src, tmp_path / "t.col", "allnames", 64) == 300
     assert built == []
 
 
@@ -1677,11 +1677,15 @@ _ACCEPTED = (
 )
 
 
-def _both_lanes(src, dst, workers, shards=3):
-    """``replay`` and ``convert`` (two-row groups) over one file."""
+def _lanes(src, dst, workers, shards=3):
+    """``replay``, ``convert`` (two-row groups) and ``convert
+    --bucket-shards`` (its own lane: it parses lines into groups before
+    any row is routed) over one file."""
     return (lambda: replay_jsonl_sharded(src, "allnames", shards=shards,
                                          workers=workers),
-            lambda: jsonl_to_columnar(src, dst, "allnames", 2))
+            lambda: convert_columnar(src, dst, "allnames", 2),
+            lambda: convert_columnar(src, dst, "allnames", 2,
+                                     buckets=shards))
 
 
 @pytest.mark.parametrize("line,reason", [
@@ -1699,7 +1703,7 @@ def test_hostile_jsonl_line_names_itself(line, reason, tmp_path,
     seen = set()
     with mock.patch.object(columnar, "PARSE_CHUNK_LINES", 2):
         for workers in (1, 2):
-            for lane in _both_lanes(src, dst, workers):
+            for lane in _lanes(src, dst, workers):
                 with pytest.raises(JsonlFormatError, match=reason) as caught:
                     lane()
                 error = caught.value
@@ -1718,8 +1722,9 @@ def test_unusual_jsonl_line_is_accepted_by_both_lanes(line, tmp_path):
     # The unusual line last (integer-ts is the latest row: a replay needs
     # time order), after a blank one and without a final newline.
     src.write_text("\n".join((_GOOD, "", _GOOD, line)))
-    replay, convert = _both_lanes(src, dst, 1)
-    assert replay()[1].total_records == convert() == 3
+    replay, convert, bucketed = _lanes(src, dst, 1)
+    # The bucketed file first: dst is left as convert wrote it.
+    assert replay()[1].total_records == bucketed() == convert() == 3
     assert read_columnar(dst) == [
         AllNamesRecord(**json.loads(line))
         for line in src.read_text().splitlines() if line.strip()]
@@ -1737,7 +1742,7 @@ def test_non_utf8_jsonl_names_line_and_byte(lead, tmp_path, two_workers):
                     + _GOOD.encode() + b"\n")
     line = lead.count(b"\n") + 2
     for workers in (1, 2):
-        for lane in _both_lanes(src, dst, workers):
+        for lane in _lanes(src, dst, workers):
             with pytest.raises(JsonlFormatError,
                                match="not UTF-8 at byte 45$") as caught:
                 lane()
@@ -1764,7 +1769,7 @@ def test_non_utf8_jsonl_is_numbered_where_the_readers_split(ends, tmp_path,
         src.write_bytes(good + ends[0] + good + ends[1] + third + ends[2]
                         + good)
         for workers in (1, 2):
-            for lane in _both_lanes(src, dst, workers):
+            for lane in _lanes(src, dst, workers):
                 with pytest.raises(JsonlFormatError,
                                    match=f"line 3: {reason}") as caught:
                     lane()
@@ -1777,7 +1782,7 @@ def test_truncated_final_line_says_so(tmp_path):
     stops mid-value and has no newline."""
     src, dst = tmp_path / "trace.jsonl", tmp_path / "trace.col"
     src.write_text(_GOOD + "\n" + _GOOD + "\n" + _GOOD[:53])
-    for lane in _both_lanes(src, dst, 1):
+    for lane in _lanes(src, dst, 1):
         with pytest.raises(JsonlFormatError,
                            match="line 3: truncated final line: invalid "
                                  "JSON") as caught:
@@ -1785,7 +1790,7 @@ def test_truncated_final_line_says_so(tmp_path):
         assert caught.value.line == 3
     # The same damage in mid-file is plain invalid JSON.
     src.write_text(_GOOD + "\n" + _GOOD[:53] + "\n" + _GOOD + "\n")
-    for lane in _both_lanes(src, dst, 1):
+    for lane in _lanes(src, dst, 1):
         with pytest.raises(JsonlFormatError,
                            match="line 2: invalid JSON") as caught:
             lane()
@@ -1807,7 +1812,7 @@ def test_lines_that_only_parse_together_are_rejected(head, tail, tmp_path):
         src.read_text().splitlines()))) == 3
     # One shard and a chunk of all three lines: both lanes see the two
     # halves side by side.
-    for lane in _both_lanes(src, dst, 1, shards=1):
+    for lane in _lanes(src, dst, 1, shards=1):
         with pytest.raises(JsonlFormatError,
                            match="line 1: more than one JSON value"):
             lane()

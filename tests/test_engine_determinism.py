@@ -19,7 +19,7 @@ import pytest
 from repro.analysis.cache_sim import replay
 from repro.datasets import (AllNamesBuilder, CdnDatasetBuilder,
                             PublicCdnBuilder, RootTraceBuilder)
-from repro.datasets.columnar import (jsonl_to_columnar, read_columnar,
+from repro.datasets.columnar import (convert_columnar, read_columnar,
                                      write_columnar_stream)
 from repro.engine import derive_seed, shard_bounds, world_seed
 from repro.datasets.records import write_jsonl
@@ -216,7 +216,7 @@ class TestGoldenBytes:
         assert rows == 5500
         assert self._sha256(tmp_path / "t.jsonl") == self.GOLDEN["jsonl"]
 
-    #: ``jsonl_to_columnar`` over the committed JSONL fixtures, as one
+    #: ``convert_columnar`` over the committed JSONL fixtures, as one
     #: default-size group and in 64-row groups; recorded at the commit
     #: before ``convert`` stopped building a record per line (PR 19's
     #: parent).
@@ -235,7 +235,7 @@ class TestGoldenBytes:
     def test_converted_jsonl_sha256(self, schema, tmp_path):
         src = Path(__file__).parent / "data" / f"{schema}_v1.jsonl"
         for group_rows, digest in zip((None, 64), self.CONVERTED[schema]):
-            jsonl_to_columnar(src, tmp_path / "t.col", schema, group_rows)
+            convert_columnar(src, tmp_path / "t.col", schema, group_rows)
             assert self._sha256(tmp_path / "t.col") == digest, group_rows
 
     def test_allnames_unsharded_build_sha256(self, tmp_path):

@@ -23,7 +23,7 @@ from repro.analysis.cache_sim import merge_partials, replay_partial
 from repro.analysis.report import format_network_stats
 from repro.cli import main as cli_main
 from repro.datasets import AllNamesBuilder, merge_sorted_records
-from repro.datasets.columnar import (prebucket_columnar,
+from repro.datasets.columnar import (convert_columnar,
                                      write_columnar_stream)
 from repro.datasets.records import write_jsonl
 from repro.engine.generate import generate_columnar
@@ -254,7 +254,7 @@ class TestShardCapture:
         write_jsonl(allnames_records, jsonl)
         write_columnar_stream(allnames_records, one, "allnames")
         write_columnar_stream(allnames_records, v2, "allnames", 256)
-        prebucket_columnar(v2, bucketed, 4, row_group_rows=256)
+        convert_columnar(v2, bucketed, buckets=4, row_group_rows=256)
         for path in (jsonl, one, v2, bucketed):
             replay = (replay_jsonl_sharded if path is jsonl
                       else replay_columnar_sharded)

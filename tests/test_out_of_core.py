@@ -33,9 +33,8 @@ import pytest
 from repro.analysis.cache_sim import (client_sweep, merge_partials,
                                       replay_partial)
 from repro.datasets.columnar import (ColumnarStore, RowGroupReader,
-                                     convert_columnar, is_columnar,
-                                     prebucket_columnar, read_columnar,
-                                     write_columnar_stream)
+                                     convert_columnar, read_columnar,
+                                     trace_format, write_columnar_stream)
 from repro.engine import (ShardSpec, client_sweep_sharded, generate_columnar,
                           generate_jsonl, partition_by_key,
                           replay_columnar_sharded, replay_jsonl_sharded)
@@ -80,8 +79,8 @@ def _pipeline(tmp_path, total_queries: int):
     count, _ = generate_columnar(spec, flat, workers=1,
                                  row_group_rows=GROUP_ROWS)
     bucketed = tmp_path / f"b{total_queries}.col"
-    assert prebucket_columnar(flat, bucketed, SHARDS,
-                              row_group_rows=GROUP_ROWS) == count
+    assert convert_columnar(flat, bucketed, buckets=SHARDS,
+                            row_group_rows=GROUP_ROWS) == count
     result, _ = replay_columnar_sharded(bucketed, "allnames",
                                         shards=SHARDS, workers=1)
     return count, result
@@ -117,8 +116,8 @@ def traced_inputs(tmp_path_factory):
     generate_jsonl(spec, paths["jsonl"], workers=1)
     generate_columnar(spec, paths["flat"], workers=1,
                       row_group_rows=GROUP_ROWS)
-    prebucket_columnar(paths["flat"], paths["bucketed"], SHARDS,
-                       row_group_rows=GROUP_ROWS)
+    convert_columnar(paths["flat"], paths["bucketed"], buckets=SHARDS,
+                     row_group_rows=GROUP_ROWS)
     return paths
 
 
@@ -186,9 +185,10 @@ def test_pipeline_output_matches_in_memory_reference(tmp_path):
                             total_queries=3_000, **FIXED_UNIVERSE)
     flat = tmp_path / "flat.col"
     generate_columnar(spec, flat, workers=1, row_group_rows=GROUP_ROWS)
-    assert is_columnar(flat)
+    assert trace_format(flat) == "columnar"
     bucketed = tmp_path / "bucketed.col"
-    prebucket_columnar(flat, bucketed, SHARDS, row_group_rows=GROUP_ROWS)
+    convert_columnar(flat, bucketed, buckets=SHARDS,
+                     row_group_rows=GROUP_ROWS)
     reference, _ = replay_columnar_sharded(flat, "allnames",
                                            shards=SHARDS, workers=1)
     ranged, _ = replay_columnar_sharded(bucketed, "allnames",
@@ -214,7 +214,7 @@ def test_prebucketed_replay_rejects_wrong_shard_count(tmp_path):
     flat = tmp_path / "flat.col"
     generate_columnar(spec, flat, workers=1, row_group_rows=GROUP_ROWS)
     bucketed = tmp_path / "bucketed.col"
-    prebucket_columnar(flat, bucketed, 8, row_group_rows=GROUP_ROWS)
+    convert_columnar(flat, bucketed, buckets=8, row_group_rows=GROUP_ROWS)
     with pytest.raises(ValueError, match="pre-bucketed for 8 shards"):
         replay_columnar_sharded(bucketed, "allnames", shards=4, workers=1)
     # The matching count replays fine.
@@ -312,8 +312,8 @@ def test_opening_another_file_releases_the_held_one(small_trace, regrouped,
     """One slot a process: a replay of file B leaves file A's trace
     unreachable, and a pre-bucketed file's reader takes the same slot."""
     bucketed = tmp_path / "bucketed.col"
-    prebucket_columnar(small_trace[0], bucketed, SHARDS,
-                       row_group_rows=GROUP_ROWS)
+    convert_columnar(small_trace[0], bucketed, buckets=SHARDS,
+                     row_group_rows=GROUP_ROWS)
     replay_columnar_sharded(regrouped[7], "allnames", shards=SHARDS)
     assert isinstance(_HELD.value, KeyedTrace)
     held = weakref.ref(_HELD.value)

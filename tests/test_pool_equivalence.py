@@ -18,9 +18,10 @@ keeps the search wide without spawning processes per example.
 from __future__ import annotations
 
 import inspect
+import shutil
 import tempfile
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Any, Iterator, List, Optional, Sequence
 
@@ -84,13 +85,47 @@ def _in_process(spec: ShardSpec):
     return shard_lists, builder.assemble(shard_lists)
 
 
+class _References:
+    """Each case's ``workers=1`` references, built on first use and
+    shared by every test: the in-process shard lists and dataset, the
+    oracle's replay, and the traces ``generate_jsonl`` and
+    ``generate_columnar`` write.  A test that damages a trace copies
+    it first."""
+
+    def __init__(self, root: Path, oracle_replay) -> None:
+        self._root = root
+        self._oracle_replay = oracle_replay
+
+    @cache
+    def in_process(self, name: str):
+        return _in_process(_spec(name))
+
+    @cache
+    def oracle(self, kind: str):
+        return self._oracle_replay(self.in_process(kind)[1].records, kind,
+                                   SHARDS)
+
+    @cache
+    def trace(self, kind: str, fmt: str) -> Path:
+        path = self._root / f"{kind}.{fmt}"
+        generate = generate_jsonl if fmt == "jsonl" else generate_columnar
+        generate(_spec(kind), path, workers=1)
+        return path
+
+
+@pytest.fixture(scope="session")
+def references(tmp_path_factory, oracle_replay):
+    return _References(tmp_path_factory.mktemp("references"), oracle_replay)
+
+
 @pytest.mark.parametrize("name", sorted(BUILDER_CASES))
-def test_generate_records_equivalent_across_matrix(name, tmp_path):
+def test_generate_records_equivalent_across_matrix(name, tmp_path,
+                                                   references):
     """Spec dispatch reproduces in-process ``build_shard``, per shard:
     each worker reports its shard's count, and the merged trace parses
     back to the in-process ``assemble``."""
     spec = _spec(name)
-    reference, dataset = _in_process(spec)
+    reference, dataset = references.in_process(name)
     for workers in EXECUTION_MATRIX:
         out = tmp_path / f"{name}-w{workers}.jsonl"
         with WorkerPool(workers):
@@ -101,12 +136,13 @@ def test_generate_records_equivalent_across_matrix(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(BUILDER_CASES))
-def test_generate_jsonl_identical_bytes_across_matrix(name, tmp_path):
+def test_generate_jsonl_identical_bytes_across_matrix(name, tmp_path,
+                                                      references):
     """Worker-written shard files merge to the reference trace, bytewise."""
     spec = _spec(name)
     # Reference route: records materialized in the parent, shard files
     # written parent-side, merged a line at a time.
-    shard_lists, _ = _in_process(spec)
+    shard_lists, _ = references.in_process(name)
     ref_path = tmp_path / "reference.jsonl"
     paths = write_jsonl_shards(shard_lists, ref_path)
     merge_jsonl_shards(paths, ref_path)
@@ -122,15 +158,14 @@ def test_generate_jsonl_identical_bytes_across_matrix(name, tmp_path):
 
 
 @pytest.mark.parametrize("kind", REPLAY_CASES)
-def test_replay_equivalent_across_matrix(kind, tmp_path, oracle_replay):
+def test_replay_equivalent_across_matrix(kind, tmp_path, references):
     """JSONL-line and spec-generated columnar replays equal the oracle."""
     spec = _spec(kind)
-    trace = tmp_path / f"{kind}.jsonl"
-    generate_jsonl(spec, trace, workers=1)
+    trace = references.trace(kind, "jsonl")
     # The oracle replays the assembled dataset (ts-merged), the same
     # canonical order the JSONL trace and spec paths see.
-    _, dataset = _in_process(spec)
-    reference = oracle_replay(dataset.records, kind, SHARDS)
+    _, dataset = references.in_process(kind)
+    reference = references.oracle(kind)
     for workers in EXECUTION_MATRIX:
         with WorkerPool(workers):
             from_lines, line_report = replay_jsonl_sharded(
@@ -151,16 +186,16 @@ def test_replay_equivalent_across_matrix(kind, tmp_path, oracle_replay):
 
 
 @pytest.mark.parametrize("kind", REPLAY_CASES)
-def test_generate_columnar_identical_bytes_across_matrix(kind, tmp_path):
+def test_generate_columnar_identical_bytes_across_matrix(kind, tmp_path,
+                                                         references):
     """Worker-written columnar shards merge to the reference, bytewise.
 
     public-cdn shards overlap in time, so this also pins the segment
     merge to the canonical ts-ordered k-way merge, not concatenation.
     """
     spec = _spec(kind)
-    _, dataset = _in_process(spec)
-    ref_out = tmp_path / "reference.col"
-    generate_columnar(spec, ref_out, workers=1)
+    _, dataset = references.in_process(kind)
+    ref_out = references.trace(kind, "col")
     assert read_columnar(ref_out) == list(dataset.records)
     reference = ref_out.read_bytes()
     for workers in EXECUTION_MATRIX:
@@ -174,16 +209,12 @@ def test_generate_columnar_identical_bytes_across_matrix(kind, tmp_path):
 
 
 @pytest.mark.parametrize("kind", REPLAY_CASES)
-def test_replay_columnar_equivalent_across_matrix(kind, tmp_path,
-                                                  oracle_replay):
+def test_replay_columnar_equivalent_across_matrix(kind, references):
     """Columnar replay == JSONL replay == the oracle, any pool shape."""
-    spec = _spec(kind)
-    _, dataset = _in_process(spec)
-    reference = oracle_replay(dataset.records, kind, SHARDS)
-    col_trace = tmp_path / f"{kind}.col"
-    generate_columnar(spec, col_trace, workers=1)
-    jsonl_trace = tmp_path / f"{kind}.jsonl"
-    generate_jsonl(spec, jsonl_trace, workers=1)
+    _, dataset = references.in_process(kind)
+    reference = references.oracle(kind)
+    col_trace = references.trace(kind, "col")
+    jsonl_trace = references.trace(kind, "jsonl")
     for workers in EXECUTION_MATRIX:
         with WorkerPool(workers):
             from_cols, col_report = replay_columnar_sharded(
@@ -196,11 +227,9 @@ def test_replay_columnar_equivalent_across_matrix(kind, tmp_path,
                 == len(dataset.records))
 
 
-def test_replay_metrics_identical_across_workers(tmp_path):
+def test_replay_metrics_identical_across_workers(references):
     """The exported Prometheus text is workers-invariant."""
-    spec = _spec("allnames")
-    trace = tmp_path / "metrics.jsonl"
-    generate_jsonl(spec, trace, workers=1)
+    trace = references.trace("allnames", "jsonl")
     renderings = set()
     for workers in EXECUTION_MATRIX:
         with observe(metrics=True) as session:
@@ -360,16 +389,16 @@ def test_failed_generate_leaves_nothing_behind(generate, name, fail_shard,
 @pytest.mark.parametrize("damage", ("none", "hostile-line", "not-utf8",
                                     "shard-raises"))
 def test_jsonl_replay_leaves_no_spill_directory(damage, workers, tmp_path,
-                                                monkeypatch):
+                                                monkeypatch, references):
     """The spill files of a JSONL replay live in one private temporary
     directory, which is gone once the replay ends: cleanly, on a line
     that is not a row, on bytes that are not UTF-8, and when a shard
     raises in its worker.  Nothing is written beside the trace."""
+    trace = tmp_path / "t.jsonl"
+    shutil.copyfile(references.trace("allnames", "jsonl"), trace)
     scratch = tmp_path / "tmp"
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-    trace = tmp_path / "t.jsonl"
-    generate_jsonl(_spec("allnames"), trace, workers=1)
     if damage == "hostile-line":
         with open(trace, "a") as fh:
             fh.write('{"ts":9e9}\n')
@@ -474,7 +503,8 @@ def test_sharded_entry_points_take_no_dispatch_options():
 @pytest.mark.parametrize("kind", REPLAY_CASES)
 @pytest.mark.parametrize("flush_rows", (37, 256))
 def test_row_group_generate_identical_bytes_across_matrix(kind, flush_rows,
-                                                          tmp_path):
+                                                          tmp_path,
+                                                          references):
     """Generation is byte-identical across pools AND value-identical to
     the default-budget output for every worker flush cadence.
 
@@ -483,9 +513,7 @@ def test_row_group_generate_identical_bytes_across_matrix(kind, flush_rows,
     values, only into the layout.
     """
     spec = _spec(kind)
-    ref_out = tmp_path / "reference.col"
-    generate_columnar(spec, ref_out, workers=1)
-    reference_records = read_columnar(ref_out)
+    reference_records = read_columnar(references.trace(kind, "col"))
     ref_bytes = None
     for workers in EXECUTION_MATRIX:
         out = tmp_path / f"{kind}-w{workers}.col"
@@ -507,18 +535,17 @@ def test_row_group_generate_identical_bytes_across_matrix(kind, flush_rows,
 @pytest.mark.parametrize("kind", REPLAY_CASES)
 @pytest.mark.parametrize("flush_rows", (64, 512))
 def test_row_range_replay_equivalent_across_matrix(kind, flush_rows,
-                                                   tmp_path):
+                                                   tmp_path, references):
     """Pre-bucketed row-range replay == flat replay, any pool shape."""
     from repro.datasets.columnar import bucketed_group_ranges, \
-        prebucket_columnar
-    spec = _spec(kind)
-    flat = tmp_path / f"{kind}.col"
-    generate_columnar(spec, flat, workers=1)
+        convert_columnar
+    flat = references.trace(kind, "col")
     reference, ref_report = replay_columnar_sharded(flat, kind,
                                                     shards=SHARDS,
                                                     workers=1)
     bucketed = tmp_path / f"{kind}.bucketed.col"
-    prebucket_columnar(flat, bucketed, SHARDS, row_group_rows=flush_rows)
+    convert_columnar(flat, bucketed, buckets=SHARDS,
+                     row_group_rows=flush_rows)
     assert bucketed_group_ranges(bucketed) is not None
     for workers in EXECUTION_MATRIX:
         with WorkerPool(workers):
