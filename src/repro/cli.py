@@ -217,8 +217,8 @@ def cmd_blowup(args: argparse.Namespace, reporter: _Reporter) -> None:
     allnames = ShardSpec.create("allnames", shard_count=args.shards,
                                 scale=args.allnames_scale, seed=args.seed)
     # The sweep samples the builder's client list, in the builder's order
-    # and silent clients included; assembling no shards yields it.
-    clients = allnames.make_builder().assemble([]).client_ips
+    # and silent clients included.
+    clients = allnames.make_builder().client_ips()
     with tempfile.TemporaryDirectory(prefix="repro-blowup-") as scratch:
         trace = Path(scratch) / "allnames.col"
         _, engine_report = generate_columnar(allnames, trace,
@@ -308,7 +308,8 @@ def cmd_convert(args: argparse.Namespace, reporter: _Reporter) -> None:
                      args.dataset) as fmt:
         if (fmt == "columnar" and args.row_group_rows is None
                 and args.bucket_shards is None):
-            target, count = "jsonl", columnar_to_jsonl(args.src, args.dst)
+            target, count = "jsonl", columnar_to_jsonl(args.src, args.dst,
+                                                       args.dataset)
         else:
             target, count = "columnar", convert_columnar(
                 args.src, args.dst, args.dataset,

@@ -14,8 +14,7 @@ from .records import (AllNamesRecord, CdnQueryRecord, PublicCdnRecord,
                       shard_path, write_jsonl)
 from .scan_dataset import (ChainSpec, EgressSpec, ScanUniverse,
                            ScanUniverseBuilder)
-from .workload import (SldPolicy, ZipfSampler, merge_sorted_records,
-                       poisson_arrivals)
+from .workload import SldPolicy, ZipfSampler, poisson_arrivals
 
 __all__ = [
     "AllNamesBuilder", "AllNamesDataset", "AllNamesRecord", "CdnDataset",
@@ -25,7 +24,7 @@ __all__ = [
     "RootTraceBuilder", "SCHEMAS", "ScanQueryRecord", "ScanUniverse",
     "ScanUniverseBuilder", "SldPolicy", "TraceFormatError", "ZipfSampler",
     "columnar_to_jsonl", "convert_columnar", "file_info",
-    "merge_columnar_shards", "merge_sorted_records", "paper_numbers",
-    "poisson_arrivals", "read_columnar", "schema_for", "shard_path",
-    "trace_format", "write_columnar_stream", "write_jsonl",
+    "merge_columnar_shards", "paper_numbers", "poisson_arrivals",
+    "read_columnar", "schema_for", "shard_path", "trace_format",
+    "write_columnar_stream", "write_jsonl",
 ]

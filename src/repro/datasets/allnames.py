@@ -26,7 +26,7 @@ from ..engine.seeding import derive_seed, world_seed
 from ..engine.sharding import shard_bounds
 from .records import AllNamesRecord
 from .workload import (COLUMN_CHUNK_ROWS, SldPolicy, ZipfSampler,
-                       column_records, merge_sorted_records)
+                       column_records)
 
 #: Authoritative scope mixture (scope bits, weight): most ECS adopters
 #: tailor at /24, some coarser, a few echo the full source length.
@@ -140,9 +140,8 @@ class AllNamesBuilder:
         Fills the ``allnames`` schema's six columns (plain lists, schema
         order) and yields them every :data:`COLUMN_CHUNK_ROWS` rows, so
         the columnar writers take the rows as they are and nothing is
-        built per row; :meth:`build` and :meth:`iter_shard` read the
-        same stream as records.  The clock starts at the window boundary
-        ``lo * step``.
+        built per row; :meth:`build` reads the same stream as records.
+        The clock starts at the window boundary ``lo * step``.
 
         A chunk is drawn at C level, with no Python statement per row:
         one call draws its ``3 x rows`` uniforms, row by row in the
@@ -214,13 +213,13 @@ class AllNamesBuilder:
         return self._draw_world(
             random.Random(world_seed(self.seed, self._SEED_NS)))
 
-    def shard_units(self) -> int:
-        """The unit universe sharded over: individual queries."""
-        return self.total_queries
+    def client_ips(self) -> List[str]:
+        """The client population, in the order :class:`AllNamesDataset`
+        lists it, silent clients included: the same for every shard."""
+        return self._world()[2].all_clients
 
     #: The query clock only moves forward, so :meth:`iter_shard_columns`
-    #: (and :meth:`iter_shard`, its record view) emits in global ts
-    #: order and streaming writers need no sort pass.
+    #: emits in global ts order and streaming writers need no sort pass.
     ITER_SHARD_SORTED = True
 
     def iter_shard_columns(self, shard_index: int,
@@ -241,27 +240,9 @@ class AllNamesBuilder:
                                         self._SEED_NS))
         return self._column_chunks(self._world(), rng, lo, hi)
 
+    # benchmarks/e2e rebinds this (layers.py) and checks rows with it.
     def iter_shard(self, shard_index: int,
                    shard_count: int) -> Iterator[AllNamesRecord]:
-        """:meth:`iter_shard_columns` as a stream of records, one at a
-        time, so record consumers never hold a shard's list."""
+        """:meth:`iter_shard_columns` as records, one at a time."""
         yield from column_records(AllNamesRecord, self.iter_shard_columns(
             shard_index, shard_count))
-
-    def build_shard(self, shard_index: int,
-                    shard_count: int) -> List[AllNamesRecord]:
-        """Generate the queries of one shard (a contiguous time window).
-
-        The materialized form of :meth:`iter_shard` — one definition of
-        the row stream, three consumption modes.
-        """
-        return list(self.iter_shard(shard_index, shard_count))
-
-    def assemble(self,
-                 shard_records: Sequence[List[AllNamesRecord]]
-                 ) -> AllNamesDataset:
-        """Order-stable merge of shard outputs into a full dataset."""
-        hostnames, policies, clients = self._world()
-        records = merge_sorted_records(shard_records)
-        return AllNamesDataset(records, clients, hostnames, policies,
-                               self.duration_s)

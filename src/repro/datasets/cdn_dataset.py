@@ -23,8 +23,8 @@ from ..engine.seeding import derive_seed, world_seed
 from ..engine.sharding import shard_bounds
 from . import paper_numbers as paper
 from .records import CdnQueryRecord
-from .workload import (ZipfSampler, column_records, merge_sorted_records,
-                       poisson_arrivals, split_columns)
+from .workload import (ZipfSampler, column_records, poisson_arrivals,
+                       split_columns)
 
 #: (category label, paper count) — the section 6.1 buckets.
 PROBING_MIX: Tuple[Tuple[str, int], ...] = (
@@ -296,10 +296,6 @@ class CdnDatasetBuilder:
         rng = random.Random(world_seed(self.seed, self._SEED_NS))
         return self._build_resolvers(rng)
 
-    def shard_units(self) -> int:
-        """The unit universe sharded over: resolvers."""
-        return len(self._world_specs())
-
     def iter_shard_columns(self, shard_index: int,
                            shard_count: int) -> Iterator[List[List[Any]]]:
         """Stream one resolver slice's queries as column chunks.
@@ -313,23 +309,3 @@ class CdnDatasetBuilder:
         rng = random.Random(derive_seed(self.seed, shard_index,
                                         self._SEED_NS))
         return self._column_chunks(specs[lo:hi], rng)
-
-    def iter_shard(self, shard_index: int,
-                   shard_count: int) -> Iterator[CdnQueryRecord]:
-        """:meth:`iter_shard_columns` as records, in emission order."""
-        return column_records(CdnQueryRecord, self.iter_shard_columns(
-            shard_index, shard_count))
-
-    def build_shard(self, shard_index: int,
-                    shard_count: int) -> List[CdnQueryRecord]:
-        """One slice of the population's queries, stably sorted by ts."""
-        records = list(self.iter_shard(shard_index, shard_count))
-        records.sort(key=attrgetter("ts"))
-        return records
-
-    def assemble(self,
-                 shard_records: Sequence[List[CdnQueryRecord]]) -> CdnDataset:
-        """Order-stable merge of shard outputs into a full dataset."""
-        records = merge_sorted_records(shard_records)
-        return CdnDataset(records, self._world_specs(), self._hostnames(),
-                          self.duration_s)

@@ -1335,17 +1335,30 @@ def file_info(path: Union[str, Path]) -> Dict[str, Any]:
             "buckets": None if ranges is None else len(ranges)}
 
 
-def bucketed_group_ranges(path: Union[str, Path]
+def _check_schema(path: Union[str, Path], found: Schema,
+                  wanted: Union[str, Schema, None]) -> None:
+    """Raise :class:`TraceFormatError` if a file's header names another
+    schema than the ``wanted`` one (``None``: any schema will do)."""
+    name = wanted.name if isinstance(wanted, Schema) else wanted
+    if name is not None and found.name != name:
+        raise TraceFormatError(path, f"holds {found.name} rows, not {name}")
+
+
+def bucketed_group_ranges(path: Union[str, Path],
+                          schema: Union[str, Schema, None] = None
                           ) -> Optional[List[Tuple[int, int]]]:
     """Per-bucket group ranges of a pre-bucketed file, header-only.
 
     ``None`` for files without bucket tags — the replay parent uses that
     to fall back to the flat bucketing path.  Reads only the header,
     never a segment, so the parent's dispatch decision is O(header)
-    regardless of trace size.
+    regardless of trace size; a header naming another schema than
+    ``schema`` raises :class:`TraceFormatError`.
     """
     with open(path, "rb") as fh:
-        return _read_header(path, fh).bucket_ranges
+        header = _read_header(path, fh)
+    _check_schema(path, header.schema, schema)
+    return header.bucket_ranges
 
 
 def read_columnar(path: Union[str, Path]) -> List[Any]:
@@ -1554,8 +1567,8 @@ def jsonl_file_defect(path: Union[str, Path],
     return None
 
 
-def columnar_to_jsonl(src: Union[str, Path],
-                      dst: Union[str, Path]) -> int:
+def columnar_to_jsonl(src: Union[str, Path], dst: Union[str, Path],
+                      schema: Union[str, Schema, None] = None) -> int:
     """Convert a columnar trace back to JSONL, a group at a time.
 
     Round-trips byte-identically with :func:`convert_columnar` for any
@@ -1563,9 +1576,13 @@ def columnar_to_jsonl(src: Union[str, Path],
     objects the records held, and each group's columns are rendered as
     the row encoder renders them (:meth:`ColumnarStore.jsonl_chunks`),
     no record built.  One group and one piece of text are held at a
-    time, so memory stays bounded.
+    time, so memory stays bounded.  A ``src`` whose header names another
+    schema than ``schema`` raises :class:`TraceFormatError`, and nothing
+    is written.
     """
     with RowGroupReader(src) as reader:
+        _check_schema(src, reader.schema, schema)
+
         def texts() -> Iterator[str]:
             for store in reader.walk():
                 yield from store.jsonl_chunks()
@@ -1593,7 +1610,8 @@ def convert_columnar(src: Union[str, Path], dst: Union[str, Path],
     through one spill file per bucket beside ``dst`` (peak memory:
     ``buckets`` groups, one more from JSONL).  However it ends, no spill
     file is left, and ``dst`` is the finished trace or as it was; a
-    rejected input raises :class:`TraceFormatError` (:func:`trace_input`).
+    rejected input, a ``.col`` of another schema than ``schema`` among
+    them, raises :class:`TraceFormatError` (:func:`trace_input`).
     """
     resolved = schema_for(schema) if isinstance(schema, str) else schema
     if buckets is not None and buckets < 1:
@@ -1607,6 +1625,7 @@ def convert_columnar(src: Union[str, Path], dst: Union[str, Path],
                 contextlib.ExitStack() as stack:
             if fmt == "columnar":
                 reader = stack.enter_context(RowGroupReader(src))
+                _check_schema(src, reader.schema, resolved)
                 resolved = reader.schema
             else:
                 lines = stack.enter_context(open(src, "r", encoding="utf-8"))
@@ -1674,8 +1693,8 @@ def _route(outs: Sequence[GroupedColumnarWriter],
 
 
 def _stable_ts_order(store: ColumnarStore) -> List[int]:
-    """Row indices of ``store`` in ts order, ties in row order: the sort
-    ``build_shard`` performs on records, and the merge's on a window."""
+    """Row indices of ``store`` in ts order, ties in row order: the order
+    of a generated shard, and the merge's on a window."""
     return sorted(range(store.rows), key=store.column("ts").__getitem__)
 
 
@@ -1685,8 +1704,8 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
     """Order-stable k-way merge of ts-sorted columnar shard files.
 
     Rows merge by ``(ts, shard index, row index)`` — ties break toward
-    the earlier shard, the order of ``assemble`` over ``build_shard`` —
-    and the bytes equal the per-row reference merge kept next to its
+    the earlier shard, a stable sort of the shards' concatenation — and
+    the bytes equal the per-row reference merge kept next to its
     test in ``tests/test_columnar.py``.  One group per shard is held,
     and rows move in two kinds of step:
 

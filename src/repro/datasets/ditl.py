@@ -11,13 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Iterator, List, Sequence
+from typing import Any, Iterator, List
 
 from ..engine.seeding import derive_seed
 from ..engine.sharding import shard_bounds
 from .records import RootQueryRecord
-from .workload import (column_records, merge_sorted_records,
-                       poisson_arrivals, split_columns)
+from .workload import column_records, poisson_arrivals, split_columns
 
 _TLDS = ("com.", "net.", "org.", "io.", "de.", "cn.", "uk.", "jp.", "br.")
 
@@ -41,10 +40,10 @@ class RootTraceBuilder:
     Ordinary resolvers send priming/NS/TLD queries without ECS; the
     violators attach ECS to (some of) their queries, as the 15 resolvers
     in the DITL data did.  ``build()`` generates the whole trace from the
-    root seed; ``iter_shard_columns`` / ``assemble`` let
-    :mod:`repro.engine` spread the resolver universe across workers.  A
-    resolver's violator status depends only on its index, so ground
-    truth is identical under any shard decomposition.
+    root seed; ``iter_shard_columns`` lets :mod:`repro.engine` spread
+    the resolver universe across workers.  A resolver's violator status
+    depends only on its index, so ground truth is identical under any
+    shard decomposition.
     """
 
     _SEED_NS = "ditl"
@@ -109,10 +108,6 @@ class RootTraceBuilder:
 
     # -- sharded generation (repro.engine) ---------------------------------
 
-    def shard_units(self) -> int:
-        """The unit universe sharded over: resolvers."""
-        return self.resolver_count
-
     def iter_shard_columns(self, shard_index: int,
                            shard_count: int) -> Iterator[List[List[Any]]]:
         """Stream one resolver range's queries as column chunks.
@@ -125,22 +120,3 @@ class RootTraceBuilder:
         rng = random.Random(derive_seed(self.seed, shard_index,
                                         self._SEED_NS))
         return self._column_chunks(rng, lo, hi)
-
-    def iter_shard(self, shard_index: int,
-                   shard_count: int) -> Iterator[RootQueryRecord]:
-        """:meth:`iter_shard_columns` as records, in emission order."""
-        return column_records(RootQueryRecord, self.iter_shard_columns(
-            shard_index, shard_count))
-
-    def build_shard(self, shard_index: int,
-                    shard_count: int) -> List[RootQueryRecord]:
-        """One resolver range's queries, stably sorted by ts."""
-        records = list(self.iter_shard(shard_index, shard_count))
-        records.sort(key=attrgetter("ts"))
-        return records
-
-    def assemble(self,
-                 shard_records: Sequence[List[RootQueryRecord]]) -> RootTrace:
-        """Order-stable merge of shard outputs into a full trace."""
-        return RootTrace(merge_sorted_records(shard_records),
-                         self._violator_ips())

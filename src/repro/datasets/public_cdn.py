@@ -16,14 +16,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Iterator, List, Sequence
+from typing import Any, Iterator, List
 
 from ..engine.seeding import derive_seed
 from ..engine.sharding import shard_bounds
 from . import paper_numbers as paper
 from .records import PublicCdnRecord
 from .workload import (COLUMN_CHUNK_ROWS, ZipfSampler, column_records,
-                       merge_sorted_records, poisson_arrivals)
+                       poisson_arrivals)
 
 
 @dataclass
@@ -74,10 +74,10 @@ class PublicCdnBuilder:
         arrivals are time-ordered, resolvers overlap.  A chunk is one
         list per ``public-cdn`` schema column, in schema order, holding
         1 to :data:`COLUMN_CHUNK_ROWS` rows of one resolver (a resolver
-        without arrivals yields nothing); the record views read the same
-        stream.  Per row only the subnet and the
-        hostname are drawn — in that order, after the resolver's whole
-        arrival series — and every other column is constant.
+        without arrivals yields nothing); :meth:`build` reads the same
+        stream as records.  Per row only the subnet and the hostname are
+        drawn — in that order, after the resolver's whole arrival series
+        — and every other column is constant.
         """
         hostnames = [f"a{i:04d}.cdn.example."
                      for i in range(self.hostname_count)]
@@ -122,10 +122,6 @@ class PublicCdnBuilder:
 
     _SEED_NS = "public-cdn"
 
-    def shard_units(self) -> int:
-        """The unit universe sharded over: egress resolvers."""
-        return self.resolver_count()
-
     def iter_shard_columns(self, shard_index: int,
                            shard_count: int) -> Iterator[List[List[Any]]]:
         """Stream one resolver range's queries as column chunks.
@@ -140,26 +136,3 @@ class PublicCdnBuilder:
         rng = random.Random(derive_seed(self.seed, shard_index,
                                         self._SEED_NS))
         return self._column_chunks(rng, lo, hi)
-
-    def iter_shard(self, shard_index: int,
-                   shard_count: int) -> Iterator[PublicCdnRecord]:
-        """:meth:`iter_shard_columns` as records, in emission order."""
-        return column_records(PublicCdnRecord, self.iter_shard_columns(
-            shard_index, shard_count))
-
-    def build_shard(self, shard_index: int,
-                    shard_count: int) -> List[PublicCdnRecord]:
-        """One resolver range's queries, stably sorted by ts."""
-        records = list(self.iter_shard(shard_index, shard_count))
-        records.sort(key=attrgetter("ts"))
-        return records
-
-    def assemble(self,
-                 shard_records: Sequence[List[PublicCdnRecord]]
-                 ) -> PublicCdnDataset:
-        """Order-stable merge of shard outputs into a full dataset."""
-        records = merge_sorted_records(shard_records)
-        resolver_ips = [self._resolver_ip(r)
-                        for r in range(self.resolver_count())]
-        return PublicCdnDataset(records, resolver_ips, self.duration_s,
-                                self.ttl)

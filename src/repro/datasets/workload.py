@@ -9,7 +9,6 @@ and reading a stream back as records.
 
 from __future__ import annotations
 
-import heapq
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -39,21 +38,6 @@ def column_records(record_type: Callable[..., R],
     """The record view of a column stream: same rows, same order."""
     for chunk in chunks:
         yield from map(record_type, *chunk)
-
-
-def merge_sorted_records(shard_lists: Sequence[Sequence[R]],
-                         key: Callable[[R], float] = None) -> List[R]:
-    """Order-stable k-way merge of per-shard, timestamp-sorted records.
-
-    Equivalent to a stable sort of the concatenation in shard order —
-    records with equal timestamps keep the earlier shard's entries first —
-    but O(total · log shards).  This is the merge every sharded builder's
-    ``assemble`` uses, and its stability is what makes merged output
-    independent of how many workers generated the shards.
-    """
-    if key is None:
-        key = lambda r: r.ts
-    return list(heapq.merge(*shard_lists, key=key))
 
 
 class ZipfSampler:

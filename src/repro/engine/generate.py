@@ -1,33 +1,29 @@
 """Sharded dataset generation by shard-spec dispatch.
 
 A *shardable builder* has one row loop, and it fills columns.  The
-engine reads three things of it::
+engine reads one thing of it, and one flag::
 
-    shard_units() -> int                                # unit universe
     iter_shard_columns(index, count) -> Iterator[chunk] # one shard's rows,
         # one list per schema column, 1..COLUMN_CHUNK_ROWS rows a chunk
     ITER_SHARD_SORTED = True   # optional: the stream is in global ts order
 
-and the builder offers record views of the same stream for in-process
-callers: ``iter_shard(index, count)`` (emission order),
-``build_shard(index, count)`` (the shard in stable ts order) and
-``assemble(shard_lists)`` (order-stable merge + wrap).  A shard's stream
-must depend only on the builder's parameters and the shard index (its
-random stream is seeded via :func:`repro.engine.seeding.derive_seed`),
-never on which worker runs it.  The engine then guarantees the merged
-output is identical for any worker count, because shards are generated
-from fixed seeds and merged in shard order.
+A shard's stream must depend only on the builder's parameters and the
+shard index (its random stream is seeded via
+:func:`repro.engine.seeding.derive_seed`), never on which worker runs
+it.  The engine then guarantees the merged output is identical for any
+worker count, because shards are generated from fixed seeds and merged
+in shard order.
 
 There is one generation pipeline.  Every entry point ships a
 :class:`~repro.engine.sharding.ShardSpec` (builder name + kwargs, tens
 of bytes) and rebuilds the builder inside the worker; the engine-free
-reference the equivalence suite pins them against is
-``spec.make_builder().build_shard(i, n)`` called in-process.  No entry
-point returns records: each :func:`generate_columnar` worker writes its
-shard to the conventional ``<file>.shardNN`` sibling itself, from the
-column stream (:func:`_write_columnar_shard_from_spec`), and returns
-only a count, so *nothing* record-shaped crosses the pool boundary in
-either direction — the parent just merges the shard files.
+reference the equivalence suites pin them against reads the same
+stream as records, in-process (``tests/builder_reference.py``).  No
+entry point returns records: each :func:`generate_columnar` worker
+writes its shard to the conventional ``<file>.shardNN`` sibling itself,
+from the column stream (:func:`_write_columnar_shard_from_spec`), and
+returns only a count, so *nothing* record-shaped crosses the pool
+boundary in either direction — the parent just merges the shard files.
 :func:`generate_jsonl` is that pipeline into a scratch ``.col``,
 rendered by :func:`~repro.datasets.columnar.columnar_to_jsonl`.
 (Figure 1 writes no file at all: :func:`repro.engine.replay.fig1_sharded`.)
@@ -71,8 +67,8 @@ def _write_columnar_shard_from_spec(spec: ShardSpec, out_base: str,
     on disk for the parent's merge.  Shard files are always the v2
     row-group layout and ``row_group_rows`` is their group size,
     nothing else.  The rows reach the writer as the builder's column
-    stream — no record, no temporary file — in ``build_shard``'s order,
-    by one of two routes:
+    stream — no record, no temporary file — in stable ts order, by one
+    of two routes:
 
     * a stream in global ts order (``ITER_SHARD_SORTED``) goes to
       :meth:`~repro.datasets.columnar.GroupedColumnarWriter.extend_columns`

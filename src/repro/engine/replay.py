@@ -37,6 +37,7 @@ from ..analysis.cache_sim import (ClientSweep, ReplayPartial, ReplayResult,
 from ..datasets.columnar import (ColumnarStore, RowGroupReader,
                                  bucketed_group_ranges, record_row_groups,
                                  trace_input)
+from ..datasets.records import TraceFormatError
 from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _obs_trace
@@ -505,25 +506,26 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
     and each worker streams its own groups, one resident at a time.
     Rows within a bucket keep their file order, so results are
     counter-identical to the flat path over the same trace.  A file
-    that cannot be trusted raises
-    :class:`~repro.datasets.columnar.ColumnarFormatError` naming
-    ``path`` as given, a worker's reason intact
+    that cannot be trusted, holds another kind's rows or is pre-bucketed
+    for another shard count raises
+    :class:`~repro.datasets.records.TraceFormatError` naming ``path``
+    as given, a worker's reason intact
     (:func:`~repro.datasets.columnar.trace_input`).
     """
     _check_kind_and_shards(kind, shards)
     with trace_input(f"replay:{kind}", path):
         resolved = str(Path(path).resolve())
-        ranges = bucketed_group_ranges(resolved)
+        ranges = bucketed_group_ranges(resolved, kind)
         if ranges is not None:
             if len(ranges) != shards:
                 # A pre-bucketed file is *not* globally ts-ordered, so
                 # replaying it under any other partition would interleave
                 # buckets out of time order and silently skew every TTL
                 # decision.  Refuse rather than mis-replay.
-                raise ValueError(
-                    f"{path} is pre-bucketed for {len(ranges)} shards; "
-                    f"replay it with shards={len(ranges)} or re-bucket it "
-                    f"for {shards} (repro-ecs convert --bucket-shards)")
+                raise TraceFormatError(
+                    path, f"pre-bucketed for {len(ranges)} shards; replay "
+                    f"it with --shards {len(ranges)} or re-bucket it for "
+                    f"{shards} (repro-ecs convert --bucket-shards {shards})")
             return _replay_shards(_replay_columnar_range, ranges,
                                   (resolved, kind), kind, workers)
         return _replay_shards(_replay_columnar_shard,

@@ -20,7 +20,11 @@ from repro.core.classify import CachingCategory, ProbingCategory
 from repro.datasets import AllNamesBuilder
 from repro.datasets.columnar import ColumnarStore, write_columnar_stream
 from repro.datasets.ditl import RootTraceBuilder
+from repro.datasets.records import PublicCdnRecord
+from repro.datasets.workload import column_records
 from repro.engine import ShardSpec, client_sweep_sharded, fig1_sharded
+
+from builder_reference import merged_records
 
 
 class TestProbingAnalysis:
@@ -161,12 +165,13 @@ class TestCacheSimulations:
         spec = ShardSpec.create("public-cdn", shard_count=3, scale=0.003,
                                 seed=5, duration_s=600.0)
         builder = spec.make_builder()
-        shards = [list(builder.iter_shard(i, 3)) for i in range(3)]
-        dataset = builder.assemble([sorted(shard, key=lambda r: r.ts)
-                                    for shard in shards])
+        shards = [list(column_records(PublicCdnRecord,
+                                      builder.iter_shard_columns(i, 3)))
+                  for i in range(3)]
         ttls = (20, 60)
         whole = fig1_series(
-            ColumnarStore.from_records(dataset.records, "public-cdn"), ttls)
+            ColumnarStore.from_records(merged_records(spec), "public-cdn"),
+            ttls)
         parts = [fig1_series(ColumnarStore.from_records(shard, "public-cdn"),
                              ttls) for shard in shards]
         assert whole == {ttl: sorted(b for part in parts for b in part[ttl])

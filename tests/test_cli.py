@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _Reporter, build_parser, main
-from repro.datasets import PublicCdnBuilder
-from repro.engine import DEFAULT_SHARDS
+from repro.engine import DEFAULT_SHARDS, ShardSpec
 from repro.datasets.columnar import (RowGroupReader, convert_columnar,
                                      file_info, read_columnar)
 from repro.obs.export import parse_prometheus, write_text_atomic
+
+from builder_reference import merged_records
 
 
 class TestParser:
@@ -144,13 +145,12 @@ class TestCommands:
         prom = (tmp_path / "w1.prom").read_text()
         assert prom == (tmp_path / "w4.prom").read_text()
         # Generation is counted once per shard, inside the Figure 1 task.
-        builder = PublicCdnBuilder(scale=0.002, seed=seed, duration_s=360.0)
+        spec = ShardSpec.create("public-cdn", shard_count=DEFAULT_SHARDS,
+                                scale=0.002, seed=seed, duration_s=360.0)
         generated = {labels["builder"]: value for _, labels, value
                      in parse_prometheus(prom)[
                          "repro_generate_records_total"]["samples"]}
-        assert generated["PublicCdnBuilder"] == sum(
-            len(builder.build_shard(i, DEFAULT_SHARDS))
-            for i in range(DEFAULT_SHARDS))
+        assert generated["PublicCdnBuilder"] == len(merged_records(spec))
 
     def test_blowup_scratch_trace_removed_on_error(self, tmp_path,
                                                    monkeypatch):
@@ -325,10 +325,18 @@ _READERS = {
 }
 
 
+#: (command, case) cells that read the file fine: ``dataset info``
+#: takes no dataset and no shard count, ``convert`` no shard count.
+_ACCEPTED = {("dataset info", "wrong-schema"),
+             ("dataset info", "wrong-buckets"),
+             ("convert", "wrong-buckets")}
+
+
 class TestUnopenableInput:
     """One rule for an input path that cannot be opened or read as a
-    trace: exit 1 with one stderr line naming the path and the reason,
-    never a traceback.  An empty file opens, and is a zero-row trace."""
+    trace, or whose header contradicts the command: exit 1 with one
+    stderr line naming the path and the reason, never a traceback.  An
+    empty file opens, and is a zero-row trace."""
 
     @pytest.fixture()
     def inputs(self, tmp_path, monkeypatch):
@@ -346,6 +354,12 @@ class TestUnopenableInput:
         raw = bytearray(code.read_bytes())
         raw[16 + offset:16 + offset + length] = b'["a."]'.ljust(length)
         code.write_bytes(bytes(raw))
+        # A cdn trace, and an allnames trace bucketed for 4 shards where
+        # replay's default is 8.
+        convert_columnar(Path(__file__).parent / "data" / "cdn_v1.jsonl",
+                         tmp_path / "cdn.col", "cdn")
+        convert_columnar(committed, tmp_path / "four.col", "allnames",
+                         buckets=4)
         (tmp_path / "latin1.jsonl").write_bytes(
             b'{"ts":1.0,"qname":"caf\xe9.example."}\n')
         # The malformed files go by a relative path, which the readers
@@ -356,16 +370,20 @@ class TestUnopenableInput:
                 "empty": (tmp_path / "empty.col", None),
                 "malformed-col": ("./cut.col", "past the end"),
                 "malformed-jsonl": ("./latin1.jsonl",
-                                    "line 1: not UTF-8 at byte 23")}
+                                    "line 1: not UTF-8 at byte 23"),
+                "wrong-schema": ("./cdn.col", "holds cdn rows, not allnames"),
+                "wrong-buckets": ("./four.col", "pre-bucketed for 4 shards; "
+                                  "replay it with --shards 4")}
 
     @pytest.mark.parametrize("case", ("missing", "directory", "empty",
-                                      "malformed-col", "malformed-jsonl"))
+                                      "malformed-col", "malformed-jsonl",
+                                      "wrong-schema", "wrong-buckets"))
     @pytest.mark.parametrize("command", sorted(_READERS))
     def test_matrix(self, command, case, inputs, tmp_path, capsys):
         path, reason = inputs[case]
         out = tmp_path / "out.jsonl"
         argv = ["--quiet", *_READERS[command](str(path), str(out))]
-        if reason is None:
+        if reason is None or (command, case) in _ACCEPTED:
             assert main(argv) == 0
             assert capsys.readouterr().err == ""
             return

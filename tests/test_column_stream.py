@@ -1,19 +1,19 @@
 """The builders' column streams (``iter_shard_columns``) and their edges.
 
 Every registered builder has one row loop and it fills the schema's
-columns; ``iter_shard`` / ``build_shard`` / ``build()`` are record views
-of that stream.  These tests hold the
-stream to the shape the columnar writers take, and hold every consumer
-of it — ``generate_columnar``'s column lane, ``fig1_sharded``'s
-in-memory store — to what the record views say the rows are.  The last
-section holds the lane's one ordering rule: by either route, a
-builder's ``.col`` shard is ``build_shard`` in order, byte for byte.
+columns.  These tests hold the stream to the shape the columnar writers
+take, and hold every consumer of it — ``generate_columnar``'s column
+lane, ``fig1_sharded``'s in-memory store — to what the stream's rows
+are, read as records (``builder_reference.py``).  The last section
+holds the lane's one ordering rule: by either route, a builder's
+``.col`` shard is the reference shard, in stable ts order, byte for
+byte.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Any, Iterator, List, Sequence
+from typing import Any, Iterator, List
 
 import pytest
 
@@ -21,13 +21,15 @@ from repro.analysis.cache_sim import fig1_series
 from repro.datasets.columnar import (SCHEMAS, ColumnarStore, RowGroupReader,
                                      file_info, read_columnar,
                                      write_columnar_stream)
-from repro.datasets.records import AllNamesRecord, shard_path
-from repro.datasets.workload import COLUMN_CHUNK_ROWS
+from repro.datasets.records import shard_path
+from repro.datasets.workload import COLUMN_CHUNK_ROWS, column_records
 from repro.engine.generate import (_write_columnar_shard_from_spec,
                                    generate_columnar)
 from repro.engine.replay import fig1_sharded
 from repro.engine.sharding import (ShardSpec, register_builder,
                                    shard_bounds)
+
+from builder_reference import merged_records, shard_lists
 
 #: Small enough for tier-1: 11,000 allnames queries (a lone shard spans
 #: three chunks), five public-cdn resolvers.
@@ -64,7 +66,8 @@ def test_chunks_have_the_schemas_shape(name, params, seed, shards):
     for index in range(shards):
         # A chunk never spans two runs: a run is an allnames shard, or
         # one resolver of a public-cdn shard.
-        records = builder.iter_shard(index, shards)
+        records = column_records(SCHEMAS[name].record_type,
+                                 builder.iter_shard_columns(index, shards))
         runs = [len(list(run)) for _, run in groupby(
             records, key=lambda r: getattr(r, "resolver_ip", None))]
         want = [size for run in runs
@@ -91,12 +94,10 @@ def test_chunks_have_the_schemas_shape(name, params, seed, shards):
 def test_generated_col_holds_the_assembled_records(name, seed, shards,
                                                    tmp_path):
     spec = _spec(name, shards, seed)
-    builder = spec.make_builder()
-    want = builder.assemble([builder.build_shard(index, shards)
-                             for index in range(shards)]).records
+    want = merged_records(spec)
     rows, _ = generate_columnar(spec, tmp_path / "t.col", row_group_rows=1000)
     with RowGroupReader(tmp_path / "t.col") as reader:
-        assert list(reader.iter_records()) == want
+        assert tuple(reader.iter_records()) == want
     assert rows == len(want)
 
 
@@ -107,8 +108,9 @@ def test_store_from_chunks_equals_store_from_records(seed, shards):
     for index in range(shards):
         got = ColumnarStore.from_column_chunks(
             builder.iter_shard_columns(index, shards), "public-cdn")
-        want = ColumnarStore.from_records(
-            builder.iter_shard(index, shards), "public-cdn")
+        want = ColumnarStore.from_records(column_records(
+            SCHEMAS["public-cdn"].record_type,
+            builder.iter_shard_columns(index, shards)), "public-cdn")
         assert len(got) == len(want)
         for spec in SCHEMAS["public-cdn"].columns:
             assert got.column(spec.name) == want.column(spec.name)
@@ -133,8 +135,7 @@ def test_mostly_silent_resolvers(seed, rows, speakers, tmp_path):
     spec = ShardSpec.create("public-cdn", shard_count=8, scale=0.0001,
                             seed=seed, duration_s=1.0)
     builder = spec.make_builder()
-    want = builder.assemble([builder.build_shard(index, 8)
-                             for index in range(8)]).records
+    want = merged_records(spec)
     assert len(want) == rows
     chunks = [chunk for index in range(8)
               for chunk in builder.iter_shard_columns(index, 8)]
@@ -145,7 +146,7 @@ def test_mostly_silent_resolvers(seed, rows, speakers, tmp_path):
 
     assert generate_columnar(spec, tmp_path / "t.col")[0] == rows
     with RowGroupReader(tmp_path / "t.col") as reader:
-        assert list(reader.iter_records()) == want
+        assert tuple(reader.iter_records()) == want
     ttls = (None, 0, 40)
     for workers in (1, 2):
         series, report = fig1_sharded(spec, ttls, workers=workers)
@@ -170,17 +171,16 @@ def test_more_shards_than_units_on_the_column_lane(tmp_path):
     with RowGroupReader(shard_path(out, 127)) as reader:
         assert list(reader.iter_records()) == []
 
-    want = builder.assemble([builder.build_shard(index, 128)
-                             for index in range(128)]).records
+    want = merged_records(spec)
     rows, _ = generate_columnar(spec, out)
     with RowGroupReader(out) as reader:
-        assert list(reader.iter_records()) == want
+        assert tuple(reader.iter_records()) == want
     assert rows == len(want) == 100
     assert not shard_path(out, 127).exists()
 
 
 # ---------------------------------------------------------------------------
-# One ordering rule: a ``.col`` shard is ``build_shard``, in order.
+# One ordering rule: a ``.col`` shard is the reference shard, in order.
 
 
 class TiedTraceBuilder:
@@ -189,16 +189,13 @@ class TiedTraceBuilder:
     Every unit walks the clock 0, 3, 1, 4, 2, 0, ... so a shard's rows
     are unordered and almost all of them tie; ``client_ip`` names the
     unit and the position a row was emitted at, so only the *stable*
-    ts order — ties in emission order — reproduces ``build_shard``.
+    ts order — ties in emission order — reproduces the reference shard.
     """
 
     def __init__(self, units: int = 7, rows: int = 23, seed: int = 0):
         self.units = units
         self.rows = rows
         self.seed = seed
-
-    def shard_units(self) -> int:
-        return self.units
 
     def iter_shard_columns(self, shard_index: int,
                            shard_count: int) -> Iterator[List[List[Any]]]:
@@ -209,16 +206,6 @@ class TiedTraceBuilder:
                    [f"10.9.{unit}.{j}" for j in span],
                    [f"h{j % 4}.example." for j in span],
                    [1] * self.rows, [24] * self.rows, [60] * self.rows]
-
-    def build_shard(self, shard_index: int,
-                    shard_count: int) -> List[AllNamesRecord]:
-        records = [record for chunk in self.iter_shard_columns(
-            shard_index, shard_count) for record in map(AllNamesRecord, *chunk)]
-        records.sort(key=lambda record: record.ts)
-        return records
-
-    def assemble(self, shard_lists: Sequence[List[AllNamesRecord]]) -> Any:
-        raise NotImplementedError("shard files only")
 
 
 register_builder("tied-trace", "test_column_stream:TiedTraceBuilder")
@@ -240,14 +227,14 @@ ORDERING_CASES = (
 def test_shard_file_is_build_shard_in_order(name, schema, params,
                                             row_group_rows, tmp_path,
                                             monkeypatch):
-    """The shard file equals ``write_columnar_stream(build_shard(i, n))``
-    byte for byte, whichever of the two routes wrote it (allnames is
-    ordered, every other builder not); no builder gets there through a
-    record, and no route leaves a run file or a temporary behind."""
+    """The shard file equals ``write_columnar_stream`` of the reference
+    shard (``shard_lists``) byte for byte, whichever of the two routes
+    wrote it (allnames is ordered, every other builder not); no builder
+    gets there through a record, and no route leaves a run file or a
+    temporary behind."""
     shards = 3
     spec = ShardSpec.create(name, shard_count=shards, seed=7, **params)
-    builder = spec.make_builder()
-    want = [builder.build_shard(index, shards) for index in range(shards)]
+    want = shard_lists(spec, schema)
     if name == "tied-trace":
         assert all(sum(a.ts == b.ts for a, b in zip(shard, shard[1:]))
                    >= len(shard) - 5 for shard in want)
@@ -275,4 +262,4 @@ def test_shard_file_is_build_shard_in_order(name, schema, params,
     for index, records in enumerate(want):
         write_columnar_stream(records, reference, schema, row_group_rows)
         assert shard_path(out, index).read_bytes() == reference.read_bytes()
-        assert read_columnar(shard_path(out, index)) == records
+        assert tuple(read_columnar(shard_path(out, index))) == records

@@ -63,7 +63,6 @@ from repro.datasets.columnar import (MAGIC, SCHEMAS,
 from repro.datasets.records import (AllNamesRecord, CdnQueryRecord,
                                     JsonlFormatError, PublicCdnRecord,
                                     TraceFormatError, write_jsonl)
-from repro.datasets.workload import merge_sorted_records
 from repro.engine import WorkerPool
 from repro.engine import replay as engine_replay
 from repro.engine.replay import (ACCESSORS, _parse_lines,
@@ -75,6 +74,7 @@ from repro.obs import live as obs_live
 from repro.obs import observe
 from repro.obs.live import LiveSink
 
+from builder_reference import merge_sorted_records
 from jsonl_reference import merge_jsonl_shards, read_jsonl
 
 #: The committed JSONL twins of the two traces once kept in the retired
@@ -877,6 +877,26 @@ def test_merge_rejects_mixed_format_versions(tmp_path):
     with pytest.raises(ColumnarFormatError, match=_retired(v1)):
         merge_columnar_shards([v2, v1], tmp_path / "out.col")
     assert not list(tmp_path.glob("out.col*"))
+
+
+def test_a_header_of_another_schema_is_rejected(tmp_path):
+    """A reader told which rows to expect checks the header it reads
+    anyway: a cdn file read as allnames raises, naming the file and
+    both schemas, and leaves no output behind."""
+    src = tmp_path / "cdn.col"
+    write_columnar_stream(_hand_records("cdn", 5), src, "cdn")
+    out = tmp_path / "out"
+    for read in (lambda: bucketed_group_ranges(src, "allnames"),
+                 lambda: columnar_to_jsonl(src, out, "allnames"),
+                 lambda: convert_columnar(src, out, "allnames"),
+                 lambda: convert_columnar(src, out, SCHEMAS["allnames"],
+                                          buckets=2)):
+        with pytest.raises(TraceFormatError,
+                           match="cdn.col: holds cdn rows, not allnames$"):
+            read()
+        assert [p.name for p in tmp_path.iterdir()] == ["cdn.col"]
+    assert bucketed_group_ranges(src, "cdn") is None
+    assert columnar_to_jsonl(src, out, "cdn") == 5
 
 
 def test_prebucket_groups_and_ranges(tmp_path):

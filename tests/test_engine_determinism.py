@@ -5,8 +5,8 @@ output of ``workers=1`` must equal the merged output of ``workers=4``
 exactly — same records, same ReplayResults, same rendered report text —
 because shard random streams are seeded from ``derive_seed(root_seed,
 shard_index)`` and merged in shard order, independent of scheduling.
-The engine-free reference is the builder's own ``build_shard`` /
-``assemble`` called in-process.
+The engine-free reference is ``builder_reference.py``: the builder's
+column stream read as records, in-process.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.engine.generate import generate_columnar, generate_jsonl
 from repro.engine.replay import replay_columnar_sharded, replay_jsonl_sharded
 from repro.engine.sharding import ShardSpec
 
+from builder_reference import merged_records, shard_lists
 from jsonl_reference import read_jsonl
 
 SHARDS = 4
@@ -48,17 +49,9 @@ SPECS = {
 }
 
 
-def _in_process(spec: ShardSpec):
-    """The reference: the builder's own methods, no engine involved."""
-    builder = spec.make_builder()
-    shard_lists = [builder.build_shard(i, spec.shard_count)
-                   for i in range(spec.shard_count)]
-    return shard_lists, builder.assemble(shard_lists)
-
-
 @pytest.fixture(scope="module")
 def small_allnames_records():
-    return _in_process(SPECS["allnames"](9))[1].records
+    return list(merged_records(SPECS["allnames"](9)))
 
 
 class TestSeeding:
@@ -82,7 +75,7 @@ class TestBuilderDeterminism:
     @pytest.mark.parametrize("kind", sorted(SPECS))
     def test_workers_1_vs_4_identical_records(self, kind, tmp_path):
         spec = SPECS[kind](5)
-        reference = _in_process(spec)[1].records
+        reference = list(merged_records(spec))
         for workers in (1, 4):
             generate_jsonl(spec, tmp_path / f"w{workers}.jsonl",
                            workers=workers)
@@ -93,7 +86,7 @@ class TestBuilderDeterminism:
 
     @pytest.mark.parametrize("kind", sorted(SPECS))
     def test_assembled_dataset_identical(self, kind, tmp_path):
-        """The columnar route holds the in-process ``assemble`` order."""
+        """The columnar route holds the in-process merge's order."""
         spec = SPECS[kind](5)
         for workers in (1, 4):
             generate_columnar(spec, tmp_path / f"w{workers}.col",
@@ -101,11 +94,11 @@ class TestBuilderDeterminism:
         assert (tmp_path / "w1.col").read_bytes() == \
             (tmp_path / "w4.col").read_bytes()
         assert read_columnar(tmp_path / "w4.col") == \
-            _in_process(spec)[1].records
+            list(merged_records(spec))
 
     def test_different_seeds_differ(self):
-        assert _in_process(SPECS["allnames"](1))[0] != \
-            _in_process(SPECS["allnames"](2))[0]
+        assert shard_lists(SPECS["allnames"](1)) != \
+            shard_lists(SPECS["allnames"](2))
 
     def test_merged_records_time_sorted(self, tmp_path):
         generate_columnar(SPECS["public-cdn"](5), tmp_path / "t.col")
@@ -113,10 +106,14 @@ class TestBuilderDeterminism:
         assert timestamps == sorted(timestamps)
 
     def test_root_trace_ground_truth_stable(self):
-        first = _in_process(SPECS["root"](5))[1]
-        again = _in_process(SPECS["root"](5))[1]
+        spec = SPECS["root"](5)
+        first = spec.make_builder().build()
+        again = spec.make_builder().build()
         assert first.violator_ips == again.violator_ips
         assert len(first.violator_ips) == 5
+        # The sharded trace's ECS senders are the same ground truth.
+        assert {r.resolver_ip for r in merged_records(spec)
+                if r.has_ecs} == set(first.violator_ips)
 
 
 class TestReplayDeterminism:
@@ -147,7 +144,7 @@ class TestReplayDeterminism:
         assert sharded == legacy
 
     def test_public_cdn_kind(self, tmp_path, oracle_replay):
-        records = _in_process(SPECS["public-cdn"](9))[1].records
+        records = merged_records(SPECS["public-cdn"](9))
         path = tmp_path / "public-cdn.col"
         write_columnar_stream(records, path, "public-cdn")
         r1, _ = replay_columnar_sharded(path, "public-cdn",

@@ -20,22 +20,22 @@ from hypothesis import strategies as st
 
 from repro.analysis.cache_sim import (ReplayPartial, merge_partials,
                                       replay_partial, replay_partial_columns)
-from repro.datasets import (AllNamesBuilder, merge_sorted_records,
-                            write_jsonl)
+from repro.datasets import AllNamesBuilder, write_jsonl
 from repro.datasets.columnar import ColumnarStore
 from repro.engine.replay import ACCESSORS
-from repro.engine.sharding import partition_by_key
+from repro.engine.sharding import ShardSpec, partition_by_key
 from repro.faults import preset
 from repro.faults.chaos import CHAOS_RETRY_POLICY, ChaosPartial, _chaos_shard
 from repro.net.transport import NetworkStats
 
+from builder_reference import merge_sorted_records, shard_lists
 from jsonl_reference import merge_jsonl_shards, write_jsonl_shards
 
 
-def _shard_lists(shards: int) -> list:
+def _shard_lists(shards: int) -> tuple:
     """The allnames shards, built in-process (no engine involved)."""
-    builder = AllNamesBuilder(scale=0.01, seed=6)
-    return [builder.build_shard(i, shards) for i in range(shards)]
+    return shard_lists(ShardSpec.create("allnames", shard_count=shards,
+                                        scale=0.01, seed=6))
 
 
 def _random_partial(rng: random.Random) -> ReplayPartial:

@@ -29,6 +29,7 @@ from repro.dnslib import RecordType
 from repro.engine import ShardSpec, generate_columnar, generate_jsonl
 from repro.engine.generate import _write_columnar_shard_from_spec
 
+from builder_reference import shard_lists
 from jsonl_reference import line_of
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
@@ -140,13 +141,12 @@ BUILDERS = (
                          ids=[name for name, _ in BUILDERS])
 def test_jsonl_shard_is_build_shard_rendered(name, params, tmp_path,
                                              monkeypatch):
-    """A worker's shard file, rendered, is the reference encoding of
-    ``build_shard``, and every builder writes it without building a
-    record."""
+    """A worker's shard file, rendered, is the reference encoding of the
+    reference shard (``shard_lists``), and every builder writes it
+    without building a record."""
     shards = 3
     spec = ShardSpec.create(name, shard_count=shards, seed=7, **params)
-    builder = spec.make_builder()
-    want = [builder.build_shard(index, shards) for index in range(shards)]
+    want = shard_lists(spec)
     built = []
     record_type = SCHEMAS[name].record_type
     init = record_type.__init__

@@ -22,7 +22,6 @@ import pytest
 from repro.analysis.cache_sim import merge_partials, replay_partial
 from repro.analysis.report import format_network_stats
 from repro.cli import main as cli_main
-from repro.datasets import AllNamesBuilder, merge_sorted_records
 from repro.datasets.columnar import (convert_columnar,
                                      write_columnar_stream)
 from repro.datasets.records import write_jsonl
@@ -36,6 +35,8 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.export import (parse_prometheus, to_prometheus,
                               write_spans_jsonl)
+
+from builder_reference import merged_records
 
 
 def _random_registry(rng: random.Random) -> MetricsRegistry:
@@ -196,9 +197,8 @@ class TestPrometheusExport:
 
 @pytest.fixture()
 def allnames_records():
-    builder = AllNamesBuilder(scale=0.01, seed=6)
-    return merge_sorted_records([builder.build_shard(i, 4)
-                                 for i in range(4)])
+    return list(merged_records(ShardSpec.create("allnames", shard_count=4,
+                                                scale=0.01, seed=6)))
 
 
 @pytest.fixture()

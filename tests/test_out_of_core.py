@@ -41,6 +41,8 @@ from repro.engine import (ShardSpec, client_sweep_sharded, generate_columnar,
 from repro.engine.replay import _HELD, ACCESSORS, KeyedTrace
 from repro.obs import observe
 
+from builder_reference import merged_records
+
 SHARDS = 4
 GROUP_ROWS = 256
 
@@ -194,11 +196,9 @@ def test_pipeline_output_matches_in_memory_reference(tmp_path):
     ranged, _ = replay_columnar_sharded(bucketed, "allnames",
                                         shards=SHARDS, workers=1)
     assert ranged == reference
-    # And the trace holds exactly the records the builder assembles
-    # in memory, whatever the group budget.
-    builder = spec.make_builder()
-    records = list(builder.assemble(
-        [builder.build_shard(i, SHARDS) for i in range(SHARDS)]).records)
+    # And the trace holds exactly the reference records, merged in
+    # memory, whatever the group budget.
+    records = list(merged_records(spec))
     assert read_columnar(flat) == records
     default = tmp_path / "default.col"
     generate_columnar(spec, default, workers=1)
@@ -237,8 +237,7 @@ def small_trace(tmp_path_factory):
                             total_queries=600, **FIXED_UNIVERSE)
     flat = tmp_path_factory.mktemp("trace") / "flat.col"
     generate_columnar(spec, flat, workers=1)
-    return flat, read_columnar(flat), spec.make_builder().assemble(
-        []).client_ips
+    return flat, read_columnar(flat), spec.make_builder().client_ips()
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,8 @@ The engine's contract is that ``--workers`` is pure execution detail:
 for every shardable builder and for chaos presets, the merged JSONL
 bytes, replay results, metrics and rendered reports must be
 byte-identical across worker counts — and the spec-dispatch paths must
-reproduce the engine-free reference (the builder's own ``build_shard``
-/ ``assemble`` called in-process) exactly.
+reproduce the engine-free reference (``builder_reference.py``: the
+builder's column stream read as records, in-process) exactly.
 
 Real-pool coverage runs a few worker counts per case (inline and
 pooled); how shards are batched into pool submissions is the engine's
@@ -20,22 +20,21 @@ from __future__ import annotations
 import inspect
 import shutil
 import tempfile
-from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
-from typing import Any, Iterator, List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datasets.columnar import RowGroupReader, read_columnar
-from repro.datasets.records import (AllNamesRecord, JsonlFormatError,
-                                    shard_path, write_jsonl,
-                                    write_jsonl_text)
-from repro.datasets.workload import column_records, split_columns
-from repro.engine import (ShardSpec, WorkerPool, client_sweep_sharded,
-                          fig1_sharded, generate_columnar, generate_jsonl,
+from repro.datasets.records import (JsonlFormatError, shard_path,
+                                    write_jsonl, write_jsonl_text)
+from repro.datasets.workload import split_columns
+from repro.engine import (EngineReport, ShardSpec, WorkerPool,
+                          client_sweep_sharded, fig1_sharded,
+                          generate_columnar, generate_jsonl,
                           register_builder, replay_columnar_sharded,
                           run_sharded, shard_bounds)
 from repro.engine.executor import (_chunk_bounds, _len_or_zero,
@@ -51,6 +50,7 @@ from repro.faults.presets import preset
 from repro.obs import observe
 from repro.obs.export import to_prometheus
 
+from builder_reference import merged_records, shard_lists
 from jsonl_reference import (merge_jsonl_shards, read_jsonl,
                              write_jsonl_shards)
 
@@ -77,40 +77,33 @@ def _spec(name: str) -> ShardSpec:
     return ShardSpec.create(name, shard_count=SHARDS, **BUILDER_CASES[name])
 
 
-def _in_process(spec: ShardSpec):
-    """The reference: ``(shard lists, assembled dataset)`` from the
-    builder's own methods, no engine involved."""
-    builder = spec.make_builder()
-    shard_lists = [builder.build_shard(i, SHARDS) for i in range(SHARDS)]
-    return shard_lists, builder.assemble(shard_lists)
-
-
 class _References:
-    """Each case's ``workers=1`` references, built on first use and
-    shared by every test: the in-process shard lists and dataset, the
-    oracle's replay, and the traces ``generate_jsonl`` and
-    ``generate_columnar`` write.  A test that damages a trace copies
-    it first."""
+    """Each case's traces, generated once and shared by every test: what
+    ``generate_jsonl`` and ``generate_columnar`` write at each worker
+    count of :data:`EXECUTION_MATRIX`, with the count and engine report
+    the call returned, and the oracle's replay of the reference records.
+    A test that damages a trace copies it first."""
 
     def __init__(self, root: Path, oracle_replay) -> None:
         self._root = root
         self._oracle_replay = oracle_replay
 
     @cache
-    def in_process(self, name: str):
-        return _in_process(_spec(name))
-
-    @cache
     def oracle(self, kind: str):
-        return self._oracle_replay(self.in_process(kind)[1].records, kind,
-                                   SHARDS)
+        return self._oracle_replay(merged_records(_spec(kind)), kind, SHARDS)
 
     @cache
-    def trace(self, kind: str, fmt: str) -> Path:
-        path = self._root / f"{kind}.{fmt}"
+    def generated(self, kind: str, fmt: str,
+                  workers: int) -> Tuple[Path, int, EngineReport]:
+        path = self._root / f"{kind}-w{workers}.{fmt}"
         generate = generate_jsonl if fmt == "jsonl" else generate_columnar
-        generate(_spec(kind), path, workers=1)
-        return path
+        with WorkerPool(workers):
+            count, report = generate(_spec(kind), path, workers=workers)
+        return path, count, report
+
+    def trace(self, kind: str, fmt: str) -> Path:
+        """The ``workers=1`` trace."""
+        return self.generated(kind, fmt, 1)[0]
 
 
 @pytest.fixture(scope="session")
@@ -119,99 +112,86 @@ def references(tmp_path_factory, oracle_replay):
 
 
 @pytest.mark.parametrize("name", sorted(BUILDER_CASES))
-def test_generate_records_equivalent_across_matrix(name, tmp_path,
-                                                   references):
-    """Spec dispatch reproduces in-process ``build_shard``, per shard:
+def test_generate_records_equivalent_across_matrix(name, references):
+    """Spec dispatch reproduces the in-process reference, per shard:
     each worker reports its shard's count, and the merged trace parses
-    back to the in-process ``assemble``."""
+    back to the merged reference records."""
     spec = _spec(name)
-    reference, dataset = references.in_process(name)
+    reference, records = shard_lists(spec), merged_records(spec)
     for workers in EXECUTION_MATRIX:
-        out = tmp_path / f"{name}-w{workers}.jsonl"
-        with WorkerPool(workers):
-            _, report = generate_jsonl(spec, out, workers=workers)
+        out, _, report = references.generated(name, "jsonl", workers)
         assert [s.records for s in report.shards] == \
             [len(shard) for shard in reference], (name, workers)
-        assert read_jsonl(out, type(dataset.records[0])) == dataset.records
+        assert read_jsonl(out, type(records[0])) == list(records)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDER_CASES))
 def test_generate_jsonl_identical_bytes_across_matrix(name, tmp_path,
                                                       references):
     """Worker-written shard files merge to the reference trace, bytewise."""
-    spec = _spec(name)
     # Reference route: records materialized in the parent, shard files
     # written parent-side, merged a line at a time.
-    shard_lists, _ = references.in_process(name)
+    reference_lists = shard_lists(_spec(name))
     ref_path = tmp_path / "reference.jsonl"
-    paths = write_jsonl_shards(shard_lists, ref_path)
+    paths = write_jsonl_shards(reference_lists, ref_path)
     merge_jsonl_shards(paths, ref_path)
     reference = ref_path.read_bytes()
     for workers in EXECUTION_MATRIX:
-        out = tmp_path / f"{name}-w{workers}.jsonl"
-        with WorkerPool(workers):
-            count, _ = generate_jsonl(spec, out, workers=workers)
+        out, count, _ = references.generated(name, "jsonl", workers)
         assert out.read_bytes() == reference, (name, workers)
-        assert count == sum(len(s) for s in shard_lists)
-        assert not list(tmp_path.glob(f"{out.name}.shard*")), \
+        assert count == sum(len(s) for s in reference_lists)
+        assert not list(out.parent.glob(f"{out.name}.shard*")), \
             "shard files must be cleaned up"
 
 
 @pytest.mark.parametrize("kind", REPLAY_CASES)
-def test_replay_equivalent_across_matrix(kind, tmp_path, references):
+def test_replay_equivalent_across_matrix(kind, references):
     """JSONL-line and spec-generated columnar replays equal the oracle."""
-    spec = _spec(kind)
     trace = references.trace(kind, "jsonl")
-    # The oracle replays the assembled dataset (ts-merged), the same
+    # The oracle replays the merged reference records, the same
     # canonical order the JSONL trace and spec paths see.
-    _, dataset = references.in_process(kind)
+    records = merged_records(_spec(kind))
     reference = references.oracle(kind)
     for workers in EXECUTION_MATRIX:
+        # Builder spec -> columnar file (at this worker count) -> replay:
+        # the dataset never materializes in the parent.
+        spec_trace, _, _ = references.generated(kind, "col", workers)
         with WorkerPool(workers):
             from_lines, line_report = replay_jsonl_sharded(
                 trace, kind, shards=SHARDS, workers=workers)
-            # Builder spec -> columnar file -> replay, all on one pool:
-            # the dataset never materializes in the parent.
-            spec_trace = tmp_path / f"{kind}-w{workers}.col"
-            generate_columnar(spec, spec_trace, schema=kind,
-                              workers=workers)
             from_spec, spec_report = replay_columnar_sharded(
                 spec_trace, kind, shards=SHARDS, workers=workers)
         assert from_lines == reference, (kind, workers)
         assert from_spec == reference, (kind, workers)
         assert (line_report.total_records == spec_report.total_records
-                == len(dataset.records))
+                == len(records))
         # A JSONL shard ships its spill file's path, not its lines.
         assert line_report.payload_bytes_per_shard < 1024
 
 
 @pytest.mark.parametrize("kind", REPLAY_CASES)
-def test_generate_columnar_identical_bytes_across_matrix(kind, tmp_path,
-                                                         references):
+def test_generate_columnar_identical_bytes_across_matrix(kind, references):
     """Worker-written columnar shards merge to the reference, bytewise.
 
     public-cdn shards overlap in time, so this also pins the segment
     merge to the canonical ts-ordered k-way merge, not concatenation.
     """
-    spec = _spec(kind)
-    _, dataset = references.in_process(kind)
+    records = merged_records(_spec(kind))
     ref_out = references.trace(kind, "col")
-    assert read_columnar(ref_out) == list(dataset.records)
+    assert read_columnar(ref_out) == list(records)
     reference = ref_out.read_bytes()
     for workers in EXECUTION_MATRIX:
-        out = tmp_path / f"{kind}-w{workers}.col"
-        with WorkerPool(workers):
-            count, _ = generate_columnar(spec, out, workers=workers)
+        out, count, _ = references.generated(kind, "col", workers)
         assert out.read_bytes() == reference, (kind, workers)
-        assert count == len(dataset.records)
-        assert not list(tmp_path.glob(f"{out.name}.shard*")), \
+        assert count == len(records)
+        assert not list(out.parent.glob(f"{out.name}.shard*")), \
             "columnar shard files must be cleaned up"
 
 
 @pytest.mark.parametrize("kind", REPLAY_CASES)
 def test_replay_columnar_equivalent_across_matrix(kind, references):
     """Columnar replay == JSONL replay == the oracle, any pool shape."""
-    _, dataset = references.in_process(kind)
+    records = merged_records(_spec(kind))
     reference = references.oracle(kind)
     col_trace = references.trace(kind, "col")
     jsonl_trace = references.trace(kind, "jsonl")
@@ -224,7 +204,7 @@ def test_replay_columnar_equivalent_across_matrix(kind, references):
         assert from_cols == reference, (kind, workers)
         assert from_lines == reference, (kind, workers)
         assert (col_report.total_records == line_report.total_records
-                == len(dataset.records))
+                == len(records))
 
 
 def test_replay_metrics_identical_across_workers(references):
@@ -257,11 +237,6 @@ def test_chaos_report_identical_across_matrix(preset_name):
 # Hypothesis: the spec-dispatch wire protocol over arbitrary decompositions.
 
 
-@dataclass
-class TinyDataset:
-    records: List[AllNamesRecord]
-
-
 class TinyTraceBuilder:
     """A deterministic synthetic builder for protocol-level properties.
 
@@ -279,9 +254,6 @@ class TinyTraceBuilder:
         self.seed = seed
         self.fail_shard = fail_shard
 
-    def shard_units(self) -> int:
-        return self.total
-
     def iter_shard_columns(self, shard_index: int,
                            shard_count: int) -> Iterator[List[List[Any]]]:
         if shard_index == self.fail_shard:
@@ -292,15 +264,6 @@ class TinyTraceBuilder:
             [f"10.{self.seed % 200}.{j % 8}.{j % 5 + 1}" for j in span],
             [f"h{j % 13}.example." for j in span], [1] * len(span),
             [16 if j % 3 else 24 for j in span], [60] * len(span)])
-
-    def build_shard(self, shard_index: int,
-                    shard_count: int) -> List[AllNamesRecord]:
-        return list(column_records(AllNamesRecord, self.iter_shard_columns(
-            shard_index, shard_count)))
-
-    def assemble(self, shard_lists: Sequence[List[AllNamesRecord]]
-                 ) -> TinyDataset:
-        return TinyDataset([r for shard in shard_lists for r in shard])
 
 
 register_builder("tiny-trace", "test_pool_equivalence:TinyTraceBuilder")
@@ -332,10 +295,8 @@ def test_spec_protocol_reproduces_reference(total, shards, chunk_size,
     """Property: spec dispatch == in-process reference for any split."""
     spec = ShardSpec.create("tiny-trace", shard_count=shards, total=total,
                             seed=total % 7)
-    builder = spec.make_builder()
-    reference_lists = [builder.build_shard(i, shards)
-                       for i in range(shards)]
-    records = builder.assemble(reference_lists).records
+    reference_lists = shard_lists(spec, "allnames")
+    records = merged_records(spec, "allnames")
     with tempfile.TemporaryDirectory() as scratch:
         base = Path(scratch) / "tiny.col"
         counts = _run_protocol(_write_columnar_shard_from_spec,
@@ -343,8 +304,8 @@ def test_spec_protocol_reproduces_reference(total, shards, chunk_size,
                                (spec, str(base), "allnames", None),
                                chunk_size)
         assert counts == [len(shard) for shard in reference_lists]
-        assert [read_columnar(shard_path(base, i))
-                for i in range(shards)] == reference_lists
+        assert tuple(tuple(read_columnar(shard_path(base, i)))
+                     for i in range(shards)) == reference_lists
         write_jsonl(records, base)
         lines = base.read_text().splitlines(keepends=True)
         buckets = partition_by_key(list(zip(records, lines)), shards,
