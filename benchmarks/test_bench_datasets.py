@@ -4,10 +4,10 @@ Regenerates the four datasets and prints the paper-vs-measured summary
 counts (scaled by the generators' scale factors).  The columnar
 benchmarks time three replay pipelines over the same trace — JSONL
 parse → record objects → ``replay_partial_batched``, mmap'd columns →
-``replay_partial_columns``, and the out-of-core v2 row-group stream →
-``replay_partial_column_groups`` — assert identical results, print
-throughput and on-disk bytes per row through ``save_report``, and hold
-the columnar substrate to its three bars.
+``KeyedTrace`` → ``replay_partial_columns``, and the out-of-core v2
+row-group stream → ``replay_partial_column_groups`` — assert identical
+results, print throughput and on-disk bytes per row through
+``save_report``, and hold the columnar substrate to its three bars.
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ import json
 
 from repro.analysis import (summarize_allnames, summarize_cdn,
                             summarize_public_cdn, summarize_scan)
-from repro.analysis.cache_sim import (replay_partial_batched,
+from repro.analysis.cache_sim import (KeyedTrace, replay_partial_batched,
                                       replay_partial_column_groups,
                                       replay_partial_columns)
 from repro.datasets import AllNamesBuilder, CdnDatasetBuilder
-from repro.datasets.columnar import (ColumnarStore, RowGroupReader,
-                                     write_columnar_stream)
+from repro.datasets.columnar import RowGroupReader, write_columnar_stream
 from repro.datasets.records import write_jsonl
 
 from bench_timing import best_of_three
@@ -91,8 +90,8 @@ def _bench_columnar_case(save_report, name, records, client_field,
     col_path = tmp_path / f"{name}.col"
     v2_path = tmp_path / f"{name}.v2.col"
     write_jsonl(records, jsonl_path)
-    # One group holding every row: the file ColumnarStore.open maps
-    # zero-copy, so the flat sample times the replay and not a flatten.
+    # One group holding every row: the flat sample keys the trace in one
+    # piece, the row-group sample one group at a time.
     write_columnar_stream(records, col_path, name, rows)
     write_columnar_stream(records, v2_path, name, ROW_GROUP_ROWS)
 
@@ -102,9 +101,10 @@ def _bench_columnar_case(save_report, name, records, client_field,
                                       client_field)
 
     def columnar_replay():
-        """Map the file, replay straight off the columns."""
-        with ColumnarStore.open(col_path) as store:
-            return replay_partial_columns(store, client_field)
+        """Map the file, key its columns, replay them."""
+        with RowGroupReader(col_path) as reader:
+            return replay_partial_columns(KeyedTrace(
+                reader.walk(), reader.rows, client_field))
 
     def rowgroup_replay():
         """Stream v2 row groups, one resident at a time."""

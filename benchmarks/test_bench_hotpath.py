@@ -23,7 +23,8 @@ from pathlib import Path
 import pytest
 
 from repro.addr import parse_addr, prefix_key_int
-from repro.analysis.cache_sim import (replay_partial, replay_partial_batched,
+from repro.analysis.cache_sim import (KeyedTrace, replay_partial,
+                                      replay_partial_batched,
                                       replay_partial_columns)
 from repro.datasets.allnames import AllNamesBuilder
 from repro.dnslib import (EcsOption, EdnsInfo, Message, Name, Question,
@@ -179,7 +180,7 @@ def test_hotpath_replay_obs_disabled_is_free(save_report, tmp_path):
     PR-2 fast paths: any per-row instrumentation creeping into the
     disabled path shows up here as a throughput drop.
     """
-    from repro.datasets.columnar import ColumnarStore, write_columnar_stream
+    from repro.datasets.columnar import RowGroupReader, write_columnar_stream
     from repro.engine.replay import _replay_columnar_shard
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
@@ -190,14 +191,15 @@ def test_hotpath_replay_obs_disabled_is_free(save_report, tmp_path):
     trace = str(tmp_path / "allnames.col")
     write_columnar_stream(records, trace, "allnames",
                           row_group_rows=1 << 30)
-    store = ColumnarStore.open(trace)
-    rows = store.row_buckets("qname", 1)[0]
+    with RowGroupReader(trace) as reader:
+        keyed = KeyedTrace(reader.walk(), reader.rows, "client_ip")
+    rows = keyed.qname_buckets(1)[0]
 
     # One shard is the whole trace.  Best of three: at the CI scale a
     # pass is ~20 ms, inside GC and scheduler noise, and the first worker
     # call pays its cached open and bucket table.
     results, seconds = best_of_three({
-        "bare": lambda: replay_partial_columns(store, "client_ip", rows),
+        "bare": lambda: replay_partial_columns(keyed, rows),
         "instrumented": lambda: _replay_columnar_shard(trace, "allnames",
                                                        1, 0)})
 

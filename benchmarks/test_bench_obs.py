@@ -18,9 +18,10 @@ import statistics
 
 import pytest
 
-from repro.analysis.cache_sim import replay_partial_columns
+from repro.analysis.cache_sim import KeyedTrace, replay_partial_columns
 from repro.datasets.allnames import AllNamesBuilder
-from repro.datasets.columnar import ColumnarStore, write_columnar_stream
+from repro.datasets.columnar import (ColumnarStore, RowGroupReader,
+                                     write_columnar_stream)
 from repro.engine.replay import replay_columnar_sharded
 from repro.obs import observe
 from repro.obs import live as obs_live
@@ -64,9 +65,10 @@ def _observed(trace, **flags):
 @pytest.mark.hotpath
 def test_obs_overhead_on_replay(save_report, replay_trace):
     """Disabled vs metrics-enabled vs traced throughput, same rows."""
-    with ColumnarStore.open(replay_trace) as store:
-        n = len(store)
-        baseline = replay_partial_columns(store, "client_ip").result()
+    with RowGroupReader(replay_trace) as reader:
+        trace = KeyedTrace(reader.walk(), reader.rows, "client_ip")
+    n = trace.rows
+    baseline = replay_partial_columns(trace).result()
 
     # Untimed: the first call opens the trace and builds the bucket
     # table and key ids, which every later call reuses.

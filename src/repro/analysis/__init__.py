@@ -1,9 +1,8 @@
 """Per-section analyses reproducing the paper's tables and figures."""
 
-from .cache_sim import (ReplayPartial, ReplayResult, allnames_replay,
-                        cdf_points, client_sweep, fig1_series, fig2_series,
-                        fig3_series, merge_partials, percentile, replay,
-                        replay_partial)
+from .cache_sim import (ReplayPartial, ReplayResult, cdf_points,
+                        client_sweep, fig1_series, fig2_series, fig3_series,
+                        merge_partials, percentile, replay, replay_partial)
 from .caching_behavior import (CachingBehaviorAnalysis,
                                analyze_caching_behavior)
 from .discovery import DiscoveryAnalysis, analyze_discovery
@@ -38,8 +37,7 @@ __all__ = [
     "PoisoningOutcome", "PrivacyOutcome", "PrivacyStudy",
     "ProbingAnalysis", "ReplayPartial", "ReplayResult", "ResolverOutcome",
     "RootViolationAnalysis", "Table1", "Table2", "UnroutableLab",
-    "WhitelistComparison", "allnames_replay",
-    "analyze_caching_behavior", "analyze_discovery",
+    "WhitelistComparison", "analyze_caching_behavior", "analyze_discovery",
     "analyze_hidden_resolvers", "analyze_probing",
     "analyze_root_violations", "build_table1", "cdf_points", "cdf_table",
     "compare_blast_radius", "poisoning_report", "run_poisoning_experiment",

@@ -6,7 +6,8 @@ authoritative scope, so several copies of one answer coexist when clients
 span multiple scope-sized subnets.  The *blow-up factor* for a resolver is
 the ratio of the peak cache size with ECS to the peak size without.
 :func:`replay_partial` is that method spelled out; :class:`ReplayKernel`
-is the same step over dense integer key ids derived once from the rows.
+is the same step over dense integer key ids derived once from the rows,
+and a whole trace reaches it keyed once, as a :class:`KeyedTrace`.
 """
 
 from __future__ import annotations
@@ -15,17 +16,15 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from math import inf
 from operator import attrgetter, gt, itemgetter, le
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from ..addr import parse_addr, truncate_int
 from ..core.cache import ScopeTracker
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (datasets -> net)
-    from ..datasets.columnar import ColumnarStore
+from ..datasets.columnar import ColumnarStore, bucket_rows
 
 
 @dataclass
@@ -220,7 +219,7 @@ class ReplayKernel:
     a miss stores ``now + ttl`` and is noted, and peak sizes are settled
     from the notes chunk by chunk (:meth:`_Cache.settle`), so counters
     equal :func:`replay_partial` over the same, time-ordered rows.  One
-    kernel replays one id space: a :meth:`store_segment`, or the segments
+    kernel replays one id space: a :class:`KeyedTrace`'s, or the segments
     of its own.  Memory is one float per key id and cache, the live
     entries and a chunk, never the row count.  ``ttl_override`` replaces
     every row's TTL; ``0`` is honored (see :func:`fig1_series`).
@@ -243,17 +242,6 @@ class ReplayKernel:
                       client_field: str) -> Segment:
         """One row group of a trace, zero-copy, keyed in the kernel's space."""
         return self._segment(_store_columns(store, client_field))
-
-    def store_segment(self, store: "ColumnarStore",
-                      client_field: str) -> Segment:
-        """A store holding the whole trace, zero-copy, keyed in a space of
-        its own: once per store (``store.memo``) for every kernel fed from
-        it, and not at all when the derivation raises.  A
-        :class:`~repro.engine.replay.KeyedTrace` holds its ids from the
-        start."""
-        return store.memo(
-            ("key ids", client_field),
-            lambda: _key_space()(_store_columns(store, client_field)))
 
     def feed(self, segment: Segment,
              rows: Optional[Iterable[int]] = None) -> None:
@@ -298,6 +286,64 @@ class ReplayKernel:
             self.rows += len(ts)
 
 
+class KeyedTrace:
+    """A whole trace as the replay kernel reads it, keyed once.
+
+    Built from the trace's column stores in trace order — a ``.col``
+    file's row groups as
+    :meth:`~repro.datasets.columnar.RowGroupReader.walk` yields them (one
+    group's mapped pages resident at a time), one parsed JSONL shard, one
+    in-memory store — and keyed into one id space (:func:`_key_space`),
+    so group-local dictionary codes never reach an id.  Per row it keeps
+    only what the kernel reads: ``ts`` (f8), ``ttl`` (i8) and ``ids``, the
+    ECS key id (i4), 20 bytes; with ``clients``, also ``client_ids`` (i4),
+    each row's index into ``clients``, the trace's client addresses in
+    first-appearance order, which the client sweep samples.  ``rows``,
+    the stores' total, sizes each column once.  No store is referenced
+    once it is built.
+    """
+
+    def __init__(self, stores: Iterable["ColumnarStore"], rows: int,
+                 client_field: str, clients: bool = False) -> None:
+        self._plain_names: List[str] = []
+        key = _key_space(self._plain_names)
+        self.rows = rows
+        self.ts, self.ttl, self.ids = (array(code, [0]) * rows
+                                       for code in ("d", "q", "i"))
+        self.client_ids = array("i", [0]) * (rows if clients else 0)
+        codes: Dict[str, int] = {}
+        self._plain_of: Sequence[int] = []
+        start = 0
+        for store in stores:
+            end = start + len(store)
+            ts, ttl, ids, self._plain_of = key(
+                _store_columns(store, client_field))
+            memoryview(self.ts)[start:end] = ts
+            memoryview(self.ttl)[start:end] = ttl
+            memoryview(self.ids)[start:end] = ids
+            if clients:
+                table = [codes.setdefault(client, len(codes))
+                         for client in store.dictionary(client_field)]
+                memoryview(self.client_ids)[start:end] = array(
+                    "i", map(table.__getitem__, store.column(client_field)))
+            start = end
+        self.clients = list(codes)
+        self._buckets: Dict[int, List["array[int]"]] = {}
+
+    def qname_buckets(self, shards: int) -> List["array[int]"]:
+        """Row indices per
+        :func:`~repro.engine.sharding.stable_bucket` shard of the qname, as
+        :meth:`ColumnarStore.row_buckets` lists them (:func:`bucket_rows`
+        over each key id's qname); kept per shard count, 4 bytes a row,
+        since each bucket of a trace is a replay task of its own."""
+        buckets = self._buckets.get(shards)
+        if buckets is None:
+            buckets = self._buckets[shards] = bucket_rows(
+                list(map(self._plain_names.__getitem__, self._plain_of)),
+                self.ids, shards)
+        return buckets
+
+
 # Three adapters over the kernel.  They stay separate functions that never
 # call each other: benchmarks/e2e rebinds each by name and counts rows per
 # call, so an alias or a nested call would count its rows twice.
@@ -324,15 +370,15 @@ def replay_partial_batched(records: Iterable, client_field: str,
     return kernel.partial()
 
 
-def replay_partial_columns(store: "ColumnarStore", client_field: str,
+def replay_partial_columns(trace: KeyedTrace,
                            rows: Optional[Iterable[int]] = None,
                            ttl_override: Optional[float] = None
                            ) -> ReplayPartial:
-    """Columnar lane: one store's packed columns (or a
-    :class:`~repro.engine.replay.KeyedTrace`), no record objects;
-    ``rows`` selects a subset in replay order (one qname bucket)."""
+    """Whole-trace lane: a :class:`KeyedTrace`, no record objects;
+    ``rows`` selects a subset in replay order (a qname bucket, a client
+    sample)."""
     kernel = ReplayKernel(ttl_override)
-    kernel.feed(kernel.store_segment(store, client_field), rows)
+    kernel.feed((trace.ts, trace.ttl, trace.ids, trace._plain_of), rows)
     return kernel.partial()
 
 
@@ -435,15 +481,15 @@ def overall_blowup(ecs_blowup: float, ecs_fraction: float) -> float:
 ClientSweep = List[Tuple[float, List[ReplayResult]]]
 
 
-def client_sample_rows(store: "ColumnarStore", clients: Sequence[str],
+def client_sample_rows(trace: KeyedTrace, clients: Sequence[str],
                        fraction: float, seed: int) -> Optional[List[int]]:
-    """The rows of a random ``fraction`` of ``clients`` (None: every row).
+    """The rows of a random ``fraction`` of ``clients`` (None: every row)
+    in a trace keyed with its client ids.
 
     ``clients`` is the population as its builder lists it
-    (``AllNamesDataset.client_ips``), not the trace dictionary: the
-    sample depends on the list's order and on clients that never query.
-    ``store`` may be a :class:`~repro.engine.replay.KeyedTrace` built
-    with its client ids.
+    (``AllNamesDataset.client_ips``), not the trace's own client list:
+    the sample depends on the list's order and on clients that never
+    query.
     """
     if not 0 < fraction <= 1:
         raise ValueError("fraction must be in (0, 1]")
@@ -451,29 +497,24 @@ def client_sample_rows(store: "ColumnarStore", clients: Sequence[str],
         return None
     rng = random.Random(seed)
     chosen = set(rng.sample(clients, max(1, int(len(clients) * fraction))))
-    keep = [client in chosen for client in store.dictionary("client_ip")]
-    return [row for row, code in enumerate(store.column("client_ip"))
-            if keep[code]]
-
-
-def allnames_replay(store: "ColumnarStore", clients: Sequence[str],
-                    fraction: float = 1.0, seed: int = 0) -> ReplayResult:
-    """Replay the All-Names trace for a random fraction of clients."""
-    rows = client_sample_rows(store, clients, fraction, seed)
-    return replay_partial_columns(store, "client_ip", rows).result()
+    keep = [client in chosen for client in trace.clients]
+    return list(compress(count(), map(keep.__getitem__, trace.client_ids)))
 
 
 def client_sweep(store: "ColumnarStore", clients: Sequence[str],
                  fractions: Sequence[float] = (0.1, 0.2, 0.3, 0.4, 0.5,
                                                0.6, 0.7, 0.8, 0.9, 1.0),
                  seeds: Sequence[int] = (1, 2, 3)) -> ClientSweep:
-    """Every (fraction, seed) replay behind Figures 2 and 3, computed once.
+    """Every (fraction, seed) replay behind Figures 2 and 3, computed once
+    over an allnames ``store`` keyed once.
 
     Each fraction gets ``len(seeds)`` random client samples, as the
     paper averages three runs per fraction.
     """
-    return [(fraction, [allnames_replay(store, clients, fraction, seed)
-                        for seed in seeds]) for fraction in fractions]
+    trace = KeyedTrace([store], len(store), "client_ip", clients=True)
+    return [(fraction, [replay_partial_columns(trace, client_sample_rows(
+        trace, clients, fraction, seed)).result() for seed in seeds])
+        for fraction in fractions]
 
 
 def fig2_series(sweep: ClientSweep) -> List[Tuple[float, float]]:

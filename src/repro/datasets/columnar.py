@@ -431,7 +431,6 @@ class ColumnarStore:
         self._dicts = dicts
         #: Set by :meth:`open` when the store owns its reader's mapping.
         self._closer: Optional[Callable[[], None]] = None
-        self._memo: Dict[Any, Any] = {}
         self._getter_cache: Optional[List[Callable[[int], Any]]] = None
 
     # -- construction ------------------------------------------------------
@@ -492,9 +491,10 @@ class ColumnarStore:
         A file of one row group opens zero-copy: the store is that
         group's view and owns the mapping.  A file of several groups is
         *flattened* into one in-memory store — the O(rows) path of
-        :func:`read_columnar`; no replay calls it (a replay worker holds
-        a trace as :class:`~repro.engine.replay.KeyedTrace`), and readers
-        that care about bounded memory walk the groups
+        :func:`read_columnar`; no replay calls it (a replay keys the
+        groups as it walks them into a
+        :class:`~repro.analysis.cache_sim.KeyedTrace`), and readers that
+        care about bounded memory walk the groups
         (:meth:`RowGroupReader.walk`).
         """
         with contextlib.ExitStack() as stack:
@@ -620,32 +620,35 @@ class ColumnarStore:
         for the same rows as records.  No record is built: each column
         of a piece is rendered once (:func:`json_column`), a str column
         through a table of its dictionary's JSON texts indexed by code,
-        and null cells are patched in from the bitmap.
+        and null cells are patched in from the bitmap; both tables are
+        made once per call.
         """
-        names = self.schema.field_names
+        names, columns = self.schema.field_names, self.schema.columns
+        # A column of nulls only has no dictionary, and its rows hold
+        # the placeholder code 0.
+        tables = [json_column(self._dicts[spec.name]) or ["null"]
+                  if spec.kind == "str" else None for spec in columns]
+        flags = [self._null_flags(spec.name) if spec.nullable else None
+                 for spec in columns]
         for start in range(0, self.rows, EXTEND_CHUNK_ROWS):
             stop = min(start + EXTEND_CHUNK_ROWS, self.rows)
-            yield json_rows(names, [self._json_texts(spec, start, stop)
-                                    for spec in self.schema.columns])
+            yield json_rows(names, [
+                self._json_texts(spec, start, stop, table, flag)
+                for spec, table, flag in zip(columns, tables, flags)])
 
-    def _json_texts(self, spec: ColumnSpec, start: int,
-                    stop: int) -> List[str]:
-        """One column's JSON texts for rows ``start`` to ``stop``."""
+    def _json_texts(self, spec: ColumnSpec, start: int, stop: int,
+                    table: Optional[List[str]],
+                    flags: Optional[str]) -> List[str]:
+        """One column's JSON texts for rows ``start`` to ``stop``, given
+        a str column's code -> text table and a nullable one's flags."""
         values = self._data[spec.name][start:stop].tolist()
-        if spec.kind == "str":
-            dictionary = self._dicts[spec.name]
-            # A column of nulls only has no dictionary, and its rows
-            # hold the placeholder code 0.
-            table = self.memo(("json texts", spec.name),
-                              lambda: json_column(dictionary) or ["null"])
+        if table is not None:
             texts = list(map(table.__getitem__, values))
         elif spec.kind == "bool":
             texts = json_column(list(map(bool, values)))
         else:
             texts = json_column(values)
-        if spec.nullable:
-            flags = self.memo(("null flags", spec.name),
-                              lambda: self._null_flags(spec.name))
+        if flags is not None:
             picked = flags[start:stop]
             at = picked.find("1")
             while at >= 0:
@@ -662,41 +665,26 @@ class ColumnarStore:
     # -- shard arithmetic --------------------------------------------------
 
     def row_buckets(self, column: str, shards: int) -> List["array[Any]"]:
-        """Row indices per :func:`stable_bucket` shard of a str column.
+        """Row indices per :func:`stable_bucket` shard of a str column,
+        decided by each row's dictionary entry (:func:`bucket_rows`)."""
+        return bucket_rows(self._dicts[column], self._data[column], shards)
 
-        The bucket of every row is decided by its *dictionary entry*, so
-        the hash runs once per unique string, then bucketing the rows is
-        a table lookup per row.  Memoized per (column, shards): workers
-        replaying several shards of one mapped file pay the scan once.
-        A row index takes four bytes unless the store has 2**32 rows.
-        """
-        def scan() -> List["array[Any]"]:
-            by_code = array("i", (stable_bucket(value, shards)
-                                  for value in self._dicts[column]))
-            code = "I" if len(self) < 1 << 32 else "q"
-            buckets = [array(code) for _ in range(shards)]
-            appends = [bucket.append for bucket in buckets]
-            for row, code in enumerate(self._data[column]):
-                appends[by_code[code]](row)
-            return buckets
 
-        return self.memo(("row buckets", column, shards), scan)
-
-    def memo(self, key: Any, build: Callable[[], Any]) -> Any:
-        """``build()``, computed once per ``key`` and kept with the store.
-
-        For values derived from the columns or dictionaries alone (they
-        never change once a store exists) that several passes over one
-        store would otherwise recompute: the row-bucket tables and the
-        replay kernel's cache-key ids (``ReplayKernel.store_segment``),
-        four bytes a row each, for as long as the store lives.  Nothing
-        is kept when ``build`` raises.
-        """
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = build()
-            return value
+def bucket_rows(names: Sequence[str], codes: Sequence[int],
+                shards: int) -> List["array[Any]"]:
+    """Row indices per :func:`stable_bucket` shard of a name, each row
+    given as its code into ``names``: the hash runs once per distinct
+    name, then bucketing the rows is a table lookup per row.  A row index
+    takes four bytes unless there are 2**32 rows."""
+    by_name = {name: stable_bucket(name, shards)
+               for name in dict.fromkeys(names)}
+    by_code = list(map(by_name.__getitem__, names))
+    buckets = [array("I" if len(codes) < 1 << 32 else "q")
+               for _ in range(shards)]
+    appends = [bucket.append for bucket in buckets]
+    for row, bucket in enumerate(map(by_code.__getitem__, codes)):
+        appends[bucket](row)
+    return buckets
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,14 @@ import os
 import re
 import tempfile
 import time
-from array import array
 from itertools import chain, islice
 from pathlib import Path
 from typing import (Any, Callable, Dict, Iterable, List, Optional,
                     Sequence, Tuple, Union)
 
-from ..analysis.cache_sim import (ClientSweep, ReplayPartial, ReplayResult,
-                                  _key_space, _store_columns,
-                                  client_sample_rows, fig1_series,
-                                  merge_partials,
+from ..analysis.cache_sim import (ClientSweep, KeyedTrace, ReplayPartial,
+                                  ReplayResult, client_sample_rows,
+                                  fig1_series, merge_partials,
                                   replay_partial_column_groups,
                                   replay_partial_columns)
 from ..datasets.columnar import (ColumnarStore, RowGroupReader,
@@ -209,17 +207,17 @@ def _replay_lines_shard(kind: str, spill: str) -> ReplayPartial:
     """Worker entry point: parse one shard's spill file, then replay.
 
     The file is read a chunk of lines at a time into columns (no record
-    object per row), which take the columnar lane's adapter call, so the
-    parsing location (parent vs worker) and the file format can never
-    change replay output.
+    object per row), keyed as a :class:`KeyedTrace` like a ``.col``
+    file's groups, so the parsing location (parent vs worker) and the
+    file format can never change replay output.
     """
     tracer = _obs_trace.ACTIVE
     with (tracer.span("parse", kind=kind) if tracer is not None
           else contextlib.nullcontext()), \
             open(spill, "r", encoding="utf-8") as fh:
         store = _parse_lines(kind, fh)
-    return _observed_replay(
-        kind, lambda: replay_partial_columns(store, CLIENT_FIELDS[kind]))
+    return _observed_replay(kind, lambda: replay_partial_columns(
+        KeyedTrace([store], len(store), CLIENT_FIELDS[kind])))
 
 
 def _spill_buckets(path: Union[str, Path], shards: int,
@@ -313,97 +311,11 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
 # Columnar dispatch: workers open one shared file by path.
 
 
-class KeyedTrace:
-    """A columnar trace held as the replay kernel's own columns.
-
-    Built once: the file's row groups are walked in order
-    (:meth:`RowGroupReader.walk`, so one group's mapped pages are
-    resident at a time) and keyed into one id space
-    (:func:`~repro.analysis.cache_sim._key_space`).  Per row it keeps
-    only what the kernel reads — ts (f8), ttl (i8) and the ECS key id
-    (i4), 20 bytes — plus, with ``clients``, the client's id (i4) in a
-    trace-wide client dictionary, which the client sweep samples.
-
-    It answers the calls the replay lanes make of a whole-trace
-    :class:`ColumnarStore`: :meth:`memo`, which already holds the key
-    ids (so :meth:`ReplayKernel.store_segment` finds them), and
-    :meth:`column` / :meth:`dictionary` of the client field.  Its qname
-    buckets (:meth:`qname_buckets`) are derived from the plain keys'
-    names and memoized per shard count, 4 bytes a row each.  The file
-    is unmapped once keyed: the trace is plain arrays.
-    """
-
-    def __init__(self, path: str, client_field: str, clients: bool) -> None:
-        self._plain_names: List[str] = []
-        key = _key_space(self._plain_names)
-        with RowGroupReader(path) as reader:
-            self.rows = rows = reader.rows
-            ts, ttl, ids = (array(code, [0]) * rows
-                            for code in ("d", "q", "i"))
-            plain_of: Sequence[int] = []
-            client_ids = array("i", [0]) * rows if clients else None
-            client_codes: Dict[str, int] = {}
-            start = 0
-            for store in reader.walk():
-                end = start + len(store)
-                group_ts, group_ttl, group_ids, plain_of = key(
-                    _store_columns(store, client_field))
-                memoryview(ts)[start:end] = group_ts
-                memoryview(ttl)[start:end] = group_ttl
-                memoryview(ids)[start:end] = group_ids
-                if client_ids is not None:
-                    codes = [client_codes.setdefault(name, len(client_codes))
-                             for name in store.dictionary(client_field)]
-                    memoryview(client_ids)[start:end] = array(
-                        "i", map(codes.__getitem__,
-                                 store.column(client_field)))
-                start = end
-        self._ids, self._plain_of = ids, plain_of
-        self._columns = {} if client_ids is None \
-            else {client_field: client_ids}
-        self._dicts = {} if client_ids is None \
-            else {client_field: list(client_codes)}
-        self._memo: Dict[Any, Any] = {
-            ("key ids", client_field): (ts, ttl, ids, plain_of)}
-
-    def column(self, name: str) -> "array[int]":
-        """Client ids, row by row (a trace built with ``clients``)."""
-        return self._columns[name]
-
-    def dictionary(self, name: str) -> List[str]:
-        """Client id -> address (a trace built with ``clients``)."""
-        return self._dicts[name]
-
-    def memo(self, key: Any, build: Callable[[], Any]) -> Any:
-        """As :meth:`ColumnarStore.memo`: ``build()`` once per ``key``."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = build()
-            return value
-
-    def qname_buckets(self, shards: int) -> List["array[int]"]:
-        """Row indices per :func:`stable_bucket` shard of the qname, as
-        :meth:`ColumnarStore.row_buckets` lists them: the hash runs once
-        per distinct name, then one table lookup per row."""
-        def scan() -> List["array[int]"]:
-            names = self._plain_names
-            by_name = {name: stable_bucket(name, shards)
-                       for name in dict.fromkeys(names)}
-            by_plain = list(map(by_name.__getitem__, names))
-            by_key = list(map(by_plain.__getitem__, self._plain_of))
-            code = "I" if self.rows < 1 << 32 else "q"
-            buckets = [array(code) for _ in range(shards)]
-            appends = [bucket.append for bucket in buckets]
-            for row, bucket in enumerate(map(by_key.__getitem__,
-                                             self._ids)):
-                appends[bucket](row)
-            return buckets
-
-        return self.memo(("qname buckets", shards), scan)
-
-    def close(self) -> None:
-        """Nothing to release: the file was unmapped once keyed."""
+def _keyed_file(path: str, client_field: str, clients: bool) -> KeyedTrace:
+    """A ``.col`` trace as a :class:`KeyedTrace`, its row groups keyed
+    one group's mapped pages at a time; the file is unmapped once keyed."""
+    with RowGroupReader(path) as reader:
+        return KeyedTrace(reader.walk(), reader.rows, client_field, clients)
 
 
 class _Slot:
@@ -436,9 +348,9 @@ class _Slot:
         return self.value
 
     def clear(self) -> None:
-        """Close and drop what is held."""
+        """Drop what is held, closing a reader."""
         value, self.key, self.value = self.value, None, None
-        if value is not None:
+        if isinstance(value, RowGroupReader):
             value.close()
 
 
@@ -452,14 +364,14 @@ def _replay_columnar_shard(path: str, kind: str, shards: int,
     The work unit crossing the pool boundary is ``(bucket,)`` plus the
     shared ``(path, kind, shards)`` header — never rows.  The worker
     holds the trace once, as a :class:`KeyedTrace` (:data:`_HELD`), so
-    the buckets of one trace share its key ids and its memoized bucket
-    tables; the hot loop reads them, traced or not.
+    the buckets of one trace share its key ids and its bucket tables;
+    the hot loop reads them, traced or not.
     """
-    field = CLIENT_FIELDS[kind]
-    trace: KeyedTrace = _HELD.open(KeyedTrace, path, field, False)
+    trace: KeyedTrace = _HELD.open(_keyed_file, path, CLIENT_FIELDS[kind],
+                                   False)
     rows = trace.qname_buckets(shards)[bucket]
     return _observed_replay(
-        kind, lambda: replay_partial_columns(trace, field, rows=rows))
+        kind, lambda: replay_partial_columns(trace, rows=rows))
 
 
 def _replay_columnar_range(path: str, kind: str, group_start: int,
@@ -581,9 +493,9 @@ def fig1_sharded(spec: ShardSpec, ttls: Sequence[Optional[int]],
 def _client_sample_replay(path: str, clients: List[str], fraction: float,
                           seed: int) -> ReplayPartial:
     """Worker entry point: one (fraction, seed) unit of the client sweep."""
-    trace: KeyedTrace = _HELD.open(KeyedTrace, path, "client_ip", True)
+    trace: KeyedTrace = _HELD.open(_keyed_file, path, "client_ip", True)
     return replay_partial_columns(
-        trace, "client_ip", client_sample_rows(trace, clients, fraction, seed))
+        trace, client_sample_rows(trace, clients, fraction, seed))
 
 
 def client_sweep_sharded(path: Union[str, Path], clients: Sequence[str],

@@ -11,7 +11,7 @@ from repro.analysis import (analyze_caching_behavior, analyze_discovery,
                             run_flattening_case_study, run_table2,
                             summarize_allnames, summarize_cdn,
                             summarize_public_cdn, summarize_scan)
-from repro.analysis.cache_sim import allnames_replay, client_sweep
+from repro.analysis.cache_sim import client_sweep
 from repro.analysis.flattening import FlatteningLab
 from repro.analysis.mapping_quality import (MappingQualityLab,
                                             measure_mapping_quality)
@@ -224,13 +224,14 @@ class TestCacheSimulations:
 
     def test_replay_deterministic(self, allnames_dataset, allnames_store):
         clients = allnames_dataset.client_ips
-        a = allnames_replay(allnames_store, clients, 0.5, seed=7)
-        b = allnames_replay(allnames_store, clients, 0.5, seed=7)
+        a, b = (client_sweep(allnames_store, clients, fractions=(0.5,),
+                             seeds=(7,)) for _ in range(2))
         assert a == b
 
     def test_bad_fraction_rejected(self, allnames_dataset, allnames_store):
         with pytest.raises(ValueError, match=r"fraction must be in \(0, 1\]"):
-            allnames_replay(allnames_store, allnames_dataset.client_ips, 0.0)
+            client_sweep(allnames_store, allnames_dataset.client_ips,
+                         fractions=(0.0,))
 
     def test_cdf_points(self):
         points = cdf_points([1.0, 2.0, 4.0])

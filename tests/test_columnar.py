@@ -7,9 +7,9 @@ The store's contract has four layers, each pinned here:
   shapes), and JSONL → columnar → JSONL reproduces the exact bytes.
 * **Shard algebra** — ``merge_columnar_shards`` equals the canonical
   ts/k-way merge of the shards' records.
-* **Replay equivalence** — :func:`replay_partial_columns` is
-  counter-identical to the object-path reference for whole stores, row
-  buckets, and TTL overrides.
+* **Replay equivalence** — :func:`replay_partial_columns` over a
+  :class:`KeyedTrace` is counter-identical to the object-path reference
+  for whole stores, row buckets, and TTL overrides.
 * **Row-group layout** — random group budgets (including 1 and larger
   than the trace) round-trip value-identically with group-local
   dictionaries remapped on read; the merge writes the bytes of the
@@ -47,7 +47,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import cache_sim
-from repro.analysis.cache_sim import (replay_partial, replay_partial_batched,
+from repro.analysis.cache_sim import (KeyedTrace, replay_partial,
+                                      replay_partial_batched,
                                       replay_partial_column_groups,
                                       replay_partial_columns)
 from repro.datasets import columnar
@@ -469,15 +470,17 @@ def test_merge_rejects_mixed_schemas(tmp_path):
 
 
 def test_row_buckets_match_partition_by_key():
+    """A store's row buckets and its keyed trace's qname buckets are the
+    qname partition of its rows."""
     records = _hand_records("allnames", 200)
     store = ColumnarStore.from_records(records, "allnames")
+    trace = KeyedTrace([store], len(store), "client_ip")
     for shards in (1, 3, 8):
-        buckets = store.row_buckets("qname", shards)
         reference = partition_by_key(list(range(len(records))), shards,
                                      lambda i: records[i].qname)
-        assert [list(bucket) for bucket in buckets] == reference
-    # Memoized: the same object comes back for a repeated request.
-    assert store.row_buckets("qname", 3) is store.row_buckets("qname", 3)
+        for buckets in (store.row_buckets("qname", shards),
+                        trace.qname_buckets(shards)):
+            assert [list(bucket) for bucket in buckets] == reference
 
 
 # ---------------------------------------------------------------------------
@@ -510,17 +513,18 @@ def test_replay_columns_equals_object_path(records, shards, ttl_override,
         batched = replay_partial_batched(records, "client_ip",
                                          ttl_override=ttl_override)
     assert batched == _oracle(records, ttl_override)
-    assert replay_partial_columns(store, "client_ip",
-                                  ttl_override=ttl_override) == batched
-    buckets = store.row_buckets("qname", shards)
+    trace = KeyedTrace([store], len(store), "client_ip")
+    assert replay_partial_columns(trace, ttl_override=ttl_override) \
+        == batched
+    buckets = trace.qname_buckets(shards)
     reference = partition_by_key(records, shards, lambda r: r.qname)
     for bucket, ref in zip(buckets, reference):
-        assert replay_partial_columns(store, "client_ip", rows=bucket,
+        assert replay_partial_columns(trace, rows=bucket,
                                       ttl_override=ttl_override) \
             == _oracle(ref, ttl_override)
     rows = sorted(data.draw(st.sets(st.integers(0, len(records) - 1)),
                             label="row selection")) if records else []
-    assert replay_partial_columns(store, "client_ip", rows=rows,
+    assert replay_partial_columns(trace, rows=rows,
                                   ttl_override=ttl_override) \
         == _oracle([records[row] for row in rows], ttl_override)
     # Object lane only: a record without a client keeps the scope-free key.
@@ -538,8 +542,8 @@ def test_replay_columns_equals_object_path(records, shards, ttl_override,
 def test_replay_columns_ttl_override(ttl_override):
     records = _hand_records("public-cdn", 300, seed=9)
     store = ColumnarStore.from_records(records, "public-cdn")
-    assert replay_partial_columns(store, "ecs_address",
-                                  ttl_override=ttl_override) \
+    trace = KeyedTrace([store], len(store), "ecs_address")
+    assert replay_partial_columns(trace, ttl_override=ttl_override) \
         == replay_partial_batched(records, "ecs_address",
                                   ttl_override=ttl_override)
 
@@ -558,7 +562,8 @@ def test_out_of_range_scope_raises_like_oracle(lane, scope, client):
         run = lambda: replay_partial_batched(records, "client_ip")
     elif lane == "columns":
         store = ColumnarStore.from_records(records, "allnames")
-        run = lambda: replay_partial_columns(store, "client_ip")
+        run = lambda: replay_partial_columns(
+            KeyedTrace([store], len(store), "client_ip"))
     else:
         groups = [ColumnarStore.from_records(records[:1], "allnames"),
                   ColumnarStore.from_records(records[1:], "allnames")]
@@ -575,23 +580,21 @@ def test_out_of_range_scope_raises_like_oracle(lane, scope, client):
 
 
 def test_client_dictionary_parses_once_per_store():
-    """Kernels fed from one store share the key ids derived from it (one
-    per qname bucket, one per sweep sample), so its client dictionary is
-    parsed once, when they are derived; a parse that fails leaves nothing
-    with the store, so every kernel raises, from ``store_segment``,
-    before a row is fed."""
+    """Keying a trace parses each store's client dictionary once, and
+    every kernel fed from the trace (one per qname bucket, one per sweep
+    sample) shares its key ids; building a trace over an address that
+    does not parse raises, every time, before a row is replayed."""
     records = [AllNamesRecord(0.0, "10.9.8.7", "a.example.", 1, 24, 60),
                AllNamesRecord(1.0, "2001:db8::1", "a.example.", 28, 48, 60),
                AllNamesRecord(2.0, "10.9.8.7", "b.example.", 1, 16, 60)]
     store = ColumnarStore.from_records(records, "allnames")
     with mock.patch.object(cache_sim, "parse_addr",
                            wraps=cache_sim.parse_addr) as parse:
+        trace = KeyedTrace([store], len(store), "client_ip")
         for ttl in (None, 0, 40):
-            assert replay_partial_columns(store, "client_ip",
-                                          ttl_override=ttl) \
+            assert replay_partial_columns(trace, ttl_override=ttl) \
                 == _oracle(records, ttl)
         assert parse.call_count == 2
-        assert list(store._memo) == [("key ids", "client_ip")]
         assert replay_partial_column_groups(
             [ColumnarStore.from_records(records, "allnames")],
             "client_ip") == _oracle(records)
@@ -600,13 +603,8 @@ def test_client_dictionary_parses_once_per_store():
     records[1] = AllNamesRecord(1.0, "10.9.8.777", "a.example.", 1, 24, 60)
     store = ColumnarStore.from_records(records, "allnames")
     for _ in range(3):
-        kernel = cache_sim.ReplayKernel()
         with pytest.raises(ValueError, match="10.9.8.777"):
-            kernel.store_segment(store, "client_ip")
-        assert kernel.partial().queries == 0
-        with pytest.raises(ValueError, match="10.9.8.777"):
-            replay_partial_columns(store, "client_ip", rows=[0])
-        assert store._memo == {}
+            KeyedTrace([store], len(store), "client_ip")
 
 
 # ---------------------------------------------------------------------------
@@ -945,8 +943,8 @@ def test_replay_column_groups_equals_flat(records, ttl_override, data):
               for lo, hi in zip(edges, edges[1:])]
     got = replay_partial_column_groups(groups, "client_ip",
                                        ttl_override=ttl_override)
-    assert got == replay_partial_columns(flat, "client_ip",
-                                         ttl_override=ttl_override)
+    assert got == replay_partial_columns(
+        KeyedTrace([flat], len(flat), "client_ip"), ttl_override=ttl_override)
     assert got == _oracle(records, ttl_override)
 
 
@@ -960,8 +958,27 @@ def test_replay_column_groups_ttl_override(ttl_override, tmp_path):
         got = replay_partial_column_groups(groups, "ecs_address",
                                            ttl_override=ttl_override)
     flat = ColumnarStore.from_records(records, "public-cdn")
-    assert got == replay_partial_columns(flat, "ecs_address",
-                                         ttl_override=ttl_override)
+    assert got == replay_partial_columns(
+        KeyedTrace([flat], len(flat), "ecs_address"),
+        ttl_override=ttl_override)
+
+
+def test_key_ids_depend_on_the_rows_not_the_grouping(tmp_path):
+    """A trace keyed from one store and from the same rows written in
+    small row groups holds the same columns and qname buckets: ids are
+    issued by value, so group-local dictionary codes never reach one."""
+    records = _hand_records("allnames", 200)
+    whole = KeyedTrace([ColumnarStore.from_records(records, "allnames")],
+                       len(records), "client_ip", clients=True)
+    for row_group_rows in (3, 17):
+        path = tmp_path / f"t{row_group_rows}.col"
+        write_columnar_stream(records, path, "allnames", row_group_rows)
+        with RowGroupReader(path) as reader:
+            grouped = KeyedTrace(reader.walk(), reader.rows, "client_ip",
+                                 clients=True)
+        for column in ("ts", "ttl", "ids", "client_ids", "clients"):
+            assert getattr(grouped, column) == getattr(whole, column)
+        assert grouped.qname_buckets(8) == whole.qname_buckets(8)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cache_sim import (ReplayPartial, merge_partials,
-                                      replay_partial, replay_partial_columns)
+from repro.analysis.cache_sim import (KeyedTrace, ReplayPartial,
+                                      merge_partials, replay_partial,
+                                      replay_partial_columns)
 from repro.datasets import AllNamesBuilder, write_jsonl
 from repro.datasets.columnar import ColumnarStore
 from repro.engine.replay import ACCESSORS
@@ -120,11 +121,12 @@ def test_shard_count_moves_only_the_peak(seed, scale):
         AllNamesBuilder(scale=scale, seed=seed).iter_shard_columns(0, 1),
         "allnames")
 
+    trace = KeyedTrace([store], len(store), "client_ip")
+
     def merged(shards):
         partial = ReplayPartial()
-        for rows in store.row_buckets("qname", shards):
-            partial = partial.merge(
-                replay_partial_columns(store, "client_ip", rows=rows))
+        for rows in trace.qname_buckets(shards):
+            partial = partial.merge(replay_partial_columns(trace, rows=rows))
         return partial
 
     whole = merged(1)

@@ -21,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import cache_sim
-from repro.analysis.cache_sim import (ReplayKernel, replay_partial,
+from repro.analysis.cache_sim import (KeyedTrace, ReplayKernel,
+                                      replay_partial,
                                       replay_partial_batched,
                                       replay_partial_column_groups,
                                       replay_partial_columns)
@@ -68,15 +69,20 @@ def _store(records):
     return ColumnarStore.from_records(records, "allnames")
 
 
+def _keyed(*stores):
+    return KeyedTrace(stores, sum(map(len, stores)), "client_ip")
+
+
 def _fed(store, ttl_override, feeds):
     """One kernel over ``store``, fed each row selection in turn."""
     kernel = ReplayKernel(ttl_override)
-    segment = kernel.store_segment(store, "client_ip")
+    segment = kernel.group_segment(store, "client_ip")
     for rows in feeds:
         kernel.feed(segment, rows)
     return kernel.partial()
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("chunk", _CHUNKS)
 @settings(max_examples=60, deadline=None)
 @given(records=traces(), ttl_override=st.sampled_from((None, 0, 20)),
@@ -88,27 +94,30 @@ def test_kernel_equals_oracle_however_it_is_fed(chunk, records, ttl_override,
     everything = range(len(records))
     cut = data.draw(st.integers(0, len(records)), label="second feed from")
     size = data.draw(st.sampled_from((2, 3)), label="rows per group")
+    groups = [_store(records[lo:lo + size])
+              for lo in range(0, len(records), size)]
     with mock.patch.object(cache_sim, "CHUNK_ROWS", chunk):
         assert replay_partial_columns(
-            store, "client_ip", ttl_override=ttl_override) == want
+            _keyed(store), ttl_override=ttl_override) == want
+        assert replay_partial_columns(
+            _keyed(*groups), ttl_override=ttl_override) == want
         assert _fed(store, ttl_override, [None]) == want
         assert _fed(store, ttl_override,
                     [everything[:cut], everything[cut:]]) == want
         assert _fed(store, ttl_override,
                     [(row,) for row in everything]) == want
         assert replay_partial_column_groups(
-            (_store(records[lo:lo + size])
-             for lo in range(0, len(records), size)),
-            "client_ip", ttl_override=ttl_override) == want
+            groups, "client_ip", ttl_override=ttl_override) == want
         assert replay_partial_batched(
             records, "client_ip", ttl_override=ttl_override) == want
         subset = sorted(data.draw(st.sets(st.sampled_from(everything)),
                                   label="row subset")) if records else []
         assert replay_partial_columns(
-            store, "client_ip", rows=subset, ttl_override=ttl_override) \
+            _keyed(*groups), rows=subset, ttl_override=ttl_override) \
             == _oracle([records[row] for row in subset], ttl_override)
 
 
+@pytest.mark.oracle
 @pytest.mark.parametrize("chunk", _CHUNKS)
 @settings(max_examples=40, deadline=None)
 @given(records=traces(anonymous=True),
@@ -133,11 +142,11 @@ def test_seeded_traces_with_a_ttl_lost_to_rounding(seed):
         records.append(AllNamesRecord(
             now, rng.choice(_V4), rng.choice(("a.example.", "b.example.")),
             1, rng.choice(_SCOPES[4]), 1))
-    store = _store(records)
+    trace = _keyed(_store(records))
     for ttl_override in (1e-9, 0.25):
         with mock.patch.object(cache_sim, "CHUNK_ROWS", rng.choice(_CHUNKS)):
             assert replay_partial_columns(
-                store, "client_ip", ttl_override=ttl_override) \
+                trace, ttl_override=ttl_override) \
                 == _oracle(records, ttl_override)
 
 
@@ -147,14 +156,13 @@ def test_traced_equals_untraced(records, data):
     """``_observed_replay`` under a tracer runs the same adapter call
     inside one ``replay`` span: the same partial, and the span's
     attributes are that partial's six fields plus its row count."""
-    store = _store(records)
+    trace = _keyed(_store(records))
     rows = sorted(data.draw(st.sets(st.sampled_from(range(len(records)))),
                             label="rows")) if records else []
 
     def run():
         return _observed_replay(
-            "allnames",
-            lambda: replay_partial_columns(store, "client_ip", rows=rows))
+            "allnames", lambda: replay_partial_columns(trace, rows=rows))
 
     untraced = run()
     with observe(metrics=False, tracing=True) as session:
@@ -179,7 +187,7 @@ def _three(middle_ts=1.0, client="10.1.2.3", scope=24):
 def _lanes(records):
     store = _store(records)
     return {
-        "columns": lambda: replay_partial_columns(store, "client_ip"),
+        "columns": lambda: replay_partial_columns(_keyed(store)),
         "groups": lambda: replay_partial_column_groups(
             [_store(records[:1]), _store(records[1:])], "client_ip"),
         "batched": lambda: replay_partial_batched(records, "client_ip"),
@@ -226,23 +234,20 @@ def test_scope_outside_the_family_width_raises_as_truncate_int(
         _lanes(records)[lane]()
 
 
-def test_a_failed_derivation_leaves_nothing_with_the_store():
-    """Key ids are kept per (store, client field) once derived; a scope or
-    an address that raises is met again, with the same text, on every
-    call — also by a replay of rows that do not include the bad one."""
+def test_keying_a_bad_row_raises_every_time():
+    """A scope or an address that cannot be keyed raises, with the same
+    text, each time a trace is keyed, before any row is replayed; a good
+    store keyed beside it keys afresh as if nothing had happened."""
     good = _store(_three())
-    assert replay_partial_columns(good, "client_ip") == _oracle(_three())
-    assert list(good._memo) == [("key ids", "client_ip")]
-    kept = good._memo["key ids", "client_ip"]
-    assert replay_partial_columns(good, "client_ip", rows=[0, 2],
-                                  ttl_override=0) \
+    trace = _keyed(good)
+    assert replay_partial_columns(trace) == _oracle(_three())
+    assert replay_partial_columns(trace, rows=[0, 2], ttl_override=0) \
         == _oracle([_three()[0], _three()[2]], 0)
-    assert good._memo["key ids", "client_ip"] is kept
 
     for records, message in ((_three(scope=33), "prefix length 33"),
                              (_three(client="10.9.8.777"), "10.9.8.777")):
         store = _store(records)
-        for rows in (None, [0], [0, 2]):
+        for _ in range(3):
             with pytest.raises(ValueError, match=message):
-                replay_partial_columns(store, "client_ip", rows=rows)
-            assert store._memo == {}
+                _keyed(good, store)
+    assert replay_partial_columns(_keyed(good)) == _oracle(_three())
