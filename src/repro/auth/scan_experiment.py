@@ -49,17 +49,19 @@ def decode_probe_name(qname: Name, domain: Name) -> Optional[str]:
 
 
 @dataclass(slots=True)
-class ScanObservation:
-    """One scan-relevant arrival: which ingress was probed, which egress
-    showed up, and what ECS (if any) it attached."""
+class ScanQueryRecord:
+    """One arrival at the experimental nameserver (Scan dataset): which
+    ingress was probed, which egress showed up, and what ECS (if any) it
+    attached.  The server logs it; :mod:`repro.datasets` exports it
+    beside the other datasets' records."""
 
     ts: float
     ingress_ip: Optional[str]
     egress_ip: str
     qname: str
     has_ecs: bool
-    ecs_address: Optional[str]
-    ecs_source_len: Optional[int]
+    ecs_address: Optional[str] = None
+    ecs_source_len: Optional[int] = None
 
 
 class ScanExperimentServer(DnsServer):
@@ -69,12 +71,13 @@ class ScanExperimentServer(DnsServer):
 
     def __init__(self, ip: str, domain: Name, answer_address: str,
                  ttl: int = 60, scope_delta: int = 4):
-        super().__init__(ip)
+        # ``observations`` is this server's one log.
+        super().__init__(ip, log_queries=False)
         self.domain = domain
         self.answer_address = answer_address
         self.ttl = ttl
         self.scope_policy = source_minus(scope_delta)
-        self.observations: List[ScanObservation] = []
+        self.observations: List[ScanQueryRecord] = []
 
     def handle_query(self, query: Message, src_ip: str,
                      net: Network) -> Optional[Message]:
@@ -89,7 +92,7 @@ class ScanExperimentServer(DnsServer):
             return response
 
         ecs = query.ecs()
-        self.observations.append(ScanObservation(
+        self.observations.append(ScanQueryRecord(
             net.clock.now(), decode_probe_name(qname, self.domain), src_ip,
             qname.to_text(), ecs is not None,
             ecs.address_text if ecs else None,

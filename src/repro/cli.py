@@ -674,29 +674,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     reporter = _Reporter(args.out, quiet=args.quiet,
                          show_report=args.report)
-    live_enabled = (args.serve_metrics is not None
-                    or args.timeline_out is not None or args.live)
+    serve = args.serve_metrics is not None
     progress = _LiveProgress() if args.live else None
-    sink: Optional[obs_live.LiveSink] = None
-    server = None
-    previous_emitter: Optional[obs_live.Emitter] = None
-    if live_enabled:
-        sink = obs_live.LiveSink(on_beat=progress)
-        previous_emitter = obs_live.swap(sink.emitter())
-        if args.serve_metrics is not None:
-            from .obs.server import TelemetryServer
-            server = TelemetryServer(sink, port=args.serve_metrics)
-            port = server.start()
-            reporter.note(f"serving live telemetry on "
-                          f"http://127.0.0.1:{port} "
-                          f"(/metrics, /healthz, /run)")
-    # Shard registries ride shard_end heartbeats, so the sink needs
-    # metrics capture on even when no --metrics-out was asked for.
     # --report alone traces into the ledger only (span limit 0).
-    with observe(metrics=args.metrics_out is not None or live_enabled,
+    with observe(metrics=args.metrics_out is not None or serve,
                  tracing=args.trace_out is not None or args.report,
                  span_limit=0 if args.trace_out is None
                  else DEFAULT_SPAN_LIMIT) as session:
+        # Made inside observe(), the sink serves the session's registry.
+        sink: Optional[obs_live.LiveSink] = None
+        server = None
+        if serve or args.timeline_out is not None or args.live:
+            sink = obs_live.LiveSink(on_beat=progress)
+            previous_emitter = obs_live.swap(sink.emitter())
+            if serve:
+                from .obs.server import TelemetryServer
+                server = TelemetryServer(sink, port=args.serve_metrics)
+                port = server.start()
+                reporter.note(f"serving live telemetry on "
+                              f"http://127.0.0.1:{port} "
+                              f"(/metrics, /healthz, /run)")
         try:
             if args.report:
                 with session.tracer.span("command",

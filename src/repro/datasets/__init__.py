@@ -1,5 +1,6 @@
 """Dataset generators and log-record schemas for the four vantage points."""
 
+from ..auth.scan_experiment import ScanQueryRecord
 from . import paper_numbers
 from .allnames import AllNamesBuilder, AllNamesDataset
 from .cdn_dataset import CdnDataset, CdnDatasetBuilder, ResolverSpec
@@ -10,8 +11,8 @@ from .columnar import (SCHEMAS, ColumnarStore, ColumnarWriter,
 from .ditl import RootTrace, RootTraceBuilder
 from .public_cdn import PublicCdnBuilder, PublicCdnDataset
 from .records import (AllNamesRecord, CdnQueryRecord, PublicCdnRecord,
-                      RootQueryRecord, ScanQueryRecord, TraceFormatError,
-                      shard_path, write_jsonl)
+                      RootQueryRecord, TraceFormatError, shard_path,
+                      write_jsonl)
 from .scan_dataset import (ChainSpec, EgressSpec, ScanUniverse,
                            ScanUniverseBuilder)
 from .workload import SldPolicy, ZipfSampler, poisson_arrivals

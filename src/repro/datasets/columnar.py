@@ -55,14 +55,15 @@ from pathlib import Path
 from typing import (Any, BinaryIO, Callable, Dict, Iterable, Iterator, List,
                     NoReturn, Optional, Sequence, Tuple, Type, Union)
 
+from ..auth.scan_experiment import ScanQueryRecord
 from ..engine.sharding import stable_bucket
 from ..obs import live as _obs_live
 from ..obs import metrics as _obs_metrics
 from ..obs.export import AtomicFile
 from .records import (EXTEND_CHUNK_ROWS, AllNamesRecord, CdnQueryRecord,
                       JsonlFormatError, PublicCdnRecord, RootQueryRecord,
-                      ScanQueryRecord, TraceFormatError, json_column,
-                      json_rows, write_jsonl_text)
+                      TraceFormatError, json_column, json_rows,
+                      write_jsonl_text)
 
 #: File magic of the row-group layout (see ``docs/datasets.md``).
 MAGIC = b"RPRCOL02"

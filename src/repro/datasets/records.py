@@ -4,9 +4,11 @@ Every dataset in the paper is, at bottom, a log of DNS interactions seen
 from one vantage point.  These dataclasses pin down the fields each
 analysis needs: the builders' column streams are read back as them, and
 the analyses are pure functions over sequences of them — mirroring how
-the paper's pipelines consume the operators' logs.  JSONL is written
-here, from columns (:func:`jsonl_lines`), and read back through the
-schema-checked parser in :mod:`repro.datasets.columnar`.
+the paper's pipelines consume the operators' logs.  The Scan dataset's
+record, :class:`~repro.auth.scan_experiment.ScanQueryRecord`, is the
+experimental nameserver's own log entry and lives beside that server.
+JSONL is written here, from columns (:func:`jsonl_lines`), and read back
+through the schema-checked parser in :mod:`repro.datasets.columnar`.
 """
 
 from __future__ import annotations
@@ -52,19 +54,6 @@ class CdnQueryRecord:
     #: Scope the CDN returned (None: resolver not whitelisted → no ECS echo).
     ecs_scope: Optional[int] = None
     ttl: int = 20
-
-
-@dataclass(slots=True)
-class ScanQueryRecord:
-    """One arrival at the experimental nameserver (Scan dataset)."""
-
-    ts: float
-    ingress_ip: Optional[str]
-    egress_ip: str
-    qname: str
-    has_ecs: bool
-    ecs_address: Optional[str] = None
-    ecs_source_len: Optional[int] = None
 
 
 @dataclass(slots=True)

@@ -26,12 +26,13 @@ Observability rides the same out-of-band channel: when the parent
 process has an active :mod:`repro.obs` registry or tracer, each shard
 call runs against a *fresh* per-shard registry/tracer (inline execution
 swaps the parent's out for the duration, pool workers activate their
-own), and the per-shard snapshots come back with the results, merge in
-shard order onto :class:`EngineReport`, and fold into the parent's
-active collectors.  Because registry merging is associative and
-commutative and span IDs are namespaced by shard index, the merged
-metrics, span topology and ledger call counts are identical for every
-worker count.  In the parent the whole run is one ``dispatch`` span.
+own), and the snapshots come back with the results: the one way a
+shard's counters reach the command's registry (``--metrics-out``,
+``/metrics``).  They fold into the parent's collectors in shard order
+as each shard or pooled chunk is retrieved, and span IDs are
+namespaced by shard index, so the merged metrics, span topology and
+ledger are identical for every worker count.  In the parent the whole
+run is one ``dispatch`` span.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from ..obs import live as obs_live
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
-from ..obs.metrics import MetricsRegistry, merge_registries
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from . import pool as pool_mod
 from .pool import (WorkerPool, decode_header, encode_header,
@@ -143,18 +144,13 @@ def _observed_call(fn: Callable[..., Any], args: Tuple[Any, ...],
     Swapping (rather than merely activating) the registry/tracer makes
     inline and pooled execution indistinguishable to the instrumented
     code: either way the shard writes into its own collectors, which are
-    snapshotted here and merged by the parent in shard order.  The
-    shard tracer keeps the parent's ``span_limit`` (``None``: the parent
+    returned here and merged by the parent in shard order.  The shard
+    tracer keeps the parent's ``span_limit`` (``None``: the parent
     traces nothing) and, with a registry, publishes its ledger there.
     ``count_of`` runs here, where the shard ran, so its record count is
     the one number :class:`ShardStats` and the live plane both report.
-
     With a live emitter active, the shard's boundaries stream out as
-    ``shard_start``/``shard_end`` heartbeats; the end beat carries the
-    shard's registry snapshot so scrapes see counters grow mid-run.
-    Heartbeats are fire-and-forget side traffic — the returned outcome
-    (and therefore every experiment output) is identical with the live
-    plane on or off.
+    fire-and-forget ``shard_start``/``shard_end`` heartbeats.
     """
     emitter = obs_live.ACTIVE
     if emitter is not None:
@@ -179,7 +175,7 @@ def _observed_call(fn: Callable[..., Any], args: Tuple[Any, ...],
     records = count_of(result)
     if emitter is not None:
         emitter.beat("shard_end", task, shard_index, records=records,
-                     seconds=seconds, metrics=registry)
+                     seconds=seconds)
     return result, records, seconds, registry, tracer
 
 
@@ -297,6 +293,7 @@ def _run_sharded(fn: Callable[..., Any],
             outcomes.append(_observed_call(fn, tuple(shared) + tuple(args),
                                            index, count_of, capture_metrics,
                                            span_limit, task))
+            _fold_observability(outcomes[-1:], inline=True)
     else:
         header = encode_header(fn, tuple(shared))
         header_bytes = len(header)
@@ -320,6 +317,7 @@ def _run_sharded(fn: Callable[..., Any],
             for chunk in run_pool.run_batch(_run_header_chunk, submissions,
                                             bounds, task=task):
                 outcomes.extend(chunk)
+                _fold_observability(chunk, inline=False)
         finally:
             if ephemeral:
                 run_pool.shutdown()
@@ -331,28 +329,20 @@ def _run_sharded(fn: Callable[..., Any],
              in enumerate(outcomes)]
     report = EngineReport(task, workers, wall, stats,
                           pool_mode=pool_mode, header_bytes=header_bytes)
-    _fold_observability(report, outcomes)
     if emitter is not None:
         emitter.beat("run_end", task, records=report.total_records)
     return results, report
 
 
-def _fold_observability(report: EngineReport,
-                        outcomes: Sequence[_Outcome]) -> None:
-    """Merge per-shard snapshots in shard order into the parent's obs.
-
-    An inline shard ran inside the parent's open ``dispatch`` span, so
-    the parent tracer books its ledger's seconds as that span's child
-    time: at one worker the ledger's rows sum to the wall.
-    """
+def _fold_observability(outcomes: Sequence[_Outcome], inline: bool) -> None:
+    """Merge shard snapshots, in shard order, into the parent's obs.  An
+    ``inline`` shard ran inside the open ``dispatch`` span, so its ledger
+    seconds are that span's child time: at one worker the rows sum to the
+    wall."""
     parent = obs_metrics.ACTIVE
-    if parent is not None:
-        parent.merge_from(merge_registries(
-            registry for _, _, _, registry, _ in outcomes
-            if registry is not None))
     parent_tracer = obs_trace.ACTIVE
-    if parent_tracer is not None:
-        for _, _, _, _, tracer in outcomes:
-            if tracer is not None:
-                parent_tracer.absorb(tracer,
-                                     inline=report.pool_mode == "inline")
+    for _, _, _, registry, tracer in outcomes:
+        if parent is not None and registry is not None:
+            parent.merge_from(registry)
+        if parent_tracer is not None and tracer is not None:
+            parent_tracer.absorb(tracer, inline=inline)

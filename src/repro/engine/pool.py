@@ -26,8 +26,8 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from types import TracebackType
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Type)
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Type)
 
 from ..obs import live as _obs_live
 
@@ -219,8 +219,9 @@ class WorkerPool:
     def run_batch(self, worker: Callable[..., Any],
                   submissions: List[Tuple[Any, ...]],
                   bounds: Sequence[Tuple[int, int]],
-                  task: str = "engine") -> List[Any]:
-        """Submit ``worker(*submission)`` for each entry; results in order.
+                  task: str = "engine") -> Iterator[Any]:
+        """Submit ``worker(*submission)`` for each entry; yield each
+        result, in submission order, as soon as it is retrieved.
 
         ``worker`` must be a module-level function (it crosses the pickle
         boundary by reference); ``bounds[i]`` is the ``[lo, hi)`` shard
@@ -231,17 +232,16 @@ class WorkerPool:
         the named range is where the loss starts, not necessarily where
         the crash happened); with the live plane on, a ``worker_crash``
         beat naming the same range lands on the timeline first.  When a
-        submission raises, the rest are cancelled or awaited before the
-        error is re-raised: nothing of a failed batch still writes
-        files while its caller cleans up.
+        submission raises, or the caller stops early, the rest are
+        cancelled or awaited first: nothing of a failed batch still
+        writes files while its caller cleans up.
         """
         executor = self._ensure_executor()
         futures = [executor.submit(worker, *submission)
                    for submission in submissions]
-        results: List[Any] = []
         try:
             for (lo, hi), future in zip(bounds, futures):
-                results.append(future.result())
+                yield future.result()
         except BrokenProcessPool as exc:
             self._discard_broken()
             emitter = _obs_live.ACTIVE
@@ -252,12 +252,11 @@ class WorkerPool:
                 f"are the first whose result was not retrieved, and "
                 f"they and every later shard were lost; results were "
                 f"discarded, no partial merge was attempted") from exc
-        except Exception:
+        except BaseException:
             for future in futures:
                 future.cancel()
             wait(futures)
             raise
-        return results
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
-from ..auth.scan_experiment import encode_probe_name
-from ..datasets.records import ScanQueryRecord
+from ..auth.scan_experiment import ScanQueryRecord, encode_probe_name
 from ..datasets.scan_dataset import ScanUniverse
 from ..dnslib import RecordType
 from ..faults.retry import RetryPolicy
@@ -76,15 +75,10 @@ class Scanner:
                     responding.add(ingress_ip)
                 universe.net.clock.advance(self.inter_query_gap_s)
 
-        records: List[ScanQueryRecord] = []
+        records = universe.experiment_server.observations[start_index:]
         ecs_ingress: Set[str] = set()
         ecs_egress: Set[str] = set()
-        for obs in universe.experiment_server.observations[start_index:]:
-            records.append(ScanQueryRecord(
-                ts=obs.ts, ingress_ip=obs.ingress_ip, egress_ip=obs.egress_ip,
-                qname=obs.qname, has_ecs=obs.has_ecs,
-                ecs_address=obs.ecs_address,
-                ecs_source_len=obs.ecs_source_len))
+        for obs in records:
             if obs.has_ecs:
                 ecs_egress.add(obs.egress_ip)
                 if obs.ingress_ip:

@@ -43,11 +43,10 @@ from typing import Iterator, Optional
 
 from . import metrics as _metrics
 from . import trace as _trace
-from .metrics import MetricsRegistry, merge_registries
+from .metrics import MetricsRegistry
 from .trace import DEFAULT_SPAN_LIMIT, Tracer
 
-__all__ = ["MetricsRegistry", "ObsSession", "Tracer", "merge_registries",
-           "observe"]
+__all__ = ["MetricsRegistry", "ObsSession", "Tracer", "observe"]
 
 
 class ObsSession:

@@ -6,10 +6,11 @@ shards, so a long run is a black box until it finishes.  The *live
 plane* fixes that: instrumented code calls :meth:`Emitter.beat` on the
 process-wide :data:`ACTIVE` emitter, and each call — a
 sequence-numbered :class:`Heartbeat` carrying a rusage sample — reaches
-a parent-side :class:`LiveSink`.  The sink books it in its registry,
-the plane's one ledger (served as ``/metrics``, rendered as ``/run`` by
-:mod:`repro.obs.server`), and keeps the beat itself in a bounded ring,
-the run's timeline (``--timeline-out``).
+a parent-side :class:`LiveSink`, which keeps it in a bounded ring, the
+run's timeline (``--timeline-out``), and adds it to plain tallies.  The
+sink serves (``/metrics``, ``/run``: :mod:`repro.obs.server`) one
+ledger: the command's registry, which ``--metrics-out`` writes, plus
+``repro_live_*`` families rendered from the tallies when read.
 
 An emitter hands each beat to a delivery callable: :meth:`LiveSink.offer`
 in the parent (:meth:`LiveSink.emitter`), a non-blocking ``put_nowait``
@@ -23,10 +24,9 @@ full or closed channel drops the beat), and the sink counts sequence
 gaps and stale deliveries instead of trusting transport.  It is also
 strictly **out-of-band**: heartbeats ride a side channel, never the
 result path, so experiment outputs stay byte-identical at any
-``--workers`` with the live plane on or off.  Shard-end beats may
-attach the shard's own :class:`~repro.obs.metrics.MetricsRegistry`;
-because each shard registry is merged exactly once, every counter the
-sink serves is monotonically non-decreasing across scrapes.
+``--workers`` with the live plane on or off.  Beats carry no metrics: a
+shard's registry comes back with its result and is merged exactly
+once, so every counter a scrape sees is monotonically non-decreasing.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
                     Optional, Tuple)
 
+from . import metrics as obs_metrics
 from .metrics import Counter, MetricsRegistry
 
 if TYPE_CHECKING:
@@ -92,7 +93,6 @@ class Heartbeat:
     seconds: float = 0.0
     rss_kb: int = 0
     cpu_seconds: float = 0.0
-    metrics: Optional[MetricsRegistry] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -112,37 +112,64 @@ class Emitter:
         self._pid = os.getpid()
 
     def beat(self, kind: str, task: str = "", shard: Optional[int] = None,
-             records: int = 0, seconds: float = 0.0,
-             metrics: Optional[MetricsRegistry] = None,
-             **attrs: Any) -> None:
+             records: int = 0, seconds: float = 0.0, **attrs: Any) -> None:
         """Emit one beat; ``shard`` is a chunk's first index on dispatch."""
         self._seq += 1
         rss_kb, cpu_seconds = _rusage()
         self._deliver(Heartbeat(self._seq, self._pid, time.monotonic(),
                                 kind, task, shard, records, seconds,
-                                rss_kb, cpu_seconds, metrics, attrs))
+                                rss_kb, cpu_seconds, attrs))
 
 
-#: ``/run`` task fields and the ledger instrument each one reads; every
-#: task that sent a beat has an in-flight sample.
-_TASK_FIELDS = (("shards_total", "repro_live_shards_total"),
-                ("dispatched", "repro_live_shards_dispatched_total"),
-                ("started", "repro_live_shards_started_total"),
-                ("done", "repro_live_shards_done_total"),
-                ("in_flight", "repro_live_shards_in_flight"),
-                ("records", "repro_live_records_total"),
-                ("payload_bytes", "repro_live_payload_bytes_total"))
+#: The tallies, served as ``repro_live_<name>``: name -> (label or "",
+#: help); a ``_total`` is a counter, the rest high-watermark gauges.
+_FAMILIES = {
+    "heartbeats_total": ("kind",
+                         "Live-plane heartbeats received, by beat kind."),
+    "heartbeats_lost_total": (
+        "", "Heartbeats dropped in transit (sequence gaps)."),
+    "heartbeats_stale_total": ("", "Stale or repeated heartbeats ignored."),
+    "runs_total": ("task", "Sharded runs started, per task."),
+    "shards_total": ("task", "Shards announced by run starts, per task."),
+    "shards_dispatched_total": (
+        "task", "Shards submitted to the worker pool, per task."),
+    "shards_started_total": ("task", "Shards started, per task."),
+    "shards_done_total": ("task", "Shards completed, per task."),
+    "records_total": (
+        "task", "Records processed by completed shards, per task."),
+    "payload_bytes_total": (
+        "task", "Serialized shard-spec bytes dispatched, per task."),
+    "shards_in_flight": (
+        "task", "Shards started but not yet finished, per task."),
+    "queue_depth": ("", "Chunk submissions still queued behind this one."),
+    "worker_beats_total": ("pid",
+                           "Heartbeats accepted, per emitting process."),
+    "worker_busy_seconds_total": (
+        "pid", "Seconds spent in completed shards, per process."),
+    "worker_rss_kb": (
+        "pid", "Peak resident set size per worker process (KiB)."),
+    "worker_cpu_seconds": ("pid", "User+system CPU time per worker process."),
+}
+
+#: ``/run`` task fields and their tallies (every task has in-flight).
+_TASK_FIELDS = (("shards_total", "shards_total"),
+                ("dispatched", "shards_dispatched_total"),
+                ("started", "shards_started_total"),
+                ("done", "shards_done_total"),
+                ("in_flight", "shards_in_flight"),
+                ("records", "records_total"),
+                ("payload_bytes", "payload_bytes_total"))
 
 
 class LiveSink:
     """Folds heartbeats into scrapeable state (thread-safe).
 
-    Keeps one cumulative :class:`~repro.obs.metrics.MetricsRegistry`
-    (the ``repro_live_*`` ledger plus every shard registry attached to
-    a ``shard_end`` beat) and a ring of the last ``capacity`` accepted
-    beats, the run's timeline.  Both are read under the sink's lock, so
-    scrapes are consistent snapshots.  ``on_beat(sink, beat)`` (the
-    ``--live`` printer) is called after each accepted beat.
+    Keeps a ring of the last ``capacity`` accepted beats, the run's
+    timeline, and per family of :data:`_FAMILIES` one tally per label
+    value.  ``registry`` is the command's ledger: the metrics registry
+    active when the sink is made (the one ``observe()`` installed), or
+    ``None``.  ``on_beat(sink, beat)`` (the ``--live`` printer) is
+    called after each accepted beat.
     """
 
     def __init__(self,
@@ -150,8 +177,14 @@ class LiveSink:
                                             None]] = None,
                  capacity: int = 65536) -> None:
         self._lock = threading.Lock()
-        self._registry = MetricsRegistry()
+        self.registry = obs_metrics.ACTIVE
+        #: family -> label values (``()`` when unlabeled) -> value.
+        self._tallies: Dict[str, Dict[Tuple[str, ...], float]] = {}
+        #: Accepted beats not yet tallied: a beat costs two appends, and
+        #: a read of the sink (or 4,096 waiting) tallies them in order.
+        self._pending: List[Heartbeat] = []
         self._ring: Deque[Heartbeat] = deque(maxlen=capacity)
+        self._capacity = capacity
         self.on_beat = on_beat
         self.started = time.monotonic()
         #: Transport state, not ledger: the last sequence seen per pid.
@@ -167,102 +200,79 @@ class LiveSink:
     # -- ingestion ----------------------------------------------------------
 
     def offer(self, beat: Heartbeat) -> None:
-        """Fold one heartbeat in; stale (re-)deliveries are ignored."""
+        """Accept one heartbeat; stale (re-)deliveries are ignored."""
         with self._lock:
             last = self._last_seq.get(beat.pid, 0)
             if beat.seq <= last:
-                self._registry.counter(
-                    "repro_live_heartbeats_stale_total",
-                    "Stale or repeated heartbeats ignored.").inc()
+                self._add("heartbeats_stale_total", (), 1)
                 return
             self._last_seq[beat.pid] = beat.seq
             if beat.seq - last > 1:
-                self._registry.counter(
-                    "repro_live_heartbeats_lost_total",
-                    "Heartbeats dropped in transit (sequence gaps).").inc(
-                        float(beat.seq - last - 1))
-            self._absorb(beat)
+                self._add("heartbeats_lost_total", (), beat.seq - last - 1)
             self._ring.append(beat)
+            self._pending.append(beat)
+            if len(self._pending) >= 4096:
+                self._tally()
             callback = self.on_beat
         if callback is not None:
             callback(self, beat)
 
-    def _absorb(self, beat: Heartbeat) -> None:
-        """Book one accepted beat in the ledger (lock held)."""
-        reg, task, pid, kind = (self._registry, beat.task, str(beat.pid),
-                                beat.kind)
-        reg.counter("repro_live_heartbeats_total",
-                    "Live-plane heartbeats received, by beat kind.",
-                    ("kind",)).inc(1.0, kind)
-        reg.counter("repro_live_worker_beats_total",
-                    "Heartbeats accepted, per emitting process.",
-                    ("pid",)).inc(1.0, pid)
-        if task and kind == "run_start":
-            reg.counter("repro_live_runs_total",
-                        "Sharded runs started, per task.",
-                        ("task",)).inc(1.0, task)
-            reg.counter("repro_live_shards_total",
-                        "Shards announced by run starts, per task.",
-                        ("task",)).inc(beat.attrs.get("shards", 0), task)
-        elif task and kind == "dispatch":
-            reg.counter("repro_live_shards_dispatched_total",
-                        "Shards submitted to the worker pool, per task.",
-                        ("task",)).inc(beat.attrs.get("shards", 0), task)
-            reg.counter("repro_live_payload_bytes_total",
-                        "Serialized shard-spec bytes dispatched, per task.",
-                        ("task",)).inc(beat.attrs.get("payload_bytes", 0),
-                                       task)
-            reg.gauge("repro_live_queue_depth",
-                      "Chunk submissions still queued behind this one.",
-                      mode="max").set(beat.attrs.get("queue_depth", 0))
-        elif task and kind == "shard_start":
-            reg.counter("repro_live_shards_started_total",
-                        "Shards started, per task.", ("task",)).inc(1.0, task)
-        elif task and kind == "shard_end":
-            reg.counter("repro_live_shards_done_total",
-                        "Shards completed, per task.",
-                        ("task",)).inc(1.0, task)
-            reg.counter("repro_live_records_total",
-                        "Records processed by completed shards, per task.",
-                        ("task",)).inc(float(beat.records), task)
-            reg.counter("repro_live_worker_busy_seconds_total",
-                        "Seconds spent in completed shards, per process.",
-                        ("pid",)).inc(beat.seconds, pid)
-            if beat.metrics is not None:
-                reg.merge_from(beat.metrics)
-        if task:
-            in_flight = (
-                self._column("repro_live_shards_started_total").get(task, 0)
-                - self._column("repro_live_shards_done_total").get(task, 0))
-            reg.gauge("repro_live_shards_in_flight",
-                      "Shards started but not yet finished, per task.",
-                      ("task",), mode="max").set(max(0.0, in_flight), task)
-        if beat.rss_kb:
-            reg.gauge("repro_live_worker_rss_kb",
-                      "Peak resident set size per worker process (KiB).",
-                      ("pid",), mode="max").set_max(float(beat.rss_kb), pid)
-        if beat.cpu_seconds:
-            reg.gauge("repro_live_worker_cpu_seconds",
-                      "User+system CPU time per worker process.",
-                      ("pid",), mode="max").set_max(beat.cpu_seconds, pid)
+    def _add(self, family: str, key: Tuple[str, ...], amount: float) -> None:
+        column = self._tallies.setdefault(family, {})
+        column[key] = column.get(key, 0) + amount
 
-    def _column(self, name: str) -> Dict[str, float]:
-        """One instrument's samples keyed by its one label value ("")."""
-        instrument = self._registry.get(name)
-        if instrument is None:
-            return {}
-        return {key[0] if key else "": value
-                for key, value in instrument.samples().items()}
-
-    def _sum(self, name: str) -> int:
-        return int(sum(self._column(name).values()))
+    def _tally(self) -> None:
+        """Add the pending beats to the tallies, in order (lock held)."""
+        add, tallies = self._add, self._tallies
+        for beat in self._pending:
+            attrs, kind, pid = beat.attrs, beat.kind, (str(beat.pid),)
+            add("heartbeats_total", (kind,), 1)
+            add("worker_beats_total", pid, 1)
+            task = (beat.task,)
+            if beat.task and kind == "run_start":
+                add("runs_total", task, 1)
+                add("shards_total", task, attrs.get("shards", 0))
+            elif beat.task and kind == "dispatch":
+                add("shards_dispatched_total", task, attrs.get("shards", 0))
+                add("payload_bytes_total", task, attrs.get("payload_bytes", 0))
+                tallies["queue_depth"] = {(): attrs.get("queue_depth", 0)}
+            elif beat.task and kind == "shard_start":
+                add("shards_started_total", task, 1)
+            elif beat.task and kind == "shard_end":
+                add("shards_done_total", task, 1)
+                add("records_total", task, beat.records)
+                add("worker_busy_seconds_total", pid, beat.seconds)
+            if beat.task:
+                started = tallies.get("shards_started_total", {}).get(task, 0)
+                done = tallies.get("shards_done_total", {}).get(task, 0)
+                tallies.setdefault("shards_in_flight", {})[task] = max(
+                    0, started - done)
+            for family, peak in (("worker_rss_kb", beat.rss_kb),
+                                 ("worker_cpu_seconds", beat.cpu_seconds)):
+                if peak:
+                    column = tallies.setdefault(family, {})
+                    column[pid] = max(column.get(pid, peak), peak)
+        self._pending.clear()
 
     # -- snapshots (what the HTTP server and the exporters read) ------------
 
     def registry_snapshot(self) -> MetricsRegistry:
-        """A consistent copy of the cumulative registry, plus uptime."""
+        """A copy of the command's registry (``merge_from`` copies it safely
+        mid-run) plus the ``repro_live_*`` families and uptime."""
+        snapshot = MetricsRegistry()
+        if self.registry is not None:
+            snapshot.merge_from(self.registry)
         with self._lock:
-            snapshot = MetricsRegistry().merge_from(self._registry)
+            self._tally()
+            for family, column in self._tallies.items():
+                label, help = _FAMILIES[family]
+                labels = (label,) if label else ()
+                name = f"repro_live_{family}"
+                instrument = (snapshot.counter(name, help, labels)
+                              if family.endswith("_total") else
+                              snapshot.gauge(name, help, labels, mode="max"))
+                for key, value in column.items():
+                    instrument.inc(float(value), *key)
         snapshot.gauge("repro_live_uptime_seconds",
                        "Seconds since the sink started.", mode="max").set(
                            time.monotonic() - self.started)
@@ -271,53 +281,59 @@ class LiveSink:
     def timeline(self) -> Tuple[List[Heartbeat], int]:
         """The ring's beats, oldest first, and how many it dropped."""
         with self._lock:
-            return list(self._ring), self._dropped()
-
-    def _dropped(self) -> int:
-        return self._sum("repro_live_heartbeats_total") - len(self._ring)
+            self._tally()
+            accepted = sum(self._tallies.get("heartbeats_total", {}).values())
+            return list(self._ring), int(accepted) - len(self._ring)
 
     def run_status(self) -> Dict[str, Any]:
-        """The ``/run`` document, rendered from the ledger counters."""
-        with self._lock:
-            col = self._column
-            tasks = {task: {key: int(col(name).get(task, 0))
-                            for key, name in _TASK_FIELDS}
-                     for task in sorted(col("repro_live_shards_in_flight"))}
-            busy = col("repro_live_worker_busy_seconds_total")
-            rss = col("repro_live_worker_rss_kb")
-            cpu = col("repro_live_worker_cpu_seconds")
-            beats = col("repro_live_worker_beats_total")
-            workers = {
-                pid: {"beats": int(count),
-                      "busy_seconds": round(busy.get(pid, 0.0), 6),
-                      "rss_kb": int(rss.get(pid, 0)),
-                      "cpu_seconds": round(cpu.get(pid, 0.0), 6)}
-                for pid, count in sorted(beats.items(),
-                                         key=lambda item: int(item[0]))}
-            counters = {
-                instrument.name: sum(instrument.samples().values())
-                for instrument in self._registry.instruments()
-                if isinstance(instrument, Counter) and
-                instrument.name.startswith(_STATUS_COUNTER_PREFIXES)}
-            calls, seconds = (col(f"repro_layer_{field}_total")
-                              for field in ("calls", "seconds"))
-            stale = self._sum("repro_live_heartbeats_stale_total")
-            return {
-                "uptime_seconds": round(time.monotonic() - self.started, 3),
-                "heartbeats": {
-                    "received": self._sum("repro_live_heartbeats_total")
-                    + stale,
-                    "lost": self._sum("repro_live_heartbeats_lost_total"),
-                    "stale": stale},
-                "tasks": tasks,
-                "workers": workers,
-                "counters": counters,
-                "layers": {layer: {"calls": int(count),
-                                   "seconds": round(seconds[layer], 6)}
-                           for layer, count in sorted(calls.items())},
-                "timeline": {"events": len(self._ring),
-                             "dropped": self._dropped()},
-            }
+        """The ``/run`` document, rendered from :meth:`registry_snapshot`."""
+        registry = self.registry_snapshot()
+
+        def col(name: str, prefix: str = "repro_live_") -> Dict[str, float]:
+            """One family's samples keyed by its one label value ("")."""
+            instrument = registry.get(prefix + name)
+            return {} if instrument is None else {
+                key[0] if key else "": value
+                for key, value in instrument.samples().items()}
+
+        def total(name: str) -> int:
+            return int(sum(col(name).values()))
+
+        tasks = {task: {key: int(col(name).get(task, 0))
+                        for key, name in _TASK_FIELDS}
+                 for task in sorted(col("shards_in_flight"))}
+        busy, rss, cpu, beats = (col(f"worker_{name}") for name in (
+            "busy_seconds_total", "rss_kb", "cpu_seconds", "beats_total"))
+        workers = {
+            pid: {"beats": int(count),
+                  "busy_seconds": round(busy.get(pid, 0.0), 6),
+                  "rss_kb": int(rss.get(pid, 0)),
+                  "cpu_seconds": round(cpu.get(pid, 0.0), 6)}
+            for pid, count in sorted(beats.items(),
+                                     key=lambda item: int(item[0]))}
+        counters = {
+            instrument.name: sum(instrument.samples().values())
+            for instrument in registry.instruments()
+            if isinstance(instrument, Counter) and
+            instrument.name.startswith(_STATUS_COUNTER_PREFIXES)}
+        calls, seconds = (col(f"{field}_total", "repro_layer_")
+                          for field in ("calls", "seconds"))
+        accepted = total("heartbeats_total")
+        dropped = max(0, accepted - self._capacity)   # the ring's overflow
+        stale = total("heartbeats_stale_total")
+        return {
+            "uptime_seconds": round(time.monotonic() - self.started, 3),
+            "heartbeats": {"received": accepted + stale,
+                           "lost": total("heartbeats_lost_total"),
+                           "stale": stale},
+            "tasks": tasks,
+            "workers": workers,
+            "counters": counters,
+            "layers": {layer: {"calls": int(count),
+                               "seconds": round(seconds[layer], 6)}
+                       for layer, count in sorted(calls.items())},
+            "timeline": {"events": accepted - dropped, "dropped": dropped},
+        }
 
     # -- the pool side channel ----------------------------------------------
 

@@ -22,8 +22,8 @@ process-pool boundaries as ordinary return values.
 from __future__ import annotations
 
 import bisect
-from typing import (Any, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Type, TypeVar, Union)
+from typing import (Any, Dict, List, Optional, Sequence, Tuple, Type,
+                    TypeVar, Union)
 
 LabelKey = Tuple[str, ...]
 
@@ -68,7 +68,7 @@ class Counter:
     # name/help/labelnames are identity, not state: merge_from is only
     # reached for instruments the registry already matched by identity.
     def merge_from(self, other: "Counter") -> None:  # repro-lint: disable=RS002
-        for key, value in other._values.items():
+        for key, value in other._values.copy().items():
             self._values[key] = self._values.get(key, 0.0) + value
 
 
@@ -116,7 +116,7 @@ class Gauge:
 
     # name/help/labelnames are identity, not state (see Counter.merge_from).
     def merge_from(self, other: "Gauge") -> None:  # repro-lint: disable=RS002
-        for key, value in other._values.items():
+        for key, value in other._values.copy().items():
             current = self._values.get(key)
             if current is None:
                 self._values[key] = value
@@ -180,11 +180,12 @@ class Histogram:
             raise ValueError(
                 f"cannot merge histogram {self.name!r}: bucket bounds "
                 f"{other.buckets} != {self.buckets}")
-        for key, (counts, total, n) in other._states.items():
+        for key, (counts, total, _) in other._states.copy().items():
+            counts = counts.copy()
             state = self._state(key)
             state[0] = [a + b for a, b in zip(state[0], counts)]
             state[1] += total
-            state[2] += n
+            state[2] += sum(counts)
 
 
 #: Union of every instrument kind a registry can hold.
@@ -262,8 +263,13 @@ class MetricsRegistry:
         Instruments missing on this side are created with the other
         side's declaration; shared instruments merge value-wise.
         Returns ``self`` for chaining.
+
+        Safe while one other thread increments ``other`` (a scrape
+        copies the command's registry so): each mapping and bucket list
+        is copied in one GIL-atomic call before it is read, and a
+        histogram's count is taken from its copied buckets.
         """
-        for name, theirs in other._instruments.items():
+        for name, theirs in other._instruments.copy().items():
             # get-or-create ignores the declaration args for an existing
             # instrument (and raises on a kind clash), so dispatching on
             # the incoming kind covers both the fresh and shared cases.
@@ -281,15 +287,6 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
         """Pure merge: a new registry holding the combined samples."""
         return MetricsRegistry().merge_from(self).merge_from(other)
-
-
-def merge_registries(registries: Iterable[MetricsRegistry]
-                     ) -> MetricsRegistry:
-    """Fold shard registries into one (order-independent totals)."""
-    merged = MetricsRegistry()
-    for registry in registries:
-        merged.merge_from(registry)
-    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -4,23 +4,23 @@
 stdlib, daemon threads) around three read-only routes:
 
 ``/metrics``
-    The sink's cumulative registry rendered by
-    :func:`repro.obs.export.to_prometheus` — the same deterministic
-    exposition format ``--metrics-out`` writes, RS100-lintable, with
+    The command's registry (what ``--metrics-out`` writes, so far) plus
+    the sink's ``repro_live_*`` families, rendered by
+    :func:`repro.obs.export.to_prometheus` — RS100-lintable, with
     ``Content-Type: text/plain; version=0.0.4`` as Prometheus expects.
 ``/healthz``
     ``ok`` — liveness only, for scrape-loop readiness checks.
 ``/run``
-    The sink's run status as JSON, rendered from the same registry:
+    The sink's run status as JSON, rendered from the same snapshot:
     per-task shard progress, worker utilization (busy seconds, RSS,
-    CPU), heartbeat loss accounting and the fault/retry counter totals.
+    CPU), heartbeat loss accounting, fault/retry totals, layer ledger.
 
 The server binds ``127.0.0.1`` by default (telemetry is not an
 experiment output and is never exposed beyond the host unless asked)
 and accepts port 0 for an ephemeral port — :meth:`TelemetryServer.start`
 returns the bound port so callers can print the URL.  Serving runs on a
 daemon thread for the duration of the command; scrapes read consistent
-snapshots because the sink copies its state under lock.
+snapshots (:meth:`~repro.obs.live.LiveSink.registry_snapshot`).
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Resolver-side components: recursive resolvers, forwarders, anycast."""
 
 from . import behaviors
-from .anycast import AnycastFrontEnd, FrontEndLogRecord, PublicDnsService
+from .anycast import AnycastFrontEnd, PublicDnsService
 from .base import DnsServer
 from .forwarder import Forwarder, build_chain
 from .recursive import RecursiveResolver
 
 __all__ = [
-    "AnycastFrontEnd", "DnsServer", "Forwarder", "FrontEndLogRecord",
-    "PublicDnsService", "RecursiveResolver", "behaviors", "build_chain",
+    "AnycastFrontEnd", "DnsServer", "Forwarder", "PublicDnsService",
+    "RecursiveResolver", "behaviors", "build_chain",
 ]

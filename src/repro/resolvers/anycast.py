@@ -4,9 +4,11 @@ The paper's fourth dataset comes from "a busy recursive resolver instance of
 an anycast DNS resolution service": clients hit anycasted *front-ends*,
 which forward queries to egress resolvers **while adding an ECS option
 carrying the client's source IP address**; egress resolvers resolve and
-return the authoritative ECS scope to the front-ends.  The front-end log of
-(client address, authoritative scope) pairs is exactly the All-Names
-Resolver dataset.
+return the authoritative ECS scope to the front-ends.  The paper's
+front-end log of (client address, authoritative scope) pairs is the
+All-Names Resolver dataset; here
+:class:`~repro.datasets.allnames.AllNamesBuilder` synthesizes it, and the
+front-ends keep no log.
 
 :class:`PublicDnsService` wires that architecture: N front-ends placed at
 anycast sites, M egress resolvers that trust ECS only from their own
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..addr import address_text, parse_addr, truncate_int
@@ -29,23 +30,6 @@ from ..net.topology import AutonomousSystem
 from ..net.transport import Network
 from .base import DnsServer
 from .recursive import RecursiveResolver
-
-
-@dataclass
-class FrontEndLogRecord:
-    """One query/response pair as logged at a front-end.
-
-    Matches the All-Names Resolver dataset schema: both the client IP and
-    the authoritative ECS scope are present.
-    """
-
-    ts: float
-    client_ip: str
-    qname: str
-    qtype: int
-    scope: Optional[int]
-    ttl: Optional[int]
-    rcode: int
 
 
 class AnycastFrontEnd(DnsServer):
@@ -59,7 +43,6 @@ class AnycastFrontEnd(DnsServer):
             raise ValueError("front-end needs at least one egress resolver")
         self.egress_ips = list(egress_ips)
         self._msg_ids = itertools.count(1)
-        self.frontend_log: List[FrontEndLogRecord] = []
 
     def _egress_for(self, src_ip: str) -> str:
         """Sticky egress selection: clients in one /16 (or /32 for IPv6)
@@ -88,17 +71,6 @@ class AnycastFrontEnd(DnsServer):
             return failed
         reply = outcome.response.copy()
         reply.msg_id = query.msg_id
-        resp_ecs = reply.ecs()
-        if query.question is not None:
-            self.frontend_log.append(FrontEndLogRecord(
-                ts=net.clock.now(),
-                client_ip=src_ip,
-                qname=query.question.qname.to_text(),
-                qtype=int(query.question.qtype),
-                scope=resp_ecs.scope_prefix_length if resp_ecs else None,
-                ttl=reply.min_ttl(),
-                rcode=int(reply.rcode),
-            ))
         if query.ecs() is None:
             reply.set_ecs(None)
         return reply

@@ -10,6 +10,7 @@ from repro.auth import (AuthoritativeServer, CdnAuthoritative, DnsHierarchy,
                         encode_probe_name, fixed_scope, source_minus)
 from repro.dnslib import EcsOption, Message, Name, Rcode, RecordType, Zone
 from repro.auth.cdn import _hash_index
+from repro.auth.scan_experiment import ScanQueryRecord
 from repro.net import Network, Topology, city
 from repro.net.geo import WORLD_CITIES
 
@@ -315,8 +316,12 @@ class TestScanExperiment:
         assert resp.answer_addresses() == ["203.0.113.80"]
         # Scope = source − 4, per the paper's configuration.
         assert resp.ecs().scope_prefix_length == 20
-        assert server.observations[-1].ingress_ip == "10.1.2.3"
-        assert server.observations[-1].egress_ip == client
+        # One log, of Scan dataset records: which ingress was probed,
+        # which egress arrived, with what ECS.
+        ts = server.observations[-1].ts
+        assert server.observations == [ScanQueryRecord(
+            ts, "10.1.2.3", client, qname.to_text(), True, "85.0.0.0", 24)]
+        assert server.log == []
 
     def test_server_no_ecs_response_for_plain_query(self, world):
         topology, net, infra = world

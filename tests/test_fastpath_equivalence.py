@@ -550,9 +550,9 @@ class TestTtlZeroOverride:
 
 class TestSlots:
     def test_record_dataclasses_have_no_dict(self):
-        from repro.datasets.records import (AllNamesRecord, CdnQueryRecord,
-                                            PublicCdnRecord, RootQueryRecord,
-                                            ScanQueryRecord)
+        from repro.datasets import (AllNamesRecord, CdnQueryRecord,
+                                    PublicCdnRecord, RootQueryRecord,
+                                    ScanQueryRecord)
         record = AllNamesRecord(0.0, "192.0.2.1", "a.example.", 1, 24, 60)
         assert not hasattr(record, "__dict__")
         for klass in (AllNamesRecord, CdnQueryRecord, PublicCdnRecord,
@@ -568,7 +568,7 @@ class TestSlots:
     def live_records():
         """One of every record a datagram builds, filled in."""
         from repro.auth.cdn import EdgePool, MappingDecision
-        from repro.auth.scan_experiment import ScanObservation
+        from repro.auth.scan_experiment import ScanQueryRecord
         from repro.auth.server import AuthLogRecord
         from repro.dnslib import (CNAME, MX, NS, PTR, SOA, TXT, CookieOption,
                                   GenericOption, GenericRdata)
@@ -595,7 +595,7 @@ class TestSlots:
             DigResult(response, 12.5),
             AuthLogRecord(1.0, "192.0.2.53", "www.example.", 1, True,
                           ecs.address_text, 48, 40),
-            ScanObservation(1.0, "192.0.2.9", "192.0.2.53", "www.example.",
+            ScanQueryRecord(1.0, "192.0.2.9", "192.0.2.53", "www.example.",
                             True, ecs.address_text, 48),
             MappingDecision(ecs.address_text, "ecs",
                             EdgePool(city("Zurich"), ("16.9.0.1",)), 40),

@@ -97,18 +97,17 @@ class TestLedgerAlgebra:
 
     def test_run_document_shows_the_shard_ledgers(self, trace_files):
         _, jsonl, _ = trace_files
-        sink = LiveSink()
-        previous = obs_live.swap(sink.emitter())
-        try:
-            with observe(metrics=True, tracing=True,
-                         span_limit=0) as session:
+        with observe(metrics=True, tracing=True, span_limit=0) as session:
+            sink = LiveSink()
+            previous = obs_live.swap(sink.emitter())
+            try:
                 replay_jsonl_sharded(jsonl, "allnames", shards=4)
-        finally:
-            obs_live.swap(previous)
-            sink.close()
+            finally:
+                obs_live.swap(previous)
+                sink.close()
         layers = sink.run_status()["layers"]
-        # The shards' spans ride their shard_end beats; the parent's own
-        # (bucket, dispatch) go to the --metrics-out registry at export.
+        # The shards' ledgers come back with their results; the parent's
+        # own (bucket, dispatch) reach the registry at export.
         assert {name: row["calls"] for name, row in layers.items()} == {
             "parse": 4, "replay": 4}
         ledger = session.tracer.ledger()

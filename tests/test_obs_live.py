@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -28,14 +29,18 @@ import pytest
 from repro.cli import _LiveProgress, main
 from repro.datasets.allnames import AllNamesBuilder
 from repro.datasets.columnar import write_columnar_stream
+from repro.datasets.scan_dataset import ScanUniverseBuilder
 from repro.engine import ShardSpec, WorkerPool, generate_columnar
 from repro.engine.executor import run_sharded
 from repro.engine.replay import fig1_sharded, replay_columnar_sharded
 from repro.faults.chaos import run_chaos
 from repro.faults.presets import preset
+from repro.measure import Scanner
 from repro.obs import live as obs_live
+from repro.obs import metrics as obs_metrics
+from repro.obs import observe
 from repro.obs.export import (parse_prometheus, to_chrome_trace,
-                              write_chrome_trace)
+                              to_prometheus, write_chrome_trace)
 from repro.obs.live import Emitter, Heartbeat, LiveSink, pool_initializer
 from repro.obs.server import TelemetryServer
 
@@ -172,19 +177,70 @@ class TestSinkRegistry:
             "in_flight": 0, "records": 100, "payload_bytes": 64}
 
     def test_shard_registries_merge_exactly_once(self):
-        from repro.obs.metrics import MetricsRegistry
-        sink = LiveSink()
-        emitter = sink.emitter()
-        shard_reg = MetricsRegistry()
-        shard_reg.counter("repro_faults_total", "h").inc(4.0)
-        emitter.beat("shard_end", "t", 0, records=1, seconds=0.1,
-                     metrics=shard_reg)
-        snapshot = sink.registry_snapshot()
-        fault = [i for i in snapshot.instruments()
-                 if i.name == "repro_faults_total"]
-        assert fault and fault[0].samples()[()] == 4.0
-        # the /run status surfaces the fault counter
-        assert sink.run_status()["counters"]["repro_faults_total"] == 4.0
+        """A shard registry comes back with its result and reaches the
+        command's registry, which the sink serves, once, inline or
+        pooled."""
+        for workers in (1, 2):
+            with observe(metrics=True) as session:
+                sink = LiveSink()
+                obs_live.swap(sink.emitter())
+                try:
+                    run_sharded(_counting_shard, [(i,) for i in range(4)],
+                                workers=workers, task="t")
+                finally:
+                    obs_live.swap(None)
+                    sink.close()
+            assert sink.registry is session.registry
+            for registry in (session.registry, sink.registry_snapshot()):
+                assert registry.get("repro_faults_total").samples()[()] \
+                    == 16.0
+            # the /run status surfaces the fault counter
+            assert sink.run_status()["counters"]["repro_faults_total"] \
+                == 16.0
+
+    def test_snapshots_while_the_main_thread_writes(self):
+        """Scrape threads copy the command's registry while this thread
+        adds instruments, label values and observations to it: no copy
+        raises, and every copied histogram's count is its buckets'."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        stop, errors, copies, readers = threading.Event(), [], [0], []
+
+        def scrape(sink):
+            try:
+                while not stop.is_set():
+                    copy = sink.registry_snapshot().get("repro_stress_ms")
+                    for counts, _, count in (copy.samples().values()
+                                             if copy else ()):
+                        assert count == sum(counts)
+                    copies[0] += 1
+            except Exception as exc:   # a torn copy
+                errors.append(exc)
+
+        try:
+            with observe(metrics=True) as session:
+                sink = LiveSink()
+                for _ in range(3):
+                    readers.append(threading.Thread(target=scrape,
+                                                    args=(sink,)))
+                    readers[-1].start()
+                deadline, i = time.monotonic() + 1.0, 0
+                while time.monotonic() < deadline:
+                    session.registry.counter(
+                        f"repro_stress_{i % 40}_total", "h", ("k",)).inc(
+                            1.0, str(i % 97))
+                    session.registry.histogram(
+                        "repro_stress_ms", "h", ("k",),
+                        buckets=(1.0, 10.0)).observe(i % 20, str(i % 13))
+                    i += 1
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for reader in readers:
+                reader.join(timeout=10)
+        assert not any(reader.is_alive() for reader in readers)
+        assert not errors, errors[0]
+        assert copies[0] > 10
 
     def test_status_reports_worker_utilization(self):
         sink = LiveSink()
@@ -347,50 +403,119 @@ class TestTelemetryServer:
         sink.close()
 
     def test_concurrent_scrapes_see_monotone_counters(self):
-        """Scrape while a sharded run is in flight: every body parses and
-        every counter is non-decreasing scrape over scrape."""
-        sink = LiveSink()
-        server = TelemetryServer(sink)
-        port = server.start()
-        obs_live.swap(sink.emitter())
-        done = threading.Event()
+        """Scrape while a pooled sharded run is in flight: every body
+        parses, every counter is non-decreasing scrape over scrape, and
+        the last scrape counts each shard's counter once."""
+        with observe(metrics=True):
+            sink = LiveSink()
+            server = TelemetryServer(sink)
+            port = server.start()
+            obs_live.swap(sink.emitter())
+            done = threading.Event()
 
-        def run():
+            def run():
+                try:
+                    run_sharded(_slow_shard, [(i,) for i in range(6)],
+                                workers=2, task="slow")
+                finally:
+                    done.set()
+
+            worker = threading.Thread(target=run)
+            worker.start()
+            seen = []
             try:
-                run_sharded(_slow_shard, [(i,) for i in range(6)],
-                            task="slow")
+                while not done.is_set():
+                    seen.append(_counters(port))
+                    time.sleep(0.01)
+                seen.append(_counters(port))   # the run has returned
             finally:
-                done.set()
-
-        worker = threading.Thread(target=run)
-        worker.start()
-        seen = []
-        try:
-            while not done.is_set():
-                _, _, body = _fetch(f"http://127.0.0.1:{port}/metrics")
-                families = parse_prometheus(body)   # always well-formed
-                counters = {
-                    (name, tuple(sorted(labels.items()))): value
-                    for name, info in families.items()
-                    if info["type"] == "counter"
-                    for name, labels, value in info["samples"]}
-                seen.append(counters)
-                time.sleep(0.01)
-        finally:
-            worker.join()
-            obs_live.swap(None)
-            server.stop()
-            sink.close()
+                worker.join()
+                obs_live.swap(None)
+                server.stop()
+                sink.close()
         assert len(seen) >= 2
         for before, after in zip(seen, seen[1:]):
             for key, value in before.items():
                 assert after.get(key, value) >= value
+        assert seen[-1][("repro_faults_total", ())] == 6.0
         final = sink.run_status()["tasks"]["slow"]
         assert final["done"] == 6
+
+    def test_metrics_serve_the_command_registry(self):
+        """After an unsharded scan, /metrics is the registry --metrics-out
+        writes plus the repro_live_* families, and nothing else."""
+        universe = ScanUniverseBuilder(seed=3, ingress_count=30).build()
+        with observe(metrics=True) as session:
+            sink = LiveSink()
+            server = TelemetryServer(sink)
+            port = server.start()
+            obs_live.swap(sink.emitter())
+            try:
+                Scanner(universe).scan()
+                _, _, body = _fetch(f"http://127.0.0.1:{port}/metrics")
+            finally:
+                obs_live.swap(None)
+                server.stop()
+                sink.close()
+        families = parse_prometheus(body)
+        assert families["repro_net_datagrams_total"]["samples"]
+        assert "repro_live_uptime_seconds" in families
+        own = [line for line in body.splitlines(keepends=True)
+               if not line.startswith(("# HELP repro_live_",
+                                       "# TYPE repro_live_", "repro_live_"))]
+        assert "".join(own) == to_prometheus(session.registry)
+
+    def test_sharded_scrape_counts_each_shard_once(self, tmp_path,
+                                                   monkeypatch):
+        """The last /metrics scrape of a --workers 2 replay serves each
+        shard counter once: the values --metrics-out writes."""
+        trace = tmp_path / "allnames.col"
+        write_columnar_stream(
+            AllNamesBuilder(scale=0.01, seed=3).build().records, trace,
+            "allnames")
+        scrapes = []
+        stop = TelemetryServer.stop
+
+        def scrape_then_stop(server):
+            if server._server is not None:
+                scrapes.append(_fetch(
+                    f"http://127.0.0.1:{server.port}/metrics")[2])
+            stop(server)
+
+        monkeypatch.setattr(TelemetryServer, "stop", scrape_then_stop)
+        prom = tmp_path / "m.prom"
+        assert main(["--quiet", "--serve-metrics", "0", "--metrics-out",
+                     str(prom), "replay", "allnames", str(trace),
+                     "--workers", "2"]) == 0
+        served = parse_prometheus(scrapes[-1])
+        written = parse_prometheus(prom.read_text())
+        assert written["repro_replay_queries_total"]["samples"]
+        assert {name: family for name, family in served.items()
+                if not name.startswith("repro_live_")} == written
+
+
+def _counters(port):
+    """Every counter sample one /metrics scrape serves (parsed strictly:
+    a torn body would raise)."""
+    _, _, body = _fetch(f"http://127.0.0.1:{port}/metrics")
+    return {(name, tuple(sorted(labels.items()))): value
+            for name, info in parse_prometheus(body).items()
+            if info["type"] == "counter"
+            for name, labels, value in info["samples"]}
 
 
 def _slow_shard(index):
     time.sleep(0.02)
+    registry = obs_metrics.ACTIVE
+    if registry is not None:
+        registry.counter("repro_faults_total", "Faults injected.").inc()
+    return [index]
+
+
+def _counting_shard(index):
+    registry = obs_metrics.ACTIVE
+    if registry is not None:
+        registry.counter("repro_faults_total", "Faults injected.").inc(4.0)
     return [index]
 
 
@@ -483,6 +608,20 @@ class TestCliLivePlane:
         assert rc == 0
         assert "[live]" in captured.err
         assert captured.err.endswith("\n")
+
+    def test_live_flags_capture_no_metrics(self, tmp_path, monkeypatch):
+        """Only --metrics-out and --serve-metrics read a registry, so with
+        --live and --timeline-out alone no registry is ever installed,
+        for the command or for a shard."""
+        installed = []
+        swap = obs_metrics.swap
+        monkeypatch.setattr(obs_metrics, "swap",
+                            lambda registry: installed.append(registry)
+                            or swap(registry))
+        assert main(["--quiet", "--live", "--timeline-out",
+                     str(tmp_path / "tl.json"), "chaos", "--preset",
+                     "lossy", "--ingress", "8", "--shards", "2"]) == 0
+        assert installed == []
 
     def test_live_line_counts_only_its_own_task(self):
         """The ticker reads the sink's ledger for the beat's task: a second

@@ -1,9 +1,10 @@
 """Pins of what the live plane serves, from one scripted beat sequence.
 
 A fixed heartbeat sequence — a pooled run and an inline one, a beat
-lost in transit, a stale redelivery, shard registries riding
-``shard_end`` beats, free-form events with and without a task — is
-folded by a :class:`~repro.obs.live.LiveSink`.  The ``/run`` document
+lost in transit, a stale redelivery, free-form events with and without
+a task — is folded by a :class:`~repro.obs.live.LiveSink`, while two
+shard registries come back with their shards' results and are folded
+into the command's registry the sink serves.  The ``/run`` document
 (less its uptime), the Chrome trace ``--timeline-out`` writes and the
 families ``/metrics`` serves must come out exactly as pinned below, so
 a change to how the sink keeps its books cannot change what a scrape or
@@ -18,7 +19,8 @@ import json
 import urllib.request
 
 from repro.cli import _export_artefacts, _Reporter
-from repro.obs import ObsSession
+from repro.engine.executor import _fold_observability
+from repro.obs import ObsSession, observe
 from repro.obs.export import parse_prometheus
 from repro.obs.live import Heartbeat, LiveSink
 from repro.obs.metrics import MetricsRegistry
@@ -55,6 +57,7 @@ G = "generate:allnames"
 
 #: (seq, pid, ts, kind, fields) — pid 10 is the parent, 21 and 22 pool
 #: workers; worker 22's seq 2 never arrives and its seq 3 arrives twice.
+#: ``result`` is the shard registry its result brings back.
 SCRIPT = [
     (1, 10, 100.00, "run_start", dict(task=R, shards=4, rss_kb=30000,
                                       cpu_seconds=1.25)),
@@ -70,10 +73,10 @@ SCRIPT = [
     (3, 21, 100.56, "shard_end", dict(task=R, shard=0, records=700,
                                       seconds=0.5, rss_kb=24000,
                                       cpu_seconds=1.0,
-                                      metrics=_shard_registry(3, 2))),
+                                      result=_shard_registry(3, 2))),
     (3, 22, 100.60, "shard_end", dict(task=R, shard=2, records=650,
                                       seconds=0.53,
-                                      metrics=_shard_registry(1, 0, 1))),
+                                      result=_shard_registry(1, 0, 1))),
     (3, 22, 100.60, "shard_end", dict(task=R, shard=2, records=650,
                                       seconds=0.53)),
     (4, 21, 100.57, "shard_start", dict(task=R, shard=1)),
@@ -99,9 +102,15 @@ SCRIPT = [
 
 
 def _scripted_sink():
-    sink = LiveSink()
-    for seq, pid, ts, kind, fields in SCRIPT:
-        sink.offer(_heartbeat(seq, pid, ts, kind, **dict(fields)))
+    with observe(metrics=True):
+        sink = LiveSink()
+        for seq, pid, ts, kind, fields in SCRIPT:
+            fields = dict(fields)
+            result = fields.pop("result", None)
+            sink.offer(_heartbeat(seq, pid, ts, kind, **fields))
+            if result is not None:
+                _fold_observability([(None, 0, 0.0, result, None)],
+                                    inline=False)
     return sink
 
 

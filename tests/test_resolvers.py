@@ -289,12 +289,16 @@ class TestAnycastService:
         assert hint.startswith(
             ".".join(small_world.client_ip.split(".")[:3]))
 
-    def test_frontend_logs_scope_and_client(self, small_world, service):
+    def test_frontend_relays_scope_to_ecs_client(self, small_world,
+                                                 service):
+        """The authoritative scope for the client's own address reaches
+        the front-end and, for a client that asked with ECS, the client."""
         client = StubClient(small_world.client_ip, small_world.net)
-        client.query(service.frontend_ips[0], CDN_NAME)
-        log = service.frontends[0].frontend_log
-        assert log and log[-1].client_ip == small_world.client_ip
-        assert log[-1].scope == 24
+        ecs = EcsOption.from_client_address(small_world.client_ip, 24)
+        result = client.query(service.frontend_ips[0], CDN_NAME, ecs=ecs)
+        assert small_world.cdn.decisions[-1].hint.startswith(
+            ".".join(small_world.client_ip.split(".")[:3]))
+        assert result.response.ecs().scope_prefix_length == 24
 
     def test_sticky_egress_by_client_slash16(self, small_world, service):
         sibling = small_world.client_ip.rsplit(".", 1)[0] + ".77"
