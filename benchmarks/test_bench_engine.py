@@ -60,7 +60,7 @@ def test_engine_generate_throughput(save_report, tmp_path):
                 GENERATE_SPEC, traces[workers], workers=workers)
     # The determinism contract, at bench scale.
     assert traces[1].read_bytes() == traces[4].read_bytes()
-    assert reports[4].pool_mode == "persistent"
+    assert reports[4].header_bytes > 0  # it ran pooled
     _assert_speedup(save_report, "engine_generate_throughput", reports)
 
 

@@ -54,18 +54,16 @@ class DiscoveryAnalysis:
 
 
 def analyze_discovery(universe: ScanUniverse, scan_result: ScanResult,
-                      phantom_factor: float = 14.0,
-                      passive_coverage: float = 0.85,
                       seed: int = 0) -> DiscoveryAnalysis:
     """Compare active (scan) vs passive (CDN-side) discovery.
 
     * **active** — non-MegaDNS egress IPs that sent ECS queries to the
       experimental server during the scan;
-    * **passive** — ECS egress resolvers with CDN-side traffic: a
-      ``passive_coverage`` sample of the real universe (a resolver can miss
-      the passive log if none of its clients touched CDN content that day)
-      plus ``phantom_factor``× as many resolvers that no open forwarder
-      reaches — the paper's explanation for the 15× gap.
+    * **passive** — ECS egress resolvers with CDN-side traffic: an 85%
+      sample of the real universe (a resolver can miss the passive log if
+      none of its clients touched CDN content that day) plus 14× as many
+      resolvers that no open forwarder reaches — the paper's explanation
+      for the 15× gap.
     """
     megadns_ips = set(universe.megadns.egress_ips)
     ecs_policy_ips = {spec.ip for spec in universe.egress_specs
@@ -75,13 +73,13 @@ def analyze_discovery(universe: ScanUniverse, scan_result: ScanResult,
 
     rng = random.Random(seed)
     passive = {ip for ip in ecs_policy_ips
-               if rng.random() < passive_coverage or ip in active}
+               if rng.random() < 0.85 or ip in active}
     # Make the overlap imperfect the way the paper observed (234 of 278):
     # a handful of actively-found resolvers never queried the CDN that day.
     active_list = sorted(active)
     for ip in active_list[: max(0, len(active_list) // 7)]:
         passive.discard(ip)
-    phantom_count = int(len(ecs_policy_ips) * phantom_factor)
+    phantom_count = int(len(ecs_policy_ips) * 14.0)
     passive.update(f"203.0.{i >> 8 & 0xFF}.{i & 0xFF}"
                    for i in range(phantom_count))
     return DiscoveryAnalysis(active, passive)

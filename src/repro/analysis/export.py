@@ -3,15 +3,18 @@
 The library is plotting-free by design (no third-party dependencies); this
 module writes each figure's underlying series in a one-header-row CSV so
 any external tool (gnuplot, matplotlib, a spreadsheet) can redraw the
-paper's figures from the reproduction's data.
+paper's figures from the reproduction's data.  Each file is written
+atomically: an interrupted export leaves it absent, or as it was.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
+from ..obs.export import write_text_atomic
 from .cache_sim import cdf_points
 from .hidden import HiddenResolverAnalysis
 from .mapping_quality import PrefixLengthSeries
@@ -21,10 +24,11 @@ PathLike = Union[str, Path]
 
 def _write_rows(path: PathLike, header: Sequence[str],
                 rows: Sequence[Sequence]) -> int:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text_atomic(path, (text.getvalue(),))
     return len(rows)
 
 
@@ -71,10 +75,14 @@ def export_fig67(series: PrefixLengthSeries, path: PathLike) -> int:
                        rows)
 
 
-def export_all(out_dir: PathLike, *, fig1=None, fig2=None, fig3=None,
-               hidden: HiddenResolverAnalysis = None,
-               fig6: PrefixLengthSeries = None,
-               fig7: PrefixLengthSeries = None) -> List[str]:
+# Each figure keyword is the export API docs/reproduction-guide.md names.
+def export_all(out_dir: PathLike, *, fig1=None,
+               fig2=None,  # repro-lint: disable=RS007 (documented API)
+               fig3=None,  # repro-lint: disable=RS007 (documented API)
+               hidden: HiddenResolverAnalysis = None,  # repro-lint: disable=RS007 (documented API)
+               fig6: PrefixLengthSeries = None,  # repro-lint: disable=RS007 (documented API)
+               fig7: PrefixLengthSeries = None,  # repro-lint: disable=RS007 (documented API)
+               ) -> List[str]:
     """Write every provided figure's data; returns the file names written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -47,9 +47,8 @@ class FlatteningLab:
     www: Name
 
     @classmethod
-    def build(cls, forward_ecs: bool = False, seed: int = 0,
-              client_city: str = "Santiago",
-              provider_city: str = "Frankfurt") -> "FlatteningLab":
+    def build(cls, forward_ecs: bool = False,
+              seed: int = 0) -> "FlatteningLab":
         topology = Topology()
         net = Network(topology)
         infra = topology.create_as("infra", "US")
@@ -67,7 +66,7 @@ class FlatteningLab:
         hierarchy.attach_authoritative(cdn_domain, cdn_ip)
 
         provider_as = topology.create_as("dns-provider", "DE")
-        provider_ip = provider_as.host_in(city(provider_city))
+        provider_ip = provider_as.host_in(city("Frankfurt"))
         apex = Name.from_text("customer.com.")
         provider = FlatteningProvider(
             provider_ip, apex, cdn_ip,
@@ -86,7 +85,7 @@ class FlatteningLab:
             policy=EcsPolicy())
 
         eyeball = topology.create_as("eyeball-cl", "CL")
-        client_ip = eyeball.host_in(city(client_city))
+        client_ip = eyeball.host_in(city("Santiago"))
         # The client uses the anycast public DNS: nearest front-end.
         frontend_ip = min(
             service.frontend_ips,

@@ -123,12 +123,11 @@ def measure_mapping_quality(lab: MappingQualityLab, cdn: CdnAuthoritative,
                               scopes)
 
 
-def crossover_prefix_length(series: PrefixLengthSeries,
-                            degradation_factor: float = 1.5) -> Optional[int]:
+def crossover_prefix_length(series: PrefixLengthSeries) -> Optional[int]:
     """The longest prefix length at which mapping quality collapses.
 
     Scans downward from /24; returns the first length whose median latency
-    exceeds ``degradation_factor`` × the /24 median (the Fig 6/7 cliff).
+    exceeds 1.5 × the /24 median (the Fig 6/7 cliff).
     """
     if 24 not in series.latencies_ms or not series.latencies_ms[24]:
         return None
@@ -136,6 +135,6 @@ def crossover_prefix_length(series: PrefixLengthSeries,
     for L in sorted(series.latencies_ms, reverse=True):
         if L == 24 or not series.latencies_ms[L]:
             continue
-        if series.median(L) > degradation_factor * baseline:
+        if series.median(L) > 1.5 * baseline:
             return L
     return None

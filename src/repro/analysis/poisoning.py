@@ -56,7 +56,6 @@ class PoisoningOutcome:
 def run_poisoning_experiment(scope_mode: ScopeMode,
                              forged_scope: int = 24,
                              victim_subnet: str = "100.64.10.0",
-                             clients_per_subnet: int = 5,
                              other_subnets: Sequence[str] = (
                                  "100.64.11.0", "100.64.200.0",
                                  "100.99.1.0", "203.0.114.0"),
@@ -92,12 +91,11 @@ def run_poisoning_experiment(scope_mode: ScopeMode,
         cache.store(qname, RecordType.A, legit, ecs)
         return LEGIT_ANSWER
 
+    hosts = range(1, 6)  # five clients per /24
     victim_base = victim_subnet.rsplit(".", 1)[0]
-    victim_clients = [f"{victim_base}.{h}" for h in
-                      range(1, clients_per_subnet + 1)]
+    victim_clients = [f"{victim_base}.{h}" for h in hosts]
     other_clients = [f"{net.rsplit('.', 1)[0]}.{h}"
-                     for net in other_subnets
-                     for h in range(1, clients_per_subnet + 1)]
+                     for net in other_subnets for h in hosts]
 
     victim_poisoned = sum(resolve_for(ip) == ATTACKER_ANSWER
                           for ip in victim_clients)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..addr import is_routable, parse_addr, same_prefix
 from ..auth.cdn import CdnAuthoritative, build_edge_pools
@@ -81,13 +81,15 @@ class PrivacyStudy:
 
 
 #: The strategies the paper observes, plus its recommendation.
-DEFAULT_STRATEGIES: Tuple[Tuple[str, EcsPolicy], ...] = (
+STRATEGIES: Tuple[Tuple[str, EcsPolicy], ...] = (
     ("always_ecs", behaviors.ALWAYS_ECS),
     ("domain_whitelist", behaviors.DOMAIN_WHITELISTER),
     ("interval_loopback", behaviors.INTERVAL_LOOPBACK_PROBER),
     ("recommended_own_address", behaviors.RECOMMENDED_PROBER),
     ("never", behaviors.NO_ECS),
 )
+#: ECS-oblivious zones beside the one ECS-enabled CDN.
+PLAIN_ZONE_COUNT = 4
 
 
 def _count_client_bits(record: AuthLogRecord, client_ip: str) -> int:
@@ -109,13 +111,9 @@ def _count_client_bits(record: AuthLogRecord, client_ip: str) -> int:
     return 0
 
 
-def run_privacy_study(strategies: Sequence[Tuple[str, EcsPolicy]]
-                      = DEFAULT_STRATEGIES,
-                      seed: int = 0,
-                      plain_zone_count: int = 4,
-                      query_rounds: int = 12,
-                      round_gap_s: float = 400.0) -> PrivacyStudy:
-    """Drive one resolver per strategy against a mixed server population."""
+def run_privacy_study(seed: int = 0) -> PrivacyStudy:
+    """Drive one resolver per :data:`STRATEGIES` entry against a mixed
+    server population."""
     rng = random.Random(seed)
     topology = Topology()
     net = Network(topology)
@@ -134,19 +132,19 @@ def run_privacy_study(strategies: Sequence[Tuple[str, EcsPolicy]]
 
     # ...and several ECS-oblivious zones.
     plain_servers: List[AuthoritativeServer] = []
-    for i in range(plain_zone_count):
+    for i in range(PLAIN_ZONE_COUNT):
         zone = Zone(Name.from_text(f"plain{i}.example."), default_ttl=15)
         zone.add_soa()
         zone.add_text("www", "A", f"203.0.{113 + i}.10")
         server = hierarchy.host_zone(zone, city("Denver"))
         plain_servers.append(server)
 
-    qnames = ([f"www.plain{i}.example." for i in range(plain_zone_count)]
+    qnames = ([f"www.plain{i}.example." for i in range(PLAIN_ZONE_COUNT)]
               + ["a.cdn.example.", "b.cdn.example."])
 
     isp = topology.create_as("isp", "US")
     outcomes: List[PrivacyOutcome] = []
-    for strategy_name, base_policy in strategies:
+    for strategy_name, base_policy in STRATEGIES:
         policy = base_policy
         if policy.probing is behaviors.ProbingStrategy.DOMAIN_WHITELIST:
             policy = policy.with_(whitelist_zones=(cdn_domain,))
@@ -162,10 +160,10 @@ def run_privacy_study(strategies: Sequence[Tuple[str, EcsPolicy]]
         cdn_log_start = len(cdn.log)
         plain_log_starts = [len(s.log) for s in plain_servers]
         upstream_before = resolver.upstream_queries
-        for _ in range(query_rounds):
+        for _ in range(12):  # rounds, every name once a round
             for qname in qnames:
                 client.query(resolver_ip, qname)
-            net.clock.advance(round_gap_s * rng.uniform(0.9, 1.1))
+            net.clock.advance(400.0 * rng.uniform(0.9, 1.1))
 
         outcome = PrivacyOutcome(strategy_name)
         outcome.queries_upstream = resolver.upstream_queries - upstream_before

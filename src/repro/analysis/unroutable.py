@@ -117,8 +117,8 @@ class Table2:
             body, title="Table 2 — responses to unroutable ECS prefixes")
 
 
-def run_table2(lab: UnroutableLab, ping_count: int = 8) -> Table2:
-    """Issue the five dig queries and ping the returned edges."""
+def run_table2(lab: UnroutableLab) -> Table2:
+    """Issue the five dig queries and ping each returned edge 8 times."""
     client = StubClient(lab.lab_ip, lab.net)
     rows: List[Table2Row] = []
     answer_sets: Dict[str, frozenset] = {}
@@ -134,7 +134,7 @@ def run_table2(lab: UnroutableLab, ping_count: int = 8) -> Table2:
         answers = result.addresses
         answer_sets[label] = frozenset(answers)
         first = result.first_address
-        rtt = lab.net.ping_ms(lab.lab_ip, first, ping_count) if first else None
+        rtt = lab.net.ping_ms(lab.lab_ip, first, 8) if first else None
         where = lab.topology.city_of(first) if first else None
         rows.append(Table2Row(label, first, rtt,
                               where.name if where else None, answers))

@@ -95,8 +95,7 @@ class WhitelistComparison:
 
 def run_whitelist_comparison(seed: int = 0,
                              clients_per_city: int = 4,
-                             rounds: int = 6,
-                             hostnames: int = 5) -> WhitelistComparison:
+                             rounds: int = 6) -> WhitelistComparison:
     """Build the lab and run the comparison experiment."""
     rng = random.Random(seed)
     topology = Topology()
@@ -133,7 +132,7 @@ def run_whitelist_comparison(seed: int = 0,
         for _ in range(clients_per_city):
             clients.append(StubClient(as_.host_in(city(city_name)), net))
 
-    names = [f"a{i}.wl.example." for i in range(hostnames)]
+    names = [f"a{i}.wl.example." for i in range(5)]
 
     def run_for(resolver_ip: str, whitelisted: bool) -> ResolverOutcome:
         cdn_before = cdn.queries_received

@@ -82,7 +82,6 @@ class CdnAuthoritative(DnsServer):
                  edges: Sequence[EdgePool], topology: Topology,
                  ttl: int = 20,
                  scope_v4: int = 24,
-                 scope_v6: int = 48,
                  min_source_prefix_v4: int = 1,
                  whitelist: Optional[Iterable[str]] = None,
                  unroutable_policy: UnroutablePolicy = UnroutablePolicy.USE_RESOLVER,
@@ -99,7 +98,6 @@ class CdnAuthoritative(DnsServer):
         self.topology = topology
         self.ttl = ttl
         self.scope_v4 = scope_v4
-        self.scope_v6 = scope_v6
         self.min_source_prefix_v4 = min_source_prefix_v4
         self.whitelist: Optional[Set[str]] = \
             set(whitelist) if whitelist is not None else None
@@ -176,7 +174,7 @@ class CdnAuthoritative(DnsServer):
         if ecs_honored and response.edns is not None:
             assert ecs is not None
             if ecs_used:
-                base = self.scope_v4 if ecs.family == 1 else self.scope_v6
+                base = self.scope_v4 if ecs.family == 1 else 48
                 scope = min(base, ecs.source_prefix_length)
             else:
                 # Whitelisted but below threshold: answer is client-agnostic.

@@ -21,11 +21,11 @@ from .server import AuthoritativeServer, ScopeFunction
 class DnsHierarchy:
     """Builds and tracks the delegation tree."""
 
-    def __init__(self, net: Network, infra_as: AutonomousSystem,
-                 root_city: Optional[City] = None):
+    def __init__(self, net: Network, infra_as: AutonomousSystem):
         self.net = net
         self.infra_as = infra_as
-        self._root_city = root_city or city("Ashburn")
+        #: Where the root, the TLD servers and unplaced zones are hosted.
+        self._root_city = city("Ashburn")
         self.root_zone = Zone(Name.root(), default_ttl=86400)
         self.root_zone.add_soa()
         root_ip = infra_as.host_in(self._root_city)

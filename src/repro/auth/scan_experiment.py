@@ -70,13 +70,13 @@ class ScanExperimentServer(DnsServer):
     span_name = "authoritative"
 
     def __init__(self, ip: str, domain: Name, answer_address: str,
-                 ttl: int = 60, scope_delta: int = 4):
+                 ttl: int = 60):
         # ``observations`` is this server's one log.
         super().__init__(ip, log_queries=False)
         self.domain = domain
         self.answer_address = answer_address
         self.ttl = ttl
-        self.scope_policy = source_minus(scope_delta)
+        self.scope_policy = source_minus(4)
         self.observations: List[ScanQueryRecord] = []
 
     def handle_query(self, query: Message, src_ip: str,

@@ -98,16 +98,12 @@ class EcsCache:
                  clamp_bits: int = 22,
                  enforce_scope_le_source: bool = True,
                  cache_zero_scope: bool = True,
-                 min_ttl: int = 0,
-                 max_ttl: Optional[int] = None,
                  max_entries: Optional[int] = None):
         self.clock = clock
         self.scope_mode = scope_mode
         self.clamp_bits = clamp_bits
         self.enforce_scope_le_source = enforce_scope_le_source
         self.cache_zero_scope = cache_zero_scope
-        self.min_ttl = min_ttl
-        self.max_ttl = max_ttl
         #: Capacity bound; exceeding it evicts least-recently-used entries
         #: (the premature-eviction pressure the paper's section 7 warns ECS
         #: creates).  ``None`` = unbounded, the paper's simulation setting.
@@ -227,9 +223,6 @@ class EcsCache:
                 if rr.rdtype == RecordType.SOA:
                     ttl = min(rr.ttl, rr.rdata.minimum)  # type: ignore[attr-defined]
                     break
-        ttl = max(ttl, self.min_ttl)
-        if self.max_ttl is not None:
-            ttl = min(ttl, self.max_ttl)
         now = self.clock.now()
 
         resp_ecs = response.ecs()

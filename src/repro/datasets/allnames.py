@@ -6,7 +6,7 @@ clients (12.3K IPv4 /24s + 2.8K IPv6 /48s) for 134,925 hostnames across
 19,014 SLDs, each record carrying both the client IP and the authoritative
 ECS scope — the combination the section 7 simulations need.
 
-The generator's default parameters are *calibrated*: at ``scale=1.0`` the
+The generator's defaults and constants are *calibrated*: at ``scale=1.0`` the
 trace is roughly 1/20th of the paper's volume, and the section 7 replays of
 it land on the paper's reported shape — full-population blow-up near 4,
 hit rate ≈0.77 without ECS vs ≈0.30 with, and a Fig 2 curve rising from
@@ -30,8 +30,15 @@ from .workload import (COLUMN_CHUNK_ROWS, SldPolicy, ZipfSampler,
 
 #: Authoritative scope mixture (scope bits, weight): most ECS adopters
 #: tailor at /24, some coarser, a few echo the full source length.
-DEFAULT_SCOPE_MIX: Tuple[Tuple[int, float], ...] = (
+SCOPE_MIX: Tuple[Tuple[int, float], ...] = (
     (24, 0.55), (16, 0.20), (20, 0.10), (22, 0.05), (32, 0.10))
+#: Record TTLs an SLD draws from, uniformly.
+TTL_CHOICES = (60, 120, 300, 600)
+#: Mean IPv4 clients per /24 (each /24 draws an exponential count).
+CLIENTS_PER_SUBNET = 3.0
+#: Zipf exponents of hostname popularity and of client activity.
+ZIPF_ALPHA = 1.08
+CLIENT_ALPHA = 0.65
 
 
 @dataclass
@@ -83,12 +90,7 @@ class AllNamesBuilder:
                  hostname_count: int = 700,
                  v4_subnet_count: int = 260,
                  v6_subnet_count: int = 80,
-                 clients_per_subnet: float = 3.0,
-                 total_queries: int = 550_000,
-                 zipf_alpha: float = 1.08,
-                 client_alpha: float = 0.65,
-                 ttl_choices: Sequence[int] = (60, 120, 300, 600),
-                 scope_mix: Sequence[Tuple[int, float]] = DEFAULT_SCOPE_MIX):
+                 total_queries: int = 550_000):
         if scale <= 0:
             raise ValueError("scale must be positive")
         self.seed = seed
@@ -96,12 +98,7 @@ class AllNamesBuilder:
         self.hostname_count = max(10, round(hostname_count * scale))
         self.v4_subnet_count = max(4, round(v4_subnet_count * scale))
         self.v6_subnet_count = max(1, round(v6_subnet_count * scale))
-        self.clients_per_subnet = clients_per_subnet
         self.total_queries = max(100, round(total_queries * scale))
-        self.zipf_alpha = zipf_alpha
-        self.client_alpha = client_alpha
-        self.ttl_choices = tuple(ttl_choices)
-        self.scope_mix = tuple(scope_mix)
 
     def _clients(self, rng: random.Random) -> _Clients:
         v4: List[str] = []
@@ -110,7 +107,7 @@ class AllNamesBuilder:
             # a stable number of subnets at any scale.
             prefix = f"100.{64 + (i % 48)}.{i // 48}"
             count = max(1, min(254,
-                               int(rng.expovariate(1.0 / self.clients_per_subnet)) + 1))
+                               int(rng.expovariate(1.0 / CLIENTS_PER_SUBNET)) + 1))
             for host in rng.sample(range(1, 255), count):
                 v4.append(f"{prefix}.{host}")
         v6 = [f"2610:{i % 48:x}:{i // 48:x}::{j:x}"
@@ -119,9 +116,9 @@ class AllNamesBuilder:
 
     def _policies(self, slds: Sequence[str],
                   rng: random.Random) -> Dict[str, SldPolicy]:
-        scopes = [s for s, _ in self.scope_mix]
-        weights = [w for _, w in self.scope_mix]
-        return {sld: SldPolicy(ttl=rng.choice(list(self.ttl_choices)),
+        scopes = [s for s, _ in SCOPE_MIX]
+        weights = [w for _, w in SCOPE_MIX]
+        return {sld: SldPolicy(ttl=rng.choice(TTL_CHOICES),
                                scope=rng.choices(scopes, weights=weights, k=1)[0])
                 for sld in slds}
 
@@ -165,8 +162,8 @@ class AllNamesBuilder:
         all_clients = clients.all_clients
         qtypes = [28 if ":" in client else 1 for client in all_clients]
         families = [1 if ":" in client else 0 for client in all_clients]
-        name_ranks = ZipfSampler(len(hostnames), self.zipf_alpha).ranks
-        client_ranks = ZipfSampler(len(all_clients), self.client_alpha).ranks
+        name_ranks = ZipfSampler(len(hostnames), ZIPF_ALPHA).ranks
+        client_ranks = ZipfSampler(len(all_clients), CLIENT_ALPHA).ranks
         draw = rng.random
         step = self.duration_s / self.total_queries
         t = lo * step

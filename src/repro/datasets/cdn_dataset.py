@@ -89,7 +89,6 @@ class CdnDatasetBuilder:
     def __init__(self, scale: float = 0.02, seed: int = 0,
                  duration_s: float = 6 * 3600.0,
                  hostname_count: int = 120,
-                 base_rate_qps: float = 0.02,
                  record_ttl: int = 20):
         if scale <= 0:
             raise ValueError("scale must be positive")
@@ -97,7 +96,6 @@ class CdnDatasetBuilder:
         self.seed = seed
         self.duration_s = duration_s
         self.hostname_count = hostname_count
-        self.base_rate_qps = base_rate_qps
         self.record_ttl = record_ttl
 
     # -- population ----------------------------------------------------------
@@ -196,7 +194,7 @@ class CdnDatasetBuilder:
         duration = self.duration_s
         for spec in specs:
             subnets = self._client_subnets(spec, rng)
-            rate = self.base_rate_qps * rng.uniform(0.5, 3.0)
+            rate = 0.02 * rng.uniform(0.5, 3.0)
             arrivals = poisson_arrivals(rate, duration, rng)
             ts: List[float] = []
             qnames: List[str] = []

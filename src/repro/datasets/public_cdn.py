@@ -26,6 +26,14 @@ from .workload import (COLUMN_CHUNK_ROWS, ZipfSampler, column_records,
                        poisson_arrivals)
 
 
+#: Zipf exponent of hostname popularity.
+ZIPF_ALPHA = 1.0
+#: A resolver's client /24s per unit of relative volume (``qps /
+#: mean_qps``), drawn uniformly from this range: busier egress resolvers
+#: serve more front-ends, so more client subnets.
+SUBNET_MULTIPLIER = (60, 260)
+
+
 @dataclass
 class PublicCdnDataset:
     """The generated trace (ts-ordered) and the egress resolvers behind it."""
@@ -43,10 +51,8 @@ class PublicCdnBuilder:
                  duration_s: float = 3 * 3600.0,
                  hostname_count: int = 40,
                  ttl: int = 20,
-                 zipf_alpha: float = 1.0,
                  mean_qps: float = 4.0,
-                 volume_spread_decades: float = 0.9,
-                 subnet_multiplier: tuple = (60, 260)):
+                 volume_spread_decades: float = 0.9):
         if scale <= 0:
             raise ValueError("scale must be positive")
         self.scale = scale
@@ -54,10 +60,8 @@ class PublicCdnBuilder:
         self.duration_s = duration_s
         self.hostname_count = hostname_count
         self.ttl = ttl
-        self.zipf_alpha = zipf_alpha
         self.mean_qps = mean_qps
         self.volume_spread_decades = volume_spread_decades
-        self.subnet_multiplier = subnet_multiplier
 
     def resolver_count(self) -> int:
         return max(4, round(paper.PUBLIC_CDN_RESOLVER_IPS * self.scale))
@@ -81,10 +85,10 @@ class PublicCdnBuilder:
         """
         hostnames = [f"a{i:04d}.cdn.example."
                      for i in range(self.hostname_count)]
-        sample_name = ZipfSampler(len(hostnames), self.zipf_alpha).sample
+        sample_name = ZipfSampler(len(hostnames), ZIPF_ALPHA).sample
         choice = rng.choice
         spread = self.volume_spread_decades
-        low, high = self.subnet_multiplier
+        low, high = SUBNET_MULTIPLIER
         for r in range(lo, hi):
             ip = self._resolver_ip(r)
             # Log-uniform volume: busy front-line resolvers vs near-idle ones.

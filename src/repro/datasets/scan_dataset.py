@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..auth.hierarchy import DnsHierarchy
 from ..auth.scan_experiment import ScanExperimentServer
@@ -54,6 +54,16 @@ OTHER_EGRESS_MIX: Tuple[Tuple[str, int], ...] = (
     ("always_ecs", 2),              # /24, correct caching
     ("no_ecs", 10),                 # the non-adopting majority
 )
+
+#: Share of general ingress forwarders that resolve through MegaDNS.
+MEGADNS_SHARE = 0.75
+#: Share of general ingress chains with a hidden resolver in the middle.
+HIDDEN_FRACTION = 0.5
+#: Share of hidden resolvers placed over 6,000 km from their forwarder.
+HIDDEN_FAR_FRACTION = 0.09
+#: Share of hidden resolvers placed in their egress's city (§8.2's
+#: on-diagonal, ECS-adds-nothing case), on the MP and non-MP paths alike.
+HIDDEN_SAME_CITY_AS_EGRESS_FRACTION = 0.13
 
 
 @dataclass
@@ -113,28 +123,9 @@ class ScanUniverse:
 class ScanUniverseBuilder:
     """Assembles a :class:`ScanUniverse`."""
 
-    def __init__(self, seed: int = 0,
-                 ingress_count: int = 300,
-                 megadns_share: float = 0.75,
-                 hidden_fraction: float = 0.5,
-                 hidden_far_fraction: float = 0.09,
-                 hidden_same_city_as_egress_fraction: float = 0.13,
-                 megadns_egress_count: int = 8,
-                 eyeball_as_count: int = 24,
-                 pairs_per_egress: int = 1,
-                 ingress_as_egress_fraction: float = 0.08,
-                 egress_mix: Sequence[Tuple[str, int]] = OTHER_EGRESS_MIX):
+    def __init__(self, seed: int = 0, ingress_count: int = 300):
         self.seed = seed
         self.ingress_count = ingress_count
-        self.megadns_share = megadns_share
-        self.hidden_fraction = hidden_fraction
-        self.hidden_far_fraction = hidden_far_fraction
-        self.hidden_same_city_fraction = hidden_same_city_as_egress_fraction
-        self.megadns_egress_count = megadns_egress_count
-        self.eyeball_as_count = eyeball_as_count
-        self.pairs_per_egress = pairs_per_egress
-        self.ingress_as_egress_fraction = ingress_as_egress_fraction
-        self.egress_mix = tuple(egress_mix)
 
     # -- pieces -----------------------------------------------------------
 
@@ -147,7 +138,7 @@ class ScanUniverseBuilder:
         return PublicDnsService(net, service_as, hierarchy.root_ips,
                                 frontend_cities=frontend_cities,
                                 egress_city=city("Ashburn"),
-                                egress_count=self.megadns_egress_count,
+                                egress_count=8,
                                 policy=EcsPolicy())
 
     def _build_other_egress(self, net: Network, topology: Topology,
@@ -178,7 +169,7 @@ class ScanUniverseBuilder:
                 specs.append(EgressSpec(ip, policy_name, open_to_world=False,
                                         country="CN", city=where.name))
         # The long tail with the paper's behavior mix.
-        for policy_name, count in self.egress_mix:
+        for policy_name, count in OTHER_EGRESS_MIX:
             for _ in range(count):
                 as_ = rng.choice(other_as)
                 where = self._city_for(as_, rng)
@@ -245,23 +236,22 @@ class ScanUniverseBuilder:
                                                      "CN", "JP", "FR", "RU",
                                                      "GB", "ZA", "AU", "CL",
                                                      "KR", "MX", "TR", "ID")))
-                      for i in range(self.eyeball_as_count)]
+                      for i in range(24)]
         hidden_as = topology.create_as("HiddenHosting", "US")
 
         chains: List[ChainSpec] = []
-        # Deterministic /16-sibling forwarder pairs for every closed egress
-        # (the section 6.3 paired-forwarder technique needs them).
+        # One deterministic /16-sibling forwarder pair for every closed
+        # egress (the section 6.3 paired-forwarder technique needs them).
         for spec in egress_specs:
             as_ = rng.choice(eyeball_as)
             where = self._city_for(as_, rng)
-            for _ in range(self.pairs_per_egress):
-                for _sibling in range(2):
-                    fwd_ip = as_.host_in_new_subnet(where)
-                    fwd = Forwarder(fwd_ip, [spec.ip])
-                    net.attach(fwd)
-                    chains.append(ChainSpec(
-                        fwd_ip, (), spec.ip, False, where.name, None,
-                        self._city_name(topology, spec.ip)))
+            for _sibling in range(2):
+                fwd_ip = as_.host_in_new_subnet(where)
+                fwd = Forwarder(fwd_ip, [spec.ip])
+                net.attach(fwd)
+                chains.append(ChainSpec(
+                    fwd_ip, (), spec.ip, False, where.name, None,
+                    self._city_name(topology, spec.ip)))
         # Paired hidden-resolver forwarders behind MegaDNS (section 6.3's
         # third technique) — two hidden resolvers in sibling /24s.
         for _ in range(2):
@@ -279,11 +269,10 @@ class ScanUniverseBuilder:
                     fwd_ip, (hid_ip,), megadns_egress, True,
                     where.name, where.name, "Ashburn"))
 
-        # Some open ingress resolvers are themselves recursive resolvers
-        # (ingress == egress), as the paper notes; the scan sees their own
-        # IP at the authoritative server.
-        ingress_as_egress = max(1, int(self.ingress_count
-                                       * self.ingress_as_egress_fraction))
+        # Some open ingress resolvers (8%, at least one) are themselves
+        # recursive resolvers (ingress == egress), as the paper notes; the
+        # scan sees their own IP at the authoritative server.
+        ingress_as_egress = max(1, int(self.ingress_count * 0.08))
         for _ in range(ingress_as_egress):
             as_ = rng.choice(eyeball_as)
             where = self._city_for(as_, rng)
@@ -301,7 +290,7 @@ class ScanUniverseBuilder:
             as_ = rng.choice(eyeball_as)
             where = self._city_for(as_, rng)
             fwd_ip = as_.host_in(where)
-            via_megadns = rng.random() < self.megadns_share
+            via_megadns = rng.random() < MEGADNS_SHARE
             hidden_ips: Tuple[str, ...] = ()
             hidden_city: Optional[str] = None
 
@@ -314,7 +303,7 @@ class ScanUniverseBuilder:
                 egress_city = spec.city
 
             next_hop: str
-            if rng.random() < self.hidden_fraction:
+            if rng.random() < HIDDEN_FRACTION:
                 hidden_where = self._hidden_city(where, egress_city, rng)
                 hid_ip = hidden_as.host_in(hidden_where)
                 hidden_ips = (hid_ip,)
@@ -351,20 +340,21 @@ class ScanUniverseBuilder:
     def _city_for(as_: AutonomousSystem, rng: random.Random) -> City:
         return rng.choice(_city_tables()[0].get(as_.country, WORLD_CITIES))
 
-    def _hidden_city(self, forwarder_city: City, egress_city_name: str,
+    @staticmethod
+    def _hidden_city(forwarder_city: City, egress_city_name: str,
                      rng: random.Random) -> City:
         """Place a hidden resolver relative to its forwarder.
 
-        Most hidden resolvers sit near their forwarders; a configurable
-        slice lands far away (the Santiago-forwarder/Italy-hidden pattern),
-        and a small slice shares the egress's city (the on-diagonal,
-        ECS-adds-nothing case).
+        Most hidden resolvers sit near their forwarders; a slice
+        (:data:`HIDDEN_FAR_FRACTION`) lands far away (the
+        Santiago-forwarder/Italy-hidden pattern), and a small slice
+        shares the egress's city (the on-diagonal, ECS-adds-nothing case).
         """
         _, near, far = _city_tables()
         roll = rng.random()
-        if roll < self.hidden_far_fraction:
+        if roll < HIDDEN_FAR_FRACTION:
             return rng.choice(far[forwarder_city] or WORLD_CITIES)
-        if roll < self.hidden_far_fraction + self.hidden_same_city_fraction:
+        if roll < HIDDEN_FAR_FRACTION + HIDDEN_SAME_CITY_AS_EGRESS_FRACTION:
             try:
                 return city(egress_city_name)
             except KeyError:

@@ -86,11 +86,11 @@ class Zone:
             raise ZoneError(f"add_text does not support {rdtype}")
         self.add(owner, rt, rdata, ttl)
 
-    def add_soa(self, mname: str = "ns1", rname: str = "hostmaster",
-                serial: int = 1, minimum: int = 300) -> None:
-        """Install a SOA record at the origin."""
-        soa = SOA(self._absolute(mname), self._absolute(rname),
-                  serial, 3600, 600, 86400, minimum)
+    def add_soa(self, minimum: int = 300) -> None:
+        """Install a SOA record at the origin (``ns1``, ``hostmaster``,
+        serial 1)."""
+        soa = SOA(self._absolute("ns1"), self._absolute("hostmaster"),
+                  1, 3600, 600, 86400, minimum)
         self.add(self.origin, RecordType.SOA, soa)
 
     def _absolute(self, text: str) -> Name:

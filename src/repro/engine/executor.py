@@ -9,13 +9,13 @@ depend on the worker count — is what makes parallel runs byte-identical
 to serial ones.
 
 Dispatch follows the spec protocol from :mod:`repro.engine.pool`: the
-run's *shared* state (worker function token plus everything common to
+run's *shared* state (the worker function plus everything common to
 all shards — builder spec, trace kind, fault plan) is serialized once in
-the parent and memoized per worker, while each shard ships only its
-private arguments.  :class:`ShardStats` records the serialized bytes
-each shard actually pushed through the pool boundary, which is the
-number the engine bench tracks to keep the ship-the-whole-record-list
-pessimization from returning.
+the parent and unpickled once per pool submission, while each shard
+ships only its private arguments.  :class:`ShardStats` records the
+serialized bytes each shard actually pushed through the pool boundary,
+which is the number the engine bench tracks to keep the
+ship-the-whole-record-list pessimization from returning.
 
 Timing is measured inside each worker, so :class:`ShardStats` reflects
 real per-shard compute time; the wall clock is measured by the parent.
@@ -49,8 +49,7 @@ from ..obs import trace as obs_trace
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from . import pool as pool_mod
-from .pool import (WorkerPool, decode_header, encode_header,
-                   encode_shard_args)
+from .pool import WorkerPool, encode_header, encode_shard_args
 
 
 @dataclass
@@ -78,9 +77,6 @@ class EngineReport:
     workers: int
     wall_seconds: float
     shards: List[ShardStats] = field(default_factory=list)
-    #: How the shards executed: "inline" or, on a worker pool,
-    #: "persistent".  Execution detail only — never affects output.
-    pool_mode: str = "inline"
     #: Serialized bytes of the run's shared header (0 when inline).
     header_bytes: int = 0
 
@@ -185,19 +181,11 @@ def _run_header_chunk(header: bytes, args_blobs: Sequence[bytes],
                       task: str = "engine") -> List[_Outcome]:
     """Worker entry point: run several consecutive shards of one run.
 
-    The run header (function token + shared state) is decoded at most
-    once per worker process — :func:`repro.engine.pool.decode_header`
-    memoizes by content digest — so a run with many chunks pays one
-    shared-state deserialization per worker, not one per chunk.  Each
-    shard is still timed (and observed) individually so per-shard stats
-    stay meaningful.  A fresh header decode emits a ``header_decode``
-    heartbeat, making per-worker deserialization visible on timelines.
+    The run header (worker function + shared state) is unpickled once
+    per submission, not once per shard.  Each shard is still timed (and
+    observed) individually so per-shard stats stay meaningful.
     """
-    loads_before = pool_mod.header_loads()
-    fn, shared = decode_header(header)
-    emitter = obs_live.ACTIVE
-    if emitter is not None and pool_mod.header_loads() != loads_before:
-        emitter.beat("header_decode", task, bytes=len(header))
+    fn, shared = pickle.loads(header)
     outcomes: List[_Outcome] = []
     for offset, blob in enumerate(args_blobs):
         args = pickle.loads(blob)
@@ -252,9 +240,9 @@ def run_sharded(fn: Callable[..., Any],
 
     ``shared`` holds the arguments common to every shard — the builder
     spec, trace kind, fault plan.  It is serialized once per run and
-    memoized per worker, so per-shard dispatch cost is the private
-    ``args`` tuple alone; keep per-shard tuples down to indices and
-    bounds and the pool boundary carries O(shards) small objects total.
+    unpickled once per submission, so per-shard dispatch cost is the
+    private ``args`` tuple alone; keep per-shard tuples down to indices
+    and bounds and the pool boundary carries O(shards) small objects.
 
     Consecutive shards are batched per pool submission to cut
     round-trips when shards far outnumber workers, sized so every worker
@@ -287,7 +275,6 @@ def _run_sharded(fn: Callable[..., Any],
     outcomes: List[_Outcome] = []
     payload_bytes: List[int] = [0] * len(shard_args)
     header_bytes = 0
-    pool_mode = "inline"
     if workers == 1 or len(shard_args) <= 1:
         for index, args in enumerate(shard_args):
             outcomes.append(_observed_call(fn, tuple(shared) + tuple(args),
@@ -304,7 +291,6 @@ def _run_sharded(fn: Callable[..., Any],
                          // (workers * SUBMISSIONS_PER_WORKER))
         bounds = _chunk_bounds(len(shard_args), chunk_size)
         run_pool, ephemeral = _resolve_pool(workers)
-        pool_mode = "persistent"
         submissions = [(header, blobs[lo:hi], lo, count_of,
                         capture_metrics, span_limit, task)
                        for lo, hi in bounds]
@@ -328,7 +314,7 @@ def _run_sharded(fn: Callable[..., Any],
              for index, (_, records, seconds, _, _)
              in enumerate(outcomes)]
     report = EngineReport(task, workers, wall, stats,
-                          pool_mode=pool_mode, header_bytes=header_bytes)
+                          header_bytes=header_bytes)
     if emitter is not None:
         emitter.beat("run_end", task, records=report.total_records)
     return results, report

@@ -6,13 +6,12 @@ Two orthogonal pieces behind :func:`~repro.engine.executor.run_sharded`:
   and reused by every sharded call made inside its ``with`` block.
 
 * a **spec dispatch protocol** — each sharded run serializes its *run
-  header* (the worker function's import token plus everything shared by
+  header* (the worker function, by reference, plus everything shared by
   all shards: builder spec, trace kind, fault plan, …) exactly **once**
   in the parent; every pool submission carries that same header blob
-  plus the per-shard argument blobs.  Workers memoize the decoded header
-  by content digest (:data:`_HEADER_CACHE`), so a run deserializes its
-  shared state once per worker — not once per submission, and never
-  once per shard.
+  plus the per-shard argument blobs, and unpickles the header once.  A
+  run makes about four submissions per worker, so the shared state is
+  deserialized a few times per worker, never once per shard.
 
 Everything here is deterministic plumbing: which pool executes a shard,
 and how its inputs travel, can never change the shard's output.
@@ -20,8 +19,6 @@ and how its inputs travel, can never change the shard's output.
 
 from __future__ import annotations
 
-import hashlib
-import importlib
 import pickle
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -59,32 +56,19 @@ class PoolShutdownError(PoolError):
     """A pool was used after an explicit :meth:`WorkerPool.shutdown`."""
 
 
-def fn_token(fn: Callable[..., Any]) -> Tuple[str, str]:
-    """The importable address of a worker function.
-
-    Workers resolve the function from ``(module, qualname)`` instead of
-    unpickling a callable per chunk; only module-level functions qualify
-    (the same restriction pickle itself imposes on pool targets).
-    """
-    module = getattr(fn, "__module__", None)
-    qualname = getattr(fn, "__qualname__", None)
-    if not module or not qualname or "<" in qualname or "." in qualname:
-        raise ShardDispatchError(
-            f"worker function {fn!r} is not addressable as module.qualname; "
-            f"shard functions must be module-level")
-    return module, qualname
-
-
 def encode_header(fn: Callable[..., Any], shared: Tuple[Any, ...]) -> bytes:
-    """Serialize one run's shared state — called once per sharded run."""
+    """Serialize one run's ``(fn, shared)`` — once per sharded run.
+
+    Pickle stores ``fn`` by reference (module and name), so it refuses a
+    lambda or a nested function; either that or unpicklable shared state
+    raises :class:`ShardDispatchError` before anything is submitted.
+    """
     try:
-        return pickle.dumps((fn_token(fn), shared),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-    except ShardDispatchError:
-        raise
+        return pickle.dumps((fn, shared), protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         raise ShardDispatchError(
-            f"shared run state for {fn.__qualname__} is not picklable: "
+            f"run header for {fn!r} is not picklable: shard functions "
+            f"must be module-level and the shared run state picklable: "
             f"{exc!r}") from exc
 
 
@@ -95,47 +79,6 @@ def encode_shard_args(args: Tuple[Any, ...], shard_index: int) -> bytes:
     except Exception as exc:
         raise ShardDispatchError(
             f"shard {shard_index} spec is not picklable: {exc!r}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Worker-side caches.
-#
-# These module globals live in the *worker* processes (and, for inline
-# execution, in the parent — the cache key is a content digest, so a
-# stale hit is impossible, only a cheap one).  They are the mechanism
-# that turns "one header blob per chunk" into "one deserialization per
-# worker".
-
-#: digest -> (fn, shared). Decoded run headers.
-_HEADER_CACHE: Dict[bytes, Tuple[Callable[..., Any], Tuple[Any, ...]]] = {}
-
-#: Total header deserializations in this process (test observability).
-_HEADER_LOADS = 0
-
-#: Bound on the cache; two run headers is plenty (one per live run).
-_CACHE_KEEP = 2
-
-
-def decode_header(header: bytes
-                  ) -> Tuple[Callable[..., Any], Tuple[Any, ...]]:
-    """Decode (memoized) one run header into ``(fn, shared)``."""
-    global _HEADER_LOADS
-    digest = hashlib.sha256(header).digest()
-    hit = _HEADER_CACHE.get(digest)
-    if hit is not None:
-        return hit
-    (module, qualname), shared = pickle.loads(header)
-    fn = getattr(importlib.import_module(module), qualname)
-    _HEADER_LOADS += 1
-    _HEADER_CACHE[digest] = (fn, shared)
-    while len(_HEADER_CACHE) > _CACHE_KEEP:  # oldest first: insert order
-        _HEADER_CACHE.pop(next(iter(_HEADER_CACHE)))
-    return fn, shared
-
-
-def header_loads() -> int:
-    """How many run headers this process has deserialized (for tests)."""
-    return _HEADER_LOADS
 
 
 # ---------------------------------------------------------------------------

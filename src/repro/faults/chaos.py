@@ -170,7 +170,7 @@ def run_chaos(plan: FaultPlan, *, seed: int = 0, fault_seed: int = 0,
     """Run the chaos campaign sharded; returns (result, engine report).
 
     The fault plan, retry policy and seeds are shared run state —
-    serialized once per run, decoded once per worker — so each shard's
+    serialized once per run, decoded once per submission — so each shard's
     private spec is just ``(index, size)``.
     """
     policy = retry_policy if retry_policy is not None else CHAOS_RETRY_POLICY

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..net.geo import WORLD_CITIES, City
 from ..net.transport import Network
@@ -46,17 +46,15 @@ class AtlasProbe:
 class AtlasPlatform:
     """A deterministic population of probes spread across the world."""
 
-    def __init__(self, net: Network, probe_count: int = 800, seed: int = 0,
-                 cities: Optional[Sequence[City]] = None):
+    def __init__(self, net: Network, probe_count: int = 800, seed: int = 0):
         self.net = net
         rng = random.Random(seed)
-        cities = list(cities or WORLD_CITIES)
         self.probes: List[AtlasProbe] = []
         # One eyeball AS per country keeps the AS count realistic while the
         # probes themselves spread over every city.
         ases = {}
         for i in range(probe_count):
-            where = rng.choice(cities)
+            where = rng.choice(WORLD_CITIES)
             as_ = ases.get(where.country)
             if as_ is None:
                 as_ = net.topology.create_as(f"AtlasNet-{where.country}",

@@ -45,7 +45,6 @@ class Scanner:
     """Drives the scan from a single vantage machine."""
 
     def __init__(self, universe: ScanUniverse,
-                 inter_query_gap_s: float = 1.0 / 25_000,
                  retry_policy: Optional[RetryPolicy] = None):
         self.universe = universe
         # Default policy: one shot per ingress, like the paper's scan.
@@ -53,7 +52,6 @@ class Scanner:
         # under injected loss.
         self.client = StubClient(universe.scanner_ip, universe.net,
                                  retry_policy=retry_policy)
-        self.inter_query_gap_s = inter_query_gap_s
 
     def scan(self, ingress_ips: Optional[Sequence[str]] = None) -> ScanResult:
         """Probe every ingress once; harvest the authoritative's log."""
@@ -73,7 +71,7 @@ class Scanner:
                                            use_edns=False)
                 if result.response is not None and result.addresses:
                     responding.add(ingress_ip)
-                universe.net.clock.advance(self.inter_query_gap_s)
+                universe.net.clock.advance(1.0 / 25_000)  # 25k queries/s
 
         records = universe.experiment_server.observations[start_index:]
         ecs_ingress: Set[str] = set()

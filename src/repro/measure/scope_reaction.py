@@ -61,8 +61,7 @@ class ScopeReactionProber:
 
     def probe(self, resolver_ip: str,
               phase_scopes: Sequence[int] = (24, 16, 16),
-              queries_per_phase: int = 4,
-              gap_s: float = 30.0) -> ScopeReactionOutcome:
+              queries_per_phase: int = 4) -> ScopeReactionOutcome:
         """Engage ``resolver_ip`` across phases with different scopes.
 
         Each phase uses fresh hostnames (cache misses) so every query
@@ -85,7 +84,7 @@ class ScopeReactionProber:
                     for obs in server.observations[before:]:
                         if obs.has_ecs and obs.ecs_source_len is not None:
                             lengths.append(obs.ecs_source_len)
-                    self.universe.net.clock.advance(gap_s)
+                    self.universe.net.clock.advance(30.0)
                 observed.append(lengths)
         finally:
             server.scope_policy = old_policy

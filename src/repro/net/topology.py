@@ -16,12 +16,12 @@ from typing import Dict, List, Optional
 from ..addr import AddressAllocator, address_text
 from .clock import SimClock
 from .geo import City, GeoDatabase
-from .latency import DEFAULT_LATENCY, LatencyModel
+from .latency import DEFAULT_LATENCY
 
 #: IPv4 space carved up among simulated ASes (public, non-special ranges).
-DEFAULT_V4_SUPERNET = "16.0.0.0/4"
+V4_SUPERNET = "16.0.0.0/4"
 #: IPv6 space for simulated ASes.
-DEFAULT_V6_SUPERNET = "2600::/16"
+V6_SUPERNET = "2600::/16"
 
 
 @dataclass
@@ -95,24 +95,20 @@ class AutonomousSystem:
 class Topology:
     """The placement layer: ASes, the geo database, clock and latency model."""
 
-    def __init__(self, clock: Optional[SimClock] = None,
-                 latency: Optional[LatencyModel] = None,
-                 v4_supernet: str = DEFAULT_V4_SUPERNET,
-                 v6_supernet: str = DEFAULT_V6_SUPERNET):
-        self.clock = clock or SimClock()
-        self.latency = latency or DEFAULT_LATENCY
+    def __init__(self):
+        self.clock = SimClock()
+        self.latency = DEFAULT_LATENCY
         self.geo = GeoDatabase()
         self.host_as: Dict[str, AutonomousSystem] = {}
         self.host_city: Dict[str, City] = {}
         self._ases: Dict[int, AutonomousSystem] = {}
-        self._v4_pool = AddressAllocator(v4_supernet)
-        self._v6_pool = AddressAllocator(v6_supernet)
+        self._v4_pool = AddressAllocator(V4_SUPERNET)
+        self._v6_pool = AddressAllocator(V6_SUPERNET)
         self._asn_counter = itertools.count(64500)
 
     def create_as(self, name: str, country: str,
                   asn: Optional[int] = None,
-                  v4_prefixlen: int = 16,
-                  v6_prefixlen: int = 32) -> AutonomousSystem:
+                  v4_prefixlen: int = 16) -> AutonomousSystem:
         """Register a new AS with its own slice of address space."""
         if asn is None:
             asn = next(self._asn_counter)
@@ -120,7 +116,7 @@ class Topology:
             raise ValueError(f"AS{asn} already registered")
         as_ = AutonomousSystem(asn, name, country, self,
                                self._v4_pool.subnet(v4_prefixlen),
-                               self._v6_pool.subnet(v6_prefixlen))
+                               self._v6_pool.subnet(32))
         self._ases[asn] = as_
         return as_
 
@@ -145,9 +141,9 @@ class Topology:
             return None
         return a.distance_km(b)
 
-    def rtt_ms(self, ip_a: str, ip_b: str, rng=None, default_km: float = 2000.0) -> float:
-        """Model RTT between two hosts (falls back to ``default_km``)."""
+    def rtt_ms(self, ip_a: str, ip_b: str, rng=None) -> float:
+        """Model RTT between two hosts (2,000 km apart if one is unplaced)."""
         dist = self.distance_km(ip_a, ip_b)
         if dist is None:
-            dist = default_km
+            dist = 2000.0
         return self.latency.rtt_ms(dist, rng)

@@ -170,9 +170,9 @@ class Network:
 
     # -- registry ----------------------------------------------------------
 
-    def attach(self, endpoint: Endpoint, ip: Optional[str] = None) -> None:
-        """Register ``endpoint`` at its IP (or an explicit alias address)."""
-        self._endpoints[ip or endpoint.ip] = endpoint
+    def attach(self, endpoint: Endpoint) -> None:
+        """Register ``endpoint`` at its IP."""
+        self._endpoints[endpoint.ip] = endpoint
 
     def detach(self, ip: str) -> None:
         self._endpoints.pop(ip, None)

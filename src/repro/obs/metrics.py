@@ -45,7 +45,8 @@ class Counter:
     kind = "counter"
 
     def __init__(self, name: str, help: str = "",
-                 labelnames: Sequence[str] = ()) -> None:
+                 labelnames: Sequence[str] = ()  # repro-lint: disable=RS007 (_get_or_create passes it)
+                 ) -> None:
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
@@ -85,7 +86,8 @@ class Gauge:
     kind = "gauge"
 
     def __init__(self, name: str, help: str = "",
-                 labelnames: Sequence[str] = (), mode: str = "sum") -> None:
+                 labelnames: Sequence[str] = (),  # repro-lint: disable=RS007 (_get_or_create passes it)
+                 mode: str = "sum") -> None:
         if mode not in ("sum", "max"):
             raise ValueError(f"unknown gauge merge mode {mode!r}")
         self.name = name
@@ -139,7 +141,7 @@ class Histogram:
     kind = "histogram"
 
     def __init__(self, name: str, help: str = "",
-                 labelnames: Sequence[str] = (),
+                 labelnames: Sequence[str] = (),  # repro-lint: disable=RS007 (_get_or_create passes it)
                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
         self.name = name
         self.help = help

@@ -89,7 +89,8 @@ class TelemetryServer:
         server.stop()
     """
 
-    def __init__(self, sink: LiveSink, host: str = "127.0.0.1",
+    def __init__(self, sink: LiveSink,
+                 host: str = "127.0.0.1",  # repro-lint: disable=RS007 (a deployment address)
                  port: int = 0) -> None:
         self.sink = sink
         self.host = host

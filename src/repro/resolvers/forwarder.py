@@ -33,22 +33,21 @@ DEFAULT_FORWARDER_RETRY_POLICY = RetryPolicy(tcp_on_truncation=False)
 class Forwarder(DnsServer):
     """Stateless query forwarder (ingress resolver or hidden resolver).
 
-    ``strip_ecs`` models simple devices that drop unknown EDNS options;
-    the default passes any client-supplied ECS through untouched ("blindly
+    It passes any client-supplied ECS through untouched ("blindly
     forward"), which is what lets the caching-behavior experiments inject
-    arbitrary prefixes through some resolution paths.
+    arbitrary prefixes through some resolution paths.  A device that
+    drops unknown EDNS options is a fault on its link
+    (:class:`~repro.faults.EcsStripSpec`), not a forwarder.
     """
 
     span_name = "forward"
 
     def __init__(self, ip: str, upstreams: Sequence[str],
-                 strip_ecs: bool = False,
                  retry_policy: Optional[RetryPolicy] = None):
         super().__init__(ip, log_queries=False)
         if not upstreams:
             raise ValueError("a forwarder needs at least one upstream")
         self.upstreams = list(upstreams)
-        self.strip_ecs = strip_ecs
         self.retry_policy = retry_policy or DEFAULT_FORWARDER_RETRY_POLICY
         self._msg_ids = itertools.count(1)
         self.forwarded = 0
@@ -59,14 +58,12 @@ class Forwarder(DnsServer):
         reg = _obs_metrics.ACTIVE
         if reg is not None:
             reg.counter("repro_forwarder_forwarded_total",
-                        "Queries passed upstream, by ECS handling.",
-                        ("ecs_handling",)).inc(
-                1, "strip" if self.strip_ecs else "pass")
+                        "Queries passed upstream.").inc(1)
 
         def make_query(edns_ok: bool, ecs_ok: bool) -> Message:
             msg = query.copy()
             msg.msg_id = next(self._msg_ids) & 0xFFFF
-            if self.strip_ecs or not ecs_ok:
+            if not ecs_ok:
                 msg.set_ecs(None)
             if not edns_ok:
                 msg.edns = None

@@ -14,8 +14,9 @@ every change instead of relying on review discipline:
   text report.
 - :mod:`repro.staticcheck.rules` — the per-file rules RS001-RS003,
   RS005, RS006 (unused import) and RS204 (obs-slot escape), the non-AST
-  Prometheus exposition rule RS100, and RS203, which checks across the
-  run's files that every merge method is called somewhere.
+  Prometheus exposition rule RS100, and RS007 and RS203, which check
+  across the run's files that every default is set and every merge
+  method called somewhere.
 
 It has no settings: every rule runs on every file.  Run it as
 ``python -m repro.staticcheck src/repro``; see ``docs/static-analysis.md``

@@ -2,7 +2,7 @@
 
 Exit status: 0 clean, 1 violations found, 2 usage error.  Every run is
 one pass of :func:`repro.staticcheck.core.lint_paths`: every rule on
-every file, then RS203 over every file named on the command line.
+every file, then RS007 and RS203 over every file it names.
 """
 
 from __future__ import annotations

@@ -107,6 +107,7 @@ class LintContext:
         self.path = path
         self.source = source
         self.tree = tree
+        self.parts = tuple(parts)
         name = parts[-1] if parts else ""
         self.is_test = (not _TEST_DIRS.isdisjoint(parts)
                         or name == "conftest.py"

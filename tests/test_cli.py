@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 import re
@@ -17,6 +18,13 @@ from repro.datasets.columnar import (RowGroupReader, convert_columnar,
 from repro.obs.export import parse_prometheus, write_text_atomic
 
 from builder_reference import merged_records
+
+
+def _report_digests(out_dir: Path) -> dict:
+    """SHA-256 of every report a command wrote under ``out_dir``."""
+    return {str(path.relative_to(out_dir)):
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out_dir.rglob("*.txt"))}
 
 
 class TestParser:
@@ -83,37 +91,72 @@ class TestReporter:
 
 
 class TestCommands:
-    def test_census_prints_reports(self, capsys):
-        rc = main(["--seed", "2", "census", "--scale", "0.004",
-                   "--hours", "1"])
+    def test_census_prints_reports(self, tmp_path, capsys):
+        rc = main(["--seed", "2", "--out", str(tmp_path), "census",
+                   "--scale", "0.004", "--hours", "1"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "probing strategies" in out
         assert "Table 1" in out
         assert "root-server ECS violations" in out
+        assert _report_digests(tmp_path) == {
+            "probing.txt": "46a9fa36b0e0ba13f7c5b5b020072bf1"
+                           "43abe238fa9b01483cc9e691ad85e388",
+            "root_violations.txt": "47ce56b0ea915c8266a75db9a2398a62"
+                                   "7b899a0f1f9835e19b15e6414fac4fdc",
+            "table1_cdn.txt": "033ac6f8ff4da5298f5f8a11cc698455"
+                              "a11c2da8317fec0689d3e629db741e2b",
+        }
 
-    def test_caching_command(self, capsys):
-        rc = main(["--seed", "2", "caching", "--ingress", "30"])
+    def test_caching_command(self, tmp_path, capsys):
+        rc = main(["--seed", "2", "--out", str(tmp_path), "caching",
+                   "--ingress", "30"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "caching behavior classes" in out
+        assert _report_digests(tmp_path) == {
+            "caching_behavior.txt": "619b4665e18b99831a5aae23476d34a2"
+                                    "2f03fafa9c5eadb14461ae4b811b6761",
+            "network_caching.txt": "cfd15ab349f9f23966ebcd7d8abfb4a0"
+                                   "b0dfd067056813799ab33399cf627638",
+        }
 
     def test_scan_command_writes_reports(self, tmp_path, capsys):
         rc = main(["--seed", "2", "--out", str(tmp_path), "scan",
                    "--ingress", "40"])
         assert rc == 0
-        written = {p.name for p in tmp_path.glob("*.txt")}
-        assert {"scan_summary.txt", "discovery.txt", "table1_scan.txt",
-                "hidden.txt"} <= written
         assert "Scan dataset" in capsys.readouterr().out
+        assert _report_digests(tmp_path) == {
+            "discovery.txt": "9040fa4d56fcd87f50646618470316fa"
+                             "6f14281ba9a6161ec9bef078463904d6",
+            "hidden.txt": "cc849b096a5fd263efd37bb7fa3c3615"
+                          "e3cd83b12722774dcb18cdaabc62674f",
+            "network_scan.txt": "88206f45c7d3afe7156f0f46cad79bac"
+                                "b30bfcd509c07d55599fbd4a63e1bef9",
+            "scan_summary.txt": "cd367efe07f5020599c1483a1b784bd7"
+                                "fa1911373b23b667d214cee7b78d7160",
+            "table1_scan.txt": "213e7b27b54566e6bd4fe278dc2188be"
+                               "ee74be0f90d03f0d108e8c8198d92afb",
+        }
 
-    def test_pitfalls_command(self, capsys):
-        rc = main(["--seed", "2", "pitfalls", "--probes", "25"])
+    def test_pitfalls_command(self, tmp_path, capsys):
+        rc = main(["--seed", "2", "--out", str(tmp_path), "pitfalls",
+                   "--probes", "25"])
         out = capsys.readouterr().out
         assert rc == 0
         assert "Table 2" in out
         assert "FIG6" in out and "FIG7" in out
         assert "penalty" in out
+        assert _report_digests(tmp_path) == {
+            "fig6.txt": "9c48c33fb89c853a57e6a00b8b678915"
+                        "bdef28bdb415e55f0fe10bec31340948",
+            "fig7.txt": "df468e08e385a03fcf07ec417f42c4bb"
+                        "6fb5a9b0fe1208dae5ed26b158e92006",
+            "fig8.txt": "ca19781ba80ef04c4439cadee2cc901a"
+                        "e8e4a45c397e7045e34d4231b4b03ad2",
+            "table2.txt": "c1689450e1b8ed1c92b77d3f4e403902"
+                          "6b7eb0647b049bed5779aa311f9bebaf",
+        }
 
     def test_blowup_command(self, capsys):
         rc = main(["--seed", "2", "blowup", "--scale", "0.002",

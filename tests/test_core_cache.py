@@ -289,14 +289,6 @@ class TestDeviantCaches:
         assert cache.store(QNAME, RecordType.A, msg, ecs) is False
         assert cache.size() == 0
 
-    def test_max_ttl_cap(self):
-        clock = SimClock()
-        cache = EcsCache(clock, max_ttl=10)
-        msg, ecs = response_with(scope=24, ttl=300)
-        cache.store(QNAME, RecordType.A, msg, ecs)
-        clock.advance(11)
-        assert cache.lookup(QNAME, RecordType.A, "192.0.2.1") is None
-
 
 class TestScopeTracker:
     def test_plain_mode_single_entry(self):

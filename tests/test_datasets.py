@@ -13,7 +13,8 @@ from repro.core.classify import classify_probing, prefix_length_profile
 from repro.datasets import (AllNamesBuilder, CdnDatasetBuilder,
                             RootTraceBuilder, ScanUniverseBuilder, ZipfSampler,
                             poisson_arrivals, write_jsonl)
-from repro.datasets.allnames import _Clients, _sld_of
+from repro.datasets.allnames import (CLIENT_ALPHA, ZIPF_ALPHA, _Clients,
+                                     _sld_of)
 from repro.datasets.ditl import count_root_ecs_violators
 from repro.datasets.records import AllNamesRecord, CdnQueryRecord
 from repro.datasets.workload import COLUMN_CHUNK_ROWS, SldPolicy
@@ -132,9 +133,9 @@ def _allnames_column_chunks_rowwise(builder, world, rng, lo, hi):
                       (policy.scope, 0 if policy.scope == 0 else 48)))
     all_clients = [(client, 28, 1) if ":" in client else (client, 1, 0)
                    for client in clients.all_clients]
-    sample_name = ZipfSampler(len(names), builder.zipf_alpha).sample
+    sample_name = ZipfSampler(len(names), ZIPF_ALPHA).sample
     sample_client = ZipfSampler(len(all_clients),
-                                builder.client_alpha).sample
+                                CLIENT_ALPHA).sample
     expovariate = rng.expovariate
     step = builder.duration_s / builder.total_queries
     t = lo * step

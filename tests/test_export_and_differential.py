@@ -10,6 +10,7 @@ from repro.analysis import (analyze_hidden_resolvers, export_all,
                             export_fig1, export_fig2, export_fig3,
                             export_fig45, export_fig67, client_sweep,
                             fig1_series, fig2_series, fig3_series)
+from repro.analysis.export import _write_rows
 from repro.analysis.mapping_quality import (MappingQualityLab,
                                             measure_mapping_quality)
 from repro.core import EcsCache
@@ -72,6 +73,20 @@ class TestExports:
         written = export_all(tmp_path / "figures", fig1=series)
         assert written == ["fig1_blowup_cdf.csv"]
         assert (tmp_path / "figures" / "fig1_blowup_cdf.csv").exists()
+
+    def test_interrupted_export_leaves_the_old_file(self, tmp_path):
+        """A row the CSV writer cannot render, after one it wrote: the
+        destination keeps its old bytes and no ``.tmp`` is left."""
+        class Unrenderable:
+            def __str__(self):
+                raise RuntimeError("interrupted")
+
+        path = tmp_path / "fig2.csv"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError, match="interrupted"):
+            _write_rows(path, ("a", "b"), [(1, 2), (Unrenderable(), 3)])
+        assert path.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestCacheDifferential:

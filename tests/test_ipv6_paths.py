@@ -38,7 +38,6 @@ class TestAaaaResolution:
         world, v6_client = v6_world
         # Same /48 → shared entry; different /48 → miss.
         sibling = v6_client.rsplit(":", 1)[0] + ":beef"
-        world.cdn.scope_v6 = 48
         StubClient(v6_client, world.net).query(world.resolver_ip,
                                                "video.cdn.example")
         count = world.cdn.queries_received

@@ -437,12 +437,10 @@ def test_run_sharded_payload_accounting():
     """Pooled dispatch records per-shard payload bytes; inline records 0."""
     spec = _spec("public-cdn")
     _, inline_report = fig1_sharded(spec, (20,), workers=1)
-    assert inline_report.pool_mode == "inline"
     assert inline_report.payload_bytes == 0
     assert inline_report.header_bytes == 0
     with WorkerPool(2):
         _, pooled_report = fig1_sharded(spec, (20,), workers=2)
-    assert pooled_report.pool_mode == "persistent"
     assert pooled_report.header_bytes > 0
     assert all(s.payload_bytes > 0 for s in pooled_report.shards)
     # The whole point: per-shard specs are tiny, not record-list-sized.

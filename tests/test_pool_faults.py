@@ -4,8 +4,8 @@ A parallel engine earns trust by how it fails: a dead worker must
 surface as a prompt, attributable error (never a hang), a poisoned shard
 spec must fail fast in the parent naming the shard, and the pool must
 shut down idempotently.  This suite also pins the serialization economics
-the protocol exists for — shared run state pickled once per run and
-decoded once per worker, no matter how many chunks the run dispatches.
+the protocol exists for — shared run state pickled once per run, no
+matter how many chunks the run dispatches.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import pytest
 from repro.engine import (PoolShutdownError, ShardDispatchError,
                           WorkerCrashError, WorkerPool, run_sharded)
 from repro.engine import pool as pool_mod
-from repro.engine.pool import (decode_header, encode_header,
-                               encode_shard_args, fn_token, header_loads)
+from repro.engine.pool import encode_shard_args
 from repro.obs import live as obs_live
 from repro.obs.live import LiveSink
 
@@ -39,12 +38,6 @@ def _exit_worker(target: int, shard_index: int) -> int:
     if shard_index == target:
         os._exit(13)
     return shard_index
-
-
-def _report_header_loads(tag: str, shard_index: int) -> int:
-    """Returns how many run headers this process has ever decoded."""
-    del tag, shard_index
-    return header_loads()
 
 
 class CountingState:
@@ -112,7 +105,7 @@ def test_persistent_pool_recovers_after_crash():
         results, report = run_sharded(_double, [(i,) for i in range(4)],
                                       workers=2)
         assert results == [0, 2, 4, 6]
-        assert report.pool_mode == "persistent"
+        assert report.header_bytes > 0  # it ran pooled
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +178,22 @@ def test_unpicklable_shared_state_fails_fast():
                     shared=(threading.Lock(),))
 
 
-def test_fn_token_rejects_unaddressable_functions():
-    with pytest.raises(ShardDispatchError, match="module-level"):
-        fn_token(lambda x: x)
-
+def test_unaddressable_worker_function_fails_fast():
+    """Pickle stores the worker function by reference, so a lambda or a
+    nested function cannot cross the pool: dispatch refuses it in the
+    parent, naming the function, before any worker is spawned."""
     def nested(x: int) -> int:
         return x
 
-    with pytest.raises(ShardDispatchError, match="module-level"):
-        fn_token(nested)
-    assert fn_token(_double) == (__name__, "_double")
+    with WorkerPool(2) as pool:
+        for fn in (lambda x: x, nested):
+            with pytest.raises(ShardDispatchError, match="module-level"):
+                run_sharded(fn, [(0,), (1,)], workers=2)
+        assert pool._executor is None
 
 
 # ---------------------------------------------------------------------------
-# Serialization economics: once per run, once per worker.
+# Serialization economics: once per run.
 
 
 def test_shared_state_pickled_once_per_run_despite_many_chunks():
@@ -210,39 +205,6 @@ def test_shared_state_pickled_once_per_run_despite_many_chunks():
                                  workers=2, shared=(state,))
     assert results == [f"shared:{i}" for i in range(8)]
     assert CountingState.serializations == 1
-
-
-def test_header_decoded_once_per_worker_not_per_chunk():
-    """Every worker reports exactly one header load for the whole run.
-
-    Workers fork with the parent's load counter at some baseline; eight
-    single-shard chunks through two workers must each see baseline + 1 —
-    the memoized decode — never one load per chunk.
-    """
-    baseline = header_loads()
-    with WorkerPool(2):
-        results, _ = run_sharded(_report_header_loads,
-                                 [(i,) for i in range(8)], workers=2,
-                                 shared=("run-tag",))
-    assert set(results) == {baseline + 1}
-
-
-def test_decode_header_memoizes_by_content():
-    loads_before = header_loads()
-    header = encode_header(_double, ("memo-test",))
-    first = decode_header(header)
-    assert decode_header(header) == first
-    # Cache hits return the stored object without touching pickle.
-    assert decode_header(header) is decode_header(header)
-    assert header_loads() == loads_before + 1
-    assert first[0] is _double
-    assert first[1] == ("memo-test",)
-
-
-def test_worker_caches_stay_bounded():
-    for i in range(6):
-        decode_header(encode_header(_double, (f"evict-{i}",)))
-    assert len(pool_mod._HEADER_CACHE) <= pool_mod._CACHE_KEEP
 
 
 def test_encode_shard_args_roundtrip_and_payload_is_compact():

@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.poisoning import (compare_blast_radius,
                                       poisoning_report,
                                       run_poisoning_experiment)
-from repro.analysis.privacy import (DEFAULT_STRATEGIES, _count_client_bits,
+from repro.analysis.privacy import (STRATEGIES, _count_client_bits,
                                     run_privacy_study)
 from repro.auth import CdnAuthoritative, build_edge_pools
 from repro.auth.server import AuthLogRecord
@@ -41,7 +41,7 @@ class TestPrivacyStudy:
 
     def test_all_strategies_covered(self, study):
         assert set(study.by_strategy()) == \
-            {name for name, _ in DEFAULT_STRATEGIES}
+            {name for name, _ in STRATEGIES}
 
     def test_always_ecs_leaks_to_plain_servers(self, study):
         always = study.by_strategy()["always_ecs"]

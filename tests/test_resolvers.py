@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dnslib import EcsOption, Name, Rcode
+from repro.faults import EcsStripSpec, FaultPlan
 from repro.measure import StubClient
 from repro.net import city
 from repro.resolvers import (Forwarder, PublicDnsService, RecursiveResolver,
@@ -233,9 +234,12 @@ class TestForwarder:
         assert result.response.msg_id is not None
 
     def test_strip_ecs(self, small_world):
+        """An ECS-stripping middlebox between forwarder and resolver: the
+        client's answer comes back without ECS."""
         fwd_ip = small_world.isp.host_in(city("Cleveland"))
-        fwd = Forwarder(fwd_ip, [small_world.resolver_ip], strip_ecs=True)
-        small_world.net.attach(fwd)
+        small_world.net.attach(Forwarder(fwd_ip, [small_world.resolver_ip]))
+        strip = EcsStripSpec(probability=1.0, dst=small_world.resolver_ip)
+        small_world.net.install_injector(FaultPlan("strip", (strip,)).bind(0))
         client = StubClient(small_world.client_ip, small_world.net)
         ecs = EcsOption.from_client_address("16.99.0.0", 24)
         result = client.query(fwd_ip, CDN_NAME, ecs=ecs)

@@ -29,6 +29,10 @@ from repro.staticcheck.rules.merge import MERGE_METHODS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_PATH = "src/repro/example.py"
+#: Every rule but RS007, which needs the callers in tests, benchmarks and
+#: examples that a run over part of ``src/repro`` leaves out (CI lints
+#: the whole tree with every rule).
+WITHOUT_RS007 = [rule_id for rule_id in all_rule_ids() if rule_id != "RS007"]
 
 
 def ids_of(violations):
@@ -426,7 +430,7 @@ class TestMergeCalledRule:
 
     def test_rule_universe_includes_graph_rules(self):
         graph_ids = [rule.id for rule in graph_rules()]
-        assert graph_ids == ["RS203"]
+        assert graph_ids == ["RS007", "RS203"]
         assert set(graph_ids) <= set(all_rule_ids())
 
     def test_src_repro_is_graph_clean(self):
@@ -445,8 +449,86 @@ class TestMergeCalledRule:
                              for stmt in node.body)]
         assert "ReplayPartial" in mergeable
         assert len(mergeable) > 3
+        # RS007 needs the callers in tests and examples; see the RS007
+        # suite and the CI lint of the whole tree.
         for rule in graph_rules():
-            assert rule.check_trees(files) == [], rule.id
+            if rule.id != "RS007":
+                assert rule.check_trees(files) == [], rule.id
+
+
+# ---------------------------------------------------------------------------
+# RS007 — unset-parameter (a graph rule over every file of the run)
+
+
+SCANNER = """class Scanner:
+    def __init__(self, universe, gap_s: float = 1.0):
+        self.universe = universe
+        self.gap_s = gap_s
+
+    def scan(self, targets, rounds: int = 1):
+        return [targets] * rounds
+
+
+def pace(rate, burst=4):
+    return rate * burst
+"""
+
+
+def lint_program(root: Path, package: str, callers: str,
+                 test_source: str = "") -> List[str]:
+    """Lint a ``repro`` package, an ``examples`` caller and a test."""
+    for directory, name, source in (("repro", "scanner.py", package),
+                                     ("examples", "use.py", callers),
+                                     ("tests", "test_use.py", test_source)):
+        (root / directory).mkdir(exist_ok=True)
+        (root / directory / name).write_text(source, encoding="utf-8")
+    violations = lint_paths([root / "repro", root / "examples",
+                             root / "tests"])[0]
+    return [f"{v.rule_id}:{v.message.split('(')[1].split('=')[0]}"
+            if v.rule_id == "RS007" else v.rule_id for v in violations]
+
+
+class TestUnsetParameterRule:
+    CALLS = "s = Scanner(u)\ns.scan(t)\npace(9)\n"
+
+    def test_parameters_no_call_passes_are_flagged(self, tmp_path):
+        assert lint_program(tmp_path, SCANNER, self.CALLS) == [
+            "RS007:gap_s", "RS007:rounds", "RS007:burst"]
+
+    def test_set_by_keyword_anywhere(self, tmp_path):
+        callers = self.CALLS + "Scanner(u, gap_s=0.5)\nother(rounds=2)\n"
+        assert lint_program(tmp_path, SCANNER, callers) == ["RS007:burst"]
+
+    def test_set_by_position_on_a_callee_of_its_name(self, tmp_path):
+        callers = self.CALLS + "Scanner(u, 0.5)\ns.scan(t, 2)\nrate(9, 8)\n"
+        assert lint_program(tmp_path, SCANNER, callers) == ["RS007:burst"]
+
+    def test_a_splat_passes_everything(self, tmp_path):
+        callers = self.CALLS + "Scanner(*args)\npace(9, **opts)\n"
+        assert lint_program(tmp_path, SCANNER, callers) == ["RS007:rounds"]
+
+    def test_callers_in_tests_count_and_test_defaults_do_not(self, tmp_path):
+        test_source = ("def helper(x=1):\n    return x\n\n\n"
+                       "def test_it():\n    assert pace(1, 2) == 2\n")
+        assert lint_program(tmp_path, SCANNER, self.CALLS, test_source) == [
+            "RS007:gap_s", "RS007:rounds"]
+
+    def test_private_names_are_exempt(self, tmp_path):
+        source = ("def _pace(rate, burst=4):\n    return rate\n\n\n"
+                  "class _Hidden:\n    def __init__(self, x=1):\n"
+                  "        self.x = x\n")
+        assert lint_program(tmp_path, source, "") == []
+
+    def test_suppression_states_a_reason(self, tmp_path):
+        source = SCANNER.replace(
+            "def pace(rate, burst=4):",
+            "def pace(rate,\n"
+            "         burst=4):  # repro-lint: disable=RS007 (an API)")
+        assert lint_program(tmp_path, source, self.CALLS) == [
+            "RS007:gap_s", "RS007:rounds"]
+        # Once a caller sets it, the comment holds nothing.
+        assert lint_program(tmp_path, source, self.CALLS + "pace(1, 2)\n") \
+            == ["RS007:gap_s", "RS007:rounds", UNUSED_ID]
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +812,8 @@ class TestReporters:
 
 
 def test_self_lint_src_repro_is_clean():
-    violations, files = lint_paths([REPO_ROOT / "src" / "repro"])
+    violations, files = lint_paths([REPO_ROOT / "src" / "repro"],
+                                   rule_ids=WITHOUT_RS007)
     assert files > 50
     assert violations == [], "\n" + render_text(violations, files)
 
@@ -860,7 +943,8 @@ class TestCli:
 
     def test_rule_catalogue(self):
         assert all_rule_ids() == ["RS001", "RS002", "RS003", "RS005",
-                                  "RS006", "RS100", "RS203", "RS204"]
+                                  "RS006", "RS007", "RS100", "RS203",
+                                  "RS204"]
 
     def test_repro_cli_has_no_lint_subcommand(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -953,4 +1037,5 @@ class TestPathRoles:
 
     def test_obs_module_named_directly_is_clean(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
-        assert lint_paths(["src/repro/obs/live.py"]) == ([], 1)
+        assert lint_paths(["src/repro/obs/live.py"],
+                          rule_ids=WITHOUT_RS007) == ([], 1)
