@@ -47,8 +47,7 @@ class FlatteningLab:
     www: Name
 
     @classmethod
-    def build(cls, forward_ecs: bool = False,
-              seed: int = 0) -> "FlatteningLab":
+    def build(cls, forward_ecs: bool = False) -> "FlatteningLab":
         topology = Topology()
         net = Network(topology)
         infra = topology.create_as("infra", "US")

@@ -22,6 +22,9 @@ from ..dnslib import (CNAME, EcsOption, Message, Name, Rcode, RecordType,
 from ..net.transport import Network
 from .server import DnsServer
 
+#: TTL of the ``www`` CNAME, and the cap on a flattened record's TTL.
+TTL = 60
+
 
 class FlatteningProvider(DnsServer):
     """Authoritative for a customer zone, onboarded to a CDN.
@@ -36,7 +39,7 @@ class FlatteningProvider(DnsServer):
 
     def __init__(self, ip: str, zone_apex: Name, cdn_auth_ip: str,
                  apex_target: Name, www_target: Name,
-                 forward_ecs: bool = False, ttl: int = 60):
+                 forward_ecs: bool = False):
         super().__init__(ip)
         self.zone_apex = zone_apex
         self.www_name = zone_apex.child("www")
@@ -44,7 +47,6 @@ class FlatteningProvider(DnsServer):
         self.apex_target = apex_target
         self.www_target = www_target
         self.forward_ecs = forward_ecs
-        self.ttl = ttl
         self.backend_queries = 0
 
     def _flatten(self, qtype: RecordType, incoming_ecs: Optional[EcsOption],
@@ -59,7 +61,7 @@ class FlatteningProvider(DnsServer):
         outcome = net.query(self.ip, self.cdn_auth_ip, backend_query)
         if outcome.response is None:
             return []
-        return [ResourceRecord(self.zone_apex, rr.rdtype, min(rr.ttl, self.ttl),
+        return [ResourceRecord(self.zone_apex, rr.rdtype, min(rr.ttl, TTL),
                                rr.rdata)
                 for rr in outcome.response.answers if rr.rdtype == qtype]
 
@@ -86,7 +88,7 @@ class FlatteningProvider(DnsServer):
 
         if qname == self.www_name and qtype in (RecordType.A, RecordType.AAAA):
             response.answers.append(ResourceRecord(
-                qname, RecordType.CNAME, self.ttl, CNAME(self.www_target)))
+                qname, RecordType.CNAME, TTL, CNAME(self.www_target)))
             return response
 
         response.rcode = Rcode.NXDOMAIN

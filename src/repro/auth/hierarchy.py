@@ -15,7 +15,7 @@ from ..dnslib import A, NS, Name, RecordType, Zone
 from ..net.geo import City, city
 from ..net.topology import AutonomousSystem
 from ..net.transport import Network
-from .server import AuthoritativeServer, ScopeFunction
+from .server import AuthoritativeServer
 
 
 class DnsHierarchy:
@@ -69,13 +69,12 @@ class DnsHierarchy:
             parent.add(zone_origin, RecordType.NS, NS(ns_name))
             parent.add(ns_name, RecordType.A, A(ip))
 
-    def host_zone(self, zone: Zone, location: Optional[City] = None,
-                  ecs_scope: Optional[ScopeFunction] = None
-                  ) -> AuthoritativeServer:
+    def host_zone(self, zone: Zone,
+                  location: Optional[City] = None) -> AuthoritativeServer:
         """Spin up an authoritative server for ``zone`` and delegate to it."""
         where = location or self._root_city
         server_ip = self.infra_as.host_in(where)
-        server = AuthoritativeServer(server_ip, [zone], ecs_scope=ecs_scope)
+        server = AuthoritativeServer(server_ip, [zone])
         self.net.attach(server)
         self.delegate(zone.origin, [server_ip])
         return server

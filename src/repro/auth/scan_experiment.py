@@ -69,13 +69,11 @@ class ScanExperimentServer(DnsServer):
 
     span_name = "authoritative"
 
-    def __init__(self, ip: str, domain: Name, answer_address: str,
-                 ttl: int = 60):
+    def __init__(self, ip: str, domain: Name, answer_address: str):
         # ``observations`` is this server's one log.
         super().__init__(ip, log_queries=False)
         self.domain = domain
         self.answer_address = answer_address
-        self.ttl = ttl
         self.scope_policy = source_minus(4)
         self.observations: List[ScanQueryRecord] = []
 
@@ -100,7 +98,7 @@ class ScanExperimentServer(DnsServer):
 
         if query.question.qtype == RecordType.A:
             response.answers.append(ResourceRecord(
-                qname, RecordType.A, self.ttl, A(self.answer_address)))
+                qname, RecordType.A, 60, A(self.answer_address)))
         if ecs is not None and response.edns is not None:
             response.set_ecs(ecs.response_to(self.scope_policy(ecs)))
         return response

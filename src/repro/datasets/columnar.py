@@ -1083,7 +1083,7 @@ class RowGroupReader:
     The file maps once and each row group is exposed as a zero-copy
     :class:`ColumnarStore` over its own segments, so streaming consumers
     (merge, conversion, replay) hold one group at a time; :meth:`walk`
-    also drops each group's pages once it is done.
+    and the shard merge also drop each group's pages once done.
     Group stores are built on demand and not memoized — sequential
     scans drop each group's decoded dictionaries as they go, which is
     what keeps reader memory bounded.
@@ -1695,8 +1695,9 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
     Rows merge by ``(ts, shard index, row index)`` — ties break toward
     the earlier shard, a stable sort of the shards' concatenation — and
     the bytes equal the per-row reference merge kept next to its
-    test in ``tests/test_columnar.py``.  One group per shard is held,
-    and rows move in two kinds of step:
+    test in ``tests/test_columnar.py``.  One group per shard is held:
+    a group's mapped pages are released (:meth:`RowGroupReader._release`)
+    when the merge moves past it.  Rows move in two kinds of step:
 
     * a *run*: the head shard's rows that sort before every other
       shard's head, found by bisecting its ts column, go by range.
@@ -1745,6 +1746,7 @@ def merge_columnar_shards(paths: Sequence[Union[str, Path]],
             nonlocal merged_groups
             if stores[shard] is not None:
                 stores[shard].close()
+                readers[shard]._release(group_of[shard])
                 merged_groups += 1
             reader = readers[shard]
             while group_of[shard] + 1 < reader.group_count:

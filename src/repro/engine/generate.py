@@ -109,9 +109,10 @@ def generate_columnar(spec: ShardSpec, out_path: Union[str, Path],
     when it is not) and returns only its count.  The parent merges the
     shard files on ``(ts, shard index, row index)``
     (:func:`repro.datasets.columnar.merge_columnar_shards`, one group
-    per shard in memory) into one file holding the canonical record
-    order, removes them — also when a worker or the merge raises — and
-    checks the merged count against the workers' counts.
+    per shard resident: a group's mapped pages go once the merge
+    passes it) into one file in the canonical record order, removes
+    them — also when a worker or the merge raises — and checks the
+    merged count against the workers' counts.
     ``schema`` defaults to the spec's builder name; pass it explicitly
     for builders registered outside
     :data:`~repro.datasets.columnar.SCHEMAS` whose records use

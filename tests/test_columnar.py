@@ -14,7 +14,9 @@ The store's contract has four layers, each pinned here:
   than the trace) round-trip value-identically with group-local
   dictionaries remapped on read; the merge writes the bytes of the
   per-row heapq reference (group copies included) on overlapping-ts
-  fixtures and on drawn shards with heavy ts ties; a pre-bucketed file
+  fixtures and on drawn shards with heavy ts ties; the merge and
+  ``walk`` release each group's pages once, in order, before the next
+  group is opened; a pre-bucketed file
   replays like its flat source; an interrupted writer leaves no file
   behind.
 * **One parser** — a damaged header, hostile bucket tags and a
@@ -864,6 +866,75 @@ def test_group_merge_v2_output_layout(tmp_path):
     with RowGroupReader(out) as reader:
         assert all(reader.group_rows(i) <= 25
                    for i in range(reader.group_count))
+
+
+def _page_log(monkeypatch):
+    """Log every ``RowGroupReader.group`` and ``_release`` call as
+    ``(file name, "open" | "release", group)``, and every window the
+    merge sorts as ``"window"``; the spies call through."""
+    log = []
+
+    def spy(name, original):
+        def logged(reader, index):
+            log.append((reader.path.name, name, index))
+            return original(reader, index)
+        return logged
+
+    monkeypatch.setattr(RowGroupReader, "group",
+                        spy("open", RowGroupReader.group))
+    monkeypatch.setattr(RowGroupReader, "_release",
+                        spy("release", RowGroupReader._release))
+    sort = columnar._stable_ts_order
+    monkeypatch.setattr(columnar, "_stable_ts_order",
+                        lambda store: log.append("window") or sort(store))
+    return log
+
+
+def _opened_then_released(log, paths):
+    """Assert that each file's groups were opened in file order and each
+    released once, before the next was opened."""
+    for path in paths:
+        with RowGroupReader(path) as reader:
+            count = reader.group_count
+        assert [entry[1:] for entry in log if entry[0] == path.name] == [
+            (step, group) for group in range(count)
+            for step in ("open", "release")]
+
+
+@pytest.mark.parametrize("schema,offset,windows", (
+    ("allnames", 1000.0, False), ("public-cdn", 0.0, True),
+), ids=("time-windows", "overlapping"))
+def test_merge_releases_each_group_before_the_next(schema, offset, windows,
+                                                   tmp_path, monkeypatch):
+    """The merge drops a shard group's mapped pages once it has moved
+    past it: time-window shards (runs and group copies) and shards over
+    one clock (windows) alike, with the oracle's bytes."""
+    paths = []
+    for shard in range(3):
+        records = _hand_records(schema, 40, seed=shard)
+        for record in records:
+            record.ts += shard * offset
+        paths.append(tmp_path / f"s{shard}.col")
+        write_columnar_stream(records, paths[-1], schema, 7)
+    oracle = tmp_path / "oracle.col"
+    merge_columnar_shards_rowwise(paths, oracle, row_group_rows=8)
+    log = _page_log(monkeypatch)
+    merged = tmp_path / "merged.col"
+    assert merge_columnar_shards(paths, merged, row_group_rows=8) == 120
+    assert merged.read_bytes() == oracle.read_bytes()
+    assert ("window" in log) is windows
+    _opened_then_released([entry for entry in log if entry != "window"],
+                          paths)
+
+
+def test_walk_releases_each_group_before_the_next(tmp_path, monkeypatch):
+    path = tmp_path / "t.col"
+    records = _hand_records("allnames", 40)
+    write_columnar_stream(records, path, "allnames", 7)
+    log = _page_log(monkeypatch)
+    with RowGroupReader(path) as reader:
+        assert list(reader.iter_records()) == records
+    _opened_then_released(log, [path])
 
 
 def test_merge_rejects_mixed_format_versions(tmp_path):
