@@ -2,30 +2,14 @@
 
 from __future__ import annotations
 
+import statistics
 import time
 
 
-def best_of_three(modes):
-    """Run each of ``modes`` (name -> callable) three times, interleaved
-    so that scheduler and cache drift reach every mode alike.
-
-    Returns ``(results, seconds)``: each mode's last result and its
-    best-of-3 wall seconds.
-    """
-    results = {}
-    seconds = dict.fromkeys(modes, float("inf"))
-    for _ in range(3):
-        for name, run in modes.items():
-            start = time.perf_counter()
-            results[name] = run()
-            seconds[name] = min(seconds[name], time.perf_counter() - start)
-    return results, seconds
-
-
 def alternating_rounds(modes, rounds):
-    """Run two ``modes`` (name -> callable) back to back ``rounds``
-    times, their order flipping every round, so drift between rounds
-    and a slow round reach both alike.
+    """Run ``modes`` (name -> callable) back to back ``rounds`` times,
+    their order reversing every round, so drift between rounds and a
+    slow round reach every mode alike.
 
     Returns ``(results, seconds)``: each mode's last result and its wall
     seconds per round, index-aligned: ``seconds[a][i] / seconds[b][i]``
@@ -42,3 +26,11 @@ def alternating_rounds(modes, rounds):
             seconds[name].append(time.perf_counter() - start)
         order.reverse()
     return results, seconds
+
+
+def median_ratio(seconds, numerator, denominator):
+    """The median over rounds of one mode's seconds over another's, from
+    :func:`alternating_rounds`' per-round seconds."""
+    return statistics.median(
+        top / bottom
+        for top, bottom in zip(seconds[numerator], seconds[denominator]))

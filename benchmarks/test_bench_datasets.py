@@ -13,6 +13,7 @@ results, print throughput and on-disk bytes per row through
 from __future__ import annotations
 
 import json
+import statistics
 
 from repro.analysis import (summarize_allnames, summarize_cdn,
                             summarize_public_cdn, summarize_scan)
@@ -23,11 +24,17 @@ from repro.datasets import AllNamesBuilder, CdnDatasetBuilder
 from repro.datasets.columnar import RowGroupReader, write_columnar_stream
 from repro.datasets.records import write_jsonl
 
-from bench_timing import best_of_three
+from bench_timing import alternating_rounds, median_ratio
 
 #: Group budget of the out-of-core samples: small enough that several
 #: groups exist at bench scale, large enough to amortize per-group setup.
 ROW_GROUP_ROWS = 32_768
+#: Alternating rounds behind each timed bar, which holds the median of
+#: its per-round ratios: columnar/object clears its bar by a wide margin
+#: and its object pipeline is slow, row-group/flat sits within noise of
+#: its bar and both its pipelines are fast.
+SPEEDUP_ROUNDS = 3
+ROWGROUP_ROUNDS = 9
 
 
 def test_bench_cdn_dataset_generation(benchmark, save_report):
@@ -113,27 +120,33 @@ def _bench_columnar_case(save_report, name, records, client_field,
                 (reader.group(i) for i in range(reader.group_count)),
                 client_field)
 
-    # Best of 3: single runs of the row-group ratio spread 0.79-0.91 on
-    # a 2-core host.
-    partials, seconds = best_of_three({"object": object_replay,
-                                       "columnar": columnar_replay,
-                                       "rowgroup": rowgroup_replay})
+    # One round's row-group ratio spreads 0.7-0.96 on a 2-core host, so
+    # each bar holds the median of its rounds' ratios.
+    partials, seconds = alternating_rounds({"object": object_replay,
+                                            "columnar": columnar_replay},
+                                           SPEEDUP_ROUNDS)
+    grouped, group_seconds = alternating_rounds(
+        {"columnar": columnar_replay, "rowgroup": rowgroup_replay},
+        ROWGROUP_ROUNDS)
     assert partials["columnar"] == partials["object"]
-    assert partials["rowgroup"] == partials["object"]
+    assert grouped["rowgroup"] == partials["object"]
 
-    speedup = seconds["object"] / seconds["columnar"]
+    speedup = median_ratio(seconds, "object", "columnar")
     bytes_ratio = col_path.stat().st_size / jsonl_path.stat().st_size
-    rowgroup_ratio = seconds["columnar"] / seconds["rowgroup"]
+    rowgroup_ratio = median_ratio(group_seconds, "columnar", "rowgroup")
+    seconds["rowgroup"] = group_seconds["rowgroup"]
     save_report(f"columnar_replay_{name}", (
-        f"{name}, {rows} rows, best of 3: "
-        + ", ".join(f"{pipeline} {rows / s:,.0f} rec/s"
+        f"{name}, {rows} rows, medians of alternating rounds: "
+        + ", ".join(f"{pipeline} {rows / statistics.median(s):,.0f} rec/s"
                     for pipeline, s in seconds.items())
         + f"\nbytes per row: jsonl {jsonl_path.stat().st_size / rows:.2f}, "
         f"columnar {col_path.stat().st_size / rows:.2f}"
-        f"\ncolumnar/object replay = {speedup:.2f}x (bar >= 3.0)"
+        f"\ncolumnar/object replay = {speedup:.2f}x (bar >= 3.0, "
+        f"{SPEEDUP_ROUNDS} rounds)"
         f"\ncolumnar/jsonl bytes = {bytes_ratio:.3f} (bar <= 0.5)"
         f"\nrowgroup/columnar replay = {rowgroup_ratio:.3f} "
-        f"(bar >= 0.9, {ROW_GROUP_ROWS}-row groups)"))
+        f"(bar >= 0.9, {ROW_GROUP_ROWS}-row groups, {ROWGROUP_ROUNDS} "
+        f"rounds)"))
     # The acceptance bars the columnar substrate shipped under: >= 3x
     # replay throughput, <= 0.5x on-disk bytes per row, and group
     # streaming costs at most 10% replay throughput.  Streaming memory is

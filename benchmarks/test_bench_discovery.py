@@ -11,7 +11,7 @@ from repro.analysis import analyze_discovery
 
 def test_bench_discovery(scan_universe, scan_result, benchmark, save_report):
     analysis = benchmark.pedantic(
-        lambda: analyze_discovery(scan_universe, scan_result),
+        lambda: analyze_discovery(scan_universe, scan_result, seed=42),
         rounds=1, iterations=1)
     save_report("section5_discovery", analysis.report())
 

@@ -27,7 +27,7 @@ from repro.obs import observe
 from repro.obs import live as obs_live
 from repro.obs.live import LiveSink
 
-from bench_timing import alternating_rounds, best_of_three
+from bench_timing import alternating_rounds, median_ratio
 
 SCALE = float(os.environ.get("HOTPATH_BENCH_SCALE", "1.0"))
 
@@ -40,6 +40,9 @@ METRICS_FLOOR = 0.8
 LIVE_FLOOR = 0.95
 #: Off/on rounds whose median ratio is held to ``LIVE_FLOOR``.
 LIVE_ROUNDS = 31
+#: Disabled/metrics/traced rounds whose median ratios are held to
+#: ``METRICS_FLOOR``.
+OBS_ROUNDS = 15
 
 
 @pytest.fixture(scope="module")
@@ -73,21 +76,23 @@ def test_obs_overhead_on_replay(save_report, replay_trace):
     # Untimed: the first call opens the trace and builds the bucket
     # table and key ids, which every later call reuses.
     _replay(replay_trace)
-    results, seconds = best_of_three({
+    results, times = alternating_rounds({
         "disabled": lambda: _replay(replay_trace),
         "metrics": lambda: _observed(replay_trace, metrics=True),
         "traced": lambda: _observed(replay_trace, metrics=True,
                                     tracing=True),
-    })
+    }, OBS_ROUNDS)
 
     # Collection never changes results: all three modes are
     # counter-identical to the bare column replay.
     assert all(result == baseline for result in results.values())
 
-    metrics_ratio = seconds["disabled"] / seconds["metrics"]
-    traced_ratio = seconds["disabled"] / seconds["traced"]
+    metrics_ratio = median_ratio(times, "disabled", "metrics")
+    traced_ratio = median_ratio(times, "disabled", "traced")
+    seconds = {mode: statistics.median(times[mode]) for mode in times}
     save_report("obs_overhead_on_replay", (
-        f"replay allnames, {n} rows, best of 3: "
+        f"replay allnames, {n} rows, median of {OBS_ROUNDS} alternating "
+        f"rounds: "
         + ", ".join(f"{mode} {n / s:,.0f} rec/s"
                     for mode, s in seconds.items())
         + f"\nmetrics/disabled = {metrics_ratio:.3f} "
@@ -134,8 +139,7 @@ def test_live_heartbeat_overhead(save_report, replay_trace):
 
     with ColumnarStore.open(replay_trace) as store:
         n = len(store)
-    live_ratio = statistics.median(
-        off / on for off, on in zip(times["off"], times["on"]))
+    live_ratio = median_ratio(times, "off", "on")
     seconds = {mode: statistics.median(times[mode]) for mode in times}
     save_report("obs_live_heartbeat_overhead", (
         f"replay allnames, {n} rows, {shards} shards, median of "

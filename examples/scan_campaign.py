@@ -17,6 +17,7 @@ from repro.analysis import (analyze_caching_behavior, analyze_discovery,
                             analyze_hidden_resolvers, build_table1,
                             summarize_scan)
 from repro.datasets import ScanUniverseBuilder
+from repro.engine.seeding import world_seed
 from repro.measure import Scanner
 
 
@@ -34,7 +35,8 @@ def main() -> None:
     print(summarize_scan(result))
 
     print()
-    print(analyze_discovery(universe, result).report())
+    print(analyze_discovery(universe, result,
+                            world_seed(7, "analysis.discovery")).report())
 
     print()
     table1 = build_table1(scan_result=result)

@@ -457,7 +457,8 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[idx]
 
 
-def overall_blowup(ecs_blowup: float, ecs_fraction: float) -> float:
+def overall_blowup(ecs_blowup: float,  # repro-lint: disable=RS008 (a §9 extension EXPERIMENTS.md reports)
+                   ecs_fraction: float) -> float:
     """Project the *overall* cache blow-up from the ECS-only blow-up.
 
     Section 9 notes the measured factors cover only the ECS-carrying slice

@@ -58,7 +58,7 @@ class CachingBehaviorAnalysis:
         return format_comparisons(items,
                                   "Section 6.3 — caching behavior classes")
 
-    def scope_ignoring_majority(self) -> bool:
+    def scope_ignoring_majority(self) -> bool:  # repro-lint: disable=RS008 (§6.3's headline; the caching bench asserts it)
         """The paper's headline: over half of studied resolvers ignore scope.
 
         (In the synthetic mix the share is configurable; the default mix

@@ -54,7 +54,7 @@ class DiscoveryAnalysis:
 
 
 def analyze_discovery(universe: ScanUniverse, scan_result: ScanResult,
-                      seed: int = 0) -> DiscoveryAnalysis:
+                      seed: int) -> DiscoveryAnalysis:
     """Compare active (scan) vs passive (CDN-side) discovery.
 
     * **active** — non-MegaDNS egress IPs that sent ECS queries to the
@@ -64,6 +64,9 @@ def analyze_discovery(universe: ScanUniverse, scan_result: ScanResult,
       none of its clients touched CDN content that day) plus 14× as many
       resolvers that no open forwarder reaches — the paper's explanation
       for the 15× gap.
+
+    ``seed`` draws the passive sample; ``repro-ecs scan`` derives it from
+    ``--seed`` under the stream name ``analysis.discovery``.
     """
     megadns_ips = set(universe.megadns.egress_ips)
     ecs_policy_ips = {spec.ip for spec in universe.egress_specs
@@ -72,7 +75,7 @@ def analyze_discovery(universe: ScanUniverse, scan_result: ScanResult,
               if ip not in megadns_ips and ip in ecs_policy_ips}
 
     rng = random.Random(seed)
-    passive = {ip for ip in ecs_policy_ips
+    passive = {ip for ip in sorted(ecs_policy_ips)
                if rng.random() < 0.85 or ip in active}
     # Make the overlap imperfect the way the paper observed (234 of 278):
     # a handful of actively-found resolvers never queried the CDN that day.

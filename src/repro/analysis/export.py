@@ -76,7 +76,8 @@ def export_fig67(series: PrefixLengthSeries, path: PathLike) -> int:
 
 
 # Each figure keyword is the export API docs/reproduction-guide.md names.
-def export_all(out_dir: PathLike, *, fig1=None,
+def export_all(out_dir: PathLike, *,  # repro-lint: disable=RS008 (documented API, docs/reproduction-guide.md)
+               fig1=None,
                fig2=None,  # repro-lint: disable=RS007 (documented API)
                fig3=None,  # repro-lint: disable=RS007 (documented API)
                hidden: HiddenResolverAnalysis = None,  # repro-lint: disable=RS007 (documented API)

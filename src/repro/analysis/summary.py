@@ -14,7 +14,7 @@ from ..measure.scanner import ScanResult
 from .report import Comparison, format_comparisons
 
 
-def summarize_cdn(dataset: CdnDataset) -> str:
+def summarize_cdn(dataset: CdnDataset) -> str:  # repro-lint: disable=RS008 (§4's summary; the datasets bench reports it)
     """Section 4 headline numbers for a generated CDN dataset."""
     records = dataset.records
     ecs = sum(1 for r in records if r.has_ecs)
@@ -47,7 +47,7 @@ def summarize_scan(result: ScanResult) -> str:
     return format_comparisons(items, "Section 4 — Scan dataset")
 
 
-def summarize_public_cdn(dataset: PublicCdnDataset) -> str:
+def summarize_public_cdn(dataset: PublicCdnDataset) -> str:  # repro-lint: disable=RS008 (§4's summary; the datasets bench reports it)
     """Section 4 headline numbers for a Public Resolver/CDN trace."""
     items = [
         Comparison("egress resolver IPs", paper.PUBLIC_CDN_RESOLVER_IPS,
@@ -63,7 +63,7 @@ def summarize_public_cdn(dataset: PublicCdnDataset) -> str:
     return format_comparisons(items, "Section 4 — Public Resolver/CDN dataset")
 
 
-def summarize_allnames(dataset: AllNamesDataset) -> str:
+def summarize_allnames(dataset: AllNamesDataset) -> str:  # repro-lint: disable=RS008 (§4's summary; the datasets bench reports it)
     """Section 4 headline numbers for an All-Names trace."""
     slds = {_sld_of(h) for h in dataset.hostnames}
     items = [

@@ -93,9 +93,9 @@ class WhitelistComparison:
             items, "Section 9 extension — whitelisted vs non-whitelisted")
 
 
-def run_whitelist_comparison(seed: int = 0,
-                             clients_per_city: int = 4,
-                             rounds: int = 6) -> WhitelistComparison:
+def run_whitelist_comparison(  # repro-lint: disable=RS008 (§9 extension; the whitelist bench reports it)
+        seed: int = 0, clients_per_city: int = 4,
+        rounds: int = 6) -> WhitelistComparison:
     """Build the lab and run the comparison experiment."""
     rng = random.Random(seed)
     topology = Topology()

@@ -63,6 +63,7 @@ from .datasets.records import TraceFormatError
 from .engine import (DEFAULT_SHARDS, ShardSpec, WorkerPool, generate_columnar,
                      generate_jsonl)
 from .engine.executor import EngineReport
+from .engine.seeding import world_seed
 from .engine.replay import (client_sweep_sharded, fig1_sharded,
                             replay_columnar_sharded, replay_jsonl_sharded)
 from .faults.chaos import run_chaos
@@ -172,7 +173,9 @@ def cmd_scan(args: argparse.Namespace, reporter: _Reporter) -> None:
                                    ingress_count=args.ingress).build()
     result = Scanner(universe).scan()
     reporter.emit("scan_summary", summarize_scan(result))
-    reporter.emit("discovery", analyze_discovery(universe, result).report())
+    discovery = analyze_discovery(universe, result,
+                                  world_seed(args.seed, "analysis.discovery"))
+    reporter.emit("discovery", discovery.report())
     reporter.emit("table1_scan",
                   build_table1(scan_result=result).report())
     reporter.emit("hidden",

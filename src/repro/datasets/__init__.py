@@ -6,7 +6,7 @@ from .allnames import AllNamesBuilder, AllNamesDataset
 from .cdn_dataset import CdnDataset, CdnDatasetBuilder, ResolverSpec
 from .columnar import (SCHEMAS, ColumnarStore, ColumnarWriter,
                        columnar_to_jsonl, convert_columnar, file_info,
-                       merge_columnar_shards, read_columnar, schema_for,
+                       merge_columnar_shards, schema_for,
                        trace_format, write_columnar_stream)
 from .ditl import RootTrace, RootTraceBuilder
 from .public_cdn import PublicCdnBuilder, PublicCdnDataset
@@ -26,6 +26,6 @@ __all__ = [
     "ScanUniverseBuilder", "SldPolicy", "TraceFormatError", "ZipfSampler",
     "columnar_to_jsonl", "convert_columnar", "file_info",
     "merge_columnar_shards", "paper_numbers", "poisson_arrivals",
-    "read_columnar", "schema_for", "shard_path", "trace_format",
+    "schema_for", "shard_path", "trace_format",
     "write_columnar_stream", "write_jsonl",
 ]

@@ -491,9 +491,8 @@ class ColumnarStore:
 
         A file of one row group opens zero-copy: the store is that
         group's view and owns the mapping.  A file of several groups is
-        *flattened* into one in-memory store — the O(rows) path of
-        :func:`read_columnar`; no replay calls it (a replay keys the
-        groups as it walks them into a
+        *flattened* into one in-memory store, O(rows); no replay calls
+        it (a replay keys the groups as it walks them into a
         :class:`~repro.analysis.cache_sim.KeyedTrace`), and readers that
         care about bounded memory walk the groups
         (:meth:`RowGroupReader.walk`).
@@ -606,10 +605,6 @@ class ColumnarStore:
         cls = self.schema.record_type
         for row in range(lo, stop):
             yield cls(*[g(row) for g in getters])
-
-    def to_records(self) -> List[Any]:
-        """Materialize the whole store as a record list."""
-        return list(self.iter_records())
 
     # -- JSONL -------------------------------------------------------------
 
@@ -1199,18 +1194,22 @@ class RowGroupReader:
                 self._release(index)
 
     def _release(self, index: int) -> None:
-        """Drop the mapped pages up to the end of group ``index`` from the
-        process's resident set (``MADV_DONTNEED``: the OS keeps them
-        cached, and a later read maps them back in).  From the start of
-        the file, since a fault also maps the faulting page's neighbours,
-        pages of groups released before among them."""
+        """Drop the whole mapped pages up to the end of group ``index``
+        from the process's resident set (``MADV_DONTNEED``: the OS keeps
+        them cached, and a later read maps them back in).  From the start
+        of the file, since a fault also maps the faulting page's
+        neighbours, pages of groups released before among them.  The end
+        rounds down to a page: the kernel rounds a length up, which would
+        also drop the page where the next group starts."""
         if self._mapping is None or _DONTNEED is None:
             return
         end = _PRELUDE + max(
             offset + length for col in self._header.groups[index]["columns"]
             for offset, length in (col["data"], col.get("nulls") or (0, 0),
                                    col.get("dict") or (0, 0)))
-        self._mapping.madvise(_DONTNEED, 0, end)
+        end -= end % mmap.PAGESIZE
+        if end:
+            self._mapping.madvise(_DONTNEED, 0, end)
 
     def iter_records(self) -> Iterator[Any]:
         """Stream every row as a record, one group resident at a time."""
@@ -1348,12 +1347,6 @@ def bucketed_group_ranges(path: Union[str, Path],
         header = _read_header(path, fh)
     _check_schema(path, header.schema, schema)
     return header.bucket_ranges
-
-
-def read_columnar(path: Union[str, Path]) -> List[Any]:
-    """Load a columnar file back into a record list (convenience)."""
-    with ColumnarStore.open(path) as store:
-        return store.to_records()
 
 
 def write_columnar_stream(records: Iterable[Any], path: Union[str, Path],

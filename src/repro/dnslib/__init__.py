@@ -19,7 +19,7 @@ from .rdata import (A, AAAA, CNAME, MX, NS, PTR, SOA, TXT, GenericRdata,
                     Rdata, rdata_class_for)
 from .wire import decode_message, decode_name, encode_message, encode_name
 from .zone import LookupResult, Zone
-from .zonefile import load_zone, parse_zone
+from .zonefile import parse_zone
 
 __all__ = [
     "A", "AAAA", "CNAME", "MX", "NS", "PTR", "SOA", "TXT",
@@ -32,6 +32,6 @@ __all__ = [
     "RecordType", "ResolutionError", "ResourceRecord",
     "TruncatedMessageError", "WireFormatError", "Zone", "ZoneError",
     "decode_message", "decode_name", "decode_options", "encode_message",
-    "encode_name", "encode_options", "load_zone", "parse_zone",
+    "encode_name", "encode_options", "parse_zone",
     "rdata_class_for",
 ]

@@ -163,19 +163,6 @@ class EcsOption(EdnsOption):
         masked = addr.truncate_int(version, self.address, bits)
         return f"{addr.address_text(version, masked)}/{bits}"
 
-    def covers(self, client: Any, bits: Optional[int] = None) -> bool:
-        """True if ``client`` falls inside this option's prefix.
-
-        ``bits`` selects the prefix length to test at (defaults to the scope
-        prefix length, which is what response caching uses).
-        """
-        version, value = addr.parse_addr(client)
-        if version != (4 if self.family == ECS_FAMILY_IPV4 else 6):
-            return False
-        bits = self.scope_prefix_length if bits is None else bits
-        return addr.truncate_int(version, value, bits) \
-            == addr.truncate_int(version, self.address, bits)
-
     def is_routable(self) -> bool:
         """False for loopback, link-local, and RFC1918/ULA client prefixes.
 

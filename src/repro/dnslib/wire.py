@@ -119,7 +119,7 @@ _TYPE_AAAA = int(RecordType.AAAA)
 _QNAME_POINTER = b"\xc0\x0c"
 
 
-def clear_codec_caches() -> None:
+def clear_codec_caches() -> None:  # repro-lint: disable=RS008 (the cold-codec hook of the equivalence suites and benches)
     """Drop every codec memo table (benchmarks/tests hook): the qname
     encode cache, the name intern table, the element tables and the relay
     table here, and every address memo in :mod:`repro.addr` (parse,

@@ -195,7 +195,8 @@ class _ZoneFileParser:
         return zone
 
 
-def parse_zone(text: str, origin: Optional[str] = None,
+def parse_zone(text: str,  # repro-lint: disable=RS008 (master-file zone parsing, a substrate feature EXPERIMENTS.md lists)
+               origin: Optional[str] = None,
                default_ttl: int = 300) -> Zone:
     """Parse master-file ``text`` into a :class:`~repro.dnslib.zone.Zone`.
 
@@ -203,9 +204,3 @@ def parse_zone(text: str, origin: Optional[str] = None,
     """
     return _ZoneFileParser(text, origin, default_ttl).parse()
 
-
-def load_zone(path, origin: Optional[str] = None,
-              default_ttl: int = 300) -> Zone:
-    """Read and parse a zone file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_zone(fh.read(), origin=origin, default_ttl=default_ttl)

@@ -23,7 +23,7 @@ from .pool import (PoolError, PoolShutdownError, ShardDispatchError,
                    WorkerCrashError, WorkerPool)
 from .seeding import WORLD_SHARD, derive_seed, world_seed
 from .sharding import (BUILDER_REGISTRY, DEFAULT_SHARDS, ShardSpec,
-                       partition_by_key, register_builder, resolve_builder,
+                       partition_by_key, resolve_builder,
                        shard_bounds, stable_bucket)
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "PoolShutdownError", "ShardDispatchError", "ShardSpec", "ShardStats",
     "WORLD_SHARD", "WorkerCrashError", "WorkerPool", "client_sweep_sharded",
     "derive_seed", "fig1_sharded", "generate_columnar", "generate_jsonl",
-    "partition_by_key", "register_builder", "replay_columnar_sharded",
+    "partition_by_key", "replay_columnar_sharded",
     "replay_jsonl_sharded", "resolve_builder", "run_sharded", "shard_bounds",
     "stable_bucket", "world_seed",
 ]

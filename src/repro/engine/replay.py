@@ -406,8 +406,8 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
     indices; each worker builds the trace's :class:`KeyedTrace` once,
     a group's pages at a time, buckets its rows by qname and runs the
     column replay.
-    Counter-identical to the ``replay_partial`` oracle over
-    ``read_columnar(path)``, qname bucket by qname bucket, for any
+    Counter-identical to the ``replay_partial`` oracle over the file's
+    records, qname bucket by qname bucket, for any
     worker count — the equivalence suite pins it.
 
     Bounded memory needs a file pre-bucketed for exactly ``shards``

@@ -89,24 +89,6 @@ BUILDER_REGISTRY: Dict[str, str] = {
 }
 
 
-def register_builder(name: str, import_path: str) -> None:
-    """Add (or repoint) a builder under ``name``.
-
-    ``import_path`` is ``"package.module:Attr"``.  Tests register
-    synthetic builders this way; re-registering an existing name is an
-    error unless the path is identical, so two subsystems can never
-    silently fight over a spec name.
-    """
-    if ":" not in import_path:
-        raise ValueError(f"import path {import_path!r} must be "
-                         f"'module:attr'")
-    existing = BUILDER_REGISTRY.get(name)
-    if existing is not None and existing != import_path:
-        raise ValueError(f"builder {name!r} already registered "
-                         f"as {existing!r}")
-    BUILDER_REGISTRY[name] = import_path
-
-
 def resolve_builder(name: str) -> Callable[..., Any]:
     """The builder class registered under ``name`` (imported on demand)."""
     try:

@@ -41,14 +41,6 @@ class FaultPlan:
             bound.append(spec.bind(stream))
         return BoundPlan(self.name, tuple(bound))
 
-    def describe(self) -> str:
-        """Human-readable injector catalog for reports and --help."""
-        if not self.injectors:
-            return f"{self.name}: no injectors (clean network)"
-        lines = [f"{self.name}:"]
-        lines.extend(f"  - {spec!r}" for spec in self.injectors)
-        return "\n".join(lines)
-
 
 class BoundPlan:
     """A plan bound to its streams; the installable network hook.

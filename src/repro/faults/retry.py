@@ -52,19 +52,6 @@ class RetryPolicy:
     retry_without_ecs_on_formerr: bool = False
     retry_without_edns_on_formerr: bool = False
 
-    def max_queries(self, servers: int) -> int:
-        """Worst-case wire queries a single execution can issue.
-
-        Per server: ``max_attempts`` budgeted rounds plus one round per
-        enabled FORMERR downgrade, each round at most doubled by a TCP
-        truncation retry.  The property tests bound chaos runs with this.
-        """
-        rounds = self.max_attempts \
-            + (1 if self.retry_without_ecs_on_formerr else 0) \
-            + (1 if self.retry_without_edns_on_formerr else 0)
-        per_round = 2 if self.tcp_on_truncation else 1
-        return max(1, servers) * rounds * per_round
-
 
 @dataclass(slots=True)
 class RetryOutcome:

@@ -35,7 +35,7 @@ class ScopeReactionOutcome:
     observed_source_lengths: List[List[int]]
 
     @property
-    def adapts(self) -> Optional[bool]:
+    def adapts(self) -> Optional[bool]:  # repro-lint: disable=RS008 (the §9 extension's verdict)
         """True if later phases' source lengths track the returned scope.
 
         ``None`` when the experiment produced no ECS observations (the
@@ -51,7 +51,7 @@ class ScopeReactionOutcome:
         return max(last) <= target < max(first)
 
 
-class ScopeReactionProber:
+class ScopeReactionProber:  # repro-lint: disable=RS008 (a §9 extension)
     """Runs the repeated-engagement experiment against one resolver."""
 
     def __init__(self, universe: ScanUniverse):

@@ -3,7 +3,7 @@
 from ..addr import (AddressAllocator, host_in, is_routable, parse_addr,
                     prefix_key_int, same_prefix, truncate_int)
 from .clock import SimClock
-from .geo import (WORLD_CITIES, City, GeoDatabase, GeoPoint, cities_in, city,
+from .geo import (WORLD_CITIES, City, GeoDatabase, GeoPoint, city,
                   haversine_km)
 from .latency import DEFAULT_LATENCY, LatencyModel
 from .topology import AutonomousSystem, Topology
@@ -15,7 +15,7 @@ __all__ = [
     "Endpoint", "FaultAction", "FaultInjector", "GeoDatabase", "GeoPoint",
     "LatencyModel", "Network",
     "NetworkStats", "QueryOutcome", "SimClock", "Topology", "WORLD_CITIES",
-    "cities_in", "city", "haversine_km", "host_in",
+    "city", "haversine_km", "host_in",
     "is_routable", "parse_addr", "prefix_key_int", "same_prefix",
     "truncate_int",
 ]

@@ -129,11 +129,6 @@ def city(name: str) -> City:
     return _CITIES_BY_NAME[name]
 
 
-def cities_in(country: str) -> List[City]:
-    """All registry cities in ``country`` (ISO-3166 alpha-2 code)."""
-    return [c for c in WORLD_CITIES if c.country == country]
-
-
 class GeoDatabase:
     """Longest-prefix-match IP geolocation (the EdgeScape substitute).
 

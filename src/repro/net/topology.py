@@ -83,7 +83,7 @@ class AutonomousSystem:
         return self._place(city, self._city_blocks, self._v4, 24, 255,
                            fresh=True)
 
-    def host6_in(self, city: City) -> str:
+    def host6_in(self, city: City) -> str:  # repro-lint: disable=RS008 (the one IPv6 host placement; no dataset places v6 clients yet)
         """Place one IPv6 host in ``city``; /48s are allocated on demand."""
         return self._place(city, self._v6_city_blocks, self._v6, 48,
                            1 << 16)
@@ -122,10 +122,6 @@ class Topology:
 
     def ases(self) -> List[AutonomousSystem]:
         return list(self._ases.values())
-
-    def as_of(self, ip: str) -> Optional[AutonomousSystem]:
-        """The AS that placed ``ip``, if any."""
-        return self.host_as.get(ip)
 
     def city_of(self, ip: str) -> Optional[City]:
         """Where ``ip`` was placed (exact), falling back to the geo DB."""

@@ -123,10 +123,6 @@ class NetworkStats:
         """Fraction of sent datagrams dropped in flight (0.0 when idle)."""
         return self.drops / self.datagrams if self.datagrams else 0.0
 
-    def fault_rate(self) -> float:
-        """Fraction of sent datagrams touched by the injector (0 idle)."""
-        return self.faults_injected / self.datagrams if self.datagrams else 0.0
-
     def merge_from(self, other: "NetworkStats") -> "NetworkStats":
         """Fold another shard's counters into this one (in place)."""
         self.datagrams += other.datagrams
@@ -173,9 +169,6 @@ class Network:
     def attach(self, endpoint: Endpoint) -> None:
         """Register ``endpoint`` at its IP."""
         self._endpoints[endpoint.ip] = endpoint
-
-    def detach(self, ip: str) -> None:
-        self._endpoints.pop(ip, None)
 
     def endpoint_at(self, ip: str) -> Optional[Endpoint]:
         return self._endpoints.get(ip)

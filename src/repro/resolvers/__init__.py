@@ -3,10 +3,10 @@
 from . import behaviors
 from .anycast import AnycastFrontEnd, PublicDnsService
 from .base import DnsServer
-from .forwarder import Forwarder, build_chain
+from .forwarder import Forwarder
 from .recursive import RecursiveResolver
 
 __all__ = [
     "AnycastFrontEnd", "DnsServer", "Forwarder", "PublicDnsService",
-    "RecursiveResolver", "behaviors", "build_chain",
+    "RecursiveResolver", "behaviors",
 ]

@@ -16,7 +16,7 @@ forwarder sitting mid-chain.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..dnslib import Message, Rcode
 from ..faults.retry import RetryPolicy, execute_with_retries
@@ -80,18 +80,3 @@ class Forwarder(DnsServer):
         failed.rcode = Rcode.SERVFAIL
         return failed
 
-
-def build_chain(net: Network, ips: Sequence[str],
-                egress_ip: str) -> List[Forwarder]:
-    """Wire a forwarding chain ``ips[0] -> ips[1] -> ... -> egress_ip``.
-
-    Returns the created forwarders, head first.  ``ips[1:]`` play the role
-    of hidden resolvers.
-    """
-    forwarders: List[Forwarder] = []
-    hops = list(ips) + [egress_ip]
-    for ip, nxt in zip(hops, hops[1:]):
-        fwd = Forwarder(ip, [nxt])
-        net.attach(fwd)
-        forwarders.append(fwd)
-    return forwarders

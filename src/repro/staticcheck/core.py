@@ -1,4 +1,4 @@
-"""Rule registry, suppression handling, and the two lint entry points.
+"""Rule registry, suppression handling, and the lint driver.
 
 The framework is deliberately tiny: a *rule* is an object with an ``id``
 (``RSnnn``), a ``name``, and a ``check`` hook.  AST rules receive a
@@ -6,10 +6,10 @@ The framework is deliberately tiny: a *rule* is an object with an ``id``
 :class:`Violation` records to it; file rules (e.g. the Prometheus
 exposition check) receive a path and return violations directly, so
 non-Python artifacts ride the same reporting pipeline; graph rules
-(RS203) receive the :class:`LintContext` of every file in the run.  The
-driver over files and directories is :func:`lint_paths`.  Every rule
-runs on every file; what a file may do depends only on its role (test
-code, the obs layer), read from whole path components by
+(RS007, RS008, RS203) receive the :class:`LintContext` of every file in
+the run.  The driver over files and directories is :func:`lint_paths`.
+Every rule runs on every file; what a file may do depends only on its
+role (test code, the obs layer), read from whole path components by
 :func:`role_parts`.
 
 Suppressions are source comments::
@@ -357,21 +357,6 @@ def settle_file(analysis: FileAnalysis, active: Set[str],
             analysis.path, comment_line, 0, UNUSED_ID, UNUSED_NAME,
             f"suppression for {rule_id} matches no violation; remove it"))
     return sorted(kept)
-
-
-def lint_source(source: str, path: str,
-                rule_ids: Optional[Sequence[str]] = None) -> List[Violation]:
-    """Lint one Python source string; returns sorted violations.
-
-    ``path`` is the file's name and its lint root; ``rule_ids``
-    restricts the run (mainly for tests).
-    """
-    # One string is not a program: the graph rules need lint_paths, so
-    # a suppression held for them is not "unused" here.
-    active = _selected_ids(rule_ids) - set(_GRAPH_RULES)
-    parts = role_parts(Path(path), Path(path))
-    return settle_file(analyze_source(source, path, parts, rule_ids),
-                       active)
 
 
 # ---------------------------------------------------------------------------

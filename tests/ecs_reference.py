@@ -2,7 +2,15 @@ import ipaddress
 import struct
 from dataclasses import dataclass
 
+from repro.addr import same_prefix
 from repro.dnslib import BadEcsError
+
+
+def covers(option, client, bits=None):
+    """True if ``client`` falls inside ``option``'s prefix at ``bits``
+    (default: its scope prefix length, the one response caching uses)."""
+    bits = option.scope_prefix_length if bits is None else bits
+    return same_prefix(client, option.address_text, bits)
 
 
 @dataclass(frozen=True)

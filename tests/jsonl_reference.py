@@ -8,7 +8,8 @@ together the reference output of the generate and merge suites, which
 shares nothing but the atomic file write with the columnar pipeline
 ``generate_jsonl`` runs.  ``read_jsonl`` is how the suites read a JSONL
 trace back as records: through the schema-checked parser, so a line
-that is not a row raises ``JsonlFormatError``.
+that is not a row raises ``JsonlFormatError``, and ``read_columnar``
+reads a ``.col`` trace back the same way, flattening its groups.
 """
 
 from __future__ import annotations
@@ -36,8 +37,14 @@ def read_jsonl(path: Union[str, Path], record_type: type) -> list:
     """The records of a JSONL trace, parsed against their schema."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = [line for line in map(str.strip, handle) if line]
-    return ColumnarStore.from_jsonl_lines(
-        lines, schema_for(record_type)).to_records()
+    return list(ColumnarStore.from_jsonl_lines(
+        lines, schema_for(record_type)).iter_records())
+
+
+def read_columnar(path: Union[str, Path]) -> list:
+    """The records of a columnar trace, every group in file order."""
+    with ColumnarStore.open(path) as store:
+        return list(store.iter_records())
 
 
 def write_jsonl_shards(shard_lists: Sequence[Iterable[object]],

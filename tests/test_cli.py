@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,13 +12,15 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli as cli_module
 from repro.cli import _Reporter, build_parser, main
 from repro.engine import DEFAULT_SHARDS, ShardSpec
 from repro.datasets.columnar import (RowGroupReader, convert_columnar,
-                                     file_info, read_columnar)
+                                     file_info)
 from repro.obs.export import parse_prometheus, write_text_atomic
 
 from builder_reference import merged_records
+from jsonl_reference import read_columnar
 
 
 def _report_digests(out_dir: Path) -> dict:
@@ -138,6 +141,30 @@ class TestCommands:
             "table1_scan.txt": "213e7b27b54566e6bd4fe278dc2188be"
                                "ee74be0f90d03f0d108e8c8198d92afb",
         }
+
+    def test_scan_discovery_sample_follows_seed(self, tmp_path,
+                                                monkeypatch):
+        """``--seed`` reaches the passive sample: the two seeds the CLI
+        derives draw two samples from one universe.  The scan finds every
+        ECS egress of a small universe, and the sample keeps every one it
+        found, so the draw shows over a scan that found none."""
+        real = cli_module.analyze_discovery
+        calls = []
+
+        def spy(universe, result, seed):
+            calls.append((universe, result, seed))
+            return real(universe, result, seed)
+
+        monkeypatch.setattr(cli_module, "analyze_discovery", spy)
+        for seed in ("2", "3"):
+            assert main(["--quiet", "--seed", seed, "--out",
+                         str(tmp_path / seed), "scan", "--ingress",
+                         "40"]) == 0
+        (universe, result, first), (_, _, second) = calls
+        assert first != second
+        unseen = dataclasses.replace(result, ecs_egress=set())
+        assert real(universe, unseen, first).passive_found \
+            != real(universe, unseen, second).passive_found
 
     def test_pitfalls_command(self, tmp_path, capsys):
         rc = main(["--seed", "2", "--out", str(tmp_path), "pitfalls",

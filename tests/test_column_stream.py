@@ -19,17 +19,16 @@ import pytest
 
 from repro.analysis.cache_sim import fig1_series
 from repro.datasets.columnar import (SCHEMAS, ColumnarStore, RowGroupReader,
-                                     file_info, read_columnar,
-                                     write_columnar_stream)
+                                     file_info, write_columnar_stream)
 from repro.datasets.records import shard_path
 from repro.datasets.workload import COLUMN_CHUNK_ROWS, column_records
 from repro.engine.generate import (_write_columnar_shard_from_spec,
                                    generate_columnar)
 from repro.engine.replay import fig1_sharded
-from repro.engine.sharding import (ShardSpec, register_builder,
-                                   shard_bounds)
+from repro.engine.sharding import BUILDER_REGISTRY, ShardSpec, shard_bounds
 
 from builder_reference import merged_records, shard_lists
+from jsonl_reference import read_columnar
 
 #: Small enough for tier-1: 11,000 allnames queries (a lone shard spans
 #: three chunks), five public-cdn resolvers.
@@ -208,7 +207,7 @@ class TiedTraceBuilder:
                    [1] * self.rows, [24] * self.rows, [60] * self.rows]
 
 
-register_builder("tied-trace", "test_column_stream:TiedTraceBuilder")
+BUILDER_REGISTRY["tied-trace"] = "test_column_stream:TiedTraceBuilder"
 
 #: Every registry builder and the tie-heavy one: (builder, schema, kwargs).
 ORDERING_CASES = (

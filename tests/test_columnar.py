@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import json
+import mmap
 import pickle
 import random
 import re
@@ -61,8 +62,8 @@ from repro.datasets.columnar import (MAGIC, SCHEMAS,
                                      bucketed_group_ranges,
                                      columnar_to_jsonl, convert_columnar,
                                      file_info, merge_columnar_shards,
-                                     read_columnar, schema_for,
-                                     trace_format, write_columnar_stream)
+                                     schema_for, trace_format,
+                                     write_columnar_stream)
 from repro.datasets.records import (AllNamesRecord, CdnQueryRecord,
                                     JsonlFormatError, PublicCdnRecord,
                                     TraceFormatError, write_jsonl)
@@ -78,7 +79,7 @@ from repro.obs import observe
 from repro.obs.live import LiveSink
 
 from builder_reference import merge_sorted_records
-from jsonl_reference import merge_jsonl_shards, read_jsonl
+from jsonl_reference import merge_jsonl_shards, read_columnar, read_jsonl
 
 #: The committed JSONL twins of the two traces once kept in the retired
 #: single-block layout: the first 300 records of
@@ -179,12 +180,12 @@ def test_roundtrip_property(name, data, tmp_path_factory):
     """records → columnar → records is the identity, any null shape."""
     records = data.draw(st.lists(RECORD_STRATEGIES[name], max_size=40))
     store = ColumnarStore.from_records(records, name)
-    assert store.to_records() == records
+    assert list(store.iter_records()) == records
     assert len(store) == len(records)
     path = tmp_path_factory.mktemp("prop") / "trace.col"
     write_columnar_stream(records, path, name)
     with ColumnarStore.open(path) as opened:
-        assert opened.to_records() == records
+        assert list(opened.iter_records()) == records
 
 
 def test_jsonl_roundtrip_byte_identical(tmp_path):
@@ -632,7 +633,7 @@ def test_v2_roundtrip_property(name, data, tmp_path_factory):
     assert trace_format(path) == "columnar"
     assert path.read_bytes()[:8] == MAGIC
     with ColumnarStore.open(path) as flat:
-        assert flat.to_records() == records
+        assert list(flat.iter_records()) == records
     with RowGroupReader(path) as reader:
         assert reader.group_count == -(-len(records) // budget) \
             if records else reader.group_count == 0
@@ -654,7 +655,7 @@ def test_v2_group_dictionaries_are_group_local(tmp_path):
             store = reader.group(i)
             lo = i * 20
             chunk = records[lo:lo + 20]
-            assert store.to_records() == chunk
+            assert list(store.iter_records()) == chunk
             assert set(store.dictionary("qname")) \
                 == {r.qname for r in chunk}
 
@@ -937,6 +938,54 @@ def test_walk_releases_each_group_before_the_next(tmp_path, monkeypatch):
     _opened_then_released(log, [path])
 
 
+def _segment_span(entry) -> tuple:
+    """A group's first and one-past-last file byte."""
+    spans = [(columnar._PRELUDE + offset, columnar._PRELUDE + offset + length)
+             for col in entry["columns"]
+             for offset, length in (col["data"], col.get("nulls") or (0, 0),
+                                    col.get("dict") or (0, 0)) if length]
+    return min(start for start, _ in spans), max(end for _, end in spans)
+
+
+@pytest.mark.skipif(columnar._DONTNEED is None, reason="no MADV_DONTNEED")
+def test_release_drops_whole_pages_before_the_next_group(tmp_path):
+    """Each released range starts at 0 and ends on a page boundary at or
+    before the next group's first byte: the kernel rounds a length up,
+    so an unaligned end would drop the page the next group starts in.
+    A group that ends inside the first page releases nothing."""
+    path = tmp_path / "t.col"
+    write_columnar_stream(_hand_records("allnames", 1200), path, "allnames",
+                          50)
+    released = []
+
+    class Recording:
+        def madvise(self, advice, start, length):
+            released.append((advice, start, length))
+
+    with RowGroupReader(path) as reader:
+        spans = [_segment_span(reader.group_entry(index))
+                 for index in range(reader.group_count)]
+        mapping, reader._mapping = reader._mapping, Recording()
+        try:
+            ends = []
+            for index in range(reader.group_count):
+                before = len(released)
+                reader._release(index)
+                ends.append([length for _, _, length in released[before:]])
+        finally:
+            reader._mapping = mapping
+    assert spans[0][1] < mmap.PAGESIZE and ends[0] == []
+    assert sum(map(len, ends)) > 1
+    for advice, start, length in released:
+        assert (advice, start) == (columnar._DONTNEED, 0)
+        assert length > 0 and length % mmap.PAGESIZE == 0
+    for index, group_ends in enumerate(ends):
+        for end in group_ends:
+            assert spans[index][1] - mmap.PAGESIZE < end <= spans[index][1]
+            if index + 1 < len(spans):
+                assert end <= spans[index + 1][0]
+
+
 def test_merge_rejects_mixed_format_versions(tmp_path):
     """A shard in the retired layout fails the merge by name, and no
     output is left."""
@@ -988,7 +1037,7 @@ def test_prebucket_groups_and_ranges(tmp_path):
             for g in range(lo, hi):
                 assert reader.group_entry(g)["bucket"] == bucket
                 store = reader.group(g)
-                chunk = store.to_records()
+                chunk = list(store.iter_records())
                 assert all(stable_bucket(r.qname, shards) == bucket
                            for r in chunk)
                 # Bucket-local streams stay ts-sorted for replay.
@@ -1255,12 +1304,12 @@ def test_damaged_dictionary_names_file_and_group(groups, tmp_path):
 
 def _read_last_group(path, out):
     with RowGroupReader(path) as reader:
-        return reader.group(reader.group_count - 1).to_records()
+        return list(reader.group(reader.group_count - 1).iter_records())
 
 
 @pytest.mark.parametrize("groups", (1, 2))
 @pytest.mark.parametrize("call", (
-    lambda p, out: ColumnarStore.open(p).to_records(),
+    lambda p, out: list(ColumnarStore.open(p).iter_records()),
     lambda p, out: read_columnar(p),
     _read_last_group,
     columnar_to_jsonl,

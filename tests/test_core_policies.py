@@ -5,6 +5,8 @@ from repro.core.policies import (EcsDecision, EcsPolicy, ProbingEngine,
 from repro.dnslib import EcsOption, Name, RecordType
 from repro.resolvers import behaviors
 
+from ecs_reference import covers
+
 AUTH = "203.0.113.53"
 WWW = Name.from_text("www.example.com")
 PROBE = Name.from_text("probe.example.com")
@@ -111,7 +113,7 @@ class TestBuildQueryEcs:
         opt = build_query_ecs(EcsPolicy(),
                               EcsDecision(True, use_own_address=True),
                               "10.1.2.3", "198.51.7.9")
-        assert opt.covers("198.51.7.9", bits=opt.source_prefix_length)
+        assert covers(opt, "198.51.7.9", bits=opt.source_prefix_length)
 
     def test_jammed_last_byte(self):
         policy = EcsPolicy(jam_last_byte=0x01)

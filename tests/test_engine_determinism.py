@@ -19,8 +19,7 @@ import pytest
 from repro.analysis.cache_sim import replay
 from repro.datasets import (AllNamesBuilder, CdnDatasetBuilder,
                             PublicCdnBuilder, RootTraceBuilder)
-from repro.datasets.columnar import (convert_columnar, read_columnar,
-                                     write_columnar_stream)
+from repro.datasets.columnar import convert_columnar, write_columnar_stream
 from repro.engine import derive_seed, shard_bounds, world_seed
 from repro.datasets.records import write_jsonl
 from repro.engine.executor import SUBMISSIONS_PER_WORKER, _chunk_bounds
@@ -29,7 +28,7 @@ from repro.engine.replay import replay_columnar_sharded, replay_jsonl_sharded
 from repro.engine.sharding import ShardSpec
 
 from builder_reference import merged_records, shard_lists
-from jsonl_reference import read_jsonl
+from jsonl_reference import read_columnar, read_jsonl
 
 SHARDS = 4
 

@@ -33,8 +33,8 @@ import pytest
 from repro.analysis.cache_sim import (client_sweep, merge_partials,
                                       replay_partial)
 from repro.datasets.columnar import (ColumnarStore, RowGroupReader,
-                                     convert_columnar, read_columnar,
-                                     trace_format, write_columnar_stream)
+                                     convert_columnar, trace_format,
+                                     write_columnar_stream)
 from repro.engine import (ShardSpec, client_sweep_sharded, generate_columnar,
                           generate_jsonl, partition_by_key,
                           replay_columnar_sharded, replay_jsonl_sharded)
@@ -42,6 +42,7 @@ from repro.engine.replay import _HELD, ACCESSORS, KeyedTrace
 from repro.obs import observe
 
 from builder_reference import merged_records
+from jsonl_reference import read_columnar
 
 SHARDS = 4
 GROUP_ROWS = 256

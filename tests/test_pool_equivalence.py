@@ -28,14 +28,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets.columnar import RowGroupReader, read_columnar
+from repro.datasets.columnar import RowGroupReader
 from repro.datasets.records import (JsonlFormatError, shard_path,
                                     write_jsonl, write_jsonl_text)
 from repro.datasets.workload import split_columns
 from repro.engine import (EngineReport, ShardSpec, WorkerPool,
                           client_sweep_sharded, fig1_sharded,
-                          generate_columnar, generate_jsonl,
-                          register_builder, replay_columnar_sharded,
+                          BUILDER_REGISTRY, generate_columnar,
+                          generate_jsonl, replay_columnar_sharded,
                           run_sharded, shard_bounds)
 from repro.engine.executor import (_chunk_bounds, _len_or_zero,
                                    _run_header_chunk)
@@ -51,7 +51,7 @@ from repro.obs import observe
 from repro.obs.export import to_prometheus
 
 from builder_reference import merged_records, shard_lists
-from jsonl_reference import (merge_jsonl_shards, read_jsonl,
+from jsonl_reference import (merge_jsonl_shards, read_columnar, read_jsonl,
                              write_jsonl_shards)
 
 #: Worker counts exercised per case.
@@ -266,7 +266,7 @@ class TinyTraceBuilder:
             [16 if j % 3 else 24 for j in span], [60] * len(span)])
 
 
-register_builder("tiny-trace", "test_pool_equivalence:TinyTraceBuilder")
+BUILDER_REGISTRY["tiny-trace"] = "test_pool_equivalence:TinyTraceBuilder"
 
 
 def _run_protocol(fn, shard_args, shared, chunk_size) -> List[Any]:
@@ -424,13 +424,9 @@ def test_failed_render_leaves_nothing_behind(tmp_path, monkeypatch):
     assert out.read_text() == "before\n"
 
 
-def test_registry_rejects_unknown_and_conflicting_names():
+def test_registry_rejects_unknown_names():
     with pytest.raises(KeyError, match="unknown builder"):
         ShardSpec.create("no-such-builder")
-    with pytest.raises(ValueError, match="already registered"):
-        register_builder("tiny-trace", "somewhere.else:Builder")
-    # Re-registering the identical path is an idempotent no-op.
-    register_builder("tiny-trace", "test_pool_equivalence:TinyTraceBuilder")
 
 
 def test_run_sharded_payload_accounting():

@@ -7,7 +7,7 @@ from repro.faults import EcsStripSpec, FaultPlan
 from repro.measure import StubClient
 from repro.net import city
 from repro.resolvers import (Forwarder, PublicDnsService, RecursiveResolver,
-                             behaviors, build_chain)
+                             behaviors)
 
 WWW = "www.example.com"
 CDN_NAME = "video.cdn.example"
@@ -262,8 +262,9 @@ class TestForwarder:
 
     def test_chain_builder(self, small_world):
         hops = [small_world.isp.host_in(city("Cleveland")) for _ in range(3)]
-        chain = build_chain(small_world.net, hops, small_world.resolver_ip)
-        assert len(chain) == 3
+        # hops[1:] play the hidden resolvers: each forwards to the next.
+        for ip, upstream in zip(hops, hops[1:] + [small_world.resolver_ip]):
+            small_world.net.attach(Forwarder(ip, [upstream]))
         client = StubClient(small_world.client_ip, small_world.net)
         assert client.query(hops[0], WWW).addresses == ["93.184.216.34"]
 

@@ -20,27 +20,36 @@ from typing import Dict, List
 import pytest
 
 from repro.cli import main as cli_main
-from repro.staticcheck import (LintContext, lint_paths, lint_source,
-                               render_text)
+from repro.staticcheck import LintContext, lint_paths, render_text
 from repro.staticcheck.__main__ import run as lint_cli_run
 from repro.staticcheck.core import (SYNTAX_ID, UNUSED_ID, all_rule_ids,
-                                    graph_rules, iter_lintable_files)
+                                    analyze_source, graph_rules,
+                                    iter_lintable_files, role_parts,
+                                    settle_file)
 from repro.staticcheck.rules.merge import MERGE_METHODS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_PATH = "src/repro/example.py"
-#: Every rule but RS007, which needs the callers in tests, benchmarks and
-#: examples that a run over part of ``src/repro`` leaves out (CI lints
-#: the whole tree with every rule).
-WITHOUT_RS007 = [rule_id for rule_id in all_rule_ids() if rule_id != "RS007"]
+#: Every rule but RS007 and RS008, which need the callers in tests,
+#: benchmarks and examples that a run over part of ``src/repro`` leaves
+#: out (CI lints the whole tree with every rule).
+WITHOUT_CALLER_RULES = [rule_id for rule_id in all_rule_ids()
+                        if rule_id not in ("RS007", "RS008")]
 
 
 def ids_of(violations):
     return [v.rule_id for v in violations]
 
 
-def lint(source: str, path: str = SRC_PATH, **kwargs):
-    return lint_source(source, path, **kwargs)
+def lint(source: str, path: str = SRC_PATH, rule_ids=None):
+    """Lint one source string, ``path`` its name and lint root, with the
+    per-file rules (``rule_ids`` restricts them).  One string is not a
+    program: a suppression held for a graph rule is not "unused" here."""
+    active = set(all_rule_ids() if rule_ids is None else rule_ids) \
+        - {rule.id for rule in graph_rules()}
+    parts = role_parts(Path(path), Path(path))
+    return settle_file(analyze_source(source, path, parts, rule_ids),
+                       active)
 
 
 def write_pkg(root: Path, files: Dict[str, str]) -> Path:
@@ -412,7 +421,7 @@ class TestMergeCalledRule:
         assert lint_pkg(pkg) == [UNUSED_ID]
 
     def test_plain_lint_does_not_count_it_unused(self):
-        # One string is not a program: lint_source never runs RS203, so
+        # One string is not a program: lint never runs RS203, so
         # holding a suppression for it is not "unused".
         src = "x = 1  # repro-lint: disable=RS203\n"
         assert lint(src) == []
@@ -430,7 +439,7 @@ class TestMergeCalledRule:
 
     def test_rule_universe_includes_graph_rules(self):
         graph_ids = [rule.id for rule in graph_rules()]
-        assert graph_ids == ["RS007", "RS203"]
+        assert graph_ids == ["RS007", "RS008", "RS203"]
         assert set(graph_ids) <= set(all_rule_ids())
 
     def test_src_repro_is_graph_clean(self):
@@ -449,10 +458,10 @@ class TestMergeCalledRule:
                              for stmt in node.body)]
         assert "ReplayPartial" in mergeable
         assert len(mergeable) > 3
-        # RS007 needs the callers in tests and examples; see the RS007
-        # suite and the CI lint of the whole tree.
+        # RS007 and RS008 need the callers in tests and examples; see
+        # their suites and the CI lint of the whole tree.
         for rule in graph_rules():
-            if rule.id != "RS007":
+            if rule.id in WITHOUT_CALLER_RULES:
                 assert rule.check_trees(files) == [], rule.id
 
 
@@ -529,6 +538,88 @@ class TestUnsetParameterRule:
         # Once a caller sets it, the comment holds nothing.
         assert lint_program(tmp_path, source, self.CALLS + "pace(1, 2)\n") \
             == ["RS007:gap_s", "RS007:rounds", UNUSED_ID]
+
+
+# ---------------------------------------------------------------------------
+# RS008 — test-only-definition (a graph rule over every file of the run)
+
+
+LIBRARY = """def probe(target):
+    return target
+
+
+def helper(target):
+    return target
+
+
+class Prober:
+    def run(self, target):
+        return target
+
+    def reset(self):
+        return None
+
+
+def exported(target):
+    return target
+
+
+def by_name(target):
+    return target
+
+
+def _private(target):
+    return target
+"""
+
+PLANTED = {
+    "repro/__init__.py": 'from .lib import exported\n\n__all__ = ["exported"]\n',
+    "repro/lib.py": LIBRARY,
+    "repro/registry.py": 'HOOKS = ("by_name",)\n',
+    "examples/use.py": "from repro.lib import Prober, probe\n\n"
+                       "Prober().run(probe(1))\n",
+    "tests/test_lib.py": "from repro import exported\n"
+                         "from repro.lib import Prober, helper\n\n\n"
+                         "def test_it():\n"
+                         "    assert helper(1) == exported(1)\n"
+                         "    Prober().reset()\n",
+}
+
+
+def lint_definitions(root: Path, files: Dict[str, str]) -> List[str]:
+    """Lint a planted tree (path -> source); an RS008 finding reads as
+    the name it reports."""
+    for name, source in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(source, encoding="utf-8")
+    violations = lint_paths(sorted({root / Path(name).parts[0]
+                                    for name in files}))[0]
+    return [v.message.split(" loads ")[1].split(";")[0]
+            if v.rule_id == "RS008" else v.rule_id for v in violations]
+
+
+class TestTestOnlyDefinitionRule:
+    def test_names_only_tests_or_a_reexport_load_are_flagged(self,
+                                                             tmp_path):
+        # helper and Prober.reset: only test_lib.py loads them; exported:
+        # only the package __init__ re-exports it.  probe, Prober and
+        # Prober.run have an example caller; by_name is named in a
+        # string; _private is private.
+        assert lint_definitions(tmp_path, PLANTED) == [
+            "helper", "Prober.reset", "exported"]
+
+    def test_suppression_states_a_reason(self, tmp_path):
+        files = dict(PLANTED)
+        files["repro/lib.py"] = LIBRARY.replace(
+            "def helper(target):",
+            "def helper(target):  # repro-lint: disable=RS008 (an API)")
+        assert lint_definitions(tmp_path / "a", files) == [
+            "Prober.reset", "exported"]
+        # Once a caller loads it, the comment holds nothing.
+        files["examples/use.py"] += "helper(2)\n"
+        assert lint_definitions(tmp_path / "b", files) == [
+            UNUSED_ID, "Prober.reset", "exported"]
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +904,7 @@ class TestReporters:
 
 def test_self_lint_src_repro_is_clean():
     violations, files = lint_paths([REPO_ROOT / "src" / "repro"],
-                                   rule_ids=WITHOUT_RS007)
+                                   rule_ids=WITHOUT_CALLER_RULES)
     assert files > 50
     assert violations == [], "\n" + render_text(violations, files)
 
@@ -943,7 +1034,8 @@ class TestCli:
 
     def test_rule_catalogue(self):
         assert all_rule_ids() == ["RS001", "RS002", "RS003", "RS005",
-                                  "RS006", "RS007", "RS100", "RS203",
+                                  "RS006", "RS007", "RS008", "RS100",
+                                  "RS203",
                                   "RS204"]
 
     def test_repro_cli_has_no_lint_subcommand(self, capsys):
@@ -1038,4 +1130,4 @@ class TestPathRoles:
     def test_obs_module_named_directly_is_clean(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         assert lint_paths(["src/repro/obs/live.py"],
-                          rule_ids=WITHOUT_RS007) == ([], 1)
+                          rule_ids=WITHOUT_CALLER_RULES) == ([], 1)

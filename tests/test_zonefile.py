@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.dnslib import (Name, Rcode, RecordType, ZoneError, load_zone,
-                          parse_zone)
+from repro.dnslib import (Name, Rcode, RecordType, ZoneError, parse_zone)
 
 BASIC = """
 $ORIGIN example.com.
@@ -112,12 +111,6 @@ $ORIGIN p.example.
     def test_class_optional(self):
         zone = parse_zone("www A 1.2.3.4", origin="c.example.")
         assert zone.get(Name.from_text("www.c.example."), RecordType.A)
-
-    def test_load_zone_from_file(self, tmp_path):
-        path = tmp_path / "zone.db"
-        path.write_text(BASIC)
-        zone = load_zone(path)
-        assert zone.get(Name.from_text("www.example.com"), RecordType.A)
 
 
 class TestErrors:
