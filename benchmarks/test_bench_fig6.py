@@ -8,6 +8,7 @@ below /24 at all.
 
 from repro.analysis import crossover_prefix_length, measure_mapping_quality
 from repro.analysis.mapping_quality import MappingQualityLab
+from repro.engine.seeding import world_seed
 
 PREFIX_LENGTHS = tuple(range(16, 25))
 
@@ -16,7 +17,9 @@ def test_bench_fig6_cdn1(benchmark, save_report):
     lab = MappingQualityLab.build(probe_count=200, seed=42)
     series = benchmark.pedantic(
         lambda: measure_mapping_quality(lab, lab.cdn1, lab.cdn1_qname,
-                                        prefix_lengths=PREFIX_LENGTHS),
+                                        prefix_lengths=PREFIX_LENGTHS,
+                                        seed=world_seed(
+                                            42, "analysis.mapping_quality.fig6")),
         rounds=1, iterations=1)
     save_report("fig6_cdn1_prefix_quality",
                 series.report("Figure 6 — CDN-1 time-to-connect by prefix "

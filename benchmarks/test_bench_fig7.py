@@ -7,6 +7,7 @@ scope 0 and mapping quality collapses.
 
 from repro.analysis import crossover_prefix_length, measure_mapping_quality
 from repro.analysis.mapping_quality import MappingQualityLab
+from repro.engine.seeding import world_seed
 
 PREFIX_LENGTHS = tuple(range(16, 25))
 
@@ -15,7 +16,9 @@ def test_bench_fig7_cdn2(benchmark, save_report):
     lab = MappingQualityLab.build(probe_count=200, seed=42)
     series = benchmark.pedantic(
         lambda: measure_mapping_quality(lab, lab.cdn2, lab.cdn2_qname,
-                                        prefix_lengths=PREFIX_LENGTHS),
+                                        prefix_lengths=PREFIX_LENGTHS,
+                                        seed=world_seed(
+                                            42, "analysis.mapping_quality.fig7")),
         rounds=1, iterations=1)
     save_report("fig7_cdn2_prefix_quality",
                 series.report("Figure 7 — CDN-2 time-to-connect by prefix "

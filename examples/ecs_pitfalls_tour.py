@@ -17,6 +17,7 @@ from repro.analysis.mapping_quality import (MappingQualityLab,
                                             crossover_prefix_length,
                                             measure_mapping_quality)
 from repro.analysis.unroutable import UnroutableLab
+from repro.engine.seeding import world_seed
 
 
 def pitfall_unroutable() -> None:
@@ -33,10 +34,12 @@ def pitfall_unroutable() -> None:
 def pitfall_prefix_length() -> None:
     print("=== Pitfall 2: improper source prefix lengths (section 8.3) ===")
     lab = MappingQualityLab.build(probe_count=120, seed=5)
-    for cdn, qname, label in ((lab.cdn1, lab.cdn1_qname, "CDN-1"),
-                              (lab.cdn2, lab.cdn2_qname, "CDN-2")):
-        series = measure_mapping_quality(lab, cdn, qname,
-                                         prefix_lengths=(16, 20, 21, 23, 24))
+    for cdn, qname, label, fig in (
+            (lab.cdn1, lab.cdn1_qname, "CDN-1", "fig6"),
+            (lab.cdn2, lab.cdn2_qname, "CDN-2", "fig7")):
+        series = measure_mapping_quality(
+            lab, cdn, qname, prefix_lengths=(16, 20, 21, 23, 24),
+            seed=world_seed(5, f"analysis.mapping_quality.{fig}"))
         cliff = crossover_prefix_length(series)
         print(f"{label}: median connect /24 = {series.median(24):.0f} ms, "
               f"/16 = {series.median(16):.0f} ms; quality collapses below "

@@ -81,7 +81,7 @@ def main() -> None:
 
     print("=== 3. ECS-driven CDN mapping and scope-keyed caching ===")
     result = client.query(resolver_ip, "video.cdn.example")
-    decision = cdn.decisions[-1]
+    decision = cdn.last_decision
     print(f"client {client_ip} (Cleveland) mapped to edge pool in "
           f"{decision.pool.city.name} via hint source '{decision.hint_source}'")
 
@@ -96,7 +96,7 @@ def main() -> None:
     tokyo_client = isp.host_in(city("Tokyo"))
     before = cdn.queries_received
     StubClient(tokyo_client, net).query(resolver_ip, "video.cdn.example")
-    decision = cdn.decisions[-1]
+    decision = cdn.last_decision
     print(f"Tokyo client: cache miss ({cdn.queries_received - before} new "
           f"CDN query), mapped to {decision.pool.city.name}")
     print()

@@ -99,8 +99,9 @@ class PrefixLengthSeries:
 def measure_mapping_quality(lab: MappingQualityLab, cdn: CdnAuthoritative,
                             qname: Name,
                             prefix_lengths: Sequence[int] = tuple(range(16, 25)),
-                            seed: int = 0) -> PrefixLengthSeries:
-    """Run the Fig 6/7 sweep for one CDN."""
+                            *, seed: int) -> PrefixLengthSeries:
+    """Run the Fig 6/7 sweep for one CDN; ``seed`` seeds the handshake
+    jitter (the CLI derives one per figure from ``--seed``)."""
     client = StubClient(lab.lab_ip, lab.net)
     rng = random.Random(seed)
     latencies: Dict[int, List[float]] = {L: [] for L in prefix_lengths}

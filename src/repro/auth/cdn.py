@@ -39,12 +39,12 @@ class EdgePool:
 
     def rotation(self, salt: int, count: int) -> List[str]:
         """A deterministic permutation-prefix of the pool's addresses."""
-        n = len(self.addresses)
+        addresses = self.addresses
+        n = len(addresses)
         if n == 0:
             return []
         start = salt % n
-        ordered = [self.addresses[(start + i) % n] for i in range(n)]
-        return ordered[:count]
+        return [addresses[(start + i) % n] for i in range(min(count, n))]
 
 
 class UnroutablePolicy(enum.Enum):
@@ -61,6 +61,19 @@ class UnroutablePolicy(enum.Enum):
 def _hash_index(token: str, modulus: int) -> int:
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % modulus
+
+
+#: Entries in each per-server memo table below; a full table is cleared
+#: wholesale, like the codec tables, which only costs recomputing.
+_TABLE_MAX = 4096
+
+
+def _remember(table: dict, key, value):
+    """Store ``value`` under ``key`` in a bounded memo table; return it."""
+    if len(table) >= _TABLE_MAX:
+        table.clear()
+    table[key] = value
+    return value
 
 
 @dataclass(slots=True)
@@ -87,7 +100,8 @@ class CdnAuthoritative(DnsServer):
                  unroutable_policy: UnroutablePolicy = UnroutablePolicy.USE_RESOLVER,
                  answers_per_response: int = 2):
         super().__init__(ip)
-        self.domains = list(domains)
+        #: A tuple, so the ``serves`` memo below cannot go stale.
+        self.domains: Tuple[Name, ...] = tuple(domains)
         #: A tuple, so the per-city table below cannot go stale.
         self.edges: Tuple[EdgePool, ...] = tuple(edges)
         if not self.edges:
@@ -103,7 +117,18 @@ class CdnAuthoritative(DnsServer):
             set(whitelist) if whitelist is not None else None
         self.unroutable_policy = unroutable_policy
         self.answers_per_response = answers_per_response
-        self.decisions: List[MappingDecision] = []
+        #: The most recent edge-selection decision (``None`` before the
+        #: first); earlier ones are not kept.
+        self.last_decision: Optional[MappingDecision] = None
+        # Per-query values that depend only on this server's setup, each
+        # keyed by everything it is a function of.
+        #: qname -> whether it falls under :attr:`domains`.
+        self._served: Dict[Name, bool] = {}
+        #: ``hint|qname`` text -> its rotation salt.
+        self._salts: Dict[str, int] = {}
+        #: (qname text, edge address, TTL) -> the answer record.  The
+        #: text keeps the query's spelling, which ``Name`` equality folds.
+        self._records: Dict[Tuple[str, str, int], ResourceRecord] = {}
 
     # -- mapping -------------------------------------------------------------
 
@@ -128,10 +153,23 @@ class CdnAuthoritative(DnsServer):
                      hint_source: str,
                      scope_returned: Optional[int]) -> List[str]:
         pool = self.nearest_pool(hint_ip)
-        self.decisions.append(
-            MappingDecision(hint_ip, hint_source, pool, scope_returned))
-        salt = _hash_index(f"{hint_ip}|{qname.to_text()}", 1 << 30)
+        self.last_decision = MappingDecision(hint_ip, hint_source, pool,
+                                             scope_returned)
+        token = f"{hint_ip}|{qname.to_text()}"
+        salt = self._salts.get(token)
+        if salt is None:
+            salt = _remember(self._salts, token, _hash_index(token, 1 << 30))
         return pool.rotation(salt, self.answers_per_response)
+
+    def _answer(self, qname: Name, address: str) -> ResourceRecord:
+        """The A or AAAA record naming ``address`` for ``qname``."""
+        key = (qname.to_text(), address, self.ttl)
+        record = self._records.get(key)
+        if record is None:
+            rdata = AAAA(address) if ":" in address else A(address)
+            record = _remember(self._records, key, ResourceRecord(
+                qname, rdata.rdtype, self.ttl, rdata))
+        return record
 
     def _resolve_hint(self, ecs: Optional[EcsOption], src_ip: str
                       ) -> Tuple[str, str, bool]:
@@ -157,7 +195,10 @@ class CdnAuthoritative(DnsServer):
             response.rcode = Rcode.FORMERR
             return response
         qname, qtype = query.question.qname, query.question.qtype
-        if not self.serves(qname):
+        served = self._served.get(qname)
+        if served is None:
+            served = _remember(self._served, qname, self.serves(qname))
+        if not served:
             response.rcode = Rcode.REFUSED
             return response
         if qtype not in (RecordType.A, RecordType.AAAA):
@@ -179,16 +220,15 @@ class CdnAuthoritative(DnsServer):
             else:
                 # Whitelisted but below threshold: answer is client-agnostic.
                 scope = 0
-            response.set_ecs(ecs.response_to(scope))
+            # ``make_response`` gave the response a fresh EDNS record
+            # with no options: echo into it rather than copying it twice.
+            response.edns.options.append(ecs.response_to(scope))
 
+        want_v6 = qtype == RecordType.AAAA
         for address in self.select_edges(hint_ip, qname, hint_source, scope):
-            if qtype == RecordType.A and ":" not in address:
-                response.answers.append(
-                    ResourceRecord(qname, RecordType.A, self.ttl, A(address)))
-            elif qtype == RecordType.AAAA and ":" in address:
-                response.answers.append(
-                    ResourceRecord(qname, RecordType.AAAA, self.ttl,
-                                   AAAA(address)))
+            # An A query skips v6 edges and an AAAA query v4 ones.
+            if (":" in address) is want_v6:
+                response.answers.append(self._answer(qname, address))
         return response
 
 

@@ -250,7 +250,9 @@ def cmd_pitfalls(args: argparse.Namespace, reporter: _Reporter) -> None:
     lab = MappingQualityLab.build(probe_count=args.probes, seed=args.seed)
     for cdn, qname, fig in ((lab.cdn1, lab.cdn1_qname, "fig6"),
                             (lab.cdn2, lab.cdn2_qname, "fig7")):
-        series = measure_mapping_quality(lab, cdn, qname)
+        series = measure_mapping_quality(
+            lab, cdn, qname,
+            seed=world_seed(args.seed, f"analysis.mapping_quality.{fig}"))
         cliff = crossover_prefix_length(series)
         reporter.emit(fig, series.report(
             f"{fig.upper()} — time-to-connect by prefix length "

@@ -122,7 +122,7 @@ def classify_probing(observations: Sequence[QueryObservation],
         per_name[o.qname].append(o)
     confined = all(
         all(x.has_ecs for x in per_name[name] if x.qtype in (1, 28))
-        for name in ecs_names)
+        for name in ecs_names)  # repro-lint: disable=RS001 (all() of a pure test: order cannot reach the result)
     if confined:
         repeats_within_ttl = _has_repeat_within(ecs_queries, record_ttl)
         if repeats_within_ttl:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..addr import AddressAllocator, address_text
 from .clock import SimClock
@@ -22,6 +22,10 @@ from .latency import DEFAULT_LATENCY
 V4_SUPERNET = "16.0.0.0/4"
 #: IPv6 space for simulated ASes.
 V6_SUPERNET = "2600::/16"
+#: Entries in a topology's per-pair distance table (a 986-probe scan
+#: unit fills 2,719); a full table is cleared wholesale, like the codec
+#: tables, which only costs recomputing.
+_DISTANCE_TABLE_MAX = 4096
 
 
 @dataclass
@@ -101,6 +105,10 @@ class Topology:
         self.geo = GeoDatabase()
         self.host_as: Dict[str, AutonomousSystem] = {}
         self.host_city: Dict[str, City] = {}
+        #: (src, dst) -> great-circle km, for pairs whose two ends are
+        #: both placed: a placement never moves, while the geo DB a
+        #: fallback reads can gain entries later.
+        self._distances: Dict[Tuple[str, str], float] = {}
         self._ases: Dict[int, AutonomousSystem] = {}
         self._v4_pool = AddressAllocator(V4_SUPERNET)
         self._v6_pool = AddressAllocator(V6_SUPERNET)
@@ -138,8 +146,23 @@ class Topology:
         return a.distance_km(b)
 
     def rtt_ms(self, ip_a: str, ip_b: str, rng=None) -> float:
-        """Model RTT between two hosts (2,000 km apart if one is unplaced)."""
-        dist = self.distance_km(ip_a, ip_b)
+        """Model RTT between two hosts (2,000 km apart if one is unplaced).
+
+        The jitter is drawn from ``rng`` on every call; only the distance
+        of a pair of placed hosts is remembered.
+        """
+        pair = (ip_a, ip_b)
+        dist = self._distances.get(pair)
         if dist is None:
-            dist = 2000.0
+            city_a = self.host_city.get(ip_a)
+            city_b = self.host_city.get(ip_b)
+            if city_a is not None and city_b is not None:
+                dist = city_a.distance_km(city_b)
+                if len(self._distances) >= _DISTANCE_TABLE_MAX:
+                    self._distances.clear()
+                self._distances[pair] = dist
+            else:
+                dist = self.distance_km(ip_a, ip_b)
+                if dist is None:
+                    dist = 2000.0
         return self.latency.rtt_ms(dist, rng)

@@ -12,7 +12,20 @@ statically:
   ``uuid.uuid1/uuid4`` read the wall clock or OS entropy (legal only in
   the virtual clock module and the out-of-band ``repro.obs`` layer);
 - builtin ``hash()`` is salted per process (PYTHONHASHSEED), and
-  iterating a set directly exposes that salt as an ordering.
+  iterating a set exposes that salt as an ordering.  A ``for`` loop or a
+  comprehension is reported when it iterates a set display, a set
+  comprehension or a ``set()``/``frozenset()`` call, or a name that every
+  binding in its scope (a module, class or function body, comprehensions
+  included) binds to one of those.
+
+  Blind spots of the set check: a name with any other binding in its
+  scope (a parameter, a loop target, an unpacking, an augmented
+  assignment such as ``pool |= more``) is taken as maybe not a set, and
+  so is an attribute (``self.pool``), a call's result, and a name bound
+  in an enclosing function.  Only ``for`` and comprehensions count as
+  iteration: ``list(pool)``, ``tuple(pool)``, ``"".join(pool)`` or
+  ``next(iter(pool))`` pass unreported.  No test or benchmark file is
+  checked.
 
 RS005 closes the remaining holes: constructing ``random.Random`` with no
 argument seeds from OS entropy, a hard-coded constant seed outside tests
@@ -26,7 +39,7 @@ derived stream precisely so nothing ever needs to reseed.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Set
 
 from ..core import AstRule, LintContext, register
 
@@ -110,6 +123,9 @@ class DeterminismRule(AstRule):
                 self._check_random(ctx, imports, node)
             elif isinstance(node, (ast.For, ast.comprehension)):
                 self._check_iteration(ctx, node)
+            if isinstance(node, (ast.Module,) + _SCOPES) \
+                    and not ctx.is_test:
+                self._check_set_names(ctx, node)
 
     def _check_random(self, ctx: LintContext, imports: _ImportMap,
                       node: "ast.Attribute | ast.Name") -> None:
@@ -155,6 +171,71 @@ class DeterminismRule(AstRule):
             ctx.report(self, anchor,
                        "iterating a set exposes hash-salted ordering; "
                        "wrap it in sorted(...) before iterating")
+
+    def _check_set_names(self, ctx: LintContext, scope: ast.AST) -> None:
+        """Flag ``for x in pool`` where ``pool`` is only ever a set."""
+        nodes = list(_scope_nodes(scope))
+        names = _set_names(nodes)
+        if not names:
+            return
+        for node in nodes:
+            if (isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+                    and isinstance(node.iter, ast.Name)
+                    and node.iter.id in names):
+                anchor = node.iter if isinstance(node, ast.comprehension) \
+                    else node
+                ctx.report(self, anchor,
+                           f"'{node.iter.id}' is only ever bound to a set, "
+                           f"so iterating it exposes hash-salted ordering; "
+                           f"wrap it in sorted(...) before iterating")
+
+
+#: Nodes that open a scope of their own.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """Every node of ``scope``'s body, but none inside a scope nested in it
+    (the nested definition itself is yielded: it binds its name)."""
+    pending = list(ast.iter_child_nodes(scope))
+    while pending:
+        node = pending.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def _set_names(nodes: List[ast.AST]) -> Set[str]:
+    """The names that every binding among ``nodes`` binds to a set."""
+    to_set: Set[int] = set()  # ids of Name targets assigned a set
+    for node in nodes:
+        if isinstance(node, ast.Assign) and _is_set_expr(node.value):
+            to_set.update(id(t) for t in node.targets
+                          if isinstance(t, ast.Name))
+        elif (isinstance(node, (ast.AnnAssign, ast.NamedExpr))
+              and node.value is not None and _is_set_expr(node.value)):
+            to_set.add(id(node.target))
+    sets: Set[str] = set()
+    others: Set[str] = set()
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            (sets if id(node) in to_set else others).add(node.id)
+        elif isinstance(node, ast.arg):
+            others.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            others.add(node.name)
+        elif isinstance(node, (ast.MatchAs, ast.MatchStar)) and node.name:
+            others.add(node.name)
+        elif isinstance(node, ast.MatchMapping) and node.rest:
+            others.add(node.rest)
+        elif isinstance(node, ast.alias):
+            others.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            others.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            others.update(node.names)
+    return sets - others
 
 
 def _is_set_expr(node: ast.AST) -> bool:

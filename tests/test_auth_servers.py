@@ -9,7 +9,7 @@ from repro.auth import (AuthoritativeServer, CdnAuthoritative, DnsHierarchy,
                         build_edge_pools, decode_probe_name,
                         encode_probe_name, fixed_scope, source_minus)
 from repro.dnslib import EcsOption, Message, Name, Rcode, RecordType, Zone
-from repro.auth.cdn import _hash_index
+from repro.auth.cdn import MappingDecision, _hash_index
 from repro.auth.scan_experiment import ScanQueryRecord
 from repro.net import Network, Topology, city
 from repro.net.geo import WORLD_CITIES
@@ -196,16 +196,16 @@ class TestCdn:
         net, cdn, client = self._cdn(world)
         resp = direct_query(net, client, cdn.ip, "www.cdn.example")
         assert resp.answer_addresses()
-        assert cdn.decisions[-1].pool.city.name == "Chicago"
-        assert cdn.decisions[-1].hint_source == "resolver"
+        assert cdn.last_decision.pool.city.name == "Chicago"
+        assert cdn.last_decision.hint_source == "resolver"
 
     def test_maps_by_ecs_when_present(self, world):
         net, cdn, client = self._cdn(world)
         tokyo_client = world[0].create_as("jp", "JP").host_in(city("Tokyo"))
         ecs = EcsOption.from_client_address(tokyo_client, 24)
         resp = direct_query(net, client, cdn.ip, "www.cdn.example", ecs=ecs)
-        assert cdn.decisions[-1].pool.city.name == "Tokyo"
-        assert cdn.decisions[-1].hint_source == "ecs"
+        assert cdn.last_decision.pool.city.name == "Tokyo"
+        assert cdn.last_decision.hint_source == "ecs"
         assert resp.ecs().scope_prefix_length == 24
 
     def test_scope_capped_at_source(self, world):
@@ -221,7 +221,7 @@ class TestCdn:
         ecs = EcsOption.from_client_address("10.9.8.0", 24)
         resp = direct_query(net, client, cdn.ip, "www.cdn.example", ecs=ecs)
         assert resp.ecs() is None
-        assert cdn.decisions[-1].hint_source == "resolver"
+        assert cdn.last_decision.hint_source == "resolver"
 
     def test_whitelisted_resolver_gets_ecs(self, world):
         net, cdn, client = self._cdn(world, whitelist=None)
@@ -233,7 +233,7 @@ class TestCdn:
         net, cdn, client = self._cdn(world, min_source_prefix_v4=24)
         ecs = EcsOption.from_client_address("16.32.0.0", 16)
         resp = direct_query(net, client, cdn.ip, "www.cdn.example", ecs=ecs)
-        assert cdn.decisions[-1].hint_source == "resolver"
+        assert cdn.last_decision.hint_source == "resolver"
         # Whitelisted-but-below-threshold answers carry scope 0.
         assert resp.ecs().scope_prefix_length == 0
 
@@ -242,15 +242,15 @@ class TestCdn:
             world, unroutable_policy=UnroutablePolicy.USE_RESOLVER)
         ecs = EcsOption.from_client_address("127.0.0.1", 32)
         direct_query(net, client, cdn.ip, "www.cdn.example", ecs=ecs)
-        assert cdn.decisions[-1].hint_source == "resolver"
-        assert cdn.decisions[-1].pool.city.name == "Chicago"
+        assert cdn.last_decision.hint_source == "resolver"
+        assert cdn.last_decision.pool.city.name == "Chicago"
 
     def test_unroutable_literal_policy_degrades(self, world):
         net, cdn, client = self._cdn(
             world, unroutable_policy=UnroutablePolicy.LITERAL)
         ecs = EcsOption.from_client_address("127.0.0.1", 32)
         direct_query(net, client, cdn.ip, "www.cdn.example", ecs=ecs)
-        assert cdn.decisions[-1].hint_source == "unroutable-literal"
+        assert cdn.last_decision.hint_source == "unroutable-literal"
 
     def test_nodata_for_txt(self, world):
         net, cdn, client = self._cdn(world)
@@ -267,6 +267,60 @@ class TestCdn:
         net, cdn, client = self._cdn(world, answers_per_response=2)
         resp = direct_query(net, client, cdn.ip, "www.cdn.example")
         assert len(resp.answer_addresses()) == 2
+
+    def test_answers_equal_fresh_records_for_a_and_aaaa(self, world,
+                                                       monkeypatch):
+        """Remembered answer records equal the ones built per query: the
+        rotation's order, the query's spelling, v6 edges skipped on an A
+        query and v4 ones on an AAAA query, cold, warm or clearing."""
+        topology, net, _ = world
+        pool = EdgePool(city("Chicago"),
+                        ("16.9.0.1", "2600:9::1", "16.9.0.2", "2600:9::2"))
+        client = topology.create_as("mw", "US").host_in(city("Chicago"))
+        queries = [(q, t) for q in ("www.cdn.example", "WWW.cdn.example",
+                                    "img.cdn.example")
+                   for t in (RecordType.A, RecordType.AAAA)]
+
+        def want(qname, qtype):
+            salt = _hash_index(f"{client}|{qname}.", 1 << 30)
+            v6 = qtype == RecordType.AAAA
+            return [(qname + ".", address)
+                    for address in pool.rotation(salt, 3)
+                    if (":" in address) == v6]
+
+        def got(cdn, qname, qtype):
+            # Straight to the handler: on the wire the owner name is a
+            # pointer to the question, which would hide its spelling.
+            resp = cdn.handle_query(Message.make_query(
+                Name.from_text(qname), qtype, msg_id=1), client, net)
+            assert all(rr.rdtype == qtype and rr.ttl == cdn.ttl
+                       for rr in resp.answers)
+            return [(rr.name.to_text(), rr.rdata.address)
+                    for rr in resp.answers]
+
+        for table_max in (None, 2):
+            if table_max is not None:
+                monkeypatch.setattr("repro.auth.cdn._TABLE_MAX", table_max)
+            cdn = CdnAuthoritative(topology.create_as("cdn", "US").host_in(
+                city("Ashburn")), [Name.from_text("cdn.example.")], [pool],
+                topology, answers_per_response=3)
+            net.attach(cdn)
+            for _ in range(2):          # cold, then warm
+                for qname, qtype in queries:
+                    assert got(cdn, qname, qtype) == want(qname, qtype)
+        assert len(cdn._records) <= 2 and len(cdn._salts) <= 2
+        assert any(want(q, t) for q, t in queries if t == RecordType.AAAA)
+        assert any(want(q, t) for q, t in queries if t == RecordType.A)
+
+    def test_only_the_last_decision_is_kept(self, world):
+        net, cdn, client = self._cdn(world)
+        assert cdn.last_decision is None
+        tokyo = EcsOption.from_client_address(
+            world[0].create_as("jp", "JP").host_in(city("Tokyo")), 24)
+        direct_query(net, client, cdn.ip, "www.cdn.example", ecs=tokyo)
+        direct_query(net, client, cdn.ip, "www.cdn.example")
+        assert cdn.last_decision == MappingDecision(
+            client, "resolver", cdn.nearest_pool(client), None)
 
     def test_aaaa_only_returns_v6(self, world):
         net, cdn, client = self._cdn(world)

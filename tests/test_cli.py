@@ -175,15 +175,35 @@ class TestCommands:
         assert "FIG6" in out and "FIG7" in out
         assert "penalty" in out
         assert _report_digests(tmp_path) == {
-            "fig6.txt": "9c48c33fb89c853a57e6a00b8b678915"
-                        "bdef28bdb415e55f0fe10bec31340948",
-            "fig7.txt": "df468e08e385a03fcf07ec417f42c4bb"
-                        "6fb5a9b0fe1208dae5ed26b158e92006",
+            "fig6.txt": "36efe31a8a565b61eb7c2f2de27904e6"
+                        "52a3e6fc143a957917445a43813d6855",
+            "fig7.txt": "7464b203e0b85f8eed68b10464dd5f41"
+                        "c0059bd4cddfeb29aa6195b852236407",
             "fig8.txt": "ca19781ba80ef04c4439cadee2cc901a"
                         "e8e4a45c397e7045e34d4231b4b03ad2",
             "table2.txt": "c1689450e1b8ed1c92b77d3f4e403902"
                           "6b7eb0647b049bed5779aa311f9bebaf",
         }
+
+    def test_pitfalls_mapping_jitter_follows_seed(self, tmp_path,
+                                                  monkeypatch):
+        """``--seed`` reaches the Figure 6/7 handshake jitter, and each
+        figure draws its own stream."""
+        real = cli_module.measure_mapping_quality
+        seeds = []
+
+        def spy(lab, cdn, qname, *, seed):
+            seeds.append(seed)
+            return real(lab, cdn, qname, prefix_lengths=(24,), seed=seed)
+
+        monkeypatch.setattr(cli_module, "measure_mapping_quality", spy)
+        for seed in ("3", "4"):
+            assert main(["--quiet", "--seed", seed, "--out",
+                         str(tmp_path / seed), "pitfalls", "--probes",
+                         "5"]) == 0
+        fig6_at_3, fig7_at_3, fig6_at_4, fig7_at_4 = seeds
+        assert fig6_at_3 != fig6_at_4
+        assert fig6_at_3 != fig7_at_3 and fig6_at_4 != fig7_at_4
 
     def test_blowup_command(self, capsys):
         rc = main(["--seed", "2", "blowup", "--scale", "0.002",

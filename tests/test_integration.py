@@ -20,11 +20,11 @@ class TestFullResolutionPath:
         client = StubClient(small_world.client_ip, small_world.net)
         result = client.query(fwd_ip, "video.cdn.example")
         assert result.addresses
-        hint = small_world.cdn.decisions[-1].hint
+        hint = small_world.cdn.last_decision.hint
         assert same_prefix(hint, hidden_ip, 24)
         # Mapping follows the hidden resolver's location (Zurich), not the
         # client's (Cleveland): ECS as an obstacle.
-        assert small_world.cdn.decisions[-1].pool.city.name == "Zurich"
+        assert small_world.cdn.last_decision.pool.city.name == "Zurich"
 
     def test_ttl_expiry_forces_full_path_again(self, small_world):
         client = StubClient(small_world.client_ip, small_world.net)

@@ -29,7 +29,7 @@ class TestAaaaResolution:
         world, v6_client = v6_world
         client = StubClient(v6_client, world.net)
         client.query(world.resolver_ip, "video.cdn.example")
-        decision = world.cdn.decisions[-1]
+        decision = world.cdn.last_decision
         assert decision.hint_source == "ecs"
         # The hint is the /56-truncated client address: low 8 bytes zero.
         assert decision.hint.endswith("::")
@@ -82,7 +82,7 @@ class TestV6EcsOptionPaths:
         client = StubClient(cdn_as.host_in(city("Chicago")), net)
         ecs = EcsOption.from_client_address(tokyo_v6, 56)
         client.query(cdn_ip, "www.c.example", RecordType.A, ecs=ecs)
-        assert cdn.decisions[-1].pool.city.name == "Tokyo"
+        assert cdn.last_decision.pool.city.name == "Tokyo"
 
 
 class TestV6BlindSpot:

@@ -399,6 +399,47 @@ class TestTopology:
         topo = Topology()
         assert topo.rtt_ms("1.1.1.1", "2.2.2.2") > 0
 
+    def test_rtt_of_unplaced_endpoint_follows_the_geo_db(self):
+        """Only placed pairs are remembered: a geo-DB entry added after
+        a query moves the next RTT to an unplaced address."""
+        topo = Topology()
+        placed = topo.create_as("t", "US").host_in(city("Cleveland"))
+        unplaced = "203.0.113.9"
+        far = topo.latency.rtt_ms(2000.0)
+        assert topo.rtt_ms(placed, unplaced) == far
+        assert topo.rtt_ms(unplaced, placed) == far
+        topo.geo.add("203.0.113.0/24", city("Chicago"))
+        near = topo.latency.rtt_ms(
+            city("Cleveland").distance_km(city("Chicago")))
+        assert topo.rtt_ms(placed, unplaced) == near
+        assert topo.rtt_ms(unplaced, placed) == near
+
+    def test_warm_and_cold_distance_tables_give_one_rtt_sequence(
+            self, monkeypatch):
+        """The jitter is drawn on every call, so a seeded stream gives the
+        same RTTs whether the pair table is empty, full or clearing."""
+        def reference(topo, pairs, seed):
+            rng = random.Random(seed)
+            dists = [topo.distance_km(a, b) for a, b in pairs]
+            return [topo.latency.rtt_ms(2000.0 if d is None else d, rng)
+                    for d in dists]
+
+        for table_max in (None, 4):
+            if table_max is not None:
+                monkeypatch.setattr("repro.net.topology._DISTANCE_TABLE_MAX",
+                                    table_max)
+            topo = Topology()
+            as_ = topo.create_as("t", "US")
+            hosts = [as_.host_in(c) for c in WORLD_CITIES[:6]]
+            pairs = [(a, b) for a in hosts + ["203.0.113.9"]
+                     for b in hosts + ["203.0.113.9"]] * 2
+            want = reference(topo, pairs, 5)
+            for _ in range(2):          # cold, then warm
+                rng = random.Random(5)
+                assert [topo.rtt_ms(a, b, rng) for a, b in pairs] == want
+            # Placed pairs only, and never more than the bound.
+            assert len(topo._distances) <= (table_max or 36)
+
 
 class _Echo:
     """Endpoint answering every query with an empty NOERROR response."""

@@ -89,7 +89,7 @@ class TestResolverEcs:
     def test_sends_ecs_to_cdn(self, small_world):
         client = StubClient(small_world.client_ip, small_world.net)
         client.query(small_world.resolver_ip, CDN_NAME)
-        decision = small_world.cdn.decisions[-1]
+        decision = small_world.cdn.last_decision
         assert decision.hint_source == "ecs"
         # The hint is the /24 of the *client*, not the resolver.
         assert decision.hint.startswith(
@@ -132,7 +132,7 @@ class TestResolverEcs:
         client = StubClient(small_world.client_ip, small_world.net)
         foreign = EcsOption.from_client_address("16.99.99.0", 24)
         client.query(small_world.resolver_ip, CDN_NAME, ecs=foreign)
-        hint = small_world.cdn.decisions[-1].hint
+        hint = small_world.cdn.last_decision.hint
         assert not hint.startswith("16.99.99")
 
     def test_scope_ignoring_resolver_reuses_for_anyone(self, small_world):
@@ -154,7 +154,7 @@ class TestResolverEcs:
                                      policy=behaviors.NO_ECS)
         small_world.net.attach(resolver)
         StubClient(small_world.client_ip, small_world.net).query(ip, CDN_NAME)
-        assert small_world.cdn.decisions[-1].hint_source == "resolver"
+        assert small_world.cdn.last_decision.hint_source == "resolver"
 
     def test_jammed_policy_reveals_32_bits(self, small_world):
         ip = small_world.isp.host_in(city("Cleveland"))
@@ -163,7 +163,7 @@ class TestResolverEcs:
                                      policy=behaviors.JAMMED_LAST_BYTE)
         small_world.net.attach(resolver)
         StubClient(small_world.client_ip, small_world.net).query(ip, CDN_NAME)
-        assert small_world.cdn.decisions[-1].hint.endswith(".1")
+        assert small_world.cdn.last_decision.hint.endswith(".1")
 
     def test_mismatched_response_ecs_discarded(self, small_world):
         # An authoritative echoing a *different* prefix must be ignored
@@ -290,7 +290,7 @@ class TestAnycastService:
     def test_frontend_adds_client_ecs(self, small_world, service):
         client = StubClient(small_world.client_ip, small_world.net)
         client.query(service.frontend_ips[0], CDN_NAME)
-        hint = small_world.cdn.decisions[-1].hint
+        hint = small_world.cdn.last_decision.hint
         assert hint.startswith(
             ".".join(small_world.client_ip.split(".")[:3]))
 
@@ -301,7 +301,7 @@ class TestAnycastService:
         client = StubClient(small_world.client_ip, small_world.net)
         ecs = EcsOption.from_client_address(small_world.client_ip, 24)
         result = client.query(service.frontend_ips[0], CDN_NAME, ecs=ecs)
-        assert small_world.cdn.decisions[-1].hint.startswith(
+        assert small_world.cdn.last_decision.hint.startswith(
             ".".join(small_world.client_ip.split(".")[:3]))
         assert result.response.ecs().scope_prefix_length == 24
 

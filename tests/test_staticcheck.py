@@ -140,6 +140,52 @@ class TestDeterminismRule:
         src = "vals = [x for x in set([3, 1])]\n"
         assert ids_of(lint(src, rule_ids=["RS001"])) == ["RS001"]
 
+    def test_name_bound_only_to_sets_flagged(self):
+        """A draw over a set held in a local follows PYTHONHASHSEED as
+        surely as one over the set display."""
+        src = ("def sample(ips, rng):\n"
+               "    pool = {ip for ip in ips}\n"
+               "    return [ip for ip in pool if rng.random() < 0.5]\n")
+        violations = lint(src, rule_ids=["RS001"])
+        assert ids_of(violations) == ["RS001"]
+        assert violations[0].line == 3
+        assert "'pool' is only ever bound to a set" in violations[0].message
+        sorted_src = src.replace("in pool", "in sorted(pool)")
+        assert lint(sorted_src, rule_ids=["RS001"]) == []
+
+    def test_every_set_binding_form_flagged(self):
+        src = ("seen = frozenset()\n"
+               "for x in seen:\n    pass\n"
+               "def f(items):\n"
+               "    pool = set(items)\n"
+               "    if items:\n"
+               "        pool = {1, 2}\n"
+               "    for x in pool:\n        print(x)\n"
+               "    if (more := set()):\n"
+               "        return [y for y in more]\n")
+        violations = lint(src, rule_ids=["RS001"])
+        assert [v.line for v in violations] == [2, 8, 11]
+
+    def test_name_with_another_binding_not_flagged(self):
+        """The blind spots: a name that may hold something else, a name
+        from an enclosing function, and iteration by a call."""
+        src = ("def f(pool, rows):\n"
+               "    pool = set(pool)\n"
+               "    for x in pool:\n        print(x)\n"
+               "    acc = set()\n"
+               "    acc |= {1}\n"
+               "    for x in acc:\n        print(x)\n"
+               "    outer = {1, 2}\n"
+               "    def g():\n"
+               "        return [x for x in outer]\n"
+               "    return list(outer), g\n")
+        assert lint(src, rule_ids=["RS001"]) == []
+
+    def test_set_name_not_checked_in_tests(self):
+        src = "pool = {1, 2}\nfor x in pool:\n    print(x)\n"
+        assert ids_of(lint(src, rule_ids=["RS001"])) == ["RS001"]
+        assert lint(src, path="tests/test_x.py", rule_ids=["RS001"]) == []
+
 
 # ---------------------------------------------------------------------------
 # RS002 — merge-completeness
