@@ -23,8 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.addr import clear_address_caches, parse_addr, prefix_key_int
-from repro.analysis.cache_sim import (KeyedTrace, replay_partial,
-                                      replay_partial_batched,
+from repro.analysis.cache_sim import (replay_partial, replay_partial_batched,
                                       replay_partial_columns)
 from repro.datasets.allnames import AllNamesBuilder
 from repro.dnslib import (EcsOption, EdnsInfo, Message, Name, Question,
@@ -195,8 +194,8 @@ def test_hotpath_replay_obs_disabled_is_free(save_report, tmp_path):
     PR-2 fast paths: any per-row instrumentation creeping into the
     disabled path shows up here as a throughput drop.
     """
-    from repro.datasets.columnar import RowGroupReader, write_columnar_stream
-    from repro.engine.replay import _replay_columnar_shard
+    from repro.datasets.columnar import write_columnar_stream
+    from repro.engine.replay import _HELD, _replay_columnar_shard
     from repro.obs import metrics as obs_metrics
     from repro.obs import trace as obs_trace
 
@@ -206,16 +205,16 @@ def test_hotpath_replay_obs_disabled_is_free(save_report, tmp_path):
     trace = str(tmp_path / "allnames.col")
     write_columnar_stream(records, trace, "allnames",
                           row_group_rows=1 << 30)
-    with RowGroupReader(trace) as reader:
-        keyed = KeyedTrace(reader.walk(), reader.rows, "client_ip")
-    rows = keyed.qname_buckets(1)[0]
+    # Both modes replay the one bucket the worker holds (_HELD), so the
+    # bar compares the entry point with the bare lane on the same rows.
+    _replay_columnar_shard(trace, "allnames", 1, 0)
+    keyed = _HELD.value
 
     # One shard is the whole trace.  At the CI scale a pass is ~20 ms,
     # inside GC and scheduler noise, so the bar holds the median of
-    # alternating rounds' ratios; the first worker call pays its cached
-    # open and bucket table, and that round is one of many.
+    # alternating rounds' ratios.
     results, seconds = alternating_rounds({
-        "bare": lambda: replay_partial_columns(keyed, rows),
+        "bare": lambda: replay_partial_columns(keyed, 0),
         "instrumented": lambda: _replay_columnar_shard(trace, "allnames",
                                                        1, 0)},
         REPLAY_OBS_ROUNDS)

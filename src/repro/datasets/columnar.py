@@ -40,8 +40,10 @@ machine identity.  A JSONL trace is a ``.col`` trace rendered
 from __future__ import annotations
 
 import bisect
+import collections
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import mmap
@@ -665,6 +667,19 @@ class ColumnarStore:
         decided by each row's dictionary entry (:func:`bucket_rows`)."""
         return bucket_rows(self._dicts[column], self._data[column], shards)
 
+    def bucket_sizes(self, column: str, shards: int) -> List[int]:
+        """The lengths of :meth:`row_buckets`, from a count of each
+        dictionary code, without listing a row."""
+        names, sizes = self._dicts[column], [0] * shards
+        for code, rows in collections.Counter(self._data[column]).items():
+            sizes[_bucket_of(names[code], shards)] += rows
+        return sizes
+
+
+#: :func:`stable_bucket`, remembered for the names of the last few
+#: thousand calls: each row group of a trace lists its names again.
+_bucket_of = functools.lru_cache(maxsize=4096)(stable_bucket)
+
 
 def bucket_rows(names: Sequence[str], codes: Sequence[int],
                 shards: int) -> List["array[Any]"]:
@@ -672,7 +687,7 @@ def bucket_rows(names: Sequence[str], codes: Sequence[int],
     given as its code into ``names``: the hash runs once per distinct
     name, then bucketing the rows is a table lookup per row.  A row index
     takes four bytes unless there are 2**32 rows."""
-    by_name = {name: stable_bucket(name, shards)
+    by_name = {name: _bucket_of(name, shards)
                for name in dict.fromkeys(names)}
     by_code = list(map(by_name.__getitem__, names))
     buckets = [array("I" if len(codes) < 1 << 32 else "q")
@@ -1210,6 +1225,10 @@ class RowGroupReader:
         end -= end % mmap.PAGESIZE
         if end:
             self._mapping.madvise(_DONTNEED, 0, end)
+
+    def __iter__(self) -> Iterator[ColumnarStore]:
+        """Every group, as :meth:`walk` yields them."""
+        return self.walk()
 
     def iter_records(self) -> Iterator[Any]:
         """Stream every row as a record, one group resident at a time."""

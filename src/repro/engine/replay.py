@@ -311,11 +311,14 @@ def replay_jsonl_sharded(path: Union[str, Path], kind: str,
 # Columnar dispatch: workers open one shared file by path.
 
 
-def _keyed_file(path: str, client_field: str, clients: bool) -> KeyedTrace:
-    """A ``.col`` trace as a :class:`KeyedTrace`, its row groups keyed
-    one group's mapped pages at a time; the file is unmapped once keyed."""
+def _keyed_file(path: str, client_field: str, shards: int,
+                clients: bool) -> KeyedTrace:
+    """A ``.col`` trace as a :class:`KeyedTrace` of ``shards`` qname
+    buckets, its row groups keyed one group's mapped pages at a time; the
+    file is unmapped once keyed."""
     with RowGroupReader(path) as reader:
-        return KeyedTrace(reader.walk(), reader.rows, client_field, clients)
+        return KeyedTrace(reader, reader.rows, client_field, clients,
+                          shards)
 
 
 class _Slot:
@@ -363,15 +366,14 @@ def _replay_columnar_shard(path: str, kind: str, shards: int,
 
     The work unit crossing the pool boundary is ``(bucket,)`` plus the
     shared ``(path, kind, shards)`` header — never rows.  The worker
-    holds the trace once, as a :class:`KeyedTrace` (:data:`_HELD`), so
-    the buckets of one trace share its key ids and its bucket tables;
-    the hot loop reads them, traced or not.
+    holds the trace once, bucket-major for ``shards``, as a
+    :class:`KeyedTrace` (:data:`_HELD`), so the buckets of one trace
+    share its key ids and each replays contiguous slices, traced or not.
     """
     trace: KeyedTrace = _HELD.open(_keyed_file, path, CLIENT_FIELDS[kind],
-                                   False)
-    rows = trace.qname_buckets(shards)[bucket]
+                                   shards, False)
     return _observed_replay(
-        kind, lambda: replay_partial_columns(trace, rows=rows))
+        kind, lambda: replay_partial_columns(trace, bucket))
 
 
 def _replay_columnar_range(path: str, kind: str, group_start: int,
@@ -404,8 +406,8 @@ def replay_columnar_sharded(path: Union[str, Path], kind: str,
     instead of routing raw lines through the pool, the parent ships only
     the shared ``(path, kind, shards)`` header and per-shard bucket
     indices; each worker builds the trace's :class:`KeyedTrace` once,
-    a group's pages at a time, buckets its rows by qname and runs the
-    column replay.
+    a group's pages at a time, its rows held contiguous by qname bucket,
+    and runs the column replay over its buckets' slices.
     Counter-identical to the ``replay_partial`` oracle over the file's
     records, qname bucket by qname bucket, for any
     worker count — the equivalence suite pins it.
@@ -493,9 +495,9 @@ def fig1_sharded(spec: ShardSpec, ttls: Sequence[Optional[int]],
 def _client_sample_replay(path: str, clients: List[str], fraction: float,
                           seed: int) -> ReplayPartial:
     """Worker entry point: one (fraction, seed) unit of the client sweep."""
-    trace: KeyedTrace = _HELD.open(_keyed_file, path, "client_ip", True)
+    trace: KeyedTrace = _HELD.open(_keyed_file, path, "client_ip", 1, True)
     return replay_partial_columns(
-        trace, client_sample_rows(trace, clients, fraction, seed))
+        trace, rows=client_sample_rows(trace, clients, fraction, seed))
 
 
 def client_sweep_sharded(path: Union[str, Path], clients: Sequence[str],

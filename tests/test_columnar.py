@@ -473,17 +473,22 @@ def test_merge_rejects_mixed_schemas(tmp_path):
 
 
 def test_row_buckets_match_partition_by_key():
-    """A store's row buckets and its keyed trace's qname buckets are the
-    qname partition of its rows."""
+    """A store's row buckets, their sizes, and the rows its keyed trace
+    holds per bucket are the qname partition of its rows."""
     records = _hand_records("allnames", 200)
     store = ColumnarStore.from_records(records, "allnames")
-    trace = KeyedTrace([store], len(store), "client_ip")
     for shards in (1, 3, 8):
         reference = partition_by_key(list(range(len(records))), shards,
                                      lambda i: records[i].qname)
-        for buckets in (store.row_buckets("qname", shards),
-                        trace.qname_buckets(shards)):
-            assert [list(bucket) for bucket in buckets] == reference
+        assert [list(bucket) for bucket in
+                store.row_buckets("qname", shards)] == reference
+        assert store.bucket_sizes("qname", shards) \
+            == list(map(len, reference))
+        trace = KeyedTrace([store], len(store), "client_ip", shards=shards)
+        for bucket, rows in enumerate(reference):
+            ts, ttl = trace.bucket(bucket)[:2]
+            assert list(ts) == [records[row].ts for row in rows]
+            assert list(ttl) == [records[row].ttl for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +524,10 @@ def test_replay_columns_equals_object_path(records, shards, ttl_override,
     trace = KeyedTrace([store], len(store), "client_ip")
     assert replay_partial_columns(trace, ttl_override=ttl_override) \
         == batched
-    buckets = trace.qname_buckets(shards)
+    bucketed = KeyedTrace([store], len(store), "client_ip", shards=shards)
     reference = partition_by_key(records, shards, lambda r: r.qname)
-    for bucket, ref in zip(buckets, reference):
-        assert replay_partial_columns(trace, rows=bucket,
+    for bucket, ref in enumerate(reference):
+        assert replay_partial_columns(bucketed, bucket,
                                       ttl_override=ttl_override) \
             == _oracle(ref, ttl_override)
     rows = sorted(data.draw(st.sets(st.integers(0, len(records) - 1)),
@@ -1085,20 +1090,56 @@ def test_replay_column_groups_ttl_override(ttl_override, tmp_path):
 
 def test_key_ids_depend_on_the_rows_not_the_grouping(tmp_path):
     """A trace keyed from one store and from the same rows written in
-    small row groups holds the same columns and qname buckets: ids are
-    issued by value, so group-local dictionary codes never reach one."""
+    small row groups holds the same columns, and the same rows in each
+    qname bucket: ids are issued by value, so group-local dictionary
+    codes never reach one."""
     records = _hand_records("allnames", 200)
-    whole = KeyedTrace([ColumnarStore.from_records(records, "allnames")],
-                       len(records), "client_ip", clients=True)
+    store = ColumnarStore.from_records(records, "allnames")
+    whole = KeyedTrace([store], len(records), "client_ip", clients=True)
+    bucketed = KeyedTrace([store], len(records), "client_ip", shards=8)
     for row_group_rows in (3, 17):
         path = tmp_path / f"t{row_group_rows}.col"
         write_columnar_stream(records, path, "allnames", row_group_rows)
         with RowGroupReader(path) as reader:
             grouped = KeyedTrace(reader.walk(), reader.rows, "client_ip",
                                  clients=True)
-        for column in ("ts", "ttl", "ids", "client_ids", "clients"):
+            regrouped = KeyedTrace(reader, reader.rows, "client_ip",
+                                   shards=8)
+        assert grouped.bucket(0) == whole.bucket(0)
+        for column in ("client_ids", "clients"):
             assert getattr(grouped, column) == getattr(whole, column)
-        assert grouped.qname_buckets(8) == whole.qname_buckets(8)
+        assert list(map(regrouped.bucket, range(8))) \
+            == list(map(bucketed.bucket, range(8)))
+
+
+def test_a_trace_of_many_buckets_refuses_an_iterator(tmp_path):
+    """Sizing the buckets walks the stores once before keying them, so
+    a one-shot iterator of stores is refused rather than keyed empty."""
+    path = tmp_path / "t.col"
+    write_columnar_stream(_hand_records("allnames", 50), path, "allnames", 7)
+    with RowGroupReader(path) as reader:
+        with pytest.raises(TypeError, match="not an iterator"):
+            KeyedTrace(reader.walk(), reader.rows, "client_ip", shards=2)
+
+
+@pytest.mark.parametrize("shards", (1, 3, 8))
+@pytest.mark.parametrize("ttl_override", (None, 0, 40))
+def test_a_multi_group_file_held_bucket_major_replays_like_the_oracle(
+        shards, ttl_override, tmp_path):
+    """A ``.col`` of many small groups, each with its own dictionaries,
+    keyed into one trace bucket-major: every bucket's replay, read as
+    slices, equals the oracle over that bucket's records."""
+    records = sorted(_hand_records("allnames", 300), key=lambda r: r.ts)
+    path = tmp_path / "t.col"
+    write_columnar_stream(records, path, "allnames", 17)
+    with RowGroupReader(path) as reader:
+        assert reader.group_count > shards
+        trace = KeyedTrace(reader, reader.rows, "client_ip", shards=shards)
+    reference = partition_by_key(records, shards, lambda r: r.qname)
+    for bucket, ref in enumerate(reference):
+        assert replay_partial_columns(trace, bucket,
+                                      ttl_override=ttl_override) \
+            == _oracle(ref, ttl_override)
 
 
 # ---------------------------------------------------------------------------

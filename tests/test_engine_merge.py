@@ -121,12 +121,11 @@ def test_shard_count_moves_only_the_peak(seed, scale):
         AllNamesBuilder(scale=scale, seed=seed).iter_shard_columns(0, 1),
         "allnames")
 
-    trace = KeyedTrace([store], len(store), "client_ip")
-
     def merged(shards):
+        trace = KeyedTrace([store], len(store), "client_ip", shards=shards)
         partial = ReplayPartial()
-        for rows in trace.qname_buckets(shards):
-            partial = partial.merge(replay_partial_columns(trace, rows=rows))
+        for bucket in range(shards):
+            partial = partial.merge(replay_partial_columns(trace, bucket))
         return partial
 
     whole = merged(1)
