@@ -42,8 +42,8 @@ def pitfall_prefix_length() -> None:
             seed=world_seed(5, f"analysis.mapping_quality.{fig}"))
         cliff = crossover_prefix_length(series)
         print(f"{label}: median connect /24 = {series.median(24):.0f} ms, "
-              f"/16 = {series.median(16):.0f} ms; quality collapses below "
-              f"/{(cliff or 0) + 1}")
+              f"/16 = {series.median(16):.0f} ms; quality collapses at "
+              f"/{cliff}")
     print("-> sending /24 everywhere is the only safe policy; per-CDN "
           "thresholds differ and are invisible to resolvers\n")
 

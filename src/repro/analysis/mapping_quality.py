@@ -127,15 +127,18 @@ def measure_mapping_quality(lab: MappingQualityLab, cdn: CdnAuthoritative,
 def crossover_prefix_length(series: PrefixLengthSeries) -> Optional[int]:
     """The longest prefix length at which mapping quality collapses.
 
-    Scans downward from /24; returns the first length whose median latency
-    exceeds 1.5 × the /24 median (the Fig 6/7 cliff).
+    Scans downward from the longest measured length, one step between
+    adjacent measured lengths at a time, and returns the shorter length
+    of the first step across which the median latency jumps more than
+    3x and the distinct first answers fall to 3 or fewer (the Fig 6/7
+    cliff: below it the CDN ignores ECS and maps every probe to one
+    resolver-near edge).  A slower median alone is no cliff: a CDN still
+    using ECS at a length can hand out farther edges there.
     """
-    if 24 not in series.latencies_ms or not series.latencies_ms[24]:
-        return None
-    baseline = series.median(24)
-    for L in sorted(series.latencies_ms, reverse=True):
-        if L == 24 or not series.latencies_ms[L]:
-            continue
-        if series.median(L) > 1.5 * baseline:
-            return L
+    lengths = [L for L in sorted(series.latencies_ms, reverse=True)
+               if series.latencies_ms[L]]
+    for longer, shorter in zip(lengths, lengths[1:]):
+        if (series.median(shorter) > 3 * series.median(longer)
+                and series.unique_answers[shorter] <= 3):
+            return shorter
     return None
