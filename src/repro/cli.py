@@ -227,9 +227,11 @@ def cmd_blowup(args: argparse.Namespace, reporter: _Reporter) -> None:
         _, engine_report = generate_columnar(allnames, trace,
                                              workers=args.workers)
         reporter.engine(engine_report)
+        # Three samples per fraction, as the paper averages three runs.
         sweep, engine_report = client_sweep_sharded(
             trace, clients, fractions=(0.1, 0.25, 0.5, 0.75, 1.0),
-            seeds=(1, 2), workers=args.workers)
+            seeds=[world_seed(args.seed, f"analysis.client_sweep.run{run}")
+                   for run in (1, 2, 3)], workers=args.workers)
     reporter.engine(engine_report)
     reporter.emit("fig2", format_table(
         ("clients", "blow-up"),

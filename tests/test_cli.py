@@ -215,10 +215,12 @@ class TestCommands:
     @pytest.mark.parametrize("seed", (0, 7))
     def test_blowup_reports_equal_record_lane_golden(self, seed, tmp_path,
                                                      monkeypatch):
-        """``tests/data/blowup_seed*`` are the section 7 reports as the
-        record-list implementation (PR 20) wrote them; the column lane
-        reproduces them bytewise at any ``--workers``, with
-        workers-invariant metrics and no scratch trace left behind."""
+        """``tests/data/blowup_seed*`` are the section 7 reports: Figure 1
+        as the record-list implementation (PR 20) wrote it, Figures 2
+        and 3 as re-recorded once the sweep drew three client samples
+        per fraction from ``--seed``; the column lane reproduces them
+        bytewise at any ``--workers``, with workers-invariant metrics and
+        no scratch trace left behind."""
         monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
         golden = Path(__file__).parent / "data" / f"blowup_seed{seed}"
         for workers in (1, 4):
@@ -256,6 +258,25 @@ class TestCommands:
             main(["--quiet", "blowup", "--scale", "0.002",
                   "--allnames-scale", "0.02", "--hours", "0.05"])
         assert not list(tmp_path.glob("repro-blowup-*"))
+
+    def test_blowup_sweep_seeds_follow_seed(self, tmp_path, monkeypatch):
+        """``--seed`` draws the Figure 2/3 sweep's three client samples
+        per fraction, each from a seed of its own."""
+        drawn = []
+
+        def spy(trace, clients, *, fractions, seeds, workers):
+            drawn.append(list(seeds))
+            raise RuntimeError("sweep seen")
+
+        monkeypatch.setattr("repro.cli.client_sweep_sharded", spy)
+        for seed in ("3", "4"):
+            with pytest.raises(RuntimeError, match="sweep seen"):
+                main(["--quiet", "--seed", seed, "--out",
+                      str(tmp_path / seed), "blowup", "--scale", "0.002",
+                      "--allnames-scale", "0.02", "--hours", "0.05"])
+        at_3, at_4 = drawn
+        assert len(set(at_3)) == len(set(at_4)) == 3
+        assert not set(at_3) & set(at_4)
 
     def test_generate_then_replay_roundtrip(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
