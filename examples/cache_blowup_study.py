@@ -15,6 +15,7 @@ from repro.analysis import (cdf_table, client_sweep, fig1_series, fig2_series,
 from repro.datasets import AllNamesBuilder, PublicCdnBuilder
 from repro.datasets import paper_numbers as paper
 from repro.datasets.columnar import ColumnarStore
+from repro.engine.seeding import world_seed
 
 
 def main() -> None:
@@ -48,7 +49,8 @@ def main() -> None:
     sweep = client_sweep(
         ColumnarStore.from_records(allnames.records, "allnames"),
         allnames.client_ips, fractions=(0.1, 0.25, 0.5, 0.75, 1.0),
-        seeds=(1, 2))
+        seeds=[world_seed(1, f"analysis.client_sweep.run{run}")
+               for run in (1, 2, 3)])
     print("\nFigure 2 — blow-up vs client fraction:")
     f2 = fig2_series(sweep)
     print(format_table(("clients", "blow-up"),
